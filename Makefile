@@ -12,7 +12,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test
+.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test
 
 all: build
 
@@ -83,7 +83,14 @@ kv-test:
 train-test:
 	TRAIN_SOAK=1 $(GO) test -race ./internal/allreduce/ ./internal/train/ -timeout 30m
 
-ci: build vet test serve-test proxy-test store-test kv-test train-test race fuzz-smoke bench-guard
+# The nested benchmark module (benchmark/, its own go.mod): `go build ./...`
+# and `go test ./...` at the root never compile it, so this is the only CI
+# step that notices a refactor breaking one of benchmark/surface.go's
+# bindings into repro/internal/*.
+benchmark-test:
+	$(GO) test -C benchmark ./...
+
+ci: build vet test benchmark-test serve-test proxy-test store-test kv-test train-test race fuzz-smoke bench-guard
 
 # Coverage-guided fuzzing of every decode entry point, FUZZTIME per target.
 # Each target is seeded from valid round-trip containers, so the fuzzer

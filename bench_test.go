@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"sync"
@@ -81,7 +82,7 @@ func BenchmarkEncodeThroughput(b *testing.B) {
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := codec.Encode(planes, 26, codec.HEVC, codec.AllTools); err != nil {
+		if _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,14 +94,14 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 	w := tensorgen.Weights(rng, n, n)
 	pix, _, _ := quant.ToUint8(w)
 	planes := frame.FromMatrix(pix, n, n, 1024, 1024)
-	stream, _, err := codec.Encode(planes, 26, codec.HEVC, codec.AllTools)
+	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.Decode(stream); err != nil {
+		if _, err := codec.Decode(context.Background(), stream, codec.DecodeConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +129,7 @@ func benchEncodeStack(b *testing.B, workers int) {
 	b.SetBytes(int64(8 * 256 * 256))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := codec.EncodeParallel(planes, 26, codec.HEVC, codec.AllTools, workers); err != nil {
+		if _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,14 +140,14 @@ func BenchmarkEncodeStackParallel(b *testing.B) { benchEncodeStack(b, 0) }
 
 func benchDecodeStack(b *testing.B, workers int) {
 	planes := stackPlanes(6, 8, 256)
-	stream, _, err := codec.EncodeParallel(planes, 26, codec.HEVC, codec.AllTools, 0)
+	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(8 * 256 * 256))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeWorkers(stream, workers); err != nil {
+		if _, err := codec.Decode(context.Background(), stream, codec.DecodeConfig{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@
 //     invariant.
 //   - Snapshot(first, count) re-frames any live chunk range into a
 //     standalone hardened v3 container with a chunk-index trailer, built
-//     from the stored payloads alone (writeHeaderDims): no entropy work, no
+//     from the stored payloads alone (writeContainer): no entropy work, no
 //     plane data. The snapshot decodes byte-identically to the same crop of
 //     a one-shot encode (append_test.go proves it across backends).
 //   - DropPlanes releases the payload prefix under eviction pressure;
@@ -39,20 +39,12 @@ package codec
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/frame"
 	"repro/internal/obs"
 )
-
-// appendChunk is one committed chunk: a single plane's payload and CRC.
-// A dropped (evicted) chunk keeps its table entry with a nil payload.
-type appendChunk struct {
-	payload []byte
-	crc     uint32
-}
 
 // Appender accumulates an append-only sequence of single-plane chunks and
 // serves indexed v3 snapshot containers over any live range of them.
@@ -63,8 +55,10 @@ type Appender struct {
 	workers int
 	m       *encMetrics
 
-	dims    [][2]int
-	chunks  []appendChunk
+	dims [][2]int
+	// chunks holds one sealed single-plane chunk per committed plane. A
+	// dropped (evicted) chunk keeps its entry with a nil payload.
+	chunks  []chunkRec
 	regions []PlaneRegion
 	ransTab *[nCtxSlots]uint8
 
@@ -127,7 +121,7 @@ func (a *Appender) SetTable(tab []uint8) error {
 // tensor-space rect per plane; rects are stored in the snapshot trailers
 // verbatim. On error nothing is committed.
 func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []PlaneRegion) ([][]byte, Stats, error) {
-	if err := validateEncode(planes, a.qp, a.prof, a.tools); err != nil {
+	if err := validateEncode(planes, EncodeConfig{QP: a.qp, Profile: a.prof, Tools: a.tools}); err != nil {
 		return nil, Stats{}, err
 	}
 	if len(regions) != len(planes) {
@@ -142,11 +136,11 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 	for i := range planes {
 		spans[i] = [2]int{i, i + 1}
 	}
-	payloads, records, recs, err := encodeChunksParallel(ctx, planes, spans, a.qp, a.prof, a.tools, a.workers, a.m)
+	chunks, records, recs, err := encodeChunks(ctx, planes, spans, a.qp, a.prof, a.tools, a.workers, a.m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if a.tools.Backend == BackendRANS {
+	if records != nil {
 		if a.ransTab == nil {
 			// Freeze from the first chunk only — not this call's aggregate —
 			// so the table (and every payload after it) is independent of how
@@ -154,19 +148,21 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 			tab := buildRansTable(records[:1])
 			a.ransTab = &tab
 		}
-		for i, r := range records {
-			payloads[i] = r.assemble(a.ransTab)
-		}
+		sealRans(chunks, records, a.ransTab)
 	}
+	seal(chunks)
+	payloads := make([][]byte, len(chunks))
 	payloadLen := 0
-	for i, p := range payloads {
+	for i, c := range chunks {
+		payloads[i] = c.payload
 		a.dims = append(a.dims, [2]int{planes[i].W, planes[i].H})
-		a.chunks = append(a.chunks, appendChunk{payload: p, crc: crc32.Checksum(p, crcTable)})
-		a.regions = append(a.regions, regions[i])
-		a.payloadBytes += int64(len(p))
-		payloadLen += len(p)
+		payloadLen += len(c.payload)
 	}
-	st := statsFromChunks(planes, recs, payloadLen*8, len(spans))
+	a.chunks = append(a.chunks, chunks...)
+	a.regions = append(a.regions, regions...)
+	a.payloadBytes += int64(payloadLen)
+	st := computeStats(planes, recs, payloadLen*8)
+	st.Chunks = len(spans)
 	if a.m != nil {
 		a.m.recordEncodeTotals(st, payloadLen, payloadLen, len(planes))
 	}
@@ -190,7 +186,7 @@ func (a *Appender) AppendEncoded(payload []byte, w, h int, region PlaneRegion) e
 		return fmt.Errorf("codec: aliased rANS chunk before table adoption")
 	}
 	a.dims = append(a.dims, [2]int{w, h})
-	a.chunks = append(a.chunks, appendChunk{payload: payload, crc: crc32.Checksum(payload, crcTable)})
+	a.chunks = append(a.chunks, chunkRec{payload: payload, crc: crc32.Checksum(payload, crcTable), planes: 1})
 	a.regions = append(a.regions, region)
 	a.payloadBytes += int64(len(payload))
 	return nil
@@ -226,38 +222,7 @@ func (a *Appender) Snapshot(first, count int) ([]byte, error) {
 		return nil, fmt.Errorf("codec: snapshot planes [%d,%d) outside live range [%d,%d)",
 			first, first+count, a.dropped, len(a.dims))
 	}
-	dims := a.dims[first : first+count]
-	var head bytes.Buffer
-	writeHeaderDims(&head, versionChecksummed, dims, a.qp, a.prof, a.tools, a.ransTab)
-	binary.Write(&head, binary.BigEndian, uint32(count))
-	total := head.Len() + 12*count + 4
-	payloadLen := 0
-	for i := first; i < first+count; i++ {
-		c := &a.chunks[i]
-		binary.Write(&head, binary.BigEndian, uint32(1)) // planeCount
-		binary.Write(&head, binary.BigEndian, uint32(len(c.payload)))
-		binary.Write(&head, binary.BigEndian, c.crc)
-		payloadLen += len(c.payload)
-	}
-	binary.Write(&head, binary.BigEndian, crc32.Checksum(head.Bytes(), crcTable))
-	entries := make([]IndexEntry, count)
-	off := int64(head.Len())
-	for i := 0; i < count; i++ {
-		entries[i] = IndexEntry{
-			Offset:     off,
-			Length:     len(a.chunks[first+i].payload),
-			CRC:        a.chunks[first+i].crc,
-			PlaneBase:  i,
-			PlaneCount: 1,
-		}
-		off += int64(entries[i].Length)
-	}
-	trailer := buildTrailer(entries, a.regions[first:first+count])
-	out := make([]byte, 0, total+payloadLen+len(trailer))
-	out = append(out, head.Bytes()...)
-	for i := first; i < first+count; i++ {
-		out = append(out, a.chunks[i].payload...)
-	}
-	out = append(out, trailer...)
+	out, _ := writeContainer(versionChecksummed, a.dims[first:first+count], a.qp, a.prof, a.tools, a.ransTab,
+		a.chunks[first:first+count], &indexSpec{regions: a.regions[first : first+count]})
 	return out, nil
 }

@@ -39,7 +39,7 @@ func TestRANSRoundTrip(t *testing.T) {
 	}
 	for name, planes := range corpora {
 		for _, prof := range []Profile{H264, HEVC} {
-			data, st, err := EncodeChecksummed(planes, 30, prof, ransTools(), 2)
+			data, st, err := encodeAs(ContainerV3, planes, 30, prof, ransTools(), 2)
 			if err != nil {
 				t.Fatalf("%s/%s: encode: %v", name, prof.Name, err)
 			}
@@ -49,11 +49,11 @@ func TestRANSRoundTrip(t *testing.T) {
 			if data[6]&toolsBackendExt == 0 {
 				t.Fatalf("%s/%s: tools byte missing backend-extension bit", name, prof.Name)
 			}
-			got, err := DecodeWorkers(data, 2)
+			got, err := decodeAll(data, 2)
 			if err != nil {
 				t.Fatalf("%s/%s: decode: %v", name, prof.Name, err)
 			}
-			cab, err := DecodeWorkers(mustEncode(t, planes, 30, prof, AllTools), 2)
+			cab, err := decodeAll(mustEncode(t, planes, 30, prof, AllTools), 2)
 			if err != nil {
 				t.Fatalf("%s/%s: cabac decode: %v", name, prof.Name, err)
 			}
@@ -68,29 +68,27 @@ func TestRANSRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Encode and EncodeParallel must also emit v3 (rANS needs the header
-	// extension) and agree byte-for-byte with EncodeChecksummed.
+	// ContainerLegacy must also emit v3 under rANS (the table needs the
+	// header extension) and agree byte-for-byte with ContainerV3.
 	planes := corpora["multi chunk"]
-	want, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	want, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaSerial, _, err := Encode(planes, 30, HEVC, ransTools())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaParallel, _, err := EncodeParallel(planes, 30, HEVC, ransTools(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaSerial, want) || !bytes.Equal(viaParallel, want) {
-		t.Fatal("Encode/EncodeParallel rans streams differ from EncodeChecksummed")
+	for _, workers := range []int{1, 4} {
+		legacy, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, ransTools(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(legacy, want) {
+			t.Fatalf("ContainerLegacy rans stream (workers=%d) differs from ContainerV3", workers)
+		}
 	}
 }
 
 func mustEncode(t *testing.T, planes []*frame.Plane, qp int, prof Profile, tools Tools) []byte {
 	t.Helper()
-	data, _, err := EncodeChecksummed(planes, qp, prof, tools, 2)
+	data, _, err := encodeAs(ContainerV3, planes, qp, prof, tools, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +107,12 @@ func TestRANSDeterministicAcrossWorkers(t *testing.T) {
 	for i := range planes {
 		planes[i] = gradientPlane(rng, 64, 64)
 	}
-	base, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	base, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		again, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), w)
+		again, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +120,12 @@ func TestRANSDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("rans encode differs at %d workers", w)
 		}
 	}
-	ref, err := DecodeWorkers(base, 1)
+	ref, err := decodeAll(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		got, err := DecodeWorkers(base, w)
+		got, err := decodeAll(base, w)
 		if err != nil {
 			t.Fatalf("decode at %d workers: %v", w, err)
 		}
@@ -158,7 +156,7 @@ func ransHeaderLen(t *testing.T, data []byte) int {
 func TestBackendByteTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +165,7 @@ func TestBackendByteTable(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[8] = byte(id)
 		binary.BigEndian.PutUint32(bad[hdrLen:], crc32.Checksum(bad[:hdrLen], crcTable))
-		got, err := DecodeWorkers(bad, 1)
+		got, err := decodeAll(bad, 1)
 		if id == int(BackendRANS) {
 			if err != nil {
 				t.Fatalf("backend id %d (rans): %v", id, err)
@@ -211,7 +209,7 @@ func TestBackendExtensionRequiresV3(t *testing.T) {
 		return b.Bytes()
 	}
 	for _, version := range []byte{1, 2} {
-		_, err := DecodeWorkers(build(version), 1)
+		_, err := decodeAll(build(version), 1)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("v%d with backend extension: got %v, want ErrCorrupt", version, err)
 		}
@@ -225,7 +223,7 @@ func TestBackendExtensionRequiresV3(t *testing.T) {
 func TestRANSFaultSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +254,7 @@ func TestRANSFaultSweeps(t *testing.T) {
 func TestRANSPayloadStrictness(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	planes := []*frame.Plane{gradientPlane(rng, 48, 40)}
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, ransTools(), 1)
+	data, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +281,7 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	// Damaging the final state segment's last byte must be caught by the
 	// strict rANS Close (state must return to its initial value).
 	bad := reseal(func(p []byte) { p[len(p)-1] ^= 0xFF })
-	if _, err := DecodeWorkers(bad, 1); err == nil {
+	if _, err := decodeAll(bad, 1); err == nil {
 		t.Fatal("damaged final rans segment byte accepted")
 	} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 		t.Fatalf("damaged segment: untyped error %v", err)
@@ -293,7 +291,7 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	// segment framing; the decode must either reject it or at minimum not
 	// panic — under the recomputed CRCs we only demand typed behavior.
 	bad = reseal(func(p []byte) { p[1] ^= 0x01 })
-	if _, err := DecodeWorkers(bad, 1); err != nil {
+	if _, err := decodeAll(bad, 1); err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("bypass flip: untyped error %v", err)
 		}
@@ -311,11 +309,11 @@ func TestRANSBitrateNearCABAC(t *testing.T) {
 	for i := range planes {
 		planes[i] = gradientPlane(rng, 128, 128)
 	}
-	cab, _, err := EncodeChecksummed(planes, 16, HEVC, AllTools, 2)
+	cab, _, err := encodeAs(ContainerV3, planes, 16, HEVC, AllTools, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rns, _, err := EncodeChecksummed(planes, 16, HEVC, ransTools(), 2)
+	rns, _, err := encodeAs(ContainerV3, planes, 16, HEVC, ransTools(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +331,10 @@ func TestRANSRequiresEntropyStage(t *testing.T) {
 	tools := ransTools()
 	tools.CABAC = false
 	planes := []*frame.Plane{frame.NewPlane(16, 16)}
-	if _, _, err := EncodeChecksummed(planes, 30, HEVC, tools, 1); err == nil {
+	if _, _, err := encodeAs(ContainerV3, planes, 30, HEVC, tools, 1); err == nil {
 		t.Fatal("rans without entropy stage accepted")
 	}
-	if _, _, err := Encode(planes, 30, HEVC, tools); err == nil {
-		t.Fatal("rans without entropy stage accepted by Encode")
+	if _, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, tools, 1); err == nil {
+		t.Fatal("rans without entropy stage accepted by ContainerLegacy")
 	}
 }

@@ -1,12 +1,27 @@
 package codec
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/frame"
 )
+
+// encodeAs and decodeAll are the suite's two call-shape helpers: the common
+// "background context, no metrics" Encode into a chosen container, and the
+// strict whole-stream Decode reduced to its planes. Anything else — metrics,
+// a real context, a plane window, Partial — calls Encode/Decode directly.
+func encodeAs(container Container, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
+	return Encode(context.Background(), planes, EncodeConfig{
+		QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container})
+}
+
+func decodeAll(data []byte, workers int) ([]*frame.Plane, error) {
+	return planesOf(Decode(context.Background(), data, DecodeConfig{Workers: workers}))
+}
 
 // gradientPlane builds a smooth image with channel-like horizontal bands and
 // mild noise — the structure the paper says weight tensors exhibit.
@@ -58,7 +73,7 @@ func noisePlane(rng *rand.Rand, w, h int) *frame.Plane {
 // decodeMSE round-trips and computes MSE vs the originals.
 func decodeMSE(t *testing.T, data []byte, orig []*frame.Plane) float64 {
 	t.Helper()
-	dec, err := Decode(data)
+	dec, err := decodeAll(data, 0)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -83,7 +98,7 @@ func TestEncodeDecodeMSEMatchesStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := gradientPlane(rng, 96, 96)
 	for _, qp := range []int{8, 20, 32, 44} {
-		data, st, err := Encode([]*frame.Plane{p}, qp, HEVC, AllTools)
+		data, st, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, qp, HEVC, AllTools, 1)
 		if err != nil {
 			t.Fatalf("qp %d: %v", qp, err)
 		}
@@ -98,7 +113,7 @@ func TestAllProfilesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := gradientPlane(rng, 64, 48) // non-multiple of CTU exercises padding
 	for _, prof := range []Profile{H264, HEVC, AV1} {
-		data, st, err := Encode([]*frame.Plane{p}, 24, prof, AllTools)
+		data, st, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 24, prof, AllTools, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
@@ -123,7 +138,7 @@ func TestToolCombinationsRoundTrip(t *testing.T) {
 		{IntraPred: true, CABAC: true},
 	}
 	for _, tc := range combos {
-		data, st, err := Encode(planes, 24, HEVC, tc)
+		data, st, err := encodeAs(ContainerLegacy, planes, 24, HEVC, tc, 1)
 		if err != nil {
 			t.Fatalf("tools %+v: %v", tc, err)
 		}
@@ -141,7 +156,7 @@ func TestMultiFrameRoundTrip(t *testing.T) {
 		gradientPlane(rng, 40, 72),
 		noisePlane(rng, 33, 33),
 	}
-	data, st, err := Encode(planes, 28, HEVC, AllTools)
+	data, st, err := encodeAs(ContainerLegacy, planes, 28, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +182,7 @@ func TestInterFrameRoundTrip(t *testing.T) {
 	tools := AllTools
 	tools.InterPred = true
 	planes := []*frame.Plane{base, shifted}
-	data, st, err := Encode(planes, 24, HEVC, tools)
+	data, st, err := encodeAs(ContainerLegacy, planes, 24, HEVC, tools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +211,11 @@ func TestInterHelpsTranslatedVideo(t *testing.T) {
 	intraTools := AllTools
 	interTools := AllTools
 	interTools.InterPred = true
-	_, stIntra, err := Encode(planes, 24, HEVC, intraTools)
+	_, stIntra, err := encodeAs(ContainerLegacy, planes, 24, HEVC, intraTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stInter, err := Encode(planes, 24, HEVC, interTools)
+	_, stInter, err := encodeAs(ContainerLegacy, planes, 24, HEVC, interTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +229,11 @@ func TestStructuredBeatsNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	grad := gradientPlane(rng, 64, 64)
 	noise := noisePlane(rng, 64, 64)
-	_, stG, err := Encode([]*frame.Plane{grad}, 28, HEVC, AllTools)
+	_, stG, err := encodeAs(ContainerLegacy, []*frame.Plane{grad}, 28, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stN, err := Encode([]*frame.Plane{noise}, 28, HEVC, AllTools)
+	_, stN, err := encodeAs(ContainerLegacy, []*frame.Plane{noise}, 28, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +250,11 @@ func TestIntraPredictionReducesRate(t *testing.T) {
 	with := AllTools
 	without := AllTools
 	without.IntraPred = false
-	_, stW, err := Encode([]*frame.Plane{p}, 26, HEVC, with)
+	_, stW, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, with, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWo, err := Encode([]*frame.Plane{p}, 26, HEVC, without)
+	_, stWo, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, without, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +269,7 @@ func TestRateIsMonotoneInQP(t *testing.T) {
 	prev := math.Inf(1)
 	first := 0.0
 	for i, qp := range []int{8, 16, 24, 32, 40, 48} {
-		_, st, err := Encode([]*frame.Plane{p}, qp, HEVC, AllTools)
+		_, st, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, qp, HEVC, AllTools, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,77 +288,55 @@ func TestRateIsMonotoneInQP(t *testing.T) {
 	}
 }
 
-func TestEncodeToBitrateHitsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := gradientPlane(rng, 96, 96)
-	for _, target := range []float64{1.0, 2.3, 3.5} {
-		data, st, qp, err := EncodeToBitrate([]*frame.Plane{p}, target, HEVC, AllTools)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BitsPerPixel > target {
-			t.Fatalf("target %.2f: got %.3f bpp (qp %d)", target, st.BitsPerPixel, qp)
-		}
-		if got := decodeMSE(t, data, []*frame.Plane{p}); got != st.MSE {
-			t.Fatalf("target %.2f: decode mismatch", target)
-		}
+// TestRateControlRejectsEmptyInput pins the degenerate-input bug the
+// rate-control searches (now internal/core's) once had: an empty plane list
+// or a zero-pixel plane makes Stats.BitsPerPixel = 0/0 = NaN, every bisection
+// comparison false, and the search silently returned a stream "meeting" any
+// budget. Encode — the one function every probe bottoms out in — must fail up
+// front with a typed error matching ErrEmptyInput, in every container.
+func TestRateControlRejectsEmptyInput(t *testing.T) {
+	cases := []struct {
+		name   string
+		planes []*frame.Plane
+	}{
+		{"empty list", nil},
+		{"nil plane", []*frame.Plane{nil}},
+		{"zero-dim plane", []*frame.Plane{{W: 0, H: 16}}},
 	}
-}
-
-func TestEncodeToMSEHitsBudget(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := gradientPlane(rng, 96, 96)
-	for _, budget := range []float64{2, 10, 50} {
-		_, st, qp, err := EncodeToMSE([]*frame.Plane{p}, budget, HEVC, AllTools)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.MSE > budget {
-			t.Fatalf("budget %.1f: got MSE %.3f (qp %d)", budget, st.MSE, qp)
-		}
-	}
-}
-
-func TestEncodeToMSETightBudgetUsesFewBits(t *testing.T) {
-	// A loose MSE budget must not cost more bits than a tight one.
-	rng := rand.New(rand.NewSource(12))
-	p := gradientPlane(rng, 64, 64)
-	_, tight, _, err := EncodeToMSE([]*frame.Plane{p}, 1, HEVC, AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, loose, _, err := EncodeToMSE([]*frame.Plane{p}, 100, HEVC, AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loose.BitsPerPixel > tight.BitsPerPixel {
-		t.Fatalf("loose budget %.3f bpp > tight %.3f bpp", loose.BitsPerPixel, tight.BitsPerPixel)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed} {
+				if _, _, err := encodeAs(c, tc.planes, 26, HEVC, AllTools, 1); !errors.Is(err, ErrEmptyInput) {
+					t.Fatalf("container %d: got %v, want ErrEmptyInput", c, err)
+				}
+			}
+		})
 	}
 }
 
 func TestFrameSizeLimitEnforced(t *testing.T) {
 	p := frame.NewPlane(8192+32, 16)
-	_, _, err := Encode([]*frame.Plane{p}, 24, HEVC, AllTools)
+	_, _, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 24, HEVC, AllTools, 1)
 	if err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
+	if _, err := decodeAll(nil, 0); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := Decode([]byte("notastream!!")); err == nil {
+	if _, err := decodeAll([]byte("notastream!!"), 0); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Valid header, truncated payload must error (not panic).
 	rng := rand.New(rand.NewSource(13))
 	p := gradientPlane(rng, 64, 64)
-	data, _, err := Encode([]*frame.Plane{p}, 24, HEVC, AllTools)
+	data, _, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 24, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data[:20]); err == nil {
+	if _, err := decodeAll(data[:20], 0); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
@@ -354,11 +347,11 @@ func TestCABACReducesRateVsRawBins(t *testing.T) {
 	with := AllTools
 	without := AllTools
 	without.CABAC = false
-	_, stW, err := Encode([]*frame.Plane{p}, 26, HEVC, with)
+	_, stW, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, with, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stWo, err := Encode([]*frame.Plane{p}, 26, HEVC, without)
+	_, stWo, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, without, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +364,7 @@ func TestOddSizesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, sz := range [][2]int{{1, 1}, {7, 3}, {31, 65}, {33, 31}, {100, 1}} {
 		p := noisePlane(rng, sz[0], sz[1])
-		data, st, err := Encode([]*frame.Plane{p}, 20, HEVC, AllTools)
+		data, st, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 20, HEVC, AllTools, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", sz, err)
 		}
@@ -387,7 +380,7 @@ func BenchmarkEncodeHEVC(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Encode([]*frame.Plane{p}, 28, HEVC, AllTools); err != nil {
+		if _, _, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 28, HEVC, AllTools, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -396,14 +389,14 @@ func BenchmarkEncodeHEVC(b *testing.B) {
 func BenchmarkDecodeHEVC(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	p := gradientPlane(rng, 128, 128)
-	data, _, err := Encode([]*frame.Plane{p}, 28, HEVC, AllTools)
+	data, _, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 28, HEVC, AllTools, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(data); err != nil {
+		if _, err := decodeAll(data, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

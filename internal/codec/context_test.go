@@ -41,7 +41,7 @@ func TestEncodeCanceledPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	data, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 4, nil)
+	data, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 4})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -64,20 +64,15 @@ func TestEncodePreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name string
-		run  func() ([]byte, error)
+		name      string
+		container Container
 	}{
-		{"parallel", func() ([]byte, error) {
-			d, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
-			return d, err
-		}},
-		{"checksummed", func() ([]byte, error) {
-			d, _, err := EncodeChecksummedCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
-			return d, err
-		}},
+		{"parallel", ContainerLegacy},
+		{"checksummed", ContainerV3},
+		{"indexed", ContainerV3Indexed},
 	} {
 		start := time.Now()
-		data, err := tc.run()
+		data, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: tc.container})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
@@ -94,7 +89,7 @@ func TestEncodePreCanceled(t *testing.T) {
 // return of the bare cancellation error.
 func TestDecodeCanceledPromptly(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 4)
+	data, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +99,13 @@ func TestDecodeCanceledPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	out, err := DecodeWorkersCtx(ctx, data, 4, nil)
+	out, err := Decode(ctx, data, DecodeConfig{Workers: 4})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out != nil {
-		t.Errorf("canceled decode returned %d planes, want nil", len(out))
+		t.Errorf("canceled decode returned %d planes, want nil", len(out.Planes))
 	}
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("canceled decode took %v, want < 100ms", elapsed)
@@ -123,7 +118,7 @@ func TestDeadlineExceededMapsCleanly(t *testing.T) {
 	planes := cancelPlanes(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, _, err := EncodeParallelCtx(ctx, planes, 30, HEVC, AllTools, 2, nil)
+	_, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -135,18 +130,18 @@ func TestDeadlineExceededMapsCleanly(t *testing.T) {
 	}
 }
 
-// TestPartialDecodeCancellationWins: DecodePartialCtx must return ctx.Err()
+// TestPartialDecodeCancellationWins: a Partial Decode must return ctx.Err()
 // on cancellation, never a partial result whose "failures" are skipped
 // chunks.
 func TestPartialDecodeCancellationWins(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeChecksummed(planes, 30, HEVC, AllTools, 4)
+	data, _, err := encodeAs(ContainerV3, planes, 30, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := DecodePartialCtx(ctx, data, 4, nil)
+	res, err := Decode(ctx, data, DecodeConfig{Workers: 4, Partial: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -155,48 +150,42 @@ func TestPartialDecodeCancellationWins(t *testing.T) {
 	}
 }
 
-// TestBackgroundContextByteIdentity: the Ctx entry points with a background
-// context must produce exactly the bytes of the classic entry points — the
-// nil-collapse in cancellable() keeps the hot path and the bitstream
-// untouched. The golden conformance corpus pins this globally; this test
-// pins it pairwise, including the checksummed v3 path.
+// TestBackgroundContextByteIdentity: a cancellable context that never fires
+// must leave the bytes exactly where context.Background() puts them — the
+// nil-collapse in cancellable() only removes the polls, never changes what
+// is coded. The equivalence matrix pins this across the whole config table;
+// this test pins it pairwise on the decode side too.
 func TestBackgroundContextByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	planes := []*frame.Plane{noisePlane(rng, 96, 64), gradientPlane(rng, 64, 96)}
-	classic, _, err := EncodeParallel(planes, 28, HEVC, AllTools, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, _, err := EncodeParallelCtx(context.Background(), planes, 28, HEVC, AllTools, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(classic, ctxed) {
-		t.Error("EncodeParallelCtx(Background) bytes differ from EncodeParallel")
-	}
-	classicV3, _, err := EncodeChecksummed(planes, 28, HEVC, AllTools, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxedV3, _, err := EncodeChecksummedCtx(context.Background(), planes, 28, HEVC, AllTools, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(classicV3, ctxedV3) {
-		t.Error("EncodeChecksummedCtx(Background) bytes differ from EncodeChecksummed")
-	}
-	// And the ctx-decoded planes must round-trip identically.
-	a, err := DecodeWorkers(classic, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := DecodeWorkersCtx(context.Background(), classic, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !bytes.Equal(a[i].Pix, b[i].Pix) {
-			t.Fatalf("plane %d pixels differ between Decode and DecodeCtx", i)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, c := range []Container{ContainerLegacy, ContainerV3} {
+		cfg := EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools, Workers: 2, Container: c}
+		classic, _, err := Encode(context.Background(), planes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctxed, _, err := Encode(live, planes, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(classic, ctxed) {
+			t.Errorf("container %d: bytes differ under a cancellable context", c)
+		}
+		// And the ctx-decoded planes must round-trip identically.
+		a, err := decodeAll(classic, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Decode(live, classic, DecodeConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a {
+			if !bytes.Equal(a[i].Pix, b.Planes[i].Pix) {
+				t.Fatalf("container %d: plane %d pixels differ under a cancellable context", c, i)
+			}
 		}
 	}
 }
@@ -205,14 +194,14 @@ func TestBackgroundContextByteIdentity(t *testing.T) {
 // errors.canceled counter, not the corrupt/truncated/checksum taxonomy.
 func TestCanceledMetricTaxonomy(t *testing.T) {
 	planes := cancelPlanes(t)
-	data, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 4)
+	data, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	reg := obs.NewRegistry()
-	if _, err := DecodeWorkersCtx(ctx, data, 2, reg); !errors.Is(err, context.Canceled) {
+	if _, err := Decode(ctx, data, DecodeConfig{Workers: 2, Metrics: reg}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	snap := reg.Snapshot()

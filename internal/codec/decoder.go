@@ -39,24 +39,6 @@ type decoder struct {
 	prevMode intra.Mode
 }
 
-// Decode parses a bitstream produced by Encode or EncodeParallel and returns
-// the reconstructed planes (cropped to their original sizes). Chunked
-// (version-2) containers are decoded with a default-sized worker pool; use
-// DecodeWorkers to control the pool.
-func Decode(data []byte) ([]*frame.Plane, error) {
-	return DecodeWorkers(data, 0)
-}
-
-// DecodeWorkers is Decode with an explicit worker-pool size for chunked
-// containers; workers <= 0 selects runtime.GOMAXPROCS(0). Version-1 streams
-// are a single substream and always decode serially.
-//
-// DecodeWorkers never panics on hostile input: every failure is a typed
-// error matching ErrCorrupt, ErrTruncated or ErrChecksum under errors.Is.
-func DecodeWorkers(data []byte, workers int) ([]*frame.Plane, error) {
-	return decodeDispatch(context.Background(), data, workers, nil)
-}
-
 // checkPreamble validates the fixed 8-byte preamble plus the minimum header
 // tail shared by every container version.
 func checkPreamble(data []byte) error {

@@ -1,9 +1,7 @@
 package codec
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -26,8 +24,8 @@ type Stats struct {
 	Chunks       int     // independently decodable substreams in the container
 }
 
-// Encoder carries the per-sequence encoding state. Create one per Encode
-// call; it is not safe for concurrent use.
+// encoder carries the per-chunk encoding state. encodeChunk resets one per
+// chunk; it is not safe for concurrent use.
 type encoder struct {
 	prof  Profile
 	tools Tools
@@ -65,90 +63,45 @@ type encoder struct {
 	rec *stageRecorder
 }
 
-// Encode compresses planes at the given QP with the selected profile and
-// tools, returning the bitstream and encode statistics. The planes are coded
-// as one sequence (a single substream with shared entropy contexts) in the
-// version-1 container; see EncodeParallel for the chunked multi-substream
-// engine.
-func Encode(planes []*frame.Plane, qp int, prof Profile, tools Tools) ([]byte, Stats, error) {
-	return encodeSerial(context.Background(), planes, qp, prof, tools, nil)
-}
-
-// encodeSerial is the observable core of Encode: one shared-context
-// substream in the version-1 container.
-func encodeSerial(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, m *encMetrics) ([]byte, Stats, error) {
-	if err := validateEncode(planes, qp, prof, tools); err != nil {
-		return nil, Stats{}, err
-	}
-	if tools.Backend != BackendCABAC {
-		// rANS containers are always version 3: the shared probability table
-		// lives in the checksummed header's backend extension, so the v1
-		// framing cannot carry them. CABAC output is untouched.
-		return encodeChecksummed(ctx, planes, qp, prof, tools, 1, m)
-	}
-	var chunkStart time.Time
-	if m != nil {
-		chunkStart = time.Now()
-	}
-	s := getScratch()
-	payload, _, recs, err := encodeChunk(ctx, planes, qp, prof, tools, m, s)
-	putScratch(s)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if m != nil {
-		m.chunkNs.ObserveSince(chunkStart)
-	}
-
-	var tContainer time.Time
-	if m != nil {
-		tContainer = time.Now()
-	}
-	var head bytes.Buffer
-	head.Write(magic[:])
-	head.WriteByte(1) // version
-	head.WriteByte(prof.id())
-	head.WriteByte(tools.bits())
-	head.WriteByte(uint8(qp))
-	if err := binary.Write(&head, binary.BigEndian, uint32(len(planes))); err != nil {
-		return nil, Stats{}, err
-	}
-	for _, p := range planes {
-		binary.Write(&head, binary.BigEndian, uint32(p.W))
-		binary.Write(&head, binary.BigEndian, uint32(p.H))
-	}
-	binary.Write(&head, binary.BigEndian, uint32(len(payload)))
-	out := append(head.Bytes(), payload...)
-
-	st := computeStats(planes, recs, len(out)*8)
-	st.Chunks = 1
-	if m != nil {
-		m.stageContainer.ObserveSince(tContainer)
-		m.recordEncodeTotals(st, len(out), len(payload), len(planes))
-	}
-	return out, st, nil
-}
-
-// validateEncode checks the shared preconditions of Encode and EncodeParallel.
-func validateEncode(planes []*frame.Plane, qp int, prof Profile, tools Tools) error {
+// validateEncode checks Encode's preconditions (Appender.Append shares them
+// through a config carrying only its coding parameters). Zero-pixel inputs —
+// an empty plane list, a nil plane, a plane with a zero dimension — are
+// rejected with an error matching ErrEmptyInput: Stats.BitsPerPixel and MSE
+// are 0/0 = NaN there, and a rate-control bisection fed NaN compares false
+// forever and walks silently to one end of the QP range instead of failing.
+func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 	if len(planes) == 0 {
-		return errors.New("codec: no frames")
+		return fmt.Errorf("codec: no planes to encode: %w", ErrEmptyInput)
 	}
-	if qp < 0 || qp > dct.MaxQP {
-		return fmt.Errorf("codec: qp %d out of range", qp)
+	if cfg.QP < 0 || cfg.QP > dct.MaxQP {
+		return fmt.Errorf("codec: qp %d out of range", cfg.QP)
 	}
-	if tools.Backend != BackendCABAC && tools.Backend != BackendRANS {
-		return fmt.Errorf("codec: unknown entropy backend %d", tools.Backend)
+	if cfg.Tools.Backend != BackendCABAC && cfg.Tools.Backend != BackendRANS {
+		return fmt.Errorf("codec: unknown entropy backend %d", cfg.Tools.Backend)
 	}
-	if tools.Backend == BackendRANS && !tools.CABAC {
+	if cfg.Tools.Backend == BackendRANS && !cfg.Tools.CABAC {
 		// The backend selects the coder for context-coded bins; with the
 		// entropy stage ablated away there are no context-coded bins to route.
 		return errors.New("codec: rans backend requires the entropy-coding stage (Tools.CABAC)")
 	}
-	for _, p := range planes {
-		if p.W > prof.MaxFrameDim || p.H > prof.MaxFrameDim {
+	switch cfg.Container {
+	case ContainerLegacy, ContainerV3, ContainerV3Indexed:
+	default:
+		return fmt.Errorf("codec: unknown container %d", cfg.Container)
+	}
+	if cfg.Regions != nil && (cfg.Container != ContainerV3Indexed || len(cfg.Regions) != len(planes)) {
+		return fmt.Errorf("codec: %d index regions for %d planes in container %d", len(cfg.Regions), len(planes), cfg.Container)
+	}
+	for i, p := range planes {
+		if p == nil {
+			return fmt.Errorf("codec: plane %d is nil: %w", i, ErrEmptyInput)
+		}
+		if p.W <= 0 || p.H <= 0 {
+			return fmt.Errorf("codec: plane %d is %dx%d: %w", i, p.W, p.H, ErrEmptyInput)
+		}
+		if p.W > cfg.Profile.MaxFrameDim || p.H > cfg.Profile.MaxFrameDim {
 			return fmt.Errorf("codec: frame %dx%d exceeds %s limit %d",
-				p.W, p.H, prof.Name, prof.MaxFrameDim)
+				p.W, p.H, cfg.Profile.Name, cfg.Profile.MaxFrameDim)
 		}
 	}
 	return nil

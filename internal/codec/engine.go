@@ -11,11 +11,16 @@
 // Determinism: the chunk partition is a pure function of the plane list and
 // the tool set, every chunk is encoded by a self-contained encoder, and the
 // substreams are stitched in chunk order. Output bytes therefore do not
-// depend on the worker count or on goroutine scheduling:
-// EncodeParallel(planes, …, 1) == EncodeParallel(planes, …, N) bit for bit
-// (and likewise for EncodeChecksummed).
+// depend on the worker count or on goroutine scheduling: Encode with
+// Workers: 1 equals Encode with Workers: N bit for bit, for every Container.
 //
-// Version-2 container layout (all integers big-endian):
+// Version-1 container layout (all integers big-endian) — one chunk only:
+//
+//	"L265" | version=1 | profile | tools | qp        (8 bytes)
+//	uint32 nPlanes | nPlanes × (uint32 w, uint32 h)
+//	uint32 payloadLen | payload
+//
+// Version-2 container layout:
 //
 //	"L265" | version=2 | profile | tools | qp        (8 bytes, as v1)
 //	uint32 nPlanes | nPlanes × (uint32 w, uint32 h)  (as v1)
@@ -31,20 +36,20 @@
 //	nChunks × (uint32 planeCount, uint32 payloadLen, uint32 payloadCRC32C)
 //	uint32 headerCRC32C   — CRC32C over every preceding byte
 //	payloads, concatenated in chunk order
+//	optional trailer (index.go)
 //
 // The header CRC covers the preamble, dim table and chunk table, so a
 // decoder never acts on damaged geometry; each payload CRC is verified
 // before the substream is parsed, so bit-rot inside a chunk surfaces as
-// ErrChecksum (and, under DecodePartial, damages only that chunk's planes).
-// CRC32C (Castagnoli) is used for its hardware support on both x86 and arm.
+// ErrChecksum (and, under DecodeConfig.Partial, damages only that chunk's
+// planes). CRC32C (Castagnoli) is used for its hardware support on both x86
+// and arm.
 //
-// Each payload is a self-delimiting substream identical in format to a
-// version-1 payload: fresh entropy contexts, fresh mode predictor, frame
-// indices local to the chunk.
+// Each payload is a self-delimiting substream: fresh entropy contexts, fresh
+// mode predictor, frame indices local to the chunk.
 package codec
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -57,12 +62,12 @@ import (
 )
 
 // versionChunked is the bitstream version of the chunked multi-substream
-// container produced by EncodeParallel.
+// container (ContainerLegacy with more than one chunk).
 const versionChunked = 2
 
 // versionChecksummed is the bitstream version of the hardened container
-// produced by EncodeChecksummed: chunked framing plus CRC32C integrity on
-// the header and on every chunk payload.
+// (ContainerV3, ContainerV3Indexed, and every rANS stream): chunked framing
+// plus CRC32C integrity on the header and on every chunk payload.
 const versionChecksummed = 3
 
 // crcTable is the CRC32C (Castagnoli) table used by the v3 container.
@@ -84,9 +89,9 @@ func normalizeWorkers(w int) int {
 // grouped into one chunk until it holds at least this many source pixels.
 // Per-chunk cost is real — a fresh CABAC context set must re-adapt, and the
 // chunk table spends 8 (v2) or 12 (v3) bytes per entry — so tiny planes are
-// batched to keep the chunked container's rate within noise of the serial
-// single-substream one, while large planes (192×192 and up) still get a
-// chunk (and therefore a worker) each.
+// batched to keep the chunked container's rate within noise of a single
+// substream, while large planes (192×192 and up) still get a chunk (and
+// therefore a worker) each.
 const minChunkPixels = 1 << 15
 
 // chunkSpans partitions planes into contiguous [start, end) chunks that are
@@ -117,59 +122,41 @@ func chunkSpans(planes []*frame.Plane, tools Tools) [][2]int {
 	return spans
 }
 
-// encodeChunksParallel encodes each span as an independent substream on a
-// pool of `workers` goroutines, returning per-chunk payloads and per-chunk
-// reconstructions in span order. When metrics are enabled it additionally
-// records per-chunk makespans, pool busy/wall time (utilization =
-// busy/wall) and tags each worker goroutine with pprof labels.
+// ------------------------------------------------------------ worker pool
+
+// runPool calls job(i, scratch) for every i in [0, n) on a pool of at most
+// `workers` goroutines (workers <= 0 selects GOMAXPROCS; never more than n).
+// Each pool worker checks out one scratch arena for its whole job run, so
+// per-chunk codec state is reused instead of reallocated; a one-worker pool
+// runs inline on the caller's goroutine through the exact same job code.
+// With metrics enabled (pm != nil) it records the pool size, busy and wall
+// time (wall = elapsed × pool size, so utilization = busy/wall) and tags
+// each worker goroutine with pprof labels under the given pool name.
 //
-// Cancellation: workers check ctx before picking up each chunk (skipping
-// queued jobs of a canceled call) and encodeChunk aborts mid-chunk at CTU
-// granularity; the first cancellation or chunk error is returned after the
-// pool drains, with no partial output.
-func encodeChunksParallel(ctx context.Context, planes []*frame.Plane, spans [][2]int, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([][]byte, []*ransRecord, [][]*frame.Plane, error) {
-	payloads := make([][]byte, len(spans))
-	records := make([]*ransRecord, len(spans))
-	recs := make([][]*frame.Plane, len(spans))
-	errs := make([]error, len(spans))
+// runPool knows nothing of cancellation or errors: jobs check their own ctx
+// and report through whatever they close over, and the pool always drains.
+func runPool(n, workers int, name string, pm *poolMetrics, job func(i int, scr *scratch)) {
 	workers = normalizeWorkers(workers)
-	if workers > len(spans) {
-		workers = len(spans)
+	if workers > n {
+		workers = n
 	}
 	var wallStart time.Time
-	if m != nil {
+	if pm != nil {
 		wallStart = time.Now()
-		m.poolWorkers.Observe(int64(workers))
+		pm.workers.Observe(int64(workers))
 	}
-	// Each pool worker checks out one scratch arena for its whole job run,
-	// so per-chunk encoder state is reused instead of reallocated; the
-	// serial (workers == 1) path shares the exact same code via a single
-	// checkout.
-	encodeOne := func(i int, scr *scratch) {
-		if errs[i] = ctxErr(ctx); errs[i] != nil {
-			return // canceled before the chunk started; skip the encode
-		}
-		s := spans[i]
-		if m != nil {
-			t0 := time.Now()
-			payloads[i], records[i], recs[i], errs[i] = encodeChunk(ctx, planes[s[0]:s[1]], qp, prof, tools, m, scr)
-			m.chunkNs.ObserveSince(t0)
-			return
-		}
-		payloads[i], records[i], recs[i], errs[i] = encodeChunk(ctx, planes[s[0]:s[1]], qp, prof, tools, nil, scr)
-	}
-	if workers == 1 {
+	if workers <= 1 {
 		scr := getScratch()
-		for i := range spans {
-			encodeOne(i, scr)
+		for i := 0; i < n; i++ {
+			job(i, scr)
 		}
 		putScratch(scr)
-		if m != nil {
+		if pm != nil {
 			wall := int64(time.Since(wallStart))
-			m.poolBusy.Add(wall)
-			m.poolWall.Add(wall)
+			pm.busy.Add(wall)
+			pm.wall.Add(wall)
 		}
-		return payloads, records, recs, firstErr(errs)
+		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -182,256 +169,191 @@ func encodeChunksParallel(ctx context.Context, planes []*frame.Plane, spans [][2
 				var busy int64
 				for i := range jobs {
 					t0 := time.Now()
-					encodeOne(i, scr)
+					job(i, scr)
 					busy += int64(time.Since(t0))
 				}
 				putScratch(scr)
-				if m != nil {
-					m.poolBusy.Add(busy)
+				if pm != nil {
+					pm.busy.Add(busy)
 				}
 			}
-			if m != nil {
-				workerLabels("encode", w, work)
+			if pm != nil {
+				workerLabels(name, w, work)
 			} else {
 				work()
 			}
 		}(w)
 	}
-	for i := range spans {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if m != nil {
-		m.poolWall.Add(int64(time.Since(wallStart)) * int64(workers))
+	if pm != nil {
+		pm.wall.Add(int64(time.Since(wallStart)) * int64(workers))
 	}
-	return payloads, records, recs, firstErr(errs)
 }
 
-// firstErr returns the first non-nil error of a per-chunk error slice.
-func firstErr(errs []error) error {
+// ----------------------------------------------------------- chunk encode
+
+// chunkRec is one encoded chunk as the container writer sees it.
+type chunkRec struct {
+	payload []byte
+	crc     uint32 // CRC32C of payload; meaningful for the v3 container only
+	planes  int    // number of planes the chunk decodes to
+}
+
+// seal stamps every chunk's CRC32C from its (final) payload bytes.
+func seal(chunks []chunkRec) {
+	for i := range chunks {
+		chunks[i].crc = crc32.Checksum(chunks[i].payload, crcTable)
+	}
+}
+
+// encodeChunks encodes each span as an independent substream on the worker
+// pool and returns, in span order, the per-chunk payloads and the per-plane
+// reconstructions. Under the rANS backend the payloads are not final yet:
+// records holds each chunk's bin statistics and sealRans (pass 2) assembles
+// the payloads once the shared probability table exists; records is nil for
+// CABAC. With metrics enabled it records per-chunk makespans on top of the
+// pool's own accounts.
+//
+// Cancellation: a job checks ctx before starting its chunk (skipping the
+// queued chunks of a canceled call) and encodeChunk aborts mid-chunk at CTU
+// granularity; the first cancellation is returned after the pool drains,
+// with no partial output.
+func encodeChunks(ctx context.Context, planes []*frame.Plane, spans [][2]int, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]chunkRec, []*ransRecord, []*frame.Plane, error) {
+	chunks := make([]chunkRec, len(spans))
+	recs := make([]*frame.Plane, len(planes))
+	errs := make([]error, len(spans))
+	var records []*ransRecord
+	if tools.Backend == BackendRANS {
+		records = make([]*ransRecord, len(spans))
+	}
+	var pm *poolMetrics
+	if m != nil {
+		pm = &m.pool
+	}
+	runPool(len(spans), workers, "encode", pm, func(i int, scr *scratch) {
+		if errs[i] = ctxErr(ctx); errs[i] != nil {
+			return // canceled before the chunk started; skip the encode
+		}
+		var t0 time.Time
+		if m != nil {
+			t0 = time.Now()
+		}
+		s := spans[i]
+		payload, record, chunkRecs, err := encodeChunk(ctx, planes[s[0]:s[1]], qp, prof, tools, m, scr)
+		if m != nil {
+			m.pool.chunkNs.ObserveSince(t0)
+		}
+		chunks[i] = chunkRec{payload: payload, planes: s[1] - s[0]}
+		if records != nil {
+			records[i] = record
+		}
+		copy(recs[s[0]:s[1]], chunkRecs)
+		errs[i] = err
+	})
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, nil, nil, err
 		}
 	}
-	return nil
+	return chunks, records, recs, nil
 }
 
-// writeCommonHeader emits the preamble and dim table shared by all container
-// versions. When tools selects a non-CABAC backend (its tools byte carries
-// toolsBackendExt), the backend extension — backend id, slot count and the
-// shared rANS probability table — is emitted immediately after the qp byte;
-// ransTab must be non-nil exactly then. CABAC headers are byte-identical to
-// the historical layout.
-func writeCommonHeader(head *bytes.Buffer, version byte, planes []*frame.Plane, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8) {
-	dims := make([][2]int, len(planes))
-	for i, p := range planes {
-		dims[i] = [2]int{p.W, p.H}
-	}
-	writeHeaderDims(head, version, dims, qp, prof, tools, ransTab)
-}
-
-// writeHeaderDims is writeCommonHeader on bare dimensions — the shape the
-// incremental Appender has when it re-frames already-encoded chunks into a
-// snapshot container without holding the source planes.
-func writeHeaderDims(head *bytes.Buffer, version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8) {
-	head.Write(magic[:])
-	head.WriteByte(version)
-	head.WriteByte(prof.id())
-	head.WriteByte(tools.bits())
-	head.WriteByte(uint8(qp))
-	if tools.Backend != BackendCABAC {
-		head.WriteByte(byte(tools.Backend))
-		head.WriteByte(nCtxSlots)
-		head.Write(ransTab[:])
-	}
-	binary.Write(head, binary.BigEndian, uint32(len(dims)))
-	for _, d := range dims {
-		binary.Write(head, binary.BigEndian, uint32(d[0]))
-		binary.Write(head, binary.BigEndian, uint32(d[1]))
+// sealRans is pass 2 of the rANS scheme: assemble every chunk's payload
+// against the shared probability table. A pure function of the records
+// (which arrive in span order), so container bytes stay independent of the
+// worker count.
+func sealRans(chunks []chunkRec, records []*ransRecord, tab *[nCtxSlots]uint8) {
+	for i, r := range records {
+		chunks[i].payload = r.assemble(tab)
 	}
 }
 
-// EncodeParallel compresses planes at the given QP like Encode, but encodes
-// independent plane chunks concurrently on a pool of `workers` goroutines
-// (workers <= 0 selects runtime.GOMAXPROCS(0)) and emits the chunked
-// version-2 container; when the partition collapses to a single chunk (small
-// workloads, or inter prediction serializing the frames) it emits the
-// version-1 container byte-identically to Encode. Each worker owns its full
-// encoder state (entropy contexts, transforms, reconstruction buffers), and
-// substreams are stitched in chunk order, so the output is byte-identical
-// for every worker count.
-func EncodeParallel(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
-	return encodeParallel(context.Background(), planes, qp, prof, tools, workers, nil)
-}
+// -------------------------------------------------------- container writer
 
-// encodeParallel is the observable core of EncodeParallel.
-func encodeParallel(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]byte, Stats, error) {
-	if err := validateEncode(planes, qp, prof, tools); err != nil {
-		return nil, Stats{}, err
-	}
-	if tools.Backend != BackendCABAC {
-		// rANS streams need the v3 header's backend extension (shared
-		// probability table); route them to the hardened container.
-		return encodeChecksummed(ctx, planes, qp, prof, tools, workers, m)
-	}
-	spans := chunkSpans(planes, tools)
-	if len(spans) == 1 {
-		// A single chunk has no parallelism to exploit; emit the version-1
-		// container, which is byte-identical to the serial Encode path (one
-		// shared-context substream, 4-byte length prefix instead of a chunk
-		// table). This keeps small workloads bit-compatible with historical
-		// streams and free of chunking overhead.
-		return encodeSerial(ctx, planes, qp, prof, tools, m)
-	}
-	payloads, _, recs, err := encodeChunksParallel(ctx, planes, spans, qp, prof, tools, workers, m)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	var tContainer time.Time
-	if m != nil {
-		tContainer = time.Now()
-	}
-	var head bytes.Buffer
-	writeCommonHeader(&head, versionChunked, planes, qp, prof, tools, nil)
-	binary.Write(&head, binary.BigEndian, uint32(len(spans)))
-	total := head.Len()
-	payloadLen := 0
-	for i, s := range spans {
-		binary.Write(&head, binary.BigEndian, uint32(s[1]-s[0]))
-		binary.Write(&head, binary.BigEndian, uint32(len(payloads[i])))
-		total += 8 + len(payloads[i])
-		payloadLen += len(payloads[i])
-	}
-	out := make([]byte, 0, total)
-	out = append(out, head.Bytes()...)
-	for _, p := range payloads {
-		out = append(out, p...)
-	}
-
-	st := statsFromChunks(planes, recs, len(out)*8, len(spans))
-	if m != nil {
-		m.stageContainer.ObserveSince(tContainer)
-		m.recordEncodeTotals(st, len(out), payloadLen, len(planes))
-	}
-	return out, st, nil
-}
-
-// EncodeChecksummed compresses planes like EncodeParallel but always emits
-// the hardened version-3 container: the header (preamble, dim table, chunk
-// table) is covered by a CRC32C, and every chunk payload carries its own
-// CRC32C, verified before decode. Unlike EncodeParallel it never falls back
-// to version 1 — a single-chunk workload still gets a one-entry chunk table,
-// because integrity framing is the point. Output bytes are identical for
-// every worker count.
-func EncodeChecksummed(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
-	return encodeChecksummed(context.Background(), planes, qp, prof, tools, workers, nil)
-}
-
-// encodeChecksummed is the observable core of EncodeChecksummed.
-func encodeChecksummed(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics) ([]byte, Stats, error) {
-	return encodeV3(ctx, planes, qp, prof, tools, workers, m, nil)
-}
-
-// indexSpec asks encodeV3 to append the chunk-index trailer. regions is
-// either nil (the index carries offsets/CRCs only) or one rect per plane.
+// indexSpec asks writeContainer to append the chunk-index trailer. regions
+// is either nil (the index carries offsets/CRCs only) or one rect per plane.
 type indexSpec struct {
 	regions []PlaneRegion
 }
 
-// encodeV3 emits the hardened container, optionally extended with the
-// chunk-index trailer (idx != nil).
-func encodeV3(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, m *encMetrics, idx *indexSpec) ([]byte, Stats, error) {
-	if err := validateEncode(planes, qp, prof, tools); err != nil {
-		return nil, Stats{}, err
+// writeContainer frames encoded chunks into a container of the given
+// version — the one place container bytes are assembled, shared by Encode
+// and Appender.Snapshot. Version 1 takes exactly one chunk and no chunk
+// table; version 2 adds the table; version 3 adds the per-chunk and header
+// CRCs (chunks must be sealed) and, when idx is non-nil, the chunk-index
+// trailer. When tools selects a non-CABAC backend (its tools byte carries
+// toolsBackendExt), the backend extension — backend id, slot count and the
+// shared rANS probability table — follows the qp byte; ransTab must be
+// non-nil exactly then. CABAC headers are byte-identical to the historical
+// layout. Returns the container and the summed payload length.
+func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8, chunks []chunkRec, idx *indexSpec) ([]byte, int) {
+	headLen := 8 + 4 + 8*len(dims)
+	if tools.Backend != BackendCABAC {
+		headLen += 2 + nCtxSlots
 	}
-	if idx != nil && idx.regions != nil && len(idx.regions) != len(planes) {
-		return nil, Stats{}, fmt.Errorf("codec: %d index regions for %d planes", len(idx.regions), len(planes))
+	switch version {
+	case 1:
+		headLen += 4
+	case versionChunked:
+		headLen += 4 + 8*len(chunks)
+	case versionChecksummed:
+		headLen += 4 + 12*len(chunks) + 4
 	}
-	spans := chunkSpans(planes, tools)
-	payloads, records, recs, err := encodeChunksParallel(ctx, planes, spans, qp, prof, tools, workers, m)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-
-	var tContainer time.Time
-	if m != nil {
-		tContainer = time.Now()
-	}
-	var ransTab *[nCtxSlots]uint8
-	if tools.Backend == BackendRANS {
-		// Pass 2 of the rANS scheme: aggregate every chunk's bin statistics
-		// into the shared probability table, then assemble each chunk's
-		// payload against it. Both steps are pure functions of the records
-		// (which arrive in span order), so container bytes stay independent
-		// of the worker count.
-		tab := buildRansTable(records)
-		ransTab = &tab
-		for i, r := range records {
-			payloads[i] = r.assemble(ransTab)
-		}
-	}
-	var head bytes.Buffer
-	writeCommonHeader(&head, versionChecksummed, planes, qp, prof, tools, ransTab)
-	binary.Write(&head, binary.BigEndian, uint32(len(spans)))
-	total := head.Len() + 4 // + trailing header CRC
 	payloadLen := 0
-	payloadCRCs := make([]uint32, len(spans))
-	for i, s := range spans {
-		payloadCRCs[i] = crc32.Checksum(payloads[i], crcTable)
-		binary.Write(&head, binary.BigEndian, uint32(s[1]-s[0]))
-		binary.Write(&head, binary.BigEndian, uint32(len(payloads[i])))
-		binary.Write(&head, binary.BigEndian, payloadCRCs[i])
-		total += 12 + len(payloads[i])
-		payloadLen += len(payloads[i])
+	for _, c := range chunks {
+		payloadLen += len(c.payload)
 	}
-	binary.Write(&head, binary.BigEndian, crc32.Checksum(head.Bytes(), crcTable))
 	var trailer []byte
 	if idx != nil {
 		// The index restates the chunk table with absolute offsets (plus the
 		// caller's region rects), so a reader can locate any chunk without
 		// walking the payloads — and a store can address them individually.
-		entries := make([]IndexEntry, len(spans))
-		off := int64(head.Len())
-		for i, s := range spans {
-			entries[i] = IndexEntry{
-				Offset:     off,
-				Length:     len(payloads[i]),
-				CRC:        payloadCRCs[i],
-				PlaneBase:  s[0],
-				PlaneCount: s[1] - s[0],
-			}
-			off += int64(len(payloads[i]))
+		entries := make([]IndexEntry, len(chunks))
+		off, base := int64(headLen), 0
+		for i, c := range chunks {
+			entries[i] = IndexEntry{Offset: off, Length: len(c.payload), CRC: c.crc, PlaneBase: base, PlaneCount: c.planes}
+			off += int64(len(c.payload))
+			base += c.planes
 		}
 		trailer = buildTrailer(entries, idx.regions)
-		total += len(trailer)
 	}
-	out := make([]byte, 0, total)
-	out = append(out, head.Bytes()...)
-	for _, p := range payloads {
-		out = append(out, p...)
-	}
-	out = append(out, trailer...)
 
-	st := statsFromChunks(planes, recs, len(out)*8, len(spans))
-	if m != nil {
-		m.stageContainer.ObserveSince(tContainer)
-		m.recordEncodeTotals(st, len(out), payloadLen, len(planes))
+	out := make([]byte, 0, headLen+payloadLen+len(trailer))
+	out = append(out, magic[:]...)
+	out = append(out, version, prof.id(), tools.bits(), uint8(qp))
+	if tools.Backend != BackendCABAC {
+		out = append(out, byte(tools.Backend), nCtxSlots)
+		out = append(out, ransTab[:]...)
 	}
-	return out, st, nil
-}
-
-// statsFromChunks flattens per-chunk reconstructions and computes Stats.
-func statsFromChunks(planes []*frame.Plane, recs [][]*frame.Plane, bits, chunks int) Stats {
-	allRecs := make([]*frame.Plane, 0, len(planes))
-	for _, r := range recs {
-		allRecs = append(allRecs, r...)
+	be := binary.BigEndian
+	out = be.AppendUint32(out, uint32(len(dims)))
+	for _, d := range dims {
+		out = be.AppendUint32(out, uint32(d[0]))
+		out = be.AppendUint32(out, uint32(d[1]))
 	}
-	st := computeStats(planes, allRecs, bits)
-	st.Chunks = chunks
-	return st
+	if version == 1 {
+		out = be.AppendUint32(out, uint32(len(chunks[0].payload)))
+	} else {
+		out = be.AppendUint32(out, uint32(len(chunks)))
+		for _, c := range chunks {
+			out = be.AppendUint32(out, uint32(c.planes))
+			out = be.AppendUint32(out, uint32(len(c.payload)))
+			if version == versionChecksummed {
+				out = be.AppendUint32(out, c.crc)
+			}
+		}
+		if version == versionChecksummed {
+			out = be.AppendUint32(out, crc32.Checksum(out, crcTable))
+		}
+	}
+	for _, c := range chunks {
+		out = append(out, c.payload...)
+	}
+	return append(out, trailer...), payloadLen
 }
 
 // ---------------------------------------------------------------- parsing
@@ -440,6 +362,7 @@ func statsFromChunks(planes []*frame.Plane, recs [][]*frame.Plane, bits, chunks 
 // non-nil the chunk is unusable before any entropy decoding happens
 // (payload out of range, or a v3 CRC mismatch).
 type chunkMeta struct {
+	index     int // position in the container's chunk table
 	payload   []byte
 	dims      [][2]int
 	planeBase int
@@ -474,8 +397,8 @@ type parsedContainer struct {
 // layout. In strict mode (lenient=false) the first defect — truncation, CRC
 // mismatch, impossible counts — aborts with an error. In lenient mode,
 // defects confined to a single chunk (payload runs past the end of data, or
-// a payload CRC mismatch) are recorded on that chunk's meta.err so
-// DecodePartial can still recover the others; defects in the shared header
+// a payload CRC mismatch) are recorded on that chunk's meta.err so a
+// Partial decode can still recover the others; defects in the shared header
 // or chunk table still abort, because no geometry can be trusted after them.
 func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	if err := checkPreamble(data); err != nil {
@@ -585,7 +508,7 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	pc.chunks = make([]chunkMeta, nChunks)
 	base := 0
 	for i := 0; i < nChunks; i++ {
-		meta := chunkMeta{dims: dims[base : base+counts[i]], planeBase: base}
+		meta := chunkMeta{index: i, dims: dims[base : base+counts[i]], planeBase: base}
 		if off+sizes[i] > len(data) {
 			meta.err = truncatedf("codec: chunk %d needs %d bytes, %d remain", i, sizes[i], len(data)-off)
 			if !lenient {
@@ -647,160 +570,64 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	return pc, nil
 }
 
-// decodeChunks decodes every usable chunk of a parsed container on a pool
-// of `workers` goroutines. Failed chunks leave nil planes and produce a
-// ChunkError; recovered planes land at their container positions. With
-// metrics enabled it records per-chunk decode times, pool busy/wall time
-// and pprof worker labels, mirroring the encode pool. Cancellation mirrors
-// the encode pool too: queued chunks of a canceled call are skipped, and
-// in-flight chunks abort at CTU granularity; callers must check ctx after
-// the pool drains (a canceled call's error is ctx.Err(), not a ChunkError).
+// decodeChunks decodes every usable chunk of a parsed container on the
+// worker pool. Failed chunks leave nil planes and produce a ChunkError;
+// recovered planes land at their container positions. With metrics enabled
+// it records per-chunk decode times on top of the pool's own accounts.
+// Cancellation mirrors the encode pool: queued chunks of a canceled call are
+// skipped, and in-flight chunks abort at CTU granularity; callers must check
+// ctx after the pool drains (a canceled call's error is ctx.Err(), not a
+// ChunkError).
 func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decMetrics) ([]*frame.Plane, []ChunkError) {
 	planes := make([]*frame.Plane, len(pc.dims))
-	errs := make([]error, len(pc.chunks))
-	workers = normalizeWorkers(workers)
 	// Intra-chunk lane parallelism (rANS backend only): when the pool has
 	// more workers than chunks, the surplus goes to parallel rANS state
 	// decoding inside each chunk — the whole point of the interleaved
-	// backend. Computed before the chunk-count clamp below, since that clamp
-	// is exactly what discards the surplus. Output is identical either way.
-	laneParallel := pc.tools.Backend == BackendRANS && workers > len(pc.chunks)
-	// Like the encode pool, each decode worker owns one scratch arena for
-	// its whole job run.
-	decodeOne := func(i int, scr *scratch) {
-		if errs[i] = ctxErr(ctx); errs[i] != nil {
-			return // canceled before the chunk started; skip the decode
+	// backend. Computed from the requested count, since the pool's clamp to
+	// the chunk count is exactly what discards the surplus. Output is
+	// identical either way.
+	laneParallel := pc.tools.Backend == BackendRANS && normalizeWorkers(workers) > len(pc.chunks)
+	var pm *poolMetrics
+	if m != nil {
+		pm = &m.pool
+	}
+	runPool(len(pc.chunks), workers, "decode", pm, func(i int, scr *scratch) {
+		c := &pc.chunks[i]
+		if err := ctxErr(ctx); err != nil {
+			c.err = err // canceled before the chunk started; skip the decode
+			return
+		}
+		if c.err != nil {
+			return // unusable since the parse (out of range, or CRC mismatch)
 		}
 		var t0 time.Time
 		if m != nil {
 			t0 = time.Now()
 		}
-		c := &pc.chunks[i]
-		if c.err != nil {
-			errs[i] = c.err
-			return
-		}
 		ps, err := decodeChunkPayload(ctx, c.payload, c.dims, pc.prof, pc.tools, pc.qp, pc.ransTab, laneParallel, scr)
 		if m != nil {
-			m.chunkNs.ObserveSince(t0)
+			m.pool.chunkNs.ObserveSince(t0)
 			m.chunks.Inc()
 		}
 		if err != nil {
-			errs[i] = err
+			c.err = err
 			return
 		}
 		copy(planes[c.planeBase:], ps)
-	}
-
-	if workers > len(pc.chunks) {
-		workers = len(pc.chunks)
-	}
-	var wallStart time.Time
-	if m != nil {
-		wallStart = time.Now()
-		m.poolWorkers.Observe(int64(workers))
-	}
-	if workers == 1 {
-		scr := getScratch()
-		for i := range pc.chunks {
-			decodeOne(i, scr)
-		}
-		putScratch(scr)
-		if m != nil {
-			wall := int64(time.Since(wallStart))
-			m.poolBusy.Add(wall)
-			m.poolWall.Add(wall)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				work := func() {
-					scr := getScratch()
-					var busy int64
-					for i := range jobs {
-						t0 := time.Now()
-						decodeOne(i, scr)
-						busy += int64(time.Since(t0))
-					}
-					putScratch(scr)
-					if m != nil {
-						m.poolBusy.Add(busy)
-					}
-				}
-				if m != nil {
-					workerLabels("decode", w, work)
-				} else {
-					work()
-				}
-			}(w)
-		}
-		for i := range pc.chunks {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if m != nil {
-			m.poolWall.Add(int64(time.Since(wallStart)) * int64(workers))
-		}
-	}
+	})
 
 	var chunkErrs []ChunkError
-	for i, err := range errs {
-		if err != nil {
+	for i := range pc.chunks {
+		if c := &pc.chunks[i]; c.err != nil {
 			chunkErrs = append(chunkErrs, ChunkError{
-				Chunk:      i,
-				PlaneStart: pc.chunks[i].planeBase,
-				PlaneCount: len(pc.chunks[i].dims),
-				Err:        err,
+				Chunk:      c.index,
+				PlaneStart: c.planeBase,
+				PlaneCount: len(c.dims),
+				Err:        c.err,
 			})
 		}
 	}
 	return planes, chunkErrs
-}
-
-// decodeV1 parses the legacy single-substream container (kept as the
-// fast path for Decode on version-1 data; also exercised via DecodeWorkers).
-func decodeV1(ctx context.Context, data []byte, m *decMetrics) ([]*frame.Plane, error) {
-	pc, err := parseContainerObs(data, false, m)
-	if err != nil {
-		return nil, err
-	}
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	s := getScratch()
-	planes, err := decodeChunkPayload(ctx, pc.chunks[0].payload, pc.dims, pc.prof, pc.tools, pc.qp, nil, false, s)
-	putScratch(s)
-	if m != nil {
-		m.chunkNs.ObserveSince(t0)
-		m.chunks.Inc()
-	}
-	return planes, err
-}
-
-// decodeChunked parses a version-2 or version-3 container and decodes its
-// substreams concurrently on a pool of `workers` goroutines, failing on the
-// first defective chunk.
-func decodeChunked(ctx context.Context, data []byte, workers int, m *decMetrics) ([]*frame.Plane, error) {
-	pc, err := parseContainerObs(data, false, m)
-	if err != nil {
-		return nil, err
-	}
-	planes, chunkErrs := decodeChunks(ctx, pc, workers, m)
-	// Cancellation wins over chunk errors: a canceled call reports ctx.Err()
-	// bare, keeping ChunkError reserved for the bytes-driven taxonomy.
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if len(chunkErrs) > 0 {
-		return nil, chunkErrs[0]
-	}
-	return planes, nil
 }
 
 // parseContainerObs is parseContainer with the container-parse stage timed.
@@ -812,23 +639,4 @@ func parseContainerObs(data []byte, lenient bool, m *decMetrics) (*parsedContain
 	pc, err := parseContainer(data, lenient)
 	m.stageParse.ObserveSince(t0)
 	return pc, err
-}
-
-// decodeDispatch routes a container of any version to its decoder; shared
-// by Decode, DecodeWorkers and their Obs/Ctx twins.
-func decodeDispatch(ctx context.Context, data []byte, workers int, m *decMetrics) ([]*frame.Plane, error) {
-	if err := checkPreamble(data); err != nil {
-		return nil, err
-	}
-	if m != nil {
-		m.calls.Inc()
-	}
-	switch data[4] {
-	case 1:
-		return decodeV1(ctx, data, m)
-	case versionChunked, versionChecksummed:
-		return decodeChunked(ctx, data, workers, m)
-	default:
-		return nil, corruptf("codec: unsupported version %d", data[4])
-	}
 }

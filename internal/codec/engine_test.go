@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -77,12 +78,12 @@ func TestChunkSpansGrouping(t *testing.T) {
 // guarantee: output bytes do not depend on the worker count or scheduling.
 func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	planes := mixedPlanes(100)
-	ref, refSt, err := EncodeParallel(planes, 26, HEVC, AllTools, 1)
+	ref, refSt, err := encodeAs(ContainerLegacy, planes, 26, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 4, 8, 16, 0} {
-		got, st, err := EncodeParallel(planes, 26, HEVC, AllTools, workers)
+		got, st, err := encodeAs(ContainerLegacy, planes, 26, HEVC, AllTools, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -96,35 +97,36 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestParallelReconstructionMatchesSerialV1 checks that the chunked engine
-// reconstructs exactly what the legacy serial encoder reconstructs: entropy
-// contexts differ per chunk (bits change) but RD decisions and therefore
-// pixels are identical.
+// reconstructs exactly what one substream over all planes (the shape of a
+// historical multi-plane version-1 stream, which chunkSpans no longer
+// produces) reconstructs: entropy contexts differ per chunk (bits change) but
+// RD decisions and therefore pixels are identical.
 func TestParallelReconstructionMatchesSerialV1(t *testing.T) {
 	planes := mixedPlanes(101)
-	serial, stV1, err := Encode(planes, 24, HEVC, AllTools)
+	_, _, serialRecs, err := encodeChunk(context.Background(), planes, 24, HEVC, AllTools, nil, newScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, stV2, err := EncodeParallel(planes, 24, HEVC, AllTools, 4)
+	stV1 := computeStats(planes, serialRecs, 0)
+	parallel, stV2, err := encodeAs(ContainerLegacy, planes, 24, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stV2.Chunks != len(planes) {
+		t.Fatalf("chunked encode produced %d chunks, want %d", stV2.Chunks, len(planes))
 	}
 	if stV1.MSE != stV2.MSE {
 		t.Fatalf("MSE diverged between engines: v1 %.6f vs v2 %.6f", stV1.MSE, stV2.MSE)
 	}
-	decSerial, err := Decode(serial)
+	decParallel, err := decodeAll(parallel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decParallel, err := Decode(parallel)
-	if err != nil {
-		t.Fatal(err)
+	if len(serialRecs) != len(decParallel) {
+		t.Fatalf("plane count %d vs %d", len(serialRecs), len(decParallel))
 	}
-	if len(decSerial) != len(decParallel) {
-		t.Fatalf("plane count %d vs %d", len(decSerial), len(decParallel))
-	}
-	for i := range decSerial {
-		if !decSerial[i].Equal(decParallel[i]) {
+	for i := range serialRecs {
+		if !serialRecs[i].Equal(decParallel[i]) {
 			t.Fatalf("plane %d: parallel reconstruction differs from serial", i)
 		}
 	}
@@ -145,7 +147,7 @@ func TestChunkedRoundTripToolCombos(t *testing.T) {
 		{Partitioning: true, Transform: true, IntraPred: true},
 	}
 	for _, tc := range combos {
-		data, st, err := EncodeParallel(planes, 24, HEVC, tc, 4)
+		data, st, err := encodeAs(ContainerLegacy, planes, 24, HEVC, tc, 4)
 		if err != nil {
 			t.Fatalf("tools %+v: %v", tc, err)
 		}
@@ -166,16 +168,16 @@ func TestChunkedRoundTripToolCombos(t *testing.T) {
 // pool sizes and expects identical planes.
 func TestDecodeWorkersAnyCount(t *testing.T) {
 	planes := mixedPlanes(103)
-	data, _, err := EncodeParallel(planes, 28, HEVC, AllTools, 0)
+	data, _, err := encodeAs(ContainerLegacy, planes, 28, HEVC, AllTools, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := DecodeWorkers(data, 1)
+	ref, err := decodeAll(data, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 9, 0} {
-		got, err := DecodeWorkers(data, workers)
+		got, err := decodeAll(data, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -192,7 +194,7 @@ func TestDecodeWorkersAnyCount(t *testing.T) {
 func TestChunkedAllProfiles(t *testing.T) {
 	planes := mixedPlanes(104)
 	for _, prof := range []Profile{H264, HEVC, AV1} {
-		data, st, err := EncodeParallel(planes, 24, prof, AllTools, 4)
+		data, st, err := encodeAs(ContainerLegacy, planes, 24, prof, AllTools, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
@@ -207,14 +209,14 @@ func TestChunkedAllProfiles(t *testing.T) {
 // panic.
 func TestChunkedRejectsCorruptContainers(t *testing.T) {
 	planes := mixedPlanes(105)
-	data, _, err := EncodeParallel(planes, 26, HEVC, AllTools, 2)
+	data, _, err := encodeAs(ContainerLegacy, planes, 26, HEVC, AllTools, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Truncations at every boundary region.
 	for _, n := range []int{8, 12, 20, len(data) / 2, len(data) - 1} {
-		if _, err := Decode(data[:n]); err == nil {
+		if _, err := decodeAll(data[:n], 0); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
@@ -222,7 +224,7 @@ func TestChunkedRejectsCorruptContainers(t *testing.T) {
 	// Future version byte.
 	bad := append([]byte(nil), data...)
 	bad[4] = 3
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeAll(bad, 0); err == nil {
 		t.Fatal("unknown version accepted")
 	}
 
@@ -230,21 +232,21 @@ func TestChunkedRejectsCorruptContainers(t *testing.T) {
 	bad = append([]byte(nil), data...)
 	chunkCountOff := 8 + 4 + 8*len(planes)
 	binary.BigEndian.PutUint32(bad[chunkCountOff:], uint32(len(planes)+1))
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeAll(bad, 0); err == nil {
 		t.Fatal("oversized chunk count accepted")
 	}
 
 	// Per-chunk plane counts that do not sum to nPlanes.
 	bad = append([]byte(nil), data...)
 	binary.BigEndian.PutUint32(bad[chunkCountOff+4:], 2) // first chunk claims 2 planes
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeAll(bad, 0); err == nil {
 		t.Fatal("inconsistent chunk plane counts accepted")
 	}
 
 	// Payload length pointing past the container.
 	bad = append([]byte(nil), data...)
 	binary.BigEndian.PutUint32(bad[chunkCountOff+8:], uint32(len(data)))
-	if _, err := Decode(bad); err == nil {
+	if _, err := decodeAll(bad, 0); err == nil {
 		t.Fatal("overlong chunk payload accepted")
 	}
 }
@@ -259,11 +261,11 @@ func TestChunkedAwkwardShapes(t *testing.T) {
 	for _, s := range shapes {
 		planes = append(planes, noisePlane(rng, s[0], s[1]))
 	}
-	serial, stS, err := EncodeParallel(planes, 20, HEVC, AllTools, 1)
+	serial, stS, err := encodeAs(ContainerLegacy, planes, 20, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, stP, err := EncodeParallel(planes, 20, HEVC, AllTools, 4)
+	parallel, stP, err := encodeAs(ContainerLegacy, planes, 20, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,17 +280,17 @@ func TestChunkedAwkwardShapes(t *testing.T) {
 	}
 }
 
-// TestEncodeParallelValidation mirrors Encode's precondition checks.
+// TestEncodeParallelValidation pins Encode's precondition checks.
 func TestEncodeParallelValidation(t *testing.T) {
-	if _, _, err := EncodeParallel(nil, 24, HEVC, AllTools, 4); err == nil {
+	if _, _, err := encodeAs(ContainerLegacy, nil, 24, HEVC, AllTools, 4); err == nil {
 		t.Fatal("empty plane list accepted")
 	}
 	p := frame.NewPlane(16, 16)
-	if _, _, err := EncodeParallel([]*frame.Plane{p}, 99, HEVC, AllTools, 4); err == nil {
+	if _, _, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 99, HEVC, AllTools, 4); err == nil {
 		t.Fatal("out-of-range qp accepted")
 	}
 	big := frame.NewPlane(8192+32, 16)
-	if _, _, err := EncodeParallel([]*frame.Plane{big}, 24, HEVC, AllTools, 4); err == nil {
+	if _, _, err := encodeAs(ContainerLegacy, []*frame.Plane{big}, 24, HEVC, AllTools, 4); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/bits"
 )
 
-// Decode-path error taxonomy. Every decode entry point (Decode,
-// DecodeWorkers, DecodePartial) returns errors that match exactly one of
-// these sentinels under errors.Is, never panics:
+// Decode-path error taxonomy. Decode, in every DecodeConfig combination,
+// returns errors (and reports ChunkErrors) that match exactly one of these
+// sentinels under errors.Is, and never panics:
 //
 //   - ErrTruncated: the container or a substream ends before the data it
 //     declares. Retrying with the complete stream should succeed.
@@ -31,10 +31,10 @@ var (
 )
 
 // ErrEmptyInput reports an encode request over zero pixels — an empty plane
-// list, a nil plane, or a plane with a zero dimension. Rate-control searches
-// reject such inputs up front: bits-per-pixel is undefined at zero pixels
-// (0/0 → NaN), which would otherwise silently break the bisection's
-// comparison logic.
+// list, a nil plane, or a plane with a zero dimension. Encode rejects such
+// inputs up front: bits-per-pixel is undefined at zero pixels (0/0 → NaN),
+// which would otherwise silently break a rate-control bisection's comparison
+// logic (the searches live in internal/core, which re-exports this error).
 var ErrEmptyInput = errors.New("codec: empty input")
 
 // errMalformed is the legacy name for a structural violation; kept as an

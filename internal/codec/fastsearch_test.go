@@ -45,7 +45,7 @@ func TestFastSearchEnvelope(t *testing.T) {
 			fast.FastSearch = true
 
 			encode := func(p Profile) float64 {
-				data, _, err := Encode(planes, qp, p, AllTools)
+				data, _, err := encodeAs(ContainerLegacy, planes, qp, p, AllTools, 1)
 				if err != nil {
 					t.Fatalf("%s qp=%d: %v", base.Name, qp, err)
 				}
@@ -85,11 +85,11 @@ func TestFastSearchFasterThanExhaustive(t *testing.T) {
 
 	wall := func(p Profile) time.Duration {
 		// Warm-up excludes pool population and first-touch costs.
-		if _, _, err := Encode(planes, 28, p, AllTools); err != nil {
+		if _, _, err := encodeAs(ContainerLegacy, planes, 28, p, AllTools, 1); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, _, err := Encode(planes, 28, p, AllTools); err != nil {
+		if _, _, err := encodeAs(ContainerLegacy, planes, 28, p, AllTools, 1); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -114,12 +114,12 @@ func TestFastSearchDeterministicAcrossWorkers(t *testing.T) {
 	fast := HEVC
 	fast.FastSearch = true
 
-	ref, _, err := EncodeParallel(planes, 30, fast, AllTools, 1)
+	ref, _, err := encodeAs(ContainerLegacy, planes, 30, fast, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		data, _, err := EncodeParallel(planes, 30, fast, AllTools, workers)
+		data, _, err := encodeAs(ContainerLegacy, planes, 30, fast, AllTools, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -128,12 +128,12 @@ func TestFastSearchDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// Decode with no FastSearch knowledge at several pool sizes.
-	refDec, err := DecodeWorkers(ref, 1)
+	refDec, err := decodeAll(ref, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		dec, err := DecodeWorkers(ref, workers)
+		dec, err := decodeAll(ref, workers)
 		if err != nil {
 			t.Fatalf("decode workers=%d: %v", workers, err)
 		}
@@ -169,11 +169,11 @@ func TestFastSearchAwkwardShapes(t *testing.T) {
 			}
 			planes := []*frame.Plane{p}
 
-			dataDef, _, err := Encode(planes, 20, HEVC, AllTools)
+			dataDef, _, err := encodeAs(ContainerLegacy, planes, 20, HEVC, AllTools, 1)
 			if err != nil {
 				t.Fatalf("%dx%d const=%v default: %v", sh.w, sh.h, constant, err)
 			}
-			dataFast, _, err := Encode(planes, 20, fast, AllTools)
+			dataFast, _, err := encodeAs(ContainerLegacy, planes, 20, fast, AllTools, 1)
 			if err != nil {
 				t.Fatalf("%dx%d const=%v fast: %v", sh.w, sh.h, constant, err)
 			}
@@ -195,11 +195,11 @@ func TestFastSearchNotSerialized(t *testing.T) {
 	planes := fastSearchCorpus()
 	fast := HEVC
 	fast.FastSearch = true
-	dataDef, _, err := Encode(planes, 28, HEVC, AllTools)
+	dataDef, _, err := encodeAs(ContainerLegacy, planes, 28, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataFast, _, err := Encode(planes, 28, fast, AllTools)
+	dataFast, _, err := encodeAs(ContainerLegacy, planes, 28, fast, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

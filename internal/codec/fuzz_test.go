@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -23,13 +24,17 @@ func typedOrNil(t *testing.T, label string, err error) {
 	}
 }
 
-// FuzzDecode drives the strict and partial decoders with arbitrary bytes.
-// The invariants, checked on every input the fuzzer invents:
+// FuzzDecode drives Decode with arbitrary bytes in every DecodeConfig
+// combination: strict and Partial, whole-stream and plane-windowed. The
+// invariants, checked on every input the fuzzer invents:
 //
-//   - neither decoder panics (the fuzz engine fails the run on panic);
-//   - every rejection is typed (ErrCorrupt / ErrTruncated / ErrChecksum);
-//   - when the strict decoder accepts, the partial decoder agrees: no chunk
-//     errors, identical plane geometry and pixels.
+//   - no combination panics (the fuzz engine fails the run on panic);
+//   - every rejection, and every reported ChunkError, is typed (ErrCorrupt /
+//     ErrTruncated / ErrChecksum);
+//   - when the strict decode accepts, the Partial one agrees: no chunk
+//     errors, identical plane geometry and pixels;
+//   - a windowed decode that succeeds returns the same planes as the crop of
+//     the full decode, strict and Partial alike.
 //
 // Seeded with one valid container of each version, every golden conformance
 // vector (testdata/golden/*.l265 — all profiles, tool combinations, and
@@ -51,7 +56,8 @@ func FuzzDecode(f *testing.F) {
 	for i := range regions {
 		regions[i] = PlaneRegion{Layer: i, W: corpus[i].W, H: corpus[i].H}
 	}
-	indexed, _, err := EncodeIndexed(corpus, 30, HEVC, AllTools, 1, regions)
+	indexed, _, err := Encode(context.Background(), corpus, EncodeConfig{
+		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 1, Container: ContainerV3Indexed, Regions: regions})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func FuzzDecode(f *testing.F) {
 	fastProf := HEVC
 	fastProf.FastSearch = true
 	rng := rand.New(rand.NewSource(99))
-	fastStream, _, err := EncodeParallel(
+	fastStream, _, err := encodeAs(ContainerLegacy,
 		[]*frame.Plane{gradientPlane(rng, 80, 56)}, 26, fastProf, AllTools, 1)
 	if err != nil {
 		f.Fatal(err)
@@ -91,32 +97,55 @@ func FuzzDecode(f *testing.F) {
 	f.Add(fastStream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		planes, strictErr := DecodeWorkers(data, 1)
+		ctx := context.Background()
+		strict, strictErr := Decode(ctx, data, DecodeConfig{Workers: 1})
 		typedOrNil(t, "strict", strictErr)
 
-		res, partialErr := DecodePartial(data, 1)
+		res, partialErr := Decode(ctx, data, DecodeConfig{Workers: 1, Partial: true})
 		typedOrNil(t, "partial", partialErr)
 
 		if strictErr == nil {
-			// Accepted streams must decode identically under DecodePartial.
+			// Accepted streams must decode identically under Partial.
 			if partialErr != nil {
 				t.Fatalf("strict accepted but partial rejected: %v", partialErr)
 			}
 			if !res.OK() {
 				t.Fatalf("strict accepted but partial reports chunk errors: %v", res.Errors)
 			}
-			if len(res.Planes) != len(planes) {
-				t.Fatalf("plane counts: strict %d, partial %d", len(planes), len(res.Planes))
+			if len(res.Planes) != len(strict.Planes) {
+				t.Fatalf("plane counts: strict %d, partial %d", len(strict.Planes), len(res.Planes))
 			}
-			for i := range planes {
-				if !planes[i].Equal(res.Planes[i]) {
+			for i := range strict.Planes {
+				if !strict.Planes[i].Equal(res.Planes[i]) {
 					t.Fatalf("plane %d differs between strict and partial decode", i)
 				}
 			}
 		}
-		if partialErr == nil {
-			for _, ce := range res.Errors {
-				typedOrNil(t, "chunk", ce.Err)
+		if partialErr != nil {
+			return // the shared geometry is unusable: no window is defined
+		}
+		for _, ce := range res.Errors {
+			typedOrNil(t, "chunk", ce.Err)
+		}
+		// Plane windows: the first and the last plane, strict and Partial.
+		// A parsed container has at least one plane, so both are in range.
+		for _, first := range []int{0, len(res.Planes) - 1} {
+			for _, partial := range []bool{false, true} {
+				win, err := Decode(ctx, data, DecodeConfig{Workers: 1, First: first, Count: 1, Partial: partial})
+				typedOrNil(t, "window", err)
+				if err != nil {
+					if partial {
+						t.Fatalf("partial window [%d,+1) rejected a stream the partial decode parsed: %v", first, err)
+					}
+					continue
+				}
+				for _, ce := range win.Errors {
+					typedOrNil(t, "window chunk", ce.Err)
+				}
+				got, want := win.Planes[0], res.Planes[first]
+				if (got == nil) != (want == nil) || (got != nil && !got.Equal(want)) {
+					t.Fatalf("window [%d,+1) partial=%v differs from the full decode's crop", first, partial)
+				}
 			}
 		}
 	})

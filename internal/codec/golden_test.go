@@ -17,8 +17,8 @@ import (
 // The golden conformance corpus pins the bitstream: every vector under
 // testdata/golden/ stores the exact container bytes a deterministic source
 // must encode to, plus the exact decoded planes those bytes must produce.
-// The conformance test re-encodes every vector (at several worker counts for
-// the chunked containers) and byte-compares against the stored stream, so any
+// The conformance test re-encodes every vector (at several worker counts)
+// and byte-compares against the stored stream, so any
 // silent bitstream drift — from a refactor, a "harmless" reordering, or a
 // search-heuristic tweak — fails loudly.
 //
@@ -34,13 +34,13 @@ const goldenDir = "testdata/golden"
 // goldenVector is one pinned encode: a deterministic source, a configuration,
 // and the container flavor to produce.
 type goldenVector struct {
-	name    string
-	qp      int
-	prof    Profile
-	tools   Tools
-	kind    string // "v1" = Encode, "v2" = EncodeParallel, "v3" = EncodeChecksummed
-	workers int    // worker count used when regenerating (v2/v3)
-	planes  func() []*frame.Plane
+	name      string
+	qp        int
+	prof      Profile
+	tools     Tools
+	container Container // the name's v1/v2 prefix is ContainerLegacy's one-chunk/several rule
+	workers   int       // worker count used when regenerating (0 = 1)
+	planes    func() []*frame.Plane
 }
 
 // goldenVectors returns the corpus definition. Sources are generated from
@@ -75,23 +75,23 @@ func goldenVectors() []goldenVector {
 	interTools := AllTools
 	interTools.InterPred = true
 	return []goldenVector{
-		{name: "v1-hevc-gradient-96x96-qp28", qp: 28, prof: HEVC, tools: AllTools, kind: "v1",
+		{name: "v1-hevc-gradient-96x96-qp28", qp: 28, prof: HEVC, tools: AllTools, container: ContainerLegacy,
 			planes: grad(101, 96, 96)},
-		{name: "v1-h264-channel-64x48-qp24", qp: 24, prof: H264, tools: AllTools, kind: "v1",
+		{name: "v1-h264-channel-64x48-qp24", qp: 24, prof: H264, tools: AllTools, container: ContainerLegacy,
 			planes: func() []*frame.Plane {
 				return []*frame.Plane{channelPlane(rand.New(rand.NewSource(102)), 64, 48)}
 			}},
-		{name: "v1-av1-noise-33x31-qp20", qp: 20, prof: AV1, tools: AllTools, kind: "v1",
+		{name: "v1-av1-noise-33x31-qp20", qp: 20, prof: AV1, tools: AllTools, container: ContainerLegacy,
 			planes: noise(103, 33, 31)},
-		{name: "v1-hevc-notools-64x64-qp24", qp: 24, prof: HEVC, tools: Tools{}, kind: "v1",
+		{name: "v1-hevc-notools-64x64-qp24", qp: 24, prof: HEVC, tools: Tools{}, container: ContainerLegacy,
 			planes: grad(104, 64, 64)},
-		{name: "v1-hevc-nocabac-64x64-qp30", qp: 30, prof: HEVC, tools: noCABAC, kind: "v1",
+		{name: "v1-hevc-nocabac-64x64-qp30", qp: 30, prof: HEVC, tools: noCABAC, container: ContainerLegacy,
 			planes: grad(105, 64, 64)},
-		{name: "v1-hevc-1x1-qp20", qp: 20, prof: HEVC, tools: AllTools, kind: "v1",
+		{name: "v1-hevc-1x1-qp20", qp: 20, prof: HEVC, tools: AllTools, container: ContainerLegacy,
 			planes: noise(106, 1, 1)},
-		{name: "v1-hevc-prime-17x13-qp16", qp: 16, prof: HEVC, tools: AllTools, kind: "v1",
+		{name: "v1-hevc-prime-17x13-qp16", qp: 16, prof: HEVC, tools: AllTools, container: ContainerLegacy,
 			planes: noise(107, 17, 13)},
-		{name: "v1-hevc-inter-2f-64x64-qp24", qp: 24, prof: HEVC, tools: interTools, kind: "v1",
+		{name: "v1-hevc-inter-2f-64x64-qp24", qp: 24, prof: HEVC, tools: interTools, container: ContainerLegacy,
 			planes: func() []*frame.Plane {
 				rng := rand.New(rand.NewSource(108))
 				base := gradientPlane(rng, 64, 64)
@@ -106,41 +106,30 @@ func goldenVectors() []goldenVector {
 			}},
 		// 6 × 96×96 planes = 55296 px: two v2/v3 chunks at the 2^15 floor, so
 		// these pin the chunked container framing and worker determinism.
-		{name: "v2-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: AllTools, kind: "v2",
+		{name: "v2-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: AllTools, container: ContainerLegacy,
 			workers: 2, planes: stack(109, 6, 96, 96)},
-		{name: "v3-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: AllTools, kind: "v3",
+		{name: "v3-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: AllTools, container: ContainerV3,
 			workers: 2, planes: stack(109, 6, 96, 96)},
-		{name: "v3-h264-stack4-80x64-qp26", qp: 26, prof: H264, tools: AllTools, kind: "v3",
+		{name: "v3-h264-stack4-80x64-qp26", qp: 26, prof: H264, tools: AllTools, container: ContainerV3,
 			workers: 2, planes: stack(110, 4, 80, 64)},
 		// Interleaved-rANS backend vectors: same deterministic sources, v3
 		// container with the backend extension. Conformance re-encodes at
 		// workers 1/2/4/8, pinning the shared-table build and slot-major
 		// payload assembly byte-for-byte.
-		{name: "v3-rans-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: ransTools(), kind: "v3",
+		{name: "v3-rans-hevc-stack6-96x96-qp30", qp: 30, prof: HEVC, tools: ransTools(), container: ContainerV3,
 			workers: 2, planes: stack(109, 6, 96, 96)},
-		{name: "v3-rans-h264-stack4-80x64-qp26", qp: 26, prof: H264, tools: ransTools(), kind: "v3",
+		{name: "v3-rans-h264-stack4-80x64-qp26", qp: 26, prof: H264, tools: ransTools(), container: ContainerV3,
 			workers: 2, planes: stack(110, 4, 80, 64)},
-		{name: "v3-rans-hevc-noise-33x31-qp16", qp: 16, prof: HEVC, tools: ransTools(), kind: "v3",
+		{name: "v3-rans-hevc-noise-33x31-qp16", qp: 16, prof: HEVC, tools: ransTools(), container: ContainerV3,
 			workers: 1, planes: noise(111, 33, 31)},
 	}
 }
 
 // encodeGoldenVector produces the vector's container with the given worker
-// count (ignored for v1).
+// count.
 func encodeGoldenVector(v goldenVector, workers int) ([]byte, error) {
-	planes := v.planes()
-	switch v.kind {
-	case "v1":
-		data, _, err := Encode(planes, v.qp, v.prof, v.tools)
-		return data, err
-	case "v2":
-		data, _, err := EncodeParallel(planes, v.qp, v.prof, v.tools, workers)
-		return data, err
-	case "v3":
-		data, _, err := EncodeChecksummed(planes, v.qp, v.prof, v.tools, workers)
-		return data, err
-	}
-	return nil, fmt.Errorf("unknown golden kind %q", v.kind)
+	data, _, err := encodeAs(v.container, v.planes(), v.qp, v.prof, v.tools, workers)
+	return data, err
 }
 
 // ------------------------------------------------ plane-file (de)serialization
@@ -190,8 +179,8 @@ func goldenPlanesPath(name string) string { return filepath.Join(goldenDir, name
 // TestGoldenConformance is the corpus gate: for every vector it
 //
 //  1. re-encodes the deterministic source and byte-compares the container
-//     against the committed stream (for chunked containers, at worker counts
-//     1, 2, 4 and 8 — all must be bit-identical);
+//     against the committed stream, at worker counts 1, 2, 4 and 8 — all
+//     must be bit-identical;
 //  2. decodes the committed stream and compares every reconstructed plane
 //     against the committed reconstruction.
 //
@@ -214,7 +203,7 @@ func TestGoldenConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := Decode(stream)
+				dec, err := decodeAll(stream, 0)
 				if err != nil {
 					t.Fatalf("decode of freshly encoded golden stream: %v", err)
 				}
@@ -241,11 +230,7 @@ func TestGoldenConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			workerCounts := []int{1}
-			if v.kind != "v1" {
-				workerCounts = []int{1, 2, 4, 8}
-			}
-			for _, w := range workerCounts {
+			for _, w := range []int{1, 2, 4, 8} {
 				got, err := encodeGoldenVector(v, w)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
@@ -256,7 +241,7 @@ func TestGoldenConformance(t *testing.T) {
 				}
 			}
 
-			dec, err := Decode(want)
+			dec, err := decodeAll(want, 0)
 			if err != nil {
 				t.Fatalf("decode golden stream: %v", err)
 			}

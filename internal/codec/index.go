@@ -28,16 +28,16 @@
 //     ErrCorrupt, exactly as before — a flipped version byte still leaves
 //     dangling CRC fields that no longer parse as a container, and they do
 //     not parse as a trailer either.
-//   - Lenient parses (DecodePartial) treat a damaged trailer as absent: the
-//     index is an accelerator, and every chunk is still decodable from the
-//     CRC-verified header table alone.
+//   - Lenient parses (DecodeConfig.Partial) treat a damaged trailer as
+//     absent: the index is an accelerator, and every chunk is still decodable
+//     from the CRC-verified header table alone.
 //
 // Record tag 1 is the chunk index: per chunk the absolute payload offset,
 // length, CRC32C and plane span, plus (optionally) a per-plane region rect
 // tying each plane to the tensor-space rectangle it covers. The index is
 // what makes a packed container random-access: a store can fetch and decode
-// exactly the chunks covering one layer (see DecodeRegion, core.DecodeLayer
-// and internal/store).
+// exactly the chunks covering one layer (see DecodeConfig.First/Count,
+// core.DecodeLayer and internal/store).
 package codec
 
 import (

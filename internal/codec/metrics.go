@@ -1,7 +1,8 @@
 // Observability instrumentation of the codec layer (DESIGN.md §10).
 //
-// Every entry point has an *Obs twin taking an *obs.Registry; the classic
-// names delegate with a nil registry. The instrumentation contract:
+// Encode and Decode record into the *obs.Registry their config carries
+// (EncodeConfig.Metrics / DecodeConfig.Metrics); nil disables collection.
+// The instrumentation contract:
 //
 //   - Zero cost when disabled. A nil registry resolves to nil metric
 //     handles, and every record site is guarded by a single nil check —
@@ -30,6 +31,14 @@
 //	codec.decode.pool.{busy_ns,wall_ns}                       counters
 //	codec.decode.pool.workers                                 histogram
 //
+// codec.decode.calls counts every Decode invocation, whatever its outcome:
+// it is incremented once, on entry, before the first byte is looked at. A
+// call that fails — bad magic, a header-CRC mismatch, a damaged chunk on the
+// strict path, a cancellation — therefore counts as one call and one
+// errors.* increment, so errors/calls is the failure rate on every path
+// (TestDecodeCallsCountEveryInvocation pins one row per failure class).
+// codec.encode.calls counts completed encodes only.
+//
 // pool.wall_ns is wall-clock × pool size (total worker-seconds of
 // capacity), so utilization = pool.busy_ns / pool.wall_ns directly. Bit
 // attribution under CABAC is byte-granular per site but telescopes exactly
@@ -42,9 +51,15 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"repro/internal/frame"
 	"repro/internal/obs"
 )
+
+// poolMetrics is the worker-pool instrument set, identical in both
+// directions: per-chunk makespan, pool size, busy and wall time.
+type poolMetrics struct {
+	chunkNs, workers *obs.Histogram
+	busy, wall       *obs.Counter
+}
 
 // encMetrics holds the pre-resolved encode-side metric handles so hot paths
 // never touch the registry's name map. A nil *encMetrics disables
@@ -54,8 +69,7 @@ type encMetrics struct {
 	bitsContainer, bitsPartition, bitsMode, bitsResi *obs.Counter
 	stagePartition, stageIntra, stageXform           *obs.Histogram
 	stageEntropy, stageContainer                     *obs.Histogram
-	chunkNs, poolWorkers                             *obs.Histogram
-	poolBusy, poolWall                               *obs.Counter
+	pool                                             poolMetrics
 }
 
 func newEncMetrics(reg *obs.Registry) *encMetrics {
@@ -77,10 +91,12 @@ func newEncMetrics(reg *obs.Registry) *encMetrics {
 		stageXform:     reg.Histogram("codec.encode.stage.transform_quant_ns"),
 		stageEntropy:   reg.Histogram("codec.encode.stage.entropy_ns"),
 		stageContainer: reg.Histogram("codec.encode.stage.container_ns"),
-		chunkNs:        reg.Histogram("codec.encode.chunk_ns"),
-		poolWorkers:    reg.Histogram("codec.encode.pool.workers"),
-		poolBusy:       reg.Counter("codec.encode.pool.busy_ns"),
-		poolWall:       reg.Counter("codec.encode.pool.wall_ns"),
+		pool: poolMetrics{
+			chunkNs: reg.Histogram("codec.encode.chunk_ns"),
+			workers: reg.Histogram("codec.encode.pool.workers"),
+			busy:    reg.Counter("codec.encode.pool.busy_ns"),
+			wall:    reg.Counter("codec.encode.pool.wall_ns"),
+		},
 	}
 }
 
@@ -111,8 +127,8 @@ func (r *stageRecorder) flush() {
 	r.m.bitsResi.Add(r.bitsResidual)
 }
 
-// recordEncodeTotals publishes the call-level rollup shared by all encode
-// entry points: geometry counters plus the container-framing bit account
+// recordEncodeTotals publishes the call-level rollup shared by Encode and
+// Appender.Append: geometry counters plus the container-framing bit account
 // (total container bits minus the entropy payload bits, i.e. headers,
 // dim/chunk tables and CRCs).
 func (m *encMetrics) recordEncodeTotals(st Stats, containerLen, payloadLen, nPlanes int) {
@@ -133,8 +149,8 @@ type decMetrics struct {
 	errCorrupt, errTruncated, errChecksum *obs.Counter
 	errCanceled                           *obs.Counter
 	partialChunksLost, partialPlanesLost  *obs.Counter
-	stageParse, chunkNs, poolWorkers      *obs.Histogram
-	poolBusy, poolWall                    *obs.Counter
+	stageParse                            *obs.Histogram
+	pool                                  poolMetrics
 }
 
 func newDecMetrics(reg *obs.Registry) *decMetrics {
@@ -152,10 +168,12 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 		partialChunksLost: reg.Counter("codec.decode.partial.chunks_lost"),
 		partialPlanesLost: reg.Counter("codec.decode.partial.planes_lost"),
 		stageParse:        reg.Histogram("codec.decode.stage.parse_ns"),
-		chunkNs:           reg.Histogram("codec.decode.chunk_ns"),
-		poolWorkers:       reg.Histogram("codec.decode.pool.workers"),
-		poolBusy:          reg.Counter("codec.decode.pool.busy_ns"),
-		poolWall:          reg.Counter("codec.decode.pool.wall_ns"),
+		pool: poolMetrics{
+			chunkNs: reg.Histogram("codec.decode.chunk_ns"),
+			workers: reg.Histogram("codec.decode.pool.workers"),
+			busy:    reg.Counter("codec.decode.pool.busy_ns"),
+			wall:    reg.Counter("codec.decode.pool.wall_ns"),
+		},
 	}
 }
 
@@ -189,35 +207,4 @@ func workerLabels(pool string, worker int, f func()) {
 		"llm265_pool", pool,
 		"llm265_worker", strconv.Itoa(worker),
 	), func(context.Context) { f() })
-}
-
-// ------------------------------------------------------- public Obs twins
-
-// EncodeObs is Encode with metrics recorded into reg (nil reg = exactly
-// Encode). See the package taxonomy above for the metric names.
-func EncodeObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeSerial(context.Background(), planes, qp, prof, tools, newEncMetrics(reg))
-}
-
-// EncodeParallelObs is EncodeParallel with metrics recorded into reg.
-func EncodeParallelObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeParallel(context.Background(), planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// EncodeChecksummedObs is EncodeChecksummed with metrics recorded into reg.
-func EncodeChecksummedObs(planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) ([]byte, Stats, error) {
-	return encodeChecksummed(context.Background(), planes, qp, prof, tools, workers, newEncMetrics(reg))
-}
-
-// DecodeWorkersObs is DecodeWorkers with metrics recorded into reg,
-// including the decode-error taxonomy counters.
-func DecodeWorkersObs(data []byte, workers int, reg *obs.Registry) ([]*frame.Plane, error) {
-	return DecodeWorkersCtx(context.Background(), data, workers, reg)
-}
-
-// DecodePartialObs is DecodePartial with metrics recorded into reg: each
-// failed chunk bumps its taxonomy counter, and the partial.chunks_lost /
-// partial.planes_lost counters account the recovery gap.
-func DecodePartialObs(data []byte, workers int, reg *obs.Registry) (*PartialResult, error) {
-	return DecodePartialCtx(context.Background(), data, workers, reg)
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,11 +29,11 @@ func metricsPlanes(n int) []*frame.Plane {
 func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 	planes := metricsPlanes(3)
 	reg := obs.NewRegistry()
-	data, st, err := EncodeParallelObs(planes, 30, HEVC, AllTools, 2, reg)
+	data, st, err := Encode(context.Background(), planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeWorkersObs(data, 2, reg); err != nil {
+	if _, err := Decode(context.Background(), data, DecodeConfig{Workers: 2, Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -106,12 +107,13 @@ func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 // worker count.
 func TestMetricsDoNotChangeBytes(t *testing.T) {
 	planes := metricsPlanes(3)
-	want, _, err := EncodeParallel(planes, 30, HEVC, AllTools, 1)
+	want, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, _, err := EncodeParallelObs(planes, 30, HEVC, AllTools, workers, obs.NewRegistry())
+		got, _, err := Encode(context.Background(), planes, EncodeConfig{
+			QP: 30, Profile: HEVC, Tools: AllTools, Workers: workers, Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,17 +121,18 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 			t.Fatalf("metrics changed bytes at %d workers", workers)
 		}
 	}
-	// Serial entry point too.
-	got, _, err := EncodeObs(planes[:1], 30, HEVC, AllTools, obs.NewRegistry())
+	// The single-chunk (version-1) framing too.
+	got, _, err := Encode(context.Background(), planes[:1], EncodeConfig{
+		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := Encode(planes[:1], 30, HEVC, AllTools)
+	plain, _, err := encodeAs(ContainerLegacy, planes[:1], 30, HEVC, AllTools, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, plain) {
-		t.Fatal("metrics changed serial encode bytes")
+	if plain[4] != 1 || !bytes.Equal(got, plain) {
+		t.Fatal("metrics changed single-chunk encode bytes")
 	}
 }
 
@@ -137,24 +140,25 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 // taxonomy counter, and that partial decode accounts its losses.
 func TestMetricsErrorTaxonomy(t *testing.T) {
 	planes := metricsPlanes(3)
-	v3, _, err := EncodeChecksummed(planes, 30, HEVC, AllTools, 2)
+	v3, _, err := encodeAs(ContainerV3, planes, 30, HEVC, AllTools, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	reg := obs.NewRegistry()
+	strict := DecodeConfig{Workers: 1, Metrics: reg}
 	// Truncated: cut the stream mid-payload.
-	if _, err := DecodeWorkersObs(v3[:len(v3)-9], 1, reg); err == nil {
+	if _, err := Decode(context.Background(), v3[:len(v3)-9], strict); err == nil {
 		t.Fatal("truncated stream decoded")
 	}
 	// Checksum: flip a bit in the last chunk's payload.
 	bad := append([]byte(nil), v3...)
 	bad[len(bad)-9] ^= 0x10
-	if _, err := DecodeWorkersObs(bad, 1, reg); err == nil {
+	if _, err := Decode(context.Background(), bad, strict); err == nil {
 		t.Fatal("damaged stream decoded")
 	}
 	// Corrupt: garbage magic.
-	if _, err := DecodeWorkersObs([]byte("not a stream at all"), 1, reg); err == nil {
+	if _, err := Decode(context.Background(), []byte("not a stream at all"), strict); err == nil {
 		t.Fatal("garbage decoded")
 	}
 	s := reg.Snapshot()
@@ -171,7 +175,7 @@ func TestMetricsErrorTaxonomy(t *testing.T) {
 	// Partial decode on the checksum-damaged stream: one chunk lost, its
 	// planes accounted, the taxonomy bumped.
 	reg2 := obs.NewRegistry()
-	res, err := DecodePartialObs(bad, 1, reg2)
+	res, err := Decode(context.Background(), bad, DecodeConfig{Workers: 1, Metrics: reg2, Partial: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,17 +192,79 @@ func TestMetricsErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// BenchmarkEncodeDisabledMetrics measures the instrumented entry point with
-// a nil registry on the exact BenchmarkEncodeHEVC workload (same seed,
-// geometry and QP); compare the two to verify the zero-cost-when-disabled
-// contract — the ns/op delta should be within run-to-run noise.
+// TestDecodeCallsCountEveryInvocation pins the codec.decode.calls definition
+// (metrics.go): one increment per Decode invocation, on entry, whatever the
+// outcome and whatever the DecodeConfig. Before the single decode core, a
+// header-CRC failure was a "call" on the strict whole-stream path but not on
+// the windowed or Partial ones; each failure class is a row here, and the
+// header-CRC class is a row per path.
+func TestDecodeCallsCountEveryInvocation(t *testing.T) {
+	v3, _, err := encodeAs(ContainerV3, metricsPlanes(3), 30, HEVC, AllTools, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := func(off int) []byte {
+		bad := append([]byte(nil), v3...)
+		bad[off] ^= 0x01
+		return bad
+	}
+	headerCRC := flipped(15)         // a dim byte: only the header CRC knows
+	chunkCRC := flipped(len(v3) - 9) // inside the last chunk's payload
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, row := range []struct {
+		name    string
+		ctx     context.Context
+		data    []byte
+		cfg     DecodeConfig
+		counter string // the one errors.* counter expected at 1; "" = none
+		callErr bool
+	}{
+		{"clean", context.Background(), v3, DecodeConfig{}, "", false},
+		{"bad magic", context.Background(), []byte("not a stream at all"), DecodeConfig{}, "corrupt", true},
+		{"short preamble", context.Background(), v3[:6], DecodeConfig{}, "truncated", true},
+		{"truncated chunk table", context.Background(), v3[:40], DecodeConfig{}, "truncated", true},
+		{"header CRC, strict", context.Background(), headerCRC, DecodeConfig{}, "checksum", true},
+		{"header CRC, window", context.Background(), headerCRC, DecodeConfig{First: 0, Count: 1}, "checksum", true},
+		{"header CRC, partial", context.Background(), headerCRC, DecodeConfig{Partial: true}, "checksum", true},
+		{"chunk CRC, strict", context.Background(), chunkCRC, DecodeConfig{}, "checksum", true},
+		{"chunk CRC, partial", context.Background(), chunkCRC, DecodeConfig{Partial: true}, "checksum", false},
+		{"canceled", canceled, v3, DecodeConfig{}, "canceled", true},
+	} {
+		reg := obs.NewRegistry()
+		row.cfg.Workers, row.cfg.Metrics = 1, reg
+		_, err := Decode(row.ctx, row.data, row.cfg)
+		if (err != nil) != row.callErr {
+			t.Errorf("%s: err = %v, want error = %v", row.name, err, row.callErr)
+		}
+		s := reg.Snapshot()
+		if got := s.Counters["codec.decode.calls"]; got != 1 {
+			t.Errorf("%s: decode.calls = %d, want 1", row.name, got)
+		}
+		for _, class := range []string{"corrupt", "truncated", "checksum", "canceled"} {
+			want := int64(0)
+			if class == row.counter {
+				want = 1
+			}
+			if got := s.Counters["codec.decode.errors."+class]; got != want {
+				t.Errorf("%s: errors.%s = %d, want %d", row.name, class, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEncodeDisabledMetrics is the exact BenchmarkEncodeHEVC workload
+// (same seed, geometry and QP, nil registry), kept as the named baseline for
+// BenchmarkEncodeEnabledMetrics: the zero-cost-when-disabled contract is that
+// a nil EncodeConfig.Metrics costs one pointer check per record site.
 func BenchmarkEncodeDisabledMetrics(b *testing.B) {
 	rng := rand.New(rand.NewSource(16))
 	p := gradientPlane(rng, 128, 128)
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeObs([]*frame.Plane{p}, 28, HEVC, AllTools, nil); err != nil {
+		if _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +279,7 @@ func BenchmarkEncodeEnabledMetrics(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := EncodeObs([]*frame.Plane{p}, 28, HEVC, AllTools, reg); err != nil {
+		if _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools, Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}

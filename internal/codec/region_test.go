@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -26,11 +27,12 @@ func indexedStream(t testing.TB) ([]byte, []*frame.Plane, []PlaneRegion) {
 		planes[i] = gradientPlane(rng, 64, 64)
 		regions[i] = PlaneRegion{Layer: i / 3, X0: (i % 3) * 64, Y0: 0, W: 64, H: 64}
 	}
-	data, _, err := EncodeIndexed(planes, 30, HEVC, AllTools, 2, regions)
+	data, _, err := Encode(context.Background(), planes, EncodeConfig{
+		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerV3Indexed, Regions: regions})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := DecodeWorkers(data, 2)
+	rec, err := decodeAll(data, 2)
 	if err != nil {
 		t.Fatalf("decoding the indexed stream: %v", err)
 	}
@@ -56,7 +58,7 @@ func requirePlanesEqual(t *testing.T, label string, got, want []*frame.Plane) {
 // regression: before the trailer-aware exact-length rule, every strict
 // decoder rejected an indexed container with "trailing bytes after container
 // end" (PR 2's anti-downgrade check). An indexed stream must now decode
-// byte-identically to its un-indexed twin through every strict entry point.
+// byte-identically to its un-indexed twin, strict and Partial alike.
 func TestIndexedStreamAcceptedByStrictDecoders(t *testing.T) {
 	data, planes, _ := indexedStream(t)
 	_, _, v3, _ := corpusStreams(t)
@@ -71,27 +73,27 @@ func TestIndexedStreamAcceptedByStrictDecoders(t *testing.T) {
 		t.Fatal("indexed container has no trailer")
 	}
 
-	want, err := DecodeWorkers(v3, 2)
+	want, err := decodeAll(v3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requirePlanesEqual(t, "un-indexed reference", want, planes)
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := DecodeWorkers(data, workers)
+		got, err := decodeAll(data, workers)
 		if err != nil {
-			t.Fatalf("DecodeWorkers(indexed, %d): %v", workers, err)
+			t.Fatalf("decodeAll(indexed, %d): %v", workers, err)
 		}
-		requirePlanesEqual(t, "DecodeWorkers(indexed)", got, want)
+		requirePlanesEqual(t, "decodeAll(indexed)", got, want)
 
-		res, err := DecodePartial(data, workers)
+		res, err := Decode(context.Background(), data, DecodeConfig{Workers: workers, Partial: true})
 		if err != nil {
-			t.Fatalf("DecodePartial(indexed, %d): %v", workers, err)
+			t.Fatalf("partial decode(indexed, %d): %v", workers, err)
 		}
 		if !res.OK() {
-			t.Fatalf("DecodePartial(indexed, %d): %d chunk errors, first: %v", workers, len(res.Errors), res.Errors[0])
+			t.Fatalf("partial decode(indexed, %d): %d chunk errors, first: %v", workers, len(res.Errors), res.Errors[0])
 		}
-		requirePlanesEqual(t, "DecodePartial(indexed)", res.Planes, want)
+		requirePlanesEqual(t, "partial decode(indexed)", res.Planes, want)
 	}
 }
 
@@ -106,7 +108,7 @@ func TestTrailerPreservesAntiDowngrade(t *testing.T) {
 
 	check := func(label string, data []byte) {
 		t.Helper()
-		if _, err := DecodeWorkers(data, 2); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeAll(data, 2); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", label, err)
 		}
 	}
@@ -126,7 +128,7 @@ func TestTrailerPreservesAntiDowngrade(t *testing.T) {
 	for _, v := range []byte{1, 2} {
 		bad := append([]byte(nil), indexed...)
 		bad[4] = v
-		if _, err := DecodeWorkers(bad, 2); err == nil {
+		if _, err := decodeAll(bad, 2); err == nil {
 			t.Fatalf("downgrade to v%d accepted", v)
 		}
 	}
@@ -214,13 +216,17 @@ func TestEncodeIndexedDeterminism(t *testing.T) {
 		planes[i] = channelPlane(rng, 96, 96)
 		regions[i] = PlaneRegion{Layer: i, W: 96, H: 96}
 	}
+	indexed := func(tools Tools, workers int, regions []PlaneRegion) ([]byte, Stats, error) {
+		return Encode(context.Background(), planes, EncodeConfig{
+			QP: 30, Profile: HEVC, Tools: tools, Workers: workers, Container: ContainerV3Indexed, Regions: regions})
+	}
 	for _, tools := range []Tools{AllTools, ransTools()} {
-		ref, _, err := EncodeIndexed(planes, 30, HEVC, tools, 1, regions)
+		ref, _, err := indexed(tools, 1, regions)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			got, _, err := EncodeIndexed(planes, 30, HEVC, tools, workers, regions)
+			got, _, err := indexed(tools, workers, regions)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -230,36 +236,57 @@ func TestEncodeIndexedDeterminism(t *testing.T) {
 		}
 	}
 	// Region-count mismatch is an encode-time error, not a bad stream.
-	if _, _, err := EncodeIndexed(planes, 30, HEVC, AllTools, 1, regions[:3]); err == nil {
-		t.Fatal("EncodeIndexed accepted 3 regions for 6 planes")
+	if _, _, err := indexed(AllTools, 1, regions[:3]); err == nil {
+		t.Fatal("indexed encode accepted 3 regions for 6 planes")
 	}
 }
 
-// TestDecodeRegionGoldenEquivalence is the satellite-4 matrix: for every
+// TestDecodeRegionGoldenEquivalence is the plane-window matrix: for every
 // golden vector (both backends), every worker count and every plane window,
-// DecodeRegion's bytes equal the full decode's crop — and on a re-encoded
-// indexed twin of each vector too.
+// a windowed Decode's bytes equal the full decode's crop — strict and
+// Partial alike, and on a re-encoded indexed twin of each vector too. The
+// Partial rows additionally run against a copy with one chunk's payload
+// damaged: the window's planes, nil placeholders and chunk errors must be
+// exactly the crop of the full Partial decode's.
 func TestDecodeRegionGoldenEquivalence(t *testing.T) {
 	vectors := goldenVectors()
 	if len(vectors) < 11 {
 		t.Fatalf("golden corpus has %d vectors, want at least 11", len(vectors))
 	}
+	ctx := context.Background()
 	for _, v := range vectors {
 		t.Run(v.name, func(t *testing.T) {
 			stream, err := os.ReadFile(goldenStreamPath(v.name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := DecodeWorkers(stream, 4)
+			full, err := decodeAll(stream, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// An indexed re-encode of the same source (v3 framing regardless
 			// of the vector's own version).
-			indexed, _, err := EncodeIndexed(v.planes(), v.qp, v.prof, v.tools, 2, nil)
+			indexed, _, err := encodeAs(ContainerV3Indexed, v.planes(), v.qp, v.prof, v.tools, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The indexed twin with its last chunk's payload damaged, and what
+			// a full Partial decode still recovers from it.
+			damaged := append([]byte(nil), indexed...)
+			lay, err := Layout(indexed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := lay.Entries[len(lay.Entries)-1]
+			damaged[last.Offset+int64(last.Length)/2] ^= 0x40
+			fullDamaged, err := Decode(ctx, damaged, DecodeConfig{Workers: 4, Partial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fullDamaged.Errors) != 1 || !errors.Is(fullDamaged.Errors[0], ErrChecksum) {
+				t.Fatalf("damaged twin: errors %v, want one ErrChecksum chunk", fullDamaged.Errors)
+			}
+
 			windows := [][2]int{{0, len(full)}}
 			for i := range full {
 				windows = append(windows, [2]int{i, 1})
@@ -269,17 +296,41 @@ func TestDecodeRegionGoldenEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
 				for _, win := range windows {
-					got, err := DecodeRegion(stream, win[0], win[1], workers)
-					if err != nil {
-						t.Fatalf("DecodeRegion(%s, [%d,+%d), w=%d): %v", v.name, win[0], win[1], workers, err)
+					want := full[win[0] : win[0]+win[1]]
+					for _, partial := range []bool{false, true} {
+						cfg := DecodeConfig{Workers: workers, First: win[0], Count: win[1], Partial: partial}
+						for label, data := range map[string][]byte{"golden": stream, "indexed": indexed} {
+							got, err := Decode(ctx, data, cfg)
+							if err != nil {
+								t.Fatalf("Decode(%s %s, %+v): %v", label, v.name, cfg, err)
+							}
+							if !got.OK() {
+								t.Fatalf("Decode(%s %s, %+v): chunk errors %v", label, v.name, cfg, got.Errors)
+							}
+							requirePlanesEqual(t, label+" window vs full crop", got.Planes, want)
+						}
 					}
-					requirePlanesEqual(t, "region vs full crop", got, full[win[0]:win[0]+win[1]])
 
-					got, err = DecodeRegion(indexed, win[0], win[1], workers)
+					// Partial with a plane window ≡ the same crop of a full
+					// Partial decode, damage included.
+					got, err := Decode(ctx, damaged, DecodeConfig{Workers: workers, First: win[0], Count: win[1], Partial: true})
 					if err != nil {
-						t.Fatalf("DecodeRegion(indexed %s, [%d,+%d), w=%d): %v", v.name, win[0], win[1], workers, err)
+						t.Fatalf("partial window [%d,+%d) of damaged twin: %v", win[0], win[1], err)
 					}
-					requirePlanesEqual(t, "indexed region vs full crop", got, full[win[0]:win[0]+win[1]])
+					wantDamaged := fullDamaged.Planes[win[0] : win[0]+win[1]]
+					wantErrs := 0
+					if ce := fullDamaged.Errors[0]; ce.PlaneStart < win[0]+win[1] && ce.PlaneStart+ce.PlaneCount > win[0] {
+						wantErrs = 1
+					}
+					if len(got.Errors) != wantErrs || (wantErrs == 1 && got.Errors[0].Chunk != fullDamaged.Errors[0].Chunk) {
+						t.Fatalf("partial window [%d,+%d): errors %v, full partial decode reports %v", win[0], win[1], got.Errors, fullDamaged.Errors)
+					}
+					for i := range wantDamaged {
+						if (got.Planes[i] == nil) != (wantDamaged[i] == nil) ||
+							(wantDamaged[i] != nil && !got.Planes[i].Equal(wantDamaged[i])) {
+							t.Fatalf("partial window [%d,+%d): plane %d differs from the full partial decode's crop", win[0], win[1], i)
+						}
+					}
 				}
 			}
 		})
@@ -299,7 +350,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 	}
 
 	fullChunks := chunkCount(func(reg *obs.Registry) {
-		if _, err := DecodeWorkersObs(data, 2, reg); err != nil {
+		if _, err := Decode(context.Background(), data, DecodeConfig{Workers: 2, Metrics: reg}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -308,31 +359,39 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 	}
 	// Plane 0 lives in chunk 0 (planes 0..7): exactly one chunk decoded.
 	regionChunks := chunkCount(func(reg *obs.Registry) {
-		got, err := DecodeRegionObs(data, 0, 1, 2, reg)
+		got, err := Decode(context.Background(), data, DecodeConfig{Workers: 2, Metrics: reg, First: 0, Count: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePlanesEqual(t, "plane 0", got, planes[:1])
+		requirePlanesEqual(t, "plane 0", got.Planes, planes[:1])
 	})
 	if regionChunks != 1 {
 		t.Fatalf("region decode touched %d chunks, want 1", regionChunks)
 	}
 	// Plane 8 lives alone in chunk 1.
 	lastChunks := chunkCount(func(reg *obs.Registry) {
-		got, err := DecodeRegionObs(data, 8, 1, 2, reg)
+		got, err := Decode(context.Background(), data, DecodeConfig{Workers: 2, Metrics: reg, First: 8, Count: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePlanesEqual(t, "plane 8", got, planes[8:])
+		requirePlanesEqual(t, "plane 8", got.Planes, planes[8:])
 	})
 	if lastChunks != 1 {
 		t.Fatalf("last-plane decode touched %d chunks, want 1", lastChunks)
 	}
 
-	// Out-of-range windows are caller errors, never panics.
-	for _, win := range [][2]int{{-1, 1}, {0, 0}, {9, 1}, {8, 2}} {
-		if _, err := DecodeRegion(data, win[0], win[1], 2); err == nil {
-			t.Fatalf("DecodeRegion accepted window [%d,+%d)", win[0], win[1])
+	// Out-of-range windows are caller errors, never panics — and never part
+	// of the decode taxonomy. ({0, 0} is no longer one: the zero window is
+	// DecodeConfig's "every plane".)
+	for _, win := range [][2]int{{-1, 1}, {1, 0}, {0, -1}, {9, 1}, {8, 2}, {1, int(^uint(0) >> 1)}} {
+		for _, partial := range []bool{false, true} {
+			_, err := Decode(context.Background(), data, DecodeConfig{Workers: 2, First: win[0], Count: win[1], Partial: partial})
+			if err == nil {
+				t.Fatalf("Decode accepted window [%d,+%d) (partial=%v)", win[0], win[1], partial)
+			}
+			if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum) {
+				t.Fatalf("window [%d,+%d): caller error %v matches the decode taxonomy", win[0], win[1], err)
+			}
 		}
 	}
 }
@@ -340,7 +399,7 @@ func TestDecodeRegionIsORegion(t *testing.T) {
 // TestTrailerFaultinject sweeps the trailer bytes (satellite 4): every
 // truncation and every bit flip inside the trailer must surface as a typed
 // error on the strict path — never a panic, never silent — while the lenient
-// path (DecodePartial) must still recover every chunk, since the index is
+// path (Partial) must still recover every chunk, since the index is
 // only an accelerator.
 func TestTrailerFaultinject(t *testing.T) {
 	data, planes, _ := indexedStream(t)
@@ -370,19 +429,19 @@ func TestTrailerFaultinject(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), data...)
 			bad[off] ^= 1 << bit
-			_, err := DecodeWorkers(bad, 2)
+			_, err := decodeAll(bad, 2)
 			if err == nil {
 				t.Fatalf("strict decode accepted trailer bitflip @%d.%d", off, bit)
 			}
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrChecksum) {
 				t.Fatalf("trailer bitflip @%d.%d: untyped error %v", off, bit, err)
 			}
-			res, perr := DecodePartial(bad, 2)
+			res, perr := Decode(context.Background(), bad, DecodeConfig{Workers: 2, Partial: true})
 			if perr != nil {
-				t.Fatalf("DecodePartial(trailer bitflip @%d.%d): %v", off, bit, perr)
+				t.Fatalf("partial decode(trailer bitflip @%d.%d): %v", off, bit, perr)
 			}
 			if !res.OK() {
-				t.Fatalf("DecodePartial lost chunks under trailer bitflip @%d.%d: %v", off, bit, res.Errors[0])
+				t.Fatalf("partial decode lost chunks under trailer bitflip @%d.%d: %v", off, bit, res.Errors[0])
 			}
 			requirePlanesEqual(t, "lenient recovery under trailer damage", res.Planes, planes)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -156,8 +155,17 @@ func (o Options) EncodeStack(stack []*Tensor, qp int) (*Encoded, error) {
 // the output bytes are identical to EncodeStack.
 func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*Encoded, error) {
 	o = o.normalized()
+	// Zero-value stacks are rejected here, before any rate-control search
+	// can probe them: bits-per-value over zero values is 0/0 = NaN, and a
+	// bisection comparing against NaN walks silently to one end of the QP
+	// range instead of failing.
 	if len(stack) == 0 {
-		return nil, errors.New("core: empty stack")
+		return nil, fmt.Errorf("core: empty stack: %w", ErrEmptyInput)
+	}
+	for i, t := range stack {
+		if t == nil || t.Rows <= 0 || t.Cols <= 0 {
+			return nil, fmt.Errorf("core: stack layer %d has no values: %w", i, ErrEmptyInput)
+		}
 	}
 	rows, cols := stack[0].Rows, stack[0].Cols
 	for _, t := range stack {
@@ -192,27 +200,24 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 		planes = append(planes, frame.FromMatrix(pix, rows, cols, o.MaxFrameW, o.MaxFrameH)...)
 	}
 	quantSpan.End()
-	var stream []byte
-	var st codec.Stats
-	var err error
+	cfg := codec.EncodeConfig{QP: qp, Profile: o.Profile, Tools: o.Tools, Workers: o.Workers, Metrics: o.Metrics}
 	switch {
 	case o.Index:
 		// Thread the tensor-space geometry into the trailer: plane
 		// l*len(regs)+i covers region regs[i] of layer l, matching the
 		// FromMatrix emission order above.
+		cfg.Container = codec.ContainerV3Indexed
 		regs := enc.regions()
-		pr := make([]codec.PlaneRegion, 0, len(planes))
+		cfg.Regions = make([]codec.PlaneRegion, 0, len(planes))
 		for l := 0; l < enc.Layers; l++ {
 			for _, r := range regs {
-				pr = append(pr, codec.PlaneRegion{Layer: l, X0: r.X0, Y0: r.Y0, W: r.W, H: r.H})
+				cfg.Regions = append(cfg.Regions, codec.PlaneRegion{Layer: l, X0: r.X0, Y0: r.Y0, W: r.W, H: r.H})
 			}
 		}
-		stream, st, err = codec.EncodeIndexedCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, pr, o.Metrics)
 	case o.Checksum:
-		stream, st, err = codec.EncodeChecksummedCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, o.Metrics)
-	default:
-		stream, st, err = codec.EncodeParallelCtx(ctx, planes, qp, o.Profile, o.Tools, o.Workers, o.Metrics)
+		cfg.Container = codec.ContainerV3
 	}
+	stream, st, err := codec.Encode(ctx, planes, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -244,6 +249,12 @@ var (
 	ErrTruncated = codec.ErrTruncated
 	ErrChecksum  = codec.ErrChecksum
 )
+
+// ErrEmptyInput reports an encode request over zero values — an empty stack,
+// a nil tensor, or a tensor with a zero dimension. EncodeStack rejects these
+// up front, so EncodeStackToBitrate/EncodeStackToMSE (which probe through it)
+// fail on their first probe instead of bisecting on NaN.
+var ErrEmptyInput = codec.ErrEmptyInput
 
 // validate checks an Encoded's metadata for internal consistency before any
 // geometry-driven allocation: positive dims, positive frame bounds, and a
@@ -355,11 +366,12 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 		return nil, err
 	}
 	span := o.Metrics.StartSpan("core.decode_stack")
-	planes, err := codec.DecodeWorkersCtx(ctx, e.Stream, o.Workers, o.Metrics)
+	dec, err := codec.Decode(ctx, e.Stream, codec.DecodeConfig{Workers: o.Workers, Metrics: o.Metrics})
 	if err != nil {
 		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err
 	}
+	planes := dec.Planes
 	regs := e.regions()
 	if err := e.checkPlaneGeometry(planes, regs); err != nil {
 		o.Metrics.Add("core.decode.errors", 1)

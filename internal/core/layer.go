@@ -86,11 +86,13 @@ func (o Options) DecodeLayerCtx(ctx context.Context, e *Encoded, l int) (*Tensor
 		}
 	}
 
-	planes, err := codec.DecodeRegionCtx(ctx, e.Stream, l*perLayer, perLayer, o.Workers, o.Metrics)
+	dec, err := codec.Decode(ctx, e.Stream, codec.DecodeConfig{
+		Workers: o.Workers, Metrics: o.Metrics, First: l * perLayer, Count: perLayer})
 	if err != nil {
 		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err
 	}
+	planes := dec.Planes
 	for i, p := range planes {
 		if p.W != regs[i].W || p.H != regs[i].H {
 			o.Metrics.Add("core.decode.errors", 1)

@@ -75,7 +75,7 @@ func (o Options) DecodeStackPartialCtx(ctx context.Context, e *Encoded) ([]*Tens
 		return nil, nil, err
 	}
 	span := o.Metrics.StartSpan("core.decode_stack_partial")
-	res, err := codec.DecodePartialCtx(ctx, e.Stream, o.Workers, o.Metrics)
+	res, err := codec.Decode(ctx, e.Stream, codec.DecodeConfig{Workers: o.Workers, Metrics: o.Metrics, Partial: true})
 	if err != nil {
 		o.Metrics.Add("core.decode.errors", 1)
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -238,13 +239,13 @@ func Throughput(ctx *Ctx) *Table {
 	planes := frame.FromMatrix(pix, size, size, 1024, 1024)
 
 	encStart := nowSeconds()
-	stream, _, err := codec.Encode(planes, 26, o.Profile, o.Tools)
+	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: o.Profile, Tools: o.Tools})
 	if err != nil {
 		panic(err)
 	}
 	encSec := nowSeconds() - encStart
 	decStart := nowSeconds()
-	if _, err := codec.Decode(stream); err != nil {
+	if _, err := codec.Decode(context.Background(), stream, codec.DecodeConfig{}); err != nil {
 		panic(err)
 	}
 	decSec := nowSeconds() - decStart

@@ -10,7 +10,7 @@
 //     The committed prefix is never re-encoded — codec.encode.chunks
 //     advances by exactly one per flushed group, proven in kv_test.go.
 //   - Reads decode only the chunks intersecting the requested token range
-//     (Appender.Snapshot → an indexed v3 sub-container → DecodeWorkers),
+//     (Appender.Snapshot → an indexed v3 sub-container → codec.Decode),
 //     re-dequantize with the stored per-row scale/zero pairs, and splice in
 //     the raw tail bit-exactly.
 //   - Prefix aliasing: each flushed group advances a chain digest
@@ -848,11 +848,11 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 		if err != nil {
 			return ReadResult{}, fmt.Errorf("kv: snapshot of session %q: %v", name, err)
 		}
-		planes, err := codec.DecodeWorkersCtx(ctx, snap, t.cfg.Workers, t.cfg.Metrics)
+		dec, err := codec.Decode(ctx, snap, codec.DecodeConfig{Workers: t.cfg.Workers, Metrics: t.cfg.Metrics})
 		if err != nil {
 			return ReadResult{}, err
 		}
-		for i, p := range planes {
+		for i, p := range dec.Planes {
 			base := (firstPlane + i) * f
 			for y := 0; y < p.H; y++ {
 				r := base + y

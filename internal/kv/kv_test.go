@@ -65,15 +65,16 @@ func reference(t *testing.T, vals []float32, dim, f, qp int, backend codec.Entro
 	}
 	tools := codec.AllTools
 	tools.Backend = backend
-	enc, _, err := codec.EncodeChecksummed(planes, qp, codec.HEVC, tools, workers)
+	enc, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+		QP: qp, Profile: codec.HEVC, Tools: tools, Workers: workers, Container: codec.ContainerV3})
 	if err != nil {
 		t.Fatalf("reference encode: %v", err)
 	}
-	dec, err := codec.DecodeWorkers(enc, workers)
+	dec, err := codec.Decode(context.Background(), enc, codec.DecodeConfig{Workers: workers})
 	if err != nil {
 		t.Fatalf("reference decode: %v", err)
 	}
-	for g, p := range dec {
+	for g, p := range dec.Planes {
 		for r := 0; r < f; r++ {
 			abs := g*f + r
 			copy(out[abs*dim:], quant.FromUint8(p.Row(r), scales[abs], zeros[abs]))

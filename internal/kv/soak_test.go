@@ -21,6 +21,7 @@ package kv_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -126,15 +127,16 @@ func soakReference(vals []float32, dim, f, qp int) ([]float32, error) {
 		}
 		planes[g] = &frame.Plane{W: dim, H: f, Pix: pix}
 	}
-	enc, _, err := codec.EncodeChecksummed(planes, qp, codec.HEVC, codec.AllTools, 1)
+	enc, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+		QP: qp, Profile: codec.HEVC, Tools: codec.AllTools, Workers: 1, Container: codec.ContainerV3})
 	if err != nil {
 		return nil, err
 	}
-	dec, err := codec.DecodeWorkers(enc, 1)
+	dec, err := codec.Decode(context.Background(), enc, codec.DecodeConfig{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
-	for g, p := range dec {
+	for g, p := range dec.Planes {
 		for r := 0; r < f; r++ {
 			abs := g*f + r
 			copy(out[abs*dim:], quant.FromUint8(p.Row(r), scales[abs], zeros[abs]))

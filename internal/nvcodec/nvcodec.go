@@ -14,6 +14,7 @@
 package nvcodec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -146,7 +147,8 @@ func (d *Device) Encode(planes []*frame.Plane, qp int, tools codec.Tools) ([]byt
 				p.W, p.H, d.Gen.Name, d.Profile.Name, d.sup.MaxDim)
 		}
 	}
-	data, st, err := codec.EncodeParallelObs(planes, qp, d.Profile, tools, d.Gen.encEngines(), d.Metrics)
+	data, st, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+		QP: qp, Profile: d.Profile, Tools: tools, Workers: d.Gen.encEngines(), Metrics: d.Metrics})
 	if err != nil {
 		return nil, codec.Stats{}, 0, err
 	}
@@ -160,13 +162,14 @@ func (d *Device) Encode(planes []*frame.Plane, qp int, tools codec.Tools) ([]byt
 
 // Decode mirrors Encode with the decode-side engine schedule.
 func (d *Device) Decode(data []byte) ([]*frame.Plane, time.Duration, error) {
-	planes, err := codec.DecodeWorkersObs(data, d.Gen.decEngines(), d.Metrics)
+	dec, err := codec.Decode(context.Background(), data, codec.DecodeConfig{Workers: d.Gen.decEngines(), Metrics: d.Metrics})
 	if err != nil {
 		if d.Metrics != nil {
 			d.Metrics.Add("nvcodec.decode.errors", 1)
 		}
 		return nil, 0, err
 	}
+	planes := dec.Planes
 	lat := d.DecodeLatencyPlanes(planes)
 	if d.Metrics != nil {
 		d.Metrics.Add("nvcodec.decode.calls", 1)

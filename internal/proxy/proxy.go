@@ -881,12 +881,10 @@ func (p *Proxy) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	p.reg.WriteJSON(w)
 }
 
-// writeJSONError mirrors serve's error envelope so proxy-originated errors
+// writeJSONError writes serve's error envelope, so proxy-originated errors
 // and relayed backend errors look the same to clients.
 func (p *Proxy) writeJSONError(w http.ResponseWriter, status int, msg, class string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg, "class": class})
+	serve.WriteError(w, status, msg, class)
 }
 
 // ------------------------------------------------------------------ small helpers

@@ -14,7 +14,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dct"
-	"repro/internal/frame"
 )
 
 // requestCtx derives the compute context for one request: the connection
@@ -133,7 +132,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		}
 		if cerr := r.Context().Err(); cerr != nil {
 			s.m.errCanceled.Inc()
-			s.writeJSONError(w, statusFor(cerr), "serve: reading body: "+err.Error(), errClass(cerr))
+			c := classify(cerr)
+			s.writeJSONError(w, c.status, "serve: reading body: "+err.Error(), c.name)
 			return nil, false
 		}
 		s.writeJSONError(w, http.StatusBadRequest, "serve: reading body: "+err.Error(), "bad_request")
@@ -364,28 +364,18 @@ func (s *Server) decodeCore(w http.ResponseWriter, ctx context.Context, body []b
 // the golden conformance format, so corpus vectors round-trip through HTTP
 // byte-identically.
 func (s *Server) decodeCodec(w http.ResponseWriter, ctx context.Context, body []byte, partial bool) {
+	res, err := codec.Decode(ctx, body, codec.DecodeConfig{Workers: s.cfg.Workers, Metrics: s.reg, Partial: partial})
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	status := http.StatusOK
-	var planes []*frame.Plane
-	if partial {
-		res, err := codec.DecodePartialCtx(ctx, body, s.cfg.Workers, s.reg)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		planes = res.Planes
-		if !res.OK() {
-			status = http.StatusPartialContent
-			w.Header().Set("X-Llm265-Failed-Chunks", strconv.Itoa(len(res.Errors)))
-			w.Header().Set("X-Llm265-Recovered-Planes", strconv.Itoa(res.Recovered()))
-			w.Header().Set("X-Llm265-Total-Planes", strconv.Itoa(len(res.Planes)))
-		}
-	} else {
-		var err error
-		planes, err = codec.DecodeWorkersCtx(ctx, body, s.cfg.Workers, s.reg)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
+	planes := res.Planes
+	if !res.OK() {
+		status = http.StatusPartialContent
+		w.Header().Set("X-Llm265-Failed-Chunks", strconv.Itoa(len(res.Errors)))
+		w.Header().Set("X-Llm265-Recovered-Planes", strconv.Itoa(res.Recovered()))
+		w.Header().Set("X-Llm265-Total-Planes", strconv.Itoa(len(res.Planes)))
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Llm265-Planes", strconv.Itoa(len(planes)))

@@ -325,7 +325,7 @@ func (a *admission) admit(ctx context.Context) (release func(), rej *admitError)
 	expired := func(err error) (func(), *admitError) {
 		<-a.sem
 		a.exit()
-		return nil, &admitError{status: statusFor(err), reason: "request expired before dispatch: " + err.Error()}
+		return nil, &admitError{status: classify(err).status, reason: "request expired before dispatch: " + err.Error()}
 	}
 	// Fast path: a free slot right now.
 	select {
@@ -359,6 +359,6 @@ func (a *admission) admit(ctx context.Context) (release func(), rej *admitError)
 		// through the same taxonomy as a mid-encode cancellation so the
 		// status is uniform wherever the deadline lands.
 		a.exit()
-		return nil, &admitError{status: statusFor(ctx.Err()), reason: "request abandoned while queued: " + ctx.Err().Error()}
+		return nil, &admitError{status: classify(ctx.Err()).status, reason: "request abandoned while queued: " + ctx.Err().Error()}
 	}
 }

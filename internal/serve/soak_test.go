@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
@@ -94,10 +95,20 @@ func buildSoakScenarios(t testing.TB) []soakScenario {
 	}
 }
 
-// mustPlanes decodes a codec container directly for reference GPLN bytes.
+// directPlanes decodes a codec container directly (strict, one worker), the
+// reference every HTTP decode is compared against.
+func directPlanes(stream []byte) ([]*frame.Plane, error) {
+	dec, err := codec.Decode(context.Background(), stream, codec.DecodeConfig{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	return dec.Planes, nil
+}
+
+// mustPlanes is directPlanes for streams that must decode.
 func mustPlanes(t testing.TB, stream []byte) []*frame.Plane {
 	t.Helper()
-	planes, err := codec.DecodeWorkers(stream, 1)
+	planes, err := directPlanes(stream)
 	if err != nil {
 		t.Fatal(err)
 	}

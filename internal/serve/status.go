@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/codec"
+	"repro/internal/obs"
 )
 
 // StatusClientClosedRequest is nginx's de-facto standard 499 for "the
@@ -14,54 +15,50 @@ import (
 // tell impatient clients from blown compute budgets.
 const StatusClientClosedRequest = 499
 
-// statusFor maps the codec/core error taxonomy (plus cancellation) onto
+// errorClass is one row of the HTTP error table: the status a failure maps
+// to, the class name its JSON envelope carries, and the serve.errors.*
+// counter it rolls (nil: none).
+type errorClass struct {
+	status  int
+	name    string
+	counter func(*serveMetrics) *obs.Counter
+}
+
+func canceledCounter(m *serveMetrics) *obs.Counter { return m.errCanceled }
+
+// errorTable maps the codec/core error taxonomy (plus cancellation) onto
 // stable HTTP statuses — the contract pinned by TestErrorTaxonomyStatuses:
 //
-//	codec.ErrTruncated         → 400 Bad Request        (stream ends early: refetch)
-//	codec.ErrChecksum          → 409 Conflict           (v3 CRC mismatch: bytes rotted)
-//	codec.ErrCorrupt           → 422 Unprocessable      (structurally wrong bitstream)
 //	context.DeadlineExceeded   → 504 Gateway Timeout    (compute budget blown)
 //	context.Canceled           → 499 (client closed request)
+//	codec.ErrChecksum          → 409 Conflict           (v3 CRC mismatch: bytes rotted)
+//	codec.ErrTruncated         → 400 Bad Request        (stream ends early: refetch)
+//	codec.ErrCorrupt           → 422 Unprocessable      (structurally wrong bitstream)
 //	anything else              → 400 Bad Request        (malformed request inputs)
 //
 // Order matters: cancellation is checked first because a canceled call
 // returns bare ctx.Err() that must never be mistaken for a payload error,
 // and ErrTruncated/ErrChecksum are checked before ErrCorrupt in case a
 // future error value wraps several classes.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	case errors.Is(err, codec.ErrChecksum):
-		return http.StatusConflict
-	case errors.Is(err, codec.ErrTruncated):
-		return http.StatusBadRequest
-	case errors.Is(err, codec.ErrCorrupt):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusBadRequest
-	}
+var errorTable = []struct {
+	target error
+	errorClass
+}{
+	{context.DeadlineExceeded, errorClass{http.StatusGatewayTimeout, "deadline_exceeded", canceledCounter}},
+	{context.Canceled, errorClass{StatusClientClosedRequest, "canceled", canceledCounter}},
+	{codec.ErrChecksum, errorClass{http.StatusConflict, "checksum", func(m *serveMetrics) *obs.Counter { return m.errChecksum }}},
+	{codec.ErrTruncated, errorClass{http.StatusBadRequest, "truncated", func(m *serveMetrics) *obs.Counter { return m.errTruncated }}},
+	{codec.ErrCorrupt, errorClass{http.StatusUnprocessableEntity, "corrupt", func(m *serveMetrics) *obs.Counter { return m.errCorrupt }}},
 }
 
-// errClass names err's taxonomy class for the JSON error body and the
-// serve.errors.* counters.
-func errClass(err error) string {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, codec.ErrChecksum):
-		return "checksum"
-	case errors.Is(err, codec.ErrTruncated):
-		return "truncated"
-	case errors.Is(err, codec.ErrCorrupt):
-		return "corrupt"
-	default:
-		return "bad_request"
+// classify finds err's row of the error table.
+func classify(err error) errorClass {
+	for _, row := range errorTable {
+		if errors.Is(err, row.target) {
+			return row.errorClass
+		}
 	}
+	return errorClass{status: http.StatusBadRequest, name: "bad_request"}
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.
@@ -70,28 +67,27 @@ type errorBody struct {
 	Class string `json:"class"`
 }
 
-// writeError emits the JSON error envelope with the mapped status and rolls
-// the taxonomy counters.
+// WriteError writes the JSON error envelope — the one shape every non-2xx
+// response of the service and of the proxy in front of it carries.
+func WriteError(w http.ResponseWriter, status int, msg, class string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(errorBody{Error: msg, Class: class})
+}
+
+// writeError classifies err, rolls its taxonomy counter and emits the
+// envelope with the mapped status.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	switch {
-	case codec.IsCancellation(err):
-		s.m.errCanceled.Inc()
-	case errors.Is(err, codec.ErrChecksum):
-		s.m.errChecksum.Inc()
-	case errors.Is(err, codec.ErrTruncated):
-		s.m.errTruncated.Inc()
-	case errors.Is(err, codec.ErrCorrupt):
-		s.m.errCorrupt.Inc()
+	c := classify(err)
+	if c.counter != nil {
+		c.counter(&s.m).Inc()
 	}
-	s.writeJSONError(w, status, err.Error(), errClass(err))
+	s.writeJSONError(w, c.status, err.Error(), c.name)
 }
 
 // writeJSONError writes an explicit status + message + class, for rejects
 // that do not originate from a Go error value (429, 503, 413, 405).
 func (s *Server) writeJSONError(w http.ResponseWriter, status int, msg, class string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorBody{Error: msg, Class: class})
+	WriteError(w, status, msg, class)
 	s.m.countStatus(status)
 }
