@@ -12,7 +12,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test
+.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
 
 all: build
 
@@ -132,3 +132,12 @@ bench-micro:
 # Serial vs parallel engine throughput on a multi-layer stack.
 bench-parallel:
 	$(GO) test -bench='(Encode|Decode)Stack(Serial|Parallel)' -benchtime=3x .
+
+# Non-test Go lines (`wc -l`) per internal/* and cmd/* package, then the
+# repo-wide total (examples and the root included; the nested benchmark
+# module is not) — the figures the simplicity PRs report in CHANGES.md.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \
+	done
+	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec cat {} + | wc -l)"

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/allreduce"
-	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -16,10 +15,10 @@ import (
 )
 
 // The distributed-training benchmark (the Fig. 10 sweep): every scheme runs
-// through train.RunDataParallelRing — the concurrent compressed-gradient
-// ring-allreduce — so the numbers below measure the real collective, not the
-// sequential simulator. The QP pair spans the LLM.265 bitrate range the
-// paper sweeps; the RTN and one-bit rows are the divergence baselines.
+// through train.RunDataParallel — the concurrent compressed-gradient
+// ring-allreduce — so the numbers below measure the real collective. The QP
+// pair spans the LLM.265 bitrate range the paper sweeps; the RTN and one-bit
+// rows are the divergence baselines.
 const (
 	trainQPLow    = 16 // denser LLM.265 point of the QP sweep
 	trainQPHigh   = 28 // sparser LLM.265 point (≤4 bits/value regime)
@@ -41,8 +40,8 @@ type trainSchemeResult struct {
 	LossGap     float64 `json:"loss_gap"`
 	StepsPerSec float64 `json:"steps_per_sec"`
 	// EncodeMBps is the collective's measured segment-encode throughput
-	// (float32 input MB per summed worker-CPU second); zero for schemes that
-	// compress outside the wire path.
+	// (float32 input MB per summed worker-CPU second); omitted for the
+	// uncompressed link.
 	EncodeMBps float64 `json:"encode_mbps,omitempty"`
 }
 
@@ -68,14 +67,13 @@ type trainBenchResults struct {
 	Projections []trainProjection   `json:"projections"`
 }
 
-// trainScheme pairs a scheme name with the two mutually exclusive
-// compression seams RunDataParallelRing accepts.
+// trainScheme pairs a scheme name with its gradient compression: the wire
+// codec inside the collective (nil = the uncompressed FP16 link) and whether
+// the ring carries error-feedback residuals.
 type trainScheme struct {
-	name     string
-	compress train.GradCompressor   // sequential seam (pre-ring)
-	codec    allreduce.CodecFactory // wire seam (inside the collective)
-	ef       bool                   // error feedback for the wire seam
-	onStep   func(step int)
+	name  string
+	codec allreduce.CodecFactory
+	ef    bool
 }
 
 // runTrainBench sweeps QP × {LLM265, OneBit, RTN} through the concurrent
@@ -87,19 +85,19 @@ func runTrainBench(steps int, workers int) (*trainBenchResults, error) {
 	opts := core.DefaultOptions()
 	opts.Workers = workers
 
-	onebit := baselines.NewOneBitCompressor(steps * 15 / 100)
 	schemes := []trainScheme{
 		{name: "fp16"},
 		{name: fmt.Sprintf("llm265-qp%d", trainQPLow),
 			codec: allreduce.TensorCodec(opts, trainQPLow), ef: true},
 		{name: fmt.Sprintf("llm265-qp%d", trainQPHigh),
 			codec: allreduce.TensorCodec(opts, trainQPHigh), ef: true},
-		{name: "onebit", compress: train.OneBitDP(onebit),
-			onStep: func(int) { onebit.AdvanceStep() }},
-		// The RTN baselines ride the wire seam too, without error feedback —
-		// plain round-to-nearest on live segment traffic quantizes twice per
-		// step (each contribution on reduce, the sum again on gather), which
-		// is exactly the naive-quantizer setup Fig. 10 shows diverging.
+		// 1-bit Adam's communication layer: 15 % warm-up at FP16, then
+		// sign·mean|v| with error feedback (part of the algorithm).
+		{name: "onebit", codec: allreduce.SignCodec(steps * 15 / 100), ef: true},
+		// The RTN baselines run without error feedback — plain
+		// round-to-nearest on live segment traffic quantizes twice per step
+		// (each contribution on reduce, the sum again on gather), which is
+		// exactly the naive-quantizer setup Fig. 10 shows diverging.
 		{name: "rtn4", codec: allreduce.RTNCodec(4, 128)},
 		{name: "rtn2", codec: allreduce.RTNCodec(2, 128)},
 	}
@@ -110,12 +108,12 @@ func runTrainBench(steps int, workers int) (*trainBenchResults, error) {
 		m := nn.NewTransformer(rand.New(rand.NewSource(99)), cfg)
 		corpus := data.NewCorpus(1, cfg.Vocab, 20000, 4000)
 		opt := nn.NewAdam(3e-3)
-		dpc := train.DPConfig{Replicas: trainReplicas, Batch: trainBatch, Compress: s.compress}
+		dpc := train.DPConfig{Replicas: trainReplicas, Batch: trainBatch}
 		rcfg := allreduce.Config{Codec: s.codec, ErrorFeedback: s.ef}
 
 		start := time.Now()
-		res, err := train.RunDataParallelRing(context.Background(), m, corpus, opt,
-			dpc, rcfg, steps, 7, s.onStep)
+		res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
+			dpc, rcfg, steps, 7, nil)
 		if err != nil {
 			return nil, fmt.Errorf("train bench %s: %w", s.name, err)
 		}

@@ -6,12 +6,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 
-	"repro/internal/baselines"
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
@@ -58,49 +59,37 @@ func report(curve []train.CurvePoint, every int, final float64, wire string) {
 func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int64, every int) {
 	spec := llm.Zoo()["pythia-dp"]
 	m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
-	opt := nn.NewAdam(3e-3)
-	var compress train.GradCompressor
+	adam := nn.NewAdam(3e-3)
+	var opt nn.Optimizer = adam
+	var rcfg allreduce.Config
 	var onStep func(int)
 	switch method {
 	case "none":
 	case "llm265":
-		compress = train.LLM265DP(core.DefaultOptions(), bits)
+		if bits <= 0 {
+			fmt.Fprintln(os.Stderr, "trainsim: -bits must be positive")
+			os.Exit(2)
+		}
+		rcfg.Codec = allreduce.RateCodec(core.DefaultOptions(), bits)
 	case "rtn":
-		compress = train.RTNDP(int(bits), 128)
+		rcfg.Codec = allreduce.RTNCodec(int(bits), 128)
 	case "onebit-adam", "onebit-lamb":
-		ob := baselines.NewOneBitCompressor(steps * 15 / 100)
-		compress = train.OneBitDP(ob)
+		// 15% warm-up at FP16, then sign compression with error feedback
+		// and the optimizer's variance frozen.
+		warmup := steps * 15 / 100
+		rcfg.Codec, rcfg.ErrorFeedback = allreduce.SignCodec(warmup), true
+		freeze := &adam.FreezeVariance
 		if method == "onebit-lamb" {
 			lamb := nn.NewLAMB(2e-3)
-			onStep = func(int) {
-				ob.AdvanceStep()
-				if !ob.InWarmup() {
-					lamb.FreezeVariance = true
-				}
-			}
-			res, err := train.RunDataParallel(m, corpus, lamb, train.DPConfig{
-				Replicas: 4, Batch: 4, Compress: compress,
-			}, steps, seed, onStep)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "trainsim:", err)
-				os.Exit(1)
-			}
-			report(res.Curve, every, res.FinalPPL, fmt.Sprintf("%.2f wire bits/value", res.AvgBits))
-			return
+			opt, freeze = lamb, &lamb.FreezeVariance
 		}
-		onStep = func(int) {
-			ob.AdvanceStep()
-			if !ob.InWarmup() {
-				opt.FreezeVariance = true
-			}
-		}
+		onStep = func(step int) { *freeze = step+1 >= warmup }
 	default:
 		fmt.Fprintln(os.Stderr, "trainsim: unknown dp method", method)
 		os.Exit(2)
 	}
-	res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
-		Replicas: 4, Batch: 4, Compress: compress,
-	}, steps, seed, onStep)
+	res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
+		train.DPConfig{Replicas: 4, Batch: 4}, rcfg, steps, seed, onStep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "trainsim:", err)
 		os.Exit(1)

@@ -6,11 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
-	"repro/internal/baselines"
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
@@ -23,12 +24,10 @@ func main() {
 	spec := llm.Zoo()["pythia-dp"]
 	steps := 300
 
-	run := func(label string, compress train.GradCompressor,
-		opt nn.Optimizer, onStep func(int)) {
+	run := func(label string, rcfg allreduce.Config, opt nn.Optimizer, onStep func(int)) {
 		m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
-		res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
-			Replicas: 4, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, steps, 7, onStep)
+		res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
+			train.DPConfig{Replicas: 4, Batch: 4, EvalBatches: 4}, rcfg, steps, 7, onStep)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,18 +36,17 @@ func main() {
 	}
 
 	fmt.Printf("data-parallel training: 4 replicas, %d steps\n\n", steps)
-	run("uncompressed:", nil, nn.NewAdam(3e-3), nil)
-	run("LLM.265 @ 2.6 b/v:", train.LLM265DP(core.DefaultOptions(), 2.6), nn.NewAdam(3e-3), nil)
-	run("LLM.265 @ 1.4 b/v:", train.LLM265DP(core.DefaultOptions(), 1.4), nn.NewAdam(3e-3), nil)
+	llm265 := func(bits float64) allreduce.Config {
+		return allreduce.Config{Codec: allreduce.RateCodec(core.DefaultOptions(), bits)}
+	}
+	run("uncompressed:", allreduce.Config{}, nn.NewAdam(3e-3), nil)
+	run("LLM.265 @ 2.6 b/v:", llm265(2.6), nn.NewAdam(3e-3), nil)
+	run("LLM.265 @ 1.4 b/v:", llm265(1.4), nn.NewAdam(3e-3), nil)
 
-	ob := baselines.NewOneBitCompressor(steps * 15 / 100)
+	warmup := steps * 15 / 100
 	adam := nn.NewAdam(3e-3)
-	run("1-bit Adam:", train.OneBitDP(ob), adam, func(int) {
-		ob.AdvanceStep()
-		if !ob.InWarmup() {
-			adam.FreezeVariance = true
-		}
-	})
+	run("1-bit Adam:", allreduce.Config{Codec: allreduce.SignCodec(warmup), ErrorFeedback: true},
+		adam, func(step int) { adam.FreezeVariance = step+1 >= warmup })
 
 	fmt.Println("\nLLM.265 needs no warm-up phase and no optimizer modification —")
 	fmt.Println("compression starts at step 0 with a plain Adam (§5.2).")

@@ -4,10 +4,12 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
@@ -123,18 +125,17 @@ func TestEndToEndDistributedTrainingParity(t *testing.T) {
 	corpus := data.NewCorpus(6, 64, 30000, 6000)
 	cfg := nn.Config{Vocab: 64, Dim: 16, Heads: 2, Layers: 2, SeqLen: 16, Hidden: 32}
 
-	run := func(compress train.GradCompressor) float64 {
+	run := func(rcfg allreduce.Config) float64 {
 		m := nn.NewTransformer(rand.New(rand.NewSource(77)), cfg)
-		res, err := train.RunDataParallel(m, corpus, nn.NewAdam(3e-3), train.DPConfig{
-			Replicas: 2, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, 120, 8, nil)
+		res, err := train.RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3),
+			train.DPConfig{Replicas: 2, Batch: 4, EvalBatches: 4}, rcfg, 120, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.FinalPPL
 	}
-	base := run(nil)
-	comp := run(train.LLM265DP(core.DefaultOptions(), 2.6))
+	base := run(allreduce.Config{})
+	comp := run(allreduce.Config{Codec: allreduce.RateCodec(core.DefaultOptions(), 2.6)})
 	if math.IsNaN(comp) || comp > base*1.15 {
 		t.Fatalf("compressed DP training ppl %.2f too far above uncompressed %.2f", comp, base)
 	}

@@ -1,6 +1,7 @@
 package allreduce
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -32,7 +33,7 @@ func randBuckets(seed int64, workers, rows, cols int) [][]float32 {
 }
 
 // plainSum is the sequential reference reduction: float32 accumulation in
-// ascending worker order, exactly what RunDataParallel computes.
+// ascending worker order.
 func plainSum(in [][]float32) []float32 {
 	out := make([]float32, len(in[0]))
 	copy(out, in[0])
@@ -163,14 +164,14 @@ func TestGatherBroadcastsIdenticalValues(t *testing.T) {
 	}
 }
 
-// TestRTNCodecMatchesQuantGroupwise pins the RTN wire codec's math to the
-// reference quantizer: a decoded segment must equal quant.RTNGroupwise's
-// dequantization bit for bit, and the accounted bits must match its
-// bits-per-value formula.
+// TestRTNCodecMatchesQuantGroupwise: the encoder's reconstruction comes from
+// quant.RTNGroup, so what is left to prove is the payload — the decoder,
+// which re-derives groups and scales from the wire bytes alone, must land on
+// the encoder's reconstruction bit for bit (hostile values included), and
+// the accounted bits must match RTNGroupwise's bits-per-value formula.
 func TestRTNCodecMatchesQuantGroupwise(t *testing.T) {
 	const rows, cols, bitsW, group = 8, 32, 3, 40
 	vals := randBuckets(5, 1, rows, cols)[0]
-	// Toss in hostile values: the codec must sanitize like the reference.
 	vals[3] = float32(math.NaN())
 	vals[17] = float32(math.Inf(1))
 	c := RTNCodec(bitsW, group)(0)
@@ -178,12 +179,7 @@ func TestRTNCodecMatchesQuantGroupwise(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	want, wantBPV := quant.RTNGroupwise(vals, bitsW, group)
-	for i := range want {
-		if math.Float32bits(recon[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("recon[%d] = %g, reference %g", i, recon[i], want[i])
-		}
-	}
+	_, wantBPV := quant.RTNGroupwise(vals, bitsW, group)
 	if got := float64(gotBits) / float64(len(vals)); math.Abs(got-wantBPV) > 1e-9 {
 		t.Fatalf("accounted %.6f bits/value, reference %.6f", got, wantBPV)
 	}
@@ -191,9 +187,95 @@ func TestRTNCodecMatchesQuantGroupwise(t *testing.T) {
 	if err := c.Decode(context.Background(), payload, rows, cols, dst); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	for i := range want {
+	for i := range recon {
 		if math.Float32bits(dst[i]) != math.Float32bits(recon[i]) {
 			t.Fatalf("decode[%d] = %g, encoder recon %g", i, dst[i], recon[i])
+		}
+	}
+}
+
+// TestRateCodecStepsOncePerStep: within a training step the quantiser is
+// constant (the same segment encodes to the same bytes however many encodes
+// came before it), AdvanceStep moves it toward the target, and what it holds
+// is the step in gradient units — a segment of 4× the range is coded 12 QP
+// lower, the QP a whole-bucket encode's shared 8-bit scale would give it.
+func TestRateCodecStepsOncePerStep(t *testing.T) {
+	const rows, cols, target = 16, 64, 2.0
+	ctx := context.Background()
+	segs := randBuckets(23, 2, rows, cols)
+	c := RateCodec(core.DefaultOptions(), target)(0)
+	first, _, _, err := c.Encode(ctx, segs[0], rows, cols)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if _, _, _, err := c.Encode(ctx, segs[1], rows, cols); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	again, _, cost, err := c.Encode(ctx, segs[0], rows, cols)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("quantiser moved inside a step: same segment, different bytes")
+	}
+	miss := func(cost int64) float64 { return math.Abs(float64(cost)/float64(rows*cols) - target) }
+	start := miss(cost)
+	if start < 0.2 {
+		t.Fatalf("start QP already within %.2f b/v of the target; test is vacuous", start)
+	}
+	var payload []byte
+	for step := 0; step < 8; step++ {
+		c.(Stepper).AdvanceStep()
+		if payload, _, cost, err = c.Encode(ctx, segs[0], rows, cols); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	}
+	if end := miss(cost); end > 0.15*target {
+		t.Fatalf("after 8 steps still %.2f b/v from the %.1f target (started %.2f away)", end, target, start)
+	}
+
+	wide := make([]float32, len(segs[0]))
+	for i, v := range segs[0] {
+		wide[i] = 4 * v
+	}
+	widePayload, _, _, err := c.Encode(ctx, wide, rows, cols)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	qp := func(payload []byte) int {
+		enc, err := core.UnmarshalEncoded(payload)
+		if err != nil {
+			t.Fatalf("payload: %v", err)
+		}
+		return enc.QP
+	}
+	if a, b := qp(payload), qp(widePayload); a-b != 12 {
+		t.Fatalf("segment at QP %d, its 4× scaling at QP %d; want 12 lower", a, b)
+	}
+}
+
+// TestBlockCodecAlignsDefaultSegments: the default segment height is rounded
+// up to whole codec blocks for a blockCodec (RateCodec: the 32-row CTU), left
+// alone for every other codec, and an explicit SegRows is taken as given.
+func TestBlockCodecAlignsDefaultSegments(t *testing.T) {
+	opts := core.DefaultOptions()
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		wantS int
+	}{
+		{"rate default", Config{Codec: RateCodec(opts, 2.6)}, 2}, // ceil(50/4)=13 → 32: 32+18
+		{"rate explicit", Config{Codec: RateCodec(opts, 2.6), SegRows: 13}, 4},
+		{"tensor default", Config{Codec: TensorCodec(opts, 30)}, 4},
+		{"raw default", Config{Codec: RawCodec()}, 4},
+	} {
+		c.cfg.Workers, c.cfg.Rows, c.cfg.Cols = 2, 50, 128
+		r, err := New(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := r.Segments(); got != c.wantS {
+			t.Errorf("%s: %d segments, want %d", c.name, got, c.wantS)
 		}
 	}
 }
@@ -247,51 +329,60 @@ func TestSignCodecPhases(t *testing.T) {
 	}
 }
 
-// TestErrorFeedbackReducesBias: with a coarse quantizer, repeating the same
-// gradient should average out to the truth when EF is on — the accumulated
-// output over K steps must track K·truth much more closely than without EF.
+// TestErrorFeedbackReducesBias: with a coarse quantizer — 2-bit RTN, or the
+// 1-bit baseline's sign·mean|v| — repeating the same gradient should average
+// out to the truth when EF is on: the accumulated output over K steps must
+// track K·truth much more closely than without EF.
 func TestErrorFeedbackReducesBias(t *testing.T) {
-	const ringN, rows, cols, steps = 2, 8, 16, 24
+	const ringN, rows, cols = 2, 8, 16
 	in := randBuckets(13, ringN, rows, cols)
 	want := plainSum(in)
 
-	accum := func(ef bool) []float64 {
-		r, err := New(Config{Workers: ringN, Rows: rows, Cols: cols,
-			Codec: RTNCodec(2, 32), ErrorFeedback: ef})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		out := make([][]float32, ringN)
-		for w := range out {
-			out[w] = make([]float32, rows*cols)
-		}
-		acc := make([]float64, rows*cols)
-		for s := 0; s < steps; s++ {
-			if _, err := r.Allreduce(context.Background(), in, out); err != nil {
-				t.Fatalf("step %d: %v", s, err)
+	// The EF bias shrinks with the step count and the non-EF bias does not, so
+	// each row runs only as long as its quantizer needs.
+	for _, c := range []struct {
+		name  string
+		codec CodecFactory
+		steps int
+	}{{"rtn2", RTNCodec(2, 32), 24}, {"sign", SignCodec(0), 48}} {
+		accum := func(ef bool) []float64 {
+			r, err := New(Config{Workers: ringN, Rows: rows, Cols: cols,
+				Codec: c.codec, ErrorFeedback: ef})
+			if err != nil {
+				t.Fatalf("New: %v", err)
 			}
-			for i, v := range out[0] {
-				acc[i] += float64(v)
+			out := make([][]float32, ringN)
+			for w := range out {
+				out[w] = make([]float32, rows*cols)
 			}
-			r.AdvanceStep()
+			acc := make([]float64, rows*cols)
+			for s := 0; s < c.steps; s++ {
+				if _, err := r.Allreduce(context.Background(), in, out); err != nil {
+					t.Fatalf("step %d: %v", s, err)
+				}
+				for i, v := range out[0] {
+					acc[i] += float64(v)
+				}
+				r.AdvanceStep()
+			}
+			return acc
 		}
-		return acc
-	}
 
-	bias := func(acc []float64) float64 {
-		var e float64
-		for i := range acc {
-			d := acc[i]/steps - float64(want[i])
-			e += d * d
+		bias := func(acc []float64) float64 {
+			var e float64
+			for i := range acc {
+				d := acc[i]/float64(c.steps) - float64(want[i])
+				e += d * d
+			}
+			return e
 		}
-		return e
-	}
-	withEF, withoutEF := bias(accum(true)), bias(accum(false))
-	if withoutEF == 0 {
-		t.Fatal("quantizer was lossless; test is vacuous")
-	}
-	if withEF > withoutEF*0.25 {
-		t.Fatalf("EF bias %.3g not clearly below non-EF bias %.3g", withEF, withoutEF)
+		withEF, withoutEF := bias(accum(true)), bias(accum(false))
+		if withoutEF == 0 {
+			t.Fatalf("%s: quantizer was lossless; test is vacuous", c.name)
+		}
+		if withEF > withoutEF*0.25 {
+			t.Fatalf("%s: EF bias %.3g not clearly below non-EF bias %.3g", c.name, withEF, withoutEF)
+		}
 	}
 }
 
@@ -334,6 +425,16 @@ func TestRingRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Workers: 2, Rows: 4, Cols: 4}); err == nil {
 		t.Fatal("nil codec accepted")
 	}
+	// The RTN payload header carries the group size as a u16: a larger one
+	// would encode a payload its own decoder mis-groups.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("RTNCodec accepted a group size its payload cannot carry")
+			}
+		}()
+		RTNCodec(4, 1<<16)
+	}()
 	r, err := New(Config{Workers: 2, Rows: 4, Cols: 4, Codec: RawCodec()})
 	if err != nil {
 		t.Fatalf("New: %v", err)

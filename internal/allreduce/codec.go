@@ -9,6 +9,8 @@ import (
 	"repro/internal/bits"
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/dct"
+	"repro/internal/quant"
 )
 
 // SegmentCodec compresses one gradient segment into wire bytes and decodes
@@ -41,10 +43,18 @@ type CodecFactory func(worker int) SegmentCodec
 // counters). The ring forwards AdvanceStep to every worker's codec.
 type Stepper interface{ AdvanceStep() }
 
+// blockCodec is implemented by codecs that code whole blocks of blockRows
+// rows and pad a shorter segment up to one: a 13-row segment of a 32-row-block
+// codec spends 59 % of its coded area, and its rate, on padding. New rounds
+// the default segment height up to a multiple of blockRows; an explicit
+// Config.SegRows is taken as given. TensorCodec pads the same way but does not
+// implement it: BENCH_baseline.json and benchmark/ pin its bytes at the
+// unrounded geometry.
+type blockCodec interface{ blockRows() int }
+
 // rawBitsPerValue is the accounted cost of an uncompressed value. The wire
 // carries float32 for bit-exactness with the in-process baseline, but the
-// modeled link is FP16 — matching RunDataParallel's accounting of the
-// uncompressed path — so comparisons against compressed schemes are fair.
+// modeled link is FP16, so comparisons against compressed schemes are fair.
 const rawBitsPerValue = 16
 
 // --- raw (uncompressed FP16-accounted) ---
@@ -131,6 +141,99 @@ func (c *tensorCodec) Decode(ctx context.Context, payload []byte, rows, cols int
 	return nil
 }
 
+// --- rate (the tensor codec steered to a bits/value target) ---
+
+type rateCodec struct {
+	tensorCodec
+	target float64
+	// level is the quantiser step the codec holds across a step's segments,
+	// as the QP a segment of unit range gets; a segment of range s is coded
+	// at level − 6·log2(s). Unset until the first AdvanceStep.
+	level  float64
+	primed bool
+	// This training step's encodes, consumed by AdvanceStep.
+	bits, vals int64
+	span       float64 // the widest segment range
+}
+
+// rateStartQP is every segment's QP during the first training step: the
+// middle of the QP range, from which the 6-QP-per-octave moves below reach
+// any target in a few steps. It cannot come from the data — a first-encode
+// bisection would make the trajectory depend on which segment a worker
+// encodes first.
+const rateStartQP = dct.MaxQP / 2
+
+// RateCodec is TensorCodec steered to bitsPerValue: the same WireTensor
+// payload, with the quantiser step held constant within a training step and
+// moved only in AdvanceStep, from the step's summed bits ÷ summed values.
+//
+// What it holds constant is the step in gradient units, not the QP: the
+// tensor codec maps each tensor's own range onto 8 bits, so one QP on every
+// segment would quantise a segment of small gradients as finely, relative to
+// its range, as the segment holding the embedding's — and spend most of the
+// budget there. Compressing the whole bucket as one tensor shares one 8-bit
+// scale; lowering a segment's QP by 6 per doubling of its range is the same
+// quantiser, segment by segment (DESIGN.md §17.3).
+//
+// The sums are integers and the range a maximum, so the trajectory — hence
+// every payload byte — is independent of ScheduleSeed and segment encode
+// order; a controller that adapted per Encode call would not be. It is the
+// paper's data-parallel configuration (§5.2): no warm-up, no optimizer change.
+func RateCodec(opts core.Options, bitsPerValue float64) CodecFactory {
+	if !(bitsPerValue > 0) {
+		panic(fmt.Sprintf("allreduce: rate target %g bits/value must be positive", bitsPerValue))
+	}
+	return func(int) SegmentCodec {
+		return &rateCodec{tensorCodec: tensorCodec{opts: opts}, target: bitsPerValue}
+	}
+}
+
+// blockRows is the tensor codec's CTU height (see blockCodec).
+func (c *rateCodec) blockRows() int {
+	if c.opts.Profile.CTUSize > 0 {
+		return c.opts.Profile.CTUSize
+	}
+	return codec.HEVC.CTUSize // core.Options' default profile
+}
+
+func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
+	// The range core's 8-bit front end (quant.ToUint8) maps onto [0, 255].
+	lo, hi := quant.MinMax(vals)
+	span := float64(hi) - float64(lo)
+	c.span = math.Max(c.span, span)
+	switch {
+	case !c.primed:
+		c.qp = rateStartQP
+	case span == 0: // a constant segment codes to nothing at any QP
+		c.qp = dct.MaxQP
+	default:
+		c.qp = int(math.Max(0, math.Min(dct.MaxQP, math.Round(c.level-6*math.Log2(span)))))
+	}
+	payload, recon, cost, err := c.tensorCodec.Encode(ctx, vals, rows, cols)
+	if err == nil {
+		c.bits += cost
+		c.vals += int64(len(vals))
+	}
+	return payload, recon, cost, err
+}
+
+// AdvanceStep moves the level toward the target: by 6·log2(r) for a step that
+// ran at r× the target, one doubling of Qstep per octave of rate error. The
+// first call anchors the level at rateStartQP on the widest segment seen. The
+// level is kept where that segment's QP stays in range, so an unreachable
+// target cannot wind it up.
+func (c *rateCodec) AdvanceStep() {
+	if c.vals > 0 && c.span > 0 {
+		widest := 6 * math.Log2(c.span)
+		if !c.primed {
+			c.level, c.primed = rateStartQP+widest, true
+		}
+		c.level += 6 * math.Log2(float64(c.bits)/float64(c.vals)/c.target)
+		c.level = math.Max(widest, math.Min(widest+dct.MaxQP, c.level))
+	}
+	c.bits, c.vals, c.span = 0, 0, 0
+}
+
 // --- RTN (group-wise round-to-nearest baseline) ---
 
 type rtnCodec struct {
@@ -138,17 +241,16 @@ type rtnCodec struct {
 	group int
 }
 
-// RTNCodec returns a group-wise asymmetric round-to-nearest codec matching
-// internal/quant.RTNGroupwise's math exactly: per group a float32 lo/hi pair
-// plus bit-packed level codes. Accounted cost is the packed payload —
-// bits·n plus 32 bits of range metadata per group, the same formula
-// RTNGroupwise reports.
+// RTNCodec returns the group-wise asymmetric round-to-nearest codec: per
+// group a float32 lo/hi pair plus bit-packed level codes, both produced by
+// quant.RTNGroup. Accounted cost is the packed payload — bits·n plus 32 bits
+// of range metadata per group, the formula quant.RTNGroupwise reports.
 func RTNCodec(bitWidth, groupSize int) CodecFactory {
 	if bitWidth < 1 || bitWidth > 16 {
 		panic(fmt.Sprintf("allreduce: RTN bits %d out of range", bitWidth))
 	}
-	if groupSize <= 0 {
-		panic("allreduce: RTN groupSize must be positive")
+	if groupSize < 1 || groupSize > math.MaxUint16 {
+		panic(fmt.Sprintf("allreduce: RTN groupSize %d out of range (the payload header carries it as a u16)", groupSize))
 	}
 	return func(int) SegmentCodec { return &rtnCodec{bits: bitWidth, group: groupSize} }
 }
@@ -166,41 +268,26 @@ func (c *rtnCodec) Encode(_ context.Context, vals []float32, rows, cols int) ([]
 		return nil, nil, 0, fmt.Errorf("allreduce: rtn encode %d values for %dx%d", len(vals), rows, cols)
 	}
 	recon := make([]float32, n)
+	codes := make([]uint16, c.group)
 	w := bits.NewWriter()
 	var head []byte
 	head = append(head, byte(c.bits))
 	head = binary.LittleEndian.AppendUint16(head, uint16(c.group))
-	levels := float64(int64(1)<<c.bits) - 1
+	groups := 0
 	for start := 0; start < n; start += c.group {
 		end := start + c.group
 		if end > n {
 			end = n
 		}
-		lo, hi := finiteMinMax(vals[start:end])
+		groups++
+		lo, hi := quant.RTNGroup(vals[start:end], c.bits, codes, recon[start:end])
 		head = binary.LittleEndian.AppendUint32(head, math.Float32bits(lo))
 		head = binary.LittleEndian.AppendUint32(head, math.Float32bits(hi))
-		if hi == lo {
-			for i := start; i < end; i++ {
-				recon[i] = lo
-				w.WriteBits(0, uint(c.bits))
-			}
-			continue
-		}
-		scale := (float64(hi) - float64(lo)) / levels
-		for i := start; i < end; i++ {
-			q := math.Round((sanitizeF32(vals[i]) - float64(lo)) / scale)
-			if q < 0 {
-				q = 0
-			}
-			if q > levels {
-				q = levels
-			}
-			recon[i] = float32(float64(lo) + q*scale)
+		for _, q := range codes[:end-start] {
 			w.WriteBits(uint64(q), uint(c.bits))
 		}
 	}
 	payload := append(head, w.Bytes()...)
-	groups := (n + c.group - 1) / c.group
 	cost := int64(c.bits)*int64(n) + 32*int64(groups)
 	return payload, recon, cost, nil
 }
@@ -294,7 +381,7 @@ func (c *signCodec) Encode(_ context.Context, vals []float32, rows, cols int) ([
 	}
 	var sum float64
 	for _, v := range vals {
-		sum += math.Abs(sanitizeF32(v))
+		sum += math.Abs(quant.Sanitize(v))
 	}
 	mean := float32(sum / float64(n))
 	payload := make([]byte, 1+4+(n+7)/8)
@@ -350,40 +437,7 @@ func (c *signCodec) Decode(_ context.Context, payload []byte, rows, cols int, ds
 	}
 }
 
-// sanitizeF32 mirrors quant.sanitize: NaN→0, ±Inf→±MaxFloat32, so hostile
-// gradients quantize deterministically on every platform.
-func sanitizeF32(v float32) float64 {
-	f := float64(v)
-	switch {
-	case math.IsNaN(f):
-		return 0
-	case math.IsInf(f, 1):
-		return math.MaxFloat32
-	case math.IsInf(f, -1):
-		return -math.MaxFloat32
-	}
-	return f
-}
-
 func finite32(v float32) bool {
 	f := float64(v)
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
-}
-
-// finiteMinMax mirrors quant.minMax over a segment slice.
-func finiteMinMax(data []float32) (lo, hi float32) {
-	if len(data) == 0 {
-		return 0, 0
-	}
-	lo64, hi64 := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
-		f := sanitizeF32(v)
-		if f < lo64 {
-			lo64 = f
-		}
-		if f > hi64 {
-			hi64 = f
-		}
-	}
-	return float32(lo64), float32(hi64)
 }

@@ -11,12 +11,12 @@
 // reach the segment's owner, which decodes every contribution and sums them
 // in ascending origin order — so the floating-point association is fixed by
 // worker index, never by message arrival order, and the uncompressed path is
-// bit-identical to the sequential data-parallel reduction. Phase 2
+// bit-identical to a sequential sum. Phase 2
 // (all-gather): the owner compresses the reduced segment once and the same
 // bytes circle the ring, so every worker reconstructs the identical result.
 // Compressing each contribution exactly once (instead of re-encoding partial
-// sums at every hop) keeps the lossy path's math equal to the sequential
-// GradCompressor seam and gives classic per-worker error-feedback semantics.
+// sums at every hop) keeps the lossy error from growing with hop count and
+// gives classic per-worker error-feedback semantics.
 package allreduce
 
 import (

@@ -20,7 +20,8 @@ type Config struct {
 	Rows, Cols int
 	// SegRows is the row height of one pipelined segment. 0 picks
 	// ceil(Rows/(2·Workers)) (at least 1), giving every worker about two
-	// owned segments so encode overlaps neighbor communication.
+	// owned segments so encode overlaps neighbor communication — rounded up
+	// to whole codec blocks (32 rows) for RateCodec.
 	SegRows int
 	// Codec builds each worker's segment codec (required).
 	Codec CodecFactory
@@ -48,8 +49,7 @@ type Stats struct {
 	// WireBits is the accounted cost of every frame that traveled at least
 	// one ring hop (counted once at its origin, not per hop). The raw
 	// codec accounts 16 bits/value (FP16 link model), so an uncompressed
-	// N-worker ring accounts exactly N·numel·16 — the same figure the
-	// sequential data-parallel loop reports.
+	// N-worker ring accounts exactly N·numel·16.
 	WireBits int64
 	// Values is the number of tensor values those frames carried.
 	Values int64
@@ -126,14 +126,22 @@ func New(cfg Config) (*Ring, error) {
 	if cfg.SegRows < 0 {
 		return nil, fmt.Errorf("allreduce: SegRows %d", cfg.SegRows)
 	}
+	r := &Ring{cfg: cfg, n: cfg.Workers}
+	r.codecs = make([]SegmentCodec, r.n)
+	for w := 0; w < r.n; w++ {
+		r.codecs[w] = cfg.Codec(w)
+	}
 	segRows := cfg.SegRows
 	if segRows == 0 {
 		segRows = (cfg.Rows + 2*cfg.Workers - 1) / (2 * cfg.Workers)
 		if segRows < 1 {
 			segRows = 1
 		}
+		if bc, ok := r.codecs[0].(blockCodec); ok {
+			b := bc.blockRows()
+			segRows = (segRows + b - 1) / b * b
+		}
 	}
-	r := &Ring{cfg: cfg, n: cfg.Workers}
 	for start := 0; start < cfg.Rows; start += segRows {
 		rows := segRows
 		if start+rows > cfg.Rows {
@@ -142,10 +150,6 @@ func New(cfg Config) (*Ring, error) {
 		r.segs = append(r.segs, segment{start: start, rows: rows})
 	}
 	s := len(r.segs)
-	r.codecs = make([]SegmentCodec, r.n)
-	for w := 0; w < r.n; w++ {
-		r.codecs[w] = cfg.Codec(w)
-	}
 	r.resid = make([][][]float32, r.n)
 	for w := range r.resid {
 		r.resid[w] = make([][]float32, s)
@@ -223,8 +227,8 @@ func (r *Ring) AdvanceStep() {
 
 // Allreduce runs one collective: in[w] is worker w's bucket (Rows·Cols,
 // row-major) and out[w] receives the exact elementwise SUM of all
-// contributions' reconstructions — callers scale by 1/N themselves, matching
-// the sequential loop. out may alias in. The reduction order is canonical
+// contributions' reconstructions — callers scale by 1/N themselves. out may
+// alias in. The reduction order is canonical
 // (ascending worker index at the segment owner), so the result is
 // bit-identical across repeated runs, channel schedules and codec worker
 // counts; with the raw codec it is bit-identical to a sequential sum.
@@ -483,7 +487,7 @@ func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, o
 
 	// All contributions present: sum in ascending origin order — float32
 	// accumulation in a schedule-independent association, exactly the
-	// arithmetic the sequential loop performs.
+	// arithmetic a sequential sum performs.
 	r.chaos("reduce", w)
 	t0 = time.Now()
 	sum := r.sumBuf[f.Seg]
@@ -500,7 +504,7 @@ func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, o
 	if r.n == 1 {
 		// Single worker: the "sum" is this worker's own reconstruction;
 		// re-encoding it for a gather that has no audience would only add
-		// a second quantization, so match the sequential Replicas=1 path.
+		// a second quantization.
 		copy(outSeg, sum)
 		return nil
 	}

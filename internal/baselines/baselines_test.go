@@ -196,53 +196,6 @@ func TestSmoothQuantMigration(t *testing.T) {
 	}
 }
 
-func TestOneBitCompressorPhases(t *testing.T) {
-	c := NewOneBitCompressor(2)
-	g := []float32{1, -2, 3, -4}
-	// Warm-up: identity.
-	out := c.Compress("w", g)
-	for i := range g {
-		if out[i] != g[i] {
-			t.Fatal("warm-up should be identity")
-		}
-	}
-	c.AdvanceStep()
-	c.Compress("w", g)
-	c.AdvanceStep()
-	// Compressed phase: sign·scale.
-	out = c.Compress("w", g)
-	scale := float32(math.Abs(float64(out[0])))
-	for i := range g {
-		want := scale
-		if g[i] < 0 {
-			want = -scale
-		}
-		if out[i] != want {
-			t.Fatalf("compressed output %v not sign·scale", out)
-		}
-	}
-	// Average bits: 2 warm-up steps at 16 + 1 at 1 → (16+16+1)/3 = 11.
-	if ab := c.AverageBits(); math.Abs(ab-11) > 1e-9 {
-		t.Fatalf("average bits %.2f, want 11", ab)
-	}
-}
-
-func TestOneBitErrorFeedbackAccumulates(t *testing.T) {
-	// A tiny persistent gradient must eventually break through via error
-	// feedback even though each step's sign quantization is coarse.
-	c := NewOneBitCompressor(0)
-	g := []float32{0.01, -1, 1, -1} // dim 0 small but persistent
-	var sum float64
-	for step := 0; step < 100; step++ {
-		out := c.Compress("w", g)
-		sum += float64(out[0])
-		c.AdvanceStep()
-	}
-	if sum <= 0 {
-		t.Fatalf("error feedback failed: accumulated %.4f for persistent +0.01 signal", sum)
-	}
-}
-
 func TestCholeskyInverse(t *testing.T) {
 	// Verify invertSPD on a known SPD matrix.
 	n := 4

@@ -1,7 +1,8 @@
 // Package baselines implements the compression methods the paper compares
 // LLM.265 against: the calibration-based post-training quantizers GPTQ and
-// AWQ, rotation-based quantization (QuaRot/SpinQuant), SmoothQuant-style
-// scale migration, and the 1-bit Adam / 1-bit LAMB gradient compressors.
+// AWQ, rotation-based quantization (QuaRot/SpinQuant) and SmoothQuant-style
+// scale migration. (The 1-bit Adam / 1-bit LAMB gradient compressor is a wire
+// codec: allreduce.SignCodec with the ring's error feedback.)
 package baselines
 
 import (

@@ -76,7 +76,7 @@ var ThreeInOne = CodecSpec{
 
 // MeasuredCodec builds a CodecSpec from live telemetry instead of a
 // datasheet: the gradient allreduce harness (internal/allreduce via
-// train.RunDataParallelRing) measures its real per-core encode throughput in
+// train.RunDataParallel) measures its real per-core encode throughput in
 // MB/s of float32 tensor input and its achieved wire bits per value, and
 // this constructor turns them into the spec the step model consumes. lanes
 // scales the single-core software measurement to a projected engine count

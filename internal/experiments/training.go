@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
-	"repro/internal/baselines"
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/nn"
@@ -77,54 +78,58 @@ func withActGrad(c train.PipelineConfig, a, g train.TensorTransform) train.Pipel
 }
 
 // dpArm is one Fig. 10 configuration: build returns the optimizer, the
-// gradient compressor and an optional per-step callback (used by warm-up
-// baselines to advance phase and freeze Adam's variance).
+// all-reduce's compression choice (wire codec + error feedback; the zero
+// Config is the uncompressed FP16 link) and an optional per-step callback
+// (used by the warm-up baselines to freeze the optimizer's variance).
 type dpArm struct {
 	name  string
-	build func(steps int) (nn.Optimizer, train.GradCompressor, func(step int))
+	build func(steps int) (nn.Optimizer, allreduce.Config, func(step int))
 }
 
+// dpArms lists the Fig. 10 arms. Error feedback is part of the 1-bit
+// algorithm and off for RTN (the naive-quantizer baseline) and for LLM.265,
+// which the paper runs without it.
 func dpArms() []dpArm {
-	plain := func(c train.GradCompressor) func(int) (nn.Optimizer, train.GradCompressor, func(int)) {
-		return func(int) (nn.Optimizer, train.GradCompressor, func(int)) {
-			return nn.NewAdam(3e-3), c, nil
+	plain := func(c allreduce.CodecFactory, ef bool) func(int) (nn.Optimizer, allreduce.Config, func(int)) {
+		return func(int) (nn.Optimizer, allreduce.Config, func(int)) {
+			return nn.NewAdam(3e-3), allreduce.Config{Codec: c, ErrorFeedback: ef}, nil
 		}
 	}
-	oneBit := func(lamb bool) func(steps int) (nn.Optimizer, train.GradCompressor, func(int)) {
-		return func(steps int) (nn.Optimizer, train.GradCompressor, func(int)) {
-			ob := baselines.NewOneBitCompressor(steps * 15 / 100)
+	oneBit := func(lamb bool) func(steps int) (nn.Optimizer, allreduce.Config, func(int)) {
+		return func(steps int) (nn.Optimizer, allreduce.Config, func(int)) {
+			warmup := steps * 15 / 100
+			rcfg := allreduce.Config{Codec: allreduce.SignCodec(warmup), ErrorFeedback: true}
 			if lamb {
 				opt := nn.NewLAMB(2e-3)
-				return opt, train.OneBitDP(ob), func(int) {
-					ob.AdvanceStep()
-					if !ob.InWarmup() {
-						opt.FreezeVariance = true
-					}
-				}
+				return opt, rcfg, func(step int) { opt.FreezeVariance = step+1 >= warmup }
 			}
 			opt := nn.NewAdam(3e-3)
-			return opt, train.OneBitDP(ob), func(int) {
-				ob.AdvanceStep()
-				if !ob.InWarmup() {
-					opt.FreezeVariance = true
-				}
-			}
+			return opt, rcfg, func(step int) { opt.FreezeVariance = step+1 >= warmup }
 		}
 	}
+	llm265 := func(bits float64) func(int) (nn.Optimizer, allreduce.Config, func(int)) {
+		return plain(allreduce.RateCodec(core.DefaultOptions(), bits), false)
+	}
 	return []dpArm{
-		{"uncompressed", plain(nil)},
-		{"LLM.265 (2.6b)", plain(train.LLM265DP(core.DefaultOptions(), 2.6))},
-		{"LLM.265 (1.4b)", plain(train.LLM265DP(core.DefaultOptions(), 1.4))},
-		{"LLM.265 (0.8b)", plain(train.LLM265DP(core.DefaultOptions(), 0.8))},
+		{"uncompressed", plain(nil, false)},
+		{"LLM.265 (2.6b)", llm265(2.6)},
+		{"LLM.265 (1.4b)", llm265(1.4)},
+		{"LLM.265 (0.8b)", llm265(0.8)},
 		{"1-bit Adam", oneBit(false)},
 		{"1-bit LAMB", oneBit(true)},
-		{"RTN 4-bit", plain(train.RTNDP(4, 128))},
-		{"RTN 2-bit", plain(train.RTNDP(2, 128))},
+		{"RTN 4-bit", plain(allreduce.RTNCodec(4, 128), false)},
+		{"RTN 2-bit", plain(allreduce.RTNCodec(2, 128), false)},
 	}
 }
 
-// fig10Models caches the trained DP models for Fig. 11.
-var fig10Models map[string]*nn.Transformer
+// fig10Models caches the trained DP models, with each arm's error-feedback
+// setting, for Fig. 11.
+var fig10Models map[string]fig10Model
+
+type fig10Model struct {
+	m  *nn.Transformer
+	ef string // "on" / "off"
+}
 
 // Fig10 reproduces data-parallel training with compressed gradients.
 func Fig10(ctx *Ctx) *Table {
@@ -135,20 +140,23 @@ func Fig10(ctx *Ctx) *Table {
 	t := &Table{
 		ID:      "fig10",
 		Title:   fmt.Sprintf("Data-parallel training (%d steps, 4 replicas)", steps),
-		Columns: []string{"config", "avg bits", "final loss", "final val ppl"},
+		Columns: []string{"config", "error feedback", "avg bits", "final loss", "final val ppl"},
 	}
-	fig10Models = map[string]*nn.Transformer{}
+	fig10Models = map[string]fig10Model{}
 	for _, a := range dpArms() {
 		m := freshModel(modelName, 4321)
-		opt, compress, onStep := a.build(steps)
-		res, err := train.RunDataParallel(m, corpus, opt, train.DPConfig{
-			Replicas: 4, Batch: 4, Compress: compress, EvalBatches: 4,
-		}, steps, 66, onStep)
+		opt, rcfg, onStep := a.build(steps)
+		res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
+			train.DPConfig{Replicas: 4, Batch: 4, EvalBatches: 4}, rcfg, steps, 66, onStep)
 		if err != nil {
 			panic(err)
 		}
-		fig10Models[a.name] = m
-		t.AddRow(a.name, f2(res.AvgBits), f2(res.Curve[len(res.Curve)-1].Loss), f2(res.FinalPPL))
+		ef := "off"
+		if rcfg.ErrorFeedback {
+			ef = "on"
+		}
+		fig10Models[a.name] = fig10Model{m, ef}
+		t.AddRow(a.name, ef, f2(res.AvgBits), f2(res.Curve[len(res.Curve)-1].Loss), f2(res.FinalPPL))
 	}
 	t.Notes = append(t.Notes,
 		"paper Fig. 10 ordering: LLM.265(2.6) > RTN-4 > LLM.265(1.4) > LLM.265(0.8) ~ 1-bit LAMB > RTN-2; LLM.265 needs no warm-up or optimizer change")
@@ -164,23 +172,23 @@ func Fig11(ctx *Ctx) *Table {
 	t := &Table{
 		ID:      "fig11",
 		Title:   "Downstream accuracy of DP-trained models",
-		Columns: []string{"config", "mean accuracy", "vs uncompressed"},
+		Columns: []string{"config", "error feedback", "mean accuracy", "vs uncompressed"},
 	}
 	base := 0.0
-	if m, ok := fig10Models["uncompressed"]; ok {
-		_, base = llm.EvalTasks(m, tasks)
+	if a, ok := fig10Models["uncompressed"]; ok {
+		_, base = llm.EvalTasks(a.m, tasks)
 	}
 	for _, name := range []string{"uncompressed", "LLM.265 (2.6b)", "LLM.265 (1.4b)", "1-bit Adam", "RTN 4-bit"} {
-		m, ok := fig10Models[name]
+		a, ok := fig10Models[name]
 		if !ok {
 			continue
 		}
-		_, acc := llm.EvalTasks(m, tasks)
+		_, acc := llm.EvalTasks(a.m, tasks)
 		rel := "-"
 		if base > 0 {
 			rel = f2(acc / base)
 		}
-		t.AddRow(name, f2(acc), rel)
+		t.AddRow(name, a.ef, f2(acc), rel)
 	}
 	t.Notes = append(t.Notes,
 		"paper Fig. 11: LLM.265(1.4b) keeps ≥95.2% and LLM.265(2.6b) ≥96.6% of the uncompressed model's accuracy")

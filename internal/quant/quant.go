@@ -9,12 +9,12 @@ import (
 	"math"
 )
 
-// sanitize maps a possibly non-finite input value onto the finite float64
+// Sanitize maps a possibly non-finite input value onto the finite float64
 // range: NaN becomes 0 (a NaN weight must not poison range statistics or
 // quantize to platform-dependent garbage — math.Round(NaN) fails every clamp
 // comparison and uint8(NaN) is unspecified in Go), and ±Inf clamps to the
 // largest finite float32 magnitude.
-func sanitize(v float32) float64 {
+func Sanitize(v float32) float64 {
 	f := float64(v)
 	switch {
 	case math.IsNaN(f):
@@ -37,7 +37,7 @@ func RTNSymmetric(data []float32, bits int) []float32 {
 	}
 	var amax float64
 	for _, v := range data {
-		if a := math.Abs(sanitize(v)); a > amax {
+		if a := math.Abs(Sanitize(v)); a > amax {
 			amax = a
 		}
 	}
@@ -49,7 +49,7 @@ func RTNSymmetric(data []float32, bits int) []float32 {
 	qmin := -float64(int64(1) << (bits - 1))
 	qmax := float64(int64(1)<<(bits-1)) - 1
 	for i, v := range data {
-		q := math.Round(sanitize(v) / delta)
+		q := math.Round(Sanitize(v) / delta)
 		if q < qmin {
 			q = qmin
 		}
@@ -65,33 +65,47 @@ func RTNSymmetric(data []float32, bits int) []float32 {
 // quantization), returning the dequantized values.
 func RTNAsymmetric(data []float32, bits int) []float32 {
 	out := make([]float32, len(data))
-	rtnAsymmetricInto(out, data, bits)
+	RTNGroup(data, bits, nil, out)
 	return out
 }
 
-func rtnAsymmetricInto(dst, data []float32, bits int) {
+// RTNGroup is the one asymmetric round-to-nearest kernel every group-wise
+// RTN consumer shares (RTNGroupwise, RTNSymbols, the allreduce RTN wire
+// codec): it scans data for its sanitized range [lo, hi], quantizes every
+// value to a level code in [0, 2^bits−1] and writes the reconstruction
+// lo + code·(hi−lo)/(2^bits−1) into rec. codes may be nil when only the
+// reconstruction is wanted. A constant group codes as all zeros and
+// reconstructs as lo.
+func RTNGroup(data []float32, bits int, codes []uint16, rec []float32) (lo, hi float32) {
 	if bits < 1 || bits > 16 {
 		panic(fmt.Sprintf("quant: bits %d out of range", bits))
 	}
-	lo, hi := minMax(data)
-	levels := float64(int64(1)<<bits) - 1
+	lo, hi = MinMax(data)
 	if hi == lo {
-		for i := range dst {
-			dst[i] = lo
+		for i := range data {
+			if codes != nil {
+				codes[i] = 0
+			}
+			rec[i] = lo
 		}
-		return
+		return lo, hi
 	}
+	levels := float64(int64(1)<<bits) - 1
 	scale := (float64(hi) - float64(lo)) / levels
 	for i, v := range data {
-		q := math.Round((sanitize(v) - float64(lo)) / scale)
+		q := math.Round((Sanitize(v) - float64(lo)) / scale)
 		if q < 0 {
 			q = 0
 		}
 		if q > levels {
 			q = levels
 		}
-		dst[i] = float32(float64(lo) + q*scale)
+		if codes != nil {
+			codes[i] = uint16(q)
+		}
+		rec[i] = float32(float64(lo) + q*scale)
 	}
+	return lo, hi
 }
 
 // RTNGroupwise applies asymmetric RTN independently to groups of groupSize
@@ -109,7 +123,7 @@ func RTNGroupwise(data []float32, bits, groupSize int) ([]float32, float64) {
 		if end > len(data) {
 			end = len(data)
 		}
-		rtnAsymmetricInto(out[start:end], data[start:end], bits)
+		RTNGroup(data[start:end], bits, nil, out[start:end])
 		groups++
 	}
 	meta := float64(groups) * 32 // FP16 scale + FP16 zero per group
@@ -117,17 +131,17 @@ func RTNGroupwise(data []float32, bits, groupSize int) ([]float32, float64) {
 	return out, bpv
 }
 
-// minMax scans for the finite value range: NaN entries contribute nothing
+// MinMax scans for the finite value range: NaN entries contribute nothing
 // (they behave as 0 after sanitization) and ±Inf clamps to the float32
 // extremes, so the result is always finite. Empty or all-degenerate input
 // yields (0, 0).
-func minMax(data []float32) (lo, hi float32) {
+func MinMax(data []float32) (lo, hi float32) {
 	if len(data) == 0 {
 		return 0, 0
 	}
 	lo64, hi64 := math.Inf(1), math.Inf(-1)
 	for _, v := range data {
-		f := sanitize(v)
+		f := Sanitize(v)
 		if f < lo64 {
 			lo64 = f
 		}
@@ -148,7 +162,7 @@ func minMax(data []float32) (lo, hi float32) {
 // and ±Inf clamps to the largest finite float32 magnitude, so one bad weight
 // can no longer corrupt a whole plane nondeterministically.
 func ToUint8(data []float32) (pix []uint8, scale, zero float32) {
-	lo, hi := minMax(data)
+	lo, hi := MinMax(data)
 	pix = make([]uint8, len(data))
 	if hi == lo {
 		return pix, 0, lo
@@ -156,7 +170,7 @@ func ToUint8(data []float32) (pix []uint8, scale, zero float32) {
 	s := (float64(hi) - float64(lo)) / 255
 	inv := 1 / s
 	for i, v := range data {
-		q := math.Round((sanitize(v) - float64(lo)) * inv)
+		q := math.Round((Sanitize(v) - float64(lo)) * inv)
 		if q < 0 {
 			q = 0
 		}
@@ -288,7 +302,7 @@ func MXFPQuantize(data []float32, f *MXFPFormat) ([]float32, float64) {
 		blocks++
 		var amax float64
 		for _, v := range data[start:end] {
-			if a := math.Abs(sanitize(v)); a > amax {
+			if a := math.Abs(Sanitize(v)); a > amax {
 				amax = a
 			}
 		}
@@ -299,7 +313,7 @@ func MXFPQuantize(data []float32, f *MXFPFormat) ([]float32, float64) {
 		e := math.Ceil(math.Log2(amax / f.Max()))
 		scale := math.Pow(2, e)
 		for i := start; i < end; i++ {
-			v := sanitize(data[i]) / scale
+			v := Sanitize(data[i]) / scale
 			q := f.nearest(math.Abs(v))
 			if v < 0 {
 				q = -q

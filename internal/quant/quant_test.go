@@ -88,7 +88,7 @@ func TestToFromUint8RoundTrip(t *testing.T) {
 	data := randVals(rng, 3000, 2)
 	pix, scale, zero := ToUint8(data)
 	back := FromUint8(pix, scale, zero)
-	lo, hi := minMax(data)
+	lo, hi := MinMax(data)
 	maxErr := (float64(hi) - float64(lo)) / 255 / 2
 	for i := range data {
 		if err := math.Abs(float64(back[i]) - float64(data[i])); err > maxErr+1e-6 {
@@ -115,7 +115,7 @@ func TestToUint8Property(t *testing.T) {
 		data := randVals(rng, n, math.Abs(rng.NormFloat64())+0.1)
 		pix, scale, zero := ToUint8(data)
 		back := FromUint8(pix, scale, zero)
-		lo, hi := minMax(data)
+		lo, hi := MinMax(data)
 		tol := (float64(hi)-float64(lo))/255*0.51 + 1e-5
 		for i := range data {
 			if math.Abs(float64(back[i])-float64(data[i])) > tol {
@@ -334,13 +334,13 @@ func TestMXFPQuantizeNaNInf(t *testing.T) {
 }
 
 func TestMinMaxEmptyAndDegenerate(t *testing.T) {
-	if lo, hi := minMax(nil); lo != 0 || hi != 0 {
+	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
 		t.Fatalf("empty minMax = (%v, %v), want (0, 0)", lo, hi)
 	}
-	if lo, hi := minMax([]float32{nan32()}); lo != 0 || hi != 0 {
+	if lo, hi := MinMax([]float32{nan32()}); lo != 0 || hi != 0 {
 		t.Fatalf("NaN-only minMax = (%v, %v), want (0, 0)", lo, hi)
 	}
-	lo, hi := minMax([]float32{inf32(-1), inf32(1)})
+	lo, hi := MinMax([]float32{inf32(-1), inf32(1)})
 	if lo != -math.MaxFloat32 || hi != math.MaxFloat32 {
 		t.Fatalf("Inf minMax = (%v, %v), want float32 extremes", lo, hi)
 	}

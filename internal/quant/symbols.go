@@ -17,31 +17,16 @@ func RTNSymbols(data []float32, bits, groupSize int) (symbols []byte, rec []floa
 	}
 	symbols = make([]byte, len(data))
 	rec = make([]float32, len(data))
-	levels := float64(int64(1)<<bits) - 1
+	codes := make([]uint16, groupSize)
 	for start := 0; start < len(data); start += groupSize {
 		end := start + groupSize
 		if end > len(data) {
 			end = len(data)
 		}
 		groups++
-		lo, hi := minMax(data[start:end])
-		if hi == lo {
-			for i := start; i < end; i++ {
-				rec[i] = lo
-			}
-			continue
-		}
-		scale := (float64(hi) - float64(lo)) / levels
-		for i := start; i < end; i++ {
-			q := math.Round((float64(data[i]) - float64(lo)) / scale)
-			if q < 0 {
-				q = 0
-			}
-			if q > levels {
-				q = levels
-			}
-			symbols[i] = byte(q)
-			rec[i] = float32(float64(lo) + q*scale)
+		RTNGroup(data[start:end], bits, codes, rec[start:end])
+		for i, q := range codes[:end-start] {
+			symbols[start+i] = byte(q)
 		}
 	}
 	return symbols, rec, groups

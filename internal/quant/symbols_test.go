@@ -40,6 +40,38 @@ func TestRTNSymbolsConstantGroup(t *testing.T) {
 	}
 }
 
+// TestRTNSymbolsNaNInf: non-finite inputs must sanitize exactly like
+// RTNGroupwise (NaN→0, ±Inf→±MaxFloat32) — a finite reconstruction equal to
+// the groupwise one and an in-alphabet symbol, not byte(math.Round(NaN)).
+func TestRTNSymbolsNaNInf(t *testing.T) {
+	data := []float32{1, nan32(), -2, inf32(1), inf32(-1), 0.5}
+	for _, group := range []int{3, 6, 0} {
+		sym, rec, _ := RTNSymbols(data, 4, group)
+		assertAllFinite(t, rec, "RTNSymbols")
+		g := group
+		if g == 0 {
+			g = len(data)
+		}
+		want, _ := RTNGroupwise(data, 4, g)
+		for i := range rec {
+			if rec[i] != want[i] {
+				t.Fatalf("group %d: rec[%d] = %v, RTNGroupwise %v", group, i, rec[i], want[i])
+			}
+			if sym[i] > 15 {
+				t.Fatalf("group %d: symbol %d out of the 4-bit alphabet: %d", group, i, sym[i])
+			}
+		}
+		// NaN sits at value 0: its symbol is the level nearest 0 in its
+		// group's range, the same level a literal 0 gets.
+		zeroed := append([]float32(nil), data...)
+		zeroed[1] = 0
+		symZ, _, _ := RTNSymbols(zeroed, 4, group)
+		if sym[1] != symZ[1] {
+			t.Fatalf("group %d: NaN coded as %d, literal 0 as %d", group, sym[1], symZ[1])
+		}
+	}
+}
+
 func TestMXFPSymbolsMatchDequant(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := randVals(rng, 512, 2)

@@ -1,9 +1,6 @@
 package train
 
 import (
-	"fmt"
-
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/quant"
@@ -54,53 +51,6 @@ func RTNTransform(bits, groupSize int) TensorTransform {
 	return func(m *nn.Mat) (*nn.Mat, float64, error) {
 		rec, bpv := quant.RTNGroupwise(m.V, bits, groupSize)
 		out := nn.NewMat(m.R, m.C)
-		copy(out.V, rec)
-		return out, bpv, nil
-	}
-}
-
-// LLM265DP compresses per-replica gradient buckets with the tensor codec —
-// the paper's data-parallel configuration (§5.2), which needs no warm-up
-// and no optimizer changes.
-func LLM265DP(opts core.Options, bitsPerValue float64) GradCompressor {
-	rcs := map[int]*core.RateController{}
-	return func(replica int, bucket *nn.Mat) (*nn.Mat, float64, error) {
-		rc, ok := rcs[replica]
-		if !ok {
-			rc = core.NewRateController(opts, bitsPerValue)
-			rcs[replica] = rc
-		}
-		d, bits, err := rc.Roundtrip(matToTensor(bucket))
-		if err != nil {
-			return nil, 0, err
-		}
-		return tensorToMat(d), bits, nil
-	}
-}
-
-// OneBitDP adapts the 1-bit Adam/LAMB communication layer (warm-up then
-// sign compression with error feedback) to the data-parallel seam. Call
-// compressor.AdvanceStep once per optimizer step via the trainer's onStep.
-func OneBitDP(c *baselines.OneBitCompressor) GradCompressor {
-	return func(replica int, bucket *nn.Mat) (*nn.Mat, float64, error) {
-		key := fmt.Sprintf("r%d", replica)
-		rec := c.Compress(key, bucket.V)
-		out := nn.NewMat(bucket.R, bucket.C)
-		copy(out.V, rec)
-		bits := 1.0
-		if c.InWarmup() {
-			bits = 16
-		}
-		return out, bits, nil
-	}
-}
-
-// RTNDP applies group-wise RTN to per-replica gradient buckets (the
-// RTN-4/RTN-2 baselines of Fig. 10).
-func RTNDP(bits, groupSize int) GradCompressor {
-	return func(_ int, bucket *nn.Mat) (*nn.Mat, float64, error) {
-		rec, bpv := quant.RTNGroupwise(bucket.V, bits, groupSize)
-		out := nn.NewMat(bucket.R, bucket.C)
 		copy(out.V, rec)
 		return out, bpv, nil
 	}

@@ -1,17 +1,14 @@
 package train
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 
+	"repro/internal/allreduce"
 	"repro/internal/data"
 	"repro/internal/nn"
 )
-
-// GradCompressor compresses one replica's gradient *bucket* — the flattened
-// concatenation of all weight-matrix gradients, the unit real all-reduce
-// implementations (NCCL buckets, DeepSpeed fusion buffers) operate on —
-// returning what the reducer receives and the wire bits per value.
-type GradCompressor func(replica int, bucket *nn.Mat) (*nn.Mat, float64, error)
 
 // bucketCols is the width gradient buckets are reshaped to before
 // compression; 128 keeps frames near-square for typical model sizes.
@@ -22,49 +19,93 @@ type DPConfig struct {
 	Replicas int
 	Batch    int // per-replica batch size
 
-	// Compress is applied to each replica's gradient bucket (all weight
-	// matrices ≥8×8, flattened). Small tensors (biases, LayerNorms) always
-	// travel in FP16, matching how the gradient-compression literature
-	// treats them.
-	Compress GradCompressor
-
 	EvalEvery   int
 	EvalBatches int
 }
 
-// DPResult summarizes a data-parallel run.
+// DPResult summarizes a data-parallel run, including the collective's wire
+// telemetry, which the cluster model consumes to project wall-clock at scale
+// (cluster.MeasuredCodec).
 type DPResult struct {
 	Curve    []CurvePoint
 	FinalPPL float64
-	AvgBits  float64 // average wire bits per value across bucketed gradients
+	// AvgBits is the average accounted wire bits per bucket value that
+	// traveled the ring, the bucket's zero padding included: 16 for the raw
+	// codec's FP16 link model, 0 when nothing traveled (a single replica
+	// sends no frame).
+	AvgBits float64
+	// WireBits is the total accounted bits that traveled the ring.
+	WireBits int64
+	// EncodeMBps is the measured segment-encode throughput in MB/s of
+	// float32 input (summed worker CPU time, so it is per-core throughput).
+	EncodeMBps float64
+	// ResidualL2 is the final step's summed error-feedback residual energy.
+	ResidualL2 float64
 }
 
-// RunDataParallel trains with cfg.Replicas simulated workers: each computes
-// gradients on its own batch, compresses its bucket, and the mean of the
-// compressed gradients drives the (shared) optimizer — synchronous data
-// parallelism with lossy all-reduce. onStep (optional) fires after every
-// optimizer step, which is where warm-up-based baselines advance state.
-func RunDataParallel(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
-	cfg DPConfig, steps int, seed int64, onStep func(step int)) (*DPResult, error) {
+// RunDataParallel trains with cfg.Replicas workers — synchronous data
+// parallelism with a lossy all-reduce. Each replica computes gradients on its
+// own batch; its bucket (all weight matrices ≥8×8, flattened) is reduced on a
+// live allreduce.Ring — one goroutine per replica exchanging codec-compressed
+// segments over in-process channels — and the mean drives the shared
+// optimizer. Small tensors (biases, LayerNorms) always travel in FP16,
+// matching how the gradient-compression literature treats them.
+//
+// rcfg is the one place gradient compression is chosen: rcfg.Codec (nil means
+// allreduce.RawCodec, the uncompressed FP16 link) compresses inside the
+// collective, on live segment traffic, with rcfg.ErrorFeedback optional.
+// rcfg.Workers/Rows/Cols are derived from cfg and the model; setting them is
+// an error. onStep (optional) fires after every optimizer step, which is
+// where warm-up-based baselines freeze optimizer state.
+func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus,
+	opt nn.Optimizer, cfg DPConfig, rcfg allreduce.Config, steps int, seed int64,
+	onStep func(step int)) (*DPResult, error) {
+
+	if rcfg.Workers != 0 || rcfg.Rows != 0 || rcfg.Cols != 0 {
+		return nil, errors.New("train: ring geometry is derived from DPConfig and the model; leave Workers/Rows/Cols zero")
+	}
+	if rcfg.Codec == nil {
+		rcfg.Codec = allreduce.RawCodec()
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	res := &DPResult{}
 	params := m.Params()
-	var bitsSum, valsSum float64
+	var wireVals, encBytes, encNs int64
 	lossEMA := 0.0
 
 	// The bucket buffer is hoisted out of the step loop: gather/scatter
-	// reuse one bucketRows×bucketCols Mat for the whole run instead of
-	// allocating it per replica per step (pinned by an AllocsPerRun test).
+	// reuse one bucketRows×bucketCols Mat for the whole run (pinned by an
+	// AllocsPerRun test).
 	bb := newBucketBuffer(params)
-	total := bb.total
 
+	rcfg.Workers = cfg.Replicas
+	rcfg.Rows = bb.mat.R
+	rcfg.Cols = bb.mat.C
+	ring, err := allreduce.New(rcfg)
+	if err != nil {
+		return nil, err
+	}
+
+	// Per-replica ring buffers, allocated once. ringIn doubles as ringOut:
+	// the collective documents that out may alias in.
+	ringIn := make([][]float32, cfg.Replicas)
+	for r := range ringIn {
+		ringIn[r] = make([]float32, len(bb.mat.V))
+	}
+
+	// Small (non-bucketed) parameters reduce serially in replica order —
+	// the literature ships them uncompressed, and they are a rounding error
+	// of the traffic.
 	sum := make([]*nn.Mat, len(params))
 	for i, p := range params {
 		sum[i] = nn.NewMat(p.G.R, p.G.C)
 	}
 
 	for step := 0; step < steps; step++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for i := range sum {
 			sum[i].Zero()
 		}
@@ -74,27 +115,36 @@ func RunDataParallel(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 			m.ZeroGrads()
 			stepLoss += m.TrainStep(tokens, targets) / float64(cfg.Replicas)
 
-			if cfg.Compress != nil {
-				cb, bits, err := cfg.Compress(r, bb.gather())
-				if err != nil {
-					return nil, err
-				}
-				bb.scatter(cb)
-				bitsSum += bits * float64(total)
-				valsSum += float64(total)
-			} else {
-				bitsSum += 16 * float64(total)
-				valsSum += float64(total)
-			}
+			copy(ringIn[r], bb.gather().V)
 			for i, p := range params {
-				nn.AddInPlace(sum[i], p.G)
+				if !isMatrixGrad(p) {
+					nn.AddInPlace(sum[i], p.G)
+				}
 			}
 		}
+
+		stats, err := ring.Allreduce(ctx, ringIn, ringIn)
+		if err != nil {
+			return nil, err
+		}
+		res.WireBits += stats.WireBits
+		res.ResidualL2 = stats.ResidualL2
+		wireVals += stats.Values
+		if stats.EncodeNs > 0 {
+			encBytes += 4 * stats.Values
+			encNs += stats.EncodeNs
+		}
+
+		// Every worker holds the identical reduced bucket; adopt worker 0's.
+		bb.scatter(ringIn[0])
 		for i, p := range params {
-			copy(p.G.V, sum[i].V)
+			if !isMatrixGrad(p) {
+				copy(p.G.V, sum[i].V)
+			}
 			nn.ScaleInPlace(p.G, 1/float32(cfg.Replicas))
 		}
 		opt.Step(params)
+		ring.AdvanceStep()
 		if onStep != nil {
 			onStep(step)
 		}
@@ -109,8 +159,11 @@ func RunDataParallel(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 	}
 	toks, tgts := corpus.ValidBatches(maxInt(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
 	res.FinalPPL = m.Perplexity(toks, tgts)
-	if valsSum > 0 {
-		res.AvgBits = bitsSum / valsSum
+	if wireVals > 0 {
+		res.AvgBits = float64(res.WireBits) / float64(wireVals)
+	}
+	if encNs > 0 {
+		res.EncodeMBps = float64(encBytes) / float64(encNs) * 1e9 / 1e6
 	}
 	return res, nil
 }
@@ -154,26 +207,23 @@ func newBucketBuffer(params []*nn.Param) *bucketBuffer {
 	return bb
 }
 
-// gather fills the bucket from the current gradients and returns it. The
-// padding tail is re-zeroed in case a caller handed the bucket itself back
-// through scatter.
+// gather fills the bucket from the current gradients and returns it; the
+// padding tail stays zero because nothing else writes the bucket.
 func (bb *bucketBuffer) gather() *nn.Mat {
 	off := 0
 	for _, p := range bb.bucketed {
 		copy(bb.mat.V[off:], p.G.V)
 		off += len(p.G.V)
 	}
-	for i := bb.total; i < len(bb.mat.V); i++ {
-		bb.mat.V[i] = 0
-	}
 	return bb.mat
 }
 
-// scatter copies a (possibly compressed) bucket back into the gradients.
-func (bb *bucketBuffer) scatter(bucket *nn.Mat) {
+// scatter writes a reduced flat bucket back into the bucketed parameters'
+// gradients.
+func (bb *bucketBuffer) scatter(flat []float32) {
 	off := 0
 	for _, p := range bb.bucketed {
-		copy(p.G.V, bucket.V[off:off+len(p.G.V)])
+		copy(p.G.V, flat[off:off+len(p.G.V)])
 		off += len(p.G.V)
 	}
 }

@@ -33,113 +33,58 @@ func weightsBitIdentical(a, b [][]float32) (int, int, bool) {
 	return 0, 0, true
 }
 
-// TestRingTwinBitIdenticalUncompressed is the property-matrix anchor: the
-// concurrent ring trainer with a lossless wire must reproduce the
-// sequential RunDataParallel run bit for bit — every weight, every curve
-// point — across replica counts and schedule seeds.
-func TestRingTwinBitIdenticalUncompressed(t *testing.T) {
-	const steps = 12
-	for _, replicas := range []int{1, 2, 4} {
-		for _, schedSeed := range []int64{0, 5} {
-			mSeq, corpusSeq := smallSetup(31)
-			seqRes, err := RunDataParallel(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
-				Replicas: replicas, Batch: 2, EvalBatches: 2,
-			}, steps, 32, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			mRing, corpusRing := smallSetup(31)
-			ringRes, err := RunDataParallelRing(context.Background(), mRing, corpusRing,
-				nn.NewAdam(3e-3), DPConfig{Replicas: replicas, Batch: 2, EvalBatches: 2},
-				allreduce.Config{ScheduleSeed: schedSeed}, steps, 32, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if pi, i, ok := weightsBitIdentical(cloneWeights(mSeq), cloneWeights(mRing)); !ok {
-				t.Fatalf("replicas=%d sched=%d: weights diverge at param %d index %d", replicas, schedSeed, pi, i)
-			}
-			for s := range seqRes.Curve {
-				if seqRes.Curve[s].Loss != ringRes.Curve[s].Loss {
-					t.Fatalf("replicas=%d sched=%d: loss curve diverges at step %d: %v vs %v",
-						replicas, schedSeed, s, seqRes.Curve[s].Loss, ringRes.Curve[s].Loss)
-				}
-			}
-			if seqRes.FinalPPL != ringRes.FinalPPL {
-				t.Fatalf("replicas=%d: final PPL %v vs %v", replicas, seqRes.FinalPPL, ringRes.FinalPPL)
-			}
-			if ringRes.AvgBits != 16 {
-				t.Fatalf("uncompressed ring AvgBits = %v", ringRes.AvgBits)
-			}
-		}
-	}
-}
-
-// TestRingTwinBitIdenticalWithGradCompressor: the sequential GradCompressor
-// seam must survive the move to the concurrent trainer unchanged — stateful
-// compressors see replicas in the same order, so the runs are bit-identical.
-func TestRingTwinBitIdenticalWithGradCompressor(t *testing.T) {
-	const steps = 8
-	mSeq, corpusSeq := smallSetup(41)
-	if _, err := RunDataParallel(mSeq, corpusSeq, nn.NewAdam(3e-3), DPConfig{
-		Replicas: 2, Batch: 2, Compress: RTNDP(4, 128),
-	}, steps, 42, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	mRing, corpusRing := smallSetup(41)
-	if _, err := RunDataParallelRing(context.Background(), mRing, corpusRing,
-		nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 2, Compress: RTNDP(4, 128)},
-		allreduce.Config{}, steps, 42, nil); err != nil {
-		t.Fatal(err)
-	}
-	if pi, i, ok := weightsBitIdentical(cloneWeights(mSeq), cloneWeights(mRing)); !ok {
-		t.Fatalf("GradCompressor seam diverges at param %d index %d", pi, i)
-	}
-}
-
-// TestRingTwinWireCodecDeterministic: with the real codec on the wire, the
-// training trajectory is byte/loss-deterministic across codec worker counts
-// {1,2,4,8}, random channel schedules, and both entropy backends.
+// TestRingTwinWireCodecDeterministic: with the real codec on the wire — at a
+// fixed QP or steered to a bitrate by RateCodec, whose QP trajectory must not
+// depend on encode order — the training trajectory is byte/loss-deterministic
+// across codec worker counts {1,2,4,8}, random channel schedules, and both
+// entropy backends.
 func TestRingTwinWireCodecDeterministic(t *testing.T) {
 	const steps = 4
-	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-		var refW [][]float32
-		var refBits int64
-		for _, codecWorkers := range []int{1, 2, 4, 8} {
-			for _, schedSeed := range []int64{0, 9} {
-				opts := core.DefaultOptions()
-				opts.Backend = backend
-				opts.Workers = codecWorkers
-				m, corpus := smallSetup(51)
-				res, err := RunDataParallelRing(context.Background(), m, corpus,
-					nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 2},
-					allreduce.Config{
-						Codec:         allreduce.TensorCodec(opts, 24),
-						ErrorFeedback: true,
-						ScheduleSeed:  schedSeed,
-					}, steps, 52, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w := cloneWeights(m)
-				if refW == nil {
-					refW, refBits = w, res.WireBits
-					continue
-				}
-				if res.WireBits != refBits {
-					t.Fatalf("backend=%v workers=%d sched=%d: WireBits %d != ref %d",
-						backend, codecWorkers, schedSeed, res.WireBits, refBits)
-				}
-				if pi, i, ok := weightsBitIdentical(refW, w); !ok {
-					t.Fatalf("backend=%v workers=%d sched=%d: weights diverge at param %d index %d",
-						backend, codecWorkers, schedSeed, pi, i)
+	codecs := []struct {
+		name  string
+		build func(core.Options) allreduce.CodecFactory
+	}{
+		{"tensor-qp24", func(o core.Options) allreduce.CodecFactory { return allreduce.TensorCodec(o, 24) }},
+		{"rate-2.6", func(o core.Options) allreduce.CodecFactory { return allreduce.RateCodec(o, 2.6) }},
+	}
+	for _, c := range codecs {
+		for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
+			var refW [][]float32
+			var refBits int64
+			for _, codecWorkers := range []int{1, 2, 4, 8} {
+				for _, schedSeed := range []int64{0, 9} {
+					opts := core.DefaultOptions()
+					opts.Backend = backend
+					opts.Workers = codecWorkers
+					m, corpus := smallSetup(51)
+					res, err := RunDataParallel(context.Background(), m, corpus,
+						nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 2},
+						allreduce.Config{
+							Codec:         c.build(opts),
+							ErrorFeedback: true,
+							ScheduleSeed:  schedSeed,
+						}, steps, 52, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := cloneWeights(m)
+					if refW == nil {
+						refW, refBits = w, res.WireBits
+						continue
+					}
+					if res.WireBits != refBits {
+						t.Fatalf("%s backend=%v workers=%d sched=%d: WireBits %d != ref %d",
+							c.name, backend, codecWorkers, schedSeed, res.WireBits, refBits)
+					}
+					if pi, i, ok := weightsBitIdentical(refW, w); !ok {
+						t.Fatalf("%s backend=%v workers=%d sched=%d: weights diverge at param %d index %d",
+							c.name, backend, codecWorkers, schedSeed, pi, i)
+					}
 				}
 			}
-		}
-		if refBits == 0 {
-			t.Fatalf("backend=%v: no wire bits accounted", backend)
+			if refBits == 0 {
+				t.Fatalf("%s backend=%v: no wire bits accounted", c.name, backend)
+			}
 		}
 	}
 }
@@ -148,7 +93,7 @@ func TestRingTwinWireCodecDeterministic(t *testing.T) {
 // keeps the model converging and reports compressed accounting.
 func TestRingTwinCompressedStillLearns(t *testing.T) {
 	m, corpus := smallSetup(61)
-	res, err := RunDataParallelRing(context.Background(), m, corpus,
+	res, err := RunDataParallel(context.Background(), m, corpus,
 		nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 4},
 		allreduce.Config{
 			Codec:         allreduce.TensorCodec(core.DefaultOptions(), 24),
@@ -169,17 +114,11 @@ func TestRingTwinCompressedStillLearns(t *testing.T) {
 	}
 }
 
-// TestRingTwinSeamExclusive: the two compression seams cannot be combined,
-// and the ring geometry cannot be forced by the caller.
-func TestRingTwinSeamExclusive(t *testing.T) {
+// TestRingTwinRejectsForcedGeometry: the ring geometry is derived from the
+// model and DPConfig and cannot be forced by the caller.
+func TestRingTwinRejectsForcedGeometry(t *testing.T) {
 	m, corpus := smallSetup(71)
-	_, err := RunDataParallelRing(context.Background(), m, corpus, nn.NewAdam(3e-3),
-		DPConfig{Replicas: 2, Batch: 2, Compress: RTNDP(4, 128)},
-		allreduce.Config{Codec: allreduce.RawCodec()}, 1, 72, nil)
-	if err == nil {
-		t.Fatal("both seams accepted")
-	}
-	_, err = RunDataParallelRing(context.Background(), m, corpus, nn.NewAdam(3e-3),
+	_, err := RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3),
 		DPConfig{Replicas: 2, Batch: 2},
 		allreduce.Config{Workers: 5}, 1, 72, nil)
 	if err == nil {
@@ -193,7 +132,7 @@ func TestRingTwinCancellation(t *testing.T) {
 	m, corpus := smallSetup(81)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunDataParallelRing(ctx, m, corpus, nn.NewAdam(3e-3),
+	if _, err := RunDataParallel(ctx, m, corpus, nn.NewAdam(3e-3),
 		DPConfig{Replicas: 2, Batch: 2}, allreduce.Config{}, 4, 82, nil); err == nil {
 		t.Fatal("cancelled context did not stop the run")
 	}
@@ -238,9 +177,9 @@ func TestLossEMASeedRegression(t *testing.T) {
 	}
 }
 
-// TestBucketGatherScatterSteadyStateAllocs pins the satellite hoist: the
-// per-replica-per-step bucket gather/compress-scatter path must not allocate
-// in steady state (the bucket Mat is reused for the whole run).
+// TestBucketGatherScatterSteadyStateAllocs pins the bucket hoist: the
+// per-replica-per-step gather and the per-step scatter must not allocate in
+// steady state (the bucket Mat is reused for the whole run).
 func TestBucketGatherScatterSteadyStateAllocs(t *testing.T) {
 	m, _ := smallSetup(91)
 	params := m.Params()
@@ -249,11 +188,9 @@ func TestBucketGatherScatterSteadyStateAllocs(t *testing.T) {
 		t.Fatal("no bucketed parameters in the test model")
 	}
 	// Warm once so lazy state settles.
-	bb.scatter(bb.gather())
+	bb.scatter(bb.gather().V)
 	allocs := testing.AllocsPerRun(50, func() {
-		b := bb.gather()
-		bb.scatter(b)
-		bb.scatterSum(b.V)
+		bb.scatter(bb.gather().V)
 	})
 	if allocs != 0 {
 		t.Fatalf("bucket gather/scatter allocates %.1f objects per replica-step after hoist, want 0", allocs)
@@ -285,7 +222,7 @@ func TestBucketBufferRoundTrip(t *testing.T) {
 			p.G.V[j] = -1
 		}
 	}
-	bb.scatter(&nn.Mat{R: b.R, C: b.C, V: snapshot})
+	bb.scatter(snapshot)
 	off := 0
 	for _, p := range bb.bucketed {
 		for j := range p.G.V {

@@ -1,10 +1,11 @@
 package train
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
-	"repro/internal/baselines"
+	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -92,27 +93,32 @@ func TestBoundaryDetection(t *testing.T) {
 }
 
 func TestDataParallelUncompressed(t *testing.T) {
-	m, corpus := smallSetup(7)
-	res, err := RunDataParallel(m, corpus, nn.NewAdam(3e-3), DPConfig{
-		Replicas: 2, Batch: 4, EvalBatches: 4,
-	}, 100, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgBits != 16 {
-		t.Fatalf("uncompressed DP avg bits %.1f", res.AvgBits)
-	}
-	if res.Curve[len(res.Curve)-1].Loss > res.Curve[5].Loss*0.8 {
-		t.Fatal("DP training not learning")
+	// A single replica sends no frame, so its run accounts nothing.
+	for _, c := range []struct {
+		replicas int
+		avgBits  float64
+	}{{2, 16}, {1, 0}} {
+		m, corpus := smallSetup(7)
+		res, err := RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3), DPConfig{
+			Replicas: c.replicas, Batch: 4, EvalBatches: 4,
+		}, allreduce.Config{}, 100, 8, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.AvgBits != c.avgBits || (res.WireBits == 0) != (c.avgBits == 0) {
+			t.Fatalf("%d replicas: uncompressed DP avg bits %.1f, wire bits %d", c.replicas, res.AvgBits, res.WireBits)
+		}
+		if res.Curve[len(res.Curve)-1].Loss > res.Curve[5].Loss*0.8 {
+			t.Fatalf("%d replicas: DP training not learning", c.replicas)
+		}
 	}
 }
 
 func TestDataParallelLLM265(t *testing.T) {
 	m, corpus := smallSetup(9)
-	res, err := RunDataParallel(m, corpus, nn.NewAdam(3e-3), DPConfig{
-		Replicas: 2, Batch: 4,
-		Compress: LLM265DP(core.DefaultOptions(), 2.6),
-	}, 100, 10, nil)
+	res, err := RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3),
+		DPConfig{Replicas: 2, Batch: 4},
+		allreduce.Config{Codec: allreduce.RateCodec(core.DefaultOptions(), 2.6)}, 100, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,17 +133,12 @@ func TestDataParallelLLM265(t *testing.T) {
 func TestDataParallelOneBit(t *testing.T) {
 	m, corpus := smallSetup(11)
 	steps := 100
-	ob := baselines.NewOneBitCompressor(steps * 15 / 100)
+	warmup := steps * 15 / 100
 	opt := nn.NewAdam(3e-3)
-	res, err := RunDataParallel(m, corpus, opt, DPConfig{
-		Replicas: 2, Batch: 4,
-		Compress: OneBitDP(ob),
-	}, steps, 12, func(step int) {
-		ob.AdvanceStep()
-		if !ob.InWarmup() {
-			opt.FreezeVariance = true
-		}
-	})
+	res, err := RunDataParallel(context.Background(), m, corpus, opt,
+		DPConfig{Replicas: 2, Batch: 4},
+		allreduce.Config{Codec: allreduce.SignCodec(warmup), ErrorFeedback: true},
+		steps, 12, func(step int) { opt.FreezeVariance = step+1 >= warmup })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,6 @@ func TestLLM265BeatsRTN2OnGradientBuckets(t *testing.T) {
 	m, corpus := smallSetup(13)
 	rng := rand.New(rand.NewSource(14))
 	opt := nn.NewAdam(3e-3)
-	var bucket *nn.Mat
 	for step := 0; step < 40; step++ {
 		toks, tgts := corpus.Batch(rng, 4, m.Cfg.SeqLen)
 		m.ZeroGrads()
@@ -173,27 +173,35 @@ func TestLLM265BeatsRTN2OnGradientBuckets(t *testing.T) {
 		}
 	}
 	rows := (len(flat) + bucketCols - 1) / bucketCols
-	buf := make([]float32, rows*bucketCols)
-	copy(buf, flat)
-	bucket = &nn.Mat{R: rows, C: bucketCols, V: buf}
+	bucket := make([]float32, rows*bucketCols)
+	copy(bucket, flat)
 
-	codec := LLM265DP(core.DefaultOptions(), 2.6)
-	recC, bitsC, err := codec(0, bucket)
+	// RateCodec moves its quantiser once per training step; give it a few steps on
+	// the same bucket to settle on the 2.6-bit target before measuring.
+	ctx := context.Background()
+	codec := allreduce.RateCodec(core.DefaultOptions(), 2.6)(0)
+	var recC []float32
+	var bitsC float64
+	for step := 0; step < 8; step++ {
+		_, rec, cost, err := codec.Encode(ctx, bucket, rows, bucketCols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recC, bitsC = rec, float64(cost)/float64(len(bucket))
+		codec.(allreduce.Stepper).AdvanceStep()
+	}
+	_, recR, costR, err := allreduce.RTNCodec(2, 128)(0).Encode(ctx, bucket, rows, bucketCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtn := RTNDP(2, 128)
-	recR, bitsR, err := rtn(0, bucket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mse := func(a, b *nn.Mat) float64 {
+	bitsR := float64(costR) / float64(len(bucket))
+	mse := func(a, b []float32) float64 {
 		var s float64
-		for i := range a.V {
-			d := float64(a.V[i]) - float64(b.V[i])
+		for i := range a {
+			d := float64(a[i]) - float64(b[i])
 			s += d * d
 		}
-		return s / float64(len(a.V))
+		return s / float64(len(a))
 	}
 	mseC, mseR := mse(bucket, recC), mse(bucket, recR)
 	if bitsC > 3.0 {
