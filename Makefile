@@ -12,7 +12,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
+.PHONY: all build test vet race race-touched ci bench bench-guard bench-baseline bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
 
 all: build
 
@@ -125,9 +125,20 @@ bench-guard:
 bench-baseline:
 	$(GO) run ./cmd/llm265 bench -layers 4 -rows 256 -cols 256 -qp 30 -workers 4 -serve -proxy -store -kv -train -name baseline -out BENCH_baseline.json
 
-# One pass over every paper-artifact micro-benchmark (testing.B).
+# One pass over every paper-artifact micro-benchmark (testing.B), then the
+# transform and prediction kernels on their own (dense and post-quantisation
+# sparse inverse inputs; DESIGN.md §11 "Kernels").
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|PredictAngular' -benchtime=2000x ./internal/dct/ ./internal/intra/
+
+# Parent-vs-working-tree A/B of the repository benchmark, the procedure any
+# gain claim is held to: ten alternating pairs per workload, medians,
+# quartiles and win counts per end-to-end metric. About an hour for all five
+# workloads; call scripts/bench_ab.sh directly to run fewer pairs or workloads.
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<ref>"; exit 2; }
+	bash scripts/bench_ab.sh $(PARENT)
 
 # Serial vs parallel engine throughput on a multi-layer stack.
 bench-parallel:

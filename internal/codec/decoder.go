@@ -25,9 +25,6 @@ type decoder struct {
 	ctx *contexts
 	br  binDecoder
 
-	transforms map[int]*dct.Transform
-	dst4       *dct.Transform
-
 	// scr is the per-worker scratch arena; owned exclusively by this decoder
 	// for the duration of the chunk.
 	scr *scratch
@@ -184,14 +181,12 @@ func decodeChunkPayload(ctx context.Context, payload []byte, dims [][2]int, prof
 
 	d := &s.dec
 	*d = decoder{
-		prof:       prof,
-		tools:      tools,
-		qp:         qp,
-		ctx:        s.contexts(),
-		transforms: s.transforms,
-		dst4:       s.dst4,
-		scr:        s,
-		cancel:     cancellable(ctx),
+		prof:   prof,
+		tools:  tools,
+		qp:     qp,
+		ctx:    s.contexts(),
+		scr:    s,
+		cancel: cancellable(ctx),
 	}
 	var rc *ransChunk
 	switch {
@@ -352,23 +347,10 @@ func (d *decoder) parseLeaf(x, y, size int) {
 		}
 	}
 
-	tr := d.transformFor(size, !isInter)
+	tr := s.transformFor(size, !isInter && d.prof.UseDST4)
 	rec := s.rec[:size*size]
 	reconstructBlockInto(rec, s.coefA[:size*size], pred, lev, d.qp, d.tools.Transform, tr)
-	for dy := 0; dy < size; dy++ {
-		row := d.recon.Row(y + dy)
-		for dx := 0; dx < size; dx++ {
-			row[x+dx] = uint8(rec[dy*size+dx])
-			d.coded[(y+dy)*d.w+x+dx] = true
-		}
-	}
-}
-
-func (d *decoder) transformFor(size int, isIntra bool) *dct.Transform {
-	if size == 4 && isIntra && d.prof.UseDST4 {
-		return d.dst4
-	}
-	return d.transforms[size]
+	storeBlock(d.recon, d.coded, rec, x, y, size)
 }
 
 // parseResidual decodes one level block into the scratch trial buffer,

@@ -42,9 +42,6 @@ type encoder struct {
 	bw     binEncoder
 	lambda float64
 
-	transforms map[int]*dct.Transform
-	dst4       *dct.Transform
-
 	// scr is the per-worker scratch arena every hot-path buffer comes from;
 	// owned exclusively by this encoder for the duration of the chunk.
 	scr *scratch
@@ -136,15 +133,13 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 	}()
 	e := &s.enc
 	*e = encoder{
-		prof:       prof,
-		tools:      tools,
-		qp:         qp,
-		ctx:        s.contexts(),
-		lambda:     0.12 * dct.Qstep(qp) * dct.Qstep(qp),
-		transforms: s.transforms,
-		dst4:       s.dst4,
-		scr:        s,
-		cancel:     cancellable(ctx),
+		prof:   prof,
+		tools:  tools,
+		qp:     qp,
+		ctx:    s.contexts(),
+		lambda: 0.12 * dct.Qstep(qp) * dct.Qstep(qp),
+		scr:    s,
+		cancel: cancellable(ctx),
 	}
 	if tools.Backend == BackendRANS {
 		rec = newRansRecord()
@@ -286,6 +281,7 @@ type cuDec struct {
 	mvy    int32
 	mode   intra.Mode
 	levels []int32 // row-major n×n quantized levels
+	rec    []int32 // row-major n×n reconstruction of the winning trial
 	cost   float64
 }
 
@@ -387,51 +383,31 @@ func (e *encoder) restore(s []uint8, x, y, size int) {
 	}
 }
 
-// applyLeaf reconstructs the decided leaf into the recon plane and marks the
-// region coded.
+// applyLeaf writes the decided leaf's reconstruction into the recon plane and
+// marks the region coded. The pixels are the winning trial's, kept by
+// decideLeaf, rather than a second prediction and inverse transform: a block's
+// references lie outside it, and between its decideLeaf and its applyLeaf only
+// pixels inside it change (a signaled split's children trial, then restore),
+// so re-deriving would rebuild the same prediction from the same references
+// and add the same levels' residual.
 func (e *encoder) applyLeaf(d *cuDec, x, y, size int) {
-	s := e.scr
-	pred := e.predictFor(d, x, y, size)
-	rec := s.rec[:size*size]
-	reconstructBlockInto(rec, s.coefA[:size*size], pred, d.levels, e.qp, e.tools.Transform, e.transformFor(size, !d.inter))
+	storeBlock(e.recon, e.coded, d.rec, x, y, size)
+}
+
+// storeBlock writes the size×size reconstruction rec (row-major pixel values)
+// into the padded recon plane at (x, y) and marks the region coded; the
+// encoder's and the decoder's one way of committing a leaf.
+func storeBlock(recon *frame.Plane, coded []bool, rec []int32, x, y, size int) {
 	for dy := 0; dy < size; dy++ {
-		row := e.recon.Row(y + dy)
-		for dx := 0; dx < size; dx++ {
-			row[x+dx] = uint8(rec[dy*size+dx])
-			e.coded[(y+dy)*e.w+x+dx] = true
+		row := recon.Row(y + dy)[x : x+size]
+		for dx, v := range rec[dy*size:][:size] {
+			row[dx] = uint8(v)
+		}
+		mask := coded[(y+dy)*recon.W+x:][:size]
+		for dx := range mask {
+			mask[dx] = true
 		}
 	}
-}
-
-// transformFor picks the transform for a block (DST-VII for 4×4 intra when
-// the profile enables it).
-func (e *encoder) transformFor(size int, isIntra bool) *dct.Transform {
-	if size == 4 && isIntra && e.prof.UseDST4 {
-		return e.dst4
-	}
-	return e.transforms[size]
-}
-
-// predictFor computes the prediction signal for a decided leaf into the
-// scratch pred buffer (valid until the next predictFor/motion call).
-func (e *encoder) predictFor(d *cuDec, x, y, size int) []int32 {
-	s := e.scr
-	pred := s.pred[:size*size]
-	switch {
-	case d.inter:
-		e.motionPredict(pred, x, y, size, d.mvx, d.mvy)
-	case e.tools.IntraPred:
-		refs := e.gatherRefs(x, y, size)
-		if e.prof.RefSmoothing && intra.UseSmoothing(size, d.mode) {
-			refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-		}
-		intra.Predict(d.mode, size, refs, pred)
-	default:
-		for i := range pred {
-			pred[i] = 128
-		}
-	}
-	return pred
 }
 
 // gatherRefs builds intra reference samples from the reconstruction into the
@@ -579,38 +555,108 @@ func satdCoarseScore(orig, pred, res []int32, size int) int64 {
 	return 4 * dct.SATD(res, h)
 }
 
-// tryIntraRD runs one full rate-distortion trial; on improvement it
-// overwrites *best and copies the candidate levels into bestLev (the one
-// arena-backed level block this leaf owns).
-func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *cuDec, bestLev []int32) {
-	lev, dist, rbits := e.trialResidual(orig, pred, size, true)
-	modeBits := 1.0 + math.Log2(float64(len(e.prof.Modes)))
-	cost := dist + e.lambda*(rbits+modeBits)
-	if cost < best.cost {
-		*best = cuDec{mode: m, levels: bestLev, cost: cost}
-		copy(bestLev, lev)
+// topModes is the running stable top-k of the coarse mode scores: ascending
+// score, ties ranked in reverse scoring order — the last-scored tying mode
+// wins, which for the shipped profiles prefers the higher angular mode over
+// Planar/DC on flat blocks. This deterministic rule is part of the bitstream
+// contract pinned by the golden conformance corpus (golden_test.go): changing
+// it changes output bytes. An explicit insertion-based selection is used
+// instead of sort.Slice both for allocation-freedom on the hot path and
+// because sort.Slice's tie order is implementation-defined.
+type topModes struct {
+	k, n  int
+	mi    [rdCandidates]int // indices into the profile's mode list
+	score [rdCandidates]int64
+}
+
+// bound is the score above which a mode cannot enter the set any more.
+func (t *topModes) bound() int64 {
+	if t.n < t.k {
+		return math.MaxInt64
 	}
+	return t.score[t.k-1]
+}
+
+// offer ranks mode mi. Its score is compared only with members of the set,
+// and a score above bound() is dropped whatever it is exactly — which is what
+// lets sadWithin stop early.
+func (t *topModes) offer(mi int, score int64) {
+	pos := t.n
+	for pos > 0 && score <= t.score[pos-1] {
+		pos--
+	}
+	if pos >= t.k {
+		return
+	}
+	if t.n < t.k {
+		t.n++
+	}
+	copy(t.mi[pos+1:t.n], t.mi[pos:t.n-1])
+	copy(t.score[pos+1:t.n], t.score[pos:t.n-1])
+	t.mi[pos], t.score[pos] = mi, score
+}
+
+// sadWithin returns the sum of absolute differences of two size×size blocks,
+// or, once the running sum at the end of a row exceeds bound, that partial
+// sum. The terms are non-negative, so a partial sum above bound means the
+// full SAD is above it too: topModes.offer drops either value and the ranking
+// is the one full scoring gives.
+func sadWithin(a, b []int32, size int, bound int64) int64 {
+	var sum int64
+	for len(a) >= size {
+		var row int32
+		for i, v := range a[:size] {
+			d := v - b[i]
+			if d < 0 {
+				d = -d
+			}
+			row += d
+		}
+		sum += int64(row)
+		if sum > bound {
+			break
+		}
+		a, b = a[size:], b[size:]
+	}
+	return sum
+}
+
+// keepIfBetter overwrites *best with cand when cand costs less, copying the
+// trial's levels and reconstruction into the two arena-backed blocks this
+// leaf owns.
+func keepIfBetter(best *cuDec, cand cuDec, lev, rec []int32) {
+	if cand.cost < best.cost {
+		cand.levels, cand.rec = best.levels, best.rec
+		copy(cand.levels, lev)
+		copy(cand.rec, rec)
+		*best = cand
+	}
+}
+
+// tryIntraRD runs one full rate-distortion trial of intra mode m.
+func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *cuDec) {
+	lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
+	modeBits := 1.0 + math.Log2(float64(len(e.prof.Modes)))
+	keepIfBetter(best, cuDec{mode: m, cost: dist + e.lambda*(rbits+modeBits)}, lev, rec)
 }
 
 // decideLeaf searches prediction choices for an undivided CU and returns the
 // best decision without touching the recon plane. Every buffer it touches
-// comes from the scratch arena; the returned node and its levels live in the
-// per-CTU bump arenas.
+// comes from the scratch arena; the returned node, its levels and its
+// reconstruction live in the per-CTU bump arenas.
 func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 	s := e.scr
 	n2 := size * size
 	orig := s.orig[:n2]
 	for dy := 0; dy < size; dy++ {
-		row := e.orig.Row(y + dy)
-		base := dy * size
-		for dx := 0; dx < size; dx++ {
-			orig[base+dx] = int32(row[x+dx])
+		row := e.orig.Row(y + dy)[x : x+size]
+		for dx, v := range row {
+			orig[dy*size+dx] = int32(v)
 		}
 	}
 
 	best := s.newNode()
-	best.cost = math.Inf(1)
-	bestLev := s.newLevels(n2)
+	*best = cuDec{cost: math.Inf(1), levels: s.newLevels(n2), rec: s.newLevels(n2)}
 
 	if e.tools.IntraPred {
 		var tIntra time.Time
@@ -622,9 +668,12 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		// full-RD only the top survivors. The smoothed reference rows are
 		// mode-independent, so they are computed at most once per leaf.
 		fast := e.prof.FastSearch && !e.prof.exhaustiveRD
+		top := topModes{k: rdCandidates}
+		if fast {
+			top.k = fastRDCandidates
+		}
 		var smRefs intra.Refs
 		smoothedReady := false
-		cands := s.cands[:0]
 		for mi, m := range e.prof.Modes {
 			r := refs
 			if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
@@ -636,19 +685,13 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 			}
 			pred := s.predAt(mi, n2)
 			intra.Predict(m, size, r, pred)
-			var score int64
-			if fast {
-				score = satdCoarseScore(orig, pred, s.res[:], size)
-			} else {
-				for i := range orig {
-					d := orig[i] - pred[i]
-					if d < 0 {
-						d = -d
-					}
-					score += int64(d)
-				}
+			switch {
+			case e.prof.exhaustiveRD: // every mode gets its RD trial; nothing to rank
+			case fast:
+				top.offer(mi, satdCoarseScore(orig, pred, s.res[:], size))
+			default:
+				top.offer(mi, sadWithin(orig, pred, size, top.bound()))
 			}
-			cands = append(cands, modeCand{m: m, mi: mi, score: score})
 		}
 		if e.rec != nil {
 			// The coarse ranking (prediction of every profile mode) is the
@@ -656,70 +699,38 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 			// transform+quant work to the transform stage on their own.
 			e.rec.intraNs += int64(time.Since(tIntra))
 		}
-		switch {
-		case e.prof.exhaustiveRD:
+		if e.prof.exhaustiveRD {
 			// Quality ceiling (tests only): full RD on every mode in
 			// profile order, no coarse pruning.
-			for _, c := range cands {
-				e.tryIntraRD(c.m, orig, s.predAt(c.mi, n2), size, best, bestLev)
+			for mi, m := range e.prof.Modes {
+				e.tryIntraRD(m, orig, s.predAt(mi, n2), size, best)
 			}
-		default:
-			// Stable top-K selection: ascending score, ties ranked in
-			// reverse scoring order — the last-scored tying mode wins, which
-			// for the shipped profiles prefers the higher angular mode over
-			// Planar/DC on flat blocks. This deterministic rule is part of
-			// the bitstream contract pinned by the golden conformance corpus
-			// (golden_test.go): changing it changes output bytes. An
-			// explicit insertion-based selection is used instead of
-			// sort.Slice both for allocation-freedom on the hot path and
-			// because sort.Slice's tie order is implementation-defined.
-			kTop := rdCandidates
-			if fast {
-				kTop = fastRDCandidates
-			}
-			var top [rdCandidates]int
-			topN := 0
-			for ci := range cands {
-				pos := topN
-				for pos > 0 && cands[ci].score <= cands[top[pos-1]].score {
-					pos--
-				}
-				if pos >= kTop {
-					continue
-				}
-				if topN < kTop {
-					topN++
-				}
-				copy(top[pos+1:topN], top[pos:topN-1])
-				top[pos] = ci
-			}
-			// Full RD on the top coarse candidates only; Planar and DC
-			// compete in the coarse ranking like every other mode.
-			for i := 0; i < topN; i++ {
-				e.tryIntraRD(cands[top[i]].m, orig, s.predAt(cands[top[i]].mi, n2), size, best, bestLev)
-			}
+		}
+		// Full RD on the top coarse candidates only; Planar and DC compete
+		// in the coarse ranking like every other mode.
+		for _, mi := range top.mi[:top.n] {
+			e.tryIntraRD(e.prof.Modes[mi], orig, s.predAt(mi, n2), size, best)
 		}
 	} else {
 		pred := s.pred[:n2]
 		for i := range pred {
 			pred[i] = 128
 		}
-		lev, dist, rbits := e.trialResidual(orig, pred, size, true)
-		*best = cuDec{mode: intra.DC, levels: bestLev, cost: dist + e.lambda*rbits}
-		copy(bestLev, lev)
+		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
+		// The sole intra candidate is taken whatever it costs, so the leaf
+		// never commits the arena's unwritten blocks.
+		best.mode, best.cost = intra.DC, dist+e.lambda*rbits
+		copy(best.levels, lev)
+		copy(best.rec, rec)
 	}
 
 	if e.tools.InterPred && e.fIdx > 0 {
 		mvx, mvy := e.motionSearch(orig, x, y, size)
 		pred := s.pred[:n2]
 		e.motionPredict(pred, x, y, size, mvx, mvy)
-		lev, dist, rbits := e.trialResidual(orig, pred, size, false)
+		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, false)
 		mvBits := float64(egLen(zigzagU(mvx), 1) + egLen(zigzagU(mvy), 1))
-		cost := dist + e.lambda*(rbits+mvBits+1)
-		if cost < best.cost {
-			*best = cuDec{inter: true, mvx: mvx, mvy: mvy, levels: bestLev, cost: cost}
-			copy(bestLev, lev)
-		}
+		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: dist + e.lambda*(rbits+mvBits+1)}, lev, rec)
 	}
 	return best
 }
@@ -760,9 +771,9 @@ func absInt32(v int32) int32 {
 }
 
 // trialResidual transforms, quantizes and reconstructs the residual,
-// returning the levels (in the scratch trial buffer — valid only until the
-// next trial), the SSE distortion and an estimated rate in bits.
-func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) ([]int32, float64, float64) {
+// returning the levels and the reconstruction (in scratch buffers — valid only
+// until the next trial), the SSE distortion and an estimated rate in bits.
+func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev, rec []int32, dist, rateBits float64) {
 	var t0 time.Time
 	if e.rec != nil {
 		t0 = time.Now()
@@ -773,8 +784,8 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) ([]i
 	for i := range res {
 		res[i] = orig[i] - pred[i]
 	}
-	lev := s.trialLev[:n2]
-	tr := e.transformFor(size, isIntra)
+	lev = s.trialLev[:n2]
+	tr := s.transformFor(size, isIntra && e.prof.UseDST4)
 	if e.tools.Transform {
 		coef := s.coefA[:n2]
 		tr.Forward(coef, res)
@@ -782,17 +793,20 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) ([]i
 	} else {
 		quantizeSpatial(lev, res, e.qp)
 	}
-	rec := s.rec[:n2]
+	rec = s.rec[:n2]
 	reconstructBlockInto(rec, s.coefB[:n2], pred, lev, e.qp, e.tools.Transform, tr)
-	var sse float64
-	for i := range orig {
-		d := float64(orig[i] - rec[i])
+	// Integer SSE: at most 1024·255² < 2²⁷, exact in int64 and in the float64
+	// the RD cost takes it as (a float accumulation gives the same value,
+	// every partial sum being an integer below 2⁵³).
+	var sse int64
+	for i, o := range orig {
+		d := int64(o - rec[i])
 		sse += d * d
 	}
 	if e.rec != nil {
 		e.rec.xformNs += int64(time.Since(t0))
 	}
-	return lev, sse, estimateLevelBits(lev, size, e.tools.Transform)
+	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
 }
 
 // reconstructBlockInto rebuilds pixel values from a prediction and levels
@@ -801,10 +815,20 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) ([]i
 // decoder. rec must not alias pred or levels; coefScratch must not alias
 // levels.
 func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
-	if useTransform {
+	var any int32
+	for _, l := range levels {
+		any |= l
+	}
+	switch {
+	case any == 0:
+		// Zero levels dequantize to zero and inverse-transform to zero,
+		// with or without the transform: an RD trial that quantized to
+		// nothing, or a decoded leaf whose cbf is 0.
+		clear(rec)
+	case useTransform:
 		dct.Dequantize(coefScratch, levels, qp)
 		tr.Inverse(rec, coefScratch)
-	} else {
+	default:
 		dequantizeSpatial(rec, levels, qp)
 	}
 	for i := range rec {

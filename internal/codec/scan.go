@@ -1,16 +1,33 @@
 package codec
 
-import "sync"
+// The coefficient scans for the four block sizes, indexed by sizeIdx. Built
+// once at package init and read-only afterwards: every RD trial, emitted leaf
+// and parsed leaf of every worker looks one up.
+var zigzagScans, rasterScans [4][]int
+
+func init() {
+	for si := range zigzagScans {
+		n := 4 << si
+		zigzagScans[si] = zigzagScan(n)
+		rasterScans[si] = make([]int, n*n)
+		for i := range rasterScans[si] {
+			rasterScans[si][i] = i
+		}
+	}
+}
 
 // scanOrder returns the zigzag coefficient scan for an n×n block: positions
 // ordered by anti-diagonal from the DC corner, which fronts the low-frequency
-// coefficients where the energy concentrates after the transform.
-func scanOrder(n int) []int {
-	scanMu.Lock()
-	defer scanMu.Unlock()
-	if s, ok := scanCache[n]; ok {
-		return s
-	}
+// coefficients where the energy concentrates after the transform. The slice
+// is shared; callers must not modify it.
+func scanOrder(n int) []int { return zigzagScans[sizeIdx(n)] }
+
+// rasterOrder returns the raster scan (used when the transform stage is
+// disabled and residuals are coded in the spatial domain). Shared, like
+// scanOrder's.
+func rasterOrder(n int) []int { return rasterScans[sizeIdx(n)] }
+
+func zigzagScan(n int) []int {
 	s := make([]int, 0, n*n)
 	for d := 0; d <= 2*(n-1); d++ {
 		if d%2 == 0 {
@@ -38,22 +55,6 @@ func scanOrder(n int) []int {
 				x--
 			}
 		}
-	}
-	scanCache[n] = s
-	return s
-}
-
-var (
-	scanMu    sync.Mutex
-	scanCache = map[int][]int{}
-)
-
-// rasterOrder returns the raster scan (used when the transform stage is
-// disabled and residuals are coded in the spatial domain).
-func rasterOrder(n int) []int {
-	s := make([]int, n*n)
-	for i := range s {
-		s[i] = i
 	}
 	return s
 }

@@ -1,6 +1,11 @@
 package codec
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 func TestScanOrderIsPermutation(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
@@ -40,10 +45,136 @@ func TestScanOrderFrontsLowFrequencies(t *testing.T) {
 }
 
 func TestRasterOrder(t *testing.T) {
-	s := rasterOrder(4)
-	for i, p := range s {
-		if p != i {
-			t.Fatalf("raster[%d] = %d", i, p)
+	for _, n := range []int{4, 8, 16, 32} {
+		s := rasterOrder(n)
+		if len(s) != n*n {
+			t.Fatalf("n=%d: raster length %d", n, len(s))
+		}
+		for i, p := range s {
+			if p != i {
+				t.Fatalf("n=%d: raster[%d] = %d", n, i, p)
+			}
+		}
+	}
+}
+
+// TestScanTablesMatchDefinition pins the init-time tables against the zigzag's
+// definition stated independently of the walk that builds them:
+// anti-diagonals in order, even ones from bottom-left to top-right (x
+// ascending), odd ones back down (x descending).
+func TestScanTablesMatchDefinition(t *testing.T) {
+	for _, n := range []int{4, 8, 16, 32} {
+		want := make([]int, n*n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			pa, pb := want[a], want[b]
+			da, db := pa/n+pa%n, pb/n+pb%n
+			if da != db {
+				return da < db
+			}
+			if da%2 == 0 {
+				return pa%n < pb%n
+			}
+			return pa%n > pb%n
+		})
+		got := scanOrder(n)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: scan length %d", n, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: scan[%d] = %d, definition says %d", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScanLookupsAllocationFree: the scans are looked up once per RD trial,
+// emitted leaf and parsed leaf from every worker, so a lookup must neither
+// allocate nor (being a plain table read) take a lock.
+func TestScanLookupsAllocationFree(t *testing.T) {
+	var sink int
+	if a := testing.AllocsPerRun(100, func() {
+		for _, n := range []int{4, 8, 16, 32} {
+			sink += len(scanOrder(n)) + len(rasterOrder(n))
+		}
+	}); a != 0 {
+		t.Fatalf("scan lookups allocate %.0f times per 8", a)
+	}
+	_ = sink
+}
+
+// TestEarlyExitSADKeepsTheRanking: scoring modes with sadWithin against the
+// running bound must select the same modes, in the same order, as scoring
+// every mode in full and ranking afterwards — on flat blocks full of ties as
+// much as on busy ones.
+func TestEarlyExitSADKeepsTheRanking(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 10000; trial++ {
+		size := 4 << rng.Intn(4)
+		n2 := size * size
+		modes := 1 + rng.Intn(35)
+		amp := int32(1 + rng.Intn(3)) // small amplitudes: many tying scores
+		if trial%4 == 0 {
+			amp = 255
+		}
+		orig := make([]int32, n2)
+		for i := range orig {
+			orig[i] = rng.Int31n(amp + 1)
+		}
+		preds := make([][]int32, modes)
+		for m := range preds {
+			preds[m] = make([]int32, n2)
+			for i := range preds[m] {
+				preds[m][i] = rng.Int31n(amp + 1)
+			}
+			if m > 0 && rng.Intn(4) == 0 {
+				copy(preds[m], preds[rng.Intn(m)]) // an exact tie
+			}
+		}
+		k := rdCandidates - trial%2
+
+		full := topModes{k: k}
+		early := topModes{k: k}
+		sads := make([]int64, modes)
+		for m, pred := range preds {
+			sads[m] = sadWithin(orig, pred, size, math.MaxInt64)
+			full.offer(m, sads[m])
+			early.offer(m, sadWithin(orig, pred, size, early.bound()))
+		}
+		// The contract both must meet: a stable sort by (SAD ascending,
+		// scoring index descending), cut at k.
+		ref := make([]int, modes)
+		for i := range ref {
+			ref[i] = i
+		}
+		sort.SliceStable(ref, func(a, b int) bool {
+			if sads[ref[a]] != sads[ref[b]] {
+				return sads[ref[a]] < sads[ref[b]]
+			}
+			return ref[a] > ref[b]
+		})
+		if len(ref) > k {
+			ref = ref[:k]
+		}
+		if full.n != len(ref) {
+			t.Fatalf("trial %d: full scoring kept %d modes, want %d", trial, full.n, len(ref))
+		}
+		for i, m := range ref {
+			if full.mi[i] != m {
+				t.Fatalf("trial %d: full scoring ranked %v, stable sort %v", trial, full.mi[:full.n], ref)
+			}
+		}
+		if early.n != full.n || early.mi != full.mi {
+			t.Fatalf("trial %d (size %d, %d modes, k %d): early exit picked %v, full scoring %v",
+				trial, size, modes, k, early.mi[:early.n], full.mi[:full.n])
+		}
+		for i := 0; i < full.n; i++ {
+			if early.score[i] != full.score[i] {
+				t.Fatalf("trial %d: rank %d kept a partial score %d, full %d", trial, i, early.score[i], full.score[i])
+			}
 		}
 	}
 }

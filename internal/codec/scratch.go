@@ -56,15 +56,6 @@ type refSample struct {
 	ok bool
 }
 
-// modeCand is one coarse-scored intra candidate: the mode, its index in the
-// profile's mode list (which addresses its prediction in the preds arena)
-// and its SAD/SATD score.
-type modeCand struct {
-	m     intra.Mode
-	mi    int
-	score int64
-}
-
 // nodeBlockLen is the cuDec arena growth quantum.
 const nodeBlockLen = 256
 
@@ -89,7 +80,6 @@ type scratch struct {
 	// predsArena holds one prediction block per profile mode so that every
 	// coarse-scored candidate stays available for the full-RD stage.
 	predsArena [intra.NumModes * maxBlock]int32
-	cands      [intra.NumModes]modeCand
 
 	// snap holds the recon-region snapshot for each signaled-split depth;
 	// snapshot lifetimes nest exactly like the recursion, so one buffer per
@@ -117,11 +107,11 @@ type scratch struct {
 	// scratch's lifetime, so the map never needs rebuilding).
 	slotOf map[*cabac.Context]int
 
-	// Transforms for every size (4..32) plus the 4×4 DST-VII; profiles with
-	// smaller MaxTransform simply never look the larger ones up. Transform
-	// scratch is internal to *dct.Transform, which is why transforms belong
-	// to the per-worker scratch and not to a global.
-	transforms map[int]*dct.Transform
+	// DCTs for every size (4..32, by sizeIdx) plus the 4×4 DST-VII; profiles
+	// with smaller MaxTransform simply never look the larger ones up.
+	// Transform scratch is internal to *dct.Transform, which is why
+	// transforms belong to the per-worker scratch and not to a global.
+	transforms [4]*dct.Transform
 	dst4       *dct.Transform
 
 	// Bump arenas for decisions that outlive their call; reset per CTU.
@@ -139,11 +129,20 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func newScratch() *scratch {
-	s := &scratch{transforms: map[int]*dct.Transform{}, dst4: dct.NewDST4()}
-	for _, n := range []int{4, 8, 16, 32} {
-		s.transforms[n] = dct.NewDCT(n)
+	s := &scratch{dst4: dct.NewDST4()}
+	for si := range s.transforms {
+		s.transforms[si] = dct.NewDCT(4 << si)
 	}
 	return s
+}
+
+// transformFor picks the transform for a block: the DCT of its size, or the
+// DST-VII when dst4 (a 4×4 intra block under a profile that enables it).
+func (s *scratch) transformFor(size int, dst4 bool) *dct.Transform {
+	if dst4 && size == 4 {
+		return s.dst4
+	}
+	return s.transforms[sizeIdx(size)]
 }
 
 // getScratch obtains a (possibly warm) scratch from the pool. The caller

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+)
+
+// encodeBytesPerOp is the heap bytes one EncodeStack call allocates at steady
+// state (Workers 1): the least of several single calls, so that a call which
+// had to rebuild the pooled codec scratch — after a GC emptied the pool, or
+// because the race detector makes sync.Pool drop a quarter of its Puts — does
+// not count. TotalAlloc is process-wide, so — as testing.AllocsPerRun does —
+// the calls run on one P, and the test must not be made t.Parallel.
+func encodeBytesPerOp(t *testing.T, o Options, stack []*Tensor) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 8; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := o.EncodeStack(stack, 30); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return float64(least)
+}
+
+// TestEncodeStackPerLayerBytes pins what one more layer costs the heap. The
+// hot path is allocation-free (internal/codec's differential tests), so a
+// layer's bytes are its whole-plane buffers: the quantised pixels, the frame
+// plane copied from them and the reconstruction the codec hands back — three
+// planes, plus a stream far smaller than one. The differential (five layers
+// against one) cancels the per-call costs, so a stray buffer per layer — a
+// plane allocated and then dropped for the one quant.ToUint8 returns, say —
+// shows as a whole extra rows×cols: 4.2 planes against 3.2, and the bound sits
+// halfway.
+func TestEncodeStackPerLayerBytes(t *testing.T) {
+	const rows, cols = 128, 128
+	stack := make([]*Tensor, 5)
+	for i := range stack {
+		stack[i] = weightTensor(int64(40+i), rows, cols)
+	}
+	o := DefaultOptions()
+	o.Workers = 1
+	perLayer := (encodeBytesPerOp(t, o, stack) - encodeBytesPerOp(t, o, stack[:1])) / 4
+	if planes := perLayer / (rows * cols); planes > 3.7 {
+		t.Errorf("one more %dx%d layer allocates %.0f bytes = %.2f planes, want about 3.2 (pixels, frame plane, reconstruction, stream)",
+			rows, cols, perLayer, planes)
+	}
+}

@@ -183,8 +183,9 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 	quantSpan := span.Child("quantize")
 	var planes []*frame.Plane
 	for _, t := range stack {
-		pix := make([]uint8, rows*cols)
+		var pix []uint8
 		if o.PerRowQuant {
+			pix = make([]uint8, rows*cols)
 			for r := 0; r < rows; r++ {
 				rowPix, s, z := quant.ToUint8(t.Data[r*cols : (r+1)*cols])
 				copy(pix[r*cols:(r+1)*cols], rowPix)

@@ -10,25 +10,273 @@
 // Keeping the matrices orthonormal (rather than HEVC's hand-tuned integers)
 // preserves the energy-compaction behaviour the paper analyzes (§3.1,
 // Fig. 3) while making round-trip bounds easy to reason about.
+//
+// Kernels. The DCT passes are HEVC-style even/odd partial butterflies over
+// that same matrix A, not a different transform (DESIGN.md §11, "Kernels").
+// Rounding keeps the cosine symmetry A[k][n−1−j] = (−1)ᵏ·A[k][j], and the
+// even rows restricted to the first n/2 columns keep it again at length n/2,
+// so a length-n pass folds its input into sums and differences, multiplies
+// the differences by the (n/2)×(n/2) odd-row sub-matrix and recurses on the
+// sums: ≈ n²/3 multiplies instead of n². Because the rounded half-size matrix
+// is not the even rows of the rounded full-size one (HEVC's hand-tuned
+// matrices nest; round(D·2¹⁰) does not), every size cuts its own per-level
+// odd sub-matrices from its own A. All sums are int64 and the only rounding
+// is the final shift, so the butterfly computes the same polynomial in the
+// inputs as the dense product A·X·Aᵀ; two's-complement arithmetic is a ring,
+// so the outputs are bit-identical to the dense product for every input,
+// including decoder inputs large enough to wrap. Range, for the record: a
+// row of A has L1 norm ≤ √n·2¹⁰, so |res| ≤ 255 gives forward pass-1 sums
+// < 2²¹ and pass-2 sums < 2³⁴, far inside int64; the inverse makes no range
+// assumption because the decoder feeds it untrusted levels. The dense product lives on in dct_test.go as the
+// differential reference. The 4×4 DST-VII has no such symmetry and stays a
+// plain 4×4 matrix product.
 package dct
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 const (
 	matrixBits = 10 // fractional bits in the fixed-point transform matrices
 	coefBits   = 6  // coefficients carry an extra 2^6 scale vs orthonormal
+
+	maxN = 32 // largest transform edge
 )
+
+// butterfly is the even/odd factorisation of one DCT size: read-only after
+// init and shared by every Transform of that size.
+type butterfly struct {
+	n      int
+	levels int // folds above the 4-point tail: log2(n)−2, len of odd in use
+	// odd[lv] is the h×h sub-matrix the level-lv fold multiplies its
+	// differences by, h = n>>(lv+1): row m holds A[(2m+1)<<lv][0:h]. Levels
+	// with h ≥ 4 only; the last two folds are the straight-line 4-point tail.
+	odd [3][]int64
+	// The 4-point tail at coefficient stride s = n/4: dc = A[0][0] (row 0 is
+	// constant), mid = A[2s][0], and the 2×2 odd block a1 = A[s][0:2],
+	// a3 = A[3s][0:2].
+	dc, mid int64
+	a1, a3  [2]int64
+}
+
+// butterflies holds the tables for n = 4, 8, 16, 32 at index log2(n)−2.
+var butterflies [4]butterfly
+
+// levelBits[lv] selects the coefficient indices k = (2m+1)<<lv — the rows
+// whose odd sub-matrix belongs to level lv.
+var levelBits = [3]uint32{0xAAAAAAAA, 0x44444444, 0x10101010}
+
+// dstMat is the 4×4 DST-VII matrix round(S·2^matrixBits), row-major, and
+// dstMatT its transpose.
+var dstMat, dstMatT [16]int64
+
+func init() {
+	for i := range butterflies {
+		butterflies[i] = newButterfly(dctMatrix(4<<i), 4<<i)
+	}
+	const n = 4
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			v := 2 / math.Sqrt(2*float64(n)+1) *
+				math.Sin(float64(2*j+1)*float64(k+1)*math.Pi/float64(2*n+1))
+			dstMat[k*n+j] = int64(math.Round(v * (1 << matrixBits)))
+			dstMatT[j*n+k] = dstMat[k*n+j]
+		}
+	}
+}
+
+// dctMatrix returns A = round(D·2^matrixBits) for the orthonormal n-point
+// DCT-II D, row-major.
+func dctMatrix(n int) []int32 {
+	mat := make([]int32, n*n)
+	for k := 0; k < n; k++ {
+		ck := 1.0
+		if k == 0 {
+			ck = math.Sqrt(0.5)
+		}
+		for j := 0; j < n; j++ {
+			v := math.Sqrt(2/float64(n)) * ck *
+				math.Cos(float64(2*j+1)*float64(k)*math.Pi/float64(2*n))
+			mat[k*n+j] = int32(math.Round(v * (1 << matrixBits)))
+		}
+	}
+	return mat
+}
+
+// newButterfly cuts the per-level odd sub-matrices out of mat, checking the
+// symmetry each fold relies on: at level lv the rows k = r<<lv restricted to
+// the first L = n>>lv columns must satisfy A[k][L−1−j] = (−1)ʳ·A[k][j].
+func newButterfly(mat []int32, n int) butterfly {
+	b := butterfly{n: n, levels: bits.TrailingZeros(uint(n)) - 2}
+	at := func(k, j int) int64 { return int64(mat[k*n+j]) }
+	for lv, L := 0, n; L > 1; lv, L = lv+1, L/2 {
+		h := L / 2
+		for r := 0; r < L; r++ {
+			for j := 0; j < h; j++ {
+				want := at(r<<lv, j)
+				if r%2 == 1 {
+					want = -want
+				}
+				if at(r<<lv, L-1-j) != want {
+					panic(fmt.Sprintf("dct: n=%d matrix row %d breaks the even/odd symmetry at level %d", n, r<<lv, lv))
+				}
+			}
+		}
+		if h < 4 {
+			continue
+		}
+		b.odd[lv] = make([]int64, h*h)
+		for m := 0; m < h; m++ {
+			for j := 0; j < h; j++ {
+				b.odd[lv][m*h+j] = at((2*m+1)<<lv, j)
+			}
+		}
+	}
+	s := n / 4
+	b.dc, b.mid = at(0, 0), at(2*s, 0)
+	b.a1 = [2]int64{at(s, 0), at(s, 1)}
+	b.a3 = [2]int64{at(3*s, 0), at(3*s, 1)}
+	return b
+}
+
+// The odd sub-matrix products, unrolled over fixed-size arrays: straight-line
+// code with no bounds checks is what makes the butterfly pay in Go — the same
+// arithmetic as a loop over slices ran 1.7× slower.
+
+func dot4(a, x *[4]int64) int64 {
+	return a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3]
+}
+
+func dot8(a, x *[8]int64) int64 {
+	return a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3] + a[4]*x[4] + a[5]*x[5] + a[6]*x[6] + a[7]*x[7]
+}
+
+func dot16(a, x *[16]int64) int64 {
+	return dot8((*[8]int64)(a[:8]), (*[8]int64)(x[:8])) + dot8((*[8]int64)(a[8:]), (*[8]int64)(x[8:]))
+}
+
+func axpy4(o, a *[4]int64, c int64) {
+	o[0] += c * a[0]
+	o[1] += c * a[1]
+	o[2] += c * a[2]
+	o[3] += c * a[3]
+}
+
+func axpy8(o, a *[8]int64, c int64) {
+	o[0] += c * a[0]
+	o[1] += c * a[1]
+	o[2] += c * a[2]
+	o[3] += c * a[3]
+	o[4] += c * a[4]
+	o[5] += c * a[5]
+	o[6] += c * a[6]
+	o[7] += c * a[7]
+}
+
+func axpy16(o, a *[16]int64, c int64) {
+	axpy8((*[8]int64)(o[:8]), (*[8]int64)(a[:8]), c)
+	axpy8((*[8]int64)(o[8:]), (*[8]int64)(a[8:]), c)
+}
+
+// fold replaces x[0:L] by its sums x[j]+x[L−1−j] in x[0:L/2] and puts the
+// differences x[j]−x[L−1−j] in o[0:L/2].
+func fold(x *[maxN]int64, o *[maxN / 2]int64, L int) {
+	for j := 0; j < L/2; j++ {
+		p, q := x[j], x[(L-1-j)&(maxN-1)]
+		x[j], o[j] = p+q, p-q
+	}
+}
+
+// unfold is fold's inverse-side twin: x[0:L/2] holds the even part e, and
+// x[0:L] becomes e[j]+o[j] followed by e[j]−o[j] mirrored.
+func unfold(x *[maxN]int64, o *[maxN / 2]int64, L int) {
+	for j := 0; j < L/2; j++ {
+		e := x[j]
+		x[j], x[(L-1-j)&(maxN-1)] = e+o[j], e-o[j]
+	}
+}
+
+// forward computes y = A·x for one length-n vector, clobbering x.
+func (b *butterfly) forward(y, x *[maxN]int64) {
+	var o [maxN / 2]int64
+	lv := 0
+	if b.n == 32 {
+		fold(x, &o, 32)
+		for m := 0; m < 16; m++ {
+			y[2*m+1] = dot16((*[16]int64)(b.odd[0][m*16:]), &o)
+		}
+		lv++
+	}
+	if b.n >= 16 {
+		fold(x, &o, 16)
+		for m := 0; m < 8; m++ {
+			y[((2*m+1)<<lv)&(maxN-1)] = dot8((*[8]int64)(b.odd[lv][m*8:]), (*[8]int64)(o[:8]))
+		}
+		lv++
+	}
+	if b.n >= 8 {
+		fold(x, &o, 8)
+		for m := 0; m < 4; m++ {
+			y[((2*m+1)<<lv)&(maxN-1)] = dot4((*[4]int64)(b.odd[lv][m*4:]), (*[4]int64)(o[:4]))
+		}
+	}
+	s := b.n / 4
+	e0, e1 := x[0]+x[3], x[1]+x[2]
+	o0, o1 := x[0]-x[3], x[1]-x[2]
+	y[0] = b.dc * (e0 + e1)
+	y[s&(maxN-1)] = b.a1[0]*o0 + b.a1[1]*o1
+	y[(2*s)&(maxN-1)] = b.mid * (e0 - e1)
+	y[(3*s)&(maxN-1)] = b.a3[0]*o0 + b.a3[1]*o1
+}
+
+// inverse computes x = Aᵀ·c for one length-n coefficient vector. nz must have
+// bit k set for every non-zero c[k] (a set bit over a zero is harmless); the
+// levels above the 4-point tail visit only the set bits, so their cost
+// follows the non-zero coefficients.
+func (b *butterfly) inverse(x, c *[maxN]int64, nz uint32) {
+	s := b.n / 4
+	c0, c1, c2, c3 := c[0], c[s&(maxN-1)], c[(2*s)&(maxN-1)], c[(3*s)&(maxN-1)]
+	e0, e1 := b.dc*c0+b.mid*c2, b.dc*c0-b.mid*c2
+	o0 := b.a1[0]*c1 + b.a3[0]*c3
+	o1 := b.a1[1]*c1 + b.a3[1]*c3
+	x[0], x[1], x[2], x[3] = e0+o0, e1+o1, e1-o1, e0-o0
+	lv := b.levels
+	if b.n >= 8 {
+		lv--
+		var o [maxN / 2]int64
+		for ks := nz & levelBits[lv]; ks != 0; ks &= ks - 1 {
+			k := bits.TrailingZeros32(ks)
+			axpy4((*[4]int64)(o[:4]), (*[4]int64)(b.odd[lv][k>>(lv+1)*4:]), c[k&(maxN-1)])
+		}
+		unfold(x, &o, 8)
+	}
+	if b.n >= 16 {
+		lv--
+		var o [maxN / 2]int64
+		for ks := nz & levelBits[lv]; ks != 0; ks &= ks - 1 {
+			k := bits.TrailingZeros32(ks)
+			axpy8((*[8]int64)(o[:8]), (*[8]int64)(b.odd[lv][k>>(lv+1)*8:]), c[k&(maxN-1)])
+		}
+		unfold(x, &o, 16)
+	}
+	if b.n == 32 {
+		var o [maxN / 2]int64
+		for ks := nz & levelBits[0]; ks != 0; ks &= ks - 1 {
+			k := bits.TrailingZeros32(ks)
+			axpy16(&o, (*[16]int64)(b.odd[0][k>>1*16:]), c[k&(maxN-1)])
+		}
+		unfold(x, &o, 32)
+	}
+}
 
 // Transform is a 2-D separable integer transform of a fixed square size.
 // Instances carry scratch buffers and are not safe for concurrent use.
 type Transform struct {
-	n    int
-	mat  []int32 // n×n fixed-point forward matrix, row-major
-	tmp  []int64 // scratch for the separable passes
-	tmp2 []int64
+	n   int
+	bf  *butterfly // DCT tables; nil for the DST-VII (dstMat)
+	tmp []int64    // the intermediate between the two separable passes
 }
 
 // NewDCT returns the integer DCT-II transform of size n (4, 8, 16 or 32).
@@ -38,39 +286,28 @@ func NewDCT(n int) *Transform {
 	default:
 		panic(fmt.Sprintf("dct: unsupported size %d", n))
 	}
-	t := &Transform{n: n, mat: make([]int32, n*n), tmp: make([]int64, n*n), tmp2: make([]int64, n*n)}
-	for k := 0; k < n; k++ {
-		ck := 1.0
-		if k == 0 {
-			ck = math.Sqrt(0.5)
-		}
-		for j := 0; j < n; j++ {
-			v := math.Sqrt(2/float64(n)) * ck *
-				math.Cos(float64(2*j+1)*float64(k)*math.Pi/float64(2*n))
-			t.mat[k*n+j] = int32(math.Round(v * (1 << matrixBits)))
-		}
-	}
-	return t
+	return &Transform{n: n, bf: &butterflies[bits.TrailingZeros(uint(n))-2], tmp: make([]int64, n*n)}
 }
 
 // NewDST4 returns the 4×4 DST-VII transform HEVC applies to 4×4 intra luma
 // residuals; its basis better matches residuals that grow away from the
 // predicted edge.
-func NewDST4() *Transform {
-	n := 4
-	t := &Transform{n: n, mat: make([]int32, n*n), tmp: make([]int64, n*n), tmp2: make([]int64, n*n)}
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			v := 2 / math.Sqrt(2*float64(n)+1) *
-				math.Sin(float64(2*j+1)*float64(k+1)*math.Pi/float64(2*n+1))
-			t.mat[k*n+j] = int32(math.Round(v * (1 << matrixBits)))
-		}
-	}
-	return t
-}
+func NewDST4() *Transform { return &Transform{n: 4} }
 
 // Size reports the transform's block edge length.
 func (t *Transform) Size() int { return t.n }
+
+// Forward's total matrix scale is 2^(2·matrixBits), of which it keeps
+// 2^coefBits; Inverse removes that and its own two matrix factors. Each
+// rounds once, on the way out of the second pass.
+const (
+	fwdShift = 2*matrixBits - coefBits
+	invShift = 2*matrixBits + coefBits
+)
+
+func roundShift(v int64, shift uint) int32 {
+	return int32((v + int64(1)<<(shift-1)) >> shift)
+}
 
 // Forward transforms the n×n residual block res (row-major) into
 // coefficients, scaled by 2^coefBits relative to the orthonormal transform.
@@ -80,91 +317,126 @@ func (t *Transform) Forward(dst, res []int32) {
 	if len(res) != n*n || len(dst) != n*n {
 		panic("dct: bad block size")
 	}
-	tmp := t.tmp
-	for i := range tmp {
-		tmp[i] = 0
+	if t.bf == nil {
+		dst4(dst, res, &dstMat, fwdShift)
+		return
 	}
-	// Stage 1: tmp = A · res (transform the columns), streamed row-major.
-	for k := 0; k < n; k++ {
-		arow := t.mat[k*n : k*n+n]
-		trow := tmp[k*n : k*n+n]
-		for i := 0; i < n; i++ {
-			a := int64(arow[i])
-			if a == 0 {
-				continue
-			}
-			rrow := res[i*n : i*n+n]
-			for j, r := range rrow {
-				trow[j] += a * int64(r)
-			}
+	// Both passes transform contiguous rows and write their output down a
+	// column, so the transposes cost nothing extra: pass 1 leaves
+	// tmp[l][i] = (res·Aᵀ)[i][l], pass 2 leaves dst[k][l] = (A·res·Aᵀ)[k][l].
+	var x, y [maxN]int64
+	tmp := t.tmp
+	for i := 0; i < n; i++ {
+		for j, v := range res[i*n : i*n+n] {
+			x[j] = int64(v)
+		}
+		t.bf.forward(&y, &x)
+		for l, v := range y[:n] {
+			tmp[l*n+i] = v
 		}
 	}
-	// Stage 2: dst = tmp · Aᵀ (transform the rows), then rescale:
-	// total matrix scale is 2^(2·matrixBits); keep 2^coefBits.
-	const shift = 2*matrixBits - coefBits
-	const half = int64(1) << (shift - 1)
-	for k := 0; k < n; k++ {
-		trow := tmp[k*n : k*n+n]
-		for l := 0; l < n; l++ {
-			var acc int64
-			lrow := t.mat[l*n : l*n+n]
-			for j, v := range trow {
-				acc += v * int64(lrow[j])
-			}
-			dst[k*n+l] = int32((acc + half) >> shift)
+	for l := 0; l < n; l++ {
+		copy(x[:n], tmp[l*n:l*n+n])
+		t.bf.forward(&y, &x)
+		for k, v := range y[:n] {
+			dst[k*n+l] = roundShift(v, fwdShift)
 		}
 	}
 }
 
 // Inverse reconstructs the residual block from coefficients produced by
 // Forward (after any quantization round-trip). dst and coef may alias.
+//
+// Quantized blocks are mostly zero, so the work follows the block's observed
+// non-zero extent: all-zero coefficient rows are skipped in pass 1, pass 2
+// visits only the rows that were not, each pass-1 row visits only its
+// non-zero columns, and all-zero and DC-only blocks are a fill.
 func (t *Transform) Inverse(dst, coef []int32) {
 	n := t.n
 	if len(coef) != n*n || len(dst) != n*n {
 		panic("dct: bad block size")
 	}
-	// Quantized coefficient blocks are mostly zero, so both passes skip
-	// zero terms. tmpT holds the transpose of Aᵀ·coef: tmpT[j][i].
-	tmpT := t.tmp
-	for i := range tmpT {
-		tmpT[i] = 0
+	if t.bf == nil {
+		dst4(dst, coef, &dstMatT, invShift)
+		return
 	}
+	var rows uint32
 	for k := 0; k < n; k++ {
-		crow := coef[k*n : k*n+n]
-		arow := t.mat[k*n : k*n+n]
-		for j, c := range crow {
-			if c == 0 {
-				continue
-			}
-			c64 := int64(c)
-			tT := tmpT[j*n : j*n+n]
-			for i, a := range arow {
-				tT[i] += c64 * int64(a)
-			}
+		var any int32
+		for _, v := range coef[k*n : k*n+n] {
+			any |= v
+		}
+		if any != 0 {
+			rows |= 1 << uint(k)
 		}
 	}
-	// Stage 2: dst[i][j] = Σ_k tmpT[k][i]·A[k][j], accumulated row-major.
-	const shift = 2*matrixBits + coefBits
-	const half = int64(1) << (shift - 1)
-	acc := t.tmp2
-	for i := range acc {
-		acc[i] = 0
+	dcOnly := rows == 1
+	if dcOnly {
+		var any int32
+		for _, v := range coef[1:n] {
+			any |= v
+		}
+		dcOnly = any == 0
 	}
-	for k := 0; k < n; k++ {
-		tT := tmpT[k*n : k*n+n]
-		arow := t.mat[k*n : k*n+n]
-		for i, v := range tT {
-			if v == 0 {
-				continue
-			}
-			drow := acc[i*n : i*n+n]
-			for j, a := range arow {
-				drow[j] += v * int64(a)
+	if rows == 0 || dcOnly {
+		// Every output is A[0][0]²·coef[0].
+		fill := roundShift(t.bf.dc*t.bf.dc*int64(coef[0]), invShift)
+		for i := range dst {
+			dst[i] = fill
+		}
+		return
+	}
+	tmp := t.tmp
+	if rows != ^uint32(0)>>(32-uint(n)) {
+		clear(tmp) // pass 2 reads zeros for the rows pass 1 skips
+	}
+	// Pass 1: tmp[j][k] = (coef·A)[k][j] for the non-zero rows k.
+	var x, c [maxN]int64
+	for ks := rows; ks != 0; ks &= ks - 1 {
+		k := bits.TrailingZeros32(ks)
+		var nz uint32
+		for l, v := range coef[k*n : k*n+n] {
+			c[l] = int64(v)
+			if v != 0 {
+				nz |= 1 << uint(l)
 			}
 		}
+		t.bf.inverse(&x, &c, nz)
+		for j, v := range x[:n] {
+			tmp[j*n+k] = v
+		}
 	}
-	for i, v := range acc {
-		dst[i] = int32((v + half) >> shift)
+	// Pass 2: dst[i][j] = Σ_k A[k][i]·tmp[j][k].
+	for j := 0; j < n; j++ {
+		copy(c[:n], tmp[j*n:j*n+n])
+		t.bf.inverse(&x, &c, rows)
+		for i, v := range x[:n] {
+			dst[i*n+j] = roundShift(v, invShift)
+		}
+	}
+}
+
+// dst4 is the DST-VII's dense 4×4 product a·src·aᵀ: forward with a = A,
+// inverse with a = Aᵀ.
+func dst4(dst, src []int32, a *[16]int64, shift uint) {
+	var tmp [16]int64
+	for k := 0; k < 4; k++ {
+		for j := 0; j < 4; j++ {
+			var acc int64
+			for i := 0; i < 4; i++ {
+				acc += a[k*4+i] * int64(src[i*4+j])
+			}
+			tmp[k*4+j] = acc
+		}
+	}
+	for k := 0; k < 4; k++ {
+		for l := 0; l < 4; l++ {
+			var acc int64
+			for j := 0; j < 4; j++ {
+				acc += tmp[k*4+j] * a[l*4+j]
+			}
+			dst[k*4+l] = roundShift(acc, shift)
+		}
 	}
 }
 
@@ -215,6 +487,10 @@ func Quantize(dst, coef []int32, qp int) {
 func Dequantize(dst, levels []int32, qp int) {
 	step := Qstep(qp) * quantScale
 	for i, l := range levels {
+		if l == 0 { // most levels; skips the multiply and the rounding
+			dst[i] = 0
+			continue
+		}
 		dst[i] = int32(math.Round(float64(l) * step))
 	}
 }

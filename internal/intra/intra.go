@@ -56,8 +56,9 @@ var angleTable = [33]int32{
 }
 
 // invAngleTable maps |angle| ∈ {2,5,9,13,17,21,26,32} to 8192/angle·2 per the
-// HEVC spec (used to project the secondary reference array).
-var invAngleTable = map[int32]int32{
+// HEVC spec (used to project the secondary reference array); the other
+// entries are never read.
+var invAngleTable = [33]int32{
 	2: 4096, 5: 1638, 9: 910, 13: 630, 17: 482, 21: 390, 26: 315, 32: 256,
 }
 
@@ -186,24 +187,25 @@ func predictAngular(m Mode, n int, r Refs, dst []int32) {
 
 	// Build the main reference array ref[0..3n] where ref[n] is the corner
 	// sample; for vertical modes the main axis is the above row, for
-	// horizontal modes the left column (prediction then transposes). For
+	// horizontal modes the left column (prediction then transposes). One
+	// spare slot, ref[3n+1], lets every sample interpolate ref[i] and
+	// ref[i+1] without a range test: i = 3n is reached only by angle 32 on
+	// the last line, where frac is 0 and the spare's weight with it. For
 	// codec-sized blocks (n ≤ MaxBlockSize) the array lives on the stack so
 	// the per-mode prediction loop is allocation-free.
-	var refBuf [3*MaxBlockSize + 1]int32
+	var refBuf [3*MaxBlockSize + 2]int32
 	var ref []int32
 	if n <= MaxBlockSize {
-		ref = refBuf[:3*n+1]
+		ref = refBuf[:3*n+2]
 	} else {
-		ref = make([]int32, 3*n+1)
+		ref = make([]int32, 3*n+2)
 	}
 	main, side := r.Above, r.Left
 	if !vertical {
 		main, side = r.Left, r.Above
 	}
 	ref[n] = r.Corner
-	for i := 0; i < 2*n; i++ {
-		ref[n+1+i] = main[i]
-	}
+	copy(ref[n+1:3*n+1], main[:2*n])
 	if angle < 0 {
 		// Project side samples into ref[0..n-1] using the inverse angle.
 		inv := invAngleTable[-angle]
@@ -221,22 +223,59 @@ func predictAngular(m Mode, n int, r Refs, dst []int32) {
 		}
 	}
 
+	if vertical {
+		angularRows(dst, ref, n, angle)
+	} else {
+		angularColumns(dst, ref, n, angle)
+	}
+}
+
+// Line l of an angular prediction reads ref from n+1+intPart(l) on, blending
+// neighbours a, b with weight frac(l)/32: (32−frac)·a + frac·b, computed as
+// 32·a + frac·(b−a).
+
+// angularRows lays the lines out as dst rows (the vertical modes), so each
+// row is straight-line code over one window of ref.
+func angularRows(dst, ref []int32, n int, angle int32) {
 	for y := 0; y < n; y++ {
 		pos := int32(y+1) * angle
-		intPart := int(pos >> 5)
 		frac := pos & 31
-		for x := 0; x < n; x++ {
-			i0 := n + 1 + x + intPart
-			a, b := ref[i0], ref[i0]
-			if i0+1 <= 3*n {
-				b = ref[i0+1]
-			}
-			v := ((32-frac)*a + frac*b + 16) >> 5
-			if vertical {
-				dst[y*n+x] = v
-			} else {
-				dst[x*n+y] = v
-			}
+		src := ref[n+1+int(pos>>5):][:n+1]
+		row := dst[y*n:][:n]
+		if frac == 0 {
+			copy(row, src)
+			continue
+		}
+		a := src[0]
+		for x, b := range src[1:] {
+			row[x] = (a<<5 + frac*(b-a) + 16) >> 5
+			a = b
+		}
+	}
+}
+
+// angularColumns lays the lines out as dst columns (the horizontal modes).
+// Writing dst row-major from per-column window offsets and weights keeps the
+// stores sequential; row x reads each column's window x samples further on.
+func angularColumns(dst, ref []int32, n int, angle int32) {
+	var baseBuf, fracBuf [MaxBlockSize]int32
+	base, fracs := baseBuf[:], fracBuf[:]
+	if n > MaxBlockSize {
+		base, fracs = make([]int32, n), make([]int32, n)
+	}
+	base = base[:n]
+	fracs = fracs[:len(base)]
+	for y := range base {
+		pos := int32(y+1) * angle
+		base[y] = int32(n+1) + pos>>5
+		fracs[y] = pos & 31
+	}
+	for x := 0; x < n; x++ {
+		row := dst[x*n:][:n]
+		win := ref[x:]
+		for y, b := range base {
+			a := win[b]
+			row[y] = (a<<5 + fracs[y]*(win[b+1]-a) + 16) >> 5
 		}
 	}
 }

@@ -251,8 +251,95 @@ func TestPredictionPropertyBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkPredictAngular16(b *testing.B) {
-	n := 16
+// predictAngularPerPixel is the per-pixel formula predictAngular shipped
+// with before it became per-row straight-line code: one bounds test and one
+// strided store per sample. Kept as the differential reference.
+func predictAngularPerPixel(m Mode, n int, r Refs, dst []int32) {
+	angle := angleTable[m-2]
+	vertical := m >= 18
+	ref := make([]int32, 3*n+1)
+	main, side := r.Above, r.Left
+	if !vertical {
+		main, side = r.Left, r.Above
+	}
+	ref[n] = r.Corner
+	for i := 0; i < 2*n; i++ {
+		ref[n+1+i] = main[i]
+	}
+	if angle < 0 {
+		inv := map[int32]int32{2: 4096, 5: 1638, 9: 910, 13: 630, 17: 482, 21: 390, 26: 315, 32: 256}[-angle]
+		need := (int(-angle)*n + 31) >> 5
+		for i := 1; i <= need; i++ {
+			idx := (int32(i)*inv + 128) >> 8
+			if int(idx) > 2*n {
+				idx = int32(2 * n)
+			}
+			if idx < 1 {
+				idx = 1
+			}
+			ref[n-i] = side[idx-1]
+		}
+	}
+	for y := 0; y < n; y++ {
+		pos := int32(y+1) * angle
+		intPart := int(pos >> 5)
+		frac := pos & 31
+		for x := 0; x < n; x++ {
+			i0 := n + 1 + x + intPart
+			a, b := ref[i0], ref[i0]
+			if i0+1 <= 3*n {
+				b = ref[i0+1]
+			}
+			v := ((32-frac)*a + frac*b + 16) >> 5
+			if vertical {
+				dst[y*n+x] = v
+			} else {
+				dst[x*n+y] = v
+			}
+		}
+	}
+}
+
+func TestAngularMatchesPerPixelFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, n := range []int{4, 8, 16, 32} {
+		refSets := []Refs{constRefs(n, 0), constRefs(n, 255), constRefs(n, 77)}
+		for trial := 0; trial < 20; trial++ {
+			r := NewRefs(n)
+			r.Corner = int32(rng.Intn(256))
+			for i := range r.Above {
+				r.Above[i] = int32(rng.Intn(256))
+				r.Left[i] = int32(rng.Intn(256))
+				if trial%4 == 0 { // extremes only
+					r.Above[i] = 255 * int32(rng.Intn(2))
+					r.Left[i] = 255 * int32(rng.Intn(2))
+				}
+			}
+			refSets = append(refSets, r)
+		}
+		got, want := make([]int32, n*n), make([]int32, n*n)
+		for ri, r := range refSets {
+			for m := Mode(2); m <= 34; m++ {
+				for i := range got {
+					got[i], want[i] = -1, -2
+				}
+				Predict(m, n, r, got)
+				predictAngularPerPixel(m, n, r, want)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d refs#%d mode %d: dst[%d] = %d, per-pixel formula %d", n, ri, m, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkPredictAngular8(b *testing.B)  { benchPredictAngular(b, 8) }
+func BenchmarkPredictAngular16(b *testing.B) { benchPredictAngular(b, 16) }
+func BenchmarkPredictAngular32(b *testing.B) { benchPredictAngular(b, 32) }
+
+func benchPredictAngular(b *testing.B, n int) {
 	r := NewRefs(n)
 	rng := rand.New(rand.NewSource(2))
 	for i := range r.Above {
@@ -260,6 +347,7 @@ func BenchmarkPredictAngular16(b *testing.B) {
 		r.Left[i] = int32(rng.Intn(256))
 	}
 	dst := make([]int32, n*n)
+	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Predict(Mode(2+i%33), n, r, dst)
