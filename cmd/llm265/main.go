@@ -18,11 +18,11 @@
 //	4  truncated (stream ends early — retry the transfer)
 //	5  checksum mismatch (bit-rot in transit or at rest — refetch)
 //
-// encode, decode and verify accept -metrics <file> to dump the full
-// observability snapshot (per-stage timings, bit accounting, worker-pool
+// Every subcommand exits 1 on a usage or I/O error and 2 on an unknown
+// subcommand or flag. encode, decode and verify accept -metrics <file> to dump the
+// full observability snapshot (per-stage timings, bit accounting, worker-pool
 // utilization, decode-error taxonomy — DESIGN.md §10) as JSON; "-" writes to
-// stdout. The bench subcommand runs a deterministic synthetic workload and
-// emits a BENCH_*.json-compatible report built from the same metrics.
+// stdout.
 package main
 
 import (
@@ -56,8 +56,6 @@ func main() {
 		packCmd(os.Args[2:])
 	case "fetch":
 		fetchCmd(os.Args[2:])
-	case "bench":
-		benchCmd(os.Args[2:])
 	case "serve":
 		serveCmd(os.Args[2:])
 	case "proxy":
@@ -68,7 +66,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: llm265 encode|decode|info|verify|pack|fetch|bench|serve|proxy [flags]")
+	fmt.Fprintln(os.Stderr, "usage: llm265 encode|decode|info|verify|pack|fetch|serve|proxy [flags]")
 	os.Exit(2)
 }
 
@@ -141,6 +139,9 @@ func encodeCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	if *rows > math.MaxInt/4 / *cols {
+		fatal(fmt.Errorf("-rows %d x -cols %d is too large a tensor", *rows, *cols))
+	}
 	if len(raw) != *rows**cols*4 {
 		fatal(fmt.Errorf("input is %d bytes, want %d (rows*cols*4)", len(raw), *rows**cols*4))
 	}
@@ -210,19 +211,22 @@ func decodeCmd(args []string) {
 	opts.Workers = *workers
 	reg, flush := openMetrics(*metrics)
 	opts.Metrics = reg
-	t, err := opts.Decode(enc)
+	layers, err := opts.DecodeStack(enc)
 	if err != nil {
 		fatal(err)
 	}
-	raw := make([]byte, len(t.Data)*4)
-	for i, v := range t.Data {
-		binary.LittleEndian.PutUint32(raw[i*4:], math.Float32bits(v))
+	// The layers of a stack are written back to back in layer order.
+	raw := make([]byte, 0, enc.Layers*enc.Rows*enc.Cols*4)
+	for _, t := range layers {
+		for _, v := range t.Data {
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
+		}
 	}
 	if err := os.WriteFile(*out, raw, 0o644); err != nil {
 		fatal(err)
 	}
 	flush()
-	fmt.Printf("decoded %dx%d -> %s\n", t.Rows, t.Cols, *out)
+	fmt.Printf("decoded %d layer(s) of %dx%d -> %s\n", enc.Layers, enc.Rows, enc.Cols, *out)
 }
 
 func infoCmd(args []string) {

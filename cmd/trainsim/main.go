@@ -1,5 +1,7 @@
 // Command trainsim runs the distributed-training simulators with compressed
 // communication, printing loss curves — a CLI wrapper over internal/train.
+// A compressed -mode dp run also projects its measured wire telemetry onto the
+// cluster step model at 7B-400B scale.
 //
 //	trainsim -mode dp -method llm265 -bits 2.6 -steps 400
 //	trainsim -mode pp -method residual -steps 400
@@ -13,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/allreduce"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
@@ -95,6 +98,30 @@ func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int
 		os.Exit(1)
 	}
 	report(res.Curve, every, res.FinalPPL, fmt.Sprintf("%.2f wire bits/value", res.AvgBits))
+	if rcfg.Codec != nil {
+		project(res.EncodeMBps, res.AvgBits)
+	}
+}
+
+// project feeds the run's measured wire telemetry into the cluster step model
+// at 7B-400B scale on 256 GPUs: once as the single-lane software codec that
+// was measured (the step model bypasses a codec below line rate, so this
+// column equals the uncompressed step), and once lane-scaled until the codec's
+// tensor-side ingest saturates the link at the measured ratio — the ASIC-port
+// projection the paper's §7 sizing argument rests on.
+func project(encodeMBps, avgBits float64) {
+	sw := cluster.MeasuredCodec("measured-sw", encodeMBps, avgBits, 1)
+	lanes := cluster.DefaultNIC.Gbps * sw.Ratio / sw.ThroughputGbps
+	hw := cluster.MeasuredCodec("measured-hw", encodeMBps, avgBits, lanes)
+	scales := []float64{7e9, 70e9, 400e9}
+	swP := cluster.ProjectScales(cluster.LLaMA7B, cluster.DefaultGPU, cluster.DefaultNIC, sw, 256, scales)
+	hwP := cluster.ProjectScales(cluster.LLaMA7B, cluster.DefaultGPU, cluster.DefaultNIC, hw, 256, scales)
+	fmt.Printf("collective encode %.2f MB/s per core at %.2f b/v; projected step time (uncompressed -> 1 lane -> %.0f lanes):\n",
+		encodeMBps, avgBits, lanes)
+	for i, p := range hwP {
+		fmt.Printf("  %3.0fB  DP=%-3d PP=%-3d  %.2fs -> %.2fs -> %.2fs  (%.2fx, comm %.0f%%)\n",
+			scales[i]/1e9, p.DP, p.PP, p.BaseStepS, swP[i].StepS, p.StepS, p.Speedup, 100*p.CommFrac)
+	}
 }
 
 func runPP(corpus *data.Corpus, method string, bits float64, steps int, seed int64, every int) {

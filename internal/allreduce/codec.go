@@ -48,7 +48,7 @@ type Stepper interface{ AdvanceStep() }
 // codec spends 59 % of its coded area, and its rate, on padding. New rounds
 // the default segment height up to a multiple of blockRows; an explicit
 // Config.SegRows is taken as given. TensorCodec pads the same way but does not
-// implement it: BENCH_baseline.json and benchmark/ pin its bytes at the
+// implement it: benchmark/'s grad_ring workload pins its bytes at the
 // unrounded geometry.
 type blockCodec interface{ blockRows() int }
 

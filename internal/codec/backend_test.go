@@ -298,11 +298,11 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	}
 }
 
-// TestRANSBitrateNearCABAC is the codec-level sanity band backing the bench
-// guard: on a dense operating point (qp 16, where payload bits dominate the
-// fixed table/framing overhead) the rANS container must stay within 5% of
-// the CABAC container. The tighter 2% band over the full bench corpus is
-// enforced by `make bench-guard` (BENCH_baseline.json, backends section).
+// TestRANSBitrateNearCABAC caps the compression price of the rANS backend's
+// parallel-decodable payloads (a static shared table vs per-bin adaptation):
+// on a dense operating point (qp 16, where payload bits dominate the fixed
+// table/framing overhead) the rANS container may cost at most 2% more than
+// the CABAC container.
 func TestRANSBitrateNearCABAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	planes := make([]*frame.Plane, 4)
@@ -318,8 +318,8 @@ func TestRANSBitrateNearCABAC(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratio := float64(len(rns)) / float64(len(cab))
-	if ratio > 1.05 {
-		t.Fatalf("rans container is %.1f%% of cabac (%d vs %d bytes), want ≤ 105%%",
+	if ratio > 1.02 {
+		t.Fatalf("rans container is %.1f%% of cabac (%d vs %d bytes), want ≤ 102%%",
 			ratio*100, len(rns), len(cab))
 	}
 	t.Logf("rans/cabac container ratio at qp16: %.4f (%d vs %d bytes)", ratio, len(rns), len(cab))

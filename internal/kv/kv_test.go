@@ -263,8 +263,8 @@ func TestKVAliasedMatchesUnaliased(t *testing.T) {
 	if encA != 3 || encP != 6 {
 		t.Fatalf("encode.chunks: aliased %d (want 3), plain %d (want 6)", encA, encP)
 	}
-	if aliased.Resident() > plain.Resident() {
-		t.Fatalf("aliasing cost bytes: %d vs %d resident", aliased.Resident(), plain.Resident())
+	if aliased.Resident() != plain.Resident() {
+		t.Fatalf("content-addressed dedup broke: %d resident with aliasing, %d without", aliased.Resident(), plain.Resident())
 	}
 	for _, name := range []string{"a", "b"} {
 		x := mustRead(t, aliased, name, 0, -1)

@@ -15,9 +15,8 @@ import (
 // ok is false for an empty, negative or unparseable value — callers fall
 // back to their own backoff schedule then.
 //
-// The helper is shared by every client of the service: the proxy's retry
-// loop and the bench -serve load generator both honor 429/503 hints through
-// it, so the two sides of the protocol cannot drift.
+// The proxy's retry loop honors the service's 429/503 hints through it, so
+// the two sides of the protocol cannot drift.
 func ParseRetryAfter(value string, now time.Time) (wait time.Duration, ok bool) {
 	value = strings.TrimSpace(value)
 	if value == "" {

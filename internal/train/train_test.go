@@ -2,6 +2,7 @@ package train
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -148,6 +149,66 @@ func TestDataParallelOneBit(t *testing.T) {
 	}
 	if res.Curve[len(res.Curve)-1].Loss > res.Curve[5].Loss {
 		t.Fatal("1-bit Adam diverged")
+	}
+}
+
+// TestFig10ShapeOnLiveRing pins the convergence-vs-bitrate ordering that
+// motivates the codec, on the live ring: every arm starts from the same
+// initialization and sees the same data order, so the loss gaps isolate the
+// gradient compression. The FP16 link carries exactly 16 b/v; LLM.265 at QP 28
+// with error feedback stays at or under 4 b/v and within 10% of the FP16
+// loss; naive RTN-2 near the same bitrate — no error feedback, quantizing
+// each contribution on reduce and the sum again on gather — trails LLM.265 by
+// at least 1.25x the gap (measured 1.65x at 60 steps). Seeded init and data
+// and a schedule-independent collective make each arm's trajectory
+// deterministic, so its wire bits and final loss are pinned too: a drift in
+// the trainer, the ring or the wire codec shows here even when the shape
+// survives it.
+func TestFig10ShapeOnLiveRing(t *testing.T) {
+	const steps = 60
+	cfg := nn.Config{Vocab: 32, Dim: 16, Heads: 2, Layers: 4, SeqLen: 16, Hidden: 32}
+	arms := []struct {
+		name     string
+		rcfg     allreduce.Config
+		wireBits int64
+		loss     float64
+	}{
+		{"fp16", allreduce.Config{}, 18186240, 2.6226355070739937},
+		{"llm265-qp28", allreduce.Config{Codec: allreduce.TensorCodec(core.DefaultOptions(), 28), ErrorFeedback: true},
+			2946024, 2.734631331752133},
+		{"rtn2", allreduce.Config{Codec: allreduce.RTNCodec(2, 128)}, 2557440, 2.8078459896985897},
+	}
+	var loss, bits [3]float64
+	for i, a := range arms {
+		m := nn.NewTransformer(rand.New(rand.NewSource(99)), cfg)
+		corpus := data.NewCorpus(1, cfg.Vocab, 20000, 4000)
+		res, err := RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3),
+			DPConfig{Replicas: 2, Batch: 4}, a.rcfg, steps, 7, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		loss[i], bits[i] = res.Curve[len(res.Curve)-1].Loss, res.AvgBits
+		t.Logf("%-12s loss %.4f at %.2f b/v", a.name, loss[i], bits[i])
+		if res.WireBits != a.wireBits {
+			t.Errorf("%s: %d wire bits, pinned %d (collective traffic drifted)", a.name, res.WireBits, a.wireBits)
+		}
+		if math.Abs(loss[i]-a.loss) > 1e-9*a.loss {
+			t.Errorf("%s: final loss %.16g, pinned %.16g (trajectory drifted)", a.name, loss[i], a.loss)
+		}
+	}
+
+	if bits[0] != 16 {
+		t.Errorf("fp16 link carried %.4f b/v, want exactly 16", bits[0])
+	}
+	if bits[1] > 4 {
+		t.Errorf("llm265-qp28 carried %.4f b/v, want <= 4", bits[1])
+	}
+	llmGap, rtnGap := loss[1]-loss[0], loss[2]-loss[0]
+	if llmGap > 0.10*loss[0] {
+		t.Errorf("llm265-qp28 loss gap %.4f exceeds 10%% of the fp16 loss %.4f", llmGap, loss[0])
+	}
+	if rtnGap < 1.25*llmGap {
+		t.Errorf("rtn2 gap %.4f vs llm265-qp28 gap %.4f: naive RTN no longer trails by 1.25x", rtnGap, llmGap)
 	}
 }
 
