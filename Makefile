@@ -109,10 +109,13 @@ fuzz-smoke:
 
 # One pass over every paper-artifact micro-benchmark (testing.B), then the
 # transform and prediction kernels on their own (dense and post-quantisation
-# sparse inverse inputs; DESIGN.md §11 "Kernels").
+# sparse inverse inputs; DESIGN.md §11 "Kernels"), then the one-layer
+# random-access decode at 1 and 2 workers — inline against parse ‖ reconstruct
+# (DESIGN.md §13.4).
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
 	$(GO) test -run '^$$' -bench 'Forward|Inverse|PredictAngular' -benchtime=2000x ./internal/dct/ ./internal/intra/
+	$(GO) test -run '^$$' -bench 'DecodeLayer(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any
 # gain claim is held to: ten alternating pairs per workload, medians,

@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -155,6 +156,40 @@ func benchDecodeStack(b *testing.B, workers int) {
 
 func BenchmarkDecodeStackSerial(b *testing.B)   { benchDecodeStack(b, 1) }
 func BenchmarkDecodeStackParallel(b *testing.B) { benchDecodeStack(b, 0) }
+
+// benchDecodeLayer measures the random-access read the repository benchmark's
+// weights_fetch times: one 256×256 layer — exactly one chunk — out of a
+// 4-layer indexed, checksummed stack at QP 12. At workers=1 it is the inline
+// decode; at workers=2 the chunk's reconstruct stage runs beside its parse
+// (DESIGN.md §13.4).
+func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
+	rng := rand.New(rand.NewSource(8))
+	layers, n := 4, 256
+	stack := make([]*core.Tensor, layers)
+	for l, data := range tensorgen.WeightStack(rng, layers, n, n, 0.3) {
+		stack[l] = core.FromSlice(n, n, data)
+	}
+	o := core.DefaultOptions()
+	o.Checksum, o.Index, o.Backend = true, true, backend
+	enc, err := o.EncodeStack(stack, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		o.Workers = workers
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(n * n * 4))
+			for i := 0; i < b.N; i++ {
+				if _, err := o.DecodeLayer(enc, i%layers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeLayerCABAC(b *testing.B) { benchDecodeLayer(b, codec.BackendCABAC) }
+func BenchmarkDecodeLayerRANS(b *testing.B)  { benchDecodeLayer(b, codec.BackendRANS) }
 
 // BenchmarkStackRoundTripParallel measures the full core path (8-bit map,
 // parallel encode, parallel decode, dequantize) on a layer stack.

@@ -54,34 +54,40 @@ func TestEncodeSteadyStateAllocationFree(t *testing.T) {
 
 func TestDecodeSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	build := func(w, h int) ([]byte, [][2]int) {
+	pc := &parsedContainer{prof: HEVC, tools: AllTools, qp: 30}
+	build := func(w, h int) *chunkMeta {
 		planes := []*frame.Plane{gradientPlane(rng, w, h)}
 		s := newScratch()
-		payload, _, _, _ := encodeChunk(context.Background(), planes, 30, HEVC, AllTools, nil, s)
-		return payload, [][2]int{{w, h}}
+		payload, _, _, _ := encodeChunk(context.Background(), planes, pc.qp, pc.prof, pc.tools, nil, s)
+		return &chunkMeta{payload: payload, dims: [][2]int{{w, h}}}
 	}
-	smallPay, smallDims := build(32, 32)
-	largePay, largeDims := build(128, 128)
+	small, large := build(32, 32), build(128, 128)
 
-	s := newScratch()
-	measure := func(payload []byte, dims [][2]int) float64 {
-		if _, err := decodeChunkPayload(context.Background(), payload, dims, HEVC, AllTools, 30, nil, false, s); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := decodeChunkPayload(context.Background(), payload, dims, HEVC, AllTools, 30, nil, false, s); err != nil {
-				panic(err)
+	// Inline and with the reconstruct stage on its own goroutine: the batch
+	// ring lives in the scratch, so the stage adds only its channels and
+	// goroutine to the per-call fixed costs.
+	for _, surplus := range []bool{false, true} {
+		s := newScratch()
+		measure := func(c *chunkMeta) float64 {
+			if _, err := decodeChunkPayload(context.Background(), c, pc, surplus, nil, s); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
-	aSmall := measure(smallPay, smallDims)
-	aLarge := measure(largePay, largeDims)
-	if aLarge > aSmall+2 {
-		t.Errorf("128x128 decode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
-			aLarge, aSmall)
-	}
-	if aSmall > 16 {
-		t.Errorf("%.0f fixed allocations per decodeChunkPayload call, want <= 16", aSmall)
+			return testing.AllocsPerRun(10, func() {
+				if _, err := decodeChunkPayload(context.Background(), c, pc, surplus, nil, s); err != nil {
+					panic(err)
+				}
+			})
+		}
+		aSmall := measure(small)
+		aLarge := measure(large)
+		if aLarge > aSmall+2 {
+			t.Errorf("surplus=%v: 128x128 decode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
+				surplus, aLarge, aSmall)
+		}
+		if aSmall > 16 {
+			t.Errorf("surplus=%v: %.0f fixed allocations per decodeChunkPayload call, want <= 16", surplus, aSmall)
+		}
+		t.Logf("surplus=%v: %.0f allocations per call", surplus, aSmall)
 	}
 }
 

@@ -122,9 +122,11 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 
 // DecodeConfig carries everything Decode needs besides the bytes.
 type DecodeConfig struct {
-	// Workers sizes the chunk worker pool; <= 0 selects GOMAXPROCS. Under
-	// the rANS backend, workers beyond the chunk count decode a chunk's
-	// interleaved lanes in parallel instead.
+	// Workers sizes the chunk worker pool; <= 0 selects GOMAXPROCS. Workers
+	// beyond the chunk count go inside the chunks instead: each chunk's
+	// reconstruction runs beside its entropy parse, and a rANS chunk's
+	// interleaved lanes decode in parallel. The planes are identical for
+	// every value.
 	Workers int
 	// Metrics, when non-nil, receives the codec.decode.* taxonomy
 	// (metrics.go), including the decode-error counters.
@@ -254,7 +256,7 @@ func decodeContainer(ctx context.Context, data []byte, cfg DecodeConfig, m *decM
 		// Keep only the chunks whose plane spans overlap the window. They
 		// keep their dims/planeBase/index, so decodeChunks still scatters
 		// planes to absolute container positions and reports original chunk
-		// numbers, and surplus workers still become rANS lane parallelism.
+		// numbers, and surplus workers still go inside the chunks.
 		var picked []chunkMeta
 		for _, c := range pc.chunks {
 			if c.planeBase < first+count && c.planeBase+len(c.dims) > first {

@@ -45,66 +45,11 @@ import (
 	"sync"
 
 	"repro/internal/bits"
-	"repro/internal/cabac"
 	"repro/internal/rans"
 )
 
-// nCtxSlots is the number of adaptive context slots in contexts (split[6] +
-// interFlag + modeSame + cbf[4] + sig[4][9] + g1[4] + g2[4]); the canonical
-// slot order is fixed by (*contexts).slotList and shared by the recorder,
-// the payload assembler, the header table and the decoder.
-const nCtxSlots = 56
-
 // ransLanes is the per-chunk interleave factor of the rANS backend.
 const ransLanes = rans.Interleave
-
-// slotList fills dst with pointers to every context in canonical slot
-// order. Both bitstream sides derive their slot numbering from this one
-// function, so the order is part of the bitstream contract.
-func (c *contexts) slotList(dst *[nCtxSlots]*cabac.Context) {
-	k := 0
-	for i := range c.split {
-		dst[k] = &c.split[i]
-		k++
-	}
-	dst[k] = &c.interFlag
-	k++
-	dst[k] = &c.modeSame
-	k++
-	for s := 0; s < 4; s++ {
-		dst[k] = &c.cbf[s]
-		k++
-	}
-	for s := 0; s < 4; s++ {
-		for d := 0; d < 9; d++ {
-			dst[k] = &c.sig[s][d]
-			k++
-		}
-	}
-	for s := 0; s < 4; s++ {
-		dst[k] = &c.g1[s]
-		k++
-	}
-	for s := 0; s < 4; s++ {
-		dst[k] = &c.g2[s]
-		k++
-	}
-}
-
-// ransSlots returns the context-pointer→slot map for this scratch's
-// embedded context set. The contexts live at stable addresses inside the
-// scratch, so the map is built once per scratch and reused for every chunk.
-func (s *scratch) ransSlots() map[*cabac.Context]int {
-	if s.slotOf == nil {
-		var list [nCtxSlots]*cabac.Context
-		s.ctx.slotList(&list)
-		s.slotOf = make(map[*cabac.Context]int, nCtxSlots)
-		for i, p := range list {
-			s.slotOf[p] = i
-		}
-	}
-	return s.slotOf
-}
 
 // ---------------------------------------------------------------- encoding
 
@@ -125,14 +70,13 @@ func newRansRecord() *ransRecord {
 // adaptation (Update) so the encoder's RD estimates — and therefore its
 // decisions and reconstructions — are identical under either backend.
 type ransBinEnc struct {
-	rec    *ransRecord
-	slotOf map[*cabac.Context]int
+	rec *ransRecord
+	ctx *contexts
 }
 
-func (e ransBinEnc) bit(ctx *cabac.Context, bin int) {
-	s := e.slotOf[ctx]
-	e.rec.slotBins[s] = append(e.rec.slotBins[s], uint8(bin))
-	ctx.Update(bin)
+func (e ransBinEnc) bit(slot, bin int) {
+	e.rec.slotBins[slot] = append(e.rec.slotBins[slot], uint8(bin))
+	e.ctx[slot].Update(bin)
 }
 func (e ransBinEnc) bypass(bin int)              { e.rec.bypass.WriteBit(bin) }
 func (e ransBinEnc) bypassBits(v uint32, n uint) { e.rec.bypass.WriteBits(uint64(v), n) }
@@ -238,13 +182,14 @@ func (r *ransRecord) assemble(tab *[nCtxSlots]uint8) []byte {
 // ---------------------------------------------------------------- decoding
 
 // ransChunk is a chunk payload after the parallel pre-decode: per-slot bin
-// queues (contiguous windows of the slot-major array) and the bypass
-// reader, consumed by the serial syntax parse through ransBinDec.
+// queues (contiguous windows of the slot-major array: slot s owns
+// bins[prefix[s]:prefix[s+1]], and next[s] is its read cursor) and the
+// bypass reader. It is the binDecoder the serial syntax parse runs against.
 type ransChunk struct {
 	bins    []uint8
 	prefix  [nCtxSlots + 1]int
-	qPos    [nCtxSlots]int
-	bypass  *bits.Reader
+	next    [nCtxSlots]int
+	raw     *bits.Reader // the bypass-bit window
 	bypassN int
 }
 
@@ -287,7 +232,7 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 		return nil, truncatedf("codec: rans payload ends inside %d bypass bytes", bypassBytes)
 	}
 	c := &ransChunk{
-		bypass:  bits.NewReader(payload[off : off+bypassBytes]),
+		raw:     bits.NewReader(payload[off : off+bypassBytes]),
 		bypassN: int(bypassN),
 	}
 	off += bypassBytes
@@ -317,6 +262,7 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 		}
 	}
 	c.prefix[nCtxSlots] = int(total)
+	copy(c.next[:], c.prefix[:nCtxSlots])
 	if total == 0 {
 		if off != len(payload) {
 			return nil, corruptf("codec: rans %d trailing bytes after empty bin table", len(payload)-off)
@@ -402,44 +348,36 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 // corruption, not a success.
 func (c *ransChunk) close() error {
 	for s := 0; s < nCtxSlots; s++ {
-		if have, used := c.prefix[s+1]-c.prefix[s], c.qPos[s]; used != have {
+		if have, used := c.prefix[s+1]-c.prefix[s], c.next[s]-c.prefix[s]; used != have {
 			return corruptf("codec: rans slot %d: %d of %d bins consumed", s, used, have)
 		}
 	}
-	if c.bypass.BitPos() != c.bypassN {
-		return corruptf("codec: rans %d of %d bypass bits consumed", c.bypass.BitPos(), c.bypassN)
+	if c.raw.BitPos() != c.bypassN {
+		return corruptf("codec: rans %d of %d bypass bits consumed", c.raw.BitPos(), c.bypassN)
 	}
 	return nil
 }
 
-// ransBinDec is the binDecoder the serial syntax parse runs against: bits
-// come from the pre-decoded per-slot queues, bypass from the raw window.
-type ransBinDec struct {
-	c      *ransChunk
-	slotOf map[*cabac.Context]int
-}
-
-func (d ransBinDec) bit(ctx *cabac.Context) int {
-	s := d.slotOf[ctx]
-	i := d.c.prefix[s] + d.c.qPos[s]
-	if i >= d.c.prefix[s+1] {
+func (c *ransChunk) bit(slot int) int {
+	i := c.next[slot]
+	if i >= c.prefix[slot+1] {
 		// The parse wants more bins for this slot than the payload declared.
 		panic(decodeError{errMalformed})
 	}
-	d.c.qPos[s]++
-	return int(d.c.bins[i])
+	c.next[slot] = i + 1
+	return int(c.bins[i])
 }
 
-func (d ransBinDec) bypass() int {
-	b, err := d.c.bypass.ReadBit()
+func (c *ransChunk) bypass() int {
+	b, err := c.raw.ReadBit()
 	if err != nil {
 		panic(decodeError{err})
 	}
 	return b
 }
 
-func (d ransBinDec) bypassBits(n uint) uint32 {
-	v, err := d.c.bypass.ReadBits(n)
+func (c *ransChunk) bypassBits(n uint) uint32 {
+	v, err := c.raw.ReadBits(n)
 	if err != nil {
 		panic(decodeError{err})
 	}

@@ -9,7 +9,9 @@ import (
 // otherwise a plain bit writer (every bin costs one literal bit, which is
 // what "no entropy coding" means for the Fig. 2 ablation).
 type binEncoder interface {
-	bit(ctx *cabac.Context, bin int)
+	// bit codes one bin under the adaptive context in the given slot
+	// (ctxSplit … ctxG2 below).
+	bit(slot, bin int)
 	bypass(bin int)
 	bypassBits(v uint32, n uint)
 	finish() []byte
@@ -21,36 +23,46 @@ type binEncoder interface {
 }
 
 type binDecoder interface {
-	bit(ctx *cabac.Context) int
+	bit(slot int) int
 	bypass() int
 	bypassBits(n uint) uint32
 }
 
-type cabacBinEnc struct{ e *cabac.Encoder }
+// The CABAC adaptors pair the arithmetic engine with the context set it
+// adapts. They are pointer receivers on values embedded in the scratch
+// (scratch.cabacEnc/cabacDec), so handing one to a binEncoder/binDecoder
+// interface allocates nothing.
+type cabacBinEnc struct {
+	e   *cabac.Encoder
+	ctx *contexts
+}
 
-func (c cabacBinEnc) bit(ctx *cabac.Context, bin int) { c.e.EncodeBit(ctx, bin) }
-func (c cabacBinEnc) bypass(bin int)                  { c.e.EncodeBypass(bin) }
-func (c cabacBinEnc) bypassBits(v uint32, n uint)     { c.e.EncodeBypassBits(v, n) }
-func (c cabacBinEnc) finish() []byte                  { return c.e.Finish() }
-func (c cabacBinEnc) bitLen() int                     { return c.e.BitLenEstimate() }
+func (c *cabacBinEnc) bit(slot, bin int)           { c.e.EncodeBit(&c.ctx[slot], bin) }
+func (c *cabacBinEnc) bypass(bin int)              { c.e.EncodeBypass(bin) }
+func (c *cabacBinEnc) bypassBits(v uint32, n uint) { c.e.EncodeBypassBits(v, n) }
+func (c *cabacBinEnc) finish() []byte              { return c.e.Finish() }
+func (c *cabacBinEnc) bitLen() int                 { return c.e.BitLenEstimate() }
 
-type cabacBinDec struct{ d *cabac.Decoder }
+type cabacBinDec struct {
+	d   *cabac.Decoder
+	ctx *contexts
+}
 
-func (c cabacBinDec) bit(ctx *cabac.Context) int { return c.d.DecodeBit(ctx) }
-func (c cabacBinDec) bypass() int                { return c.d.DecodeBypass() }
-func (c cabacBinDec) bypassBits(n uint) uint32   { return c.d.DecodeBypassBits(n) }
+func (c *cabacBinDec) bit(slot int) int         { return c.d.DecodeBit(&c.ctx[slot]) }
+func (c *cabacBinDec) bypass() int              { return c.d.DecodeBypass() }
+func (c *cabacBinDec) bypassBits(n uint) uint32 { return c.d.DecodeBypassBits(n) }
 
 type rawBinEnc struct{ w *bits.Writer }
 
-func (r rawBinEnc) bit(_ *cabac.Context, bin int) { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypass(bin int)                { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypassBits(v uint32, n uint)   { r.w.WriteBits(uint64(v), n) }
-func (r rawBinEnc) finish() []byte                { return r.w.Bytes() }
-func (r rawBinEnc) bitLen() int                   { return r.w.BitLen() }
+func (r rawBinEnc) bit(_, bin int)              { r.w.WriteBit(bin) }
+func (r rawBinEnc) bypass(bin int)              { r.w.WriteBit(bin) }
+func (r rawBinEnc) bypassBits(v uint32, n uint) { r.w.WriteBits(uint64(v), n) }
+func (r rawBinEnc) finish() []byte              { return r.w.Bytes() }
+func (r rawBinEnc) bitLen() int                 { return r.w.BitLen() }
 
 type rawBinDec struct{ r *bits.Reader }
 
-func (d rawBinDec) bit(_ *cabac.Context) int {
+func (d rawBinDec) bit(int) int {
 	b, err := d.r.ReadBit()
 	if err != nil {
 		panic(decodeError{err})
@@ -58,7 +70,7 @@ func (d rawBinDec) bit(_ *cabac.Context) int {
 	return b
 }
 
-func (d rawBinDec) bypass() int { return d.bit(nil) }
+func (d rawBinDec) bypass() int { return d.bit(0) }
 
 func (d rawBinDec) bypassBits(n uint) uint32 {
 	v, err := d.r.ReadBits(n)
@@ -116,42 +128,49 @@ func egLen(v uint32, k uint) int {
 	return n + int(k)
 }
 
-// contexts is the full set of adaptive contexts, identically initialized on
-// the encoder and decoder sides. One instance lives per coded sequence so
-// adaptation carries across the frames of a tensor.
-type contexts struct {
-	split     [6]cabac.Context    // by quadtree depth
-	interFlag cabac.Context       //
-	modeSame  cabac.Context       // intra mode equals previous CU's mode
-	cbf       [4]cabac.Context    // coded-block flag, by size index
-	sig       [4][9]cabac.Context // significance, by size index × diagonal bin
-	g1        [4]cabac.Context    // |level| > 1
-	g2        [4]cabac.Context    // |level| > 2
-}
+// The adaptive context slots. Their order is bitstream contract: the rANS
+// backend's header table, payload count table and slot-major bin layout all
+// number contexts by these indices (backend.go), so a slot may be added at
+// the end under a new container version but never moved.
+const (
+	ctxSplit     = 0                // [6] split flag, by quadtree depth
+	ctxInterFlag = ctxSplit + 6     // inter/intra flag of a P-frame leaf
+	ctxModeSame  = ctxInterFlag + 1 // intra mode equals the previous leaf's
+	ctxCbf       = ctxModeSame + 1  // [4] coded-block flag, by size index
+	ctxSig       = ctxCbf + 4       // [4][sigBins] significance, size index × diagonal bin
+	ctxG1        = ctxSig + 4*sigBins
+	ctxG2        = ctxG1 + 4 // ctxG1, ctxG2: [4] |level| > 1, > 2, by size index
+	nCtxSlots    = ctxG2 + 4 // 56
+)
 
-func newContexts() *contexts {
-	c := &contexts{}
-	c.init()
-	return c
-}
+// sigBins is the number of anti-diagonal bins the significance contexts of
+// one block size are spread over (diagBin's range).
+const sigBins = 9
+
+// splitDepths is how many quadtree depths own a split context; deeper
+// splits share the last.
+const splitDepths = ctxInterFlag - ctxSplit
+
+// contexts is the full set of adaptive contexts, identically initialized on
+// the encoder and decoder sides and addressed by the slot indices above. One
+// instance lives per coded sequence so adaptation carries across the frames
+// of a tensor.
+type contexts [nCtxSlots]cabac.Context
 
 // init (re)sets every context to its initial adaptive state. Pooled
 // scratches call this per chunk so a recycled context set is
 // indistinguishable from a fresh one — the bitstream contract depends on it.
 func (c *contexts) init() {
-	for i := range c.split {
-		c.split[i] = cabac.NewContext(0.5)
-	}
-	c.interFlag = cabac.NewContext(0.8) // inter is rare on tensors
-	c.modeSame = cabac.NewContext(0.5)
-	for s := 0; s < 4; s++ {
-		c.cbf[s] = cabac.NewContext(0.3)
-		c.g1[s] = cabac.NewContext(0.6)
-		c.g2[s] = cabac.NewContext(0.6)
-		for d := 0; d < 9; d++ {
-			c.sig[s][d] = cabac.NewContext(0.6)
+	fill := func(from, to int, p0 float64) {
+		for s := from; s < to; s++ {
+			c[s] = cabac.NewContext(p0)
 		}
 	}
+	fill(ctxSplit, ctxInterFlag, 0.5)
+	fill(ctxInterFlag, ctxModeSame, 0.8) // inter is rare on tensors
+	fill(ctxModeSame, ctxCbf, 0.5)
+	fill(ctxCbf, ctxSig, 0.3)
+	fill(ctxSig, nCtxSlots, 0.6) // sig, g1, g2
 }
 
 // sizeIdx maps a block edge (4..32) to a context table index.

@@ -3,6 +3,7 @@ package codec
 import (
 	"context"
 	"encoding/binary"
+	"time"
 
 	"repro/internal/bits"
 	"repro/internal/cabac"
@@ -11,29 +12,39 @@ import (
 	"repro/internal/intra"
 )
 
+// decoder is the parse stage of a chunk decode (DESIGN.md §13.4): it owns the
+// bin reader, the entropy contexts and the mode predictor, and turns the
+// substream into per-CTU batches of leaf records and level blocks. It never
+// looks at a pixel; the reconstruct stage (recon.go) consumes the batches in
+// order, inline after each CTU or — when the pool has workers to spare — on
+// a goroutine of its own behind the scratch's batch ring.
 type decoder struct {
 	prof  Profile
 	tools Tools
-	qp    int
-
-	w, h  int
-	recon *frame.Plane
-	prev  *frame.Plane
-	coded []bool
 	fIdx  int
 
-	ctx *contexts
-	br  binDecoder
+	br binDecoder
 
-	// scr is the per-worker scratch arena; owned exclusively by this decoder
-	// for the duration of the chunk.
+	// scr is the per-worker scratch arena; owned exclusively by this decode
+	// for the duration of the chunk. scr.rcn is the reconstruct stage's
+	// state, which the parse stage touches only at frame boundaries, when
+	// that stage is drained.
 	scr *scratch
+
+	// stage is the running reconstruct goroutine, nil when batches are
+	// reconstructed inline.
+	stage *reconStage
 
 	// cancel, when non-nil, is a cancellable context polled once per CTU —
 	// the decoder-side twin of encoder.cancel (DESIGN.md §12).
 	cancel context.Context
 
 	prevMode intra.Mode
+
+	// entropyNs accumulates the time spent parsing CTUs when timed is set
+	// (metrics enabled); one clock pair per CTU batch, none otherwise.
+	timed     bool
+	entropyNs int64
 }
 
 // checkPreamble validates the fixed 8-byte preamble plus the minimum header
@@ -149,15 +160,20 @@ func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][
 // call ever become real; the fuzz harness relies on it staying finite.
 const maxDecodePixels = 1 << 28
 
-// decodeChunkPayload decodes one independent substream covering the given
-// frame dims into freshly allocated planes, using the caller's scratch s for
-// every transient buffer. Distinct chunks may be decoded concurrently as
-// long as each call owns its scratch.
+// decodeChunkPayload decodes chunk c of a parsed container — one independent
+// substream — into freshly allocated planes, using the caller's scratch s for
+// every transient buffer. Distinct chunks may be decoded concurrently as long
+// as each call owns its scratch.
 //
-// For the rANS backend, ransTab is the header's shared probability table and
-// laneParallel chooses whether the payload's interleaved states pre-decode
-// on goroutines (surplus pool workers) or serially; the result is identical.
-func decodeChunkPayload(ctx context.Context, payload []byte, dims [][2]int, prof Profile, tools Tools, qp int, ransTab *[nCtxSlots]uint8, laneParallel bool, s *scratch) (planes []*frame.Plane, err error) {
+// surplus says the pool has more workers than chunks, and so goroutines to
+// spare inside this one: the reconstruct stage then runs beside the parse
+// instead of after each CTU, and a rANS payload's interleaved states
+// pre-decode in parallel instead of serially. The planes are identical either
+// way. The stage goroutine is started here and joined here, on every exit —
+// normal return, a decodeError or cancelAbort panic out of the parse, a defect
+// panic in either stage — so it never outlives the call and the scratch is
+// quiescent when it goes back to the pool.
+func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, surplus bool, m *decMetrics, s *scratch) (planes []*frame.Plane, err error) {
 	// recover() must be called directly by the deferred function, so the
 	// panic trap is inlined here rather than delegated to a helper. Known
 	// decode panics travel as decodeError values; a cancelAbort carries a
@@ -181,37 +197,67 @@ func decodeChunkPayload(ctx context.Context, payload []byte, dims [][2]int, prof
 
 	d := &s.dec
 	*d = decoder{
-		prof:   prof,
-		tools:  tools,
-		qp:     qp,
-		ctx:    s.contexts(),
+		prof:   pc.prof,
+		tools:  pc.tools,
 		scr:    s,
 		cancel: cancellable(ctx),
+		timed:  m != nil,
 	}
+	s.rcn = reconstructor{prof: pc.prof, tools: pc.tools, qp: pc.qp, scr: s, timed: m != nil}
 	var rc *ransChunk
 	switch {
-	case tools.Backend == BackendRANS:
-		if ransTab == nil {
+	case pc.tools.Backend == BackendRANS:
+		if pc.ransTab == nil {
 			return nil, corruptf("codec: rans chunk without a header table")
 		}
 		// Pre-decode every context bin through the interleaved states before
 		// the (serial) syntax parse; this is where the backend's intra-chunk
 		// parallelism lives.
-		rc, err = parseRansPayload(payload, ransTab, dimsPixels(dims), laneParallel)
+		rc, err = parseRansPayload(c.payload, pc.ransTab, dimsPixels(c.dims), surplus)
 		if err != nil {
 			return nil, classifyStreamErr(err)
 		}
-		d.br = ransBinDec{c: rc, slotOf: s.ransSlots()}
-	case tools.CABAC:
-		d.br = cabacBinDec{cabac.NewDecoder(payload)}
+		d.br = rc
+	case pc.tools.CABAC:
+		s.ctx.init()
+		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
+		d.br = &s.cabacDec
 	default:
-		d.br = rawBinDec{bits.NewReader(payload)}
+		d.br = rawBinDec{bits.NewReader(c.payload)}
 	}
 
-	planes = make([]*frame.Plane, len(dims))
-	for i := range dims {
+	var stageStart time.Time
+	if surplus {
+		if m != nil {
+			stageStart = time.Now()
+		}
+		d.stage = startReconStage(&s.rcn, c.index)
+	}
+	// Registered after the recover above, so on a panic it runs first: the
+	// stage is joined before the panic becomes this call's error.
+	defer func() {
+		if d.stage != nil {
+			if failed := d.stage.join(); failed != nil && err == nil {
+				planes, err = nil, corruptf("codec: decode panic: %v", failed)
+			}
+		}
+		if m != nil {
+			m.stageEntropy.Observe(d.entropyNs)
+			m.stageRecon.Observe(s.rcn.busyNs)
+			if d.stage != nil {
+				// The stage goroutine is one more pool slot for as long as it
+				// lived, busy while it reconstructed.
+				m.pipelined.Inc()
+				m.pool.busy.Add(s.rcn.busyNs)
+				m.pool.wall.Add(int64(time.Since(stageStart)))
+			}
+		}
+	}()
+
+	planes = make([]*frame.Plane, len(c.dims))
+	for i := range c.dims {
 		d.fIdx = i
-		planes[i] = d.decodeFrame(dims[i][0], dims[i][1])
+		planes[i] = d.decodeFrame(c.dims[i][0], c.dims[i][1])
 	}
 	if rc != nil {
 		// Strict end-of-chunk rule: the syntax parse must have consumed every
@@ -223,19 +269,20 @@ func decodeChunkPayload(ctx context.Context, payload []byte, dims [][2]int, prof
 	return planes, nil
 }
 
+// decodeFrame parses one frame CTU by CTU, handing each CTU's batch to the
+// reconstruct stage, and returns the cropped reconstruction. The frame is a
+// barrier between the stages: the reconstruction is set up before the first
+// batch and cropped after the last has been reconstructed, so frame state
+// changes hands only while the stage is idle (and an inter-predicted frame
+// always finds its reference complete).
 func (d *decoder) decodeFrame(srcW, srcH int) *frame.Plane {
-	d.prev = d.recon
-	d.w = padTo(srcW, d.prof.CTUSize)
-	d.h = padTo(srcH, d.prof.CTUSize)
-	// The padded reconstruction is recycled from the scratch arena; stale
-	// contents are safe because no uncoded pixel is ever read (mirrors the
-	// encoder, which is what keeps the two reconstructions bit-identical).
-	d.recon = d.scr.reconPlane.Reuse(d.w, d.h)
-	d.coded = d.scr.codedMask(d.w * d.h)
+	ctu := d.prof.CTUSize
+	w, h := padTo(srcW, ctu), padTo(srcH, ctu)
+	d.scr.rcn.beginFrame(w, h)
 	d.prevMode = intra.DC
 
-	for y := 0; y < d.h; y += d.prof.CTUSize {
-		for x := 0; x < d.w; x += d.prof.CTUSize {
+	for y := 0; y < h; y += ctu {
+		for x := 0; x < w; x += ctu {
 			// Cooperative cancellation point, mirroring the encoder: one
 			// poll per CTU, one nil check when not cancellable.
 			if d.cancel != nil {
@@ -243,15 +290,55 @@ func (d *decoder) decodeFrame(srcW, srcH int) *frame.Plane {
 					panic(cancelAbort{err})
 				}
 			}
-			d.parseCU(x, y, d.prof.CTUSize, 0)
+			b := d.emptyBatch()
+			if d.timed {
+				t0 := time.Now()
+				d.parseCU(b, x, y, ctu, 0)
+				d.entropyNs += int64(time.Since(t0))
+			} else {
+				d.parseCU(b, x, y, ctu, 0)
+			}
+			d.submit(b)
 		}
 	}
-	crop := frame.NewPlane(srcW, srcH)
-	for y := 0; y < srcH; y++ {
-		copy(crop.Row(y), d.recon.Row(y)[:srcW])
+	d.drain()
+	return d.scr.rcn.endFrame(srcW, srcH)
+}
+
+// emptyBatch returns the batch the next CTU is parsed into: the scratch's
+// first when reconstruction is inline, otherwise the next one the stage has
+// finished with (waiting for it when the parse is a full ring ahead).
+func (d *decoder) emptyBatch() *ctuBatch {
+	b := &d.scr.ring[0]
+	if d.stage != nil {
+		b = <-d.stage.free
 	}
-	d.recon = crop
-	return crop
+	b.n, b.levN = 0, 0
+	return b
+}
+
+// submit hands a parsed CTU to the reconstruct stage.
+func (d *decoder) submit(b *ctuBatch) {
+	if d.stage != nil {
+		d.stage.full <- b
+		return
+	}
+	d.scr.rcn.run(b)
+}
+
+// drain returns once every submitted batch has been reconstructed. The stage
+// frees a batch only after reconstructing it, so holding the whole ring
+// means it is idle.
+func (d *decoder) drain() {
+	if d.stage == nil {
+		return
+	}
+	for range d.scr.ring {
+		<-d.stage.free
+	}
+	for i := range d.scr.ring {
+		d.stage.free <- &d.scr.ring[i]
+	}
 }
 
 // Tool/profile split rules must match the encoder bit for bit.
@@ -283,98 +370,71 @@ func (d *decoder) splitKindFor(size int) splitKind {
 	return splitLeafOnly
 }
 
-func (d *decoder) parseCU(x, y, size, depth int) {
+func (d *decoder) parseCU(b *ctuBatch, x, y, size, depth int) {
 	split := false
 	switch d.splitKindFor(size) {
 	case splitForced:
 		split = true
 	case splitSignaled:
-		split = d.br.bit(&d.ctx.split[min(depth, len(d.ctx.split)-1)]) == 1
+		split = d.br.bit(splitSlot(depth)) == 1
 	case splitLeafOnly:
 	}
 	if split {
 		h := size / 2
 		for i := 0; i < 4; i++ {
-			d.parseCU(x+(i%2)*h, y+(i/2)*h, h, depth+1)
+			d.parseCU(b, x+(i%2)*h, y+(i/2)*h, h, depth+1)
 		}
 		return
 	}
-	d.parseLeaf(x, y, size)
+	d.parseLeaf(b, x, y, size)
 }
 
-func (d *decoder) parseLeaf(x, y, size int) {
-	var (
-		isInter  bool
-		mvx, mvy int32
-		mode     = intra.DC
-	)
+// parseLeaf appends one leaf — its prediction decision and its level block —
+// to the batch.
+func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
+	lf := &b.leaves[b.n]
+	b.n++
+	*lf = leafRec{x: int32(x), y: int32(y), size: int32(size), mode: intra.DC}
 	if d.tools.InterPred && d.fIdx > 0 {
-		isInter = d.br.bit(&d.ctx.interFlag) == 1
+		lf.inter = d.br.bit(ctxInterFlag) == 1
 	}
-	if isInter {
-		mvx = unzigzag(egDecode(d.br, 1))
-		mvy = unzigzag(egDecode(d.br, 1))
+	if lf.inter {
+		lf.mvx = unzigzag(egDecode(d.br, 1))
+		lf.mvy = unzigzag(egDecode(d.br, 1))
 	} else if d.tools.IntraPred {
-		if d.br.bit(&d.ctx.modeSame) == 1 {
-			mode = d.prevMode
+		if d.br.bit(ctxModeSame) == 1 {
+			lf.mode = d.prevMode
 		} else {
 			idx := int(d.br.bypassBits(modeIdxBits(len(d.prof.Modes))))
 			if idx >= len(d.prof.Modes) {
 				panic(decodeError{errMalformed})
 			}
-			mode = d.prof.Modes[idx]
+			lf.mode = d.prof.Modes[idx]
 		}
-		d.prevMode = mode
+		d.prevMode = lf.mode
 	}
-
-	s := d.scr
-	lev := d.parseResidual(size, d.tools.Transform)
-
-	pred := s.pred[:size*size]
-	switch {
-	case isInter:
-		motionPredict(d.prev, pred, x, y, size, mvx, mvy)
-	case d.tools.IntraPred:
-		refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-		refs = gatherRefsInto(d.recon, d.coded, x, y, size, s.rawRefs[:4*size+1], refs)
-		if d.prof.RefSmoothing && intra.UseSmoothing(size, mode) {
-			refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-		}
-		intra.Predict(mode, size, refs, pred)
-	default:
-		for i := range pred {
-			pred[i] = 128
-		}
-	}
-
-	tr := s.transformFor(size, !isInter && d.prof.UseDST4)
-	rec := s.rec[:size*size]
-	reconstructBlockInto(rec, s.coefA[:size*size], pred, lev, d.qp, d.tools.Transform, tr)
-	storeBlock(d.recon, d.coded, rec, x, y, size)
+	lev := b.lev[b.levN : b.levN+size*size]
+	b.levN += size * size
+	d.parseResidual(lev, size, d.tools.Transform)
 }
 
-// parseResidual decodes one level block into the scratch trial buffer,
-// valid until the next parseResidual call.
-func (d *decoder) parseResidual(size int, transformed bool) []int32 {
+// parseResidual decodes one level block into lev (size×size, row-major).
+func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
-	scan := scanOrder(size)
-	if !transformed {
-		scan = rasterOrder(size)
-	}
-	lev := d.scr.trialLev[:size*size]
+	scan, sigSlot := residualScan(size, transformed)
 	clear(lev)
-	if d.br.bit(&d.ctx.cbf[si]) == 0 {
-		return lev
+	if d.br.bit(ctxCbf+si) == 0 {
+		return
 	}
 	k := uint(0)
-	for _, pos := range scan {
-		if d.br.bit(&d.ctx.sig[si][diagBin(pos, size)]) == 0 {
+	for i, pos := range scan {
+		if d.br.bit(int(sigSlot[i])) == 0 {
 			continue
 		}
 		a := int32(1)
-		if d.br.bit(&d.ctx.g1[si]) == 1 {
+		if d.br.bit(ctxG1+si) == 1 {
 			a = 2
-			if d.br.bit(&d.ctx.g2[si]) == 1 {
+			if d.br.bit(ctxG2+si) == 1 {
 				rem := egDecode(d.br, k)
 				a = 3 + int32(rem)
 				if rem > 3<<k && k < 4 {
@@ -387,5 +447,4 @@ func (d *decoder) parseResidual(size int, transformed bool) []int32 {
 		}
 		lev[pos] = a
 	}
-	return lev
 }

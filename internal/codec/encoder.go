@@ -38,7 +38,6 @@ type encoder struct {
 	coded []bool       // per-pixel "already reconstructed" mask
 	fIdx  int
 
-	ctx    *contexts
 	bw     binEncoder
 	lambda float64
 
@@ -136,14 +135,16 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 		prof:   prof,
 		tools:  tools,
 		qp:     qp,
-		ctx:    s.contexts(),
 		lambda: 0.12 * dct.Qstep(qp) * dct.Qstep(qp),
 		scr:    s,
 		cancel: cancellable(ctx),
 	}
+	// Every chunk starts from the same adaptive state on both the encoder
+	// and decoder sides.
+	s.ctx.init()
 	if tools.Backend == BackendRANS {
 		rec = newRansRecord()
-		e.bw = ransBinEnc{rec: rec, slotOf: s.ransSlots()}
+		e.bw = ransBinEnc{rec: rec, ctx: &s.ctx}
 	} else {
 		e.bw = s.binEnc(tools.CABAC)
 	}
@@ -877,10 +878,7 @@ func dequantizeSpatial(dst, lev []int32, qp int) {
 // estimateLevelBits approximates the entropy-coded size of a level block for
 // RD decisions (the emission phase spends the real bits).
 func estimateLevelBits(lev []int32, size int, transformed bool) float64 {
-	scan := scanOrder(size)
-	if !transformed {
-		scan = rasterOrder(size)
-	}
+	scan, _ := residualScan(size, transformed)
 	last := -1
 	for i := len(scan) - 1; i >= 0; i-- {
 		if lev[scan[i]] != 0 {
@@ -929,6 +927,9 @@ func unzigzag(u uint32) int32 {
 	return -int32(u+1) >> 1
 }
 
+// splitSlot is the context slot of the split flag at a quadtree depth.
+func splitSlot(depth int) int { return ctxSplit + min(depth, splitDepths-1) }
+
 // emitCU serializes a decided CU tree.
 func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
 	switch e.splitKindFor(size) {
@@ -941,10 +942,10 @@ func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
 		}
 		if e.rec != nil {
 			b0 := e.bw.bitLen()
-			e.bw.bit(&e.ctx.split[min(depth, len(e.ctx.split)-1)], b)
+			e.bw.bit(splitSlot(depth), b)
 			e.rec.bitsPartition += int64(e.bw.bitLen() - b0)
 		} else {
-			e.bw.bit(&e.ctx.split[min(depth, len(e.ctx.split)-1)], b)
+			e.bw.bit(splitSlot(depth), b)
 		}
 	case splitLeafOnly:
 		// no flag, leaf guaranteed
@@ -969,7 +970,7 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 		if d.inter {
 			b = 1
 		}
-		e.bw.bit(&e.ctx.interFlag, b)
+		e.bw.bit(ctxInterFlag, b)
 	}
 	if d.inter {
 		egEncode(e.bw, zigzagU(d.mvx), 1)
@@ -979,7 +980,7 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 		if d.mode == e.prevModeEmit {
 			same = 1
 		}
-		e.bw.bit(&e.ctx.modeSame, same)
+		e.bw.bit(ctxModeSame, same)
 		if same == 0 {
 			idx := e.modeIndex(d.mode)
 			e.bw.bypassBits(uint32(idx), modeIdxBits(len(e.prof.Modes)))
@@ -1016,10 +1017,7 @@ func modeIdxBits(n int) uint {
 
 func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
-	scan := scanOrder(size)
-	if !transformed {
-		scan = rasterOrder(size)
-	}
+	scan, sigSlot := residualScan(size, transformed)
 	cbf := 0
 	for _, l := range lev {
 		if l != 0 {
@@ -1027,18 +1025,18 @@ func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
 			break
 		}
 	}
-	e.bw.bit(&e.ctx.cbf[si], cbf)
+	e.bw.bit(ctxCbf+si, cbf)
 	if cbf == 0 {
 		return
 	}
 	k := uint(0)
-	for _, pos := range scan {
+	for i, pos := range scan {
 		l := lev[pos]
 		sig := 0
 		if l != 0 {
 			sig = 1
 		}
-		e.bw.bit(&e.ctx.sig[si][diagBin(pos, size)], sig)
+		e.bw.bit(int(sigSlot[i]), sig)
 		if sig == 0 {
 			continue
 		}
@@ -1050,13 +1048,13 @@ func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
 		if a > 1 {
 			g1 = 1
 		}
-		e.bw.bit(&e.ctx.g1[si], g1)
+		e.bw.bit(ctxG1+si, g1)
 		if g1 == 1 {
 			g2 := 0
 			if a > 2 {
 				g2 = 1
 			}
-			e.bw.bit(&e.ctx.g2[si], g2)
+			e.bw.bit(ctxG2+si, g2)
 			if g2 == 1 {
 				rem := uint32(a - 3)
 				egEncode(e.bw, rem, k)

@@ -580,13 +580,13 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 // ChunkError).
 func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decMetrics) ([]*frame.Plane, []ChunkError) {
 	planes := make([]*frame.Plane, len(pc.dims))
-	// Intra-chunk lane parallelism (rANS backend only): when the pool has
-	// more workers than chunks, the surplus goes to parallel rANS state
-	// decoding inside each chunk — the whole point of the interleaved
-	// backend. Computed from the requested count, since the pool's clamp to
+	// Intra-chunk parallelism: when the pool has more workers than chunks,
+	// the surplus goes inside each chunk — to its reconstruct stage, which
+	// then overlaps the parse, and under the rANS backend to parallel state
+	// decoding. Computed from the requested count, since the pool's clamp to
 	// the chunk count is exactly what discards the surplus. Output is
 	// identical either way.
-	laneParallel := pc.tools.Backend == BackendRANS && normalizeWorkers(workers) > len(pc.chunks)
+	surplus := normalizeWorkers(workers) > len(pc.chunks)
 	var pm *poolMetrics
 	if m != nil {
 		pm = &m.pool
@@ -604,7 +604,7 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 		if m != nil {
 			t0 = time.Now()
 		}
-		ps, err := decodeChunkPayload(ctx, c.payload, c.dims, pc.prof, pc.tools, pc.qp, pc.ransTab, laneParallel, scr)
+		ps, err := decodeChunkPayload(ctx, c, pc, surplus, m, scr)
 		if m != nil {
 			m.pool.chunkNs.ObserveSince(t0)
 			m.chunks.Inc()

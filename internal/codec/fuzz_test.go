@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,7 +35,10 @@ func typedOrNil(t *testing.T, label string, err error) {
 //   - when the strict decode accepts, the Partial one agrees: no chunk
 //     errors, identical plane geometry and pixels;
 //   - a windowed decode that succeeds returns the same planes as the crop of
-//     the full decode, strict and Partial alike.
+//     the full decode, strict and Partial alike;
+//   - a decode with workers to spare (reconstruct stage on its own goroutine)
+//     ends in the same error class and planes as the one-worker decode, with
+//     the goroutine count back where it was.
 //
 // Seeded with one valid container of each version, every golden conformance
 // vector (testdata/golden/*.l265 — all profiles, tool combinations, and
@@ -100,6 +104,19 @@ func FuzzDecode(f *testing.F) {
 		ctx := context.Background()
 		strict, strictErr := Decode(ctx, data, DecodeConfig{Workers: 1})
 		typedOrNil(t, "strict", strictErr)
+
+		// The staged path (reconstruct on its own goroutine, DESIGN.md §13.4)
+		// must be indistinguishable from the inline one above and must have
+		// joined its goroutine by the time Decode returns.
+		baseline := runtime.NumGoroutine()
+		staged, stagedErr := Decode(ctx, data, DecodeConfig{Workers: stagedWorkers})
+		if errClass(stagedErr) != errClass(strictErr) {
+			t.Fatalf("inline decode is %q, staged is %q (%v / %v)", errClass(strictErr), errClass(stagedErr), strictErr, stagedErr)
+		}
+		if strictErr == nil && !samePlanes(strict.Planes, staged.Planes) {
+			t.Fatal("staged decode's planes differ from the inline decode's")
+		}
+		awaitGoroutines(t, "staged", baseline)
 
 		res, partialErr := Decode(ctx, data, DecodeConfig{Workers: 1, Partial: true})
 		typedOrNil(t, "partial", partialErr)

@@ -27,6 +27,8 @@
 //	codec.decode.errors.{corrupt,truncated,checksum}          counters
 //	codec.decode.partial.{chunks_lost,planes_lost}            counters
 //	codec.decode.stage.parse_ns                               histogram  (container parse)
+//	codec.decode.stage.{entropy,reconstruct}_ns               histograms (per chunk)
+//	codec.decode.pipelined_chunks                             counter    (chunks whose reconstruct stage had its own goroutine)
 //	codec.decode.chunk_ns                                     histogram  (per-chunk decode)
 //	codec.decode.pool.{busy_ns,wall_ns}                       counters
 //	codec.decode.pool.workers                                 histogram
@@ -39,8 +41,15 @@
 // (TestDecodeCallsCountEveryInvocation pins one row per failure class).
 // codec.encode.calls counts completed encodes only.
 //
+// The decode stage split mirrors encode's: one observation per chunk, summed
+// from one clock pair per CTU batch — entropy_ns is the syntax parse,
+// reconstruct_ns the pixel pipeline (DESIGN.md §13.4). Time the parse spends
+// waiting for the reconstruct stage is in neither.
+//
 // pool.wall_ns is wall-clock × pool size (total worker-seconds of
-// capacity), so utilization = pool.busy_ns / pool.wall_ns directly. Bit
+// capacity), so utilization = pool.busy_ns / pool.wall_ns directly; a
+// pipelined chunk's reconstruct goroutine counts as one more slot for its
+// lifetime, busy while it reconstructs. Bit
 // attribution under CABAC is byte-granular per site but telescopes exactly
 // in aggregate (see binEncoder.bitLen).
 package codec
@@ -149,7 +158,8 @@ type decMetrics struct {
 	errCorrupt, errTruncated, errChecksum *obs.Counter
 	errCanceled                           *obs.Counter
 	partialChunksLost, partialPlanesLost  *obs.Counter
-	stageParse                            *obs.Histogram
+	pipelined                             *obs.Counter
+	stageParse, stageEntropy, stageRecon  *obs.Histogram
 	pool                                  poolMetrics
 }
 
@@ -167,7 +177,10 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 		errCanceled:       reg.Counter("codec.decode.errors.canceled"),
 		partialChunksLost: reg.Counter("codec.decode.partial.chunks_lost"),
 		partialPlanesLost: reg.Counter("codec.decode.partial.planes_lost"),
+		pipelined:         reg.Counter("codec.decode.pipelined_chunks"),
 		stageParse:        reg.Histogram("codec.decode.stage.parse_ns"),
+		stageEntropy:      reg.Histogram("codec.decode.stage.entropy_ns"),
+		stageRecon:        reg.Histogram("codec.decode.stage.reconstruct_ns"),
 		pool: poolMetrics{
 			chunkNs: reg.Histogram("codec.decode.chunk_ns"),
 			workers: reg.Histogram("codec.decode.pool.workers"),

@@ -55,6 +55,7 @@ func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 		"codec.encode.stage.entropy_ns", "codec.encode.stage.container_ns",
 		"codec.encode.chunk_ns", "codec.encode.pool.workers",
 		"codec.decode.stage.parse_ns", "codec.decode.chunk_ns",
+		"codec.decode.stage.entropy_ns", "codec.decode.stage.reconstruct_ns",
 	} {
 		if s.Histograms[h].Count <= 0 {
 			t.Errorf("histogram %s empty", h)
@@ -133,6 +134,67 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 	}
 	if plain[4] != 1 || !bytes.Equal(got, plain) {
 		t.Fatal("metrics changed single-chunk encode bytes")
+	}
+
+	// Decode: the planes are the same with metrics off or on, reconstructed
+	// inline (3 chunks on 1 or 3 workers) or by the staged path (on 8).
+	ref, err := decodeAll(want, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3, 8} {
+		reg := obs.NewRegistry()
+		dec, err := Decode(context.Background(), want, DecodeConfig{Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePlanes(dec.Planes, ref) {
+			t.Fatalf("metrics changed decoded planes at %d workers", workers)
+		}
+		staged := int64(0)
+		if workers > 3 {
+			staged = 3
+		}
+		if got := reg.Snapshot().Counters["codec.decode.pipelined_chunks"]; got != staged {
+			t.Fatalf("%d workers: pipelined_chunks = %d, want %d", workers, got, staged)
+		}
+	}
+}
+
+// TestDecodeStageMetrics pins the decode stage split: one entropy and one
+// reconstruct observation per chunk on either path, and a staged chunk's
+// goroutine accounted as one more pool slot — busy no longer than it lived,
+// so utilization stays a ratio.
+func TestDecodeStageMetrics(t *testing.T) {
+	data, _, err := encodeAs(ContainerLegacy, metricsPlanes(2), 30, HEVC, AllTools, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		reg := obs.NewRegistry()
+		if _, err := Decode(context.Background(), data, DecodeConfig{Workers: workers, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		s := reg.Snapshot()
+		for _, h := range []string{"codec.decode.stage.entropy_ns", "codec.decode.stage.reconstruct_ns"} {
+			if got := s.Histograms[h]; got.Count != 2 || got.Sum <= 0 {
+				t.Errorf("workers=%d: %s has %d observations summing to %d, want one per chunk", workers, h, got.Count, got.Sum)
+			}
+		}
+		staged := int64(0)
+		if workers > 2 {
+			staged = 2
+		}
+		if got := s.Counters["codec.decode.pipelined_chunks"]; got != staged {
+			t.Errorf("workers=%d: pipelined_chunks = %d, want %d", workers, got, staged)
+		}
+		busy, wall := s.Counters["codec.decode.pool.busy_ns"], s.Counters["codec.decode.pool.wall_ns"]
+		if busy <= 0 || busy > wall {
+			t.Errorf("workers=%d: pool busy %d, wall %d", workers, busy, wall)
+		}
+		if recon := s.Histograms["codec.decode.stage.reconstruct_ns"].Sum; staged > 0 && busy < recon {
+			t.Errorf("workers=%d: pool busy %d leaves out the stage goroutines' %d", workers, busy, recon)
+		}
 	}
 }
 

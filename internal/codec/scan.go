@@ -5,6 +5,13 @@ package codec
 // and parsed leaf of every worker looks one up.
 var zigzagScans, rasterScans [4][]int
 
+// zigzagSigSlots[si][i] is the context slot of the significance bin of the
+// i-th coefficient in scan order — ctxSig + si·sigBins + diagBin(scan[i], n) —
+// and rasterSigSlots the same for the raster scan. Indexed by scan position,
+// not by coefficient, so emitResidual and parseResidual walk scan and slots
+// in step and pay no division per coefficient.
+var zigzagSigSlots, rasterSigSlots [4][]uint8
+
 func init() {
 	for si := range zigzagScans {
 		n := 4 << si
@@ -13,19 +20,33 @@ func init() {
 		for i := range rasterScans[si] {
 			rasterScans[si][i] = i
 		}
+		zigzagSigSlots[si] = sigSlots(zigzagScans[si], si)
+		rasterSigSlots[si] = sigSlots(rasterScans[si], si)
 	}
 }
 
-// scanOrder returns the zigzag coefficient scan for an n×n block: positions
-// ordered by anti-diagonal from the DC corner, which fronts the low-frequency
-// coefficients where the energy concentrates after the transform. The slice
-// is shared; callers must not modify it.
-func scanOrder(n int) []int { return zigzagScans[sizeIdx(n)] }
+func sigSlots(scan []int, si int) []uint8 {
+	slots := make([]uint8, len(scan))
+	for i, pos := range scan {
+		slots[i] = uint8(ctxSig + si*sigBins + diagBin(pos, 4<<si))
+	}
+	return slots
+}
 
-// rasterOrder returns the raster scan (used when the transform stage is
-// disabled and residuals are coded in the spatial domain). Shared, like
-// scanOrder's.
-func rasterOrder(n int) []int { return rasterScans[sizeIdx(n)] }
+// residualScan returns the coefficient scan of a size×size level block with
+// the significance-context slot of every scan position. Under the transform
+// the scan is the zigzag: positions ordered by anti-diagonal from the DC
+// corner, which fronts the low-frequency coefficients where the energy
+// concentrates; with the transform stage disabled residuals are coded in the
+// spatial domain, in raster order. Both slices are shared; callers must not
+// modify them.
+func residualScan(size int, transformed bool) (scan []int, sigSlot []uint8) {
+	si := sizeIdx(size)
+	if transformed {
+		return zigzagScans[si], zigzagSigSlots[si]
+	}
+	return rasterScans[si], rasterSigSlots[si]
+}
 
 func zigzagScan(n int) []int {
 	s := make([]int, 0, n*n)
@@ -59,12 +80,14 @@ func zigzagScan(n int) []int {
 	return s
 }
 
-// diagBin maps a scan position's anti-diagonal to a context bin in [0, 8].
+// diagBin maps a coefficient position's anti-diagonal to a context bin in
+// [0, sigBins). It is the definition the sigSlots tables are built from; the
+// hot loops read the tables.
 func diagBin(pos, n int) int {
 	d := pos/n + pos%n
-	b := d * 9 / (2*n - 1)
-	if b > 8 {
-		b = 8
+	b := d * sigBins / (2*n - 1)
+	if b > sigBins-1 {
+		b = sigBins - 1
 	}
 	return b
 }

@@ -9,7 +9,7 @@ import (
 
 func TestScanOrderIsPermutation(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
-		s := scanOrder(n)
+		s, _ := residualScan(n, true)
 		if len(s) != n*n {
 			t.Fatalf("n=%d: scan length %d", n, len(s))
 		}
@@ -26,7 +26,7 @@ func TestScanOrderIsPermutation(t *testing.T) {
 func TestScanOrderFrontsLowFrequencies(t *testing.T) {
 	// The scan must start at DC and visit anti-diagonals in order.
 	for _, n := range []int{4, 8, 16, 32} {
-		s := scanOrder(n)
+		s, _ := residualScan(n, true)
 		if s[0] != 0 {
 			t.Fatalf("n=%d: scan does not start at DC", n)
 		}
@@ -46,7 +46,7 @@ func TestScanOrderFrontsLowFrequencies(t *testing.T) {
 
 func TestRasterOrder(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
-		s := rasterOrder(n)
+		s, _ := residualScan(n, false)
 		if len(s) != n*n {
 			t.Fatalf("n=%d: raster length %d", n, len(s))
 		}
@@ -79,7 +79,7 @@ func TestScanTablesMatchDefinition(t *testing.T) {
 			}
 			return pa%n > pb%n
 		})
-		got := scanOrder(n)
+		got, _ := residualScan(n, true)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: scan length %d", n, len(got))
 		}
@@ -98,7 +98,9 @@ func TestScanLookupsAllocationFree(t *testing.T) {
 	var sink int
 	if a := testing.AllocsPerRun(100, func() {
 		for _, n := range []int{4, 8, 16, 32} {
-			sink += len(scanOrder(n)) + len(rasterOrder(n))
+			zigzag, sig := residualScan(n, true)
+			raster, _ := residualScan(n, false)
+			sink += len(zigzag) + len(raster) + len(sig)
 		}
 	}); a != 0 {
 		t.Fatalf("scan lookups allocate %.0f times per 8", a)

@@ -97,15 +97,10 @@ type scratch struct {
 	reconPlane frame.Plane // padded reconstruction
 	coded      []bool      // per-pixel coverage mask
 
-	// Sequence-lifetime state, re-initialized per chunk.
-	ctx      contexts
-	cabacEnc *cabac.Encoder
+	// Sequence-lifetime encoder state, re-initialized per chunk. (The
+	// context set itself sits with the decoder's parse-stage fields below.)
+	cabacEnc cabacBinEnc
 	rawEnc   *bits.Writer
-
-	// slotOf maps the embedded contexts to their canonical rANS slot
-	// numbers; built lazily by ransSlots (the addresses are stable for the
-	// scratch's lifetime, so the map never needs rebuilding).
-	slotOf map[*cabac.Context]int
 
 	// DCTs for every size (4..32, by sizeIdx) plus the 4×4 DST-VII; profiles
 	// with smaller MaxTransform simply never look the larger ones up.
@@ -120,10 +115,30 @@ type scratch struct {
 	levels             [][]int32
 	levBlock, levIdx   int
 
-	// Embedded encoder/decoder so per-chunk state needs no allocation.
+	// Embedded per-chunk state, so a chunk needs no allocation for it: the
+	// encoder, and the decoder's reconstruct stage.
 	enc encoder
-	dec decoder
+	rcn reconstructor
+
+	// Everything above this line that a decode touches belongs to its
+	// reconstruct stage; everything below belongs to its parse stage
+	// (recon.go has the ownership table). When the two run on different
+	// goroutines the parse writes ctx once per bin and dec and a ring batch
+	// once per leaf while the reconstruct reads the fields above once per
+	// leaf, so the pads keep the stages — and the batches from the parse
+	// state — on cache lines of their own.
+	_        stagePad
+	ctx      contexts // shared with the encoder, which has one stage
+	cabacDec cabacBinDec
+	dec      decoder
+	_        stagePad
+	ring     [ringDepth]ctuBatch
 }
+
+// stagePad separates fields written by one decode stage from fields read by
+// the other: two 64-byte lines, because the adjacent-line prefetcher pairs
+// them.
+type stagePad [128]byte
 
 // scratchPool recycles per-worker scratches across calls; see getScratch.
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
@@ -154,25 +169,18 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // escaped data can alias it.
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
-// contexts re-initializes and returns the embedded context set; every chunk
-// starts from the same adaptive state on both the encoder and decoder sides.
-func (s *scratch) contexts() *contexts {
-	s.ctx.init()
-	return &s.ctx
-}
-
 // binEnc returns the entropy back-end for a fresh chunk, reusing the
 // underlying engine and its output buffer. finish() hands back a slice
 // aliasing that buffer, so encodeChunk copies the payload out before the
 // scratch can be reused or pooled.
 func (s *scratch) binEnc(useCABAC bool) binEncoder {
 	if useCABAC {
-		if s.cabacEnc == nil {
-			s.cabacEnc = cabac.NewEncoder()
+		if s.cabacEnc.e == nil {
+			s.cabacEnc = cabacBinEnc{e: cabac.NewEncoder(), ctx: &s.ctx}
 		} else {
-			s.cabacEnc.Reset()
+			s.cabacEnc.e.Reset()
 		}
-		return cabacBinEnc{s.cabacEnc}
+		return &s.cabacEnc
 	}
 	if s.rawEnc == nil {
 		s.rawEnc = bits.NewWriter()

@@ -52,3 +52,49 @@ func TestEncodeStackPerLayerBytes(t *testing.T) {
 			rows, cols, perLayer, planes)
 	}
 }
+
+// TestDecodeStackPerLayerAllocs pins what one more layer costs a decode in
+// allocations: its chunk's planes and bin reader, and one tensor. Dequantising
+// through a fresh slice per row used to make that a row count (266 a layer at
+// 256 rows); the differential (five layers against one) cancels the per-call
+// costs, and the least of several calls discounts a rebuilt codec scratch, as
+// in encodeBytesPerOp.
+func TestDecodeStackPerLayerAllocs(t *testing.T) {
+	const rows, cols = 256, 256 // one chunk per layer
+	stack := make([]*Tensor, 5)
+	for i := range stack {
+		stack[i] = weightTensor(int64(50+i), rows, cols)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, perRow := range []bool{false, true} {
+		o := DefaultOptions()
+		o.Workers, o.PerRowQuant = 1, perRow
+		allocs := func(stack []*Tensor) float64 {
+			enc, err := o.EncodeStack(stack, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least := ^uint64(0)
+			var before, after runtime.MemStats
+			for i := 0; i < 8; i++ {
+				runtime.ReadMemStats(&before)
+				if _, err := o.DecodeStack(enc); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if d := after.Mallocs - before.Mallocs; d < least {
+					least = d
+				}
+			}
+			return float64(least)
+		}
+		whole := allocs(stack)
+		if perLayer := (whole - allocs(stack[:1])) / 4; perLayer > 10 {
+			t.Errorf("perRow=%v: one more %dx%d layer costs a decode %.1f allocations, want <= 10", perRow, rows, cols, perLayer)
+		}
+		if whole > 50 {
+			t.Errorf("perRow=%v: a 5-layer decode makes %.0f allocations, want <= 50", perRow, whole)
+		}
+		t.Logf("perRow=%v: %.0f allocations for 5 layers", perRow, whole)
+	}
+}

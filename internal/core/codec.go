@@ -326,8 +326,18 @@ func (e *Encoded) checkPlaneGeometry(planes []*frame.Plane, regs []frame.Region)
 // partial decode), dequantizing recovered regions and leaving damaged
 // regions at the zero-fill value 0.0. It reports how many of the layer's
 // planes were missing.
+//
+// Values are written straight into the tensor. A layer with one (scale, zero)
+// pair goes through a table of the 256 values quant.FromUint8 gives the 256
+// pixels — the same function evaluated once per pixel value instead of once
+// per element; per-row metadata has a table's worth of rows, so those rows
+// are evaluated in place.
 func (e *Encoded) dequantLayer(l int, layerPlanes []*frame.Plane, regs []frame.Region) (*Tensor, int) {
 	t := NewTensor(e.Rows, e.Cols)
+	var table [256]float32
+	if !e.PerRow {
+		quant.FromUint8Into(table[:], pixelValues[:], e.Scales[l], e.Zeros[l])
+	}
 	missing := 0
 	for i, reg := range regs {
 		p := layerPlanes[i]
@@ -337,18 +347,27 @@ func (e *Encoded) dequantLayer(l int, layerPlanes []*frame.Plane, regs []frame.R
 		}
 		for y := 0; y < reg.H; y++ {
 			row := reg.Y0 + y
-			var s, z float32
+			dst := t.Data[row*e.Cols+reg.X0:][:reg.W]
 			if e.PerRow {
-				s, z = e.Scales[l*e.Rows+row], e.Zeros[l*e.Rows+row]
-			} else {
-				s, z = e.Scales[l], e.Zeros[l]
+				quant.FromUint8Into(dst, p.Row(y), e.Scales[l*e.Rows+row], e.Zeros[l*e.Rows+row])
+				continue
 			}
-			vals := quant.FromUint8(p.Row(y), s, z)
-			copy(t.Data[row*e.Cols+reg.X0:row*e.Cols+reg.X0+reg.W], vals)
+			for x, pix := range p.Row(y) {
+				dst[x] = table[pix]
+			}
 		}
 	}
 	return t, missing
 }
+
+// pixelValues is every pixel value in order: dequantLayer's table is
+// quant.FromUint8 of it.
+var pixelValues = func() (v [256]uint8) {
+	for i := range v {
+		v[i] = uint8(i)
+	}
+	return v
+}()
 
 // DecodeStack reconstructs the tensor stack from an Encoded, decoding
 // independent bitstream chunks concurrently per o.Workers. It fails on the

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/codec"
+	"repro/internal/frame"
+	"repro/internal/quant"
 	"repro/internal/tensorgen"
 )
 
@@ -393,5 +395,45 @@ func TestOptionsNormalization(t *testing.T) {
 	big = big.normalized()
 	if big.MaxFrameW != codec.H264.MaxFrameDim {
 		t.Fatalf("frame clamp failed: %d", big.MaxFrameW)
+	}
+}
+
+// TestDequantLayerMatchesFromUint8: the decode side's dequantisation — a
+// 256-entry table for per-layer metadata, in-place rows for per-row — gives
+// quant.FromUint8's value for every pixel value, bit for bit, including the
+// scales whose float32 affine map overflows and takes FromUint8's clamped
+// float64 branch.
+func TestDequantLayerMatchesFromUint8(t *testing.T) {
+	pix := make([]uint8, 256)
+	for i := range pix {
+		pix[i] = uint8(i)
+	}
+	plane := frame.NewPlane(16, 16)
+	copy(plane.Pix, pix)
+	for _, sz := range [][2]float32{
+		{0.0123, -1.5}, {0, 3}, {math.MaxFloat32 / 100, -math.MaxFloat32},
+		{math.MaxFloat32, math.MaxFloat32}, {float32(math.NaN()), 1}, {1e-40, float32(math.Inf(-1))},
+	} {
+		want := quant.FromUint8(pix, sz[0], sz[1])
+		for _, perRow := range []bool{false, true} {
+			e := &Encoded{Rows: 16, Cols: 16, Layers: 1, PerRow: perRow, MaxFrameW: 1024, MaxFrameH: 1024}
+			n := 1
+			if perRow {
+				n = e.Rows
+			}
+			for i := 0; i < n; i++ {
+				e.Scales, e.Zeros = append(e.Scales, sz[0]), append(e.Zeros, sz[1])
+			}
+			got, missing := e.dequantLayer(0, []*frame.Plane{plane}, e.regions())
+			if missing != 0 {
+				t.Fatalf("%d planes missing", missing)
+			}
+			for i := range want {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("scale %g zero %g perRow=%v: pixel %d dequantises to %g, FromUint8 gives %g",
+						sz[0], sz[1], perRow, i, got.Data[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -189,15 +189,22 @@ func ToUint8(data []float32) (pix []uint8, scale, zero float32) {
 // finite float32 range, so the reconstruction can never contain ±Inf.
 func FromUint8(pix []uint8, scale, zero float32) []float32 {
 	out := make([]float32, len(pix))
+	FromUint8Into(out, pix, scale, zero)
+	return out
+}
+
+// FromUint8Into is FromUint8 writing into dst, which must be at least as long
+// as pix.
+func FromUint8Into(dst []float32, pix []uint8, scale, zero float32) {
+	dst = dst[:len(pix)]
 	s, z := float64(scale), float64(zero)
 	for i, p := range pix {
 		v := zero + scale*float32(p)
 		if f := float64(v); math.IsInf(f, 0) || math.IsNaN(f) {
 			v = clampFinite32(z + s*float64(p))
 		}
-		out[i] = v
+		dst[i] = v
 	}
-	return out
 }
 
 // clampFinite32 converts a float64 to float32, clamping to the finite range.

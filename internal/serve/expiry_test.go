@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -40,17 +41,18 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 		t.Fatalf("canceled fast-path admit = %+v, want 499 rejection", rej)
 	}
 
-	// Queue path: the deadline dies while the request waits, then the slot
-	// frees — both select cases are ready and the dequeue must still bounce.
-	// The old code won this race only by accident ~half the time; run several
-	// rounds so the pre-fix failure is deterministic in practice.
-	for round := 0; round < 20; round++ {
+	// Queue path: the deadline dies while the request waits. Both ways out
+	// of the dequeue select must bounce it: the slot arriving for a request
+	// whose context is already dead (the pre-fix code dispatched it), and the
+	// context's Done firing first. The deadline is the test's to blow — a
+	// timer-driven context raced its own timer against the test's sleeps.
+	for _, slotFirst := range []bool{true, false} {
 		a := newAdmission(1, 4)
 		hold, rej := a.admit(context.Background())
 		if rej != nil {
-			t.Fatalf("round %d: holder rejected: %s", round, rej.reason)
+			t.Fatalf("slotFirst=%v: holder rejected: %s", slotFirst, rej.reason)
 		}
-		qctx, qcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		qctx := &manualDeadline{Context: context.Background(), done: make(chan struct{})}
 		done := make(chan *admitError, 1)
 		go func() {
 			release, rej := a.admit(qctx)
@@ -59,26 +61,51 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 			}
 			done <- rej
 		}()
-		// Let the queued request register, let its deadline blow, then free
-		// the slot so slot-ready and ctx-dead race at the dequeue select.
-		deadline := time.Now().Add(5 * time.Second)
-		for a.queued.Load() == 0 && time.Now().Before(deadline) {
+		for a.queued.Load() == 0 { // the request is in the dequeue select
 			time.Sleep(100 * time.Microsecond)
 		}
-		time.Sleep(15 * time.Millisecond)
-		hold()
-		rej = <-done
-		qcancel()
+		if slotFirst {
+			// Dead, but Done not yet delivered: only the slot can wake it.
+			qctx.dead.Store(true)
+			hold()
+			rej = <-done
+			close(qctx.done)
+		} else {
+			qctx.dead.Store(true)
+			close(qctx.done)
+			rej = <-done
+			hold()
+		}
 		if rej == nil {
-			t.Fatalf("round %d: request with a blown deadline was dispatched from the queue", round)
+			t.Fatalf("slotFirst=%v: request with a blown deadline was dispatched from the queue", slotFirst)
 		}
 		if rej.status != http.StatusGatewayTimeout {
-			t.Fatalf("round %d: dequeue-expired status = %d, want 504", round, rej.status)
+			t.Fatalf("slotFirst=%v: dequeue-expired status = %d, want 504", slotFirst, rej.status)
 		}
 		if a.inflightNow() != 0 {
-			t.Fatalf("round %d: expired dequeue leaked a slot", round)
+			t.Fatalf("slotFirst=%v: expired dequeue leaked a slot", slotFirst)
 		}
 	}
+}
+
+// manualDeadline is a context whose deadline blows when the test says so:
+// Err turns into context.DeadlineExceeded when dead is set, and Done is
+// closed by the test separately, so the instant between the two — where a
+// timer-driven context is for as long as the scheduler delays its timer —
+// can be held open.
+type manualDeadline struct {
+	context.Context
+	dead atomic.Bool
+	done chan struct{}
+}
+
+func (c *manualDeadline) Done() <-chan struct{} { return c.done }
+
+func (c *manualDeadline) Err() error {
+	if c.dead.Load() {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // TestExpiredRequestOverHTTP pins the end-to-end mapping: a request that
