@@ -14,7 +14,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race ci bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
+.PHONY: all build test vet surface race ci bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
 
 all: build
 
@@ -26,6 +26,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Fail in seconds, not after the suite: everything compiles (the nested
+# benchmark module too, against this tree with benchmark/surface.go unedited)
+# and the two closed API surfaces — codec's Encode/Decode, core's ten Options
+# methods — still hold. The first step of ci.
+surface: vet
+	$(GO) test -run SurfaceIsClosed ./internal/codec/ ./internal/core/
+	$(GO) vet -C benchmark ./...
 
 # Race-detector run over the full tree; catches any data race in the
 # parallel engine's worker pools and in the metrics registry.
@@ -93,7 +101,7 @@ benchmark-test:
 
 # kv-test and train-test stay beside `race` because KV_SOAK=1/TRAIN_SOAK=1
 # change what runs.
-ci: build vet test benchmark-test kv-test train-test race fuzz-smoke
+ci: surface build test benchmark-test kv-test train-test race fuzz-smoke
 
 # Coverage-guided fuzzing of every decode entry point, FUZZTIME per target.
 # Each target is seeded from valid round-trip containers, so the fuzzer

@@ -171,7 +171,7 @@ func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
 	}
 	o := core.DefaultOptions()
 	o.Checksum, o.Index, o.Backend = true, true, backend
-	enc, err := o.EncodeStack(stack, 12)
+	enc, err := o.EncodeStackCtx(context.Background(), stack, 12)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(n * n * 4))
 			for i := 0; i < b.N; i++ {
-				if _, err := o.DecodeLayer(enc, i%layers); err != nil {
+				if _, err := o.DecodeLayerCtx(context.Background(), enc, i%layers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,11 +204,11 @@ func BenchmarkStackRoundTripParallel(b *testing.B) {
 	b.SetBytes(int64(layers * n * n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := o.EncodeStack(stack, 26)
+		e, err := o.EncodeStackCtx(context.Background(), stack, 26)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := o.DecodeStack(e); err != nil {
+		if _, err := o.DecodeStackCtx(context.Background(), e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +224,11 @@ func BenchmarkTensorRoundTrip(b *testing.B) {
 	b.SetBytes(int64(n * n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := o.Roundtrip(t, 26); err != nil {
+		e, err := o.Encode(t, 26)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := o.Decode(e); err != nil {
 			b.Fatal(err)
 		}
 	}

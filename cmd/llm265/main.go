@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"flag"
@@ -211,7 +212,7 @@ func decodeCmd(args []string) {
 	opts.Workers = *workers
 	reg, flush := openMetrics(*metrics)
 	opts.Metrics = reg
-	layers, err := opts.DecodeStack(enc)
+	layers, err := opts.DecodeStackCtx(context.Background(), enc)
 	if err != nil {
 		fatal(err)
 	}
@@ -288,16 +289,9 @@ func verifyCmd(args []string) {
 	opts.Metrics = reg
 
 	verdict := func(err error) {
-		code := exitCorrupt
-		switch {
-		case errors.Is(err, core.ErrChecksum):
-			code = exitChecksum
-		case errors.Is(err, core.ErrTruncated):
-			code = exitTruncated
-		}
 		flush()
 		fmt.Printf("%s: DAMAGED: %v\n", *in, err)
-		os.Exit(code)
+		os.Exit(damageExitCode(err))
 	}
 
 	enc, err := core.UnmarshalEncoded(blob)
@@ -305,7 +299,7 @@ func verifyCmd(args []string) {
 		verdict(err)
 	}
 	if !*partial {
-		if _, err := opts.DecodeStack(enc); err != nil {
+		if _, err := opts.DecodeStackCtx(context.Background(), enc); err != nil {
 			verdict(err)
 		}
 		flush()
@@ -314,7 +308,7 @@ func verifyCmd(args []string) {
 		return
 	}
 
-	_, report, err := opts.DecodeStackPartial(enc)
+	_, report, err := opts.DecodeStackPartialCtx(context.Background(), enc)
 	if err != nil {
 		verdict(err)
 	}
@@ -333,12 +327,16 @@ func verifyCmd(args []string) {
 		fmt.Printf("  layer %d: %d of %d plane(s) lost\n", d.Layer, d.MissingPlanes, d.TotalPlanes)
 	}
 	// The exit code reflects the first chunk failure's class.
-	code := exitCorrupt
+	os.Exit(damageExitCode(report.ChunkErrors[0]))
+}
+
+// damageExitCode maps the decode-error taxonomy onto verify's exit codes.
+func damageExitCode(err error) int {
 	switch {
-	case errors.Is(report.ChunkErrors[0], core.ErrChecksum):
-		code = exitChecksum
-	case errors.Is(report.ChunkErrors[0], core.ErrTruncated):
-		code = exitTruncated
+	case errors.Is(err, core.ErrChecksum):
+		return exitChecksum
+	case errors.Is(err, core.ErrTruncated):
+		return exitTruncated
 	}
-	os.Exit(code)
+	return exitCorrupt
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -165,7 +166,7 @@ func stackContainer(t *testing.T, layers int) *core.Encoded {
 	for l := range stack {
 		stack[l] = testTensor(int64(l))
 	}
-	enc, err := opts.EncodeStack(stack, 24)
+	enc, err := opts.EncodeStackCtx(context.Background(), stack, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestDecodeWritesEveryLayer(t *testing.T) {
 	if want := fmt.Sprintf("3 layer(s) of %dx%d", testRows, testCols); !strings.Contains(stdout, want) {
 		t.Errorf("decode printed %q, want it to name %q", stdout, want)
 	}
-	layers, err := core.DefaultOptions().DecodeStack(enc)
+	layers, err := core.DefaultOptions().DecodeStackCtx(context.Background(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@
 // tying each plane to the tensor-space rectangle it covers. The index is
 // what makes a packed container random-access: a store can fetch and decode
 // exactly the chunks covering one layer (see DecodeConfig.First/Count,
-// core.DecodeLayer and internal/store).
+// core.DecodeLayerCtx and internal/store).
 package codec
 
 import (

@@ -26,7 +26,7 @@
 // returned across the package boundary (payload bytes, cropped planes) is
 // copied out of or allocated outside the arena, so pooling a scratch can
 // never alias escaped data. Scratches are pooled in a package-level
-// sync.Pool, so repeated EncodeStack/DecodeStack calls at the core boundary
+// sync.Pool, so repeated EncodeStackCtx/DecodeStackCtx calls at the core boundary
 // reuse warm state; the pool is the only sanctioned way to obtain one.
 package codec
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -18,7 +19,7 @@ func encodeBytesPerOp(t *testing.T, o Options, stack []*Tensor) float64 {
 	var before, after runtime.MemStats
 	for i := 0; i < 8; i++ {
 		runtime.ReadMemStats(&before)
-		if _, err := o.EncodeStack(stack, 30); err != nil {
+		if _, err := o.EncodeStackCtx(context.Background(), stack, 30); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -53,6 +54,25 @@ func TestEncodeStackPerLayerBytes(t *testing.T) {
 	}
 }
 
+// TestMarshalOneAllocation pins Encoded.Marshal at its one exact-size buffer,
+// whatever the metadata count — one (scale, zero) pair per row under
+// PerRowQuant — so a per-field or per-pair write that allocates shows here.
+func TestMarshalOneAllocation(t *testing.T) {
+	o := DefaultOptions()
+	o.PerRowQuant = true
+	enc, err := o.Encode(weightTensor(45, 128, 128), 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	if allocs := testing.AllocsPerRun(20, func() { out = enc.Marshal() }); allocs != 1 {
+		t.Errorf("Marshal makes %.0f allocations for %d metadata pairs, want 1", allocs, len(enc.Scales))
+	}
+	if len(out) != cap(out) {
+		t.Errorf("Marshal sized its buffer at %d bytes for %d", cap(out), len(out))
+	}
+}
+
 // TestDecodeStackPerLayerAllocs pins what one more layer costs a decode in
 // allocations: its chunk's planes and bin reader, and one tensor. Dequantising
 // through a fresh slice per row used to make that a row count (266 a layer at
@@ -70,7 +90,7 @@ func TestDecodeStackPerLayerAllocs(t *testing.T) {
 		o := DefaultOptions()
 		o.Workers, o.PerRowQuant = 1, perRow
 		allocs := func(stack []*Tensor) float64 {
-			enc, err := o.EncodeStack(stack, 30)
+			enc, err := o.EncodeStackCtx(context.Background(), stack, 30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +98,7 @@ func TestDecodeStackPerLayerAllocs(t *testing.T) {
 			var before, after runtime.MemStats
 			for i := 0; i < 8; i++ {
 				runtime.ReadMemStats(&before)
-				if _, err := o.DecodeStack(enc); err != nil {
+				if _, err := o.DecodeStackCtx(context.Background(), enc); err != nil {
 					t.Fatal(err)
 				}
 				runtime.ReadMemStats(&after)

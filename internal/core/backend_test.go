@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/codec"
@@ -58,20 +59,20 @@ func TestBackendDeterministicAcrossWorkers(t *testing.T) {
 	o := DefaultOptions()
 	o.Backend = codec.BackendRANS
 	o.Workers = 1
-	ref, err := o.EncodeStack([]*Tensor{w}, 28)
+	ref, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		o.Workers = workers
-		e, err := o.EncodeStack([]*Tensor{w}, 28)
+		e, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(e.Stream, ref.Stream) {
 			t.Errorf("workers=%d: rANS bytes differ from workers=1", workers)
 		}
-		dec, err := o.DecodeStack(ref)
+		dec, err := o.DecodeStackCtx(context.Background(), ref)
 		if err != nil {
 			t.Fatalf("workers=%d decode: %v", workers, err)
 		}

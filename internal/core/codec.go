@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -50,7 +50,7 @@ type Options struct {
 	// Checksum emits the hardened version-3 codec container: CRC32C over
 	// the header and over every chunk payload, verified on decode. Costs 4
 	// bytes per chunk plus 4 header bytes; buys detection of any bit-rot in
-	// transit or at rest, and enables DecodeStackPartial to identify exactly
+	// transit or at rest, and enables DecodeStackPartialCtx to identify exactly
 	// which chunks of a damaged stream are still trustworthy. Off by
 	// default so existing streams stay byte-identical.
 	Checksum bool
@@ -58,7 +58,7 @@ type Options struct {
 	// the v3 container: per-chunk offsets, lengths, CRCs and one tensor-space
 	// region rect per plane. An indexed stream decodes byte-identically
 	// through every existing path, and enables O(region) random access —
-	// DecodeLayer, and chunk-level addressing in the content-addressed store.
+	// DecodeLayerCtx, and chunk-level addressing in the content-addressed store.
 	// Implies Checksum (the trailer is defined only for the v3 container).
 	Index bool
 	// Metrics, when non-nil, collects the whole stack's observability
@@ -100,7 +100,7 @@ func (o Options) normalized() Options {
 	}
 	if o.FastSearch {
 		// The knob lives on the codec Profile; threading it here means every
-		// encode entry point (EncodeStack, rate control, MSE search) honors it.
+		// encode entry point (EncodeStackCtx and both searches) honors it.
 		o.Profile.FastSearch = true
 	}
 	if o.Backend != codec.BackendCABAC {
@@ -142,17 +142,12 @@ func (e *Encoded) BitsPerValue() float64 {
 	return float64(e.SizeBits()) / float64(e.Layers*e.Rows*e.Cols)
 }
 
-// EncodeStack compresses a stack of equally-shaped layer tensors as one
+// EncodeStackCtx compresses a stack of equally-shaped layer tensors as one
 // multi-frame sequence at the given QP (the paper's footnote-1 construction:
-// layer index as the temporal axis, luma only).
-func (o Options) EncodeStack(stack []*Tensor, qp int) (*Encoded, error) {
-	return o.EncodeStackCtx(context.Background(), stack, qp)
-}
-
-// EncodeStackCtx is EncodeStack under a context: the codec observes ctx
+// layer index as the temporal axis, luma only). The codec observes ctx
 // cancellation at pool, chunk and CTU granularity (DESIGN.md §12) and the
-// call returns ctx.Err() promptly with no output. With a background context
-// the output bytes are identical to EncodeStack.
+// call then returns ctx.Err() promptly with no output; the bytes do not
+// depend on ctx.
 func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*Encoded, error) {
 	o = o.normalized()
 	// Zero-value stacks are rejected here, before any rate-control search
@@ -234,9 +229,44 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 	return enc, nil
 }
 
-// Encode compresses a single tensor.
+// Encode, Decode, EncodeToBitrate and EncodeToMSE are the quick-start
+// quartet: one tensor, no deadline, each a single return into the stack
+// method that does the work (TestCoreSurfaceIsClosed holds them to that).
+
+// Encode compresses a single tensor at the given QP.
 func (o Options) Encode(t *Tensor, qp int) (*Encoded, error) {
-	return o.EncodeStack([]*Tensor{t}, qp)
+	return o.EncodeStackCtx(context.Background(), []*Tensor{t}, qp)
+}
+
+// Decode reconstructs a single tensor (layer 0 of a stack).
+func (o Options) Decode(e *Encoded) (*Tensor, error) {
+	return only(o.DecodeStackCtx(context.Background(), e))
+}
+
+// EncodeToBitrate is EncodeStackToBitrate for a single tensor — the paper's
+// fractional-bitrate interface.
+func (o Options) EncodeToBitrate(t *Tensor, bitsPerValue float64) (*Encoded, error) {
+	return o.EncodeStackToBitrate(context.Background(), []*Tensor{t}, bitsPerValue)
+}
+
+// EncodeToMSE is EncodeStackToMSE for a single tensor — the Fig. 2(b) quality
+// constraint (MSE < 0.01).
+func (o Options) EncodeToMSE(t *Tensor, maxMSE float64) (*Encoded, *Tensor, error) {
+	return onlyRecon(o.EncodeStackToMSE(context.Background(), []*Tensor{t}, maxMSE))
+}
+
+// only narrows a one-layer decode to its tensor.
+func only(ts []*Tensor, err error) (*Tensor, error) {
+	if err != nil {
+		return nil, err
+	}
+	return ts[0], nil
+}
+
+// onlyRecon narrows a one-layer quality search to its tensor.
+func onlyRecon(e *Encoded, ts []*Tensor, err error) (*Encoded, *Tensor, error) {
+	t, err := only(ts, err)
+	return e, t, err
 }
 
 // Error taxonomy of the decode path, re-exported from the codec layer so
@@ -252,9 +282,9 @@ var (
 )
 
 // ErrEmptyInput reports an encode request over zero values — an empty stack,
-// a nil tensor, or a tensor with a zero dimension. EncodeStack rejects these
-// up front, so EncodeStackToBitrate/EncodeStackToMSE (which probe through it)
-// fail on their first probe instead of bisecting on NaN.
+// a nil tensor, or a tensor with a zero dimension. EncodeStackCtx rejects
+// these up front, so EncodeStackToBitrate/EncodeStackToMSE (which probe
+// through it) fail on their first probe instead of bisecting on NaN.
 var ErrEmptyInput = codec.ErrEmptyInput
 
 // validate checks an Encoded's metadata for internal consistency before any
@@ -301,13 +331,13 @@ func (e *Encoded) regions() []frame.Region {
 	return frame.Regions(e.Rows, e.Cols, e.MaxFrameW, e.MaxFrameH)
 }
 
-// checkPlaneGeometry verifies that the decoded plane list matches the
-// geometry the metadata declares, so matrix reassembly cannot index or
-// panic on a mismatched stream. Nil planes (partial decode) are skipped.
-func (e *Encoded) checkPlaneGeometry(planes []*frame.Plane, regs []frame.Region) error {
-	if len(planes) != e.Layers*len(regs) {
+// checkPlaneGeometry verifies that the planes decoded for a run of layers
+// match the geometry the metadata declares, so matrix reassembly cannot index
+// or panic on a mismatched stream. Nil planes (partial decode) are skipped.
+func checkPlaneGeometry(planes []*frame.Plane, regs []frame.Region, layers int) error {
+	if len(planes) != layers*len(regs) {
 		return fmt.Errorf("core: stream decodes to %d planes, metadata wants %d×%d: %w",
-			len(planes), e.Layers, len(regs), ErrCorrupt)
+			len(planes), layers, len(regs), ErrCorrupt)
 	}
 	for i, p := range planes {
 		if p == nil {
@@ -369,39 +399,79 @@ var pixelValues = func() (v [256]uint8) {
 	return v
 }()
 
-// DecodeStack reconstructs the tensor stack from an Encoded, decoding
-// independent bitstream chunks concurrently per o.Workers. It fails on the
-// first damaged chunk; see DecodeStackPartial for best-effort recovery.
-func (o Options) DecodeStack(e *Encoded) ([]*Tensor, error) {
-	return o.DecodeStackCtx(context.Background(), e)
+// decodePlanes is the one decode preamble, shared by DecodeStackCtx,
+// DecodeLayerCtx and DecodeStackPartialCtx: validate the metadata, decode the
+// planes of layers [first, first+count) — leniently under partial, where
+// failed chunks come back as nil planes and Decoded.Errors — and hold what the
+// stream decoded to against what the metadata declares: the plane geometry
+// and, when the stream carries a trailer index, its region table. It starts
+// the call's span (the caller ends it once the tensors exist) and is the one
+// place core.decode.errors is counted: once per failed call, cancellations
+// excepted — a caller that walked away says nothing about the bytes, and
+// codec.decode.errors.canceled already counts it.
+func (o Options) decodePlanes(ctx context.Context, e *Encoded, spanName string, first, count int, partial bool) (*codec.Decoded, []frame.Region, obs.Span, error) {
+	fail := func(err error) (*codec.Decoded, []frame.Region, obs.Span, error) {
+		if !codec.IsCancellation(err) {
+			o.Metrics.Add("core.decode.errors", 1)
+		}
+		return nil, nil, obs.Span{}, err
+	}
+	if err := e.validate(); err != nil {
+		return fail(err)
+	}
+	if first < 0 || first > e.Layers-count {
+		// A caller bug, not a property of the bytes: outside the taxonomy.
+		return nil, nil, obs.Span{}, fmt.Errorf("core: layer %d out of range for %d-layer stack", first, e.Layers)
+	}
+	span := o.Metrics.StartSpan(spanName)
+	regs := e.regions()
+	cfg := codec.DecodeConfig{Workers: o.Workers, Metrics: o.Metrics, Partial: partial}
+	if count < e.Layers {
+		// A plane window. codec.Decode reports a window outside the container
+		// as a caller bug, so a stream with fewer planes than the metadata
+		// claims has to be caught — as ErrCorrupt — before the window is asked
+		// for; a whole-stack decode learns the same from the planes it gets.
+		lay, err := codec.Layout(e.Stream)
+		if err != nil {
+			return fail(err)
+		}
+		if lay.Planes != e.Layers*len(regs) {
+			return fail(fmt.Errorf("core: stream decodes to %d planes, metadata wants %d×%d: %w",
+				lay.Planes, e.Layers, len(regs), ErrCorrupt))
+		}
+		cfg.First, cfg.Count = first*len(regs), count*len(regs)
+	}
+	dec, err := codec.Decode(ctx, e.Stream, cfg)
+	if err != nil {
+		return fail(err)
+	}
+	if err := checkPlaneGeometry(dec.Planes, regs, count); err != nil {
+		return fail(err)
+	}
+	if dec.Index != nil {
+		// The codec checks the region table only against the container, so
+		// Layer/X0/Y0 arrive untrusted (validateIndexRegions).
+		if err := e.validateIndexRegions(dec.Index.Regions, regs); err != nil {
+			return fail(err)
+		}
+	}
+	return dec, regs, span, nil
 }
 
-// DecodeStackCtx is DecodeStack under a context: cancellation aborts the
-// remaining chunk decodes and returns ctx.Err() (never wrapped into the
-// decode-error taxonomy — see codec.IsCancellation).
+// DecodeStackCtx reconstructs the tensor stack from an Encoded, decoding
+// independent bitstream chunks concurrently per o.Workers. It fails on the
+// first damaged chunk (see DecodeStackPartialCtx for best-effort recovery);
+// cancellation aborts the remaining chunk decodes and returns ctx.Err(),
+// never wrapped into the decode-error taxonomy (codec.IsCancellation).
 func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, error) {
-	o = o.normalized()
-	if err := e.validate(); err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
-		return nil, err
-	}
-	span := o.Metrics.StartSpan("core.decode_stack")
-	dec, err := codec.Decode(ctx, e.Stream, codec.DecodeConfig{Workers: o.Workers, Metrics: o.Metrics})
+	dec, regs, span, err := o.decodePlanes(ctx, e, "core.decode_stack", 0, e.Layers, false)
 	if err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
-		return nil, err
-	}
-	planes := dec.Planes
-	regs := e.regions()
-	if err := e.checkPlaneGeometry(planes, regs); err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err
 	}
 	dequantSpan := span.Child("dequantize")
-	perLayer := len(regs)
 	out := make([]*Tensor, e.Layers)
-	for l := 0; l < e.Layers; l++ {
-		out[l], _ = e.dequantLayer(l, planes[l*perLayer:(l+1)*perLayer], regs)
+	for l := range out {
+		out[l], _ = e.dequantLayer(l, dec.Planes[l*len(regs):(l+1)*len(regs)], regs)
 	}
 	dequantSpan.End()
 	span.End()
@@ -412,47 +482,22 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 	return out, nil
 }
 
-// Decode reconstructs a single tensor.
-func (o Options) Decode(e *Encoded) (*Tensor, error) {
-	ts, err := o.DecodeStack(e)
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
-}
+// ErrBadTarget reports a rate-control target no search can honour: NaN, for
+// which every comparison is false and a bisection would walk silently to one
+// end of the QP range, or a bit budget that is not positive.
+var ErrBadTarget = errors.New("core: bad rate-control target")
 
-// Roundtrip encodes and decodes t at qp, returning the reconstruction and
-// the achieved bits per value.
-func (o Options) Roundtrip(t *Tensor, qp int) (*Tensor, float64, error) {
-	e, err := o.Encode(t, qp)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := o.Decode(e)
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, e.BitsPerValue(), nil
-}
-
-// EncodeToBitrate finds the best-quality encode whose total cost (metadata
-// included) stays at or below bitsPerValue — the paper's fractional-bitrate
-// interface. Returns the encode and chosen QP.
-func (o Options) EncodeToBitrate(t *Tensor, bitsPerValue float64) (*Encoded, error) {
-	return o.EncodeStackToBitrate([]*Tensor{t}, bitsPerValue)
-}
-
-// probeStack memoizes EncodeStack probes by QP for one rate-control search,
+// probeStack memoizes EncodeStackCtx probes by QP for one rate-control search,
 // counting each real encode into core.ratecontrol.probes. Encoding is
-// deterministic, so the cache is exact and the bisection (including its
-// fallback re-encode at the range edge) never encodes the same QP twice.
-func (o Options) probeStack(stack []*Tensor) func(qp int) (*Encoded, error) {
+// deterministic, so the cache is exact and a search's fallback to the edge of
+// the QP range — which its walk has already probed — encodes nothing twice.
+func (o Options) probeStack(ctx context.Context, stack []*Tensor) func(qp int) (*Encoded, error) {
 	cache := map[int]*Encoded{}
 	return func(qp int) (*Encoded, error) {
 		if e, ok := cache[qp]; ok {
 			return e, nil
 		}
-		e, err := o.EncodeStack(stack, qp)
+		e, err := o.EncodeStackCtx(ctx, stack, qp)
 		if err != nil {
 			return nil, err
 		}
@@ -462,158 +507,141 @@ func (o Options) probeStack(stack []*Tensor) func(qp int) (*Encoded, error) {
 	}
 }
 
-// EncodeStackToBitrate is EncodeToBitrate over a layer stack.
-func (o Options) EncodeStackToBitrate(stack []*Tensor, bitsPerValue float64) (*Encoded, error) {
-	if bitsPerValue <= 0 {
-		return nil, fmt.Errorf("core: bits-per-value target %.3f must be positive", bitsPerValue)
+// bisectQP is the one walk over the QP range [0, dct.MaxQP] behind both
+// rate-control searches. accept probes one QP and reports whether it meets
+// the target; finer says where an accepted probe sends the walk — toward
+// QP 0 (the rate search: look for more quality inside the budget) or toward
+// MaxQP (the quality search: look for fewer bits inside the error bound).
+// When no probe is accepted the walk ends on the far edge of the range, MaxQP
+// for finer and 0 otherwise, which is the floor the caller falls back to.
+//
+// The walk does not choose the answer: rate is not monotone in QP (DESIGN.md
+// §18), so each accept keeps its own best among the probes it accepted. It is
+// where a target is validated (ErrBadTarget) and where a cancelled ctx stops
+// a search between probes.
+func bisectQP(ctx context.Context, target float64, finer bool, accept func(qp int) (bool, error)) error {
+	// A zero error bound is a legitimate, unreachable request (answered by
+	// the QP-0 floor); a zero bit budget is not a budget.
+	if math.IsNaN(target) || finer && target <= 0 {
+		return fmt.Errorf("core: target %v: %w", target, ErrBadTarget)
 	}
-	probe := o.probeStack(stack)
-	lo, hi := 0, dct.MaxQP
-	var best *Encoded
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, err := probe(mid)
-		if err != nil {
-			return nil, err
+	for lo, hi := 0, dct.MaxQP; lo <= hi; {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if e.BitsPerValue() <= bitsPerValue {
-			if best == nil || e.BitsPerValue() > best.BitsPerValue() {
-				best = e
-			}
+		mid := (lo + hi) / 2
+		ok, err := accept(mid)
+		if err != nil {
+			return err
+		}
+		if ok == finer {
 			hi = mid - 1
 		} else {
 			lo = mid + 1
 		}
 	}
+	return nil
+}
+
+// EncodeStackToBitrate finds the best-quality encode of the stack whose total
+// cost (metadata included) stays at or below bitsPerValue — the paper's
+// fractional-bitrate interface; Encoded.QP is the QP chosen. A budget below
+// even MaxQP's rate returns the MaxQP encode, so the caller sees the floor.
+func (o Options) EncodeStackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (*Encoded, error) {
+	probe := o.probeStack(ctx, stack)
+	var best *Encoded
+	err := bisectQP(ctx, bitsPerValue, true, func(qp int) (bool, error) {
+		e, err := probe(qp)
+		if err != nil {
+			return false, err
+		}
+		ok := e.BitsPerValue() <= bitsPerValue
+		// Most bits, not lowest QP: a finer QP can cost fewer bits.
+		if ok && (best == nil || e.BitsPerValue() > best.BitsPerValue()) {
+			best = e
+		}
+		return ok, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	if best == nil {
-		// Even the coarsest QP exceeds the budget; return it anyway so the
-		// caller sees the floor (a cache hit — the bisection probed MaxQP on
-		// its way here).
 		return probe(dct.MaxQP)
 	}
 	return best, nil
 }
 
-// EncodeToMSE finds the cheapest encode whose reconstruction MSE (in the
-// tensor's value domain) stays at or below maxMSE — the Fig. 2(b) quality
-// constraint (MSE < 0.01).
-func (o Options) EncodeToMSE(t *Tensor, maxMSE float64) (*Encoded, *Tensor, error) {
-	probe := o.probeStack([]*Tensor{t})
-	roundtrip := func(qp int) (*Encoded, *Tensor, error) {
+// EncodeStackToMSE finds the cheapest encode of the stack whose reconstruction
+// error (StackMSE: value domain, averaged over layers) stays at or below
+// maxMSE — the Fig. 2(b) quality constraint — and returns it with that
+// reconstruction. A bound not even QP 0 meets returns the QP-0 pair.
+func (o Options) EncodeStackToMSE(ctx context.Context, stack []*Tensor, maxMSE float64) (*Encoded, []*Tensor, error) {
+	probe := o.probeStack(ctx, stack)
+	roundtrip := func(qp int) (*Encoded, []*Tensor, error) {
 		e, err := probe(qp)
 		if err != nil {
 			return nil, nil, err
 		}
-		d, err := o.Decode(e)
+		rec, err := o.DecodeStackCtx(ctx, e)
 		if err != nil {
 			return nil, nil, err
 		}
-		return e, d, nil
+		return e, rec, nil
 	}
-	lo, hi := 0, dct.MaxQP
 	var (
 		best    *Encoded
-		bestDec *Tensor
+		bestRec []*Tensor
 	)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, d, err := roundtrip(mid)
+	err := bisectQP(ctx, maxMSE, false, func(qp int) (bool, error) {
+		e, rec, err := roundtrip(qp)
 		if err != nil {
-			return nil, nil, err
+			return false, err
 		}
-		if t.MSE(d) <= maxMSE {
-			if best == nil || mid > best.QP {
-				best, bestDec = e, d
-			}
-			lo = mid + 1
-		} else {
-			hi = mid - 1
+		ok := StackMSE(stack, rec) <= maxMSE
+		// Highest QP: the walk only moves up after an accept, so that is the
+		// last probe accepted.
+		if ok {
+			best, bestRec = e, rec
 		}
+		return ok, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if best == nil {
 		return roundtrip(0)
 	}
-	return best, bestDec, nil
+	return best, bestRec, nil
 }
 
-// EncodeStackToMSE finds the cheapest stack encode whose mean reconstruction
-// MSE (value domain, averaged over layers) stays at or below maxMSE — the
-// multi-frame form of EncodeToMSE used by the Fig. 2(b) ablation.
-func (o Options) EncodeStackToMSE(stack []*Tensor, maxMSE float64) (*Encoded, float64, error) {
-	measure := func(e *Encoded) (float64, error) {
-		dec, err := o.DecodeStack(e)
-		if err != nil {
-			return 0, err
-		}
-		var s float64
-		for i := range dec {
-			s += stack[i].MSE(dec[i])
-		}
-		return s / float64(len(dec)), nil
-	}
-	probe := o.probeStack(stack)
-	lo, hi := 0, dct.MaxQP
-	var (
-		best    *Encoded
-		bestMSE float64
-	)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		e, err := probe(mid)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := measure(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		if m <= maxMSE {
-			if best == nil || mid > best.QP {
-				best, bestMSE = e, m
-			}
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	if best == nil {
-		e, err := probe(0)
-		if err != nil {
-			return nil, 0, err
-		}
-		m, err := measure(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, m, nil
-	}
-	return best, bestMSE, nil
-}
+// marshalFixedLen is the container's fixed part: magic, layers, rows, cols,
+// per-row flag, frame bounds, QP and the metadata count.
+const marshalFixedLen = 6 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4
 
 // Marshal serializes an Encoded to a portable byte stream (the .l265
-// container used by cmd/llm265).
+// container used by cmd/llm265), in one allocation of its exact size.
 func (e *Encoded) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.WriteString("L265T\x01")
-	binary.Write(&buf, binary.BigEndian, uint32(e.Layers))
-	binary.Write(&buf, binary.BigEndian, uint32(e.Rows))
-	binary.Write(&buf, binary.BigEndian, uint32(e.Cols))
+	be := binary.BigEndian
+	buf := make([]byte, 0, marshalFixedLen+8*len(e.Scales)+4+len(e.Stream))
+	buf = append(buf, "L265T\x01"...)
+	buf = be.AppendUint32(buf, uint32(e.Layers))
+	buf = be.AppendUint32(buf, uint32(e.Rows))
+	buf = be.AppendUint32(buf, uint32(e.Cols))
 	perRow := uint8(0)
 	if e.PerRow {
 		perRow = 1
 	}
-	buf.WriteByte(perRow)
-	binary.Write(&buf, binary.BigEndian, uint32(e.MaxFrameW))
-	binary.Write(&buf, binary.BigEndian, uint32(e.MaxFrameH))
-	buf.WriteByte(uint8(e.QP))
-	binary.Write(&buf, binary.BigEndian, uint32(len(e.Scales)))
+	buf = append(buf, perRow)
+	buf = be.AppendUint32(buf, uint32(e.MaxFrameW))
+	buf = be.AppendUint32(buf, uint32(e.MaxFrameH))
+	buf = append(buf, uint8(e.QP))
+	buf = be.AppendUint32(buf, uint32(len(e.Scales)))
 	for i := range e.Scales {
-		binary.Write(&buf, binary.BigEndian, math.Float32bits(e.Scales[i]))
-		binary.Write(&buf, binary.BigEndian, math.Float32bits(e.Zeros[i]))
+		buf = be.AppendUint32(buf, math.Float32bits(e.Scales[i]))
+		buf = be.AppendUint32(buf, math.Float32bits(e.Zeros[i]))
 	}
-	binary.Write(&buf, binary.BigEndian, uint32(len(e.Stream)))
-	buf.Write(e.Stream)
-	return buf.Bytes()
+	buf = be.AppendUint32(buf, uint32(len(e.Stream)))
+	return append(buf, e.Stream...)
 }
 
 // UnmarshalEncoded parses a stream produced by Marshal. Every length and
@@ -622,14 +650,13 @@ func (e *Encoded) Marshal() []byte {
 // rejected up front; failures are typed (ErrTruncated for streams that end
 // early, ErrCorrupt for impossible fields) and the function never panics.
 func UnmarshalEncoded(data []byte) (*Encoded, error) {
-	const fixedHeader = 6 + 4 + 4 + 4 + 1 + 4 + 4 + 1 + 4 // magic..metadata count
 	if len(data) < 6 || string(data[:6]) != "L265T\x01" {
 		if len(data) >= 6 {
 			return nil, fmt.Errorf("core: bad container header: %w", ErrCorrupt)
 		}
 		return nil, fmt.Errorf("core: %d-byte container: %w", len(data), ErrTruncated)
 	}
-	if len(data) < fixedHeader {
+	if len(data) < marshalFixedLen {
 		return nil, fmt.Errorf("core: container ends inside fixed header: %w", ErrTruncated)
 	}
 	off := 6

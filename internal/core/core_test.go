@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,6 +16,20 @@ import (
 func weightTensor(seed int64, rows, cols int) *Tensor {
 	rng := rand.New(rand.NewSource(seed))
 	return FromSlice(rows, cols, tensorgen.Weights(rng, rows, cols))
+}
+
+// roundtrip encodes and decodes w at qp.
+func roundtrip(t *testing.T, o Options, w *Tensor, qp int) *Tensor {
+	t.Helper()
+	e, err := o.Encode(w, qp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := o.Decode(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -123,11 +138,11 @@ func TestStackRoundTrip(t *testing.T) {
 		stack[i] = FromSlice(64, 64, d)
 	}
 	o := DefaultOptions()
-	e, err := o.EncodeStack(stack, 20)
+	e, err := o.EncodeStackCtx(context.Background(), stack, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := o.DecodeStack(e)
+	dec, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +171,8 @@ func TestPerRowQuantHandlesOutlierRows(t *testing.T) {
 	perTensor := DefaultOptions()
 	perRow := DefaultOptions()
 	perRow.PerRowQuant = true
-	dT, _, err := perTensor.Roundtrip(w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dR, _, err := perRow.Roundtrip(w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dT := roundtrip(t, perTensor, w, 10)
+	dR := roundtrip(t, perRow, w, 10)
 	// Compare error on the non-outlier rows only.
 	errOn := func(d *Tensor) float64 {
 		var s float64
@@ -323,10 +332,7 @@ func TestResidualCompensationReducesError(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	grad := FromSlice(64, 64, tensorgen.Gradients(rng, 64*64, 2))
 	o := DefaultOptions()
-	primary, _, err := o.Roundtrip(grad, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := roundtrip(t, o, grad, 30)
 	g := NewGradientCompressor(o, 3.5, 3.5, 100, 8)
 	comp, _, err := g.Compress(grad)
 	if err != nil {
@@ -350,11 +356,11 @@ func TestInterFrameHurtsOnWeightStacks(t *testing.T) {
 	intraOnly := DefaultOptions()
 	withInter := DefaultOptions()
 	withInter.Tools.InterPred = true
-	e1, err := intraOnly.EncodeStack(stack, 26)
+	e1, err := intraOnly.EncodeStackCtx(context.Background(), stack, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := withInter.EncodeStack(stack, 26)
+	e2, err := withInter.EncodeStackCtx(context.Background(), stack, 26)
 	if err != nil {
 		t.Fatal(err)
 	}

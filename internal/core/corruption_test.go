@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,7 +22,7 @@ func checksummedStack(t testing.TB) ([]*Tensor, Options, *Encoded) {
 	o.MaxFrameW, o.MaxFrameH = 128, 128
 	o.Checksum = true
 	o.Workers = 2
-	e, err := o.EncodeStack(stack, 28)
+	e, err := o.EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +39,16 @@ func TestChecksumOptionRoundTrip(t *testing.T) {
 
 	plain := o
 	plain.Checksum = false
-	pe, err := plain.EncodeStack(stack, 28)
+	pe, err := plain.EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	dec, err := o.DecodeStack(e)
+	dec, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatalf("checksummed decode: %v", err)
 	}
-	pdec, err := plain.DecodeStack(pe)
+	pdec, err := plain.DecodeStackCtx(context.Background(), pe)
 	if err != nil {
 		t.Fatalf("plain decode: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestChecksumOptionRoundTrip(t *testing.T) {
 // regions the failed chunk covered.
 func TestDecodeStackPartialDamagedChunk(t *testing.T) {
 	_, o, e := checksummedStack(t)
-	clean, err := o.DecodeStack(e)
+	clean, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDecodeStackPartialDamagedChunk(t *testing.T) {
 	bad.Stream = append([]byte(nil), e.Stream...)
 	bad.Stream[len(bad.Stream)-64] ^= 0x20 // inside the last chunk's payload
 
-	ts, report, err := o.DecodeStackPartial(bad)
+	ts, report, err := o.DecodeStackPartialCtx(context.Background(), bad)
 	if err != nil {
 		t.Fatalf("top-level error: %v", err)
 	}
@@ -113,7 +114,7 @@ func TestDecodeStackPartialDamagedChunk(t *testing.T) {
 	}
 
 	// The strict path must refuse the same stream with a checksum error.
-	if _, err := o.DecodeStack(bad); !errors.Is(err, ErrChecksum) {
+	if _, err := o.DecodeStackCtx(context.Background(), bad); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("strict decode of damaged stream: %v, want ErrChecksum", err)
 	}
 }
@@ -122,11 +123,11 @@ func TestDecodeStackPartialDamagedChunk(t *testing.T) {
 // a drop-in for DecodeStack.
 func TestDecodeStackPartialCleanStream(t *testing.T) {
 	_, o, e := checksummedStack(t)
-	strict, err := o.DecodeStack(e)
+	strict, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, report, err := o.DecodeStackPartial(e)
+	ts, report, err := o.DecodeStackPartialCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestMarshalTruncationSweep(t *testing.T) {
 		}
 		// A prefix that unmarshals must still fail stack decode: the codec
 		// stream inside it is incomplete.
-		_, err = DefaultOptions().DecodeStack(ee)
+		_, err = DefaultOptions().DecodeStackCtx(context.Background(), ee)
 		return err
 	}
 	res := faultinject.TruncationSweep(data, dec)
@@ -181,7 +182,7 @@ func TestMarshalBitFlipSweepNeverPanics(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		_, err = o.DecodeStack(ee)
+		_, err = o.DecodeStackCtx(context.Background(), ee)
 		return err
 	}
 	res := faultinject.BitFlipSweep(data, 7, dec) // every bit of every 7th byte
@@ -200,10 +201,10 @@ func TestForgedMetadataRejected(t *testing.T) {
 		"zero dims":      {Layers: 0, Rows: 0, Cols: 0, MaxFrameW: 1, MaxFrameH: 1},
 		"metadata short": {Layers: 4, Rows: 8, Cols: 8, MaxFrameW: 8, MaxFrameH: 8, QP: 20, Scales: []float32{1}, Zeros: []float32{0}},
 	} {
-		if _, err := DefaultOptions().DecodeStack(e); !errors.Is(err, ErrCorrupt) {
+		if _, err := DefaultOptions().DecodeStackCtx(context.Background(), e); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
 		}
-		if _, _, err := DefaultOptions().DecodeStackPartial(e); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DefaultOptions().DecodeStackPartialCtx(context.Background(), e); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s partial: got %v, want ErrCorrupt", name, err)
 		}
 	}

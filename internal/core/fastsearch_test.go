@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -57,13 +58,13 @@ func TestNaNSanitizedEquivalence(t *testing.T) {
 		o := DefaultOptions()
 		o.FastSearch = fastSearch
 		o.Workers = 1
-		ref, err := o.EncodeStack([]*Tensor{w}, 28)
+		ref, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			o.Workers = workers
-			e, err := o.EncodeStack([]*Tensor{w}, 28)
+			e, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
 			if err != nil {
 				t.Fatalf("fast=%v workers=%d: %v", fastSearch, workers, err)
 			}
@@ -71,7 +72,7 @@ func TestNaNSanitizedEquivalence(t *testing.T) {
 				t.Errorf("fast=%v workers=%d: NaN-sanitized bytes differ from workers=1", fastSearch, workers)
 			}
 		}
-		dec, err := o.DecodeStack(ref)
+		dec, err := o.DecodeStackCtx(context.Background(), ref)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -26,7 +27,7 @@ func FuzzDecodeStack(f *testing.F) {
 	o.MaxFrameW, o.MaxFrameH = 64, 64
 	for _, checksum := range []bool{false, true} {
 		o.Checksum = checksum
-		e, err := o.EncodeStack(stack, 30)
+		e, err := o.EncodeStackCtx(context.Background(), stack, 30)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -36,7 +37,7 @@ func FuzzDecodeStack(f *testing.F) {
 	// statistics, so the fuzzer starts from a second operating point.
 	o.Checksum = false
 	o.FastSearch = true
-	if e, err := o.EncodeStack(stack, 30); err != nil {
+	if e, err := o.EncodeStackCtx(context.Background(), stack, 30); err != nil {
 		f.Fatal(err)
 	} else {
 		f.Add(e.Marshal())
@@ -52,10 +53,10 @@ func FuzzDecodeStack(f *testing.F) {
 		}
 		opts := DefaultOptions()
 		opts.Workers = 1
-		ts, strictErr := opts.DecodeStack(e)
+		ts, strictErr := opts.DecodeStackCtx(context.Background(), e)
 		typedOrNil(t, "decode", strictErr)
 
-		pts, report, partialErr := opts.DecodeStackPartial(e)
+		pts, report, partialErr := opts.DecodeStackPartialCtx(context.Background(), e)
 		typedOrNil(t, "partial", partialErr)
 		if partialErr == nil {
 			for _, ce := range report.ChunkErrors {

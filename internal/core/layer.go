@@ -1,6 +1,6 @@
 // O(region) random access into a compressed stack (DESIGN.md §15).
 //
-// DecodeLayer reconstructs one layer of an Encoded without decoding the rest
+// DecodeLayerCtx reconstructs one layer of an Encoded without decoding the rest
 // of the stream: the layer's planes occupy a contiguous plane range, and the
 // codec's chunk partition means only the chunks overlapping that range are
 // entropy-decoded (proved by the codec.decode.chunks counter). This is what
@@ -41,66 +41,18 @@ func (e *Encoded) validateIndexRegions(regions []codec.PlaneRegion, regs []frame
 	return nil
 }
 
-// DecodeLayer reconstructs layer l of the stack, decoding only the bitstream
-// chunks that cover it. The result is byte-identical to DecodeStack's l-th
-// tensor (the golden equivalence matrix in layer_test.go pins this for both
-// entropy backends and all worker counts); the work is O(layer), not
-// O(stack).
-func (o Options) DecodeLayer(e *Encoded, l int) (*Tensor, error) {
-	return o.DecodeLayerCtx(context.Background(), e, l)
-}
-
-// DecodeLayerCtx is DecodeLayer under a context: cancellation aborts the
-// remaining chunk decodes and returns ctx.Err() (never wrapped into the
-// decode-error taxonomy).
+// DecodeLayerCtx reconstructs layer l of the stack, decoding only the
+// bitstream chunks that cover it. The result is byte-identical to
+// DecodeStackCtx's l-th tensor (the golden equivalence matrix in layer_test.go
+// pins this for both entropy backends and all worker counts); the work is
+// O(layer), not O(stack). Cancellation aborts the remaining chunk decodes and
+// returns ctx.Err(), never wrapped into the decode-error taxonomy.
 func (o Options) DecodeLayerCtx(ctx context.Context, e *Encoded, l int) (*Tensor, error) {
-	o = o.normalized()
-	if err := e.validate(); err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
-		return nil, err
-	}
-	if l < 0 || l >= e.Layers {
-		return nil, fmt.Errorf("core: layer %d out of range for %d-layer stack", l, e.Layers)
-	}
-	span := o.Metrics.StartSpan("core.decode_layer")
-	regs := e.regions()
-	perLayer := len(regs)
-
-	// The stream's own geometry must agree with the metadata before any
-	// plane range is trusted; Layout also surfaces the trailer index so a
-	// forged region table is rejected rather than decoded around.
-	lay, err := codec.Layout(e.Stream)
+	dec, regs, span, err := o.decodePlanes(ctx, e, "core.decode_layer", l, 1, false)
 	if err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
 		return nil, err
 	}
-	if lay.Planes != e.Layers*perLayer {
-		o.Metrics.Add("core.decode.errors", 1)
-		return nil, fmt.Errorf("core: stream decodes to %d planes, metadata wants %d×%d: %w",
-			lay.Planes, e.Layers, perLayer, ErrCorrupt)
-	}
-	if lay.Index != nil {
-		if err := e.validateIndexRegions(lay.Index.Regions, regs); err != nil {
-			o.Metrics.Add("core.decode.errors", 1)
-			return nil, err
-		}
-	}
-
-	dec, err := codec.Decode(ctx, e.Stream, codec.DecodeConfig{
-		Workers: o.Workers, Metrics: o.Metrics, First: l * perLayer, Count: perLayer})
-	if err != nil {
-		o.Metrics.Add("core.decode.errors", 1)
-		return nil, err
-	}
-	planes := dec.Planes
-	for i, p := range planes {
-		if p.W != regs[i].W || p.H != regs[i].H {
-			o.Metrics.Add("core.decode.errors", 1)
-			return nil, fmt.Errorf("core: plane %d of layer %d is %dx%d, metadata wants %dx%d: %w",
-				i, l, p.W, p.H, regs[i].W, regs[i].H, ErrCorrupt)
-		}
-	}
-	t, _ := e.dequantLayer(l, planes, regs)
+	t, _ := e.dequantLayer(l, dec.Planes, regs)
 	span.End()
 	if o.Metrics != nil {
 		o.Metrics.Add("core.decode.layers", 1)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -28,7 +30,7 @@ func layerStack(t testing.TB, index bool, backend codec.EntropyBackend) ([]*Tens
 	o.Index = index
 	o.Backend = backend
 	o.Workers = 2
-	e, err := o.EncodeStack(stack, 28)
+	e, err := o.EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func TestDecodeLayerMatchesDecodeStack(t *testing.T) {
 	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
 		for _, indexed := range []bool{true, false} {
 			_, o, e := layerStack(t, indexed, backend)
-			full, err := o.DecodeStack(e)
+			full, err := o.DecodeStackCtx(context.Background(), e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +53,7 @@ func TestDecodeLayerMatchesDecodeStack(t *testing.T) {
 				wo := o
 				wo.Workers = workers
 				for l := 0; l < e.Layers; l++ {
-					got, err := wo.DecodeLayer(e, l)
+					got, err := wo.DecodeLayerCtx(context.Background(), e, l)
 					if err != nil {
 						t.Fatalf("backend=%v indexed=%v workers=%d DecodeLayer(%d): %v",
 							backend, indexed, workers, l, err)
@@ -82,7 +84,7 @@ func TestDecodeLayerIsOLayer(t *testing.T) {
 		return reg.Snapshot().Counters["codec.decode.chunks"]
 	}
 	fullChunks := chunkCount(func(o Options) {
-		if _, err := o.DecodeStack(e); err != nil {
+		if _, err := o.DecodeStackCtx(context.Background(), e); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -91,7 +93,7 @@ func TestDecodeLayerIsOLayer(t *testing.T) {
 	}
 	// Layer 0 (planes 0..2) lives entirely in chunk 0.
 	if n := chunkCount(func(o Options) {
-		if _, err := o.DecodeLayer(e, 0); err != nil {
+		if _, err := o.DecodeLayerCtx(context.Background(), e, 0); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {
@@ -99,7 +101,7 @@ func TestDecodeLayerIsOLayer(t *testing.T) {
 	}
 	// Layer 4 (planes 12..14) lives entirely in chunk 1.
 	if n := chunkCount(func(o Options) {
-		if _, err := o.DecodeLayer(e, 4); err != nil {
+		if _, err := o.DecodeLayerCtx(context.Background(), e, 4); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {
@@ -108,18 +110,20 @@ func TestDecodeLayerIsOLayer(t *testing.T) {
 	// Layer 2 spans the boundary: both chunks, same as full — the bound is
 	// O(chunks overlapping the layer), not better.
 	if n := chunkCount(func(o Options) {
-		if _, err := o.DecodeLayer(e, 2); err != nil {
+		if _, err := o.DecodeLayerCtx(context.Background(), e, 2); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 2 {
 		t.Fatalf("DecodeLayer(2) touched %d chunks, want 2", n)
 	}
 
-	if _, err := o.DecodeLayer(e, -1); err == nil {
+	if _, err := o.DecodeLayerCtx(context.Background(), e, -1); err == nil {
 		t.Fatal("DecodeLayer(-1) accepted")
 	}
-	if _, err := o.DecodeLayer(e, e.Layers); err == nil {
-		t.Fatalf("DecodeLayer(%d) accepted", e.Layers)
+	for _, l := range []int{e.Layers, math.MaxInt} {
+		if _, err := o.DecodeLayerCtx(context.Background(), e, l); err == nil || errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeLayer(%d) = %v, want a plain out-of-range error", l, err)
+		}
 	}
 }
 
@@ -196,15 +200,16 @@ func TestForgedIndexRejected(t *testing.T) {
 		if _, err := codec.ReadIndex(forged.Stream); err != nil {
 			t.Fatalf("%s: forgery did not survive codec parsing: %v", tc.name, err)
 		}
-		if _, _, err := o.DecodeStackPartial(&forged); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := o.DecodeStackPartialCtx(context.Background(), &forged); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: DecodeStackPartial err = %v, want ErrCorrupt", tc.name, err)
 		}
-		if _, err := o.DecodeLayer(&forged, 0); !errors.Is(err, ErrCorrupt) {
+		if _, err := o.DecodeLayerCtx(context.Background(), &forged, 0); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: DecodeLayer err = %v, want ErrCorrupt", tc.name, err)
 		}
-		// The full decode ignores the region table entirely and stays usable.
-		if _, err := o.DecodeStack(&forged); err != nil {
-			t.Fatalf("%s: DecodeStack rejected a stream with intact payloads: %v", tc.name, err)
+		// The full decode shares the preamble: a container is valid for every
+		// path or for none.
+		if _, err := o.DecodeStackCtx(context.Background(), &forged); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: DecodeStack err = %v, want ErrCorrupt", tc.name, err)
 		}
 	}
 }
@@ -217,7 +222,7 @@ func TestForgedIndexRejected(t *testing.T) {
 func TestPartialAttributionProperty(t *testing.T) {
 	for _, indexed := range []bool{true, false} {
 		_, o, e := layerStack(t, indexed, codec.BackendCABAC)
-		full, err := o.DecodeStack(e)
+		full, err := o.DecodeStackCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +259,7 @@ func TestPartialAttributionProperty(t *testing.T) {
 
 			de := *e
 			de.Stream = bad
-			dec, report, err := o.DecodeStackPartial(&de)
+			dec, report, err := o.DecodeStackPartialCtx(context.Background(), &de)
 			if err != nil {
 				t.Fatalf("indexed=%v trial %d: %v", indexed, trial, err)
 			}
@@ -301,7 +306,7 @@ func TestPartialAttributionProperty(t *testing.T) {
 // attribution, and still recover every other chunk's planes.
 func TestPartialRecoversWhenIndexDamaged(t *testing.T) {
 	_, o, e := layerStack(t, true, codec.BackendCABAC)
-	full, err := o.DecodeStack(e)
+	full, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +321,10 @@ func TestPartialRecoversWhenIndexDamaged(t *testing.T) {
 	de.Stream = bad
 
 	// Strict path: typed rejection (trailer CRC or chunk CRC, never silent).
-	if _, err := o.DecodeStack(&de); err == nil {
+	if _, err := o.DecodeStackCtx(context.Background(), &de); err == nil {
 		t.Fatal("strict decode accepted a damaged stream")
 	}
-	dec, report, err := o.DecodeStackPartial(&de)
+	dec, report, err := o.DecodeStackPartialCtx(context.Background(), &de)
 	if err != nil {
 		t.Fatal(err)
 	}

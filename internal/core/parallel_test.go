@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func randStack(seed int64, layers, rows, cols int) []*Tensor {
 func TestEncodeStackSurfacesStats(t *testing.T) {
 	stack := randStack(31, 3, 64, 64)
 	o := DefaultOptions()
-	e, err := o.EncodeStack(stack, 26)
+	e, err := o.EncodeStackCtx(context.Background(), stack, 26)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,11 @@ func TestParallelSerialByteIdentical(t *testing.T) {
 	parallel := DefaultOptions()
 	parallel.Workers = 8
 
-	es, err := serial.EncodeStack(stack, 28)
+	es, err := serial.EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := parallel.EncodeStack(stack, 28)
+	ep, err := parallel.EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestParallelSerialByteIdentical(t *testing.T) {
 		t.Fatalf("stats differ: %+v vs %+v", es.Stats, ep.Stats)
 	}
 
-	ds, err := serial.DecodeStack(es)
+	ds, err := serial.DecodeStackCtx(context.Background(), es)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := parallel.DecodeStack(ep)
+	dp, err := parallel.DecodeStackCtx(context.Background(), ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,7 @@ func TestConstantTensorRoundTripExact(t *testing.T) {
 			for i := range tens.Data {
 				tens.Data[i] = val
 			}
-			dec, _, err := o.Roundtrip(tens, 30)
-			if err != nil {
-				t.Fatalf("workers=%d val=%v: %v", workers, val, err)
-			}
-			for i, v := range dec.Data {
+			for i, v := range roundtrip(t, o, tens, 30).Data {
 				if v != val {
 					t.Fatalf("workers=%d val=%v: idx %d decoded %v (zero-scale path broken)",
 						workers, val, i, v)
@@ -194,18 +191,18 @@ func TestNaNInfStackRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		o := DefaultOptions()
 		o.Workers = workers
-		e1, err := o.EncodeStack(stack, 26)
+		e1, err := o.EncodeStackCtx(context.Background(), stack, 26)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		e2, err := o.EncodeStack(stack, 26)
+		e2, err := o.EncodeStackCtx(context.Background(), stack, 26)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(e1.Stream, e2.Stream) {
 			t.Fatalf("workers=%d: NaN-laced encode is nondeterministic", workers)
 		}
-		dec, err := o.DecodeStack(e1)
+		dec, err := o.DecodeStackCtx(context.Background(), e1)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -229,14 +226,14 @@ func TestPerRowQuantParallelRoundTrip(t *testing.T) {
 	o := DefaultOptions()
 	o.PerRowQuant = true
 	o.Workers = 4
-	e, err := o.EncodeStack(stack, 20)
+	e, err := o.EncodeStackCtx(context.Background(), stack, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(e.Scales) != 2*40 {
 		t.Fatalf("per-row scales %d, want %d", len(e.Scales), 2*40)
 	}
-	dec, err := o.DecodeStack(e)
+	dec, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,32 +13,43 @@ import (
 	"repro/internal/tensorgen"
 )
 
-// TestRateControlSearchesRejectEmptyInput pins the degenerate-input gate the
-// rate-control searches own since the codec-level copies were deleted: a
-// stack with no values makes BitsPerValue = 0/0 = NaN, every bisection
-// comparison false, and the search would silently return a stream "meeting"
-// any budget. Every search must instead fail on its first probe with a typed
-// error matching ErrEmptyInput — never a panic, never a NaN-driven result.
+// TestRateControlSearchesRejectEmptyInput pins the degenerate-input gates of
+// the rate-control searches. A stack with no values makes BitsPerValue =
+// 0/0 = NaN, and a NaN target does the same from the other side: every
+// bisection comparison is false, and the search would silently return a
+// stream "meeting" any budget (the MaxQP stream for a NaN bit budget, QP 0
+// for a NaN error bound). Every search must instead fail before or on its
+// first probe with a typed error — ErrEmptyInput for the stack, ErrBadTarget
+// for a NaN target or a bit budget that is not positive — never a panic,
+// never a NaN-driven result.
 func TestRateControlSearchesRejectEmptyInput(t *testing.T) {
 	o := DefaultOptions()
+	ctx := context.Background()
+	valid := []*Tensor{weightTensor(5, 16, 16)}
+	nan := math.NaN()
 	for _, tc := range []struct {
-		name  string
-		stack []*Tensor
+		name      string
+		stack     []*Tensor
+		bits, mse float64
+		want      error
 	}{
-		{"empty stack", nil},
-		{"nil tensor", []*Tensor{nil}},
-		{"zero-row tensor", []*Tensor{{Rows: 0, Cols: 16}}},
-		{"zero-col tensor", []*Tensor{NewTensor(16, 16), {Rows: 16, Cols: 0}}},
+		{"empty stack", nil, 2, 1, ErrEmptyInput},
+		{"nil tensor", []*Tensor{nil}, 2, 1, ErrEmptyInput},
+		{"zero-row tensor", []*Tensor{{Rows: 0, Cols: 16}}, 2, 1, ErrEmptyInput},
+		{"zero-col tensor", []*Tensor{NewTensor(16, 16), {Rows: 16, Cols: 0}}, 2, 1, ErrEmptyInput},
+		{"NaN target", valid, nan, nan, ErrBadTarget},
+		{"zero bit budget", valid, 0, nan, ErrBadTarget},
+		{"negative bit budget", valid, -1.5, nan, ErrBadTarget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := o.EncodeStack(tc.stack, 26); !errors.Is(err, ErrEmptyInput) {
-				t.Fatalf("EncodeStack: got %v, want ErrEmptyInput", err)
+			if _, err := o.EncodeStackCtx(ctx, tc.stack, 26); tc.want == ErrEmptyInput && !errors.Is(err, tc.want) {
+				t.Fatalf("EncodeStackCtx: got %v, want %v", err, tc.want)
 			}
-			if _, err := o.EncodeStackToBitrate(tc.stack, 2.0); !errors.Is(err, ErrEmptyInput) {
-				t.Fatalf("EncodeStackToBitrate: got %v, want ErrEmptyInput", err)
+			if e, err := o.EncodeStackToBitrate(ctx, tc.stack, tc.bits); !errors.Is(err, tc.want) || e != nil {
+				t.Fatalf("EncodeStackToBitrate: got %v, %v, want %v", e, err, tc.want)
 			}
-			if _, _, err := o.EncodeStackToMSE(tc.stack, 1.0); !errors.Is(err, ErrEmptyInput) {
-				t.Fatalf("EncodeStackToMSE: got %v, want ErrEmptyInput", err)
+			if e, _, err := o.EncodeStackToMSE(ctx, tc.stack, tc.mse); !errors.Is(err, tc.want) || e != nil {
+				t.Fatalf("EncodeStackToMSE: got %v, %v, want %v", e, err, tc.want)
 			}
 		})
 	}
@@ -50,7 +63,7 @@ func TestRateControlProberMemoizes(t *testing.T) {
 	o := DefaultOptions()
 	o.Metrics = obs.NewRegistry()
 	probes := func() int64 { return o.Metrics.Snapshot().Counters["core.ratecontrol.probes"] }
-	probe := o.probeStack([]*Tensor{FromSlice(48, 48, tensorgen.Weights(rng, 48, 48))})
+	probe := o.probeStack(context.Background(), []*Tensor{FromSlice(48, 48, tensorgen.Weights(rng, 48, 48))})
 	a, err := probe(20)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +99,7 @@ func TestRateControlFallbackReusesProbe(t *testing.T) {
 	stack := []*Tensor{FromSlice(64, 64, noise)}
 	o := DefaultOptions()
 	o.Metrics = obs.NewRegistry()
-	e, err := o.EncodeStackToBitrate(stack, 1e-6)
+	e, err := o.EncodeStackToBitrate(context.Background(), stack, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +111,7 @@ func TestRateControlFallbackReusesProbe(t *testing.T) {
 	if got := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]; got != 6 {
 		t.Fatalf("infeasible-budget search performed %d encodes, want 6", got)
 	}
-	want, err := DefaultOptions().EncodeStack(stack, dct.MaxQP)
+	want, err := DefaultOptions().EncodeStackCtx(context.Background(), stack, dct.MaxQP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,13 @@ func SearchVariableSchedule(layers int, avgBits float64, ks []float64, eval func
 	}
 	var (
 		best      []float64
-		bestK     float64
-		bestScore = 0.0
-		first     = true
+		bestScore float64
 	)
 	for _, k := range ks {
 		sched := VariableSchedule(layers, avgBits, k, 0.4)
-		score := eval(sched)
-		if first || score < bestScore {
-			best, bestK, bestScore, first = sched, k, score, false
+		if score := eval(sched); best == nil || score < bestScore {
+			best, bestScore = sched, score
 		}
 	}
-	_ = bestK
 	return best, bestScore, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,29 +25,25 @@ func TestEncodeStackToMSE(t *testing.T) {
 
 	o := DefaultOptions()
 	budget := 0.01 * variance
-	e, mse, err := o.EncodeStackToMSE(stack, budget)
+	e, rec, err := o.EncodeStackToMSE(context.Background(), stack, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mse := StackMSE(stack, rec)
 	if mse > budget {
 		t.Fatalf("achieved MSE %.3g exceeds budget %.3g", mse, budget)
 	}
-	// The reported MSE must match a fresh decode.
-	dec, err := o.DecodeStack(e)
+	// The returned reconstruction must match a fresh decode.
+	dec, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got float64
-	for i := range dec {
-		got += stack[i].MSE(dec[i])
-	}
-	got /= float64(len(dec))
-	if got != mse {
-		t.Fatalf("reported MSE %.6g != measured %.6g", mse, got)
+	if got := StackMSE(stack, dec); got != mse {
+		t.Fatalf("returned reconstruction's MSE %.6g != a fresh decode's %.6g", mse, got)
 	}
 
 	// Loose budgets must not cost more bits than tight ones.
-	e2, _, err := o.EncodeStackToMSE(stack, budget*20)
+	e2, _, err := o.EncodeStackToMSE(context.Background(), stack, budget*20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +57,14 @@ func TestEncodeStackToMSEUnreachableBudget(t *testing.T) {
 	w := FromSlice(32, 32, tensorgen.Weights(rng, 32, 32))
 	o := DefaultOptions()
 	// An impossible budget returns the best-effort QP-0 encode.
-	e, mse, err := o.EncodeStackToMSE([]*Tensor{w}, 1e-30)
+	e, rec, err := o.EncodeStackToMSE(context.Background(), []*Tensor{w}, 1e-30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e.QP != 0 {
 		t.Fatalf("unreachable budget should fall back to QP 0, got %d", e.QP)
 	}
-	if mse <= 0 {
-		t.Fatal("fallback must report its achieved MSE")
+	if len(rec) != 1 || w.MSE(rec[0]) <= 0 {
+		t.Fatal("fallback must return its (lossy) reconstruction")
 	}
 }

@@ -13,7 +13,7 @@ import "fmt"
 
 // Tensor is a dense rows×cols float32 matrix, the unit of compression.
 // (The paper treats 2-D weight matrices as frames; stacks of layers form
-// multi-frame sequences via EncodeStack.)
+// multi-frame sequences via EncodeStackCtx.)
 type Tensor struct {
 	Rows, Cols int
 	Data       []float32 // row-major, len Rows*Cols
@@ -62,4 +62,14 @@ func (t *Tensor) MSE(o *Tensor) float64 {
 		s += d * d
 	}
 	return s / float64(len(t.Data))
+}
+
+// StackMSE is the mean of the per-layer MSEs of a stack against its
+// reconstruction — the quantity EncodeStackToMSE bounds.
+func StackMSE(stack, rec []*Tensor) float64 {
+	var s float64
+	for i, t := range stack {
+		s += t.MSE(rec[i])
+	}
+	return s / float64(len(stack))
 }

@@ -86,12 +86,12 @@ func Fig2(ctx *Ctx) *Table {
 		} else {
 			o := core.DefaultOptions()
 			o.Tools = s.tools
-			e, mse, err := o.EncodeStackToMSE(stack, budget)
+			e, rec, err := o.EncodeStackToMSE(context.Background(), stack, budget)
 			if err != nil {
 				panic(err)
 			}
 			bits = e.BitsPerValue()
-			relMSE = mse / variance
+			relMSE = core.StackMSE(stack, rec) / variance
 		}
 		t.AddRow(s.name, fmt.Sprintf("%.3f", bits), fmt.Sprintf("%.4f", relMSE))
 	}

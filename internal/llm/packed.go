@@ -11,6 +11,7 @@
 package llm
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -27,7 +28,6 @@ import (
 func PackModel(s *store.Store, model string, m *nn.Transformer, opts core.Options, qp int) (*store.Manifest, error) {
 	opts.Index = true
 	type group struct {
-		name   string
 		params []string
 		stack  []*core.Tensor
 	}
@@ -37,7 +37,7 @@ func PackModel(s *store.Store, model string, m *nn.Transformer, opts core.Option
 		key := fmt.Sprintf("w%dx%d", p.W.R, p.W.C)
 		g, ok := groups[key]
 		if !ok {
-			g = &group{name: key}
+			g = &group{}
 			groups[key] = g
 			order = append(order, key)
 		}
@@ -48,11 +48,11 @@ func PackModel(s *store.Store, model string, m *nn.Transformer, opts core.Option
 	entries := make([]store.PackEntry, 0, len(order))
 	for _, key := range order {
 		g := groups[key]
-		e, err := opts.EncodeStack(g.stack, qp)
+		e, err := opts.EncodeStackCtx(context.Background(), g.stack, qp)
 		if err != nil {
 			return nil, fmt.Errorf("llm: pack %s: %w", key, err)
 		}
-		entries = append(entries, store.PackEntry{Name: g.name, Params: g.params, Enc: e})
+		entries = append(entries, store.PackEntry{Name: key, Params: g.params, Enc: e})
 	}
 	return s.Pack(model, entries)
 }

@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -58,7 +59,7 @@ func TestPackedInferenceExactUnderBudget(t *testing.T) {
 	}
 	wantW := map[string][]float32{}
 	for _, tm := range man.Tensors {
-		dec, err := opts.DecodeStack(fetched[tm.Name])
+		dec, err := opts.DecodeStackCtx(context.Background(), fetched[tm.Name])
 		if err != nil {
 			t.Fatalf("DecodeStack %s: %v", tm.Name, err)
 		}

@@ -747,9 +747,7 @@ func (p *Proxy) dispatch(w http.ResponseWriter, r *http.Request, body []byte, ke
 				haveHint = false
 			}
 			if !sleepCtx(r.Context(), wait) {
-				p.writeJSONError(w, statusForCtx(r.Context().Err()),
-					"proxy: request abandoned between retries: "+r.Context().Err().Error(),
-					classForCtx(r.Context().Err()))
+				p.writeAbandoned(w, r.Context().Err(), "between retries")
 				return
 			}
 		}
@@ -790,9 +788,7 @@ func (p *Proxy) dispatch(w http.ResponseWriter, r *http.Request, body []byte, ke
 			}
 		}
 		if r.Context().Err() != nil {
-			p.writeJSONError(w, statusForCtx(r.Context().Err()),
-				"proxy: request abandoned mid-attempt: "+r.Context().Err().Error(),
-				classForCtx(r.Context().Err()))
+			p.writeAbandoned(w, r.Context().Err(), "mid-attempt")
 			return
 		}
 	}
@@ -887,6 +883,13 @@ func (p *Proxy) writeJSONError(w http.ResponseWriter, status int, msg, class str
 	serve.WriteError(w, status, msg, class)
 }
 
+// writeAbandoned answers a request whose own context ended (err is its
+// ctx.Err()) with the status and class serve's error table gives it.
+func (p *Proxy) writeAbandoned(w http.ResponseWriter, err error, when string) {
+	status, class := serve.Classify(err)
+	p.writeJSONError(w, status, "proxy: request abandoned "+when+": "+err.Error(), class)
+}
+
 // ------------------------------------------------------------------ small helpers
 
 // sleepCtx sleeps d or until ctx dies; false means ctx died first.
@@ -902,20 +905,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-func statusForCtx(err error) int {
-	if err == context.DeadlineExceeded {
-		return http.StatusGatewayTimeout
-	}
-	return serve.StatusClientClosedRequest
-}
-
-func classForCtx(err error) string {
-	if err == context.DeadlineExceeded {
-		return "deadline_exceeded"
-	}
-	return "canceled"
 }
 
 // isCanceled reports a cancellation-shaped attempt error. Deliberately not

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -47,7 +48,7 @@ func FuzzServeRequest(f *testing.F) {
 	stack := testStack(201, 1, 32, 32)
 	opts := core.DefaultOptions()
 	opts.Checksum = true
-	enc, err := opts.EncodeStack(stack, 30)
+	enc, err := opts.EncodeStackCtx(context.Background(), stack, 30)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func post(t testing.TB, url string, body []byte) (int, []byte, http.Header) {
 
 // TestEncodeRoundTripMatchesCore is the bit-identity gate: for every
 // profile/option combination the HTTP encode must return exactly the bytes
-// of a direct core.EncodeStack(...).Marshal(), and the HTTP decode must
+// of a direct core.EncodeStackCtx(context.Background(), ...).Marshal(), and the HTTP decode must
 // return exactly the float32s of a direct DecodeStack.
 func TestEncodeRoundTripMatchesCore(t *testing.T) {
 	_, url := newTestServer(t, Config{MaxInflight: 2})
@@ -108,7 +108,7 @@ func TestEncodeRoundTripMatchesCore(t *testing.T) {
 			// Direct reference encode.
 			opts := core.DefaultOptions()
 			tc.mutate(&opts)
-			want, err := opts.EncodeStack(stack, tc.qp)
+			want, err := opts.EncodeStackCtx(context.Background(), stack, tc.qp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestEncodeRoundTripMatchesCore(t *testing.T) {
 				t.Fatalf("encode status %d: %s", status, got)
 			}
 			if !bytes.Equal(got, wantBytes) {
-				t.Fatalf("HTTP encode bytes differ from core.EncodeStack().Marshal() (%d vs %d bytes)",
+				t.Fatalf("HTTP encode bytes differ from core.EncodeStackCtx(context.Background(), ).Marshal() (%d vs %d bytes)",
 					len(got), len(wantBytes))
 			}
 			if hdr.Get("X-Llm265-Bits-Per-Value") == "" {
@@ -130,7 +130,7 @@ func TestEncodeRoundTripMatchesCore(t *testing.T) {
 			}
 
 			// HTTP decode of the container must match the direct decode.
-			wantDec, err := opts.DecodeStack(want)
+			wantDec, err := opts.DecodeStackCtx(context.Background(), want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 	planes := testStack(3, 2, 64, 64)
 	opts := core.DefaultOptions()
 	opts.Checksum = true
-	enc, err := opts.EncodeStack(planes, 30)
+	enc, err := opts.EncodeStackCtx(context.Background(), planes, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 
 	opts := core.DefaultOptions()
 	opts.Index = true
-	enc, err := opts.EncodeStack(testStack(9, 2, 64, 64), 30)
+	enc, err := opts.EncodeStackCtx(context.Background(), testStack(9, 2, 64, 64), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestPartialDecodeOverHTTP(t *testing.T) {
 	stack := testStack(5, 3, 64, 64)
 	opts := core.DefaultOptions()
 	opts.Checksum = true
-	enc, err := opts.EncodeStack(stack, 30)
+	enc, err := opts.EncodeStackCtx(context.Background(), stack, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

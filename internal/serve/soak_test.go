@@ -53,7 +53,7 @@ func buildSoakScenarios(t testing.TB) []soakScenario {
 	// Encode scenario: bytes must equal the direct core encode.
 	stack := testStack(101, 2, 32, 32)
 	opts := core.DefaultOptions()
-	ref, err := opts.EncodeStack(stack, 30)
+	ref, err := opts.EncodeStackCtx(context.Background(), stack, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +62,13 @@ func buildSoakScenarios(t testing.TB) []soakScenario {
 	// Checksummed encode scenario.
 	optsV3 := core.DefaultOptions()
 	optsV3.Checksum = true
-	refV3, err := optsV3.EncodeStack(stack, 30)
+	refV3, err := optsV3.EncodeStackCtx(context.Background(), stack, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Decode scenarios: core container → floats; codec container → GPLN.
-	dec, err := opts.DecodeStack(ref)
+	dec, err := opts.DecodeStackCtx(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

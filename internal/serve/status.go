@@ -61,6 +61,13 @@ func classify(err error) errorClass {
 	return errorClass{status: http.StatusBadRequest, name: "bad_request"}
 }
 
+// Classify is the error table's lookup for the proxy, which answers the
+// requests it abandons itself with the same rows.
+func Classify(err error) (status int, class string) {
+	c := classify(err)
+	return c.status, c.name
+}
+
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
 	Error string `json:"error"`

@@ -4,7 +4,7 @@
 // from the store) and materializes decoded layers on demand through an LRU
 // bounded by a byte budget — the vqLLM-style serving mode where the decoded
 // working set, not the whole checkpoint, determines memory. Layer decodes go
-// through core.DecodeLayer, so only the chunks covering the requested layer
+// through core.DecodeLayerCtx, so only the chunks covering the requested layer
 // are entropy-decoded (O(region), DESIGN.md §15).
 //
 // LRU policy: entries are decoded layers costing Rows*Cols*4 bytes each.
@@ -17,13 +17,15 @@ package store
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"sync"
 
 	"repro/internal/core"
 )
 
-// layerKey identifies one cached decoded layer.
+// layerKey identifies one layer of one packed tensor: a cached decoded layer,
+// or where a named parameter lives.
 type layerKey struct {
 	tensor string
 	layer  int
@@ -34,12 +36,6 @@ type cacheEntry struct {
 	key   layerKey
 	t     *core.Tensor
 	bytes int64
-}
-
-// paramAddr locates a named parameter inside the packed model.
-type paramAddr struct {
-	tensor string
-	layer  int
 }
 
 // CacheStats is a point-in-time view of a Model's LRU.
@@ -61,7 +57,7 @@ type Model struct {
 
 	mu       sync.Mutex
 	enc      map[string]*core.Encoded
-	byParam  map[string]paramAddr
+	byParam  map[string]layerKey
 	lru      *list.List // *cacheEntry, front = most recent
 	idx      map[layerKey]*list.Element
 	stats    CacheStats
@@ -83,7 +79,7 @@ func (s *Store) OpenModel(model string, opts core.Options, budgetBytes int64) (*
 		budget:  budgetBytes,
 		m:       s.m,
 		enc:     make(map[string]*core.Encoded, len(man.Tensors)),
-		byParam: map[string]paramAddr{},
+		byParam: map[string]layerKey{},
 		lru:     list.New(),
 		idx:     map[layerKey]*list.Element{},
 	}
@@ -99,7 +95,7 @@ func (s *Store) OpenModel(model string, opts core.Options, budgetBytes int64) (*
 			if _, dup := m.byParam[p]; dup {
 				return nil, fmt.Errorf("store: model %q maps param %q twice", model, p)
 			}
-			m.byParam[p] = paramAddr{tensor: tm.Name, layer: l}
+			m.byParam[p] = layerKey{tensor: tm.Name, layer: l}
 		}
 	}
 	return m, nil
@@ -129,7 +125,7 @@ func (m *Model) Layer(tensor string, layer int) (*core.Tensor, error) {
 	if m.m != nil {
 		m.m.misses.Inc()
 	}
-	t, err := m.opts.DecodeLayer(e, layer)
+	t, err := m.opts.DecodeLayerCtx(context.Background(), e, layer)
 	if err != nil {
 		return nil, err
 	}

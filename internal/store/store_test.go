@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -40,7 +41,7 @@ func testOptions(workers int) core.Options {
 // encodeStack is a fatal-on-error indexed encode at QP 28.
 func encodeStack(t *testing.T, stack []*core.Tensor) *core.Encoded {
 	t.Helper()
-	e, err := testOptions(2).EncodeStack(stack, 28)
+	e, err := testOptions(2).EncodeStackCtx(context.Background(), stack, 28)
 	if err != nil {
 		t.Fatalf("EncodeStack: %v", err)
 	}
@@ -71,7 +72,7 @@ func TestPackFetchRoundTrip(t *testing.T) {
 	mlpOpts := testOptions(2)
 	mlpOpts.Index = false
 	mlpOpts.Checksum = true
-	mlp, err := mlpOpts.EncodeStack(testStack(2, 3, 64, 64), 30)
+	mlp, err := mlpOpts.EncodeStackCtx(context.Background(), testStack(2, 3, 64, 64), 30)
 	if err != nil {
 		t.Fatalf("EncodeStack: %v", err)
 	}
@@ -124,11 +125,11 @@ func TestPackFetchRoundTrip(t *testing.T) {
 
 	// The fetched encode must decode — and identically to the original.
 	opts := testOptions(4)
-	wantDec, err := opts.DecodeStack(attn)
+	wantDec, err := opts.DecodeStackCtx(context.Background(), attn)
 	if err != nil {
 		t.Fatalf("DecodeStack(original): %v", err)
 	}
-	gotDec, err := opts.DecodeStack(got["attn"])
+	gotDec, err := opts.DecodeStackCtx(context.Background(), got["attn"])
 	if err != nil {
 		t.Fatalf("DecodeStack(fetched): %v", err)
 	}
@@ -309,7 +310,7 @@ func TestModelLRU(t *testing.T) {
 		t.Fatalf("Pack: %v", err)
 	}
 	opts := testOptions(2)
-	want, err := opts.DecodeStack(e)
+	want, err := opts.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatalf("DecodeStack: %v", err)
 	}
@@ -418,7 +419,7 @@ func TestModelConcurrent(t *testing.T) {
 		t.Fatalf("Pack: %v", err)
 	}
 	opts := testOptions(1)
-	want, err := opts.DecodeStack(e)
+	want, err := opts.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatalf("DecodeStack: %v", err)
 	}
