@@ -28,11 +28,14 @@ vet:
 	$(GO) vet ./...
 
 # Fail in seconds, not after the suite: everything compiles (the nested
-# benchmark module too, against this tree with benchmark/surface.go unedited)
-# and the two closed API surfaces — codec's Encode/Decode, core's ten Options
-# methods — still hold. The first step of ci.
+# benchmark module too, against this tree with benchmark/surface.go unedited),
+# the two closed API surfaces — codec's Encode/Decode, core's ten Options
+# methods — still hold, and every kernel still computes the integers of the
+# one it replaced (the differential tests of DESIGN.md §11.1 and the rate
+# estimate's bit pins). The first step of ci.
 surface: vet
 	$(GO) test -run SurfaceIsClosed ./internal/codec/ ./internal/core/
+	$(GO) test -run 'Equivalence|Pinned' ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
 
 # Race-detector run over the full tree; catches any data race in the
@@ -116,13 +119,14 @@ fuzz-smoke:
 	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzAllreduceSegment -fuzztime $(FUZZTIME)
 
 # One pass over every paper-artifact micro-benchmark (testing.B), then the
-# transform and prediction kernels on their own (dense and post-quantisation
-# sparse inverse inputs; DESIGN.md §11 "Kernels"), then the one-layer
-# random-access decode at 1 and 2 workers — inline against parse ‖ reconstruct
-# (DESIGN.md §13.4).
+# transform, quantiser, prediction and RD-trial kernels on their own — each
+# rotating over 64 blocks cut from a generated weight plane, dense at QP 12 and
+# sparse at QP 30, so that no branch predictor memorises its input (DESIGN.md
+# §11.1) — then the one-layer random-access decode at 1 and 2 workers — inline
+# against parse ‖ reconstruct (DESIGN.md §13.4).
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|PredictAngular' -benchtime=2000x ./internal/dct/ ./internal/intra/
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|AngularSAD|TrialResidual|EstimateLevelBits' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run '^$$' -bench 'DecodeLayer(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any

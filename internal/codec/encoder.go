@@ -178,18 +178,20 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 func computeStats(planes, recs []*frame.Plane, bits int) Stats {
 	var st Stats
 	st.Bits = bits
-	var sse float64
+	// Integer SSE: exact, and equal to the float64 accumulation it replaced,
+	// every partial sum being an integer below 2⁵³.
+	var sse int64
 	for i, p := range planes {
 		st.Pixels += p.W * p.H
-		r := recs[i]
 		for y := 0; y < p.H; y++ {
-			for x := 0; x < p.W; x++ {
-				d := float64(int(p.At(x, y)) - int(r.At(x, y)))
+			rec := recs[i].Row(y)[:p.W]
+			for x, v := range p.Row(y) {
+				d := int64(v) - int64(rec[x])
 				sse += d * d
 			}
 		}
 	}
-	st.MSE = sse / float64(st.Pixels)
+	st.MSE = float64(sse) / float64(st.Pixels)
 	st.BitsPerPixel = float64(st.Bits) / float64(st.Pixels)
 	return st
 }
@@ -416,77 +418,78 @@ func storeBlock(recon *frame.Plane, coded []bool, rec []int32, x, y, size int) {
 func (e *encoder) gatherRefs(x, y, size int) intra.Refs {
 	s := e.scr
 	refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-	return gatherRefsInto(e.recon, e.coded, x, y, size, s.rawRefs[:4*size+1], refs)
+	return gatherRefsInto(e.recon, e.coded, x, y, size, refs)
 }
 
-// gatherRefs is the allocating form, kept for tests and out-of-band callers.
-func gatherRefs(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs {
-	raw := make([]refSample, 4*size+1)
-	return gatherRefsInto(recon, coded, x, y, size, raw, intra.NewRefs(size))
-}
+// unavailable marks a reference sample gatherRefsInto has yet to substitute;
+// pixel values are 0–255.
+const unavailable = -1
 
 // gatherRefsInto fills refs (whose Above/Left must be 2·size long) from the
-// reconstruction with HEVC-style substitution of unavailable samples, using
-// raw (4·size+1 entries) as the substitution workspace. Returns refs with
-// its Corner set.
-func gatherRefsInto(recon *frame.Plane, coded []bool, x, y, size int, raw []refSample, refs intra.Refs) intra.Refs {
+// reconstruction with HEVC-style substitution of unavailable samples — those
+// outside the frame or not yet coded — and returns refs with its Corner set.
+func gatherRefsInto(recon *frame.Plane, coded []bool, x, y, size int, refs intra.Refs) intra.Refs {
 	w, h := recon.W, recon.H
 	n2 := 2 * size
-	avail := func(px, py int) bool {
-		return px >= 0 && py >= 0 && px < w && py < h && coded[py*w+px]
+	left, above := refs.Left[:n2], refs.Above[:n2]
+	refs.Corner = unavailable
+	for i := range left {
+		left[i], above[i] = unavailable, unavailable
 	}
-	// Collect raw samples with availability, order: below-left (bottom to
-	// top), corner, above and above-right (left to right) — the HEVC
-	// reference scan.
-	raw = raw[:0]
-	for i := n2 - 1; i >= 0; i-- { // left column downward stored reversed
-		if avail(x-1, y+i) {
-			raw = append(raw, refSample{int32(recon.At(x-1, y+i)), true})
-		} else {
-			raw = append(raw, refSample{0, false})
-		}
-	}
-	if avail(x-1, y-1) {
-		raw = append(raw, refSample{int32(recon.At(x-1, y-1)), true})
-	} else {
-		raw = append(raw, refSample{0, false})
-	}
-	for i := 0; i < n2; i++ {
-		if avail(x+i, y-1) {
-			raw = append(raw, refSample{int32(recon.At(x+i, y-1)), true})
-		} else {
-			raw = append(raw, refSample{0, false})
-		}
-	}
-	// Substitute: find the first available; if none, all 128. Then fill
-	// forward and backward.
-	first := -1
-	for i, r := range raw {
-		if r.ok {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		for i := range raw {
-			raw[i] = refSample{128, true}
-		}
-	} else {
-		for i := first - 1; i >= 0; i-- {
-			raw[i] = refSample{raw[i+1].v, true}
-		}
-		for i := first + 1; i < len(raw); i++ {
-			if !raw[i].ok {
-				raw[i] = refSample{raw[i-1].v, true}
+	if x > 0 {
+		// Column x−1 downwards: pixel and mask share one index, a row apart
+		// per step.
+		for i, at := 0, y*w+x-1; i < n2 && y+i < h; i, at = i+1, at+w {
+			if coded[at] {
+				left[i] = int32(recon.Pix[at])
 			}
 		}
 	}
-	for i := 0; i < n2; i++ {
-		refs.Left[i] = raw[n2-1-i].v
+	if y > 0 {
+		at := (y-1)*w + x
+		if x > 0 && coded[at-1] {
+			refs.Corner = int32(recon.Pix[at-1])
+		}
+		m := min(n2, w-x)
+		ok := coded[at:][:m]
+		for i, v := range recon.Pix[at:][:m] {
+			if ok[i] {
+				above[i] = int32(v)
+			}
+		}
 	}
-	refs.Corner = raw[n2].v
-	for i := 0; i < n2; i++ {
-		refs.Above[i] = raw[n2+1+i].v
+	// Substitute along the HEVC reference scan — below-left bottom to top,
+	// corner, above and above-right left to right: samples ahead of the first
+	// available one take its value (128 when there is none), every later gap
+	// the sample before it.
+	prev := int32(unavailable)
+	for i := n2 - 1; i >= 0 && prev == unavailable; i-- {
+		prev = left[i]
+	}
+	if prev == unavailable {
+		prev = refs.Corner
+	}
+	for i := 0; i < n2 && prev == unavailable; i++ {
+		prev = above[i]
+	}
+	if prev == unavailable {
+		prev = 128
+	}
+	for i := n2 - 1; i >= 0; i-- {
+		if left[i] == unavailable {
+			left[i] = prev
+		}
+		prev = left[i]
+	}
+	if refs.Corner == unavailable {
+		refs.Corner = prev
+	}
+	prev = refs.Corner
+	for i := range above {
+		if above[i] == unavailable {
+			above[i] = prev
+		}
+		prev = above[i]
 	}
 	return refs
 }
@@ -675,6 +678,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		}
 		var smRefs intra.Refs
 		smoothedReady := false
+		var origT []int32 // orig transposed, made when a horizontal mode first needs it
 		for mi, m := range e.prof.Modes {
 			r := refs
 			if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
@@ -685,13 +689,39 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 				r = smRefs
 			}
 			pred := s.predAt(mi, n2)
-			intra.Predict(m, size, r, pred)
 			switch {
 			case e.prof.exhaustiveRD: // every mode gets its RD trial; nothing to rank
+				intra.Predict(m, size, r, pred)
 			case fast:
+				intra.Predict(m, size, r, pred)
 				top.offer(mi, satdCoarseScore(orig, pred, s.res[:], size))
+			case m != intra.Planar && m != intra.DC:
+				// An angular mode is scored as it is predicted, line by line,
+				// and abandoned once it cannot enter the top set; a horizontal
+				// mode's lines are columns, scored against the transposed
+				// source and left transposed in pred.
+				src := orig
+				if intra.Horizontal(m) {
+					if origT == nil {
+						origT = s.origT[:n2]
+						copy(origT, orig)
+						intra.Transpose(origT, size)
+					}
+					src = origT
+				}
+				top.offer(mi, intra.AngularSAD(m, size, r, pred, src, top.bound()))
 			default:
+				intra.Predict(m, size, r, pred)
 				top.offer(mi, sadWithin(orig, pred, size, top.bound()))
+			}
+		}
+		if origT != nil {
+			// A mode in the top set was never abandoned, so its prediction is
+			// whole; turn the horizontal survivors the right way up.
+			for _, mi := range top.mi[:top.n] {
+				if intra.Horizontal(e.prof.Modes[mi]) {
+					intra.Transpose(s.predAt(mi, n2), size)
+				}
 			}
 		}
 		if e.rec != nil {
@@ -774,6 +804,13 @@ func absInt32(v int32) int32 {
 // trialResidual transforms, quantizes and reconstructs the residual,
 // returning the levels and the reconstruction (in scratch buffers — valid only
 // until the next trial), the SSE distortion and an estimated rate in bits.
+//
+// Under the transform the trial does not call reconstructBlockInto: it knows
+// more than a decoder does — the coefficients the levels came from, so
+// quantising and dequantising are one pass that also locates the non-zero
+// levels for the inverse, and the source, so the prediction is added and the
+// distortion summed in one more. The integers are reconstructBlockInto's;
+// TestTrialResidualEquivalence holds the two together.
 func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev, rec []int32, dist, rateBits float64) {
 	var t0 time.Time
 	if e.rec != nil {
@@ -785,23 +822,28 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 	for i := range res {
 		res[i] = orig[i] - pred[i]
 	}
-	lev = s.trialLev[:n2]
-	tr := s.transformFor(size, isIntra && e.prof.UseDST4)
+	lev, rec = s.trialLev[:n2], s.rec[:n2]
 	if e.tools.Transform {
+		tr := s.transformFor(size, isIntra && e.prof.UseDST4)
 		coef := s.coefA[:n2]
 		tr.Forward(coef, res)
-		dct.Quantize(lev, coef, e.qp)
+		if dct.QuantizeDequantize(lev, coef, coef, size, e.qp, &s.nz) {
+			tr.InverseMasked(rec, coef, &s.nz)
+		} else {
+			clear(rec)
+		}
 	} else {
 		quantizeSpatial(lev, res, e.qp)
+		dequantizeSpatial(rec, lev, e.qp)
 	}
-	rec = s.rec[:n2]
-	reconstructBlockInto(rec, s.coefB[:n2], pred, lev, e.qp, e.tools.Transform, tr)
 	// Integer SSE: at most 1024·255² < 2²⁷, exact in int64 and in the float64
 	// the RD cost takes it as (a float accumulation gives the same value,
 	// every partial sum being an integer below 2⁵³).
 	var sse int64
 	for i, o := range orig {
-		d := int64(o - rec[i])
+		v := clipPixel(pred[i] + rec[i])
+		rec[i] = v
+		d := int64(o - v)
 		sse += d * d
 	}
 	if e.rec != nil {
@@ -810,11 +852,21 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
 }
 
+func clipPixel(v int32) int32 {
+	if v < 0 {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return v
+}
+
 // reconstructBlockInto rebuilds pixel values from a prediction and levels
 // into rec, using coefScratch (same length) as the dequantization workspace;
-// this is the single reconstruction path shared (by construction) with the
-// decoder. rec must not alias pred or levels; coefScratch must not alias
-// levels.
+// this is the decoder's single reconstruction path, and by construction the
+// one the encoder's trials reproduce. rec must not alias pred or levels;
+// coefScratch must not alias levels.
 func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
 	var any int32
 	for _, l := range levels {
@@ -823,8 +875,7 @@ func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTra
 	switch {
 	case any == 0:
 		// Zero levels dequantize to zero and inverse-transform to zero,
-		// with or without the transform: an RD trial that quantized to
-		// nothing, or a decoded leaf whose cbf is 0.
+		// with or without the transform: a decoded leaf whose cbf is 0.
 		clear(rec)
 	case useTransform:
 		dct.Dequantize(coefScratch, levels, qp)
@@ -833,14 +884,7 @@ func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTra
 		dequantizeSpatial(rec, levels, qp)
 	}
 	for i := range rec {
-		v := pred[i] + rec[i]
-		if v < 0 {
-			v = 0
-		}
-		if v > 255 {
-			v = 255
-		}
-		rec[i] = v
+		rec[i] = clipPixel(pred[i] + rec[i])
 	}
 }
 
@@ -875,38 +919,80 @@ func dequantizeSpatial(dst, lev []int32, qp int) {
 	}
 }
 
+// addLevelBits adds the bits of one coefficient of magnitude a to the running
+// estimate x, one addition at a time: the definition.
+func addLevelBits(x float64, a int32) float64 {
+	if a == 0 {
+		return x + 0.6
+	}
+	x += 2 // sig + sign
+	if a > 1 {
+		x += 1
+	}
+	if a > 2 {
+		x += float64(egLen(uint32(a-3), 0))
+	}
+	return x
+}
+
+// levelBitsTable[a] is addLevelBits(0, a), everything a coefficient of
+// magnitude a adds: 0.6, or a small integer — exact either way.
+var levelBitsTable [256]float64
+
+func init() {
+	for a := range levelBitsTable {
+		levelBitsTable[a] = addLevelBits(0, int32(a))
+	}
+}
+
 // estimateLevelBits approximates the entropy-coded size of a level block for
 // RD decisions (the emission phase spends the real bits).
+//
+// The order of its float64 additions is part of the bitstream contract. By
+// definition the estimate is 1 for the CBF, then per coefficient in scan order
+// up to the last non-zero one
+//
+//	+0.6                          for a zero, or
+//	+2, then +1, then +egLen      for a level (the last two if a > 1, a > 2),
+//
+// then +0.08 per coefficient after the last. The running sum holds multiples
+// of 0.6, which are not exact, so additions round, and (x+2)+1 and x+3 can
+// differ in the last bit; the estimate feeds RD comparisons, and one flipped
+// comparison moves stream bytes. The loop below makes a level's additions in
+// one step only where that provably rounds nowhere: if x and fl(x+d), d a
+// positive integer, have the same exponent, the true x+d lies in x's binade,
+// where every multiple of x's ulp (≤ 1) is representable — so x+2, x+3 and
+// x+d are all exact, and the one addition equals the three. Where the
+// exponents differ (a dozen times a block) the additions are made one by one;
+// a zero's single +0.6 comes out the same either way.
+// TestEstimateLevelBitsPinned holds the result bit for bit, and
+// TestEstimateLevelBitsEquivalence holds it to the definition.
 func estimateLevelBits(lev []int32, size int, transformed bool) float64 {
 	scan, _ := residualScan(size, transformed)
-	last := -1
-	for i := len(scan) - 1; i >= 0; i-- {
-		if lev[scan[i]] != 0 {
-			last = i
-			break
-		}
+	lev = lev[:len(scan)]
+	last := len(scan) - 1
+	for last >= 0 && lev[scan[last]] == 0 {
+		last--
 	}
-	if last == -1 {
+	if last < 0 {
 		return 1 // CBF only
 	}
 	bitsEst := 1.0 // CBF
-	for i := 0; i <= last; i++ {
-		l := lev[scan[i]]
-		if l == 0 {
-			bitsEst += 0.6
-			continue
+	for _, pos := range scan[:last+1] {
+		// |level| by mask: the compiler turns the comparing form into a
+		// branch here, on a sign no predictor knows.
+		sign := lev[pos] >> 31
+		a := (lev[pos] ^ sign) - sign
+		var sum float64
+		if uint32(a) < uint32(len(levelBitsTable)) {
+			sum = bitsEst + levelBitsTable[a]
+		} else {
+			sum = bitsEst + addLevelBits(0, a)
 		}
-		a := l
-		if a < 0 {
-			a = -a
+		if math.Float64bits(sum)>>52 != math.Float64bits(bitsEst)>>52 {
+			sum = addLevelBits(bitsEst, a)
 		}
-		bitsEst += 2.0 // sig + sign
-		if a > 1 {
-			bitsEst += 1
-		}
-		if a > 2 {
-			bitsEst += float64(egLen(uint32(a-3), 0))
-		}
+		bitsEst = sum
 	}
 	bitsEst += float64(len(scan)-1-last) * 0.08
 	return bitsEst

@@ -1,0 +1,360 @@
+package codec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/dct"
+	"repro/internal/frame"
+	"repro/internal/intra"
+	"repro/internal/quant"
+	"repro/internal/tensorgen"
+)
+
+// trialDraw makes one (source, prediction) pair: the source is the prediction
+// plus noise of a drawn amplitude, clipped, so that across draws and QPs the
+// levels run from all-zero to dense.
+func trialDraw(rng *rand.Rand, size int) (orig, pred []int32) {
+	n2 := size * size
+	orig, pred = make([]int32, n2), make([]int32, n2)
+	amp := int32(1) << uint(rng.Intn(9))
+	base, slope := rng.Int31n(256), rng.Int31n(9)-4
+	for i := range pred {
+		pred[i] = clipPixel(base + slope*int32(i%size) + rng.Int31n(5))
+		orig[i] = clipPixel(pred[i] + rng.Int31n(2*amp+1) - amp)
+	}
+	return orig, pred
+}
+
+// TestTrialResidualEquivalence ties the encoder's fused RD trial to the
+// decoder's reconstruction path: on random (block, prediction, QP, size,
+// DST/DCT, transform on/off) draws, trialResidual returns the levels,
+// reconstruction, distortion and rate of residual → Forward → Quantize →
+// reconstructBlockInto → SSE → estimateLevelBits.
+func TestTrialResidualEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	s := newScratch()
+	for draw := 0; draw < 10000; draw++ {
+		size := 4 << rng.Intn(4)
+		n2 := size * size
+		e := &encoder{prof: HEVC, tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s}
+		e.prof.UseDST4 = rng.Intn(2) == 0
+		e.tools.Transform = draw%10 != 0
+		isIntra := rng.Intn(4) != 0
+		orig, pred := trialDraw(rng, size)
+
+		res, wantLev := make([]int32, n2), make([]int32, n2)
+		for i := range res {
+			res[i] = orig[i] - pred[i]
+		}
+		tr := s.transformFor(size, isIntra && e.prof.UseDST4)
+		if e.tools.Transform {
+			coef := make([]int32, n2)
+			tr.Forward(coef, res)
+			dct.Quantize(wantLev, coef, e.qp)
+		} else {
+			quantizeSpatial(wantLev, res, e.qp)
+		}
+		wantRec := reconstructBlock(pred, wantLev, size, e.qp, e.tools.Transform, tr)
+		var wantSSE float64
+		for i, o := range orig {
+			d := float64(o - wantRec[i])
+			wantSSE += d * d
+		}
+		wantBits := estimateLevelBits(wantLev, size, e.tools.Transform)
+
+		lev, rec, sse, bits := e.trialResidual(orig, pred, size, isIntra)
+		for i := range wantLev {
+			if lev[i] != wantLev[i] || rec[i] != wantRec[i] {
+				t.Fatalf("draw %d (size %d qp %d transform %v dst %v): [%d] level %d rec %d, reference level %d rec %d",
+					draw, size, e.qp, e.tools.Transform, isIntra && e.prof.UseDST4, i, lev[i], rec[i], wantLev[i], wantRec[i])
+			}
+		}
+		if sse != wantSSE || math.Float64bits(bits) != math.Float64bits(wantBits) {
+			t.Fatalf("draw %d (size %d qp %d): sse %v bits %v, reference sse %v bits %v", draw, size, e.qp, sse, bits, wantSSE, wantBits)
+		}
+	}
+}
+
+// estimateLevelBitsOrdered is the rate estimate's definition — PR 17's
+// function (commit c563641) verbatim: one float64 addition at a time, in scan
+// order.
+func estimateLevelBitsOrdered(lev []int32, size int, transformed bool) float64 {
+	scan, _ := residualScan(size, transformed)
+	last := -1
+	for i := len(scan) - 1; i >= 0; i-- {
+		if lev[scan[i]] != 0 {
+			last = i
+			break
+		}
+	}
+	if last == -1 {
+		return 1 // CBF only
+	}
+	bitsEst := 1.0 // CBF
+	for i := 0; i <= last; i++ {
+		l := lev[scan[i]]
+		if l == 0 {
+			bitsEst += 0.6
+			continue
+		}
+		a := l
+		if a < 0 {
+			a = -a
+		}
+		bitsEst += 2.0 // sig + sign
+		if a > 1 {
+			bitsEst += 1
+		}
+		if a > 2 {
+			bitsEst += float64(egLen(uint32(a-3), 0))
+		}
+	}
+	bitsEst += float64(len(scan)-1-last) * 0.08
+	return bitsEst
+}
+
+// TestEstimateLevelBitsEquivalence: the estimate against its definition, bit
+// for bit, on level blocks of every density and magnitude class. Each dense
+// block walks its running sum across a dozen binades, which is where making
+// a level's additions in one step would show if it were not exact.
+func TestEstimateLevelBitsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 20000; trial++ {
+		size := 4 << rng.Intn(4)
+		lev := make([]int32, size*size)
+		density := rng.Intn(101)
+		amp := int32(1) << uint(rng.Intn(12))
+		for i := range lev {
+			if rng.Intn(100) < density {
+				lev[i] = rng.Int31n(2*amp+1) - amp
+			}
+		}
+		switch trial % 50 {
+		case 0:
+			lev[rng.Intn(len(lev))] = math.MinInt32
+		case 1:
+			lev[rng.Intn(len(lev))] = math.MaxInt32
+		case 2:
+			lev[rng.Intn(len(lev))] = -(1 << 20)
+		case 3:
+			// A level, a short run of zeros, a level long enough to cross
+			// three binades: where one-step and one-by-one additions differ.
+			clear(lev)
+			scan, _ := residualScan(size, true)
+			lev[scan[0]], lev[scan[7]] = -1, 4099
+		}
+		transformed := trial%7 != 0
+		got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsOrdered(lev, size, transformed)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (size %d, density %d%%, amp %d): %v (%#x), ordered additions %v (%#x)",
+				trial, size, density, amp, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// refSample and gatherRefsParent are the reference gather PR 17 shipped
+// (commit c563641) — a closure and an append per sample — kept verbatim as
+// the differential reference for the row-slice form that replaced it.
+type refSample struct {
+	v  int32
+	ok bool
+}
+
+func gatherRefsParent(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs {
+	refs := intra.NewRefs(size)
+	w, h := recon.W, recon.H
+	n2 := 2 * size
+	avail := func(px, py int) bool {
+		return px >= 0 && py >= 0 && px < w && py < h && coded[py*w+px]
+	}
+	var raw []refSample
+	for i := n2 - 1; i >= 0; i-- {
+		if avail(x-1, y+i) {
+			raw = append(raw, refSample{int32(recon.At(x-1, y+i)), true})
+		} else {
+			raw = append(raw, refSample{0, false})
+		}
+	}
+	if avail(x-1, y-1) {
+		raw = append(raw, refSample{int32(recon.At(x-1, y-1)), true})
+	} else {
+		raw = append(raw, refSample{0, false})
+	}
+	for i := 0; i < n2; i++ {
+		if avail(x+i, y-1) {
+			raw = append(raw, refSample{int32(recon.At(x+i, y-1)), true})
+		} else {
+			raw = append(raw, refSample{0, false})
+		}
+	}
+	first := -1
+	for i, r := range raw {
+		if r.ok {
+			first = i
+			break
+		}
+	}
+	if first == -1 {
+		for i := range raw {
+			raw[i] = refSample{128, true}
+		}
+	} else {
+		for i := first - 1; i >= 0; i-- {
+			raw[i] = refSample{raw[i+1].v, true}
+		}
+		for i := first + 1; i < len(raw); i++ {
+			if !raw[i].ok {
+				raw[i] = refSample{raw[i-1].v, true}
+			}
+		}
+	}
+	for i := 0; i < n2; i++ {
+		refs.Left[i] = raw[n2-1-i].v
+	}
+	refs.Corner = raw[n2].v
+	for i := 0; i < n2; i++ {
+		refs.Above[i] = raw[n2+1+i].v
+	}
+	return refs
+}
+
+// TestGatherRefsEquivalence: every block position of small frames under
+// coverage masks from empty through raster-prefix (what a real encode sees)
+// to random (what it never does), against the parent's gather.
+func TestGatherRefsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 300; trial++ {
+		size := 4 << rng.Intn(4)
+		w, h := size*(1+rng.Intn(4)), size*(1+rng.Intn(4))
+		recon := frame.NewPlane(w, h)
+		for i := range recon.Pix {
+			recon.Pix[i] = uint8(rng.Intn(256))
+		}
+		coded := make([]bool, w*h)
+		switch trial % 4 {
+		case 0: // nothing coded yet
+		case 1, 2: // a raster prefix of whole blocks plus part of a block row
+			for i := range coded[:rng.Intn(w*h+1)/size*size] {
+				coded[i] = true
+			}
+		case 3:
+			for i := range coded {
+				coded[i] = rng.Intn(3) != 0
+			}
+		}
+		got := intra.NewRefs(size)
+		for y := 0; y < h; y += size / 2 {
+			for x := 0; x < w; x += size / 2 {
+				want := gatherRefsParent(recon, coded, x, y, size)
+				got.Corner = -7
+				got = gatherRefsInto(recon, coded, x, y, size, got)
+				if got.Corner != want.Corner {
+					t.Fatalf("trial %d %dx%d block %d at (%d,%d): corner %d, parent %d", trial, w, h, size, x, y, got.Corner, want.Corner)
+				}
+				for i := range want.Above {
+					if got.Above[i] != want.Above[i] || got.Left[i] != want.Left[i] {
+						t.Fatalf("trial %d %dx%d block %d at (%d,%d): [%d] above %d left %d, parent above %d left %d",
+							trial, w, h, size, x, y, i, got.Above[i], got.Left[i], want.Above[i], want.Left[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestComputeStatsEquivalence: the integer SSE against the float64
+// accumulation it replaced.
+func TestComputeStatsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var planes, recs []*frame.Plane
+	var sse float64
+	for _, dims := range [][2]int{{1, 1}, {7, 3}, {64, 64}, {33, 130}} {
+		p, r := frame.NewPlane(dims[0], dims[1]), frame.NewPlane(dims[0], dims[1])
+		for i := range p.Pix {
+			p.Pix[i], r.Pix[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+			d := float64(int(p.Pix[i]) - int(r.Pix[i]))
+			sse += d * d
+		}
+		planes, recs = append(planes, p), append(recs, r)
+	}
+	st := computeStats(planes, recs, 1234)
+	if want := sse / float64(st.Pixels); st.MSE != want || st.Pixels != 1+21+4096+33*130 {
+		t.Fatalf("MSE %v over %d pixels, float accumulation %v", st.MSE, st.Pixels, want)
+	}
+}
+
+// benchTrialBlocks cuts count size×size source blocks out of a generated
+// weight plane and predicts each from its own neighbours with an angular
+// mode, so that the residuals — and the sign and zero patterns of their
+// levels — are the encoder's and differ block to block.
+func benchTrialBlocks(size, count int) (origs, preds [][]int32) {
+	const dim = 256
+	rng := rand.New(rand.NewSource(4))
+	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
+	plane := &frame.Plane{W: dim, H: dim, Pix: pix}
+	coded := make([]bool, dim*dim)
+	for i := range coded {
+		coded[i] = true
+	}
+	for b := 0; b < count; b++ {
+		x0, y0 := 1+rng.Intn(dim-2*size-1), 1+rng.Intn(dim-2*size-1)
+		orig, pred := make([]int32, size*size), make([]int32, size*size)
+		for i := range orig {
+			orig[i] = int32(plane.At(x0+i%size, y0+i/size))
+		}
+		refs := gatherRefsInto(plane, coded, x0, y0, size, intra.NewRefs(size))
+		intra.Predict(intra.Mode(2+rng.Intn(33)), size, refs, pred)
+		origs, preds = append(origs, orig), append(preds, pred)
+	}
+	return origs, preds
+}
+
+// The two coding points of the kernel benchmarks: QP 12 leaves weight blocks
+// dense, QP 30 leaves them sparse.
+var benchQPs = []struct {
+	name string
+	qp   int
+}{{"dense-qp12", 12}, {"sparse-qp30", 30}}
+
+func BenchmarkTrialResidual(b *testing.B) {
+	const blocks = 64
+	for _, size := range []int{8, 16, 32} {
+		origs, preds := benchTrialBlocks(size, blocks)
+		for _, pt := range benchQPs {
+			e := &encoder{prof: HEVC, tools: AllTools, qp: pt.qp, scr: newScratch()}
+			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
+				b.SetBytes(int64(size * size))
+				var sink float64
+				for i := 0; i < b.N; i++ {
+					_, _, dist, bits := e.trialResidual(origs[i%blocks], preds[i%blocks], size, true)
+					sink += dist + bits
+				}
+				_ = sink
+			})
+		}
+	}
+}
+
+func BenchmarkEstimateLevelBits(b *testing.B) {
+	const blocks, size = 64, 16
+	origs, preds := benchTrialBlocks(size, blocks)
+	for _, pt := range benchQPs {
+		e := &encoder{prof: HEVC, tools: AllTools, qp: pt.qp, scr: newScratch()}
+		levs := make([][]int32, blocks)
+		for i := range levs {
+			lev, _, _, _ := e.trialResidual(origs[i], preds[i], size, true)
+			levs[i] = append([]int32(nil), lev...)
+		}
+		b.Run(pt.name, func(b *testing.B) {
+			b.SetBytes(size * size)
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink += estimateLevelBits(levs[i%blocks], size, true)
+			}
+			_ = sink
+		})
+	}
+}

@@ -13,7 +13,7 @@
 // decode touches has one owner:
 //
 //	parse        ctx, cabacDec, dec, and the batch it is filling
-//	reconstruct  rcn, pred, rec, coefA, rawRefs, refsAbove/Left, smAbove/Left,
+//	reconstruct  rcn, pred, rec, coefA, refsAbove/Left, smAbove/Left,
 //	             transforms, dst4, reconPlane, coded, and the batches handed
 //	             to it
 //
@@ -134,7 +134,7 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
 		case r.tools.IntraPred:
 			refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-			refs = gatherRefsInto(r.recon, r.coded, x, y, size, s.rawRefs[:4*size+1], refs)
+			refs = gatherRefsInto(r.recon, r.coded, x, y, size, refs)
 			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
 				refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 			}

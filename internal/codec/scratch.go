@@ -50,12 +50,6 @@ const maxBlock = maxCU * maxCU
 // maxDepth bounds the quadtree recursion (32 → 16 → 8 → 4 plus slack).
 const maxDepth = 6
 
-// refSample is one raw reference sample during HEVC-style substitution.
-type refSample struct {
-	v  int32
-	ok bool
-}
-
 // nodeBlockLen is the cuDec arena growth quantum.
 const nodeBlockLen = 256
 
@@ -69,13 +63,14 @@ const levBlockLen = 1 << 14
 type scratch struct {
 	// Per-trial block buffers (int32, one block each).
 	orig     [maxBlock]int32 // source samples of the block being decided
+	origT    [maxBlock]int32 // orig transposed, for scoring horizontal modes
 	res      [maxBlock]int32 // residual (also FastSearch SATD input)
 	trialLev [maxBlock]int32 // candidate quantized levels
-	coefA    [maxBlock]int32 // forward-transform coefficients
-	coefB    [maxBlock]int32 // dequantized coefficients (reconstruction)
+	coefA    [maxBlock]int32 // transform coefficients, forward then dequantized
 	rec      [maxBlock]int32 // reconstructed samples
 	pred     [maxBlock]int32 // single prediction (apply/inter/decoder paths)
 	mcPred   [maxBlock]int32 // motion-search probe prediction
+	nz       dct.RowMasks    // where a trial's non-zero levels are
 
 	// predsArena holds one prediction block per profile mode so that every
 	// coarse-scored candidate stays available for the full-RD stage.
@@ -86,9 +81,8 @@ type scratch struct {
 	// depth suffices.
 	snap [maxDepth][maxBlock]uint8
 
-	// Intra reference rows: raw gather buffer plus the assembled and
-	// smoothed above/left arrays (2·maxCU each).
-	rawRefs             [4*maxCU + 1]refSample
+	// Intra reference rows: the gathered and the smoothed above/left arrays
+	// (2·maxCU each).
 	refsAbove, refsLeft [2 * maxCU]int32
 	smAbove, smLeft     [2 * maxCU]int32
 

@@ -53,6 +53,8 @@ type butterfly struct {
 	// odd[lv] is the h×h sub-matrix the level-lv fold multiplies its
 	// differences by, h = n>>(lv+1): row m holds A[(2m+1)<<lv][0:h]. Levels
 	// with h ≥ 4 only; the last two folds are the straight-line 4-point tail.
+	// Each is symmetric — (2m+1)(2j+1) is, in the cosine's argument — so the
+	// inverse, which needs the transpose, reads the same rows.
 	odd [3][]int64
 	// The 4-point tail at coefficient stride s = n/4: dc = A[0][0] (row 0 is
 	// constant), mid = A[2s][0], and the 2×2 odd block a1 = A[s][0:2],
@@ -106,8 +108,9 @@ func dctMatrix(n int) []int32 {
 }
 
 // newButterfly cuts the per-level odd sub-matrices out of mat, checking the
-// symmetry each fold relies on: at level lv the rows k = r<<lv restricted to
-// the first L = n>>lv columns must satisfy A[k][L−1−j] = (−1)ʳ·A[k][j].
+// symmetry each fold relies on — at level lv the rows k = r<<lv restricted to
+// the first L = n>>lv columns must satisfy A[k][L−1−j] = (−1)ʳ·A[k][j] — and
+// that each sub-matrix equals its transpose, which the inverse relies on.
 func newButterfly(mat []int32, n int) butterfly {
 	b := butterfly{n: n, levels: bits.TrailingZeros(uint(n)) - 2}
 	at := func(k, j int) int64 { return int64(mat[k*n+j]) }
@@ -131,6 +134,9 @@ func newButterfly(mat []int32, n int) butterfly {
 		for m := 0; m < h; m++ {
 			for j := 0; j < h; j++ {
 				b.odd[lv][m*h+j] = at((2*m+1)<<lv, j)
+				if at((2*j+1)<<lv, m) != b.odd[lv][m*h+j] {
+					panic(fmt.Sprintf("dct: n=%d odd sub-matrix of level %d is not symmetric at (%d, %d)", n, lv, m, j))
+				}
 			}
 		}
 	}
@@ -143,7 +149,9 @@ func newButterfly(mat []int32, n int) butterfly {
 
 // The odd sub-matrix products, unrolled over fixed-size arrays: straight-line
 // code with no bounds checks is what makes the butterfly pay in Go — the same
-// arithmetic as a loop over slices ran 1.7× slower.
+// arithmetic as a loop over slices ran 1.7× slower. There is no dot16: it
+// would be past the inliner's budget, and sixteen calls per 32-point vector
+// cost the inverse 9 %, so its two call sites spell out the pair of dot8s.
 
 func dot4(a, x *[4]int64) int64 {
 	return a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3]
@@ -151,10 +159,6 @@ func dot4(a, x *[4]int64) int64 {
 
 func dot8(a, x *[8]int64) int64 {
 	return a[0]*x[0] + a[1]*x[1] + a[2]*x[2] + a[3]*x[3] + a[4]*x[4] + a[5]*x[5] + a[6]*x[6] + a[7]*x[7]
-}
-
-func dot16(a, x *[16]int64) int64 {
-	return dot8((*[8]int64)(a[:8]), (*[8]int64)(x[:8])) + dot8((*[8]int64)(a[8:]), (*[8]int64)(x[8:]))
 }
 
 func axpy4(o, a *[4]int64, c int64) {
@@ -198,26 +202,27 @@ func unfold(x *[maxN]int64, o *[maxN / 2]int64, L int) {
 	}
 }
 
-// forward computes y = A·x for one length-n vector, clobbering x.
-func (b *butterfly) forward(y, x *[maxN]int64) {
-	var o [maxN / 2]int64
+// forward computes y = A·x for one length-n vector, clobbering x. o is
+// workspace (the caller's, so that it is not zeroed once per vector).
+func (b *butterfly) forward(y, x *[maxN]int64, o *[maxN / 2]int64) {
 	lv := 0
 	if b.n == 32 {
-		fold(x, &o, 32)
+		fold(x, o, 32)
 		for m := 0; m < 16; m++ {
-			y[2*m+1] = dot16((*[16]int64)(b.odd[0][m*16:]), &o)
+			a := (*[16]int64)(b.odd[0][m*16:])
+			y[2*m+1] = dot8((*[8]int64)(a[:8]), (*[8]int64)(o[:8])) + dot8((*[8]int64)(a[8:]), (*[8]int64)(o[8:]))
 		}
 		lv++
 	}
 	if b.n >= 16 {
-		fold(x, &o, 16)
+		fold(x, o, 16)
 		for m := 0; m < 8; m++ {
 			y[((2*m+1)<<lv)&(maxN-1)] = dot8((*[8]int64)(b.odd[lv][m*8:]), (*[8]int64)(o[:8]))
 		}
 		lv++
 	}
 	if b.n >= 8 {
-		fold(x, &o, 8)
+		fold(x, o, 8)
 		for m := 0; m < 4; m++ {
 			y[((2*m+1)<<lv)&(maxN-1)] = dot4((*[4]int64)(b.odd[lv][m*4:]), (*[4]int64)(o[:4]))
 		}
@@ -231,11 +236,24 @@ func (b *butterfly) forward(y, x *[maxN]int64) {
 	y[(3*s)&(maxN-1)] = b.a3[0]*o0 + b.a3[1]*o1
 }
 
+// denseOdd reports whether a level whose h odd coefficients have the non-zero
+// mask ks takes the dense form of its product. Both forms sum the same int64
+// terms, so the choice moves time only. An axpy pays a load and a store of
+// the accumulator per multiply where a dot keeps it in a register; on weight
+// blocks quantised at QP 12 to 34 (78 % to 3 % non-zero) any threshold from
+// ⅜ to ¾ of the coefficients measured the same, never-dense cost 10–35 %
+// at every density (pass 2's row mask is dense in the levels it touches) and
+// always-dense 5–20 % on the sparse ones.
+func denseOdd(ks uint32, h int) bool { return 2*bits.OnesCount32(ks) > h }
+
 // inverse computes x = Aᵀ·c for one length-n coefficient vector. nz must have
-// bit k set for every non-zero c[k] (a set bit over a zero is harmless); the
-// levels above the 4-point tail visit only the set bits, so their cost
-// follows the non-zero coefficients.
-func (b *butterfly) inverse(x, c *[maxN]int64, nz uint32) {
+// bit k set for every non-zero c[k] (a set bit over a zero is harmless). Each
+// level above the 4-point tail computes its odd part o = Oᵀ·c_odd = O·c_odd
+// (O is symmetric) one of two ways: mostly non-zero coefficients are gathered
+// and multiplied a row of O at a time (dot, folded straight into x), sparse
+// ones are visited by set bit and each scales its row of O into the workspace
+// o (axpy), so that cost follows the non-zero coefficients either way.
+func (b *butterfly) inverse(x, c *[maxN]int64, o *[maxN / 2]int64, nz uint32) {
 	s := b.n / 4
 	c0, c1, c2, c3 := c[0], c[s&(maxN-1)], c[(2*s)&(maxN-1)], c[(3*s)&(maxN-1)]
 	e0, e1 := b.dc*c0+b.mid*c2, b.dc*c0-b.mid*c2
@@ -245,29 +263,64 @@ func (b *butterfly) inverse(x, c *[maxN]int64, nz uint32) {
 	lv := b.levels
 	if b.n >= 8 {
 		lv--
-		var o [maxN / 2]int64
-		for ks := nz & levelBits[lv]; ks != 0; ks &= ks - 1 {
-			k := bits.TrailingZeros32(ks)
-			axpy4((*[4]int64)(o[:4]), (*[4]int64)(b.odd[lv][k>>(lv+1)*4:]), c[k&(maxN-1)])
+		if ks := nz & levelBits[lv]; denseOdd(ks, 4) {
+			var cc [4]int64
+			for m := range cc {
+				cc[m] = c[((2*m+1)<<lv)&(maxN-1)]
+			}
+			for j := 0; j < 4; j++ {
+				o, e := dot4((*[4]int64)(b.odd[lv][j*4:]), &cc), x[j]
+				x[j], x[7-j] = e+o, e-o
+			}
+		} else {
+			clear(o[:4])
+			for ; ks != 0; ks &= ks - 1 {
+				k := bits.TrailingZeros32(ks)
+				axpy4((*[4]int64)(o[:4]), (*[4]int64)(b.odd[lv][k>>(lv+1)*4:]), c[k&(maxN-1)])
+			}
+			unfold(x, o, 8)
 		}
-		unfold(x, &o, 8)
 	}
 	if b.n >= 16 {
 		lv--
-		var o [maxN / 2]int64
-		for ks := nz & levelBits[lv]; ks != 0; ks &= ks - 1 {
-			k := bits.TrailingZeros32(ks)
-			axpy8((*[8]int64)(o[:8]), (*[8]int64)(b.odd[lv][k>>(lv+1)*8:]), c[k&(maxN-1)])
+		if ks := nz & levelBits[lv]; denseOdd(ks, 8) {
+			var cc [8]int64
+			for m := range cc {
+				cc[m] = c[((2*m+1)<<lv)&(maxN-1)]
+			}
+			for j := 0; j < 8; j++ {
+				o, e := dot8((*[8]int64)(b.odd[lv][j*8:]), &cc), x[j]
+				x[j], x[15-j] = e+o, e-o
+			}
+		} else {
+			clear(o[:8])
+			for ; ks != 0; ks &= ks - 1 {
+				k := bits.TrailingZeros32(ks)
+				axpy8((*[8]int64)(o[:8]), (*[8]int64)(b.odd[lv][k>>(lv+1)*8:]), c[k&(maxN-1)])
+			}
+			unfold(x, o, 16)
 		}
-		unfold(x, &o, 16)
 	}
 	if b.n == 32 {
-		var o [maxN / 2]int64
-		for ks := nz & levelBits[0]; ks != 0; ks &= ks - 1 {
-			k := bits.TrailingZeros32(ks)
-			axpy16(&o, (*[16]int64)(b.odd[0][k>>1*16:]), c[k&(maxN-1)])
+		if ks := nz & levelBits[0]; denseOdd(ks, 16) {
+			var cc [16]int64
+			for m := range cc {
+				cc[m] = c[2*m+1]
+			}
+			for j := 0; j < 16; j++ {
+				a := (*[16]int64)(b.odd[0][j*16:])
+				o := dot8((*[8]int64)(a[:8]), (*[8]int64)(cc[:8])) + dot8((*[8]int64)(a[8:]), (*[8]int64)(cc[8:]))
+				e := x[j]
+				x[j], x[31-j] = e+o, e-o
+			}
+		} else {
+			clear(o[:])
+			for ; ks != 0; ks &= ks - 1 {
+				k := bits.TrailingZeros32(ks)
+				axpy16(o, (*[16]int64)(b.odd[0][k>>1*16:]), c[k&(maxN-1)])
+			}
+			unfold(x, o, 32)
 		}
-		unfold(x, &o, 32)
 	}
 }
 
@@ -325,33 +378,65 @@ func (t *Transform) Forward(dst, res []int32) {
 	// column, so the transposes cost nothing extra: pass 1 leaves
 	// tmp[l][i] = (res·Aᵀ)[i][l], pass 2 leaves dst[k][l] = (A·res·Aᵀ)[k][l].
 	var x, y [maxN]int64
+	var o [maxN / 2]int64
 	tmp := t.tmp
 	for i := 0; i < n; i++ {
 		for j, v := range res[i*n : i*n+n] {
 			x[j] = int64(v)
 		}
-		t.bf.forward(&y, &x)
+		t.bf.forward(&y, &x, &o)
 		for l, v := range y[:n] {
 			tmp[l*n+i] = v
 		}
 	}
 	for l := 0; l < n; l++ {
 		copy(x[:n], tmp[l*n:l*n+n])
-		t.bf.forward(&y, &x)
+		t.bf.forward(&y, &x, &o)
 		for k, v := range y[:n] {
 			dst[k*n+l] = roundShift(v, fwdShift)
 		}
 	}
 }
 
+// RowMasks locates a block's non-zero coefficients: bit l of entry k is set
+// when coefficient (row k, column l) is non-zero. A set bit over a zero
+// coefficient is harmless; a clear bit over a non-zero one is not.
+type RowMasks [maxN]uint32
+
+// nonZeroTop is 1<<31 for v ≠ 0 and 0 for v = 0 (the sign of v|−v), without
+// a branch. A row's mask is built by shifting these in from the top, which
+// keeps every shift count a constant.
+func nonZeroTop(v int32) uint32 { return uint32(v|-v) & (1 << 31) }
+
 // Inverse reconstructs the residual block from coefficients produced by
 // Forward (after any quantization round-trip). dst and coef may alias.
-//
-// Quantized blocks are mostly zero, so the work follows the block's observed
-// non-zero extent: all-zero coefficient rows are skipped in pass 1, pass 2
-// visits only the rows that were not, each pass-1 row visits only its
-// non-zero columns, and all-zero and DC-only blocks are a fill.
 func (t *Transform) Inverse(dst, coef []int32) {
+	n := t.n
+	if len(coef) != n*n || len(dst) != n*n {
+		panic("dct: bad block size")
+	}
+	var nz RowMasks
+	if t.bf != nil {
+		for k := 0; k < n; k++ {
+			var m uint32
+			for _, v := range coef[k*n : k*n+n] {
+				m = m>>1 | nonZeroTop(v)
+			}
+			nz[k] = m >> (32 - uint(n))
+		}
+	}
+	t.InverseMasked(dst, coef, &nz)
+}
+
+// InverseMasked is Inverse for a caller that already knows where coef's
+// non-zero coefficients are (QuantizeDequantize reports them), which saves
+// the scan for them.
+//
+// Quantized blocks are mostly zero, so the work follows the block's non-zero
+// extent: all-zero coefficient rows are skipped in pass 1, pass 2 visits only
+// the rows that were not, each pass-1 row visits only its non-zero columns,
+// and all-zero and DC-only blocks are a fill.
+func (t *Transform) InverseMasked(dst, coef []int32, nz *RowMasks) {
 	n := t.n
 	if len(coef) != n*n || len(dst) != n*n {
 		panic("dct: bad block size")
@@ -361,25 +446,13 @@ func (t *Transform) Inverse(dst, coef []int32) {
 		return
 	}
 	var rows uint32
-	for k := 0; k < n; k++ {
-		var any int32
-		for _, v := range coef[k*n : k*n+n] {
-			any |= v
-		}
-		if any != 0 {
+	for k, m := range nz[:n] {
+		if m != 0 {
 			rows |= 1 << uint(k)
 		}
 	}
-	dcOnly := rows == 1
-	if dcOnly {
-		var any int32
-		for _, v := range coef[1:n] {
-			any |= v
-		}
-		dcOnly = any == 0
-	}
-	if rows == 0 || dcOnly {
-		// Every output is A[0][0]²·coef[0].
+	if rows == 0 || rows == 1 && nz[0] == 1 {
+		// All-zero or DC-only: every output is A[0][0]²·coef[0].
 		fill := roundShift(t.bf.dc*t.bf.dc*int64(coef[0]), invShift)
 		for i := range dst {
 			dst[i] = fill
@@ -392,16 +465,13 @@ func (t *Transform) Inverse(dst, coef []int32) {
 	}
 	// Pass 1: tmp[j][k] = (coef·A)[k][j] for the non-zero rows k.
 	var x, c [maxN]int64
+	var o [maxN / 2]int64
 	for ks := rows; ks != 0; ks &= ks - 1 {
 		k := bits.TrailingZeros32(ks)
-		var nz uint32
 		for l, v := range coef[k*n : k*n+n] {
 			c[l] = int64(v)
-			if v != 0 {
-				nz |= 1 << uint(l)
-			}
 		}
-		t.bf.inverse(&x, &c, nz)
+		t.bf.inverse(&x, &c, &o, nz[k])
 		for j, v := range x[:n] {
 			tmp[j*n+k] = v
 		}
@@ -409,7 +479,7 @@ func (t *Transform) Inverse(dst, coef []int32) {
 	// Pass 2: dst[i][j] = Σ_k A[k][i]·tmp[j][k].
 	for j := 0; j < n; j++ {
 		copy(c[:n], tmp[j*n:j*n+n])
-		t.bf.inverse(&x, &c, rows)
+		t.bf.inverse(&x, &c, &o, rows)
 		for i, v := range x[:n] {
 			dst[i*n+j] = roundShift(v, invShift)
 		}
@@ -453,46 +523,115 @@ func init() {
 }
 
 // Qstep returns the quantizer step size for qp, clamping qp into range.
-func Qstep(qp int) float64 {
-	if qp < 0 {
-		qp = 0
-	}
-	if qp > MaxQP {
-		qp = MaxQP
-	}
-	return qstepTable[qp]
-}
+func Qstep(qp int) float64 { return qstepTable[clampQP(qp)] }
+
+func clampQP(qp int) int { return min(max(qp, 0), MaxQP) }
 
 // quantScale is the scale of Forward's output relative to orthonormal.
 const quantScale = 1 << coefBits
+
+// dequantTable[qp][a] is int32(math.Round(a·step(qp))), the reconstruction of
+// level magnitude a, filled by that very expression; larger magnitudes take
+// the expression itself. 52 × 256 × 4 B = 52 KB, of which an encode or decode
+// touches one QP's 1 KB row.
+var dequantTable [MaxQP + 1][dequantTableLen]int32
+
+const dequantTableLen = 256
+
+func init() {
+	for qp := range dequantTable {
+		step := qstepTable[qp] * quantScale
+		for a := range dequantTable[qp] {
+			dequantTable[qp][a] = int32(math.Round(float64(a) * step))
+		}
+	}
+}
+
+// quantizer holds one QP's constants for the per-coefficient kernels below.
+type quantizer struct {
+	step, inv float64
+	recon     *[dequantTableLen]int32
+}
+
+func newQuantizer(qp int) quantizer {
+	qp = clampQP(qp)
+	step := qstepTable[qp] * quantScale
+	return quantizer{step: step, inv: 1 / step, recon: &dequantTable[qp]}
+}
+
+// level quantizes one coefficient: |c|/step plus the dead-zone offset,
+// truncated, with c's sign put back by mask. IEEE multiplication is
+// sign-symmetric, so this is the integer that negating the product on the
+// c < 0 side of a branch gives — without a branch on the sign pattern of the
+// coefficients, which no predictor learns.
+func (q *quantizer) level(c int32) int32 {
+	s := c >> 31
+	l := int32(math.Abs(float64(c))*q.inv + 1.0/3.0)
+	return (l ^ s) - s
+}
+
+// Reconstructing a level goes through recon by magnitude, the sign put back
+// by mask: math.Round is symmetric about zero, so that is
+// int32(math.Round(l·step)), the expression the table is filled by and the
+// one magnitudes beyond it take. (Spelled out in both loops below rather than
+// shared: a function with math.Round in it does not inline.)
 
 // Quantize maps coefficients (as produced by Forward) to integer levels with
 // step Qstep(qp) in the orthonormal domain, using a dead-zone rounding offset
 // of roughly 1/3 (the HEVC intra choice). dst and coef may alias.
 func Quantize(dst, coef []int32, qp int) {
-	step := Qstep(qp) * quantScale
-	inv := 1 / step
+	q := newQuantizer(qp)
+	dst = dst[:len(coef)]
 	for i, c := range coef {
-		v := float64(c) * inv
-		if v >= 0 {
-			dst[i] = int32(v + 1.0/3.0)
-		} else {
-			dst[i] = -int32(-v + 1.0/3.0)
-		}
+		dst[i] = q.level(c)
 	}
 }
 
 // Dequantize maps levels back to reconstructed coefficients in Forward's
 // scale. dst and levels may alias.
 func Dequantize(dst, levels []int32, qp int) {
-	step := Qstep(qp) * quantScale
+	q := newQuantizer(qp)
+	dst = dst[:len(levels)]
 	for i, l := range levels {
-		if l == 0 { // most levels; skips the multiply and the rounding
-			dst[i] = 0
-			continue
+		s := l >> 31
+		if a := uint32((l ^ s) - s); a < dequantTableLen {
+			dst[i] = (q.recon[a] ^ s) - s
+		} else {
+			dst[i] = int32(math.Round(float64(l) * q.step))
 		}
-		dst[i] = int32(math.Round(float64(l) * step))
 	}
+}
+
+// QuantizeDequantize is Quantize of the n×n block coef into levels followed
+// by Dequantize of levels into deq, in one pass that also records where the
+// non-zero levels — and so the non-zero entries of deq — are, for
+// InverseMasked. It reports whether there are any. deq may alias coef.
+func QuantizeDequantize(levels, deq, coef []int32, n, qp int, nz *RowMasks) (any bool) {
+	if n > maxN || len(coef) != n*n || len(levels) != n*n || len(deq) != n*n {
+		panic("dct: bad block size")
+	}
+	q := newQuantizer(qp)
+	var rows uint32
+	for k := 0; k < n; k++ {
+		row := coef[k*n:][:n]
+		lev, rec := levels[k*n:][:len(row)], deq[k*n:][:len(row)]
+		var m uint32
+		for i, c := range row {
+			l := q.level(c)
+			lev[i] = l
+			s := l >> 31
+			if a := uint32((l ^ s) - s); a < dequantTableLen {
+				rec[i] = (q.recon[a] ^ s) - s
+			} else {
+				rec[i] = int32(math.Round(float64(l) * q.step))
+			}
+			m = m>>1 | nonZeroTop(l)
+		}
+		m >>= 32 - uint(n)
+		nz[k] = m
+		rows |= m
+	}
+	return rows != 0
 }
 
 // ForwardFloat computes the exact orthonormal 2-D DCT-II of a float block,

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quant"
+	"repro/internal/tensorgen"
 )
 
 func randBlock(rng *rand.Rand, n int, amp int32) []int32 {
@@ -397,20 +400,266 @@ func TestInverseDropsStaleScratch(t *testing.T) {
 	}
 }
 
+// quantizeBranchy and dequantizeFormula are the quantisers PR 17 shipped
+// (commit c563641), kept verbatim as the differential references for the
+// sign-mask and table forms that replaced them.
+
+func quantizeBranchy(dst, coef []int32, qp int) {
+	step := Qstep(qp) * quantScale
+	inv := 1 / step
+	for i, c := range coef {
+		v := float64(c) * inv
+		if v >= 0 {
+			dst[i] = int32(v + 1.0/3.0)
+		} else {
+			dst[i] = -int32(-v + 1.0/3.0)
+		}
+	}
+}
+
+func dequantizeFormula(dst, levels []int32, qp int) {
+	step := Qstep(qp) * quantScale
+	for i, l := range levels {
+		if l == 0 {
+			dst[i] = 0
+			continue
+		}
+		dst[i] = int32(math.Round(float64(l) * step))
+	}
+}
+
+func requireSame(t *testing.T, got, want, in []int32, what string, qp int) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s qp=%d: %d -> %d, reference %d", what, qp, in[i], got[i], want[i])
+		}
+	}
+}
+
+// TestDequantizeEquivalence: the table form against the formula for every QP
+// and every level in [−2¹⁶, 2¹⁶] — both sides of the table's edge — and at
+// the ends of the int32 range. QPs outside [0, MaxQP] clamp as Qstep does.
+func TestDequantizeEquivalence(t *testing.T) {
+	const span = 1 << 16
+	levels := make([]int32, 0, 2*span+5)
+	for l := int32(-span); l <= span; l++ {
+		levels = append(levels, l)
+	}
+	levels = append(levels, math.MinInt32, math.MinInt32+1, math.MaxInt32, 1<<24)
+	got, want := make([]int32, len(levels)), make([]int32, len(levels))
+	for qp := -2; qp <= MaxQP+2; qp++ {
+		Dequantize(got, levels, qp)
+		dequantizeFormula(want, levels, qp)
+		requireSame(t, got, want, levels, "Dequantize", qp)
+	}
+}
+
+// TestQuantizeEquivalence: the sign-mask form against the branchy one on
+// ±(0…2²⁰) for a spread of QPs, on ±(0…2¹⁴) for every QP, and around every
+// coefficient where |c|/step crosses a k + ⅔ boundary — where v + ⅓ rounds to
+// an integer or just short of one.
+func TestQuantizeEquivalence(t *testing.T) {
+	check := func(coef []int32, qp int) {
+		t.Helper()
+		got, want := make([]int32, len(coef)), make([]int32, len(coef))
+		Quantize(got, coef, qp)
+		quantizeBranchy(want, coef, qp)
+		requireSame(t, got, want, coef, "Quantize", qp)
+	}
+	ramp := func(limit int32) []int32 {
+		coef := make([]int32, 0, 2*limit+2)
+		for c := int32(0); c <= limit; c++ {
+			coef = append(coef, c, -c)
+		}
+		return coef
+	}
+	small, large := ramp(1<<14), ramp(1<<20)
+	for qp := -1; qp <= MaxQP+1; qp++ {
+		check(small, qp)
+		step := Qstep(qp) * quantScale
+		edges := []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32}
+		for k := 0; k < 4096; k++ {
+			c := int32((float64(k) + 2.0/3.0) * step)
+			edges = append(edges, c-1, c, c+1, 1-c, -c, -c-1)
+		}
+		check(edges, qp)
+	}
+	for _, qp := range []int{0, 4, 12, 17, 30, MaxQP} {
+		check(large, qp)
+	}
+}
+
+// TestQuantizeDequantizeEquivalence: the fused pass against Quantize then
+// Dequantize, its masks against the levels, in place and out of place.
+func TestQuantizeDequantizeEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{4, 8, 16, 32} {
+		for trial := 0; trial < 200; trial++ {
+			qp := rng.Intn(MaxQP + 1)
+			amp := int32(1) << uint(2+rng.Intn(19))
+			coef := randBlock(rng, n, amp)
+			if trial%5 == 0 { // low-frequency corner only: most masks empty
+				for i := range coef {
+					if i/n > 2 || i%n > 2 {
+						coef[i] = 0
+					}
+				}
+			}
+			wantLev, wantDeq := make([]int32, n*n), make([]int32, n*n)
+			Quantize(wantLev, coef, qp)
+			Dequantize(wantDeq, wantLev, qp)
+			lev, deq := make([]int32, n*n), make([]int32, n*n)
+			var nz RowMasks
+			nz[n-1] = ^uint32(0) // stale
+			any := QuantizeDequantize(lev, deq, coef, n, qp, &nz)
+			requireSame(t, lev, wantLev, coef, "fused levels", qp)
+			requireSame(t, deq, wantDeq, coef, "fused reconstruction", qp)
+			wantAny := false
+			for k := 0; k < n; k++ {
+				var m uint32
+				for l := 0; l < n; l++ {
+					if wantLev[k*n+l] != 0 {
+						m |= 1 << uint(l)
+						wantAny = true
+					}
+				}
+				if nz[k] != m {
+					t.Fatalf("n=%d qp=%d row %d: mask %#x, levels say %#x", n, qp, k, nz[k], m)
+				}
+			}
+			if any != wantAny {
+				t.Fatalf("n=%d qp=%d: any = %v, levels say %v", n, qp, any, wantAny)
+			}
+			inPlace := append([]int32(nil), coef...)
+			QuantizeDequantize(lev, inPlace, inPlace, n, qp, &nz)
+			requireSame(t, inPlace, wantDeq, coef, "fused reconstruction in place", qp)
+		}
+	}
+}
+
+// TestInverseEquivalence: Inverse and InverseMasked against the dense
+// product on the inputs that steer each level of each pass down its dense
+// (dot) or its sparse (axpy) form — fully dense, post-quantisation sparse, a
+// single row, a single column, every density in between — at encoder-sized
+// and at wrap-sized (|coef| ≈ 2³⁰) magnitudes.
+func TestInverseEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{4, 8, 16, 32} {
+		tr, mat := NewDCT(n), dctMatrix(n)
+		want, got := make([]int32, n*n), make([]int32, n*n)
+		check := func(coef []int32, what string) {
+			t.Helper()
+			denseInverse(mat, n, want, coef)
+			tr.Inverse(got, coef)
+			requireSameBlock(t, got, want, "Inverse n=%d %s", n, what)
+			// Masks as QuantizeDequantize leaves them: exact.
+			var nz RowMasks
+			for i, v := range coef {
+				if v != 0 {
+					nz[i/n] |= 1 << uint(i%n)
+				}
+			}
+			clear(got)
+			tr.InverseMasked(got, coef, &nz)
+			requireSameBlock(t, got, want, "InverseMasked n=%d %s", n, what)
+			// A set bit over a zero coefficient is allowed.
+			for k := range nz[:n] {
+				nz[k] |= rng.Uint32() & (1<<uint(n) - 1)
+			}
+			tr.InverseMasked(got, coef, &nz)
+			requireSameBlock(t, got, want, "InverseMasked n=%d %s, loose masks", n, what)
+		}
+		coef := make([]int32, n*n)
+		for _, amp := range []int32{40, 1 << 12, 1<<30 - 1} {
+			for trial := 0; trial < 20; trial++ {
+				check(randBlock(rng, n, amp), "dense")
+				dense := randBlock(rng, n, amp)
+				Quantize(coef, dense, 30)
+				Dequantize(coef, coef, 30)
+				check(coef, "post-quantisation")
+				clear(coef)
+				copy(coef[rng.Intn(n)*n:][:n], randBlock(rng, n, amp))
+				check(coef, "single row")
+				clear(coef)
+				for k, col := 0, rng.Intn(n); k < n; k++ {
+					coef[k*n+col] = rng.Int31n(2*amp+1) - amp
+				}
+				check(coef, "single column")
+				// Each coefficient kept with probability p: masks on both
+				// sides of the dense/sparse threshold at every level.
+				p := rng.Intn(101)
+				for i := range coef {
+					coef[i] = 0
+					if rng.Intn(100) < p {
+						coef[i] = rng.Int31n(2*amp+1) - amp
+					}
+				}
+				check(coef, "thinned")
+			}
+		}
+	}
+}
+
+func requireSameBlock(t *testing.T, got, want []int32, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf(format+": [%d] = %d, dense reference %d", append(args, i, got[i], want[i])...)
+		}
+	}
+}
+
+// benchCoefBlocks is the kernels' benchmark input: count n×n blocks cut from
+// a generated weight plane, as residuals against their own mean and as the
+// Forward coefficients of those. Kernels are timed rotating over the blocks —
+// a loop over one block lets the branch predictor memorise its sign and zero
+// pattern, which reads Quantize at 1 ns/px where the encoder pays 5.
+func benchCoefBlocks(n, count int) (res, coef [][]int32) {
+	const dim = 256
+	rng := rand.New(rand.NewSource(9))
+	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
+	tr := NewDCT(n)
+	for b := 0; b < count; b++ {
+		x0, y0 := rng.Intn(dim-n), rng.Intn(dim-n)
+		r := make([]int32, n*n)
+		var sum int32
+		for i := range r {
+			r[i] = int32(pix[(y0+i/n)*dim+x0+i%n])
+			sum += r[i]
+		}
+		for i := range r {
+			r[i] -= sum / int32(n*n)
+		}
+		c := make([]int32, n*n)
+		tr.Forward(c, r)
+		res, coef = append(res, r), append(coef, c)
+	}
+	return res, coef
+}
+
+const benchBlockCount = 64
+
+// The two coding points of the rotating benchmarks: QP 12 leaves weight
+// blocks dense, QP 30 leaves them sparse.
+var benchQPs = []struct {
+	name string
+	qp   int
+}{{"dense-qp12", 12}, {"sparse-qp30", 30}}
+
 func BenchmarkForward4(b *testing.B)  { benchForward(b, 4) }
 func BenchmarkForward8(b *testing.B)  { benchForward(b, 8) }
 func BenchmarkForward16(b *testing.B) { benchForward(b, 16) }
 func BenchmarkForward32(b *testing.B) { benchForward(b, 32) }
 
 func benchForward(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(9))
+	res, _ := benchCoefBlocks(n, benchBlockCount)
 	tr := NewDCT(n)
-	res := randBlock(rng, n, 255)
 	coef := make([]int32, n*n)
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Forward(coef, res)
+		tr.Forward(coef, res[i%benchBlockCount])
 	}
 }
 
@@ -419,26 +668,56 @@ func BenchmarkInverse8(b *testing.B)  { benchInverse(b, 8) }
 func BenchmarkInverse16(b *testing.B) { benchInverse(b, 16) }
 func BenchmarkInverse32(b *testing.B) { benchInverse(b, 32) }
 
-// benchInverse times Inverse on a dense coefficient block (Forward of a
-// ±255 residual) and on the same block after a QP 30 quantisation round
-// trip, which is what the codec feeds it.
+// benchInverse times Inverse on what the codec feeds it: coefficient blocks
+// after a quantisation round trip at each coding point.
 func benchInverse(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(9))
+	_, coef := benchCoefBlocks(n, benchBlockCount)
 	tr := NewDCT(n)
-	dense := make([]int32, n*n)
-	tr.Forward(dense, randBlock(rng, n, 20))
-	sparse := make([]int32, n*n)
-	Quantize(sparse, dense, 30)
-	Dequantize(sparse, sparse, 30)
 	rec := make([]int32, n*n)
-	for _, in := range []struct {
-		name string
-		coef []int32
-	}{{"dense", dense}, {"sparse", sparse}} {
-		b.Run(in.name, func(b *testing.B) {
+	for _, pt := range benchQPs {
+		deq := make([][]int32, len(coef))
+		for i, c := range coef {
+			deq[i] = make([]int32, n*n)
+			Quantize(deq[i], c, pt.qp)
+			Dequantize(deq[i], deq[i], pt.qp)
+		}
+		b.Run(pt.name, func(b *testing.B) {
 			b.SetBytes(int64(n * n))
 			for i := 0; i < b.N; i++ {
-				tr.Inverse(rec, in.coef)
+				tr.Inverse(rec, deq[i%benchBlockCount])
+			}
+		})
+	}
+}
+
+func BenchmarkQuantize(b *testing.B) {
+	const n = 16
+	_, coef := benchCoefBlocks(n, benchBlockCount)
+	lev := make([]int32, n*n)
+	for _, pt := range benchQPs {
+		b.Run(pt.name, func(b *testing.B) {
+			b.SetBytes(n * n)
+			for i := 0; i < b.N; i++ {
+				Quantize(lev, coef[i%benchBlockCount], pt.qp)
+			}
+		})
+	}
+}
+
+func BenchmarkDequantize(b *testing.B) {
+	const n = 16
+	_, coef := benchCoefBlocks(n, benchBlockCount)
+	deq := make([]int32, n*n)
+	for _, pt := range benchQPs {
+		lev := make([][]int32, len(coef))
+		for i, c := range coef {
+			lev[i] = make([]int32, n*n)
+			Quantize(lev[i], c, pt.qp)
+		}
+		b.Run(pt.name, func(b *testing.B) {
+			b.SetBytes(n * n)
+			for i := 0; i < b.N; i++ {
+				Dequantize(deq, lev[i%benchBlockCount], pt.qp)
 			}
 		})
 	}

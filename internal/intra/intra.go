@@ -8,7 +8,10 @@
 // leaving a small residual.
 package intra
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Mode identifies an intra prediction mode.
 type Mode int
@@ -142,9 +145,13 @@ func UseSmoothing(n int, m Mode) bool {
 }
 
 // Predict fills dst (row-major n×n) with the prediction of mode m from refs.
+// n must be a power of two.
 func Predict(m Mode, n int, refs Refs, dst []int32) {
 	if len(dst) != n*n {
 		panic("intra: bad dst size")
+	}
+	if n&(n-1) != 0 {
+		panic("intra: block size must be a power of two")
 	}
 	switch {
 	case m == Planar:
@@ -152,20 +159,37 @@ func Predict(m Mode, n int, refs Refs, dst []int32) {
 	case m == DC:
 		predictDC(n, refs, dst)
 	case m >= 2 && m <= 34:
-		predictAngular(m, n, refs, dst)
+		var buf [3*MaxBlockSize + 2]int32
+		ref, angle := angularRef(&buf, m, n, refs)
+		for l := 0; l < n; l++ {
+			angularLine(dst[l*n:][:n], ref, n, int32(l+1)*angle)
+		}
+		if Horizontal(m) {
+			Transpose(dst, n)
+		}
 	default:
 		panic(fmt.Sprintf("intra: invalid mode %d", m))
 	}
 }
 
+// Planar and DC divide by 2n, a power of two, and their numerators are sums
+// of non-negative terms: the shift by log2(2n) is the same integer as the
+// division and not a runtime IDIV per sample.
+
 func predictPlanar(n int, r Refs, dst []int32) {
-	tr := r.Above[n] // top-right
-	bl := r.Left[n]  // bottom-left
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			h := int32(n-1-x)*r.Left[y] + int32(x+1)*tr
-			v := int32(n-1-y)*r.Above[x] + int32(y+1)*bl
-			dst[y*n+x] = (h + v + int32(n)) / int32(2*n)
+	above, left := r.Above[:n], r.Left[:n]
+	tr, bl := r.Above[n], r.Left[n] // top-right, bottom-left
+	shift := uint(bits.TrailingZeros(uint(2*n))) & 31
+	for y, l := range left {
+		row := dst[y*n:][:len(above)]
+		// Of (n−1−x)·l + (x+1)·tr + (n−1−y)·above[x] + (y+1)·bl + n, all but
+		// the third term is linear in x: h starts at its x = 0 value and
+		// walks by tr−l.
+		h, step := int32(n-1)*l+tr+int32(y+1)*bl+int32(n), tr-l
+		wy := int32(n - 1 - y)
+		for x, a := range above {
+			row[x] = (h + wy*a) >> shift
+			h += step
 		}
 	}
 }
@@ -175,33 +199,42 @@ func predictDC(n int, r Refs, dst []int32) {
 	for i := 0; i < n; i++ {
 		sum += r.Above[i] + r.Left[i]
 	}
-	dc := (sum + int32(n)) / int32(2*n)
+	dc := (sum + int32(n)) >> uint(bits.TrailingZeros(uint(2*n)))
 	for i := range dst {
 		dst[i] = dc
 	}
 }
 
-func predictAngular(m Mode, n int, r Refs, dst []int32) {
-	angle := angleTable[m-2]
-	vertical := m >= 18
+// Angular prediction is generated one line at a time: line l of mode m reads
+// the main reference array from n+1+intPart(l) on, blending neighbours a, b
+// with weight frac(l)/32 — (32−frac)·a + frac·b, computed as 32·a +
+// frac·(b−a) — where intPart and frac are the high and low bits of
+// (l+1)·angle. For the vertical modes (18–34) the main array is the above row
+// and the lines are the block's rows. A horizontal mode m (2–17) has the angle
+// of vertical mode 36−m (angleTable is symmetric about mode 18) and takes the
+// left column as its main array, so its lines are the rows of mode 36−m over
+// swapped references — the block's columns. Both kinds therefore share one
+// contiguous line generator; a horizontal block is its lines transposed.
 
-	// Build the main reference array ref[0..3n] where ref[n] is the corner
-	// sample; for vertical modes the main axis is the above row, for
-	// horizontal modes the left column (prediction then transposes). One
-	// spare slot, ref[3n+1], lets every sample interpolate ref[i] and
-	// ref[i+1] without a range test: i = 3n is reached only by angle 32 on
-	// the last line, where frac is 0 and the spare's weight with it. For
-	// codec-sized blocks (n ≤ MaxBlockSize) the array lives on the stack so
-	// the per-mode prediction loop is allocation-free.
-	var refBuf [3*MaxBlockSize + 2]int32
-	var ref []int32
+// Horizontal reports whether angular mode m lays its lines out as columns.
+func Horizontal(m Mode) bool { return m >= 2 && m < 18 }
+
+// angularRef builds the main reference array ref[0..3n+1] of angular mode m,
+// where ref[n] is the corner sample, and returns it with the mode's angle.
+// One spare slot, ref[3n+1], lets every sample interpolate ref[i] and
+// ref[i+1] without a range test: i = 3n is reached only by angle 32 on the
+// last line, where frac is 0 and the spare's weight with it. For codec-sized
+// blocks (n ≤ MaxBlockSize) the array is cut from buf — zeroed, on the caller's
+// stack — so prediction is allocation-free.
+func angularRef(buf *[3*MaxBlockSize + 2]int32, m Mode, n int, r Refs) (ref []int32, angle int32) {
+	angle = angleTable[m-2]
 	if n <= MaxBlockSize {
-		ref = refBuf[:3*n+2]
+		ref = buf[:3*n+2]
 	} else {
 		ref = make([]int32, 3*n+2)
 	}
 	main, side := r.Above, r.Left
-	if !vertical {
+	if Horizontal(m) {
 		main, side = r.Left, r.Above
 	}
 	ref[n] = r.Corner
@@ -222,60 +255,95 @@ func predictAngular(m Mode, n int, r Refs, dst []int32) {
 			ref[n-i] = side[idx-1]
 		}
 	}
+	return ref, angle
+}
 
-	if vertical {
-		angularRows(dst, ref, n, angle)
-	} else {
-		angularColumns(dst, ref, n, angle)
+// angularLine writes the line at position pos = (l+1)·angle into line (n
+// samples): straight-line code over one window of ref.
+func angularLine(line, ref []int32, n int, pos int32) {
+	frac := pos & 31
+	win := ref[n+1+int(pos>>5):][:n+1]
+	if frac == 0 {
+		copy(line, win)
+		return
+	}
+	next := win[1:]
+	line = line[:len(next)]
+	a := win[0]
+	for x, b := range next {
+		line[x] = (a<<5 + frac*(b-a) + 16) >> 5
+		a = b
 	}
 }
 
-// Line l of an angular prediction reads ref from n+1+intPart(l) on, blending
-// neighbours a, b with weight frac(l)/32: (32−frac)·a + frac·b, computed as
-// 32·a + frac·(b−a).
-
-// angularRows lays the lines out as dst rows (the vertical modes), so each
-// row is straight-line code over one window of ref.
-func angularRows(dst, ref []int32, n int, angle int32) {
-	for y := 0; y < n; y++ {
-		pos := int32(y+1) * angle
-		frac := pos & 31
-		src := ref[n+1+int(pos>>5):][:n+1]
-		row := dst[y*n:][:n]
-		if frac == 0 {
-			copy(row, src)
-			continue
-		}
-		a := src[0]
-		for x, b := range src[1:] {
-			row[x] = (a<<5 + frac*(b-a) + 16) >> 5
-			a = b
+// AngularSAD predicts angular mode m into pred line by line — rows for a
+// vertical mode, columns for a horizontal one — and scores each line against
+// the same line of src as it is produced. It returns the sum of absolute
+// differences or, once the running sum at the end of a line exceeds bound,
+// that partial sum, leaving the remaining lines of pred unwritten. The terms
+// are non-negative, so a partial sum above bound means the full SAD is above
+// it too.
+//
+// pred and src are line-major: for a horizontal mode src must be the
+// transposed source block and pred comes back as the transpose of what
+// Predict writes (Transpose turns either back).
+func AngularSAD(m Mode, n int, refs Refs, pred, src []int32, bound int64) int64 {
+	if m < 2 || m > 34 || len(pred) != n*n || len(src) != n*n {
+		panic("intra: bad AngularSAD arguments")
+	}
+	var buf [3*MaxBlockSize + 2]int32
+	ref, angle := angularRef(&buf, m, n, refs)
+	var sum int64
+	for l := 0; l < n; l++ {
+		sum += int64(angularLineSAD(pred[l*n:][:n], src[l*n:][:n], ref, n, int32(l+1)*angle))
+		if sum > bound {
+			break
 		}
 	}
+	return sum
 }
 
-// angularColumns lays the lines out as dst columns (the horizontal modes).
-// Writing dst row-major from per-column window offsets and weights keeps the
-// stores sequential; row x reads each column's window x samples further on.
-func angularColumns(dst, ref []int32, n int, angle int32) {
-	var baseBuf, fracBuf [MaxBlockSize]int32
-	base, fracs := baseBuf[:], fracBuf[:]
-	if n > MaxBlockSize {
-		base, fracs = make([]int32, n), make([]int32, n)
+// angularLineSAD is angularLine returning the line's sum of absolute
+// differences from src, taken as each sample is produced.
+func angularLineSAD(line, src, ref []int32, n int, pos int32) int32 {
+	frac := pos & 31
+	win := ref[n+1+int(pos>>5):][:n+1]
+	var sad int32
+	if frac == 0 {
+		win = win[:len(line)]
+		src = src[:len(line)]
+		for x, v := range win {
+			line[x] = v
+			d := src[x] - v
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+		return sad
 	}
-	base = base[:n]
-	fracs = fracs[:len(base)]
-	for y := range base {
-		pos := int32(y+1) * angle
-		base[y] = int32(n+1) + pos>>5
-		fracs[y] = pos & 31
+	next := win[1:]
+	line, src = line[:len(next)], src[:len(next)]
+	a := win[0]
+	for x, b := range next {
+		v := (a<<5 + frac*(b-a) + 16) >> 5
+		line[x] = v
+		d := src[x] - v
+		if d < 0 {
+			d = -d
+		}
+		sad += d
+		a = b
 	}
-	for x := 0; x < n; x++ {
-		row := dst[x*n:][:n]
-		win := ref[x:]
-		for y, b := range base {
-			a := win[b]
-			row[y] = (a<<5 + fracs[y]*(win[b+1]-a) + 16) >> 5
+	return sad
+}
+
+// Transpose transposes the row-major n×n block a in place.
+func Transpose(a []int32, n int) {
+	for i := 0; i < n; i++ {
+		row := a[i*n:][:n]
+		for j := i + 1; j < n; j++ {
+			row[j], a[j*n+i] = a[j*n+i], row[j]
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package intra
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quant"
+	"repro/internal/tensorgen"
 )
 
 func constRefs(n int, v int32) Refs {
@@ -335,21 +339,316 @@ func TestAngularMatchesPerPixelFormula(t *testing.T) {
 	}
 }
 
-func BenchmarkPredictAngular8(b *testing.B)  { benchPredictAngular(b, 8) }
-func BenchmarkPredictAngular16(b *testing.B) { benchPredictAngular(b, 16) }
-func BenchmarkPredictAngular32(b *testing.B) { benchPredictAngular(b, 32) }
+// The kernels PR 17 shipped (commit c563641), kept verbatim as the
+// differential references for the line generator that replaced them:
+// predictAngularParent with its per-row and per-column layouts, and the
+// dividing Planar and DC.
 
-func benchPredictAngular(b *testing.B, n int) {
-	r := NewRefs(n)
-	rng := rand.New(rand.NewSource(2))
-	for i := range r.Above {
-		r.Above[i] = int32(rng.Intn(256))
-		r.Left[i] = int32(rng.Intn(256))
+func predictAngularParent(m Mode, n int, r Refs, dst []int32) {
+	angle := angleTable[m-2]
+	vertical := m >= 18
+	ref := make([]int32, 3*n+2)
+	main, side := r.Above, r.Left
+	if !vertical {
+		main, side = r.Left, r.Above
 	}
+	ref[n] = r.Corner
+	copy(ref[n+1:3*n+1], main[:2*n])
+	if angle < 0 {
+		inv := invAngleTable[-angle]
+		need := (int(-angle)*n + 31) >> 5
+		for i := 1; i <= need; i++ {
+			idx := (int32(i)*inv + 128) >> 8
+			if int(idx) > 2*n {
+				idx = int32(2 * n)
+			}
+			if idx < 1 {
+				idx = 1
+			}
+			ref[n-i] = side[idx-1]
+		}
+	}
+	if vertical {
+		angularRows(dst, ref, n, angle)
+	} else {
+		angularColumns(dst, ref, n, angle)
+	}
+}
+
+func angularRows(dst, ref []int32, n int, angle int32) {
+	for y := 0; y < n; y++ {
+		pos := int32(y+1) * angle
+		frac := pos & 31
+		src := ref[n+1+int(pos>>5):][:n+1]
+		row := dst[y*n:][:n]
+		if frac == 0 {
+			copy(row, src)
+			continue
+		}
+		a := src[0]
+		for x, b := range src[1:] {
+			row[x] = (a<<5 + frac*(b-a) + 16) >> 5
+			a = b
+		}
+	}
+}
+
+func angularColumns(dst, ref []int32, n int, angle int32) {
+	base, fracs := make([]int32, n), make([]int32, n)
+	for y := range base {
+		pos := int32(y+1) * angle
+		base[y] = int32(n+1) + pos>>5
+		fracs[y] = pos & 31
+	}
+	for x := 0; x < n; x++ {
+		row := dst[x*n:][:n]
+		win := ref[x:]
+		for y, b := range base {
+			a := win[b]
+			row[y] = (a<<5 + fracs[y]*(win[b+1]-a) + 16) >> 5
+		}
+	}
+}
+
+func predictPlanarParent(n int, r Refs, dst []int32) {
+	tr := r.Above[n]
+	bl := r.Left[n]
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			h := int32(n-1-x)*r.Left[y] + int32(x+1)*tr
+			v := int32(n-1-y)*r.Above[x] + int32(y+1)*bl
+			dst[y*n+x] = (h + v + int32(n)) / int32(2*n)
+		}
+	}
+}
+
+func predictDCParent(n int, r Refs, dst []int32) {
+	var sum int32
+	for i := 0; i < n; i++ {
+		sum += r.Above[i] + r.Left[i]
+	}
+	dc := (sum + int32(n)) / int32(2*n)
+	for i := range dst {
+		dst[i] = dc
+	}
+}
+
+// equivalenceRefs is the reference matrix of the differential tests: flat,
+// random, 0/255 extremes, and the [1 2 1]-smoothed form of each random set.
+func equivalenceRefs(rng *rand.Rand, n int) []Refs {
+	sets := []Refs{constRefs(n, 0), constRefs(n, 255), constRefs(n, 77)}
+	for trial := 0; trial < 12; trial++ {
+		r := NewRefs(n)
+		r.Corner = int32(rng.Intn(256))
+		for i := range r.Above {
+			r.Above[i] = int32(rng.Intn(256))
+			r.Left[i] = int32(rng.Intn(256))
+			if trial%3 == 0 { // extremes only
+				r.Above[i] = 255 * int32(rng.Intn(2))
+				r.Left[i] = 255 * int32(rng.Intn(2))
+			}
+		}
+		sets = append(sets, r, r.Smoothed())
+	}
+	return sets
+}
+
+func requireSameBlock(t *testing.T, got, want []int32, format string, args ...any) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf(format+": [%d] = %d, reference %d", append(args, i, got[i], want[i])...)
+		}
+	}
+}
+
+// TestPredictEquivalence: every mode of the rewritten Predict against the
+// kernels it replaced.
+func TestPredictEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{4, 8, 16, 32} {
+		got, want := make([]int32, n*n), make([]int32, n*n)
+		for ri, r := range equivalenceRefs(rng, n) {
+			for m := Mode(0); m < NumModes; m++ {
+				for i := range got {
+					got[i], want[i] = -1, -2
+				}
+				Predict(m, n, r, got)
+				switch m {
+				case Planar:
+					predictPlanarParent(n, r, want)
+				case DC:
+					predictDCParent(n, r, want)
+				default:
+					predictAngularParent(m, n, r, want)
+				}
+				requireSameBlock(t, got, want, "n=%d refs#%d mode %d", n, ri, m)
+			}
+		}
+	}
+}
+
+func fullSAD(a, b []int32) int64 {
+	var sum int64
+	for i, v := range a {
+		d := v - b[i]
+		if d < 0 {
+			d = -d
+		}
+		sum += int64(d)
+	}
+	return sum
+}
+
+// TestAngularSADEquivalence: the fused score is the full SAD of the parent's
+// prediction whenever that is within the bound and above the bound otherwise,
+// for bounds below, at and above the true SAD; a run that was not cut short
+// leaves the whole prediction behind, line-major.
+func TestAngularSADEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{4, 8, 16, 32} {
+		n2 := n * n
+		src, srcT := make([]int32, n2), make([]int32, n2)
+		pred, want := make([]int32, n2), make([]int32, n2)
+		for ri, r := range equivalenceRefs(rng, n) {
+			for i := range src {
+				src[i] = int32(rng.Intn(256))
+				if ri%2 == 0 { // near the references: small SADs, exits late
+					src[i] = r.Above[i%n] + int32(rng.Intn(5)) - 2
+				}
+			}
+			copy(srcT, src)
+			Transpose(srcT, n)
+			for m := Mode(2); m <= 34; m++ {
+				predictAngularParent(m, n, r, want)
+				sad := fullSAD(src, want)
+				lineSrc := src
+				if Horizontal(m) {
+					lineSrc = srcT
+				}
+				for _, bound := range []int64{math.MaxInt64, sad + 1, sad, sad - 1, sad / 2, sad / 7, 0, -1} {
+					for i := range pred {
+						pred[i] = -1
+					}
+					got := AngularSAD(m, n, r, pred, lineSrc, bound)
+					if sad <= bound {
+						if got != sad {
+							t.Fatalf("n=%d refs#%d mode %d bound %d: score %d, full SAD %d", n, ri, m, bound, got, sad)
+						}
+						if Horizontal(m) {
+							Transpose(pred, n)
+						}
+						requireSameBlock(t, pred, want, "n=%d refs#%d mode %d bound %d: prediction left behind", n, ri, m, bound)
+					} else if got <= bound || got > sad {
+						t.Fatalf("n=%d refs#%d mode %d: full SAD %d is above bound %d, score %d", n, ri, m, sad, bound, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTransposeEquivalence(t *testing.T) {
+	for _, n := range []int{4, 8, 16, 32} {
+		a := make([]int32, n*n)
+		for i := range a {
+			a[i] = int32(i)
+		}
+		Transpose(a, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if a[i*n+j] != int32(j*n+i) {
+					t.Fatalf("n=%d: [%d][%d] = %d, want %d", n, i, j, a[i*n+j], j*n+i)
+				}
+			}
+		}
+	}
+}
+
+// benchBlocks cuts count n×n source blocks, with the references around each,
+// out of a generated weight plane: kernels are timed rotating over them so
+// that the branch predictor cannot memorise one block's sign pattern.
+func benchBlocks(n, count int) (srcs [][]int32, refs []Refs) {
+	const dim = 256
+	rng := rand.New(rand.NewSource(2))
+	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
+	at := func(x, y int) int32 { return int32(pix[y%dim*dim+x%dim]) }
+	for b := 0; b < count; b++ {
+		x0, y0 := 1+rng.Intn(dim-3*n), 1+rng.Intn(dim-3*n)
+		src := make([]int32, n*n)
+		for i := range src {
+			src[i] = at(x0+i%n, y0+i/n)
+		}
+		r := NewRefs(n)
+		r.Corner = at(x0-1, y0-1)
+		for i := range r.Above {
+			r.Above[i] = at(x0+i, y0-1)
+			r.Left[i] = at(x0-1, y0+i)
+		}
+		srcs, refs = append(srcs, src), append(refs, r)
+	}
+	return srcs, refs
+}
+
+const benchBlockCount = 64
+
+func BenchmarkPredictAngular8(b *testing.B) {
+	benchPredict(b, 8, func(i int) Mode { return Mode(2 + i%33) })
+}
+func BenchmarkPredictAngular16(b *testing.B) {
+	benchPredict(b, 16, func(i int) Mode { return Mode(2 + i%33) })
+}
+func BenchmarkPredictAngular32(b *testing.B) {
+	benchPredict(b, 32, func(i int) Mode { return Mode(2 + i%33) })
+}
+func BenchmarkPredictPlanar16(b *testing.B) { benchPredict(b, 16, func(int) Mode { return Planar }) }
+
+func benchPredict(b *testing.B, n int, mode func(i int) Mode) {
+	_, refs := benchBlocks(n, benchBlockCount)
 	dst := make([]int32, n*n)
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Predict(Mode(2+i%33), n, r, dst)
+		Predict(mode(i), n, refs[i%benchBlockCount], dst)
+	}
+}
+
+func BenchmarkAngularSAD8(b *testing.B)  { benchAngularSAD(b, 8) }
+func BenchmarkAngularSAD16(b *testing.B) { benchAngularSAD(b, 16) }
+func BenchmarkAngularSAD32(b *testing.B) { benchAngularSAD(b, 32) }
+
+// benchAngularSAD times the coarse search's inner step as decideLeaf runs
+// it: all 33 angular modes of one block against a bound that tightens as
+// better modes are found (b.N counts modes, not blocks).
+func benchAngularSAD(b *testing.B, n int) {
+	srcs, refs := benchBlocks(n, benchBlockCount)
+	srcTs := make([][]int32, len(srcs))
+	for i, s := range srcs {
+		srcTs[i] = append([]int32(nil), s...)
+		Transpose(srcTs[i], n)
+	}
+	pred := make([]int32, n*n)
+	b.SetBytes(int64(n * n))
+	b.ResetTimer()
+	var best [3]int64
+	for i := 0; i < b.N; i++ {
+		blk, m := i/33%benchBlockCount, Mode(2+i%33)
+		if m == 2 {
+			best = [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
+		}
+		src := srcs[blk]
+		if Horizontal(m) {
+			src = srcTs[blk]
+		}
+		// Third-best so far, as topModes.bound() with k = 3.
+		if s := AngularSAD(m, n, refs[blk], pred, src, best[2]); s < best[2] {
+			best[2] = s
+			if best[2] < best[1] {
+				best[1], best[2] = best[2], best[1]
+			}
+			if best[1] < best[0] {
+				best[0], best[1] = best[1], best[0]
+			}
+		}
 	}
 }
