@@ -110,10 +110,13 @@ ci: surface build test benchmark-test kv-test train-test race fuzz-smoke
 # Each target is seeded from valid round-trip containers, so the fuzzer
 # starts at deep coverage; any input that panics or produces an untyped
 # error is minimized and written to testdata/fuzz/ for replay by `go test`.
+# FuzzLanes is the one kernel target: the transform's two-vectors-per-butterfly
+# passes against the dense product, seeded on their guards.
 fuzz-smoke:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy/ -run '^$$' -fuzz FuzzEntropy -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzKVRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzAllreduceSegment -fuzztime $(FUZZTIME)

@@ -644,6 +644,49 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 	keepIfBetter(best, cuDec{mode: m, cost: dist + e.lambda*(rbits+modeBits)}, lev, rec)
 }
 
+// coarseIntra ranks the profile's intra modes for the block orig at (x, y) —
+// SAD by default, SATD under FastSearch — and returns the survivors that get a
+// full RD trial, best first, each with its prediction in scratch.predAt. Under
+// exhaustiveRD it predicts every mode and ranks none. The smoothed reference
+// rows are mode-independent, so the scorer computes them at most once per leaf.
+func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
+	s, n2 := e.scr, size*size
+	fast := e.prof.FastSearch && !e.prof.exhaustiveRD
+	top := topModes{k: rdCandidates}
+	if fast {
+		top.k = fastRDCandidates
+	}
+	sc := &s.scorer
+	sc.Reset(size, orig, e.gatherRefs(x, y, size), intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
+	smooth := func(m intra.Mode) bool { return e.prof.RefSmoothing && intra.UseSmoothing(size, m) }
+	for mi, m := range e.prof.Modes {
+		pred := s.predAt(mi, n2)
+		switch {
+		case e.prof.exhaustiveRD: // every mode gets its RD trial; nothing to rank
+			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
+		case fast:
+			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
+			top.offer(mi, satdCoarseScore(orig, pred, s.res[:], size))
+		case m != intra.Planar && m != intra.DC:
+			// An angular mode is scored on packed lanes, line by line,
+			// abandoned once it cannot enter the top set, and predicted
+			// only if it ends up in it.
+			top.offer(mi, sc.SAD(m, smooth(m), top.bound()))
+		default:
+			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
+			top.offer(mi, sadWithin(orig, pred, size, top.bound()))
+		}
+	}
+	if !fast {
+		for _, mi := range top.mi[:top.n] {
+			if m := e.prof.Modes[mi]; m != intra.Planar && m != intra.DC {
+				intra.Predict(m, size, sc.Refs(smooth(m)), s.predAt(mi, n2))
+			}
+		}
+	}
+	return top
+}
+
 // decideLeaf searches prediction choices for an undivided CU and returns the
 // best decision without touching the recon plane. Every buffer it touches
 // comes from the scratch arena; the returned node, its levels and its
@@ -667,63 +710,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		if e.rec != nil {
 			tIntra = time.Now()
 		}
-		refs := e.gatherRefs(x, y, size)
-		// Coarse-score all modes (SAD by default, SATD under FastSearch),
-		// full-RD only the top survivors. The smoothed reference rows are
-		// mode-independent, so they are computed at most once per leaf.
-		fast := e.prof.FastSearch && !e.prof.exhaustiveRD
-		top := topModes{k: rdCandidates}
-		if fast {
-			top.k = fastRDCandidates
-		}
-		var smRefs intra.Refs
-		smoothedReady := false
-		var origT []int32 // orig transposed, made when a horizontal mode first needs it
-		for mi, m := range e.prof.Modes {
-			r := refs
-			if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
-				if !smoothedReady {
-					smRefs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-					smoothedReady = true
-				}
-				r = smRefs
-			}
-			pred := s.predAt(mi, n2)
-			switch {
-			case e.prof.exhaustiveRD: // every mode gets its RD trial; nothing to rank
-				intra.Predict(m, size, r, pred)
-			case fast:
-				intra.Predict(m, size, r, pred)
-				top.offer(mi, satdCoarseScore(orig, pred, s.res[:], size))
-			case m != intra.Planar && m != intra.DC:
-				// An angular mode is scored as it is predicted, line by line,
-				// and abandoned once it cannot enter the top set; a horizontal
-				// mode's lines are columns, scored against the transposed
-				// source and left transposed in pred.
-				src := orig
-				if intra.Horizontal(m) {
-					if origT == nil {
-						origT = s.origT[:n2]
-						copy(origT, orig)
-						intra.Transpose(origT, size)
-					}
-					src = origT
-				}
-				top.offer(mi, intra.AngularSAD(m, size, r, pred, src, top.bound()))
-			default:
-				intra.Predict(m, size, r, pred)
-				top.offer(mi, sadWithin(orig, pred, size, top.bound()))
-			}
-		}
-		if origT != nil {
-			// A mode in the top set was never abandoned, so its prediction is
-			// whole; turn the horizontal survivors the right way up.
-			for _, mi := range top.mi[:top.n] {
-				if intra.Horizontal(e.prof.Modes[mi]) {
-					intra.Transpose(s.predAt(mi, n2), size)
-				}
-			}
-		}
+		top := e.coarseIntra(orig, x, y, size)
 		if e.rec != nil {
 			// The coarse ranking (prediction of every profile mode) is the
 			// intra-search share; the full-RD trials below charge their

@@ -265,6 +265,116 @@ func TestGatherRefsEquivalence(t *testing.T) {
 	}
 }
 
+// coarseIntraScalar is the default coarse search before any of it was fused or
+// packed: every mode predicted whole, then scored with sadWithin, offered in
+// profile order. (PR 18's score-as-you-predict kernel, which the packed scorer
+// replaced, is held to this same Predict-then-SAD by
+// intra.TestAngularSADEquivalence; scores above the bound differ between the
+// three, and topModes.offer drops them all.) preds[mi] receives mode mi's
+// prediction.
+func coarseIntraScalar(e *encoder, orig []int32, x, y, size int, preds [][]int32) topModes {
+	refs := gatherRefsInto(e.recon, e.coded, x, y, size, intra.NewRefs(size))
+	smoothed := refs.Smoothed()
+	top := topModes{k: rdCandidates}
+	for mi, m := range e.prof.Modes {
+		r := refs
+		if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
+			r = smoothed
+		}
+		preds[mi] = preds[mi][:size*size]
+		intra.Predict(m, size, r, preds[mi])
+		top.offer(mi, sadWithin(orig, preds[mi], size, top.bound()))
+	}
+	return top
+}
+
+// TestCoarseSearchEquivalence: on 10 000 drawn leaves — three profiles, four
+// sizes, neighbourhoods from uncoded to fully coded, sources that are noise,
+// a noisy copy of one mode's own prediction (close races between its
+// neighbours) or flat (every mode ties) — the packed coarse search returns the
+// scalar search's survivors: same modes, same order, same scores, the same
+// prediction behind each. Equal scores must still rank the later-scored mode
+// first, which the tied draws check on every size.
+func TestCoarseSearchEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const dim = 96
+	s := newScratch()
+	preds := make([][]int32, intra.NumModes)
+	for i := range preds {
+		preds[i] = make([]int32, 0, maxBlock)
+	}
+	recon := frame.NewPlane(dim, dim)
+	coded := make([]bool, dim*dim)
+	for draw := 0; draw < 10000; draw++ {
+		size := 4 << rng.Intn(4)
+		n2 := size * size
+		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)], tools: AllTools, scr: s, recon: recon, coded: coded}
+		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
+		kind := draw % 5
+		flat := uint8(rng.Intn(256))
+		for i := range recon.Pix {
+			switch {
+			case kind == 4: // flat neighbourhood
+				recon.Pix[i] = flat
+			case kind == 3: // smooth ramp plus a little noise
+				recon.Pix[i] = uint8(clipPixel(int32(i%dim+2*(i/dim)) + rng.Int31n(3)))
+			default:
+				recon.Pix[i] = uint8(rng.Intn(256))
+			}
+		}
+		for i := range coded { // a raster prefix, as a real encode leaves it; sometimes all or nothing
+			coded[i] = i < (y+size/2)*dim
+		}
+		if draw%7 == 0 {
+			for i := range coded {
+				coded[i] = draw%14 == 0
+			}
+		}
+		orig := s.orig[:n2]
+		switch kind {
+		case 0:
+			for i := range orig {
+				orig[i] = rng.Int31n(256)
+			}
+		case 4:
+			for i := range orig { // equal SADs across all modes
+				orig[i] = clipPixel(int32(flat) + int32(draw%3) - 1)
+			}
+		default:
+			m := e.prof.Modes[rng.Intn(len(e.prof.Modes))]
+			refs := gatherRefsInto(recon, coded, x, y, size, intra.NewRefs(size))
+			intra.Predict(m, size, refs, orig)
+			for i := range orig {
+				orig[i] = clipPixel(orig[i] + rng.Int31n(5) - 2)
+			}
+		}
+
+		want := coarseIntraScalar(e, orig, x, y, size, preds)
+		got := e.coarseIntra(orig, x, y, size)
+		if got != want {
+			t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d): survivors %v scores %v, scalar search %v scores %v",
+				draw, e.prof.Name, size, x, y, kind, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
+		}
+		if kind == 4 {
+			// Every mode predicts the flat value (or 128, uncoded): all tie, the last three
+			// scored survive, latest first.
+			last := len(e.prof.Modes) - 1
+			if got.n != 3 || got.mi != [rdCandidates]int{last, last - 1, last - 2} {
+				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, got.mi[:got.n])
+			}
+		}
+		for _, mi := range got.mi[:got.n] {
+			pred := s.predAt(mi, n2)
+			for i := range pred {
+				if pred[i] != preds[mi][i] {
+					t.Fatalf("draw %d (%s, size %d): survivor mode %d prediction [%d] = %d, scalar search %d",
+						draw, e.prof.Name, size, e.prof.Modes[mi], i, pred[i], preds[mi][i])
+				}
+			}
+		}
+	}
+}
+
 // TestComputeStatsEquivalence: the integer SSE against the float64
 // accumulation it replaced.
 func TestComputeStatsEquivalence(t *testing.T) {

@@ -63,7 +63,6 @@ const levBlockLen = 1 << 14
 type scratch struct {
 	// Per-trial block buffers (int32, one block each).
 	orig     [maxBlock]int32 // source samples of the block being decided
-	origT    [maxBlock]int32 // orig transposed, for scoring horizontal modes
 	res      [maxBlock]int32 // residual (also FastSearch SATD input)
 	trialLev [maxBlock]int32 // candidate quantized levels
 	coefA    [maxBlock]int32 // transform coefficients, forward then dequantized
@@ -85,6 +84,9 @@ type scratch struct {
 	// (2·maxCU each).
 	refsAbove, refsLeft [2 * maxCU]int32
 	smAbove, smLeft     [2 * maxCU]int32
+
+	// scorer holds the leaf being decided packed for the coarse intra search.
+	scorer intra.Scorer
 
 	// Frame-lifetime state, reused across frames and chunks.
 	origPlane  frame.Plane // padded source

@@ -61,6 +61,10 @@ type butterfly struct {
 	// a3 = A[3s][0:2].
 	dc, mid int64
 	a1, a3  [2]int64
+	// laneLimit is the largest magnitude scan (see the lanes comment below)
+	// under which a pass may carry two vectors through forward or inverse at
+	// once.
+	laneLimit int64
 }
 
 // butterflies holds the tables for n = 4, 8, 16, 32 at index log2(n)−2.
@@ -144,7 +148,54 @@ func newButterfly(mat []int32, n int) butterfly {
 	b.dc, b.mid = at(0, 0), at(2*s, 0)
 	b.a1 = [2]int64{at(s, 0), at(s, 1)}
 	b.a3 = [2]int64{at(3*s, 0), at(3*s, 1)}
+	// forward sums along rows of A and inverse along its columns, so the
+	// largest L1 norm of either bounds every output of both per unit of input.
+	var l1 int64
+	for k := 0; k < n; k++ {
+		var row, col int64
+		for j := 0; j < n; j++ {
+			row += max(at(k, j), -at(k, j))
+			col += max(at(j, k), -at(j, k))
+		}
+		l1 = max(l1, row, col)
+	}
+	b.laneLimit = math.MaxInt32/l1 - 1
+	if b.laneLimit < 1<<8 {
+		panic(fmt.Sprintf("dct: n=%d lane limit %d would send 8-bit residuals down the unpacked path", n, b.laneLimit))
+	}
 	return b
+}
+
+// Lanes. forward and inverse are linear maps over ℤ computed in int64 with no
+// rounding, and two's-complement int64 is a ring, so feeding them the packed
+// vector x[j] = p[j] + q[j]<<32 yields exactly (A·p)[k] + (A·q)[k]<<32 mod 2⁶⁴
+// whatever the intermediate sums borrow from each other — one butterfly for
+// two vectors. The packed output splits back uniquely as long as both true
+// outputs fit an int32: lo = int64(int32(v)) is then A·p, and (v−lo)>>32 is
+// A·q. Every |output| ≤ max|input|·L1, L1 the largest absolute row or column
+// sum of A, so a pair is packed when its inputs' magnitude scan is within
+// laneLimit and otherwise goes through the same function one vector at a time.
+//
+// The scan ORs v ^ v>>31 (v>>63 for int64) over the pair's inputs. For v ≥ 0
+// that term is v and for v < 0 it is −v−1, one short of |v|; the OR of
+// non-negative terms is at least each of them and below twice the largest. So
+// a scan ≤ laneLimit proves max|input| ≤ laneLimit+1 (the error that matters:
+// the limit is (2³¹−1)/L1 − 1, giving |output| ≤ (laneLimit+1)·L1 ≤ 2³¹−1),
+// while a scan above it may belong to inputs as small as laneLimit/2 (the
+// harmless error: those pairs take the unpacked path). laneLimit+1 < 2²¹, so
+// q<<32 and the packed sum are far inside int64 too.
+
+// packRows packs rows p and q into x[j] = p[j] + q[j]<<32 and returns their
+// magnitude scan.
+func packRows(x *[maxN]int64, p, q []int32) int64 {
+	var scan int32
+	q = q[:len(p)]
+	for j, a := range p {
+		b := q[j]
+		scan |= (a ^ a>>31) | (b ^ b>>31)
+		x[j] = int64(a) + int64(b)<<32
+	}
+	return int64(scan)
 }
 
 // The odd sub-matrix products, unrolled over fixed-size arrays: straight-line
@@ -377,23 +428,55 @@ func (t *Transform) Forward(dst, res []int32) {
 	// Both passes transform contiguous rows and write their output down a
 	// column, so the transposes cost nothing extra: pass 1 leaves
 	// tmp[l][i] = (res·Aᵀ)[i][l], pass 2 leaves dst[k][l] = (A·res·Aᵀ)[k][l].
+	// Each pass takes its vectors two at a time, packed when the pair's
+	// magnitude scan allows (see Lanes above). Residuals of 8-bit samples
+	// always pass in pass 1; pass 2 sees pass-1 sums and passes unless the
+	// block carries close to full-range energy down one row or column.
 	var x, y [maxN]int64
 	var o [maxN / 2]int64
-	tmp := t.tmp
-	for i := 0; i < n; i++ {
-		for j, v := range res[i*n : i*n+n] {
-			x[j] = int64(v)
+	bf, tmp := t.bf, t.tmp
+	for i := 0; i < n; i += 2 {
+		r0, r1 := res[i*n:][:n], res[i*n+n:][:n]
+		if packRows(&x, r0, r1) <= bf.laneLimit {
+			bf.forward(&y, &x, &o)
+			for l, v := range y[:n] {
+				lo := int64(int32(v))
+				tmp[l*n+i], tmp[l*n+i+1] = lo, (v-lo)>>32
+			}
+			continue
 		}
-		t.bf.forward(&y, &x, &o)
-		for l, v := range y[:n] {
-			tmp[l*n+i] = v
+		for d, r := range [2][]int32{r0, r1} {
+			for j, v := range r {
+				x[j] = int64(v)
+			}
+			bf.forward(&y, &x, &o)
+			for l, v := range y[:n] {
+				tmp[l*n+i+d] = v
+			}
 		}
 	}
-	for l := 0; l < n; l++ {
-		copy(x[:n], tmp[l*n:l*n+n])
-		t.bf.forward(&y, &x, &o)
-		for k, v := range y[:n] {
-			dst[k*n+l] = roundShift(v, fwdShift)
+	for l := 0; l < n; l += 2 {
+		c0, c1 := tmp[l*n:][:n], tmp[l*n+n:][:n]
+		var scan int64
+		for j, p := range c0 {
+			q := c1[j]
+			scan |= (p ^ p>>63) | (q ^ q>>63)
+			x[j] = p + q<<32
+		}
+		if scan <= bf.laneLimit {
+			bf.forward(&y, &x, &o)
+			for k, v := range y[:n] {
+				lo := int64(int32(v))
+				dst[k*n+l], dst[k*n+l+1] = roundShift(lo, fwdShift), roundShift((v-lo)>>32, fwdShift)
+			}
+			continue
+		}
+		for d, c := range [2][]int64{c0, c1} {
+			copy(x[:n], c)
+			bf.forward(&y, &x, &o)
+			for k, v := range y[:n] {
+				dst[k*n+l+d] = roundShift(v, fwdShift)
+			}
 		}
 	}
 }
@@ -464,25 +547,53 @@ func (t *Transform) InverseMasked(dst, coef []int32, nz *RowMasks) {
 		clear(tmp) // pass 2 reads zeros for the rows pass 1 skips
 	}
 	// Pass 1: tmp[j][k] = (coef·A)[k][j] for the non-zero rows k.
+	// Non-zero rows go two at a time, packed under the union of their masks
+	// when the pair's magnitude scan allows (see Lanes above): dequantised
+	// levels of 8-bit residuals do, a damaged stream's need not.
 	var x, c [maxN]int64
 	var o [maxN / 2]int64
-	for ks := rows; ks != 0; ks &= ks - 1 {
-		k := bits.TrailingZeros32(ks)
-		for l, v := range coef[k*n : k*n+n] {
-			c[l] = int64(v)
+	bf := t.bf
+	for ks := rows; ks != 0; {
+		k0 := bits.TrailingZeros32(ks)
+		ks &= ks - 1
+		if ks == 0 {
+			t.inverseRow(coef, k0, nz[k0], &x, &c, &o)
+			break
 		}
-		t.bf.inverse(&x, &c, &o, nz[k])
+		k1 := bits.TrailingZeros32(ks)
+		ks &= ks - 1
+		r0, r1 := coef[k0*n:][:n], coef[k1*n:][:n]
+		if packRows(&c, r0, r1) > bf.laneLimit {
+			t.inverseRow(coef, k0, nz[k0], &x, &c, &o)
+			t.inverseRow(coef, k1, nz[k1], &x, &c, &o)
+			continue
+		}
+		bf.inverse(&x, &c, &o, nz[k0]|nz[k1])
 		for j, v := range x[:n] {
-			tmp[j*n+k] = v
+			lo := int64(int32(v))
+			tmp[j*n+k0], tmp[j*n+k1] = lo, (v-lo)>>32
 		}
 	}
 	// Pass 2: dst[i][j] = Σ_k A[k][i]·tmp[j][k].
 	for j := 0; j < n; j++ {
 		copy(c[:n], tmp[j*n:j*n+n])
-		t.bf.inverse(&x, &c, &o, rows)
+		bf.inverse(&x, &c, &o, rows)
 		for i, v := range x[:n] {
 			dst[i*n+j] = roundShift(v, invShift)
 		}
+	}
+}
+
+// inverseRow is InverseMasked's pass 1 for coefficient row k on its own; x, c
+// and o are the caller's workspace.
+func (t *Transform) inverseRow(coef []int32, k int, nz uint32, x, c *[maxN]int64, o *[maxN / 2]int64) {
+	n, tmp := t.n, t.tmp
+	for l, v := range coef[k*n : k*n+n] {
+		c[l] = int64(v)
+	}
+	t.bf.inverse(x, c, o, nz)
+	for j, v := range x[:n] {
+		tmp[j*n+k] = v
 	}
 }
 

@@ -663,6 +663,39 @@ func benchForward(b *testing.B, n int) {
 	}
 }
 
+// benchForward's blocks are residuals against the block mean: in lane range
+// for pass 1, and for pass 2 wherever the mean is a fair predictor. The
+// Residual benchmarks time what an RD trial feeds Forward — the block minus
+// its vertical prediction, the row above it repeated — where both guards hold
+// on nearly every pair; GuardMiss32 scales those residuals out of range, so
+// that every pair pays for its scan and packing and then runs unpacked: the
+// price of a guard that fails, against ForwardResidual32.
+func BenchmarkForwardResidual8(b *testing.B)   { benchForwardResidual(b, 8, 1) }
+func BenchmarkForwardResidual16(b *testing.B)  { benchForwardResidual(b, 16, 1) }
+func BenchmarkForwardResidual32(b *testing.B)  { benchForwardResidual(b, 32, 1) }
+func BenchmarkForwardGuardMiss32(b *testing.B) { benchForwardResidual(b, 32, 1<<13) }
+
+func benchForwardResidual(b *testing.B, n int, scale int32) {
+	const dim = 256
+	rng := rand.New(rand.NewSource(9))
+	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
+	res := make([][]int32, benchBlockCount)
+	for i := range res {
+		x0, y0 := rng.Intn(dim-n), 1+rng.Intn(dim-n-1)
+		res[i] = make([]int32, n*n)
+		for j := range res[i] {
+			res[i][j] = scale * (int32(pix[(y0+j/n)*dim+x0+j%n]) - int32(pix[(y0-1)*dim+x0+j%n]))
+		}
+	}
+	tr := NewDCT(n)
+	coef := make([]int32, n*n)
+	b.SetBytes(int64(n * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Forward(coef, res[i%benchBlockCount])
+	}
+}
+
 func BenchmarkInverse4(b *testing.B)  { benchInverse(b, 4) }
 func BenchmarkInverse8(b *testing.B)  { benchInverse(b, 8) }
 func BenchmarkInverse16(b *testing.B) { benchInverse(b, 16) }

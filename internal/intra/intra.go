@@ -241,21 +241,23 @@ func angularRef(buf *[3*MaxBlockSize + 2]int32, m Mode, n int, r Refs) (ref []in
 	copy(ref[n+1:3*n+1], main[:2*n])
 	if angle < 0 {
 		// Project side samples into ref[0..n-1] using the inverse angle.
-		inv := invAngleTable[-angle]
-		// Number of negative indices we might touch: ceil(n·|angle|/32).
-		need := (int(-angle)*n + 31) >> 5
+		inv, need := invAngleTable[-angle], negativeExtent(n, angle)
 		for i := 1; i <= need; i++ {
-			idx := (int32(i)*inv + 128) >> 8
-			if int(idx) > 2*n {
-				idx = int32(2 * n)
-			}
-			if idx < 1 {
-				idx = 1
-			}
-			ref[n-i] = side[idx-1]
+			ref[n-i] = side[projectedSide(i, inv, n)]
 		}
 	}
 	return ref, angle
+}
+
+// negativeExtent is how many slots below the corner a mode of negative angle
+// might read: ceil(n·|angle|/32).
+func negativeExtent(n int, angle int32) int { return (int(-angle)*n + 31) >> 5 }
+
+// projectedSide is the index into the side array (len 2n) of the sample that
+// lands in main-array slot n−i under inverse angle inv.
+func projectedSide(i int, inv int32, n int) int {
+	idx := (i*int(inv) + 128) >> 8
+	return min(max(idx, 1), 2*n) - 1
 }
 
 // angularLine writes the line at position pos = (l+1)·angle into line (n
@@ -276,26 +278,168 @@ func angularLine(line, ref []int32, n int, pos int32) {
 	}
 }
 
-// AngularSAD predicts angular mode m into pred line by line — rows for a
-// vertical mode, columns for a horizontal one — and scores each line against
-// the same line of src as it is produced. It returns the sum of absolute
-// differences or, once the running sum at the end of a line exceeds bound,
-// that partial sum, leaving the remaining lines of pred unwritten. The terms
-// are non-negative, so a partial sum above bound means the full SAD is above
-// it too.
+// Scorer ranks the angular modes of one n×n block by their sum of absolute
+// differences from the source without writing a prediction: four samples ride
+// in the 16-bit lanes of a uint64 through the interpolation of angularLine and
+// through the SAD. What is mode-independent is prepared once per block — the
+// source and its transpose packed four samples a word (biased, see SAD), and
+// per orientation (above or left as the main array) and filter (raw or
+// smoothed) the main reference array as overlapping words
 //
-// pred and src are line-major: for a horizontal mode src must be the
-// transposed source block and pred comes back as the transpose of what
-// Predict writes (Transpose turns either back).
-func AngularSAD(m Mode, n int, refs Refs, pred, src []int32, bound int64) int64 {
-	if m < 2 || m > 34 || len(pred) != n*n || len(src) != n*n {
-		panic("intra: bad AngularSAD arguments")
+//	ref[i] | ref[i+1]<<16 | ref[i+2]<<32 | ref[i+3]<<48
+//
+// so that the samples a line blends, ref[i+x] and ref[i+1+x], are the lanes of
+// two adjacent words at any start i. Each is packed when a mode first needs
+// it. A Scorer is a few KB of fixed arrays: it belongs in a per-worker arena
+// and is not safe for concurrent use.
+type Scorer struct {
+	n        int
+	src      []int32 // the block, row-major
+	refs     [2]Refs // raw, smoothed
+	smoothed bool    // refs[1] has been filled
+	// line[o] holds the source as orientation o scores it — rows for the
+	// vertical modes (0), columns for the horizontal ones (1) — n/4 words a
+	// line, each lane a sample plus sadBias.
+	line      [2][MaxBlockSize * MaxBlockSize / 4]uint64
+	lineReady [2]bool
+	// ref[f][o] is the packed main array of filter f (refs[f]) and orientation
+	// o, indexed like angularRef's: word n starts at the corner sample. Words
+	// below n belong to whichever negative-angle mode was scored last.
+	ref      [2][2][packedRefLen]uint64
+	refReady [2][2]bool
+}
+
+// packedRefLen is angularRef's 3·MaxBlockSize+2 rounded up to a power of two,
+// so that a masked index needs no bounds check.
+const packedRefLen = 128
+
+const (
+	lanes    = 0x0001000100010001 // 1 in each 16-bit lane; ×lanes sums them into the top one
+	laneByte = 0x00FF * lanes
+	sadBias  = 0x7FFF * lanes
+)
+
+// Reset points the scorer at a new block: its n×n source samples (row-major),
+// its references, and the arrays the smoothed references are written to the
+// first time a mode asks for them (len 2n each, not aliasing refs). Samples
+// and references must be 8-bit values; all three must stay untouched until
+// the next Reset.
+func (sc *Scorer) Reset(n int, src []int32, refs, smoothInto Refs) {
+	if n < 4 || n > MaxBlockSize || n&(n-1) != 0 || len(src) != n*n {
+		panic("intra: bad Scorer block")
 	}
-	var buf [3*MaxBlockSize + 2]int32
-	ref, angle := angularRef(&buf, m, n, refs)
+	sc.n, sc.src = n, src
+	sc.refs = [2]Refs{refs, smoothInto}
+	sc.smoothed = false
+	sc.lineReady = [2]bool{}
+	sc.refReady = [2][2]bool{}
+}
+
+// Refs returns the block's references, raw or smoothed.
+func (sc *Scorer) Refs(smoothed bool) Refs {
+	if !smoothed {
+		return sc.refs[0]
+	}
+	if !sc.smoothed {
+		sc.refs[1] = sc.refs[0].SmoothedInto(sc.refs[1])
+		sc.smoothed = true
+	}
+	return sc.refs[1]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// packLines fills line[o]: the block's rows (o = 0) or columns (o = 1).
+func (sc *Scorer) packLines(o int) {
+	n, src := sc.n, sc.src
+	step, next := 1, n // from one sample of a line to the next; from one line to the next
+	if o == 1 {
+		step, next = n, 1
+	}
+	out := sc.line[o][:n*n/4]
+	for l := 0; l < n; l++ {
+		at := l * next
+		for j := 0; j < n/4; j++ {
+			out[l*n/4+j] = sadBias + (uint64(src[at]) | uint64(src[at+step])<<16 |
+				uint64(src[at+2*step])<<32 | uint64(src[at+3*step])<<48)
+			at += 4 * step
+		}
+	}
+	sc.lineReady[o] = true
+}
+
+// packRef fills ref[f][o] from the corner up: each word is the one above it
+// shifted up a lane with its own sample in lane 0. The slot past the last
+// main sample (angularRef's spare) and the lanes beyond it are zero.
+func (sc *Scorer) packRef(f, o int) {
+	r := sc.Refs(f == 1)
+	main := r.Above
+	if o == 1 {
+		main = r.Left
+	}
+	n, p := sc.n, &sc.ref[f][o]
+	var w uint64
+	for i := 2*n - 1; i >= 0; i-- {
+		w = w<<16 | uint64(main[i])
+		p[n+1+i] = w
+	}
+	p[n] = w<<16 | uint64(r.Corner)
+	sc.refReady[f][o] = true
+}
+
+// SAD returns what scoring angular mode m line by line against the source
+// gives: the sum of absolute differences between Predict's block and the
+// source or, once the running sum at the end of a line exceeds bound, that
+// partial sum. The terms are non-negative, so a partial sum above bound means
+// the full SAD is above it too.
+//
+// Exactness. A line blends a = ref[i+x], b = ref[i+1+x] as (a<<5 +
+// frac·(b−a) + 16) >> 5 = ((32−frac)·a + frac·b + 16) >> 5. With a, b ≤ 255
+// and 0 ≤ frac < 32 the numerator is at most 255·32 + 16 < 2¹⁶, so the same
+// expression on whole words — A·(32−frac) + B·frac + 16·lanes — computes all
+// four numerators with no carry between lanes; the shift then leaks each
+// lane's low five bits into the lane below's top, which the byte mask drops.
+// The difference from a source sample s is taken as d = (s + 0x7FFF) − v,
+// in [0x7F00, 0x80FE] per lane: bit 15 is set exactly when s > v, and then
+// d ^ 0x8000 = s−v−1, while otherwise d ^ 0x7FFF = v−s. So with g = that bit,
+// |v−s| = (d ^ (0x7FFF + g)) + g, at most 255, and a line's n/4 ≤ 8 words add
+// up to at most 2040 per lane and 8160 across the four — the multiply by
+// lanes that sums them into the top lane cannot carry either.
+func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
+	if m < 2 || m > 34 {
+		panic("intra: Scorer.SAD of a non-angular mode")
+	}
+	f, o := b2i(smoothed), b2i(Horizontal(m))
+	if !sc.refReady[f][o] {
+		sc.packRef(f, o)
+	}
+	if !sc.lineReady[o] {
+		sc.packLines(o)
+	}
+	n, ref, angle := sc.n, &sc.ref[f][o], angleTable[m-2]
+	if angle < 0 {
+		// Extend downwards by the projected side samples, as angularRef does.
+		side, inv, need := sc.refs[f].Left, invAngleTable[-angle], negativeExtent(n, angle)
+		if o == 1 {
+			side = sc.refs[f].Above
+		}
+		w := ref[n]
+		for i := 1; i <= need; i++ {
+			w = w<<16 | uint64(side[projectedSide(i, inv, n)])
+			ref[n-i] = w
+		}
+	}
+	words := n / 4
+	src := sc.line[o][:n*words]
 	var sum int64
 	for l := 0; l < n; l++ {
-		sum += int64(angularLineSAD(pred[l*n:][:n], src[l*n:][:n], ref, n, int32(l+1)*angle))
+		pos := int32(l+1) * angle
+		sum += int64(lineSAD(ref, src[l*words:][:words], n+1+int(pos>>5), uint64(pos&31)))
 		if sum > bound {
 			break
 		}
@@ -303,39 +447,19 @@ func AngularSAD(m Mode, n int, refs Refs, pred, src []int32, bound int64) int64 
 	return sum
 }
 
-// angularLineSAD is angularLine returning the line's sum of absolute
-// differences from src, taken as each sample is produced.
-func angularLineSAD(line, src, ref []int32, n int, pos int32) int32 {
-	frac := pos & 31
-	win := ref[n+1+int(pos>>5):][:n+1]
-	var sad int32
-	if frac == 0 {
-		win = win[:len(line)]
-		src = src[:len(line)]
-		for x, v := range win {
-			line[x] = v
-			d := src[x] - v
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-		return sad
+// lineSAD is the SAD of one line: the samples blended at weight frac from ref
+// at and at+1 onwards, against the biased source words src.
+func lineSAD(ref *[packedRefLen]uint64, src []uint64, at int, frac uint64) uint64 {
+	var acc uint64
+	for _, s := range src {
+		a, b := ref[at&(packedRefLen-1)], ref[(at+1)&(packedRefLen-1)]
+		v := (a*(32-frac) + b*frac + 16*lanes) >> 5 & laneByte
+		d := s - v
+		g := d >> 15 & lanes
+		acc += (d ^ (sadBias + g)) + g
+		at += 4
 	}
-	next := win[1:]
-	line, src = line[:len(next)], src[:len(next)]
-	a := win[0]
-	for x, b := range next {
-		v := (a<<5 + frac*(b-a) + 16) >> 5
-		line[x] = v
-		d := src[x] - v
-		if d < 0 {
-			d = -d
-		}
-		sad += d
-		a = b
-	}
-	return sad
+	return acc * lanes >> 48
 }
 
 // Transpose transposes the row-major n×n block a in place.

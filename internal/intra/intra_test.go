@@ -488,6 +488,72 @@ func TestPredictEquivalence(t *testing.T) {
 	}
 }
 
+// AngularSAD and angularLineSAD are the scalar score-as-you-predict kernels PR
+// 18 shipped (commit e97cb0f), kept verbatim as the differential reference for
+// Scorer.SAD, which replaced them in the coarse search.
+
+// AngularSAD predicts angular mode m into pred line by line — rows for a
+// vertical mode, columns for a horizontal one — and scores each line against
+// the same line of src as it is produced. It returns the sum of absolute
+// differences or, once the running sum at the end of a line exceeds bound,
+// that partial sum, leaving the remaining lines of pred unwritten. The terms
+// are non-negative, so a partial sum above bound means the full SAD is above
+// it too.
+//
+// pred and src are line-major: for a horizontal mode src must be the
+// transposed source block and pred comes back as the transpose of what
+// Predict writes (Transpose turns either back).
+func AngularSAD(m Mode, n int, refs Refs, pred, src []int32, bound int64) int64 {
+	if m < 2 || m > 34 || len(pred) != n*n || len(src) != n*n {
+		panic("intra: bad AngularSAD arguments")
+	}
+	var buf [3*MaxBlockSize + 2]int32
+	ref, angle := angularRef(&buf, m, n, refs)
+	var sum int64
+	for l := 0; l < n; l++ {
+		sum += int64(angularLineSAD(pred[l*n:][:n], src[l*n:][:n], ref, n, int32(l+1)*angle))
+		if sum > bound {
+			break
+		}
+	}
+	return sum
+}
+
+// angularLineSAD is angularLine returning the line's sum of absolute
+// differences from src, taken as each sample is produced.
+func angularLineSAD(line, src, ref []int32, n int, pos int32) int32 {
+	frac := pos & 31
+	win := ref[n+1+int(pos>>5):][:n+1]
+	var sad int32
+	if frac == 0 {
+		win = win[:len(line)]
+		src = src[:len(line)]
+		for x, v := range win {
+			line[x] = v
+			d := src[x] - v
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+		return sad
+	}
+	next := win[1:]
+	line, src = line[:len(next)], src[:len(next)]
+	a := win[0]
+	for x, b := range next {
+		v := (a<<5 + frac*(b-a) + 16) >> 5
+		line[x] = v
+		d := src[x] - v
+		if d < 0 {
+			d = -d
+		}
+		sad += d
+		a = b
+	}
+	return sad
+}
+
 func fullSAD(a, b []int32) int64 {
 	var sum int64
 	for i, v := range a {
@@ -541,6 +607,81 @@ func TestAngularSADEquivalence(t *testing.T) {
 						requireSameBlock(t, pred, want, "n=%d refs#%d mode %d bound %d: prediction left behind", n, ri, m, bound)
 					} else if got <= bound || got > sad {
 						t.Fatalf("n=%d refs#%d mode %d: full SAD %d is above bound %d, score %d", n, ri, m, sad, bound, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackedScoreEquivalence: Scorer.SAD returns AngularSAD's integer — the
+// full SAD within the bound, the same partial sum beyond it — for every
+// angular mode and size, over flat, random, 0/255-extreme and smoothed
+// references (the scorer's own smoothing included), sources near the
+// references and far from them, and bounds above, at, just below and far
+// below the true SAD. Modes are scored in both directions within one Reset, so
+// that a negative-angle mode's extension of the shared packed array must not
+// survive into the next mode's score; and what Predict gives for a mode equals
+// the block AngularSAD used to leave behind for the RD stage.
+func TestPackedScoreEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	var sc Scorer
+	for _, n := range []int{4, 8, 16, 32} {
+		n2 := n * n
+		src, srcT := make([]int32, n2), make([]int32, n2)
+		pred, left := make([]int32, n2), make([]int32, n2)
+		smoothInto := NewRefs(n)
+		sets := equivalenceRefs(rng, n)
+		for ri := 0; ri < len(sets)+2; ri++ {
+			var r Refs
+			switch ri - len(sets) {
+			case 0: // lane accumulators at their ceiling: every |v−s| is 255
+				r = constRefs(n, 255)
+				clear(src)
+			case 1:
+				r = constRefs(n, 0)
+				for i := range src {
+					src[i] = 255
+				}
+			default:
+				r = sets[ri]
+				for i := range src {
+					src[i] = int32(rng.Intn(256))
+					if ri%2 == 0 { // near the references: small SADs, exits late
+						src[i] = min(max(r.Above[i%n]+int32(rng.Intn(5))-2, 0), 255)
+					}
+				}
+			}
+			copy(srcT, src)
+			Transpose(srcT, n)
+			sc.Reset(n, src, r, smoothInto)
+			for pass := 0; pass < 2; pass++ {
+				for k := 0; k < 33; k++ {
+					m := Mode(2 + k)
+					if pass == 1 {
+						m = Mode(34 - k)
+					}
+					for _, smoothed := range []bool{false, true} {
+						rr := r
+						if smoothed {
+							rr = r.Smoothed()
+						}
+						lineSrc := src
+						if Horizontal(m) {
+							lineSrc = srcT
+						}
+						sad := AngularSAD(m, n, rr, left, lineSrc, math.MaxInt64)
+						if Horizontal(m) {
+							Transpose(left, n)
+						}
+						Predict(m, n, sc.Refs(smoothed), pred)
+						requireSameBlock(t, pred, left, "n=%d refs#%d mode %d smoothed=%v: survivor's prediction", n, ri, m, smoothed)
+						for _, bound := range []int64{math.MaxInt64, sad + 1, sad, sad - 1, sad / 2, sad / 7, 0} {
+							want := AngularSAD(m, n, rr, left, lineSrc, bound)
+							if got := sc.SAD(m, smoothed, bound); got != want {
+								t.Fatalf("n=%d refs#%d mode %d smoothed=%v bound %d (SAD %d): packed score %d, scalar %d", n, ri, m, smoothed, bound, sad, got, want)
+							}
+						}
 					}
 				}
 			}
@@ -613,42 +754,41 @@ func benchPredict(b *testing.B, n int, mode func(i int) Mode) {
 	}
 }
 
+func BenchmarkAngularSAD4(b *testing.B)  { benchAngularSAD(b, 4) }
 func BenchmarkAngularSAD8(b *testing.B)  { benchAngularSAD(b, 8) }
 func BenchmarkAngularSAD16(b *testing.B) { benchAngularSAD(b, 16) }
 func BenchmarkAngularSAD32(b *testing.B) { benchAngularSAD(b, 32) }
 
-// benchAngularSAD times the coarse search's inner step as decideLeaf runs
-// it: all 33 angular modes of one block against a bound that tightens as
-// better modes are found (b.N counts modes, not blocks).
+// benchAngularSAD times the angular part of the coarse search as decideLeaf
+// runs it on one leaf: point the scorer at the block, score all 33 angular
+// modes against the bound of a top-3 set that tightens as better modes are
+// found, predict the three survivors (b.N counts leaves; bytes are the
+// leaf's samples once, not once per mode).
 func benchAngularSAD(b *testing.B, n int) {
 	srcs, refs := benchBlocks(n, benchBlockCount)
-	srcTs := make([][]int32, len(srcs))
-	for i, s := range srcs {
-		srcTs[i] = append([]int32(nil), s...)
-		Transpose(srcTs[i], n)
-	}
+	var sc Scorer
+	smooth := NewRefs(n)
 	pred := make([]int32, n*n)
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
-	var best [3]int64
 	for i := 0; i < b.N; i++ {
-		blk, m := i/33%benchBlockCount, Mode(2+i%33)
-		if m == 2 {
-			best = [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
-		}
-		src := srcs[blk]
-		if Horizontal(m) {
-			src = srcTs[blk]
-		}
-		// Third-best so far, as topModes.bound() with k = 3.
-		if s := AngularSAD(m, n, refs[blk], pred, src, best[2]); s < best[2] {
-			best[2] = s
-			if best[2] < best[1] {
-				best[1], best[2] = best[2], best[1]
+		sc.Reset(n, srcs[i%benchBlockCount], refs[i%benchBlockCount], smooth)
+		best := [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
+		var mode [3]Mode
+		for m := Mode(2); m <= 34; m++ {
+			// Third-best so far, as topModes.bound() with k = 3.
+			if s := sc.SAD(m, UseSmoothing(n, m), best[2]); s <= best[2] {
+				best[2], mode[2] = s, m
+				if best[2] <= best[1] {
+					best[1], best[2], mode[1], mode[2] = best[2], best[1], mode[2], mode[1]
+				}
+				if best[1] <= best[0] {
+					best[0], best[1], mode[0], mode[1] = best[1], best[0], mode[1], mode[0]
+				}
 			}
-			if best[1] < best[0] {
-				best[0], best[1] = best[1], best[0]
-			}
+		}
+		for _, m := range mode {
+			Predict(m, n, sc.Refs(UseSmoothing(n, m)), pred)
 		}
 	}
 }

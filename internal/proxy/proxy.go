@@ -473,7 +473,7 @@ func (p *Proxy) forwardOnce(ctx context.Context, b *backend, r *http.Request, bo
 	if err != nil {
 		return &upshot{b: b, err: err, hedged: hedged, elapsed: time.Since(start)}
 	}
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := serve.ReadBody(resp.Body, resp.ContentLength, p.cfg.MaxBodyBytes)
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	if err != nil {
@@ -712,7 +712,7 @@ func (p *Proxy) handleKV(w http.ResponseWriter, r *http.Request) {
 // readBody buffers the whole request body under MaxBodyBytes, writing the
 // error response itself when the read fails.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes), r.ContentLength, p.cfg.MaxBodyBytes)
 	if err != nil {
 		status, class := http.StatusBadRequest, "bad_request"
 		if _, ok := err.(*http.MaxBytesError); ok {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -121,7 +120,7 @@ func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 // 499/504 through the shared taxonomy, never as the client's 400: a
 // streaming PUT abandoned halfway is not a malformed request.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := ReadBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -140,6 +139,14 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
+}
+
+// declareLength sets Content-Length on a reply whose body is about to be
+// written whole. Without it net/http chunks any body past its 2 KB buffer, and
+// the reader — the proxy's forwardOnce — learns the size only by growing into
+// it.
+func declareLength(w http.ResponseWriter, n int) {
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 }
 
 // admitOrReject runs the admission scheduler for one request, recording the
@@ -244,9 +251,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	stack := make([]*core.Tensor, layers)
 	per := rows * cols
 	for l := 0; l < layers; l++ {
-		t := core.NewTensor(rows, cols)
-		copy(t.Data, vals[l*per:(l+1)*per])
-		stack[l] = t
+		stack[l] = core.FromSlice(rows, cols, vals[l*per:(l+1)*per])
 	}
 	enc, err := opts.EncodeStackCtx(ctx, stack, qp)
 	if err != nil {
@@ -257,6 +262,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Llm265-Bits-Per-Value", strconv.FormatFloat(enc.BitsPerValue(), 'f', 4, 64))
 	w.Header().Set("X-Llm265-Chunks", strconv.Itoa(enc.Stats.Chunks))
+	declareLength(w, len(out))
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 	s.m.countStatus(http.StatusOK)
@@ -353,6 +359,11 @@ func (s *Server) decodeCore(w http.ResponseWriter, ctx context.Context, body []b
 	w.Header().Set("X-Llm265-Layers", strconv.Itoa(enc.Layers))
 	w.Header().Set("X-Llm265-Rows", strconv.Itoa(enc.Rows))
 	w.Header().Set("X-Llm265-Cols", strconv.Itoa(enc.Cols))
+	total := 0
+	for _, t := range stack {
+		total += 4 * len(t.Data)
+	}
+	declareLength(w, total)
 	w.WriteHeader(status)
 	for _, t := range stack {
 		w.Write(float32sToBytes(t.Data))
@@ -379,8 +390,10 @@ func (s *Server) decodeCodec(w http.ResponseWriter, ctx context.Context, body []
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Llm265-Planes", strconv.Itoa(len(planes)))
+	out := marshalPlanes(planes)
+	declareLength(w, len(out))
 	w.WriteHeader(status)
-	w.Write(marshalPlanes(planes))
+	w.Write(out)
 	s.m.countStatus(status)
 }
 

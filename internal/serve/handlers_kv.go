@@ -197,6 +197,7 @@ func (s *Server) handleKVGet(w http.ResponseWriter, r *http.Request, session str
 		status = http.StatusPartialContent
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	declareLength(w, 4*len(res.Vals))
 	w.WriteHeader(status)
 	w.Write(float32sToBytes(res.Vals))
 	s.m.countStatus(status)

@@ -15,10 +15,33 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 
 	"repro/internal/frame"
 )
+
+// presizeCap is the most a declared Content-Length alone may reserve.
+const presizeCap = 1 << 20
+
+// ReadBody reads r to EOF like io.ReadAll, into a buffer sized up front from
+// the declared length, so that a body of known size costs one allocation
+// where io.ReadAll's doubling from 512 bytes costs nine at 131 KB. The
+// declaration is a hint, not a promise: it reserves min(contentLength, limit,
+// 1 MiB) — a lying header cannot reserve more, a longer body grows as it
+// arrives — and an unknown length (negative) is io.ReadAll itself. Errors
+// from r come back unwrapped, with the bytes read before them. The proxy
+// shares it for its request and upstream-response hops.
+func ReadBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	if contentLength < 0 {
+		return io.ReadAll(r)
+	}
+	// ReadFrom wants bytes.MinRead of room before each Read, the one that
+	// finds EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, min(contentLength, limit, presizeCap)+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
 
 // float32sToBytes serializes vals as little-endian float32s.
 func float32sToBytes(vals []float32) []byte {
