@@ -35,7 +35,7 @@ vet:
 # estimate's bit pins). The first step of ci.
 surface: vet
 	$(GO) test -run SurfaceIsClosed ./internal/codec/ ./internal/core/
-	$(GO) test -run 'Equivalence|Pinned' ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run 'Equivalence|Pinned' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
 
 # Race-detector run over the full tree; catches any data race in the
@@ -110,10 +110,12 @@ ci: surface build test benchmark-test kv-test train-test race fuzz-smoke
 # Each target is seeded from valid round-trip containers, so the fuzzer
 # starts at deep coverage; any input that panics or produces an untyped
 # error is minimized and written to testdata/fuzz/ for replay by `go test`.
-# FuzzLanes is the one kernel target: the transform's two-vectors-per-butterfly
-# passes against the dense product, seeded on their guards.
+# The kernel targets: FuzzLanes, the transform's two-vectors-per-butterfly
+# passes against the dense product, seeded on their guards; FuzzParseResidual,
+# CABAC's block parse against the per-bin loop on arbitrary payloads.
 fuzz-smoke:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzParseResidual -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy/ -run '^$$' -fuzz FuzzEntropy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME)
@@ -122,15 +124,16 @@ fuzz-smoke:
 	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzAllreduceSegment -fuzztime $(FUZZTIME)
 
 # One pass over every paper-artifact micro-benchmark (testing.B), then the
-# transform, quantiser, prediction and RD-trial kernels on their own — each
-# rotating over 64 blocks cut from a generated weight plane, dense at QP 12 and
-# sparse at QP 30, so that no branch predictor memorises its input (DESIGN.md
-# §11.1) — then the one-layer random-access decode at 1 and 2 workers — inline
-# against parse ‖ reconstruct (DESIGN.md §13.4).
+# transform, quantiser, prediction, RD-trial, residual-parse and reconstruct
+# kernels on their own — each rotating over 64 blocks cut from a generated
+# weight plane, dense at QP 12 and sparse at QP 30, so that no branch predictor
+# memorises its input (DESIGN.md §11.1) — then the one-layer random-access
+# decode at 1 and 2 workers — inline against parse ‖ reconstruct (DESIGN.md
+# §13.4) — and the whole-stack decode at one worker under either backend.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|AngularSAD|TrialResidual|EstimateLevelBits' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
-	$(GO) test -run '^$$' -bench 'DecodeLayer(CABAC|RANS)' -benchtime=200x .
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|AngularSAD|TrialResidual|EstimateLevelBits|ParseResidual|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run '^$$' -bench 'Decode(Layer|Stack)(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any
 # gain claim is held to: ten alternating pairs per workload, medians,

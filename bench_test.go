@@ -157,12 +157,10 @@ func benchDecodeStack(b *testing.B, workers int) {
 func BenchmarkDecodeStackSerial(b *testing.B)   { benchDecodeStack(b, 1) }
 func BenchmarkDecodeStackParallel(b *testing.B) { benchDecodeStack(b, 0) }
 
-// benchDecodeLayer measures the random-access read the repository benchmark's
-// weights_fetch times: one 256×256 layer — exactly one chunk — out of a
-// 4-layer indexed, checksummed stack at QP 12. At workers=1 it is the inline
-// decode; at workers=2 the chunk's reconstruct stage runs beside its parse
-// (DESIGN.md §13.4).
-func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
+// encodedWeightStack is the stack the repository benchmark's weights_fetch
+// reads: four 256×256 layers — one chunk each — indexed and checksummed at
+// QP 12 under the given entropy backend.
+func encodedWeightStack(b *testing.B, backend codec.EntropyBackend) (core.Options, *core.Encoded) {
 	rng := rand.New(rand.NewSource(8))
 	layers, n := 4, 256
 	stack := make([]*core.Tensor, layers)
@@ -175,12 +173,20 @@ func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return o, enc
+}
+
+// benchDecodeLayer measures the random-access read weights_fetch times: one
+// layer out of the stack. At workers=1 it is the inline decode; at workers=2
+// the chunk's reconstruct stage runs beside its parse (DESIGN.md §13.4).
+func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
+	o, enc := encodedWeightStack(b, backend)
 	for _, workers := range []int{1, 2} {
 		o.Workers = workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(n * n * 4))
+			b.SetBytes(int64(enc.Rows * enc.Cols * 4))
 			for i := 0; i < b.N; i++ {
-				if _, err := o.DecodeLayerCtx(context.Background(), enc, i%layers); err != nil {
+				if _, err := o.DecodeLayerCtx(context.Background(), enc, i%enc.Layers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,6 +196,24 @@ func benchDecodeLayer(b *testing.B, backend codec.EntropyBackend) {
 
 func BenchmarkDecodeLayerCABAC(b *testing.B) { benchDecodeLayer(b, codec.BackendCABAC) }
 func BenchmarkDecodeLayerRANS(b *testing.B)  { benchDecodeLayer(b, codec.BackendRANS) }
+
+// benchDecodeWeightStack is the whole-stack restore at Workers=1: the two
+// decode stages back to back on one goroutine, which is the reading that
+// compares decode kernels (and the two entropy backends) without scheduling.
+func benchDecodeWeightStack(b *testing.B, backend codec.EntropyBackend) {
+	o, enc := encodedWeightStack(b, backend)
+	o.Workers = 1
+	b.SetBytes(int64(enc.Layers * enc.Rows * enc.Cols * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.DecodeStackCtx(context.Background(), enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeStackCABAC(b *testing.B) { benchDecodeWeightStack(b, codec.BackendCABAC) }
+func BenchmarkDecodeStackRANS(b *testing.B)  { benchDecodeWeightStack(b, codec.BackendRANS) }
 
 // BenchmarkStackRoundTripParallel measures the full core path (8-bit map,
 // parallel encode, parallel decode, dequantize) on a layer stack.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codec"
@@ -464,6 +465,117 @@ func TestRingOutMayAliasIn(t *testing.T) {
 			if math.Float32bits(in[w][i]) != math.Float32bits(want[i]) {
 				t.Fatalf("aliased run: worker %d value %d = %g, want %g", w, i, in[w][i], want[i])
 			}
+		}
+	}
+}
+
+// TestEncodeReconIsDecode is SegmentCodec's contract that the ring leans on
+// when a segment's owner keeps the reconstruction of its own contribution
+// instead of decoding the frame it just built: for every codec, what Encode
+// returns as the reconstruction is what Decode makes of the payload, bit for
+// bit — and a codec that returns none is lossless, so Decode gives the input
+// back. The segments include the values a gradient should not hold (NaN, ±Inf,
+// −0, denormals) and the shapes the tensor codec pads (rows and columns off
+// its block grid).
+func TestEncodeReconIsDecode(t *testing.T) {
+	ransOpts := core.DefaultOptions()
+	ransOpts.Backend = codec.BackendRANS
+	warm := func(f CodecFactory) CodecFactory { // past the sign codec's warmup
+		return func(w int) SegmentCodec {
+			c := f(w)
+			c.(Stepper).AdvanceStep()
+			return c
+		}
+	}
+	codecs := []struct {
+		name    string
+		factory CodecFactory
+	}{
+		{"raw", RawCodec()},
+		{"tensor-cabac", TensorCodec(core.DefaultOptions(), 12)},
+		{"tensor-rans", TensorCodec(ransOpts, 28)},
+		{"rate", RateCodec(core.DefaultOptions(), 3)},
+		{"rtn", RTNCodec(2, 128)},
+		{"sign-warmup", SignCodec(1)},
+		{"sign", warm(SignCodec(1))},
+	}
+	odd := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.MaxFloat32}
+	for _, cd := range codecs {
+		for trial, shape := range [][2]int{{64, 256}, {13, 40}, {1, 1}, {32, 128}, {5, 128}} {
+			rows, cols := shape[0], shape[1]
+			vals := randBuckets(int64(70+trial), 1, rows, cols)[0]
+			if trial >= 3 {
+				for i, v := range odd {
+					vals[(7*i+3)%len(vals)] = v
+				}
+			}
+			c := cd.factory(0)
+			in := append([]float32(nil), vals...)
+			payload, recon, _, err := c.Encode(context.Background(), in, rows, cols)
+			if err != nil {
+				t.Fatalf("%s %dx%d: encode: %v", cd.name, rows, cols, err)
+			}
+			if recon == nil {
+				recon = vals
+			}
+			dst := make([]float32, rows*cols)
+			if err := c.Decode(context.Background(), payload, rows, cols, dst); err != nil {
+				t.Fatalf("%s %dx%d: decode: %v", cd.name, rows, cols, err)
+			}
+			for i := range dst {
+				if math.Float32bits(dst[i]) != math.Float32bits(recon[i]) {
+					t.Fatalf("%s %dx%d: value %d (input %g) decodes to %g (%#x), Encode's reconstruction says %g (%#x)",
+						cd.name, rows, cols, i, vals[i], dst[i], math.Float32bits(dst[i]), recon[i], math.Float32bits(recon[i]))
+				}
+			}
+		}
+	}
+}
+
+// countingCodec counts the Decode calls of the codec it wraps.
+type countingCodec struct {
+	SegmentCodec
+	decodes *atomic.Int64
+}
+
+func (c countingCodec) Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error {
+	c.decodes.Add(1)
+	return c.SegmentCodec.Decode(ctx, payload, rows, cols, dst)
+}
+
+// TestOwnerSkipsItsOwnDecode: a segment's owner decodes the N−1 contributions
+// that reach it over the ring and takes its own from Encode, so a step of S
+// segments makes S·(N−1) reduce decodes and S·(N−1) gather decodes — the
+// "decode" chaos point still firing S·N + S·(N−1) times — while a codec that
+// returns no reconstruction keeps decoding all S·N. The sums are the same
+// either way (TestCompressedRingDeterministic, TestRawRingBitIdenticalToSequentialSum).
+func TestOwnerSkipsItsOwnDecode(t *testing.T) {
+	const workers, rows, cols, segRows = 4, 64, 32, 8
+	const segs = rows / segRows
+	in := randBuckets(12, workers, rows, cols)
+	for _, tc := range []struct {
+		name    string
+		factory CodecFactory
+		want    int64
+	}{
+		{"rtn", RTNCodec(4, 32), 2 * segs * (workers - 1)},
+		{"raw", RawCodec(), segs*workers + segs*(workers-1)},
+	} {
+		var decodes, points atomic.Int64
+		cfg := Config{Workers: workers, Rows: rows, Cols: cols, SegRows: segRows,
+			Codec: func(w int) SegmentCodec { return countingCodec{tc.factory(w), &decodes} },
+			Chaos: func(point string, _ int) {
+				if point == "decode" {
+					points.Add(1)
+				}
+			}}
+		runRing(t, cfg, in)
+		if got := decodes.Load(); got != tc.want {
+			t.Errorf("%s: %d decodes a step, want %d", tc.name, got, tc.want)
+		}
+		if got, want := points.Load(), int64(segs*workers+segs*(workers-1)); got != want {
+			t.Errorf("%s: decode chaos point fired %d times, want %d", tc.name, got, want)
 		}
 	}
 }

@@ -323,8 +323,8 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 	// Phase 1: encode and launch every local segment. Sends cannot block
 	// (exact edge capacity), so a worker streams all its contributions out
 	// while neighbors are still encoding — the pipelining the tentpole asks
-	// for. Frames whose owner is this worker short-circuit through the same
-	// parse/decode path a remote copy would take.
+	// for. A segment this worker owns never leaves it: its contribution is
+	// the reconstruction Encode just returned.
 	for _, si := range r.encodeOrder(w) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -363,11 +363,10 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 			st.ResidualL2 += l2
 		}
 		frame := &Frame{Kind: KindReduce, Wire: cod.Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
-		buf := frame.Marshal()
 		r.met.segments.Inc()
 		owner := si % r.n
 		if owner == w {
-			if err := r.consumeReduce(ctx, w, frame, done, out, st); err != nil {
+			if err := r.consumeReduce(ctx, w, frame, recon, done, out, st); err != nil {
 				return err
 			}
 			continue
@@ -375,7 +374,7 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 		st.WireBits += bitCost
 		st.Values += int64(n)
 		r.met.reduceBits.Observe(bitCost)
-		if err := r.send(ctx, w, buf, st); err != nil {
+		if err := r.send(ctx, w, frame.Marshal(), st); err != nil {
 			return err
 		}
 	}
@@ -407,7 +406,7 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 		switch f.Kind {
 		case KindReduce:
 			if f.Seg%r.n == w {
-				if err := r.consumeReduce(ctx, w, f, done, out, st); err != nil {
+				if err := r.consumeReduce(ctx, w, f, nil, done, out, st); err != nil {
 					return err
 				}
 			} else if err := r.send(ctx, w, buf, st); err != nil {
@@ -467,18 +466,26 @@ func (r *Ring) send(ctx context.Context, w int, buf []byte, st *Stats) error {
 	}
 }
 
-// consumeReduce decodes one contribution at its owner and, once all N have
+// consumeReduce takes one contribution at its owner and, once all N have
 // arrived, performs the canonical-order reduction and launches the gather.
-func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, out []float32, st *Stats) error {
+// recon, when non-nil, is what f.Payload decodes to — the owner's own
+// contribution, whose Encode returned it (SegmentCodec's contract,
+// TestEncodeReconIsDecode) — and is taken as is; a frame off the wire, or one
+// from a codec that returns no reconstruction, is decoded.
+func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, recon []float32, done []int, out []float32, st *Stats) error {
 	seg := r.segs[f.Seg]
 	n := seg.rows * r.cfg.Cols
 	r.chaos("decode", w)
-	t0 := time.Now()
-	err := r.codecs[w].Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, r.contrib[f.Seg][f.Origin])
-	st.DecodeNs += time.Since(t0).Nanoseconds()
-	r.met.decNs.ObserveSince(t0)
-	if err != nil {
-		return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.Seg, f.Origin, err)
+	if recon != nil {
+		copy(r.contrib[f.Seg][f.Origin], recon)
+	} else {
+		t0 := time.Now()
+		err := r.codecs[w].Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, r.contrib[f.Seg][f.Origin])
+		st.DecodeNs += time.Since(t0).Nanoseconds()
+		r.met.decNs.ObserveSince(t0)
+		if err != nil {
+			return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.Seg, f.Origin, err)
+		}
 	}
 	done[f.Seg]++
 	if done[f.Seg] < r.n {
@@ -489,7 +496,7 @@ func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, o
 	// accumulation in a schedule-independent association, exactly the
 	// arithmetic a sequential sum performs.
 	r.chaos("reduce", w)
-	t0 = time.Now()
+	t0 := time.Now()
 	sum := r.sumBuf[f.Seg]
 	copy(sum, r.contrib[f.Seg][0])
 	for origin := 1; origin < r.n; origin++ {

@@ -250,3 +250,139 @@ func (d *Decoder) DecodeBypassBits(n uint) uint32 {
 	}
 	return v
 }
+
+// The three steps of the decoder's arithmetic on a register copy of the
+// engine, for DecodeLevels to inline: DecodeBit is decodeBin then fill,
+// DecodeBypass is bypassBin then fill. (The per-bin entry points keep their
+// own spelling of it, which is what the differential tests hold these to.)
+
+// decodeBin decodes one bin on ctx, adapting it, and leaves the range to be
+// renormalised.
+func decodeBin(code, rng uint32, ctx *Context) (uint32, uint32, uint32) {
+	p := uint32(ctx.p)
+	bound := rng >> probBits * p
+	if code < bound {
+		ctx.p = uint16(p + (probMax-p)>>adaptRate)
+		return code, bound, 0
+	}
+	ctx.p = uint16(p - p>>adaptRate)
+	return code - bound, rng - bound, 1
+}
+
+// bypassBin decodes one bypass bin and leaves the range to be renormalised.
+func bypassBin(code, rng uint32) (uint32, uint32, uint32) {
+	rng >>= 1
+	if code >= rng {
+		return code - rng, rng, 1
+	}
+	return code, rng, 0
+}
+
+// fill renormalises: while the range is short it shifts in the next byte of
+// in — zero past its end, pos counting on — exactly as next does.
+func fill(code, rng uint32, pos int, in []byte) (uint32, uint32, int) {
+	for rng < topValue {
+		rng <<= 8
+		code <<= 8
+		if pos < len(in) {
+			code |= uint32(in[pos])
+		}
+		pos++
+	}
+	return code, rng, pos
+}
+
+// DecodeLevels decodes one residual level block — the codec's whole
+// per-coefficient syntax — in one pass, holding the engine in locals from the
+// first significance bin to the last sign and writing it back once.
+//
+// The syntax: a coded-block flag on cbf; when it is set, for each position i
+// of scan a significance bin on ctx[sigSlot[i]], and for a significant
+// coefficient a greater-than-1 bin on g1, then a greater-than-2 bin on g2,
+// then |level|−3 as an Exp-Golomb escape in bypass bins (DecodeExpGolomb's
+// code, its order k adapting upwards with the remainders seen), then the sign
+// as one bypass bin. lev (row-major, indexed by scan's entries) is cleared
+// first, so a block whose flag is 0 decodes to zeros.
+//
+// Every bin is the arithmetic of DecodeBit or DecodeBypass on the same
+// context in the same order, so the levels, the contexts and the decoder's
+// state afterwards are those of one call per bin — bytes read past the end of
+// the input included. It reports false, leaving lev and the state unspecified,
+// when an escape's prefix is malformed or a magnitude exceeds maxLevel.
+func (d *Decoder) DecodeLevels(lev []int32, scan []int, sigSlot []uint8, ctx []Context, cbf, g1, g2 *Context, maxLevel int32) bool {
+	clear(lev)
+	if d.DecodeBit(cbf) == 0 {
+		return true
+	}
+	code, rng, pos, in := d.code, d.rng, d.pos, d.in
+	sigSlot = sigSlot[:len(scan)]
+	k := uint(0)
+	var bin uint32
+	for i, at := range scan {
+		// Most coefficients are zero, and that outcome is the short path.
+		code, rng, bin = decodeBin(code, rng, &ctx[sigSlot[i]])
+		code, rng, pos = fill(code, rng, pos, in)
+		if bin == 0 {
+			continue
+		}
+		a := uint32(1)
+		code, rng, bin = decodeBin(code, rng, g1)
+		code, rng, pos = fill(code, rng, pos, in)
+		if bin == 1 {
+			a = 2
+			code, rng, bin = decodeBin(code, rng, g2)
+			code, rng, pos = fill(code, rng, pos, in)
+			if bin == 1 {
+				var rem uint32
+				n := k
+				for {
+					code, rng, bin = bypassBin(code, rng)
+					code, rng, pos = fill(code, rng, pos, in)
+					if bin == 0 {
+						break
+					}
+					rem += 1 << n
+					n++
+					if n > 30 {
+						return false
+					}
+				}
+				var suffix uint32
+				for ; n > 0; n-- {
+					code, rng, bin = bypassBin(code, rng)
+					code, rng, pos = fill(code, rng, pos, in)
+					suffix = suffix<<1 | bin
+				}
+				rem += suffix
+				if rem > uint32(maxLevel-3) {
+					return false
+				}
+				a = 3 + rem
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+			}
+		}
+		code, rng, bin = bypassBin(code, rng)
+		code, rng, pos = fill(code, rng, pos, in)
+		s := -int32(bin) // the sign by mask: a coin flip no predictor learns
+		lev[at] = (int32(a) ^ s) - s
+	}
+	d.code, d.rng, d.pos = code, rng, pos
+	return true
+}
+
+// DecodeExpGolomb reads a k-th order Exp-Golomb code in bypass bins (the HEVC
+// coeff_abs_level_remaining binarization), reporting false when its prefix
+// runs past any value the format can hold.
+func (d *Decoder) DecodeExpGolomb(k uint) (uint32, bool) {
+	var v uint32
+	for d.DecodeBypass() == 1 {
+		v += 1 << k
+		k++
+		if k > 30 {
+			return 0, false
+		}
+	}
+	return v + d.DecodeBypassBits(k), true
+}

@@ -260,3 +260,95 @@ func BenchmarkDecodeBit(b *testing.B) {
 		}
 	}
 }
+
+// decodeLevelsPerBin is DecodeLevels' contract spelled with the per-bin entry
+// points: one DecodeBit, DecodeBypass or DecodeExpGolomb call per syntax
+// element.
+func decodeLevelsPerBin(d *Decoder, lev []int32, scan []int, sigSlot []uint8, ctx []Context, cbf, g1, g2 *Context, maxLevel int32) bool {
+	clear(lev)
+	if d.DecodeBit(cbf) == 0 {
+		return true
+	}
+	k := uint(0)
+	for i, at := range scan {
+		if d.DecodeBit(&ctx[sigSlot[i]]) == 0 {
+			continue
+		}
+		a := int32(1)
+		if d.DecodeBit(g1) == 1 {
+			a = 2
+			if d.DecodeBit(g2) == 1 {
+				rem, ok := d.DecodeExpGolomb(k)
+				if !ok || rem > uint32(maxLevel-3) {
+					return false
+				}
+				a = 3 + int32(rem)
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+			}
+		}
+		if d.DecodeBypass() == 1 {
+			a = -a
+		}
+		lev[at] = a
+	}
+	return true
+}
+
+// TestDecodeLevelsEquivalence: arbitrary bytes are a stream, so no encoder is
+// needed to hold the block decode to the per-bin one — same verdict, levels,
+// context states and engine registers after every block, over drawn scans and
+// slot tables, inputs that end mid-block (zeros past the end, pos counting
+// on), and contexts started at both ends of their range, where one bin takes
+// the most renormalisation.
+func TestDecodeLevelsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	const slots = 40
+	for trial := 0; trial < 4000; trial++ {
+		n := 16 << uint(2*rng.Intn(4))
+		scan, sigSlot := rng.Perm(n), make([]uint8, n)
+		for i := range sigSlot {
+			sigSlot[i] = uint8(rng.Intn(slots))
+		}
+		data := make([]byte, rng.Intn(3*n/2))
+		rng.Read(data)
+		if trial%7 == 0 {
+			for i := range data {
+				data[i] |= 0xF8 // runs of ones: long escapes, prefixes that overflow
+			}
+		}
+		p0 := []float64{0.6, 0.3, 31.0 / probMax, 2017.0 / probMax, 1.0 / probMax}[trial%5]
+		var ctxs [2][slots + 3]Context
+		for s := range ctxs[0] {
+			ctxs[0][s] = NewContext(p0)
+		}
+		ctxs[1] = ctxs[0]
+		decs := [2]*Decoder{NewDecoder(data), NewDecoder(data)}
+		levs := [2][]int32{make([]int32, n), make([]int32, n)}
+		maxLevel := []int32{1 << 16, 40, 3}[trial%3]
+		for block := 0; block < 4; block++ {
+			a, b := &ctxs[0], &ctxs[1]
+			got := decs[0].DecodeLevels(levs[0], scan, sigSlot, a[:slots], &a[slots], &a[slots+1], &a[slots+2], maxLevel)
+			want := decodeLevelsPerBin(decs[1], levs[1], scan, sigSlot, b[:slots], &b[slots], &b[slots+1], &b[slots+2], maxLevel)
+			if got != want {
+				t.Fatalf("trial %d block %d: DecodeLevels reports %v, per-bin %v", trial, block, got, want)
+			}
+			if !got {
+				break // state is unspecified after a refusal
+			}
+			for i := range levs[1] {
+				if levs[0][i] != levs[1][i] {
+					t.Fatalf("trial %d block %d: level [%d] = %d, per-bin %d", trial, block, i, levs[0][i], levs[1][i])
+				}
+			}
+			if *a != *b {
+				t.Fatalf("trial %d block %d: context states differ", trial, block)
+			}
+			if g, w := decs[0], decs[1]; g.code != w.code || g.rng != w.rng || g.pos != w.pos {
+				t.Fatalf("trial %d block %d: engine (code %#x rng %#x pos %d), per-bin (code %#x rng %#x pos %d)",
+					trial, block, g.code, g.rng, g.pos, w.code, w.rng, w.pos)
+			}
+		}
+	}
+}

@@ -181,16 +181,43 @@ func (r *ransRecord) assemble(tab *[nCtxSlots]uint8) []byte {
 
 // ---------------------------------------------------------------- decoding
 
-// ransChunk is a chunk payload after the parallel pre-decode: per-slot bin
-// queues (contiguous windows of the slot-major array: slot s owns
-// bins[prefix[s]:prefix[s+1]], and next[s] is its read cursor) and the
-// bypass reader. It is the binDecoder the serial syntax parse runs against.
+// ransChunk is a chunk payload after the parallel pre-decode: every bin the
+// syntax parse will ask for, one per byte, in nQueues queues — queue 0 the
+// bypass bits, queue 1+s the context bins of slot s. Queue q owns
+// bins[prefix[q]:prefix[q+1]] and next[q] is its read cursor. It is the
+// binDecoder the serial syntax parse runs against, and the concrete reader of
+// the per-bin residual loop, whose bin reads then inline to a load and a
+// cursor bump.
+//
+// The raw ablation (no entropy coding: every bin is one literal bit, context
+// and bypass interleaved in one stream) is the degenerate chunk,
+// newLiteralChunk: the payload's bits are queue 0 and alias sends every read
+// there.
 type ransChunk struct {
 	bins    []uint8
-	prefix  [nCtxSlots + 1]int
-	next    [nCtxSlots]int
-	raw     *bits.Reader // the bypass-bit window
-	bypassN int
+	prefix  [nQueues + 1]int
+	next    [nQueues]int
+	alias   int // and-ed into every queue index: all ones, or 0 for a literal chunk
+	bypassN int // bypass bits the payload declares (the queue is padded to whole bytes)
+}
+
+const (
+	bypassQueue = 0
+	nQueues     = 1 + nCtxSlots
+)
+
+// unpackBits appends the bits of packed, MSB first, one per byte.
+func unpackBits(bins []uint8, packed []byte) []uint8 {
+	for _, b := range packed {
+		bins = append(bins, b>>7, b>>6&1, b>>5&1, b>>4&1, b>>3&1, b>>2&1, b>>1&1, b&1)
+	}
+	return bins
+}
+
+func newLiteralChunk(payload []byte) *ransChunk {
+	c := &ransChunk{bins: unpackBits(make([]uint8, 0, 8*len(payload)), payload)}
+	c.prefix[bypassQueue+1] = len(c.bins)
+	return c
 }
 
 // maxRansBins caps the bin count a chunk payload may declare, relative to
@@ -231,11 +258,9 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	if len(payload)-off < bypassBytes {
 		return nil, truncatedf("codec: rans payload ends inside %d bypass bytes", bypassBytes)
 	}
-	c := &ransChunk{
-		raw:     bits.NewReader(payload[off : off+bypassBytes]),
-		bypassN: int(bypassN),
-	}
+	bypass := payload[off : off+bypassBytes]
 	off += bypassBytes
+	c := &ransChunk{alias: -1, bypassN: int(bypassN)}
 
 	const bitmapLen = (nCtxSlots + 7) / 8
 	if len(payload)-off < bitmapLen {
@@ -243,9 +268,12 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	}
 	bitmap := payload[off : off+bitmapLen]
 	off += bitmapLen
+	// The bypass queue comes first, so queue q's bins start 8·bypassBytes
+	// past their place in the slot-major array the rANS states decode.
+	base := int64(8 * bypassBytes)
 	total := int64(0)
 	for s := 0; s < nCtxSlots; s++ {
-		c.prefix[s] = int(total)
+		c.prefix[1+s] = int(base + total)
 		if bitmap[s/8]&(1<<(s%8)) == 0 {
 			continue
 		}
@@ -261,8 +289,9 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 			return nil, corruptf("codec: rans declares %d bins for %d pixels", total, chunkPixels)
 		}
 	}
-	c.prefix[nCtxSlots] = int(total)
-	copy(c.next[:], c.prefix[:nCtxSlots])
+	c.prefix[nQueues] = int(base + total)
+	copy(c.next[:], c.prefix[:nQueues])
+	c.bins = unpackBits(make([]uint8, 0, base+total), bypass)[:base+total]
 	if total == 0 {
 		if off != len(payload) {
 			return nil, corruptf("codec: rans %d trailing bytes after empty bin table", len(payload)-off)
@@ -299,22 +328,22 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	for s := range f0 {
 		f0[s] = rans.ProbToFreq(tab[s])
 	}
-	c.bins = make([]uint8, total)
+	ctxBins := c.bins[base:]
 	lane := func(j int) error {
 		var dec rans.BinDecoder
 		if err := dec.Init(segs[j]); err != nil {
 			return err
 		}
-		s := 0
+		q := 1
 		for i := j; i < int(total); i += ransLanes {
-			for i >= c.prefix[s+1] {
-				s++
+			for int(base)+i >= c.prefix[q+1] {
+				q++
 			}
-			bin, err := dec.Get(f0[s])
+			bin, err := dec.Get(f0[q-1])
 			if err != nil {
 				return err
 			}
-			c.bins[i] = uint8(bin)
+			ctxBins[i] = uint8(bin)
 		}
 		return dec.Close()
 	}
@@ -348,40 +377,54 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 // corruption, not a success.
 func (c *ransChunk) close() error {
 	for s := 0; s < nCtxSlots; s++ {
-		if have, used := c.prefix[s+1]-c.prefix[s], c.next[s]-c.prefix[s]; used != have {
+		if have, used := c.prefix[s+2]-c.prefix[s+1], c.next[s+1]-c.prefix[s+1]; used != have {
 			return corruptf("codec: rans slot %d: %d of %d bins consumed", s, used, have)
 		}
 	}
-	if c.raw.BitPos() != c.bypassN {
-		return corruptf("codec: rans %d of %d bypass bits consumed", c.raw.BitPos(), c.bypassN)
+	if used := c.next[bypassQueue]; used != c.bypassN {
+		return corruptf("codec: rans %d of %d bypass bits consumed", used, c.bypassN)
 	}
 	return nil
 }
 
-func (c *ransChunk) bit(slot int) int {
-	i := c.next[slot]
-	if i >= c.prefix[slot+1] {
-		// The parse wants more bins for this slot than the payload declared.
-		panic(decodeError{errMalformed})
+// queueDry is what a read from an empty queue raises: the bypass queue — and
+// with it every read of a literal chunk — ran out of data, while a context
+// queue short of a bin the parse wants is a payload that declared too few.
+var queueDry = [2]error{bits.ErrOutOfData, errMalformed}
+
+// pop takes the next bin of queue q.
+func (c *ransChunk) pop(q int) int {
+	i := c.next[q]
+	if i >= c.prefix[q+1] {
+		panic(decodeError{queueDry[min(q, 1)]})
 	}
-	c.next[slot] = i + 1
+	c.next[q] = i + 1
 	return int(c.bins[i])
 }
 
-func (c *ransChunk) bypass() int {
-	b, err := c.raw.ReadBit()
-	if err != nil {
-		panic(decodeError{err})
-	}
-	return b
-}
+func (c *ransChunk) bit(slot int) int { return c.pop((1 + slot) & c.alias) }
+func (c *ransChunk) bypass() int      { return c.pop(bypassQueue) }
 
 func (c *ransChunk) bypassBits(n uint) uint32 {
-	v, err := c.raw.ReadBits(n)
-	if err != nil {
-		panic(decodeError{err})
+	var v uint32
+	for ; n > 0; n-- {
+		v = v<<1 | uint32(c.bypass())
 	}
-	return uint32(v)
+	return v
+}
+
+// expGolomb reads a k-th order Exp-Golomb code off the bypass queue — the
+// HEVC coeff_abs_level_remaining binarization egEncode writes.
+func (c *ransChunk) expGolomb(k uint) uint32 {
+	var v uint32
+	for c.bypass() == 1 {
+		v += 1 << k
+		k++
+		if k > 30 {
+			panic(decodeError{errMalformed})
+		}
+	}
+	return v + c.bypassBits(k)
 }
 
 // dimsPixels sums the source pixel area of a chunk's frame dims (already

@@ -22,10 +22,15 @@ type binEncoder interface {
 	bitLen() int
 }
 
+// binDecoder is what the parse reads a leaf's few header bins through. The
+// residual blocks, where nearly all of a chunk's bins are, go to the concrete
+// reader behind it (decoder.parseResidual).
 type binDecoder interface {
 	bit(slot int) int
-	bypass() int
 	bypassBits(n uint) uint32
+	// expGolomb reads a k-th order Exp-Golomb code in bypass bins, the inverse
+	// of egEncode.
+	expGolomb(k uint) uint32
 }
 
 // The CABAC adaptors pair the arithmetic engine with the context set it
@@ -49,8 +54,15 @@ type cabacBinDec struct {
 }
 
 func (c *cabacBinDec) bit(slot int) int         { return c.d.DecodeBit(&c.ctx[slot]) }
-func (c *cabacBinDec) bypass() int              { return c.d.DecodeBypass() }
 func (c *cabacBinDec) bypassBits(n uint) uint32 { return c.d.DecodeBypassBits(n) }
+
+func (c *cabacBinDec) expGolomb(k uint) uint32 {
+	v, ok := c.d.DecodeExpGolomb(k)
+	if !ok {
+		panic(decodeError{errMalformed})
+	}
+	return v
+}
 
 type rawBinEnc struct{ w *bits.Writer }
 
@@ -59,26 +71,6 @@ func (r rawBinEnc) bypass(bin int)              { r.w.WriteBit(bin) }
 func (r rawBinEnc) bypassBits(v uint32, n uint) { r.w.WriteBits(uint64(v), n) }
 func (r rawBinEnc) finish() []byte              { return r.w.Bytes() }
 func (r rawBinEnc) bitLen() int                 { return r.w.BitLen() }
-
-type rawBinDec struct{ r *bits.Reader }
-
-func (d rawBinDec) bit(int) int {
-	b, err := d.r.ReadBit()
-	if err != nil {
-		panic(decodeError{err})
-	}
-	return b
-}
-
-func (d rawBinDec) bypass() int { return d.bit(0) }
-
-func (d rawBinDec) bypassBits(n uint) uint32 {
-	v, err := d.r.ReadBits(n)
-	if err != nil {
-		panic(decodeError{err})
-	}
-	return uint32(v)
-}
 
 // decodeError wraps stream errors raised inside the decode recursion; the
 // top-level Decode recovers it into a normal error return.
@@ -99,22 +91,6 @@ func egEncode(e binEncoder, v uint32, k uint) {
 	if k > 0 {
 		e.bypassBits(v, k)
 	}
-}
-
-// egDecode reads a k-th order Exp-Golomb code.
-func egDecode(d binDecoder, k uint) uint32 {
-	var v uint32
-	for d.bypass() == 1 {
-		v += 1 << k
-		k++
-		if k > 30 {
-			panic(decodeError{errMalformed})
-		}
-	}
-	if k > 0 {
-		v += d.bypassBits(k)
-	}
-	return v
 }
 
 // egLen estimates the bit length of the k-th order Exp-Golomb code for v.

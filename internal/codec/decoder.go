@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/cabac"
 	"repro/internal/dct"
 	"repro/internal/frame"
@@ -223,7 +222,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
 	default:
-		d.br = rawBinDec{bits.NewReader(c.payload)}
+		d.br = newLiteralChunk(c.payload)
 	}
 
 	var stageStart time.Time
@@ -399,8 +398,8 @@ func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
 		lf.inter = d.br.bit(ctxInterFlag) == 1
 	}
 	if lf.inter {
-		lf.mvx = unzigzag(egDecode(d.br, 1))
-		lf.mvy = unzigzag(egDecode(d.br, 1))
+		lf.mvx = unzigzag(d.br.expGolomb(1))
+		lf.mvy = unzigzag(d.br.expGolomb(1))
 	} else if d.tools.IntraPred {
 		if d.br.bit(ctxModeSame) == 1 {
 			lf.mode = d.prevMode
@@ -418,31 +417,58 @@ func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
 	d.parseResidual(lev, size, d.tools.Transform)
 }
 
-// parseResidual decodes one level block into lev (size×size, row-major).
+// maxLevel is the largest level magnitude the parse accepts. No encode comes
+// near it — a ±255 residual block through the 32-point Forward, over QP 0's
+// step, stays below 13 000 — and 2¹⁶ steps of QP 51 still fit an int32, so
+// past this check neither the escape's 3+rem nor Dequantize's product can
+// overflow: a damaged stream without a CRC (v1/v2) decodes to a typed error or
+// to the same planes on every architecture.
+const maxLevel = 1 << 16
+
+// parseResidual decodes one level block into lev (size×size, row-major). The
+// residual syntax is spelled twice: CABAC's block form, cabac.DecodeLevels,
+// and the per-bin loop below it, which the rANS backend and the raw ablation
+// run on their concrete reader so that its bin calls inline.
 func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
+	if br, ok := d.br.(*cabacBinDec); ok {
+		ctx := br.ctx
+		if !br.d.DecodeLevels(lev, scan, sigSlot, ctx[:], &ctx[ctxCbf+si], &ctx[ctxG1+si], &ctx[ctxG2+si], maxLevel) {
+			panic(decodeError{errMalformed})
+		}
+		return
+	}
+	d.br.(*ransChunk).parseResidual(lev, scan, sigSlot, si)
+}
+
+// parseResidual is the per-bin spelling of the residual syntax (the one
+// cabac.DecodeLevels documents), over a chunk's pre-decoded bins.
+func (c *ransChunk) parseResidual(lev []int32, scan []int, sigSlot []uint8, si int) {
 	clear(lev)
-	if d.br.bit(ctxCbf+si) == 0 {
+	if c.bit(ctxCbf+si) == 0 {
 		return
 	}
 	k := uint(0)
 	for i, pos := range scan {
-		if d.br.bit(int(sigSlot[i])) == 0 {
+		if c.bit(int(sigSlot[i])) == 0 {
 			continue
 		}
 		a := int32(1)
-		if d.br.bit(ctxG1+si) == 1 {
+		if c.bit(ctxG1+si) == 1 {
 			a = 2
-			if d.br.bit(ctxG2+si) == 1 {
-				rem := egDecode(d.br, k)
+			if c.bit(ctxG2+si) == 1 {
+				rem := c.expGolomb(k)
+				if rem > maxLevel-3 {
+					panic(decodeError{errMalformed})
+				}
 				a = 3 + int32(rem)
 				if rem > 3<<k && k < 4 {
 					k++
 				}
 			}
 		}
-		if d.br.bypass() == 1 {
+		if c.bypass() == 1 {
 			a = -a
 		}
 		lev[pos] = a

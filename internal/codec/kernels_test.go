@@ -78,6 +78,115 @@ func TestTrialResidualEquivalence(t *testing.T) {
 	}
 }
 
+// reconstructParent is the reconstruct stage's leaf loop as PR 19 shipped it
+// (commit 9ad1130): the block rebuilt by reconstructBlockInto — the definition
+// TestTrialResidualEquivalence ties the encoder to — and committed by
+// storeBlock. The differential reference for the fused loop.
+func reconstructParent(r *reconstructor, b *ctuBatch) {
+	s := r.scr
+	levOff := 0
+	for i := range b.leaves[:b.n] {
+		lf := &b.leaves[i]
+		x, y, size := int(lf.x), int(lf.y), int(lf.size)
+		n2 := size * size
+		lev := b.lev[levOff : levOff+n2]
+		levOff += n2
+
+		pred := s.pred[:n2]
+		switch {
+		case lf.inter:
+			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
+		case r.tools.IntraPred:
+			refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
+			refs = gatherRefsInto(r.recon, r.coded, x, y, size, refs)
+			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
+				refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
+			}
+			intra.Predict(lf.mode, size, refs, pred)
+		default:
+			for i := range pred {
+				pred[i] = 128
+			}
+		}
+
+		tr := s.transformFor(size, !lf.inter && r.prof.UseDST4)
+		rec := s.rec[:n2]
+		reconstructBlockInto(rec, s.coefA[:n2], pred, lev, r.qp, r.tools.Transform, tr)
+		storeBlock(r.recon, r.coded, rec, x, y, size)
+	}
+}
+
+// TestReconstructEquivalence: on 10 000 drawn leaves — intra (every HEVC mode,
+// DST on and off) and inter, transform on and off, levels from all-zero
+// through quantised residuals to the cap, neighbourhoods from uncoded to
+// coded, planes of noise and planes held at 0 and at 255 — the reconstruct
+// stage leaves the plane bytes and the coded mask that reconstructBlockInto
+// followed by storeBlock leaves.
+func TestReconstructEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	const dim = 96
+	s := newScratch()
+	prev := frame.NewPlane(dim-5, dim-9) // the inter reference is a crop: motion clamps to it
+	var planes [2]*frame.Plane
+	var masks [2][]bool
+	for i := range planes {
+		planes[i], masks[i] = frame.NewPlane(dim, dim), make([]bool, dim*dim)
+	}
+	b := new(ctuBatch)
+	for draw := 0; draw < 10000; draw++ {
+		size := 4 << rng.Intn(4)
+		n2 := size * size
+		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
+		r := reconstructor{prof: HEVC, tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s, prev: prev}
+		r.prof.UseDST4 = rng.Intn(2) == 0
+		r.tools.Transform = draw%10 != 0
+		r.tools.IntraPred = draw%13 != 0
+		lf := leafRec{x: int32(x), y: int32(y), size: int32(size), mode: HEVC.Modes[rng.Intn(len(HEVC.Modes))]}
+		if draw%4 == 0 {
+			lf.inter, lf.mvx, lf.mvy = true, rng.Int31n(2*dim)-dim, rng.Int31n(2*dim)-dim
+		}
+		rng.Read(prev.Pix)
+		rng.Read(planes[0].Pix)
+		for i := range masks[0] {
+			masks[0][i] = i < (y+size/2)*dim // a raster prefix, as a real decode leaves it
+		}
+		lev := b.lev[:n2]
+		switch draw % 8 {
+		case 0, 1: // all zero over a prediction pinned at an end of the pixel range
+			clear(lev)
+			if draw%16 < 2 {
+				flat := uint8(255 * (draw / 16 % 2))
+				for i := range planes[0].Pix {
+					planes[0].Pix[i], prev.Pix[i%len(prev.Pix)] = flat, flat
+				}
+				for i := range masks[0] {
+					masks[0][i] = true
+				}
+			}
+		case 2: // levels up to the cap: residuals far outside the pixel range
+			drawLevels(rng, lev, size, r.tools.Transform, 5)
+			lev[rng.Intn(n2)] = rng.Int31n(2*maxLevel+1) - maxLevel
+		default:
+			drawLevels(rng, lev, size, r.tools.Transform, 6)
+		}
+		copy(planes[1].Pix, planes[0].Pix)
+		copy(masks[1], masks[0])
+		b.n, b.leaves[0], b.levN = 1, lf, n2
+
+		r.recon, r.coded = planes[0], masks[0]
+		r.reconstruct(b)
+		r.recon, r.coded = planes[1], masks[1]
+		reconstructParent(&r, b)
+		for i, v := range planes[1].Pix {
+			if planes[0].Pix[i] != v || masks[0][i] != masks[1][i] {
+				t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v): pixel (%d,%d) = %d coded %v, reconstructBlockInto + storeBlock %d coded %v",
+					draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.UseDST4,
+					i%dim, i/dim, planes[0].Pix[i], masks[0][i], v, masks[1][i])
+			}
+		}
+	}
+}
+
 // estimateLevelBitsOrdered is the rate estimate's definition — PR 17's
 // function (commit c563641) verbatim: one float64 addition at a time, in scan
 // order.
@@ -466,5 +575,59 @@ func BenchmarkEstimateLevelBits(b *testing.B) {
 			}
 			_ = sink
 		})
+	}
+}
+
+// benchLevelBlocks returns the levels the encoder's trial leaves on
+// benchTrialBlocks' blocks at qp.
+func benchLevelBlocks(size, count, qp int) [][]int32 {
+	origs, preds := benchTrialBlocks(size, count)
+	e := &encoder{prof: HEVC, tools: AllTools, qp: qp, scr: newScratch()}
+	levs := make([][]int32, count)
+	for i := range levs {
+		lev, _, _, _ := e.trialResidual(origs[i], preds[i], size, true)
+		levs[i] = append([]int32(nil), lev...)
+	}
+	return levs
+}
+
+// BenchmarkReconstructCTU times the reconstruct stage on one 32×32 CTU of
+// angular leaves (b.N counts CTUs), beside the loop it replaced.
+func BenchmarkReconstructCTU(b *testing.B) {
+	const blocks, ctu = 64, 32
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{8, 16, 32} {
+		for _, pt := range benchQPs {
+			levs := benchLevelBlocks(size, blocks, pt.qp)
+			batches := make([]ctuBatch, blocks/4)
+			for bi := range batches {
+				bt := &batches[bi]
+				for y := 0; y < ctu; y += size {
+					for x := 0; x < ctu; x += size {
+						bt.leaves[bt.n] = leafRec{x: int32(ctu + x), y: int32(ctu + y), size: int32(size), mode: intra.Mode(2 + rng.Intn(33))}
+						bt.levN += copy(bt.lev[bt.levN:], levs[(bi*4+bt.n)%blocks])
+						bt.n++
+					}
+				}
+			}
+			s := newScratch()
+			r := reconstructor{prof: HEVC, tools: AllTools, qp: pt.qp, scr: s}
+			r.beginFrame(2*ctu, 2*ctu)
+			rng.Read(r.recon.Pix)
+			for i := range r.coded {
+				r.coded[i] = true
+			}
+			for _, kernel := range []struct {
+				name string
+				run  func(*reconstructor, *ctuBatch)
+			}{{"", (*reconstructor).reconstruct}, {"-parent", reconstructParent}} {
+				b.Run(fmt.Sprintf("%s/n%d%s", pt.name, size, kernel.name), func(b *testing.B) {
+					b.SetBytes(ctu * ctu)
+					for i := 0; i < b.N; i++ {
+						kernel.run(&r, &batches[i%len(batches)])
+					}
+				})
+			}
+		}
 	}
 }

@@ -13,7 +13,7 @@
 // decode touches has one owner:
 //
 //	parse        ctx, cabacDec, dec, and the batch it is filling
-//	reconstruct  rcn, pred, rec, coefA, refsAbove/Left, smAbove/Left,
+//	reconstruct  rcn, pred, rec, coefA, nz, refsAbove/Left, smAbove/Left,
 //	             transforms, dst4, reconPlane, coded, and the batches handed
 //	             to it
 //
@@ -26,6 +26,7 @@ package codec
 import (
 	"time"
 
+	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
 )
@@ -145,10 +146,45 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			}
 		}
 
-		tr := s.transformFor(size, !lf.inter && r.prof.UseDST4)
-		rec := s.rec[:n2]
-		reconstructBlockInto(rec, s.coefA[:n2], pred, lev, r.qp, r.tools.Transform, tr)
-		storeBlock(r.recon, r.coded, rec, x, y, size)
+		// reconstructBlockInto and storeBlock in one go: the dequantiser
+		// reports where the levels are, so the inverse scans nothing, and the
+		// pixels go from the prediction and the residual into the plane
+		// without a block of their own. TestReconstructEquivalence holds this
+		// to the definition.
+		var res []int32
+		switch {
+		case !r.tools.Transform:
+			res = s.rec[:n2]
+			dequantizeSpatial(res, lev, r.qp)
+		case dct.DequantizeMasked(s.coefA[:n2], lev, size, r.qp, &s.nz):
+			res = s.rec[:n2]
+			s.transformFor(size, !lf.inter && r.prof.UseDST4).InverseMasked(res, s.coefA[:n2], &s.nz)
+		}
+		storeResidual(r.recon, r.coded, pred, res, x, y, size)
+	}
+}
+
+// storeResidual commits a leaf as storeBlock commits clipPixel(pred+res): the
+// pixels into the padded recon plane at (x, y), the region marked coded. A nil
+// res is the all-zero residual of a leaf that coded no level.
+func storeResidual(recon *frame.Plane, coded []bool, pred, res []int32, x, y, size int) {
+	for dy := 0; dy < size; dy++ {
+		row := recon.Row(y + dy)[x : x+size]
+		p := pred[dy*size:][:size]
+		if res == nil {
+			for dx, v := range p {
+				row[dx] = uint8(clipPixel(v))
+			}
+		} else {
+			d := res[dy*size:][:size]
+			for dx, v := range p {
+				row[dx] = uint8(clipPixel(v + d[dx]))
+			}
+		}
+		mask := coded[(y+dy)*recon.W+x:][:size]
+		for dx := range mask {
+			mask[dx] = true
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ type scratch struct {
 	rec      [maxBlock]int32 // reconstructed samples
 	pred     [maxBlock]int32 // single prediction (apply/inter/decoder paths)
 	mcPred   [maxBlock]int32 // motion-search probe prediction
-	nz       dct.RowMasks    // where a trial's non-zero levels are
+	nz       dct.RowMasks    // where a trial's, or a decoded leaf's, non-zero levels are
 
 	// predsArena holds one prediction block per profile mode so that every
 	// coarse-scored candidate stays available for the full-RD stage.

@@ -684,7 +684,7 @@ func (q *quantizer) level(c int32) int32 {
 // Reconstructing a level goes through recon by magnitude, the sign put back
 // by mask: math.Round is symmetric about zero, so that is
 // int32(math.Round(l·step)), the expression the table is filled by and the
-// one magnitudes beyond it take. (Spelled out in both loops below rather than
+// one magnitudes beyond it take. (Spelled out in each loop below rather than
 // shared: a function with math.Round in it does not inline.)
 
 // Quantize maps coefficients (as produced by Forward) to integer levels with
@@ -730,6 +730,36 @@ func QuantizeDequantize(levels, deq, coef []int32, n, qp int, nz *RowMasks) (any
 		for i, c := range row {
 			l := q.level(c)
 			lev[i] = l
+			s := l >> 31
+			if a := uint32((l ^ s) - s); a < dequantTableLen {
+				rec[i] = (q.recon[a] ^ s) - s
+			} else {
+				rec[i] = int32(math.Round(float64(l) * q.step))
+			}
+			m = m>>1 | nonZeroTop(l)
+		}
+		m >>= 32 - uint(n)
+		nz[k] = m
+		rows |= m
+	}
+	return rows != 0
+}
+
+// DequantizeMasked is the decoder's half of QuantizeDequantize: Dequantize of
+// the n×n block levels into dst in one pass that also records where the
+// non-zero levels — and so the non-zero entries of dst — are, for
+// InverseMasked. It reports whether there are any. dst may alias levels.
+func DequantizeMasked(dst, levels []int32, n, qp int, nz *RowMasks) (any bool) {
+	if n > maxN || len(levels) != n*n || len(dst) != n*n {
+		panic("dct: bad block size")
+	}
+	q := newQuantizer(qp)
+	var rows uint32
+	for k := 0; k < n; k++ {
+		lev := levels[k*n:][:n]
+		rec := dst[k*n:][:len(lev)]
+		var m uint32
+		for i, l := range lev {
 			s := l >> 31
 			if a := uint32((l ^ s) - s); a < dequantTableLen {
 				rec[i] = (q.recon[a] ^ s) - s

@@ -538,6 +538,71 @@ func TestQuantizeDequantizeEquivalence(t *testing.T) {
 	}
 }
 
+// TestDequantizeMasksEquivalence: the decoder's fused pass against Dequantize
+// for the values and against the scan Inverse makes of them for the masks — so
+// InverseMasked under the reported masks is Inverse — at every QP, on blocks
+// whose magnitudes straddle the table's edge at 256 and reach the decoder's
+// level cap of ±2¹⁶, from empty through one coefficient to dense, in place
+// and out of place.
+func TestDequantizeMasksEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	edge := []int32{1, -1, 255, -255, 256, -256, 257, -257, 1 << 16, -(1 << 16)}
+	for _, n := range []int{4, 8, 16, 32} {
+		tr := NewDCT(n)
+		for qp := 0; qp <= MaxQP; qp++ {
+			for trial := 0; trial < 12; trial++ {
+				lev := make([]int32, n*n)
+				switch trial {
+				case 0: // all zero
+				case 1: // one coefficient, anywhere
+					lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
+				case 2: // one row, one column
+					for i := 0; i < n; i++ {
+						lev[3*n+i], lev[i*n+2] = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
+					}
+				default:
+					density, amp := rng.Intn(101), int32(1)<<uint(rng.Intn(17))
+					for i := range lev {
+						if rng.Intn(100) < density {
+							lev[i] = rng.Int31n(2*amp+1) - amp
+						}
+					}
+					lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
+				}
+				want, got := make([]int32, n*n), make([]int32, n*n)
+				Dequantize(want, lev, qp)
+				var nz RowMasks
+				nz[n-1] = ^uint32(0) // stale
+				any := DequantizeMasked(got, lev, n, qp, &nz)
+				requireSame(t, got, want, lev, "DequantizeMasked", qp)
+				wantAny := false
+				for k := 0; k < n; k++ {
+					var m uint32
+					for l := 0; l < n; l++ {
+						if want[k*n+l] != 0 {
+							m |= 1 << uint(l)
+							wantAny = true
+						}
+					}
+					if nz[k] != m {
+						t.Fatalf("n=%d qp=%d trial %d row %d: mask %#x, dequantised levels say %#x", n, qp, trial, k, nz[k], m)
+					}
+				}
+				if any != wantAny {
+					t.Fatalf("n=%d qp=%d trial %d: any = %v, levels say %v", n, qp, trial, any, wantAny)
+				}
+				wantRes, gotRes := make([]int32, n*n), make([]int32, n*n)
+				tr.Inverse(wantRes, want)
+				tr.InverseMasked(gotRes, got, &nz)
+				requireSame(t, gotRes, wantRes, lev, "InverseMasked under the reported masks", qp)
+				inPlace := append([]int32(nil), lev...)
+				DequantizeMasked(inPlace, inPlace, n, qp, &nz)
+				requireSame(t, inPlace, want, lev, "DequantizeMasked in place", qp)
+			}
+		}
+	}
+}
+
 // TestInverseEquivalence: Inverse and InverseMasked against the dense
 // product on the inputs that steer each level of each pass down its dense
 // (dot) or its sparse (axpy) form — fully dense, post-quantisation sparse, a
