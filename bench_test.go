@@ -83,7 +83,7 @@ func BenchmarkEncodeThroughput(b *testing.B) {
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools}); err != nil {
+		if _, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 	w := tensorgen.Weights(rng, n, n)
 	pix, _, _ := quant.ToUint8(w)
 	planes := frame.FromMatrix(pix, n, n, 1024, 1024)
-	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
+	stream, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func benchEncodeStack(b *testing.B, workers int) {
 	b.SetBytes(int64(8 * 256 * 256))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools, Workers: workers}); err != nil {
+		if _, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func BenchmarkEncodeStackParallel(b *testing.B) { benchEncodeStack(b, 0) }
 
 func benchDecodeStack(b *testing.B, workers int) {
 	planes := stackPlanes(6, 8, 256)
-	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
+	stream, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: codec.HEVC, Tools: codec.AllTools})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -533,6 +533,80 @@ func TestEncodeReconIsDecode(t *testing.T) {
 	}
 }
 
+// TestEncodePathsNeverDecode proves the self-decodes are gone, with the
+// decoder's own call counter: every path that hands back "what the receiver
+// reconstructs" beside an encode — the ring's two tensor codecs, the quality
+// search, a rate controller's bisecting first call and its steady state, the
+// two-pass gradient compressor — takes it from the encoder, so
+// codec.decode.calls stays 0 while codec.encode.calls moves.
+func TestEncodePathsNeverDecode(t *testing.T) {
+	const rows, cols = 32, 64
+	vals := randBuckets(31, 1, rows, cols)[0]
+	tensor := func() *core.Tensor { return core.FromSlice(rows, cols, append([]float32(nil), vals...)) }
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(o core.Options) error
+	}{
+		{"tensorCodec.Encode", func(o core.Options) error {
+			_, _, _, err := TensorCodec(o, 12)(0).Encode(ctx, vals, rows, cols)
+			return err
+		}},
+		{"rateCodec.Encode", func(o core.Options) error {
+			c := RateCodec(o, 3)(0)
+			for step := 0; step < 3; step++ { // the fixed first step, then the steered level
+				if _, _, _, err := c.Encode(ctx, vals, rows, cols); err != nil {
+					return err
+				}
+				c.(Stepper).AdvanceStep()
+			}
+			return nil
+		}},
+		{"EncodeStackToMSE", func(o core.Options) error {
+			_, _, err := o.EncodeStackToMSE(ctx, []*core.Tensor{tensor()}, 1e-5)
+			return err
+		}},
+		{"RateController.Roundtrip first call", func(o core.Options) error {
+			_, _, err := core.NewRateController(o, 3).Roundtrip(tensor())
+			return err
+		}},
+		{"RateController.Roundtrip steady state", func(o core.Options) error {
+			rc := core.NewRateController(o, 3)
+			if _, err := rc.Encode(tensor()); err != nil {
+				return err
+			}
+			before := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]
+			_, _, err := rc.Roundtrip(tensor())
+			if probes := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]; err == nil && probes != before {
+				t.Errorf("the second call bisected again (%d probes): not the steady state", probes-before)
+			}
+			return err
+		}},
+		{"GradientCompressor.Compress", func(o core.Options) error {
+			g := core.NewGradientCompressor(o, 3.5, 3.5, 2, 8)
+			for step := 0; step < 3; step++ { // both LLM.265 passes, then the RTN residual
+				if _, _, err := g.Compress(tensor()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		o := core.DefaultOptions()
+		o.Workers, o.Metrics = 1, obs.NewRegistry()
+		if err := tc.run(o); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c := o.Metrics.Snapshot().Counters
+		if c["codec.encode.calls"] == 0 {
+			t.Errorf("%s: the registry saw no encode", tc.name)
+		}
+		if got := c["codec.decode.calls"]; got != 0 {
+			t.Errorf("%s: %d decodes on an encode path, want 0", tc.name, got)
+		}
+	}
+}
+
 // countingCodec counts the Decode calls of the codec it wraps.
 type countingCodec struct {
 	SegmentCodec

@@ -112,16 +112,11 @@ func (c *tensorCodec) Wire() byte { return WireTensor }
 
 func (c *tensorCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
 	t := core.FromSlice(rows, cols, vals)
-	enc, err := c.opts.EncodeStackCtx(ctx, []*core.Tensor{t}, c.qp)
+	enc, rec, err := c.opts.EncodeStackRecon(ctx, []*core.Tensor{t}, c.qp)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	dec, err := c.opts.DecodeStackCtx(ctx, enc)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	payload := enc.Marshal()
-	return payload, dec[0].Data, int64(enc.SizeBits()), nil
+	return enc.Marshal(), rec[0].Data, int64(enc.SizeBits()), nil
 }
 
 func (c *tensorCodec) Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error {

@@ -66,17 +66,24 @@ type EncodeConfig struct {
 // substreams are stitched in chunk order, so the output is byte-identical for
 // every worker count.
 //
+// The third result is what Decode will make of the stream: one reconstruction
+// per source plane, cropped to its dims, byte for byte Decoded.Planes
+// (TestEncodeReconIsDecode). The encoder builds them for its own prediction
+// and for Stats.MSE; they are fresh allocations the codec never pools or
+// writes again, and they belong to the caller — whoever wants the receiver's
+// view keeps them, everyone else drops them.
+//
 // Cancellation is observed at pool, chunk and CTU granularity; a canceled
 // call returns exactly ctx.Err() with no output.
-func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byte, Stats, error) {
+func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byte, Stats, []*frame.Plane, error) {
 	if err := validateEncode(planes, cfg); err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 	m := newEncMetrics(cfg.Metrics)
 	spans := chunkSpans(planes, cfg.Tools)
 	chunks, records, recs, err := encodeChunks(ctx, planes, spans, cfg.QP, cfg.Profile, cfg.Tools, cfg.Workers, m)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, nil, err
 	}
 
 	var tContainer time.Time
@@ -117,7 +124,7 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 		m.stageContainer.ObserveSince(tContainer)
 		m.recordEncodeTotals(st, len(out), payloadLen, len(planes))
 	}
-	return out, st, nil
+	return out, st, recs, nil
 }
 
 // DecodeConfig carries everything Decode needs besides the bytes.

@@ -1,16 +1,89 @@
 package codec
 
 import (
+	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math/rand"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
+
+// TestEncodeReconIsDecode is the contract of Encode's third result: the
+// reconstruction planes the encoder hands out are Decode(stream).Planes byte
+// for byte, so a caller that keeps them has what the receiver will have
+// without running a decoder. It holds over everything that selects a code path
+// on either side: the three profiles, every tool ablation of the golden corpus
+// and TestToolCombinationsRoundTrip (inter prediction, no transform and no
+// entropy stage among them) under both entropy backends, the three containers,
+// the default and the fast search, and worker counts past the chunk count —
+// on a one-chunk stack of the awkward shapes and on a stack whose odd planes
+// are spread over three chunks.
+func TestEncodeReconIsDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	odd := []*frame.Plane{gradientPlane(rng, 1, 1), noisePlane(rng, 17, 13), channelPlane(rng, 13, 40), gradientPlane(rng, 31, 29)}
+	// 200×170 and 181×191 each close a chunk (minChunkPixels); the small
+	// planes between them ride in the second, 31×29 is a third.
+	chunked := []*frame.Plane{channelPlane(rng, 200, 170), odd[1], odd[2], odd[0], gradientPlane(rng, 181, 191), odd[3]}
+	if got := len(chunkSpans(chunked, AllTools)); got != 3 {
+		t.Fatalf("the chunked stack partitions into %d chunks, want 3", got)
+	}
+	var toolSets []Tools
+	for _, tools := range []Tools{
+		{},
+		{CABAC: true},
+		{Transform: true, CABAC: true},
+		{IntraPred: true, CABAC: true},
+		{Partitioning: true, Transform: true, CABAC: true},
+		{Partitioning: true, Transform: true, IntraPred: true},
+		{Partitioning: true, IntraPred: true, CABAC: true},
+		AllTools,
+		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true},
+	} {
+		toolSets = append(toolSets, tools)
+		if tools.CABAC { // the backend codes the context-coded bins; without the stage there are none
+			tools.Backend = BackendRANS
+			toolSets = append(toolSets, tools)
+		}
+	}
+	check := func(planes []*frame.Plane, qp int, prof Profile, tools Tools, fast bool) {
+		t.Helper()
+		prof.FastSearch = fast
+		for _, container := range []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				label := fmt.Sprintf("%s %+v fast=%v container=%d workers=%d", prof.Name, tools, fast, container, workers)
+				data, _, recon, err := Encode(context.Background(), planes, EncodeConfig{
+					QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				dec, err := Decode(context.Background(), data, DecodeConfig{Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requirePlanesEqual(t, label, recon, dec.Planes)
+			}
+		}
+	}
+	for _, prof := range []Profile{H264, HEVC, AV1} {
+		for i, tools := range toolSets {
+			for _, fast := range []bool{false, true} {
+				check(odd, 14+2*i, prof, tools, fast)
+			}
+		}
+		for _, tools := range []Tools{AllTools, ransTools()} {
+			check(chunked, 22, prof, tools, prof.Name == HEVC.Name)
+		}
+	}
+}
 
 // compatWrappers are the three names compat.go keeps for benchmark/surface.go.
 var compatWrappers = map[string]bool{"EncodeIndexedCtx": true, "DecodeWorkersCtx": true, "DecodeRegionCtx": true}

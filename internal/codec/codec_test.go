@@ -15,8 +15,8 @@ import (
 // strict whole-stream Decode reduced to its planes. Anything else — metrics,
 // a real context, a plane window, Partial — calls Encode/Decode directly.
 func encodeAs(container Container, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int) ([]byte, Stats, error) {
-	return Encode(context.Background(), planes, EncodeConfig{
-		QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container})
+	return streamOf(Encode(context.Background(), planes, EncodeConfig{
+		QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container}))
 }
 
 func decodeAll(data []byte, workers int) ([]*frame.Plane, error) {

@@ -15,7 +15,12 @@ import (
 
 // EncodeIndexedCtx is Encode with ContainerV3Indexed.
 func EncodeIndexedCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, regions []PlaneRegion, reg *obs.Registry) ([]byte, Stats, error) {
-	return Encode(ctx, planes, EncodeConfig{QP: qp, Profile: prof, Tools: tools, Workers: workers, Metrics: reg, Container: ContainerV3Indexed, Regions: regions})
+	return streamOf(Encode(ctx, planes, EncodeConfig{QP: qp, Profile: prof, Tools: tools, Workers: workers, Metrics: reg, Container: ContainerV3Indexed, Regions: regions}))
+}
+
+// streamOf drops Encode's reconstruction: the wrapper keeps its bound shape.
+func streamOf(data []byte, st Stats, _ []*frame.Plane, err error) ([]byte, Stats, error) {
+	return data, st, err
 }
 
 // DecodeWorkersCtx is a strict, whole-stream Decode returning just the planes.

@@ -41,7 +41,7 @@ func TestEncodeCanceledPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	data, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 4})
+	data, _, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 4})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -72,7 +72,7 @@ func TestEncodePreCanceled(t *testing.T) {
 		{"indexed", ContainerV3Indexed},
 	} {
 		start := time.Now()
-		data, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: tc.container})
+		data, _, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: tc.container})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
 		}
@@ -118,7 +118,7 @@ func TestDeadlineExceededMapsCleanly(t *testing.T) {
 	planes := cancelPlanes(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2})
+	_, _, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -162,11 +162,11 @@ func TestBackgroundContextByteIdentity(t *testing.T) {
 	defer cancel()
 	for _, c := range []Container{ContainerLegacy, ContainerV3} {
 		cfg := EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools, Workers: 2, Container: c}
-		classic, _, err := Encode(context.Background(), planes, cfg)
+		classic, _, _, err := Encode(context.Background(), planes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctxed, _, err := Encode(live, planes, cfg)
+		ctxed, _, _, err := Encode(live, planes, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -340,38 +340,9 @@ func (d *decoder) drain() {
 	}
 }
 
-// Tool/profile split rules must match the encoder bit for bit.
-func (d *decoder) effMinCU() int {
-	if !d.tools.Partitioning {
-		n := fixedCUSize
-		if n > d.prof.MaxTransform {
-			n = d.prof.MaxTransform
-		}
-		return n
-	}
-	return d.prof.MinCUSize
-}
-
-func (d *decoder) splitKindFor(size int) splitKind {
-	minCU := d.effMinCU()
-	if size > d.prof.MaxTransform {
-		return splitForced
-	}
-	if !d.tools.Partitioning {
-		if size > minCU {
-			return splitForced
-		}
-		return splitLeafOnly
-	}
-	if size > minCU {
-		return splitSignaled
-	}
-	return splitLeafOnly
-}
-
 func (d *decoder) parseCU(b *ctuBatch, x, y, size, depth int) {
 	split := false
-	switch d.splitKindFor(size) {
+	switch splitKindFor(d.prof, d.tools, size) {
 	case splitForced:
 		split = true
 	case splitSignaled:

@@ -288,47 +288,8 @@ type cuDec struct {
 	cost   float64
 }
 
-// effMinCU reports the leaf size floor given the tools.
-func (e *encoder) effMinCU() int {
-	if !e.tools.Partitioning {
-		n := fixedCUSize
-		if n > e.prof.MaxTransform {
-			n = e.prof.MaxTransform
-		}
-		return n
-	}
-	return e.prof.MinCUSize
-}
-
-// splitKind classifies how a CU of the given size partitions: forced split,
-// signaled split, or leaf-only.
-type splitKind int
-
-const (
-	splitForced splitKind = iota
-	splitSignaled
-	splitLeafOnly
-)
-
-func (e *encoder) splitKindFor(size int) splitKind {
-	minCU := e.effMinCU()
-	if size > e.prof.MaxTransform {
-		return splitForced
-	}
-	if !e.tools.Partitioning {
-		if size > minCU {
-			return splitForced
-		}
-		return splitLeafOnly
-	}
-	if size > minCU {
-		return splitSignaled
-	}
-	return splitLeafOnly
-}
-
 func (e *encoder) decideCU(x, y, size, depth int) *cuDec {
-	switch e.splitKindFor(size) {
+	switch splitKindFor(e.prof, e.tools, size) {
 	case splitForced:
 		d := e.scr.newNode()
 		d.split = true
@@ -875,15 +836,6 @@ func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTra
 	}
 }
 
-// reconstructBlock is the allocating form of reconstructBlockInto, kept for
-// tests and out-of-band callers.
-func reconstructBlock(pred, levels []int32, size, qp int, useTransform bool, tr *dct.Transform) []int32 {
-	n2 := size * size
-	rec := make([]int32, n2)
-	reconstructBlockInto(rec, make([]int32, n2), pred, levels, qp, useTransform, tr)
-	return rec
-}
-
 // quantizeSpatial quantizes a spatial residual with the QP step and the same
 // dead-zone as the transform path (used when the transform is ablated).
 func quantizeSpatial(dst, res []int32, qp int) {
@@ -1005,7 +957,7 @@ func splitSlot(depth int) int { return ctxSplit + min(depth, splitDepths-1) }
 
 // emitCU serializes a decided CU tree.
 func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
-	switch e.splitKindFor(size) {
+	switch splitKindFor(e.prof, e.tools, size) {
 	case splitForced:
 		// no flag
 	case splitSignaled:

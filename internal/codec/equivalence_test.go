@@ -90,7 +90,7 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 					for _, reg := range registries() {
 						for ci, ctx := range ctxs {
 							label := fmt.Sprintf("container=%d workers=%d metrics=%v ctx=%d", container, workers, reg != nil, ci)
-							data, _, err := Encode(ctx, tc.planes, EncodeConfig{
+							data, _, _, err := Encode(ctx, tc.planes, EncodeConfig{
 								QP: tc.qp, Profile: tc.prof, Tools: tc.tools,
 								Workers: workers, Metrics: reg, Container: container})
 							if err != nil {

@@ -60,7 +60,7 @@ func FuzzDecode(f *testing.F) {
 	for i := range regions {
 		regions[i] = PlaneRegion{Layer: i, W: corpus[i].W, H: corpus[i].H}
 	}
-	indexed, _, err := Encode(context.Background(), corpus, EncodeConfig{
+	indexed, _, _, err := Encode(context.Background(), corpus, EncodeConfig{
 		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 1, Container: ContainerV3Indexed, Regions: regions})
 	if err != nil {
 		f.Fatal(err)

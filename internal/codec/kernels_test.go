@@ -57,7 +57,8 @@ func TestTrialResidualEquivalence(t *testing.T) {
 		} else {
 			quantizeSpatial(wantLev, res, e.qp)
 		}
-		wantRec := reconstructBlock(pred, wantLev, size, e.qp, e.tools.Transform, tr)
+		wantRec := make([]int32, n2)
+		reconstructBlockInto(wantRec, make([]int32, n2), pred, wantLev, e.qp, e.tools.Transform, tr)
 		var wantSSE float64
 		for i, o := range orig {
 			d := float64(o - wantRec[i])

@@ -29,7 +29,7 @@ func metricsPlanes(n int) []*frame.Plane {
 func TestMetricsPopulateOnEncodeDecode(t *testing.T) {
 	planes := metricsPlanes(3)
 	reg := obs.NewRegistry()
-	data, st, err := Encode(context.Background(), planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Metrics: reg})
+	data, st, _, err := Encode(context.Background(), planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
-		got, _, err := Encode(context.Background(), planes, EncodeConfig{
+		got, _, _, err := Encode(context.Background(), planes, EncodeConfig{
 			QP: 30, Profile: HEVC, Tools: AllTools, Workers: workers, Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestMetricsDoNotChangeBytes(t *testing.T) {
 		}
 	}
 	// The single-chunk (version-1) framing too.
-	got, _, err := Encode(context.Background(), planes[:1], EncodeConfig{
+	got, _, _, err := Encode(context.Background(), planes[:1], EncodeConfig{
 		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func BenchmarkEncodeDisabledMetrics(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools}); err != nil {
+		if _, _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,7 +341,7 @@ func BenchmarkEncodeEnabledMetrics(b *testing.B) {
 	b.SetBytes(int64(p.W * p.H))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools, Metrics: reg}); err != nil {
+		if _, _, _, err := Encode(context.Background(), []*frame.Plane{p}, EncodeConfig{QP: 28, Profile: HEVC, Tools: AllTools, Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}

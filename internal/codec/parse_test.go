@@ -228,7 +228,7 @@ func walkLeaves(pc *parsedContainer, c *chunkMeta, br binDecoder, leaf func(size
 	d := decoder{prof: pc.prof, tools: pc.tools}
 	var cu func(size, depth int)
 	cu = func(size, depth int) {
-		kind := d.splitKindFor(size)
+		kind := splitKindFor(d.prof, d.tools, size)
 		if kind == splitForced || kind == splitSignaled && br.bit(splitSlot(depth)) == 1 {
 			for i := 0; i < 4; i++ {
 				cu(size/2, depth+1)

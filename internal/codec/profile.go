@@ -202,3 +202,33 @@ func toolsFromBits(b uint8) Tools {
 
 // fixedCUSize is the block size used when Partitioning is disabled.
 const fixedCUSize = 16
+
+// splitKind classifies how a CU of the given size partitions: forced split,
+// signaled split, or leaf-only.
+type splitKind int
+
+const (
+	splitForced splitKind = iota
+	splitSignaled
+	splitLeafOnly
+)
+
+// splitKindFor is the partition rule, spelled once: the encoder's decide and
+// emit walks and the decoder's parse all ask it, so the two sides agree on the
+// quadtree's shape by construction. Above the transform limit a CU always
+// splits; down to the leaf floor — the profile's MinCUSize, or with the
+// Partitioning tool ablated a fixed size, where the split is forced and never
+// signaled — it may; at the floor it is a leaf.
+func splitKindFor(prof Profile, tools Tools, size int) splitKind {
+	minCU, above := prof.MinCUSize, splitSignaled
+	if !tools.Partitioning {
+		minCU, above = min(fixedCUSize, prof.MaxTransform), splitForced
+	}
+	switch {
+	case size > prof.MaxTransform:
+		return splitForced
+	case size > minCU:
+		return above
+	}
+	return splitLeafOnly
+}

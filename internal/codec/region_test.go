@@ -27,7 +27,7 @@ func indexedStream(t testing.TB) ([]byte, []*frame.Plane, []PlaneRegion) {
 		planes[i] = gradientPlane(rng, 64, 64)
 		regions[i] = PlaneRegion{Layer: i / 3, X0: (i % 3) * 64, Y0: 0, W: 64, H: 64}
 	}
-	data, _, err := Encode(context.Background(), planes, EncodeConfig{
+	data, _, _, err := Encode(context.Background(), planes, EncodeConfig{
 		QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: ContainerV3Indexed, Regions: regions})
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +217,8 @@ func TestEncodeIndexedDeterminism(t *testing.T) {
 		regions[i] = PlaneRegion{Layer: i, W: 96, H: 96}
 	}
 	indexed := func(tools Tools, workers int, regions []PlaneRegion) ([]byte, Stats, error) {
-		return Encode(context.Background(), planes, EncodeConfig{
-			QP: 30, Profile: HEVC, Tools: tools, Workers: workers, Container: ContainerV3Indexed, Regions: regions})
+		return streamOf(Encode(context.Background(), planes, EncodeConfig{
+			QP: 30, Profile: HEVC, Tools: tools, Workers: workers, Container: ContainerV3Indexed, Regions: regions}))
 	}
 	for _, tools := range []Tools{AllTools, ransTools()} {
 		ref, _, err := indexed(tools, 1, regions)

@@ -149,23 +149,56 @@ func (e *Encoded) BitsPerValue() float64 {
 // call then returns ctx.Err() promptly with no output; the bytes do not
 // depend on ctx.
 func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*Encoded, error) {
+	p, err := o.encodeStack(ctx, stack, qp)
+	return p.Encoded, err
+}
+
+// EncodeStackRecon is EncodeStackCtx that also returns what a receiver will
+// decode: the encoder's own reconstruction planes (codec.Encode's third
+// result) dequantised through the dequantLayer DecodeStackCtx uses, so the
+// tensors are DecodeStackCtx(UnmarshalEncoded(enc.Marshal()))'s bit for bit
+// without a decoder having run (TestEncodeStackReconIsDecode). Error feedback
+// and residual compensation (§5) need exactly this pair. The reconstruction is
+// the caller's; the Encoded holds no reference to it.
+func (o Options) EncodeStackRecon(ctx context.Context, stack []*Tensor, qp int) (*Encoded, []*Tensor, error) {
+	p, err := o.encodeStack(ctx, stack, qp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Encoded, p.recon(), nil
+}
+
+// encoding is an encode beside the codec's reconstruction of its planes: what
+// encodeStack yields and a rate-control search memoises, 8 bits a value on top
+// of the stream for as long as someone holds it — which is why it never
+// leaves the package and Encoded has no such field.
+type encoding struct {
+	*Encoded
+	planes []*frame.Plane
+}
+
+// recon dequantises the planes into the tensors a decode of the stream gives.
+func (p encoding) recon() []*Tensor { return p.dequantStack(p.planes, p.regions()) }
+
+// encodeStack is the body of EncodeStackCtx and EncodeStackRecon.
+func (o Options) encodeStack(ctx context.Context, stack []*Tensor, qp int) (encoding, error) {
 	o = o.normalized()
 	// Zero-value stacks are rejected here, before any rate-control search
 	// can probe them: bits-per-value over zero values is 0/0 = NaN, and a
 	// bisection comparing against NaN walks silently to one end of the QP
 	// range instead of failing.
 	if len(stack) == 0 {
-		return nil, fmt.Errorf("core: empty stack: %w", ErrEmptyInput)
+		return encoding{}, fmt.Errorf("core: empty stack: %w", ErrEmptyInput)
 	}
 	for i, t := range stack {
 		if t == nil || t.Rows <= 0 || t.Cols <= 0 {
-			return nil, fmt.Errorf("core: stack layer %d has no values: %w", i, ErrEmptyInput)
+			return encoding{}, fmt.Errorf("core: stack layer %d has no values: %w", i, ErrEmptyInput)
 		}
 	}
 	rows, cols := stack[0].Rows, stack[0].Cols
 	for _, t := range stack {
 		if t.Rows != rows || t.Cols != cols {
-			return nil, fmt.Errorf("core: stack shapes differ: %dx%d vs %dx%d", t.Rows, t.Cols, rows, cols)
+			return encoding{}, fmt.Errorf("core: stack shapes differ: %dx%d vs %dx%d", t.Rows, t.Cols, rows, cols)
 		}
 	}
 	enc := &Encoded{
@@ -213,9 +246,9 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 	case o.Checksum:
 		cfg.Container = codec.ContainerV3
 	}
-	stream, st, err := codec.Encode(ctx, planes, cfg)
+	stream, st, recs, err := codec.Encode(ctx, planes, cfg)
 	if err != nil {
-		return nil, err
+		return encoding{}, err
 	}
 	enc.Stream = stream
 	enc.Stats = st
@@ -226,7 +259,7 @@ func (o Options) EncodeStackCtx(ctx context.Context, stack []*Tensor, qp int) (*
 		o.Metrics.Add("core.encode.stream_bits", int64(len(stream))*8)
 		o.Metrics.Add("core.encode.metadata_bits", int64(enc.SizeBits()-len(stream)*8))
 	}
-	return enc, nil
+	return encoding{enc, recs}, nil
 }
 
 // Encode, Decode, EncodeToBitrate and EncodeToMSE are the quick-start
@@ -390,6 +423,16 @@ func (e *Encoded) dequantLayer(l int, layerPlanes []*frame.Plane, regs []frame.R
 	return t, missing
 }
 
+// dequantStack is dequantLayer over every layer of a fully decoded stack — the
+// decoder's planes in DecodeStackCtx, the encoder's in EncodeStackRecon.
+func (e *Encoded) dequantStack(planes []*frame.Plane, regs []frame.Region) []*Tensor {
+	out := make([]*Tensor, e.Layers)
+	for l := range out {
+		out[l], _ = e.dequantLayer(l, planes[l*len(regs):(l+1)*len(regs)], regs)
+	}
+	return out
+}
+
 // pixelValues is every pixel value in order: dequantLayer's table is
 // quant.FromUint8 of it.
 var pixelValues = func() (v [256]uint8) {
@@ -469,10 +512,7 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 		return nil, err
 	}
 	dequantSpan := span.Child("dequantize")
-	out := make([]*Tensor, e.Layers)
-	for l := range out {
-		out[l], _ = e.dequantLayer(l, dec.Planes[l*len(regs):(l+1)*len(regs)], regs)
-	}
+	out := e.dequantStack(dec.Planes, regs)
 	dequantSpan.End()
 	span.End()
 	if o.Metrics != nil {
@@ -487,23 +527,25 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 // end of the QP range, or a bit budget that is not positive.
 var ErrBadTarget = errors.New("core: bad rate-control target")
 
-// probeStack memoizes EncodeStackCtx probes by QP for one rate-control search,
-// counting each real encode into core.ratecontrol.probes. Encoding is
-// deterministic, so the cache is exact and a search's fallback to the edge of
-// the QP range — which its walk has already probed — encodes nothing twice.
-func (o Options) probeStack(ctx context.Context, stack []*Tensor) func(qp int) (*Encoded, error) {
-	cache := map[int]*Encoded{}
-	return func(qp int) (*Encoded, error) {
-		if e, ok := cache[qp]; ok {
-			return e, nil
+// probeStack memoizes encodeStack probes by QP for one rate-control search —
+// each with its reconstruction planes, so a search that judges or returns a
+// reconstruction never decodes — counting each real encode into
+// core.ratecontrol.probes. Encoding is deterministic, so the cache is exact and
+// a search's fallback to the edge of the QP range — which its walk has already
+// probed — encodes nothing twice.
+func (o Options) probeStack(ctx context.Context, stack []*Tensor) func(qp int) (encoding, error) {
+	cache := map[int]encoding{}
+	return func(qp int) (encoding, error) {
+		if p, ok := cache[qp]; ok {
+			return p, nil
 		}
-		e, err := o.EncodeStackCtx(ctx, stack, qp)
+		p, err := o.encodeStack(ctx, stack, qp)
 		if err != nil {
-			return nil, err
+			return encoding{}, err
 		}
-		cache[qp] = e
+		cache[qp] = p
 		o.Metrics.Add("core.ratecontrol.probes", 1)
-		return e, nil
+		return p, nil
 	}
 }
 
@@ -548,24 +590,31 @@ func bisectQP(ctx context.Context, target float64, finer bool, accept func(qp in
 // fractional-bitrate interface; Encoded.QP is the QP chosen. A budget below
 // even MaxQP's rate returns the MaxQP encode, so the caller sees the floor.
 func (o Options) EncodeStackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (*Encoded, error) {
+	p, err := o.stackToBitrate(ctx, stack, bitsPerValue)
+	return p.Encoded, err
+}
+
+// stackToBitrate is EncodeStackToBitrate's search, keeping the winner's planes
+// for RateController.Roundtrip.
+func (o Options) stackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (encoding, error) {
 	probe := o.probeStack(ctx, stack)
-	var best *Encoded
+	var best encoding
 	err := bisectQP(ctx, bitsPerValue, true, func(qp int) (bool, error) {
-		e, err := probe(qp)
+		p, err := probe(qp)
 		if err != nil {
 			return false, err
 		}
-		ok := e.BitsPerValue() <= bitsPerValue
+		ok := p.BitsPerValue() <= bitsPerValue
 		// Most bits, not lowest QP: a finer QP can cost fewer bits.
-		if ok && (best == nil || e.BitsPerValue() > best.BitsPerValue()) {
-			best = e
+		if ok && (best.Encoded == nil || p.BitsPerValue() > best.BitsPerValue()) {
+			best = p
 		}
 		return ok, nil
 	})
 	if err != nil {
-		return nil, err
+		return encoding{}, err
 	}
-	if best == nil {
+	if best.Encoded == nil {
 		return probe(dct.MaxQP)
 	}
 	return best, nil
@@ -577,41 +626,27 @@ func (o Options) EncodeStackToBitrate(ctx context.Context, stack []*Tensor, bits
 // reconstruction. A bound not even QP 0 meets returns the QP-0 pair.
 func (o Options) EncodeStackToMSE(ctx context.Context, stack []*Tensor, maxMSE float64) (*Encoded, []*Tensor, error) {
 	probe := o.probeStack(ctx, stack)
-	roundtrip := func(qp int) (*Encoded, []*Tensor, error) {
-		e, err := probe(qp)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec, err := o.DecodeStackCtx(ctx, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, rec, nil
-	}
-	var (
-		best    *Encoded
-		bestRec []*Tensor
-	)
+	var best encoding
 	err := bisectQP(ctx, maxMSE, false, func(qp int) (bool, error) {
-		e, rec, err := roundtrip(qp)
+		p, err := probe(qp)
 		if err != nil {
 			return false, err
 		}
-		ok := StackMSE(stack, rec) <= maxMSE
+		ok := StackMSE(stack, p.recon()) <= maxMSE
 		// Highest QP: the walk only moves up after an accept, so that is the
 		// last probe accepted.
 		if ok {
-			best, bestRec = e, rec
+			best = p
 		}
 		return ok, nil
 	})
+	if err == nil && best.Encoded == nil {
+		best, err = probe(0)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if best == nil {
-		return roundtrip(0)
-	}
-	return best, bestRec, nil
+	return best.Encoded, best.recon(), nil
 }
 
 // marshalFixedLen is the container's fixed part: magic, layers, rows, cols,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/dct"
 	"repro/internal/quant"
 )
@@ -25,50 +27,46 @@ func NewRateController(opts Options, bitsPerValue float64) *RateController {
 
 // Encode compresses t near the bitrate target and returns the encode.
 func (rc *RateController) Encode(t *Tensor) (*Encoded, error) {
-	if !rc.primed {
-		e, err := rc.Opts.EncodeToBitrate(t, rc.Target)
-		if err != nil {
-			return nil, err
-		}
-		rc.qp = e.QP
-		rc.primed = true
-		return e, nil
-	}
-	e, err := rc.Opts.Encode(t, rc.qp)
-	if err != nil {
-		return nil, err
-	}
-	// Large drift (the input distribution shifted): fall back to a full
-	// bisection for this tensor and adopt its QP.
-	if e.BitsPerValue() > rc.Target*1.2 || e.BitsPerValue() < rc.Target*0.55 {
-		e, err = rc.Opts.EncodeToBitrate(t, rc.Target)
-		if err != nil {
-			return nil, err
-		}
-		rc.qp = e.QP
-		return e, nil
-	}
-	// Small drift: nudge one QP step for the next call.
-	if e.BitsPerValue() > rc.Target && rc.qp < dct.MaxQP {
-		rc.qp++
-	} else if e.BitsPerValue() < rc.Target*0.85 && rc.qp > 0 {
-		rc.qp--
-	}
-	return e, nil
+	p, err := rc.encode(t)
+	return p.Encoded, err
 }
 
-// Roundtrip compresses and reconstructs t, returning the reconstruction and
-// achieved bits per value.
+// encode is Encode, keeping the encoder's reconstruction planes for Roundtrip.
+func (rc *RateController) encode(t *Tensor) (encoding, error) {
+	ctx, stack := context.Background(), []*Tensor{t}
+	if rc.primed {
+		p, err := rc.Opts.encodeStack(ctx, stack, rc.qp)
+		if err != nil {
+			return encoding{}, err
+		}
+		// Small drift: nudge one QP step for the next call.
+		if bpv := p.BitsPerValue(); bpv <= rc.Target*1.2 && bpv >= rc.Target*0.55 {
+			if bpv > rc.Target && rc.qp < dct.MaxQP {
+				rc.qp++
+			} else if bpv < rc.Target*0.85 && rc.qp > 0 {
+				rc.qp--
+			}
+			return p, nil
+		}
+		// Large drift (the input distribution shifted): fall back to a full
+		// bisection for this tensor and adopt its QP.
+	}
+	p, err := rc.Opts.stackToBitrate(ctx, stack, rc.Target)
+	if err != nil {
+		return encoding{}, err
+	}
+	rc.qp, rc.primed = p.QP, true
+	return p, nil
+}
+
+// Roundtrip compresses t and returns what a receiver reconstructs — the
+// encoder's own reconstruction, no decode — with the achieved bits per value.
 func (rc *RateController) Roundtrip(t *Tensor) (*Tensor, float64, error) {
-	e, err := rc.Encode(t)
+	p, err := rc.encode(t)
 	if err != nil {
 		return nil, 0, err
 	}
-	d, err := rc.Opts.Decode(e)
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, e.BitsPerValue(), nil
+	return p.recon()[0], p.BitsPerValue(), nil
 }
 
 // GradientCompressor implements the paper's residual-compensation gradient

@@ -75,7 +75,7 @@ func TestRateControlProberMemoizes(t *testing.T) {
 	if probes() != 1 {
 		t.Fatalf("2 probes at one QP performed %d encodes, want 1", probes())
 	}
-	if a != b {
+	if a.Encoded != b.Encoded {
 		t.Fatal("cached probe is not the original encode")
 	}
 	if _, err := probe(30); err != nil {

@@ -16,13 +16,16 @@ import (
 // method per verb plus the single-tensor quick-start quartet, no verb exists
 // both with and without a Ctx suffix (three carry one only because
 // benchmark/surface.go binds those names), and each sugar method is a single
-// return into its stack method. An eleventh method — an EncodeStack twin, a
-// Roundtrip — fails here before it can spread: a new behaviour is an Options
-// field or a new verb argued for in DESIGN.md §18, not a second spelling.
+// return into its stack method. The eleventh, EncodeStackRecon, is a verb —
+// "encode, and give me what the receiver will see" composes from the other ten
+// only through a decode (DESIGN.md §18.1). A twelfth method — an EncodeStack
+// twin, a reconstruction-returning EncodeStackToBitrate — fails here before it
+// can spread: a new behaviour is an Options field or a new verb argued for in
+// DESIGN.md §18, not a second spelling.
 func TestCoreSurfaceIsClosed(t *testing.T) {
 	want := []string{
 		"Decode", "DecodeLayerCtx", "DecodeStackCtx", "DecodeStackPartialCtx",
-		"Encode", "EncodeStackCtx", "EncodeStackToBitrate", "EncodeStackToMSE",
+		"Encode", "EncodeStackCtx", "EncodeStackRecon", "EncodeStackToBitrate", "EncodeStackToMSE",
 		"EncodeToBitrate", "EncodeToMSE",
 	}
 	sugar := map[string]bool{"Encode": true, "Decode": true, "EncodeToBitrate": true, "EncodeToMSE": true}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -126,15 +127,11 @@ func fig14Grid(ctx *Ctx) []fig14Point {
 	o := core.DefaultOptions()
 	o.PerRowQuant = true
 	for _, qp := range []int{2, 8, 14, 20, 26, 32} {
-		e, err := o.Encode(tns, qp)
+		e, rec, err := o.EncodeStackRecon(context.Background(), []*core.Tensor{tns}, qp)
 		if err != nil {
 			panic(err)
 		}
-		d, err := o.Decode(e)
-		if err != nil {
-			panic(err)
-		}
-		pts = append(pts, fig14Point{"three-in-one (LLM.265)", e.BitsPerValue(), quant.MAE(tns.Data, d.Data)})
+		pts = append(pts, fig14Point{"three-in-one (LLM.265)", e.BitsPerValue(), quant.MAE(tns.Data, rec[0].Data)})
 	}
 	return pts
 }

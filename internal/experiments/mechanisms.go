@@ -239,7 +239,7 @@ func Throughput(ctx *Ctx) *Table {
 	planes := frame.FromMatrix(pix, size, size, 1024, 1024)
 
 	encStart := nowSeconds()
-	stream, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: o.Profile, Tools: o.Tools})
+	stream, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{QP: 26, Profile: o.Profile, Tools: o.Tools})
 	if err != nil {
 		panic(err)
 	}

@@ -21,7 +21,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -298,6 +297,3 @@ func MatchHostPathPrefix(host, prefix string) func(*http.Request) bool {
 func IsInjectedReset(err error) bool {
 	return errors.Is(err, syscall.ECONNRESET)
 }
-
-// WithRetryAfterSeconds renders n for a Retry-After header.
-func WithRetryAfterSeconds(n int) string { return strconv.Itoa(n) }

@@ -65,7 +65,7 @@ func reference(t *testing.T, vals []float32, dim, f, qp int, backend codec.Entro
 	}
 	tools := codec.AllTools
 	tools.Backend = backend
-	enc, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+	enc, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
 		QP: qp, Profile: codec.HEVC, Tools: tools, Workers: workers, Container: codec.ContainerV3})
 	if err != nil {
 		t.Fatalf("reference encode: %v", err)

@@ -127,7 +127,7 @@ func soakReference(vals []float32, dim, f, qp int) ([]float32, error) {
 		}
 		planes[g] = &frame.Plane{W: dim, H: f, Pix: pix}
 	}
-	enc, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+	enc, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
 		QP: qp, Profile: codec.HEVC, Tools: codec.AllTools, Workers: 1, Container: codec.ContainerV3})
 	if err != nil {
 		return nil, err

@@ -192,16 +192,19 @@ func TensorToMat(t *core.Tensor) *nn.Mat {
 // bit budget with the tensor codec.
 func LLM265WeightCompressor(opts core.Options, bitsPerValue float64) WeightCompressor {
 	return func(_ string, w *nn.Mat) (*nn.Mat, float64, error) {
-		e, err := opts.EncodeToBitrate(MatToTensor(w), bitsPerValue)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := opts.Decode(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		return TensorToMat(d), e.BitsPerValue(), nil
+		return compressToBitrate(opts, w, bitsPerValue)
 	}
+}
+
+// compressToBitrate searches the QP that fits w into bitsPerValue and returns
+// what a decoder reconstructs at it: a fresh rate controller's first Roundtrip
+// is that search, and hands back the encoder's reconstruction undecoded.
+func compressToBitrate(opts core.Options, w *nn.Mat, bitsPerValue float64) (*nn.Mat, float64, error) {
+	d, bits, err := core.NewRateController(opts, bitsPerValue).Roundtrip(MatToTensor(w))
+	if err != nil {
+		return nil, 0, err
+	}
+	return TensorToMat(d), bits, nil
 }
 
 // LLM265VariableCompressor assigns per-layer budgets from a schedule: the
@@ -222,15 +225,7 @@ func LLM265VariableCompressor(opts core.Options, budgets []float64) WeightCompre
 				budget = budgets[idx]
 			}
 		}
-		e, err := opts.EncodeToBitrate(MatToTensor(w), budget)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := opts.Decode(e)
-		if err != nil {
-			return nil, 0, err
-		}
-		return TensorToMat(d), e.BitsPerValue(), nil
+		return compressToBitrate(opts, w, budget)
 	}
 }
 

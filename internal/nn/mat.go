@@ -7,7 +7,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -138,13 +137,4 @@ func ScaleInPlace(a *Mat, s float32) {
 	for i := range a.V {
 		a.V[i] *= s
 	}
-}
-
-// FrobeniusNorm returns the L2 norm of all entries.
-func (m *Mat) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.V {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }

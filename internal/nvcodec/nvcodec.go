@@ -147,7 +147,7 @@ func (d *Device) Encode(planes []*frame.Plane, qp int, tools codec.Tools) ([]byt
 				p.W, p.H, d.Gen.Name, d.Profile.Name, d.sup.MaxDim)
 		}
 	}
-	data, st, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
+	data, st, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
 		QP: qp, Profile: d.Profile, Tools: tools, Workers: d.Gen.encEngines(), Metrics: d.Metrics})
 	if err != nil {
 		return nil, codec.Stats{}, 0, err

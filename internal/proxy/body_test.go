@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kv"
 	"repro/internal/serve"
 )
 
@@ -26,7 +28,8 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 func newInProcessProxy(t *testing.T) *Proxy {
 	t.Helper()
-	backend := serve.New(serve.Config{MaxInflight: 2, Workers: 1})
+	backend := serve.New(serve.Config{MaxInflight: 2, Workers: 1,
+		KV: kv.New(kv.Config{FlushRows: 8, QP: 12, Workers: 1, BudgetBytes: 64 << 10})})
 	p, err := New(Config{Backends: []string{"http://in-process"}, Transport: handlerTransport{backend.Handler()}})
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +77,57 @@ func TestProxiedDecodeAllocations(t *testing.T) {
 	t.Logf("allocations per proxied decode: %.0f", allocs)
 	if allocs > proxiedDecodeAllocCeiling {
 		t.Fatalf("a proxied decode took %.0f allocations, ceiling %d", allocs, proxiedDecodeAllocCeiling)
+	}
+}
+
+// TestRelayDeclaresLength: the proxy holds every upstream reply whole, so its
+// client — a real one, over a socket — is told the length and never sees a
+// chunked body, on a proxied decode and a proxied KV GET (both far past
+// net/http's 2 KB buffer) and on the 4xx and 5xx envelopes the proxy forwards
+// as the backend's answer, which arrive intact.
+func TestRelayDeclaresLength(t *testing.T) {
+	srv := httptest.NewServer(newInProcessProxy(t).Handler())
+	defer srv.Close()
+	enc, err := core.DefaultOptions().EncodeStackCtx(context.Background(), []*core.Tensor{core.NewTensor(64, 64)}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dim, rows = 128, 16
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		status, bodyLen    int
+		class              string
+	}{
+		{"decode", "POST", "/v1/decode", enc.Marshal(), http.StatusOK, 4 * 64 * 64, ""},
+		{"kv put", "PUT", "/v1/kv/s?dim=128&at=0", encodeBody(5, 1, rows, dim), http.StatusOK, -1, ""},
+		{"kv get", "GET", "/v1/kv/s", nil, http.StatusOK, 4 * rows * dim, ""},
+		{"4xx envelope", "POST", "/v1/decode", []byte("0123456789"), http.StatusUnprocessableEntity, -1, "corrupt"},
+		{"5xx envelope", "PUT", "/v1/kv/big?dim=128&at=0", encodeBody(6, 1, 1024, dim), http.StatusInsufficientStorage, -1, "budget"},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.status || tc.bodyLen >= 0 && len(body) != tc.bodyLen {
+			t.Fatalf("%s: status %d with a %d-byte body, want %d with %d", tc.name, resp.StatusCode, len(body), tc.status, tc.bodyLen)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: client saw ContentLength %d, Transfer-Encoding %v for a %d-byte body",
+				tc.name, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if tc.class != "" && !bytes.Contains(body, []byte(`"class":"`+tc.class+`"`)) {
+			t.Errorf("%s: envelope %s, want class %q", tc.name, body, tc.class)
+		}
 	}
 }
 

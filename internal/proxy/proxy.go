@@ -808,7 +808,10 @@ func (p *Proxy) dispatch(w http.ResponseWriter, r *http.Request, body []byte, ke
 }
 
 // relay copies a buffered upstream response to the client — the only place
-// bytes are committed, strictly after the upstream read completed.
+// bytes are committed, strictly after the upstream read completed. The body is
+// held whole, so its length is declared: the upstream's own Content-Length is
+// hop-by-hop framing and is dropped with the rest, and without one net/http
+// chunks every reply past its 2 KB buffer.
 func (p *Proxy) relay(w http.ResponseWriter, o *upshot, attempts int) {
 	for k, vs := range o.header {
 		switch k {
@@ -821,6 +824,7 @@ func (p *Proxy) relay(w http.ResponseWriter, o *upshot, attempts int) {
 	}
 	w.Header().Set("X-Llm265-Backend", o.b.name)
 	w.Header().Set("X-Llm265-Attempts", strconv.Itoa(attempts+1))
+	w.Header().Set("Content-Length", strconv.Itoa(len(o.body)))
 	w.WriteHeader(o.status)
 	w.Write(o.body)
 }
