@@ -256,8 +256,9 @@ func TestRateCodecStepsOncePerStep(t *testing.T) {
 }
 
 // TestBlockCodecAlignsDefaultSegments: the default segment height is rounded
-// up to whole codec blocks for a blockCodec (RateCodec: the 32-row CTU), left
-// alone for every other codec, and an explicit SegRows is taken as given.
+// up to whole codec blocks for a blockCodec (TensorCodec and RateCodec: the
+// 32-row CTU), left alone for every other codec, and an explicit SegRows is
+// taken as given.
 func TestBlockCodecAlignsDefaultSegments(t *testing.T) {
 	opts := core.DefaultOptions()
 	for _, c := range []struct {
@@ -265,12 +266,15 @@ func TestBlockCodecAlignsDefaultSegments(t *testing.T) {
 		cfg   Config
 		wantS int
 	}{
-		{"rate default", Config{Codec: RateCodec(opts, 2.6)}, 2}, // ceil(50/4)=13 → 32: 32+18
-		{"rate explicit", Config{Codec: RateCodec(opts, 2.6), SegRows: 13}, 4},
-		{"tensor default", Config{Codec: TensorCodec(opts, 30)}, 4},
-		{"raw default", Config{Codec: RawCodec()}, 4},
+		{"rate default", Config{Workers: 2, Rows: 50, Codec: RateCodec(opts, 2.6)}, 2}, // ceil(50/4)=13 → 32: 32+18
+		{"rate explicit", Config{Workers: 2, Rows: 50, Codec: RateCodec(opts, 2.6), SegRows: 13}, 4},
+		{"tensor default", Config{Workers: 2, Rows: 50, Codec: TensorCodec(opts, 30)}, 2},
+		{"tensor default, 4 workers", Config{Workers: 4, Rows: 100, Codec: TensorCodec(opts, 30)}, 4}, // ceil(100/8)=13 → 32: 3·32+4
+		{"tensor explicit", Config{Workers: 4, Rows: 100, Codec: TensorCodec(opts, 30), SegRows: 13}, 8},
+		{"tensor already whole", Config{Workers: 4, Rows: 256, Codec: TensorCodec(opts, 30)}, 8}, // ceil(256/8)=32
+		{"raw default", Config{Workers: 2, Rows: 50, Codec: RawCodec()}, 4},
 	} {
-		c.cfg.Workers, c.cfg.Rows, c.cfg.Cols = 2, 50, 128
+		c.cfg.Cols = 128
 		r, err := New(c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -470,8 +474,9 @@ func TestRingOutMayAliasIn(t *testing.T) {
 }
 
 // TestEncodeReconIsDecode is SegmentCodec's contract that the ring leans on
-// when a segment's owner keeps the reconstruction of its own contribution
-// instead of decoding the frame it just built: for every codec, what Encode
+// when a sender takes its error-feedback residual, and a segment's owner its
+// own copy of the gathered result, from Encode instead of decoding the frame
+// it just built: for every codec, what Encode
 // returns as the reconstruction is what Decode makes of the payload, bit for
 // bit — and a codec that returns none is lossless, so Decode gives the input
 // back. The segments include the values a gradient should not hold (NaN, ±Inf,
@@ -607,10 +612,17 @@ func TestEncodePathsNeverDecode(t *testing.T) {
 	}
 }
 
-// countingCodec counts the Decode calls of the codec it wraps.
+// countingCodec counts the calls of the codec it wraps and the values it is
+// handed to encode.
 type countingCodec struct {
 	SegmentCodec
-	decodes *atomic.Int64
+	encodes, encoded, decodes *atomic.Int64
+}
+
+func (c countingCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
+	c.encodes.Add(1)
+	c.encoded.Add(int64(len(vals)))
+	return c.SegmentCodec.Encode(ctx, vals, rows, cols)
 }
 
 func (c countingCodec) Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error {
@@ -618,38 +630,133 @@ func (c countingCodec) Decode(ctx context.Context, payload []byte, rows, cols in
 	return c.SegmentCodec.Decode(ctx, payload, rows, cols, dst)
 }
 
-// TestOwnerSkipsItsOwnDecode: a segment's owner decodes the N−1 contributions
-// that reach it over the ring and takes its own from Encode, so a step of S
-// segments makes S·(N−1) reduce decodes and S·(N−1) gather decodes — the
-// "decode" chaos point still firing S·N + S·(N−1) times — while a codec that
-// returns no reconstruction keeps decoding all S·N. The sums are the same
-// either way (TestCompressedRingDeterministic, TestRawRingBitIdenticalToSequentialSum).
-func TestOwnerSkipsItsOwnDecode(t *testing.T) {
-	const workers, rows, cols, segRows = 4, 64, 32, 8
+// TestOwnerCodesNothingOfItsOwn: only what crosses a wire is coded. A segment's
+// N−1 foreign contributions are encoded by their senders and decoded by its
+// owner, the owner's own is summed as it is, and the sum is encoded once and
+// decoded by the other N−1 — so a step of S segments on N workers makes S·N
+// encodes and 2·S·(N−1) decodes whatever the codec, Stats.Values is exactly
+// the values handed to Encode (the denominator EncodeNs is divided by), and
+// under error feedback an owned segment never grows a reduce-side residual.
+func TestOwnerCodesNothingOfItsOwn(t *testing.T) {
+	const workers, rows, cols, segRows, steps = 4, 64, 32, 8, 3
 	const segs = rows / segRows
 	in := randBuckets(12, workers, rows, cols)
+	out := randBuckets(0, workers, rows, cols)
 	for _, tc := range []struct {
 		name    string
 		factory CodecFactory
-		want    int64
 	}{
-		{"rtn", RTNCodec(4, 32), 2 * segs * (workers - 1)},
-		{"raw", RawCodec(), segs*workers + segs*(workers-1)},
+		{"rtn", RTNCodec(4, 32)},
+		{"tensor", TensorCodec(core.DefaultOptions(), 20)},
+		{"raw", RawCodec()},
 	} {
-		var decodes, points atomic.Int64
-		cfg := Config{Workers: workers, Rows: rows, Cols: cols, SegRows: segRows,
-			Codec: func(w int) SegmentCodec { return countingCodec{tc.factory(w), &decodes} },
-			Chaos: func(point string, _ int) {
-				if point == "decode" {
-					points.Add(1)
-				}
-			}}
-		runRing(t, cfg, in)
-		if got := decodes.Load(); got != tc.want {
-			t.Errorf("%s: %d decodes a step, want %d", tc.name, got, tc.want)
+		var encodes, encoded, decodes atomic.Int64
+		r, err := New(Config{Workers: workers, Rows: rows, Cols: cols, SegRows: segRows, ErrorFeedback: true,
+			Codec: func(w int) SegmentCodec { return countingCodec{tc.factory(w), &encodes, &encoded, &decodes} }})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got, want := points.Load(), int64(segs*workers+segs*(workers-1)); got != want {
-			t.Errorf("%s: decode chaos point fired %d times, want %d", tc.name, got, want)
+		for step := 1; step <= steps; step++ {
+			stats, err := r.Allreduce(context.Background(), in, out)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", tc.name, step, err)
+			}
+			if got, want := encodes.Load(), int64(step*segs*workers); got != want {
+				t.Errorf("%s: %d encodes after %d steps, want %d", tc.name, got, step, want)
+			}
+			if got, want := decodes.Load(), int64(step*2*segs*(workers-1)); got != want {
+				t.Errorf("%s: %d decodes after %d steps, want %d", tc.name, got, step, want)
+			}
+			if got := encoded.Swap(0); stats.Values != got {
+				t.Errorf("%s step %d: Stats.Values %d, but Encode was handed %d values", tc.name, step, stats.Values, got)
+			}
+			r.AdvanceStep()
+		}
+		for w := 0; w < workers; w++ {
+			for si := 0; si < segs; si++ {
+				if owned, has := si%workers == w, r.resid[w][si] != nil; tc.name != "raw" && owned == has {
+					t.Errorf("%s: worker %d segment %d: owned %v, reduce-side residual %v", tc.name, w, si, owned, has)
+				}
+			}
+		}
+	}
+}
+
+// TestOneWorkerRingCodesNothing: on a ring of one nothing travels, so a lossy
+// codec is never called and out is in, bit for bit.
+func TestOneWorkerRingCodesNothing(t *testing.T) {
+	const rows, cols = 24, 32
+	in := randBuckets(17, 1, rows, cols)
+	var encodes, encoded, decodes atomic.Int64
+	out, stats := runRing(t, Config{Workers: 1, Rows: rows, Cols: cols, ErrorFeedback: true,
+		Codec: func(w int) SegmentCodec { return countingCodec{RTNCodec(2, 32)(w), &encodes, &encoded, &decodes} }}, in)
+	for i, v := range in[0] {
+		if math.Float32bits(out[0][i]) != math.Float32bits(v) {
+			t.Fatalf("value %d = %g, input %g", i, out[0][i], v)
+		}
+	}
+	if encodes.Load() != 0 || decodes.Load() != 0 || stats != (Stats{}) {
+		t.Errorf("%d encodes, %d decodes, stats %+v; want none", encodes.Load(), decodes.Load(), stats)
+	}
+}
+
+// TestReducedValueIsPeersDecodedPlusOwnExact pins what the ring computes for a
+// lossy codec, against the codec alone: segment by segment, the ascending-
+// origin float32 sum of Decode(Encode(x_o)) for every origin but the owner and
+// of x_owner itself, then the gather's own round trip — bit for bit, on every
+// worker, across schedules and codec worker counts.
+func TestReducedValueIsPeersDecodedPlusOwnExact(t *testing.T) {
+	const workers, rows, cols, segRows = 3, 40, 48, 8
+	ctx := context.Background()
+	in := randBuckets(19, workers, rows, cols)
+	roundTrip := func(c SegmentCodec, vals []float32, segRows int) []float32 {
+		payload, _, _, err := c.Encode(ctx, append([]float32(nil), vals...), segRows, cols)
+		if err != nil {
+			t.Fatalf("reference encode: %v", err)
+		}
+		dst := make([]float32, len(vals))
+		if err := c.Decode(ctx, payload, segRows, cols, dst); err != nil {
+			t.Fatalf("reference decode: %v", err)
+		}
+		return dst
+	}
+	for _, tc := range []struct {
+		name    string
+		factory func(codecWorkers int) CodecFactory
+	}{
+		{"tensor", func(cw int) CodecFactory {
+			opts := core.DefaultOptions()
+			opts.Workers = cw
+			return TensorCodec(opts, 16)
+		}},
+		{"rtn", func(int) CodecFactory { return RTNCodec(3, 64) }},
+	} {
+		c := tc.factory(1)(0)
+		want := make([]float32, rows*cols)
+		for si, start := 0, 0; start < rows; si, start = si+1, start+segRows {
+			lo, hi := start*cols, (start+segRows)*cols
+			contrib := make([][]float32, workers)
+			for o := range contrib {
+				contrib[o] = in[o][lo:hi]
+				if o != si%workers {
+					contrib[o] = roundTrip(c, contrib[o], segRows)
+				}
+			}
+			copy(want[lo:hi], roundTrip(c, plainSum(contrib), segRows))
+		}
+		for _, schedSeed := range []int64{0, 1, 7} {
+			for _, codecWorkers := range []int{1, 2, 4} {
+				out, _ := runRing(t, Config{Workers: workers, Rows: rows, Cols: cols, SegRows: segRows,
+					Codec: tc.factory(codecWorkers), ErrorFeedback: true, ScheduleSeed: schedSeed}, in)
+				for w := range out {
+					for i := range want {
+						if math.Float32bits(out[w][i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s sched=%d codec workers=%d: worker %d value %d = %g, reference %g",
+								tc.name, schedSeed, codecWorkers, w, i, out[w][i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }

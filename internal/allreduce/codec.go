@@ -24,7 +24,8 @@ import (
 type SegmentCodec interface {
 	// Wire identifies the payload format (Wire* constant) for framing.
 	Wire() byte
-	// Encode compresses vals (rows×cols, row-major). It returns the wire
+	// Encode compresses vals (rows×cols, row-major) for the wire — the ring
+	// calls it only for a segment that is about to travel. It returns the
 	// payload, the reconstruction the receiver will decode (nil means the
 	// codec is lossless and recon == vals), and the accounted wire cost in
 	// bits. vals must not be retained.
@@ -47,9 +48,7 @@ type Stepper interface{ AdvanceStep() }
 // rows and pad a shorter segment up to one: a 13-row segment of a 32-row-block
 // codec spends 59 % of its coded area, and its rate, on padding. New rounds
 // the default segment height up to a multiple of blockRows; an explicit
-// Config.SegRows is taken as given. TensorCodec pads the same way but does not
-// implement it: benchmark/'s grad_ring workload pins its bytes at the
-// unrounded geometry.
+// Config.SegRows is taken as given.
 type blockCodec interface{ blockRows() int }
 
 // rawBitsPerValue is the accounted cost of an uncompressed value. The wire
@@ -109,6 +108,14 @@ func TensorCodec(opts core.Options, qp int) CodecFactory {
 }
 
 func (c *tensorCodec) Wire() byte { return WireTensor }
+
+// blockRows is the CTU height planes are padded to (see blockCodec).
+func (c *tensorCodec) blockRows() int {
+	if c.opts.Profile.CTUSize > 0 {
+		return c.opts.Profile.CTUSize
+	}
+	return codec.HEVC.CTUSize // core.Options' default profile
+}
 
 func (c *tensorCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
 	t := core.FromSlice(rows, cols, vals)
@@ -181,14 +188,6 @@ func RateCodec(opts core.Options, bitsPerValue float64) CodecFactory {
 	return func(int) SegmentCodec {
 		return &rateCodec{tensorCodec: tensorCodec{opts: opts}, target: bitsPerValue}
 	}
-}
-
-// blockRows is the tensor codec's CTU height (see blockCodec).
-func (c *rateCodec) blockRows() int {
-	if c.opts.Profile.CTUSize > 0 {
-		return c.opts.Profile.CTUSize
-	}
-	return codec.HEVC.CTUSize // core.Options' default profile
 }
 
 func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {

@@ -21,14 +21,15 @@ type Config struct {
 	// SegRows is the row height of one pipelined segment. 0 picks
 	// ceil(Rows/(2·Workers)) (at least 1), giving every worker about two
 	// owned segments so encode overlaps neighbor communication — rounded up
-	// to whole codec blocks (32 rows) for RateCodec.
+	// to whole codec blocks (32 rows) for TensorCodec and RateCodec.
 	SegRows int
 	// Codec builds each worker's segment codec (required).
 	Codec CodecFactory
 	// ErrorFeedback enables per-worker residual accumulation: the
-	// quantization error of each encoded segment is carried into the next
-	// step's contribution (and, on the gather side, into the owner's next
-	// reduced encode). No effect on lossless codecs.
+	// quantization error of each segment a worker sends is carried into its
+	// next step's contribution (and, on the gather side, into the owner's next
+	// reduced encode). A segment's owner sends no contribution, so it keeps no
+	// reduce-side residual for it. No effect on lossless codecs.
 	ErrorFeedback bool
 	// Metrics receives allreduce.* counters and histograms; nil disables
 	// them at zero cost.
@@ -51,7 +52,8 @@ type Stats struct {
 	// codec accounts 16 bits/value (FP16 link model), so an uncompressed
 	// N-worker ring accounts exactly N·numel·16.
 	WireBits int64
-	// Values is the number of tensor values those frames carried.
+	// Values is the number of tensor values those frames carried — every
+	// value handed to SegmentCodec.Encode, since only what travels is coded.
 	Values int64
 	// PayloadBytes is the physical payload bytes that traveled (per hop
 	// this time: a frame forwarded F times contributes F·len(payload)).
@@ -61,8 +63,9 @@ type Stats struct {
 	// EncodeNs and DecodeNs are summed per-worker CPU time inside the
 	// segment codec (not wall clock — workers overlap).
 	EncodeNs, DecodeNs int64
-	// ResidualL2 is the summed squared error-feedback residual left
-	// behind by this step's encodes (0 when lossless or EF disabled).
+	// ResidualL2 is the summed squared error-feedback residual left behind
+	// by this step's encodes: N−1 contributions and one gather a segment (0
+	// when lossless or EF disabled).
 	ResidualL2 float64
 }
 
@@ -88,7 +91,8 @@ type Ring struct {
 	segs   []segment
 	codecs []SegmentCodec
 
-	// resid[w][s]: worker w's reduce-side EF residual for segment s.
+	// resid[w][s]: worker w's reduce-side EF residual for segment s; nil for
+	// the segments w owns, whose contribution is never coded.
 	resid [][][]float32
 	// gatherResid[s]: the owner's gather-side EF residual (owned segs only).
 	gatherResid [][]float32
@@ -226,12 +230,14 @@ func (r *Ring) AdvanceStep() {
 }
 
 // Allreduce runs one collective: in[w] is worker w's bucket (Rows·Cols,
-// row-major) and out[w] receives the exact elementwise SUM of all
-// contributions' reconstructions — callers scale by 1/N themselves. out may
-// alias in. The reduction order is canonical
-// (ascending worker index at the segment owner), so the result is
-// bit-identical across repeated runs, channel schedules and codec worker
-// counts; with the raw codec it is bit-identical to a sequential sum.
+// row-major) and out[w] receives what every worker decodes from the one gather
+// encode of each segment's SUM — callers scale by 1/N themselves. The sum is
+// exact float32 addition of the N−1 contributions that crossed the ring, as
+// their owner decoded them, and the owner's own, which crossed nothing and is
+// taken uncoded; a one-worker ring returns in. out may alias in. The reduction
+// order is canonical (ascending worker index at the segment owner), so the
+// result is bit-identical across repeated runs, channel schedules and codec
+// worker counts; with the raw codec it is bit-identical to a sequential sum.
 //
 // On ctx cancellation every worker unwinds promptly and leak-free; out is
 // then meaningless and the error reports the cause.
@@ -323,54 +329,29 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 	// Phase 1: encode and launch every local segment. Sends cannot block
 	// (exact edge capacity), so a worker streams all its contributions out
 	// while neighbors are still encoding — the pipelining the tentpole asks
-	// for. A segment this worker owns never leaves it: its contribution is
-	// the reconstruction Encode just returned.
+	// for. A segment this worker owns never leaves it and so is not coded: the
+	// values themselves are its contribution, with no quantisation error to
+	// feed back.
 	for _, si := range r.encodeOrder(w) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		seg := r.segs[si]
 		n := seg.rows * r.cfg.Cols
-		scratch := r.scratch[w][:n]
-		copy(scratch, in[seg.start*r.cfg.Cols:seg.start*r.cfg.Cols+n])
-		if r.cfg.ErrorFeedback {
-			if res := r.resid[w][si]; res != nil {
-				for i := range scratch {
-					scratch[i] += res[i]
-				}
-			}
-		}
-		r.chaos("encode", w)
-		t0 := time.Now()
-		payload, recon, bitCost, err := cod.Encode(ctx, scratch, seg.rows, r.cfg.Cols)
-		st.EncodeNs += time.Since(t0).Nanoseconds()
-		r.met.encNs.ObserveSince(t0)
-		if err != nil {
-			return fmt.Errorf("allreduce: worker %d encode seg %d: %w", w, si, err)
-		}
-		if r.cfg.ErrorFeedback && recon != nil {
-			res := r.resid[w][si]
-			if res == nil {
-				res = make([]float32, n)
-				r.resid[w][si] = res
-			}
-			var l2 float64
-			for i := range scratch {
-				d := scratch[i] - recon[i]
-				res[i] = d
-				l2 += float64(d) * float64(d)
-			}
-			st.ResidualL2 += l2
-		}
-		frame := &Frame{Kind: KindReduce, Wire: cod.Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
+		src := in[seg.start*r.cfg.Cols : seg.start*r.cfg.Cols+n]
 		r.met.segments.Inc()
-		owner := si % r.n
-		if owner == w {
-			if err := r.consumeReduce(ctx, w, frame, recon, done, out, st); err != nil {
+		if si%r.n == w {
+			copy(r.contrib[si][w], src)
+			if err := r.contributed(ctx, w, si, done, out, st); err != nil {
 				return err
 			}
 			continue
 		}
+		payload, _, bitCost, err := r.encode(ctx, w, src, seg, &r.resid[w][si], st)
+		if err != nil {
+			return fmt.Errorf("allreduce: worker %d encode seg %d: %w", w, si, err)
+		}
+		frame := &Frame{Kind: KindReduce, Wire: cod.Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
 		st.WireBits += bitCost
 		st.Values += int64(n)
 		r.met.reduceBits.Observe(bitCost)
@@ -406,7 +387,7 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 		switch f.Kind {
 		case KindReduce:
 			if f.Seg%r.n == w {
-				if err := r.consumeReduce(ctx, w, f, nil, done, out, st); err != nil {
+				if err := r.consumeReduce(ctx, w, f, done, out, st); err != nil {
 					return err
 				}
 			} else if err := r.send(ctx, w, buf, st); err != nil {
@@ -466,29 +447,63 @@ func (r *Ring) send(ctx context.Context, w int, buf []byte, st *Stats) error {
 	}
 }
 
-// consumeReduce takes one contribution at its owner and, once all N have
-// arrived, performs the canonical-order reduction and launches the gather.
-// recon, when non-nil, is what f.Payload decodes to — the owner's own
-// contribution, whose Encode returned it (SegmentCodec's contract,
-// TestEncodeReconIsDecode) — and is taken as is; a frame off the wire, or one
-// from a codec that returns no reconstruction, is decoded.
-func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, recon []float32, done []int, out []float32, st *Stats) error {
-	seg := r.segs[f.Seg]
-	n := seg.rows * r.cfg.Cols
-	r.chaos("decode", w)
-	if recon != nil {
-		copy(r.contrib[f.Seg][f.Origin], recon)
-	} else {
-		t0 := time.Now()
-		err := r.codecs[w].Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, r.contrib[f.Seg][f.Origin])
-		st.DecodeNs += time.Since(t0).Nanoseconds()
-		r.met.decNs.ObserveSince(t0)
-		if err != nil {
-			return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.Seg, f.Origin, err)
+// encode codes vals — one segment about to leave worker w — plus, under
+// error feedback, the residual *res its previous encode left, and leaves this
+// encode's residual there. recon is what every receiver will decode: the staged
+// values themselves when the codec is lossless.
+func (r *Ring) encode(ctx context.Context, w int, vals []float32, seg segment, res *[]float32, st *Stats) (payload []byte, recon []float32, bitCost int64, err error) {
+	scratch := r.scratch[w][:len(vals)]
+	copy(scratch, vals)
+	if r.cfg.ErrorFeedback && *res != nil {
+		for i, d := range *res {
+			scratch[i] += d
 		}
 	}
-	done[f.Seg]++
-	if done[f.Seg] < r.n {
+	r.chaos("encode", w)
+	t0 := time.Now()
+	payload, recon, bitCost, err = r.codecs[w].Encode(ctx, scratch, seg.rows, r.cfg.Cols)
+	st.EncodeNs += time.Since(t0).Nanoseconds()
+	r.met.encNs.ObserveSince(t0)
+	if err != nil || recon == nil {
+		return payload, scratch, bitCost, err
+	}
+	if r.cfg.ErrorFeedback {
+		if *res == nil {
+			*res = make([]float32, len(vals))
+		}
+		var l2 float64
+		for i := range scratch {
+			d := scratch[i] - recon[i]
+			(*res)[i] = d
+			l2 += float64(d) * float64(d)
+		}
+		st.ResidualL2 += l2
+	}
+	return payload, recon, bitCost, nil
+}
+
+// consumeReduce decodes one contribution off the wire at its segment's owner.
+func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, out []float32, st *Stats) error {
+	seg := r.segs[f.Seg]
+	r.chaos("decode", w)
+	t0 := time.Now()
+	err := r.codecs[w].Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, r.contrib[f.Seg][f.Origin])
+	st.DecodeNs += time.Since(t0).Nanoseconds()
+	r.met.decNs.ObserveSince(t0)
+	if err != nil {
+		return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.Seg, f.Origin, err)
+	}
+	return r.contributed(ctx, w, f.Seg, done, out, st)
+}
+
+// contributed counts one contribution to segment si, already in r.contrib, at
+// its owner w and, once all N have arrived, performs the canonical-order
+// reduction and launches the gather.
+func (r *Ring) contributed(ctx context.Context, w, si int, done []int, out []float32, st *Stats) error {
+	seg := r.segs[si]
+	n := seg.rows * r.cfg.Cols
+	done[si]++
+	if done[si] < r.n {
 		return nil
 	}
 
@@ -497,10 +512,10 @@ func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, recon []float
 	// arithmetic a sequential sum performs.
 	r.chaos("reduce", w)
 	t0 := time.Now()
-	sum := r.sumBuf[f.Seg]
-	copy(sum, r.contrib[f.Seg][0])
+	sum := r.sumBuf[si]
+	copy(sum, r.contrib[si][0])
 	for origin := 1; origin < r.n; origin++ {
-		c := r.contrib[f.Seg][origin]
+		c := r.contrib[si][origin]
 		for i := range sum {
 			sum[i] += c[i]
 		}
@@ -509,52 +524,20 @@ func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, recon []float
 
 	outSeg := out[seg.start*r.cfg.Cols : seg.start*r.cfg.Cols+n]
 	if r.n == 1 {
-		// Single worker: the "sum" is this worker's own reconstruction;
-		// re-encoding it for a gather that has no audience would only add
-		// a second quantization.
+		// Single worker: nothing travels, so nothing is coded — the "sum" is
+		// this worker's input.
 		copy(outSeg, sum)
 		return nil
 	}
 
 	// Gather: compress the reduced segment once; the identical bytes circle
 	// the ring so every worker reconstructs the identical values.
-	scratch := r.scratch[w][:n]
-	copy(scratch, sum)
-	if r.cfg.ErrorFeedback {
-		if res := r.gatherResid[f.Seg]; res != nil {
-			for i := range scratch {
-				scratch[i] += res[i]
-			}
-		}
-	}
-	r.chaos("encode", w)
-	t0 = time.Now()
-	payload, recon, bitCost, err := r.codecs[w].Encode(ctx, scratch, seg.rows, r.cfg.Cols)
-	st.EncodeNs += time.Since(t0).Nanoseconds()
-	r.met.encNs.ObserveSince(t0)
+	payload, recon, bitCost, err := r.encode(ctx, w, sum, seg, &r.gatherResid[si], st)
 	if err != nil {
-		return fmt.Errorf("allreduce: worker %d gather encode seg %d: %w", w, f.Seg, err)
+		return fmt.Errorf("allreduce: worker %d gather encode seg %d: %w", w, si, err)
 	}
-	if recon == nil {
-		copy(outSeg, scratch)
-	} else {
-		copy(outSeg, recon)
-		if r.cfg.ErrorFeedback {
-			res := r.gatherResid[f.Seg]
-			if res == nil {
-				res = make([]float32, n)
-				r.gatherResid[f.Seg] = res
-			}
-			var l2 float64
-			for i := range scratch {
-				d := scratch[i] - recon[i]
-				res[i] = d
-				l2 += float64(d) * float64(d)
-			}
-			st.ResidualL2 += l2
-		}
-	}
-	gf := &Frame{Kind: KindGather, Wire: r.codecs[w].Wire(), Origin: w, Seg: f.Seg, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
+	copy(outSeg, recon)
+	gf := &Frame{Kind: KindGather, Wire: r.codecs[w].Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
 	st.WireBits += bitCost
 	st.Values += int64(n)
 	r.met.gatherBits.Observe(bitCost)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/dct"
@@ -685,10 +686,19 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 				e.tryIntraRD(m, orig, s.predAt(mi, n2), size, best)
 			}
 		}
-		// Full RD on the top coarse candidates only; Planar and DC compete
-		// in the coarse ranking like every other mode.
-		for _, mi := range top.mi[:top.n] {
-			e.tryIntraRD(e.prof.Modes[mi], orig, s.predAt(mi, n2), size, best)
+		// Full RD on the top coarse candidates only; Planar and DC compete in
+		// the coarse ranking like every other mode. A survivor whose prediction
+		// equals an earlier one's would repeat its trial at its cost, which
+		// keepIfBetter's strict < never takes; only a score tie can hide one.
+	survivors:
+		for k, mi := range top.mi[:top.n] {
+			pred := s.predAt(mi, n2)
+			for j, mj := range top.mi[:k] {
+				if top.score[j] == top.score[k] && slices.Equal(pred, s.predAt(mj, n2)) {
+					continue survivors
+				}
+			}
+			e.tryIntraRD(e.prof.Modes[mi], orig, pred, size, best)
 		}
 	} else {
 		pred := s.pred[:n2]
@@ -796,6 +806,7 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 	}
 	if e.rec != nil {
 		e.rec.xformNs += int64(time.Since(t0))
+		e.rec.trials++
 	}
 	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
 }

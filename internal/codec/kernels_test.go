@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/tensorgen"
 )
@@ -631,4 +634,121 @@ func BenchmarkReconstructCTU(b *testing.B) {
 			}
 		}
 	}
+}
+
+// dupSurvivorPlanes are the vectors of TestDuplicateSurvivorsSkipped, from the
+// traffic where survivors repeat most (a constant plane: every prediction of
+// every leaf is one block) to where they almost never do (dense weights).
+func dupSurvivorPlanes() map[string]*frame.Plane {
+	plane := func(w, h int, vals []float32) *frame.Plane {
+		pix, _, _ := quant.ToUint8(vals)
+		return &frame.Plane{W: w, H: h, Pix: pix}
+	}
+	constant := frame.NewPlane(64, 64)
+	for i := range constant.Pix {
+		constant.Pix[i] = 77
+	}
+	rng := rand.New(rand.NewSource(29))
+	halfFlat := frame.NewPlane(96, 64)
+	for y := 0; y < halfFlat.H; y++ {
+		for x := 0; x < halfFlat.W; x++ {
+			v := uint8(128)
+			if x >= halfFlat.W/2 {
+				v = uint8(rng.Intn(256))
+			}
+			halfFlat.Set(x, y, v)
+		}
+	}
+	return map[string]*frame.Plane{
+		"constant":    constant,
+		"half-flat":   halfFlat,
+		"gradients":   plane(256, 32, tensorgen.Gradients(rng, 32*256, 2)),                         // one grad_ring segment
+		"activations": plane(128, 64, tensorgen.Activations(rand.New(rand.NewSource(3)), 64, 128)), // seed 3 draws an outlier channel: 97 % of the pixels on nine grey levels
+		"weights":     plane(128, 128, tensorgen.Weights(rng, 128, 128)),
+	}
+}
+
+// searchLeaves is how many leaves the partition search visits on a w×h plane:
+// the quadtree walk is exhaustive, so the count is the geometry's alone.
+func searchLeaves(prof Profile, tools Tools, w, h int) int {
+	var visit func(size int) int
+	visit = func(size int) int {
+		switch splitKindFor(prof, tools, size) {
+		case splitForced:
+			return 4 * visit(size/2)
+		case splitLeafOnly:
+			return 1
+		}
+		return 1 + 4*visit(size/2)
+	}
+	return padTo(w, prof.CTUSize) / prof.CTUSize * (padTo(h, prof.CTUSize) / prof.CTUSize) * visit(prof.CTUSize)
+}
+
+// TestDuplicateSurvivorsSkipped holds decideLeaf's duplicate-survivor skip to
+// its two claims. No byte moves: the stream hashes below were recorded at the
+// commit before the skip existed (scripts/bench_ab.sh's `git archive` export,
+// this test copied in), for both rankings and both backends. And trials are
+// saved where predictions repeat and only there: one trial a leaf on a constant
+// plane, where every survivor predicts the same block, and the full survivor
+// count, to 3 %, on dense weights.
+//
+// Mutations, checked by hand: without the score-tie condition every hash holds
+// (it is a pre-filter that spares dense planes the block compare); skipping on
+// the score tie alone — without comparing the blocks — breaks the hashes marked
+// "tie" below, where two survivors tie on SAD with different predictions and
+// the later one wins the RD trial.
+func TestDuplicateSurvivorsSkipped(t *testing.T) {
+	recorded := map[string]string{
+		"activations/fast=false/cabac": "82be891d94059e00", // tie
+		"activations/fast=false/rans":  "9d4e8db2f4044ba2", // tie
+		"activations/fast=true/cabac":  "c8e46dad87a0bd29", // tie
+		"activations/fast=true/rans":   "54d4aed54eec4c06", // tie
+		"constant/fast=false/cabac":    "0b28523838aadc89",
+		"constant/fast=false/rans":     "378064e67f0a47b4",
+		"constant/fast=true/cabac":     "0b28523838aadc89",
+		"constant/fast=true/rans":      "378064e67f0a47b4",
+		"gradients/fast=false/cabac":   "6a072b24ee0d86bc", // tie
+		"gradients/fast=false/rans":    "f991f30abaca8b2a", // tie
+		"gradients/fast=true/cabac":    "2e3dac9975f4ad5d", // tie
+		"gradients/fast=true/rans":     "7fc657fa8da10b1d", // tie
+		"half-flat/fast=false/cabac":   "f4d8017b0b8b5fb0",
+		"half-flat/fast=false/rans":    "c9f259d2306c5c81",
+		"half-flat/fast=true/cabac":    "2988c76df439a226", // tie
+		"half-flat/fast=true/rans":     "bf02c9057c68d10a", // tie
+		"weights/fast=false/cabac":     "34fade0f97642dba",
+		"weights/fast=false/rans":      "4a68f7de85f947f7",
+		"weights/fast=true/cabac":      "f0a369a80d8ca395",
+		"weights/fast=true/rans":       "28c6c28c3c600f10",
+	}
+	planes := dupSurvivorPlanes()
+	trialsPerLeaf := map[string]float64{}
+	for name, p := range planes {
+		for _, fast := range []bool{false, true} {
+			for _, backend := range []EntropyBackend{BackendCABAC, BackendRANS} {
+				prof, tools := HEVC, AllTools
+				prof.FastSearch, tools.Backend = fast, backend
+				reg := obs.NewRegistry()
+				data, _, _, err := Encode(context.Background(), []*frame.Plane{p},
+					EncodeConfig{QP: 12, Profile: prof, Tools: tools, Workers: 1, Container: ContainerV3, Metrics: reg})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				key := fmt.Sprintf("%s/fast=%v/%v", name, fast, backend)
+				if got := fmt.Sprintf("%x", sha256.Sum256(data))[:16]; got != recorded[key] {
+					t.Errorf("%s: stream hash %s, recorded before the skip %s", key, got, recorded[key])
+				}
+				if !fast && backend == BackendCABAC {
+					trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
+					trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(prof, tools, p.W, p.H))
+				}
+			}
+		}
+	}
+	if got := trialsPerLeaf["constant"]; got != 1 {
+		t.Errorf("constant plane: %.3f trials a leaf, want 1", got)
+	}
+	if got := trialsPerLeaf["weights"]; got < 0.97*rdCandidates || got > rdCandidates {
+		t.Errorf("dense weights: %.3f trials a leaf, want within 3%% of %d", got, rdCandidates)
+	}
+	t.Logf("trials a leaf: %v", trialsPerLeaf)
 }

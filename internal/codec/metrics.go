@@ -17,6 +17,7 @@
 // Metric taxonomy (all durations in nanoseconds):
 //
 //	codec.encode.calls / planes / pixels / chunks / bytes     counters
+//	codec.encode.rd_trials                                    counter    (transform+quantise trials of the search)
 //	codec.encode.bits.{container,partition,mode,residual}     counters
 //	codec.encode.stage.{partition,intra_search,
 //	                    transform_quant,entropy,container}_ns histograms (per chunk/call)
@@ -74,7 +75,7 @@ type poolMetrics struct {
 // never touch the registry's name map. A nil *encMetrics disables
 // everything.
 type encMetrics struct {
-	calls, planes, pixels, chunks, bytes             *obs.Counter
+	calls, planes, pixels, chunks, bytes, trials     *obs.Counter
 	bitsContainer, bitsPartition, bitsMode, bitsResi *obs.Counter
 	stagePartition, stageIntra, stageXform           *obs.Histogram
 	stageEntropy, stageContainer                     *obs.Histogram
@@ -91,6 +92,7 @@ func newEncMetrics(reg *obs.Registry) *encMetrics {
 		pixels:         reg.Counter("codec.encode.pixels"),
 		chunks:         reg.Counter("codec.encode.chunks"),
 		bytes:          reg.Counter("codec.encode.bytes"),
+		trials:         reg.Counter("codec.encode.rd_trials"),
 		bitsContainer:  reg.Counter("codec.encode.bits.container"),
 		bitsPartition:  reg.Counter("codec.encode.bits.partition"),
 		bitsMode:       reg.Counter("codec.encode.bits.mode"),
@@ -116,6 +118,7 @@ type stageRecorder struct {
 	m *encMetrics
 
 	decideNs, intraNs, xformNs, entropyNs int64
+	trials                                int64 // trialResidual calls
 	bitsPartition, bitsMode, bitsResidual int64
 }
 
@@ -134,6 +137,7 @@ func (r *stageRecorder) flush() {
 	r.m.bitsPartition.Add(r.bitsPartition)
 	r.m.bitsMode.Add(r.bitsMode)
 	r.m.bitsResi.Add(r.bitsResidual)
+	r.m.trials.Add(r.trials)
 }
 
 // recordEncodeTotals publishes the call-level rollup shared by Encode and

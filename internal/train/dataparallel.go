@@ -131,7 +131,7 @@ func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus
 		res.ResidualL2 = stats.ResidualL2
 		wireVals += stats.Values
 		if stats.EncodeNs > 0 {
-			encBytes += 4 * stats.Values
+			encBytes += 4 * stats.Values // the ring encodes exactly what travels
 			encNs += stats.EncodeNs
 		}
 
