@@ -30,13 +30,14 @@ vet:
 # Fail in seconds, not after the suite: everything compiles (the nested
 # benchmark module too, against this tree with benchmark/surface.go unedited),
 # the two closed API surfaces — codec's Encode/Decode, core's eleven Options
-# methods — still hold, the reconstruction Encode hands out is still the one
+# methods — and the closed field lists of the four config structs still hold,
+# the reconstruction Encode hands out is still the one
 # Decode computes (codec's and core's ReconIsDecode contracts), and every
 # kernel still computes the integers of the one it replaced (the differential
 # tests of DESIGN.md §11.1 and the rate estimate's bit pins). The first step
 # of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|ReconIsDecode' ./internal/codec/ ./internal/core/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode' ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
 

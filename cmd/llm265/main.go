@@ -116,21 +116,20 @@ func profileByName(name string) codec.Profile {
 func encodeCmd(args []string) {
 	fs := flag.NewFlagSet("encode", flag.ExitOnError)
 	var (
-		in         = fs.String("in", "", "input file of little-endian float32 values")
-		out        = fs.String("out", "", "output .l265 container")
-		rows       = fs.Int("rows", 0, "tensor rows")
-		cols       = fs.Int("cols", 0, "tensor cols")
-		bits       = fs.Float64("bits", 0, "target bits per value (fractional allowed)")
-		mse        = fs.Float64("mse", 0, "alternative: max MSE in the value domain")
-		qp         = fs.Int("qp", -1, "alternative: fixed quantization parameter 0..51")
-		profile    = fs.String("profile", "h265", "codec profile: h264|h265|av1")
-		perRow     = fs.Bool("perrow", false, "per-row 8-bit mapping (outlier-heavy tensors)")
-		fastSearch = fs.Bool("fast-search", false, "two-stage SATD-pruned intra mode search (faster; bytes differ from the default search)")
-		workers    = fs.Int("workers", 0, "encode worker pool size (0 = GOMAXPROCS); output bytes are identical for any value")
-		checksum   = fs.Bool("checksum", false, "emit the hardened v3 container: CRC32C on header and every chunk, verified on decode")
-		index      = fs.Bool("index", false, "append the chunk-index trailer for O(layer) random access and store packing (implies -checksum)")
-		backend    = fs.String("backend", "cabac", "entropy backend: cabac (adaptive arithmetic, default) or rans (interleaved static rANS; implies the v3 container)")
-		metrics    = fs.String("metrics", "", "write the observability snapshot as JSON to this file (\"-\" = stdout)")
+		in       = fs.String("in", "", "input file of little-endian float32 values")
+		out      = fs.String("out", "", "output .l265 container")
+		rows     = fs.Int("rows", 0, "tensor rows")
+		cols     = fs.Int("cols", 0, "tensor cols")
+		bits     = fs.Float64("bits", 0, "target bits per value (fractional allowed)")
+		mse      = fs.Float64("mse", 0, "alternative: max MSE in the value domain")
+		qp       = fs.Int("qp", -1, "alternative: fixed quantization parameter 0..51")
+		profile  = fs.String("profile", "h265", "codec profile: h264|h265|av1")
+		perRow   = fs.Bool("perrow", false, "per-row 8-bit mapping (outlier-heavy tensors)")
+		workers  = fs.Int("workers", 0, "encode worker pool size (0 = GOMAXPROCS); output bytes are identical for any value")
+		checksum = fs.Bool("checksum", false, "emit the hardened v3 container: CRC32C on header and every chunk, verified on decode")
+		index    = fs.Bool("index", false, "append the chunk-index trailer for O(layer) random access and store packing (implies -checksum)")
+		backend  = fs.String("backend", "cabac", "entropy backend: cabac (adaptive arithmetic, default) or rans (interleaved static rANS; implies the v3 container)")
+		metrics  = fs.String("metrics", "", "write the observability snapshot as JSON to this file (\"-\" = stdout)")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" || *rows <= 0 || *cols <= 0 {
@@ -155,7 +154,6 @@ func encodeCmd(args []string) {
 	opts := core.DefaultOptions()
 	opts.Profile = profileByName(*profile)
 	opts.PerRowQuant = *perRow
-	opts.FastSearch = *fastSearch
 	opts.Workers = *workers
 	opts.Checksum = *checksum
 	opts.Index = *index

@@ -243,7 +243,11 @@ func TestVerifyExitCodes(t *testing.T) {
 
 // TestUsageErrors: a subcommand missing its required flags (or given an
 // impossible geometry) exits 1 with a message; no subcommand or an unknown
-// one — the retired `bench` included — prints usage and exits 2.
+// one — the retired `bench` included — prints usage and exits 2, as does a
+// flag the subcommand does not define (the retired -fast-search) or a flag
+// value it cannot run at (serve's -kv-qp: a server started with it would
+// answer its kv PUTs 400; the unlistenable -addr keeps a regression from
+// hanging the test).
 func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	empty, in := filepath.Join(dir, "empty.f32"), filepath.Join(dir, "x.f32")
@@ -273,6 +277,10 @@ func TestUsageErrors(t *testing.T) {
 		{"no-subcommand", nil, 2, "usage: llm265"},
 		{"unknown-subcommand", []string{"frobnicate"}, 2, "usage: llm265"},
 		{"retired-bench", []string{"bench", "-layers", "2"}, 2, "usage: llm265"},
+		{"encode-retired-fast-search", append([]string{"encode", "-fast-search", "-qp", "24", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...),
+			2, "flag provided but not defined: -fast-search"},
+		{"serve-kv-qp-above-range", []string{"serve", "-addr", "nowhere", "-kv-qp", "52"}, 2, "flag -kv-qp: out of range [0, 51]"},
+		{"serve-kv-qp-negative", []string{"serve", "-addr", "nowhere", "-kv-qp", "-1"}, 2, "flag -kv-qp: out of range [0, 51]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dct"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -38,9 +39,15 @@ func serveCmd(args []string) {
 		kvBudget     = fs.Int64("kv-budget", 256<<20, "KV-cache tier resident byte budget (eviction fits it; 507 when an append can never fit)")
 		kvTTL        = fs.Duration("kv-ttl", 15*time.Minute, "KV session idle TTL (negative = no expiry)")
 		kvFlushRows  = fs.Int("kv-flush-rows", 0, "KV token rows per compressed chunk (0 = default 32)")
-		kvQP         = fs.Int("kv-qp", 12, "KV chunk quantization parameter")
+		kvQP         = fs.Int("kv-qp", 12, fmt.Sprintf("KV chunk quantization parameter, 0..%d (0 = default 12)", dct.MaxQP))
 	)
 	fs.Parse(args)
+	if *kvQP < 0 || *kvQP > dct.MaxQP {
+		// A QP no encode can run at is a bad flag value here (exit 2, as
+		// flag.ExitOnError does), not the 400 of whichever PUT first flushes.
+		fmt.Fprintf(os.Stderr, "invalid value %d for flag -kv-qp: out of range [0, %d]\n", *kvQP, dct.MaxQP)
+		os.Exit(2)
+	}
 
 	srv := serve.New(serve.Config{
 		Workers:       *workers,

@@ -1,5 +1,4 @@
-// Package bits provides MSB-first bitstream readers and writers plus the
-// exp-Golomb binarizations used throughout the codec layers.
+// Package bits provides MSB-first bitstream readers and writers.
 //
 // The writer accumulates bits into an in-memory buffer; the reader consumes a
 // byte slice. Both are deliberately allocation-light: the encoder hot loops
@@ -44,26 +43,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUE appends v in unsigned exp-Golomb code (H.26x ue(v)).
-func (w *Writer) WriteUE(v uint32) {
-	x := uint64(v) + 1
-	n := bitLen64(x)
-	w.WriteBits(0, n-1) // n-1 leading zeros
-	w.WriteBits(x, n)   // then x itself (leading 1 included)
-}
-
-// WriteSE appends v in signed exp-Golomb code (H.26x se(v)).
-func (w *Writer) WriteSE(v int32) {
-	w.WriteUE(seToUE(v))
-}
-
-// Align pads the current byte with zero bits.
-func (w *Writer) Align() {
-	for w.nCur != 0 {
-		w.WriteBit(0)
-	}
-}
-
 // Len reports the number of whole bytes written so far (excluding a partial
 // final byte).
 func (w *Writer) Len() int { return len(w.buf) }
@@ -71,11 +50,13 @@ func (w *Writer) Len() int { return len(w.buf) }
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
 
-// Bytes returns the written stream, aligning first. The returned slice
-// aliases the writer's buffer; the writer may still be appended to, but
-// callers usually finish with Bytes.
+// Bytes returns the written stream, first padding the current byte with zero
+// bits. The returned slice aliases the writer's buffer; the writer may still
+// be appended to, but callers usually finish with Bytes.
 func (w *Writer) Bytes() []byte {
-	w.Align()
+	for w.nCur != 0 {
+		w.WriteBit(0)
+	}
 	return w.buf
 }
 
@@ -122,80 +103,5 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
-// ReadUE reads an unsigned exp-Golomb value.
-func (r *Reader) ReadUE() (uint32, error) {
-	zeros := uint(0)
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
-			break
-		}
-		zeros++
-		if zeros > 32 {
-			return 0, fmt.Errorf("bits: malformed exp-Golomb prefix")
-		}
-	}
-	rest, err := r.ReadBits(zeros)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(1<<zeros + rest - 1), nil
-}
-
-// ReadSE reads a signed exp-Golomb value.
-func (r *Reader) ReadSE() (int32, error) {
-	u, err := r.ReadUE()
-	if err != nil {
-		return 0, err
-	}
-	return ueToSE(u), nil
-}
-
-// Align skips to the next byte boundary.
-func (r *Reader) Align() {
-	if r.bit != 0 {
-		r.bit = 0
-		r.pos++
-	}
-}
-
 // BitPos reports the absolute bit offset of the read cursor.
 func (r *Reader) BitPos() int { return r.pos*8 + int(r.bit) }
-
-// Remaining reports the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.BitPos() }
-
-// UELen returns the length in bits of the ue(v) encoding of v.
-func UELen(v uint32) int {
-	n := bitLen64(uint64(v) + 1)
-	return int(2*n - 1)
-}
-
-// SELen returns the length in bits of the se(v) encoding of v.
-func SELen(v int32) int { return UELen(seToUE(v)) }
-
-func seToUE(v int32) uint32 {
-	if v <= 0 {
-		return uint32(-2 * int64(v))
-	}
-	return uint32(2*int64(v) - 1)
-}
-
-func ueToSE(u uint32) int32 {
-	if u%2 == 0 {
-		return -int32(u / 2)
-	}
-	return int32(u/2 + 1)
-}
-
-func bitLen64(x uint64) uint {
-	n := uint(0)
-	for x > 0 {
-		n++
-		x >>= 1
-	}
-	return n
-}

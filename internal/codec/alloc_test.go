@@ -29,26 +29,20 @@ func TestEncodeSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	small := []*frame.Plane{gradientPlane(rng, 32, 32)}
 	large := []*frame.Plane{gradientPlane(rng, 128, 128)}
-	for _, prof := range []Profile{HEVC, func() Profile { p := HEVC; p.FastSearch = true; return p }()} {
-		s := newScratch()
-		aSmall := encodeAllocs(small, prof, s)
-		aLarge := encodeAllocs(large, prof, s)
-		name := prof.Name
-		if prof.FastSearch {
-			name += "+fast"
-		}
-		// 16x the blocks must not mean more allocations; the tiny slack
-		// absorbs runtime-internal noise (e.g. a growing map bucket).
-		if aLarge > aSmall+2 {
-			t.Errorf("%s: 128x128 encode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
-				name, aLarge, aSmall)
-		}
-		// Absolute ceiling on the per-call fixed costs: output crop plane,
-		// payload copy, recon list. Catches a whole new allocation site even
-		// when it is block-count independent.
-		if aSmall > 16 {
-			t.Errorf("%s: %.0f fixed allocations per encodeChunk call, want <= 16", name, aSmall)
-		}
+	s := newScratch()
+	aSmall := encodeAllocs(small, HEVC, s)
+	aLarge := encodeAllocs(large, HEVC, s)
+	// 16x the blocks must not mean more allocations; the tiny slack
+	// absorbs runtime-internal noise (e.g. a growing map bucket).
+	if aLarge > aSmall+2 {
+		t.Errorf("128x128 encode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
+			aLarge, aSmall)
+	}
+	// Absolute ceiling on the per-call fixed costs: output crop plane,
+	// payload copy, recon list. Catches a whole new allocation site even
+	// when it is block-count independent.
+	if aSmall > 16 {
+		t.Errorf("%.0f fixed allocations per encodeChunk call, want <= 16", aSmall)
 	}
 }
 

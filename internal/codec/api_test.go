@@ -23,10 +23,9 @@ import (
 // without running a decoder. It holds over everything that selects a code path
 // on either side: the three profiles, every tool ablation of the golden corpus
 // and TestToolCombinationsRoundTrip (inter prediction, no transform and no
-// entropy stage among them) under both entropy backends, the three containers,
-// the default and the fast search, and worker counts past the chunk count —
-// on a one-chunk stack of the awkward shapes and on a stack whose odd planes
-// are spread over three chunks.
+// entropy stage among them) under both entropy backends, the three containers
+// and worker counts past the chunk count — on a one-chunk stack of the awkward
+// shapes and on a stack whose odd planes are spread over three chunks.
 func TestEncodeReconIsDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	odd := []*frame.Plane{gradientPlane(rng, 1, 1), noisePlane(rng, 17, 13), channelPlane(rng, 13, 40), gradientPlane(rng, 31, 29)}
@@ -54,12 +53,11 @@ func TestEncodeReconIsDecode(t *testing.T) {
 			toolSets = append(toolSets, tools)
 		}
 	}
-	check := func(planes []*frame.Plane, qp int, prof Profile, tools Tools, fast bool) {
+	check := func(planes []*frame.Plane, qp int, prof Profile, tools Tools) {
 		t.Helper()
-		prof.FastSearch = fast
 		for _, container := range []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed} {
 			for _, workers := range []int{1, 2, 4, 8} {
-				label := fmt.Sprintf("%s %+v fast=%v container=%d workers=%d", prof.Name, tools, fast, container, workers)
+				label := fmt.Sprintf("%s %+v container=%d workers=%d", prof.Name, tools, container, workers)
 				data, _, recon, err := Encode(context.Background(), planes, EncodeConfig{
 					QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container})
 				if err != nil {
@@ -75,12 +73,10 @@ func TestEncodeReconIsDecode(t *testing.T) {
 	}
 	for _, prof := range []Profile{H264, HEVC, AV1} {
 		for i, tools := range toolSets {
-			for _, fast := range []bool{false, true} {
-				check(odd, 14+2*i, prof, tools, fast)
-			}
+			check(odd, 14+2*i, prof, tools)
 		}
 		for _, tools := range []Tools{AllTools, ransTools()} {
-			check(chunked, 22, prof, tools, prof.Name == HEVC.Name)
+			check(chunked, 22, prof, tools)
 		}
 	}
 }

@@ -482,44 +482,8 @@ func clampInt(v, lo, hi int) int {
 }
 
 // rdCandidates is how many of the coarse-ranked intra modes receive a full
-// rate-distortion trial in the default (SAD-coarse) search.
+// rate-distortion trial.
 const rdCandidates = 3
-
-// fastRDCandidates is the RD survivor count under Profile.FastSearch: the
-// SATD coarse stage ranks modes well enough that two survivors recover the
-// default search's quality (see TestFastSearchEnvelope for the tested MSE
-// envelope) while cutting the full-RD trial count by a third.
-const fastRDCandidates = 2
-
-// satdCoarseScore computes the FastSearch coarse score: the SATD (Hadamard
-// transformed absolute difference) of the prediction residual, decimated 2:1
-// in both directions for blocks of 16 and up. Full-resolution SATD on a
-// 32×32 block costs more than the RD trial it exists to avoid; decimation
-// keeps the Hadamard's sensitivity to how well a predictor tracks the
-// block's dominant gradients while cutting the coarse stage by 4×. Modes are
-// only ranked against each other within one block, so the decimated score
-// needs no rescaling — the ×4 keeps its magnitude comparable to the
-// full-resolution score for anyone reading traces.
-func satdCoarseScore(orig, pred, res []int32, size int) int64 {
-	if size < 16 {
-		n2 := size * size
-		res = res[:n2]
-		for i := 0; i < n2; i++ {
-			res[i] = orig[i] - pred[i]
-		}
-		return dct.SATD(res, size)
-	}
-	h := size / 2
-	res = res[:h*h]
-	for y := 0; y < h; y++ {
-		srcBase := 2 * y * size
-		dstBase := y * h
-		for x := 0; x < h; x++ {
-			res[dstBase+x] = orig[srcBase+2*x] - pred[srcBase+2*x]
-		}
-	}
-	return 4 * dct.SATD(res, h)
-}
 
 // topModes is the running stable top-k of the coarse mode scores: ascending
 // score, ties ranked in reverse scoring order — the last-scored tying mode
@@ -606,44 +570,31 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 	keepIfBetter(best, cuDec{mode: m, cost: dist + e.lambda*(rbits+modeBits)}, lev, rec)
 }
 
-// coarseIntra ranks the profile's intra modes for the block orig at (x, y) —
-// SAD by default, SATD under FastSearch — and returns the survivors that get a
-// full RD trial, best first, each with its prediction in scratch.predAt. Under
-// exhaustiveRD it predicts every mode and ranks none. The smoothed reference
-// rows are mode-independent, so the scorer computes them at most once per leaf.
+// coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
+// SAD and returns the survivors that get a full RD trial, best first, each with
+// its prediction in scratch.predAt. The smoothed reference rows are
+// mode-independent, so the scorer computes them at most once per leaf.
 func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	s, n2 := e.scr, size*size
-	fast := e.prof.FastSearch && !e.prof.exhaustiveRD
 	top := topModes{k: rdCandidates}
-	if fast {
-		top.k = fastRDCandidates
-	}
 	sc := &s.scorer
 	sc.Reset(size, orig, e.gatherRefs(x, y, size), intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 	smooth := func(m intra.Mode) bool { return e.prof.RefSmoothing && intra.UseSmoothing(size, m) }
 	for mi, m := range e.prof.Modes {
-		pred := s.predAt(mi, n2)
-		switch {
-		case e.prof.exhaustiveRD: // every mode gets its RD trial; nothing to rank
-			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
-		case fast:
-			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
-			top.offer(mi, satdCoarseScore(orig, pred, s.res[:], size))
-		case m != intra.Planar && m != intra.DC:
+		if m != intra.Planar && m != intra.DC {
 			// An angular mode is scored on packed lanes, line by line,
 			// abandoned once it cannot enter the top set, and predicted
 			// only if it ends up in it.
 			top.offer(mi, sc.SAD(m, smooth(m), top.bound()))
-		default:
-			intra.Predict(m, size, sc.Refs(smooth(m)), pred)
-			top.offer(mi, sadWithin(orig, pred, size, top.bound()))
+			continue
 		}
+		pred := s.predAt(mi, n2)
+		intra.Predict(m, size, sc.Refs(smooth(m)), pred)
+		top.offer(mi, sadWithin(orig, pred, size, top.bound()))
 	}
-	if !fast {
-		for _, mi := range top.mi[:top.n] {
-			if m := e.prof.Modes[mi]; m != intra.Planar && m != intra.DC {
-				intra.Predict(m, size, sc.Refs(smooth(m)), s.predAt(mi, n2))
-			}
+	for _, mi := range top.mi[:top.n] {
+		if m := e.prof.Modes[mi]; m != intra.Planar && m != intra.DC {
+			intra.Predict(m, size, sc.Refs(smooth(m)), s.predAt(mi, n2))
 		}
 	}
 	return top
@@ -678,13 +629,6 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 			// intra-search share; the full-RD trials below charge their
 			// transform+quant work to the transform stage on their own.
 			e.rec.intraNs += int64(time.Since(tIntra))
-		}
-		if e.prof.exhaustiveRD {
-			// Quality ceiling (tests only): full RD on every mode in
-			// profile order, no coarse pruning.
-			for mi, m := range e.prof.Modes {
-				e.tryIntraRD(m, orig, s.predAt(mi, n2), size, best)
-			}
 		}
 		// Full RD on the top coarse candidates only; Planar and DC compete in
 		// the coarse ranking like every other mode. A survivor whose prediction

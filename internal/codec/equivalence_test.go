@@ -19,9 +19,9 @@ import (
 // Container, and the same sweep over DecodeConfig reproduces identical
 // planes. Across containers the payload is the same too: the indexed stream
 // is its un-indexed twin plus a trailer, and all three decode to the same
-// planes. Workloads are the awkward shapes (default and fast search) plus
-// every golden vector, whose sweep must additionally land on the committed
-// bytes of its pinned container.
+// planes. Workloads are the awkward shapes plus every golden vector, whose
+// sweep must additionally land on the committed bytes of its pinned
+// container.
 func TestEncodeEquivalenceMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	constPlane := func(w, h int, v uint8) *frame.Plane {
@@ -49,8 +49,6 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 		pinned     []byte // committed bytes of containers[0]; nil = unpinned
 	}
 	all := []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed}
-	fast := HEVC
-	fast.FastSearch = true
 	var cases []workload
 	for _, shape := range []struct {
 		name   string
@@ -63,9 +61,7 @@ func TestEncodeEquivalenceMatrix(t *testing.T) {
 		{"constant-64x64", []*frame.Plane{constPlane(64, 64, 131)}},
 		{"multi-chunk-6x128x128", manyPlanes(6, 128, 128)},
 	} {
-		cases = append(cases,
-			workload{shape.name, 26, HEVC, AllTools, shape.planes, all, nil},
-			workload{shape.name + "+fast", 26, fast, AllTools, shape.planes, all, nil})
+		cases = append(cases, workload{shape.name, 26, HEVC, AllTools, shape.planes, all, nil})
 	}
 	for _, v := range goldenVectors() {
 		pinned, err := os.ReadFile(goldenStreamPath(v.name))

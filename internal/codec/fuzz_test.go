@@ -3,14 +3,11 @@ package codec
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/frame"
 )
 
 // typedOrNil fails the fuzz run if err is non-nil but matches none of the
@@ -40,10 +37,10 @@ func typedOrNil(t *testing.T, label string, err error) {
 //     ends in the same error class and planes as the one-worker decode, with
 //     the goroutine count back where it was.
 //
-// Seeded with one valid container of each version, every golden conformance
-// vector (testdata/golden/*.l265 — all profiles, tool combinations, and
-// degenerate shapes) and a FastSearch-encoded stream, so the fuzzer starts
-// from deep coverage rather than rediscovering the header format bit by bit.
+// Seeded with one valid container of each version and every golden
+// conformance vector (testdata/golden/*.l265 — all profiles, tool
+// combinations, and degenerate shapes), so the fuzzer starts from deep
+// coverage rather than rediscovering the header format bit by bit.
 func FuzzDecode(f *testing.F) {
 	v1, v2, v3, corpus := corpusStreams(f)
 	f.Add(v1)
@@ -88,17 +85,6 @@ func FuzzDecode(f *testing.F) {
 			f.Add(blob[:len(blob)/2])
 		}
 	}
-	// A FastSearch-encoded stream: same syntax, different mode statistics,
-	// so the CABAC contexts get exercised from a second operating point.
-	fastProf := HEVC
-	fastProf.FastSearch = true
-	rng := rand.New(rand.NewSource(99))
-	fastStream, _, err := encodeAs(ContainerLegacy,
-		[]*frame.Plane{gradientPlane(rng, 80, 56)}, 26, fastProf, AllTools, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(fastStream)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx := context.Background()

@@ -687,10 +687,10 @@ func searchLeaves(prof Profile, tools Tools, w, h int) int {
 // TestDuplicateSurvivorsSkipped holds decideLeaf's duplicate-survivor skip to
 // its two claims. No byte moves: the stream hashes below were recorded at the
 // commit before the skip existed (scripts/bench_ab.sh's `git archive` export,
-// this test copied in), for both rankings and both backends. And trials are
-// saved where predictions repeat and only there: one trial a leaf on a constant
-// plane, where every survivor predicts the same block, and the full survivor
-// count, to 3 %, on dense weights.
+// this test copied in), for both backends. And trials are saved where
+// predictions repeat and only there: one trial a leaf on a constant plane,
+// where every survivor predicts the same block, and the full survivor count, to
+// 3 %, on dense weights.
 //
 // Mutations, checked by hand: without the score-tie condition every hash holds
 // (it is a pre-filter that spares dense planes the block compare); skipping on
@@ -699,48 +699,36 @@ func searchLeaves(prof Profile, tools Tools, w, h int) int {
 // the later one wins the RD trial.
 func TestDuplicateSurvivorsSkipped(t *testing.T) {
 	recorded := map[string]string{
-		"activations/fast=false/cabac": "82be891d94059e00", // tie
-		"activations/fast=false/rans":  "9d4e8db2f4044ba2", // tie
-		"activations/fast=true/cabac":  "c8e46dad87a0bd29", // tie
-		"activations/fast=true/rans":   "54d4aed54eec4c06", // tie
-		"constant/fast=false/cabac":    "0b28523838aadc89",
-		"constant/fast=false/rans":     "378064e67f0a47b4",
-		"constant/fast=true/cabac":     "0b28523838aadc89",
-		"constant/fast=true/rans":      "378064e67f0a47b4",
-		"gradients/fast=false/cabac":   "6a072b24ee0d86bc", // tie
-		"gradients/fast=false/rans":    "f991f30abaca8b2a", // tie
-		"gradients/fast=true/cabac":    "2e3dac9975f4ad5d", // tie
-		"gradients/fast=true/rans":     "7fc657fa8da10b1d", // tie
-		"half-flat/fast=false/cabac":   "f4d8017b0b8b5fb0",
-		"half-flat/fast=false/rans":    "c9f259d2306c5c81",
-		"half-flat/fast=true/cabac":    "2988c76df439a226", // tie
-		"half-flat/fast=true/rans":     "bf02c9057c68d10a", // tie
-		"weights/fast=false/cabac":     "34fade0f97642dba",
-		"weights/fast=false/rans":      "4a68f7de85f947f7",
-		"weights/fast=true/cabac":      "f0a369a80d8ca395",
-		"weights/fast=true/rans":       "28c6c28c3c600f10",
+		"activations/cabac": "82be891d94059e00", // tie
+		"activations/rans":  "9d4e8db2f4044ba2", // tie
+		"constant/cabac":    "0b28523838aadc89",
+		"constant/rans":     "378064e67f0a47b4",
+		"gradients/cabac":   "6a072b24ee0d86bc", // tie
+		"gradients/rans":    "f991f30abaca8b2a", // tie
+		"half-flat/cabac":   "f4d8017b0b8b5fb0",
+		"half-flat/rans":    "c9f259d2306c5c81",
+		"weights/cabac":     "34fade0f97642dba",
+		"weights/rans":      "4a68f7de85f947f7",
 	}
 	planes := dupSurvivorPlanes()
 	trialsPerLeaf := map[string]float64{}
 	for name, p := range planes {
-		for _, fast := range []bool{false, true} {
-			for _, backend := range []EntropyBackend{BackendCABAC, BackendRANS} {
-				prof, tools := HEVC, AllTools
-				prof.FastSearch, tools.Backend = fast, backend
-				reg := obs.NewRegistry()
-				data, _, _, err := Encode(context.Background(), []*frame.Plane{p},
-					EncodeConfig{QP: 12, Profile: prof, Tools: tools, Workers: 1, Container: ContainerV3, Metrics: reg})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				key := fmt.Sprintf("%s/fast=%v/%v", name, fast, backend)
-				if got := fmt.Sprintf("%x", sha256.Sum256(data))[:16]; got != recorded[key] {
-					t.Errorf("%s: stream hash %s, recorded before the skip %s", key, got, recorded[key])
-				}
-				if !fast && backend == BackendCABAC {
-					trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
-					trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(prof, tools, p.W, p.H))
-				}
+		for _, backend := range []EntropyBackend{BackendCABAC, BackendRANS} {
+			tools := AllTools
+			tools.Backend = backend
+			reg := obs.NewRegistry()
+			data, _, _, err := Encode(context.Background(), []*frame.Plane{p},
+				EncodeConfig{QP: 12, Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerV3, Metrics: reg})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			key := fmt.Sprintf("%s/%v", name, backend)
+			if got := fmt.Sprintf("%x", sha256.Sum256(data))[:16]; got != recorded[key] {
+				t.Errorf("%s: stream hash %s, recorded before the skip %s", key, got, recorded[key])
+			}
+			if backend == BackendCABAC {
+				trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
+				trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(HEVC, tools, p.W, p.H))
 			}
 		}
 	}

@@ -28,25 +28,6 @@ type Profile struct {
 	UseDST4      bool         // DST-VII for 4×4 intra residuals
 	RefSmoothing bool         // [1 2 1] reference smoothing
 	MaxFrameDim  int          // hardware frame-size limit (per Table 2)
-
-	// FastSearch selects the two-stage intra mode search: a coarse SATD
-	// (Hadamard) scoring of every profile mode followed by full
-	// rate-distortion trials on only the top fastRDCandidates survivors,
-	// instead of the default SAD ranking with rdCandidates RD trials. It is
-	// an encoder-side knob only — the chosen mode is signaled in the
-	// bitstream, so FastSearch streams decode with the canonical profiles
-	// and the field is not serialized (id() identifies profiles by Name).
-	// Off by default; the default search's output is pinned byte-for-byte
-	// by the golden conformance corpus. FastSearch output stays within the
-	// MSE envelope documented in DESIGN.md §11 and tested by
-	// TestFastSearchEnvelope.
-	FastSearch bool
-
-	// exhaustiveRD (tests only) runs a full RD trial on every profile mode,
-	// skipping the coarse stage entirely. It is the quality ceiling the
-	// FastSearch envelope is measured against; unexported because no
-	// shipping configuration should pay 35 RD trials per block.
-	exhaustiveRD bool
 }
 
 // Predefined profiles. Numbers follow the paper's Table 2: H.264 engines

@@ -63,7 +63,7 @@ const levBlockLen = 1 << 14
 type scratch struct {
 	// Per-trial block buffers (int32, one block each).
 	orig     [maxBlock]int32 // source samples of the block being decided
-	res      [maxBlock]int32 // residual (also FastSearch SATD input)
+	res      [maxBlock]int32 // residual
 	trialLev [maxBlock]int32 // candidate quantized levels
 	coefA    [maxBlock]int32 // transform coefficients, forward then dequantized
 	rec      [maxBlock]int32 // reconstructed samples

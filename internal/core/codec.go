@@ -26,13 +26,6 @@ type Options struct {
 	// structure intra prediction exploits; per-row trades that for finer
 	// quantization and suits outlier-heavy activations.
 	PerRowQuant bool
-	// FastSearch enables the codec's two-stage intra mode search (SATD
-	// coarse scoring, full rate-distortion only on the top survivors). It
-	// is an encoder-side speed knob: streams remain decodable by any
-	// decoder, but output bytes differ from the default search, and decoded
-	// quality may drift within the MSE envelope documented in DESIGN.md
-	// §11. Off by default so existing streams stay byte-identical.
-	FastSearch bool
 	// Backend selects the codec's entropy backend: codec.BackendCABAC (the
 	// zero value — adaptive arithmetic coding, byte-pinned by the golden
 	// corpus) or codec.BackendRANS (interleaved static rANS over a shared
@@ -98,14 +91,10 @@ func (o Options) normalized() Options {
 	if o.MaxFrameH > o.Profile.MaxFrameDim {
 		o.MaxFrameH = o.Profile.MaxFrameDim
 	}
-	if o.FastSearch {
-		// The knob lives on the codec Profile; threading it here means every
-		// encode entry point (EncodeStackCtx and both searches) honors it.
-		o.Profile.FastSearch = true
-	}
 	if o.Backend != codec.BackendCABAC {
-		// Like FastSearch, the backend rides on the codec-layer carrier
-		// (Tools) so every encode entry point honors it.
+		// The backend rides on the codec-layer carrier (Tools) so every
+		// encode entry point (EncodeStackCtx and both rate-control searches)
+		// honors it.
 		o.Tools.Backend = o.Backend
 	}
 	if o.Index {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -440,6 +441,43 @@ func TestDequantLayerMatchesFromUint8(t *testing.T) {
 						sz[0], sz[1], perRow, i, got.Data[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// TestNaNSanitizedEquivalence: a tensor carrying NaN/Inf values is sanitized
+// by the quantizer, and the sanitized encode must remain a pure function of
+// the input — identical bytes at every worker count, and finite
+// reconstructions throughout.
+func TestNaNSanitizedEquivalence(t *testing.T) {
+	w := weightTensor(5, 96, 96)
+	w.Data[0] = float32(math.NaN())
+	w.Data[777] = float32(math.Inf(1))
+	w.Data[4242] = float32(math.Inf(-1))
+
+	o := DefaultOptions()
+	o.Workers = 1
+	ref, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8} {
+		o.Workers = workers
+		e, err := o.EncodeStackCtx(context.Background(), []*Tensor{w}, 28)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !bytes.Equal(e.Stream, ref.Stream) {
+			t.Errorf("workers=%d: NaN-sanitized bytes differ from workers=1", workers)
+		}
+	}
+	dec, err := o.DecodeStackCtx(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range dec[0].Data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("non-finite reconstruction at %d: %v", i, v)
 		}
 	}
 }

@@ -33,15 +33,6 @@ func FuzzDecodeStack(f *testing.F) {
 		}
 		f.Add(e.Marshal())
 	}
-	// A FastSearch-encoded container: identical syntax, different mode
-	// statistics, so the fuzzer starts from a second operating point.
-	o.Checksum = false
-	o.FastSearch = true
-	if e, err := o.EncodeStackCtx(context.Background(), stack, 30); err != nil {
-		f.Fatal(err)
-	} else {
-		f.Add(e.Marshal())
-	}
 	f.Add([]byte{})
 	f.Add([]byte("L265T\x01"))
 

@@ -26,11 +26,12 @@ type searchPin struct {
 // TestSearchPins holds every rate-control search to the answer recorded before
 // the three bisection loops became one (searchPins, search_pins_test.go; the
 // one-tensor MSE rows were recorded through the then-separate EncodeToMSE):
-// {CABAC, rANS} × {full, FastSearch} × (7 rate targets × {weights, gradients,
-// 3-layer stack} + 7 MSE targets × {weights, stack}). Rate is not monotone in
-// QP — the gradient rows at 7.5 b/v (CABAC) and 0.8 b/v (rANS) are the ones
-// where "the last accepted probe" is not "the accepted probe with the most
-// bits" — so the table pins each search's own best rule, not just its walk.
+// {CABAC, rANS} × (7 rate targets × {weights, gradients, 3-layer stack} + 7
+// MSE targets × {weights, stack}), the "full" of each key being the one intra
+// search there is. Rate is not monotone in QP — the gradient rows at 7.5 b/v
+// (CABAC) and 0.8 b/v (rANS) are the ones where "the last accepted probe" is
+// not "the accepted probe with the most bits" — so the table pins each
+// search's own best rule, not just its walk.
 // -print-pins prints the table instead of checking it.
 func TestSearchPins(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -74,40 +75,34 @@ func TestSearchPins(t *testing.T) {
 		}
 	}
 	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-		for _, fast := range []bool{false, true} {
-			opts := func() Options {
-				o := DefaultOptions()
-				o.Backend, o.FastSearch, o.Metrics = backend, fast, obs.NewRegistry()
-				return o
+		opts := func() Options {
+			o := DefaultOptions()
+			o.Backend, o.Metrics = backend, obs.NewRegistry()
+			return o
+		}
+		for _, in := range inputs {
+			for _, bits := range []float64{0.8, 1.5, 2.5, 4, 7.5, 12, 30} {
+				o := opts()
+				e, err := o.EncodeStackToBitrate(context.Background(), in.stack, bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%v/full/%s/bits=%g", backend, in.name, bits), o, e)
 			}
-			search := "full"
-			if fast {
-				search = "fast"
+			if in.name == "grads" {
+				continue
 			}
-			for _, in := range inputs {
-				for _, bits := range []float64{0.8, 1.5, 2.5, 4, 7.5, 12, 30} {
-					o := opts()
-					e, err := o.EncodeStackToBitrate(context.Background(), in.stack, bits)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("%v/%s/%s/bits=%g", backend, search, in.name, bits), o, e)
+			for _, frac := range []float64{1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.5} {
+				o := opts()
+				e, _, err := o.EncodeStackToMSE(context.Background(), in.stack, frac*variance(in.stack))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if in.name == "grads" {
-					continue
-				}
-				for _, frac := range []float64{1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.5} {
-					o := opts()
-					e, _, err := o.EncodeStackToMSE(context.Background(), in.stack, frac*variance(in.stack))
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("%v/%s/%s/mse=%g", backend, search, in.name, frac), o, e)
-				}
+				check(fmt.Sprintf("%v/full/%s/mse=%g", backend, in.name, frac), o, e)
 			}
 		}
 	}
-	if !*printPins && len(searchPins) != 140 {
-		t.Errorf("pin table has %d rows, want 140", len(searchPins))
+	if !*printPins && len(searchPins) != 70 {
+		t.Errorf("pin table has %d rows, want 70", len(searchPins))
 	}
 }

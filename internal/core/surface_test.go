@@ -5,10 +5,13 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // TestCoreSurfaceIsClosed is the surface guard, after codec's
@@ -69,6 +72,34 @@ func TestCoreSurfaceIsClosed(t *testing.T) {
 	for _, name := range found {
 		if base, ok := strings.CutSuffix(name, "Ctx"); ok && slices.Contains(found, base) {
 			t.Errorf("Options has both %s and %s", base, name)
+		}
+	}
+}
+
+// TestOptionFieldsAreClosed is the same guard one level down, on the structs a
+// caller configures the codec through: each has exactly these fields, all
+// exported — codec.Profile only what the bitstream's profile id stands for.
+// Every independent field doubles the configurations the equivalence matrices
+// must cover, so a new one fails here first and is argued for in DESIGN.md §11
+// before this list grows: what it buys on the benchmark, and which callers
+// need different values of it.
+func TestOptionFieldsAreClosed(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{Options{}, "Profile Tools MaxFrameW MaxFrameH PerRowQuant Backend Workers Checksum Index Metrics"},
+		{codec.Profile{}, "Name CTUSize MinCUSize Modes MaxTransform UseDST4 RefSmoothing MaxFrameDim"},
+		{codec.EncodeConfig{}, "QP Profile Tools Workers Metrics Container Regions"},
+		{codec.DecodeConfig{}, "Workers Metrics First Count Partial"},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("%v has fields %v, want %q: the option set is closed", typ, got, c.want)
 		}
 	}
 }

@@ -1,11 +1,12 @@
-// SATD — the sum of absolute transformed differences — is the coarse
-// distortion metric of the encoder's two-stage FastSearch intra mode search.
-// A Walsh–Hadamard transform of the residual approximates the DCT's energy
-// compaction at a fraction of its cost (butterflies only, no multiplies), so
-// ranking candidate modes by SATD tracks their eventual rate-distortion cost
-// far better than plain SAD, which is what lets FastSearch survive with fewer
-// full-RD trials. This mirrors the HM/x265 mode-decision pipeline the paper's
-// NVENC targets implement in silicon.
+// SATD — the sum of absolute transformed differences — is a coarse distortion
+// metric: a Walsh–Hadamard transform of the residual approximates the DCT's
+// energy compaction with butterflies only, no multiplies. The encoder does not
+// rank by it: DESIGN.md §11, "Why there is one search".
+//
+// No caller outside benchmark/ladder.go, which times it for a ladder rung and
+// which no PR but a [benchmark] issue may edit; like the wrappers in
+// codec/compat.go, delete it with the rung at the next [benchmark] issue
+// (ROADMAP 2(b)/(c)).
 package dct
 
 // SATD returns the sum of absolute Walsh–Hadamard transformed values of the

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/quant"
@@ -95,7 +96,8 @@ type Config struct {
 	MaxDim int
 
 	// QP, Profile, Backend and Workers configure the codec exactly as in
-	// core.Options. Defaults: QP 12, HEVC, CABAC, 1 worker.
+	// core.Options. Defaults: QP 12, HEVC, CABAC, 1 worker. New panics on a
+	// QP above dct.MaxQP.
 	QP      int
 	Profile codec.Profile
 	Backend codec.EntropyBackend
@@ -104,8 +106,6 @@ type Config struct {
 	// DisableAliasing turns off prefix-hash chunk sharing (twin sessions
 	// then hold duplicate bytes); used by tests to build unaliased twins.
 	DisableAliasing bool
-	// PrefixEntries bounds the prefix-digest map. Default 4096.
-	PrefixEntries int
 
 	// Metrics backs the kv.* (and threaded codec.*/store.*) metrics.
 	// Nil disables them.
@@ -148,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.PrefixEntries <= 0 {
-		c.PrefixEntries = 4096
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -221,16 +218,18 @@ type prefixEntry struct {
 	table []uint8
 }
 
+// prefixEntries bounds the prefix-digest map.
+const prefixEntries = 4096
+
 // prefixMap is a bounded FIFO digest → chunk map shared by all shards.
 type prefixMap struct {
 	mu   sync.Mutex
-	max  int
 	m    map[[sha256.Size]byte]prefixEntry
 	fifo [][sha256.Size]byte
 }
 
-func newPrefixMap(max int) *prefixMap {
-	return &prefixMap{max: max, m: make(map[[sha256.Size]byte]prefixEntry, max)}
+func newPrefixMap() *prefixMap {
+	return &prefixMap{m: make(map[[sha256.Size]byte]prefixEntry, prefixEntries)}
 }
 
 func (p *prefixMap) get(d [sha256.Size]byte) (prefixEntry, bool) {
@@ -246,7 +245,7 @@ func (p *prefixMap) put(d [sha256.Size]byte, e prefixEntry) {
 	if _, ok := p.m[d]; ok {
 		return
 	}
-	for len(p.m) >= p.max && len(p.fifo) > 0 {
+	for len(p.m) >= prefixEntries && len(p.fifo) > 0 {
 		delete(p.m, p.fifo[0])
 		p.fifo = p.fifo[1:]
 	}
@@ -302,13 +301,17 @@ type Table struct {
 	m        *kvMetrics
 }
 
-// New builds an empty table from cfg.
+// New builds an empty table from cfg. A QP no encode can run at is the
+// operator's mistake, not a later request's: it panics here.
 func New(cfg Config) *Table {
 	cfg = cfg.withDefaults()
+	if cfg.QP > dct.MaxQP {
+		panic(fmt.Sprintf("kv: qp %d out of range [0, %d]", cfg.QP, dct.MaxQP))
+	}
 	t := &Table{
 		cfg:    cfg,
 		blobs:  store.NewBlobCache(cfg.Metrics),
-		prefix: newPrefixMap(cfg.PrefixEntries),
+		prefix: newPrefixMap(),
 		m:      newKVMetrics(cfg.Metrics),
 	}
 	t.shards = make([]*shard, cfg.Shards)
@@ -859,8 +862,7 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 				if r < from || r >= cEnd {
 					continue
 				}
-				row := quant.FromUint8(p.Row(y), s.scales[r], s.zeros[r])
-				copy(res.Vals[(r-from)*dim:], row)
+				quant.FromUint8Into(res.Vals[(r-from)*dim:][:dim], p.Row(y), s.scales[r], s.zeros[r])
 			}
 		}
 	}

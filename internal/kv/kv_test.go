@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/quant"
@@ -470,4 +471,18 @@ func TestKVValidation(t *testing.T) {
 	if tab.Resident() != 0 {
 		t.Fatalf("resident %d after delete", tab.Resident())
 	}
+}
+
+// TestKVNewRejectsImpossibleQP: a QP above dct.MaxQP fails where the table is
+// built, not in the first append to complete a flush group — there it would be
+// the codec's "qp out of range", a configuration error surfacing as that
+// caller's, with the group's rows left staged. dct.MaxQP itself encodes.
+func TestKVNewRejectsImpossibleQP(t *testing.T) {
+	mustAppend(t, New(Config{FlushRows: 4, QP: dct.MaxQP}), "s", 8, 0, rowsFor(1, 0, 4, 8))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted QP above dct.MaxQP")
+		}
+	}()
+	New(Config{QP: dct.MaxQP + 1})
 }

@@ -57,7 +57,7 @@ func FuzzServeRequest(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0xFF
 
 	f.Add("POST", "v1/encode", "rows=32&cols=32&qp=30", stackBody(stack))
-	f.Add("POST", "v1/encode", "rows=32&cols=32&qp=30&checksum=1&fast-search=1", stackBody(stack))
+	f.Add("POST", "v1/encode", "rows=32&cols=32&qp=30&checksum=1", stackBody(stack))
 	f.Add("POST", "v1/encode", "rows=32&cols=32&qp=30&backend=rans", stackBody(stack))
 	f.Add("POST", "v1/encode", "rows=32&cols=32&qp=30&backend=backend(7)", stackBody(stack))
 	f.Add("POST", "v1/decode", "", container)

@@ -70,8 +70,8 @@ func queryInt(q url.Values, key string, def int) (int, error) {
 
 // optionsFromQuery maps query parameters onto core.Options — the same knobs
 // the CLI exposes: profile (h264|h265|av1), backend (cabac|rans), checksum,
-// index, fast-search, per-row, max-frame-w/h. Workers always comes from the
-// server config so one client cannot oversubscribe the pool.
+// index, per-row, max-frame-w/h. Workers always comes from the server config
+// so one client cannot oversubscribe the pool.
 func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 	o := core.DefaultOptions()
 	o.Workers = s.cfg.Workers
@@ -94,9 +94,6 @@ func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 		return o, err
 	}
 	if o.Index, err = queryBool(q, "index"); err != nil {
-		return o, err
-	}
-	if o.FastSearch, err = queryBool(q, "fast-search"); err != nil {
 		return o, err
 	}
 	if o.PerRowQuant, err = queryBool(q, "per-row"); err != nil {

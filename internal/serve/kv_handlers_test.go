@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dct"
 	"repro/internal/kv"
 )
 
@@ -296,3 +297,16 @@ func TestBodyReadDisconnectIs499(t *testing.T) {
 type errReader struct{}
 
 func (errReader) Read([]byte) (int, error) { return 0, errors.New("chunked body is malformed") }
+
+// TestKVQPValidatedAtConstruction: a kv QP no encode can run at never reaches
+// a request, where every PUT that completed a flush group would be answered
+// 400 {"error":"codec: qp 99 out of range","class":"bad_request"} — the
+// client's fault, by class — with the rows it refused left staged.
+func TestKVQPValidatedAtConstruction(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted KVQP above dct.MaxQP")
+		}
+	}()
+	New(Config{Workers: 1, KVQP: dct.MaxQP + 1})
+}

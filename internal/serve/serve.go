@@ -68,6 +68,7 @@ type Config struct {
 	KVFlushRows int
 	// KVQP is the kv tier's quantizer step. Default 12 (near-lossless —
 	// cache rows feed attention directly, unlike weights fetched once).
+	// New panics on a value above dct.MaxQP, as kv.New does.
 	KVQP int
 	// KVBackend selects the kv tier's entropy backend (CABAC default).
 	KVBackend codec.EntropyBackend
