@@ -34,10 +34,13 @@ vet:
 # the reconstruction Encode hands out is still the one
 # Decode computes (codec's and core's ReconIsDecode contracts), and every
 # kernel still computes the integers of the one it replaced (the differential
-# tests of DESIGN.md §11.1 and the rate estimate's bit pins). The first step
-# of ci.
+# tests of DESIGN.md §11.1 and the rate estimate's bit pins), and production is
+# closed: every function under internal/ is reached from a main in cmd/*,
+# examples/* or benchmark/, or is entered with its reason in surface_test.go's
+# allow-list (TestProductionSurfaceIsClosed; a failure prints each unreached
+# function with its position and line count). The first step of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode' ./internal/codec/ ./internal/core/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
 
@@ -152,7 +155,9 @@ bench-parallel:
 
 # Non-test Go lines (`wc -l`) per internal/* and cmd/* package, then the
 # repo-wide total (examples and the root included; the nested benchmark
-# module is not) — the figures the simplicity PRs report in CHANGES.md.
+# module is not) — the figures the simplicity PRs report in CHANGES.md. What
+# keeps the count from drifting back up is `make surface`'s
+# TestProductionSurfaceIsClosed: code no main reaches does not stay.
 loc:
 	@for d in internal/* cmd/*; do \
 		printf '%6d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" $$d; \

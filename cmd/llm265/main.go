@@ -100,19 +100,6 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func profileByName(name string) codec.Profile {
-	switch name {
-	case "h264":
-		return codec.H264
-	case "h265":
-		return codec.HEVC
-	case "av1":
-		return codec.AV1
-	}
-	fatal(fmt.Errorf("unknown profile %q (h264|h265|av1)", name))
-	panic("unreachable")
-}
-
 func encodeCmd(args []string) {
 	fs := flag.NewFlagSet("encode", flag.ExitOnError)
 	var (
@@ -152,13 +139,14 @@ func encodeCmd(args []string) {
 	t := core.FromSlice(*rows, *cols, data)
 
 	opts := core.DefaultOptions()
-	opts.Profile = profileByName(*profile)
 	opts.PerRowQuant = *perRow
 	opts.Workers = *workers
 	opts.Checksum = *checksum
 	opts.Index = *index
-	opts.Backend, err = codec.ParseBackend(*backend)
-	if err != nil {
+	if opts.Profile, err = codec.ParseProfile(*profile); err != nil {
+		fatal(err)
+	}
+	if opts.Backend, err = codec.ParseBackend(*backend); err != nil {
 		fatal(err)
 	}
 	reg, flush := openMetrics(*metrics)

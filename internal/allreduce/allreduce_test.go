@@ -279,7 +279,7 @@ func TestBlockCodecAlignsDefaultSegments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if got := r.Segments(); got != c.wantS {
+		if got := len(r.segs); got != c.wantS {
 			t.Errorf("%s: %d segments, want %d", c.name, got, c.wantS)
 		}
 	}
@@ -577,7 +577,7 @@ func TestEncodePathsNeverDecode(t *testing.T) {
 		}},
 		{"RateController.Roundtrip steady state", func(o core.Options) error {
 			rc := core.NewRateController(o, 3)
-			if _, err := rc.Encode(tensor()); err != nil {
+			if _, _, err := rc.Roundtrip(tensor()); err != nil {
 				return err
 			}
 			before := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]

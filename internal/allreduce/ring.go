@@ -216,9 +216,6 @@ func New(cfg Config) (*Ring, error) {
 	return r, nil
 }
 
-// Segments reports the segment count (test/diagnostic visibility).
-func (r *Ring) Segments() int { return len(r.segs) }
-
 // AdvanceStep advances per-step codec state (e.g. 1-bit warmup counters) on
 // every worker's codec. Call once after each training step.
 func (r *Ring) AdvanceStep() {

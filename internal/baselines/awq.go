@@ -85,7 +85,7 @@ func rtnColumns(w *nn.Mat, bits, groupSize int) (*nn.Mat, float64) {
 	rec := nn.NewMat(in, out)
 	groups := 0
 	for g0 := 0; g0 < in; g0 += gs {
-		g1 := minInt(g0+gs, in)
+		g1 := min(g0+gs, in)
 		scale, zero := fitGrids(w, g0, g1, bits)
 		groups++
 		for i := g0; i < g1; i++ {
@@ -162,38 +162,4 @@ func RotatedRTN(data *nn.Mat, rot *nn.Mat, bits int) (*nn.Mat, float64) {
 	back := nn.MatMulABT(y, rot) // y·Qᵀ = y·Q⁻¹
 	meta := float64(data.R) * 32
 	return back, float64(bits) + meta/float64(data.R*data.C)
-}
-
-// SmoothQuantMigrate rescales activations and weights jointly: per input
-// channel, s_i = max|X_i|^α / max|W_i|^(1−α), activations divided and
-// weights multiplied by s, shifting quantization difficulty from the
-// outlier-heavy activations into the weights. Returns the scales.
-func SmoothQuantMigrate(x, w *nn.Mat, alpha float64) []float64 {
-	in := w.R
-	s := make([]float64, in)
-	for i := 0; i < in; i++ {
-		var xmax float64
-		for n := 0; n < x.R; n++ {
-			if a := math.Abs(float64(x.At(n, i))); a > xmax {
-				xmax = a
-			}
-		}
-		var wmax float64
-		for j := 0; j < w.C; j++ {
-			if a := math.Abs(float64(w.At(i, j))); a > wmax {
-				wmax = a
-			}
-		}
-		if xmax < 1e-8 {
-			xmax = 1e-8
-		}
-		if wmax < 1e-8 {
-			wmax = 1e-8
-		}
-		s[i] = math.Pow(xmax, alpha) / math.Pow(wmax, 1-alpha)
-		if s[i] < 1e-6 {
-			s[i] = 1e-6
-		}
-	}
-	return s
 }

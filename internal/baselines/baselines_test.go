@@ -146,56 +146,6 @@ func matMSE(a, b *nn.Mat) float64 {
 	return s / float64(len(a.V))
 }
 
-func TestSmoothQuantMigration(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	in, out, n := 16, 24, 128
-	// Uniform-scale weights plus activations with a genuine outlier
-	// channel — the SmoothQuant setting.
-	w := nn.NewMat(in, out)
-	for i := range w.V {
-		w.V[i] = float32(rng.NormFloat64() * 0.02)
-	}
-	x := nn.NewMat(n, in)
-	for i := 0; i < n; i++ {
-		for c := 0; c < in; c++ {
-			v := rng.NormFloat64()
-			if c == 5 {
-				v *= 50 // outlier channel
-			}
-			x.Set(i, c, float32(v))
-		}
-	}
-	s := SmoothQuantMigrate(x, w, 0.5)
-	// Scaled activations must have flatter per-channel maxima.
-	spread := func(m *nn.Mat, div []float64) float64 {
-		lo, hi := math.Inf(1), 0.0
-		for c := 0; c < m.C; c++ {
-			var cmax float64
-			for r := 0; r < m.R; r++ {
-				v := math.Abs(float64(m.At(r, c)))
-				if div != nil {
-					v /= div[c]
-				}
-				if v > cmax {
-					cmax = v
-				}
-			}
-			if cmax < lo {
-				lo = cmax
-			}
-			if cmax > hi {
-				hi = cmax
-			}
-		}
-		return hi / lo
-	}
-	before := spread(x, nil)
-	after := spread(x, s)
-	if after >= before {
-		t.Fatalf("SmoothQuant did not flatten channels: %.2f -> %.2f", before, after)
-	}
-}
-
 func TestCholeskyInverse(t *testing.T) {
 	// Verify invertSPD on a known SPD matrix.
 	n := 4

@@ -1,8 +1,8 @@
 // Package baselines implements the compression methods the paper compares
 // LLM.265 against: the calibration-based post-training quantizers GPTQ and
-// AWQ, rotation-based quantization (QuaRot/SpinQuant) and SmoothQuant-style
-// scale migration. (The 1-bit Adam / 1-bit LAMB gradient compressor is a wire
-// codec: allreduce.SignCodec with the ring's error feedback.)
+// AWQ, and rotation-based quantization (QuaRot/SpinQuant). (The 1-bit Adam /
+// 1-bit LAMB gradient compressor is a wire codec: allreduce.SignCodec with the
+// ring's error feedback.)
 package baselines
 
 import (
@@ -78,7 +78,7 @@ func GPTQ(w, x *nn.Mat, bits, groupSize int) (*nn.Mat, float64, error) {
 		if i%gs == 0 {
 			// (Re)fit asymmetric grids per column over this group's rows of
 			// the *current* (error-compensated) weights.
-			scale, zero = fitGrids(work, i, minInt(i+gs, in), bits)
+			scale, zero = fitGrids(work, i, min(i+gs, in), bits)
 			groups++
 		}
 		d := u[i*in+i]
@@ -206,11 +206,4 @@ func choleskyUpper(a []float64, n int) ([]float64, error) {
 		}
 	}
 	return u, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

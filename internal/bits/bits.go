@@ -43,10 +43,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// Len reports the number of whole bytes written so far (excluding a partial
-// final byte).
-func (w *Writer) Len() int { return len(w.buf) }
-
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
 
@@ -102,6 +98,3 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	}
 	return v, nil
 }
-
-// BitPos reports the absolute bit offset of the read cursor.
-func (r *Reader) BitPos() int { return r.pos*8 + int(r.bit) }

@@ -7,42 +7,18 @@
 // whose distribution is near uniform). The arithmetic engine is a
 // carry-propagating range coder, which is bit-exact between encoder and
 // decoder and has the same asymptotic efficiency as the HEVC M-coder.
-//
-// The package also exposes per-bin rate estimates (Context.Cost) so that the
-// encoder's rate-distortion search can price candidate decisions without
-// running the arithmetic engine.
 package cabac
-
-import "math"
 
 const (
 	probBits  = 11
 	probMax   = 1 << probBits // 2048
-	probInit  = probMax / 2
-	adaptRate = 5 // probability update shift; smaller adapts faster
+	adaptRate = 5             // probability update shift; smaller adapts faster
 
 	topValue = 1 << 24
 )
 
-// costScale is the fixed-point scale of bin cost estimates: costs are in
-// units of 1/costScale bits.
-const costScale = 256
-
-// costTable[p] is the cost, in 1/costScale bits, of coding a zero bin with
-// probability state p (probability of zero = p/probMax).
-var costTable [probMax + 1]uint32
-
-func init() {
-	for p := 1; p < probMax; p++ {
-		costTable[p] = uint32(-math.Log2(float64(p)/probMax)*costScale + 0.5)
-	}
-	// Guard rails for the (unreachable in practice) extremes.
-	costTable[0] = costTable[1]
-	costTable[probMax] = 0
-}
-
 // Context is an adaptive binary probability model. The zero value is NOT
-// ready for use; call Init or create contexts with NewContext.
+// ready for use; create contexts with NewContext.
 type Context struct {
 	p uint16 // probability of bin==0, in [1, probMax-1]
 }
@@ -59,21 +35,6 @@ func NewContext(p0 float64) Context {
 	return Context{p: p}
 }
 
-// Init resets the context to the equiprobable state.
-func (c *Context) Init() { c.p = probInit }
-
-// Prob0 reports the context's current probability of a zero bin.
-func (c *Context) Prob0() float64 { return float64(c.p) / probMax }
-
-// Cost reports the estimated cost, in 1/256 bit units, of coding bin with
-// this context in its current state. It does not update the context.
-func (c *Context) Cost(bin int) uint32 {
-	if bin == 0 {
-		return costTable[c.p]
-	}
-	return costTable[probMax-uint32(c.p)]
-}
-
 // Update adapts the context exactly as EncodeBit would, without coding a
 // bin. The codec's rANS recorder uses it so the choice of entropy backend
 // never perturbs the encoder's rate-estimate state (and therefore its RD
@@ -87,9 +48,6 @@ func (c *Context) update(bin int) {
 		c.p -= c.p >> adaptRate
 	}
 }
-
-// BypassCost is the cost of a bypass bin in 1/256 bit units (exactly 1 bit).
-const BypassCost = costScale
 
 // Encoder is a binary arithmetic encoder.
 type Encoder struct {

@@ -164,40 +164,20 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCostEstimateTracksActualRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	enc := NewEncoder()
-	ctx := NewContext(0.5)
-	var estBits float64
-	n := 40000
-	for i := 0; i < n; i++ {
-		b := 0
-		if rng.Float64() < 0.2 {
-			b = 1
-		}
-		estBits += float64(ctx.Cost(b)) / costScale
-		enc.EncodeBit(&ctx, b)
-	}
-	actual := float64(len(enc.Finish()) * 8)
-	ratio := estBits / actual
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("cost estimate off: est %.0f actual %.0f (ratio %.3f)", estBits, actual, ratio)
-	}
-}
-
 func TestContextAdaptation(t *testing.T) {
 	ctx := NewContext(0.5)
 	for i := 0; i < 100; i++ {
 		ctx.update(0)
 	}
-	if ctx.Prob0() < 0.9 {
-		t.Fatalf("context failed to adapt toward zero: p0=%.3f", ctx.Prob0())
+	prob0 := func() float64 { return float64(ctx.p) / probMax }
+	if prob0() < 0.9 {
+		t.Fatalf("context failed to adapt toward zero: p0=%.3f", prob0())
 	}
 	for i := 0; i < 200; i++ {
 		ctx.update(1)
 	}
-	if ctx.Prob0() > 0.1 {
-		t.Fatalf("context failed to adapt toward one: p0=%.3f", ctx.Prob0())
+	if prob0() > 0.1 {
+		t.Fatalf("context failed to adapt toward one: p0=%.3f", prob0())
 	}
 }
 

@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/hw"
 )
@@ -285,27 +284,6 @@ func Sweep(llm LLMConfig, gpus GPUSpec, nic NICSpec, codecs []CodecSpec, maxGPUs
 		}
 	}
 	return pts
-}
-
-// Pareto filters points to the area-vs-throughput frontier (minimal area for
-// any achieved throughput), sorted by area.
-func Pareto(pts []Point) []Point {
-	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].AreaMM2 != sorted[j].AreaMM2 {
-			return sorted[i].AreaMM2 < sorted[j].AreaMM2
-		}
-		return sorted[i].Throughput > sorted[j].Throughput
-	})
-	var front []Point
-	best := 0.0
-	for _, p := range sorted {
-		if p.Throughput > best {
-			front = append(front, p)
-			best = p.Throughput
-		}
-	}
-	return front
 }
 
 // BestUnderArea returns the highest-throughput point within an area budget.

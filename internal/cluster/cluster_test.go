@@ -55,15 +55,25 @@ func TestSweepAndPareto(t *testing.T) {
 	if len(pts) < 50 {
 		t.Fatalf("sweep produced only %d points", len(pts))
 	}
-	front := Pareto(pts)
-	if len(front) < 3 {
-		t.Fatalf("frontier too small: %d", len(front))
-	}
-	// Frontier must be strictly improving.
-	for i := 1; i < len(front); i++ {
-		if front[i].AreaMM2 <= front[i-1].AreaMM2 || front[i].Throughput <= front[i-1].Throughput {
-			t.Fatalf("frontier not monotone at %d", i)
+	// A frontier lookup is inside its budget and undominated within it.
+	found := 0
+	for _, budget := range []float64{1e4, 3e4, 1e5, 3e5, 1e6} {
+		best, ok := BestUnderArea(pts, budget)
+		if !ok {
+			continue
 		}
+		found++
+		if best.AreaMM2 > budget {
+			t.Fatalf("best under %.0f mm² has area %.0f", budget, best.AreaMM2)
+		}
+		for _, p := range pts {
+			if p.AreaMM2 <= budget && p.Throughput > best.Throughput {
+				t.Fatalf("under %.0f mm², %+v beats the reported best %+v", budget, p, best)
+			}
+		}
+	}
+	if found < 3 {
+		t.Fatalf("only %d of 5 budgets admit a point of the sweep", found)
 	}
 }
 

@@ -75,11 +75,11 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 
 			// The snapshot is a genuine indexed container: its trailer carries
 			// the absolute token-space rects.
-			idx, err := ReadIndex(snap)
-			if err != nil || idx == nil {
-				t.Fatalf("snapshot index: %v, %v", idx, err)
+			lay, err := Layout(snap)
+			if err != nil || lay.Index == nil {
+				t.Fatalf("snapshot layout: %+v, %v", lay, err)
 			}
-			for i, r := range idx.Regions {
+			for i, r := range lay.Index.Regions {
 				if r != regions[i] {
 					t.Fatalf("snapshot region %d = %+v, want %+v", i, r, regions[i])
 				}

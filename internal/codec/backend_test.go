@@ -181,6 +181,20 @@ func TestBackendByteTable(t *testing.T) {
 	}
 }
 
+// TestParseProfile pins the spellings the CLI flag and the HTTP query share.
+func TestParseProfile(t *testing.T) {
+	for s, want := range map[string]Profile{
+		"": HEVC, "h265": HEVC, "hevc": HEVC, "h264": H264, "avc": H264, "av1": AV1,
+	} {
+		if got, err := ParseProfile(s); err != nil || got.Name != want.Name {
+			t.Errorf("ParseProfile(%q) = %s, %v; want %s", s, got.Name, err, want.Name)
+		}
+	}
+	if _, err := ParseProfile("vp9"); err == nil {
+		t.Error("ParseProfile(vp9) accepted a profile the codec does not have")
+	}
+}
+
 // TestBackendExtensionRequiresV3: hand-built v1 and v2 containers carrying
 // the backend extension are structurally invalid — the encoder only ever
 // emits rANS streams in the hardened container — and must be rejected as

@@ -37,7 +37,7 @@ func gradientPlane(rng *rand.Rand, w, h int) *frame.Plane {
 			if v > 255 {
 				v = 255
 			}
-			p.Set(x, y, uint8(v))
+			p.Row(y)[x] = uint8(v)
 		}
 	}
 	return p
@@ -58,7 +58,7 @@ func channelPlane(rng *rand.Rand, w, h int) *frame.Plane {
 			if v > 255 {
 				v = 255
 			}
-			p.Set(x, y, uint8(v))
+			p.Row(y)[x] = uint8(v)
 		}
 	}
 	return p
@@ -176,7 +176,7 @@ func TestInterFrameRoundTrip(t *testing.T) {
 			if sx < 0 {
 				sx = 0
 			}
-			shifted.Set(x, y, base.At(sx, y))
+			shifted.Row(y)[x] = base.At(sx, y)
 		}
 	}
 	tools := AllTools
@@ -202,8 +202,8 @@ func TestInterHelpsTranslatedVideo(t *testing.T) {
 		sh := frame.NewPlane(96, 96)
 		for y := 0; y < 96; y++ {
 			for x := 0; x < 96; x++ {
-				sx := clampInt(x-2*s, 0, 95)
-				sh.Set(x, y, base.At(sx, y))
+				sx := min(max(x-2*s, 0), 95)
+				sh.Row(y)[x] = base.At(sx, y)
 			}
 		}
 		planes = append(planes, sh)

@@ -229,9 +229,9 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 	// The padded source and reconstruction live in the scratch arena. The
 	// recycled recon starts with unspecified contents, which is safe because
 	// nothing reads an uncoded pixel: gatherRefs consults the coverage mask,
-	// snapshot/restore round-trips bytes verbatim, and by the end of the CTU
-	// loop every padded pixel has been written by applyLeaf. The golden
-	// conformance corpus pins this reasoning byte-for-byte.
+	// and by the end of the CTU loop every padded pixel has been written by
+	// applyLeaf. The golden conformance corpus pins this reasoning
+	// byte-for-byte.
 	e.orig = e.scr.origPlane.Reuse(e.w, e.h)
 	padPlaneInto(e.orig, src)
 	e.recon = e.scr.reconPlane.Reuse(e.w, e.h)
@@ -253,14 +253,14 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 			e.scr.resetCTU()
 			if e.rec != nil {
 				t0 := time.Now()
-				d := e.decideCU(x, y, e.prof.CTUSize, 0)
+				d := e.decideCU(x, y, e.prof.CTUSize)
 				t1 := time.Now()
 				e.rec.decideNs += int64(t1.Sub(t0))
 				e.emitCU(d, x, y, e.prof.CTUSize, 0)
 				e.rec.entropyNs += int64(time.Since(t1))
 				continue
 			}
-			d := e.decideCU(x, y, e.prof.CTUSize, 0)
+			d := e.decideCU(x, y, e.prof.CTUSize)
 			e.emitCU(d, x, y, e.prof.CTUSize, 0)
 		}
 	}
@@ -289,7 +289,7 @@ type cuDec struct {
 	cost   float64
 }
 
-func (e *encoder) decideCU(x, y, size, depth int) *cuDec {
+func (e *encoder) decideCU(x, y, size int) *cuDec {
 	switch splitKindFor(e.prof, e.tools, size) {
 	case splitForced:
 		d := e.scr.newNode()
@@ -297,7 +297,7 @@ func (e *encoder) decideCU(x, y, size, depth int) *cuDec {
 		h := size / 2
 		for i := 0; i < 4; i++ {
 			cx, cy := x+(i%2)*h, y+(i/2)*h
-			d.children[i] = e.decideCU(cx, cy, h, depth+1)
+			d.children[i] = e.decideCU(cx, cy, h)
 			d.cost += d.children[i].cost
 		}
 		return d
@@ -310,23 +310,18 @@ func (e *encoder) decideCU(x, y, size, depth int) *cuDec {
 	// Signaled split: compare leaf vs 4-way split by RD cost.
 	leaf := e.decideLeaf(x, y, size)
 
-	// Snapshot the block region before the children trial. Snapshot buffers
-	// are per-depth in the scratch arena; the recursion nests them exactly.
-	snap := e.snapshot(x, y, size, depth)
-
 	split := e.scr.newNode()
 	split.split = true
 	split.cost = e.lambda * 1.0 // ~1 bit split flag
 	h := size / 2
 	for i := 0; i < 4; i++ {
 		cx, cy := x+(i%2)*h, y+(i/2)*h
-		split.children[i] = e.decideCU(cx, cy, h, depth+1)
+		split.children[i] = e.decideCU(cx, cy, h)
 		split.cost += split.children[i].cost
 	}
 
 	leafTotal := leaf.cost + e.lambda*1.0 // leaf also pays the split flag
 	if leafTotal <= split.cost {
-		e.restore(snap, x, y, size)
 		e.applyLeaf(leaf, x, y, size)
 		leaf.cost = leafTotal
 		return leaf
@@ -334,27 +329,13 @@ func (e *encoder) decideCU(x, y, size, depth int) *cuDec {
 	return split
 }
 
-func (e *encoder) snapshot(x, y, size, depth int) []uint8 {
-	s := e.scr.snap[depth][:size*size]
-	for dy := 0; dy < size; dy++ {
-		copy(s[dy*size:dy*size+size], e.recon.Row(y + dy)[x:x+size])
-	}
-	return s
-}
-
-func (e *encoder) restore(s []uint8, x, y, size int) {
-	for dy := 0; dy < size; dy++ {
-		copy(e.recon.Row(y + dy)[x:x+size], s[dy*size:dy*size+size])
-	}
-}
-
 // applyLeaf writes the decided leaf's reconstruction into the recon plane and
 // marks the region coded. The pixels are the winning trial's, kept by
 // decideLeaf, rather than a second prediction and inverse transform: a block's
 // references lie outside it, and between its decideLeaf and its applyLeaf only
-// pixels inside it change (a signaled split's children trial, then restore),
-// so re-deriving would rebuild the same prediction from the same references
-// and add the same levels' residual.
+// pixels inside it change (a signaled split's children trial, every pixel and
+// mask bit of which this overwrites), so re-deriving would rebuild the same
+// prediction from the same references and add the same levels' residual.
 func (e *encoder) applyLeaf(d *cuDec, x, y, size int) {
 	storeBlock(e.recon, e.coded, d.rec, x, y, size)
 }
@@ -464,21 +445,11 @@ func (e *encoder) motionPredict(dst []int32, x, y, size int, mvx, mvy int32) {
 func motionPredict(prev *frame.Plane, dst []int32, x, y, size int, mvx, mvy int32) {
 	for dy := 0; dy < size; dy++ {
 		for dx := 0; dx < size; dx++ {
-			sx := clampInt(x+dx+int(mvx), 0, prev.W-1)
-			sy := clampInt(y+dy+int(mvy), 0, prev.H-1)
+			sx := min(max(x+dx+int(mvx), 0), prev.W-1)
+			sy := min(max(y+dy+int(mvy), 0), prev.H-1)
 			dst[dy*size+dx] = int32(prev.At(sx, sy))
 		}
 	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // rdCandidates is how many of the coarse-ranked intra modes receive a full
@@ -687,7 +658,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 				sad += int64(d)
 			}
 			// Slight zero-bias so (0,0) wins ties.
-			sad += int64(absInt32(int32(mx))+absInt32(int32(my))) * int64(size)
+			sad += int64(max(mx, -mx)+max(my, -my)) * int64(size)
 			if sad < bestSAD {
 				bestSAD, bx, by = sad, int32(mx), int32(my)
 			}
@@ -696,18 +667,12 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 	return bx, by
 }
 
-func absInt32(v int32) int32 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // trialResidual transforms, quantizes and reconstructs the residual,
 // returning the levels and the reconstruction (in scratch buffers — valid only
 // until the next trial), the SSE distortion and an estimated rate in bits.
 //
-// Under the transform the trial does not call reconstructBlockInto: it knows
+// Under the transform the trial does not dequantise, invert and add as the
+// definition (reconstructBlockInto, kernels_test.go) does: it knows
 // more than a decoder does — the coefficients the levels came from, so
 // quantising and dequantising are one pass that also locates the non-zero
 // levels for the inverse, and the source, so the prediction is added and the
@@ -763,32 +728,6 @@ func clipPixel(v int32) int32 {
 		return 255
 	}
 	return v
-}
-
-// reconstructBlockInto rebuilds pixel values from a prediction and levels
-// into rec, using coefScratch (same length) as the dequantization workspace;
-// this is the decoder's single reconstruction path, and by construction the
-// one the encoder's trials reproduce. rec must not alias pred or levels;
-// coefScratch must not alias levels.
-func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
-	var any int32
-	for _, l := range levels {
-		any |= l
-	}
-	switch {
-	case any == 0:
-		// Zero levels dequantize to zero and inverse-transform to zero,
-		// with or without the transform: a decoded leaf whose cbf is 0.
-		clear(rec)
-	case useTransform:
-		dct.Dequantize(coefScratch, levels, qp)
-		tr.Inverse(rec, coefScratch)
-	default:
-		dequantizeSpatial(rec, levels, qp)
-	}
-	for i := range rec {
-		rec[i] = clipPixel(pred[i] + rec[i])
-	}
 }
 
 // quantizeSpatial quantizes a spatial residual with the QP step and the same
@@ -1049,11 +988,4 @@ func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
 		}
 		e.bw.bypass(sign)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

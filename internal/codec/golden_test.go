@@ -98,8 +98,8 @@ func goldenVectors() []goldenVector {
 				shifted := frame.NewPlane(64, 64)
 				for y := 0; y < 64; y++ {
 					for x := 0; x < 64; x++ {
-						sx := clampInt(x-2, 0, 63)
-						shifted.Set(x, y, base.At(sx, y))
+						sx := min(max(x-2, 0), 63)
+						shifted.Row(y)[x] = base.At(sx, y)
 					}
 				}
 				return []*frame.Plane{base, shifted}

@@ -334,15 +334,3 @@ func Layout(data []byte) (*ContainerLayout, error) {
 	}
 	return lay, nil
 }
-
-// ReadIndex parses just the container's trailer chunk index, without
-// decoding any payload: the parsed index when present, nil when the
-// container has no trailer (or the trailer has no index record), and a typed
-// error when the container or trailer is damaged.
-func ReadIndex(data []byte) (*ChunkIndex, error) {
-	pc, err := parseContainer(data, false)
-	if err != nil {
-		return nil, err
-	}
-	return pc.index, nil
-}

@@ -31,6 +31,32 @@ func trialDraw(rng *rand.Rand, size int) (orig, pred []int32) {
 	return orig, pred
 }
 
+// reconstructBlockInto rebuilds pixel values from a prediction and levels
+// into rec, using coefScratch (same length) as the dequantization workspace;
+// the definition of a reconstruction, which the encoder's fused trial and the
+// reconstructor's one-pass leaf are each held to below. rec must not alias pred or levels;
+// coefScratch must not alias levels.
+func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
+	var any int32
+	for _, l := range levels {
+		any |= l
+	}
+	switch {
+	case any == 0:
+		// Zero levels dequantize to zero and inverse-transform to zero,
+		// with or without the transform: a decoded leaf whose cbf is 0.
+		clear(rec)
+	case useTransform:
+		dct.Dequantize(coefScratch, levels, qp)
+		tr.Inverse(rec, coefScratch)
+	default:
+		dequantizeSpatial(rec, levels, qp)
+	}
+	for i := range rec {
+		rec[i] = clipPixel(pred[i] + rec[i])
+	}
+}
+
 // TestTrialResidualEquivalence ties the encoder's fused RD trial to the
 // decoder's reconstruction path: on random (block, prediction, QP, size,
 // DST/DCT, transform on/off) draws, trialResidual returns the levels,
@@ -387,7 +413,7 @@ func TestGatherRefsEquivalence(t *testing.T) {
 // prediction.
 func coarseIntraScalar(e *encoder, orig []int32, x, y, size int, preds [][]int32) topModes {
 	refs := gatherRefsInto(e.recon, e.coded, x, y, size, intra.NewRefs(size))
-	smoothed := refs.Smoothed()
+	smoothed := refs.SmoothedInto(intra.NewRefs(size))
 	top := topModes{k: rdCandidates}
 	for mi, m := range e.prof.Modes {
 		r := refs
@@ -656,7 +682,7 @@ func dupSurvivorPlanes() map[string]*frame.Plane {
 			if x >= halfFlat.W/2 {
 				v = uint8(rng.Intn(256))
 			}
-			halfFlat.Set(x, y, v)
+			halfFlat.Row(y)[x] = v
 		}
 	}
 	return map[string]*frame.Plane{

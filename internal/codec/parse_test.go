@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/cabac"
-	"repro/internal/dct"
 	"repro/internal/frame"
 )
 
@@ -81,14 +81,21 @@ func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bo
 }
 
 // rawBinDec is the raw ablation's reader as PR 19 shipped it — every bin one
-// literal bit — the reference for the literal chunk that replaced it.
-type rawBinDec struct{ r *bits.Reader }
+// literal bit — the reference for the literal chunk that replaced it. pos
+// counts the bits it has read.
+type rawBinDec struct {
+	r   *bits.Reader
+	pos *int
+}
+
+func newRawBinDec(payload []byte) rawBinDec { return rawBinDec{bits.NewReader(payload), new(int)} }
 
 func (d rawBinDec) bit(int) int {
 	b, err := d.r.ReadBit()
 	if err != nil {
 		panic(decodeError{err})
 	}
+	*d.pos++
 	return b
 }
 
@@ -99,6 +106,7 @@ func (d rawBinDec) bypassBits(n uint) uint32 {
 	if err != nil {
 		panic(decodeError{err})
 	}
+	*d.pos += int(n)
 	return uint32(v)
 }
 
@@ -160,7 +168,7 @@ func newChunkLockstep(prod *ransChunk, ref perBinDecoder) *lockstep {
 		case *ransChunk:
 			return prod.next, r.next
 		case rawBinDec:
-			return prod.next, [nQueues]int{bypassQueue: r.r.BitPos()}
+			return prod.next, [nQueues]int{bypassQueue: *r.pos}
 		}
 		panic("unknown reference reader")
 	}}
@@ -294,7 +302,7 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.CABAC:
 		return newCabacLockstep(c.payload, nil)
 	}
-	return newChunkLockstep(newLiteralChunk(c.payload), rawBinDec{bits.NewReader(c.payload)})
+	return newChunkLockstep(newLiteralChunk(c.payload), newRawBinDec(c.payload))
 }
 
 // residualEncoder emits level blocks through emitResidual into one payload of
@@ -331,7 +339,7 @@ func (re *residualEncoder) open(t testing.TB) *lockstep {
 		if _, ok := re.e.bw.(*cabacBinEnc); ok {
 			return newCabacLockstep(payload, nil)
 		}
-		return newChunkLockstep(newLiteralChunk(payload), rawBinDec{bits.NewReader(payload)})
+		return newChunkLockstep(newLiteralChunk(payload), newRawBinDec(payload))
 	}
 	tab := buildRansTable([]*ransRecord{re.rec})
 	pc := &parsedContainer{tools: ransTools(), ransTab: &tab}
@@ -544,7 +552,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 			}
 			ls := newChunkLockstep(rcs[0], rcs[1])
 			if trial%3 == 0 {
-				ls = newChunkLockstep(newLiteralChunk(window), rawBinDec{bits.NewReader(window)})
+				ls = newChunkLockstep(newLiteralChunk(window), newRawBinDec(window))
 			}
 			for b := 0; b < 6; b++ {
 				if _, err := ls.block(t, fmt.Sprintf("dry %d block %d", trial, b), 4<<uint(rng.Intn(4)), rng.Intn(2) == 0); err != nil {
@@ -595,14 +603,15 @@ func FuzzParseResidual(f *testing.F) {
 // transform sampled on a grid, the sign pattern that maximises it.
 func extremeBlocks(n int, f func(orig, pred []int32)) {
 	orig, pred := make([]int32, n*n), make([]int32, n*n)
-	basis := make([]float64, n*n)
+	// Basis function (k, l) at pixel (row, col), up to a positive factor.
+	basis := func(k, l, row, col int) float64 {
+		return math.Cos(float64((2*row+1)*k)*math.Pi/float64(2*n)) * math.Cos(float64((2*col+1)*l)*math.Pi/float64(2*n))
+	}
 	for k := 0; k < n; k += max(1, n/8) {
 		for l := 0; l < n; l += max(1, n/8) {
-			clear(basis)
-			basis[k*n+l] = 1
-			for i, v := range dct.InverseFloat(basis, n) {
+			for i := range orig {
 				orig[i], pred[i] = 255, 0
-				if v < 0 {
+				if basis(k, l, i/n, i%n) < 0 {
 					orig[i], pred[i] = 0, 255
 				}
 			}

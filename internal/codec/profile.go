@@ -117,6 +117,19 @@ func ParseBackend(s string) (EntropyBackend, error) {
 	return 0, fmt.Errorf("codec: unknown entropy backend %q (want cabac or rans)", s)
 }
 
+// ParseProfile maps a flag/query value to a profile; empty selects HEVC.
+func ParseProfile(s string) (Profile, error) {
+	switch s {
+	case "", "h265", "hevc":
+		return HEVC, nil
+	case "h264", "avc":
+		return H264, nil
+	case "av1":
+		return AV1, nil
+	}
+	return Profile{}, fmt.Errorf("codec: unknown profile %q (want h264, h265 or av1)", s)
+}
+
 // Tools toggles individual pipeline stages, enabling the Fig. 2(b) ablation.
 // The all-true value is the full codec.
 type Tools struct {

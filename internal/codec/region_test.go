@@ -141,12 +141,13 @@ func TestReadIndexAndLayout(t *testing.T) {
 	data, _, regions := indexedStream(t)
 	_, _, v3, _ := corpusStreams(t)
 
-	idx, err := ReadIndex(data)
+	lay, err := Layout(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx := lay.Index
 	if idx == nil {
-		t.Fatal("ReadIndex(indexed) = nil")
+		t.Fatal("Layout(indexed).Index = nil")
 	}
 	if len(idx.Entries) != 2 {
 		t.Fatalf("index has %d chunks, want 2", len(idx.Entries))
@@ -158,10 +159,6 @@ func TestReadIndexAndLayout(t *testing.T) {
 		if r != regions[i] {
 			t.Fatalf("region %d = %+v, want %+v", i, r, regions[i])
 		}
-	}
-	lay, err := Layout(data)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if lay.Version != 3 || lay.Planes != 9 || lay.Index == nil {
 		t.Fatalf("layout = %+v", lay)
@@ -189,9 +186,6 @@ func TestReadIndexAndLayout(t *testing.T) {
 	}
 
 	// Un-indexed containers: no index, but Layout still computes entries.
-	if idx, err := ReadIndex(v3); err != nil || idx != nil {
-		t.Fatalf("ReadIndex(un-indexed) = %v, %v; want nil, nil", idx, err)
-	}
 	lay2, err := Layout(v3)
 	if err != nil {
 		t.Fatal(err)

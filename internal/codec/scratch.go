@@ -2,7 +2,7 @@
 //
 // The per-CU loop used to allocate fresh slices for every candidate mode of
 // every block — prediction, residual, coefficient, level and reconstruction
-// buffers, reference rows, the coverage mask, a snapshot per signaled split —
+// buffers, reference rows, the coverage mask —
 // which put the pure-Go encoder allocator-bound instead of arithmetic-bound
 // (the paper's throughput target, §4, assumes NVENC-style fixed working
 // sets). A scratch arena makes the steady-state hot path allocation-free:
@@ -47,9 +47,6 @@ const maxCU = 32
 // scratch buffer is provisioned for.
 const maxBlock = maxCU * maxCU
 
-// maxDepth bounds the quadtree recursion (32 → 16 → 8 → 4 plus slack).
-const maxDepth = 6
-
 // nodeBlockLen is the cuDec arena growth quantum.
 const nodeBlockLen = 256
 
@@ -74,11 +71,6 @@ type scratch struct {
 	// predsArena holds one prediction block per profile mode so that every
 	// coarse-scored candidate stays available for the full-RD stage.
 	predsArena [intra.NumModes * maxBlock]int32
-
-	// snap holds the recon-region snapshot for each signaled-split depth;
-	// snapshot lifetimes nest exactly like the recursion, so one buffer per
-	// depth suffices.
-	snap [maxDepth][maxBlock]uint8
 
 	// Intra reference rows: the gathered and the smoothed above/left arrays
 	// (2·maxCU each).

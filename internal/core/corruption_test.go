@@ -3,10 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/faultinject"
 )
+
+// layerDamaged reports whether layer l lost any plane.
+func layerDamaged(r *DecodeReport, l int) bool {
+	return slices.ContainsFunc(r.Damaged, func(d LayerDamage) bool { return d.Layer == l })
+}
 
 // checksummedStack builds a multi-chunk checksummed encode: 3 layers of
 // 256×256 split into 128×128 frames → 4 planes per layer, 12 planes total,
@@ -99,7 +105,7 @@ func TestDecodeStackPartialDamagedChunk(t *testing.T) {
 		t.Fatal("no damaged layers reported")
 	}
 	for l, tensor := range ts {
-		if report.LayerDamaged(l) {
+		if layerDamaged(report, l) {
 			// The damaged layer must still be present (zero-filled regions),
 			// and differ from the clean decode.
 			if tensor == nil {

@@ -25,13 +25,8 @@ func NewRateController(opts Options, bitsPerValue float64) *RateController {
 	return &RateController{Opts: opts, Target: bitsPerValue}
 }
 
-// Encode compresses t near the bitrate target and returns the encode.
-func (rc *RateController) Encode(t *Tensor) (*Encoded, error) {
-	p, err := rc.encode(t)
-	return p.Encoded, err
-}
-
-// encode is Encode, keeping the encoder's reconstruction planes for Roundtrip.
+// encode compresses t near the bitrate target, keeping the encoder's
+// reconstruction planes for Roundtrip.
 func (rc *RateController) encode(t *Tensor) (encoding, error) {
 	ctx, stack := context.Background(), []*Tensor{t}
 	if rc.primed {
@@ -85,8 +80,6 @@ type GradientCompressor struct {
 	step      int
 	primaryRC *RateController
 	residRC   *RateController
-	totalBits float64
-	totalVals float64
 }
 
 // NewGradientCompressor returns a compressor with the paper's settings.
@@ -100,18 +93,6 @@ func NewGradientCompressor(opts Options, primaryBits, residualBits float64, swit
 		primaryRC:    NewRateController(opts, primaryBits),
 		residRC:      NewRateController(opts, residualBits),
 	}
-}
-
-// Step reports how many gradients have been compressed.
-func (g *GradientCompressor) Step() int { return g.step }
-
-// AverageBits reports the running average bits per value across all steps
-// (the paper reports 10.1 bits for its 8000-step run).
-func (g *GradientCompressor) AverageBits() float64 {
-	if g.totalVals == 0 {
-		return 0
-	}
-	return g.totalBits / g.totalVals
 }
 
 // Compress compresses grad with residual compensation, returning what the
@@ -142,8 +123,5 @@ func (g *GradientCompressor) Compress(grad *Tensor) (*Tensor, float64, error) {
 		out.Data[i] = primary.Data[i] + rRec[i]
 	}
 	g.step++
-	stepBits := pBits + rBits
-	g.totalBits += stepBits * float64(grad.Numel())
-	g.totalVals += float64(grad.Numel())
-	return out, stepBits, nil
+	return out, pBits + rBits, nil
 }

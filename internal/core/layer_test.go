@@ -197,7 +197,7 @@ func TestForgedIndexRejected(t *testing.T) {
 		forged.Stream = forgeIndex(t, e.Stream, tc.mutate)
 		// The codec alone cannot tell (Layer/X0/Y0 are core semantics) —
 		// sanity-check the forgery actually parses there.
-		if _, err := codec.ReadIndex(forged.Stream); err != nil {
+		if _, err := codec.Layout(forged.Stream); err != nil {
 			t.Fatalf("%s: forgery did not survive codec parsing: %v", tc.name, err)
 		}
 		if _, _, err := o.DecodeStackPartialCtx(context.Background(), &forged); !errors.Is(err, ErrCorrupt) {
@@ -337,7 +337,7 @@ func TestPartialRecoversWhenIndexDamaged(t *testing.T) {
 	// Chunk 0 covers planes 0..7 = layers 0,1 and part of 2; layers 3,4 are
 	// untouched and must reconstruct exactly despite the dead index.
 	for l := 3; l < 5; l++ {
-		if report.LayerDamaged(l) {
+		if layerDamaged(report, l) {
 			t.Fatalf("layer %d reported damaged", l)
 		}
 		for i := range dec[l].Data {

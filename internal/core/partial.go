@@ -40,16 +40,6 @@ type DecodeReport struct {
 // Complete reports whether the stream decoded with no loss.
 func (r *DecodeReport) Complete() bool { return r.FailedChunks == 0 }
 
-// LayerDamaged reports whether layer l lost any plane.
-func (r *DecodeReport) LayerDamaged(l int) bool {
-	for _, d := range r.Damaged {
-		if d.Layer == l {
-			return true
-		}
-	}
-	return false
-}
-
 // DecodeStackPartialCtx reconstructs as much of the tensor stack as the stream
 // allows. Chunks that fail their v3 CRC32C, are truncated away, or do not
 // parse are skipped; the tensor regions they covered are zero-filled (0.0

@@ -42,12 +42,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// At returns the element at row r, column c.
-func (t *Tensor) At(r, c int) float32 { return t.Data[r*t.Cols+c] }
-
-// Set writes the element at row r, column c.
-func (t *Tensor) Set(r, c int, v float32) { t.Data[r*t.Cols+c] = v }
-
 // Numel reports the number of elements.
 func (t *Tensor) Numel() int { return t.Rows * t.Cols }
 

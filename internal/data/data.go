@@ -73,16 +73,6 @@ func (c *Corpus) Likely(tok, next int) bool {
 	return false
 }
 
-// Unlikely returns a token that is NOT a plausible successor of tok.
-func (c *Corpus) Unlikely(rng *rand.Rand, tok int) int {
-	for {
-		cand := rng.Intn(c.Vocab)
-		if !c.Likely(tok, cand) {
-			return cand
-		}
-	}
-}
-
 // WeakNext returns tok's least likely valid successor (the 5% branch): a
 // chain-consistent but improbable continuation, which makes multiple-choice
 // distractors that only a well-calibrated model can reject.

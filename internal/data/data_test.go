@@ -36,18 +36,6 @@ func TestTransitionsAreSparse(t *testing.T) {
 	}
 }
 
-func TestUnlikelyIsUnlikely(t *testing.T) {
-	c := NewCorpus(4, 32, 1000, 100)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		tok := rng.Intn(32)
-		u := c.Unlikely(rng, tok)
-		if c.Likely(tok, u) {
-			t.Fatalf("Unlikely returned a likely successor %d of %d", u, tok)
-		}
-	}
-}
-
 func TestValidBatchesDeterministic(t *testing.T) {
 	c := NewCorpus(6, 64, 5000, 2000)
 	a1, t1 := c.ValidBatches(3, 2, 8)

@@ -398,9 +398,6 @@ func NewDCT(n int) *Transform {
 // predicted edge.
 func NewDST4() *Transform { return &Transform{n: 4} }
 
-// Size reports the transform's block edge length.
-func (t *Transform) Size() int { return t.n }
-
 // Forward's total matrix scale is 2^(2·matrixBits), of which it keeps
 // 2^coefBits; Inverse removes that and its own two matrix factors. Each
 // rounds once, on the way out of the second pass.
@@ -781,19 +778,6 @@ func DequantizeMasked(dst, levels []int32, n, qp int, nz *RowMasks) (any bool) {
 func ForwardFloat(src []float64, n int) []float64 {
 	d := basisFloat(n)
 	return mulABAt(d, src, n)
-}
-
-// InverseFloat inverts ForwardFloat.
-func InverseFloat(coef []float64, n int) []float64 {
-	d := basisFloat(n)
-	// X = Dᵀ · Y · D
-	dt := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dt[i*n+j] = d[j*n+i]
-		}
-	}
-	return mulABAt(dt, coef, n)
 }
 
 func basisFloat(n int) []float64 {

@@ -191,12 +191,6 @@ func TestForwardFloatOrthonormal(t *testing.T) {
 	if math.Abs(energy-cenergy) > 1e-9*energy {
 		t.Fatalf("energy not preserved: %f vs %f", energy, cenergy)
 	}
-	rec := InverseFloat(coef, n)
-	for i := range src {
-		if math.Abs(rec[i]-src[i]) > 1e-9 {
-			t.Fatalf("idx %d: %f vs %f", i, rec[i], src[i])
-		}
-	}
 }
 
 func TestDCTSpreadsOutliers(t *testing.T) {
@@ -281,7 +275,7 @@ func denseInverse(mat []int32, n int, dst, coef []int32) {
 // place, against the dense reference.
 func checkAgainstDense(t *testing.T, tr *Transform, mat []int32, block []int32, what string) {
 	t.Helper()
-	n := tr.Size()
+	n := tr.n
 	want, got := make([]int32, n*n), make([]int32, n*n)
 	for _, dir := range []struct {
 		name  string

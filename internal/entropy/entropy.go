@@ -69,16 +69,6 @@ func All() []Coder {
 	return []Coder{HuffmanCoder{}, DeflateCoder{}, LZ4Coder{}, CABACCoder{}, RANSCoder{}}
 }
 
-// ByName looks up a coder.
-func ByName(name string) (Coder, error) {
-	for _, c := range All() {
-		if c.Name() == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("entropy: unknown coder %q", name)
-}
-
 // ---------------------------------------------------------------- Huffman
 
 // HuffmanCoder is a canonical static Huffman coder with an explicit

@@ -146,18 +146,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, want := range []string{"Huffman", "Deflate", "LZ4", "CABAC", "rANS"} {
-		c, err := ByName(want)
-		if err != nil || c.Name() != want {
-			t.Fatalf("ByName(%q): %v", want, err)
-		}
-	}
-	if _, err := ByName("zstd"); err == nil {
-		t.Fatal("unknown coder accepted")
-	}
-}
-
 func TestDecodeRejectsTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	in := skewedData(rng, 2048)

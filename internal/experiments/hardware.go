@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -184,7 +185,7 @@ func Fig15(ctx *Ctx) *Table {
 		if p.method != "three-in-one (LLM.265)" {
 			continue
 		}
-		if d := abs64(p.bits - 2.8); d < bestDist {
+		if d := math.Abs(p.bits - 2.8); d < bestDist {
 			bestDist, target = d, p.mae
 		}
 	}
@@ -291,11 +292,4 @@ func Fig16(ctx *Ctx) *Table {
 	t.Notes = append(t.Notes,
 		"paper Fig. 16: compression dominates the Pareto frontier (~1.7x at 50k mm²); the energy win grows with model scale")
 	return t
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

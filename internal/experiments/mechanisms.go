@@ -10,6 +10,7 @@ import (
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
+	"repro/internal/nvcodec"
 	"repro/internal/quant"
 	"repro/internal/tensorgen"
 )
@@ -257,7 +258,7 @@ func Throughput(ctx *Ctx) *Table {
 		Columns: []string{"engine", "encode MB/s", "decode MB/s"},
 	}
 	t.AddRow("pure-Go software codec", f2(mb/encSec), f2(mb/decSec))
-	t.AddRow("NVENC/NVDEC (modeled, paper §6.1)", "1100", "1300")
+	t.AddRow("NVENC/NVDEC (modeled, paper §6.1)", fmt.Sprint(nvcodec.EncodeMBps), fmt.Sprint(nvcodec.DecodeMBps))
 	t.Notes = append(t.Notes, "the hardware numbers are the paper's measurements; the software codec substitutes for the engines functionally, not in speed")
 	return t
 }

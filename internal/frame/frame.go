@@ -22,9 +22,6 @@ func NewPlane(w, h int) *Plane {
 // At returns the pixel at (x, y). The caller must stay in bounds.
 func (p *Plane) At(x, y int) uint8 { return p.Pix[y*p.W+x] }
 
-// Set writes the pixel at (x, y).
-func (p *Plane) Set(x, y int, v uint8) { p.Pix[y*p.W+x] = v }
-
 // Row returns the y-th row as a slice aliasing the plane.
 func (p *Plane) Row(y int) []uint8 { return p.Pix[y*p.W : y*p.W+p.W] }
 
@@ -145,11 +142,4 @@ func ToMatrix(planes []*Plane, rows, cols, maxW, maxH int) []uint8 {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,9 +8,9 @@ import (
 
 func TestPlaneBasics(t *testing.T) {
 	p := NewPlane(4, 3)
-	p.Set(2, 1, 200)
+	p.Row(1)[2] = 200
 	if p.At(2, 1) != 200 {
-		t.Fatalf("At/Set roundtrip failed")
+		t.Fatalf("At does not read what Row wrote")
 	}
 	if len(p.Row(1)) != 4 || p.Row(1)[2] != 200 {
 		t.Fatalf("Row view wrong")
@@ -19,7 +19,7 @@ func TestPlaneBasics(t *testing.T) {
 	if !p.Equal(q) {
 		t.Fatal("clone not equal")
 	}
-	q.Set(0, 0, 9)
+	q.Row(0)[0] = 9
 	if p.Equal(q) || p.At(0, 0) == 9 {
 		t.Fatal("clone aliases original")
 	}
@@ -28,7 +28,7 @@ func TestPlaneBasics(t *testing.T) {
 func TestMSE(t *testing.T) {
 	p := NewPlane(2, 2)
 	q := NewPlane(2, 2)
-	q.Set(0, 0, 2) // diff 2 -> sq 4, over 4 pixels = 1
+	q.Row(0)[0] = 2 // diff 2 -> sq 4, over 4 pixels = 1
 	if got := p.MSE(q); got != 1 {
 		t.Fatalf("MSE = %f, want 1", got)
 	}

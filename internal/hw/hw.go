@@ -9,8 +9,6 @@
 // from them by the same arithmetic the paper uses.
 package hw
 
-import "fmt"
-
 // Component is a hardware block with its published characteristics.
 type Component struct {
 	Name           string
@@ -151,14 +149,4 @@ var BaselineCodecs = []BaselineCodec{
 	{Name: "Deflate", EncArea: 0.65, DecArea: 0.40, EncPJ: 120, DecPJ: 80},
 	{Name: "LZ4", EncArea: 0.30, DecArea: 0.20, EncPJ: 45, DecPJ: 35},
 	{Name: "CABAC", EncArea: 0.28, DecArea: 0.26, EncPJ: 140, DecPJ: 130},
-}
-
-// BaselineByName looks up a baseline codec model.
-func BaselineByName(name string) (BaselineCodec, error) {
-	for _, b := range BaselineCodecs {
-		if b.Name == name {
-			return b, nil
-		}
-	}
-	return BaselineCodec{}, fmt.Errorf("hw: unknown baseline codec %q", name)
 }

@@ -107,17 +107,17 @@ func TestTransferEnergyDecomposition(t *testing.T) {
 	}
 }
 
-func TestBaselineByName(t *testing.T) {
-	for _, name := range []string{"Huffman", "Deflate", "LZ4", "CABAC"} {
-		b, err := BaselineByName(name)
-		if err != nil || b.Name != name {
-			t.Fatalf("BaselineByName(%q): %v", name, err)
+func TestBaselineCodecs(t *testing.T) {
+	want := []string{"Huffman", "Deflate", "LZ4", "CABAC"}
+	if len(BaselineCodecs) != len(want) {
+		t.Fatalf("%d baseline codecs, want %d", len(BaselineCodecs), len(want))
+	}
+	for i, b := range BaselineCodecs {
+		if b.Name != want[i] {
+			t.Fatalf("baseline %d is %q, want %q", i, b.Name, want[i])
 		}
 		if b.EncArea <= 0 || b.EncPJ <= 0 {
-			t.Fatalf("%s: non-positive costs", name)
+			t.Fatalf("%s: non-positive costs", b.Name)
 		}
-	}
-	if _, err := BaselineByName("zstd"); err == nil {
-		t.Fatal("unknown baseline accepted")
 	}
 }

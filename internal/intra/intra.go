@@ -86,17 +86,12 @@ func NewRefs(n int) Refs {
 	return r
 }
 
-// Smoothed returns a copy of r with the HEVC [1 2 1] reference smoothing
-// filter applied, which HEVC enables for larger blocks and oblique modes.
-func (r Refs) Smoothed() Refs {
-	n2 := len(r.Above)
-	return r.SmoothedInto(Refs{Above: make([]int32, n2), Left: make([]int32, n2)})
-}
-
-// SmoothedInto is Smoothed writing into dst's reference arrays, which must
-// have the same length as r's and must not alias them; it returns dst with
-// its Corner filled in. The filter output depends only on r, so callers may
-// reuse dst's arrays across blocks (the codec's scratch arena does).
+// SmoothedInto applies the HEVC [1 2 1] reference smoothing filter, which HEVC
+// enables for larger blocks and oblique modes, to r, writing into dst's
+// reference arrays, which must have the same length as r's and must not alias
+// them; it returns dst with its Corner filled in. The filter output depends
+// only on r, so callers may reuse dst's arrays across blocks (the codec's
+// scratch arena does).
 func (r Refs) SmoothedInto(dst Refs) Refs {
 	n2 := len(r.Above)
 	if len(dst.Above) != n2 || len(dst.Left) != n2 {
@@ -129,11 +124,8 @@ func UseSmoothing(n int, m Mode) bool {
 	if m == Planar {
 		return n >= 8
 	}
-	d := absInt(int(m) - int(ModeHorizontal))
-	d2 := absInt(int(m) - int(ModeVertical))
-	if d2 < d {
-		d = d2
-	}
+	h, v := int(m)-int(ModeHorizontal), int(m)-int(ModeVertical)
+	d := min(max(h, -h), max(v, -v))
 	switch {
 	case n >= 32:
 		return d > 0
@@ -470,11 +462,4 @@ func Transpose(a []int32, n int) {
 			row[j], a[j*n+i] = a[j*n+i], row[j]
 		}
 	}
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

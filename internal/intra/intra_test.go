@@ -190,7 +190,7 @@ func TestNegativeAngleModesUseProjection(t *testing.T) {
 func TestSmoothedPreservesConstant(t *testing.T) {
 	n := 16
 	r := constRefs(n, 99)
-	s := r.Smoothed()
+	s := r.SmoothedInto(NewRefs(n))
 	if s.Corner != 99 {
 		t.Fatalf("smoothed corner %d", s.Corner)
 	}
@@ -448,7 +448,7 @@ func equivalenceRefs(rng *rand.Rand, n int) []Refs {
 				r.Left[i] = 255 * int32(rng.Intn(2))
 			}
 		}
-		sets = append(sets, r, r.Smoothed())
+		sets = append(sets, r, r.SmoothedInto(NewRefs(len(r.Above)/2)))
 	}
 	return sets
 }
@@ -664,7 +664,7 @@ func TestPackedScoreEquivalence(t *testing.T) {
 					for _, smoothed := range []bool{false, true} {
 						rr := r
 						if smoothed {
-							rr = r.Smoothed()
+							rr = r.SmoothedInto(NewRefs(len(r.Above) / 2))
 						}
 						lineSrc := src
 						if Horizontal(m) {

@@ -31,7 +31,10 @@
 // the reservation fits — so resident bytes can never exceed the budget, at
 // any instant, which the soak test samples continuously. Evicted prefixes
 // surface to readers as a narrowed available range (HTTP 206 upstairs). TTL
-// expiry is lazy (on access and during eviction) plus an explicit Sweep.
+// expiry is lazy: an expired session is removed when it is next looked up,
+// and is the first thing eviction takes under budget pressure. Nothing sweeps
+// in the background, so an idle table keeps its expired sessions' bytes until
+// an append needs them.
 //
 // Lock hierarchy (deadlock-freedom): shard.mu is only ever *blocking*-locked
 // from outside any session lock; a holder of session.mu may lock shard
@@ -331,10 +334,6 @@ func (t *Table) Budget() int64 { return t.cfg.BudgetBytes }
 // Sessions returns the number of live sessions.
 func (t *Table) Sessions() int { return int(t.nlive.Load()) }
 
-// FlushRows returns the flush-group granularity (for clients computing
-// chunk-aligned ranges).
-func (t *Table) FlushRows() int { return t.cfg.FlushRows }
-
 func (t *Table) shardFor(name string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(name))
@@ -584,30 +583,6 @@ func (t *Table) evictStepLocked(sh *shard, s *Session) bool {
 	// only a tail. Removing it frees the tail charge.
 	t.removeLocked(sh, s, "drained")
 	return true
-}
-
-// Sweep removes every expired session whose lock is free and returns how
-// many it removed. The table also expires lazily on access and under
-// eviction pressure; Sweep exists for periodic background hygiene.
-func (t *Table) Sweep() int {
-	removed := 0
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for e := sh.lru.Back(); e != nil; {
-			s := e.Value.(*Session)
-			prev := e.Prev()
-			if t.expired(s) && s.mu.TryLock() {
-				if !s.dead {
-					t.removeLocked(sh, s, "expired")
-					removed++
-				}
-				s.mu.Unlock()
-			}
-			e = prev
-		}
-		sh.mu.Unlock()
-	}
-	return removed
 }
 
 // ------------------------------------------------------------------ append
@@ -900,22 +875,4 @@ func (t *Table) Delete(name string) error {
 	t.removeLocked(sh, s, "delete")
 	sh.mu.Unlock()
 	return nil
-}
-
-// Info reports a session's window without reading any data.
-type Info struct {
-	Dim       int
-	Total     int
-	Committed int
-	Evicted   int
-}
-
-// Stat returns a session's window, or ErrNotFound.
-func (t *Table) Stat(name string) (Info, error) {
-	s, err := t.lookup(name, false)
-	if err != nil {
-		return Info{}, err
-	}
-	defer s.mu.Unlock()
-	return Info{Dim: s.dim, Total: s.total(), Committed: s.committed, Evicted: s.evicted}, nil
 }

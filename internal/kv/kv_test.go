@@ -421,11 +421,14 @@ func TestKVTTL(t *testing.T) {
 	mustRead(t, tab, "a", 0, -1)
 
 	advance(2 * time.Minute)
-	if n := tab.Sweep(); n != 1 {
-		t.Fatalf("Sweep removed %d, want 1", n)
+	if tab.Sessions() != 1 {
+		t.Fatalf("sessions=%d: expiry is lazy, a stays until it is looked up", tab.Sessions())
+	}
+	if _, err := tab.Read(context.Background(), "a", 0, -1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("expired read: %v", err)
 	}
 	if tab.Sessions() != 0 || tab.Resident() != 0 {
-		t.Fatalf("after sweep: sessions=%d resident=%d", tab.Sessions(), tab.Resident())
+		t.Fatalf("after the lookup: sessions=%d resident=%d", tab.Sessions(), tab.Resident())
 	}
 }
 
@@ -459,8 +462,9 @@ func TestKVValidation(t *testing.T) {
 	if _, err := tab.Read(ctx, "s", 6, -1); !errors.Is(err, ErrRangeUnavailable) {
 		t.Fatalf("past-the-end read: %v", err)
 	}
-	if info, err := tab.Stat("s"); err != nil || info.Total != 6 || info.Dim != 8 {
-		t.Fatalf("Stat = %+v, %v", info, err)
+	// An empty range reads nothing and still reports the window.
+	if res, err := tab.Read(ctx, "s", 0, 0); !errors.Is(err, ErrRangeUnavailable) || res.Total != 6 || res.Dim != 8 {
+		t.Fatalf("Read(0,0) = %+v, %v", res, err)
 	}
 	if err := tab.Delete("s"); err != nil {
 		t.Fatal(err)

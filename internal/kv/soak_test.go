@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -515,7 +516,6 @@ func TestKVSoak(t *testing.T) {
 		}
 		if bursts == 1 && done >= int64(sessions/2) {
 			clock.advance(2 * ttl)
-			tab.Sweep()
 			bursts++
 		}
 		if time.Now().After(deadline) {
@@ -536,16 +536,20 @@ func TestKVSoak(t *testing.T) {
 	close(samplerStop)
 	<-samplerDone
 
-	// Final expiry: everything idles past the TTL; a sweep must remove all
-	// sessions and the resident accounting must return exactly to zero —
-	// any leak in blob refcounts or tail charges shows up here.
+	// Final expiry: everything idles past the TTL; looking each session up
+	// must remove it and the resident accounting must return exactly to zero
+	// — any leak in blob refcounts or tail charges shows up here.
 	clock.advance(2 * ttl)
-	tab.Sweep()
+	for id := 0; id < sessions; id++ {
+		if _, err := tab.Read(context.Background(), fmt.Sprintf("s%04d", id), 0, 0); !errors.Is(err, kv.ErrNotFound) {
+			t.Errorf("expired session s%04d: read err = %v, want ErrNotFound", id, err)
+		}
+	}
 	if n := tab.Sessions(); n != 0 {
-		t.Errorf("after final sweep: %d sessions still live", n)
+		t.Errorf("after final expiry: %d sessions still live", n)
 	}
 	if r := tab.Resident(); r != 0 {
-		t.Errorf("after final sweep: resident = %dB, want 0 (accounting leak)", r)
+		t.Errorf("after final expiry: resident = %dB, want 0 (accounting leak)", r)
 	}
 
 	snap := reg.Snapshot().Counters

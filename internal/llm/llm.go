@@ -7,6 +7,7 @@ package llm
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -111,7 +112,7 @@ func CompressibleParams(m *nn.Transformer) []*nn.Param {
 func LinearsByName(m *nn.Transformer) map[string]*nn.Linear {
 	out := map[string]*nn.Linear{}
 	for i, b := range m.Blocks {
-		prefix := "block" + itoa(i)
+		prefix := "block" + strconv.Itoa(i)
 		out[prefix+".attn.wq.w"] = b.Attn.Wq
 		out[prefix+".attn.wk.w"] = b.Attn.Wk
 		out[prefix+".attn.wv.w"] = b.Attn.Wv
@@ -121,18 +122,6 @@ func LinearsByName(m *nn.Transformer) map[string]*nn.Linear {
 	}
 	out["head.w"] = m.Head
 	return out
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
 }
 
 // WeightCompressor lossy-compresses one weight matrix, returning the
@@ -232,18 +221,20 @@ func LLM265VariableCompressor(opts core.Options, budgets []float64) WeightCompre
 // KVCompressorHook returns an nn.KVHook that round-trips the key and value
 // projections through the tensor codec at the given bitrate — the KV-cache
 // compression path of §4.2. The hook is stateless across calls except for
-// its rate controllers.
+// its rate controllers. It panics when the codec rejects K or V: the hook type
+// has no error result, and handing back the uncompressed pair would let a
+// figure report FP16 quality under a compressed label.
 func KVCompressorHook(opts core.Options, bitsPerValue float64) nn.KVHook {
 	rcK := core.NewRateController(opts, bitsPerValue)
 	rcV := core.NewRateController(opts, bitsPerValue)
 	return func(_ int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
 		dk, _, err := rcK.Roundtrip(MatToTensor(k))
 		if err != nil {
-			return k, v
+			panic(err)
 		}
 		dv, _, err := rcV.Roundtrip(MatToTensor(v))
 		if err != nil {
-			return k, v
+			panic(err)
 		}
 		return TensorToMat(dk), TensorToMat(dv)
 	}

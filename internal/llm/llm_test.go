@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
@@ -179,5 +180,24 @@ func TestZooConfigsValid(t *testing.T) {
 		if spec.TrainSteps <= 0 || spec.Batch <= 0 || spec.LR <= 0 {
 			t.Errorf("%s: bad recipe %+v", name, spec)
 		}
+	}
+}
+
+// TestKVCompressorHookFailsLoudly: an encode the codec rejects stops the run.
+// The hook used to hand back the uncompressed pair, which measures FP16 under
+// a compressed label. Nothing about a finite-shaped tensor makes core's front
+// end fail, so the rejection here is the codec's own: the rANS backend with the
+// entropy stage switched off.
+func TestKVCompressorHookFailsLoudly(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.Tools.CABAC = false
+	opts.Backend = codec.BackendRANS
+	var panicked any
+	func() {
+		defer func() { panicked = recover() }()
+		KVCompressorHook(opts, 2.9)(0, nn.NewMat(8, 16), nn.NewMat(8, 16))
+	}()
+	if _, ok := panicked.(error); !ok {
+		t.Fatalf("the hook returned (panic value %v) from an encode the codec rejects", panicked)
 	}
 }

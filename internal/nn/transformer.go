@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Config describes a decoder-only transformer LM.
@@ -81,7 +82,7 @@ func NewTransformer(rng *rand.Rand, cfg Config) *Transformer {
 		Head:  NewLinear(rng, "head", cfg.Dim, cfg.Vocab),
 	}
 	for i := 0; i < cfg.Layers; i++ {
-		name := "block" + itoa(i)
+		name := "block" + strconv.Itoa(i)
 		m.Blocks = append(m.Blocks, &Block{
 			LN1:  NewLayerNorm(name+".ln1", cfg.Dim),
 			Attn: NewCausalSelfAttention(rng, name+".attn", cfg.Dim, cfg.Heads, i),
@@ -90,18 +91,6 @@ func NewTransformer(rng *rand.Rand, cfg Config) *Transformer {
 		})
 	}
 	return m
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
 }
 
 // Params returns all trainable parameters in a stable order.

@@ -1,13 +1,6 @@
 package nvcodec
 
-import (
-	"math/rand"
-	"testing"
-	"time"
-
-	"repro/internal/codec"
-	"repro/internal/frame"
-)
+import "testing"
 
 func TestSupportMatrixMatchesTable2(t *testing.T) {
 	gens := Generations()
@@ -27,210 +20,5 @@ func TestSupportMatrixMatchesTable2(t *testing.T) {
 		if _, hasAV1 := g.Codecs["AV1"]; hasAV1 != (g.Name == "Ada Lovelace") {
 			t.Errorf("%s: AV1 support wrong", g.Name)
 		}
-	}
-}
-
-func TestOpenRejectsVP9(t *testing.T) {
-	// The paper excludes VP9 because it decodes but cannot encode.
-	if _, err := Open(Generations()[0], "VP9"); err == nil {
-		t.Fatal("VP9 opened despite lacking hardware encode")
-	}
-}
-
-func TestOpenRejectsAV1OnAmpere(t *testing.T) {
-	if _, err := Open(Generations()[1], "AV1"); err == nil {
-		t.Fatal("Ampere has no AV1 engine")
-	}
-	if _, err := Open(Generations()[0], "AV1"); err != nil {
-		t.Fatalf("Ada should support AV1: %v", err)
-	}
-}
-
-func TestDeviceEncodeDecodeRoundTrip(t *testing.T) {
-	dev, err := Open(Generations()[1], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	p := frame.NewPlane(64, 64)
-	rng.Read(p.Pix)
-	data, st, encT, err := dev.Encode([]*frame.Plane{p}, 24, codec.AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if encT <= 0 {
-		t.Fatal("encode latency must be positive")
-	}
-	dec, decT, err := dev.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decT <= 0 || len(dec) != 1 || dec[0].MSE(p) != st.MSE {
-		t.Fatalf("device decode mismatch: %v frames, mse %.4f vs %.4f", len(dec), dec[0].MSE(p), st.MSE)
-	}
-}
-
-func TestFrameLimitEnforced(t *testing.T) {
-	dev, err := Open(Generations()[1], "H.264")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := frame.NewPlane(4097, 16)
-	if _, _, _, err := dev.Encode([]*frame.Plane{p}, 24, codec.AllTools); err == nil {
-		t.Fatal("4K limit not enforced for H.264")
-	}
-}
-
-func TestThroughputModel(t *testing.T) {
-	dev, err := Open(Generations()[1], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1100 MB/s → 1 MB takes ~0.909 ms.
-	lat := dev.EncodeLatency(1 << 20)
-	sec := float64(1<<20) / 1100e6
-	want := time.Duration(sec * float64(time.Second))
-	if d := lat - want; d < -time.Microsecond || d > time.Microsecond {
-		t.Fatalf("encode latency %v, want %v", lat, want)
-	}
-	if dev.DecodeLatency(1<<20) >= lat {
-		t.Fatal("decode should be faster than encode (1300 vs 1100 MB/s)")
-	}
-}
-
-func TestEffectiveBandwidthCappedByEngine(t *testing.T) {
-	dev, err := Open(Generations()[1], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A fast wire (12.5 GB/s = 100 Gbps) with 5× compression sustains
-	// 62.5 GB/s of payload — but the engine caps everything at 1100 MB/s,
-	// the §6.1 bottleneck.
-	if bw := dev.EffectiveBandwidthMBps(12500, 5); bw != 1100 {
-		t.Fatalf("effective bandwidth %.0f, want engine cap 1100", bw)
-	}
-	// A slow wire (100 MB/s) with 2× compression: wire-bound at 200 MB/s.
-	if bw := dev.EffectiveBandwidthMBps(100, 2); bw != 200 {
-		t.Fatalf("effective bandwidth %.0f, want 200", bw)
-	}
-}
-
-func TestEngineCounts(t *testing.T) {
-	for _, g := range Generations() {
-		if g.encEngines() < 1 || g.decEngines() < 1 {
-			t.Fatalf("%s: engine counts must be >= 1, got %d/%d", g.Name, g.EncEngines, g.DecEngines)
-		}
-		if g.Name == "Ada Lovelace" && (g.EncEngines != 2 || g.DecEngines != 2) {
-			t.Fatalf("Ada should model dual engines, got %d/%d", g.EncEngines, g.DecEngines)
-		}
-	}
-	// Zero-value Generation still resolves to one engine.
-	var g Generation
-	if g.encEngines() != 1 || g.decEngines() != 1 {
-		t.Fatal("zero-value generation must default to 1 engine")
-	}
-}
-
-func TestParallelEngineLatency(t *testing.T) {
-	ada, err := Open(Generations()[0], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ampere, err := Open(Generations()[1], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	planes := []*frame.Plane{frame.NewPlane(512, 512), frame.NewPlane(512, 512)}
-
-	// Two equal frames on dual engines: makespan is one frame's time.
-	got := ada.EncodeLatencyPlanes(planes)
-	want := ada.EncodeLatency(512 * 512)
-	if got != want {
-		t.Fatalf("dual-engine makespan %v, want single-frame time %v", got, want)
-	}
-	// Single engine serializes: latency is the sum.
-	if l := ampere.EncodeLatencyPlanes(planes); l != ampere.EncodeLatency(2*512*512) {
-		t.Fatalf("single-engine latency %v, want serial sum %v", l, ampere.EncodeLatency(2*512*512))
-	}
-	// Parallel hardware must not be slower than serial hardware.
-	if got >= ampere.EncodeLatencyPlanes(planes) {
-		t.Fatal("dual-engine encode not faster than single-engine")
-	}
-	// Decode-side schedule mirrors encode.
-	if d := ada.DecodeLatencyPlanes(planes); d != ada.DecodeLatency(512*512) {
-		t.Fatalf("dual-engine decode makespan %v, want %v", d, ada.DecodeLatency(512*512))
-	}
-}
-
-func TestMakespanSchedule(t *testing.T) {
-	// LPT on {6,5,4,3} over 2 engines: loads {6+3, 5+4} = makespan 9.
-	if m := makespanSamples([]int{6, 5, 4, 3}, 2); m != 9 {
-		t.Fatalf("makespan %d, want 9", m)
-	}
-	// One job cannot be split across engines.
-	if m := makespanSamples([]int{10}, 4); m != 10 {
-		t.Fatalf("single job makespan %d, want 10", m)
-	}
-	// engines <= 1 degenerates to the serial sum.
-	if m := makespanSamples([]int{1, 2, 3}, 1); m != 6 {
-		t.Fatalf("serial makespan %d, want 6", m)
-	}
-}
-
-func TestDeviceParallelEncodeRoundTrip(t *testing.T) {
-	dev, err := Open(Generations()[0], "H.265") // Ada: dual engines
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	planes := make([]*frame.Plane, 4)
-	for i := range planes {
-		// 192×176 ≥ the engine's per-chunk pixel floor, so the device's
-		// intra-only encode really does chunk (and schedule) per plane.
-		planes[i] = frame.NewPlane(192, 176)
-		rng.Read(planes[i].Pix)
-	}
-	data, st, encT, err := dev.Encode(planes, 24, codec.AllTools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Chunks != len(planes) {
-		t.Fatalf("intra-only device encode should chunk per plane: %d chunks", st.Chunks)
-	}
-	// Modeled wall time must reflect the dual-engine schedule, not the sum.
-	if total := dev.EncodeLatency(st.Pixels); encT >= total {
-		t.Fatalf("dual-engine latency %v not below serial %v", encT, total)
-	}
-	dec, decT, err := dev.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decT <= 0 || len(dec) != len(planes) {
-		t.Fatalf("decode: %d planes, latency %v", len(dec), decT)
-	}
-	var sse float64
-	var n int
-	for i := range dec {
-		sse += dec[i].MSE(planes[i]) * float64(planes[i].W*planes[i].H)
-		n += planes[i].W * planes[i].H
-	}
-	if got := sse / float64(n); got != st.MSE {
-		t.Fatalf("device decode MSE %.6f != stats %.6f", got, st.MSE)
-	}
-}
-
-func TestEffectiveBandwidthScalesWithEngines(t *testing.T) {
-	ada, err := Open(Generations()[0], "H.265")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dual engines double the aggregate engine cap: 2200 MB/s encode-bound
-	// (decode aggregate is 2600).
-	if bw := ada.EffectiveBandwidthMBps(12500, 5); bw != 2200 {
-		t.Fatalf("Ada effective bandwidth %.0f, want 2200", bw)
-	}
-	// Wire-bound path is unchanged by engine count.
-	if bw := ada.EffectiveBandwidthMBps(100, 2); bw != 200 {
-		t.Fatalf("Ada wire-bound bandwidth %.0f, want 200", bw)
 	}
 }

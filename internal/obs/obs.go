@@ -30,7 +30,6 @@ import (
 	"io"
 	"math"
 	mbits "math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,14 +78,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta. No-op on a nil receiver.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
 }
 
 // Value reports the current level (0 on a nil receiver).
@@ -347,14 +338,6 @@ func (r *Registry) Add(name string, n int64) {
 	r.Counter(name).Add(n)
 }
 
-// Observe is shorthand for Histogram(name).Observe(v).
-func (r *Registry) Observe(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.Histogram(name).Observe(v)
-}
-
 // ------------------------------------------------------------------- spans
 
 // Span is a nestable wall-clock timer. It is a small value type — starting
@@ -440,28 +423,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		snap.Histograms[name] = h.stats()
 	}
 	return snap
-}
-
-// Names returns the sorted names of all registered metrics (counters and
-// histograms merged), mainly for tests and debugging.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes an indented JSON snapshot of the registry to w.

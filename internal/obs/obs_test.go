@@ -18,7 +18,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	// None of these may panic.
 	r.Add("x", 3)
-	r.Observe("x", 3)
 	var c *Counter
 	c.Add(1)
 	c.Inc()
@@ -42,9 +41,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	snap := r.Snapshot()
 	if snap == nil || len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot: %+v", snap)
-	}
-	if names := r.Names(); names != nil {
-		t.Fatalf("nil registry names: %v", names)
 	}
 }
 
@@ -132,7 +128,7 @@ func TestSpanRecordsNanos(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Add("a.count", 7)
-	r.Observe("a.lat", 128)
+	r.Histogram("a.lat").Observe(128)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -146,23 +142,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if snap.Histograms["a.lat"].Count != 1 || snap.Histograms["a.lat"].Sum != 128 {
 		t.Fatalf("histogram lost in JSON: %+v", snap)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Add("z", 1)
-	r.Add("a", 1)
-	r.Observe("m", 1)
-	names := r.Names()
-	want := []string{"a", "m", "z"}
-	if len(names) != len(want) {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
 	}
 }
 
@@ -180,7 +159,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				r.Add("shared.count", 1)
-				r.Observe("shared.hist", seed+int64(i))
+				r.Histogram("shared.hist").Observe(seed + int64(i))
 				sp := r.StartSpan("shared.span")
 				sp.End()
 				if i%100 == 0 {
@@ -245,8 +224,7 @@ func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("proxy.backend.a.state")
 	g.Set(3)
-	g.Set(1)
-	g.Add(1)
+	g.Set(2)
 	if got := g.Value(); got != 2 {
 		t.Fatalf("gauge value = %d, want 2", got)
 	}
@@ -260,7 +238,6 @@ func TestGauge(t *testing.T) {
 
 	var nilG *Gauge
 	nilG.Set(9)
-	nilG.Add(1)
 	if nilG.Value() != 0 {
 		t.Fatal("nil gauge is not a no-op")
 	}

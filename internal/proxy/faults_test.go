@@ -14,7 +14,7 @@ import (
 // ownerOf finds the backend index that owns key under the proxy's ring —
 // sweep tests use it to aim scripted faults at exactly the backend the
 // request will hit first.
-func ownerOf(p *Proxy, key string) int { return p.ring.owner(key) }
+func ownerOf(p *Proxy, key string) int { return p.ring.sequence(key)[0] }
 
 // TestFaultSweep drives the full {latency, reset, truncation, 500,
 // 503-drain} × {encode, decode} matrix through a 2-backend proxy with the

@@ -90,11 +90,10 @@ type Config struct {
 	AttemptTimeout time.Duration
 
 	// HedgeDelay fixes the decode hedging delay; 0 derives it from the
-	// observed upstream decode p99, clamped to [HedgeMin, HedgeMax]
-	// (defaults 5ms / 500ms). DisableHedge turns hedging off.
-	HedgeDelay         time.Duration
-	HedgeMin, HedgeMax time.Duration
-	DisableHedge       bool
+	// observed upstream decode p99, clamped to [hedgeMin, hedgeMax].
+	// DisableHedge turns hedging off.
+	HedgeDelay   time.Duration
+	DisableHedge bool
 
 	// MaxBodyBytes caps request bodies (the proxy buffers them for retry
 	// replay). Default 1 GiB.
@@ -142,12 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterCap <= 0 {
 		c.RetryAfterCap = 5 * time.Second
-	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 5 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 500 * time.Millisecond
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 30
@@ -313,9 +306,6 @@ func New(cfg Config) (*Proxy, error) {
 
 // Handler returns the proxy's http.Handler.
 func (p *Proxy) Handler() http.Handler { return p.mux }
-
-// Metrics returns the registry backing /metricsz.
-func (p *Proxy) Metrics() *obs.Registry { return p.reg }
 
 // Start launches the active health probers. Idempotent.
 func (p *Proxy) Start() {
@@ -515,25 +505,24 @@ func (p *Proxy) settle(o *upshot) {
 	o.b.updateState()
 }
 
+// The bounds of a derived hedge delay.
+const (
+	hedgeMin = 5 * time.Millisecond
+	hedgeMax = 500 * time.Millisecond
+)
+
 // hedgeDelay picks the decode hedging delay: the configured override, or
-// the observed upstream decode p99 clamped to [HedgeMin, HedgeMax]. With
-// too little signal (cold start) it hedges conservatively at HedgeMax.
+// the observed upstream decode p99 clamped to [hedgeMin, hedgeMax]. With
+// too little signal (cold start) it hedges conservatively at hedgeMax.
 func (p *Proxy) hedgeDelay() time.Duration {
 	if p.cfg.HedgeDelay > 0 {
 		return p.cfg.HedgeDelay
 	}
 	st := p.m.decUpstream.Stats()
 	if st.Count < 16 {
-		return p.cfg.HedgeMax
+		return hedgeMax
 	}
-	d := time.Duration(st.P99)
-	if d < p.cfg.HedgeMin {
-		d = p.cfg.HedgeMin
-	}
-	if d > p.cfg.HedgeMax {
-		d = p.cfg.HedgeMax
-	}
-	return d
+	return min(max(time.Duration(st.P99), hedgeMin), hedgeMax)
 }
 
 // attemptRound runs one logical attempt: the primary upstream call and, for

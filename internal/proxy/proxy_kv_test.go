@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -77,14 +78,16 @@ func TestProxyKVSessionAffinity(t *testing.T) {
 		// The session lives on exactly the backend that answered the PUT.
 		resident := 0
 		for _, b := range backends {
-			if _, err := b.srv.KV().Stat(s); err == nil {
+			// An empty range reads nothing: ErrRangeUnavailable where the
+			// session lives, ErrNotFound elsewhere.
+			if _, err := b.srv.KV().Read(context.Background(), s, 0, 0); errors.Is(err, kv.ErrRangeUnavailable) {
 				resident++
 				if b != owner[s] {
 					t.Fatalf("session %s resident on %s, but proxy routed to %s",
 						s, b.host, owner[s].host)
 				}
 			} else if !errors.Is(err, kv.ErrNotFound) {
-				t.Fatalf("Stat(%s) on %s: %v", s, b.host, err)
+				t.Fatalf("Read(%s) on %s: %v", s, b.host, err)
 			}
 		}
 		if resident != 1 {

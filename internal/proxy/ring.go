@@ -70,11 +70,6 @@ func newRing(names []string, vnodes int) *ring {
 	return r
 }
 
-// owner returns the backend index owning key.
-func (r *ring) owner(key string) int {
-	return r.points[r.search(hashKey(key))].idx
-}
-
 // search finds the first point at or clockwise of h.
 func (r *ring) search(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -16,7 +16,7 @@ func TestRingStability(t *testing.T) {
 	const keys = 10000
 	ownerBefore := make([]string, keys)
 	for i := 0; i < keys; i++ {
-		ownerBefore[i] = names[full.owner(fmt.Sprintf("key-%d", i))]
+		ownerBefore[i] = names[full.sequence(fmt.Sprintf("key-%d", i))[0]]
 	}
 
 	for drop := range names {
@@ -30,7 +30,7 @@ func TestRingStability(t *testing.T) {
 
 		moved := 0
 		for i := 0; i < keys; i++ {
-			after := survivors[small.owner(fmt.Sprintf("key-%d", i))]
+			after := survivors[small.sequence(fmt.Sprintf("key-%d", i))[0]]
 			if ownerBefore[i] == names[drop] {
 				moved++
 				continue // this key had to move; any survivor is legal
@@ -61,9 +61,6 @@ func TestRingSequence(t *testing.T) {
 		if len(seq) != len(names) {
 			t.Fatalf("sequence(%q) has %d entries, want %d", key, len(seq), len(names))
 		}
-		if seq[0] != r.owner(key) {
-			t.Fatalf("sequence(%q)[0] = %d, owner = %d", key, seq[0], r.owner(key))
-		}
 		seen := map[int]bool{}
 		for _, idx := range seq {
 			if seen[idx] {
@@ -79,7 +76,7 @@ func TestRingSequence(t *testing.T) {
 				survivors = append(survivors, n)
 			}
 		}
-		after := survivors[newRing(survivors, 64).owner(key)]
+		after := survivors[newRing(survivors, 64).sequence(key)[0]]
 		if after != names[seq[1]] {
 			t.Fatalf("key %q: owner removed lands on %s, sequence[1] = %s", key, after, names[seq[1]])
 		}
@@ -93,7 +90,7 @@ func TestRingDeterministic(t *testing.T) {
 	a, b := newRing(names, 128), newRing(names, 128)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("det-%d", i)
-		if a.owner(k) != b.owner(k) {
+		if a.sequence(k)[0] != b.sequence(k)[0] {
 			t.Fatalf("owner(%q) differs between identical rings", k)
 		}
 	}

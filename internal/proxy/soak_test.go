@@ -276,7 +276,7 @@ func TestProxySoakKillRestart(t *testing.T) {
 	var key string
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("rejoin-%d", i)
-		if p.ring.owner(k) == victim {
+		if p.ring.sequence(k)[0] == victim {
 			key = k
 			break
 		}

@@ -1,12 +1,13 @@
 // Package quant implements the scalar quantizers LLM.265 is compared against
-// and composed with: round-to-nearest (RTN) quantization in symmetric,
-// asymmetric and group-wise forms, 8-bit conversion for the codec front-end,
+// and composed with: round-to-nearest (RTN) quantization in asymmetric
+// and group-wise forms, 8-bit conversion for the codec front-end,
 // and microscaling floating-point (MXFP) formats.
 package quant
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sanitize maps a possibly non-finite input value onto the finite float64
@@ -25,40 +26,6 @@ func Sanitize(v float32) float64 {
 		return -math.MaxFloat32
 	}
 	return f
-}
-
-// RTNSymmetric quantizes data to the given bit width with the paper's
-// formula Q(w) = Δ·Round(w/Δ), Δ = max|w| / 2^(N−1), returning the
-// dequantized values. Non-finite inputs are sanitized: NaN contributes 0,
-// ±Inf clamps to the finite float32 range.
-func RTNSymmetric(data []float32, bits int) []float32 {
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("quant: bits %d out of range", bits))
-	}
-	var amax float64
-	for _, v := range data {
-		if a := math.Abs(Sanitize(v)); a > amax {
-			amax = a
-		}
-	}
-	out := make([]float32, len(data))
-	if amax == 0 {
-		return out
-	}
-	delta := amax / float64(int64(1)<<(bits-1))
-	qmin := -float64(int64(1) << (bits - 1))
-	qmax := float64(int64(1)<<(bits-1)) - 1
-	for i, v := range data {
-		q := math.Round(Sanitize(v) / delta)
-		if q < qmin {
-			q = qmin
-		}
-		if q > qmax {
-			q = qmax
-		}
-		out[i] = float32(q * delta)
-	}
-	return out
 }
 
 // RTNAsymmetric quantizes with a min-max affine mapping (zero-point
@@ -256,16 +223,8 @@ func newMXFPFormat(name string, e, m int) *MXFPFormat {
 			}
 		}
 	}
-	sortFloats(f.grid)
+	slices.Sort(f.grid)
 	return f
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // Bits reports the element width including the sign bit.

@@ -46,7 +46,7 @@ func FuzzKVRequest(f *testing.F) {
 	var want []byte // captured bytes of golden rows [0, rows)
 
 	ensureGolden := func(t *testing.T) bool {
-		if _, err := s.KV().Stat("golden"); errors.Is(err, kv.ErrNotFound) {
+		if _, err := s.KV().Read(context.Background(), "golden", 0, 0); errors.Is(err, kv.ErrNotFound) {
 			want = nil
 			if _, err := s.KV().Append(context.Background(), "golden", dim, 0, goldenRows); err != nil {
 				return false

@@ -76,17 +76,10 @@ func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 	o := core.DefaultOptions()
 	o.Workers = s.cfg.Workers
 	o.Metrics = s.reg
-	switch prof := q.Get("profile"); prof {
-	case "", "h265", "hevc":
-		o.Profile = codec.HEVC
-	case "h264", "avc":
-		o.Profile = codec.H264
-	case "av1":
-		o.Profile = codec.AV1
-	default:
-		return o, fmt.Errorf("serve: unknown profile %q (want h264|h265|av1)", prof)
-	}
 	var err error
+	if o.Profile, err = codec.ParseProfile(q.Get("profile")); err != nil {
+		return o, fmt.Errorf("serve: %w", err)
+	}
 	if o.Backend, err = codec.ParseBackend(q.Get("backend")); err != nil {
 		return o, fmt.Errorf("serve: %w", err)
 	}

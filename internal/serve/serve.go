@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/kv"
 	"repro/internal/obs"
 )
@@ -70,8 +69,6 @@ type Config struct {
 	// cache rows feed attention directly, unlike weights fetched once).
 	// New panics on a value above dct.MaxQP, as kv.New does.
 	KVQP int
-	// KVBackend selects the kv tier's entropy backend (CABAC default).
-	KVBackend codec.EntropyBackend
 }
 
 // withDefaults fills the zero fields.
@@ -167,7 +164,6 @@ func New(cfg Config) *Server {
 			TTL:         cfg.KVTTL,
 			FlushRows:   cfg.KVFlushRows,
 			QP:          cfg.KVQP,
-			Backend:     cfg.KVBackend,
 			Workers:     cfg.Workers,
 			Metrics:     cfg.Metrics,
 		})
@@ -194,9 +190,6 @@ func (s *Server) KV() *kv.Table { return s.kv }
 // Handler returns the service's http.Handler (the route mux). It is safe
 // for concurrent use and for mounting under httptest.NewServer.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Metrics returns the registry backing /metricsz.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
 
 // Inflight reports currently executing jobs; Queued reports jobs waiting
 // for an inflight slot.

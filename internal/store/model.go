@@ -101,9 +101,6 @@ func (s *Store) OpenModel(model string, opts core.Options, budgetBytes int64) (*
 	return m, nil
 }
 
-// Manifest returns the model's manifest.
-func (m *Model) Manifest() *Manifest { return m.man }
-
 // Layer returns the decoded layer, from cache when resident.
 func (m *Model) Layer(tensor string, layer int) (*core.Tensor, error) {
 	m.mu.Lock()

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/codec"
@@ -88,16 +87,6 @@ type TensorManifest struct {
 type Manifest struct {
 	Model   string           `json:"model"`
 	Tensors []TensorManifest `json:"tensors"`
-}
-
-// Tensor returns the named tensor's manifest entry, or nil.
-func (m *Manifest) Tensor(name string) *TensorManifest {
-	for i := range m.Tensors {
-		if m.Tensors[i].Name == name {
-			return &m.Tensors[i]
-		}
-	}
-	return nil
 }
 
 // PackedBytes sums the container bytes of every tensor (before dedup).
@@ -158,9 +147,6 @@ func Open(dir string, reg *obs.Registry) (*Store, error) {
 	}
 	return &Store{root: dir, m: newStoreMetrics(reg)}, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
 
 // checkName rejects model/tensor names that would escape the store
 // directories or collide with path syntax.
@@ -342,22 +328,6 @@ func (s *Store) Manifest(model string) (*Manifest, error) {
 		return nil, fmt.Errorf("store: manifest %q: %v: %w", model, err, codec.ErrCorrupt)
 	}
 	return man, nil
-}
-
-// Models lists the packed model names, sorted.
-func (s *Store) Models() ([]string, error) {
-	ents, err := os.ReadDir(filepath.Join(s.root, "manifests"))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var names []string
-	for _, de := range ents {
-		if n, ok := strings.CutSuffix(de.Name(), ".json"); ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // fetchTensor reassembles one tensor's container from its blobs,

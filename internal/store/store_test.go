@@ -90,10 +90,10 @@ func TestPackFetchRoundTrip(t *testing.T) {
 	if man.PackedBytes() != int64(len(attn.Stream)+len(mlp.Stream)) {
 		t.Fatalf("PackedBytes = %d, want %d", man.PackedBytes(), len(attn.Stream)+len(mlp.Stream))
 	}
-	if tm := man.Tensor("attn"); tm == nil || tm.Trailer.Hash == "" {
+	if tm := man.Tensors[0]; tm.Name != "attn" || tm.Trailer.Hash == "" {
 		t.Fatalf("indexed tensor missing trailer blob: %+v", tm)
 	}
-	if tm := man.Tensor("mlp"); tm == nil || tm.Trailer.Hash != "" {
+	if tm := man.Tensors[1]; tm.Name != "mlp" || tm.Trailer.Hash != "" {
 		t.Fatalf("un-indexed tensor grew a trailer blob: %+v", tm)
 	}
 
@@ -143,11 +143,6 @@ func TestPackFetchRoundTrip(t *testing.T) {
 
 	if counter(reg, "store.pack.blobs") == 0 || counter(reg, "store.fetch.blobs") == 0 {
 		t.Fatalf("store.* metrics not recorded: %+v", reg.Snapshot().Counters)
-	}
-
-	models, err := s.Models()
-	if err != nil || len(models) != 1 || models[0] != "m1" {
-		t.Fatalf("Models = %v, %v", models, err)
 	}
 }
 
@@ -276,7 +271,7 @@ func TestStoreErrors(t *testing.T) {
 		t.Fatalf("Manifest: %v", err)
 	}
 	victim := man.Tensors[0].Chunks[0].Hash
-	path := filepath.Join(s.Root(), "chunks", victim[:2], victim)
+	path := filepath.Join(s.root, "chunks", victim[:2], victim)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read blob: %v", err)
@@ -469,7 +464,7 @@ func TestManifestStitchValidation(t *testing.T) {
 	if _, err := s.Pack("m", []PackEntry{{Name: "w", Enc: e}}); err != nil {
 		t.Fatalf("Pack: %v", err)
 	}
-	path := filepath.Join(s.Root(), "manifests", "m.json")
+	path := filepath.Join(s.root, "manifests", "m.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read manifest: %v", err)
@@ -500,7 +495,7 @@ func TestManifestStitchValidation(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	shuffled.Close()
-	if err := os.Rename(shuffled.Name(), filepath.Join(s.Root(), "manifests", "m2.json")); err != nil {
+	if err := os.Rename(shuffled.Name(), filepath.Join(s.root, "manifests", "m2.json")); err != nil {
 		t.Fatalf("rename: %v", err)
 	}
 	if _, err := s.Fetch("m2"); err == nil {

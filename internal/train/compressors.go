@@ -2,32 +2,21 @@ package train
 
 import (
 	"repro/internal/core"
+	"repro/internal/llm"
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
-
-func matToTensor(m *nn.Mat) *core.Tensor {
-	t := core.NewTensor(m.R, m.C)
-	copy(t.Data, m.V)
-	return t
-}
-
-func tensorToMat(t *core.Tensor) *nn.Mat {
-	m := nn.NewMat(t.Rows, t.Cols)
-	copy(m.V, t.Data)
-	return m
-}
 
 // LLM265Transform compresses boundary tensors with the tensor codec at a
 // fractional bitrate (the LLM.265(A) configuration of Fig. 9).
 func LLM265Transform(opts core.Options, bitsPerValue float64) TensorTransform {
 	rc := core.NewRateController(opts, bitsPerValue)
 	return func(m *nn.Mat) (*nn.Mat, float64, error) {
-		d, bits, err := rc.Roundtrip(matToTensor(m))
+		d, bits, err := rc.Roundtrip(llm.MatToTensor(m))
 		if err != nil {
 			return nil, 0, err
 		}
-		return tensorToMat(d), bits, nil
+		return llm.TensorToMat(d), bits, nil
 	}
 }
 
@@ -37,11 +26,11 @@ func LLM265Transform(opts core.Options, bitsPerValue float64) TensorTransform {
 func LLM265ResidualTransform(opts core.Options, primaryBits, residualBits float64, switchStep int) TensorTransform {
 	gc := core.NewGradientCompressor(opts, primaryBits, residualBits, switchStep, 8)
 	return func(m *nn.Mat) (*nn.Mat, float64, error) {
-		d, bits, err := gc.Compress(matToTensor(m))
+		d, bits, err := gc.Compress(llm.MatToTensor(m))
 		if err != nil {
 			return nil, 0, err
 		}
-		return tensorToMat(d), bits, nil
+		return llm.TensorToMat(d), bits, nil
 	}
 }
 

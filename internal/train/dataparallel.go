@@ -157,7 +157,7 @@ func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus
 		}
 		res.Curve = append(res.Curve, pt)
 	}
-	toks, tgts := corpus.ValidBatches(maxInt(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
+	toks, tgts := corpus.ValidBatches(max(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
 	res.FinalPPL = m.Perplexity(toks, tgts)
 	if wireVals > 0 {
 		res.AvgBits = float64(res.WireBits) / float64(wireVals)
@@ -203,7 +203,7 @@ func newBucketBuffer(params []*nn.Param) *bucketBuffer {
 		}
 	}
 	rows := (bb.total + bucketCols - 1) / bucketCols
-	bb.mat = nn.NewMat(maxInt(rows, 1), bucketCols)
+	bb.mat = nn.NewMat(max(rows, 1), bucketCols)
 	return bb
 }
 

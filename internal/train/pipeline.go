@@ -124,7 +124,7 @@ func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 		}
 		res.Curve = append(res.Curve, pt)
 	}
-	toks, tgts := corpus.ValidBatches(maxInt(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
+	toks, tgts := corpus.ValidBatches(max(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
 	res.FinalPPL = m.Perplexity(toks, tgts)
 	if actVals > 0 {
 		res.ActBits = actBitsSum / actVals
@@ -137,11 +137,4 @@ func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 // isBoundary reports whether the output of block i crosses a stage boundary.
 func isBoundary(i, perStage, total int) bool {
 	return (i+1)%perStage == 0 && i+1 < total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

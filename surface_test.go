@@ -1,0 +1,413 @@
+package repro_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnly is the allow-list of TestProductionSurfaceIsClosed: what no main
+// reaches and stays anyway, each entry with the reason it stays. An entry is a
+// whole package ("internal/faultinject"), a function ("internal/llm.PackModel"),
+// a method ("internal/kv.Table.Budget") or an interface method, which stands
+// for every implementation ("internal/entropy.Coder.Decode"). An entry is a
+// root of its own: what only it calls needs no entry.
+var testOnly = map[string]string{
+	"internal/faultinject":          "the shared test fixtures: the byte-corruption sweeps every decoder's robustness test runs and the scripted network faults of the proxy tests",
+	"internal/entropy.Coder.Decode": "Fig. 14 prints encoded sizes only; the decoders (and their framing checks) are the proof, run by tests and FuzzEntropy, that those sizes decode",
+
+	"internal/frame.Plane.Clone": "fixture: tests mutate a copy of a plane",
+	"internal/frame.Plane.Equal": "fixture: the plane comparison of every byte-identity test",
+	"internal/frame.Plane.MSE":   "fixture: the distortion the RD-envelope tests bound",
+
+	"internal/codec.ChunkError.Unwrap":      "errors.Is and errors.As call it, through an unnamed interface the walk cannot see",
+	"internal/codec.Appender.Planes":        "observer: the append tests count live planes",
+	"internal/codec.Appender.DroppedPlanes": "observer: the append tests count evicted planes",
+	"internal/codec.Appender.PayloadBytes":  "observer: DropPlanes must free exactly the bytes it reports",
+	"internal/kv.Table.Budget":              "observer: the soaks hold Resident ≤ Budget at every sample",
+	"internal/kv.Table.Sessions":            "observer: the TTL test and the soaks' fill barrier and leak check count live sessions",
+	"internal/serve.Server.Draining":        "observer: the drain test waits on it instead of sleeping",
+	"internal/store.BlobCache.Bytes":        "observer: the refcount tests' leak check",
+	"internal/store.BlobCache.Blobs":        "observer: the refcount tests' leak check",
+	"internal/llm.PackModel":                "building block of the Parked multi-model item (ROADMAP): pack a trained model into the store; packed_test.go pins exact accuracy through it",
+	"internal/llm.ApplyPacked":              "with PackModel: load a packed model through store.Model's byte-budgeted LRU (reaches Model.Param)",
+	"internal/store.Model.Params":           "with PackModel: lists what a packed model maps; the store tests check the manifest order through it",
+}
+
+// TestProductionSurfaceIsClosed is the guard on north-star 2's "least code",
+// after TestEncodeDecodeSurfaceIsClosed and TestCoreSurfaceIsClosed: production
+// is what main in cmd/*, examples/* and benchmark/ — plus init and the
+// package-level initialisers of every package those import — can reach, and a
+// function or method under internal/ that production does not reach is deleted
+// or entered in testOnly with a reason. An entry that has become reachable, or
+// that names nothing, fails too, so the list cannot outlive its reasons.
+//
+// Reachability is type-checked (go/types over every non-test file; the nested
+// benchmark module is loaded from its directory against this tree): a use of a
+// function is an edge; a call through an interface is an edge to that method of
+// every live type that implements the interface; a type is live once reachable
+// code mentions it, holds a value of it or has it in a signature; and a live
+// type's methods that satisfy an interface of a package outside the module
+// (error, fmt.Stringer, http.Handler, sort.Interface, …) are reachable, because
+// the standard library is where those are called.
+func TestProductionSurfaceIsClosed(t *testing.T) {
+	build.Default.CgoEnabled = false // net and os/user have pure-Go fallbacks; no cgo run
+	m := loadModule(t)
+
+	var roots []*types.Func
+	for path, p := range m.pkgs {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			roots = append(roots, p.types.Scope().Lookup("main").(*types.Func))
+		}
+	}
+	prod := m.reach(roots)
+
+	kept := roots
+	for entry, reason := range testOnly {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("testOnly[%q] has no reason", entry)
+		}
+		if len(m.entries[entry]) == 0 {
+			t.Errorf("testOnly[%q] names no function, method or package under internal/", entry)
+		}
+		for _, fn := range m.entries[entry] {
+			if prod.funcs[fn] || prod.calls[fn] {
+				t.Errorf("testOnly[%q]: %s is reachable from main — drop the entry", entry, funcName(fn))
+			}
+		}
+		kept = append(kept, m.entries[entry]...)
+	}
+	alive := m.reach(kept).funcs
+
+	var dead []string
+	lines := 0
+	for fn, decl := range m.decls {
+		if alive[fn] || !strings.HasPrefix(fn.Pkg().Path(), "repro/internal/") {
+			continue
+		}
+		start := decl.Pos()
+		if decl.Doc != nil {
+			start = decl.Doc.Pos()
+		}
+		n := m.fset.Position(decl.End()).Line - m.fset.Position(start).Line + 1
+		lines += n
+		dead = append(dead, fmt.Sprintf("%s: %s (%d lines)", m.fset.Position(decl.Pos()), funcName(fn), n))
+	}
+	sort.Strings(dead)
+	if len(dead) > 0 {
+		t.Errorf("%d functions, %d lines with their doc comments, that no main in cmd/*, examples/* or benchmark/ reaches — "+
+			"delete them, or enter them in testOnly with a reason:\n  %s", len(dead), lines, strings.Join(dead, "\n  "))
+	}
+}
+
+// A loadedPkg is one type-checked package of the module, non-test files only.
+type loadedPkg struct {
+	types *types.Package
+	files []*ast.File
+}
+
+// A module is every package under cmd/, examples/, internal/ and benchmark/
+// with what the reachability walk reads of them.
+type module struct {
+	fset    *token.FileSet
+	info    *types.Info
+	dirs    map[string]string  // import path → directory
+	std     types.ImporterFrom // the standard library, type-checked from source
+	pkgs    map[string]*loadedPkg
+	decls   map[*types.Func]*ast.FuncDecl
+	entries map[string][]*types.Func // what a testOnly key names: "pkg", "pkg.Func", "pkg.Type.Method"
+	named   []*types.Named           // every named non-interface type the module declares
+	outer   []*types.Interface       // method-bearing interfaces of the packages the module imports from outside
+}
+
+func loadModule(t *testing.T) *module {
+	m := &module{
+		fset: token.NewFileSet(),
+		info: &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+		dirs:    map[string]string{"repro/benchmark": "benchmark"},
+		pkgs:    map[string]*loadedPkg{},
+		decls:   map[*types.Func]*ast.FuncDecl{},
+		entries: map[string][]*types.Func{},
+	}
+	m.std = importer.ForCompiler(m.fset, "source", nil).(types.ImporterFrom)
+	for _, glob := range []string{"cmd/*", "examples/*", "internal/*"} {
+		dirs, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range dirs {
+			m.dirs["repro/"+filepath.ToSlash(dir)] = dir
+		}
+	}
+	outside := map[*types.Package]bool{}
+	for path := range m.dirs {
+		p, err := m.Import(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range p.Imports() {
+			if m.pkgs[imp.Path()] == nil {
+				outside[imp] = true
+			}
+		}
+	}
+	m.outer = append(m.outer, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for p := range outside {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && tn.Type().(*types.Named).TypeParams() == nil {
+					m.outer = append(m.outer, iface)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// Import type-checks a package of the module from its directory (once), and
+// hands anything else to the source importer.
+func (m *module) Import(path string) (*types.Package, error) {
+	dir, ok := m.dirs[path]
+	if !ok {
+		return m.std.ImportFrom(path, ".", 0)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p.types, nil
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	p := &loadedPkg{}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(m.fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	if len(p.files) == 0 {
+		return nil, fmt.Errorf("%s: no non-test Go files", dir)
+	}
+	m.pkgs[path] = p // before Check: an import cycle is the compiler's to report, not a recursion here
+	p.types, err = (&types.Config{Importer: m}).Check(path, m.fset, p.files, m.info)
+	if err != nil {
+		return nil, err
+	}
+	pkg := strings.TrimPrefix(path, "repro/")
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			fn := m.info.Defs[fd.Name].(*types.Func)
+			m.decls[fn] = fd
+			name := pkg + "." + fn.Name()
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				typ := recv.Type()
+				if ptr, ok := typ.(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				name = pkg + "." + typ.(*types.Named).Obj().Name() + "." + fn.Name()
+			}
+			m.entries[pkg] = append(m.entries[pkg], fn)
+			m.entries[name] = append(m.entries[name], fn)
+		}
+	}
+	for _, name := range p.types.Scope().Names() {
+		tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumExplicitMethods(); i++ {
+				method := iface.ExplicitMethod(i)
+				m.entries[pkg+"."+name+"."+method.Name()] = []*types.Func{method}
+			}
+		} else {
+			m.named = append(m.named, tn.Type().(*types.Named))
+		}
+	}
+	return p.types, nil
+}
+
+// reached is one walk's result.
+type reached struct {
+	funcs map[*types.Func]bool // declared functions and methods reached
+	calls map[*types.Func]bool // interface methods called
+}
+
+// reach walks from the roots to a fixed point.
+func (m *module) reach(roots []*types.Func) *reached {
+	r := &reached{funcs: map[*types.Func]bool{}, calls: map[*types.Func]bool{}}
+	live := map[*types.Named]bool{}
+	var work []ast.Node
+	var visitType func(types.Type)
+	visitFunc := func(fn *types.Func) {
+		fn = fn.Origin()
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv != nil && types.IsInterface(recv.Type()) {
+			r.calls[fn] = true
+			return
+		}
+		if r.funcs[fn] {
+			return
+		}
+		decl := m.decls[fn]
+		if decl == nil {
+			return // declared outside the module
+		}
+		r.funcs[fn] = true
+		if recv != nil {
+			visitType(recv.Type())
+		}
+		visitType(fn.Type())
+		if decl.Body != nil {
+			work = append(work, decl.Body)
+		}
+	}
+	seen := map[types.Type]bool{}
+	visitType = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Named:
+			if typ = typ.Origin(); typ.Obj().Pkg() != nil && m.pkgs[typ.Obj().Pkg().Path()] != nil {
+				live[typ] = true
+				visitType(typ.Underlying())
+			}
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				visitType(typ.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			visitType(typ.Elem())
+		case *types.Slice:
+			visitType(typ.Elem())
+		case *types.Array:
+			visitType(typ.Elem())
+		case *types.Chan:
+			visitType(typ.Elem())
+		case *types.Map:
+			visitType(typ.Key())
+			visitType(typ.Elem())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				visitType(typ.Field(i).Type())
+			}
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				visitType(typ.At(i).Type())
+			}
+		case *types.Signature:
+			visitType(typ.Params())
+			visitType(typ.Results())
+		}
+	}
+
+	// Roots: init and the package-level initialisers of every package a root
+	// function's package imports, directly or not, then the function.
+	imported := map[*types.Package]bool{}
+	var importAll func(p *types.Package)
+	importAll = func(p *types.Package) {
+		lp := m.pkgs[p.Path()]
+		if lp == nil || imported[p] {
+			return
+		}
+		imported[p] = true
+		for _, imp := range p.Imports() {
+			importAll(imp)
+		}
+		for _, f := range lp.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						work = append(work, d)
+					}
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						visitFunc(m.info.Defs[d.Name].(*types.Func))
+					}
+				}
+			}
+		}
+	}
+	for _, fn := range roots {
+		importAll(fn.Pkg())
+		visitFunc(fn)
+	}
+	for {
+		for len(work) > 0 {
+			node := work[len(work)-1]
+			work = work[:len(work)-1]
+			ast.Inspect(node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					switch obj := m.info.Uses[n].(type) {
+					case *types.Func:
+						visitFunc(obj)
+					case *types.TypeName:
+						visitType(obj.Type())
+					}
+				}
+				if n, ok := n.(ast.Expr); ok {
+					visitType(m.info.Types[n].Type)
+				}
+				return true
+			})
+		}
+		// A live type answers the interface calls made so far, and the
+		// interfaces the standard library calls through.
+		for _, typ := range m.named {
+			if !live[typ] {
+				continue
+			}
+			ptr := types.NewPointer(typ)
+			answer := func(name string) {
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, typ.Obj().Pkg(), name); obj != nil {
+					visitFunc(obj.(*types.Func))
+				}
+			}
+			for call := range r.calls {
+				iface := call.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+				if types.Implements(ptr, iface) {
+					answer(call.Name())
+				}
+			}
+			for _, iface := range m.outer {
+				if types.Implements(ptr, iface) {
+					for i := 0; i < iface.NumMethods(); i++ {
+						answer(iface.Method(i).Name())
+					}
+				}
+			}
+		}
+		if len(work) == 0 {
+			return r
+		}
+	}
+}
+
+// funcName prints fn as the kill list in CHANGES.md does: pkg.F, (*pkg.T).M.
+func funcName(fn *types.Func) string {
+	return strings.ReplaceAll(fn.FullName(), "repro/internal/", "")
+}
