@@ -2,8 +2,9 @@
 #
 # `make ci` is the canonical verify step: it builds everything, vets, runs
 # the test suite (which includes the exhaustive corruption sweeps and the
-# fuzz targets' seed corpora), repeats the suite under the race detector —
-# mandatory since the encode/decode engine fans plane chunks out across a
+# fuzz targets' seed corpora), repeats it as GOARCH=386 (the pure-Go kernels
+# of the non-amd64 build) and vets GOARCH=arm64, repeats it under the race
+# detector — mandatory since the encode/decode engine fans plane chunks out across a
 # goroutine worker pool (internal/codec/engine.go) — and finishes with a
 # short coverage-guided fuzz pass over the decode entry points. Speed is
 # measured only by the repository benchmark (benchmark/, `make bench-ab`),
@@ -14,7 +15,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet surface race ci bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
+.PHONY: all build test vet surface portable race ci bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
 
 all: build
 
@@ -43,6 +44,14 @@ surface: vet
 	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
+
+# The other build. 386 binaries run natively on an amd64 host: the suite
+# there runs the pure-Go kernels, the !amd64 stubs, and
+# TestProductionSurfaceIsClosed over the files that build selects. arm64 is
+# vetted only; `vet` already checks the amd64 assembly's frames (asmdecl).
+portable:
+	GOARCH=386 $(GO) test ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Race-detector run over the full tree; catches any data race in the
 # parallel engine's worker pools and in the metrics registry.
@@ -110,21 +119,26 @@ benchmark-test:
 
 # kv-test and train-test stay beside `race` because KV_SOAK=1/TRAIN_SOAK=1
 # change what runs.
-ci: surface build test benchmark-test kv-test train-test race fuzz-smoke
+ci: surface build test portable benchmark-test kv-test train-test race fuzz-smoke
 
 # Coverage-guided fuzzing of every decode entry point, FUZZTIME per target.
 # Each target is seeded from valid round-trip containers, so the fuzzer
 # starts at deep coverage; any input that panics or produces an untyped
 # error is minimized and written to testdata/fuzz/ for replay by `go test`.
 # The kernel targets: FuzzLanes, the transform's two-vectors-per-butterfly
-# passes against the dense product, seeded on their guards; FuzzParseResidual,
-# CABAC's block parse against the per-bin loop on arbitrary payloads.
+# passes against the dense product, seeded on their guards; FuzzSIMDKernels
+# (dct and intra), the SIMD transforms and scorer against the pure-Go ones,
+# seeded on the transforms' limits and the scorer's line exits;
+# FuzzParseResidual, CABAC's block parse against the per-bin loop on arbitrary
+# payloads.
 fuzz-smoke:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzParseResidual -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy/ -run '^$$' -fuzz FuzzEntropy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzSIMDKernels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/intra/ -run '^$$' -fuzz FuzzSIMDKernels -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzKVRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzAllreduceSegment -fuzztime $(FUZZTIME)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -254,6 +255,7 @@ func TestUsageErrors(t *testing.T) {
 	writeFile(t, empty, nil)
 	writeFile(t, in, f32Bytes(testTensor(1)))
 	geometry := []string{"-rows", fmt.Sprint(testRows), "-cols", fmt.Sprint(testCols)}
+	half := fmt.Sprint(1 << (strconv.IntSize/2 - 1)) // an edge whose square ×4 is 2^IntSize
 	cases := []struct {
 		name   string
 		args   []string
@@ -263,11 +265,11 @@ func TestUsageErrors(t *testing.T) {
 		{"encode-no-flags", []string{"encode"}, 1, "encode requires"},
 		{"encode-no-rate", append([]string{"encode", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "one of -bits, -mse or -qp"},
 		{"encode-wrong-size", append([]string{"encode", "-qp", "24", "-in", empty, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "input is 0 bytes"},
-		// rows*cols*4 wraps to 0 in a 64-bit int, which is the empty input's
-		// length: without the product guard this passed the length check and
-		// panicked in make.
+		// rows*cols*4 wraps to 0 in an int of either word size, which is the
+		// empty input's length: without the product guard this passed the
+		// length check and panicked in make.
 		{"encode-overflow", []string{"encode", "-qp", "24", "-in", empty, "-out", filepath.Join(dir, "o.l265"),
-			"-rows", "2147483648", "-cols", "2147483648"}, 1, "too large"},
+			"-rows", half, "-cols", half}, 1, "too large"},
 		{"decode-no-flags", []string{"decode"}, 1, "decode requires"},
 		{"info-no-flags", []string{"info"}, 1, "info requires"},
 		{"verify-no-flags", []string{"verify"}, 1, "verify requires"},

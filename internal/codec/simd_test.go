@@ -1,0 +1,23 @@
+package codec
+
+import (
+	"testing"
+
+	"repro/internal/cpufeat"
+)
+
+// TestGenericKernelsPinned re-runs the byte pins with the pure-Go kernels of
+// internal/dct and internal/intra forced (DESIGN.md §11.1, "SIMD kernels"):
+// the plain run of each took the SIMD ones, so the same pins hold both.
+func TestGenericKernelsPinned(t *testing.T) {
+	if !cpufeat.AVX2FMA {
+		t.Skip("no SIMD kernels on this CPU: every test already runs the pure-Go ones")
+	}
+	cpufeat.AVX2FMA = false
+	defer func() { cpufeat.AVX2FMA = true }()
+	t.Run("GoldenConformance", TestGoldenConformance)
+	t.Run("EncodeReconIsDecode", TestEncodeReconIsDecode)
+	t.Run("DuplicateSurvivorsSkipped", TestDuplicateSurvivorsSkipped)
+	t.Run("EstimateLevelBitsPinned", TestEstimateLevelBitsPinned)
+	t.Run("MetricsDoNotChangeBytes", TestMetricsDoNotChangeBytes)
+}

@@ -1,0 +1,12 @@
+// Package cpufeat reports, once at start-up, whether the CPU runs the SIMD
+// kernels of internal/dct and internal/intra (DESIGN.md §11.1, "SIMD
+// kernels"). It is the only place the choice is made: there is no option,
+// flag, environment variable or build tag, only GOARCH and what the CPU and
+// OS report.
+package cpufeat
+
+// AVX2FMA is true on amd64 when the CPU has AVX2 and FMA and the OS saves the
+// YMM registers across context switches, and false on every other GOARCH. It
+// is set once, by package initialisation. Tests clear it, and restore it, to
+// run the pure-Go kernels the SIMD ones are held to; nothing else writes it.
+var AVX2FMA = detect()

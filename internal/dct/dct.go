@@ -29,7 +29,9 @@
 // < 2²¹ and pass-2 sums < 2³⁴, far inside int64; the inverse makes no range
 // assumption because the decoder feeds it untrusted levels. The dense product lives on in dct_test.go as the
 // differential reference. The 4×4 DST-VII has no such symmetry and stays a
-// plain 4×4 matrix product.
+// plain 4×4 matrix product. On amd64 with AVX2 and FMA, the DCTs of n = 8, 16
+// and 32 run as float64 matrix products instead whenever a block is small
+// enough for them to be exact (gemm.go), which every encoder block is.
 package dct
 
 import (
@@ -65,6 +67,11 @@ type butterfly struct {
 	// under which a pass may carry two vectors through forward or inverse at
 	// once.
 	laneLimit int64
+	// a and aT are A and Aᵀ as float64, row-major, and fwdLimit and invLimit
+	// the magnitude scans under which Forward and the inverse may take them
+	// through the float kernels (gemm.go).
+	a, aT              []float64
+	fwdLimit, invLimit int64
 }
 
 // butterflies holds the tables for n = 4, 8, 16, 32 at index log2(n)−2.
@@ -162,6 +169,13 @@ func newButterfly(mat []int32, n int) butterfly {
 	b.laneLimit = math.MaxInt32/l1 - 1
 	if b.laneLimit < 1<<8 {
 		panic(fmt.Sprintf("dct: n=%d lane limit %d would send 8-bit residuals down the unpacked path", n, b.laneLimit))
+	}
+	b.fwdLimit, b.invLimit = gemmLimit(l1, fwdShift), gemmLimit(l1, invShift)
+	b.a, b.aT = make([]float64, n*n), make([]float64, n*n)
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			b.a[k*n+j], b.aT[j*n+k] = float64(at(k, j)), float64(at(k, j))
+		}
 	}
 	return b
 }
@@ -381,6 +395,7 @@ type Transform struct {
 	n   int
 	bf  *butterfly // DCT tables; nil for the DST-VII (dstMat)
 	tmp []int64    // the intermediate between the two separable passes
+	f   []float64  // the float kernels' operands (gemm.go)
 }
 
 // NewDCT returns the integer DCT-II transform of size n (4, 8, 16 or 32).
@@ -420,6 +435,9 @@ func (t *Transform) Forward(dst, res []int32) {
 	}
 	if t.bf == nil {
 		dst4(dst, res, &dstMat, fwdShift)
+		return
+	}
+	if useGEMM(n) && t.forwardGEMM(dst, res) {
 		return
 	}
 	// Both passes transform contiguous rows and write their output down a
@@ -537,6 +555,9 @@ func (t *Transform) InverseMasked(dst, coef []int32, nz *RowMasks) {
 		for i := range dst {
 			dst[i] = fill
 		}
+		return
+	}
+	if useGEMM(n) && t.inverseGEMM(dst, coef) {
 		return
 	}
 	tmp := t.tmp

@@ -1,0 +1,10 @@
+package dct
+
+//go:noescape
+func widenAVX2(dst *float64, src *int32, count int) (scan int32)
+
+//go:noescape
+func gemmAVX2(c, a, b *float64, n int)
+
+//go:noescape
+func narrowAVX2(dst *int32, src *float64, count int, half, scale float64)

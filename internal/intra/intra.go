@@ -11,6 +11,8 @@ package intra
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/cpufeat"
 )
 
 // Mode identifies an intra prediction mode.
@@ -282,13 +284,16 @@ func angularLine(line, ref []int32, n int, pos int32) {
 //
 // so that the samples a line blends, ref[i+x] and ref[i+1+x], are the lanes of
 // two adjacent words at any start i. Each is packed when a mode first needs
-// it. A Scorer is a few KB of fixed arrays: it belongs in a per-worker arena
-// and is not safe for concurrent use.
+// it. Where the CPU has AVX2 (sad_amd64.s), blocks of n ≥ 8 are scored from
+// int16 copies of the same lines and arrays instead, a whole mode per call;
+// which form a block uses is fixed at Reset. A Scorer is ≈ 13 KB of fixed
+// arrays: it belongs in a per-worker arena and is not safe for concurrent use.
 type Scorer struct {
 	n        int
 	src      []int32 // the block, row-major
 	refs     [2]Refs // raw, smoothed
 	smoothed bool    // refs[1] has been filled
+	simd     bool    // scored by sadLinesAVX2 from line16 and ref16
 	// line[o] holds the source as orientation o scores it — rows for the
 	// vertical modes (0), columns for the horizontal ones (1) — n/4 words a
 	// line, each lane a sample plus sadBias.
@@ -299,6 +304,11 @@ type Scorer struct {
 	// below n belong to whichever negative-angle mode was scored last.
 	ref      [2][2][packedRefLen]uint64
 	refReady [2][2]bool
+	// line16 and ref16 are line and ref one sample an int16, unbiased, laid
+	// out as angularRef's array is: the corner at n, the main samples from
+	// n+1, the spare slot at 3n+1 zero, projected side samples below n.
+	line16 [2][MaxBlockSize * MaxBlockSize]int16
+	ref16  [2][2][packedRefLen]int16
 }
 
 // packedRefLen is angularRef's 3·MaxBlockSize+2 rounded up to a power of two,
@@ -323,6 +333,7 @@ func (sc *Scorer) Reset(n int, src []int32, refs, smoothInto Refs) {
 	sc.n, sc.src = n, src
 	sc.refs = [2]Refs{refs, smoothInto}
 	sc.smoothed = false
+	sc.simd = useSIMD(n)
 	sc.lineReady = [2]bool{}
 	sc.refReady = [2][2]bool{}
 }
@@ -339,6 +350,10 @@ func (sc *Scorer) Refs(smoothed bool) Refs {
 	return sc.refs[1]
 }
 
+// useSIMD reports whether a Scorer scores n×n blocks with sadLinesAVX2: n = 4
+// fills no vector, so only n ≥ 8, and only where the CPU has AVX2.
+func useSIMD(n int) bool { return n >= 8 && cpufeat.AVX2FMA }
+
 func b2i(b bool) int {
 	if b {
 		return 1
@@ -353,6 +368,18 @@ func (sc *Scorer) packLines(o int) {
 	if o == 1 {
 		step, next = n, 1
 	}
+	sc.lineReady[o] = true
+	if sc.simd {
+		out := sc.line16[o][:n*n]
+		for l := 0; l < n; l++ {
+			at := l * next
+			for j := range out[l*n : l*n+n] {
+				out[l*n+j] = int16(src[at])
+				at += step
+			}
+		}
+		return
+	}
 	out := sc.line[o][:n*n/4]
 	for l := 0; l < n; l++ {
 		at := l * next
@@ -362,7 +389,6 @@ func (sc *Scorer) packLines(o int) {
 			at += 4 * step
 		}
 	}
-	sc.lineReady[o] = true
 }
 
 // packRef fills ref[f][o] from the corner up: each word is the one above it
@@ -374,14 +400,24 @@ func (sc *Scorer) packRef(f, o int) {
 	if o == 1 {
 		main = r.Left
 	}
-	n, p := sc.n, &sc.ref[f][o]
+	n := sc.n
+	sc.refReady[f][o] = true
+	if sc.simd {
+		p := &sc.ref16[f][o]
+		p[n] = int16(r.Corner)
+		for i, v := range main[:2*n] {
+			p[n+1+i] = int16(v)
+		}
+		p[3*n+1] = 0
+		return
+	}
+	p := &sc.ref[f][o]
 	var w uint64
 	for i := 2*n - 1; i >= 0; i-- {
 		w = w<<16 | uint64(main[i])
 		p[n+1+i] = w
 	}
 	p[n] = w<<16 | uint64(r.Corner)
-	sc.refReady[f][o] = true
 }
 
 // SAD returns what scoring angular mode m line by line against the source
@@ -401,7 +437,10 @@ func (sc *Scorer) packRef(f, o int) {
 // d ^ 0x8000 = s−v−1, while otherwise d ^ 0x7FFF = v−s. So with g = that bit,
 // |v−s| = (d ^ (0x7FFF + g)) + g, at most 255, and a line's n/4 ≤ 8 words add
 // up to at most 2040 per lane and 8160 across the four — the multiply by
-// lanes that sums them into the top lane cannot carry either.
+// lanes that sums them into the top lane cannot carry either. sadLinesAVX2
+// computes the same integers in signed 16-bit lanes, one sample each: a<<5 ≤
+// 8160, |frac·(b−a)| ≤ 31·255 and the numerator ≤ 8176 < 2¹⁵, so no lane
+// overflows; |v−s| ≤ 255 is VPABSW of the difference.
 func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 	if m < 2 || m > 34 {
 		panic("intra: Scorer.SAD of a non-angular mode")
@@ -413,13 +452,26 @@ func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 	if !sc.lineReady[o] {
 		sc.packLines(o)
 	}
-	n, ref, angle := sc.n, &sc.ref[f][o], angleTable[m-2]
-	if angle < 0 {
-		// Extend downwards by the projected side samples, as angularRef does.
-		side, inv, need := sc.refs[f].Left, invAngleTable[-angle], negativeExtent(n, angle)
-		if o == 1 {
-			side = sc.refs[f].Above
+	n, angle := sc.n, angleTable[m-2]
+	// A negative angle extends the array downwards by the projected side
+	// samples, as angularRef does.
+	side := sc.refs[f].Left
+	if o == 1 {
+		side = sc.refs[f].Above
+	}
+	if sc.simd {
+		ref := &sc.ref16[f][o]
+		if angle < 0 {
+			inv, need := invAngleTable[-angle], negativeExtent(n, angle)
+			for i := 1; i <= need; i++ {
+				ref[n-i] = int16(side[projectedSide(i, inv, n)])
+			}
 		}
+		return sadLinesAVX2(&ref[0], &sc.line16[o][0], n, int(angle), bound)
+	}
+	ref := &sc.ref[f][o]
+	if angle < 0 {
+		inv, need := invAngleTable[-angle], negativeExtent(n, angle)
 		w := ref[n]
 		for i := 1; i <= need; i++ {
 			w = w<<16 | uint64(side[projectedSide(i, inv, n)])

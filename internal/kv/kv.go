@@ -337,7 +337,7 @@ func (t *Table) Sessions() int { return int(t.nlive.Load()) }
 func (t *Table) shardFor(name string) *shard {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return t.shards[int(h.Sum32())%len(t.shards)]
+	return t.shards[h.Sum32()%uint32(len(t.shards))]
 }
 
 func (t *Table) addResident(delta int64) {

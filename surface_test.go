@@ -196,6 +196,15 @@ func (m *module) Import(path string) (*types.Package, error) {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
+		// The host's build only: an _amd64.go file and its !amd64 twin
+		// declare the same names, and GOARCH=386 analyses the other side.
+		ok, err := build.Default.MatchFile(dir, filepath.Base(name))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(m.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
