@@ -33,16 +33,18 @@ vet:
 # the two closed API surfaces — codec's Encode/Decode, core's eleven Options
 # methods — and the closed field lists of the four config structs still hold,
 # the reconstruction Encode hands out is still the one
-# Decode computes (codec's and core's ReconIsDecode contracts), and every
-# kernel still computes the integers of the one it replaced (the differential
-# tests of DESIGN.md §11.1 and the rate estimate's bit pins), and production is
-# closed: every function under internal/ is reached from a main in cmd/*,
+# Decode computes (codec's and core's ReconIsDecode contracts), every path of
+# every kernel still computes its definition's integers (the tests of DESIGN.md
+# §11.1 that hold each kernel to its refimpl_test.go, their fuzz seeds, the
+# limits and the rate estimate's bit pins), and every definition still has a
+# test that holds a kernel to it (TestKernelReferencesAreLive), and production
+# is closed: every function under internal/ is reached from a main in cmd/*,
 # examples/* or benchmark/, or is entered with its reason in surface_test.go's
 # allow-list (TestProductionSurfaceIsClosed; a failure prints each unreached
 # function with its position and line count). The first step of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode' . ./internal/codec/ ./internal/core/
-	$(GO) test -run 'Equivalence|Pinned' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive' . ./internal/codec/ ./internal/core/
+	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) vet -C benchmark ./...
 
 # The other build. 386 binaries run natively on an amd64 host: the suite
@@ -125,19 +127,19 @@ ci: surface build test portable benchmark-test kv-test train-test race fuzz-smok
 # Each target is seeded from valid round-trip containers, so the fuzzer
 # starts at deep coverage; any input that panics or produces an untyped
 # error is minimized and written to testdata/fuzz/ for replay by `go test`.
-# The kernel targets: FuzzLanes, the transform's two-vectors-per-butterfly
-# passes against the dense product, seeded on their guards; FuzzSIMDKernels
-# (dct and intra), the SIMD transforms and scorer against the pure-Go ones,
-# seeded on the transforms' limits and the scorer's line exits;
-# FuzzParseResidual, CABAC's block parse against the per-bin loop on arbitrary
-# payloads.
+# The kernel targets, one a package, each holding every kernel path the host
+# runs to its definition (DESIGN.md §11.1): FuzzLanes (dct), any block through
+# the transforms against the dense product, seeded on the paired passes' and
+# the float kernels' limits; FuzzSIMDKernels (intra), the scorer against the
+# line sums of the per-pixel formula, seeded on the sample range's ends and
+# the line exits; FuzzParseResidual (codec), CABAC's block parse against the
+# per-bin loop on arbitrary payloads.
 fuzz-smoke:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzParseResidual -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzDecodeStack -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/entropy/ -run '^$$' -fuzz FuzzEntropy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzLanes -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dct/ -run '^$$' -fuzz FuzzSIMDKernels -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/intra/ -run '^$$' -fuzz FuzzSIMDKernels -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzKVRequest -fuzztime $(FUZZTIME)
@@ -152,7 +154,7 @@ fuzz-smoke:
 # §13.4) — and the whole-stack decode at one worker under either backend.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|AngularSAD|TrialResidual|EstimateLevelBits|ParseResidual|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|ScoreAngular|TrialResidual|EstimateLevelBits|ParseResidual|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run '^$$' -bench 'Decode(Layer|Stack)(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any

@@ -214,15 +214,21 @@ func unpackBits(bins []uint8, packed []byte) []uint8 {
 	return bins
 }
 
-func newLiteralChunk(payload []byte) *ransChunk {
+// newLiteralChunk unpacks the raw payload of a chunk coding chunkPixels pixels
+// a byte per bit, and refuses it unread if it is longer than a rANS payload of
+// that geometry may be: its bins, twice as many bypass bits, a byte's padding.
+func newLiteralChunk(payload []byte, chunkPixels int64) (*ransChunk, error) {
+	if 8*int64(len(payload)) > 3*maxRansBins(chunkPixels)+7 {
+		return nil, corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
+	}
 	c := &ransChunk{bins: unpackBits(make([]uint8, 0, 8*len(payload)), payload)}
 	c.prefix[bypassQueue+1] = len(c.bins)
-	return c
+	return c, nil
 }
 
-// maxRansBins caps the bin count a chunk payload may declare, relative to
-// the chunk's header-declared pixel area: the syntax never emits more than
-// a handful of context bins per coefficient, so 32/pixel is generous slack
+// maxRansBins caps the bin count a chunk payload may declare, relative to the
+// area the chunk codes (codedPixels): the syntax never emits more than a
+// handful of context bins per coefficient, so 32/pixel is generous slack
 // while keeping a forged count table from committing a large allocation.
 func maxRansBins(chunkPixels int64) int64 {
 	cap64 := 32*chunkPixels + 4096
@@ -427,12 +433,12 @@ func (c *ransChunk) expGolomb(k uint) uint32 {
 	return v + c.bypassBits(k)
 }
 
-// dimsPixels sums the source pixel area of a chunk's frame dims (already
-// bounded by maxDecodePixels at header parse).
-func dimsPixels(dims [][2]int) int64 {
+// codedPixels sums the area a chunk's syntax codes: each frame padded to whole
+// CTUs (a 1×1 plane codes one), which its source area would undercount.
+func codedPixels(dims [][2]int, ctu int) int64 {
 	var n int64
 	for _, d := range dims {
-		n += int64(d[0]) * int64(d[1])
+		n += int64(padTo(d[0], ctu)) * int64(padTo(d[1], ctu))
 	}
 	return n
 }

@@ -212,7 +212,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		// Pre-decode every context bin through the interleaved states before
 		// the (serial) syntax parse; this is where the backend's intra-chunk
 		// parallelism lives.
-		rc, err = parseRansPayload(c.payload, pc.ransTab, dimsPixels(c.dims), surplus)
+		rc, err = parseRansPayload(c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize), surplus)
 		if err != nil {
 			return nil, classifyStreamErr(err)
 		}
@@ -222,7 +222,9 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
 	default:
-		d.br = newLiteralChunk(c.payload)
+		if d.br, err = newLiteralChunk(c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+			return nil, err
+		}
 	}
 
 	var stageStart time.Time

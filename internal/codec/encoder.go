@@ -179,8 +179,8 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 func computeStats(planes, recs []*frame.Plane, bits int) Stats {
 	var st Stats
 	st.Bits = bits
-	// Integer SSE: exact, and equal to the float64 accumulation it replaced,
-	// every partial sum being an integer below 2⁵³.
+	// Integer SSE: exact, and equal to the float64 accumulation that defines
+	// it, every partial sum being an integer below 2⁵³.
 	var sse int64
 	for i, p := range planes {
 		st.Pixels += p.W * p.H
@@ -672,7 +672,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 // until the next trial), the SSE distortion and an estimated rate in bits.
 //
 // Under the transform the trial does not dequantise, invert and add as the
-// definition (reconstructBlockInto, kernels_test.go) does: it knows
+// definition (reconstructBlockInto, refimpl_test.go) does: it knows
 // more than a decoder does — the coefficients the levels came from, so
 // quantising and dequantising are one pass that also locates the non-zero
 // levels for the inverse, and the source, so the prediction is added and the

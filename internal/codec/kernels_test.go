@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dct"
@@ -16,55 +17,16 @@ import (
 	"repro/internal/tensorgen"
 )
 
-// trialDraw makes one (source, prediction) pair: the source is the prediction
-// plus noise of a drawn amplitude, clipped, so that across draws and QPs the
-// levels run from all-zero to dense.
-func trialDraw(rng *rand.Rand, size int) (orig, pred []int32) {
-	n2 := size * size
-	orig, pred = make([]int32, n2), make([]int32, n2)
-	amp := int32(1) << uint(rng.Intn(9))
-	base, slope := rng.Int31n(256), rng.Int31n(9)-4
-	for i := range pred {
-		pred[i] = clipPixel(base + slope*int32(i%size) + rng.Int31n(5))
-		orig[i] = clipPixel(pred[i] + rng.Int31n(2*amp+1) - amp)
-	}
-	return orig, pred
-}
-
-// reconstructBlockInto rebuilds pixel values from a prediction and levels
-// into rec, using coefScratch (same length) as the dequantization workspace;
-// the definition of a reconstruction, which the encoder's fused trial and the
-// reconstructor's one-pass leaf are each held to below. rec must not alias pred or levels;
-// coefScratch must not alias levels.
-func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
-	var any int32
-	for _, l := range levels {
-		any |= l
-	}
-	switch {
-	case any == 0:
-		// Zero levels dequantize to zero and inverse-transform to zero,
-		// with or without the transform: a decoded leaf whose cbf is 0.
-		clear(rec)
-	case useTransform:
-		dct.Dequantize(coefScratch, levels, qp)
-		tr.Inverse(rec, coefScratch)
-	default:
-		dequantizeSpatial(rec, levels, qp)
-	}
-	for i := range rec {
-		rec[i] = clipPixel(pred[i] + rec[i])
-	}
-}
-
-// TestTrialResidualEquivalence ties the encoder's fused RD trial to the
-// decoder's reconstruction path: on random (block, prediction, QP, size,
-// DST/DCT, transform on/off) draws, trialResidual returns the levels,
-// reconstruction, distortion and rate of residual → Forward → Quantize →
-// reconstructBlockInto → SSE → estimateLevelBits.
+// TestTrialResidualEquivalence holds the encoder's fused RD trial, on every
+// kernel path, to its definition: on 10 000 drawn (block, prediction, QP,
+// size, DST/DCT, transform on/off) draws — predictions noisy, ramped or flat,
+// sources a copy of them under noise of a drawn amplitude, so that across
+// draws and QPs the levels run from all-zero to dense — trialResidual returns
+// trialDef's levels, reconstruction, distortion and rate.
 func TestTrialResidualEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	s := newScratch()
+	pix := make([]uint8, maxBlock)
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
@@ -72,96 +34,41 @@ func TestTrialResidualEquivalence(t *testing.T) {
 		e.prof.UseDST4 = rng.Intn(2) == 0
 		e.tools.Transform = draw%10 != 0
 		isIntra := rng.Intn(4) != 0
-		orig, pred := trialDraw(rng, size)
-
-		res, wantLev := make([]int32, n2), make([]int32, n2)
-		for i := range res {
-			res[i] = orig[i] - pred[i]
+		drawPixels(rng, pix[:n2], size, draw)
+		orig, pred := make([]int32, n2), make([]int32, n2)
+		for i, v := range pix[:n2] {
+			pred[i] = int32(v)
 		}
-		tr := s.transformFor(size, isIntra && e.prof.UseDST4)
-		if e.tools.Transform {
-			coef := make([]int32, n2)
-			tr.Forward(coef, res)
-			dct.Quantize(wantLev, coef, e.qp)
-		} else {
-			quantizeSpatial(wantLev, res, e.qp)
-		}
-		wantRec := make([]int32, n2)
-		reconstructBlockInto(wantRec, make([]int32, n2), pred, wantLev, e.qp, e.tools.Transform, tr)
-		var wantSSE float64
-		for i, o := range orig {
-			d := float64(o - wantRec[i])
-			wantSSE += d * d
-		}
-		wantBits := estimateLevelBits(wantLev, size, e.tools.Transform)
-
-		lev, rec, sse, bits := e.trialResidual(orig, pred, size, isIntra)
-		for i := range wantLev {
-			if lev[i] != wantLev[i] || rec[i] != wantRec[i] {
-				t.Fatalf("draw %d (size %d qp %d transform %v dst %v): [%d] level %d rec %d, reference level %d rec %d",
-					draw, size, e.qp, e.tools.Transform, isIntra && e.prof.UseDST4, i, lev[i], rec[i], wantLev[i], wantRec[i])
+		drawSource(rng, orig, pred, int32(1)<<uint(rng.Intn(9)))
+		wantLev, wantRec, wantSSE, wantBits := trialDef(e, orig, pred, size, isIntra)
+		kernelPaths(func(simd bool) {
+			lev, rec, sse, bits := e.trialResidual(orig, pred, size, isIntra)
+			for i := range wantLev {
+				if lev[i] != wantLev[i] || rec[i] != wantRec[i] {
+					t.Fatalf("draw %d (size %d qp %d transform %v dst %v simd %v): [%d] level %d rec %d, definition level %d rec %d",
+						draw, size, e.qp, e.tools.Transform, isIntra && e.prof.UseDST4, simd, i, lev[i], rec[i], wantLev[i], wantRec[i])
+				}
 			}
-		}
-		if sse != wantSSE || math.Float64bits(bits) != math.Float64bits(wantBits) {
-			t.Fatalf("draw %d (size %d qp %d): sse %v bits %v, reference sse %v bits %v", draw, size, e.qp, sse, bits, wantSSE, wantBits)
-		}
+			if sse != wantSSE || math.Float64bits(bits) != math.Float64bits(wantBits) {
+				t.Fatalf("draw %d (size %d qp %d simd %v): sse %v bits %v, definition sse %v bits %v", draw, size, e.qp, simd, sse, bits, wantSSE, wantBits)
+			}
+		})
 	}
 }
 
-// reconstructParent is the reconstruct stage's leaf loop as PR 19 shipped it
-// (commit 9ad1130): the block rebuilt by reconstructBlockInto — the definition
-// TestTrialResidualEquivalence ties the encoder to — and committed by
-// storeBlock. The differential reference for the fused loop.
-func reconstructParent(r *reconstructor, b *ctuBatch) {
-	s := r.scr
-	levOff := 0
-	for i := range b.leaves[:b.n] {
-		lf := &b.leaves[i]
-		x, y, size := int(lf.x), int(lf.y), int(lf.size)
-		n2 := size * size
-		lev := b.lev[levOff : levOff+n2]
-		levOff += n2
-
-		pred := s.pred[:n2]
-		switch {
-		case lf.inter:
-			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
-		case r.tools.IntraPred:
-			refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-			refs = gatherRefsInto(r.recon, r.coded, x, y, size, refs)
-			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
-				refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-			}
-			intra.Predict(lf.mode, size, refs, pred)
-		default:
-			for i := range pred {
-				pred[i] = 128
-			}
-		}
-
-		tr := s.transformFor(size, !lf.inter && r.prof.UseDST4)
-		rec := s.rec[:n2]
-		reconstructBlockInto(rec, s.coefA[:n2], pred, lev, r.qp, r.tools.Transform, tr)
-		storeBlock(r.recon, r.coded, rec, x, y, size)
-	}
-}
-
-// TestReconstructEquivalence: on 10 000 drawn leaves — intra (every HEVC mode,
+// TestReconstructEquivalence holds the reconstruct stage, on every kernel
+// path, to its definition: on 10 000 drawn leaves — intra (every HEVC mode,
 // DST on and off) and inter, transform on and off, levels from all-zero
-// through quantised residuals to the cap, neighbourhoods from uncoded to
-// coded, planes of noise and planes held at 0 and at 255 — the reconstruct
-// stage leaves the plane bytes and the coded mask that reconstructBlockInto
-// followed by storeBlock leaves.
+// through quantised residuals to the cap, coverage a raster prefix or all,
+// planes of noise and all-zero leaves over planes held at 0 and at 255 — it
+// leaves the plane bytes and the coded mask reconstructDef leaves.
 func TestReconstructEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	const dim = 96
 	s := newScratch()
 	prev := frame.NewPlane(dim-5, dim-9) // the inter reference is a crop: motion clamps to it
-	var planes [2]*frame.Plane
-	var masks [2][]bool
-	for i := range planes {
-		planes[i], masks[i] = frame.NewPlane(dim, dim), make([]bool, dim*dim)
-	}
+	start, want, got := frame.NewPlane(dim, dim), frame.NewPlane(dim, dim), frame.NewPlane(dim, dim)
+	startMask, wantMask, gotMask := make([]bool, dim*dim), make([]bool, dim*dim), make([]bool, dim*dim)
 	b := new(ctuBatch)
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
@@ -175,102 +82,64 @@ func TestReconstructEquivalence(t *testing.T) {
 		if draw%4 == 0 {
 			lf.inter, lf.mvx, lf.mvy = true, rng.Int31n(2*dim)-dim, rng.Int31n(2*dim)-dim
 		}
-		rng.Read(prev.Pix)
-		rng.Read(planes[0].Pix)
-		for i := range masks[0] {
-			masks[0][i] = i < (y+size/2)*dim // a raster prefix, as a real decode leaves it
-		}
 		lev := b.lev[:n2]
-		switch draw % 8 {
-		case 0, 1: // all zero over a prediction pinned at an end of the pixel range
+		pinned := draw%16 < 2 // all zero over a prediction pinned at an end of the pixel range
+		switch {
+		case pinned:
 			clear(lev)
-			if draw%16 < 2 {
-				flat := uint8(255 * (draw / 16 % 2))
-				for i := range planes[0].Pix {
-					planes[0].Pix[i], prev.Pix[i%len(prev.Pix)] = flat, flat
-				}
-				for i := range masks[0] {
-					masks[0][i] = true
-				}
+			flat := uint8(255 * (draw % 2))
+			for i := range start.Pix {
+				start.Pix[i], prev.Pix[i%len(prev.Pix)] = flat, flat
 			}
-		case 2: // levels up to the cap: residuals far outside the pixel range
+			drawCoverage(rng, startMask, dim, y, size, 2)
+		case draw%8 == 2: // levels up to the cap: residuals far outside the pixel range
 			drawLevels(rng, lev, size, r.tools.Transform, 5)
 			lev[rng.Intn(n2)] = rng.Int31n(2*maxLevel+1) - maxLevel
 		default:
-			drawLevels(rng, lev, size, r.tools.Transform, 6)
+			drawLevels(rng, lev, size, r.tools.Transform, []int{0, 6}[draw%8/4])
 		}
-		copy(planes[1].Pix, planes[0].Pix)
-		copy(masks[1], masks[0])
+		if !pinned {
+			drawPixels(rng, prev.Pix, prev.W, 0)
+			drawPixels(rng, start.Pix, dim, 0)
+			drawCoverage(rng, startMask, dim, y, size, 1+draw%2)
+		}
 		b.n, b.leaves[0], b.levN = 1, lf, n2
 
-		r.recon, r.coded = planes[0], masks[0]
-		r.reconstruct(b)
-		r.recon, r.coded = planes[1], masks[1]
-		reconstructParent(&r, b)
-		for i, v := range planes[1].Pix {
-			if planes[0].Pix[i] != v || masks[0][i] != masks[1][i] {
-				t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v): pixel (%d,%d) = %d coded %v, reconstructBlockInto + storeBlock %d coded %v",
-					draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.UseDST4,
-					i%dim, i/dim, planes[0].Pix[i], masks[0][i], v, masks[1][i])
+		copy(want.Pix, start.Pix)
+		copy(wantMask, startMask)
+		r.recon, r.coded = want, wantMask
+		reconstructDef(&r, b)
+		kernelPaths(func(simd bool) {
+			copy(got.Pix, start.Pix)
+			copy(gotMask, startMask)
+			r.recon, r.coded = got, gotMask
+			r.reconstruct(b)
+			if slices.Equal(got.Pix, want.Pix) && slices.Equal(gotMask, wantMask) {
+				return
 			}
-		}
+			for i, v := range want.Pix {
+				if got.Pix[i] != v || gotMask[i] != wantMask[i] {
+					t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v simd %v): pixel (%d,%d) = %d coded %v, definition %d coded %v",
+						draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.UseDST4, simd,
+						i%dim, i/dim, got.Pix[i], gotMask[i], v, wantMask[i])
+				}
+			}
+		})
 	}
-}
-
-// estimateLevelBitsOrdered is the rate estimate's definition — PR 17's
-// function (commit c563641) verbatim: one float64 addition at a time, in scan
-// order.
-func estimateLevelBitsOrdered(lev []int32, size int, transformed bool) float64 {
-	scan, _ := residualScan(size, transformed)
-	last := -1
-	for i := len(scan) - 1; i >= 0; i-- {
-		if lev[scan[i]] != 0 {
-			last = i
-			break
-		}
-	}
-	if last == -1 {
-		return 1 // CBF only
-	}
-	bitsEst := 1.0 // CBF
-	for i := 0; i <= last; i++ {
-		l := lev[scan[i]]
-		if l == 0 {
-			bitsEst += 0.6
-			continue
-		}
-		a := l
-		if a < 0 {
-			a = -a
-		}
-		bitsEst += 2.0 // sig + sign
-		if a > 1 {
-			bitsEst += 1
-		}
-		if a > 2 {
-			bitsEst += float64(egLen(uint32(a-3), 0))
-		}
-	}
-	bitsEst += float64(len(scan)-1-last) * 0.08
-	return bitsEst
 }
 
 // TestEstimateLevelBitsEquivalence: the estimate against its definition, bit
-// for bit, on level blocks of every density and magnitude class. Each dense
-// block walks its running sum across a dozen binades, which is where making
-// a level's additions in one step would show if it were not exact.
+// for bit, on drawLevels' blocks of every kind, and on blocks holding one
+// level at an end of the int32 range or at −2²⁰. Each dense block walks its
+// running sum across a dozen binades, which is where making a level's
+// additions in one step would show if it were not exact.
 func TestEstimateLevelBitsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 20000; trial++ {
 		size := 4 << rng.Intn(4)
+		transformed := trial%7 != 0
 		lev := make([]int32, size*size)
-		density := rng.Intn(101)
-		amp := int32(1) << uint(rng.Intn(12))
-		for i := range lev {
-			if rng.Intn(100) < density {
-				lev[i] = rng.Int31n(2*amp+1) - amp
-			}
-		}
+		drawLevels(rng, lev, size, transformed, rng.Intn(9))
 		switch trial % 50 {
 		case 0:
 			lev[rng.Intn(len(lev))] = math.MinInt32
@@ -285,117 +154,37 @@ func TestEstimateLevelBitsEquivalence(t *testing.T) {
 			scan, _ := residualScan(size, true)
 			lev[scan[0]], lev[scan[7]] = -1, 4099
 		}
-		transformed := trial%7 != 0
 		got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsOrdered(lev, size, transformed)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d (size %d, density %d%%, amp %d): %v (%#x), ordered additions %v (%#x)",
-				trial, size, density, amp, got, math.Float64bits(got), want, math.Float64bits(want))
+			t.Fatalf("trial %d (size %d): %v (%#x), definition %v (%#x)", trial, size, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
 
-// refSample and gatherRefsParent are the reference gather PR 17 shipped
-// (commit c563641) — a closure and an append per sample — kept verbatim as
-// the differential reference for the row-slice form that replaced it.
-type refSample struct {
-	v  int32
-	ok bool
-}
-
-func gatherRefsParent(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs {
-	refs := intra.NewRefs(size)
-	w, h := recon.W, recon.H
-	n2 := 2 * size
-	avail := func(px, py int) bool {
-		return px >= 0 && py >= 0 && px < w && py < h && coded[py*w+px]
-	}
-	var raw []refSample
-	for i := n2 - 1; i >= 0; i-- {
-		if avail(x-1, y+i) {
-			raw = append(raw, refSample{int32(recon.At(x-1, y+i)), true})
-		} else {
-			raw = append(raw, refSample{0, false})
-		}
-	}
-	if avail(x-1, y-1) {
-		raw = append(raw, refSample{int32(recon.At(x-1, y-1)), true})
-	} else {
-		raw = append(raw, refSample{0, false})
-	}
-	for i := 0; i < n2; i++ {
-		if avail(x+i, y-1) {
-			raw = append(raw, refSample{int32(recon.At(x+i, y-1)), true})
-		} else {
-			raw = append(raw, refSample{0, false})
-		}
-	}
-	first := -1
-	for i, r := range raw {
-		if r.ok {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		for i := range raw {
-			raw[i] = refSample{128, true}
-		}
-	} else {
-		for i := first - 1; i >= 0; i-- {
-			raw[i] = refSample{raw[i+1].v, true}
-		}
-		for i := first + 1; i < len(raw); i++ {
-			if !raw[i].ok {
-				raw[i] = refSample{raw[i-1].v, true}
-			}
-		}
-	}
-	for i := 0; i < n2; i++ {
-		refs.Left[i] = raw[n2-1-i].v
-	}
-	refs.Corner = raw[n2].v
-	for i := 0; i < n2; i++ {
-		refs.Above[i] = raw[n2+1+i].v
-	}
-	return refs
-}
-
-// TestGatherRefsEquivalence: every block position of small frames under
-// coverage masks from empty through raster-prefix (what a real encode sees)
-// to random (what it never does), against the parent's gather.
+// TestGatherRefsEquivalence: every half-block position of small frames of
+// drawn contents under every coverage drawCoverage makes — none, a raster
+// prefix, all, random — against the gather by definition.
 func TestGatherRefsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 300; trial++ {
 		size := 4 << rng.Intn(4)
 		w, h := size*(1+rng.Intn(4)), size*(1+rng.Intn(4))
 		recon := frame.NewPlane(w, h)
-		for i := range recon.Pix {
-			recon.Pix[i] = uint8(rng.Intn(256))
-		}
+		drawPixels(rng, recon.Pix, w, trial%2)
 		coded := make([]bool, w*h)
-		switch trial % 4 {
-		case 0: // nothing coded yet
-		case 1, 2: // a raster prefix of whole blocks plus part of a block row
-			for i := range coded[:rng.Intn(w*h+1)/size*size] {
-				coded[i] = true
-			}
-		case 3:
-			for i := range coded {
-				coded[i] = rng.Intn(3) != 0
-			}
-		}
+		drawCoverage(rng, coded, w, size*rng.Intn(h/size), size, trial)
 		got := intra.NewRefs(size)
 		for y := 0; y < h; y += size / 2 {
 			for x := 0; x < w; x += size / 2 {
-				want := gatherRefsParent(recon, coded, x, y, size)
+				want := gatherRefsDef(recon, coded, x, y, size)
 				got.Corner = -7
 				got = gatherRefsInto(recon, coded, x, y, size, got)
 				if got.Corner != want.Corner {
-					t.Fatalf("trial %d %dx%d block %d at (%d,%d): corner %d, parent %d", trial, w, h, size, x, y, got.Corner, want.Corner)
+					t.Fatalf("trial %d %dx%d block %d at (%d,%d): corner %d, definition %d", trial, w, h, size, x, y, got.Corner, want.Corner)
 				}
 				for i := range want.Above {
 					if got.Above[i] != want.Above[i] || got.Left[i] != want.Left[i] {
-						t.Fatalf("trial %d %dx%d block %d at (%d,%d): [%d] above %d left %d, parent above %d left %d",
+						t.Fatalf("trial %d %dx%d block %d at (%d,%d): [%d] above %d left %d, definition above %d left %d",
 							trial, w, h, size, x, y, i, got.Above[i], got.Left[i], want.Above[i], want.Left[i])
 					}
 				}
@@ -404,34 +193,12 @@ func TestGatherRefsEquivalence(t *testing.T) {
 	}
 }
 
-// coarseIntraScalar is the default coarse search before any of it was fused or
-// packed: every mode predicted whole, then scored with sadWithin, offered in
-// profile order. (PR 18's score-as-you-predict kernel, which the packed scorer
-// replaced, is held to this same Predict-then-SAD by
-// intra.TestAngularSADEquivalence; scores above the bound differ between the
-// three, and topModes.offer drops them all.) preds[mi] receives mode mi's
-// prediction.
-func coarseIntraScalar(e *encoder, orig []int32, x, y, size int, preds [][]int32) topModes {
-	refs := gatherRefsInto(e.recon, e.coded, x, y, size, intra.NewRefs(size))
-	smoothed := refs.SmoothedInto(intra.NewRefs(size))
-	top := topModes{k: rdCandidates}
-	for mi, m := range e.prof.Modes {
-		r := refs
-		if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
-			r = smoothed
-		}
-		preds[mi] = preds[mi][:size*size]
-		intra.Predict(m, size, r, preds[mi])
-		top.offer(mi, sadWithin(orig, preds[mi], size, top.bound()))
-	}
-	return top
-}
-
-// TestCoarseSearchEquivalence: on 10 000 drawn leaves — three profiles, four
-// sizes, neighbourhoods from uncoded to fully coded, sources that are noise,
-// a noisy copy of one mode's own prediction (close races between its
-// neighbours) or flat (every mode ties) — the packed coarse search returns the
-// scalar search's survivors: same modes, same order, same scores, the same
+// TestCoarseSearchEquivalence holds the coarse search, on every kernel path,
+// to its definition: on 10 000 drawn leaves — three profiles, four sizes,
+// neighbourhoods of noise, ramps and flat planes under every coverage, sources
+// that are noise, a noisy copy of one mode's own prediction (close races
+// between its neighbours) or flat (every mode ties) — coarseIntra returns
+// coarseIntraDef's survivors: same modes, same order, same scores, the same
 // prediction behind each. Equal scores must still rank the later-scored mode
 // first, which the tied draws check on every size.
 func TestCoarseSearchEquivalence(t *testing.T) {
@@ -450,25 +217,8 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)], tools: AllTools, scr: s, recon: recon, coded: coded}
 		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
 		kind := draw % 5
-		flat := uint8(rng.Intn(256))
-		for i := range recon.Pix {
-			switch {
-			case kind == 4: // flat neighbourhood
-				recon.Pix[i] = flat
-			case kind == 3: // smooth ramp plus a little noise
-				recon.Pix[i] = uint8(clipPixel(int32(i%dim+2*(i/dim)) + rng.Int31n(3)))
-			default:
-				recon.Pix[i] = uint8(rng.Intn(256))
-			}
-		}
-		for i := range coded { // a raster prefix, as a real encode leaves it; sometimes all or nothing
-			coded[i] = i < (y+size/2)*dim
-		}
-		if draw%7 == 0 {
-			for i := range coded {
-				coded[i] = draw%14 == 0
-			}
-		}
+		drawPixels(rng, recon.Pix, dim, []int{0, 1, 0, 1, 2}[kind])
+		drawCoverage(rng, coded, dim, y, size, []int{1, 1, 1, 1, 1, 1, 2, 0}[draw%8])
 		orig := s.orig[:n2]
 		switch kind {
 		case 0:
@@ -477,61 +227,55 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 			}
 		case 4:
 			for i := range orig { // equal SADs across all modes
-				orig[i] = clipPixel(int32(flat) + int32(draw%3) - 1)
+				orig[i] = clipPixel(int32(recon.Pix[0]) + int32(draw%3) - 1)
 			}
 		default:
 			m := e.prof.Modes[rng.Intn(len(e.prof.Modes))]
-			refs := gatherRefsInto(recon, coded, x, y, size, intra.NewRefs(size))
-			intra.Predict(m, size, refs, orig)
-			for i := range orig {
-				orig[i] = clipPixel(orig[i] + rng.Int31n(5) - 2)
-			}
+			intra.Predict(m, size, gatherRefsDef(recon, coded, x, y, size), orig)
+			drawSource(rng, orig, orig, 2)
 		}
 
-		want := coarseIntraScalar(e, orig, x, y, size, preds)
-		got := e.coarseIntra(orig, x, y, size)
-		if got != want {
-			t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d): survivors %v scores %v, scalar search %v scores %v",
-				draw, e.prof.Name, size, x, y, kind, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
-		}
+		want := coarseIntraDef(e, orig, x, y, size, preds)
+		kernelPaths(func(simd bool) {
+			got := e.coarseIntra(orig, x, y, size)
+			if got != want {
+				t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d, simd %v): survivors %v scores %v, definition %v scores %v",
+					draw, e.prof.Name, size, x, y, kind, simd, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
+			}
+			for _, mi := range got.mi[:got.n] {
+				pred := s.predAt(mi, n2)
+				for i := range pred {
+					if pred[i] != preds[mi][i] {
+						t.Fatalf("draw %d (%s, size %d, simd %v): survivor mode %d prediction [%d] = %d, definition %d",
+							draw, e.prof.Name, size, simd, e.prof.Modes[mi], i, pred[i], preds[mi][i])
+					}
+				}
+			}
+		})
 		if kind == 4 {
 			// Every mode predicts the flat value (or 128, uncoded): all tie, the last three
 			// scored survive, latest first.
 			last := len(e.prof.Modes) - 1
-			if got.n != 3 || got.mi != [rdCandidates]int{last, last - 1, last - 2} {
-				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, got.mi[:got.n])
-			}
-		}
-		for _, mi := range got.mi[:got.n] {
-			pred := s.predAt(mi, n2)
-			for i := range pred {
-				if pred[i] != preds[mi][i] {
-					t.Fatalf("draw %d (%s, size %d): survivor mode %d prediction [%d] = %d, scalar search %d",
-						draw, e.prof.Name, size, e.prof.Modes[mi], i, pred[i], preds[mi][i])
-				}
+			if want.n != 3 || want.mi != [rdCandidates]int{last, last - 1, last - 2} {
+				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, want.mi[:want.n])
 			}
 		}
 	}
 }
 
-// TestComputeStatsEquivalence: the integer SSE against the float64
-// accumulation it replaced.
+// TestComputeStatsEquivalence: the integer SSE against its definition.
 func TestComputeStatsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var planes, recs []*frame.Plane
-	var sse float64
 	for _, dims := range [][2]int{{1, 1}, {7, 3}, {64, 64}, {33, 130}} {
 		p, r := frame.NewPlane(dims[0], dims[1]), frame.NewPlane(dims[0], dims[1])
-		for i := range p.Pix {
-			p.Pix[i], r.Pix[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
-			d := float64(int(p.Pix[i]) - int(r.Pix[i]))
-			sse += d * d
-		}
+		rng.Read(p.Pix)
+		rng.Read(r.Pix)
 		planes, recs = append(planes, p), append(recs, r)
 	}
 	st := computeStats(planes, recs, 1234)
-	if want := sse / float64(st.Pixels); st.MSE != want || st.Pixels != 1+21+4096+33*130 {
-		t.Fatalf("MSE %v over %d pixels, float accumulation %v", st.MSE, st.Pixels, want)
+	if want := sseDef(planes, recs) / float64(st.Pixels); st.MSE != want || st.Pixels != 1+21+4096+33*130 {
+		t.Fatalf("MSE %v over %d pixels, definition %v", st.MSE, st.Pixels, want)
 	}
 }
 
@@ -622,7 +366,7 @@ func benchLevelBlocks(size, count, qp int) [][]int32 {
 }
 
 // BenchmarkReconstructCTU times the reconstruct stage on one 32×32 CTU of
-// angular leaves (b.N counts CTUs), beside the loop it replaced.
+// angular leaves (b.N counts CTUs).
 func BenchmarkReconstructCTU(b *testing.B) {
 	const blocks, ctu = 64, 32
 	rng := rand.New(rand.NewSource(5))
@@ -647,17 +391,12 @@ func BenchmarkReconstructCTU(b *testing.B) {
 			for i := range r.coded {
 				r.coded[i] = true
 			}
-			for _, kernel := range []struct {
-				name string
-				run  func(*reconstructor, *ctuBatch)
-			}{{"", (*reconstructor).reconstruct}, {"-parent", reconstructParent}} {
-				b.Run(fmt.Sprintf("%s/n%d%s", pt.name, size, kernel.name), func(b *testing.B) {
-					b.SetBytes(ctu * ctu)
-					for i := 0; i < b.N; i++ {
-						kernel.run(&r, &batches[i%len(batches)])
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
+				b.SetBytes(ctu * ctu)
+				for i := 0; i < b.N; i++ {
+					r.reconstruct(&batches[i%len(batches)])
+				}
+			})
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,100 +14,6 @@ import (
 	"repro/internal/cabac"
 	"repro/internal/frame"
 )
-
-// perBinDecoder is the bin reader interface PR 19 shipped (commit 9ad1130),
-// which the whole parse then ran through one call per bin.
-type perBinDecoder interface {
-	bit(slot int) int
-	bypass() int
-	bypassBits(n uint) uint32
-}
-
-// cabacPerBin completes cabacBinDec to that interface.
-type cabacPerBin struct{ *cabacBinDec }
-
-func (c cabacPerBin) bypass() int { return c.d.DecodeBypass() }
-
-// egDecode reads a k-th order Exp-Golomb code, as PR 19 shipped it.
-func egDecode(d perBinDecoder, k uint) uint32 {
-	var v uint32
-	for d.bypass() == 1 {
-		v += 1 << k
-		k++
-		if k > 30 {
-			panic(decodeError{errMalformed})
-		}
-	}
-	if k > 0 {
-		v += d.bypassBits(k)
-	}
-	return v
-}
-
-// parseResidualPerBin is the residual parse PR 19 shipped, with the level cap
-// added: the definition both non-test spellings are held to.
-func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bool) {
-	si := sizeIdx(size)
-	scan, sigSlot := residualScan(size, transformed)
-	clear(lev)
-	if br.bit(ctxCbf+si) == 0 {
-		return
-	}
-	k := uint(0)
-	for i, pos := range scan {
-		if br.bit(int(sigSlot[i])) == 0 {
-			continue
-		}
-		a := int32(1)
-		if br.bit(ctxG1+si) == 1 {
-			a = 2
-			if br.bit(ctxG2+si) == 1 {
-				rem := egDecode(br, k)
-				if rem > maxLevel-3 {
-					panic(decodeError{errMalformed})
-				}
-				a = 3 + int32(rem)
-				if rem > 3<<k && k < 4 {
-					k++
-				}
-			}
-		}
-		if br.bypass() == 1 {
-			a = -a
-		}
-		lev[pos] = a
-	}
-}
-
-// rawBinDec is the raw ablation's reader as PR 19 shipped it — every bin one
-// literal bit — the reference for the literal chunk that replaced it. pos
-// counts the bits it has read.
-type rawBinDec struct {
-	r   *bits.Reader
-	pos *int
-}
-
-func newRawBinDec(payload []byte) rawBinDec { return rawBinDec{bits.NewReader(payload), new(int)} }
-
-func (d rawBinDec) bit(int) int {
-	b, err := d.r.ReadBit()
-	if err != nil {
-		panic(decodeError{err})
-	}
-	*d.pos++
-	return b
-}
-
-func (d rawBinDec) bypass() int { return d.bit(0) }
-
-func (d rawBinDec) bypassBits(n uint) uint32 {
-	v, err := d.r.ReadBits(n)
-	if err != nil {
-		panic(decodeError{err})
-	}
-	*d.pos += int(n)
-	return uint32(v)
-}
 
 // trapDecodeError runs f and returns the stream error it raised, classified
 // as decodeChunkPayload classifies it; any other panic is a defect and goes on.
@@ -160,7 +65,7 @@ func newCabacLockstep(payload []byte, setCtx func(*contexts)) *lockstep {
 
 // newChunkLockstep pairs the concrete-reader loop with the per-bin loop over
 // two identical pre-decoded chunks (rANS), or over a literal chunk and the
-// raw reader it replaced. What each side has consumed is its queue cursors;
+// raw reader by definition. What each side has consumed is its queue cursors;
 // the raw reader's one cursor is the literal chunk's queue 0.
 func newChunkLockstep(prod *ransChunk, ref perBinDecoder) *lockstep {
 	return &lockstep{prod: prod, ref: ref, state: func() (any, any) {
@@ -292,7 +197,7 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.Backend == BackendRANS:
 		var rcs [2]*ransChunk
 		for i := range rcs {
-			rc, err := parseRansPayload(c.payload, pc.ransTab, dimsPixels(c.dims), false)
+			rc, err := parseRansPayload(c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize), false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +207,17 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.CABAC:
 		return newCabacLockstep(c.payload, nil)
 	}
-	return newChunkLockstep(newLiteralChunk(c.payload), newRawBinDec(c.payload))
+	return literalLockstep(t, c.payload, codedPixels(c.dims, pc.prof.CTUSize))
+}
+
+// literalLockstep pairs a literal chunk of a chunk coding pixels pixels with
+// the raw reader over the same payload.
+func literalLockstep(t testing.TB, payload []byte, pixels int64) *lockstep {
+	lit, err := newLiteralChunk(payload, pixels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newChunkLockstep(lit, newRawBinDec(payload))
 }
 
 // residualEncoder emits level blocks through emitResidual into one payload of
@@ -339,43 +254,11 @@ func (re *residualEncoder) open(t testing.TB) *lockstep {
 		if _, ok := re.e.bw.(*cabacBinEnc); ok {
 			return newCabacLockstep(payload, nil)
 		}
-		return newChunkLockstep(newLiteralChunk(payload), newRawBinDec(payload))
+		return literalLockstep(t, payload, maxDecodePixels)
 	}
 	tab := buildRansTable([]*ransRecord{re.rec})
-	pc := &parsedContainer{tools: ransTools(), ransTab: &tab}
+	pc := &parsedContainer{prof: HEVC, tools: ransTools(), ransTab: &tab}
 	return chunkLockstep(t, pc, &chunkMeta{payload: re.rec.assemble(&tab), dims: [][2]int{{1 << 12, 1 << 12}}})
-}
-
-// drawLevels fills a level block of one of the kinds the residual syntax
-// distinguishes.
-func drawLevels(rng *rand.Rand, lev []int32, size int, transformed bool, kind int) {
-	clear(lev)
-	scan, _ := residualScan(size, transformed)
-	sign := func() int32 { return 1 - 2*rng.Int31n(2) }
-	switch kind {
-	case 0: // all zero: cbf 0
-	case 1: // one coefficient at a scan end
-		lev[scan[0]] = sign()
-	case 2:
-		lev[scan[len(scan)-1]] = sign() * (1 + rng.Int31n(4))
-	case 3: // dense ±1/±2
-		for i := range lev {
-			lev[i] = sign() * (1 + rng.Int31n(2))
-		}
-	case 4: // escapes that walk k to 4: every remainder above 3<<k
-		for _, pos := range scan[:min(len(scan), 8+rng.Intn(8))] {
-			lev[pos] = sign() * (3 + 49 + rng.Int31n(1<<uint(rng.Intn(12))))
-		}
-	case 5: // the cap itself
-		lev[scan[rng.Intn(len(scan))]] = sign() * maxLevel
-	default: // a quantised block: density and amplitude drawn
-		density, amp := rng.Intn(101), int32(1)<<uint(rng.Intn(10))
-		for i := range lev {
-			if rng.Intn(100) < density {
-				lev[i] = rng.Int31n(2*amp+1) - amp
-			}
-		}
-	}
 }
 
 var (
@@ -385,7 +268,7 @@ var (
 
 // TestParseResidualEquivalence holds the two non-test spellings of the
 // residual syntax — cabac.DecodeLevels for CABAC, the concrete-reader loop for
-// rANS and the raw ablation — to the per-bin loop they replaced: same levels,
+// rANS and the raw ablation — to the per-bin loop that defines it: same levels,
 // same context states, same bytes or bins consumed after every block, and the
 // same error class where a payload is damaged.
 func TestParseResidualEquivalence(t *testing.T) {
@@ -552,7 +435,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 			}
 			ls := newChunkLockstep(rcs[0], rcs[1])
 			if trial%3 == 0 {
-				ls = newChunkLockstep(newLiteralChunk(window), newRawBinDec(window))
+				ls = literalLockstep(t, window, maxDecodePixels)
 			}
 			for b := 0; b < 6; b++ {
 				if _, err := ls.block(t, fmt.Sprintf("dry %d block %d", trial, b), 4<<uint(rng.Intn(4)), rng.Intn(2) == 0); err != nil {
@@ -596,28 +479,6 @@ func FuzzParseResidual(f *testing.F) {
 			}
 		}
 	})
-}
-
-// extremeBlocks calls f with source/prediction pairs whose residual is ±255
-// everywhere: the constant block and, for each basis function of the size-n
-// transform sampled on a grid, the sign pattern that maximises it.
-func extremeBlocks(n int, f func(orig, pred []int32)) {
-	orig, pred := make([]int32, n*n), make([]int32, n*n)
-	// Basis function (k, l) at pixel (row, col), up to a positive factor.
-	basis := func(k, l, row, col int) float64 {
-		return math.Cos(float64((2*row+1)*k)*math.Pi/float64(2*n)) * math.Cos(float64((2*col+1)*l)*math.Pi/float64(2*n))
-	}
-	for k := 0; k < n; k += max(1, n/8) {
-		for l := 0; l < n; l += max(1, n/8) {
-			for i := range orig {
-				orig[i], pred[i] = 255, 0
-				if basis(k, l, i/n, i%n) < 0 {
-					orig[i], pred[i] = 0, 255
-				}
-			}
-			f(orig, pred)
-		}
-	}
 }
 
 // TestLevelCap pins both sides of maxLevel. The largest level an encode can

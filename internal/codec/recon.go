@@ -146,11 +146,11 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			}
 		}
 
-		// reconstructBlockInto (kernels_test.go) and storeBlock in one go: the
+		// reconstructBlockInto (refimpl_test.go) and storeBlock in one go: the
 		// dequantiser reports where the levels are, so the inverse scans
 		// nothing, and the pixels go from the prediction and the residual into
-		// the plane without a block of their own. TestReconstructEquivalence holds this
-		// to the definition.
+		// the plane without a block of their own. TestReconstructEquivalence
+		// holds this to the definition.
 		var res []int32
 		switch {
 		case !r.tools.Transform:

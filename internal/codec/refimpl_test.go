@@ -1,0 +1,463 @@
+package codec
+
+import (
+	"math"
+	"math/rand"
+
+	"repro/internal/bits"
+	"repro/internal/cpufeat"
+	"repro/internal/dct"
+	"repro/internal/frame"
+	"repro/internal/intra"
+)
+
+// The definitions the package's kernels are held to (DESIGN.md §11.1), one
+// per kernel, each compared directly with every path of its kernel:
+//
+//	trialResidual              trialDef: residual → Forward → Quantize →
+//	                           reconstructBlockInto → SSE → estimateLevelBitsOrdered
+//	reconstructor.reconstruct  reconstructDef: per leaf, gatherRefsDef and Predict
+//	                           (or motionPredict), reconstructBlockInto, storeBlock
+//	estimateLevelBits          estimateLevelBitsOrdered
+//	gatherRefsInto             gatherRefsDef
+//	coarseIntra                coarseIntraDef
+//	computeStats               sseDef
+//	parseResidual — cabac.DecodeLevels, ransChunk.parseResidual, the literal
+//	chunk — parseResidualPerBin over a perBinDecoder (rawBinDec for the raw
+//	ablation)
+//
+// beside the inputs the tests share (drawPixels, drawCoverage, drawSource,
+// drawLevels, extremeBlocks) and the kernel paths they run on (kernelPaths).
+// Definitions are spelled over the public API of internal/dct and
+// internal/intra, whose own definitions hold those.
+
+// reconstructBlockInto rebuilds pixel values from a prediction and levels
+// into rec, using coefScratch (same length) as the dequantization workspace:
+// the definition of a reconstruction. rec must not alias pred or levels;
+// coefScratch must not alias levels.
+func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTransform bool, tr *dct.Transform) {
+	var any int32
+	for _, l := range levels {
+		any |= l
+	}
+	switch {
+	case any == 0:
+		// Zero levels dequantize to zero and inverse-transform to zero,
+		// with or without the transform: a decoded leaf whose cbf is 0.
+		clear(rec)
+	case useTransform:
+		dct.Dequantize(coefScratch, levels, qp)
+		tr.Inverse(rec, coefScratch)
+	default:
+		dequantizeSpatial(rec, levels, qp)
+	}
+	for i := range rec {
+		rec[i] = clipPixel(pred[i] + rec[i])
+	}
+}
+
+// trialDef is the RD trial by definition: the residual through Forward and
+// Quantize (the spatial quantiser with the transform off), the
+// reconstruction a decoder makes of the levels, its SSE against the source,
+// and the rate estimate.
+func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec []int32, sse, rate float64) {
+	n2 := size * size
+	res, lev, rec := make([]int32, n2), make([]int32, n2), make([]int32, n2)
+	for i := range res {
+		res[i] = orig[i] - pred[i]
+	}
+	tr := e.scr.transformFor(size, isIntra && e.prof.UseDST4)
+	if e.tools.Transform {
+		coef := make([]int32, n2)
+		tr.Forward(coef, res)
+		dct.Quantize(lev, coef, e.qp)
+	} else {
+		quantizeSpatial(lev, res, e.qp)
+	}
+	reconstructBlockInto(rec, make([]int32, n2), pred, lev, e.qp, e.tools.Transform, tr)
+	for i, o := range orig {
+		d := float64(o - rec[i])
+		sse += d * d
+	}
+	return lev, rec, sse, estimateLevelBitsOrdered(lev, size, e.tools.Transform)
+}
+
+// reconstructDef is the reconstruct stage by definition: each leaf of the
+// batch predicted from gathered references (or by motion, or at 128),
+// rebuilt by reconstructBlockInto and committed by storeBlock.
+func reconstructDef(r *reconstructor, b *ctuBatch) {
+	levOff := 0
+	for _, lf := range b.leaves[:b.n] {
+		x, y, size := int(lf.x), int(lf.y), int(lf.size)
+		n2 := size * size
+		lev := b.lev[levOff : levOff+n2]
+		levOff += n2
+		pred := make([]int32, n2)
+		switch {
+		case lf.inter:
+			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
+		case r.tools.IntraPred:
+			refs := gatherRefsDef(r.recon, r.coded, x, y, size)
+			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
+				refs = refs.SmoothedInto(intra.NewRefs(size))
+			}
+			intra.Predict(lf.mode, size, refs, pred)
+		default:
+			for i := range pred {
+				pred[i] = 128
+			}
+		}
+		rec := make([]int32, n2)
+		tr := r.scr.transformFor(size, !lf.inter && r.prof.UseDST4)
+		reconstructBlockInto(rec, make([]int32, n2), pred, lev, r.qp, r.tools.Transform, tr)
+		storeBlock(r.recon, r.coded, rec, x, y, size)
+	}
+}
+
+// estimateLevelBitsOrdered is the rate estimate by definition: one float64
+// addition at a time, in scan order.
+func estimateLevelBitsOrdered(lev []int32, size int, transformed bool) float64 {
+	scan, _ := residualScan(size, transformed)
+	last := -1
+	for i := len(scan) - 1; i >= 0; i-- {
+		if lev[scan[i]] != 0 {
+			last = i
+			break
+		}
+	}
+	if last == -1 {
+		return 1 // CBF only
+	}
+	bitsEst := 1.0 // CBF
+	for i := 0; i <= last; i++ {
+		l := lev[scan[i]]
+		if l == 0 {
+			bitsEst += 0.6
+			continue
+		}
+		a := l
+		if a < 0 {
+			a = -a
+		}
+		bitsEst += 2.0 // sig + sign
+		if a > 1 {
+			bitsEst += 1
+		}
+		if a > 2 {
+			bitsEst += float64(egLen(uint32(a-3), 0))
+		}
+	}
+	bitsEst += float64(len(scan)-1-last) * 0.08
+	return bitsEst
+}
+
+// gatherRefsDef is the reference gather by definition: HEVC's reference scan
+// — left column bottom to top, corner, above row left to right — of samples
+// that are available (inside the frame and coded) or not, then substitution:
+// samples before the first available one take its value (128 when there is
+// none), every later gap the sample before it.
+func gatherRefsDef(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs {
+	type sample struct {
+		v  int32
+		ok bool
+	}
+	w, h, n2 := recon.W, recon.H, 2*size
+	at := func(px, py int) sample {
+		if px >= 0 && py >= 0 && px < w && py < h && coded[py*w+px] {
+			return sample{int32(recon.At(px, py)), true}
+		}
+		return sample{}
+	}
+	var raw []sample
+	for i := n2 - 1; i >= 0; i-- {
+		raw = append(raw, at(x-1, y+i))
+	}
+	raw = append(raw, at(x-1, y-1))
+	for i := 0; i < n2; i++ {
+		raw = append(raw, at(x+i, y-1))
+	}
+	first := -1
+	for i, r := range raw {
+		if r.ok {
+			first = i
+			break
+		}
+	}
+	if first == -1 {
+		for i := range raw {
+			raw[i] = sample{128, true}
+		}
+	} else {
+		for i := first - 1; i >= 0; i-- {
+			raw[i] = raw[i+1]
+		}
+		for i := first + 1; i < len(raw); i++ {
+			if !raw[i].ok {
+				raw[i] = raw[i-1]
+			}
+		}
+	}
+	refs := intra.NewRefs(size)
+	for i := 0; i < n2; i++ {
+		refs.Left[i], refs.Above[i] = raw[n2-1-i].v, raw[n2+1+i].v
+	}
+	refs.Corner = raw[n2].v
+	return refs
+}
+
+// coarseIntraDef is the coarse search by definition: every profile mode
+// predicted whole from gathered (and, where the profile smooths, smoothed)
+// references, its full SAD offered to the top set in profile order. preds[mi]
+// receives mode mi's prediction.
+func coarseIntraDef(e *encoder, orig []int32, x, y, size int, preds [][]int32) topModes {
+	refs := gatherRefsDef(e.recon, e.coded, x, y, size)
+	smoothed := refs.SmoothedInto(intra.NewRefs(size))
+	top := topModes{k: rdCandidates}
+	for mi, m := range e.prof.Modes {
+		r := refs
+		if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
+			r = smoothed
+		}
+		pred := preds[mi][:size*size]
+		intra.Predict(m, size, r, pred)
+		var sad int64
+		for i, v := range orig {
+			sad += int64(max(v-pred[i], pred[i]-v))
+		}
+		top.offer(mi, sad)
+		preds[mi] = pred
+	}
+	return top
+}
+
+// sseDef is computeStats' sum of squared errors by definition: a float64
+// accumulation over every pixel.
+func sseDef(planes, recs []*frame.Plane) float64 {
+	var sse float64
+	for i, p := range planes {
+		for j, v := range p.Pix {
+			d := float64(int(v) - int(recs[i].Pix[j]))
+			sse += d * d
+		}
+	}
+	return sse
+}
+
+// perBinDecoder is the bin reader the residual syntax is defined over: one
+// call per bin.
+type perBinDecoder interface {
+	bit(slot int) int
+	bypass() int
+	bypassBits(n uint) uint32
+}
+
+// cabacPerBin completes cabacBinDec to that interface.
+type cabacPerBin struct{ *cabacBinDec }
+
+func (c cabacPerBin) bypass() int { return c.d.DecodeBypass() }
+
+// egDecode reads a k-th order Exp-Golomb code one bypass bin at a time.
+func egDecode(d perBinDecoder, k uint) uint32 {
+	var v uint32
+	for d.bypass() == 1 {
+		v += 1 << k
+		k++
+		if k > 30 {
+			panic(decodeError{errMalformed})
+		}
+	}
+	if k > 0 {
+		v += d.bypassBits(k)
+	}
+	return v
+}
+
+// parseResidualPerBin is the residual syntax by definition, one bin read at
+// a time, with the level cap: what cabac.DecodeLevels, ransChunk's loop and
+// the literal chunk are each held to.
+func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, sigSlot := residualScan(size, transformed)
+	clear(lev)
+	if br.bit(ctxCbf+si) == 0 {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		if br.bit(int(sigSlot[i])) == 0 {
+			continue
+		}
+		a := int32(1)
+		if br.bit(ctxG1+si) == 1 {
+			a = 2
+			if br.bit(ctxG2+si) == 1 {
+				rem := egDecode(br, k)
+				if rem > maxLevel-3 {
+					panic(decodeError{errMalformed})
+				}
+				a = 3 + int32(rem)
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+			}
+		}
+		if br.bypass() == 1 {
+			a = -a
+		}
+		lev[pos] = a
+	}
+}
+
+// rawBinDec is the raw ablation's reader by definition — every bin one
+// literal bit off a bits.Reader — for the literal chunk. pos counts the bits
+// it has read.
+type rawBinDec struct {
+	r   *bits.Reader
+	pos *int
+}
+
+func newRawBinDec(payload []byte) rawBinDec { return rawBinDec{bits.NewReader(payload), new(int)} }
+
+func (d rawBinDec) bit(int) int {
+	b, err := d.r.ReadBit()
+	if err != nil {
+		panic(decodeError{err})
+	}
+	*d.pos++
+	return b
+}
+
+func (d rawBinDec) bypass() int { return d.bit(0) }
+
+func (d rawBinDec) bypassBits(n uint) uint32 {
+	v, err := d.r.ReadBits(n)
+	if err != nil {
+		panic(decodeError{err})
+	}
+	*d.pos += int(n)
+	return uint32(v)
+}
+
+// kernelPaths calls f once for each kernel path this host runs, with
+// cpufeat.AVX2FMA set to select the kernels of internal/dct and internal/intra
+// underneath: the pure-Go ones (simd false) always, the SIMD ones (simd true)
+// where the CPU has them. It restores the flag.
+func kernelPaths(f func(simd bool)) {
+	host := cpufeat.AVX2FMA
+	defer func() { cpufeat.AVX2FMA = host }()
+	for _, simd := range []bool{false, true} {
+		if simd && !host {
+			break
+		}
+		cpufeat.AVX2FMA = simd
+		f(simd)
+	}
+}
+
+// drawPixels fills pix, a w-wide raster, with one of the contents the pixel
+// tests share, by kind mod 3: noise; a ramp of drawn slopes plus a little
+// noise; flat at 0, at 255 or at a drawn value (every prediction of every mode
+// the same).
+func drawPixels(rng *rand.Rand, pix []uint8, w, kind int) {
+	switch kind % 3 {
+	case 0:
+		rng.Read(pix)
+	case 1:
+		base, sx, sy := rng.Int31n(256), rng.Int31n(9)-4, rng.Int31n(9)-4
+		for i := range pix {
+			pix[i] = uint8(clipPixel(base + sx*int32(i%w) + sy*int32(i/w) + rng.Int31n(5)))
+		}
+	default:
+		v := [3]uint8{0, 255, uint8(rng.Intn(256))}[rng.Intn(3)]
+		for i := range pix {
+			pix[i] = v
+		}
+	}
+}
+
+// drawCoverage marks the coded pixels of a w-wide plane around a block of
+// the given size in block row y, by kind mod 4: none; a raster prefix ending
+// within the block's rows at a multiple of size (what an encode or a decode
+// leaves); all; each pixel with probability ⅔ (what neither leaves).
+func drawCoverage(rng *rand.Rand, coded []bool, w, y, size, kind int) {
+	end := (y*w + rng.Intn(size*w+1)) / size * size
+	switch kind % 4 {
+	case 0:
+		clear(coded)
+	case 1:
+		clear(coded)
+		for i := range coded[:end] {
+			coded[i] = true
+		}
+	case 2:
+		for i := range coded {
+			coded[i] = true
+		}
+	default:
+		for i := range coded {
+			coded[i] = rng.Intn(3) != 0
+		}
+	}
+}
+
+// drawSource fills orig with a noisy copy of pred: each sample off by at most
+// amp, clipped to the pixel range.
+func drawSource(rng *rand.Rand, orig, pred []int32, amp int32) {
+	for i, p := range pred {
+		orig[i] = clipPixel(p + rng.Int31n(2*amp+1) - amp)
+	}
+}
+
+// drawLevels fills a level block of one of the kinds the residual syntax
+// distinguishes.
+func drawLevels(rng *rand.Rand, lev []int32, size int, transformed bool, kind int) {
+	clear(lev)
+	scan, _ := residualScan(size, transformed)
+	sign := func() int32 { return 1 - 2*rng.Int31n(2) }
+	switch kind {
+	case 0: // all zero: cbf 0
+	case 1: // one coefficient at a scan end
+		lev[scan[0]] = sign()
+	case 2:
+		lev[scan[len(scan)-1]] = sign() * (1 + rng.Int31n(4))
+	case 3: // dense ±1/±2
+		for i := range lev {
+			lev[i] = sign() * (1 + rng.Int31n(2))
+		}
+	case 4: // escapes that walk k to 4: every remainder above 3<<k
+		for _, pos := range scan[:min(len(scan), 8+rng.Intn(8))] {
+			lev[pos] = sign() * (3 + 49 + rng.Int31n(1<<uint(rng.Intn(12))))
+		}
+	case 5: // the cap itself
+		lev[scan[rng.Intn(len(scan))]] = sign() * maxLevel
+	default: // a quantised block: density and amplitude drawn
+		density, amp := rng.Intn(101), int32(1)<<uint(rng.Intn(12))
+		for i := range lev {
+			if rng.Intn(100) < density {
+				lev[i] = rng.Int31n(2*amp+1) - amp
+			}
+		}
+	}
+}
+
+// extremeBlocks calls f with source/prediction pairs whose residual is ±255
+// everywhere: the constant block and, for each basis function of the size-n
+// transform sampled on a grid, the sign pattern that maximises it.
+func extremeBlocks(n int, f func(orig, pred []int32)) {
+	orig, pred := make([]int32, n*n), make([]int32, n*n)
+	// Basis function (k, l) at pixel (row, col), up to a positive factor.
+	basis := func(k, l, row, col int) float64 {
+		return math.Cos(float64((2*row+1)*k)*math.Pi/float64(2*n)) * math.Cos(float64((2*col+1)*l)*math.Pi/float64(2*n))
+	}
+	for k := 0; k < n; k += max(1, n/8) {
+		for l := 0; l < n; l += max(1, n/8) {
+			for i := range orig {
+				orig[i], pred[i] = 255, 0
+				if basis(k, l, i/n, i%n) < 0 {
+					orig[i], pred[i] = 0, 255
+				}
+			}
+			f(orig, pred)
+		}
+	}
+}

@@ -8,5 +8,5 @@ package cpufeat
 // AVX2FMA is true on amd64 when the CPU has AVX2 and FMA and the OS saves the
 // YMM registers across context switches, and false on every other GOARCH. It
 // is set once, by package initialisation. Tests clear it, and restore it, to
-// run the pure-Go kernels the SIMD ones are held to; nothing else writes it.
+// run the pure-Go kernels beside the SIMD ones; nothing else writes it.
 var AVX2FMA = detect()

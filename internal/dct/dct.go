@@ -27,11 +27,11 @@
 // including decoder inputs large enough to wrap. Range, for the record: a
 // row of A has L1 norm ≤ √n·2¹⁰, so |res| ≤ 255 gives forward pass-1 sums
 // < 2²¹ and pass-2 sums < 2³⁴, far inside int64; the inverse makes no range
-// assumption because the decoder feeds it untrusted levels. The dense product lives on in dct_test.go as the
-// differential reference. The 4×4 DST-VII has no such symmetry and stays a
-// plain 4×4 matrix product. On amd64 with AVX2 and FMA, the DCTs of n = 8, 16
-// and 32 run as float64 matrix products instead whenever a block is small
-// enough for them to be exact (gemm.go), which every encoder block is.
+// assumption because the decoder feeds it untrusted levels. The dense product
+// is the definition (refimpl_test.go). The 4×4 DST-VII has no such symmetry
+// and stays a plain 4×4 matrix product. On amd64 with AVX2 and FMA, the DCTs
+// of n = 8, 16 and 32 run as float64 matrix products instead whenever a block
+// is small enough for them to be exact (gemm.go), which every encoder block is.
 package dct
 
 import (

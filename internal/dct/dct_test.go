@@ -1,8 +1,11 @@
 package dct
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,239 +220,168 @@ func TestDCTSpreadsOutliers(t *testing.T) {
 	}
 }
 
-// denseForward and denseInverse are the plain O(n³) products A·res·Aᵀ and
-// Aᵀ·coef·A the butterfly kernels must equal bit for bit: same matrix, same
-// int64 sums, same single rounding shift.
-func denseForward(mat []int32, n int, dst, res []int32) {
-	tmp := make([]int64, n*n)
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			a := int64(mat[k*n+i])
-			for j := 0; j < n; j++ {
-				tmp[k*n+j] += a * int64(res[i*n+j])
-			}
-		}
-	}
-	const shift = 2*matrixBits - coefBits
-	const half = int64(1) << (shift - 1)
-	out := make([]int32, n*n)
-	for k := 0; k < n; k++ {
-		for l := 0; l < n; l++ {
-			var acc int64
-			for j := 0; j < n; j++ {
-				acc += tmp[k*n+j] * int64(mat[l*n+j])
-			}
-			out[k*n+l] = int32((acc + half) >> shift)
-		}
-	}
-	copy(dst, out)
-}
-
-func denseInverse(mat []int32, n int, dst, coef []int32) {
-	tmpT := make([]int64, n*n) // tmpT[j][i] = (Aᵀ·coef)[i][j]
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			c := int64(coef[k*n+j])
-			for i := 0; i < n; i++ {
-				tmpT[j*n+i] += c * int64(mat[k*n+i])
-			}
-		}
-	}
-	const shift = 2*matrixBits + coefBits
-	const half = int64(1) << (shift - 1)
-	acc := make([]int64, n*n)
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			v := tmpT[k*n+i]
-			for j := 0; j < n; j++ {
-				acc[i*n+j] += v * int64(mat[k*n+j])
-			}
-		}
-	}
-	for i, v := range acc {
-		dst[i] = int32((v + half) >> shift)
-	}
-}
-
-// checkAgainstDense runs both directions of tr on block, in place and out of
-// place, against the dense reference.
-func checkAgainstDense(t *testing.T, tr *Transform, mat []int32, block []int32, what string) {
-	t.Helper()
-	n := tr.n
-	want, got := make([]int32, n*n), make([]int32, n*n)
-	for _, dir := range []struct {
-		name  string
-		fast  func(dst, src []int32)
-		dense func(mat []int32, n int, dst, src []int32)
-	}{{"Forward", tr.Forward, denseForward}, {"Inverse", tr.Inverse, denseInverse}} {
-		dir.dense(mat, n, want, block)
-		dir.fast(got, block)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s n=%d %s: [%d] = %d, dense reference %d", dir.name, n, what, i, got[i], want[i])
-			}
-		}
-		copy(got, block)
-		dir.fast(got, got) // dst aliasing src
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s n=%d %s in place: [%d] = %d, dense reference %d", dir.name, n, what, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func dstMatrix() []int32 {
-	mat := make([]int32, 16)
-	for i, v := range dstMat {
-		mat[i] = int32(v)
-	}
-	return mat
-}
-
-func TestButterflyMatchesDenseCorners4(t *testing.T) {
-	// Every 4×4 block over {−255, 0, 255}: 3¹⁶ ≈ 43M is too many, so the
-	// exhaustive part is every row pattern (3⁴) in every row position with
-	// the other rows drawn from the same corner set by a fixed generator —
-	// each 1-D pass sees all 81 corner vectors in both passes.
-	corner := [3]int32{-255, 0, 255}
-	dctT, dstT := NewDCT(4), NewDST4()
-	dctM, dstM := dctMatrix(4), dstMatrix()
-	rng := rand.New(rand.NewSource(11))
-	block := make([]int32, 16)
-	for pat := 0; pat < 81; pat++ {
-		for pos := 0; pos < 4; pos++ {
-			for transpose := 0; transpose < 2; transpose++ {
-				for i := range block {
-					block[i] = corner[rng.Intn(3)]
-				}
-				for j, p := 0, pat; j < 4; j, p = j+1, p/3 {
-					if transpose == 0 {
-						block[pos*4+j] = corner[p%3]
-					} else {
-						block[j*4+pos] = corner[p%3]
+// TestForwardEquivalence holds Forward, on every kernel path, to the dense
+// product: the DCT at n = 4…32 and the DST-VII, on every block forEachBlock
+// makes, out of place and with dst aliasing res. On the float path the float
+// kernel is also called directly: it must take a block exactly when the
+// block's magnitude scan is within Forward's float limit, and then write the
+// dense product's integers.
+func TestForwardEquivalence(t *testing.T) {
+	for _, c := range refTransforms() {
+		n := c.tr.n
+		want, got := make([]int32, n*n), make([]int32, n*n)
+		forEachBlock(n, func(block []int32, what string) {
+			denseForward(c.mat, n, want, block)
+			kernelPaths(func(simd bool) {
+				check := func(how string) {
+					if !slices.Equal(got, want) {
+						requireSameBlock(t, got, want, "%s %s, %s, simd %v", c.name, how, what, simd)
 					}
 				}
-				checkAgainstDense(t, dctT, dctM, block, "corner")
-				checkAgainstDense(t, dstT, dstM, block, "corner (DST)")
+				clear(got)
+				c.tr.Forward(got, block)
+				check("Forward")
+				copy(got, block)
+				c.tr.Forward(got, got)
+				check("Forward in place")
+				if simd && c.tr.bf != nil && useGEMM(n) {
+					clear(got)
+					if took := c.tr.forwardGEMM(got, block); took != (scan(block) <= c.tr.bf.fwdLimit) {
+						t.Fatalf("%s forwardGEMM, %s: took the block = %v, scan %d against limit %d", c.name, what, took, scan(block), c.tr.bf.fwdLimit)
+					} else if took {
+						check("forwardGEMM")
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestInverseEquivalence holds Inverse and InverseMasked, on every kernel
+// path, to the dense product on the same transforms and blocks as
+// TestForwardEquivalence: InverseMasked under exact masks and under over-full
+// ones (a set bit over a zero is harmless: whole extra rows included, which
+// changes how the non-zero rows pair up), out of place and in place, one
+// Transform through all the blocks. On the float path the float kernel is
+// called directly, as Forward's is.
+func TestInverseEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, c := range refTransforms() {
+		n := c.tr.n
+		want, got := make([]int32, n*n), make([]int32, n*n)
+		forEachBlock(n, func(block []int32, what string) {
+			denseInverse(c.mat, n, want, block)
+			exact := exactMasks(block, n)
+			loose := exact
+			for k := range loose[:n] {
+				if rng.Intn(3) == 0 {
+					loose[k] |= rng.Uint32() & (1<<uint(n) - 1)
+				}
 			}
+			kernelPaths(func(simd bool) {
+				check := func(how string) {
+					if !slices.Equal(got, want) {
+						requireSameBlock(t, got, want, "%s %s, %s, simd %v", c.name, how, what, simd)
+					}
+				}
+				clear(got)
+				c.tr.Inverse(got, block)
+				check("Inverse")
+				clear(got)
+				c.tr.InverseMasked(got, block, &exact)
+				check("InverseMasked, exact masks")
+				copy(got, block)
+				c.tr.InverseMasked(got, got, &exact)
+				check("InverseMasked in place, exact masks")
+				clear(got)
+				c.tr.InverseMasked(got, block, &loose)
+				check("InverseMasked, over-full masks")
+				copy(got, block)
+				c.tr.InverseMasked(got, got, &loose)
+				check("InverseMasked in place, over-full masks")
+				if simd && c.tr.bf != nil && useGEMM(n) {
+					clear(got)
+					if took := c.tr.inverseGEMM(got, block); took != (scan(block) <= c.tr.bf.invLimit) {
+						t.Fatalf("%s inverseGEMM, %s: took the block = %v, scan %d against limit %d", c.name, what, took, scan(block), c.tr.bf.invLimit)
+					} else if took {
+						check("inverseGEMM")
+					}
+				}
+			})
+		})
+	}
+}
+
+func TestLaneLimits(t *testing.T) {
+	// The table DESIGN.md §11.1 prints; a changed matrix must change both.
+	want := map[int]int64{4: 1048574, 8: 741533, 16: 524286, 32: 370766}
+	for n, w := range want {
+		if got := guardLimits(n)[0]; got != w {
+			t.Errorf("n=%d: lane limit %d, documented %d", n, got, w)
 		}
 	}
 }
 
-func TestButterflyMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{4, 8, 16, 32} {
-		tr, mat := NewDCT(n), dctMatrix(n)
+func TestGEMMLimitsPinned(t *testing.T) {
+	// The table DESIGN.md §11.1 prints; a changed matrix must change both.
+	want := map[int][2]int64{8: {4195199, 1073971244}, 16: {2097150, 536870909}, 32: {1048799, 268492810}}
+	for n, w := range want {
+		if got := guardLimits(n)[1:]; got[0] != w[0] || got[1] != w[1] {
+			t.Errorf("n=%d: forward, inverse limits %v, documented %v", n, got, w)
+		}
+	}
+}
+
+// FuzzLanes: any block — int32s read from data, shifted up by shift — through
+// Forward and InverseMasked (exact masks widened by loose) on every kernel
+// path, against the dense product, for the transform size selects. The seeds
+// are every guard's worst cases at its limit, for both directions: the paired
+// passes' and the float kernels'. Plain `go test` replays them.
+func FuzzLanes(f *testing.F) {
+	for size, c := range refTransforms() {
+		n := c.tr.n
 		block := make([]int32, n*n)
-		checkAgainstDense(t, tr, mat, block, "all-zero")
-		for _, amp := range []int32{255, 1 << 20, math.MaxInt32 / 2} {
-			for trial := 0; trial < 25; trial++ {
-				checkAgainstDense(t, tr, mat, randBlock(rng, n, amp), "random")
-				// Worst-case signs: every sample at ±amp.
-				for i := range block {
-					block[i] = amp - 2*amp*int32(rng.Intn(2))
-				}
-				checkAgainstDense(t, tr, mat, block, "±amp")
-				// 90 % sparse, the post-quantisation shape.
-				for i := range block {
-					block[i] = 0
-					if rng.Intn(10) == 0 {
-						block[i] = rng.Int31n(2*amp+1) - amp
+		for si, s := range guardSigns(n) {
+			for _, limit := range guardLimits(n) {
+				for _, e := range guardEdges(limit)[:2] {
+					for _, outer := range []bool{true, false} {
+						guardBlock(block, s, outer, int32(1-2*si), e[0], e[1])
+						data := make([]byte, 4*n*n)
+						for i, v := range block {
+							binary.LittleEndian.PutUint32(data[4*i:], uint32(v))
+						}
+						f.Add(uint8(size), uint8(0), data, uint32(0))
+						f.Add(uint8(size), uint8(0), data[:4*n*n/2], uint32(0xA5A5A5A5))
 					}
 				}
-				checkAgainstDense(t, tr, mat, block, "sparse")
-				// Non-zeros confined to a low-frequency corner.
-				ext := 1 + rng.Intn(n/2)
-				for i := range block {
-					block[i] = 0
-					if i/n < ext && i%n < ext && rng.Intn(2) == 0 {
-						block[i] = rng.Int31n(2*amp+1) - amp
-					}
-				}
-				checkAgainstDense(t, tr, mat, block, "low-frequency corner")
-				// One coefficient anywhere, DC included.
-				clear(block)
-				block[rng.Intn(n*n)] = rng.Int31n(2*amp+1) - amp
-				checkAgainstDense(t, tr, mat, block, "single coefficient")
-				clear(block)
-				block[0] = rng.Int31n(2*amp+1) - amp
-				checkAgainstDense(t, tr, mat, block, "DC only")
 			}
 		}
 	}
-}
-
-func TestInverseDropsStaleScratch(t *testing.T) {
-	// Pass 1 skips all-zero rows, so pass 2 must not see what an earlier
-	// block left in their place: dense, then sparse, on the same Transform.
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{8, 32} {
-		tr, mat := NewDCT(n), dctMatrix(n)
-		out := make([]int32, n*n)
-		tr.Inverse(out, randBlock(rng, n, 1<<20))
-		sparse := make([]int32, n*n)
-		sparse[1], sparse[2*n] = 77, -5
-		checkAgainstDense(t, tr, mat, sparse, "sparse after dense")
-	}
-}
-
-// quantizeBranchy and dequantizeFormula are the quantisers PR 17 shipped
-// (commit c563641), kept verbatim as the differential references for the
-// sign-mask and table forms that replaced them.
-
-func quantizeBranchy(dst, coef []int32, qp int) {
-	step := Qstep(qp) * quantScale
-	inv := 1 / step
-	for i, c := range coef {
-		v := float64(c) * inv
-		if v >= 0 {
-			dst[i] = int32(v + 1.0/3.0)
-		} else {
-			dst[i] = -int32(-v + 1.0/3.0)
+	transforms := refTransforms()
+	f.Fuzz(func(t *testing.T, size, shift uint8, data []byte, loose uint32) {
+		c := transforms[int(size)%len(transforms)]
+		n := c.tr.n
+		block := make([]int32, n*n)
+		for i := 0; i < n*n && 4*i+4 <= len(data); i++ {
+			block[i] = int32(binary.LittleEndian.Uint32(data[4*i:])) << (shift % 32)
 		}
-	}
-}
-
-func dequantizeFormula(dst, levels []int32, qp int) {
-	step := Qstep(qp) * quantScale
-	for i, l := range levels {
-		if l == 0 {
-			dst[i] = 0
-			continue
+		nz := exactMasks(block, n)
+		for k := range nz[:n] {
+			nz[k] |= bits.RotateLeft32(loose, k) & (1<<uint(n) - 1)
 		}
-		dst[i] = int32(math.Round(float64(l) * step))
-	}
+		fwd, inv, got := make([]int32, n*n), make([]int32, n*n), make([]int32, n*n)
+		denseForward(c.mat, n, fwd, block)
+		denseInverse(c.mat, n, inv, block)
+		kernelPaths(func(simd bool) {
+			c.tr.Forward(got, block)
+			requireSameBlock(t, got, fwd, "%s Forward, simd %v", c.name, simd)
+			c.tr.InverseMasked(got, block, &nz)
+			requireSameBlock(t, got, inv, "%s InverseMasked, simd %v", c.name, simd)
+		})
+	})
 }
 
-func requireSame(t *testing.T, got, want, in []int32, what string, qp int) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s qp=%d: %d -> %d, reference %d", what, qp, in[i], got[i], want[i])
-		}
-	}
-}
-
-// TestDequantizeEquivalence: the table form against the formula for every QP
-// and every level in [−2¹⁶, 2¹⁶] — both sides of the table's edge — and at
-// the ends of the int32 range. QPs outside [0, MaxQP] clamp as Qstep does.
-func TestDequantizeEquivalence(t *testing.T) {
-	const span = 1 << 16
-	levels := make([]int32, 0, 2*span+5)
-	for l := int32(-span); l <= span; l++ {
-		levels = append(levels, l)
-	}
-	levels = append(levels, math.MinInt32, math.MinInt32+1, math.MaxInt32, 1<<24)
-	got, want := make([]int32, len(levels)), make([]int32, len(levels))
-	for qp := -2; qp <= MaxQP+2; qp++ {
-		Dequantize(got, levels, qp)
-		dequantizeFormula(want, levels, qp)
-		requireSame(t, got, want, levels, "Dequantize", qp)
-	}
-}
-
-// TestQuantizeEquivalence: the sign-mask form against the branchy one on
+// TestQuantizeEquivalence: Quantize against the branchy quantiser on
 // ±(0…2²⁰) for a spread of QPs, on ±(0…2¹⁴) for every QP, and around every
 // coefficient where |c|/step crosses a k + ⅔ boundary — where v + ⅓ rounds to
 // an integer or just short of one.
@@ -459,7 +391,7 @@ func TestQuantizeEquivalence(t *testing.T) {
 		got, want := make([]int32, len(coef)), make([]int32, len(coef))
 		Quantize(got, coef, qp)
 		quantizeBranchy(want, coef, qp)
-		requireSame(t, got, want, coef, "Quantize", qp)
+		requireSameBlock(t, got, want, "Quantize qp=%d", qp)
 	}
 	ramp := func(limit int32) []int32 {
 		coef := make([]int32, 0, 2*limit+2)
@@ -484,188 +416,79 @@ func TestQuantizeEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuantizeDequantizeEquivalence: the fused pass against Quantize then
-// Dequantize, its masks against the levels, in place and out of place.
-func TestQuantizeDequantizeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, n := range []int{4, 8, 16, 32} {
-		for trial := 0; trial < 200; trial++ {
-			qp := rng.Intn(MaxQP + 1)
-			amp := int32(1) << uint(2+rng.Intn(19))
-			coef := randBlock(rng, n, amp)
-			if trial%5 == 0 { // low-frequency corner only: most masks empty
-				for i := range coef {
-					if i/n > 2 || i%n > 2 {
-						coef[i] = 0
-					}
-				}
-			}
-			wantLev, wantDeq := make([]int32, n*n), make([]int32, n*n)
-			Quantize(wantLev, coef, qp)
-			Dequantize(wantDeq, wantLev, qp)
-			lev, deq := make([]int32, n*n), make([]int32, n*n)
-			var nz RowMasks
-			nz[n-1] = ^uint32(0) // stale
-			any := QuantizeDequantize(lev, deq, coef, n, qp, &nz)
-			requireSame(t, lev, wantLev, coef, "fused levels", qp)
-			requireSame(t, deq, wantDeq, coef, "fused reconstruction", qp)
-			wantAny := false
-			for k := 0; k < n; k++ {
-				var m uint32
-				for l := 0; l < n; l++ {
-					if wantLev[k*n+l] != 0 {
-						m |= 1 << uint(l)
-						wantAny = true
-					}
-				}
-				if nz[k] != m {
-					t.Fatalf("n=%d qp=%d row %d: mask %#x, levels say %#x", n, qp, k, nz[k], m)
-				}
-			}
-			if any != wantAny {
-				t.Fatalf("n=%d qp=%d: any = %v, levels say %v", n, qp, any, wantAny)
-			}
-			inPlace := append([]int32(nil), coef...)
-			QuantizeDequantize(lev, inPlace, inPlace, n, qp, &nz)
-			requireSame(t, inPlace, wantDeq, coef, "fused reconstruction in place", qp)
-		}
+// TestDequantizeEquivalence: Dequantize against the formula for every QP and
+// every level in [−2¹⁶, 2¹⁶] — both sides of the table's edge — and at the
+// ends of the int32 range. QPs outside [0, MaxQP] clamp as Qstep does.
+func TestDequantizeEquivalence(t *testing.T) {
+	const span = 1 << 16
+	levels := make([]int32, 0, 2*span+5)
+	for l := int32(-span); l <= span; l++ {
+		levels = append(levels, l)
+	}
+	levels = append(levels, math.MinInt32, math.MinInt32+1, math.MaxInt32, 1<<24)
+	got, want := make([]int32, len(levels)), make([]int32, len(levels))
+	for qp := -2; qp <= MaxQP+2; qp++ {
+		Dequantize(got, levels, qp)
+		dequantizeFormula(want, levels, qp)
+		requireSameBlock(t, got, want, "Dequantize qp=%d", qp)
 	}
 }
 
-// TestDequantizeMasksEquivalence: the decoder's fused pass against Dequantize
-// for the values and against the scan Inverse makes of them for the masks — so
-// InverseMasked under the reported masks is Inverse — at every QP, on blocks
-// whose magnitudes straddle the table's edge at 256 and reach the decoder's
-// level cap of ±2¹⁶, from empty through one coefficient to dense, in place
-// and out of place.
+// TestQuantizeDequantizeEquivalence: the encoder's fused pass against the
+// quantiser and dequantiser definitions and its masks against the levels', on
+// forEachBlock's blocks at a drawn QP each, in place and out of place.
+func TestQuantizeDequantizeEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{4, 8, 16, 32} {
+		wantLev, wantDeq := make([]int32, n*n), make([]int32, n*n)
+		lev, deq := make([]int32, n*n), make([]int32, n*n)
+		forEachBlock(n, func(coef []int32, what string) {
+			qp := rng.Intn(MaxQP + 1)
+			quantizeBranchy(wantLev, coef, qp)
+			dequantizeFormula(wantDeq, wantLev, qp)
+			wantNZ := exactMasks(wantLev, n)
+			var nz RowMasks
+			nz[n-1] = ^uint32(0) // stale
+			any := QuantizeDequantize(lev, deq, coef, n, qp, &nz)
+			requireSameBlock(t, lev, wantLev, "n=%d qp=%d %s: levels", n, qp, what)
+			requireSameBlock(t, deq, wantDeq, "n=%d qp=%d %s: reconstruction", n, qp, what)
+			if nz != wantNZ || any != (wantNZ != RowMasks{}) {
+				t.Fatalf("n=%d qp=%d %s: masks %x any %v, levels say %x", n, qp, what, nz[:n], any, wantNZ[:n])
+			}
+			copy(deq, coef)
+			QuantizeDequantize(lev, deq, deq, n, qp, &nz)
+			requireSameBlock(t, deq, wantDeq, "n=%d qp=%d %s: reconstruction in place", n, qp, what)
+		})
+	}
+}
+
+// TestDequantizeMasksEquivalence: the decoder's fused pass against the
+// dequantiser definition and its masks against the levels' — so that
+// InverseMasked under them is InverseMasked under exact masks, which
+// TestInverseEquivalence holds — on forEachBlock's blocks as levels, each
+// with one entry on a side of the table's edge at 256 or at the decoder's
+// level cap of ±2¹⁶, at a drawn QP each, in place and out of place.
 func TestDequantizeMasksEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	edge := []int32{1, -1, 255, -255, 256, -256, 257, -257, 1 << 16, -(1 << 16)}
 	for _, n := range []int{4, 8, 16, 32} {
-		tr := NewDCT(n)
-		for qp := 0; qp <= MaxQP; qp++ {
-			for trial := 0; trial < 12; trial++ {
-				lev := make([]int32, n*n)
-				switch trial {
-				case 0: // all zero
-				case 1: // one coefficient, anywhere
-					lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
-				case 2: // one row, one column
-					for i := 0; i < n; i++ {
-						lev[3*n+i], lev[i*n+2] = edge[rng.Intn(len(edge))], edge[rng.Intn(len(edge))]
-					}
-				default:
-					density, amp := rng.Intn(101), int32(1)<<uint(rng.Intn(17))
-					for i := range lev {
-						if rng.Intn(100) < density {
-							lev[i] = rng.Int31n(2*amp+1) - amp
-						}
-					}
-					lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
-				}
-				want, got := make([]int32, n*n), make([]int32, n*n)
-				Dequantize(want, lev, qp)
-				var nz RowMasks
-				nz[n-1] = ^uint32(0) // stale
-				any := DequantizeMasked(got, lev, n, qp, &nz)
-				requireSame(t, got, want, lev, "DequantizeMasked", qp)
-				wantAny := false
-				for k := 0; k < n; k++ {
-					var m uint32
-					for l := 0; l < n; l++ {
-						if want[k*n+l] != 0 {
-							m |= 1 << uint(l)
-							wantAny = true
-						}
-					}
-					if nz[k] != m {
-						t.Fatalf("n=%d qp=%d trial %d row %d: mask %#x, dequantised levels say %#x", n, qp, trial, k, nz[k], m)
-					}
-				}
-				if any != wantAny {
-					t.Fatalf("n=%d qp=%d trial %d: any = %v, levels say %v", n, qp, trial, any, wantAny)
-				}
-				wantRes, gotRes := make([]int32, n*n), make([]int32, n*n)
-				tr.Inverse(wantRes, want)
-				tr.InverseMasked(gotRes, got, &nz)
-				requireSame(t, gotRes, wantRes, lev, "InverseMasked under the reported masks", qp)
-				inPlace := append([]int32(nil), lev...)
-				DequantizeMasked(inPlace, inPlace, n, qp, &nz)
-				requireSame(t, inPlace, want, lev, "DequantizeMasked in place", qp)
-			}
-		}
-	}
-}
-
-// TestInverseEquivalence: Inverse and InverseMasked against the dense
-// product on the inputs that steer each level of each pass down its dense
-// (dot) or its sparse (axpy) form — fully dense, post-quantisation sparse, a
-// single row, a single column, every density in between — at encoder-sized
-// and at wrap-sized (|coef| ≈ 2³⁰) magnitudes.
-func TestInverseEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, n := range []int{4, 8, 16, 32} {
-		tr, mat := NewDCT(n), dctMatrix(n)
 		want, got := make([]int32, n*n), make([]int32, n*n)
-		check := func(coef []int32, what string) {
-			t.Helper()
-			denseInverse(mat, n, want, coef)
-			tr.Inverse(got, coef)
-			requireSameBlock(t, got, want, "Inverse n=%d %s", n, what)
-			// Masks as QuantizeDequantize leaves them: exact.
+		forEachBlock(n, func(lev []int32, what string) {
+			qp := rng.Intn(MaxQP + 1)
+			lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
+			dequantizeFormula(want, lev, qp)
+			wantNZ := exactMasks(lev, n)
 			var nz RowMasks
-			for i, v := range coef {
-				if v != 0 {
-					nz[i/n] |= 1 << uint(i%n)
-				}
+			nz[n-1] = ^uint32(0) // stale
+			any := DequantizeMasked(got, lev, n, qp, &nz)
+			requireSameBlock(t, got, want, "n=%d qp=%d %s", n, qp, what)
+			if nz != wantNZ || any != (wantNZ != RowMasks{}) {
+				t.Fatalf("n=%d qp=%d %s: masks %x any %v, levels say %x", n, qp, what, nz[:n], any, wantNZ[:n])
 			}
-			clear(got)
-			tr.InverseMasked(got, coef, &nz)
-			requireSameBlock(t, got, want, "InverseMasked n=%d %s", n, what)
-			// A set bit over a zero coefficient is allowed.
-			for k := range nz[:n] {
-				nz[k] |= rng.Uint32() & (1<<uint(n) - 1)
-			}
-			tr.InverseMasked(got, coef, &nz)
-			requireSameBlock(t, got, want, "InverseMasked n=%d %s, loose masks", n, what)
-		}
-		coef := make([]int32, n*n)
-		for _, amp := range []int32{40, 1 << 12, 1<<30 - 1} {
-			for trial := 0; trial < 20; trial++ {
-				check(randBlock(rng, n, amp), "dense")
-				dense := randBlock(rng, n, amp)
-				Quantize(coef, dense, 30)
-				Dequantize(coef, coef, 30)
-				check(coef, "post-quantisation")
-				clear(coef)
-				copy(coef[rng.Intn(n)*n:][:n], randBlock(rng, n, amp))
-				check(coef, "single row")
-				clear(coef)
-				for k, col := 0, rng.Intn(n); k < n; k++ {
-					coef[k*n+col] = rng.Int31n(2*amp+1) - amp
-				}
-				check(coef, "single column")
-				// Each coefficient kept with probability p: masks on both
-				// sides of the dense/sparse threshold at every level.
-				p := rng.Intn(101)
-				for i := range coef {
-					coef[i] = 0
-					if rng.Intn(100) < p {
-						coef[i] = rng.Int31n(2*amp+1) - amp
-					}
-				}
-				check(coef, "thinned")
-			}
-		}
-	}
-}
-
-func requireSameBlock(t *testing.T, got, want []int32, format string, args ...any) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf(format+": [%d] = %d, dense reference %d", append(args, i, got[i], want[i])...)
-		}
+			copy(got, lev)
+			DequantizeMasked(got, got, n, qp, &nz)
+			requireSameBlock(t, got, want, "n=%d qp=%d %s: in place", n, qp, what)
+		})
 	}
 }
 

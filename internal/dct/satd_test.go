@@ -5,69 +5,6 @@ import (
 	"testing"
 )
 
-// hadamardMatrix builds the natural-order n×n Hadamard matrix by Sylvester
-// doubling. The butterfly network in satd4/satd8 produces the same transform
-// up to a row permutation, and the SATD sum of absolute coefficients is
-// permutation-invariant, so this is a valid independent reference.
-func hadamardMatrix(n int) [][]int64 {
-	h := [][]int64{{1}}
-	for len(h) < n {
-		m := len(h)
-		nh := make([][]int64, 2*m)
-		for i := range nh {
-			nh[i] = make([]int64, 2*m)
-		}
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				nh[i][j] = h[i][j]
-				nh[i][j+m] = h[i][j]
-				nh[i+m][j] = h[i][j]
-				nh[i+m][j+m] = -h[i][j]
-			}
-		}
-		h = nh
-	}
-	return h
-}
-
-// refSATD computes H·M·Hᵀ by plain matrix multiplication and applies the
-// same normalization as the production code.
-func refSATD(res []int32, n int) int64 {
-	h := hadamardMatrix(n)
-	// t = H · M
-	t := make([][]int64, n)
-	for i := range t {
-		t[i] = make([]int64, n)
-		for j := 0; j < n; j++ {
-			var s int64
-			for k := 0; k < n; k++ {
-				s += h[i][k] * int64(res[k*n+j])
-			}
-			t[i][j] = s
-		}
-	}
-	// sum |t · Hᵀ|
-	var sum int64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s int64
-			for k := 0; k < n; k++ {
-				s += t[i][k] * h[j][k]
-			}
-			if s < 0 {
-				s = -s
-			}
-			sum += s
-		}
-	}
-	switch n {
-	case 4:
-		return (sum + 1) >> 1
-	default: // 8
-		return (sum + 2) >> 2
-	}
-}
-
 func TestSATDZeroResidual(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32} {
 		if got := SATD(make([]int32, n*n), n); got != 0 {

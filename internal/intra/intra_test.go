@@ -6,19 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cpufeat"
 	"repro/internal/quant"
 	"repro/internal/tensorgen"
 )
-
-func constRefs(n int, v int32) Refs {
-	r := NewRefs(n)
-	r.Corner = v
-	for i := range r.Above {
-		r.Above[i] = v
-		r.Left[i] = v
-	}
-	return r
-}
 
 func TestAllModesInRange(t *testing.T) {
 	// Every mode, every size: predictions from valid references must stay
@@ -255,438 +246,157 @@ func TestPredictionPropertyBounded(t *testing.T) {
 	}
 }
 
-// predictAngularPerPixel is the per-pixel formula predictAngular shipped
-// with before it became per-row straight-line code: one bounds test and one
-// strided store per sample. Kept as the differential reference.
-func predictAngularPerPixel(m Mode, n int, r Refs, dst []int32) {
-	angle := angleTable[m-2]
-	vertical := m >= 18
-	ref := make([]int32, 3*n+1)
-	main, side := r.Above, r.Left
-	if !vertical {
-		main, side = r.Left, r.Above
-	}
-	ref[n] = r.Corner
-	for i := 0; i < 2*n; i++ {
-		ref[n+1+i] = main[i]
-	}
-	if angle < 0 {
-		inv := map[int32]int32{2: 4096, 5: 1638, 9: 910, 13: 630, 17: 482, 21: 390, 26: 315, 32: 256}[-angle]
-		need := (int(-angle)*n + 31) >> 5
-		for i := 1; i <= need; i++ {
-			idx := (int32(i)*inv + 128) >> 8
-			if int(idx) > 2*n {
-				idx = int32(2 * n)
-			}
-			if idx < 1 {
-				idx = 1
-			}
-			ref[n-i] = side[idx-1]
-		}
-	}
-	for y := 0; y < n; y++ {
-		pos := int32(y+1) * angle
-		intPart := int(pos >> 5)
-		frac := pos & 31
-		for x := 0; x < n; x++ {
-			i0 := n + 1 + x + intPart
-			a, b := ref[i0], ref[i0]
-			if i0+1 <= 3*n {
-				b = ref[i0+1]
-			}
-			v := ((32-frac)*a + frac*b + 16) >> 5
-			if vertical {
-				dst[y*n+x] = v
-			} else {
-				dst[x*n+y] = v
-			}
-		}
-	}
-}
-
-func TestAngularMatchesPerPixelFormula(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, n := range []int{4, 8, 16, 32} {
-		refSets := []Refs{constRefs(n, 0), constRefs(n, 255), constRefs(n, 77)}
-		for trial := 0; trial < 20; trial++ {
-			r := NewRefs(n)
-			r.Corner = int32(rng.Intn(256))
-			for i := range r.Above {
-				r.Above[i] = int32(rng.Intn(256))
-				r.Left[i] = int32(rng.Intn(256))
-				if trial%4 == 0 { // extremes only
-					r.Above[i] = 255 * int32(rng.Intn(2))
-					r.Left[i] = 255 * int32(rng.Intn(2))
-				}
-			}
-			refSets = append(refSets, r)
-		}
-		got, want := make([]int32, n*n), make([]int32, n*n)
-		for ri, r := range refSets {
-			for m := Mode(2); m <= 34; m++ {
-				for i := range got {
-					got[i], want[i] = -1, -2
-				}
-				Predict(m, n, r, got)
-				predictAngularPerPixel(m, n, r, want)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d refs#%d mode %d: dst[%d] = %d, per-pixel formula %d", n, ri, m, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// The kernels PR 17 shipped (commit c563641), kept verbatim as the
-// differential references for the line generator that replaced them:
-// predictAngularParent with its per-row and per-column layouts, and the
-// dividing Planar and DC.
-
-func predictAngularParent(m Mode, n int, r Refs, dst []int32) {
-	angle := angleTable[m-2]
-	vertical := m >= 18
-	ref := make([]int32, 3*n+2)
-	main, side := r.Above, r.Left
-	if !vertical {
-		main, side = r.Left, r.Above
-	}
-	ref[n] = r.Corner
-	copy(ref[n+1:3*n+1], main[:2*n])
-	if angle < 0 {
-		inv := invAngleTable[-angle]
-		need := (int(-angle)*n + 31) >> 5
-		for i := 1; i <= need; i++ {
-			idx := (int32(i)*inv + 128) >> 8
-			if int(idx) > 2*n {
-				idx = int32(2 * n)
-			}
-			if idx < 1 {
-				idx = 1
-			}
-			ref[n-i] = side[idx-1]
-		}
-	}
-	if vertical {
-		angularRows(dst, ref, n, angle)
-	} else {
-		angularColumns(dst, ref, n, angle)
-	}
-}
-
-func angularRows(dst, ref []int32, n int, angle int32) {
-	for y := 0; y < n; y++ {
-		pos := int32(y+1) * angle
-		frac := pos & 31
-		src := ref[n+1+int(pos>>5):][:n+1]
-		row := dst[y*n:][:n]
-		if frac == 0 {
-			copy(row, src)
-			continue
-		}
-		a := src[0]
-		for x, b := range src[1:] {
-			row[x] = (a<<5 + frac*(b-a) + 16) >> 5
-			a = b
-		}
-	}
-}
-
-func angularColumns(dst, ref []int32, n int, angle int32) {
-	base, fracs := make([]int32, n), make([]int32, n)
-	for y := range base {
-		pos := int32(y+1) * angle
-		base[y] = int32(n+1) + pos>>5
-		fracs[y] = pos & 31
-	}
-	for x := 0; x < n; x++ {
-		row := dst[x*n:][:n]
-		win := ref[x:]
-		for y, b := range base {
-			a := win[b]
-			row[y] = (a<<5 + fracs[y]*(win[b+1]-a) + 16) >> 5
-		}
-	}
-}
-
-func predictPlanarParent(n int, r Refs, dst []int32) {
-	tr := r.Above[n]
-	bl := r.Left[n]
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			h := int32(n-1-x)*r.Left[y] + int32(x+1)*tr
-			v := int32(n-1-y)*r.Above[x] + int32(y+1)*bl
-			dst[y*n+x] = (h + v + int32(n)) / int32(2*n)
-		}
-	}
-}
-
-func predictDCParent(n int, r Refs, dst []int32) {
-	var sum int32
-	for i := 0; i < n; i++ {
-		sum += r.Above[i] + r.Left[i]
-	}
-	dc := (sum + int32(n)) / int32(2*n)
-	for i := range dst {
-		dst[i] = dc
-	}
-}
-
-// equivalenceRefs is the reference matrix of the differential tests: flat,
-// random, 0/255 extremes, and the [1 2 1]-smoothed form of each random set.
-func equivalenceRefs(rng *rand.Rand, n int) []Refs {
-	sets := []Refs{constRefs(n, 0), constRefs(n, 255), constRefs(n, 77)}
-	for trial := 0; trial < 12; trial++ {
-		r := NewRefs(n)
-		r.Corner = int32(rng.Intn(256))
-		for i := range r.Above {
-			r.Above[i] = int32(rng.Intn(256))
-			r.Left[i] = int32(rng.Intn(256))
-			if trial%3 == 0 { // extremes only
-				r.Above[i] = 255 * int32(rng.Intn(2))
-				r.Left[i] = 255 * int32(rng.Intn(2))
-			}
-		}
-		sets = append(sets, r, r.SmoothedInto(NewRefs(len(r.Above)/2)))
-	}
-	return sets
-}
-
-func requireSameBlock(t *testing.T, got, want []int32, format string, args ...any) {
-	t.Helper()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf(format+": [%d] = %d, reference %d", append(args, i, got[i], want[i])...)
-		}
-	}
-}
-
-// TestPredictEquivalence: every mode of the rewritten Predict against the
-// kernels it replaced.
+// TestPredictEquivalence holds Predict, every mode of it, to its definition
+// for every size and every reference set forEachBlock makes.
 func TestPredictEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{4, 8, 16, 32} {
 		got, want := make([]int32, n*n), make([]int32, n*n)
-		for ri, r := range equivalenceRefs(rng, n) {
+		forEachBlock(rng, n, make([]int32, n*n), func(r Refs, what string) {
 			for m := Mode(0); m < NumModes; m++ {
 				for i := range got {
 					got[i], want[i] = -1, -2
 				}
 				Predict(m, n, r, got)
-				switch m {
-				case Planar:
-					predictPlanarParent(n, r, want)
-				case DC:
-					predictDCParent(n, r, want)
-				default:
-					predictAngularParent(m, n, r, want)
-				}
-				requireSameBlock(t, got, want, "n=%d refs#%d mode %d", n, ri, m)
+				predictDef(m, n, r, want)
+				requireSameBlock(t, got, want, "n=%d %s mode %d", n, what, m)
 			}
-		}
+		})
 	}
 }
 
-// AngularSAD and angularLineSAD are the scalar score-as-you-predict kernels PR
-// 18 shipped (commit e97cb0f), kept verbatim as the differential reference for
-// Scorer.SAD, which replaced them in the coarse search.
+// TestPackedScoreEquivalence holds Scorer.SAD on the packed-lane path, the one
+// every host runs, to the score by definition (scoreEquivalence).
+func TestPackedScoreEquivalence(t *testing.T) { scoreEquivalence(t, false, 33) }
 
-// AngularSAD predicts angular mode m into pred line by line — rows for a
-// vertical mode, columns for a horizontal one — and scores each line against
-// the same line of src as it is produced. It returns the sum of absolute
-// differences or, once the running sum at the end of a line exceeds bound,
-// that partial sum, leaving the remaining lines of pred unwritten. The terms
-// are non-negative, so a partial sum above bound means the full SAD is above
-// it too.
-//
-// pred and src are line-major: for a horizontal mode src must be the
-// transposed source block and pred comes back as the transpose of what
-// Predict writes (Transpose turns either back).
-func AngularSAD(m Mode, n int, refs Refs, pred, src []int32, bound int64) int64 {
-	if m < 2 || m > 34 || len(pred) != n*n || len(src) != n*n {
-		panic("intra: bad AngularSAD arguments")
+// TestSIMDScoreEquivalence holds Scorer.SAD on the AVX2 path to the score by
+// definition (scoreEquivalence), and its int16 array to angularRefDef's.
+func TestSIMDScoreEquivalence(t *testing.T) {
+	if !cpufeat.AVX2FMA {
+		t.Skip("no AVX2 on this CPU: TestPackedScoreEquivalence holds the only scorer path it runs")
 	}
-	var buf [3*MaxBlockSize + 2]int32
-	ref, angle := angularRef(&buf, m, n, refs)
-	var sum int64
-	for l := 0; l < n; l++ {
-		sum += int64(angularLineSAD(pred[l*n:][:n], src[l*n:][:n], ref, n, int32(l+1)*angle))
-		if sum > bound {
-			break
-		}
-	}
-	return sum
+	scoreEquivalence(t, true, 34)
 }
 
-// angularLineSAD is angularLine returning the line's sum of absolute
-// differences from src, taken as each sample is produced.
-func angularLineSAD(line, src, ref []int32, n int, pos int32) int32 {
-	frac := pos & 31
-	win := ref[n+1+int(pos>>5):][:n+1]
-	var sad int32
-	if frac == 0 {
-		win = win[:len(line)]
-		src = src[:len(line)]
-		for x, v := range win {
-			line[x] = v
-			d := src[x] - v
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-		return sad
-	}
-	next := win[1:]
-	line, src = line[:len(next)], src[:len(next)]
-	a := win[0]
-	for x, b := range next {
-		v := (a<<5 + frac*(b-a) + 16) >> 5
-		line[x] = v
-		d := src[x] - v
-		if d < 0 {
-			d = -d
-		}
-		sad += d
-		a = b
-	}
-	return sad
-}
-
-func fullSAD(a, b []int32) int64 {
-	var sum int64
-	for i, v := range a {
-		d := v - b[i]
-		if d < 0 {
-			d = -d
-		}
-		sum += int64(d)
-	}
-	return sum
-}
-
-// TestAngularSADEquivalence: the fused score is the full SAD of the parent's
-// prediction whenever that is within the bound and above the bound otherwise,
-// for bounds below, at and above the true SAD; a run that was not cut short
-// leaves the whole prediction behind, line-major.
-func TestAngularSADEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for _, n := range []int{4, 8, 16, 32} {
-		n2 := n * n
-		src, srcT := make([]int32, n2), make([]int32, n2)
-		pred, want := make([]int32, n2), make([]int32, n2)
-		for ri, r := range equivalenceRefs(rng, n) {
-			for i := range src {
-				src[i] = int32(rng.Intn(256))
-				if ri%2 == 0 { // near the references: small SADs, exits late
-					src[i] = r.Above[i%n] + int32(rng.Intn(5)) - 2
-				}
-			}
-			copy(srcT, src)
-			Transpose(srcT, n)
-			for m := Mode(2); m <= 34; m++ {
-				predictAngularParent(m, n, r, want)
-				sad := fullSAD(src, want)
-				lineSrc := src
-				if Horizontal(m) {
-					lineSrc = srcT
-				}
-				for _, bound := range []int64{math.MaxInt64, sad + 1, sad, sad - 1, sad / 2, sad / 7, 0, -1} {
-					for i := range pred {
-						pred[i] = -1
-					}
-					got := AngularSAD(m, n, r, pred, lineSrc, bound)
-					if sad <= bound {
-						if got != sad {
-							t.Fatalf("n=%d refs#%d mode %d bound %d: score %d, full SAD %d", n, ri, m, bound, got, sad)
-						}
-						if Horizontal(m) {
-							Transpose(pred, n)
-						}
-						requireSameBlock(t, pred, want, "n=%d refs#%d mode %d bound %d: prediction left behind", n, ri, m, bound)
-					} else if got <= bound || got > sad {
-						t.Fatalf("n=%d refs#%d mode %d: full SAD %d is above bound %d, score %d", n, ri, m, sad, bound, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPackedScoreEquivalence: Scorer.SAD returns AngularSAD's integer — the
-// full SAD within the bound, the same partial sum beyond it — for every
-// angular mode and size, over flat, random, 0/255-extreme and smoothed
-// references (the scorer's own smoothing included), sources near the
-// references and far from them, and bounds above, at, just below and far
-// below the true SAD. Modes are scored in both directions within one Reset, so
-// that a negative-angle mode's extension of the shared packed array must not
-// survive into the next mode's score; and what Predict gives for a mode equals
-// the block AngularSAD used to leave behind for the RD stage.
-func TestPackedScoreEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
+// scoreEquivalence holds Scorer.SAD, on one kernel path, to the score by
+// definition for every angular mode, both filters (the scorer's own
+// smoothing) and every size, on forEachBlock's references and sources — at no
+// bound, at a bound exactly at each line's running sum and one below it (the
+// exit the kernel must take at that line, not a line later), below the first
+// line, at fractions of the full SAD, at 0 and below. Modes are scored in a
+// random order within one Reset, so that a negative-angle mode's extension of
+// the shared array must not survive into the next mode's score. On the AVX2
+// path, after each mode the int16 array is angularRefDef's, spare slot
+// included, over the span the mode reads — blocks go largest first, so the
+// slots a smaller block does not write hold a larger one's samples.
+func scoreEquivalence(t *testing.T, simd bool, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
 	var sc Scorer
-	for _, n := range []int{4, 8, 16, 32} {
-		n2 := n * n
-		src, srcT := make([]int32, n2), make([]int32, n2)
-		pred, left := make([]int32, n2), make([]int32, n2)
+	for _, n := range []int{32, 16, 8, 4} {
+		src := make([]int32, n*n)
 		smoothInto := NewRefs(n)
-		sets := equivalenceRefs(rng, n)
-		for ri := 0; ri < len(sets)+2; ri++ {
-			var r Refs
-			switch ri - len(sets) {
-			case 0: // lane accumulators at their ceiling: every |v−s| is 255
-				r = constRefs(n, 255)
-				clear(src)
-			case 1:
-				r = constRefs(n, 0)
-				for i := range src {
-					src[i] = 255
-				}
-			default:
-				r = sets[ri]
-				for i := range src {
-					src[i] = int32(rng.Intn(256))
-					if ri%2 == 0 { // near the references: small SADs, exits late
-						src[i] = min(max(r.Above[i%n]+int32(rng.Intn(5))-2, 0), 255)
-					}
-				}
+		forEachBlock(rng, n, src, func(r Refs, what string) {
+			var cums [2][NumModes][]int64
+			for m := Mode(2); m < NumModes; m++ {
+				cums[0][m] = lineSADs(m, n, r, src)
+				cums[1][m] = lineSADs(m, n, r.SmoothedInto(NewRefs(n)), src)
 			}
-			copy(srcT, src)
-			Transpose(srcT, n)
-			sc.Reset(n, src, r, smoothInto)
-			for pass := 0; pass < 2; pass++ {
-				for k := 0; k < 33; k++ {
+			order := rng.Perm(33)
+			onPath(simd, func() {
+				sc.Reset(n, src, r, smoothInto)
+				if sc.simd != (simd && n >= 8) {
+					t.Fatalf("n=%d simd %v: scorer took the AVX2 form = %v", n, simd, sc.simd)
+				}
+				for _, k := range order {
 					m := Mode(2 + k)
-					if pass == 1 {
-						m = Mode(34 - k)
-					}
-					for _, smoothed := range []bool{false, true} {
-						rr := r
-						if smoothed {
-							rr = r.SmoothedInto(NewRefs(len(r.Above) / 2))
+					for f, smoothed := range []bool{false, true} {
+						cum := cums[f][m]
+						bounds := []int64{math.MaxInt64, cum[0] - 1, cum[n-1] / 2, cum[n-1] / 7, 0, -1}
+						for _, c := range cum {
+							bounds = append(bounds, c, c-1)
 						}
-						lineSrc := src
-						if Horizontal(m) {
-							lineSrc = srcT
+						for _, bound := range bounds {
+							if got, want := sc.SAD(m, smoothed, bound), sadDef(cum, bound); got != want {
+								t.Fatalf("n=%d %s mode %d smoothed=%v bound %d (SAD %d), simd %v: score %d, definition %d",
+									n, what, m, smoothed, bound, cum[n-1], simd, got, want)
+							}
 						}
-						sad := AngularSAD(m, n, rr, left, lineSrc, math.MaxInt64)
-						if Horizontal(m) {
-							Transpose(left, n)
+						if !sc.simd {
+							continue
 						}
-						Predict(m, n, sc.Refs(smoothed), pred)
-						requireSameBlock(t, pred, left, "n=%d refs#%d mode %d smoothed=%v: survivor's prediction", n, ri, m, smoothed)
-						for _, bound := range []int64{math.MaxInt64, sad + 1, sad, sad - 1, sad / 2, sad / 7, 0} {
-							want := AngularSAD(m, n, rr, left, lineSrc, bound)
-							if got := sc.SAD(m, smoothed, bound); got != want {
-								t.Fatalf("n=%d refs#%d mode %d smoothed=%v bound %d (SAD %d): packed score %d, scalar %d", n, ri, m, smoothed, bound, sad, got, want)
+						want := angularRefDef(m, n, sc.Refs(smoothed))
+						lo := n
+						if angle := angleTable[m-2]; angle < 0 {
+							lo = n - negativeExtent(n, angle)
+						}
+						ref16 := &sc.ref16[f][b2i(Horizontal(m))]
+						for i := lo; i <= 3*n+1; i++ {
+							if int32(ref16[i]) != want[i] {
+								t.Fatalf("n=%d %s mode %d smoothed=%v: ref16[%d] = %d, definition %d", n, what, m, smoothed, i, ref16[i], want[i])
 							}
 						}
 					}
 				}
+			})
+		})
+	}
+}
+
+// FuzzSIMDKernels: any 8-bit block and references, any angular mode, filter
+// and bound score on every kernel path as the definition scores them. The
+// seeds sit at the ends of the sample range and at line exits; plain `go
+// test` replays them.
+func FuzzSIMDKernels(f *testing.F) {
+	for si := 0; si < 4; si++ {
+		n := 4 << si
+		for _, fill := range [][2]byte{{0, 255}, {255, 0}, {77, 77}, {0, 0}} {
+			data := make([]byte, 1+4*n+n*n)
+			for i := range data {
+				data[i] = fill[i%2]
+				if i > 4*n {
+					data[i] = fill[1-i%2]
+				}
+			}
+			for _, m := range []uint8{2, 10, 11, 18, 25, 26, 34} {
+				for _, bound := range []int64{math.MaxInt64, 0, int64(255 * n), int64(255*n) - 1} {
+					f.Add(uint8(si), m, m%2 == 0, bound, data)
+				}
 			}
 		}
 	}
+	f.Fuzz(func(t *testing.T, size, mode uint8, smoothed bool, bound int64, data []byte) {
+		n := 4 << (size % 4)
+		m := Mode(2 + mode%33)
+		sample := func(i int) int32 {
+			if len(data) == 0 {
+				return 0
+			}
+			return int32(data[i%len(data)])
+		}
+		r := NewRefs(n)
+		r.Corner = sample(0)
+		for i := range r.Above {
+			r.Above[i], r.Left[i] = sample(1+i), sample(1+2*n+i)
+		}
+		src := make([]int32, n*n)
+		for i := range src {
+			src[i] = sample(1 + 4*n + i)
+		}
+		ref := r
+		if smoothed {
+			ref = r.SmoothedInto(NewRefs(n))
+		}
+		cum := lineSADs(m, n, ref, src)
+		kernelPaths(func(simd bool) {
+			var sc Scorer
+			sc.Reset(n, src, r, NewRefs(n))
+			for _, b := range []int64{bound, math.MaxInt64} {
+				if got, want := sc.SAD(m, smoothed, b), sadDef(cum, b); got != want {
+					t.Fatalf("n=%d mode %d smoothed=%v bound %d, simd %v: score %d, definition %d", n, m, smoothed, b, simd, got, want)
+				}
+			}
+		})
+	})
 }
 
 func TestTransposeEquivalence(t *testing.T) {
@@ -754,17 +464,17 @@ func benchPredict(b *testing.B, n int, mode func(i int) Mode) {
 	}
 }
 
-func BenchmarkAngularSAD4(b *testing.B)  { benchAngularSAD(b, 4) }
-func BenchmarkAngularSAD8(b *testing.B)  { benchAngularSAD(b, 8) }
-func BenchmarkAngularSAD16(b *testing.B) { benchAngularSAD(b, 16) }
-func BenchmarkAngularSAD32(b *testing.B) { benchAngularSAD(b, 32) }
+func BenchmarkScoreAngular4(b *testing.B)  { benchScoreAngular(b, 4) }
+func BenchmarkScoreAngular8(b *testing.B)  { benchScoreAngular(b, 8) }
+func BenchmarkScoreAngular16(b *testing.B) { benchScoreAngular(b, 16) }
+func BenchmarkScoreAngular32(b *testing.B) { benchScoreAngular(b, 32) }
 
-// benchAngularSAD times the angular part of the coarse search as decideLeaf
+// benchScoreAngular times the angular part of the coarse search as decideLeaf
 // runs it on one leaf: point the scorer at the block, score all 33 angular
 // modes against the bound of a top-3 set that tightens as better modes are
 // found, predict the three survivors (b.N counts leaves; bytes are the
 // leaf's samples once, not once per mode).
-func benchAngularSAD(b *testing.B, n int) {
+func benchScoreAngular(b *testing.B, n int) {
 	srcs, refs := benchBlocks(n, benchBlockCount)
 	var sc Scorer
 	smooth := NewRefs(n)

@@ -106,10 +106,6 @@ type Config struct {
 	Backend codec.EntropyBackend
 	Workers int
 
-	// DisableAliasing turns off prefix-hash chunk sharing (twin sessions
-	// then hold duplicate bytes); used by tests to build unaliased twins.
-	DisableAliasing bool
-
 	// Metrics backs the kv.* (and threaded codec.*/store.*) metrics.
 	// Nil disables them.
 	Metrics *obs.Registry
@@ -704,25 +700,23 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 		region := codec.PlaneRegion{Layer: 0, X0: 0, Y0: s.committed, W: dim, H: f}
 
 		committed := false
-		if !t.cfg.DisableAliasing {
-			if e, ok := t.prefix.get(next); ok {
-				if payload, live := t.blobs.Ref(e.key); live {
-					ok := true
-					if t.cfg.Backend == codec.BackendRANS {
-						ok = e.table != nil && s.app.SetTable(e.table) == nil
+		if e, ok := t.prefix.get(next); ok {
+			if payload, live := t.blobs.Ref(e.key); live {
+				ok := true
+				if t.cfg.Backend == codec.BackendRANS {
+					ok = e.table != nil && s.app.SetTable(e.table) == nil
+				}
+				if ok && s.app.AppendEncoded(payload, dim, f, region) == nil {
+					s.blobKeys = append(s.blobKeys, e.key)
+					res.Aliased++
+					res.Saved += int64(len(payload))
+					if t.m != nil {
+						t.m.chunksAliased.Inc()
+						t.m.prefixSaved.Add(int64(len(payload)))
 					}
-					if ok && s.app.AppendEncoded(payload, dim, f, region) == nil {
-						s.blobKeys = append(s.blobKeys, e.key)
-						res.Aliased++
-						res.Saved += int64(len(payload))
-						if t.m != nil {
-							t.m.chunksAliased.Inc()
-							t.m.prefixSaved.Add(int64(len(payload)))
-						}
-						committed = true
-					} else {
-						t.blobs.Release(e.key)
-					}
+					committed = true
+				} else {
+					t.blobs.Release(e.key)
 				}
 			}
 		}
@@ -746,9 +740,7 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 			}
 			t.addResident(actual - est)
 			s.blobKeys = append(s.blobKeys, key)
-			if !t.cfg.DisableAliasing {
-				t.prefix.put(next, prefixEntry{key: key, table: s.app.Table()})
-			}
+			t.prefix.put(next, prefixEntry{key: key, table: s.app.Table()})
 			res.NewChunks++
 			if t.m != nil {
 				t.m.chunksEncoded.Inc()

@@ -245,31 +245,29 @@ func TestKVPrefixAliasing(t *testing.T) {
 }
 
 // TestKVAliasedMatchesUnaliased: the satellite property's twin clause at
-// unit scale — a table with aliasing disabled returns the exact same values
-// for the same appends, it just re-encodes every twin chunk. (Resident
-// bytes match either way: the content-addressed blob cache dedupes
-// identical payloads even when the prefix-digest fast path is off.)
+// unit scale — twin sessions in one table return the exact same values as
+// each session alone in a table of its own, where nothing can alias and every
+// chunk is encoded. (That identical payloads are stored once is
+// TestBlobCacheRefcounting's.)
 func TestKVAliasedMatchesUnaliased(t *testing.T) {
 	const dim, f = 16, 8
 	rows := rowsFor(13, 0, 3*f+5, dim)
 	regA, regP := obs.NewRegistry(), obs.NewRegistry()
 	aliased := New(Config{FlushRows: f, QP: 12, Metrics: regA})
-	plain := New(Config{FlushRows: f, QP: 12, DisableAliasing: true, Metrics: regP})
-	for _, tab := range []*Table{aliased, plain} {
-		mustAppend(t, tab, "a", dim, 0, rows)
-		mustAppend(t, tab, "b", dim, 0, rows)
+	plain := map[string]*Table{}
+	for _, name := range []string{"a", "b"} {
+		mustAppend(t, aliased, name, dim, 0, rows)
+		plain[name] = New(Config{FlushRows: f, QP: 12, Metrics: regP})
+		mustAppend(t, plain[name], name, dim, 0, rows)
 	}
 	encA := regA.Snapshot().Counters["codec.encode.chunks"]
 	encP := regP.Snapshot().Counters["codec.encode.chunks"]
 	if encA != 3 || encP != 6 {
-		t.Fatalf("encode.chunks: aliased %d (want 3), plain %d (want 6)", encA, encP)
-	}
-	if aliased.Resident() != plain.Resident() {
-		t.Fatalf("content-addressed dedup broke: %d resident with aliasing, %d without", aliased.Resident(), plain.Resident())
+		t.Fatalf("encode.chunks: aliased %d (want 3), one table a session %d (want 6)", encA, encP)
 	}
 	for _, name := range []string{"a", "b"} {
 		x := mustRead(t, aliased, name, 0, -1)
-		y := mustRead(t, plain, name, 0, -1)
+		y := mustRead(t, plain[name], name, 0, -1)
 		for i := range x.Vals {
 			if x.Vals[i] != y.Vals[i] {
 				t.Fatalf("session %s value %d: aliased %g, plain %g", name, i, x.Vals[i], y.Vals[i])
@@ -320,7 +318,7 @@ func TestKVEvictionBudget(t *testing.T) {
 	// 6 sessions × 4 groups of distinct content need resident.
 	tab := New(Config{
 		FlushRows: f, QP: 12, Shards: 2, BudgetBytes: 4 << 10,
-		Metrics: reg, OnEvict: log.hook, DisableAliasing: true,
+		Metrics: reg, OnEvict: log.hook,
 	})
 	check := func() {
 		if r, b := tab.Resident(), tab.Budget(); r > b {
@@ -339,6 +337,11 @@ func TestKVEvictionBudget(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["kv.evict.chunks"] == 0 && snap.Counters["kv.evict.sessions"] == 0 {
 		t.Fatal("tight budget evicted nothing")
+	}
+	// Every session's rows come from its own seed: nothing can alias, so the
+	// eviction order is the one distinct content gives.
+	if c := snap.Counters["kv.append.chunks_aliased"]; c != 0 {
+		t.Fatalf("chunks_aliased = %d, want 0", c)
 	}
 
 	served := 0

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/dct"
 	"repro/internal/kv"
+	"repro/internal/obs"
 )
 
 // kvRows generates deterministic token rows keyed by absolute row index
@@ -190,9 +191,10 @@ func (l *httpEvictLog) hook(session string, from, to int, full bool) {
 // cut — the soak harness's core cross-check, pinned here deterministically.
 func TestKVHTTP206MatchesEvictionLog(t *testing.T) {
 	log := &httpEvictLog{evicted: make(map[string]int), full: make(map[string]bool)}
+	reg := obs.NewRegistry()
 	tab := kv.New(kv.Config{
 		FlushRows: 8, QP: 12, Shards: 2, BudgetBytes: 4 << 10,
-		DisableAliasing: true, OnEvict: log.hook,
+		Metrics: reg, OnEvict: log.hook,
 	})
 	s := New(Config{Workers: 1, KV: tab})
 	h := s.Handler()
@@ -210,6 +212,11 @@ func TestKVHTTP206MatchesEvictionLog(t *testing.T) {
 				t.Fatalf("resident %d exceeds budget %d", r, b)
 			}
 		}
+	}
+
+	// Every session's rows come from its own seed, so nothing aliased.
+	if c := reg.Snapshot().Counters["kv.append.chunks_aliased"]; c != 0 {
+		t.Fatalf("chunks_aliased = %d, want 0", c)
 	}
 
 	saw206 := false

@@ -108,6 +108,71 @@ func TestProductionSurfaceIsClosed(t *testing.T) {
 	}
 }
 
+// kernelRefDirs are the packages whose kernels are each held to one
+// definition, kept in the package's refimpl_test.go (DESIGN.md §11.1).
+var kernelRefDirs = []string{"internal/dct", "internal/intra", "internal/codec"}
+
+// TestKernelReferencesAreLive is the guard on "one reference per kernel":
+// each of kernelRefDirs has a refimpl_test.go, and every function or method it
+// declares is used by a Test or Fuzz function of its package, directly or
+// through the package's other test functions. A reference that outlives its
+// kernel, or that no test holds a kernel to, fails here. The walk is by name
+// over the package's test files: a method is used when a selector of its name
+// is.
+func TestKernelReferencesAreLive(t *testing.T) {
+	for _, dir := range kernelRefDirs {
+		fset := token.NewFileSet()
+		ref, err := parser.ParseFile(fset, filepath.Join(dir, "refimpl_test.go"), nil, 0)
+		if err != nil {
+			t.Errorf("%s: %v", dir, err)
+			continue
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decls := map[string][]*ast.FuncDecl{}
+		var work []*ast.FuncDecl
+		for _, name := range names {
+			f := ref
+			if filepath.Base(name) != "refimpl_test.go" {
+				if f, err = parser.ParseFile(fset, name, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f.Name.Name != ref.Name.Name {
+				continue // an external test package
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					decls[fd.Name.Name] = append(decls[fd.Name.Name], fd)
+					if fd.Recv == nil && (strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+						work = append(work, fd)
+					}
+				}
+			}
+		}
+		used := map[string]bool{}
+		for len(work) > 0 {
+			fd := work[len(work)-1]
+			work = work[:len(work)-1]
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id != fd.Name && !used[id.Name] {
+					used[id.Name] = true
+					work = append(work, decls[id.Name]...)
+				}
+				return true
+			})
+		}
+		for _, d := range ref.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && !used[fd.Name.Name] {
+				t.Errorf("%s: %s is used by no Test or Fuzz function of %s — delete it, or hold its kernel to it",
+					fset.Position(fd.Pos()), fd.Name.Name, dir)
+			}
+		}
+	}
+}
+
 // A loadedPkg is one type-checked package of the module, non-test files only.
 type loadedPkg struct {
 	types *types.Package
