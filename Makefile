@@ -41,10 +41,17 @@ vet:
 # is closed: every function under internal/ is reached from a main in cmd/*,
 # examples/* or benchmark/, or is entered with its reason in surface_test.go's
 # allow-list (TestProductionSurfaceIsClosed; a failure prints each unreached
-# function with its position and line count). The first step of ci.
+# function with its position and line count). The golden corpus is closed
+# (TestCorpusIsClosed: no file without a vector, no vector without its two
+# files), only the conformance sweep and the refimpl_test.go kernel tests force
+# the pure-Go kernels (TestKernelFlagIsContained), and the sweep's codec rows —
+# every golden vector re-encoded and decoded on both kernel paths at every
+# worker count, against the committed bytes — catch a byte drift in seconds.
+# The first step of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive' . ./internal/codec/ ./internal/core/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|CorpusIsClosed|KernelFlagIsContained' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...
 
 # The other build. 386 binaries run natively on an amd64 host: the suite
@@ -71,12 +78,13 @@ race:
 serve-test:
 	$(GO) test -race ./internal/serve/
 
-# The fleet harness under the race detector: the consistent-hash equivalence
-# matrix, the deterministic fault-injection sweeps ({latency, reset,
-# truncation, 500, 503-drain} × {encode, decode}), breaker/prober unit
-# tests, and the subprocess soak that SIGKILLs one of three real `llm265
-# serve` backends mid-traffic and requires it to rejoin on its own with
-# zero corrupt responses (DESIGN.md §14).
+# The fleet harness under the race detector: consistent-hash routing, the
+# deterministic fault-injection sweeps ({latency, reset, truncation, 500,
+# 503-drain} × {encode, decode}), breaker/prober unit tests, and the
+# subprocess soak that SIGKILLs one of three real `llm265 serve` backends
+# mid-traffic and requires it to rejoin on its own with zero corrupt
+# responses (DESIGN.md §14). That the proxy over 1, 2 and 3 backends returns
+# a backend's exact bytes is internal/conformance's proxy path.
 proxy-test:
 	$(GO) test -race ./internal/proxy/ ./internal/faultinject/
 
@@ -89,20 +97,21 @@ store-test:
 	$(GO) test -race ./internal/store/ ./internal/llm/
 
 # The KV-cache tier under the race detector: flush-counter and aliasing unit
-# tests, the schedule-invariance and aliased-twin property matrices (both
-# entropy backends × worker counts), the HTTP handler taxonomy, and the
-# full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
+# tests, the aliased-twin property (both entropy backends), the HTTP handler
+# taxonomy, and the full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
 # interleaved append/read/expire churn under a tight byte budget, asserting
 # zero corrupt reads, resident≤budget at every sample, 206 windows
 # consistent with the eviction log, and a leak-free drain (DESIGN.md §16).
+# That a ranged read under any append schedule returns the one-shot bytes, on
+# both backends at every worker count, is internal/conformance's kv path.
 kv-test:
 	KV_SOAK=1 $(GO) test -race ./internal/kv/ -timeout 30m
 
 # The concurrent ring-allreduce under the race detector: the determinism
-# property matrix (uncompressed concurrent ≡ bit-identical sequential;
-# compressed byte-deterministic across worker counts and schedule seeds for
-# both entropy backends), the error-feedback and wire-codec unit tests, and
-# the chaos soak — TRAIN_SOAK=1 raises the ring to ≥96 workers of randomized
+# properties (uncompressed concurrent ≡ bit-identical sequential; compressed
+# byte-deterministic across schedule seeds — across worker counts, backends
+# and kernels it is internal/conformance's allreduce path), the
+# error-feedback and wire-codec unit tests, and the chaos soak — TRAIN_SOAK=1 raises the ring to ≥96 workers of randomized
 # scheduling with mid-run cancellation, asserting bit-exact reductions,
 # context-clean unwinds and a leak-free goroutine drain (DESIGN.md §17).
 # Only internal/allreduce reads TRAIN_SOAK; internal/train runs with `race`'s

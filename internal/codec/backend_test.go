@@ -97,48 +97,6 @@ func mustEncode(t *testing.T, planes []*frame.Plane, qp int, prof Profile, tools
 	return data
 }
 
-// TestRANSDeterministicAcrossWorkers pins the scaling claim structurally:
-// container bytes are identical for every encode worker count, and decodes
-// at worker counts 1, 2, 4 and 8 (the last exercising parallel lane
-// pre-decode, workers > chunks) reconstruct identical planes. Combined with
-// rans.TestLaneIndependence this proves each chunk's states decode
-// independently — the property a multi-core decoder exploits.
-func TestRANSDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	planes := make([]*frame.Plane, 9)
-	for i := range planes {
-		planes[i] = gradientPlane(rng, 64, 64)
-	}
-	base, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		again, _, err := encodeAs(ContainerV3, planes, 30, HEVC, ransTools(), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, base) {
-			t.Fatalf("rans encode differs at %d workers", w)
-		}
-	}
-	ref, err := decodeAll(base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		got, err := decodeAll(base, w)
-		if err != nil {
-			t.Fatalf("decode at %d workers: %v", w, err)
-		}
-		for i := range got {
-			if !got[i].Equal(ref[i]) {
-				t.Fatalf("decode at %d workers: plane %d differs", w, i)
-			}
-		}
-	}
-}
-
 // ransHeaderLen computes the byte length of a v3 rANS container's header up
 // to (not including) the header CRC, from its parsed geometry.
 func ransHeaderLen(t *testing.T, data []byte) int {

@@ -38,7 +38,7 @@ func typedOrNil(t *testing.T, label string, err error) {
 //     the goroutine count back where it was.
 //
 // Seeded with one valid container of each version and every golden
-// conformance vector (testdata/golden/*.l265 — all profiles, tool
+// conformance vector (../conformance/testdata/*.l265 — all profiles, tool
 // combinations, and degenerate shapes), so the fuzzer starts from deep
 // coverage rather than rediscovering the header format bit by bit.
 func FuzzDecode(f *testing.F) {
@@ -68,12 +68,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(graft)
 	// The golden conformance corpus: known-good streams across every
 	// profile, container version and awkward shape the encoder ships.
-	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "*.l265"))
+	goldens, err := filepath.Glob(filepath.Join(corpusDir, "*.l265"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	if len(goldens) == 0 {
-		f.Fatal("no golden vectors found — run go test -run TestGoldenConformance -update")
+		f.Fatal("no golden vectors found — run go test ./internal/conformance -update")
 	}
 	for _, path := range goldens {
 		blob, err := os.ReadFile(path)

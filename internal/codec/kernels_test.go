@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dct"
@@ -461,7 +462,8 @@ func searchLeaves(prof Profile, tools Tools, w, h int) int {
 // (it is a pre-filter that spares dense planes the block compare); skipping on
 // the score tie alone — without comparing the blocks — breaks the hashes marked
 // "tie" below, where two survivors tie on SAD with different predictions and
-// the later one wins the RD trial.
+// the later one wins the RD trial. Both claims hold on every kernel path the
+// host runs.
 func TestDuplicateSurvivorsSkipped(t *testing.T) {
 	recorded := map[string]string{
 		"activations/cabac": "82be891d94059e00", // tie
@@ -476,32 +478,92 @@ func TestDuplicateSurvivorsSkipped(t *testing.T) {
 		"weights/rans":      "4a68f7de85f947f7",
 	}
 	planes := dupSurvivorPlanes()
-	trialsPerLeaf := map[string]float64{}
-	for name, p := range planes {
-		for _, backend := range []EntropyBackend{BackendCABAC, BackendRANS} {
-			tools := AllTools
-			tools.Backend = backend
-			reg := obs.NewRegistry()
-			data, _, _, err := Encode(context.Background(), []*frame.Plane{p},
-				EncodeConfig{QP: 12, Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerV3, Metrics: reg})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	kernelPaths(func(simd bool) {
+		trialsPerLeaf := map[string]float64{}
+		for name, p := range planes {
+			for _, backend := range []EntropyBackend{BackendCABAC, BackendRANS} {
+				tools := AllTools
+				tools.Backend = backend
+				reg := obs.NewRegistry()
+				data, _, _, err := Encode(context.Background(), []*frame.Plane{p},
+					EncodeConfig{QP: 12, Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerV3, Metrics: reg})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				key := fmt.Sprintf("%s/%v", name, backend)
+				if got := fmt.Sprintf("%x", sha256.Sum256(data))[:16]; got != recorded[key] {
+					t.Errorf("simd=%v %s: stream hash %s, recorded before the skip %s", simd, key, got, recorded[key])
+				}
+				if backend == BackendCABAC {
+					trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
+					trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(HEVC, tools, p.W, p.H))
+				}
 			}
-			key := fmt.Sprintf("%s/%v", name, backend)
-			if got := fmt.Sprintf("%x", sha256.Sum256(data))[:16]; got != recorded[key] {
-				t.Errorf("%s: stream hash %s, recorded before the skip %s", key, got, recorded[key])
+		}
+		if got := trialsPerLeaf["constant"]; got != 1 {
+			t.Errorf("simd=%v constant plane: %.3f trials a leaf, want 1", simd, got)
+		}
+		if got := trialsPerLeaf["weights"]; got < 0.97*rdCandidates || got > rdCandidates {
+			t.Errorf("simd=%v dense weights: %.3f trials a leaf, want within 3%% of %d", simd, got, rdCandidates)
+		}
+		t.Logf("simd=%v trials a leaf: %v", simd, trialsPerLeaf)
+	})
+}
+
+// TestStableTopKMatchesStableSort pins the mode-ranking rule the bitstream
+// depends on: the encoder's insertion-based top-K selection must agree with a
+// stable sort by (SAD ascending, scoring index descending) — i.e. on equal
+// SAD the last-scored candidate ranks first — for any input.
+func TestStableTopKMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(35)
+		sads := make([]int64, n)
+		for i := range sads {
+			sads[i] = int64(rng.Intn(8)) // many ties
+		}
+		// Reference: stable sort of indices by (sad asc, index desc).
+		ref := make([]int, n)
+		for i := range ref {
+			ref[i] = i
+		}
+		sort.SliceStable(ref, func(a, b int) bool {
+			if sads[ref[a]] != sads[ref[b]] {
+				return sads[ref[a]] < sads[ref[b]]
 			}
-			if backend == BackendCABAC {
-				trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
-				trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(HEVC, tools, p.W, p.H))
+			return ref[a] > ref[b]
+		})
+
+		// The encoder's selection, transcribed from decideLeaf.
+		var top [rdCandidates]int
+		topN := 0
+		for ci := 0; ci < n; ci++ {
+			pos := topN
+			for pos > 0 && sads[ci] <= sads[top[pos-1]] {
+				pos--
+			}
+			if pos >= len(top) {
+				continue
+			}
+			if topN < len(top) {
+				topN++
+			}
+			copy(top[pos+1:topN], top[pos:topN-1])
+			top[pos] = ci
+		}
+
+		wantN := rdCandidates
+		if n < wantN {
+			wantN = n
+		}
+		if topN != wantN {
+			t.Fatalf("trial %d: selected %d, want %d", trial, topN, wantN)
+		}
+		for i := 0; i < topN; i++ {
+			if top[i] != ref[i] {
+				t.Fatalf("trial %d: rank %d: got idx %d (sad %d), want idx %d (sad %d)",
+					trial, i, top[i], sads[top[i]], ref[i], sads[ref[i]])
 			}
 		}
 	}
-	if got := trialsPerLeaf["constant"]; got != 1 {
-		t.Errorf("constant plane: %.3f trials a leaf, want 1", got)
-	}
-	if got := trialsPerLeaf["weights"]; got < 0.97*rdCandidates || got > rdCandidates {
-		t.Errorf("dense weights: %.3f trials a leaf, want within 3%% of %d", got, rdCandidates)
-	}
-	t.Logf("trials a leaf: %v", trialsPerLeaf)
 }

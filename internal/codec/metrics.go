@@ -194,9 +194,9 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 	}
 }
 
-// countError bumps the taxonomy counter matching err's class. Unclassified
-// errors (impossible by the decode contract, but counted defensively) land
-// on the corrupt counter.
+// countError bumps the taxonomy counter matching err's class. An error outside
+// the taxonomy — a plane window out of range, a caller bug — says nothing
+// about the bytes and bumps none.
 func (m *decMetrics) countError(err error) {
 	if m == nil || err == nil {
 		return
@@ -211,7 +211,7 @@ func (m *decMetrics) countError(err error) {
 		m.errChecksum.Inc()
 	case errors.Is(err, ErrTruncated):
 		m.errTruncated.Inc()
-	default:
+	case errors.Is(err, ErrCorrupt):
 		m.errCorrupt.Inc()
 	}
 }

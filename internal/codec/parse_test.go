@@ -169,9 +169,13 @@ func walkLeaves(pc *parsedContainer, c *chunkMeta, br binDecoder, leaf func(size
 	}
 }
 
+// corpusDir holds the golden conformance corpus (internal/conformance owns it
+// and its -update generator).
+const corpusDir = "../conformance/testdata"
+
 // goldenChunks calls f on every chunk of every golden stream.
 func goldenChunks(t testing.TB, f func(name string, pc *parsedContainer, c *chunkMeta)) {
-	paths, err := filepath.Glob(filepath.Join(goldenDir, "*.l265"))
+	paths, err := filepath.Glob(filepath.Join(corpusDir, "*.l265"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no golden streams (%v)", err)
 	}

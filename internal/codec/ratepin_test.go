@@ -251,35 +251,40 @@ const ratePinSweepWant uint64 = 0xff2f4c4b9810eb91
 // estimate is a float64 sum whose rounding depends on the order of its
 // additions, and it feeds RD comparisons, so a reassociation that looks
 // harmless ((x+2)+1 → x+3) can flip a mode decision and move stream bytes;
-// without this test only the golden corpus would notice.
+// without this test only the golden corpus would notice. The pins hold on
+// every kernel path the host runs.
 func TestEstimateLevelBitsPinned(t *testing.T) {
 	cases := ratePinCases()
-	got := make([]uint64, len(cases))
-	for i, c := range cases {
-		scan, _ := residualScan(c.size, c.transformed)
-		lev := make([]int32, c.size*c.size)
-		c.fill(lev, scan)
-		got[i] = math.Float64bits(estimateLevelBits(lev, c.size, c.transformed))
-	}
-	sweep := ratePinSweep()
-	if *printRatePins {
-		fmt.Println("var ratePins = []uint64{")
+	kernelPaths(func(simd bool) {
+		got := make([]uint64, len(cases))
 		for i, c := range cases {
-			fmt.Printf("\t%#016x, // %s = %v\n", got[i], c.name, math.Float64frombits(got[i]))
+			scan, _ := residualScan(c.size, c.transformed)
+			lev := make([]int32, c.size*c.size)
+			c.fill(lev, scan)
+			got[i] = math.Float64bits(estimateLevelBits(lev, c.size, c.transformed))
 		}
-		fmt.Printf("}\n\nconst ratePinSweepWant uint64 = %#016x\n", sweep)
-		return
-	}
-	if len(ratePins) != len(cases) {
-		t.Fatalf("%d pins for %d cases: regenerate with -print-rate-pins", len(ratePins), len(cases))
-	}
-	for i, c := range cases {
-		if got[i] != ratePins[i] {
-			t.Errorf("%s: estimate %v (%#016x), pinned %v (%#016x)", c.name,
-				math.Float64frombits(got[i]), got[i], math.Float64frombits(ratePins[i]), ratePins[i])
+		sweep := ratePinSweep()
+		if *printRatePins {
+			if !simd {
+				fmt.Println("var ratePins = []uint64{")
+				for i, c := range cases {
+					fmt.Printf("\t%#016x, // %s = %v\n", got[i], c.name, math.Float64frombits(got[i]))
+				}
+				fmt.Printf("}\n\nconst ratePinSweepWant uint64 = %#016x\n", sweep)
+			}
+			return
 		}
-	}
-	if sweep != ratePinSweepWant {
-		t.Errorf("sweep over every last-significant position: %#016x, pinned %#016x", sweep, ratePinSweepWant)
-	}
+		if len(ratePins) != len(cases) {
+			t.Fatalf("%d pins for %d cases: regenerate with -print-rate-pins", len(ratePins), len(cases))
+		}
+		for i, c := range cases {
+			if got[i] != ratePins[i] {
+				t.Errorf("simd=%v %s: estimate %v (%#016x), pinned %v (%#016x)", simd, c.name,
+					math.Float64frombits(got[i]), got[i], math.Float64frombits(ratePins[i]), ratePins[i])
+			}
+		}
+		if sweep != ratePinSweepWant {
+			t.Errorf("simd=%v: sweep over every last-significant position: %#016x, pinned %#016x", simd, sweep, ratePinSweepWant)
+		}
+	})
 }

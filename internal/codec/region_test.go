@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"os"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -197,137 +196,6 @@ func TestReadIndexAndLayout(t *testing.T) {
 		if lay2.Entries[i] != lay.Entries[i] {
 			t.Fatalf("un-indexed entry %d = %+v, want %+v", i, lay2.Entries[i], lay.Entries[i])
 		}
-	}
-}
-
-// TestEncodeIndexedDeterminism: indexed container bytes are identical for
-// every worker count, for both entropy backends.
-func TestEncodeIndexedDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	planes := make([]*frame.Plane, 6)
-	regions := make([]PlaneRegion, 6)
-	for i := range planes {
-		planes[i] = channelPlane(rng, 96, 96)
-		regions[i] = PlaneRegion{Layer: i, W: 96, H: 96}
-	}
-	indexed := func(tools Tools, workers int, regions []PlaneRegion) ([]byte, Stats, error) {
-		return streamOf(Encode(context.Background(), planes, EncodeConfig{
-			QP: 30, Profile: HEVC, Tools: tools, Workers: workers, Container: ContainerV3Indexed, Regions: regions}))
-	}
-	for _, tools := range []Tools{AllTools, ransTools()} {
-		ref, _, err := indexed(tools, 1, regions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			got, _, err := indexed(tools, workers, regions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, ref) {
-				t.Fatalf("backend %v: workers=%d bytes differ from workers=1", tools.Backend, workers)
-			}
-		}
-	}
-	// Region-count mismatch is an encode-time error, not a bad stream.
-	if _, _, err := indexed(AllTools, 1, regions[:3]); err == nil {
-		t.Fatal("indexed encode accepted 3 regions for 6 planes")
-	}
-}
-
-// TestDecodeRegionGoldenEquivalence is the plane-window matrix: for every
-// golden vector (both backends), every worker count and every plane window,
-// a windowed Decode's bytes equal the full decode's crop — strict and
-// Partial alike, and on a re-encoded indexed twin of each vector too. The
-// Partial rows additionally run against a copy with one chunk's payload
-// damaged: the window's planes, nil placeholders and chunk errors must be
-// exactly the crop of the full Partial decode's.
-func TestDecodeRegionGoldenEquivalence(t *testing.T) {
-	vectors := goldenVectors()
-	if len(vectors) < 11 {
-		t.Fatalf("golden corpus has %d vectors, want at least 11", len(vectors))
-	}
-	ctx := context.Background()
-	for _, v := range vectors {
-		t.Run(v.name, func(t *testing.T) {
-			stream, err := os.ReadFile(goldenStreamPath(v.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := decodeAll(stream, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// An indexed re-encode of the same source (v3 framing regardless
-			// of the vector's own version).
-			indexed, _, err := encodeAs(ContainerV3Indexed, v.planes(), v.qp, v.prof, v.tools, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The indexed twin with its last chunk's payload damaged, and what
-			// a full Partial decode still recovers from it.
-			damaged := append([]byte(nil), indexed...)
-			lay, err := Layout(indexed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := lay.Entries[len(lay.Entries)-1]
-			damaged[last.Offset+int64(last.Length)/2] ^= 0x40
-			fullDamaged, err := Decode(ctx, damaged, DecodeConfig{Workers: 4, Partial: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fullDamaged.Errors) != 1 || !errors.Is(fullDamaged.Errors[0], ErrChecksum) {
-				t.Fatalf("damaged twin: errors %v, want one ErrChecksum chunk", fullDamaged.Errors)
-			}
-
-			windows := [][2]int{{0, len(full)}}
-			for i := range full {
-				windows = append(windows, [2]int{i, 1})
-			}
-			if len(full) > 2 {
-				windows = append(windows, [2]int{1, len(full) - 2})
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				for _, win := range windows {
-					want := full[win[0] : win[0]+win[1]]
-					for _, partial := range []bool{false, true} {
-						cfg := DecodeConfig{Workers: workers, First: win[0], Count: win[1], Partial: partial}
-						for label, data := range map[string][]byte{"golden": stream, "indexed": indexed} {
-							got, err := Decode(ctx, data, cfg)
-							if err != nil {
-								t.Fatalf("Decode(%s %s, %+v): %v", label, v.name, cfg, err)
-							}
-							if !got.OK() {
-								t.Fatalf("Decode(%s %s, %+v): chunk errors %v", label, v.name, cfg, got.Errors)
-							}
-							requirePlanesEqual(t, label+" window vs full crop", got.Planes, want)
-						}
-					}
-
-					// Partial with a plane window ≡ the same crop of a full
-					// Partial decode, damage included.
-					got, err := Decode(ctx, damaged, DecodeConfig{Workers: workers, First: win[0], Count: win[1], Partial: true})
-					if err != nil {
-						t.Fatalf("partial window [%d,+%d) of damaged twin: %v", win[0], win[1], err)
-					}
-					wantDamaged := fullDamaged.Planes[win[0] : win[0]+win[1]]
-					wantErrs := 0
-					if ce := fullDamaged.Errors[0]; ce.PlaneStart < win[0]+win[1] && ce.PlaneStart+ce.PlaneCount > win[0] {
-						wantErrs = 1
-					}
-					if len(got.Errors) != wantErrs || (wantErrs == 1 && got.Errors[0].Chunk != fullDamaged.Errors[0].Chunk) {
-						t.Fatalf("partial window [%d,+%d): errors %v, full partial decode reports %v", win[0], win[1], got.Errors, fullDamaged.Errors)
-					}
-					for i := range wantDamaged {
-						if (got.Planes[i] == nil) != (wantDamaged[i] == nil) ||
-							(wantDamaged[i] != nil && !got.Planes[i].Equal(wantDamaged[i])) {
-							t.Fatalf("partial window [%d,+%d): plane %d differs from the full partial decode's crop", win[0], win[1], i)
-						}
-					}
-				}
-			}
-		})
 	}
 }
 

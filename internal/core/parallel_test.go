@@ -57,50 +57,6 @@ func TestEncodeStackSurfacesStats(t *testing.T) {
 	}
 }
 
-// TestParallelSerialByteIdentical is the core-level determinism guarantee:
-// worker count must not change the container bytes nor the reconstruction.
-// Layers are 192×192 so each one crosses the engine's per-chunk pixel floor
-// and the stack genuinely exercises the multi-chunk container.
-func TestParallelSerialByteIdentical(t *testing.T) {
-	stack := randStack(32, 3, 192, 192)
-	serial := DefaultOptions()
-	serial.Workers = 1
-	parallel := DefaultOptions()
-	parallel.Workers = 8
-
-	es, err := serial.EncodeStackCtx(context.Background(), stack, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := parallel.EncodeStackCtx(context.Background(), stack, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(es.Stream, ep.Stream) {
-		t.Fatal("parallel stream differs from serial")
-	}
-	if es.Stats != ep.Stats {
-		t.Fatalf("stats differ: %+v vs %+v", es.Stats, ep.Stats)
-	}
-
-	ds, err := serial.DecodeStackCtx(context.Background(), es)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := parallel.DecodeStackCtx(context.Background(), ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := range ds {
-		for i := range ds[l].Data {
-			if math.Float32bits(ds[l].Data[i]) != math.Float32bits(dp[l].Data[i]) {
-				t.Fatalf("layer %d idx %d: parallel decode %v != serial %v",
-					l, i, dp[l].Data[i], ds[l].Data[i])
-			}
-		}
-	}
-}
-
 // TestAwkwardShapesRoundTrip runs the property battery the issue asks for:
 // 1×N and N×1 tensors, constant tensors (hi == lo zero-scale path), and
 // dims not a multiple of the CTU or frame limits — against both the serial

@@ -11,9 +11,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dct"
-	"repro/internal/frame"
 	"repro/internal/obs"
-	"repro/internal/quant"
 )
 
 // rowsFor generates deterministic token rows keyed by absolute row index, so
@@ -34,54 +32,6 @@ func rowsFor(seed int64, start, n, dim int) []float32 {
 func ransCfg(cfg Config) Config {
 	cfg.Backend = codec.BackendRANS
 	return cfg
-}
-
-// reference pushes the same rows through the one-shot pipeline the kv tier
-// mirrors: per-row quantization of each complete FlushRows group, a single
-// one-shot encode of the plane stack, decode, dequantize — plus the raw
-// residue for rows past the last complete group. Per-plane reconstructions
-// are invariant to chunk grouping and probability tables, so this is the
-// ground truth for what any kv read must return.
-func reference(t *testing.T, vals []float32, dim, f, qp int, backend codec.EntropyBackend, workers int) []float32 {
-	t.Helper()
-	rows := len(vals) / dim
-	groups := rows / f
-	out := make([]float32, len(vals))
-	copy(out[groups*f*dim:], vals[groups*f*dim:])
-	if groups == 0 {
-		return out
-	}
-	planes := make([]*frame.Plane, groups)
-	scales := make([]float32, groups*f)
-	zeros := make([]float32, groups*f)
-	for g := 0; g < groups; g++ {
-		pix := make([]uint8, f*dim)
-		for r := 0; r < f; r++ {
-			abs := g*f + r
-			q, sc, z := quant.ToUint8(vals[abs*dim : (abs+1)*dim])
-			copy(pix[r*dim:], q)
-			scales[abs], zeros[abs] = sc, z
-		}
-		planes[g] = &frame.Plane{W: dim, H: f, Pix: pix}
-	}
-	tools := codec.AllTools
-	tools.Backend = backend
-	enc, _, _, err := codec.Encode(context.Background(), planes, codec.EncodeConfig{
-		QP: qp, Profile: codec.HEVC, Tools: tools, Workers: workers, Container: codec.ContainerV3})
-	if err != nil {
-		t.Fatalf("reference encode: %v", err)
-	}
-	dec, err := codec.Decode(context.Background(), enc, codec.DecodeConfig{Workers: workers})
-	if err != nil {
-		t.Fatalf("reference decode: %v", err)
-	}
-	for g, p := range dec.Planes {
-		for r := 0; r < f; r++ {
-			abs := g*f + r
-			copy(out[abs*dim:], quant.FromUint8(p.Row(r), scales[abs], zeros[abs]))
-		}
-	}
-	return out
 }
 
 func mustAppend(t *testing.T, tab *Table, name string, dim, at int, vals []float32) AppendResult {
@@ -159,41 +109,6 @@ func TestKVFlushCounters(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Counters["kv.append.tokens"] != 26 || snap.Counters["kv.append.chunks_encoded"] != 3 {
 		t.Fatalf("kv counters: %+v", snap.Counters)
-	}
-}
-
-// TestKVReadMatchesReference: reads reproduce the one-shot pipeline exactly
-// (committed rows), and the tail comes back bit-exact raw — for both
-// backends and a lumpy append schedule.
-func TestKVReadMatchesReference(t *testing.T) {
-	const dim, f, qp, rows = 16, 8, 12, 28 // 3 groups + 4 tail rows
-	vals := rowsFor(7, 0, rows, dim)
-	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-		want := reference(t, vals, dim, f, qp, backend, 2)
-		tab := New(Config{FlushRows: f, QP: qp, Backend: backend, Workers: 2})
-		at := 0
-		for _, k := range []int{5, 9, 3, 7, 4} {
-			mustAppend(t, tab, "s", dim, at, vals[at*dim:(at+k)*dim])
-			at += k
-		}
-		got := mustRead(t, tab, "s", 0, -1)
-		if got.Total != rows || got.Committed != 24 || len(got.Vals) != rows*dim {
-			t.Fatalf("backend %v: read %+v", backend, got)
-		}
-		for i := range got.Vals {
-			if got.Vals[i] != want[i] {
-				t.Fatalf("backend %v: value %d = %g, want %g", backend, i, got.Vals[i], want[i])
-			}
-		}
-		// Sub-ranges crop the same reference, committed or tail or both.
-		for _, rg := range [][2]int{{0, 8}, {5, 13}, {16, 24}, {22, 28}, {24, 28}, {11, 12}} {
-			got := mustRead(t, tab, "s", rg[0], rg[1])
-			for i, v := range got.Vals {
-				if w := want[rg[0]*dim+i]; v != w {
-					t.Fatalf("backend %v range %v: value %d = %g, want %g", backend, rg, i, v, w)
-				}
-			}
-		}
 	}
 }
 

@@ -23,12 +23,7 @@ func ownerOf(p *Proxy, key string) int { return p.ring.sequence(key)[0] }
 // didn't, for latency), the owner's failure counter moved, and failover
 // landed on the other backend.
 func TestFaultSweep(t *testing.T) {
-	golden := goldenVectors(t)
-	var stream, wantPlanes []byte
-	for _, pair := range golden {
-		stream, wantPlanes = pair[0], pair[1]
-		break
-	}
+	stream, wantPlanes := corpusVector(t, faultVector)
 	encPayload := encodeBody(11, 1, 64, 64)
 	const encQuery = "layers=1&rows=64&cols=64&qp=30"
 
@@ -112,12 +107,7 @@ func TestFaultSweep(t *testing.T) {
 // about a second (capped by RetryAfterCap) — and with the cap configured
 // short, must NOT wait the full hint.
 func TestRetryAfterHonored(t *testing.T) {
-	golden := goldenVectors(t)
-	var stream []byte
-	for _, pair := range golden {
-		stream = pair[0]
-		break
-	}
+	stream, _ := corpusVector(t, faultVector)
 	backends := newTestBackends(t, 1)
 	ft := &faultinject.FlakyTransport{Match: faultinject.MatchHostPathPrefix(backends[0].host, "/v1/")}
 	_, base := newTestProxy(t, backends, ft, func(c *Config) {
@@ -145,12 +135,7 @@ func TestRetryAfterHonored(t *testing.T) {
 // delay to the other backend, the client gets the bytes from the winner,
 // and the canceled loser is NOT charged as a backend failure.
 func TestHedgedDecode(t *testing.T) {
-	golden := goldenVectors(t)
-	var stream, wantPlanes []byte
-	for _, pair := range golden {
-		stream, wantPlanes = pair[0], pair[1]
-		break
-	}
+	stream, wantPlanes := corpusVector(t, faultVector)
 	backends := newTestBackends(t, 2)
 	ft := &faultinject.FlakyTransport{}
 	p, base := newTestProxy(t, backends, ft, func(c *Config) {
@@ -197,12 +182,7 @@ func TestHedgedDecode(t *testing.T) {
 // taxonomy, and after the cool-down a half-open probe closes the circuit
 // again with the recovery counted — no operator action anywhere.
 func TestPassiveEjectionShedRecovery(t *testing.T) {
-	golden := goldenVectors(t)
-	var stream, wantPlanes []byte
-	for _, pair := range golden {
-		stream, wantPlanes = pair[0], pair[1]
-		break
-	}
+	stream, wantPlanes := corpusVector(t, faultVector)
 	backends := newTestBackends(t, 1)
 	ft := &faultinject.FlakyTransport{Match: faultinject.MatchHostPathPrefix(backends[0].host, "/v1/")}
 	_, base := newTestProxy(t, backends, ft, func(c *Config) {
@@ -292,12 +272,7 @@ func TestPassiveEjectionShedRecovery(t *testing.T) {
 // (traffic shifts to the survivor with zero client-visible errors) and
 // readmits it after rise consecutive healthy probes.
 func TestActiveProbing(t *testing.T) {
-	golden := goldenVectors(t)
-	var stream []byte
-	for _, pair := range golden {
-		stream = pair[0]
-		break
-	}
+	stream, _ := corpusVector(t, faultVector)
 	backends := newTestBackends(t, 2)
 	p, base := newTestProxy(t, backends, nil, func(c *Config) {
 		c.ProbeInterval = 20 * time.Millisecond

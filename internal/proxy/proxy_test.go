@@ -125,29 +125,24 @@ func counters(t testing.TB, base string) map[string]int64 {
 	return out
 }
 
-// goldenVectors loads the conformance corpus: (stream, wantPlanes) pairs.
-func goldenVectors(t testing.TB) map[string][2][]byte {
+// corpusVector reads one vector of the golden conformance corpus
+// (internal/conformance): a stream and the GPLN planes it decodes to, the
+// known-good decode bodies the fault and soak tests replay.
+func corpusVector(t testing.TB, name string) (stream, planes []byte) {
 	t.Helper()
-	dir := filepath.Join("..", "codec", "testdata", "golden")
-	streams, err := filepath.Glob(filepath.Join(dir, "*.l265"))
-	if err != nil || len(streams) == 0 {
-		t.Fatalf("no golden vectors under %s (err=%v)", dir, err)
+	dir := filepath.Join("..", "conformance", "testdata")
+	stream, err := os.ReadFile(filepath.Join(dir, name+".l265"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make(map[string][2][]byte, len(streams))
-	for _, sp := range streams {
-		name := strings.TrimSuffix(filepath.Base(sp), ".l265")
-		stream, err := os.ReadFile(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planes, err := os.ReadFile(filepath.Join(dir, name+".planes"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[name] = [2][]byte{stream, planes}
+	if planes, err = os.ReadFile(filepath.Join(dir, name+".planes")); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return stream, planes
 }
+
+// faultVector is the corpus vector the fault tests decode.
+const faultVector = "v1-hevc-gradient-96x96-qp28"
 
 // encodeBody builds a deterministic float32 LE payload of layers×rows×cols.
 func encodeBody(seed int64, layers, rows, cols int) []byte {
@@ -160,63 +155,12 @@ func encodeBody(seed int64, layers, rows, cols int) []byte {
 	return buf
 }
 
-// TestProxyEquivalenceMatrix is the satellite-4 gate: every golden vector
-// decodes byte-identically through 1-, 2- and 3-backend topologies, and an
-// encode through the proxy matches the same encode against a backend
-// directly. The proxy must be invisible to payloads.
-func TestProxyEquivalenceMatrix(t *testing.T) {
-	golden := goldenVectors(t)
-	enc := encodeBody(7, 2, 64, 64)
-	const encQuery = "/v1/encode?layers=2&rows=64&cols=64&qp=30"
-
-	// Reference encode against a lone backend, no proxy.
-	ref := newTestBackends(t, 1)[0]
-	refStatus, refEnc, _ := post(t, ref.ts.URL+encQuery, enc)
-	if refStatus != http.StatusOK {
-		t.Fatalf("direct encode status %d: %s", refStatus, refEnc)
-	}
-
-	for _, n := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("backends=%d", n), func(t *testing.T) {
-			backends := newTestBackends(t, n)
-			_, base := newTestProxy(t, backends, nil, nil)
-
-			for name, pair := range golden {
-				status, got, hdr := post(t, base+"/v1/decode", pair[0])
-				if status != http.StatusOK {
-					t.Fatalf("%s: decode via proxy status %d: %s", name, status, got)
-				}
-				if !bytes.Equal(got, pair[1]) {
-					t.Fatalf("%s: proxy decode differs from golden .planes (%d vs %d bytes)",
-						name, len(got), len(pair[1]))
-				}
-				if hdr.Get("X-Llm265-Backend") == "" {
-					t.Fatalf("%s: response missing X-Llm265-Backend", name)
-				}
-			}
-
-			status, got, _ := post(t, base+encQuery, enc)
-			if status != http.StatusOK {
-				t.Fatalf("encode via proxy status %d: %s", status, got)
-			}
-			if !bytes.Equal(got, refEnc) {
-				t.Fatalf("proxy encode differs from direct encode (%d vs %d bytes)", len(got), len(refEnc))
-			}
-		})
-	}
-}
-
 // TestProxyConsistentRouting: the same explicit key lands on the same
 // backend every time, and different keys spread across the fleet.
 func TestProxyConsistentRouting(t *testing.T) {
 	backends := newTestBackends(t, 3)
 	_, base := newTestProxy(t, backends, nil, nil)
-	golden := goldenVectors(t)
-	var stream []byte
-	for _, pair := range golden {
-		stream = pair[0]
-		break
-	}
+	stream, _ := corpusVector(t, faultVector)
 
 	hosts := map[string]bool{}
 	var pinned string

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,10 +135,16 @@ func TestProxySoakKillRestart(t *testing.T) {
 		wantSHA [32]byte
 	}
 	var jobs []job
-	for name, pair := range goldenVectors(t) {
+	vectors, err := filepath.Glob(filepath.Join("..", "conformance", "testdata", "*.l265"))
+	if err != nil || len(vectors) == 0 {
+		t.Fatalf("no corpus vectors (%v)", err)
+	}
+	for _, path := range vectors {
+		name := strings.TrimSuffix(filepath.Base(path), ".l265")
+		stream, planes := corpusVector(t, name)
 		jobs = append(jobs, job{
 			name: "decode-" + name, path: "/v1/decode",
-			body: pair[0], wantSHA: sha256.Sum256(pair[1]),
+			body: stream, wantSHA: sha256.Sum256(planes),
 		})
 	}
 	encPayload := encodeBody(23, 1, 48, 48)

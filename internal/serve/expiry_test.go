@@ -27,8 +27,8 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 		release()
 		t.Fatal("expired request was dispatched into the pool (fast path)")
 	}
-	if rej.status != http.StatusGatewayTimeout {
-		t.Fatalf("expired fast-path admit status = %d, want 504", rej.status)
+	if st := classify(rej).status; st != http.StatusGatewayTimeout {
+		t.Fatalf("expired fast-path admit status = %d, want 504", st)
 	}
 	if a.inflightNow() != 0 {
 		t.Fatalf("expired admit leaked an inflight slot (%d held)", a.inflightNow())
@@ -37,7 +37,7 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 	// A canceled (rather than deadline-blown) context maps to 499.
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
-	if _, rej := a.admit(cctx); rej == nil || rej.status != StatusClientClosedRequest {
+	if _, rej := a.admit(cctx); rej == nil || classify(rej).status != StatusClientClosedRequest {
 		t.Fatalf("canceled fast-path admit = %+v, want 499 rejection", rej)
 	}
 
@@ -50,10 +50,10 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 		a := newAdmission(1, 4)
 		hold, rej := a.admit(context.Background())
 		if rej != nil {
-			t.Fatalf("slotFirst=%v: holder rejected: %s", slotFirst, rej.reason)
+			t.Fatalf("slotFirst=%v: holder rejected: %v", slotFirst, rej)
 		}
 		qctx := &manualDeadline{Context: context.Background(), done: make(chan struct{})}
-		done := make(chan *admitError, 1)
+		done := make(chan error, 1)
 		go func() {
 			release, rej := a.admit(qctx)
 			if release != nil {
@@ -79,8 +79,8 @@ func TestExpiredRequestNotDispatched(t *testing.T) {
 		if rej == nil {
 			t.Fatalf("slotFirst=%v: request with a blown deadline was dispatched from the queue", slotFirst)
 		}
-		if rej.status != http.StatusGatewayTimeout {
-			t.Fatalf("slotFirst=%v: dequeue-expired status = %d, want 504", slotFirst, rej.status)
+		if st := classify(rej).status; st != http.StatusGatewayTimeout {
+			t.Fatalf("slotFirst=%v: dequeue-expired status = %d, want 504", slotFirst, st)
 		}
 		if a.inflightNow() != 0 {
 			t.Fatalf("slotFirst=%v: expired dequeue leaked a slot", slotFirst)

@@ -143,26 +143,10 @@ func declareLength(w http.ResponseWriter, n int) {
 // queue wait. ok=false means the rejection response has been written.
 func (s *Server) admitOrReject(w http.ResponseWriter, ctx context.Context) (release func(), ok bool) {
 	waitStart := time.Now()
-	release, rej := s.adm.admit(ctx)
+	release, err := s.adm.admit(ctx)
 	s.m.queueWait.Observe(time.Since(waitStart).Nanoseconds())
-	if rej != nil {
-		switch rej.status {
-		case http.StatusTooManyRequests:
-			s.m.rejQueue.Inc()
-			w.Header().Set("Retry-After", "1")
-		case http.StatusServiceUnavailable:
-			s.m.rejDraining.Inc()
-		}
-		class := "rejected"
-		switch rej.status {
-		case http.StatusGatewayTimeout:
-			class = "deadline_exceeded"
-			s.m.errCanceled.Inc()
-		case StatusClientClosedRequest:
-			class = "canceled"
-			s.m.errCanceled.Inc()
-		}
-		s.writeJSONError(w, rej.status, "serve: "+rej.reason, class)
+	if err != nil {
+		s.writeError(w, err)
 		return nil, false
 	}
 	return release, true

@@ -22,6 +22,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -293,20 +294,14 @@ func (a *admission) isDraining() bool {
 	return a.draining
 }
 
-// admitError tells the handler how to reject a request that was not
-// admitted.
-type admitError struct {
-	status     int
-	retryAfter bool
-	reason     string
-}
-
 // admit blocks until the request holds an inflight slot, the queue
 // overflows, the server drains, or ctx dies. On success it returns a
-// release function that must be called exactly once.
-func (a *admission) admit(ctx context.Context) (release func(), rej *admitError) {
+// release function that must be called exactly once; otherwise an error
+// whose errorTable row is the rejection (errDraining, errQueueFull, or the
+// context's own error).
+func (a *admission) admit(ctx context.Context) (release func(), err error) {
 	if !a.enter() {
-		return nil, &admitError{status: http.StatusServiceUnavailable, reason: "server is draining"}
+		return nil, errDraining
 	}
 	release = func() {
 		<-a.sem
@@ -316,10 +311,10 @@ func (a *admission) admit(ctx context.Context) (release func(), rej *admitError)
 	// computing: the slot is handed straight back instead of dispatching a
 	// job whose every ctx poll would fail — queue-expiry waste the pool never
 	// sees.
-	expired := func(err error) (func(), *admitError) {
+	expired := func(err error) (func(), error) {
 		<-a.sem
 		a.exit()
-		return nil, &admitError{status: classify(err).status, reason: "request expired before dispatch: " + err.Error()}
+		return nil, fmt.Errorf("serve: request expired before dispatch: %w", err)
 	}
 	// Fast path: a free slot right now.
 	select {
@@ -335,7 +330,7 @@ func (a *admission) admit(ctx context.Context) (release func(), rej *admitError)
 	if a.queued.Add(1) > a.maxQueue {
 		a.queued.Add(-1)
 		a.exit()
-		return nil, &admitError{status: http.StatusTooManyRequests, retryAfter: true, reason: "admission queue full"}
+		return nil, errQueueFull
 	}
 	defer a.queued.Add(-1)
 	select {
@@ -353,6 +348,6 @@ func (a *admission) admit(ctx context.Context) (release func(), rej *admitError)
 		// through the same taxonomy as a mid-encode cancellation so the
 		// status is uniform wherever the deadline lands.
 		a.exit()
-		return nil, &admitError{status: classify(ctx.Err()).status, reason: "request abandoned while queued: " + ctx.Err().Error()}
+		return nil, fmt.Errorf("serve: request abandoned while queued: %w", ctx.Err())
 	}
 }

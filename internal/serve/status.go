@@ -16,19 +16,30 @@ import (
 const StatusClientClosedRequest = 499
 
 // errorClass is one row of the HTTP error table: the status a failure maps
-// to, the class name its JSON envelope carries, and the serve.errors.*
-// counter it rolls (nil: none).
+// to, the class name its JSON envelope carries, the counter it rolls (nil:
+// none) and the Retry-After it sends ("": none).
 type errorClass struct {
-	status  int
-	name    string
-	counter func(*serveMetrics) *obs.Counter
+	status     int
+	name       string
+	counter    func(*serveMetrics) *obs.Counter
+	retryAfter string
 }
 
 func canceledCounter(m *serveMetrics) *obs.Counter { return m.errCanceled }
 
-// errorTable maps the codec/core error taxonomy (plus cancellation) onto
-// stable HTTP statuses — the contract pinned by TestErrorTaxonomyStatuses:
+// The admission scheduler's own rejections: a full wait queue and a draining
+// server.
+var (
+	errQueueFull = errors.New("serve: admission queue full")
+	errDraining  = errors.New("serve: server is draining")
+)
+
+// errorTable maps the admission rejections and the codec/core error taxonomy
+// (plus cancellation) onto stable HTTP statuses — the contract pinned by
+// TestErrorTaxonomyStatuses and the admission tests:
 //
+//	errQueueFull               → 429 Too Many Requests  (Retry-After: 1; back off)
+//	errDraining                → 503 Unavailable        (go to another replica)
 //	context.DeadlineExceeded   → 504 Gateway Timeout    (compute budget blown)
 //	context.Canceled           → 499 (client closed request)
 //	codec.ErrChecksum          → 409 Conflict           (v3 CRC mismatch: bytes rotted)
@@ -36,19 +47,21 @@ func canceledCounter(m *serveMetrics) *obs.Counter { return m.errCanceled }
 //	codec.ErrCorrupt           → 422 Unprocessable      (structurally wrong bitstream)
 //	anything else              → 400 Bad Request        (malformed request inputs)
 //
-// Order matters: cancellation is checked first because a canceled call
-// returns bare ctx.Err() that must never be mistaken for a payload error,
-// and ErrTruncated/ErrChecksum are checked before ErrCorrupt in case a
-// future error value wraps several classes.
+// Order matters: cancellation is checked before the payload classes because
+// a canceled call returns bare ctx.Err() that must never be mistaken for a
+// payload error, and ErrTruncated/ErrChecksum are checked before ErrCorrupt in
+// case a future error value wraps several classes.
 var errorTable = []struct {
 	target error
 	errorClass
 }{
-	{context.DeadlineExceeded, errorClass{http.StatusGatewayTimeout, "deadline_exceeded", canceledCounter}},
-	{context.Canceled, errorClass{StatusClientClosedRequest, "canceled", canceledCounter}},
-	{codec.ErrChecksum, errorClass{http.StatusConflict, "checksum", func(m *serveMetrics) *obs.Counter { return m.errChecksum }}},
-	{codec.ErrTruncated, errorClass{http.StatusBadRequest, "truncated", func(m *serveMetrics) *obs.Counter { return m.errTruncated }}},
-	{codec.ErrCorrupt, errorClass{http.StatusUnprocessableEntity, "corrupt", func(m *serveMetrics) *obs.Counter { return m.errCorrupt }}},
+	{errQueueFull, errorClass{http.StatusTooManyRequests, "rejected", func(m *serveMetrics) *obs.Counter { return m.rejQueue }, "1"}},
+	{errDraining, errorClass{http.StatusServiceUnavailable, "rejected", func(m *serveMetrics) *obs.Counter { return m.rejDraining }, ""}},
+	{context.DeadlineExceeded, errorClass{http.StatusGatewayTimeout, "deadline_exceeded", canceledCounter, ""}},
+	{context.Canceled, errorClass{StatusClientClosedRequest, "canceled", canceledCounter, ""}},
+	{codec.ErrChecksum, errorClass{http.StatusConflict, "checksum", func(m *serveMetrics) *obs.Counter { return m.errChecksum }, ""}},
+	{codec.ErrTruncated, errorClass{http.StatusBadRequest, "truncated", func(m *serveMetrics) *obs.Counter { return m.errTruncated }, ""}},
+	{codec.ErrCorrupt, errorClass{http.StatusUnprocessableEntity, "corrupt", func(m *serveMetrics) *obs.Counter { return m.errCorrupt }, ""}},
 }
 
 // classify finds err's row of the error table.
@@ -89,11 +102,14 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	if c.counter != nil {
 		c.counter(&s.m).Inc()
 	}
+	if c.retryAfter != "" {
+		w.Header().Set("Retry-After", c.retryAfter)
+	}
 	s.writeJSONError(w, c.status, err.Error(), c.name)
 }
 
 // writeJSONError writes an explicit status + message + class, for rejects
-// that do not originate from a Go error value (429, 503, 413, 405).
+// that do not originate from a Go error value (413, 405, bad parameters).
 func (s *Server) writeJSONError(w http.ResponseWriter, status int, msg, class string) {
 	WriteError(w, status, msg, class)
 	s.m.countStatus(status)

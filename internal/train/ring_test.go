@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/allreduce"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/nn"
 )
@@ -36,8 +35,9 @@ func weightsBitIdentical(a, b [][]float32) (int, int, bool) {
 // TestRingTwinWireCodecDeterministic: with the real codec on the wire — at a
 // fixed QP or steered to a bitrate by RateCodec, whose QP trajectory must not
 // depend on encode order — the training trajectory is byte/loss-deterministic
-// across codec worker counts {1,2,4,8}, random channel schedules, and both
-// entropy backends.
+// across random channel schedules. That a frame's bytes do not depend on the
+// codec's worker count, backend or kernels is internal/conformance's
+// allreduce path.
 func TestRingTwinWireCodecDeterministic(t *testing.T) {
 	const steps = 4
 	codecs := []struct {
@@ -48,43 +48,34 @@ func TestRingTwinWireCodecDeterministic(t *testing.T) {
 		{"rate-2.6", func(o core.Options) allreduce.CodecFactory { return allreduce.RateCodec(o, 2.6) }},
 	}
 	for _, c := range codecs {
-		for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-			var refW [][]float32
-			var refBits int64
-			for _, codecWorkers := range []int{1, 2, 4, 8} {
-				for _, schedSeed := range []int64{0, 9} {
-					opts := core.DefaultOptions()
-					opts.Backend = backend
-					opts.Workers = codecWorkers
-					m, corpus := smallSetup(51)
-					res, err := RunDataParallel(context.Background(), m, corpus,
-						nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 2},
-						allreduce.Config{
-							Codec:         c.build(opts),
-							ErrorFeedback: true,
-							ScheduleSeed:  schedSeed,
-						}, steps, 52, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w := cloneWeights(m)
-					if refW == nil {
-						refW, refBits = w, res.WireBits
-						continue
-					}
-					if res.WireBits != refBits {
-						t.Fatalf("%s backend=%v workers=%d sched=%d: WireBits %d != ref %d",
-							c.name, backend, codecWorkers, schedSeed, res.WireBits, refBits)
-					}
-					if pi, i, ok := weightsBitIdentical(refW, w); !ok {
-						t.Fatalf("%s backend=%v workers=%d sched=%d: weights diverge at param %d index %d",
-							c.name, backend, codecWorkers, schedSeed, pi, i)
-					}
-				}
+		var refW [][]float32
+		var refBits int64
+		for _, schedSeed := range []int64{0, 9} {
+			m, corpus := smallSetup(51)
+			res, err := RunDataParallel(context.Background(), m, corpus,
+				nn.NewAdam(3e-3), DPConfig{Replicas: 2, Batch: 2},
+				allreduce.Config{
+					Codec:         c.build(core.DefaultOptions()),
+					ErrorFeedback: true,
+					ScheduleSeed:  schedSeed,
+				}, steps, 52, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if refBits == 0 {
-				t.Fatalf("%s backend=%v: no wire bits accounted", c.name, backend)
+			w := cloneWeights(m)
+			if refW == nil {
+				refW, refBits = w, res.WireBits
+				continue
 			}
+			if res.WireBits != refBits {
+				t.Fatalf("%s sched=%d: WireBits %d != ref %d", c.name, schedSeed, res.WireBits, refBits)
+			}
+			if pi, i, ok := weightsBitIdentical(refW, w); !ok {
+				t.Fatalf("%s sched=%d: weights diverge at param %d index %d", c.name, schedSeed, pi, i)
+			}
+		}
+		if refBits == 0 {
+			t.Fatalf("%s: no wire bits accounted", c.name)
 		}
 	}
 }

@@ -8,8 +8,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -173,6 +176,84 @@ func TestKernelReferencesAreLive(t *testing.T) {
 	}
 }
 
+// TestCorpusIsClosed is the guard on the golden conformance corpus: every file
+// under internal/conformance/testdata is the stream (.l265) or the planes
+// (.planes) of a vector planeVectors names, and every vector has both. A
+// vector is found by its `name:` field in the planeVectors table.
+func TestCorpusIsClosed(t *testing.T) {
+	const dir = "internal/conformance"
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, "conformance_test.go"), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := map[string]bool{}
+	ast.Inspect(f.Scope.Lookup("planeVectors").Decl.(ast.Node), func(n ast.Node) bool {
+		if kv, ok := n.(*ast.KeyValueExpr); ok && fmt.Sprint(kv.Key) == "name" {
+			name, _ := strconv.Unquote(kv.Value.(*ast.BasicLit).Value)
+			vectors[name] = true
+		}
+		return true
+	})
+	files, err := filepath.Glob(filepath.Join(dir, "testdata", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		ext := filepath.Ext(file)
+		if name := strings.TrimSuffix(filepath.Base(file), ext); !vectors[name] || ext != ".l265" && ext != ".planes" {
+			t.Errorf("%s: no vector of planeVectors has this file — delete it, or define its vector", file)
+		}
+	}
+	for name := range vectors {
+		for _, ext := range []string{".l265", ".planes"} {
+			if _, err := os.Stat(filepath.Join(dir, "testdata", name+ext)); err != nil {
+				t.Errorf("vector %s: %v — regenerate with go test ./%s -update", name, err, dir)
+			}
+		}
+	}
+}
+
+// TestKernelFlagIsContained: a test forces the pure-Go kernels in two places
+// only — the kernel tests of a kernelRefDirs package's refimpl_test.go, and
+// the conformance sweep, which runs every path on each kernel path. Any other
+// _test.go that assigns cpufeat.AVX2FMA re-runs what the sweep already runs.
+func TestKernelFlagIsContained(t *testing.T) {
+	allowed := map[string]bool{"internal/conformance": true}
+	for _, dir := range kernelRefDirs {
+		allowed[filepath.Join(dir, "refimpl_test.go")] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" || allowed[path]) {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") || allowed[path] {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok {
+				for _, lhs := range as.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && fmt.Sprint(sel.X, ".", sel.Sel) == "cpufeat.AVX2FMA" {
+						t.Errorf("%s: assigns cpufeat.AVX2FMA — internal/conformance runs every path on both kernel paths", fset.Position(lhs.Pos()))
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A loadedPkg is one type-checked package of the module, non-test files only.
 type loadedPkg struct {
 	types *types.Package
@@ -214,6 +295,9 @@ func loadModule(t *testing.T) *module {
 			t.Fatal(err)
 		}
 		for _, dir := range dirs {
+			if p, _ := build.ImportDir(dir, 0); len(p.GoFiles) == 0 {
+				continue // a test-only package (internal/conformance) has nothing to reach
+			}
 			m.dirs["repro/"+filepath.ToSlash(dir)] = dir
 		}
 	}
