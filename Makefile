@@ -15,7 +15,7 @@ GO ?= go
 # Per-target time budget for the fuzz smoke pass.
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet surface portable race ci bench-micro bench-parallel bench-ab fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
+.PHONY: all build test vet surface portable race ci bench-micro bench-parallel bench-ab figures-diff fuzz-smoke serve-test proxy-test store-test kv-test train-test benchmark-test loc
 
 all: build
 
@@ -173,6 +173,14 @@ bench-micro:
 bench-ab:
 	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<ref>"; exit 2; }
 	bash scripts/bench_ab.sh $(PARENT)
+
+# Parent-vs-working-tree A/B of the printed figures, the check a refactor
+# above the codec is held to: `cmd/experiments -quick` and the inference and
+# generation examples on REV and on this checkout, diffed with wall-clock
+# readings stripped; non-zero on any difference. About 12 minutes, so not in ci.
+figures-diff:
+	@test -n "$(REV)" || { echo "usage: make figures-diff REV=<ref>"; exit 2; }
+	bash scripts/figures_diff.sh $(REV)
 
 # Serial vs parallel engine throughput on a multi-layer stack.
 bench-parallel:

@@ -131,13 +131,13 @@ func runPP(corpus *data.Corpus, method string, bits float64, steps int, seed int
 	switch method {
 	case "none":
 	case "act":
-		cfg.CompressActivations = train.LLM265Transform(core.DefaultOptions(), bits)
+		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
 	case "residual":
-		cfg.CompressActivations = train.LLM265Transform(core.DefaultOptions(), bits)
-		cfg.CompressActGrads = train.LLM265ResidualTransform(core.DefaultOptions(), bits, bits, steps*5/16)
+		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
+		cfg.CompressActGrads = llm.Residual(core.DefaultOptions(), bits, bits, steps*5/16)
 	case "rtn-grads":
-		cfg.CompressActivations = train.LLM265Transform(core.DefaultOptions(), bits)
-		cfg.CompressActGrads = train.RTNTransform(8, 128)
+		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
+		cfg.CompressActGrads = llm.RTN(8, 128)
 	default:
 		fmt.Fprintln(os.Stderr, "trainsim: unknown pp method", method)
 		os.Exit(2)

@@ -63,23 +63,16 @@ func main() {
 // generateWithCompressedCache decodes greedily, recompressing the KV cache
 // every chunkLen generated tokens.
 func generateWithCompressedCache(m *nn.Transformer, prompt []int, n int, bits float64, chunkLen int) []int {
-	opts := core.DefaultOptions()
-	rcs := map[int]*core.RateController{}
-	compress := func(layer int, mat *nn.Mat) *nn.Mat {
-		rc, ok := rcs[layer]
+	// One rate controller per layer, shared by its K and then its V.
+	hooks := map[int]nn.KVHook{}
+	compress := func(layer int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
+		h, ok := hooks[layer]
 		if !ok {
-			rc = core.NewRateController(opts, bits)
-			rcs[layer] = rc
+			c := llm.Codec(core.DefaultOptions(), bits)
+			h = llm.KVHook(c, c)
+			hooks[layer] = h
 		}
-		t := core.NewTensor(mat.R, mat.C)
-		copy(t.Data, mat.V)
-		d, _, err := rc.Roundtrip(t)
-		if err != nil {
-			return mat
-		}
-		out := nn.NewMat(mat.R, mat.C)
-		copy(out.V, d.Data)
-		return out
+		return h(layer, k, v)
 	}
 
 	cache := nn.NewKVCache(len(m.Blocks), m.Cfg.Dim)
@@ -92,9 +85,7 @@ func generateWithCompressedCache(m *nn.Transformer, prompt []int, n int, bits fl
 	out := make([]int, 0, n)
 	for i := 0; i < n && pos < m.Cfg.SeqLen; i++ {
 		if i%chunkLen == 0 {
-			cache.Transform(func(layer int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
-				return compress(layer, k), compress(layer, v)
-			})
+			cache.Transform(compress)
 		}
 		best, bestV := 0, logits[0]
 		for j, v := range logits {

@@ -9,12 +9,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/llm"
-	"repro/internal/nn"
 )
 
 func main() {
@@ -35,50 +33,24 @@ func main() {
 	// 1. Weight compression (§4.1): 5.5× memory reduction.
 	snap := llm.SnapshotWeights(m)
 	opts := core.DefaultOptions()
-	bits, err := llm.CompressModel(m, llm.LLM265WeightCompressor(opts, 2.9))
+	bits, err := llm.CompressModel(m, func(string) llm.Compressor { return llm.Codec(opts, 2.9) })
 	if err != nil {
 		log.Fatal(err)
 	}
 	report(fmt.Sprintf("weights @ %.2f b/v:", bits))
 
 	// 2. KV-cache compression (§4.2): hooks intercept K/V projections.
-	m.SetKVHook(llm.KVCompressorHook(opts, 2.9))
+	m.SetKVHook(llm.KVHook(llm.Codec(opts, 2.9), llm.Codec(opts, 2.9)))
 	report("weights + KV cache @ 2.9 b/v:")
 
 	// 3. Boundary-activation compression for 2-stage pipeline inference.
-	rc := core.NewRateController(opts, 3.5)
-	stages := 2
-	perStage := len(m.Blocks) / stages
 	toks, tgts := corpus.ValidBatches(6, 4, m.Cfg.SeqLen)
-	var nll float64
-	var count int
-	for i := range toks {
-		x := m.EmbedForward(toks[i])
-		for b := range m.Blocks {
-			x = m.BlockForward(b, x)
-			if (b+1)%perStage == 0 && b+1 < len(m.Blocks) {
-				t := core.NewTensor(x.R, x.C)
-				copy(t.Data, x.V)
-				d, _, err := rc.Roundtrip(t)
-				if err != nil {
-					log.Fatal(err)
-				}
-				copy(x.V, d.Data)
-			}
-		}
-		logits := m.HeadForward(x)
-		loss, _ := nn.LossAndGrad(logits, tgts[i])
-		c := 0
-		for _, t := range tgts[i] {
-			if t >= 0 {
-				c++
-			}
-		}
-		nll += loss * float64(c)
-		count += c
+	ppl, err := llm.BoundaryPerplexity(m, toks, tgts, 2, llm.Codec(opts, 3.5))
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("%-34s perplexity %6.2f   (activations between stages @ 3.5 b/v)\n",
-		"full stack + comm compression:", math.Exp(nll/float64(count)))
+		"full stack + comm compression:", ppl)
 
 	m.SetKVHook(nil)
 	llm.RestoreWeights(m, snap)

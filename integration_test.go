@@ -46,7 +46,7 @@ func TestEndToEndWeightCompressionPipeline(t *testing.T) {
 	defer llm.RestoreWeights(m, snap)
 
 	base := llm.Perplexity(m, corpus, 4)
-	bits, err := llm.CompressModel(m, llm.LLM265WeightCompressor(core.DefaultOptions(), 2.9))
+	bits, err := llm.CompressModel(m, func(string) llm.Compressor { return llm.Codec(core.DefaultOptions(), 2.9) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestEndToEndGenerationWithCompressedCache(t *testing.T) {
 
 	plain := m.Generate(rand.New(rand.NewSource(3)), prompt, 8, 0)
 
-	// Compress the cache before each decode step at a generous bitrate;
-	// greedy outputs should mostly survive.
-	opts := core.DefaultOptions()
-	rc := core.NewRateController(opts, 6)
+	// Compress the cache before each decode step at a generous bitrate,
+	// every layer's K and V through one rate controller; greedy outputs should
+	// mostly survive.
+	c := llm.Codec(core.DefaultOptions(), 6)
 	cache := nn.NewKVCache(len(m.Blocks), m.Cfg.Dim)
 	var logits []float32
 	pos := 0
@@ -79,11 +79,7 @@ func TestEndToEndGenerationWithCompressedCache(t *testing.T) {
 	}
 	var out []int
 	for i := 0; i < 8 && pos < m.Cfg.SeqLen; i++ {
-		cache.Transform(func(_ int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
-			kc := roundtripMat(t, rc, k)
-			vc := roundtripMat(t, rc, v)
-			return kc, vc
-		})
+		cache.Transform(llm.KVHook(c, c))
 		best := 0
 		for j, v := range logits {
 			if v > logits[best] {
@@ -103,19 +99,6 @@ func TestEndToEndGenerationWithCompressedCache(t *testing.T) {
 	if match < len(out)/2 {
 		t.Fatalf("compressed-cache generation diverged: %d/%d tokens match", match, len(out))
 	}
-}
-
-func roundtripMat(t *testing.T, rc *core.RateController, m *nn.Mat) *nn.Mat {
-	t.Helper()
-	tensor := core.NewTensor(m.R, m.C)
-	copy(tensor.Data, m.V)
-	d, _, err := rc.Roundtrip(tensor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := nn.NewMat(m.R, m.C)
-	copy(out.V, d.Data)
-	return out
 }
 
 func TestEndToEndDistributedTrainingParity(t *testing.T) {

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/nn"
 )
 
 // The suite below exercises the fast experiments end to end and checks the
@@ -213,5 +217,27 @@ func TestFig14GridShape(t *testing.T) {
 		if coders["LZ4"] <= coders["CABAC"] {
 			t.Fatalf("%s: LZ4 (%.2f) beat CABAC (%.2f)?", q, coders["LZ4"], coders["CABAC"])
 		}
+	}
+}
+
+// TestPerLayerRoutesBudgets: Fig. 5's variable-bitrate factory gives block i's
+// matrices budgets[i] and the head, which has no block index, the last one.
+func TestPerLayerRoutesBudgets(t *testing.T) {
+	w := nn.RandMat(rand.New(rand.NewSource(5)), 32, 48, 1)
+	compressor := perLayer(core.DefaultOptions(), []float64{2, 5})
+	bits := map[string]float64{}
+	for _, name := range []string{"block0.attn.wq.w", "block1.attn.wq.w", "head.w"} {
+		_, b, err := compressor(name)(w)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bits[name] = b
+	}
+	l0, l1 := bits["block0.attn.wq.w"], bits["block1.attn.wq.w"]
+	if l0 > 2 || l1 > 5 || l1 <= l0 {
+		t.Fatalf("budgets {2, 5} not routed: layer 0 at %.2f b/v, layer 1 at %.2f", l0, l1)
+	}
+	if bits["head.w"] != l1 {
+		t.Fatalf("head at %.4f b/v, want the last budget's %.4f", bits["head.w"], l1)
 	}
 }

@@ -92,30 +92,14 @@ func fig14Grid(ctx *Ctx) []fig14Point {
 	n := len(grad)
 
 	var pts []fig14Point
-	type qspec struct {
-		name     string
-		symbols  []byte
-		rec      []float32
-		metaBits float64 // per value
-	}
-	var qs []qspec
-	for _, bits := range []int{3, 4, 6} {
-		sym, rec, groups := quant.RTNSymbols(grad, bits, 128)
-		qs = append(qs, qspec{fmt.Sprintf("INT%d", bits), sym, rec, float64(groups) * 32 / float64(n)})
-	}
-	for _, f := range []*quant.MXFPFormat{quant.MXFP4, quant.MXFP6, quant.MXFP8} {
-		sym, rec, scaleBytes := quant.MXFPSymbols(grad, f)
-		qs = append(qs, qspec{f.Name, sym, rec, float64(scaleBytes) * 8 / float64(n)})
-	}
-	for _, q := range qs {
-		mae := quant.MAE(grad, q.rec)
+	g := &nn.Mat{R: 1, C: n, V: grad}
+	for _, q := range symbolQuantizers() {
 		for _, coder := range entropy.All() {
-			comp, err := coder.Encode(q.symbols)
+			rec, bits, err := chained(q, coder)(g)
 			if err != nil {
 				panic(err)
 			}
-			bits := float64(len(comp))*8/float64(n) + q.metaBits
-			pts = append(pts, fig14Point{q.name + "+" + coder.Name(), bits, mae})
+			pts = append(pts, fig14Point{q.name + "+" + coder.Name(), bits, quant.MAE(grad, rec.V)})
 		}
 	}
 
@@ -137,6 +121,43 @@ func fig14Grid(ctx *Ctx) []fig14Point {
 	return pts
 }
 
+// A symbolQuantizer is the first stage of a §7.1 chained pipeline: one byte
+// symbol per value, the reconstruction, and the side information (scales,
+// zero points) in bits.
+type symbolQuantizer struct {
+	name     string
+	quantize func([]float32) (symbols []byte, rec []float32, sideBits int)
+}
+
+// symbolQuantizers are Fig. 14's six: INT3/4/6 in 128-value groups and the
+// three MX formats.
+func symbolQuantizers() []symbolQuantizer {
+	var qs []symbolQuantizer
+	for _, bits := range []int{3, 4, 6} {
+		qs = append(qs, symbolQuantizer{fmt.Sprintf("INT%d", bits),
+			func(v []float32) ([]byte, []float32, int) { return quant.RTNSymbols(v, bits, 128) }})
+	}
+	for _, f := range []*quant.MXFPFormat{quant.MXFP4, quant.MXFP6, quant.MXFP8} {
+		qs = append(qs, symbolQuantizer{f.Name,
+			func(v []float32) ([]byte, []float32, int) { return quant.MXFPSymbols(v, f) }})
+	}
+	return qs
+}
+
+// chained is the pipeline q → coder as a Compressor: it charges the coded
+// symbols plus q's side information.
+func chained(q symbolQuantizer, coder entropy.Coder) llm.Compressor {
+	return func(m *nn.Mat) (*nn.Mat, float64, error) {
+		symbols, rec, sideBits := q.quantize(m.V)
+		comp, err := coder.Encode(symbols)
+		if err != nil {
+			return nil, 0, err
+		}
+		n := float64(len(m.V))
+		return &nn.Mat{R: m.R, C: m.C, V: rec}, float64(len(comp))*8/n + float64(sideBits)/n, nil
+	}
+}
+
 // Fig14 renders the information-efficiency grid: (a) gradient error vs bits.
 func Fig14(ctx *Ctx) *Table {
 	pts := fig14Grid(ctx)
@@ -149,26 +170,19 @@ func Fig14(ctx *Ctx) *Table {
 		t.AddRow(p.method, f2(p.bits), f(p.mae))
 	}
 
-	// Part (b): always-on weight compression accuracy at matched bits.
+	// Part (b): always-on weight compression accuracy at matched bits, each
+	// chain charged its CABAC-coded size as in part (a).
 	m := ctx.Model("llama-mini")
 	_, baseAcc := llm.EvalTasks(m, ctx.Tasks())
-	intBits, intAcc := evalCompressed(ctx, "llama-mini", rtnCompressor(3, 128))
-	mxBits, mxAcc := evalCompressed(ctx, "llama-mini", mxfpWeightCompressor(quant.MXFP4))
-	l265Bits, l265Acc := evalCompressed(ctx, "llama-mini", llm.LLM265WeightCompressor(core.DefaultOptions(), 2.9))
+	qs := symbolQuantizers()
+	intBits, intAcc := evalCompressed(ctx, "llama-mini", everyMatrix(chained(qs[0], entropy.CABACCoder{})))
+	mxBits, mxAcc := evalCompressed(ctx, "llama-mini", everyMatrix(chained(qs[3], entropy.CABACCoder{})))
+	l265Bits, l265Acc := evalCompressed(ctx, "llama-mini", codecPerMatrix(core.DefaultOptions(), 2.9))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("(b) always-on accuracy (base %.2f): INT3+CABAC %.2f@%.2fb, MXFP4+CABAC %.2f@%.2fb, three-in-one %.2f@%.2fb",
-			baseAcc, intAcc, intBits, mxAcc, mxBits, l265Acc, l265Bits),
+		fmt.Sprintf("(b) always-on accuracy (base %.2f): %s+CABAC %.2f@%.2fb, %s+CABAC %.2f@%.2fb, three-in-one %.2f@%.2fb",
+			baseAcc, qs[0].name, intAcc, intBits, qs[3].name, mxAcc, mxBits, l265Acc, l265Bits),
 		"paper Fig. 14: under equal error the three-in-one uses fewer bits than all eight chained baselines")
 	return t
-}
-
-func mxfpWeightCompressor(f *quant.MXFPFormat) llm.WeightCompressor {
-	return func(_ string, w *nn.Mat) (*nn.Mat, float64, error) {
-		rec, bpv := quant.MXFPQuantize(w.V, f)
-		out := nn.NewMat(w.R, w.C)
-		copy(out.V, rec)
-		return out, bpv, nil
-	}
 }
 
 // Fig15 compares codec+NIC system area and one-epoch gradient-transfer

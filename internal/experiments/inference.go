@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/baselines"
 	"repro/internal/codec"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/llm"
 	"repro/internal/nn"
 	"repro/internal/nvcodec"
-	"repro/internal/quant"
 )
 
 // captureCalibration runs forward passes and collects each linear layer's
@@ -43,55 +41,52 @@ func captureCalibration(ctx *Ctx, modelName string, batches int) map[string]*nn.
 	return acc
 }
 
-func gptqCompressor(calib map[string]*nn.Mat, bits, group int) llm.WeightCompressor {
-	return func(name string, w *nn.Mat) (*nn.Mat, float64, error) {
+// calibrated runs a calibration-based quantizer (baselines.GPTQ or AWQ) on
+// every matrix calib holds layer inputs for, and plain RTN on any other.
+func calibrated(q func(w, x *nn.Mat, bits, group int) (*nn.Mat, float64, error),
+	calib map[string]*nn.Mat, bits, group int) func(string) llm.Compressor {
+	return func(name string) llm.Compressor {
 		x, ok := calib[name]
 		if !ok {
-			rec, bpv := quant.RTNGroupwise(w.V, bits, groupOrWhole(group, len(w.V)))
-			out := nn.NewMat(w.R, w.C)
-			copy(out.V, rec)
-			return out, bpv, nil
+			return llm.RTN(bits, group)
 		}
-		return baselines.GPTQ(w, x, bits, group)
+		return func(w *nn.Mat) (*nn.Mat, float64, error) { return q(w, x, bits, group) }
 	}
 }
 
-func awqCompressor(calib map[string]*nn.Mat, bits, group int) llm.WeightCompressor {
-	return func(name string, w *nn.Mat) (*nn.Mat, float64, error) {
-		x, ok := calib[name]
-		if !ok {
-			rec, bpv := quant.RTNGroupwise(w.V, bits, groupOrWhole(group, len(w.V)))
-			out := nn.NewMat(w.R, w.C)
-			copy(out.V, rec)
-			return out, bpv, nil
+// codecPerMatrix compresses every matrix with the tensor codec at bits, each
+// through its own rate controller, so every QP search starts from that
+// matrix's data.
+func codecPerMatrix(opts core.Options, bits float64) func(string) llm.Compressor {
+	return func(string) llm.Compressor { return llm.Codec(opts, bits) }
+}
+
+// perLayer is codecPerMatrix at each matrix's layer budget: budgets[i] for
+// block i, the last budget for the head and any name without a block index.
+func perLayer(opts core.Options, budgets []float64) func(string) llm.Compressor {
+	return func(name string) llm.Compressor {
+		b := budgets[len(budgets)-1]
+		var i int
+		if _, err := fmt.Sscanf(name, "block%d.", &i); err == nil && i < len(budgets) {
+			b = budgets[i]
 		}
-		return baselines.AWQ(w, x, bits, group)
+		return llm.Codec(opts, b)
 	}
 }
 
-func rtnCompressor(bits, group int) llm.WeightCompressor {
-	return func(_ string, w *nn.Mat) (*nn.Mat, float64, error) {
-		rec, bpv := quant.RTNGroupwise(w.V, bits, groupOrWhole(group, len(w.V)))
-		out := nn.NewMat(w.R, w.C)
-		copy(out.V, rec)
-		return out, bpv, nil
-	}
+// everyMatrix applies the stateless c to every matrix.
+func everyMatrix(c llm.Compressor) func(string) llm.Compressor {
+	return func(string) llm.Compressor { return c }
 }
 
-func groupOrWhole(group, n int) int {
-	if group <= 0 {
-		return n
-	}
-	return group
-}
-
-// evalCompressed compresses the model with c, measures mean task accuracy,
-// then restores the weights. It returns the achieved average bits.
-func evalCompressed(ctx *Ctx, modelName string, c llm.WeightCompressor) (bits, acc float64) {
+// evalCompressed compresses the model with the compressors compressor
+// returns, measures mean task accuracy, then restores the weights. It returns
+// the achieved average bits.
+func evalCompressed(ctx *Ctx, modelName string, compressor func(string) llm.Compressor) (bits, acc float64) {
 	m := ctx.Model(modelName)
 	snap := llm.SnapshotWeights(m)
 	defer llm.RestoreWeights(m, snap)
-	bits, err := llm.CompressModel(m, c)
+	bits, err := llm.CompressModel(m, compressor)
 	if err != nil {
 		panic(err)
 	}
@@ -122,7 +117,7 @@ func Fig5(ctx *Ctx) *Table {
 	}
 	opts := core.DefaultOptions()
 	for _, b := range budgets {
-		bits, acc := evalCompressed(ctx, modelName, llm.LLM265WeightCompressor(opts, b))
+		bits, acc := evalCompressed(ctx, modelName, codecPerMatrix(opts, b))
 		add("LLM.265 (fixed)", bits, acc)
 	}
 	// Variable bitrate: search the per-layer slope with a cheap perplexity
@@ -135,7 +130,7 @@ func Fig5(ctx *Ctx) *Table {
 		sched, _, err := core.SearchVariableSchedule(m.Cfg.Layers, b, ks, func(budgets []float64) float64 {
 			snap := llm.SnapshotWeights(m)
 			defer llm.RestoreWeights(m, snap)
-			if _, err := llm.CompressModel(m, llm.LLM265VariableCompressor(opts, budgets)); err != nil {
+			if _, err := llm.CompressModel(m, perLayer(opts, budgets)); err != nil {
 				panic(err)
 			}
 			return llm.Perplexity(m, ctx.Corpus(), 3)
@@ -143,7 +138,7 @@ func Fig5(ctx *Ctx) *Table {
 		if err != nil {
 			panic(err)
 		}
-		bits, acc := evalCompressed(ctx, modelName, llm.LLM265VariableCompressor(opts, sched))
+		bits, acc := evalCompressed(ctx, modelName, perLayer(opts, sched))
 		add("LLM.265 (variable)", bits, acc)
 	}
 
@@ -152,11 +147,11 @@ func Fig5(ctx *Ctx) *Table {
 		intBits = []int{3}
 	}
 	for _, b := range intBits {
-		bits, acc := evalCompressed(ctx, modelName, gptqCompressor(calib, b, 0))
+		bits, acc := evalCompressed(ctx, modelName, calibrated(baselines.GPTQ, calib, b, 0))
 		add("GPTQ", bits, acc)
-		bits, acc = evalCompressed(ctx, modelName, awqCompressor(calib, b, 0))
+		bits, acc = evalCompressed(ctx, modelName, calibrated(baselines.AWQ, calib, b, 0))
 		add("AWQ", bits, acc)
-		bits, acc = evalCompressed(ctx, modelName, rtnCompressor(b, 0))
+		bits, acc = evalCompressed(ctx, modelName, everyMatrix(llm.RTN(b, 0)))
 		add("RTN", bits, acc)
 	}
 	t.Notes = append(t.Notes,
@@ -178,13 +173,13 @@ func Table1(ctx *Ctx) *Table {
 		Title:   "70B-class stand-in, ~3-bit weight compression",
 		Columns: []string{"avg bits", "algorithm", pick[0].Name, pick[1].Name, pick[2].Name},
 	}
-	evalRow := func(label string, c llm.WeightCompressor) {
+	evalRow := func(label string, compressor func(string) llm.Compressor) {
 		snap := llm.SnapshotWeights(m)
 		defer llm.RestoreWeights(m, snap)
 		var bits float64
-		if c != nil {
+		if compressor != nil {
 			var err error
-			bits, err = llm.CompressModel(m, c)
+			bits, err = llm.CompressModel(m, compressor)
 			if err != nil {
 				panic(err)
 			}
@@ -203,11 +198,11 @@ func Table1(ctx *Ctx) *Table {
 	// input dimension, so the "-128G" variants coincide with per-column
 	// grids; their metadata (0.44 b/v here vs the paper's 0.25) is charged
 	// honestly either way.
-	evalRow("GPTQ-128G", gptqCompressor(calib, 3, 128))
-	evalRow("AWQ-128G", awqCompressor(calib, 3, 128))
-	evalRow("GPTQ", gptqCompressor(calib, 3, 0))
-	evalRow("AWQ", awqCompressor(calib, 3, 0))
-	evalRow("LLM.265", llm.LLM265WeightCompressor(core.DefaultOptions(), 2.88))
+	evalRow("GPTQ-128G", calibrated(baselines.GPTQ, calib, 3, 128))
+	evalRow("AWQ-128G", calibrated(baselines.AWQ, calib, 3, 128))
+	evalRow("GPTQ", calibrated(baselines.GPTQ, calib, 3, 0))
+	evalRow("AWQ", calibrated(baselines.AWQ, calib, 3, 0))
+	evalRow("LLM.265", codecPerMatrix(core.DefaultOptions(), 2.88))
 	t.Notes = append(t.Notes, "paper Table 1: LLM.265 at 2.88 bits matches the 3.25-bit group-wise baselines and beats the 3.0-bit per-tensor ones")
 	return t
 }
@@ -232,7 +227,7 @@ func Fig6(ctx *Ctx) *Table {
 		for _, prof := range []codec.Profile{codec.H264, codec.HEVC, codec.AV1} {
 			opts := core.DefaultOptions()
 			opts.Profile = prof
-			_, acc := evalCompressed(ctx, modelName, llm.LLM265WeightCompressor(opts, b))
+			_, acc := evalCompressed(ctx, modelName, codecPerMatrix(opts, b))
 			row = append(row, f2(acc/baseAcc))
 		}
 		t.AddRow(row...)
@@ -296,37 +291,22 @@ func Fig7(ctx *Ctx) *Table {
 			return sum / float64(len(tasks))
 		}
 		base := evalAll()
-		run := func(c llm.WeightCompressor) float64 {
+		run := func(compressor func(string) llm.Compressor) float64 {
 			snap := llm.SnapshotWeights(m)
 			defer llm.RestoreWeights(m, snap)
-			if _, err := llm.CompressModel(m, c); err != nil {
+			if _, err := llm.CompressModel(m, compressor); err != nil {
 				panic(err)
 			}
 			return evalAll()
 		}
 		calib := captureCalibration(ctx, name, 3)
 		t.AddRow(name, f2(base),
-			f2(run(llm.LLM265WeightCompressor(core.DefaultOptions(), 2.9))),
-			f2(run(awqCompressor(calib, 3, 0))),
-			f2(run(rtnCompressor(3, 0))))
+			f2(run(codecPerMatrix(core.DefaultOptions(), 2.9))),
+			f2(run(calibrated(baselines.AWQ, calib, 3, 0))),
+			f2(run(everyMatrix(llm.RTN(3, 0)))))
 	}
 	t.Notes = append(t.Notes, "paper Fig. 7: LLM.265 surpasses AWQ and RTN across all four task families")
 	return t
-}
-
-// forwardWithBoundaryCompression runs inference with activations compressed
-// at pipeline-stage boundaries (the §4.2 communication compression).
-func forwardWithBoundaryCompression(m *nn.Transformer, tokens [][]int, stages int,
-	compress func(x *nn.Mat) *nn.Mat) *nn.Mat {
-	perStage := len(m.Blocks) / stages
-	x := m.EmbedForward(tokens)
-	for i := range m.Blocks {
-		x = m.BlockForward(i, x)
-		if (i+1)%perStage == 0 && i+1 < len(m.Blocks) && compress != nil {
-			x = compress(x)
-		}
-	}
-	return m.HeadForward(x)
 }
 
 // Fig8 compares KV-cache and boundary-activation compression across RTN,
@@ -346,69 +326,19 @@ func Fig8(ctx *Ctx) *Table {
 	rot := baselines.RandomRotation(rng, m.Cfg.Dim)
 	rot2 := baselines.RandomRotation(newRng(9), m.Cfg.Dim)
 
-	rtnKV := func(bits int) nn.KVHook {
-		return func(_ int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
-			kq, vq := k.Clone(), v.Clone()
-			for i := 0; i < kq.R; i++ {
-				copy(kq.Row(i), quant.RTNAsymmetric(k.Row(i), bits))
-				copy(vq.Row(i), quant.RTNAsymmetric(v.Row(i), bits))
-			}
-			return kq, vq
-		}
-	}
-	rotKV := func(r *nn.Mat, bits int) nn.KVHook {
-		return func(_ int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
-			kq, _ := baselines.RotatedRTN(k, r, bits)
-			vq, _ := baselines.RotatedRTN(v, r, bits)
-			return kq, vq
-		}
-	}
-	actRTN := func(bits int) func(x *nn.Mat) *nn.Mat {
-		return func(x *nn.Mat) *nn.Mat {
-			out := x.Clone()
-			for i := 0; i < out.R; i++ {
-				copy(out.Row(i), quant.RTNAsymmetric(x.Row(i), bits))
-			}
-			return out
-		}
-	}
-	actRot := func(r *nn.Mat, bits int) func(x *nn.Mat) *nn.Mat {
-		return func(x *nn.Mat) *nn.Mat {
-			out, _ := baselines.RotatedRTN(x, r, bits)
-			return out
-		}
-	}
-	actLLM := func(bits float64) func(x *nn.Mat) *nn.Mat {
-		rc := core.NewRateController(core.DefaultOptions(), bits)
-		return func(x *nn.Mat) *nn.Mat {
-			d, _, err := rc.Roundtrip(llm.MatToTensor(x))
-			if err != nil {
-				return x
-			}
-			return llm.TensorToMat(d)
-		}
-	}
+	dim := m.Cfg.Dim // K, V and activations are [B·T, dim]: RTN(b, dim) is per-row
+	opts := core.DefaultOptions()
+	same := func(c llm.Compressor) nn.KVHook { return llm.KVHook(c, c) }
+	codecKV := func(bits float64) nn.KVHook { return llm.KVHook(llm.Codec(opts, bits), llm.Codec(opts, bits)) }
 
-	evalCfg := func(kv nn.KVHook, act func(x *nn.Mat) *nn.Mat) (float64, float64) {
+	evalCfg := func(kv nn.KVHook, act llm.Compressor) (float64, float64) {
 		m.SetKVHook(kv)
 		defer m.SetKVHook(nil)
-		// Perplexity with boundary compression.
 		toks, tgts := corpus.ValidBatches(nEval, 4, m.Cfg.SeqLen)
-		var nll float64
-		var count int
-		for i := range toks {
-			logits := forwardWithBoundaryCompression(m, toks[i], stages, act)
-			loss, _ := nn.LossAndGrad(logits, tgts[i])
-			c := 0
-			for _, t := range tgts[i] {
-				if t >= 0 {
-					c++
-				}
-			}
-			nll += loss * float64(c)
-			count += c
+		ppl, err := llm.BoundaryPerplexity(m, toks, tgts, stages, act)
+		if err != nil {
+			panic(err)
 		}
-		ppl := math.Exp(nll / float64(count))
 		var acc float64
 		for _, task := range tasks {
 			acc += llm.EvalTask(m, task)
@@ -427,19 +357,19 @@ func Fig8(ctx *Ctx) *Table {
 	type cfg struct {
 		name string
 		kv   nn.KVHook
-		act  func(x *nn.Mat) *nn.Mat
+		act  llm.Compressor
 	}
 	cfgs := []cfg{
-		{"RTN KV3", rtnKV(3), nil},
-		{"SpinQuant KV3", rotKV(rot2, 3), nil},
-		{"QuaRot KV3", rotKV(rot, 3), nil},
-		{"LLM.265 KV2.9", llm.KVCompressorHook(core.DefaultOptions(), 2.9), nil},
-		{"RTN A4", nil, actRTN(4)},
-		{"QuaRot A4", nil, actRot(rot, 4)},
-		{"LLM.265 A3.5", nil, actLLM(3.5)},
-		{"RTN KV3+A4", rtnKV(3), actRTN(4)},
-		{"QuaRot KV3+A4", rotKV(rot, 3), actRot(rot, 4)},
-		{"LLM.265 KV2.9+A3.5", llm.KVCompressorHook(core.DefaultOptions(), 2.9), actLLM(3.5)},
+		{"RTN KV3", same(llm.RTN(3, dim)), nil},
+		{"SpinQuant KV3", same(llm.Rotated(rot2, 3)), nil},
+		{"QuaRot KV3", same(llm.Rotated(rot, 3)), nil},
+		{"LLM.265 KV2.9", codecKV(2.9), nil},
+		{"RTN A4", nil, llm.RTN(4, dim)},
+		{"QuaRot A4", nil, llm.Rotated(rot, 4)},
+		{"LLM.265 A3.5", nil, llm.Codec(opts, 3.5)},
+		{"RTN KV3+A4", same(llm.RTN(3, dim)), llm.RTN(4, dim)},
+		{"QuaRot KV3+A4", same(llm.Rotated(rot, 3)), llm.Rotated(rot, 4)},
+		{"LLM.265 KV2.9+A3.5", codecKV(2.9), llm.Codec(opts, 3.5)},
 	}
 	for _, c := range cfgs {
 		ppl, acc := evalCfg(c.kv, c.act)

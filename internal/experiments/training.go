@@ -35,15 +35,15 @@ func Fig9(ctx *Ctx) *Table {
 		name string
 		cfg  train.PipelineConfig
 	}
-	base := train.PipelineConfig{Stages: 4, MicroBatch: 4, AccumSteps: 2}
+	pp := func(act, grad llm.Compressor) train.PipelineConfig {
+		return train.PipelineConfig{Stages: 4, MicroBatch: 4, AccumSteps: 2, CompressActivations: act, CompressActGrads: grad}
+	}
+	opts := core.DefaultOptions()
 	arms := []arm{
-		{"uncompressed", base},
-		{"LLM.265(A@3.5)", withAct(base, train.LLM265Transform(core.DefaultOptions(), 3.5))},
-		{"LLM.265(A)+GQ (RTN-8 grads)", withActGrad(base,
-			train.LLM265Transform(core.DefaultOptions(), 3.5), train.RTNTransform(8, 128))},
-		{"LLM.265(A+G) residual comp.", withActGrad(base,
-			train.LLM265Transform(core.DefaultOptions(), 3.5),
-			train.LLM265ResidualTransform(core.DefaultOptions(), 3.5, 3.5, switchStep))},
+		{"uncompressed", pp(nil, nil)},
+		{"LLM.265(A@3.5)", pp(llm.Codec(opts, 3.5), nil)},
+		{"LLM.265(A)+GQ (RTN-8 grads)", pp(llm.Codec(opts, 3.5), llm.RTN(8, 128))},
+		{"LLM.265(A+G) residual comp.", pp(llm.Codec(opts, 3.5), llm.Residual(opts, 3.5, 3.5, switchStep))},
 	}
 
 	t := &Table{
@@ -64,17 +64,6 @@ func Fig9(ctx *Ctx) *Table {
 	t.Notes = append(t.Notes,
 		"paper Fig. 9: LLM.265(A) converges at least as fast as uncompressed (78% comm saved); naive gradient RTN deviates; residual compensation (avg ~10.1 bits) tracks the uncompressed loss")
 	return t
-}
-
-func withAct(c train.PipelineConfig, a train.TensorTransform) train.PipelineConfig {
-	c.CompressActivations = a
-	return c
-}
-
-func withActGrad(c train.PipelineConfig, a, g train.TensorTransform) train.PipelineConfig {
-	c.CompressActivations = a
-	c.CompressActGrads = g
-	return c
 }
 
 // dpArm is one Fig. 10 configuration: build returns the optimizer, the

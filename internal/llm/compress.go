@@ -1,0 +1,114 @@
+package llm
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/baselines"
+	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/quant"
+)
+
+// Compressor lossily round-trips one matrix — a weight, a K or V projection,
+// a pipeline-boundary activation or its gradient — returning what a receiver
+// reconstructs and the cost in bits per value. It may hold state across calls
+// (Codec's rate controller, Residual's step count), so each call site owns
+// its own. An error goes to the caller, or, where the seam has no error
+// result, becomes a panic: handing back the uncompressed matrix instead would
+// report FP16 quality under a compressed label.
+type Compressor func(*nn.Mat) (*nn.Mat, float64, error)
+
+// Codec compresses with the tensor codec near bitsPerValue through one
+// core.RateController: the first call searches the QP, later calls track the
+// target from there.
+func Codec(opts core.Options, bitsPerValue float64) Compressor {
+	return viaTensor(core.NewRateController(opts, bitsPerValue).Roundtrip)
+}
+
+// Residual is the paper's residual-compensation gradient compression (§5.1,
+// core.GradientCompressor): primary at primaryBits, the residual at
+// residualBits until switchStep, 8-bit RTN afterwards.
+func Residual(opts core.Options, primaryBits, residualBits float64, switchStep int) Compressor {
+	return viaTensor(core.NewGradientCompressor(opts, primaryBits, residualBits, switchStep, 8).Compress)
+}
+
+// viaTensor views m as a core tensor for a codec round trip; core reads its
+// input and returns a fresh reconstruction, so neither side is copied.
+func viaTensor(roundtrip func(*core.Tensor) (*core.Tensor, float64, error)) Compressor {
+	return func(m *nn.Mat) (*nn.Mat, float64, error) {
+		d, bits, err := roundtrip(core.FromSlice(m.R, m.C, m.V))
+		if err != nil {
+			return nil, 0, err
+		}
+		return &nn.Mat{R: d.Rows, C: d.Cols, V: d.Data}, bits, nil
+	}
+}
+
+// RTN quantizes with asymmetric round-to-nearest over groups of group
+// consecutive values — the whole matrix when group ≤ 0, one row when group
+// is the column count — charging one FP16 scale and zero point per group.
+func RTN(bits, group int) Compressor {
+	return func(m *nn.Mat) (*nn.Mat, float64, error) {
+		rec, bpv := quant.RTNGroupwise(m.V, bits, group)
+		return &nn.Mat{R: m.R, C: m.C, V: rec}, bpv, nil
+	}
+}
+
+// Rotated is per-row RTN in the basis rot (QuaRot/SpinQuant,
+// baselines.RotatedRTN).
+func Rotated(rot *nn.Mat, bits int) Compressor {
+	return func(m *nn.Mat) (*nn.Mat, float64, error) {
+		rec, bpv := baselines.RotatedRTN(m, rot, bits)
+		return rec, bpv, nil
+	}
+}
+
+// KVHook round-trips every layer's key projection through k and its value
+// projection through v — the KV-cache compression of §4.2. The hook has no
+// error result, so a compressor error panics.
+func KVHook(k, v Compressor) nn.KVHook {
+	return func(_ int, km, vm *nn.Mat) (*nn.Mat, *nn.Mat) {
+		return mustRoundtrip(k, km), mustRoundtrip(v, vm)
+	}
+}
+
+func mustRoundtrip(c Compressor, m *nn.Mat) *nn.Mat {
+	rec, _, err := c(m)
+	if err != nil {
+		panic(err)
+	}
+	return rec
+}
+
+// BoundaryPerplexity is m's perplexity on the batches toks (targets tgts)
+// run as a pipeline of stages, with the activations crossing each stage
+// boundary round-tripped through c — §4.2's inference-time communication
+// compression. A nil c leaves the boundaries uncompressed.
+func BoundaryPerplexity(m *nn.Transformer, toks [][][]int, tgts [][]int, stages int, c Compressor) (float64, error) {
+	perStage := len(m.Blocks) / stages
+	var nll float64
+	var count int
+	for i := range toks {
+		x := m.EmbedForward(toks[i])
+		for b := range m.Blocks {
+			x = m.BlockForward(b, x)
+			if (b+1)%perStage == 0 && b+1 < len(m.Blocks) && c != nil {
+				var err error
+				if x, _, err = c(x); err != nil {
+					return 0, fmt.Errorf("llm: boundary after block %d: %w", b, err)
+				}
+			}
+		}
+		loss, _ := nn.LossAndGrad(m.HeadForward(x), tgts[i])
+		n := 0
+		for _, t := range tgts[i] {
+			if t >= 0 {
+				n++
+			}
+		}
+		nll += loss * float64(n)
+		count += n
+	}
+	return math.Exp(nll / float64(count)), nil
+}

@@ -6,11 +6,11 @@
 package llm
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
 )
@@ -124,19 +124,16 @@ func LinearsByName(m *nn.Transformer) map[string]*nn.Linear {
 	return out
 }
 
-// WeightCompressor lossy-compresses one weight matrix, returning the
-// reconstruction and its storage cost in bits per value.
-type WeightCompressor func(name string, w *nn.Mat) (*nn.Mat, float64, error)
-
-// CompressModel applies c to every compressible parameter of a *clone-free*
-// model in place and returns the size-weighted average bits per value.
-// Callers wanting to keep the original should snapshot with SnapshotWeights.
-func CompressModel(m *nn.Transformer, c WeightCompressor) (float64, error) {
+// CompressModel compresses every compressible parameter of m in place, each
+// with the Compressor compressor returns for its name, and returns the
+// size-weighted average bits per value. Callers wanting to keep the original
+// should snapshot with SnapshotWeights.
+func CompressModel(m *nn.Transformer, compressor func(name string) Compressor) (float64, error) {
 	var bitsSum, n float64
 	for _, p := range CompressibleParams(m) {
-		rec, bits, err := c(p.Name, p.W)
+		rec, bits, err := compressor(p.Name)(p.W)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("llm: compress %s: %w", p.Name, err)
 		}
 		copy(p.W.V, rec.V)
 		bitsSum += bits * float64(len(p.W.V))
@@ -160,82 +157,5 @@ func SnapshotWeights(m *nn.Transformer) map[string][]float32 {
 func RestoreWeights(m *nn.Transformer, snap map[string][]float32) {
 	for _, p := range m.Params() {
 		copy(p.W.V, snap[p.Name])
-	}
-}
-
-// MatToTensor views an nn matrix as a core tensor (copying).
-func MatToTensor(m *nn.Mat) *core.Tensor {
-	t := core.NewTensor(m.R, m.C)
-	copy(t.Data, m.V)
-	return t
-}
-
-// TensorToMat converts back.
-func TensorToMat(t *core.Tensor) *nn.Mat {
-	m := nn.NewMat(t.Rows, t.Cols)
-	copy(m.V, t.Data)
-	return m
-}
-
-// LLM265WeightCompressor compresses each matrix to the given fractional
-// bit budget with the tensor codec.
-func LLM265WeightCompressor(opts core.Options, bitsPerValue float64) WeightCompressor {
-	return func(_ string, w *nn.Mat) (*nn.Mat, float64, error) {
-		return compressToBitrate(opts, w, bitsPerValue)
-	}
-}
-
-// compressToBitrate searches the QP that fits w into bitsPerValue and returns
-// what a decoder reconstructs at it: a fresh rate controller's first Roundtrip
-// is that search, and hands back the encoder's reconstruction undecoded.
-func compressToBitrate(opts core.Options, w *nn.Mat, bitsPerValue float64) (*nn.Mat, float64, error) {
-	d, bits, err := core.NewRateController(opts, bitsPerValue).Roundtrip(MatToTensor(w))
-	if err != nil {
-		return nil, 0, err
-	}
-	return TensorToMat(d), bits, nil
-}
-
-// LLM265VariableCompressor assigns per-layer budgets from a schedule: the
-// budget index is the model layer the matrix belongs to (head and any
-// unparsed names use the last budget).
-func LLM265VariableCompressor(opts core.Options, budgets []float64) WeightCompressor {
-	return func(name string, w *nn.Mat) (*nn.Mat, float64, error) {
-		budget := budgets[len(budgets)-1]
-		if strings.HasPrefix(name, "block") {
-			idx := 0
-			for _, ch := range name[5:] {
-				if ch < '0' || ch > '9' {
-					break
-				}
-				idx = idx*10 + int(ch-'0')
-			}
-			if idx < len(budgets) {
-				budget = budgets[idx]
-			}
-		}
-		return compressToBitrate(opts, w, budget)
-	}
-}
-
-// KVCompressorHook returns an nn.KVHook that round-trips the key and value
-// projections through the tensor codec at the given bitrate — the KV-cache
-// compression path of §4.2. The hook is stateless across calls except for
-// its rate controllers. It panics when the codec rejects K or V: the hook type
-// has no error result, and handing back the uncompressed pair would let a
-// figure report FP16 quality under a compressed label.
-func KVCompressorHook(opts core.Options, bitsPerValue float64) nn.KVHook {
-	rcK := core.NewRateController(opts, bitsPerValue)
-	rcV := core.NewRateController(opts, bitsPerValue)
-	return func(_ int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
-		dk, _, err := rcK.Roundtrip(MatToTensor(k))
-		if err != nil {
-			panic(err)
-		}
-		dv, _, err := rcV.Roundtrip(MatToTensor(v))
-		if err != nil {
-			panic(err)
-		}
-		return TensorToMat(dk), TensorToMat(dv)
 	}
 }

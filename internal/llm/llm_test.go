@@ -1,13 +1,16 @@
 package llm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/nn"
+	"repro/internal/quant"
 )
 
 // testModel trains a small model once and shares it across the package's
@@ -89,7 +92,7 @@ func TestCompressModelDegradesGracefully(t *testing.T) {
 
 	// Generous budget: near-baseline quality.
 	opts := core.DefaultOptions()
-	avg, err := CompressModel(m, LLM265WeightCompressor(opts, 6))
+	avg, err := CompressModel(m, func(string) Compressor { return Codec(opts, 6) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func TestCompressModelDegradesGracefully(t *testing.T) {
 	RestoreWeights(m, snap)
 
 	// Starved budget: visibly worse.
-	if _, err = CompressModel(m, LLM265WeightCompressor(opts, 1.0)); err != nil {
+	if _, err = CompressModel(m, func(string) Compressor { return Codec(opts, 1.0) }); err != nil {
 		t.Fatal(err)
 	}
 	pplLo := Perplexity(m, corpus, 6)
@@ -114,40 +117,16 @@ func TestCompressModelDegradesGracefully(t *testing.T) {
 	}
 }
 
-func TestVariableCompressorRoutesBudgets(t *testing.T) {
-	_, m := setup(t)
-	snap := SnapshotWeights(m)
-	defer RestoreWeights(m, snap)
-	opts := core.DefaultOptions()
-	budgets := []float64{2.0, 5.0} // layer 0 starved, layer 1 generous
-	seen := map[string]float64{}
-	c := LLM265VariableCompressor(opts, budgets)
-	wrapped := func(name string, w *nn.Mat) (*nn.Mat, float64, error) {
-		rec, bits, err := c(name, w)
-		seen[name] = bits
-		return rec, bits, err
-	}
-	if _, err := CompressModel(m, wrapped); err != nil {
-		t.Fatal(err)
-	}
-	if seen["block0.attn.wq.w"] > budgets[0] {
-		t.Fatalf("layer-0 matrix got %.2f b/v, budget %.1f", seen["block0.attn.wq.w"], budgets[0])
-	}
-	if seen["block1.attn.wq.w"] > budgets[1] {
-		t.Fatalf("layer-1 matrix got %.2f b/v, budget %.1f", seen["block1.attn.wq.w"], budgets[1])
-	}
-	if seen["block1.attn.wq.w"] <= seen["block0.attn.wq.w"] {
-		t.Fatalf("budgets not routed: l0 %.2f l1 %.2f", seen["block0.attn.wq.w"], seen["block1.attn.wq.w"])
-	}
-}
-
 func TestKVCompressionHookDegradesWithBitrate(t *testing.T) {
 	corpus, m := setup(t)
 	base := Perplexity(m, corpus, 4)
 
-	m.SetKVHook(KVCompressorHook(core.DefaultOptions(), 6))
+	kv := func(bits float64) nn.KVHook {
+		return KVHook(Codec(core.DefaultOptions(), bits), Codec(core.DefaultOptions(), bits))
+	}
+	m.SetKVHook(kv(6))
 	hi := Perplexity(m, corpus, 4)
-	m.SetKVHook(KVCompressorHook(core.DefaultOptions(), 1.0))
+	m.SetKVHook(kv(1.0))
 	lo := Perplexity(m, corpus, 4)
 	m.SetKVHook(nil)
 
@@ -183,21 +162,83 @@ func TestZooConfigsValid(t *testing.T) {
 	}
 }
 
-// TestKVCompressorHookFailsLoudly: an encode the codec rejects stops the run.
-// The hook used to hand back the uncompressed pair, which measures FP16 under
-// a compressed label. Nothing about a finite-shaped tensor makes core's front
-// end fail, so the rejection here is the codec's own: the rANS backend with the
-// entropy stage switched off.
+// TestCompressorSeam holds every constructor's bit accounting: RTN charges
+// bits + 32 per group, Rotated one FP16
+// scale+zero per row, a fresh Codec stays within its target, and Residual past
+// its switch step adds a flat 8.00 bits for the RTN residual to the primary
+// pass. RTN over groups of one row is per-row RTNAsymmetric bit for bit.
+func TestCompressorSeam(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w := nn.RandMat(rng, 40, 48, 1) // 1920 values: 15 groups of 128, 40 rows
+	n := float64(len(w.V))
+	opts := core.DefaultOptions()
+	_, primary, err := Codec(opts, 3)(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		c      Compressor
+		want   float64 // exact bits per value, or with atMost the ceiling
+		atMost bool
+	}{
+		{"RTN(3,128)", RTN(3, 128), 3 + 32*15/n, false},
+		{"RTN(4,whole)", RTN(4, 0), 4 + 32/n, false},
+		{"RTN(4,row)", RTN(4, w.C), 4 + 32*40/n, false},
+		{"Rotated(4)", Rotated(baselines.RandomRotation(rng, w.C), 4), 4 + 32*40/n, false},
+		{"Codec(3)", Codec(opts, 3), 3, true},
+		{"Residual(3,3,switch 0)", Residual(opts, 3, 3, 0), primary + 8, false},
+	} {
+		rec, bits, err := c.c(w)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rec.R != w.R || rec.C != w.C {
+			t.Fatalf("%s: reconstruction %dx%d of a %dx%d matrix", c.name, rec.R, rec.C, w.R, w.C)
+		}
+		if c.atMost && bits > c.want || !c.atMost && math.Abs(bits-c.want) > 1e-12 {
+			t.Errorf("%s: %.6f bits per value, want %.6f (at most: %v)", c.name, bits, c.want, c.atMost)
+		}
+	}
+
+	rec, _, err := RTN(3, w.C)(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < w.R; i++ {
+		for j, v := range quant.RTNAsymmetric(w.Row(i), 3) {
+			if got := rec.Row(i)[j]; math.Float32bits(got) != math.Float32bits(v) {
+				t.Fatalf("RTN(3, cols) row %d col %d = %v, per-row RTNAsymmetric %v", i, j, got, v)
+			}
+		}
+	}
+}
+
+// TestKVCompressorHookFailsLoudly: an encode the codec rejects stops the run
+// at both seams that lack a fallback. KVHook panics (the hook has no error
+// result), and BoundaryPerplexity returns the error. Either used to hand back
+// the uncompressed matrix, which measures FP16 under a compressed label.
+// Nothing about a finite-shaped tensor makes core's front end fail, so the
+// rejection here is the codec's own: the rANS backend with the entropy stage
+// switched off.
 func TestKVCompressorHookFailsLoudly(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Tools.CABAC = false
 	opts.Backend = codec.BackendRANS
+	rejected := Codec(opts, 2.9)
 	var panicked any
 	func() {
 		defer func() { panicked = recover() }()
-		KVCompressorHook(opts, 2.9)(0, nn.NewMat(8, 16), nn.NewMat(8, 16))
+		KVHook(rejected, rejected)(0, nn.NewMat(8, 16), nn.NewMat(8, 16))
 	}()
 	if _, ok := panicked.(error); !ok {
 		t.Fatalf("the hook returned (panic value %v) from an encode the codec rejects", panicked)
+	}
+
+	m := nn.NewTransformer(rand.New(rand.NewSource(1)), nn.Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 2, SeqLen: 8, Hidden: 32})
+	toks := [][][]int{{{1, 2, 3, 4, 5, 6, 7, 8}}}
+	tgts := [][]int{{2, 3, 4, 5, 6, 7, 8, 9}}
+	if ppl, err := BoundaryPerplexity(m, toks, tgts, 2, rejected); err == nil {
+		t.Fatalf("BoundaryPerplexity returned perplexity %.3f from an encode the codec rejects", ppl)
 	}
 }

@@ -13,6 +13,7 @@ package llm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -42,7 +43,7 @@ func PackModel(s *store.Store, model string, m *nn.Transformer, opts core.Option
 			order = append(order, key)
 		}
 		g.params = append(g.params, p.Name)
-		g.stack = append(g.stack, MatToTensor(p.W))
+		g.stack = append(g.stack, core.FromSlice(p.W.R, p.W.C, slices.Clone(p.W.V)))
 	}
 	sort.Strings(order) // deterministic manifest regardless of param order
 	entries := make([]store.PackEntry, 0, len(order))

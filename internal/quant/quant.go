@@ -76,26 +76,34 @@ func RTNGroup(data []float32, bits int, codes []uint16, rec []float32) (lo, hi f
 }
 
 // RTNGroupwise applies asymmetric RTN independently to groups of groupSize
-// consecutive values (the "-128G" configurations in the paper's Table 1).
-// It returns the dequantized values and the effective storage cost in bits
-// per value, accounting for one FP16 scale and FP16 zero-point per group.
+// consecutive values — all of data when groupSize ≤ 0 (the "-128G"
+// configurations in the paper's Table 1 use 128). It returns the dequantized
+// values and the effective storage cost in bits per value, accounting for
+// one FP16 scale and FP16 zero-point per group.
 func RTNGroupwise(data []float32, bits, groupSize int) ([]float32, float64) {
+	rec, sideBits := rtnGroups(data, bits, groupSize, nil)
+	return rec, float64(bits) + float64(sideBits)/float64(len(data))
+}
+
+// rtnGroups is the group loop under RTNGroupwise and RTNSymbols: RTNGroup on
+// every run of groupSize values (all of data when groupSize ≤ 0), writing the
+// level codes too when codes is non-nil. sideBits is what the groups' FP16
+// scales and zero points take: 32 a group.
+func rtnGroups(data []float32, bits, groupSize int, codes []uint16) (rec []float32, sideBits int) {
 	if groupSize <= 0 {
-		panic("quant: groupSize must be positive")
+		groupSize = len(data)
 	}
-	out := make([]float32, len(data))
-	groups := 0
+	rec = make([]float32, len(data))
 	for start := 0; start < len(data); start += groupSize {
-		end := start + groupSize
-		if end > len(data) {
-			end = len(data)
+		end := min(start+groupSize, len(data))
+		var c []uint16
+		if codes != nil {
+			c = codes[start:end]
 		}
-		RTNGroup(data[start:end], bits, nil, out[start:end])
-		groups++
+		RTNGroup(data[start:end], bits, c, rec[start:end])
+		sideBits += 32
 	}
-	meta := float64(groups) * 32 // FP16 scale + FP16 zero per group
-	bpv := float64(bits) + meta/float64(len(data))
-	return out, bpv
+	return rec, sideBits
 }
 
 // MinMax scans for the finite value range: NaN entries contribute nothing
@@ -227,14 +235,11 @@ func newMXFPFormat(name string, e, m int) *MXFPFormat {
 	return f
 }
 
-// Bits reports the element width including the sign bit.
-func (f *MXFPFormat) Bits() int { return 1 + f.ExpBits + f.ManBits }
-
 // Max reports the largest representable magnitude.
 func (f *MXFPFormat) Max() float64 { return f.grid[len(f.grid)-1] }
 
-// nearest returns the closest representable magnitude to |v|.
-func (f *MXFPFormat) nearest(v float64) float64 {
+// nearestIndex returns the index of the grid magnitude closest to v ≥ 0.
+func (f *MXFPFormat) nearestIndex(v float64) int {
 	lo, hi := 0, len(f.grid)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -245,50 +250,9 @@ func (f *MXFPFormat) nearest(v float64) float64 {
 		}
 	}
 	if lo > 0 && v-f.grid[lo-1] < f.grid[lo]-v {
-		return f.grid[lo-1]
+		return lo - 1
 	}
-	return f.grid[lo]
-}
-
-// MXBlockSize is the standard MX scaling-block length.
-const MXBlockSize = 32
-
-// MXFPQuantize quantizes data into the MX format: each block of MXBlockSize
-// values shares an 8-bit power-of-two scale; elements are rounded to the
-// format's grid. Returns dequantized values and storage bits per value
-// (element bits plus the amortized shared scale).
-func MXFPQuantize(data []float32, f *MXFPFormat) ([]float32, float64) {
-	out := make([]float32, len(data))
-	blocks := 0
-	for start := 0; start < len(data); start += MXBlockSize {
-		end := start + MXBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		blocks++
-		var amax float64
-		for _, v := range data[start:end] {
-			if a := math.Abs(Sanitize(v)); a > amax {
-				amax = a
-			}
-		}
-		if amax == 0 {
-			continue
-		}
-		// Shared scale: power of two putting amax at the top of the grid.
-		e := math.Ceil(math.Log2(amax / f.Max()))
-		scale := math.Pow(2, e)
-		for i := start; i < end; i++ {
-			v := Sanitize(data[i]) / scale
-			q := f.nearest(math.Abs(v))
-			if v < 0 {
-				q = -q
-			}
-			out[i] = clampFinite32(q * scale)
-		}
-	}
-	bpv := float64(f.Bits()) + float64(blocks)*8/float64(len(data))
-	return out, bpv
+	return lo
 }
 
 // MSE computes the mean squared error between two equal-length slices.

@@ -2,88 +2,64 @@ package quant
 
 import "math"
 
-// RTNSymbols quantizes data with group-wise asymmetric RTN and additionally
-// returns the integer level of every value as a byte symbol — the
-// serialization that feeds the chained entropy-coding pipelines of §7.1
-// (quantize → symbols → Huffman/Deflate/LZ4/CABAC). bits must be ≤ 8.
-// The raw storage cost is bits per value plus 32 bits of FP16 scale+zero per
-// group; entropy coding replaces the `bits` part.
-func RTNSymbols(data []float32, bits, groupSize int) (symbols []byte, rec []float32, groups int) {
+// RTNSymbols quantizes data with group-wise asymmetric RTN (groupSize ≤ 0:
+// one group) and additionally returns the integer level of every value as a
+// byte symbol — the serialization that feeds the chained entropy-coding
+// pipelines of §7.1 (quantize → symbols → Huffman/Deflate/LZ4/CABAC). bits
+// must be ≤ 8. sideBits is the groups' FP16 scales and zero points, 32 a
+// group; entropy coding replaces the `bits` part of the raw cost.
+func RTNSymbols(data []float32, bits, groupSize int) (symbols []byte, rec []float32, sideBits int) {
 	if bits < 1 || bits > 8 {
 		panic("quant: RTNSymbols needs 1..8 bits")
 	}
-	if groupSize <= 0 {
-		groupSize = len(data)
-	}
+	codes := make([]uint16, len(data))
+	rec, sideBits = rtnGroups(data, bits, groupSize, codes)
 	symbols = make([]byte, len(data))
-	rec = make([]float32, len(data))
-	codes := make([]uint16, groupSize)
-	for start := 0; start < len(data); start += groupSize {
-		end := start + groupSize
-		if end > len(data) {
-			end = len(data)
-		}
-		groups++
-		RTNGroup(data[start:end], bits, codes, rec[start:end])
-		for i, q := range codes[:end-start] {
-			symbols[start+i] = byte(q)
-		}
+	for i, q := range codes {
+		symbols[i] = byte(q)
 	}
-	return symbols, rec, groups
+	return symbols, rec, sideBits
 }
 
-// MXFPSymbols quantizes data into the MX format and returns one byte symbol
-// per value (grid index with the sign in the top bit) plus one scale byte
-// per block, for the chained entropy-coding pipelines.
-func MXFPSymbols(data []float32, f *MXFPFormat) (symbols []byte, rec []float32, scaleBytes int) {
+// MXBlockSize is the standard MX scaling-block length.
+const MXBlockSize = 32
+
+// MXFPSymbols quantizes data into the MX format: each block of MXBlockSize
+// values shares an 8-bit power-of-two scale and elements are rounded to the
+// format's grid. It returns one byte symbol per value (grid index with the
+// sign in the top bit) for the chained entropy-coding pipelines, the
+// dequantized values, and the blocks' shared scales in bits, 8 a block.
+// Inputs are sanitized first (NaN as 0, ±Inf at the float32 extremes), so one
+// non-finite value cannot turn its block's scale, and with it every element,
+// into NaN.
+func MXFPSymbols(data []float32, f *MXFPFormat) (symbols []byte, rec []float32, sideBits int) {
 	symbols = make([]byte, len(data))
 	rec = make([]float32, len(data))
 	for start := 0; start < len(data); start += MXBlockSize {
-		end := start + MXBlockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		scaleBytes++
+		end := min(start+MXBlockSize, len(data))
+		sideBits += 8
 		var amax float64
 		for _, v := range data[start:end] {
-			if a := math.Abs(float64(v)); a > amax {
+			if a := math.Abs(Sanitize(v)); a > amax {
 				amax = a
 			}
 		}
 		if amax == 0 {
 			continue
 		}
+		// Shared scale: power of two putting amax at the top of the grid.
 		e := math.Ceil(math.Log2(amax / f.Max()))
 		scale := math.Pow(2, e)
 		for i := start; i < end; i++ {
-			v := float64(data[i]) / scale
+			v := Sanitize(data[i]) / scale
 			idx := f.nearestIndex(math.Abs(v))
-			q := f.grid[idx]
-			sym := byte(idx)
+			q, sym := f.grid[idx], byte(idx)
 			if v < 0 {
-				q = -q
-				sym |= 0x80
+				q, sym = -q, sym|0x80
 			}
 			symbols[i] = sym
-			rec[i] = float32(q * scale)
+			rec[i] = clampFinite32(q * scale)
 		}
 	}
-	return symbols, rec, scaleBytes
-}
-
-// nearestIndex returns the grid index closest to |v|.
-func (f *MXFPFormat) nearestIndex(v float64) int {
-	lo, hi := 0, len(f.grid)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.grid[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 && v-f.grid[lo-1] < f.grid[lo]-v {
-		return lo - 1
-	}
-	return lo
+	return symbols, rec, sideBits
 }

@@ -11,22 +11,19 @@ import (
 	"math/rand"
 
 	"repro/internal/data"
+	"repro/internal/llm"
 	"repro/internal/nn"
 )
-
-// TensorTransform lossily round-trips a tensor crossing a communication
-// boundary, returning what the receiver sees and the wire cost in bits per
-// value. nil transforms mean uncompressed FP16 (16 bits per value).
-type TensorTransform func(m *nn.Mat) (*nn.Mat, float64, error)
 
 // PipelineConfig configures pipeline-parallel training.
 type PipelineConfig struct {
 	Stages int // must divide the model's layer count
 
 	// CompressActivations is applied to boundary activations on the forward
-	// pass; CompressActGrads to boundary gradients on the backward pass.
-	CompressActivations TensorTransform
-	CompressActGrads    TensorTransform
+	// pass; CompressActGrads to boundary gradients on the backward pass. A nil
+	// compressor is the uncompressed FP16 link (16 bits per value).
+	CompressActivations llm.Compressor
+	CompressActGrads    llm.Compressor
 
 	MicroBatch int // sequences per microbatch
 	AccumSteps int // gradient accumulation (microbatches per step)

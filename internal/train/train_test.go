@@ -9,6 +9,7 @@ import (
 	"repro/internal/allreduce"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/llm"
 	"repro/internal/nn"
 )
 
@@ -44,7 +45,7 @@ func TestPipelineWithActivationCompressionStillLearns(t *testing.T) {
 	m, corpus := smallSetup(3)
 	res, err := RunPipeline(m, corpus, nn.NewAdam(3e-3), PipelineConfig{
 		Stages: 4, MicroBatch: 4, AccumSteps: 2,
-		CompressActivations: LLM265Transform(core.DefaultOptions(), 3.5),
+		CompressActivations: llm.Codec(core.DefaultOptions(), 3.5),
 	}, 120, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +63,8 @@ func TestPipelineResidualGradCompression(t *testing.T) {
 	m, corpus := smallSetup(5)
 	res, err := RunPipeline(m, corpus, nn.NewAdam(3e-3), PipelineConfig{
 		Stages: 2, MicroBatch: 4, AccumSteps: 1,
-		CompressActivations: LLM265Transform(core.DefaultOptions(), 3.5),
-		CompressActGrads:    LLM265ResidualTransform(core.DefaultOptions(), 3.5, 3.5, 40),
+		CompressActivations: llm.Codec(core.DefaultOptions(), 3.5),
+		CompressActGrads:    llm.Residual(core.DefaultOptions(), 3.5, 3.5, 40),
 	}, 80, 6)
 	if err != nil {
 		t.Fatal(err)
