@@ -97,13 +97,14 @@ store-test:
 	$(GO) test -race ./internal/store/ ./internal/llm/
 
 # The KV-cache tier under the race detector: flush-counter and aliasing unit
-# tests, the aliased-twin property (both entropy backends), the HTTP handler
-# taxonomy, and the full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
+# tests, the aliased-twin property, the HTTP handler taxonomy, and the
+# full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
 # interleaved append/read/expire churn under a tight byte budget, asserting
 # zero corrupt reads, resident≤budget at every sample, 206 windows
-# consistent with the eviction log, and a leak-free drain (DESIGN.md §16).
-# That a ranged read under any append schedule returns the one-shot bytes, on
-# both backends at every worker count, is internal/conformance's kv path.
+# consistent with the eviction log, and a leak-free drain, and logs the live
+# heap beside Resident and Budget (DESIGN.md §16). That a ranged read under
+# any append schedule returns the one-shot bytes, at every worker count, is
+# internal/conformance's kv path (CABAC cells: KV chunks are CABAC only).
 kv-test:
 	KV_SOAK=1 $(GO) test -race ./internal/kv/ -timeout 30m
 
@@ -129,8 +130,14 @@ benchmark-test:
 	$(GO) test -C benchmark ./...
 
 # kv-test and train-test stay beside `race` because KV_SOAK=1/TRAIN_SOAK=1
-# change what runs.
-ci: surface build test portable benchmark-test kv-test train-test race fuzz-smoke
+# change what runs. The steps run in order, each followed by its wall time
+# (`ci: <step> <N> s`), and the first failure stops the run.
+ci:
+	@for step in surface build test portable benchmark-test kv-test train-test race fuzz-smoke; do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$step || exit 1; \
+		echo "ci: $$step $$(($$(date +%s) - start)) s"; \
+	done
 
 # Coverage-guided fuzzing of every decode entry point, FUZZTIME per target.
 # Each target is seeded from valid round-trip containers, so the fuzzer

@@ -225,7 +225,8 @@ func TestVerifyExitCodes(t *testing.T) {
 // TestUsageErrors: a subcommand missing its required flags (or given an
 // impossible geometry) exits 1 with a message; no subcommand or an unknown
 // one — the retired `bench` included — prints usage and exits 2, as does a
-// flag the subcommand does not define (the retired -fast-search) or a flag
+// flag the subcommand does not define (the retired -fast-search, proxy's
+// -vnodes, serve's -deadline) or a flag
 // value it cannot run at (serve's -kv-qp: a server started with it would
 // answer its kv PUTs 400; the unlistenable -addr keeps a regression from
 // hanging the test).
@@ -261,6 +262,8 @@ func TestUsageErrors(t *testing.T) {
 		{"retired-bench", []string{"bench", "-layers", "2"}, 2, "usage: llm265"},
 		{"encode-retired-fast-search", append([]string{"encode", "-fast-search", "-qp", "24", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...),
 			2, "flag provided but not defined: -fast-search"},
+		{"proxy-retired-vnodes", []string{"proxy", "-addr", "nowhere", "-backends", "nowhere", "-vnodes", "128"}, 2, "flag provided but not defined: -vnodes"},
+		{"serve-retired-deadline", []string{"serve", "-addr", "nowhere", "-deadline", "1s"}, 2, "flag provided but not defined: -deadline"},
 		{"serve-kv-qp-above-range", []string{"serve", "-addr", "nowhere", "-kv-qp", "52"}, 2, "flag -kv-qp: out of range [0, 51]"},
 		{"serve-kv-qp-negative", []string{"serve", "-addr", "nowhere", "-kv-qp", "-1"}, 2, "flag -kv-qp: out of range [0, 51]"},
 	}

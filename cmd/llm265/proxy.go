@@ -21,29 +21,14 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/proxy"
 )
 
 func proxyCmd(args []string) {
 	fs := flag.NewFlagSet("proxy", flag.ExitOnError)
 	var (
-		addr          = fs.String("addr", ":8266", "listen address")
-		backends      = fs.String("backends", "", "comma-separated backend base URLs (required), e.g. http://10.0.0.1:8265,http://10.0.0.2:8265")
-		vnodes        = fs.Int("vnodes", 128, "virtual nodes per backend on the hash ring")
-		probeInterval = fs.Duration("probe-interval", time.Second, "active /healthz probe period")
-		probeTimeout  = fs.Duration("probe-timeout", 500*time.Millisecond, "single probe timeout")
-		rise          = fs.Int("rise", 2, "consecutive healthy probes to readmit a backend")
-		fall          = fs.Int("fall", 2, "consecutive failed probes to eject a backend")
-		breakerThresh = fs.Int("breaker-threshold", 3, "consecutive request failures that open a backend's circuit")
-		openTimeout   = fs.Duration("open-timeout", 2*time.Second, "open-circuit cool-down before a half-open probe request")
-		maxRetries    = fs.Int("max-retries", 2, "retry budget after the first attempt (0 disables retries)")
-		retryBase     = fs.Duration("retry-base", 25*time.Millisecond, "backoff base (capped exponential, full jitter)")
-		retryCap      = fs.Duration("retry-cap", time.Second, "backoff cap")
-		attemptTO     = fs.Duration("attempt-timeout", 0, "per-attempt upstream timeout (0 = client deadline only)")
-		hedgeDelay    = fs.Duration("hedge-delay", 0, "fixed decode hedging delay (0 = derive from observed upstream p99)")
-		noHedge       = fs.Bool("no-hedge", false, "disable hedged decode requests")
-		maxBody       = fs.Int64("max-body", 1<<30, "request body cap in bytes (413 beyond)")
+		addr     = fs.String("addr", ":8266", "listen address")
+		backends = fs.String("backends", "", "comma-separated backend base URLs (required), e.g. http://10.0.0.1:8265,http://10.0.0.2:8265")
 	)
 	fs.Parse(args)
 	if *backends == "" {
@@ -61,30 +46,7 @@ func proxyCmd(args []string) {
 		}
 	}
 
-	// The flag meaning of 0 retries is "disabled"; the Config sentinel for
-	// disabled is negative (0 selects the default).
-	retries := *maxRetries
-	if retries == 0 {
-		retries = -1
-	}
-	p, err := proxy.New(proxy.Config{
-		Backends:         urls,
-		VirtualNodes:     *vnodes,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		Rise:             *rise,
-		Fall:             *fall,
-		BreakerThreshold: *breakerThresh,
-		OpenTimeout:      *openTimeout,
-		MaxRetries:       retries,
-		RetryBase:        *retryBase,
-		RetryCap:         *retryCap,
-		AttemptTimeout:   *attemptTO,
-		HedgeDelay:       *hedgeDelay,
-		DisableHedge:     *noHedge,
-		MaxBodyBytes:     *maxBody,
-		Metrics:          obs.NewRegistry(),
-	})
+	p, err := proxy.New(proxy.Config{Backends: urls})
 	if err != nil {
 		fatal(err)
 	}
@@ -98,8 +60,7 @@ func proxyCmd(args []string) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("llm265 proxy: listening on %s over %d backend(s) (probe %v, breaker %d/%v, retries %d)\n",
-			*addr, len(urls), *probeInterval, *breakerThresh, *openTimeout, *maxRetries)
+		fmt.Printf("llm265 proxy: listening on %s over %d backend(s)\n", *addr, len(urls))
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

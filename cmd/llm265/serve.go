@@ -1,13 +1,14 @@
 // The serve subcommand: the long-running HTTP face of the codec
 // (DESIGN.md §12).
 //
-//	llm265 serve -addr :8265 -workers 8 -max-inflight 4 -deadline 2s
+//	llm265 serve -addr :8265 -workers 8 -max-inflight 4
 //
 // Endpoints: POST /v1/encode, POST /v1/decode, PUT/GET/DELETE
-// /v1/kv/{session}, GET /healthz, GET /metricsz.
+// /v1/kv/{session}, GET /healthz, GET /metricsz. A client bounds a request's
+// compute with ?deadline_ms=N.
 // SIGTERM or SIGINT starts a graceful drain: the listener stops accepting,
-// /healthz flips to 503, inflight requests run to completion (bounded by
-// -drain-timeout), then the process exits 0.
+// /healthz flips to 503, inflight requests run to completion (for at most
+// drainTimeout, 30 s), then the process exits 0.
 package main
 
 import (
@@ -22,24 +23,20 @@ import (
 	"time"
 
 	"repro/internal/dct"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
+
+// drainTimeout bounds how long a SIGTERM drain waits for inflight requests.
+const drainTimeout = 30 * time.Second
 
 func serveCmd(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		addr         = fs.String("addr", ":8265", "listen address")
-		workers      = fs.Int("workers", 0, "codec worker pool size per request (0 = GOMAXPROCS)")
-		maxInflight  = fs.Int("max-inflight", 4, "concurrently executing encode/decode jobs")
-		maxQueue     = fs.Int("max-queue", 0, "requests waiting for a slot before 429 (0 = 2×max-inflight)")
-		deadline     = fs.Duration("deadline", 0, "per-request compute budget (0 = none; clients can tighten with ?deadline_ms)")
-		maxBody      = fs.Int64("max-body", 1<<30, "request body cap in bytes (413 beyond)")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for inflight requests")
-		kvBudget     = fs.Int64("kv-budget", 256<<20, "KV-cache tier resident byte budget (eviction fits it; 507 when an append can never fit)")
-		kvTTL        = fs.Duration("kv-ttl", 15*time.Minute, "KV session idle TTL (negative = no expiry)")
-		kvFlushRows  = fs.Int("kv-flush-rows", 0, "KV token rows per compressed chunk (0 = default 32)")
-		kvQP         = fs.Int("kv-qp", 12, fmt.Sprintf("KV chunk quantization parameter, 0..%d (0 = default 12)", dct.MaxQP))
+		addr        = fs.String("addr", ":8265", "listen address")
+		workers     = fs.Int("workers", 0, "codec worker pool size per request (0 = GOMAXPROCS)")
+		maxInflight = fs.Int("max-inflight", 4, "concurrently executing encode/decode jobs")
+		kvBudget    = fs.Int64("kv-budget", 256<<20, "KV-cache tier resident byte budget (eviction fits it; 507 when an append can never fit)")
+		kvQP        = fs.Int("kv-qp", 12, fmt.Sprintf("KV chunk quantization parameter, 0..%d (0 = default 12)", dct.MaxQP))
 	)
 	fs.Parse(args)
 	if *kvQP < 0 || *kvQP > dct.MaxQP {
@@ -52,13 +49,7 @@ func serveCmd(args []string) {
 	srv := serve.New(serve.Config{
 		Workers:       *workers,
 		MaxInflight:   *maxInflight,
-		MaxQueue:      *maxQueue,
-		Deadline:      *deadline,
-		MaxBodyBytes:  *maxBody,
-		Metrics:       obs.NewRegistry(),
 		KVBudgetBytes: *kvBudget,
-		KVTTL:         *kvTTL,
-		KVFlushRows:   *kvFlushRows,
 		KVQP:          *kvQP,
 	})
 	httpSrv := &http.Server{
@@ -69,8 +60,7 @@ func serveCmd(args []string) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("llm265 serve: listening on %s (max-inflight %d, max-queue %d, deadline %v)\n",
-			*addr, *maxInflight, *maxQueue, *deadline)
+		fmt.Printf("llm265 serve: listening on %s (max-inflight %d)\n", *addr, *maxInflight)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -82,12 +72,12 @@ func serveCmd(args []string) {
 		// port in use) — report and fail.
 		fatal(err)
 	case sig := <-sigCh:
-		fmt.Printf("llm265 serve: %v, draining (timeout %v)\n", sig, *drainTimeout)
+		fmt.Printf("llm265 serve: %v, draining (timeout %v)\n", sig, drainTimeout)
 	}
 
 	// Graceful drain: stop admitting (healthz flips to 503, new jobs get
 	// 503), let inflight jobs finish, then close the listener.
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(ctx)
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

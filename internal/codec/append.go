@@ -19,26 +19,20 @@
 //     standalone hardened v3 container with a chunk-index trailer, built
 //     from the stored payloads alone (writeContainer): no entropy work, no
 //     plane data. The snapshot decodes byte-identically to the same crop of
-//     a one-shot encode (append_test.go proves it across backends).
+//     a one-shot encode (append_test.go proves it at every worker count).
 //   - DropPlanes releases the payload prefix under eviction pressure;
 //     Snapshot refuses ranges that reach into the dropped prefix.
 //
-// rANS and the frozen table: the shared probability table of a one-shot
-// container is built from every chunk's bin statistics, which an incremental
-// encoder cannot know. Appender freezes the table from the *first* chunk it
-// encodes and assembles every later chunk against it. Entropy efficiency
-// degrades marginally (the table is an estimate, not the aggregate), but
-// reconstructions are untouched — the table only reweights the lossless
-// entropy stage — and the container stays schedule-independent. An aliased
-// session adopts its donor's table via SetTable before the first append, so
-// shared-prefix payload bytes stay byte-identical.
+// Chunks are CABAC only: a rANS payload decodes against a probability table
+// built from every chunk of its container, which a growing container cannot
+// know, so Append and AppendEncoded refuse a rANS tool set.
 //
 // Appender is not safe for concurrent use; the kv session lock serializes it.
 package codec
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -60,7 +54,6 @@ type Appender struct {
 	// dropped (evicted) chunk keeps its entry with a nil payload.
 	chunks  []chunkRec
 	regions []PlaneRegion
-	ransTab *[nCtxSlots]uint8
 
 	dropped      int   // planes [0, dropped) have released payloads
 	payloadBytes int64 // live (non-dropped) payload bytes
@@ -82,38 +75,8 @@ func (a *Appender) DroppedPlanes() int { return a.dropped }
 // PayloadBytes returns the resident compressed bytes (live payloads only).
 func (a *Appender) PayloadBytes() int64 { return a.payloadBytes }
 
-// Table returns a copy of the frozen rANS probability table, or nil when no
-// table exists yet (CABAC backend, or no chunk encoded and none adopted).
-func (a *Appender) Table() []uint8 {
-	if a.ransTab == nil {
-		return nil
-	}
-	t := make([]uint8, nCtxSlots)
-	copy(t, a.ransTab[:])
-	return t
-}
-
-// SetTable adopts a donor session's frozen rANS table. Legal only on the
-// rANS backend, before any table exists; adopting the exact same table again
-// is a no-op.
-func (a *Appender) SetTable(tab []uint8) error {
-	if a.tools.Backend != BackendRANS {
-		return fmt.Errorf("codec: appender backend has no probability table")
-	}
-	if len(tab) != nCtxSlots {
-		return fmt.Errorf("codec: probability table has %d slots, want %d", len(tab), nCtxSlots)
-	}
-	if a.ransTab != nil {
-		if !bytes.Equal(a.ransTab[:], tab) {
-			return fmt.Errorf("codec: appender table already frozen to a different table")
-		}
-		return nil
-	}
-	var t [nCtxSlots]uint8
-	copy(t[:], tab)
-	a.ransTab = &t
-	return nil
-}
+// errAppendRANS refuses a rANS tool set (see the package doc).
+var errAppendRANS = errors.New("codec: appended chunks are CABAC only")
 
 // Append encodes planes as one immutable chunk each and commits them. It
 // returns the per-plane payload bytes (for content addressing) and the
@@ -121,6 +84,9 @@ func (a *Appender) SetTable(tab []uint8) error {
 // tensor-space rect per plane; rects are stored in the snapshot trailers
 // verbatim. On error nothing is committed.
 func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []PlaneRegion) ([][]byte, Stats, error) {
+	if a.tools.Backend != BackendCABAC {
+		return nil, Stats{}, errAppendRANS
+	}
 	if err := validateEncode(planes, EncodeConfig{QP: a.qp, Profile: a.prof, Tools: a.tools}); err != nil {
 		return nil, Stats{}, err
 	}
@@ -136,19 +102,9 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 	for i := range planes {
 		spans[i] = [2]int{i, i + 1}
 	}
-	chunks, records, recs, err := encodeChunks(ctx, planes, spans, a.qp, a.prof, a.tools, a.workers, a.m)
+	chunks, _, recs, err := encodeChunks(ctx, planes, spans, a.qp, a.prof, a.tools, a.workers, a.m)
 	if err != nil {
 		return nil, Stats{}, err
-	}
-	if records != nil {
-		if a.ransTab == nil {
-			// Freeze from the first chunk only — not this call's aggregate —
-			// so the table (and every payload after it) is independent of how
-			// many planes the first call happened to carry.
-			tab := buildRansTable(records[:1])
-			a.ransTab = &tab
-		}
-		sealRans(chunks, records, a.ransTab)
 	}
 	seal(chunks)
 	payloads := make([][]byte, len(chunks))
@@ -173,17 +129,15 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 // prefix-aliasing fast path: a session whose next flush group hashes to a
 // chunk some donor session already encoded adopts the donor's payload bytes
 // without running the encoder (and so without advancing encode counters).
-// On the rANS backend the appender must already hold the donor's table
-// (SetTable), since payload bits are only decodable against it.
 func (a *Appender) AppendEncoded(payload []byte, w, h int, region PlaneRegion) error {
+	if a.tools.Backend != BackendCABAC {
+		return errAppendRANS
+	}
 	if w <= 0 || h <= 0 || w > a.prof.MaxFrameDim || h > a.prof.MaxFrameDim {
 		return fmt.Errorf("codec: aliased chunk dims %dx%d out of range", w, h)
 	}
 	if region.W != w || region.H != h || region.Layer < 0 || region.X0 < 0 || region.Y0 < 0 {
 		return fmt.Errorf("codec: aliased chunk region does not frame its %dx%d plane", w, h)
-	}
-	if a.tools.Backend == BackendRANS && a.ransTab == nil {
-		return fmt.Errorf("codec: aliased rANS chunk before table adoption")
 	}
 	a.dims = append(a.dims, [2]int{w, h})
 	a.chunks = append(a.chunks, chunkRec{payload: payload, crc: crc32.Checksum(payload, crcTable), planes: 1})
@@ -222,7 +176,7 @@ func (a *Appender) Snapshot(first, count int) ([]byte, error) {
 		return nil, fmt.Errorf("codec: snapshot planes [%d,%d) outside live range [%d,%d)",
 			first, first+count, a.dropped, len(a.dims))
 	}
-	out, _ := writeContainer(versionChecksummed, a.dims[first:first+count], a.qp, a.prof, a.tools, a.ransTab,
+	out, _ := writeContainer(versionChecksummed, a.dims[first:first+count], a.qp, a.prof, a.tools, nil,
 		a.chunks[first:first+count], &indexSpec{regions: a.regions[first : first+count]})
 	return out, nil
 }

@@ -45,58 +45,56 @@ func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, regions 
 	return all
 }
 
-// TestAppenderSnapshotMatchesOneShot: for both backends and several worker
-// counts, a full-range snapshot of an incrementally grown container decodes
+// TestAppenderSnapshotMatchesOneShot: at several worker counts, a full-range
+// snapshot of an incrementally grown container decodes
 // to exactly the planes a one-shot encode of the same stack reconstructs —
 // and every partial snapshot equals the matching crop.
 func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 	planes, regions := appendPlanes(11, 8)
-	for _, tools := range []Tools{AllTools, ransTools()} {
-		oneShot, _, err := encodeAs(ContainerV3, planes, 24, HEVC, tools, 2)
+	oneShot, _, err := encodeAs(ContainerV3, planes, 24, HEVC, AllTools, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := decodeAll(oneShot, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		app := NewAppender(24, HEVC, AllTools, workers, nil)
+		appendSchedule(t, app, planes, regions, []int{1, 3, 2, 1, 1})
+		snap, err := app.Snapshot(0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := decodeAll(oneShot, 2)
+		got, err := decodeAll(snap, workers)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers %d: decoding snapshot: %v", workers, err)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			app := NewAppender(24, HEVC, tools, workers, nil)
-			appendSchedule(t, app, planes, regions, []int{1, 3, 2, 1, 1})
-			snap, err := app.Snapshot(0, 8)
+		requirePlanesEqual(t, "snapshot vs one-shot", got, want)
+
+		// The snapshot is a genuine indexed container: its trailer carries
+		// the absolute token-space rects.
+		lay, err := Layout(snap)
+		if err != nil || lay.Index == nil {
+			t.Fatalf("snapshot layout: %+v, %v", lay, err)
+		}
+		for i, r := range lay.Index.Regions {
+			if r != regions[i] {
+				t.Fatalf("snapshot region %d = %+v, want %+v", i, r, regions[i])
+			}
+		}
+
+		// Partial snapshots: every window equals the full decode's crop.
+		for _, win := range [][2]int{{0, 1}, {3, 2}, {7, 1}, {2, 6}} {
+			snap, err := app.Snapshot(win[0], win[1])
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("Snapshot[%d,+%d): %v", win[0], win[1], err)
 			}
 			got, err := decodeAll(snap, workers)
 			if err != nil {
-				t.Fatalf("backend %v workers %d: decoding snapshot: %v", tools.Backend, workers, err)
+				t.Fatalf("decoding Snapshot[%d,+%d): %v", win[0], win[1], err)
 			}
-			requirePlanesEqual(t, "snapshot vs one-shot", got, want)
-
-			// The snapshot is a genuine indexed container: its trailer carries
-			// the absolute token-space rects.
-			lay, err := Layout(snap)
-			if err != nil || lay.Index == nil {
-				t.Fatalf("snapshot layout: %+v, %v", lay, err)
-			}
-			for i, r := range lay.Index.Regions {
-				if r != regions[i] {
-					t.Fatalf("snapshot region %d = %+v, want %+v", i, r, regions[i])
-				}
-			}
-
-			// Partial snapshots: every window equals the full decode's crop.
-			for _, win := range [][2]int{{0, 1}, {3, 2}, {7, 1}, {2, 6}} {
-				snap, err := app.Snapshot(win[0], win[1])
-				if err != nil {
-					t.Fatalf("Snapshot[%d,+%d): %v", win[0], win[1], err)
-				}
-				got, err := decodeAll(snap, workers)
-				if err != nil {
-					t.Fatalf("decoding Snapshot[%d,+%d): %v", win[0], win[1], err)
-				}
-				requirePlanesEqual(t, "partial snapshot", got, want[win[0]:win[0]+win[1]])
-			}
+			requirePlanesEqual(t, "partial snapshot", got, want[win[0]:win[0]+win[1]])
 		}
 	}
 }
@@ -108,28 +106,26 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 func TestAppenderScheduleIndependentBytes(t *testing.T) {
 	planes, regions := appendPlanes(23, 7)
 	schedules := [][]int{{7}, {1, 1, 1, 1, 1, 1, 1}, {2, 3, 2}, {1, 6}}
-	for _, tools := range []Tools{AllTools, ransTools()} {
-		var refPayloads [][]byte
-		var refSnap []byte
-		for si, sizes := range schedules {
-			app := NewAppender(24, HEVC, tools, 2, nil)
-			payloads := appendSchedule(t, app, planes, regions, sizes)
-			snap, err := app.Snapshot(0, 7)
-			if err != nil {
-				t.Fatal(err)
+	var refPayloads [][]byte
+	var refSnap []byte
+	for si, sizes := range schedules {
+		app := NewAppender(24, HEVC, AllTools, 2, nil)
+		payloads := appendSchedule(t, app, planes, regions, sizes)
+		snap, err := app.Snapshot(0, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if si == 0 {
+			refPayloads, refSnap = payloads, snap
+			continue
+		}
+		for i := range payloads {
+			if !bytes.Equal(payloads[i], refPayloads[i]) {
+				t.Fatalf("schedule %v: chunk %d payload differs", sizes, i)
 			}
-			if si == 0 {
-				refPayloads, refSnap = payloads, snap
-				continue
-			}
-			for i := range payloads {
-				if !bytes.Equal(payloads[i], refPayloads[i]) {
-					t.Fatalf("backend %v schedule %v: chunk %d payload differs", tools.Backend, sizes, i)
-				}
-			}
-			if !bytes.Equal(snap, refSnap) {
-				t.Fatalf("backend %v schedule %v: snapshot bytes differ", tools.Backend, sizes)
-			}
+		}
+		if !bytes.Equal(snap, refSnap) {
+			t.Fatalf("schedule %v: snapshot bytes differ", sizes)
 		}
 	}
 }
@@ -180,48 +176,20 @@ func TestAppenderNeverReencodes(t *testing.T) {
 	}
 }
 
-// TestAppenderRansTableAdoption: an aliased rANS session must adopt the
-// donor's frozen table before AppendEncoded, after which donor and twin are
-// byte-identical; a conflicting adoption is rejected.
-func TestAppenderRansTableAdoption(t *testing.T) {
-	planes, regions := appendPlanes(17, 4)
-	donor := NewAppender(24, HEVC, ransTools(), 1, nil)
-	payloads := appendSchedule(t, donor, planes, regions, []int{2, 2})
-	tab := donor.Table()
-	if tab == nil {
-		t.Fatal("donor has no frozen table")
+// TestAppenderRefusesRANS: a rANS tool set is refused by Append and by
+// AppendEncoded, and nothing is committed.
+func TestAppenderRefusesRANS(t *testing.T) {
+	planes, regions := appendPlanes(17, 1)
+	app := NewAppender(24, HEVC, ransTools(), 1, nil)
+	if _, _, err := app.Append(context.Background(), planes, regions); err == nil {
+		t.Fatal("Append accepted a rANS tool set")
 	}
-
-	twin := NewAppender(24, HEVC, ransTools(), 1, nil)
-	if err := twin.AppendEncoded(payloads[0], 32, 16, regions[0]); err == nil {
-		t.Fatal("AppendEncoded accepted a rANS chunk before table adoption")
+	payloads := appendSchedule(t, NewAppender(24, HEVC, AllTools, 1, nil), planes, regions, []int{1})
+	if err := app.AppendEncoded(payloads[0], 32, 16, regions[0]); err == nil {
+		t.Fatal("AppendEncoded accepted a chunk into a rANS appender")
 	}
-	if err := twin.SetTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if err := twin.AppendEncoded(p, 32, 16, regions[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a, _ := donor.Snapshot(0, 4)
-	b, _ := twin.Snapshot(0, 4)
-	if !bytes.Equal(a, b) {
-		t.Fatal("aliased rANS twin snapshot differs from the donor's")
-	}
-	if _, err := decodeAll(b, 4); err != nil {
-		t.Fatalf("decoding aliased rANS snapshot: %v", err)
-	}
-
-	// Freezing a different table over an existing one is an error; the
-	// identical table is a no-op.
-	other := append([]uint8(nil), tab...)
-	other[0] ^= 0x55
-	if err := twin.SetTable(other); err == nil {
-		t.Fatal("SetTable accepted a conflicting table")
-	}
-	if err := twin.SetTable(tab); err != nil {
-		t.Fatalf("re-adopting the same table: %v", err)
+	if app.Planes() != 0 {
+		t.Fatalf("refused appends committed %d planes", app.Planes())
 	}
 }
 

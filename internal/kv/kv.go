@@ -19,9 +19,9 @@
 //     for identical prefixes, and the table maps digest → content-addressed
 //     chunk in a store.BlobCache: an alias hit adopts the donor's payload
 //     bytes (zero encode work, zero extra resident bytes) instead of
-//     re-encoding. Chunk payload bytes are schedule-independent (one chunk
-//     per flush group, rANS table frozen at the first group), which is what
-//     makes the digest → bytes mapping well-defined.
+//     re-encoding. Chunk payload bytes are schedule-independent (one CABAC
+//     chunk per flush group), which is what makes the digest → bytes mapping
+//     well-defined.
 //
 // Scale machinery: the session table is sharded by session-name hash into
 // mutex-striped shards, each with its own LRU list. Resident bytes (unique
@@ -84,8 +84,6 @@ var (
 
 // Config sizes the table. Zero fields are defaulted by New.
 type Config struct {
-	// Shards is the number of mutex-striped session shards. Default 16.
-	Shards int
 	// BudgetBytes caps resident bytes: unique compressed chunk bytes plus
 	// raw tails. Default 256 MiB.
 	BudgetBytes int64
@@ -95,15 +93,11 @@ type Config struct {
 	// FlushRows is the token-row granularity of a flush group (the CTU-row
 	// analogue): a chunk covers exactly this many rows. Default 32.
 	FlushRows int
-	// MaxDim bounds a session's row width. Default 4096.
-	MaxDim int
 
-	// QP, Profile, Backend and Workers configure the codec exactly as in
-	// core.Options. Defaults: QP 12, HEVC, CABAC, 1 worker. New panics on a
-	// QP above dct.MaxQP.
+	// QP and Workers configure the chunk coder (HEVC, CABAC) exactly as in
+	// core.Options. Defaults: QP 12, 1 worker. New panics on a QP above
+	// dct.MaxQP.
 	QP      int
-	Profile codec.Profile
-	Backend codec.EntropyBackend
 	Workers int
 
 	// Metrics backs the kv.* (and threaded codec.*/store.*) metrics.
@@ -120,10 +114,14 @@ type Config struct {
 	Now func() time.Time
 }
 
+// shards is the number of mutex-striped session shards; maxDim bounds a
+// session's row width.
+const (
+	shards = 16
+	maxDim = 4096
+)
+
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.BudgetBytes <= 0 {
 		c.BudgetBytes = 256 << 20
 	}
@@ -136,14 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.FlushRows <= 0 {
 		c.FlushRows = 32
 	}
-	if c.MaxDim <= 0 {
-		c.MaxDim = 4096
-	}
 	if c.QP <= 0 {
 		c.QP = 12
-	}
-	if c.Profile.MaxFrameDim == 0 {
-		c.Profile = codec.HEVC
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -152,13 +144,6 @@ func (c Config) withDefaults() Config {
 		c.Now = time.Now
 	}
 	return c
-}
-
-// tools returns the codec tool set for the configured backend.
-func (c Config) tools() codec.Tools {
-	tools := codec.AllTools
-	tools.Backend = c.Backend
-	return tools
 }
 
 // kvMetrics holds the pre-resolved kv.* handles:
@@ -208,37 +193,30 @@ func newKVMetrics(reg *obs.Registry) *kvMetrics {
 	}
 }
 
-// prefixEntry maps a chain digest to the content address of the chunk that
-// extends it, plus the frozen rANS table the payload was assembled against
-// (nil under CABAC). It holds no blob reference — staleness is detected by
-// BlobCache.Ref failing.
-type prefixEntry struct {
-	key   store.BlobKey
-	table []uint8
-}
-
 // prefixEntries bounds the prefix-digest map.
 const prefixEntries = 4096
 
-// prefixMap is a bounded FIFO digest → chunk map shared by all shards.
+// prefixMap is a bounded FIFO map from a chain digest to the content address
+// of the chunk that extends it, shared by all shards. It holds no blob
+// reference — staleness is detected by BlobCache.Ref failing.
 type prefixMap struct {
 	mu   sync.Mutex
-	m    map[[sha256.Size]byte]prefixEntry
+	m    map[[sha256.Size]byte]store.BlobKey
 	fifo [][sha256.Size]byte
 }
 
 func newPrefixMap() *prefixMap {
-	return &prefixMap{m: make(map[[sha256.Size]byte]prefixEntry, prefixEntries)}
+	return &prefixMap{m: make(map[[sha256.Size]byte]store.BlobKey, prefixEntries)}
 }
 
-func (p *prefixMap) get(d [sha256.Size]byte) (prefixEntry, bool) {
+func (p *prefixMap) get(d [sha256.Size]byte) (store.BlobKey, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.m[d]
 	return e, ok
 }
 
-func (p *prefixMap) put(d [sha256.Size]byte, e prefixEntry) {
+func (p *prefixMap) put(d [sha256.Size]byte, e store.BlobKey) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.m[d]; ok {
@@ -313,7 +291,7 @@ func New(cfg Config) *Table {
 		prefix: newPrefixMap(),
 		m:      newKVMetrics(cfg.Metrics),
 	}
-	t.shards = make([]*shard, cfg.Shards)
+	t.shards = make([]*shard, shards)
 	for i := range t.shards {
 		t.shards[i] = &shard{sessions: make(map[string]*Session), lru: list.New()}
 	}
@@ -351,8 +329,7 @@ func (t *Table) expired(s *Session) bool {
 // affects chunk bytes, so sessions with different geometry or coding
 // parameters can never alias.
 func (t *Table) chainRoot(dim int) [sha256.Size]byte {
-	return sha256.Sum256([]byte(fmt.Sprintf("llm265-kv|dim=%d|rows=%d|qp=%d|prof=%d|backend=%d",
-		dim, t.cfg.FlushRows, t.cfg.QP, t.cfg.Profile.MaxFrameDim, t.cfg.Backend)))
+	return sha256.Sum256([]byte(fmt.Sprintf("llm265-kv|dim=%d|rows=%d|qp=%d", dim, t.cfg.FlushRows, t.cfg.QP)))
 }
 
 // removeLocked unlinks s and frees everything it holds. Caller holds both
@@ -407,7 +384,7 @@ func (t *Table) lookup(name string, create bool) (*Session, error) {
 			}
 			s = &Session{
 				name: name,
-				app:  codec.NewAppender(t.cfg.QP, t.cfg.Profile, t.cfg.tools(), t.cfg.Workers, t.cfg.Metrics),
+				app:  codec.NewAppender(t.cfg.QP, codec.HEVC, codec.AllTools, t.cfg.Workers, t.cfg.Metrics),
 			}
 			s.elem = sh.lru.PushFront(s)
 			sh.sessions[name] = s
@@ -606,8 +583,8 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 	if name == "" {
 		return AppendResult{}, fmt.Errorf("kv: empty session name")
 	}
-	if dim < 0 || dim > t.cfg.MaxDim {
-		return AppendResult{}, fmt.Errorf("kv: dim %d out of range [1,%d]", dim, t.cfg.MaxDim)
+	if dim < 0 || dim > maxDim {
+		return AppendResult{}, fmt.Errorf("kv: dim %d out of range [1,%d]", dim, maxDim)
 	}
 	s, err := t.lookup(name, true)
 	if err != nil {
@@ -700,14 +677,10 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 		region := codec.PlaneRegion{Layer: 0, X0: 0, Y0: s.committed, W: dim, H: f}
 
 		committed := false
-		if e, ok := t.prefix.get(next); ok {
-			if payload, live := t.blobs.Ref(e.key); live {
-				ok := true
-				if t.cfg.Backend == codec.BackendRANS {
-					ok = e.table != nil && s.app.SetTable(e.table) == nil
-				}
-				if ok && s.app.AppendEncoded(payload, dim, f, region) == nil {
-					s.blobKeys = append(s.blobKeys, e.key)
+		if key, ok := t.prefix.get(next); ok {
+			if payload, live := t.blobs.Ref(key); live {
+				if s.app.AppendEncoded(payload, dim, f, region) == nil {
+					s.blobKeys = append(s.blobKeys, key)
 					res.Aliased++
 					res.Saved += int64(len(payload))
 					if t.m != nil {
@@ -716,7 +689,7 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 					}
 					committed = true
 				} else {
-					t.blobs.Release(e.key)
+					t.blobs.Release(key)
 				}
 			}
 		}
@@ -740,7 +713,7 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 			}
 			t.addResident(actual - est)
 			s.blobKeys = append(s.blobKeys, key)
-			t.prefix.put(next, prefixEntry{key: key, table: s.app.Table()})
+			t.prefix.put(next, key)
 			res.NewChunks++
 			if t.m != nil {
 				t.m.chunksEncoded.Inc()

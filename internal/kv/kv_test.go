@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/dct"
 	"repro/internal/obs"
 )
@@ -27,11 +26,6 @@ func rowsFor(seed int64, start, n, dim int) []float32 {
 		}
 	}
 	return out
-}
-
-func ransCfg(cfg Config) Config {
-	cfg.Backend = codec.BackendRANS
-	return cfg
 }
 
 func mustAppend(t *testing.T, tab *Table, name string, dim, at int, vals []float32) AppendResult {
@@ -58,7 +52,7 @@ func mustRead(t *testing.T, tab *Table, name string, t0, t1 int) ReadResult {
 // and a range read decodes exactly the chunks intersecting the range.
 func TestKVFlushCounters(t *testing.T) {
 	reg := obs.NewRegistry()
-	tab := New(Config{FlushRows: 8, QP: 12, Metrics: reg, Shards: 4})
+	tab := New(Config{FlushRows: 8, QP: 12, Metrics: reg})
 	enc := func() int64 { return reg.Snapshot().Counters["codec.encode.chunks"] }
 	dec := func() int64 { return reg.Snapshot().Counters["codec.decode.chunks"] }
 	const dim = 16
@@ -118,44 +112,41 @@ func TestKVFlushCounters(t *testing.T) {
 // encodes normally.
 func TestKVPrefixAliasing(t *testing.T) {
 	const dim, f = 16, 8
-	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-		reg := obs.NewRegistry()
-		tab := New(Config{FlushRows: f, QP: 12, Backend: backend, Metrics: reg, Shards: 4})
-		enc := func() int64 { return reg.Snapshot().Counters["codec.encode.chunks"] }
+	reg := obs.NewRegistry()
+	tab := New(Config{FlushRows: f, QP: 12, Metrics: reg})
+	enc := func() int64 { return reg.Snapshot().Counters["codec.encode.chunks"] }
 
-		prefix := rowsFor(3, 0, 2*f, dim)
-		mustAppend(t, tab, "donor", dim, 0, prefix)
-		resAfterDonor := tab.Resident()
-		encAfterDonor := enc()
+	prefix := rowsFor(3, 0, 2*f, dim)
+	mustAppend(t, tab, "donor", dim, 0, prefix)
+	resAfterDonor := tab.Resident()
+	encAfterDonor := enc()
 
-		res := mustAppend(t, tab, "twin", dim, 0, prefix)
-		if res.Aliased != 2 || res.NewChunks != 0 || res.Saved <= 0 {
-			t.Fatalf("backend %v: twin prefix append %+v", backend, res)
-		}
-		if d := enc() - encAfterDonor; d != 0 {
-			t.Fatalf("backend %v: aliased append encoded %d chunks", backend, d)
-		}
-		if tab.Resident() != resAfterDonor {
-			t.Fatalf("backend %v: aliased append changed resident %d -> %d",
-				backend, resAfterDonor, tab.Resident())
-		}
+	res := mustAppend(t, tab, "twin", dim, 0, prefix)
+	if res.Aliased != 2 || res.NewChunks != 0 || res.Saved <= 0 {
+		t.Fatalf("twin prefix append %+v", res)
+	}
+	if d := enc() - encAfterDonor; d != 0 {
+		t.Fatalf("aliased append encoded %d chunks", d)
+	}
+	if tab.Resident() != resAfterDonor {
+		t.Fatalf("aliased append changed resident %d -> %d", resAfterDonor, tab.Resident())
+	}
 
-		// Divergent continuation encodes one fresh chunk.
-		res = mustAppend(t, tab, "twin", dim, 2*f, rowsFor(99, 2*f, f, dim))
-		if res.Aliased != 0 || res.NewChunks != 1 {
-			t.Fatalf("backend %v: divergent append %+v", backend, res)
-		}
+	// Divergent continuation encodes one fresh chunk.
+	res = mustAppend(t, tab, "twin", dim, 2*f, rowsFor(99, 2*f, f, dim))
+	if res.Aliased != 0 || res.NewChunks != 1 {
+		t.Fatalf("divergent append %+v", res)
+	}
 
-		a := mustRead(t, tab, "donor", 0, 2*f)
-		b := mustRead(t, tab, "twin", 0, 2*f)
-		for i := range a.Vals {
-			if a.Vals[i] != b.Vals[i] {
-				t.Fatalf("backend %v: aliased value %d = %g, donor %g", backend, i, b.Vals[i], a.Vals[i])
-			}
+	a := mustRead(t, tab, "donor", 0, 2*f)
+	b := mustRead(t, tab, "twin", 0, 2*f)
+	for i := range a.Vals {
+		if a.Vals[i] != b.Vals[i] {
+			t.Fatalf("aliased value %d = %g, donor %g", i, b.Vals[i], a.Vals[i])
 		}
-		if c := reg.Snapshot().Counters["kv.append.chunks_aliased"]; c != 2 {
-			t.Fatalf("backend %v: chunks_aliased = %d", backend, c)
-		}
+	}
+	if c := reg.Snapshot().Counters["kv.append.chunks_aliased"]; c != 2 {
+		t.Fatalf("chunks_aliased = %d", c)
 	}
 }
 
@@ -232,7 +223,7 @@ func TestKVEvictionBudget(t *testing.T) {
 	// 512 plus the encode estimate f*dim*6+1024 = 1792) but far below what
 	// 6 sessions × 4 groups of distinct content need resident.
 	tab := New(Config{
-		FlushRows: f, QP: 12, Shards: 2, BudgetBytes: 4 << 10,
+		FlushRows: f, QP: 12, BudgetBytes: 4 << 10,
 		Metrics: reg, OnEvict: log.hook,
 	})
 	check := func() {
@@ -353,7 +344,7 @@ func TestKVTTL(t *testing.T) {
 // TestKVValidation covers the typed error taxonomy the HTTP layer maps.
 func TestKVValidation(t *testing.T) {
 	ctx := context.Background()
-	tab := New(Config{FlushRows: 4, QP: 12, MaxDim: 64})
+	tab := New(Config{FlushRows: 4, QP: 12})
 	mustAppend(t, tab, "s", 8, 0, rowsFor(1, 0, 6, 8))
 
 	if _, err := tab.Append(ctx, "s", 16, -1, rowsFor(1, 0, 1, 16)); !errors.Is(err, ErrDimMismatch) {
@@ -365,8 +356,8 @@ func TestKVValidation(t *testing.T) {
 	if _, err := tab.Append(ctx, "s", 8, -1, make([]float32, 7)); err == nil {
 		t.Fatal("ragged append accepted")
 	}
-	if _, err := tab.Append(ctx, "x", 65, 0, make([]float32, 65)); err == nil {
-		t.Fatal("dim above MaxDim accepted")
+	if _, err := tab.Append(ctx, "x", maxDim+1, 0, make([]float32, maxDim+1)); err == nil {
+		t.Fatal("dim above maxDim accepted")
 	}
 	if _, err := tab.Append(ctx, "", 8, 0, nil); err == nil {
 		t.Fatal("empty session name accepted")

@@ -29,6 +29,8 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -146,6 +148,15 @@ func soakReference(vals []float32, dim, f, qp int) ([]float32, error) {
 	return out, nil
 }
 
+// liveHeap collects, then samples the bytes the heap's objects occupy — the
+// real memory to set beside the table's Resident charge.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
 func soakBody(vals []float32) []byte {
 	out := make([]byte, 4*len(vals))
 	for i, v := range vals {
@@ -186,7 +197,6 @@ func TestKVSoak(t *testing.T) {
 	clock := &soakClock{base: time.Unix(1_700_000_000, 0)}
 	evlog := &soakLog{to: make(map[string]int), gone: make(map[string]bool)}
 	tab := kv.New(kv.Config{
-		Shards:      64,
 		BudgetBytes: budget,
 		TTL:         ttl,
 		FlushRows:   flushRows,
@@ -473,7 +483,7 @@ func TestKVSoak(t *testing.T) {
 	if n := tab.Sessions(); n < sessions {
 		t.Fatalf("fill barrier: %d concurrent sessions, want >= %d", n, sessions)
 	}
-	t.Logf("fill: %d concurrent sessions resident=%dB budget=%dB", tab.Sessions(), tab.Resident(), budget)
+	t.Logf("fill: %d concurrent sessions resident=%dB budget=%dB live heap=%dB", tab.Sessions(), tab.Resident(), budget, liveHeap())
 	close(startCh)
 
 	// Independent budget sampler: the invariant must hold at every instant,
@@ -535,6 +545,7 @@ func TestKVSoak(t *testing.T) {
 	wg.Wait()
 	close(samplerStop)
 	<-samplerDone
+	t.Logf("churn end: %d sessions resident=%dB budget=%dB live heap=%dB", tab.Sessions(), tab.Resident(), budget, liveHeap())
 
 	// Final expiry: everything idles past the TTL; looking each session up
 	// must remove it and the resident accounting must return exactly to zero

@@ -103,16 +103,16 @@ func TestFaultSweep(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHonored: a 503 with Retry-After: 1 must delay the retry by
-// about a second (capped by RetryAfterCap) — and with the cap configured
-// short, must NOT wait the full hint.
+// TestRetryAfterHonored: a 503's Retry-After hint delays the retry, capped
+// by RetryCap — with the cap configured short, the retry must NOT wait the
+// full hint.
 func TestRetryAfterHonored(t *testing.T) {
 	stream, _ := corpusVector(t, faultVector)
 	backends := newTestBackends(t, 1)
 	ft := &faultinject.FlakyTransport{Match: faultinject.MatchHostPathPrefix(backends[0].host, "/v1/")}
 	_, base := newTestProxy(t, backends, ft, func(c *Config) {
 		c.DisableHedge = true
-		c.RetryAfterCap = 250 * time.Millisecond
+		c.RetryCap = 250 * time.Millisecond
 	})
 
 	// Hint above the cap: the wait must be ≈cap, not ≈hint.
@@ -188,15 +188,16 @@ func TestPassiveEjectionShedRecovery(t *testing.T) {
 	_, base := newTestProxy(t, backends, ft, func(c *Config) {
 		c.DisableHedge = true
 		c.MaxRetries = -1 // single attempt per request: the breaker walk must be exact
-		c.BreakerThreshold = 2
 		c.OpenTimeout = 100 * time.Millisecond
 	})
 	stateKey := "proxy.backend." + backends[0].host + ".state"
 
-	// Two consecutive 500s: each answers 502 upstream (no retry budget),
-	// and the second opens the circuit.
-	ft.Enqueue(faultinject.ScriptStatus(500, ""), faultinject.ScriptStatus(500, ""))
-	for i := 0; i < 2; i++ {
+	// breakerThreshold consecutive 500s: each answers 502 upstream (no retry
+	// budget), and the last opens the circuit.
+	for i := 0; i < breakerThreshold; i++ {
+		ft.Enqueue(faultinject.ScriptStatus(500, ""))
+	}
+	for i := 0; i < breakerThreshold; i++ {
 		status, body, _ := post(t, base+"/v1/decode", stream)
 		if status != http.StatusBadGateway {
 			t.Fatalf("request %d during failure run: status %d %s", i, status, body)
@@ -276,8 +277,6 @@ func TestActiveProbing(t *testing.T) {
 	backends := newTestBackends(t, 2)
 	p, base := newTestProxy(t, backends, nil, func(c *Config) {
 		c.ProbeInterval = 20 * time.Millisecond
-		c.ProbeTimeout = 200 * time.Millisecond
-		c.Rise, c.Fall = 2, 2
 		c.DisableHedge = true
 	})
 	p.Start()

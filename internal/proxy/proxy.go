@@ -53,25 +53,16 @@ import (
 	"repro/internal/serve"
 )
 
-// Config sizes the proxy. Zero fields are defaulted by New.
+// Config sizes the proxy. Zero fields are defaulted by New. Besides
+// Backends, every field is a seam its tests shorten, substitute or switch;
+// what no caller varies is a constant below.
 type Config struct {
 	// Backends are the base URLs of the serve instances, e.g.
 	// "http://127.0.0.1:8265". At least one is required.
 	Backends []string
-	// VirtualNodes is the number of ring points per backend. Default 128.
-	VirtualNodes int
 
 	// ProbeInterval is the active health-check period. Default 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe. Default 500ms.
-	ProbeTimeout time.Duration
-	// Rise is the consecutive probe successes that readmit a backend;
-	// Fall the consecutive failures that eject it. Default 2 each.
-	Rise, Fall int
-
-	// BreakerThreshold is the consecutive request failures that open a
-	// backend's circuit. Default 3.
-	BreakerThreshold int
 	// OpenTimeout is the open→half-open cool-down. Default 2s.
 	OpenTimeout time.Duration
 
@@ -79,15 +70,9 @@ type Config struct {
 	// default of 2; a negative value disables retries entirely.
 	MaxRetries int
 	// RetryBase/RetryCap shape the capped exponential backoff with full
-	// jitter between attempts. Defaults 25ms / 1s.
+	// jitter between attempts; RetryCap also bounds how long a backend's
+	// Retry-After hint is honored. Defaults 25ms / 1s.
 	RetryBase, RetryCap time.Duration
-	// RetryAfterCap bounds how long a backend's Retry-After hint is
-	// honored. Default 5s.
-	RetryAfterCap time.Duration
-	// AttemptTimeout bounds a single upstream attempt (0 = only the
-	// client's own deadline applies). A stalled backend then surfaces as a
-	// retryable attempt failure instead of hanging the request.
-	AttemptTimeout time.Duration
 
 	// HedgeDelay fixes the decode hedging delay; 0 derives it from the
 	// observed upstream decode p99, clamped to [hedgeMin, hedgeMax].
@@ -95,35 +80,27 @@ type Config struct {
 	HedgeDelay   time.Duration
 	DisableHedge bool
 
-	// MaxBodyBytes caps request bodies (the proxy buffers them for retry
-	// replay). Default 1 GiB.
-	MaxBodyBytes int64
-
 	// Transport performs upstream round trips — the injection point for
 	// faultinject.FlakyTransport. nil means http.DefaultTransport.
 	Transport http.RoundTripper
-	// Metrics backs /metricsz. Nil allocates a private registry.
-	Metrics *obs.Registry
 }
 
+// The fixed parameters of the fleet machinery: ring points per backend, the
+// bound on one /healthz probe, the consecutive probe successes (rise) that
+// readmit a backend and failures (fall) that eject it, and the consecutive
+// request failures that open a backend's circuit. Request bodies, buffered for
+// retry replay, are capped at serve's default.
+const (
+	virtualNodes     = 128
+	probeTimeout     = 500 * time.Millisecond
+	rise, fall       = 2, 2
+	breakerThreshold = 3
+	maxBodyBytes     = serve.DefaultMaxBodyBytes
+)
+
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 128
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.Rise <= 0 {
-		c.Rise = 2
-	}
-	if c.Fall <= 0 {
-		c.Fall = 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 2 * time.Second
@@ -139,17 +116,8 @@ func (c Config) withDefaults() Config {
 	if c.RetryCap <= 0 {
 		c.RetryCap = time.Second
 	}
-	if c.RetryAfterCap <= 0 {
-		c.RetryAfterCap = 5 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 30
-	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	return c
 }
@@ -261,16 +229,18 @@ type Proxy struct {
 	started  atomic.Bool
 }
 
-// New validates cfg and builds the proxy (probers not yet running).
+// New validates cfg and builds the proxy (probers not yet running) with a
+// registry of its own, which /metricsz serves.
 func New(cfg Config) (*Proxy, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("proxy: no backends configured")
 	}
+	reg := obs.NewRegistry()
 	p := &Proxy{
 		cfg:    cfg,
-		reg:    cfg.Metrics,
-		m:      newProxyMetrics(cfg.Metrics),
+		reg:    reg,
+		m:      newProxyMetrics(reg),
 		mux:    http.NewServeMux(),
 		stopCh: make(chan struct{}),
 	}
@@ -284,18 +254,18 @@ func New(cfg Config) (*Proxy, error) {
 			idx:      i,
 			name:     u.Host,
 			base:     u.Scheme + "://" + u.Host,
-			br:       newBreaker(cfg.BreakerThreshold, cfg.OpenTimeout),
-			state:    cfg.Metrics.Gauge("proxy.backend." + u.Host + ".state"),
-			latency:  cfg.Metrics.Histogram("proxy.backend." + u.Host + ".latency_ns"),
-			requests: cfg.Metrics.Counter("proxy.backend." + u.Host + ".requests"),
-			failures: cfg.Metrics.Counter("proxy.backend." + u.Host + ".failures"),
+			br:       newBreaker(breakerThreshold, cfg.OpenTimeout),
+			state:    reg.Gauge("proxy.backend." + u.Host + ".state"),
+			latency:  reg.Histogram("proxy.backend." + u.Host + ".latency_ns"),
+			requests: reg.Counter("proxy.backend." + u.Host + ".requests"),
+			failures: reg.Counter("proxy.backend." + u.Host + ".failures"),
 		}
 		b.probeHealthy.Store(true) // optimistic until the prober says otherwise
 		b.updateState()
 		names[i] = u.Host
 		p.backends = append(p.backends, b)
 	}
-	p.ring = newRing(names, cfg.VirtualNodes)
+	p.ring = newRing(names, virtualNodes)
 	p.mux.HandleFunc("/v1/encode", p.handleCodec)
 	p.mux.HandleFunc("/v1/decode", p.handleCodec)
 	p.mux.HandleFunc("/v1/kv/", p.handleKV)
@@ -345,7 +315,7 @@ func (p *Proxy) probeLoop(b *backend) {
 // Any non-200 — including serve's 503 draining:true — counts as down, so a
 // draining backend is ejected while its listener still answers.
 func (p *Proxy) probeOnce(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/healthz", nil)
 	up := false
@@ -360,14 +330,14 @@ func (p *Proxy) probeOnce(b *backend) {
 	if up {
 		b.consecUp++
 		b.consecDown = 0
-		if !b.probeHealthy.Load() && b.consecUp >= p.cfg.Rise {
+		if !b.probeHealthy.Load() && b.consecUp >= rise {
 			b.probeHealthy.Store(true)
 			p.m.recoveries.Inc()
 		}
 	} else {
 		b.consecDown++
 		b.consecUp = 0
-		if b.probeHealthy.Load() && b.consecDown >= p.cfg.Fall {
+		if b.probeHealthy.Load() && b.consecDown >= fall {
 			b.probeHealthy.Store(false)
 			p.m.ejActive.Inc()
 		}
@@ -441,11 +411,6 @@ func (o *upshot) backendFault() bool {
 // the whole response. No byte reaches the client before the read completes,
 // which is what makes retry-after-failure unconditionally safe.
 func (p *Proxy) forwardOnce(ctx context.Context, b *backend, r *http.Request, body []byte, isDecode, hedged bool) *upshot {
-	cancel := func() {}
-	if p.cfg.AttemptTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.AttemptTimeout)
-	}
-	defer cancel()
 	u := b.base + r.URL.Path
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
@@ -463,7 +428,7 @@ func (p *Proxy) forwardOnce(ctx context.Context, b *backend, r *http.Request, bo
 	if err != nil {
 		return &upshot{b: b, err: err, hedged: hedged, elapsed: time.Since(start)}
 	}
-	respBody, err := serve.ReadBody(resp.Body, resp.ContentLength, p.cfg.MaxBodyBytes)
+	respBody, err := serve.ReadBody(resp.Body, resp.ContentLength, maxBodyBytes)
 	resp.Body.Close()
 	elapsed := time.Since(start)
 	if err != nil {
@@ -698,10 +663,10 @@ func (p *Proxy) handleKV(w http.ResponseWriter, r *http.Request) {
 	p.dispatch(w, r, body, "kv/"+session, false)
 }
 
-// readBody buffers the whole request body under MaxBodyBytes, writing the
+// readBody buffers the whole request body under maxBodyBytes, writing the
 // error response itself when the read fails.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, p.cfg.MaxBodyBytes), r.ContentLength, p.cfg.MaxBodyBytes)
+	body, err := serve.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength, maxBodyBytes)
 	if err != nil {
 		status, class := http.StatusBadRequest, "bad_request"
 		if _, ok := err.(*http.MaxBytesError); ok {
@@ -729,10 +694,7 @@ func (p *Proxy) dispatch(w http.ResponseWriter, r *http.Request, body []byte, ke
 			p.m.retries.Inc()
 			wait := p.backoff(attempt)
 			if haveHint {
-				wait = lastHint
-				if wait > p.cfg.RetryAfterCap {
-					wait = p.cfg.RetryAfterCap
-				}
+				wait = min(lastHint, p.cfg.RetryCap)
 				haveHint = false
 			}
 			if !sleepCtx(r.Context(), wait) {
@@ -901,9 +863,9 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // isCanceled reports a cancellation-shaped attempt error. Deliberately not
-// DeadlineExceeded: an AttemptTimeout expiry means the backend stalled and
-// must count as a fault, while Canceled (with the request context alive)
-// means the proxy itself withdrew the attempt — a hedge loser.
+// DeadlineExceeded: a request deadline that expires mid-attempt means the
+// backend stalled and must count as a fault, while Canceled means the proxy
+// itself withdrew the attempt — a hedge loser — or the client hung up.
 func isCanceled(err error) bool {
 	return errors.Is(err, context.Canceled)
 }

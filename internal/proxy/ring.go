@@ -47,9 +47,6 @@ func hashKey(key string) uint64 {
 
 // newRing builds the ring from backend names with vnodes points each.
 func newRing(names []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 1
-	}
 	r := &ring{
 		points: make([]ringPoint, 0, len(names)*vnodes),
 		n:      len(names),

@@ -106,17 +106,13 @@ func TestProxySoakKillRestart(t *testing.T) {
 	}()
 
 	p, err := New(Config{
-		Backends:         urls,
-		ProbeInterval:    100 * time.Millisecond,
-		ProbeTimeout:     300 * time.Millisecond,
-		Rise:             2,
-		Fall:             2,
-		BreakerThreshold: 2,
-		OpenTimeout:      300 * time.Millisecond,
-		MaxRetries:       2,
-		RetryBase:        5 * time.Millisecond,
-		RetryCap:         50 * time.Millisecond,
-		HedgeDelay:       50 * time.Millisecond,
+		Backends:      urls,
+		ProbeInterval: 100 * time.Millisecond,
+		OpenTimeout:   300 * time.Millisecond,
+		MaxRetries:    2,
+		RetryBase:     5 * time.Millisecond,
+		RetryCap:      50 * time.Millisecond,
+		HedgeDelay:    50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,25 +16,19 @@ import (
 )
 
 // requestCtx derives the compute context for one request: the connection
-// context (dies when the client hangs up) tightened by the server's default
-// deadline and, if present, the request's ?deadline_ms=N (whichever is
-// sooner). The returned cancel must always be called.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
-	d := s.cfg.Deadline
-	if raw := r.URL.Query().Get("deadline_ms"); raw != "" {
-		ms, err := strconv.Atoi(raw)
-		if err != nil || ms <= 0 {
-			return nil, nil, fmt.Errorf("serve: bad deadline_ms %q", raw)
-		}
-		if qd := time.Duration(ms) * time.Millisecond; d == 0 || qd < d {
-			d = qd
-		}
-	}
-	if d > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
+// context (dies when the client hangs up), tightened by the request's
+// ?deadline_ms=N when present. The returned cancel must always be called.
+func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+	raw := r.URL.Query().Get("deadline_ms")
+	if raw == "" {
+		ctx, cancel := context.WithCancel(r.Context())
 		return ctx, cancel, nil
 	}
-	ctx, cancel := context.WithCancel(r.Context())
+	ms, err := strconv.Atoi(raw)
+	if err != nil || ms <= 0 {
+		return nil, nil, fmt.Errorf("serve: bad deadline_ms %q", raw)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
 	return ctx, cancel, nil
 }
 
@@ -164,7 +158,7 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.encLatency.Observe(time.Since(start).Nanoseconds()) }()
 
 	q := r.URL.Query()
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := requestCtx(r)
 	if err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return
@@ -258,7 +252,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.m.decLatency.Observe(time.Since(start).Nanoseconds()) }()
 
 	q := r.URL.Query()
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := requestCtx(r)
 	if err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return

@@ -110,7 +110,7 @@ func (s *Server) handleKV(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleKVPut(w http.ResponseWriter, r *http.Request, session string) {
 	s.m.kvPutReq.Inc()
 	q := r.URL.Query()
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := requestCtx(r)
 	if err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return
@@ -163,7 +163,7 @@ func (s *Server) handleKVPut(w http.ResponseWriter, r *http.Request, session str
 func (s *Server) handleKVGet(w http.ResponseWriter, r *http.Request, session string) {
 	s.m.kvGetReq.Inc()
 	q := r.URL.Query()
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := requestCtx(r)
 	if err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, err.Error(), "bad_request")
 		return

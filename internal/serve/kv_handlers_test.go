@@ -193,7 +193,7 @@ func TestKVHTTP206MatchesEvictionLog(t *testing.T) {
 	log := &httpEvictLog{evicted: make(map[string]int), full: make(map[string]bool)}
 	reg := obs.NewRegistry()
 	tab := kv.New(kv.Config{
-		FlushRows: 8, QP: 12, Shards: 2, BudgetBytes: 4 << 10,
+		FlushRows: 8, QP: 12, BudgetBytes: 4 << 10,
 		Metrics: reg, OnEvict: log.hook,
 	})
 	s := New(Config{Workers: 1, KV: tab})

@@ -26,14 +26,18 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/kv"
 	"repro/internal/obs"
 )
 
-// Config sizes the service. The zero value is usable: DefaultConfig bounds
-// are applied by New.
+// DefaultMaxBodyBytes is the request body cap New applies when
+// Config.MaxBodyBytes is zero — and the proxy's, which buffers the same
+// bodies for retry replay.
+const DefaultMaxBodyBytes = 1 << 30
+
+// Config sizes the service. The zero value is usable: New applies the
+// defaults.
 type Config struct {
 	// Workers sizes the codec's worker pool used by each admitted request.
 	// 0 selects runtime.GOMAXPROCS(0) inside the codec.
@@ -44,25 +48,15 @@ type Config struct {
 	// MaxQueue bounds requests waiting for an inflight slot before the
 	// server answers 429. Default 2×MaxInflight.
 	MaxQueue int
-	// Deadline is the per-request compute budget (applied from admission,
-	// not from connection accept). 0 disables the server-side deadline;
-	// clients can always tighten it per request with ?deadline_ms=N.
-	Deadline time.Duration
-	// MaxBodyBytes caps request bodies. Default 1 GiB.
+	// MaxBodyBytes caps request bodies. Default DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// Metrics receives the service and codec metrics and backs /metricsz.
-	// Nil allocates a private registry.
-	Metrics *obs.Registry
 
 	// KV mounts a prebuilt session table under /v1/kv/ (tests use this to
-	// attach eviction hooks or tight budgets); nil builds one from the
-	// KV* fields below with the server's registry and worker count.
+	// attach eviction hooks, clocks or tight budgets); nil builds one from
+	// the KV* fields below with the server's registry and worker count.
 	KV *kv.Table
 	// KVBudgetBytes caps the kv tier's resident bytes. Default 256 MiB.
 	KVBudgetBytes int64
-	// KVTTL expires idle kv sessions. 0 selects the kv default (15 min);
-	// negative disables expiry.
-	KVTTL time.Duration
 	// KVFlushRows is the kv tier's chunk granularity in token rows.
 	// Default 32.
 	KVFlushRows int
@@ -81,10 +75,7 @@ func (c Config) withDefaults() Config {
 		c.MaxQueue = 2 * c.MaxInflight
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 30
-	}
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	return c
 }
@@ -155,24 +146,25 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// New builds a Server from cfg (zero fields defaulted).
+// New builds a Server from cfg (zero fields defaulted) with a registry of
+// its own, which /metricsz serves.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	reg := obs.NewRegistry()
 	kvTab := cfg.KV
 	if kvTab == nil {
 		kvTab = kv.New(kv.Config{
 			BudgetBytes: cfg.KVBudgetBytes,
-			TTL:         cfg.KVTTL,
 			FlushRows:   cfg.KVFlushRows,
 			QP:          cfg.KVQP,
 			Workers:     cfg.Workers,
-			Metrics:     cfg.Metrics,
+			Metrics:     reg,
 		})
 	}
 	s := &Server{
 		cfg: cfg,
-		reg: cfg.Metrics,
-		m:   newServeMetrics(cfg.Metrics),
+		reg: reg,
+		m:   newServeMetrics(reg),
 		adm: newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		kv:  kvTab,
 		mux: http.NewServeMux(),

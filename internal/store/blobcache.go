@@ -67,8 +67,9 @@ func NewBlobCache(reg *obs.Registry) *BlobCache {
 
 // Put interns data under its content address and takes one reference. added
 // reports whether the bytes are new to the cache (the caller's budget must
-// charge len(data) exactly then). The cache keeps its own copy, so callers
-// may reuse their buffer.
+// charge len(data) exactly then). The cache takes ownership of data without
+// copying it, so the bytes the budget charges are the only copy: the caller
+// must not modify them afterwards (kv's chunk payloads are sealed).
 func (c *BlobCache) Put(data []byte) (key BlobKey, added bool) {
 	key = sha256.Sum256(data)
 	c.mu.Lock()
@@ -81,7 +82,7 @@ func (c *BlobCache) Put(data []byte) (key BlobKey, added bool) {
 		}
 		return key, false
 	}
-	c.blobs[key] = &cachedBlob{data: append([]byte(nil), data...), refs: 1}
+	c.blobs[key] = &cachedBlob{data: data, refs: 1}
 	c.bytes += int64(len(data))
 	if c.m != nil {
 		c.m.puts.Inc()

@@ -64,6 +64,18 @@ func TestBlobCacheRefcounting(t *testing.T) {
 	}
 }
 
+// TestBlobCachePutTakesOwnership: Put stores the caller's bytes, not a copy
+// of them, so a chunk the kv budget charges once is resident once.
+func TestBlobCachePutTakesOwnership(t *testing.T) {
+	c := NewBlobCache(nil)
+	blob := []byte("a sealed chunk payload")
+	k, _ := c.Put(blob)
+	got, ok := c.Ref(k)
+	if !ok || len(got) != len(blob) || &got[0] != &blob[0] {
+		t.Fatal("Ref returned a copy of the bytes given to Put")
+	}
+}
+
 // TestBlobCacheConcurrent hammers Put/Ref/Release from many goroutines over
 // a small keyspace (run under -race via store-test) and checks the final
 // accounting is exact: every taken reference released leaves an empty cache.

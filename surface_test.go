@@ -11,10 +11,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/kv"
+	"repro/internal/proxy"
+	"repro/internal/serve"
 )
 
 // testOnly is the allow-list of TestProductionSurfaceIsClosed: what no main
@@ -108,6 +114,81 @@ func TestProductionSurfaceIsClosed(t *testing.T) {
 	if len(dead) > 0 {
 		t.Errorf("%d functions, %d lines with their doc comments, that no main in cmd/*, examples/* or benchmark/ reaches — "+
 			"delete them, or enter them in testOnly with a reason:\n  %s", len(dead), lines, strings.Join(dead, "\n  "))
+	}
+}
+
+// serviceSeams maps each test-only field of the service configs to the test
+// that sets it and what the test needs of it. Every other field is set by a
+// production caller: cmd/llm265's flags, benchmark/ away from the default, or
+// serve.New passing its own settings down to kv.New.
+var serviceSeams = map[string]struct{ test, why string }{
+	"serve.Config.MaxQueue":      {"TestBackpressure429", "a one-slot queue that the third request overflows"},
+	"serve.Config.MaxBodyBytes":  {"TestBodyTooLarge413", "a cap a small body exceeds"},
+	"serve.Config.KV":            {"TestKVHTTP206MatchesEvictionLog", "a table with an eviction hook and a tight budget behind the handlers"},
+	"serve.Config.KVFlushRows":   {"TestKVHTTPRoundtrip", "flush groups a few rows complete"},
+	"proxy.Config.ProbeInterval": {"TestActiveProbing", "a probe period the ejection and readmission wait out in milliseconds"},
+	"proxy.Config.OpenTimeout":   {"TestPassiveEjectionShedRecovery", "a cool-down the half-open recovery waits out in milliseconds"},
+	"proxy.Config.MaxRetries":    {"TestPassiveEjectionShedRecovery", "one attempt a request, so the breaker walk is exact"},
+	"proxy.Config.RetryBase":     {"TestFaultSweep", "a backoff the retried faults wait out in milliseconds"},
+	"proxy.Config.RetryCap":      {"TestRetryAfterHonored", "a cap below the backend's Retry-After hint"},
+	"proxy.Config.HedgeDelay":    {"TestHedgedDecode", "a hedge that fires before the stalled owner answers"},
+	"proxy.Config.DisableHedge":  {"TestFaultSweep", "no hedge, so the retry and failure counters are exact"},
+	"proxy.Config.Transport":     {"TestFaultSweep", "the scripted faulty network"},
+	"kv.Config.TTL":              {"TestKVTTL", "an expiry a fake clock passes"},
+	"kv.Config.FlushRows":        {"TestKVFlushCounters", "flush groups a few rows complete"},
+	"kv.Config.OnEvict":          {"TestKVEvictionBudget", "the eviction log reads are checked against"},
+	"kv.Config.Now":              {"TestKVTTL", "the fake clock"},
+}
+
+// TestServiceOptionFieldsAreClosed is TestOptionFieldsAreClosed's guard on the
+// service layer above the codec: serve, proxy and kv configs have exactly
+// these fields. A field stays only if it is a deployment setting, a value a
+// production caller sets, or a test seam entered in serviceSeams with the test
+// that needs it; every other knob is a constant (DESIGN.md §12).
+func TestServiceOptionFieldsAreClosed(t *testing.T) {
+	fields := map[string]bool{}
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{serve.Config{}, "Workers MaxInflight MaxQueue MaxBodyBytes KV KVBudgetBytes KVFlushRows KVQP"},
+		{proxy.Config{}, "Backends ProbeInterval OpenTimeout MaxRetries RetryBase RetryCap HedgeDelay DisableHedge Transport"},
+		{kv.Config{}, "BudgetBytes TTL FlushRows QP Workers Metrics OnEvict Now"},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+			fields[typ.String()+"."+typ.Field(i).Name] = true
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Errorf("%v has fields %v, want %q: the service option set is closed", typ, got, c.want)
+		}
+	}
+	files, err := filepath.Glob("internal/*/*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	for _, name := range files {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			tests[string(m[1])] = true
+		}
+	}
+	for field, seam := range serviceSeams {
+		switch {
+		case !fields[field]:
+			t.Errorf("serviceSeams[%q] names no field of the service configs", field)
+		case strings.TrimSpace(seam.why) == "":
+			t.Errorf("serviceSeams[%q] has no reason", field)
+		case !tests[seam.test]:
+			t.Errorf("serviceSeams[%q]: no test under internal/ is named %q", field, seam.test)
+		}
 	}
 }
 
