@@ -58,6 +58,11 @@ surface: vet
 # there runs the pure-Go kernels, the !amd64 stubs, and
 # TestProductionSurfaceIsClosed over the files that build selects. arm64 is
 # vetted only; `vet` already checks the amd64 assembly's frames (asmdecl).
+# The contraction guard, root TestNoFusedMultiplyAdd (≈ 20 s on a cold build
+# cache), compiles the packages whose floats reach a stream, a decoded tensor
+# or a wire value for arm64, where Go fuses x*y + z, and fails on any
+# FMADD/FMSUB/FNMADD/FNMSUB with its source line; as a root-package test it
+# runs in every `go test ./...`, the 386 suite here included.
 portable:
 	GOARCH=386 $(GO) test ./...
 	GOARCH=arm64 $(GO) vet ./...

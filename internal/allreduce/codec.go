@@ -201,7 +201,7 @@ func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) 
 	case span == 0: // a constant segment codes to nothing at any QP
 		c.qp = dct.MaxQP
 	default:
-		c.qp = int(math.Max(0, math.Min(dct.MaxQP, math.Round(c.level-6*math.Log2(span)))))
+		c.qp = int(math.Max(0, math.Min(dct.MaxQP, math.Round(c.level-float64(6*math.Log2(span))))))
 	}
 	payload, recon, cost, err := c.tensorCodec.Encode(ctx, vals, rows, cols)
 	if err == nil {
@@ -218,11 +218,11 @@ func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) 
 // target cannot wind it up.
 func (c *rateCodec) AdvanceStep() {
 	if c.vals > 0 && c.span > 0 {
-		widest := 6 * math.Log2(c.span)
+		widest := float64(6 * math.Log2(c.span))
 		if !c.primed {
 			c.level, c.primed = rateStartQP+widest, true
 		}
-		c.level += 6 * math.Log2(float64(c.bits)/float64(c.vals)/c.target)
+		c.level += float64(6 * math.Log2(float64(c.bits)/float64(c.vals)/c.target))
 		c.level = math.Max(widest, math.Min(widest+dct.MaxQP, c.level))
 	}
 	c.bits, c.vals, c.span = 0, 0, 0
@@ -329,7 +329,7 @@ func (c *rtnCodec) Decode(_ context.Context, payload []byte, rows, cols int, dst
 				dst[i] = lo
 				continue
 			}
-			dst[i] = float32(float64(lo) + float64(q)*scale)
+			dst[i] = float32(float64(lo) + float64(float64(q)*scale))
 		}
 	}
 	return nil

@@ -472,7 +472,7 @@ func (r *Ring) encode(ctx context.Context, w int, vals []float32, seg segment, r
 		for i := range scratch {
 			d := scratch[i] - recon[i]
 			(*res)[i] = d
-			l2 += float64(d) * float64(d)
+			l2 += float64(float64(d) * float64(d))
 		}
 		st.ResidualL2 += l2
 	}

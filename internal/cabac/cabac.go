@@ -25,7 +25,7 @@ type Context struct {
 
 // NewContext returns a context initialized to probability-of-zero p0 (0..1).
 func NewContext(p0 float64) Context {
-	p := uint16(p0*probMax + 0.5)
+	p := uint16(float64(p0*probMax) + 0.5)
 	if p < 1 {
 		p = 1
 	}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
@@ -337,23 +338,7 @@ func (e *encoder) decideCU(x, y, size int) *cuDec {
 // mask bit of which this overwrites), so re-deriving would rebuild the same
 // prediction from the same references and add the same levels' residual.
 func (e *encoder) applyLeaf(d *cuDec, x, y, size int) {
-	storeBlock(e.recon, e.coded, d.rec, x, y, size)
-}
-
-// storeBlock writes the size×size reconstruction rec (row-major pixel values)
-// into the padded recon plane at (x, y) and marks the region coded; the
-// encoder's and the decoder's one way of committing a leaf.
-func storeBlock(recon *frame.Plane, coded []bool, rec []int32, x, y, size int) {
-	for dy := 0; dy < size; dy++ {
-		row := recon.Row(y + dy)[x : x+size]
-		for dx, v := range rec[dy*size:][:size] {
-			row[dx] = uint8(v)
-		}
-		mask := coded[(y+dy)*recon.W+x:][:size]
-		for dx := range mask {
-			mask[dx] = true
-		}
-	}
+	storeResidual(e.recon, e.coded, d.rec, nil, x, y, size)
 }
 
 // gatherRefs builds intra reference samples from the reconstruction into the
@@ -503,6 +488,9 @@ func (t *topModes) offer(mi int, score int64) {
 // full SAD is above it too: topModes.offer drops either value and the ranking
 // is the one full scoring gives.
 func sadWithin(a, b []int32, size int, bound int64) int64 {
+	if cpufeat.Lanes8(size) {
+		return sadRowsAVX2(&a[:size*size][0], &b[:size*size][0], size, bound)
+	}
 	var sum int64
 	for len(a) >= size {
 		var row int32
@@ -538,7 +526,7 @@ func keepIfBetter(best *cuDec, cand cuDec, lev, rec []int32) {
 func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *cuDec) {
 	lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
 	modeBits := 1.0 + math.Log2(float64(len(e.prof.Modes)))
-	keepIfBetter(best, cuDec{mode: m, cost: dist + e.lambda*(rbits+modeBits)}, lev, rec)
+	keepIfBetter(best, cuDec{mode: m, cost: dist + float64(e.lambda*(rbits+modeBits))}, lev, rec)
 }
 
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
@@ -623,7 +611,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
 		// The sole intra candidate is taken whatever it costs, so the leaf
 		// never commits the arena's unwritten blocks.
-		best.mode, best.cost = intra.DC, dist+e.lambda*rbits
+		best.mode, best.cost = intra.DC, dist+float64(e.lambda*rbits)
 		copy(best.levels, lev)
 		copy(best.rec, rec)
 	}
@@ -634,7 +622,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		e.motionPredict(pred, x, y, size, mvx, mvy)
 		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, false)
 		mvBits := float64(egLen(zigzagU(mvx), 1) + egLen(zigzagU(mvy), 1))
-		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: dist + e.lambda*(rbits+mvBits+1)}, lev, rec)
+		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: dist + float64(e.lambda*(rbits+mvBits+1))}, lev, rec)
 	}
 	return best
 }
@@ -685,9 +673,13 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 	}
 	s := e.scr
 	n2 := size * size
-	res := s.res[:n2]
-	for i := range res {
-		res[i] = orig[i] - pred[i]
+	res, orig, pred := s.res[:n2], orig[:n2], pred[:n2]
+	if cpufeat.Lanes8(size) {
+		subAVX2(&res[0], &orig[0], &pred[0], n2)
+	} else {
+		for i := range res {
+			res[i] = orig[i] - pred[i]
+		}
 	}
 	lev, rec = s.trialLev[:n2], s.rec[:n2]
 	if e.tools.Transform {
@@ -703,9 +695,26 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 		quantizeSpatial(lev, res, e.qp)
 		dequantizeSpatial(rec, lev, e.qp)
 	}
-	// Integer SSE: at most 1024·255² < 2²⁷, exact in int64 and in the float64
-	// the RD cost takes it as (a float accumulation gives the same value,
-	// every partial sum being an integer below 2⁵³).
+	sse := addClipSSE(rec, pred, orig, size)
+	if e.rec != nil {
+		e.rec.xformNs += int64(time.Since(t0))
+		e.rec.trials++
+	}
+	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
+}
+
+// addClipSSE adds the size×size prediction pred to the residual rec, clips
+// the sums to pixels in rec and returns their SSE against the source orig, a
+// block of pixels. The SSE is an integer of at most 1024·255² < 2²⁷: exact in
+// int64, in the int32 lanes of addClipSSEAVX2 and in the float64 the RD cost
+// takes it as (a float accumulation gives the same value, every partial sum
+// being an integer below 2⁵³).
+func addClipSSE(rec, pred, orig []int32, size int) int64 {
+	n2 := size * size
+	rec, pred, orig = rec[:n2], pred[:n2], orig[:n2]
+	if cpufeat.Lanes8(size) {
+		return addClipSSEAVX2(&rec[0], &pred[0], &orig[0], n2)
+	}
 	var sse int64
 	for i, o := range orig {
 		v := clipPixel(pred[i] + rec[i])
@@ -713,11 +722,7 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 		d := int64(o - v)
 		sse += d * d
 	}
-	if e.rec != nil {
-		e.rec.xformNs += int64(time.Since(t0))
-		e.rec.trials++
-	}
-	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
+	return sse
 }
 
 func clipPixel(v int32) int32 {
@@ -736,7 +741,7 @@ func quantizeSpatial(dst, res []int32, qp int) {
 	step := dct.Qstep(qp)
 	inv := 1 / step
 	for i, r := range res {
-		v := float64(r) * inv
+		v := float64(float64(r) * inv)
 		if v >= 0 {
 			dst[i] = int32(v + 1.0/3.0)
 		} else {
@@ -827,7 +832,7 @@ func estimateLevelBits(lev []int32, size int, transformed bool) float64 {
 		}
 		bitsEst = sum
 	}
-	bitsEst += float64(len(scan)-1-last) * 0.08
+	bitsEst += float64(float64(len(scan)-1-last) * 0.08)
 	return bitsEst
 }
 

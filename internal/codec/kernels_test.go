@@ -129,6 +129,132 @@ func TestReconstructEquivalence(t *testing.T) {
 	}
 }
 
+// TestAddClipSSEEquivalence holds the trial's add/clip/SSE pass, on every
+// kernel path and at every size, to its definition: over pixel sources and
+// predictions, residuals of small noise, residuals that put every sum one
+// either side of 0 and 255 (the clip's edges), and residuals that clip every
+// pixel to the end away from its source — the largest SSE a block can have,
+// n²·255², the bound the AVX2 path's int32 lanes are sized for.
+func TestAddClipSSEEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	pix := make([]uint8, maxBlock)
+	for draw := 0; draw < 4000; draw++ {
+		size := 4 << (draw % 4)
+		n2 := size * size
+		orig, pred, res := make([]int32, n2), make([]int32, n2), make([]int32, n2)
+		drawPixels(rng, pix[:n2], size, draw/4)
+		for i, v := range pix[:n2] {
+			pred[i] = int32(v)
+		}
+		drawSource(rng, orig, pred, 1+rng.Int31n(255))
+		kind := draw / 4 % 3
+		for i, p := range pred {
+			switch kind {
+			case 0:
+				res[i] = rng.Int31n(65) - 32
+			case 1:
+				res[i] = []int32{-1, 0, 255, 256}[rng.Intn(4)] - p
+			default:
+				orig[i] = 255 * (1 - p/128)
+				res[i] = (255-2*orig[i])*(1+rng.Int31n(1<<20)) - p
+			}
+		}
+		want := slices.Clone(res)
+		wantSSE := addClipSSEDef(want, pred, orig)
+		if kind == 2 && wantSSE != float64(n2*255*255) {
+			t.Fatalf("draw %d: the extreme block's SSE is %v, not n²·255²", draw, wantSSE)
+		}
+		kernelPaths(func(simd bool) {
+			got := slices.Clone(res)
+			sse := addClipSSE(got, pred, orig, size)
+			if float64(sse) != wantSSE || !slices.Equal(got, want) {
+				t.Fatalf("draw %d (size %d kind %d simd %v): sse %d, reconstruction equal %v; definition sse %v",
+					draw, size, kind, simd, sse, slices.Equal(got, want), wantSSE)
+			}
+		})
+	}
+}
+
+// TestSADWithinEquivalence holds the Planar/DC coarse score, on every kernel
+// path and at every size, to its definition: over pixel blocks, for the
+// unbounded SAD and for bounds at, one below and one above every row's running
+// sum, and between two rows' sums — where stopping anywhere but at the end of
+// the row the sum passes the bound would return another partial sum.
+func TestSADWithinEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	pix := make([]uint8, 2*maxBlock)
+	for draw := 0; draw < 2000; draw++ {
+		size := 4 << (draw % 4)
+		n2 := size * size
+		drawPixels(rng, pix[:n2], size, draw/4)
+		drawPixels(rng, pix[n2:2*n2], size, draw/12)
+		a, b := make([]int32, n2), make([]int32, n2)
+		for i := range a {
+			a[i], b[i] = int32(pix[i]), int32(pix[n2+i])
+		}
+		bounds := []int64{math.MaxInt64, 0, -1}
+		var sum int64
+		for i := range a {
+			sum += int64(max(a[i]-b[i], b[i]-a[i]))
+			if i%size == size-1 {
+				bounds = append(bounds, sum-1, sum, sum+1, sum+rng.Int63n(int64(size)*255+1))
+			}
+		}
+		kernelPaths(func(simd bool) {
+			for _, bound := range bounds {
+				if got, want := sadWithin(a, b, size, bound), sadWithinDef(a, b, size, bound); got != want {
+					t.Fatalf("draw %d (size %d simd %v) bound %d: %d, definition %d", draw, size, simd, bound, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStoreEquivalence holds a leaf's commit, on every kernel path and at
+// every size, to its definition: blocks at drawn positions of a plane of
+// noise under a drawn coverage, predictions of pixels or of values outside
+// the pixel range, residuals nil, small, or anywhere in the int32 range
+// (sums that wrap, and every clip) — the plane bytes and the coded mask must
+// be storeDef's, inside the block and out.
+func TestStoreEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	const dim = 96
+	start, want, got := frame.NewPlane(dim, dim), frame.NewPlane(dim, dim), frame.NewPlane(dim, dim)
+	startMask, wantMask, gotMask := make([]bool, dim*dim), make([]bool, dim*dim), make([]bool, dim*dim)
+	for draw := 0; draw < 2000; draw++ {
+		size := 4 << (draw % 4)
+		n2 := size * size
+		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
+		drawPixels(rng, start.Pix, dim, 0)
+		drawCoverage(rng, startMask, dim, y, size, draw)
+		pred, res := make([]int32, n2), make([]int32, n2)
+		for i := range pred {
+			pred[i] = rng.Int31n(256)
+			if draw%5 == 4 {
+				pred[i] = rng.Int31n(1024) - 384
+			}
+			res[i] = []int32{rng.Int31n(64) - 32, rng.Int31n(1024) - 512, int32(rng.Uint32())}[draw/4%3]
+		}
+		if draw%7 == 0 {
+			res = nil
+		}
+		copy(want.Pix, start.Pix)
+		copy(wantMask, startMask)
+		storeDef(want, wantMask, pred, res, x, y, size)
+		kernelPaths(func(simd bool) {
+			copy(got.Pix, start.Pix)
+			copy(gotMask, startMask)
+			storeResidual(got, gotMask, pred, res, x, y, size)
+			for i, v := range want.Pix {
+				if got.Pix[i] != v || gotMask[i] != wantMask[i] {
+					t.Fatalf("draw %d (size %d at %d,%d nil %v simd %v): pixel (%d,%d) = %d coded %v, definition %d coded %v",
+						draw, size, x, y, res == nil, simd, i%dim, i/dim, got.Pix[i], gotMask[i], v, wantMask[i])
+				}
+			}
+		})
+	}
+}
+
 // TestEstimateLevelBitsEquivalence: the estimate against its definition, bit
 // for bit, on drawLevels' blocks of every kind, and on blocks holding one
 // level at an end of the int32 range or at −2²⁰. Each dense block walks its

@@ -1,0 +1,13 @@
+package codec
+
+//go:noescape
+func subAVX2(dst, a, b *int32, count int)
+
+//go:noescape
+func addClipSSEAVX2(rec, pred, orig *int32, count int) (sse int64)
+
+//go:noescape
+func sadRowsAVX2(a, b *int32, n int, bound int64) int64
+
+//go:noescape
+func storeAVX2(pix *uint8, coded *bool, stride int, pred, res *int32, n int)

@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package codec
+
+const noSIMD = "codec: no SIMD kernels on this GOARCH"
+
+func subAVX2(dst, a, b *int32, count int) { panic(noSIMD) }
+
+func addClipSSEAVX2(rec, pred, orig *int32, count int) int64 { panic(noSIMD) }
+
+func sadRowsAVX2(a, b *int32, n int, bound int64) int64 { panic(noSIMD) }
+
+func storeAVX2(pix *uint8, coded *bool, stride int, pred, res *int32, n int) { panic(noSIMD) }

@@ -26,6 +26,7 @@ package codec
 import (
 	"time"
 
+	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
@@ -146,7 +147,7 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			}
 		}
 
-		// reconstructBlockInto (refimpl_test.go) and storeBlock in one go: the
+		// reconstructBlockInto (refimpl_test.go) and storeDef in one go: the
 		// dequantiser reports where the levels are, so the inverse scans
 		// nothing, and the pixels go from the prediction and the residual into
 		// the plane without a block of their own. TestReconstructEquivalence
@@ -164,10 +165,20 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 	}
 }
 
-// storeResidual commits a leaf as storeBlock commits clipPixel(pred+res): the
-// pixels into the padded recon plane at (x, y), the region marked coded. A nil
-// res is the all-zero residual of a leaf that coded no level.
+// storeResidual commits a leaf: the pixels clipPixel(pred+res) into the
+// padded recon plane at (x, y), the region marked coded. A nil res is the
+// all-zero residual of a leaf that coded no level, or of an encoder leaf whose
+// pred is already its reconstruction.
 func storeResidual(recon *frame.Plane, coded []bool, pred, res []int32, x, y, size int) {
+	if cpufeat.Lanes8(size) {
+		n2, at, end := size*size, y*recon.W+x, (y+size-1)*recon.W+x+size
+		var r *int32
+		if res != nil {
+			r = &res[:n2][0]
+		}
+		storeAVX2(&recon.Pix[at:end][0], &coded[at:end][0], recon.W, &pred[:n2][0], r, size)
+		return
+	}
 	for dy := 0; dy < size; dy++ {
 		row := recon.Row(y + dy)[x : x+size]
 		p := pred[dy*size:][:size]

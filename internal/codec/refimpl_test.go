@@ -16,11 +16,14 @@ import (
 //
 //	trialResidual              trialDef: residual → Forward → Quantize →
 //	                           reconstructBlockInto → SSE → estimateLevelBitsOrdered
+//	addClipSSE                 addClipSSEDef
 //	reconstructor.reconstruct  reconstructDef: per leaf, gatherRefsDef and Predict
-//	                           (or motionPredict), reconstructBlockInto, storeBlock
+//	                           (or motionPredict), reconstructBlockInto, storeDef
+//	storeResidual              storeDef
 //	estimateLevelBits          estimateLevelBitsOrdered
 //	gatherRefsInto             gatherRefsDef
 //	coarseIntra                coarseIntraDef
+//	sadWithin                  sadWithinDef
 //	computeStats               sseDef
 //	parseResidual — cabac.DecodeLevels, ransChunk.parseResidual, the literal
 //	chunk — parseResidualPerBin over a perBinDecoder (rawBinDec for the raw
@@ -84,7 +87,7 @@ func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec 
 
 // reconstructDef is the reconstruct stage by definition: each leaf of the
 // batch predicted from gathered references (or by motion, or at 128),
-// rebuilt by reconstructBlockInto and committed by storeBlock.
+// rebuilt by reconstructBlockInto and committed by storeDef.
 func reconstructDef(r *reconstructor, b *ctuBatch) {
 	levOff := 0
 	for _, lf := range b.leaves[:b.n] {
@@ -110,7 +113,32 @@ func reconstructDef(r *reconstructor, b *ctuBatch) {
 		rec := make([]int32, n2)
 		tr := r.scr.transformFor(size, !lf.inter && r.prof.UseDST4)
 		reconstructBlockInto(rec, make([]int32, n2), pred, lev, r.qp, r.tools.Transform, tr)
-		storeBlock(r.recon, r.coded, rec, x, y, size)
+		storeDef(r.recon, r.coded, rec, nil, x, y, size)
+	}
+}
+
+// addClipSSEDef is the trial's last pass by definition: each reconstruction
+// clipPixel(pred + rec) into rec, and the float64 sum of its squared
+// differences from orig.
+func addClipSSEDef(rec, pred, orig []int32) (sse float64) {
+	for i, o := range orig {
+		rec[i] = clipPixel(pred[i] + rec[i])
+		d := float64(o - rec[i])
+		sse += d * d
+	}
+	return sse
+}
+
+// storeDef is a leaf's commit by definition: pixel (x+dx, y+dy) of the plane
+// takes clipPixel(pred + res) at (dx, dy) of the block — pred alone when res
+// is nil — and is marked coded.
+func storeDef(recon *frame.Plane, coded []bool, pred, res []int32, x, y, size int) {
+	for i, p := range pred[:size*size] {
+		if res != nil {
+			p += res[i]
+		}
+		at := (y+i/size)*recon.W + x + i%size
+		recon.Pix[at], coded[at] = uint8(clipPixel(p)), true
 	}
 }
 
@@ -228,6 +256,20 @@ func coarseIntraDef(e *encoder, orig []int32, x, y, size int, preds [][]int32) t
 		preds[mi] = pred
 	}
 	return top
+}
+
+// sadWithinDef is the early-exit SAD by definition: the per-pixel |a − b|
+// summed row by row, stopping at the end of the first row where the running
+// sum exceeds bound.
+func sadWithinDef(a, b []int32, size int, bound int64) int64 {
+	var sum int64
+	for i := range a[:size*size] {
+		sum += int64(max(a[i]-b[i], b[i]-a[i]))
+		if i%size == size-1 && sum > bound {
+			break
+		}
+	}
+	return sum
 }
 
 // sseDef is computeStats' sum of squared errors by definition: a float64

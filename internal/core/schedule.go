@@ -17,11 +17,11 @@ func VariableSchedule(layers int, avgBits, k, minBits float64) []float64 {
 	if layers <= 0 {
 		panic("core: layers must be positive")
 	}
-	b := avgBits - k*float64(layers-1)/2
+	b := avgBits - float64(k*float64(layers-1)/2)
 	out := make([]float64, layers)
 	var sum float64
 	for l := range out {
-		v := k*float64(l) + b
+		v := float64(k*float64(l)) + b
 		if v < minBits {
 			v = minBits
 		}
@@ -36,7 +36,7 @@ func VariableSchedule(layers int, avgBits, k, minBits float64) []float64 {
 	// f > 1 — which happens exactly when minBits > avgBits — would push
 	// budgets below the floor, violating the minBits guarantee for the sake
 	// of an average that is unreachable anyway.
-	excess := sum - avgBits*float64(layers)
+	excess := sum - float64(avgBits*float64(layers))
 	if excess > 0 {
 		var adjustable float64
 		for _, v := range out {
@@ -51,7 +51,7 @@ func VariableSchedule(layers int, avgBits, k, minBits float64) []float64 {
 			}
 			for l, v := range out {
 				if v > minBits {
-					out[l] = v - (v-minBits)*f
+					out[l] = v - float64((v-minBits)*f)
 				}
 			}
 		}

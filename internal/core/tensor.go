@@ -53,7 +53,7 @@ func (t *Tensor) MSE(o *Tensor) float64 {
 	var s float64
 	for i := range t.Data {
 		d := float64(t.Data[i]) - float64(o.Data[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(t.Data))
 }

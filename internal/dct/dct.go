@@ -38,6 +38,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/cpufeat"
 )
 
 const (
@@ -437,7 +439,7 @@ func (t *Transform) Forward(dst, res []int32) {
 		dst4(dst, res, &dstMat, fwdShift)
 		return
 	}
-	if useGEMM(n) && t.forwardGEMM(dst, res) {
+	if cpufeat.Lanes8(n) && t.forwardGEMM(dst, res) {
 		return
 	}
 	// Both passes transform contiguous rows and write their output down a
@@ -557,7 +559,7 @@ func (t *Transform) InverseMasked(dst, coef []int32, nz *RowMasks) {
 		}
 		return
 	}
-	if useGEMM(n) && t.inverseGEMM(dst, coef) {
+	if cpufeat.Lanes8(n) && t.inverseGEMM(dst, coef) {
 		return
 	}
 	tmp := t.tmp
@@ -695,7 +697,7 @@ func newQuantizer(qp int) quantizer {
 // coefficients, which no predictor learns.
 func (q *quantizer) level(c int32) int32 {
 	s := c >> 31
-	l := int32(math.Abs(float64(c))*q.inv + 1.0/3.0)
+	l := int32(float64(math.Abs(float64(c))*q.inv) + 1.0/3.0)
 	return (l ^ s) - s
 }
 
@@ -740,6 +742,17 @@ func QuantizeDequantize(levels, deq, coef []int32, n, qp int, nz *RowMasks) (any
 		panic("dct: bad block size")
 	}
 	q := newQuantizer(qp)
+	if cpufeat.Lanes8(n) {
+		rows, large := quantDeqAVX2(&levels[0], &deq[0], &coef[0], &nz[0], n, q.inv, &q.recon[0])
+		if large {
+			for i, l := range levels {
+				if s := l >> 31; uint32((l^s)-s) >= dequantTableLen {
+					deq[i] = int32(math.Round(float64(l) * q.step))
+				}
+			}
+		}
+		return rows != 0
+	}
 	var rows uint32
 	for k := 0; k < n; k++ {
 		row := coef[k*n:][:n]
@@ -772,6 +785,11 @@ func DequantizeMasked(dst, levels []int32, n, qp int, nz *RowMasks) (any bool) {
 		panic("dct: bad block size")
 	}
 	q := newQuantizer(qp)
+	if cpufeat.Lanes8(n) {
+		if rows, ok := dequantAVX2(&dst[0], &levels[0], &nz[0], n, &q.recon[0]); ok {
+			return rows != 0
+		}
+	}
 	var rows uint32
 	for k := 0; k < n; k++ {
 		lev := levels[k*n:][:n]
@@ -823,7 +841,7 @@ func mulABAt(a, b []float64, n int) []float64 {
 		for j := 0; j < n; j++ {
 			var acc float64
 			for k := 0; k < n; k++ {
-				acc += a[i*n+k] * b[k*n+j]
+				acc += float64(a[i*n+k] * b[k*n+j])
 			}
 			tmp[i*n+j] = acc
 		}
@@ -833,7 +851,7 @@ func mulABAt(a, b []float64, n int) []float64 {
 		for j := 0; j < n; j++ {
 			var acc float64
 			for k := 0; k < n; k++ {
-				acc += tmp[i*n+k] * a[j*n+k]
+				acc += float64(tmp[i*n+k] * a[j*n+k])
 			}
 			out[i*n+j] = acc
 		}

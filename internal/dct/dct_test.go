@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cpufeat"
 	"repro/internal/quant"
 	"repro/internal/tensorgen"
 )
@@ -244,7 +245,7 @@ func TestForwardEquivalence(t *testing.T) {
 				copy(got, block)
 				c.tr.Forward(got, got)
 				check("Forward in place")
-				if simd && c.tr.bf != nil && useGEMM(n) {
+				if simd && c.tr.bf != nil && cpufeat.Lanes8(n) {
 					clear(got)
 					if took := c.tr.forwardGEMM(got, block); took != (scan(block) <= c.tr.bf.fwdLimit) {
 						t.Fatalf("%s forwardGEMM, %s: took the block = %v, scan %d against limit %d", c.name, what, took, scan(block), c.tr.bf.fwdLimit)
@@ -299,7 +300,7 @@ func TestInverseEquivalence(t *testing.T) {
 				copy(got, block)
 				c.tr.InverseMasked(got, got, &loose)
 				check("InverseMasked in place, over-full masks")
-				if simd && c.tr.bf != nil && useGEMM(n) {
+				if simd && c.tr.bf != nil && cpufeat.Lanes8(n) {
 					clear(got)
 					if took := c.tr.inverseGEMM(got, block); took != (scan(block) <= c.tr.bf.invLimit) {
 						t.Fatalf("%s inverseGEMM, %s: took the block = %v, scan %d against limit %d", c.name, what, took, scan(block), c.tr.bf.invLimit)
@@ -436,60 +437,80 @@ func TestDequantizeEquivalence(t *testing.T) {
 
 // TestQuantizeDequantizeEquivalence: the encoder's fused pass against the
 // quantiser and dequantiser definitions and its masks against the levels', on
-// forEachBlock's blocks at a drawn QP each, in place and out of place.
+// every kernel path, on forEachBlock's blocks at a drawn QP each — as given,
+// so that blocks quantising to all zeros hold any == false, and again with one
+// coefficient drawn to quantise to a level on a side of the table's edge
+// (255, 256, 257) — in place and out of place.
 func TestQuantizeDequantizeEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, n := range []int{4, 8, 16, 32} {
-		wantLev, wantDeq := make([]int32, n*n), make([]int32, n*n)
-		lev, deq := make([]int32, n*n), make([]int32, n*n)
-		forEachBlock(n, func(coef []int32, what string) {
-			qp := rng.Intn(MaxQP + 1)
-			quantizeBranchy(wantLev, coef, qp)
-			dequantizeFormula(wantDeq, wantLev, qp)
-			wantNZ := exactMasks(wantLev, n)
-			var nz RowMasks
-			nz[n-1] = ^uint32(0) // stale
-			any := QuantizeDequantize(lev, deq, coef, n, qp, &nz)
-			requireSameBlock(t, lev, wantLev, "n=%d qp=%d %s: levels", n, qp, what)
-			requireSameBlock(t, deq, wantDeq, "n=%d qp=%d %s: reconstruction", n, qp, what)
-			if nz != wantNZ || any != (wantNZ != RowMasks{}) {
-				t.Fatalf("n=%d qp=%d %s: masks %x any %v, levels say %x", n, qp, what, nz[:n], any, wantNZ[:n])
+	kernelPaths(func(simd bool) {
+		rng := rand.New(rand.NewSource(14))
+		for _, n := range []int{4, 8, 16, 32} {
+			wantLev, wantDeq := make([]int32, n*n), make([]int32, n*n)
+			lev, deq := make([]int32, n*n), make([]int32, n*n)
+			check := func(coef []int32, qp int, what string) {
+				t.Helper()
+				quantizeBranchy(wantLev, coef, qp)
+				dequantizeFormula(wantDeq, wantLev, qp)
+				wantNZ := exactMasks(wantLev, n)
+				var nz RowMasks
+				nz[n-1] = ^uint32(0) // stale
+				any := QuantizeDequantize(lev, deq, coef, n, qp, &nz)
+				requireSameBlock(t, lev, wantLev, "simd=%v n=%d qp=%d %s: levels", simd, n, qp, what)
+				requireSameBlock(t, deq, wantDeq, "simd=%v n=%d qp=%d %s: reconstruction", simd, n, qp, what)
+				if nz != wantNZ || any != (wantNZ != RowMasks{}) {
+					t.Fatalf("simd=%v n=%d qp=%d %s: masks %x any %v, levels say %x", simd, n, qp, what, nz[:n], any, wantNZ[:n])
+				}
+				copy(deq, coef)
+				QuantizeDequantize(lev, deq, deq, n, qp, &nz)
+				requireSameBlock(t, deq, wantDeq, "simd=%v n=%d qp=%d %s: reconstruction in place", simd, n, qp, what)
 			}
-			copy(deq, coef)
-			QuantizeDequantize(lev, deq, deq, n, qp, &nz)
-			requireSameBlock(t, deq, wantDeq, "n=%d qp=%d %s: reconstruction in place", n, qp, what)
-		})
-	}
+			forEachBlock(n, func(coef []int32, what string) {
+				qp := rng.Intn(MaxQP + 1)
+				check(coef, qp, what)
+				edge := float64(dequantTableLen-1+rng.Intn(3)) + 0.1
+				coef[rng.Intn(n*n)] = int32(edge*Qstep(qp)*quantScale) * (1 - 2*rng.Int31n(2))
+				check(coef, qp, what+" + table edge")
+			})
+		}
+	})
 }
 
 // TestDequantizeMasksEquivalence: the decoder's fused pass against the
 // dequantiser definition and its masks against the levels' — so that
 // InverseMasked under them is InverseMasked under exact masks, which
-// TestInverseEquivalence holds — on forEachBlock's blocks as levels, each
-// with one entry on a side of the table's edge at 256 or at the decoder's
-// level cap of ±2¹⁶, at a drawn QP each, in place and out of place.
+// TestInverseEquivalence holds — on every kernel path, on forEachBlock's
+// blocks as levels at a drawn QP each — as given, so that all-zero blocks
+// hold any == false, and again with one entry on a side of the table's edge
+// at 256 or at the decoder's level cap of ±2¹⁶ — in place and out of place.
 func TestDequantizeMasksEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	edge := []int32{1, -1, 255, -255, 256, -256, 257, -257, 1 << 16, -(1 << 16)}
-	for _, n := range []int{4, 8, 16, 32} {
-		want, got := make([]int32, n*n), make([]int32, n*n)
-		forEachBlock(n, func(lev []int32, what string) {
-			qp := rng.Intn(MaxQP + 1)
-			lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
-			dequantizeFormula(want, lev, qp)
-			wantNZ := exactMasks(lev, n)
-			var nz RowMasks
-			nz[n-1] = ^uint32(0) // stale
-			any := DequantizeMasked(got, lev, n, qp, &nz)
-			requireSameBlock(t, got, want, "n=%d qp=%d %s", n, qp, what)
-			if nz != wantNZ || any != (wantNZ != RowMasks{}) {
-				t.Fatalf("n=%d qp=%d %s: masks %x any %v, levels say %x", n, qp, what, nz[:n], any, wantNZ[:n])
+	kernelPaths(func(simd bool) {
+		rng := rand.New(rand.NewSource(15))
+		edge := []int32{1, -1, 255, -255, 256, -256, 257, -257, 1 << 16, -(1 << 16)}
+		for _, n := range []int{4, 8, 16, 32} {
+			want, got := make([]int32, n*n), make([]int32, n*n)
+			check := func(lev []int32, qp int, what string) {
+				t.Helper()
+				dequantizeFormula(want, lev, qp)
+				wantNZ := exactMasks(lev, n)
+				var nz RowMasks
+				nz[n-1] = ^uint32(0) // stale
+				any := DequantizeMasked(got, lev, n, qp, &nz)
+				requireSameBlock(t, got, want, "simd=%v n=%d qp=%d %s", simd, n, qp, what)
+				if nz != wantNZ || any != (wantNZ != RowMasks{}) {
+					t.Fatalf("simd=%v n=%d qp=%d %s: masks %x any %v, levels say %x", simd, n, qp, what, nz[:n], any, wantNZ[:n])
+				}
+				copy(got, lev)
+				DequantizeMasked(got, got, n, qp, &nz)
+				requireSameBlock(t, got, want, "simd=%v n=%d qp=%d %s: in place", simd, n, qp, what)
 			}
-			copy(got, lev)
-			DequantizeMasked(got, got, n, qp, &nz)
-			requireSameBlock(t, got, want, "n=%d qp=%d %s: in place", n, qp, what)
-		})
-	}
+			forEachBlock(n, func(lev []int32, what string) {
+				qp := rng.Intn(MaxQP + 1)
+				check(lev, qp, what)
+				lev[rng.Intn(n*n)] = edge[rng.Intn(len(edge))]
+				check(lev, qp, what+" + edge")
+			})
+		}
+	})
 }
 
 // benchCoefBlocks is the kernels' benchmark input: count n×n blocks cut from

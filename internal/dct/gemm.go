@@ -1,10 +1,6 @@
 package dct
 
-import (
-	"math"
-
-	"repro/internal/cpufeat"
-)
+import "math"
 
 // Float64 kernels. Where the CPU has AVX2 and FMA (gemm_amd64.s), Forward and
 // InverseMasked of n = 8, 16 and 32 run as two dense n×n float64 products
@@ -26,10 +22,6 @@ import (
 // above 10⁶ at every size, so 8-bit residuals never do; the inverse's is above
 // 2.6·10⁸, far beyond any level an encoder emits, but not beyond a hostile
 // stream's.
-
-// useGEMM reports whether Forward and InverseMasked of an n×n DCT try the
-// float kernels: n = 8, 16 and 32, where the CPU has AVX2 and FMA.
-func useGEMM(n int) bool { return n >= 8 && cpufeat.AVX2FMA }
 
 // gemmLimit is the float kernels' limit for a matrix of largest row or column
 // L1 norm l1 in the direction whose rounding shift is shift.

@@ -71,7 +71,7 @@ func (p *Plane) MSE(q *Plane) float64 {
 	var s float64
 	for i := range p.Pix {
 		d := float64(int(p.Pix[i]) - int(q.Pix[i]))
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(p.Pix))
 }

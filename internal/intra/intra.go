@@ -333,7 +333,7 @@ func (sc *Scorer) Reset(n int, src []int32, refs, smoothInto Refs) {
 	sc.n, sc.src = n, src
 	sc.refs = [2]Refs{refs, smoothInto}
 	sc.smoothed = false
-	sc.simd = useSIMD(n)
+	sc.simd = cpufeat.Lanes8(n)
 	sc.lineReady = [2]bool{}
 	sc.refReady = [2][2]bool{}
 }
@@ -349,10 +349,6 @@ func (sc *Scorer) Refs(smoothed bool) Refs {
 	}
 	return sc.refs[1]
 }
-
-// useSIMD reports whether a Scorer scores n×n blocks with sadLinesAVX2: n = 4
-// fills no vector, so only n ≥ 8, and only where the CPU has AVX2.
-func useSIMD(n int) bool { return n >= 8 && cpufeat.AVX2FMA }
 
 func b2i(b bool) int {
 	if b {

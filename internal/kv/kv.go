@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -651,19 +652,17 @@ func flushEstimate(n int) int64 { return int64(n)*6 + 1024 }
 func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, prepaid *int64) error {
 	f, dim := t.cfg.FlushRows, s.dim
 	group := f * dim
+	var digest []byte // the chain and a group's bytes, reused across groups
 	for s.tailTokens() >= f {
 		raw := s.tail[:group]
 
-		// Advance the chain digest over the raw group bytes.
-		h := sha256.New()
-		h.Write(s.chain[:])
-		var buf [4]byte
+		// Advance the chain digest over the raw group's little-endian bytes,
+		// hashed in one call.
+		digest = append(slices.Grow(digest[:0], sha256.Size+4*group), s.chain[:]...)
 		for _, v := range raw {
-			binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-			h.Write(buf[:])
+			digest = binary.LittleEndian.AppendUint32(digest, math.Float32bits(v))
 		}
-		var next [sha256.Size]byte
-		h.Sum(next[:0])
+		next := sha256.Sum256(digest)
 
 		// Per-row quantization, exactly the core layer's PerRow path.
 		pix := make([]uint8, group)

@@ -70,7 +70,7 @@ func RTNGroup(data []float32, bits int, codes []uint16, rec []float32) (lo, hi f
 		if codes != nil {
 			codes[i] = uint16(q)
 		}
-		rec[i] = float32(float64(lo) + q*scale)
+		rec[i] = float32(float64(lo) + float64(q*scale))
 	}
 	return lo, hi
 }
@@ -174,9 +174,9 @@ func FromUint8Into(dst []float32, pix []uint8, scale, zero float32) {
 	dst = dst[:len(pix)]
 	s, z := float64(scale), float64(zero)
 	for i, p := range pix {
-		v := zero + scale*float32(p)
+		v := zero + float32(scale*float32(p))
 		if f := float64(v); math.IsInf(f, 0) || math.IsNaN(f) {
-			v = clampFinite32(z + s*float64(p))
+			v = clampFinite32(z + float64(s*float64(p)))
 		}
 		dst[i] = v
 	}
@@ -263,7 +263,7 @@ func MSE(a, b []float32) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a))
 }
