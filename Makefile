@@ -170,12 +170,13 @@ fuzz-smoke:
 # transform, quantiser, prediction, RD-trial, residual-parse and reconstruct
 # kernels on their own — each rotating over 64 blocks cut from a generated
 # weight plane, dense at QP 12 and sparse at QP 30, so that no branch predictor
-# memorises its input (DESIGN.md §11.1) — then the one-layer random-access
+# memorises its input (DESIGN.md §11.1) — and the rANS pre-decode in ns a bin
+# on a QP-12 weight layer, beside its definition; then the one-layer random-access
 # decode at 1 and 2 workers — inline against parse ‖ reconstruct (DESIGN.md
 # §13.4) — and the whole-stack decode at one worker under either backend.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|ScoreAngular|TrialResidual|EstimateLevelBits|ParseResidual|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|ScoreAngular|TrialResidual|EstimateLevelBits|ParseResidual|PredecodeRANS|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run '^$$' -bench 'Decode(Layer|Stack)(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any

@@ -46,42 +46,54 @@ func TestEncodeSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestDecodeSteadyStateAllocationFree: a warm scratch decodes a chunk of 16
+// CTUs in no more allocations than a chunk of one, under either entropy
+// backend — the rANS chunk reader and its bin buffer live in the scratch, as
+// the CABAC reader does.
 func TestDecodeSteadyStateAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	pc := &parsedContainer{prof: HEVC, tools: AllTools, qp: 30}
-	build := func(w, h int) *chunkMeta {
-		planes := []*frame.Plane{gradientPlane(rng, w, h)}
-		s := newScratch()
-		payload, _, _, _ := encodeChunk(context.Background(), planes, pc.qp, pc.prof, pc.tools, nil, s)
-		return &chunkMeta{payload: payload, dims: [][2]int{{w, h}}}
-	}
-	small, large := build(32, 32), build(128, 128)
+	for _, tools := range []Tools{AllTools, ransTools()} {
+		rng := rand.New(rand.NewSource(10))
+		pc := &parsedContainer{prof: HEVC, tools: tools, qp: 30}
+		var recs []*ransRecord
+		build := func(w, h int) *chunkMeta {
+			planes := []*frame.Plane{gradientPlane(rng, w, h)}
+			payload, rec, _, _ := encodeChunk(context.Background(), planes, pc.qp, pc.prof, pc.tools, nil, newScratch())
+			recs = append(recs, rec)
+			return &chunkMeta{payload: payload, dims: [][2]int{{w, h}}}
+		}
+		small, large := build(32, 32), build(128, 128)
+		if tools.Backend == BackendRANS {
+			tab := buildRansTable(recs)
+			pc.ransTab = &tab
+			small.payload, large.payload = recs[0].assemble(&tab), recs[1].assemble(&tab)
+		}
 
-	// Inline and with the reconstruct stage on its own goroutine: the batch
-	// ring lives in the scratch, so the stage adds only its channels and
-	// goroutine to the per-call fixed costs.
-	for _, surplus := range []bool{false, true} {
-		s := newScratch()
-		measure := func(c *chunkMeta) float64 {
-			if _, err := decodeChunkPayload(context.Background(), c, pc, surplus, nil, s); err != nil {
-				t.Fatal(err)
-			}
-			return testing.AllocsPerRun(10, func() {
+		// Inline and with the reconstruct stage on its own goroutine: the batch
+		// ring lives in the scratch, so the stage adds only its channels and
+		// goroutine to the per-call fixed costs.
+		for _, surplus := range []bool{false, true} {
+			s := newScratch()
+			measure := func(c *chunkMeta) float64 {
 				if _, err := decodeChunkPayload(context.Background(), c, pc, surplus, nil, s); err != nil {
-					panic(err)
+					t.Fatal(err)
 				}
-			})
+				return testing.AllocsPerRun(10, func() {
+					if _, err := decodeChunkPayload(context.Background(), c, pc, surplus, nil, s); err != nil {
+						panic(err)
+					}
+				})
+			}
+			aSmall := measure(small)
+			aLarge := measure(large)
+			if aLarge > aSmall+2 {
+				t.Errorf("%v surplus=%v: 128x128 decode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
+					tools.Backend, surplus, aLarge, aSmall)
+			}
+			if aSmall > 16 {
+				t.Errorf("%v surplus=%v: %.0f fixed allocations per decodeChunkPayload call, want <= 16", tools.Backend, surplus, aSmall)
+			}
+			t.Logf("%v surplus=%v: %.0f allocations per call", tools.Backend, surplus, aSmall)
 		}
-		aSmall := measure(small)
-		aLarge := measure(large)
-		if aLarge > aSmall+2 {
-			t.Errorf("surplus=%v: 128x128 decode does %.0f allocs vs %.0f for 32x32 — hot path is allocating per block",
-				surplus, aLarge, aSmall)
-		}
-		if aSmall > 16 {
-			t.Errorf("surplus=%v: %.0f fixed allocations per decodeChunkPayload call, want <= 16", surplus, aSmall)
-		}
-		t.Logf("surplus=%v: %.0f allocations per call", surplus, aSmall)
 	}
 }
 

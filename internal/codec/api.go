@@ -131,9 +131,8 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 type DecodeConfig struct {
 	// Workers sizes the chunk worker pool; <= 0 selects GOMAXPROCS. Workers
 	// beyond the chunk count go inside the chunks instead: each chunk's
-	// reconstruction runs beside its entropy parse, and a rANS chunk's
-	// interleaved lanes decode in parallel. The planes are identical for
-	// every value.
+	// reconstruction runs beside its entropy parse. The planes are identical
+	// for every value.
 	Workers int
 	// Metrics, when non-nil, receives the codec.decode.* taxonomy
 	// (metrics.go), including the decode-error counters.

@@ -1,32 +1,25 @@
 // Interleaved-rANS entropy backend (EntropyBackend, DESIGN.md §13).
 //
-// The CABAC backend is bit-serial within a chunk: every bin's probability
-// depends on the adaptation caused by every earlier bin, so a chunk payload
-// cannot be decoded with intra-chunk parallelism. The rANS backend removes
-// that dependency with the paper's two-pass scheme (VcLLM):
+// CABAC is bit-serial within a chunk: every bin's probability depends on the
+// adaptation of every earlier bin. The rANS backend removes that chain with
+// the paper's two-pass scheme (VcLLM):
 //
-//  1. Pass 1 (per chunk, parallel): the encoder runs exactly as under CABAC —
-//     same RD decisions, same syntax, same reconstructions — but the bin
-//     coder is a recorder: every context-coded bin is appended to its
-//     context slot's list and every bypass bin goes to a raw bit buffer. The
-//     recorder still adapts the cabac contexts (Context.Update), so the RD
-//     cost estimates see identical state and backend choice never perturbs
-//     decisions.
-//  2. Aggregate (once per container): per-slot zero/one counts from all
-//     chunks quantize into one shared 56-byte probability table, serialized
-//     in the v3 header's backend extension.
-//  3. Pass 2 (per chunk, cheap): the chunk's bins are laid out slot-major —
-//     all of slot 0's bins in emission order, then slot 1's, … — and coded
-//     through rans.Interleave independent static rANS states (bin i on
-//     state i%Interleave). Slot-major order is the load-bearing trick: the
-//     position→probability mapping is fully determined by the per-slot
-//     counts in the payload header, with no dependence on the syntax parse,
-//     so every state decodes its stride-4 subsequence independently.
+//  1. Record (per chunk): the encoder runs exactly as under CABAC — same
+//     decisions, syntax and reconstructions — but its bin coder appends each
+//     context-coded bin to its slot's list (still adapting the contexts the
+//     RD estimates read) and each bypass bin to a raw bit buffer.
+//  2. Aggregate (per container): per-slot zero/one counts quantize into one
+//     shared 56-byte probability table in the v3 header's backend extension.
+//  3. Assemble (per chunk): the bins, slot-major — slot 0's in emission
+//     order, then slot 1's, … — are coded through rans.Interleave static
+//     states, bin i on state i%Interleave. The per-slot counts in the payload
+//     fix every position's probability without the syntax parse, so the
+//     states decode independently.
 //
-// The decoder inverts this: parse the count table, pre-decode all bins
-// (lanes optionally on goroutines — the intra-chunk parallelism), then run
-// the ordinary serial syntax parse popping pre-decoded bins from per-slot
-// queues (contiguous slices of the slot-major array).
+// The decoder pre-decodes every bin — the four states in one loop, one bin of
+// each a step, their independence instruction-level parallelism
+// (rans.DecodeBins) — then runs the serial syntax parse popping bins from
+// per-slot queues. The chunk reader and its bin buffer live in the scratch.
 //
 // rANS chunk payload layout (uvarint = unsigned LEB128):
 //
@@ -42,7 +35,7 @@ package codec
 
 import (
 	"encoding/binary"
-	"sync"
+	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/rans"
@@ -103,13 +96,11 @@ func buildRansTable(recs []*ransRecord) [nCtxSlots]uint8 {
 		if r == nil {
 			continue
 		}
-		for s := range r.slotBins {
-			for _, b := range r.slotBins[s] {
-				if b == 0 {
-					zeros[s]++
-				} else {
-					ones[s]++
-				}
+		for s, bins := range r.slotBins {
+			zeros[s] += int64(len(bins))
+			for _, b := range bins {
+				ones[s] += int64(b)
+				zeros[s] -= int64(b)
 			}
 		}
 	}
@@ -151,22 +142,18 @@ func (r *ransRecord) assemble(tab *[nCtxSlots]uint8) []byte {
 		return out
 	}
 
-	// Slot-major canonical sequence with its positional frequencies.
-	binSeq := make([]uint8, 0, total)
-	freqSeq := make([]uint32, 0, total)
-	for s := range r.slotBins {
-		f0 := rans.ProbToFreq(tab[s])
-		for _, b := range r.slotBins[s] {
-			binSeq = append(binSeq, b)
-			freqSeq = append(freqSeq, f0)
-		}
-	}
+	// The slot-major sequence, pushed last bin first.
 	var encs [ransLanes]rans.BinEncoder
 	for j := range encs {
 		encs[j].Reset()
 	}
-	for i := total - 1; i >= 0; i-- {
-		encs[i%ransLanes].Put(int(binSeq[i]), freqSeq[i])
+	i := total
+	for s := nCtxSlots - 1; s >= 0; s-- {
+		f0 := rans.ProbToFreq(tab[s])
+		for k := len(r.slotBins[s]) - 1; k >= 0; k-- {
+			i--
+			encs[i%ransLanes].Put(int(r.slotBins[s][k]), f0)
+		}
 	}
 	var segs [ransLanes][]byte
 	for j := range encs {
@@ -181,13 +168,12 @@ func (r *ransRecord) assemble(tab *[nCtxSlots]uint8) []byte {
 
 // ---------------------------------------------------------------- decoding
 
-// ransChunk is a chunk payload after the parallel pre-decode: every bin the
-// syntax parse will ask for, one per byte, in nQueues queues — queue 0 the
-// bypass bits, queue 1+s the context bins of slot s. Queue q owns
+// ransChunk is a chunk payload after the pre-decode: every bin the syntax
+// parse will ask for, one per byte, in nQueues queues — queue 0 the bypass
+// bits, queue 1+s the context bins of slot s. Queue q owns
 // bins[prefix[q]:prefix[q+1]] and next[q] is its read cursor. It is the
 // binDecoder the serial syntax parse runs against, and the concrete reader of
-// the per-bin residual loop, whose bin reads then inline to a load and a
-// cursor bump.
+// the per-bin residual loop, whose bin reads inline to a load and a bump.
 //
 // The raw ablation (no entropy coding: every bin is one literal bit, context
 // and bypass interleaved in one stream) is the degenerate chunk,
@@ -214,16 +200,17 @@ func unpackBits(bins []uint8, packed []byte) []uint8 {
 	return bins
 }
 
-// newLiteralChunk unpacks the raw payload of a chunk coding chunkPixels pixels
-// a byte per bit, and refuses it unread if it is longer than a rANS payload of
-// that geometry may be: its bins, twice as many bypass bits, a byte's padding.
-func newLiteralChunk(payload []byte, chunkPixels int64) (*ransChunk, error) {
+// newLiteralChunk resets c to the raw payload of a chunk coding chunkPixels
+// pixels, unpacked a byte per bit, and refuses it unread if it is longer than
+// a rANS payload of that geometry may be: its bins, twice as many bypass bits,
+// a byte's padding.
+func newLiteralChunk(c *ransChunk, payload []byte, chunkPixels int64) error {
 	if 8*int64(len(payload)) > 3*maxRansBins(chunkPixels)+7 {
-		return nil, corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
+		return corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
 	}
-	c := &ransChunk{bins: unpackBits(make([]uint8, 0, 8*len(payload)), payload)}
+	*c = ransChunk{bins: unpackBits(c.bins[:0], payload)}
 	c.prefix[bypassQueue+1] = len(c.bins)
-	return c, nil
+	return nil
 }
 
 // maxRansBins caps the bin count a chunk payload may declare, relative to the
@@ -231,19 +218,23 @@ func newLiteralChunk(payload []byte, chunkPixels int64) (*ransChunk, error) {
 // handful of context bins per coefficient, so 32/pixel is generous slack
 // while keeping a forged count table from committing a large allocation.
 func maxRansBins(chunkPixels int64) int64 {
-	cap64 := 32*chunkPixels + 4096
-	if cap64 > maxDecodePixels {
-		cap64 = maxDecodePixels
-	}
-	return cap64
+	return min(32*chunkPixels+4096, maxDecodePixels)
 }
 
-// parseRansPayload validates one rANS chunk payload against the shared
-// table and pre-decodes every context bin. With parallel=true the
-// interleaved states decode on one goroutine each — the intra-chunk
-// parallelism CABAC cannot offer; output is identical either way, since the
-// states write disjoint stride-ransLanes index sets.
-func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, parallel bool) (*ransChunk, error) {
+// parseRansPayload validates one rANS chunk payload against the shared table
+// and pre-decodes every context bin into c, whose buffer it reuses.
+func parseRansPayload(c *ransChunk, payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64) error {
+	segs, err := c.readFraming(payload, chunkPixels)
+	if err != nil {
+		return err
+	}
+	return c.predecode(&segs, tab)
+}
+
+// readFraming resets c to the queues a rANS chunk payload declares, the
+// context queues sized but undecoded, and returns the state segments (nil
+// when the chunk codes no context bin).
+func (c *ransChunk) readFraming(payload []byte, chunkPixels int64) (segs [ransLanes][]byte, err error) {
 	off := 0
 	uvarint := func(what string) (int64, error) {
 		v, k := binary.Uvarint(payload[off:])
@@ -255,22 +246,22 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	}
 	bypassN, err := uvarint("bypass count")
 	if err != nil {
-		return nil, err
+		return segs, err
 	}
 	if bypassN > 2*maxRansBins(chunkPixels) {
-		return nil, corruptf("codec: rans declares %d bypass bits for %d pixels", bypassN, chunkPixels)
+		return segs, corruptf("codec: rans declares %d bypass bits for %d pixels", bypassN, chunkPixels)
 	}
 	bypassBytes := int((bypassN + 7) / 8)
 	if len(payload)-off < bypassBytes {
-		return nil, truncatedf("codec: rans payload ends inside %d bypass bytes", bypassBytes)
+		return segs, truncatedf("codec: rans payload ends inside %d bypass bytes", bypassBytes)
 	}
 	bypass := payload[off : off+bypassBytes]
 	off += bypassBytes
-	c := &ransChunk{alias: -1, bypassN: int(bypassN)}
+	*c = ransChunk{bins: c.bins[:0], alias: -1, bypassN: int(bypassN)}
 
 	const bitmapLen = (nCtxSlots + 7) / 8
 	if len(payload)-off < bitmapLen {
-		return nil, truncatedf("codec: rans payload ends inside slot bitmap")
+		return segs, truncatedf("codec: rans payload ends inside slot bitmap")
 	}
 	bitmap := payload[off : off+bitmapLen]
 	off += bitmapLen
@@ -285,24 +276,25 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 		}
 		n, err := uvarint("slot count")
 		if err != nil {
-			return nil, err
+			return segs, err
 		}
 		if n == 0 {
-			return nil, corruptf("codec: rans slot %d present with zero bins", s)
+			return segs, corruptf("codec: rans slot %d present with zero bins", s)
 		}
 		total += n
 		if total > maxRansBins(chunkPixels) {
-			return nil, corruptf("codec: rans declares %d bins for %d pixels", total, chunkPixels)
+			return segs, corruptf("codec: rans declares %d bins for %d pixels", total, chunkPixels)
 		}
 	}
 	c.prefix[nQueues] = int(base + total)
 	copy(c.next[:], c.prefix[:nQueues])
-	c.bins = unpackBits(make([]uint8, 0, base+total), bypass)[:base+total]
+	c.bins = unpackBits(c.bins, bypass)
+	c.bins = slices.Grow(c.bins, int(total))[:base+total] // predecode writes every context bin
 	if total == 0 {
 		if off != len(payload) {
-			return nil, corruptf("codec: rans %d trailing bytes after empty bin table", len(payload)-off)
+			return segs, corruptf("codec: rans %d trailing bytes after empty bin table", len(payload)-off)
 		}
-		return c, nil
+		return segs, nil
 	}
 
 	var segLens [ransLanes]int
@@ -310,10 +302,10 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	for j := range segLens {
 		n, err := uvarint("segment length")
 		if err != nil {
-			return nil, err
+			return segs, err
 		}
 		if n > int64(len(payload)) {
-			return nil, corruptf("codec: rans segment %d declares %d bytes", j, n)
+			return segs, corruptf("codec: rans segment %d declares %d bytes", j, n)
 		}
 		segLens[j] = int(n)
 		segTotal += int(n)
@@ -321,60 +313,34 @@ func parseRansPayload(payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64, 
 	if len(payload)-off != segTotal {
 		// Exact-length rule, as everywhere in the container: segments tile
 		// the rest of the payload precisely.
-		return nil, corruptf("codec: rans segments declare %d bytes, %d remain", segTotal, len(payload)-off)
+		return segs, corruptf("codec: rans segments declare %d bytes, %d remain", segTotal, len(payload)-off)
 	}
-	var segs [ransLanes][]byte
 	for j, n := range segLens {
 		segs[j] = payload[off : off+n]
 		off += n
 	}
+	return segs, nil
+}
 
-	// Positional frequency of slot s, shared by all lanes.
-	var f0 [nCtxSlots]uint32
-	for s := range f0 {
-		f0[s] = rans.ProbToFreq(tab[s])
+// predecode decodes the context queues from the state segments: one rans.Run
+// per present slot, at the slot's table frequency.
+func (c *ransChunk) predecode(segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) error {
+	base := c.prefix[1]
+	if c.prefix[nQueues] == base {
+		return nil
 	}
-	ctxBins := c.bins[base:]
-	lane := func(j int) error {
-		var dec rans.BinDecoder
-		if err := dec.Init(segs[j]); err != nil {
-			return err
-		}
-		q := 1
-		for i := j; i < int(total); i += ransLanes {
-			for int(base)+i >= c.prefix[q+1] {
-				q++
-			}
-			bin, err := dec.Get(f0[q-1])
-			if err != nil {
-				return err
-			}
-			ctxBins[i] = uint8(bin)
-		}
-		return dec.Close()
-	}
-	var laneErrs [ransLanes]error
-	if parallel {
-		var wg sync.WaitGroup
-		for j := 0; j < ransLanes; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				laneErrs[j] = lane(j)
-			}(j)
-		}
-		wg.Wait()
-	} else {
-		for j := 0; j < ransLanes; j++ {
-			laneErrs[j] = lane(j)
+	var runs [nCtxSlots]rans.Run
+	n := 0
+	for s, p := range tab {
+		if k := c.prefix[s+2] - c.prefix[s+1]; k > 0 {
+			runs[n] = rans.Run{Bins: k, F0: rans.ProbToFreq(p)}
+			n++
 		}
 	}
-	for j, err := range laneErrs {
-		if err != nil {
-			return nil, corruptf("codec: rans state %d: %v", j, err)
-		}
+	if j, err := rans.DecodeBins(c.bins[base:], segs, runs[:n]); err != nil {
+		return corruptf("codec: rans state %d: %v", j, err)
 	}
-	return c, nil
+	return nil
 }
 
 // close verifies the strict end-of-chunk invariants after the syntax parse:

@@ -5,13 +5,18 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
 	"repro/internal/frame"
+	"repro/internal/quant"
+	"repro/internal/tensorgen"
 )
 
 // ransTools is AllTools with the interleaved-rANS entropy backend selected.
@@ -389,5 +394,189 @@ func TestLiteralPayloadBound(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; n == len(payload) && grew >= uint64(n) {
 			t.Fatalf("%d-byte raw payload: the refused decode allocated %d bytes", n, grew)
 		}
+	}
+}
+
+// predecodeBoth pre-decodes a framed chunk twice — the production loop on one
+// copy, predecodeDef on another — and fails unless both end in the same error
+// (its class, its state and its detail) or, without one, in the same bins. It
+// returns the production copy's bins and error.
+func predecodeBoth(t *testing.T, label string, c *ransChunk, segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) ([]uint8, error) {
+	t.Helper()
+	got, want := *c, *c
+	got.bins, want.bins = slices.Clone(c.bins), slices.Clone(c.bins)
+	gotErr, wantErr := got.predecode(segs, tab), predecodeDef(&want, segs, tab)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: pre-decode ends %v, definition %v", label, gotErr, wantErr)
+	}
+	if gotErr == nil && !bytes.Equal(got.bins, want.bins) {
+		t.Fatalf("%s: pre-decoded bins differ from the definition's", label)
+	}
+	return got.bins, gotErr
+}
+
+// TestPredecodeEquivalence holds the chunk pre-decode — the four rANS states
+// in one loop — to its definition, each state alone: the same bins, or the
+// same error with the same state index. On every chunk of the golden rANS
+// vectors, and on forged chunks: records of drawn slots (totals of 1–7 bins,
+// so that some states code none, and runs of up to 300, so that runs start at
+// every residue mod 4) assembled as the encoder assembles them, clean and
+// then with each failure kind — a segment under 3 bytes, an initial state
+// below 2¹⁶, a segment cut short, a flipped byte (a final state other than
+// 2¹⁶), a trailing byte — in each state, alone or beside a second damaged
+// state, where the lower one must be reported.
+func TestPredecodeEquivalence(t *testing.T) {
+	golden := 0
+	goldenChunks(t, func(name string, pc *parsedContainer, c *chunkMeta) {
+		if pc.tools.Backend != BackendRANS {
+			return
+		}
+		var rc ransChunk
+		segs, err := rc.readFraming(c.payload, codedPixels(c.dims, pc.prof.CTUSize))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := predecodeBoth(t, name, &rc, &segs, pc.ransTab); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		golden++
+	})
+	if golden == 0 {
+		t.Fatal("no golden rANS chunk")
+	}
+
+	rng := rand.New(rand.NewSource(65))
+	kinds := []string{"-byte segment", "initial state", "mid-renormalization", "final state", "unconsumed"}
+	var seen [5][ransLanes]int
+	var residues [ransLanes]int
+	damage := func(seg []byte, kind int) []byte {
+		switch kind {
+		case 0:
+			return seg[:rng.Intn(min(3, len(seg)))]
+		case 1:
+			seg = slices.Clone(seg)
+			seg[0] = 0
+		case 2:
+			return seg[:3+rng.Intn(len(seg)-2)/2]
+		case 3:
+			seg = slices.Clone(seg)
+			seg[min(3+rng.Intn(len(seg)), len(seg)-1)] ^= uint8(1 + rng.Intn(255))
+		default:
+			seg = append(slices.Clone(seg), uint8(rng.Intn(256)))
+		}
+		return seg
+	}
+	for trial := 0; trial < 3000; trial++ {
+		var tab [nCtxSlots]uint8
+		for s := range tab {
+			tab[s] = uint8(1 + rng.Intn(255))
+		}
+		rec := newRansRecord()
+		var want []uint8
+		budget := []int{1 + rng.Intn(7), 1 << 20}[trial%2]
+		for s := range rec.slotBins {
+			if rng.Intn(3) != 0 || budget == 0 {
+				continue
+			}
+			n := min(1+rng.Intn(300), budget)
+			budget -= n
+			residues[len(want)%ransLanes]++
+			for range n {
+				b := uint8(0)
+				if rng.Intn(256) >= int(tab[s]) {
+					b = 1
+				}
+				rec.slotBins[s] = append(rec.slotBins[s], b)
+			}
+			want = append(want, rec.slotBins[s]...)
+		}
+		for range rng.Intn(20) {
+			rec.bypass.WriteBit(rng.Intn(2))
+		}
+		var rc ransChunk
+		clean, err := rc.readFraming(rec.assemble(&tab), 1<<20)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		label := fmt.Sprintf("trial %d (%d bins)", trial, len(want))
+		bins, err := predecodeBoth(t, label, &rc, &clean, &tab)
+		if err != nil || !bytes.Equal(bins[rc.prefix[1]:], want) {
+			t.Fatalf("%s: clean chunk pre-decodes to other bins (%v)", label, err)
+		}
+		if len(want) == 0 {
+			continue
+		}
+		for kind := range kinds {
+			j := rng.Intn(ransLanes)
+			segs := clean
+			segs[j] = damage(segs[j], kind)
+			if trial%3 == 0 {
+				k := (j + 1 + rng.Intn(ransLanes-1)) % ransLanes
+				segs[k] = damage(segs[k], rng.Intn(len(kinds)))
+			}
+			_, err := predecodeBoth(t, fmt.Sprintf("%s, %s in state %d", label, kinds[kind], j), &rc, &segs, &tab)
+			if err == nil {
+				continue
+			}
+			var state int
+			if _, serr := fmt.Sscanf(err.Error(), "codec: rans state %d:", &state); serr != nil {
+				t.Fatalf("%s: error %q names no state", label, err)
+			}
+			for k, msg := range kinds {
+				if strings.Contains(err.Error(), msg) {
+					seen[k][state]++
+				}
+			}
+		}
+	}
+	for k, msg := range kinds {
+		for j, n := range seen[k] {
+			if n == 0 {
+				t.Errorf("no forged chunk failed with %q in state %d", msg, j)
+			}
+		}
+	}
+	for r, n := range residues {
+		if n == 0 {
+			t.Errorf("no forged run started at residue %d", r)
+		}
+	}
+}
+
+// BenchmarkPredecodeRANS times the chunk pre-decode production runs — the
+// four rANS states in one loop — beside its definition (each state alone, one
+// bin a call), on one 256×256 layer of the weights_fetch stack at QP 12, in
+// ns a bin.
+func BenchmarkPredecodeRANS(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	pix, _, _ := quant.ToUint8(tensorgen.WeightStack(rng, 1, 256, 256, 0.3)[0])
+	data, _, _, err := Encode(context.Background(), []*frame.Plane{{W: 256, H: 256, Pix: pix}},
+		EncodeConfig{QP: 12, Profile: HEVC, Tools: ransTools(), Workers: 1, Container: ContainerV3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc, err := parseContainer(data, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &pc.chunks[0]
+	var rc ransChunk
+	segs, err := rc.readFraming(c.payload, codedPixels(c.dims, pc.prof.CTUSize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bins := rc.prefix[nQueues] - rc.prefix[1]
+	for _, v := range []struct {
+		name string
+		f    func(*ransChunk, *[ransLanes][]byte, *[nCtxSlots]uint8) error
+	}{{"loop", (*ransChunk).predecode}, {"def", predecodeDef}} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := v.f(&rc, &segs, pc.ransTab); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bins), "ns/bin")
+		})
 	}
 }

@@ -164,14 +164,12 @@ const maxDecodePixels = 1 << 28
 // every transient buffer. Distinct chunks may be decoded concurrently as long
 // as each call owns its scratch.
 //
-// surplus says the pool has more workers than chunks, and so goroutines to
-// spare inside this one: the reconstruct stage then runs beside the parse
-// instead of after each CTU, and a rANS payload's interleaved states
-// pre-decode in parallel instead of serially. The planes are identical either
-// way. The stage goroutine is started here and joined here, on every exit —
-// normal return, a decodeError or cancelAbort panic out of the parse, a defect
-// panic in either stage — so it never outlives the call and the scratch is
-// quiescent when it goes back to the pool.
+// surplus says the pool has more workers than chunks, so the reconstruct
+// stage runs beside the parse on a goroutine of its own instead of after each
+// CTU; the planes are identical either way. That goroutine is started and
+// joined here, on every exit — normal return, a decodeError or cancelAbort
+// panic out of the parse, a defect panic in either stage — so it never
+// outlives the call and the scratch is quiescent when it goes back to the pool.
 func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, surplus bool, m *decMetrics, s *scratch) (planes []*frame.Plane, err error) {
 	// recover() must be called directly by the deferred function, so the
 	// panic trap is inlined here rather than delegated to a helper. Known
@@ -209,11 +207,8 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		if pc.ransTab == nil {
 			return nil, corruptf("codec: rans chunk without a header table")
 		}
-		// Pre-decode every context bin through the interleaved states before
-		// the (serial) syntax parse; this is where the backend's intra-chunk
-		// parallelism lives.
-		rc, err = parseRansPayload(c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize), surplus)
-		if err != nil {
+		rc = &s.chunk // every context bin pre-decoded before the syntax parse
+		if err = parseRansPayload(rc, c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
 			return nil, classifyStreamErr(err)
 		}
 		d.br = rc
@@ -222,9 +217,10 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
 	default:
-		if d.br, err = newLiteralChunk(c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+		if err = newLiteralChunk(&s.chunk, c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
 			return nil, err
 		}
+		d.br = &s.chunk
 	}
 
 	var stageStart time.Time

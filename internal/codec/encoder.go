@@ -37,7 +37,6 @@ type encoder struct {
 	orig  *frame.Plane
 	recon *frame.Plane
 	prev  *frame.Plane // previous frame's reconstruction (inter)
-	coded []bool       // per-pixel "already reconstructed" mask
 	fIdx  int
 
 	bw     binEncoder
@@ -229,14 +228,13 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 	e.h = padTo(src.H, e.prof.CTUSize)
 	// The padded source and reconstruction live in the scratch arena. The
 	// recycled recon starts with unspecified contents, which is safe because
-	// nothing reads an uncoded pixel: gatherRefs consults the coverage mask,
-	// and by the end of the CTU loop every padded pixel has been written by
-	// applyLeaf. The golden conformance corpus pins this reasoning
-	// byte-for-byte.
+	// nothing reads an uncoded pixel: gatherRefsInto reads only samples that
+	// precede the block in coding order, and by the end of the CTU loop every
+	// padded pixel has been written by applyLeaf. The golden conformance
+	// corpus pins this reasoning byte-for-byte.
 	e.orig = e.scr.origPlane.Reuse(e.w, e.h)
 	padPlaneInto(e.orig, src)
 	e.recon = e.scr.reconPlane.Reuse(e.w, e.h)
-	e.coded = e.scr.codedMask(e.w * e.h)
 	e.prevModeEmit = intra.DC
 
 	for y := 0; y < e.h; y += e.prof.CTUSize {
@@ -330,103 +328,96 @@ func (e *encoder) decideCU(x, y, size int) *cuDec {
 	return split
 }
 
-// applyLeaf writes the decided leaf's reconstruction into the recon plane and
-// marks the region coded. The pixels are the winning trial's, kept by
-// decideLeaf, rather than a second prediction and inverse transform: a block's
-// references lie outside it, and between its decideLeaf and its applyLeaf only
-// pixels inside it change (a signaled split's children trial, every pixel and
-// mask bit of which this overwrites), so re-deriving would rebuild the same
-// prediction from the same references and add the same levels' residual.
+// applyLeaf writes the decided leaf's reconstruction into the recon plane.
+// The pixels are the winning trial's, kept by decideLeaf, rather than a second
+// prediction and inverse transform: a block's references lie outside it, and
+// between its decideLeaf and its applyLeaf only pixels inside it change (a
+// signaled split's children trial, every pixel of which this overwrites), so
+// re-deriving would rebuild the same prediction from the same references and
+// add the same levels' residual.
 func (e *encoder) applyLeaf(d *cuDec, x, y, size int) {
-	storeResidual(e.recon, e.coded, d.rec, nil, x, y, size)
+	storeResidual(e.recon, d.rec, nil, x, y, size)
 }
 
-// gatherRefs builds intra reference samples from the reconstruction into the
-// scratch reference buffers (valid until the next gatherRefs call).
-func (e *encoder) gatherRefs(x, y, size int) intra.Refs {
-	s := e.scr
-	refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-	return gatherRefsInto(e.recon, e.coded, x, y, size, refs)
-}
-
-// unavailable marks a reference sample gatherRefsInto has yet to substitute;
-// pixel values are 0–255.
-const unavailable = -1
-
-// gatherRefsInto fills refs (whose Above/Left must be 2·size long) from the
-// reconstruction with HEVC-style substitution of unavailable samples — those
-// outside the frame or not yet coded — and returns refs with its Corner set.
-func gatherRefsInto(recon *frame.Plane, coded []bool, x, y, size int, refs intra.Refs) intra.Refs {
-	w, h := recon.W, recon.H
-	n2 := 2 * size
+// gatherRefsInto fills refs (Above/Left 2·size long) from the reconstruction
+// of a plane coded in ctu-sized CTUs and returns refs with its Corner set.
+// Availability is H.265's z-scan rule (§6.4.1) read off the geometry: inside
+// the padded plane the left column, above row and corner are coded, and the
+// below-left and above-right runs each as a whole when the sample beside the
+// block precedes it. So each array holds an available prefix, and HEVC's
+// substitution extends it by its last sample, or fills it and a missing
+// corner from the other array's first (128 with neither).
+func gatherRefsInto(recon *frame.Plane, ctu, x, y, size int, refs intra.Refs) intra.Refs {
+	w, n2 := recon.W, 2*size
 	left, above := refs.Left[:n2], refs.Above[:n2]
-	refs.Corner = unavailable
-	for i := range left {
-		left[i], above[i] = unavailable, unavailable
-	}
+	nLeft, nAbove := 0, 0
 	if x > 0 {
-		// Column x−1 downwards: pixel and mask share one index, a row apart
-		// per step.
-		for i, at := 0, y*w+x-1; i < n2 && y+i < h; i, at = i+1, at+w {
-			if coded[at] {
-				left[i] = int32(recon.Pix[at])
-			}
+		nLeft = size
+		if precedes(recon, ctu, x-1, y+size, x, y) {
+			nLeft = n2
+		}
+		for i, at := 0, y*w+x-1; i < nLeft; i, at = i+1, at+w {
+			left[i] = int32(recon.Pix[at])
 		}
 	}
 	if y > 0 {
-		at := (y-1)*w + x
-		if x > 0 && coded[at-1] {
-			refs.Corner = int32(recon.Pix[at-1])
+		nAbove = size
+		if precedes(recon, ctu, x+size, y-1, x, y) {
+			nAbove = n2
 		}
-		m := min(n2, w-x)
-		ok := coded[at:][:m]
-		for i, v := range recon.Pix[at:][:m] {
-			if ok[i] {
-				above[i] = int32(v)
-			}
+		for i, v := range recon.Pix[(y-1)*w+x:][:nAbove] {
+			above[i] = int32(v)
 		}
 	}
-	// Substitute along the HEVC reference scan — below-left bottom to top,
-	// corner, above and above-right left to right: samples ahead of the first
-	// available one take its value (128 when there is none), every later gap
-	// the sample before it.
-	prev := int32(unavailable)
-	for i := n2 - 1; i >= 0 && prev == unavailable; i-- {
-		prev = left[i]
+	switch {
+	case x > 0 && y > 0:
+		refs.Corner = int32(recon.Pix[(y-1)*w+x-1])
+	case x > 0:
+		refs.Corner = left[0]
+	case y > 0:
+		refs.Corner = above[0]
+	default:
+		refs.Corner = 128
 	}
-	if prev == unavailable {
-		prev = refs.Corner
-	}
-	for i := 0; i < n2 && prev == unavailable; i++ {
-		prev = above[i]
-	}
-	if prev == unavailable {
-		prev = 128
-	}
-	for i := n2 - 1; i >= 0; i-- {
-		if left[i] == unavailable {
-			left[i] = prev
-		}
-		prev = left[i]
-	}
-	if refs.Corner == unavailable {
-		refs.Corner = prev
-	}
-	prev = refs.Corner
-	for i := range above {
-		if above[i] == unavailable {
-			above[i] = prev
-		}
-		prev = above[i]
-	}
+	extendRefs(left, nLeft, refs.Corner)
+	extendRefs(above, nAbove, refs.Corner)
 	return refs
 }
 
-// motionPredict copies the motion-compensated block from the previous frame.
-func (e *encoder) motionPredict(dst []int32, x, y, size int, mvx, mvy int32) {
-	motionPredict(e.prev, dst, x, y, size, mvx, mvy)
+// extendRefs fills a[n:] with a[n−1], or with v when n is 0.
+func extendRefs(a []int32, n int, v int32) {
+	if n > 0 {
+		v = a[n-1]
+	}
+	for i := n; i < len(a); i++ {
+		a[i] = v
+	}
 }
 
+// precedes reports whether sample (px, py) is coded before the block at
+// (x, y): it lies inside the padded plane, and in an earlier CTU in raster
+// order or earlier in the CTU's z-scan. Blocks are aligned to their size, so
+// this holds for a sample exactly when it does for its whole aligned block of
+// that size.
+func precedes(recon *frame.Plane, ctu, px, py, x, y int) bool {
+	if px < 0 || py < 0 || px >= recon.W || py >= recon.H {
+		return false
+	}
+	if r, br := py/ctu, y/ctu; r != br {
+		return r < br
+	}
+	if c, bc := px/ctu, x/ctu; c != bc {
+		return c < bc
+	}
+	// The z-scan interleaves the bits of x and y, y's above x's: the order is
+	// x's when the coordinates' highest differing bit is x's, else y's.
+	if xd, yd := px^x, py^y; yd < xd && yd < xd^yd {
+		return px < x
+	}
+	return py < y
+}
+
+// motionPredict copies the motion-compensated block from the previous frame.
 func motionPredict(prev *frame.Plane, dst []int32, x, y, size int, mvx, mvy int32) {
 	for dy := 0; dy < size; dy++ {
 		for dx := 0; dx < size; dx++ {
@@ -537,7 +528,8 @@ func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	s, n2 := e.scr, size*size
 	top := topModes{k: rdCandidates}
 	sc := &s.scorer
-	sc.Reset(size, orig, e.gatherRefs(x, y, size), intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
+	refs := gatherRefsInto(e.recon, e.prof.CTUSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
+	sc.Reset(size, orig, refs, intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 	smooth := func(m intra.Mode) bool { return e.prof.RefSmoothing && intra.UseSmoothing(size, m) }
 	for mi, m := range e.prof.Modes {
 		if m != intra.Planar && m != intra.DC {
@@ -619,7 +611,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 	if e.tools.InterPred && e.fIdx > 0 {
 		mvx, mvy := e.motionSearch(orig, x, y, size)
 		pred := s.pred[:n2]
-		e.motionPredict(pred, x, y, size, mvx, mvy)
+		motionPredict(e.prev, pred, x, y, size, mvx, mvy)
 		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, false)
 		mvBits := float64(egLen(zigzagU(mvx), 1) + egLen(zigzagU(mvy), 1))
 		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: dist + float64(e.lambda*(rbits+mvBits+1))}, lev, rec)
@@ -636,7 +628,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 	pred := e.scr.mcPred[:size*size]
 	for my := -searchRange; my <= searchRange; my++ {
 		for mx := -searchRange; mx <= searchRange; mx++ {
-			e.motionPredict(pred, x, y, size, int32(mx), int32(my))
+			motionPredict(e.prev, pred, x, y, size, int32(mx), int32(my))
 			var sad int64
 			for i := range orig {
 				d := orig[i] - pred[i]

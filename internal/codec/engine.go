@@ -582,10 +582,9 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 	planes := make([]*frame.Plane, len(pc.dims))
 	// Intra-chunk parallelism: when the pool has more workers than chunks,
 	// the surplus goes inside each chunk — to its reconstruct stage, which
-	// then overlaps the parse, and under the rANS backend to parallel state
-	// decoding. Computed from the requested count, since the pool's clamp to
-	// the chunk count is exactly what discards the surplus. Output is
-	// identical either way.
+	// then overlaps the parse. Computed from the requested count, since the
+	// pool's clamp to the chunk count is exactly what discards the surplus.
+	// Output is identical either way.
 	surplus := normalizeWorkers(workers) > len(pc.chunks)
 	var pm *poolMetrics
 	if m != nil {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cabac"
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
@@ -60,16 +61,17 @@ func TestTrialResidualEquivalence(t *testing.T) {
 // TestReconstructEquivalence holds the reconstruct stage, on every kernel
 // path, to its definition: on 10 000 drawn leaves — intra (every HEVC mode,
 // DST on and off) and inter, transform on and off, levels from all-zero
-// through quantised residuals to the cap, coverage a raster prefix or all,
-// planes of noise and all-zero leaves over planes held at 0 and at 255 — it
-// leaves the plane bytes and the coded mask reconstructDef leaves.
+// through quantised residuals to the cap, the coverage a coding pass over a
+// drawn partition leaves when it reaches the leaf, planes of noise and
+// all-zero leaves over planes held at 0 and at 255 — it leaves the plane
+// bytes reconstructDef leaves.
 func TestReconstructEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	const dim = 96
 	s := newScratch()
 	prev := frame.NewPlane(dim-5, dim-9) // the inter reference is a crop: motion clamps to it
 	start, want, got := frame.NewPlane(dim, dim), frame.NewPlane(dim, dim), frame.NewPlane(dim, dim)
-	startMask, wantMask, gotMask := make([]bool, dim*dim), make([]bool, dim*dim), make([]bool, dim*dim)
+	mask := make([]bool, dim*dim)
 	b := new(ctuBatch)
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
@@ -92,7 +94,6 @@ func TestReconstructEquivalence(t *testing.T) {
 			for i := range start.Pix {
 				start.Pix[i], prev.Pix[i%len(prev.Pix)] = flat, flat
 			}
-			drawCoverage(rng, startMask, dim, y, size, 2)
 		case draw%8 == 2: // levels up to the cap: residuals far outside the pixel range
 			drawLevels(rng, lev, size, r.tools.Transform, 5)
 			lev[rng.Intn(n2)] = rng.Int31n(2*maxLevel+1) - maxLevel
@@ -102,27 +103,25 @@ func TestReconstructEquivalence(t *testing.T) {
 		if !pinned {
 			drawPixels(rng, prev.Pix, prev.W, 0)
 			drawPixels(rng, start.Pix, dim, 0)
-			drawCoverage(rng, startMask, dim, y, size, 1+draw%2)
 		}
+		coverageAt(rng, mask, dim, dim, r.prof.CTUSize, x, y, size)
 		b.n, b.leaves[0], b.levN = 1, lf, n2
 
 		copy(want.Pix, start.Pix)
-		copy(wantMask, startMask)
-		r.recon, r.coded = want, wantMask
-		reconstructDef(&r, b)
+		r.recon = want
+		reconstructDef(&r, mask, b)
 		kernelPaths(func(simd bool) {
 			copy(got.Pix, start.Pix)
-			copy(gotMask, startMask)
-			r.recon, r.coded = got, gotMask
+			r.recon = got
 			r.reconstruct(b)
-			if slices.Equal(got.Pix, want.Pix) && slices.Equal(gotMask, wantMask) {
+			if slices.Equal(got.Pix, want.Pix) {
 				return
 			}
 			for i, v := range want.Pix {
-				if got.Pix[i] != v || gotMask[i] != wantMask[i] {
-					t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v simd %v): pixel (%d,%d) = %d coded %v, definition %d coded %v",
+				if got.Pix[i] != v {
+					t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v simd %v): pixel (%d,%d) = %d, definition %d",
 						draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.UseDST4, simd,
-						i%dim, i/dim, got.Pix[i], gotMask[i], v, wantMask[i])
+						i%dim, i/dim, got.Pix[i], v)
 				}
 			}
 		})
@@ -212,21 +211,18 @@ func TestSADWithinEquivalence(t *testing.T) {
 
 // TestStoreEquivalence holds a leaf's commit, on every kernel path and at
 // every size, to its definition: blocks at drawn positions of a plane of
-// noise under a drawn coverage, predictions of pixels or of values outside
-// the pixel range, residuals nil, small, or anywhere in the int32 range
-// (sums that wrap, and every clip) — the plane bytes and the coded mask must
-// be storeDef's, inside the block and out.
+// noise, predictions of pixels or of values outside the pixel range, residuals
+// nil, small, or anywhere in the int32 range (sums that wrap, and every clip)
+// — the plane bytes must be storeDef's, inside the block and out.
 func TestStoreEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(58))
 	const dim = 96
 	start, want, got := frame.NewPlane(dim, dim), frame.NewPlane(dim, dim), frame.NewPlane(dim, dim)
-	startMask, wantMask, gotMask := make([]bool, dim*dim), make([]bool, dim*dim), make([]bool, dim*dim)
 	for draw := 0; draw < 2000; draw++ {
 		size := 4 << (draw % 4)
 		n2 := size * size
 		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
 		drawPixels(rng, start.Pix, dim, 0)
-		drawCoverage(rng, startMask, dim, y, size, draw)
 		pred, res := make([]int32, n2), make([]int32, n2)
 		for i := range pred {
 			pred[i] = rng.Int31n(256)
@@ -239,16 +235,14 @@ func TestStoreEquivalence(t *testing.T) {
 			res = nil
 		}
 		copy(want.Pix, start.Pix)
-		copy(wantMask, startMask)
-		storeDef(want, wantMask, pred, res, x, y, size)
+		storeDef(want, pred, res, x, y, size)
 		kernelPaths(func(simd bool) {
 			copy(got.Pix, start.Pix)
-			copy(gotMask, startMask)
-			storeResidual(got, gotMask, pred, res, x, y, size)
+			storeResidual(got, pred, res, x, y, size)
 			for i, v := range want.Pix {
-				if got.Pix[i] != v || gotMask[i] != wantMask[i] {
-					t.Fatalf("draw %d (size %d at %d,%d nil %v simd %v): pixel (%d,%d) = %d coded %v, definition %d coded %v",
-						draw, size, x, y, res == nil, simd, i%dim, i/dim, got.Pix[i], gotMask[i], v, wantMask[i])
+				if got.Pix[i] != v {
+					t.Fatalf("draw %d (size %d at %d,%d nil %v simd %v): pixel (%d,%d) = %d, definition %d",
+						draw, size, x, y, res == nil, simd, i%dim, i/dim, got.Pix[i], v)
 				}
 			}
 		})
@@ -288,41 +282,141 @@ func TestEstimateLevelBitsEquivalence(t *testing.T) {
 	}
 }
 
-// TestGatherRefsEquivalence: every half-block position of small frames of
-// drawn contents under every coverage drawCoverage makes — none, a raster
-// prefix, all, random — against the gather by definition.
+// TestGatherRefsEquivalence holds the gather — availability read off the
+// geometry — to its definition over the coverage mask it replaces, at every
+// leaf of drawn partitions in coding order: leaves of 4 to 32 mixed, planes of
+// 1 to 16 CTUs of 16 and 32 and the padded 17×13 and 45×80 planes, contents of
+// noise and ramps. Every leaf position must see its below-left and above-right
+// runs both available and not, across the draws.
 func TestGatherRefsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	for trial := 0; trial < 300; trial++ {
-		size := 4 << rng.Intn(4)
-		w, h := size*(1+rng.Intn(4)), size*(1+rng.Intn(4))
+	var runs [2][2]int // [below-left, above-right][available]
+	for trial := 0; trial < 400; trial++ {
+		ctu := []int{16, 32}[trial%2]
+		w, h := ctu*(1+rng.Intn(4)), ctu*(1+rng.Intn(4))
+		switch trial % 5 {
+		case 0:
+			w, h = padTo(17, ctu), padTo(13, ctu)
+		case 1:
+			w, h = padTo(45, ctu), padTo(80, ctu)
+		}
 		recon := frame.NewPlane(w, h)
 		drawPixels(rng, recon.Pix, w, trial%2)
 		coded := make([]bool, w*h)
-		drawCoverage(rng, coded, w, size*rng.Intn(h/size), size, trial)
-		got := intra.NewRefs(size)
-		for y := 0; y < h; y += size / 2 {
-			for x := 0; x < w; x += size / 2 {
-				want := gatherRefsDef(recon, coded, x, y, size)
-				got.Corner = -7
-				got = gatherRefsInto(recon, coded, x, y, size, got)
-				if got.Corner != want.Corner {
-					t.Fatalf("trial %d %dx%d block %d at (%d,%d): corner %d, definition %d", trial, w, h, size, x, y, got.Corner, want.Corner)
-				}
-				for i := range want.Above {
-					if got.Above[i] != want.Above[i] || got.Left[i] != want.Left[i] {
-						t.Fatalf("trial %d %dx%d block %d at (%d,%d): [%d] above %d left %d, definition above %d left %d",
-							trial, w, h, size, x, y, i, got.Above[i], got.Left[i], want.Above[i], want.Left[i])
-					}
+		got := intra.NewRefs(ctu)
+		codingOrder(rng, coded, w, h, ctu, 0, 0, 0, func(x, y, size int) bool {
+			want := gatherRefsDef(recon, coded, x, y, size)
+			got = intra.Refs{Corner: -7, Above: got.Above[:2*size], Left: got.Left[:2*size]}
+			got = gatherRefsInto(recon, ctu, x, y, size, got)
+			if got.Corner != want.Corner {
+				t.Fatalf("trial %d %dx%d ctu %d block %d at (%d,%d): corner %d, definition %d", trial, w, h, ctu, size, x, y, got.Corner, want.Corner)
+			}
+			for i := range want.Above {
+				if got.Above[i] != want.Above[i] || got.Left[i] != want.Left[i] {
+					t.Fatalf("trial %d %dx%d ctu %d block %d at (%d,%d): [%d] above %d left %d, definition above %d left %d",
+						trial, w, h, ctu, size, x, y, i, got.Above[i], got.Left[i], want.Above[i], want.Left[i])
 				}
 			}
-		}
+			if x > 0 && y+size < h {
+				runs[0][b2i(coded[(y+size)*w+x-1])]++
+			}
+			if y > 0 && x+size < w {
+				runs[1][b2i(coded[(y-1)*w+x+size])]++
+			}
+			return true
+		})
 	}
+	if runs[0][0] == 0 || runs[0][1] == 0 || runs[1][0] == 0 || runs[1][1] == 0 {
+		t.Fatalf("below-left runs unavailable/available %v, above-right %v: a case went unexercised", runs[0], runs[1])
+	}
+}
+
+// b2i is 1 for true.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestAvailabilityMatchesCodedMask holds the availability rule to the mask it
+// replaces on the leaves real streams code: every chunk of the golden corpus —
+// every profile and backend, inter-predicted chunks, odd shapes padded to
+// their CTUs, multi-plane chunks — is parsed, and its leaves are replayed in
+// coding order over a plane of noise, each gathered by the rule and by
+// definition over the coverage the leaves before it leave. Partial and region
+// decodes decode whole chunks from their start, so these are their leaves
+// too.
+func TestAvailabilityMatchesCodedMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	leaves := 0
+	goldenChunks(t, func(name string, pc *parsedContainer, c *chunkMeta) {
+		ctu := pc.prof.CTUSize
+		for f, frameLeaves := range chunkLeaves(t, pc, c) {
+			w, h := padTo(c.dims[f][0], ctu), padTo(c.dims[f][1], ctu)
+			recon := frame.NewPlane(w, h)
+			rng.Read(recon.Pix)
+			coded := make([]bool, w*h)
+			for _, lf := range frameLeaves {
+				x, y, size := int(lf.x), int(lf.y), int(lf.size)
+				want := gatherRefsDef(recon, coded, x, y, size)
+				got := gatherRefsInto(recon, ctu, x, y, size, intra.NewRefs(size))
+				if got.Corner != want.Corner || !slices.Equal(got.Above, want.Above) || !slices.Equal(got.Left, want.Left) {
+					t.Fatalf("%s frame %d: leaf %d at (%d,%d): references differ from the coded-mask definition", name, f, size, x, y)
+				}
+				markCoded(coded, w, x, y, size)
+				leaves++
+			}
+		}
+	})
+	t.Logf("%d leaves", leaves)
+}
+
+// chunkLeaves parses a chunk's syntax without reconstructing it and returns
+// each frame's leaves in coding order.
+func chunkLeaves(t *testing.T, pc *parsedContainer, c *chunkMeta) [][]leafRec {
+	t.Helper()
+	d := decoder{prof: pc.prof, tools: pc.tools}
+	pixels := codedPixels(c.dims, pc.prof.CTUSize)
+	switch {
+	case pc.tools.Backend == BackendRANS:
+		rc := new(ransChunk)
+		if err := parseRansPayload(rc, c.payload, pc.ransTab, pixels); err != nil {
+			t.Fatal(err)
+		}
+		d.br = rc
+	case pc.tools.CABAC:
+		var ctx contexts
+		ctx.init()
+		d.br = &cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &ctx}
+	default:
+		rc := new(ransChunk)
+		if err := newLiteralChunk(rc, c.payload, pixels); err != nil {
+			t.Fatal(err)
+		}
+		d.br = rc
+	}
+	ctu, b := pc.prof.CTUSize, new(ctuBatch)
+	var frames [][]leafRec
+	for f, dim := range c.dims {
+		d.fIdx, d.prevMode = f, intra.DC
+		var leaves []leafRec
+		for y := 0; y < padTo(dim[1], ctu); y += ctu {
+			for x := 0; x < padTo(dim[0], ctu); x += ctu {
+				b.n, b.levN = 0, 0
+				d.parseCU(b, x, y, ctu, 0)
+				leaves = append(leaves, b.leaves[:b.n]...)
+			}
+		}
+		frames = append(frames, leaves)
+	}
+	return frames
 }
 
 // TestCoarseSearchEquivalence holds the coarse search, on every kernel path,
 // to its definition: on 10 000 drawn leaves — three profiles, four sizes,
-// neighbourhoods of noise, ramps and flat planes under every coverage, sources
+// neighbourhoods of noise, ramps and flat planes under the coverage a coding
+// pass over a drawn partition leaves when it reaches the leaf, sources
 // that are noise, a noisy copy of one mode's own prediction (close races
 // between its neighbours) or flat (every mode ties) — coarseIntra returns
 // coarseIntraDef's survivors: same modes, same order, same scores, the same
@@ -341,11 +435,15 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
-		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)], tools: AllTools, scr: s, recon: recon, coded: coded}
+		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)], tools: AllTools, scr: s, recon: recon}
 		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
 		kind := draw % 5
 		drawPixels(rng, recon.Pix, dim, []int{0, 1, 0, 1, 2}[kind])
-		drawCoverage(rng, coded, dim, y, size, []int{1, 1, 1, 1, 1, 1, 2, 0}[draw%8])
+		if size > e.prof.CTUSize {
+			size, n2 = e.prof.CTUSize, e.prof.CTUSize*e.prof.CTUSize
+			x, y = x/size*size, y/size*size
+		}
+		coverageAt(rng, coded, dim, dim, e.prof.CTUSize, x, y, size)
 		orig := s.orig[:n2]
 		switch kind {
 		case 0:
@@ -362,7 +460,7 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 			drawSource(rng, orig, orig, 2)
 		}
 
-		want := coarseIntraDef(e, orig, x, y, size, preds)
+		want := coarseIntraDef(e, coded, orig, x, y, size, preds)
 		kernelPaths(func(simd bool) {
 			got := e.coarseIntra(orig, x, y, size)
 			if got != want {
@@ -415,17 +513,17 @@ func benchTrialBlocks(size, count int) (origs, preds [][]int32) {
 	rng := rand.New(rand.NewSource(4))
 	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
 	plane := &frame.Plane{W: dim, H: dim, Pix: pix}
-	coded := make([]bool, dim*dim)
-	for i := range coded {
-		coded[i] = true
-	}
 	for b := 0; b < count; b++ {
 		x0, y0 := 1+rng.Intn(dim-2*size-1), 1+rng.Intn(dim-2*size-1)
 		orig, pred := make([]int32, size*size), make([]int32, size*size)
 		for i := range orig {
 			orig[i] = int32(plane.At(x0+i%size, y0+i/size))
 		}
-		refs := gatherRefsInto(plane, coded, x0, y0, size, intra.NewRefs(size))
+		refs := intra.NewRefs(size) // every neighbour coded
+		refs.Corner = int32(plane.At(x0-1, y0-1))
+		for i := range refs.Above {
+			refs.Above[i], refs.Left[i] = int32(plane.At(x0+i, y0-1)), int32(plane.At(x0-1, y0+i))
+		}
 		intra.Predict(intra.Mode(2+rng.Intn(33)), size, refs, pred)
 		origs, preds = append(origs, orig), append(preds, pred)
 	}
@@ -515,9 +613,6 @@ func BenchmarkReconstructCTU(b *testing.B) {
 			r := reconstructor{prof: HEVC, tools: AllTools, qp: pt.qp, scr: s}
 			r.beginFrame(2*ctu, 2*ctu)
 			rng.Read(r.recon.Pix)
-			for i := range r.coded {
-				r.coded[i] = true
-			}
 			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
 				b.SetBytes(ctu * ctu)
 				for i := 0; i < b.N; i++ {

@@ -199,15 +199,13 @@ func goldenChunks(t testing.TB, f func(name string, pc *parsedContainer, c *chun
 func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	switch {
 	case pc.tools.Backend == BackendRANS:
-		var rcs [2]*ransChunk
+		var rcs [2]ransChunk
 		for i := range rcs {
-			rc, err := parseRansPayload(c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize), false)
-			if err != nil {
+			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
 				t.Fatal(err)
 			}
-			rcs[i] = rc
 		}
-		return newChunkLockstep(rcs[0], rcs[1])
+		return newChunkLockstep(&rcs[0], &rcs[1])
 	case pc.tools.CABAC:
 		return newCabacLockstep(c.payload, nil)
 	}
@@ -217,8 +215,8 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 // literalLockstep pairs a literal chunk of a chunk coding pixels pixels with
 // the raw reader over the same payload.
 func literalLockstep(t testing.TB, payload []byte, pixels int64) *lockstep {
-	lit, err := newLiteralChunk(payload, pixels)
-	if err != nil {
+	lit := new(ransChunk)
+	if err := newLiteralChunk(lit, payload, pixels); err != nil {
 		t.Fatal(err)
 	}
 	return newChunkLockstep(lit, newRawBinDec(payload))

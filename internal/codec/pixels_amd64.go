@@ -10,4 +10,4 @@ func addClipSSEAVX2(rec, pred, orig *int32, count int) (sse int64)
 func sadRowsAVX2(a, b *int32, n int, bound int64) int64
 
 //go:noescape
-func storeAVX2(pix *uint8, coded *bool, stride int, pred, res *int32, n int)
+func storeAVX2(pix *uint8, stride int, pred, res *int32, n int)

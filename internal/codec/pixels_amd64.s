@@ -121,24 +121,20 @@ done:
 	VZEROUPPER
 	RET
 
-// func storeAVX2(pix *uint8, coded *bool, stride int, pred, res *int32, n int)
+// func storeAVX2(pix *uint8, stride int, pred, res *int32, n int)
 //
-// storeResidual for n a multiple of 8: row r of the block, at pix and coded
-// plus r·stride, takes clip(pred + res) — pred alone when res is nil — eight
+// storeResidual for n a multiple of 8: row r of the block, at pix plus
+// r·stride, takes clip(pred + res) — pred alone when res is nil — eight
 // pixels at a time, VPACKSSDW and VPACKUSWB saturating to [−2¹⁵, 2¹⁵) and
-// then to [0, 255], which together are the clip; every coded byte of the row
-// takes true.
+// then to [0, 255], which together are the clip.
 //
-// DI pix, R8 coded, R9 stride, SI pred, DX res, CX n, BX rows left, R10 the
-// column, R12 eight trues.
-TEXT ·storeAVX2(SB), NOSPLIT, $0-48
+// DI pix, R9 stride, SI pred, DX res, CX n, BX rows left, R10 the column.
+TEXT ·storeAVX2(SB), NOSPLIT, $0-40
 	MOVQ pix+0(FP), DI
-	MOVQ coded+8(FP), R8
-	MOVQ stride+16(FP), R9
-	MOVQ pred+24(FP), SI
-	MOVQ res+32(FP), DX
-	MOVQ n+40(FP), CX
-	MOVQ $0x0101010101010101, R12
+	MOVQ stride+8(FP), R9
+	MOVQ pred+16(FP), SI
+	MOVQ res+24(FP), DX
+	MOVQ n+32(FP), CX
 	MOVQ CX, BX
 
 srow:
@@ -156,13 +152,11 @@ pack:
 	VPACKSSDW X1, X0, X0
 	VPACKUSWB X0, X0, X0
 	VMOVQ X0, (DI)(R10*1)
-	MOVQ  R12, (R8)(R10*1)
 	ADDQ  $32, SI
 	ADDQ  $8, R10
 	CMPQ  R10, CX
 	JNE   scol
 	ADDQ  R9, DI
-	ADDQ  R9, R8
 	DECQ  BX
 	JNZ   srow
 	VZEROUPPER

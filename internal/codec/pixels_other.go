@@ -10,4 +10,4 @@ func addClipSSEAVX2(rec, pred, orig *int32, count int) int64 { panic(noSIMD) }
 
 func sadRowsAVX2(a, b *int32, n int, bound int64) int64 { panic(noSIMD) }
 
-func storeAVX2(pix *uint8, coded *bool, stride int, pred, res *int32, n int) { panic(noSIMD) }
+func storeAVX2(pix *uint8, stride int, pred, res *int32, n int) { panic(noSIMD) }

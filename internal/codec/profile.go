@@ -73,8 +73,8 @@ func (p Profile) id() uint8 {
 // scheme): a first pass records every context bin, per-slot statistics are
 // aggregated into one shared probability table serialized in the v3 header,
 // and each chunk's bins are then coded through rans.Interleave independent
-// static rANS states, so a chunk payload decodes with intra-chunk
-// parallelism instead of a serial adaptation chain.
+// static rANS states, which decode together without a serial adaptation
+// chain.
 type EntropyBackend uint8
 
 const (

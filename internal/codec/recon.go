@@ -12,12 +12,11 @@
 // The stages share no mutable state but the batches, and each scratch field a
 // decode touches has one owner:
 //
-//	parse        ctx, cabacDec, dec, and the batch it is filling
+//	parse        ctx, cabacDec, chunk, dec, and the batch it is filling
 //	reconstruct  rcn, pred, rec, coefA, nz, refsAbove/Left, smAbove/Left,
-//	             transforms, dst4, reconPlane, coded, and the batches handed
-//	             to it
+//	             transforms, dst4, reconPlane, and the batches handed to it
 //
-// Frame state (rcn.recon, rcn.prev, rcn.coded) is written by the parsing
+// Frame state (rcn.recon, rcn.prev) is written by the parsing
 // goroutine, but only in beginFrame and endFrame, which it calls with the
 // stage drained; the channel operations of the drain order those writes
 // against the stage's reads.
@@ -77,7 +76,6 @@ type reconstructor struct {
 
 	recon *frame.Plane // padded reconstruction of the current frame
 	prev  *frame.Plane // cropped reconstruction of the previous one (inter)
-	coded []bool
 
 	// busyNs accumulates reconstruct time when timed is set (metrics
 	// enabled); one clock pair per batch, none otherwise.
@@ -93,7 +91,6 @@ func (r *reconstructor) beginFrame(w, h int) {
 	// contents are safe because no uncoded pixel is ever read (mirrors the
 	// encoder, which is what keeps the two reconstructions bit-identical).
 	r.recon = r.scr.reconPlane.Reuse(w, h)
-	r.coded = r.scr.codedMask(w * h)
 }
 
 // endFrame crops the finished reconstruction to the source dims. The crop is
@@ -136,7 +133,7 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
 		case r.tools.IntraPred:
 			refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-			refs = gatherRefsInto(r.recon, r.coded, x, y, size, refs)
+			refs = gatherRefsInto(r.recon, r.prof.CTUSize, x, y, size, refs)
 			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
 				refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 			}
@@ -161,40 +158,31 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			res = s.rec[:n2]
 			s.transformFor(size, !lf.inter && r.prof.UseDST4).InverseMasked(res, s.coefA[:n2], &s.nz)
 		}
-		storeResidual(r.recon, r.coded, pred, res, x, y, size)
+		storeResidual(r.recon, pred, res, x, y, size)
 	}
 }
 
 // storeResidual commits a leaf: the pixels clipPixel(pred+res) into the
-// padded recon plane at (x, y), the region marked coded. A nil res is the
-// all-zero residual of a leaf that coded no level, or of an encoder leaf whose
-// pred is already its reconstruction.
-func storeResidual(recon *frame.Plane, coded []bool, pred, res []int32, x, y, size int) {
+// padded recon plane at (x, y). A nil res is the all-zero residual of a leaf
+// that coded no level, or of an encoder leaf whose pred is already its
+// reconstruction.
+func storeResidual(recon *frame.Plane, pred, res []int32, x, y, size int) {
 	if cpufeat.Lanes8(size) {
 		n2, at, end := size*size, y*recon.W+x, (y+size-1)*recon.W+x+size
 		var r *int32
 		if res != nil {
 			r = &res[:n2][0]
 		}
-		storeAVX2(&recon.Pix[at:end][0], &coded[at:end][0], recon.W, &pred[:n2][0], r, size)
+		storeAVX2(&recon.Pix[at:end][0], recon.W, &pred[:n2][0], r, size)
 		return
 	}
 	for dy := 0; dy < size; dy++ {
 		row := recon.Row(y + dy)[x : x+size]
-		p := pred[dy*size:][:size]
-		if res == nil {
-			for dx, v := range p {
-				row[dx] = uint8(clipPixel(v))
+		for dx, v := range pred[dy*size:][:size] {
+			if res != nil {
+				v += res[dy*size+dx]
 			}
-		} else {
-			d := res[dy*size:][:size]
-			for dx, v := range p {
-				row[dx] = uint8(clipPixel(v + d[dx]))
-			}
-		}
-		mask := coded[(y+dy)*recon.W+x:][:size]
-		for dx := range mask {
-			mask[dx] = true
+			row[dx] = uint8(clipPixel(v))
 		}
 	}
 }

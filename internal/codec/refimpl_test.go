@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dct"
 	"repro/internal/frame"
 	"repro/internal/intra"
+	"repro/internal/rans"
 )
 
 // The definitions the package's kernels are held to (DESIGN.md §11.1), one
@@ -21,16 +23,18 @@ import (
 //	                           (or motionPredict), reconstructBlockInto, storeDef
 //	storeResidual              storeDef
 //	estimateLevelBits          estimateLevelBitsOrdered
-//	gatherRefsInto             gatherRefsDef
+//	gatherRefsInto             gatherRefsDef over the coverage a coding pass
+//	                           leaves (codingOrder)
 //	coarseIntra                coarseIntraDef
 //	sadWithin                  sadWithinDef
 //	computeStats               sseDef
 //	parseResidual — cabac.DecodeLevels, ransChunk.parseResidual, the literal
 //	chunk — parseResidualPerBin over a perBinDecoder (rawBinDec for the raw
 //	ablation)
+//	ransChunk.predecode        predecodeDef: each state alone, one bin a call
 //
-// beside the inputs the tests share (drawPixels, drawCoverage, drawSource,
-// drawLevels, extremeBlocks) and the kernel paths they run on (kernelPaths).
+// beside the inputs the tests share (drawPixels, codingOrder, coverageAt,
+// drawSource, drawLevels, extremeBlocks) and the kernel paths they run on (kernelPaths).
 // Definitions are spelled over the public API of internal/dct and
 // internal/intra, whose own definitions hold those.
 
@@ -86,9 +90,10 @@ func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec 
 }
 
 // reconstructDef is the reconstruct stage by definition: each leaf of the
-// batch predicted from gathered references (or by motion, or at 128),
-// rebuilt by reconstructBlockInto and committed by storeDef.
-func reconstructDef(r *reconstructor, b *ctuBatch) {
+// batch predicted from gathered references (or by motion, or at 128) —
+// available where coded, the pixels stored so far, marks them — rebuilt by
+// reconstructBlockInto, committed by storeDef and marked coded.
+func reconstructDef(r *reconstructor, coded []bool, b *ctuBatch) {
 	levOff := 0
 	for _, lf := range b.leaves[:b.n] {
 		x, y, size := int(lf.x), int(lf.y), int(lf.size)
@@ -100,7 +105,7 @@ func reconstructDef(r *reconstructor, b *ctuBatch) {
 		case lf.inter:
 			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
 		case r.tools.IntraPred:
-			refs := gatherRefsDef(r.recon, r.coded, x, y, size)
+			refs := gatherRefsDef(r.recon, coded, x, y, size)
 			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
 				refs = refs.SmoothedInto(intra.NewRefs(size))
 			}
@@ -113,7 +118,17 @@ func reconstructDef(r *reconstructor, b *ctuBatch) {
 		rec := make([]int32, n2)
 		tr := r.scr.transformFor(size, !lf.inter && r.prof.UseDST4)
 		reconstructBlockInto(rec, make([]int32, n2), pred, lev, r.qp, r.tools.Transform, tr)
-		storeDef(r.recon, r.coded, rec, nil, x, y, size)
+		storeDef(r.recon, rec, nil, x, y, size)
+		markCoded(coded, r.recon.W, x, y, size)
+	}
+}
+
+// markCoded marks the size×size block at (x, y) of a w-wide coverage mask.
+func markCoded(coded []bool, w, x, y, size int) {
+	for dy := 0; dy < size; dy++ {
+		for dx := 0; dx < size; dx++ {
+			coded[(y+dy)*w+x+dx] = true
+		}
 	}
 }
 
@@ -131,14 +146,13 @@ func addClipSSEDef(rec, pred, orig []int32) (sse float64) {
 
 // storeDef is a leaf's commit by definition: pixel (x+dx, y+dy) of the plane
 // takes clipPixel(pred + res) at (dx, dy) of the block — pred alone when res
-// is nil — and is marked coded.
-func storeDef(recon *frame.Plane, coded []bool, pred, res []int32, x, y, size int) {
+// is nil.
+func storeDef(recon *frame.Plane, pred, res []int32, x, y, size int) {
 	for i, p := range pred[:size*size] {
 		if res != nil {
 			p += res[i]
 		}
-		at := (y+i/size)*recon.W + x + i%size
-		recon.Pix[at], coded[at] = uint8(clipPixel(p)), true
+		recon.Pix[(y+i/size)*recon.W+x+i%size] = uint8(clipPixel(p))
 	}
 }
 
@@ -181,7 +195,8 @@ func estimateLevelBitsOrdered(lev []int32, size int, transformed bool) float64 {
 
 // gatherRefsDef is the reference gather by definition: HEVC's reference scan
 // — left column bottom to top, corner, above row left to right — of samples
-// that are available (inside the frame and coded) or not, then substitution:
+// that are available (inside the frame and coded: coded is the mask of the
+// pixels stored so far) or not, then substitution:
 // samples before the first available one take its value (128 when there is
 // none), every later gap the sample before it.
 func gatherRefsDef(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs {
@@ -235,10 +250,10 @@ func gatherRefsDef(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs 
 
 // coarseIntraDef is the coarse search by definition: every profile mode
 // predicted whole from gathered (and, where the profile smooths, smoothed)
-// references, its full SAD offered to the top set in profile order. preds[mi]
-// receives mode mi's prediction.
-func coarseIntraDef(e *encoder, orig []int32, x, y, size int, preds [][]int32) topModes {
-	refs := gatherRefsDef(e.recon, e.coded, x, y, size)
+// references under the coverage coded, its full SAD offered to the top set in
+// profile order. preds[mi] receives mode mi's prediction.
+func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, preds [][]int32) topModes {
+	refs := gatherRefsDef(e.recon, coded, x, y, size)
 	smoothed := refs.SmoothedInto(intra.NewRefs(size))
 	top := topModes{k: rdCandidates}
 	for mi, m := range e.prof.Modes {
@@ -380,6 +395,62 @@ func (d rawBinDec) bypassBits(n uint) uint32 {
 	return uint32(v)
 }
 
+// predecodeDef is the pre-decode by definition: each state on its own, one
+// bin a step — bin i of the slot-major sequence on state i%ransLanes, at the
+// table frequency of the slot whose queue holds it — under the strict rules
+// of one segment (at least 3 bytes, an initial state at or above 2¹⁶, no
+// renormalization past the end, a final state of exactly 2¹⁶, every byte
+// consumed), and the lowest failing state reported.
+func predecodeDef(c *ransChunk, segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) error {
+	const lo = 1 << 16
+	base, total := c.prefix[1], c.prefix[nQueues]-c.prefix[1]
+	if total == 0 {
+		return nil
+	}
+	lane := func(seg []byte, j int) error {
+		if len(seg) < 3 {
+			return fmt.Errorf("rans: %d-byte segment: %w", len(seg), rans.ErrTruncated)
+		}
+		x, pos := uint32(seg[0])<<16|uint32(seg[1])<<8|uint32(seg[2]), 3
+		if x < lo {
+			return fmt.Errorf("rans: initial state %#x below renormalization bound: %w", x, rans.ErrCorrupt)
+		}
+		q := 1
+		for i := j; i < total; i += ransLanes {
+			for base+i >= c.prefix[q+1] {
+				q++
+			}
+			f0 := rans.ProbToFreq(tab[q-1])
+			s := x & (rans.Scale - 1)
+			f, cs, bin := f0, uint32(0), uint8(0)
+			if s >= f0 {
+				f, cs, bin = rans.Scale-f0, f0, 1
+			}
+			x = f*(x>>rans.ScaleBits) + s - cs
+			for x < lo {
+				if pos >= len(seg) {
+					return fmt.Errorf("rans: segment ends mid-renormalization: %w", rans.ErrTruncated)
+				}
+				x, pos = x<<8|uint32(seg[pos]), pos+1
+			}
+			c.bins[base+i] = bin
+		}
+		if x != lo {
+			return fmt.Errorf("rans: final state %#x, want %#x: %w", x, uint32(lo), rans.ErrCorrupt)
+		}
+		if pos != len(seg) {
+			return fmt.Errorf("rans: %d unconsumed segment bytes: %w", len(seg)-pos, rans.ErrCorrupt)
+		}
+		return nil
+	}
+	for j, seg := range segs {
+		if err := lane(seg, j); err != nil {
+			return corruptf("codec: rans state %d: %v", j, err)
+		}
+	}
+	return nil
+}
+
 // kernelPaths calls f once for each kernel path this host runs, with
 // cpufeat.AVX2FMA set to select the kernels of internal/dct and internal/intra
 // underneath: the pure-Go ones (simd false) always, the SIMD ones (simd true)
@@ -417,29 +488,49 @@ func drawPixels(rng *rand.Rand, pix []uint8, w, kind int) {
 	}
 }
 
-// drawCoverage marks the coded pixels of a w-wide plane around a block of
-// the given size in block row y, by kind mod 4: none; a raster prefix ending
-// within the block's rows at a multiple of size (what an encode or a decode
-// leaves); all; each pixel with probability ⅔ (what neither leaves).
-func drawCoverage(rng *rand.Rand, coded []bool, w, y, size, kind int) {
-	end := (y*w + rng.Intn(size*w+1)) / size * size
-	switch kind % 4 {
-	case 0:
-		clear(coded)
-	case 1:
-		clear(coded)
-		for i := range coded[:end] {
-			coded[i] = true
+// codingOrder draws a quadtree partition of a w×h plane (multiples of ctu)
+// into leaves of 4 to ctu — each block above 4 splits with probability ½ —
+// and visits the leaves in coding order, CTUs in raster order and each
+// quadtree depth first, calling leaf at each with coded marking exactly the
+// leaves before it, which it then marks: the coverage a coding pass that
+// stores each leaf whole leaves. A block containing the target leaf (tx, ty,
+// tsize; tsize 0 for none) splits until it is the target. A false from leaf
+// ends the walk, before its leaf is marked.
+func codingOrder(rng *rand.Rand, coded []bool, w, h, ctu, tx, ty, tsize int, leaf func(x, y, size int) bool) {
+	clear(coded)
+	var visit func(x, y, size int) bool
+	visit = func(x, y, size int) bool {
+		inside := tx >= x && tx < x+size && ty >= y && ty < y+size && tsize > 0
+		if size > 4 && (inside && size > tsize || !inside && rng.Intn(2) == 0) {
+			for i := 0; i < 4; i++ {
+				if !visit(x+i%2*size/2, y+i/2*size/2, size/2) {
+					return false
+				}
+			}
+			return true
 		}
-	case 2:
-		for i := range coded {
-			coded[i] = true
+		if !leaf(x, y, size) {
+			return false
 		}
-	default:
-		for i := range coded {
-			coded[i] = rng.Intn(3) != 0
+		markCoded(coded, w, x, y, size)
+		return true
+	}
+	for y := 0; y < h; y += ctu {
+		for x := 0; x < w; x += ctu {
+			if !visit(x, y, ctu) {
+				return
+			}
 		}
 	}
+}
+
+// coverageAt sets coded, a w×h plane's mask, to what a coding pass over a
+// drawn partition has stored when it reaches the leaf at (x, y) of the given
+// size.
+func coverageAt(rng *rand.Rand, coded []bool, w, h, ctu, x, y, size int) {
+	codingOrder(rng, coded, w, h, ctu, x, y, size, func(lx, ly, lsize int) bool {
+		return lx != x || ly != y || lsize != size
+	})
 }
 
 // drawSource fills orig with a noisy copy of pred: each sample off by at most

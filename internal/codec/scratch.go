@@ -1,11 +1,10 @@
 // Per-worker scratch arena for the encode/decode hot paths.
 //
-// The per-CU loop used to allocate fresh slices for every candidate mode of
-// every block — prediction, residual, coefficient, level and reconstruction
-// buffers, reference rows, the coverage mask —
-// which put the pure-Go encoder allocator-bound instead of arithmetic-bound
-// (the paper's throughput target, §4, assumes NVENC-style fixed working
-// sets). A scratch arena makes the steady-state hot path allocation-free:
+// Fresh per-block slices (prediction, residual, coefficient, level and
+// reconstruction buffers, reference rows) once made the pure-Go encoder
+// allocator-bound; the paper's throughput target (§4) assumes NVENC-style
+// fixed working sets. A scratch arena makes the steady-state hot path
+// allocation-free:
 //
 //   - Fixed block buffers, sized to the 32×32 maximum CU, are reused for
 //     every trial. Buffers that only live within one call (residual,
@@ -17,9 +16,10 @@
 //     emission, nothing from the previous CTU is reachable). Chunks are
 //     address-stable: grown blocks are appended, never reallocated, so
 //     retained pointers stay valid.
-//   - Frame-lifetime state (padded source, padded reconstruction, coverage
-//     mask) and sequence-lifetime state (entropy contexts, transforms, bin
-//     coders) are embedded and re-initialized per frame/chunk.
+//   - Frame-lifetime state (padded source, padded reconstruction) and
+//     sequence-lifetime state (entropy contexts, transforms, bin coders, the
+//     decoder's chunk reader) are embedded and re-initialized per
+//     frame/chunk.
 //
 // Ownership rules (DESIGN.md §11): a scratch is owned by exactly one encoder
 // or decoder at a time — one per worker goroutine, never shared. Everything
@@ -83,7 +83,6 @@ type scratch struct {
 	// Frame-lifetime state, reused across frames and chunks.
 	origPlane  frame.Plane // padded source
 	reconPlane frame.Plane // padded reconstruction
-	coded      []bool      // per-pixel coverage mask
 
 	// Sequence-lifetime encoder state, re-initialized per chunk. (The
 	// context set itself sits with the decoder's parse-stage fields below.)
@@ -118,6 +117,7 @@ type scratch struct {
 	_        stagePad
 	ctx      contexts // shared with the encoder, which has one stage
 	cabacDec cabacBinDec
+	chunk    ransChunk // the rANS or literal chunk reader, its bin buffer kept warm
 	dec      decoder
 	_        stagePad
 	ring     [ringDepth]ctuBatch
@@ -176,16 +176,6 @@ func (s *scratch) binEnc(useCABAC bool) binEncoder {
 		s.rawEnc.Reset()
 	}
 	return rawBinEnc{s.rawEnc}
-}
-
-// codedMask returns the n-pixel coverage mask, grown as needed and cleared.
-func (s *scratch) codedMask(n int) []bool {
-	if cap(s.coded) < n {
-		s.coded = make([]bool, n)
-	}
-	s.coded = s.coded[:n]
-	clear(s.coded)
-	return s.coded
 }
 
 // predAt returns the prediction buffer of the mi-th profile mode, sized n2.

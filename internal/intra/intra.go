@@ -156,10 +156,11 @@ func Predict(m Mode, n int, refs Refs, dst []int32) {
 		var buf [3*MaxBlockSize + 2]int32
 		ref, angle := angularRef(&buf, m, n, refs)
 		for l := 0; l < n; l++ {
-			angularLine(dst[l*n:][:n], ref, n, int32(l+1)*angle)
-		}
-		if Horizontal(m) {
-			Transpose(dst, n)
+			if Horizontal(m) {
+				angularColumn(dst[l:], ref, n, int32(l+1)*angle)
+			} else {
+				angularLine(dst[l*n:][:n], ref, n, int32(l+1)*angle)
+			}
 		}
 	default:
 		panic(fmt.Sprintf("intra: invalid mode %d", m))
@@ -206,9 +207,8 @@ func predictDC(n int, r Refs, dst []int32) {
 // (l+1)·angle. For the vertical modes (18–34) the main array is the above row
 // and the lines are the block's rows. A horizontal mode m (2–17) has the angle
 // of vertical mode 36−m (angleTable is symmetric about mode 18) and takes the
-// left column as its main array, so its lines are the rows of mode 36−m over
-// swapped references — the block's columns. Both kinds therefore share one
-// contiguous line generator; a horizontal block is its lines transposed.
+// left column as its main array: its lines are the rows of mode 36−m over
+// swapped references, written as the block's columns.
 
 // Horizontal reports whether angular mode m lays its lines out as columns.
 func Horizontal(m Mode) bool { return m >= 2 && m < 18 }
@@ -269,6 +269,25 @@ func angularLine(line, ref []int32, n int, pos int32) {
 	for x, b := range next {
 		line[x] = (a<<5 + frac*(b-a) + 16) >> 5
 		a = b
+	}
+}
+
+// angularColumn is angularLine writing its samples n apart from col[0]: a
+// column of an n×n block.
+func angularColumn(col, ref []int32, n int, pos int32) {
+	frac := pos & 31
+	win := ref[n+1+int(pos>>5):][:n+1]
+	col = col[:(n-1)*n+1]
+	if frac == 0 {
+		for x, v := range win[:n] {
+			col[x*n] = v
+		}
+		return
+	}
+	at, a := 0, win[0]
+	for _, b := range win[1:] {
+		col[at] = (a<<5 + frac*(b-a) + 16) >> 5
+		a, at = b, at+n
 	}
 }
 
@@ -500,14 +519,4 @@ func lineSAD(ref *[packedRefLen]uint64, src []uint64, at int, frac uint64) uint6
 		at += 4
 	}
 	return acc * lanes >> 48
-}
-
-// Transpose transposes the row-major n×n block a in place.
-func Transpose(a []int32, n int) {
-	for i := 0; i < n; i++ {
-		row := a[i*n:][:n]
-		for j := i + 1; j < n; j++ {
-			row[j], a[j*n+i] = a[j*n+i], row[j]
-		}
-	}
 }

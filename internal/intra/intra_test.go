@@ -399,23 +399,6 @@ func FuzzSIMDKernels(f *testing.F) {
 	})
 }
 
-func TestTransposeEquivalence(t *testing.T) {
-	for _, n := range []int{4, 8, 16, 32} {
-		a := make([]int32, n*n)
-		for i := range a {
-			a[i] = int32(i)
-		}
-		Transpose(a, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if a[i*n+j] != int32(j*n+i) {
-					t.Fatalf("n=%d: [%d][%d] = %d, want %d", n, i, j, a[i*n+j], j*n+i)
-				}
-			}
-		}
-	}
-}
-
 // benchBlocks cuts count n×n source blocks, with the references around each,
 // out of a generated weight plane: kernels are timed rotating over them so
 // that the branch predictor cannot memorise one block's sign pattern.

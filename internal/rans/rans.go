@@ -7,9 +7,10 @@
 //
 // Two coders are provided:
 //
-//   - BinEncoder/BinDecoder: a binary rANS pair over per-position static
+//   - BinEncoder/DecodeBins: a binary rANS pair over per-position static
 //     probabilities (quantized to 8 bits, expanded to a 12-bit frequency
-//     scale). The codec layer interleaves N of these per chunk.
+//     scale). The codec layer interleaves Interleave encoders per chunk, and
+//     DecodeBins decodes their states together, one bin of each per step.
 //   - EncodeBytes/DecodeBytes: an order-0 256-symbol byte coder with
 //     Interleave states over a shared 12-bit frequency table, used by the
 //     entropy-coder grid (Fig. 14) as the standalone "rANS" backend.
@@ -125,57 +126,123 @@ func (e *BinEncoder) Finish() []byte {
 	return e.buf
 }
 
-// BinDecoder decodes a segment produced by BinEncoder.
-type BinDecoder struct {
-	x   uint32
-	buf []byte
-	pos int
+// Run is a stretch of consecutive bins coded at one probability-of-zero
+// frequency F0 (a ProbToFreq value): a context slot's bins, slot-major.
+type Run struct {
+	Bins int
+	F0   uint32
 }
 
-// Init points the decoder at a segment and loads the initial state.
-func (d *BinDecoder) Init(seg []byte) error {
-	if len(seg) < 3 {
-		return fmt.Errorf("rans: %d-byte segment: %w", len(seg), ErrTruncated)
-	}
-	d.buf = seg
-	d.x = uint32(seg[0])<<16 | uint32(seg[1])<<8 | uint32(seg[2])
-	d.pos = 3
-	if d.x < stateLo {
-		return fmt.Errorf("rans: initial state %#x below renormalization bound: %w", d.x, ErrCorrupt)
-	}
-	return nil
-}
-
-// Get decodes one bin whose probability-of-zero frequency is f0.
-func (d *BinDecoder) Get(f0 uint32) (int, error) {
-	s := d.x & (Scale - 1)
-	bin := 0
-	f, cs := f0, uint32(0)
-	if s >= f0 {
-		bin = 1
-		f, cs = Scale-f0, f0
-	}
-	d.x = f*(d.x>>ScaleBits) + s - cs
-	for d.x < stateLo {
-		if d.pos >= len(d.buf) {
-			return 0, fmt.Errorf("rans: segment ends mid-renormalization: %w", ErrTruncated)
+// DecodeBins decodes the bins Interleave BinEncoders coded into segs — bin i
+// on state i%Interleave, at the frequency of the run holding it — into out,
+// which runs must tile. The states decode together, one bin of each a step:
+// four dependency chains, with no call and no error return per bin. Each
+// segment is decoded strictly (a 3-byte initial state at or above the bound,
+// too); the lowest failing state and its error are returned, or 0 and nil.
+func DecodeBins(out []uint8, segs *[Interleave][]byte, runs []Run) (int, error) {
+	var x [Interleave]uint32
+	var pos [Interleave]int
+	var errs [Interleave]error // a failed state's pos stays at its segment's end
+	for j, seg := range segs {
+		pos[j] = len(seg)
+		if len(seg) < 3 {
+			errs[j] = fmt.Errorf("rans: %d-byte segment: %w", len(seg), ErrTruncated)
+		} else if x[j] = uint32(seg[0])<<16 | uint32(seg[1])<<8 | uint32(seg[2]); x[j] < stateLo {
+			errs[j] = fmt.Errorf("rans: initial state %#x below renormalization bound: %w", x[j], ErrCorrupt)
+		} else {
+			pos[j] = 3
 		}
-		d.x = d.x<<8 | uint32(d.buf[d.pos])
-		d.pos++
 	}
-	return bin, nil
+	i := 0
+	for _, r := range runs {
+		f0, f1 := r.F0, Scale-r.F0
+		for end := i + r.Bins; i < end; i++ {
+			// An update leaves a state ≥ stateLo at least 16·2⁴ = 2⁸, so a bin
+			// renormalizes by a byte at most: no read needs a check while
+			// each segment holds a byte for every bin it has ahead.
+			safe := end - i
+			for j, seg := range segs {
+				safe = min(safe, Interleave*(len(seg)-pos[j]))
+			}
+			if safe >= Interleave {
+				i = decodeGroups(out, i, i+safe&^(Interleave-1), segs, &x, &pos, f0, f1) - 1
+				continue
+			}
+			// One bin, its read checked. A failed state decodes no further,
+			// and the others go on, so that the lowest failure is reported.
+			if j := i % Interleave; errs[j] == nil {
+				var b uint32
+				x[j], b = binStep(x[j], f0, f1)
+				out[i] = uint8(b)
+				if x[j] < stateLo && pos[j] == len(segs[j]) {
+					errs[j] = fmt.Errorf("rans: segment ends mid-renormalization: %w", ErrTruncated)
+				} else {
+					x[j], pos[j] = renorm(x[j], segs[j], pos[j])
+				}
+			}
+		}
+	}
+	for j, seg := range segs {
+		if errs[j] == nil && x[j] != stateLo {
+			errs[j] = fmt.Errorf("rans: final state %#x, want %#x: %w", x[j], uint32(stateLo), ErrCorrupt)
+		} else if errs[j] == nil && pos[j] != len(seg) {
+			errs[j] = fmt.Errorf("rans: %d unconsumed segment bytes: %w", len(seg)-pos[j], ErrCorrupt)
+		}
+		if errs[j] != nil {
+			return j, errs[j]
+		}
+	}
+	return 0, nil
 }
 
-// Close verifies the strict end-of-segment invariants: the state has
-// returned exactly to its initial value and every segment byte was consumed.
-func (d *BinDecoder) Close() error {
-	if d.x != stateLo {
-		return fmt.Errorf("rans: final state %#x, want %#x: %w", d.x, uint32(stateLo), ErrCorrupt)
+// decodeGroups decodes bins [i, stop), four at a time, at frequency f0 (f1 =
+// Scale − f0) and returns stop; stop−i is a multiple of Interleave (= 4), and
+// every segment holds a byte for each of its bins among them. The states are
+// rotated into a–d so that a holds bin i's.
+func decodeGroups(out []uint8, i, stop int, segs *[Interleave][]byte, x *[Interleave]uint32, pos *[Interleave]int, f0, f1 uint32) int {
+	r := i & (Interleave - 1)
+	ja, jb, jc, jd := r, (r+1)%Interleave, (r+2)%Interleave, (r+3)%Interleave
+	xa, xb, xc, xd := x[ja], x[jb], x[jc], x[jd]
+	pa, pb, pc, pd := pos[ja], pos[jb], pos[jc], pos[jd]
+	sa, sb, sc, sd := segs[ja], segs[jb], segs[jc], segs[jd]
+	for ; i < stop; i += Interleave {
+		var ba, bb, bc, bd uint32
+		xa, ba = binStep(xa, f0, f1)
+		xb, bb = binStep(xb, f0, f1)
+		xc, bc = binStep(xc, f0, f1)
+		xd, bd = binStep(xd, f0, f1)
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = uint8(ba), uint8(bb), uint8(bc), uint8(bd)
+		xa, pa = renorm(xa, sa, pa)
+		xb, pb = renorm(xb, sb, pb)
+		xc, pc = renorm(xc, sc, pc)
+		xd, pd = renorm(xd, sd, pd)
 	}
-	if d.pos != len(d.buf) {
-		return fmt.Errorf("rans: %d unconsumed segment bytes: %w", len(d.buf)-d.pos, ErrCorrupt)
+	x[ja], x[jb], x[jc], x[jd] = xa, xb, xc, xd
+	pos[ja], pos[jb], pos[jc], pos[jd] = pa, pb, pc, pd
+	return stop
+}
+
+// binStep decodes one bin from state x at frequency f0 (f1 = Scale − f0) and
+// returns the updated state, not yet renormalized, and the bin: 1 when x's
+// slot lies at or above f0. The selects compile to conditional moves.
+func binStep(x, f0, f1 uint32) (uint32, uint32) {
+	s := x & (Scale - 1)
+	f, cs, b := f0, uint32(0), uint32(0)
+	if s >= f0 {
+		f, cs, b = f1, f0, 1
 	}
-	return nil
+	return f*(x>>ScaleBits) + s - cs, b
+}
+
+// renorm shifts seg[p] into x when x is below the bound (one byte is enough,
+// see DecodeBins) and returns the state and the next read position. At the
+// codec's rates the branch is taken on one bin in eight or so.
+func renorm(x uint32, seg []byte, p int) (uint32, int) {
+	if x < stateLo {
+		return x<<8 | uint32(seg[p]), p + 1
+	}
+	return x, p
 }
 
 // ---------------------------------------------------------------------------
@@ -313,55 +380,49 @@ func EncodeBytes(data []byte, f *Freqs) ([][]byte, error) {
 	return segs, nil
 }
 
-// DecodeBytes reconstructs n bytes from per-state segments against table f.
-// The out slice is filled at stride-Interleave positions per state, so each
-// state could run on its own goroutine; this serial form preserves that
-// independence (states never read each other).
+// DecodeBytes reconstructs n bytes from per-state segments against table f,
+// state j filling positions j, j+Interleave, ….
 func DecodeBytes(segs [][]byte, n int, f *Freqs) ([]byte, error) {
 	if len(segs) != Interleave {
 		return nil, fmt.Errorf("rans: %d state segments, want %d: %w", len(segs), Interleave, ErrCorrupt)
 	}
 	out := make([]byte, n)
-	for j := 0; j < Interleave; j++ {
-		if err := decodeLane(segs[j], out, j, f); err != nil {
+	lane := func(seg []byte, j int) error {
+		if len(seg) < 3 {
+			return fmt.Errorf("%d-byte segment: %w", len(seg), ErrTruncated)
+		}
+		x := uint32(seg[0])<<16 | uint32(seg[1])<<8 | uint32(seg[2])
+		pos := 3
+		if x < stateLo {
+			return fmt.Errorf("initial state %#x below bound: %w", x, ErrCorrupt)
+		}
+		for i := j; i < len(out); i += Interleave {
+			s := x & (Scale - 1)
+			sym := f.slot[s]
+			out[i] = sym
+			x = f.freq[sym]*(x>>ScaleBits) + s - f.cum[sym]
+			for x < stateLo {
+				if pos >= len(seg) {
+					return fmt.Errorf("segment ends mid-renormalization: %w", ErrTruncated)
+				}
+				x = x<<8 | uint32(seg[pos])
+				pos++
+			}
+		}
+		if x != stateLo {
+			return fmt.Errorf("final state %#x, want %#x: %w", x, uint32(stateLo), ErrCorrupt)
+		}
+		if pos != len(seg) {
+			return fmt.Errorf("%d unconsumed segment bytes: %w", len(seg)-pos, ErrCorrupt)
+		}
+		return nil
+	}
+	for j, seg := range segs {
+		if err := lane(seg, j); err != nil {
 			return nil, fmt.Errorf("rans: state %d: %w", j, err)
 		}
 	}
 	return out, nil
-}
-
-// decodeLane decodes state j's subsequence (positions j, j+Interleave, ...)
-// into out. It is self-contained — safe to run concurrently with other lanes
-// over the same out slice, since the written index sets are disjoint.
-func decodeLane(seg []byte, out []byte, j int, f *Freqs) error {
-	if len(seg) < 3 {
-		return fmt.Errorf("%d-byte segment: %w", len(seg), ErrTruncated)
-	}
-	x := uint32(seg[0])<<16 | uint32(seg[1])<<8 | uint32(seg[2])
-	pos := 3
-	if x < stateLo {
-		return fmt.Errorf("initial state %#x below bound: %w", x, ErrCorrupt)
-	}
-	for i := j; i < len(out); i += Interleave {
-		s := x & (Scale - 1)
-		sym := f.slot[s]
-		out[i] = sym
-		x = f.freq[sym]*(x>>ScaleBits) + s - f.cum[sym]
-		for x < stateLo {
-			if pos >= len(seg) {
-				return fmt.Errorf("segment ends mid-renormalization: %w", ErrTruncated)
-			}
-			x = x<<8 | uint32(seg[pos])
-			pos++
-		}
-	}
-	if x != stateLo {
-		return fmt.Errorf("final state %#x, want %#x: %w", x, uint32(stateLo), ErrCorrupt)
-	}
-	if pos != len(seg) {
-		return fmt.Errorf("%d unconsumed segment bytes: %w", len(seg)-pos, ErrCorrupt)
-	}
-	return nil
 }
 
 func reverse(b []byte) {

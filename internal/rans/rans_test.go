@@ -4,67 +4,86 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// binRoundTrip encodes bins against per-position probability bytes and
-// decodes them back through one state.
-func binRoundTrip(t *testing.T, bins []int, probs []uint8) {
-	t.Helper()
-	var enc BinEncoder
-	enc.Reset()
+// encodeRuns codes bins as the codec's rANS backend does: bin i on encoder
+// i%Interleave at the frequency of the run holding it. It returns each
+// state's segment, copied out of its encoder.
+func encodeRuns(bins []uint8, runs []Run) *[Interleave][]byte {
+	f0 := make([]uint32, 0, len(bins))
+	for _, r := range runs {
+		for k := 0; k < r.Bins; k++ {
+			f0 = append(f0, r.F0)
+		}
+	}
+	var encs [Interleave]BinEncoder
+	for j := range encs {
+		encs[j].Reset()
+	}
 	for i := len(bins) - 1; i >= 0; i-- {
-		enc.Put(bins[i], ProbToFreq(probs[i]))
+		encs[i%Interleave].Put(int(bins[i]), f0[i])
 	}
-	seg := enc.Finish()
+	var segs [Interleave][]byte
+	for j := range encs {
+		segs[j] = append([]byte(nil), encs[j].Finish()...)
+	}
+	return &segs
+}
 
-	var dec BinDecoder
-	if err := dec.Init(seg); err != nil {
-		t.Fatal(err)
-	}
-	for i := range bins {
-		got, err := dec.Get(ProbToFreq(probs[i]))
-		if err != nil {
-			t.Fatalf("bin %d: %v", i, err)
+// drawRuns draws up to maxRuns runs of up to maxLen bins at random
+// probabilities, and bins that follow each run's probability.
+func drawRuns(rng *rand.Rand, maxRuns, maxLen int) ([]uint8, []Run) {
+	var bins []uint8
+	runs := make([]Run, rng.Intn(maxRuns+1))
+	for k := range runs {
+		p := uint8(1 + rng.Intn(255))
+		runs[k] = Run{Bins: rng.Intn(maxLen + 1), F0: ProbToFreq(p)}
+		for n := 0; n < runs[k].Bins; n++ {
+			bins = append(bins, uint8(b2u(rng.Intn(256) >= int(p))))
 		}
-		if got != bins[i] {
-			t.Fatalf("bin %d: got %d, want %d", i, got, bins[i])
-		}
 	}
-	if err := dec.Close(); err != nil {
-		t.Fatal(err)
+	return bins, runs
+}
+
+func b2u(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// binRoundTrip encodes bins over runs and decodes them back through the
+// interleaved states.
+func binRoundTrip(t *testing.T, bins []uint8, runs []Run) {
+	t.Helper()
+	segs := encodeRuns(bins, runs)
+	got := make([]uint8, len(bins))
+	if j, err := DecodeBins(got, segs, runs); err != nil {
+		t.Fatalf("%d bins: state %d: %v", len(bins), j, err)
+	}
+	if !bytes.Equal(got, bins) {
+		t.Fatalf("%d bins: round trip differs", len(bins))
 	}
 }
 
 func TestBinRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(500)
-		bins := make([]int, n)
-		probs := make([]uint8, n)
-		for i := range bins {
-			probs[i] = uint8(1 + rng.Intn(255))
-			if rng.Intn(256) < int(probs[i]) {
-				bins[i] = 0
-			} else {
-				bins[i] = 1
-			}
-		}
-		binRoundTrip(t, bins, probs)
+	for trial := 0; trial < 300; trial++ {
+		bins, runs := drawRuns(rng, 12, []int{6, 60, 600}[trial%3])
+		binRoundTrip(t, bins, runs)
 	}
 	// Degenerate: empty sequence, extreme probabilities, all-same bins.
 	binRoundTrip(t, nil, nil)
-	all0, all1 := make([]int, 1000), make([]int, 1000)
-	pLo, pHi := make([]uint8, 1000), make([]uint8, 1000)
+	all0, all1 := make([]uint8, 1000), make([]uint8, 1000)
 	for i := range all1 {
 		all1[i] = 1
-		pLo[i], pHi[i] = 1, 255
 	}
-	binRoundTrip(t, all0, pHi) // likely bins: near-free
-	binRoundTrip(t, all1, pLo)
-	binRoundTrip(t, all0, pLo) // unlikely bins: expensive but exact
-	binRoundTrip(t, all1, pHi)
+	lo, hi := []Run{{1000, ProbToFreq(1)}}, []Run{{1000, ProbToFreq(255)}}
+	binRoundTrip(t, all0, hi) // likely bins: near-free
+	binRoundTrip(t, all1, lo)
+	binRoundTrip(t, all0, lo) // unlikely bins: expensive but exact
+	binRoundTrip(t, all1, hi)
 }
 
 // TestBinCompression: 1000 bins that are zero 95% of the time, coded with a
@@ -93,47 +112,33 @@ func TestBinCompression(t *testing.T) {
 	}
 }
 
-func TestBinDecoderStrictness(t *testing.T) {
+// TestDecodeBinsStrictness: a clean sequence decodes; every strict prefix of
+// any one state's segment, and that segment with a trailing byte, fails as a
+// typed error on that state.
+func TestDecodeBinsStrictness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bins := make([]int, 300)
-	probs := make([]uint8, 300)
-	for i := range bins {
-		bins[i] = rng.Intn(2)
-		probs[i] = uint8(1 + rng.Intn(255))
+	bins, runs := drawRuns(rng, 6, 300)
+	for len(bins) < 4*Interleave {
+		bins, runs = drawRuns(rng, 6, 300)
 	}
-	var enc BinEncoder
-	enc.Reset()
-	for i := len(bins) - 1; i >= 0; i-- {
-		enc.Put(bins[i], ProbToFreq(probs[i]))
+	clean := encodeRuns(bins, runs)
+	out := make([]uint8, len(bins))
+	if j, err := DecodeBins(out, clean, runs); err != nil {
+		t.Fatalf("clean segments rejected: state %d: %v", j, err)
 	}
-	seg := append([]byte(nil), enc.Finish()...)
-
-	decodeAll := func(seg []byte) error {
-		var dec BinDecoder
-		if err := dec.Init(seg); err != nil {
-			return err
-		}
-		for i := range bins {
-			if _, err := dec.Get(ProbToFreq(probs[i])); err != nil {
-				return err
+	for j := range clean {
+		segs := *clean
+		for n := 0; n < len(clean[j]); n++ {
+			segs[j] = clean[j][:n]
+			if got, err := DecodeBins(out, &segs, runs); err == nil {
+				t.Fatalf("state %d segment truncated to %d bytes accepted", j, n)
+			} else if got != j || !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("state %d segment truncated to %d bytes: state %d, %v", j, n, got, err)
 			}
 		}
-		return dec.Close()
-	}
-	if err := decodeAll(seg); err != nil {
-		t.Fatalf("clean segment rejected: %v", err)
-	}
-	// Every strict prefix must fail Init, Get or Close.
-	for n := 0; n < len(seg); n++ {
-		if err := decodeAll(seg[:n]); err == nil {
-			t.Fatalf("truncated segment [:%d] accepted", n)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-			t.Fatalf("truncated segment [:%d]: untyped error %v", n, err)
-		}
-		// Trailing garbage must fail Close.
-		padded := append(append([]byte(nil), seg...), 0xAA)
-		if err := decodeAll(padded); err == nil {
-			t.Fatal("segment with trailing byte accepted")
+		segs[j] = append(append([]byte(nil), clean[j]...), 0xAA)
+		if got, err := DecodeBins(out, &segs, runs); !errors.Is(err, ErrCorrupt) || got != j {
+			t.Fatalf("state %d segment with a trailing byte: state %d, %v", j, got, err)
 		}
 	}
 }
@@ -186,52 +191,41 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLaneIndependence is the structural proof behind the intra-chunk
-// parallel-decode claim: each interleaved state decodes its stride-4
-// subsequence on its own goroutine, with no shared mutable state beyond
-// disjoint regions of the output slice, and the result is byte-identical to
-// the serial decode.
-func TestLaneIndependence(t *testing.T) {
+// TestDecodeBinsLaneIndependence is the structural fact behind decoding the
+// states together: state j's bins depend on segment j alone. Two sequences
+// over the same runs are coded, and their segments spliced under every mask of
+// states; each splice decodes to sequence A at the states taken from A and to
+// sequence B at the others.
+func TestDecodeBinsLaneIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	data := make([]byte, 40000)
-	for i := range data {
-		data[i] = byte(rng.NormFloat64()*8 + 128)
+	_, runs := drawRuns(rng, 20, 2000)
+	total := 0
+	for _, r := range runs {
+		total += r.Bins
 	}
-	var counts [256]int64
-	for _, b := range data {
-		counts[b]++
-	}
-	f, err := NormalizeFreqs(&counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := EncodeBytes(data, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := DecodeBytes(segs, len(data), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parallelOut := make([]byte, len(data))
-	var wg sync.WaitGroup
-	errs := make([]error, Interleave)
-	for j := 0; j < Interleave; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			errs[j] = decodeLane(segs[j], parallelOut, j, f)
-		}(j)
-	}
-	wg.Wait()
-	for j, e := range errs {
-		if e != nil {
-			t.Fatalf("lane %d: %v", j, e)
+	var seqs [2][]uint8
+	var coded [2]*[Interleave][]byte
+	for k := range seqs {
+		seqs[k] = make([]uint8, total)
+		for i := range seqs[k] {
+			seqs[k][i] = uint8(rng.Intn(2))
 		}
+		coded[k] = encodeRuns(seqs[k], runs)
 	}
-	if !bytes.Equal(parallelOut, serial) || !bytes.Equal(parallelOut, data) {
-		t.Fatal("parallel lane decode differs from serial decode")
+	out := make([]uint8, total)
+	for mask := 0; mask < 1<<Interleave; mask++ {
+		var segs [Interleave][]byte
+		for j := range segs {
+			segs[j] = coded[mask>>j&1][j]
+		}
+		if j, err := DecodeBins(out, &segs, runs); err != nil {
+			t.Fatalf("mask %04b: state %d: %v", mask, j, err)
+		}
+		for i, b := range out {
+			if want := seqs[mask>>(i%Interleave)&1][i]; b != want {
+				t.Fatalf("mask %04b: bin %d = %d, want %d", mask, i, b, want)
+			}
+		}
 	}
 }
 
