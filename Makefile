@@ -44,12 +44,14 @@ vet:
 # function with its position and line count). The golden corpus is closed
 # (TestCorpusIsClosed: no file without a vector, no vector without its two
 # files), only the conformance sweep and the refimpl_test.go kernel tests force
-# the pure-Go kernels (TestKernelFlagIsContained), and the sweep's codec rows —
+# the pure-Go kernels (TestKernelFlagIsContained), streams at rest that end in
+# the chunk-index trailer earlier builds wrote still decode, lay out and
+# round-trip through the store (codec's TestTrailer*), and the sweep's codec rows —
 # every golden vector re-encoded and decoded on both kernel paths at every
 # worker count, against the committed bytes — catch a byte drift in seconds.
 # The first step of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|CorpusIsClosed|KernelFlagIsContained' . ./internal/codec/ ./internal/core/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|CorpusIsClosed|KernelFlagIsContained|Trailer' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...

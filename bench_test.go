@@ -158,7 +158,7 @@ func BenchmarkDecodeStackSerial(b *testing.B)   { benchDecodeStack(b, 1) }
 func BenchmarkDecodeStackParallel(b *testing.B) { benchDecodeStack(b, 0) }
 
 // encodedWeightStack is the stack the repository benchmark's weights_fetch
-// reads: four 256×256 layers — one chunk each — indexed and checksummed at
+// reads: four 256×256 layers — one chunk each — checksummed at
 // QP 12 under the given entropy backend.
 func encodedWeightStack(b *testing.B, backend codec.EntropyBackend) (core.Options, *core.Encoded) {
 	rng := rand.New(rand.NewSource(8))
@@ -168,7 +168,7 @@ func encodedWeightStack(b *testing.B, backend codec.EntropyBackend) (core.Option
 		stack[l] = core.FromSlice(n, n, data)
 	}
 	o := core.DefaultOptions()
-	o.Checksum, o.Index, o.Backend = true, true, backend
+	o.Checksum, o.Backend = true, backend
 	enc, err := o.EncodeStackCtx(context.Background(), stack, 12)
 	if err != nil {
 		b.Fatal(err)

@@ -114,7 +114,6 @@ func encodeCmd(args []string) {
 		perRow   = fs.Bool("perrow", false, "per-row 8-bit mapping (outlier-heavy tensors)")
 		workers  = fs.Int("workers", 0, "encode worker pool size (0 = GOMAXPROCS); output bytes are identical for any value")
 		checksum = fs.Bool("checksum", false, "emit the hardened v3 container: CRC32C on header and every chunk, verified on decode")
-		index    = fs.Bool("index", false, "append the chunk-index trailer for O(layer) random access and store packing (implies -checksum)")
 		backend  = fs.String("backend", "cabac", "entropy backend: cabac (adaptive arithmetic, default) or rans (interleaved static rANS; implies the v3 container)")
 		metrics  = fs.String("metrics", "", "write the observability snapshot as JSON to this file (\"-\" = stdout)")
 	)
@@ -142,7 +141,6 @@ func encodeCmd(args []string) {
 	opts.PerRowQuant = *perRow
 	opts.Workers = *workers
 	opts.Checksum = *checksum
-	opts.Index = *index
 	if opts.Profile, err = codec.ParseProfile(*profile); err != nil {
 		fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestEncodeInfo(t *testing.T) {
 	}{
 		{"qp", []string{"-qp", "24"}, []string{"qp:          24", "checksummed: no", "backend:     cabac"}},
 		{"bits", []string{"-bits", "3"}, []string{"checksummed: no", "backend:     cabac"}},
-		{"checksum-index-rans", []string{"-qp", "24", "-checksum", "-index", "-backend", "rans"},
+		{"checksum-rans", []string{"-qp", "24", "-checksum", "-backend", "rans"},
 			[]string{"qp:          24", "checksummed: yes", "backend:     rans"}},
 	}
 	x := testTensor(1)

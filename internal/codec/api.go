@@ -19,8 +19,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Container selects the framing Encode emits. All three decode through the
-// same Decode; the payload bytes of a given chunk are identical in each.
+// Container selects the framing Encode emits. Both decode through the same
+// Decode; the payload bytes of a given chunk are identical in each.
 type Container int
 
 const (
@@ -36,11 +36,6 @@ const (
 	// workload still gets a one-entry chunk table — integrity framing is the
 	// point.
 	ContainerV3
-	// ContainerV3Indexed is ContainerV3 plus the chunk-index trailer
-	// (index.go): per-chunk absolute offset, length, CRC32C and plane span,
-	// and one tensor-space rect per plane when EncodeConfig.Regions is set.
-	// It decodes byte-identically to its un-indexed twin.
-	ContainerV3Indexed
 )
 
 // EncodeConfig carries everything Encode needs besides the planes.
@@ -55,9 +50,6 @@ type EncodeConfig struct {
 	// (metrics.go). Output bytes are identical with or without it.
 	Metrics   *obs.Registry
 	Container Container
-	// Regions, valid only with ContainerV3Indexed, ties each plane to the
-	// tensor-space rectangle it covers: nil, or exactly one rect per plane.
-	Regions []PlaneRegion
 }
 
 // Encode compresses planes into one container. Independent plane chunks
@@ -105,18 +97,14 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 		ransTab = &tab
 		sealRans(chunks, records, ransTab)
 	}
-	var idx *indexSpec
 	if version == versionChecksummed {
 		seal(chunks)
-		if cfg.Container == ContainerV3Indexed {
-			idx = &indexSpec{regions: cfg.Regions}
-		}
 	}
 	dims := make([][2]int, len(planes))
 	for i, p := range planes {
 		dims[i] = [2]int{p.W, p.H}
 	}
-	out, payloadLen := writeContainer(version, dims, cfg.QP, cfg.Profile, cfg.Tools, ransTab, chunks, idx)
+	out, payloadLen := writeContainer(version, dims, cfg.QP, cfg.Profile, cfg.Tools, ransTab, chunks)
 
 	st := computeStats(planes, recs, len(out)*8)
 	st.Chunks = len(spans)
@@ -188,13 +176,6 @@ type Decoded struct {
 	// call's error then); empty under it means the selection decoded
 	// completely.
 	Errors []ChunkError
-	// Index is the stream's trailer chunk index, when it carries one that
-	// parsed and verified; nil otherwise (no trailer, or — under Partial — a
-	// damaged trailer, which lenient parsing drops rather than failing the
-	// decode). Callers must treat its Layer/X0/Y0 fields as untrusted until
-	// validated against their own metadata: the codec only cross-checks the
-	// index against the chunk table and plane dims.
-	Index *ChunkIndex
 }
 
 // OK reports whether every selected chunk decoded.
@@ -278,5 +259,5 @@ func decodeContainer(ctx context.Context, data []byte, cfg DecodeConfig, m *decM
 	if !cfg.Partial && len(chunkErrs) > 0 {
 		return nil, chunkErrs[0]
 	}
-	return &Decoded{Planes: planes[first : first+count], Chunks: nChunks, Errors: chunkErrs, Index: pc.index}, nil
+	return &Decoded{Planes: planes[first : first+count], Chunks: nChunks, Errors: chunkErrs}, nil
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"go/ast"
@@ -55,7 +56,7 @@ func TestEncodeReconIsDecode(t *testing.T) {
 	}
 	check := func(planes []*frame.Plane, qp int, prof Profile, tools Tools) {
 		t.Helper()
-		for _, container := range []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed} {
+		for _, container := range []Container{ContainerLegacy, ContainerV3} {
 			for _, workers := range []int{1, 2, 4, 8} {
 				label := fmt.Sprintf("%s %+v container=%d workers=%d", prof.Name, tools, container, workers)
 				data, _, recon, err := Encode(context.Background(), planes, EncodeConfig{
@@ -81,7 +82,10 @@ func TestEncodeReconIsDecode(t *testing.T) {
 	}
 }
 
-// compatWrappers are the three names compat.go keeps for benchmark/surface.go.
+// compatWrappers are the three functions compat.go keeps only because
+// benchmark/surface.go binds them (codecEncodeIndexedCtx,
+// codecDecodeWorkersCtx, codecDecodeRegionCtx); they go when a benchmark
+// change re-points surface.go.
 var compatWrappers = map[string]bool{"EncodeIndexedCtx": true, "DecodeWorkersCtx": true, "DecodeRegionCtx": true}
 
 // TestEncodeDecodeSurfaceIsClosed is the surface guard: the package exports
@@ -167,5 +171,25 @@ func TestEncodeDecodeSurfaceIsClosed(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncodeIndexedCtxIsV3: the compat stub writes exactly Encode's
+// ContainerV3 bytes on both backends, whatever regions it is handed.
+func TestEncodeIndexedCtxIsV3(t *testing.T) {
+	_, _, _, planes := corpusStreams(t)
+	regions := []PlaneRegion{{Layer: 99, W: 1, H: 1}}
+	for _, tools := range []Tools{AllTools, ransTools()} {
+		want, _, err := encodeAs(ContainerV3, planes, 30, HEVC, tools, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := EncodeIndexedCtx(context.Background(), planes, 30, HEVC, tools, 2, regions, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("backend %v: EncodeIndexedCtx wrote %d bytes, Encode with ContainerV3 %d", tools.Backend, len(got), len(want))
+		}
 	}
 }

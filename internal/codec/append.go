@@ -16,10 +16,10 @@
 //     in the call, which is how the kv tier's tests prove the no-re-encode
 //     invariant.
 //   - Snapshot(first, count) re-frames any live chunk range into a
-//     standalone hardened v3 container with a chunk-index trailer, built
-//     from the stored payloads alone (writeContainer): no entropy work, no
-//     plane data. The snapshot decodes byte-identically to the same crop of
-//     a one-shot encode (append_test.go proves it at every worker count).
+//     standalone hardened v3 container, built from the stored payloads alone
+//     (writeContainer): no entropy work, no plane data. The snapshot decodes
+//     byte-identically to the same crop of a one-shot encode (append_test.go
+//     proves it at every worker count).
 //   - DropPlanes releases the payload prefix under eviction pressure;
 //     Snapshot refuses ranges that reach into the dropped prefix.
 //
@@ -41,7 +41,7 @@ import (
 )
 
 // Appender accumulates an append-only sequence of single-plane chunks and
-// serves indexed v3 snapshot containers over any live range of them.
+// serves v3 snapshot containers over any live range of them.
 type Appender struct {
 	qp      int
 	prof    Profile
@@ -52,8 +52,7 @@ type Appender struct {
 	dims [][2]int
 	// chunks holds one sealed single-plane chunk per committed plane. A
 	// dropped (evicted) chunk keeps its entry with a nil payload.
-	chunks  []chunkRec
-	regions []PlaneRegion
+	chunks []chunkRec
 
 	dropped      int   // planes [0, dropped) have released payloads
 	payloadBytes int64 // live (non-dropped) payload bytes
@@ -80,23 +79,16 @@ var errAppendRANS = errors.New("codec: appended chunks are CABAC only")
 
 // Append encodes planes as one immutable chunk each and commits them. It
 // returns the per-plane payload bytes (for content addressing) and the
-// encode Stats of just this call. regions must carry exactly one
-// tensor-space rect per plane; rects are stored in the snapshot trailers
-// verbatim. On error nothing is committed.
-func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []PlaneRegion) ([][]byte, Stats, error) {
+// encode Stats of just this call. On error nothing is committed.
+//
+// regions is ignored. It stays only because benchmark/surface.go binds
+// Append with this signature; the next benchmark change drops it.
+func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneRegion) ([][]byte, Stats, error) {
 	if a.tools.Backend != BackendCABAC {
 		return nil, Stats{}, errAppendRANS
 	}
 	if err := validateEncode(planes, EncodeConfig{QP: a.qp, Profile: a.prof, Tools: a.tools}); err != nil {
 		return nil, Stats{}, err
-	}
-	if len(regions) != len(planes) {
-		return nil, Stats{}, fmt.Errorf("codec: %d append regions for %d planes", len(regions), len(planes))
-	}
-	for i, r := range regions {
-		if r.W != planes[i].W || r.H != planes[i].H || r.Layer < 0 || r.X0 < 0 || r.Y0 < 0 {
-			return nil, Stats{}, fmt.Errorf("codec: append region %d does not frame its %dx%d plane", i, planes[i].W, planes[i].H)
-		}
 	}
 	spans := make([][2]int, len(planes))
 	for i := range planes {
@@ -115,7 +107,6 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 		payloadLen += len(c.payload)
 	}
 	a.chunks = append(a.chunks, chunks...)
-	a.regions = append(a.regions, regions...)
 	a.payloadBytes += int64(payloadLen)
 	st := computeStats(planes, recs, payloadLen*8)
 	st.Chunks = len(spans)
@@ -129,19 +120,15 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, regions []
 // prefix-aliasing fast path: a session whose next flush group hashes to a
 // chunk some donor session already encoded adopts the donor's payload bytes
 // without running the encoder (and so without advancing encode counters).
-func (a *Appender) AppendEncoded(payload []byte, w, h int, region PlaneRegion) error {
+func (a *Appender) AppendEncoded(payload []byte, w, h int) error {
 	if a.tools.Backend != BackendCABAC {
 		return errAppendRANS
 	}
 	if w <= 0 || h <= 0 || w > a.prof.MaxFrameDim || h > a.prof.MaxFrameDim {
 		return fmt.Errorf("codec: aliased chunk dims %dx%d out of range", w, h)
 	}
-	if region.W != w || region.H != h || region.Layer < 0 || region.X0 < 0 || region.Y0 < 0 {
-		return fmt.Errorf("codec: aliased chunk region does not frame its %dx%d plane", w, h)
-	}
 	a.dims = append(a.dims, [2]int{w, h})
 	a.chunks = append(a.chunks, chunkRec{payload: payload, crc: crc32.Checksum(payload, crcTable), planes: 1})
-	a.regions = append(a.regions, region)
 	a.payloadBytes += int64(len(payload))
 	return nil
 }
@@ -166,17 +153,15 @@ func (a *Appender) DropPlanes(upto int) int64 {
 }
 
 // Snapshot re-frames planes [first, first+count) into a standalone hardened
-// v3 container with a chunk-index trailer, without touching the entropy
-// layer: stored payloads are copied under a freshly framed header whose
-// plane numbering starts at zero. Trailer regions keep their absolute
-// tensor-space rects, so a reader still knows which token rows plane i
-// carries. The range must be live: within [DroppedPlanes(), Planes()).
+// v3 container without touching the entropy layer: stored payloads are
+// copied under a freshly framed header whose plane numbering starts at zero.
+// The range must be live: within [DroppedPlanes(), Planes()).
 func (a *Appender) Snapshot(first, count int) ([]byte, error) {
 	if first < a.dropped || count <= 0 || first+count > len(a.dims) {
 		return nil, fmt.Errorf("codec: snapshot planes [%d,%d) outside live range [%d,%d)",
 			first, first+count, a.dropped, len(a.dims))
 	}
 	out, _ := writeContainer(versionChecksummed, a.dims[first:first+count], a.qp, a.prof, a.tools, nil,
-		a.chunks[first:first+count], &indexSpec{regions: a.regions[first : first+count]})
+		a.chunks[first:first+count])
 	return out, nil
 }

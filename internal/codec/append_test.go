@@ -10,26 +10,24 @@ import (
 	"repro/internal/obs"
 )
 
-// appendPlanes builds n deterministic 32×16 planes with their token-space
-// region rects (one plane = one 16-row flush group of a 32-wide session).
-func appendPlanes(seed int64, n int) ([]*frame.Plane, []PlaneRegion) {
+// appendPlanes builds n deterministic 32×16 planes (one plane = one 16-row
+// flush group of a 32-wide session).
+func appendPlanes(seed int64, n int) []*frame.Plane {
 	rng := rand.New(rand.NewSource(seed))
 	planes := make([]*frame.Plane, n)
-	regions := make([]PlaneRegion, n)
 	for i := range planes {
 		planes[i] = gradientPlane(rng, 32, 16)
-		regions[i] = PlaneRegion{Layer: 0, X0: 0, Y0: i * 16, W: 32, H: 16}
 	}
-	return planes, regions
+	return planes
 }
 
 // appendSchedule feeds planes into app in batches given by sizes.
-func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, regions []PlaneRegion, sizes []int) [][]byte {
+func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, sizes []int) [][]byte {
 	t.Helper()
 	var all [][]byte
 	off := 0
 	for _, k := range sizes {
-		payloads, st, err := app.Append(context.Background(), planes[off:off+k], regions[off:off+k])
+		payloads, st, err := app.Append(context.Background(), planes[off:off+k], nil)
 		if err != nil {
 			t.Fatalf("Append(%d planes at %d): %v", k, off, err)
 		}
@@ -50,7 +48,7 @@ func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, regions 
 // to exactly the planes a one-shot encode of the same stack reconstructs —
 // and every partial snapshot equals the matching crop.
 func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
-	planes, regions := appendPlanes(11, 8)
+	planes := appendPlanes(11, 8)
 	oneShot, _, err := encodeAs(ContainerV3, planes, 24, HEVC, AllTools, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +59,7 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		app := NewAppender(24, HEVC, AllTools, workers, nil)
-		appendSchedule(t, app, planes, regions, []int{1, 3, 2, 1, 1})
+		appendSchedule(t, app, planes, []int{1, 3, 2, 1, 1})
 		snap, err := app.Snapshot(0, 8)
 		if err != nil {
 			t.Fatal(err)
@@ -72,16 +70,10 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 		}
 		requirePlanesEqual(t, "snapshot vs one-shot", got, want)
 
-		// The snapshot is a genuine indexed container: its trailer carries
-		// the absolute token-space rects.
+		// The snapshot is a plain v3 container: one chunk a plane, no trailer.
 		lay, err := Layout(snap)
-		if err != nil || lay.Index == nil {
+		if err != nil || lay.Version != 3 || len(lay.Entries) != 8 || lay.TrailerLen != 0 {
 			t.Fatalf("snapshot layout: %+v, %v", lay, err)
-		}
-		for i, r := range lay.Index.Regions {
-			if r != regions[i] {
-				t.Fatalf("snapshot region %d = %+v, want %+v", i, r, regions[i])
-			}
 		}
 
 		// Partial snapshots: every window equals the full decode's crop.
@@ -104,13 +96,13 @@ func TestAppenderSnapshotMatchesOneShot(t *testing.T) {
 // never on how the appends were batched — the content-addressing contract
 // the kv tier's prefix aliasing is built on.
 func TestAppenderScheduleIndependentBytes(t *testing.T) {
-	planes, regions := appendPlanes(23, 7)
+	planes := appendPlanes(23, 7)
 	schedules := [][]int{{7}, {1, 1, 1, 1, 1, 1, 1}, {2, 3, 2}, {1, 6}}
 	var refPayloads [][]byte
 	var refSnap []byte
 	for si, sizes := range schedules {
 		app := NewAppender(24, HEVC, AllTools, 2, nil)
-		payloads := appendSchedule(t, app, planes, regions, sizes)
+		payloads := appendSchedule(t, app, planes, sizes)
 		snap, err := app.Snapshot(0, 7)
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +126,7 @@ func TestAppenderScheduleIndependentBytes(t *testing.T) {
 // Append advances codec.encode.chunks by exactly the planes it carried, and
 // the aliased AppendEncoded path advances it by zero.
 func TestAppenderNeverReencodes(t *testing.T) {
-	planes, regions := appendPlanes(5, 6)
+	planes := appendPlanes(5, 6)
 	reg := obs.NewRegistry()
 	chunks := func() int64 { return reg.Snapshot().Counters["codec.encode.chunks"] }
 
@@ -142,7 +134,7 @@ func TestAppenderNeverReencodes(t *testing.T) {
 	var payloads [][]byte
 	for i, k := range []int{1, 2, 3} {
 		before := chunks()
-		got, _, err := app.Append(context.Background(), planes[len(payloads):len(payloads)+k], regions[len(payloads):len(payloads)+k])
+		got, _, err := app.Append(context.Background(), planes[len(payloads):len(payloads)+k], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +147,8 @@ func TestAppenderNeverReencodes(t *testing.T) {
 	// Aliasing the same six chunks into a twin appender encodes nothing.
 	before := chunks()
 	twin := NewAppender(24, HEVC, AllTools, 1, reg)
-	for i, p := range payloads {
-		if err := twin.AppendEncoded(p, 32, 16, regions[i]); err != nil {
+	for _, p := range payloads {
+		if err := twin.AppendEncoded(p, 32, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,13 +171,13 @@ func TestAppenderNeverReencodes(t *testing.T) {
 // TestAppenderRefusesRANS: a rANS tool set is refused by Append and by
 // AppendEncoded, and nothing is committed.
 func TestAppenderRefusesRANS(t *testing.T) {
-	planes, regions := appendPlanes(17, 1)
+	planes := appendPlanes(17, 1)
 	app := NewAppender(24, HEVC, ransTools(), 1, nil)
-	if _, _, err := app.Append(context.Background(), planes, regions); err == nil {
+	if _, _, err := app.Append(context.Background(), planes, nil); err == nil {
 		t.Fatal("Append accepted a rANS tool set")
 	}
-	payloads := appendSchedule(t, NewAppender(24, HEVC, AllTools, 1, nil), planes, regions, []int{1})
-	if err := app.AppendEncoded(payloads[0], 32, 16, regions[0]); err == nil {
+	payloads := appendSchedule(t, NewAppender(24, HEVC, AllTools, 1, nil), planes, []int{1})
+	if err := app.AppendEncoded(payloads[0], 32, 16); err == nil {
 		t.Fatal("AppendEncoded accepted a chunk into a rANS appender")
 	}
 	if app.Planes() != 0 {
@@ -197,9 +189,9 @@ func TestAppenderRefusesRANS(t *testing.T) {
 // snapshots of the live suffix still decode, and snapshots reaching into the
 // dropped prefix are refused.
 func TestAppenderDropPlanes(t *testing.T) {
-	planes, regions := appendPlanes(29, 6)
+	planes := appendPlanes(29, 6)
 	app := NewAppender(24, HEVC, AllTools, 2, nil)
-	appendSchedule(t, app, planes, regions, []int{6})
+	appendSchedule(t, app, planes, []int{6})
 	oneShot, _ := app.Snapshot(0, 6)
 	want, err := decodeAll(oneShot, 2)
 	if err != nil {
@@ -236,9 +228,7 @@ func TestAppenderDropPlanes(t *testing.T) {
 	}
 
 	// Appending continues after a drop.
-	more, moreRegions := appendPlanes(31, 1)
-	moreRegions[0].Y0 = 6 * 16
-	if _, _, err := app.Append(context.Background(), more, moreRegions); err != nil {
+	if _, _, err := app.Append(context.Background(), appendPlanes(31, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if app.Planes() != 7 {
@@ -253,9 +243,9 @@ func TestAppenderDropPlanes(t *testing.T) {
 // a ten-plane session touches exactly two chunks — the decode.chunks bound
 // the GET ?range= path inherits.
 func TestAppenderSnapshotDecodeIsORegion(t *testing.T) {
-	planes, regions := appendPlanes(41, 10)
+	planes := appendPlanes(41, 10)
 	app := NewAppender(24, HEVC, AllTools, 1, nil)
-	appendSchedule(t, app, planes, regions, []int{10})
+	appendSchedule(t, app, planes, []int{10})
 	snap, err := app.Snapshot(4, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -383,7 +383,7 @@ func TestLiteralPayloadBound(t *testing.T) {
 	bound := 3*maxRansBins(codedPixels(pc.dims, HEVC.CTUSize)) + 7
 	payload := append(append([]byte(nil), pc.chunks[0].payload...), make([]byte, 1<<20)...)
 	for _, n := range []int{int(bound/8) + 1, len(payload)} {
-		stream, _ := writeContainer(1, pc.dims, pc.qp, HEVC, Tools{}, nil, []chunkRec{{payload: payload[:n], planes: 1}}, nil)
+		stream, _ := writeContainer(1, pc.dims, pc.qp, HEVC, Tools{}, nil, []chunkRec{{payload: payload[:n], planes: 1}})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Decode(ctx, stream, DecodeConfig{Workers: 1})

@@ -305,7 +305,7 @@ func TestRateControlRejectsEmptyInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, c := range []Container{ContainerLegacy, ContainerV3, ContainerV3Indexed} {
+			for _, c := range []Container{ContainerLegacy, ContainerV3} {
 				if _, _, err := encodeAs(c, tc.planes, 26, HEVC, AllTools, 1); !errors.Is(err, ErrEmptyInput) {
 					t.Fatalf("container %d: got %v, want ErrEmptyInput", c, err)
 				}

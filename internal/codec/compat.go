@@ -7,15 +7,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The three names below exist only because benchmark/surface.go binds them
-// and no file under benchmark/ may change in the PR that introduced Encode and
-// Decode. Each is a single return into the real API; nothing else in the repo
-// may call them (api_test.go enforces the allow-list), and they are deleted
-// by the next benchmark issue, which re-points surface.go.
+// The names below exist only because benchmark/surface.go binds them and no
+// file under benchmark/ may change outside a benchmark change. Each function
+// is a single return into the real API; nothing else in the repo may call
+// them (api_test.go enforces the allow-list), and they go with PlaneRegion
+// when the next benchmark change re-points surface.go.
 
-// EncodeIndexedCtx is Encode with ContainerV3Indexed.
-func EncodeIndexedCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, regions []PlaneRegion, reg *obs.Registry) ([]byte, Stats, error) {
-	return streamOf(Encode(ctx, planes, EncodeConfig{QP: qp, Profile: prof, Tools: tools, Workers: workers, Metrics: reg, Container: ContainerV3Indexed, Regions: regions}))
+// PlaneRegion is inert: EncodeIndexedCtx and Appender.Append ignore their
+// regions.
+type PlaneRegion struct {
+	Layer, X0, Y0, W, H int
+}
+
+// EncodeIndexedCtx is Encode with ContainerV3; regions is ignored.
+func EncodeIndexedCtx(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, workers int, _ []PlaneRegion, reg *obs.Registry) ([]byte, Stats, error) {
+	return streamOf(Encode(ctx, planes, EncodeConfig{QP: qp, Profile: prof, Tools: tools, Workers: workers, Metrics: reg, Container: ContainerV3}))
 }
 
 // streamOf drops Encode's reconstruction: the wrapper keeps its bound shape.

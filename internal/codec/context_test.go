@@ -69,7 +69,6 @@ func TestEncodePreCanceled(t *testing.T) {
 	}{
 		{"parallel", ContainerLegacy},
 		{"checksummed", ContainerV3},
-		{"indexed", ContainerV3Indexed},
 	} {
 		start := time.Now()
 		data, _, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 2, Container: tc.container})

@@ -82,12 +82,9 @@ func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 		return errors.New("codec: rans backend requires the entropy-coding stage (Tools.CABAC)")
 	}
 	switch cfg.Container {
-	case ContainerLegacy, ContainerV3, ContainerV3Indexed:
+	case ContainerLegacy, ContainerV3:
 	default:
 		return fmt.Errorf("codec: unknown container %d", cfg.Container)
-	}
-	if cfg.Regions != nil && (cfg.Container != ContainerV3Indexed || len(cfg.Regions) != len(planes)) {
-		return fmt.Errorf("codec: %d index regions for %d planes in container %d", len(cfg.Regions), len(planes), cfg.Container)
 	}
 	for i, p := range planes {
 		if p == nil {

@@ -36,7 +36,7 @@
 //	nChunks × (uint32 planeCount, uint32 payloadLen, uint32 payloadCRC32C)
 //	uint32 headerCRC32C   — CRC32C over every preceding byte
 //	payloads, concatenated in chunk order
-//	optional trailer (index.go)
+//	optional trailer, read but no longer written (layout.go)
 //
 // The header CRC covers the preamble, dim table and chunk table, so a
 // decoder never acts on damaged geometry; each payload CRC is verified
@@ -66,8 +66,8 @@ import (
 const versionChunked = 2
 
 // versionChecksummed is the bitstream version of the hardened container
-// (ContainerV3, ContainerV3Indexed, and every rANS stream): chunked framing
-// plus CRC32C integrity on the header and on every chunk payload.
+// (ContainerV3 and every rANS stream): chunked framing plus CRC32C integrity
+// on the header and on every chunk payload.
 const versionChecksummed = 3
 
 // crcTable is the CRC32C (Castagnoli) table used by the v3 container.
@@ -274,23 +274,16 @@ func sealRans(chunks []chunkRec, records []*ransRecord, tab *[nCtxSlots]uint8) {
 
 // -------------------------------------------------------- container writer
 
-// indexSpec asks writeContainer to append the chunk-index trailer. regions
-// is either nil (the index carries offsets/CRCs only) or one rect per plane.
-type indexSpec struct {
-	regions []PlaneRegion
-}
-
 // writeContainer frames encoded chunks into a container of the given
 // version — the one place container bytes are assembled, shared by Encode
 // and Appender.Snapshot. Version 1 takes exactly one chunk and no chunk
 // table; version 2 adds the table; version 3 adds the per-chunk and header
-// CRCs (chunks must be sealed) and, when idx is non-nil, the chunk-index
-// trailer. When tools selects a non-CABAC backend (its tools byte carries
-// toolsBackendExt), the backend extension — backend id, slot count and the
-// shared rANS probability table — follows the qp byte; ransTab must be
-// non-nil exactly then. CABAC headers are byte-identical to the historical
+// CRCs (chunks must be sealed). When tools selects a non-CABAC backend (its
+// tools byte carries toolsBackendExt), the backend extension — backend id,
+// slot count and the shared rANS probability table — follows the qp byte;
+// ransTab must be non-nil exactly then. CABAC headers are byte-identical to the historical
 // layout. Returns the container and the summed payload length.
-func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8, chunks []chunkRec, idx *indexSpec) ([]byte, int) {
+func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8, chunks []chunkRec) ([]byte, int) {
 	headLen := 8 + 4 + 8*len(dims)
 	if tools.Backend != BackendCABAC {
 		headLen += 2 + nCtxSlots
@@ -307,22 +300,7 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 	for _, c := range chunks {
 		payloadLen += len(c.payload)
 	}
-	var trailer []byte
-	if idx != nil {
-		// The index restates the chunk table with absolute offsets (plus the
-		// caller's region rects), so a reader can locate any chunk without
-		// walking the payloads — and a store can address them individually.
-		entries := make([]IndexEntry, len(chunks))
-		off, base := int64(headLen), 0
-		for i, c := range chunks {
-			entries[i] = IndexEntry{Offset: off, Length: len(c.payload), CRC: c.crc, PlaneBase: base, PlaneCount: c.planes}
-			off += int64(len(c.payload))
-			base += c.planes
-		}
-		trailer = buildTrailer(entries, idx.regions)
-	}
-
-	out := make([]byte, 0, headLen+payloadLen+len(trailer))
+	out := make([]byte, 0, headLen+payloadLen)
 	out = append(out, magic[:]...)
 	out = append(out, version, prof.id(), tools.bits(), uint8(qp))
 	if tools.Backend != BackendCABAC {
@@ -353,7 +331,7 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 	for _, c := range chunks {
 		out = append(out, c.payload...)
 	}
-	return append(out, trailer...), payloadLen
+	return out, payloadLen
 }
 
 // ---------------------------------------------------------------- parsing
@@ -364,6 +342,7 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 type chunkMeta struct {
 	index     int // position in the container's chunk table
 	payload   []byte
+	crc       uint32 // the v3 chunk table's payload CRC32C; 0 for v1/v2
 	dims      [][2]int
 	planeBase int
 	err       error
@@ -386,11 +365,9 @@ type parsedContainer struct {
 
 	// payloadBase is the offset of the first payload byte (the header length);
 	// trailerOff is the offset one past the last payload, where the optional
-	// v3 trailer starts — len(data) when there is no trailer. index is the
-	// trailer's chunk index, nil when absent (or damaged, in lenient mode).
+	// v3 trailer starts — len(data) when there is no trailer.
 	payloadBase int
 	trailerOff  int
-	index       *ChunkIndex
 }
 
 // parseContainer validates a container of any version down to its chunk
@@ -508,7 +485,7 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	pc.chunks = make([]chunkMeta, nChunks)
 	base := 0
 	for i := 0; i < nChunks; i++ {
-		meta := chunkMeta{index: i, dims: dims[base : base+counts[i]], planeBase: base}
+		meta := chunkMeta{index: i, crc: crcs[i], dims: dims[base : base+counts[i]], planeBase: base}
 		if off+sizes[i] > len(data) {
 			meta.err = truncatedf("codec: chunk %d needs %d bytes, %d remain", i, sizes[i], len(data)-off)
 			if !lenient {
@@ -540,32 +517,20 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	if pc.trailerOff > len(data) {
 		pc.trailerOff = len(data) // lenient truncation: payloads ran past the end
 	}
-	if off < len(data) {
+	if off < len(data) && !lenient {
+		// Lenient parses ignore what follows the last payload: every chunk is
+		// recoverable from the header table alone.
 		if version != versionChecksummed {
 			// Exact-length rule, mirroring v1: the v2 encoder emits nothing
 			// after the last payload, so trailing bytes mean damaged framing —
 			// e.g. a version byte flipped 3→2 leaves the v3 CRC fields
 			// misparsed into the chunk table and payload bytes dangling. Only
-			// the v3 container defines a trailer (DESIGN.md §15).
-			if !lenient {
-				return nil, corruptf("codec: %d trailing bytes after container end", len(data)-off)
-			}
-			return pc, nil
+			// the v3 container may end in a trailer (layout.go).
+			return nil, corruptf("codec: %d trailing bytes after container end", len(data)-off)
 		}
-		idx, _, err := parseTrailer(data, off)
-		if err == nil {
-			err = validateIndex(idx, pc, pc.payloadBase, sizes, crcs, counts)
+		if err := checkTrailer(data[off:]); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			// Lenient parses treat a damaged trailer as absent: the index is
-			// only an accelerator, and every chunk is still recoverable from
-			// the CRC-verified header table.
-			if !lenient {
-				return nil, err
-			}
-			return pc, nil
-		}
-		pc.index = idx
 	}
 	return pc, nil
 }

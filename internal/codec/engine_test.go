@@ -246,10 +246,4 @@ func TestEncodeParallelValidation(t *testing.T) {
 	if _, _, err := encodeAs(ContainerLegacy, []*frame.Plane{big}, 24, HEVC, AllTools, 4); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	// A region count that disagrees with the plane count is an encode-time
-	// error, not a bad stream.
-	if _, _, _, err := Encode(context.Background(), []*frame.Plane{p, p}, EncodeConfig{
-		QP: 24, Profile: HEVC, Tools: AllTools, Container: ContainerV3Indexed, Regions: []PlaneRegion{{W: 16, H: 16}}}); err == nil {
-		t.Fatal("indexed encode accepted 1 region for 2 planes")
-	}
 }

@@ -526,10 +526,10 @@ func TestLevelCap(t *testing.T) {
 				tab := buildRansTable([]*ransRecord{re.rec})
 				chunks := []chunkRec{{payload: re.rec.assemble(&tab), planes: 1}}
 				seal(chunks)
-				stream, _ = writeContainer(versionChecksummed, dims, 51, HEVC, tools, &tab, chunks, nil)
+				stream, _ = writeContainer(versionChecksummed, dims, 51, HEVC, tools, &tab, chunks)
 			} else {
 				chunks := []chunkRec{{payload: append([]byte(nil), re.e.bw.finish()...), planes: 1}}
-				stream, _ = writeContainer(1, dims, 51, HEVC, tools, nil, chunks, nil)
+				stream, _ = writeContainer(1, dims, 51, HEVC, tools, nil, chunks)
 			}
 			var planes [2][]*frame.Plane
 			for i, workers := range []int{1, stagedWorkers} {

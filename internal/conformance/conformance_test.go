@@ -154,15 +154,15 @@ func shifted(seed int64) func() []*frame.Plane {
 
 // A tensorVector is a float input of the layers above the codec.
 type tensorVector struct {
-	name                    string
-	seed                    int64
-	layers, rows, cols, qp  int
-	perRow, checksum, index bool
+	name                   string
+	seed                   int64
+	layers, rows, cols, qp int
+	perRow, checksum       bool
 }
 
 var tensorVectors = []tensorVector{
 	{name: "weights-64x96-qp24-checksum", seed: 201, layers: 1, rows: 64, cols: 96, qp: 24, checksum: true},
-	{name: "perrow-index-45x80-qp20", seed: 202, layers: 1, rows: 45, cols: 80, qp: 20, perRow: true, index: true},
+	{name: "perrow-45x80-qp20-checksum", seed: 202, layers: 1, rows: 45, cols: 80, qp: 20, perRow: true, checksum: true},
 	// Two chunks (8 + 1 layers at the 2^15-pixel floor), so a store that
 	// stitches them out of order fails.
 	{name: "stack-9x64x64-qp30-checksum", seed: 203, layers: 9, rows: 64, cols: 64, qp: 30, checksum: true},
@@ -178,14 +178,14 @@ func (v tensorVector) stack() []*core.Tensor {
 
 func (v tensorVector) options(backend codec.EntropyBackend, workers int) core.Options {
 	o := core.DefaultOptions()
-	o.PerRowQuant, o.Checksum, o.Index, o.Backend, o.Workers = v.perRow, v.checksum, v.index, backend, workers
+	o.PerRowQuant, o.Checksum, o.Backend, o.Workers = v.perRow, v.checksum, backend, workers
 	return o
 }
 
 // switches lists the vector's options under the names a surface gives them.
-func (v tensorVector) switches(perRow, checksum, index string) []string {
+func (v tensorVector) switches(perRow, checksum string) []string {
 	var out []string
-	for name, set := range map[string]bool{perRow: v.perRow, checksum: v.checksum, index: v.index} {
+	for name, set := range map[string]bool{perRow: v.perRow, checksum: v.checksum} {
 		if set {
 			out = append(out, name)
 		}
@@ -432,7 +432,7 @@ func cliRoundTrip(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref *r
 	for _, args := range [][]string{
 		append([]string{"encode", "-rows", fmt.Sprint(v.rows), "-cols", fmt.Sprint(v.cols), "-qp", fmt.Sprint(v.qp),
 			"-backend", c.backend.String(), "-workers", fmt.Sprint(c.workers), "-in", in, "-out", l265},
-			v.switches("-perrow", "-checksum", "-index")...),
+			v.switches("-perrow", "-checksum")...),
 		{"decode", "-workers", fmt.Sprint(c.workers), "-in", l265, "-out", out},
 	} {
 		if b, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
@@ -481,7 +481,7 @@ func httpTensors(name string) func(*testing.T, *cell, tensorVector, *core.Encode
 	return func(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref *reference) {
 		base := c.fixture(t, name)
 		q := fmt.Sprintf("/v1/encode?layers=%d&rows=%d&cols=%d&qp=%d&backend=%s%s", v.layers, v.rows, v.cols, v.qp, c.backend,
-			strings.Join(v.switches("&per-row=1", "&checksum=1", "&index=1"), ""))
+			strings.Join(v.switches("&per-row=1", "&checksum=1"), ""))
 		sameBytes(t, "POST "+q, post(t, base+q, floats(v.stack()...)), ref.wire)
 		sameBytes(t, "POST /v1/decode", post(t, base+"/v1/decode", ref.wire), ref.floats)
 	}

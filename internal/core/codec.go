@@ -47,12 +47,8 @@ type Options struct {
 	// which chunks of a damaged stream are still trustworthy. Off by
 	// default so existing streams stay byte-identical.
 	Checksum bool
-	// Index additionally appends the chunk-index trailer (DESIGN.md §15) to
-	// the v3 container: per-chunk offsets, lengths, CRCs and one tensor-space
-	// region rect per plane. An indexed stream decodes byte-identically
-	// through every existing path, and enables O(region) random access —
-	// DecodeLayerCtx, and chunk-level addressing in the content-addressed store.
-	// Implies Checksum (the trailer is defined only for the v3 container).
+	// Index implies Checksum and means nothing else. It stays only because
+	// benchmark/surface.go sets it; the next benchmark change drops it.
 	Index bool
 	// Metrics, when non-nil, collects the whole stack's observability
 	// signals into one registry: per-stage codec encode/decode timings and
@@ -98,7 +94,6 @@ func (o Options) normalized() Options {
 		o.Tools.Backend = o.Backend
 	}
 	if o.Index {
-		// The chunk-index trailer is defined only for the hardened container.
 		o.Checksum = true
 	}
 	return o
@@ -219,20 +214,7 @@ func (o Options) encodeStack(ctx context.Context, stack []*Tensor, qp int) (enco
 	}
 	quantSpan.End()
 	cfg := codec.EncodeConfig{QP: qp, Profile: o.Profile, Tools: o.Tools, Workers: o.Workers, Metrics: o.Metrics}
-	switch {
-	case o.Index:
-		// Thread the tensor-space geometry into the trailer: plane
-		// l*len(regs)+i covers region regs[i] of layer l, matching the
-		// FromMatrix emission order above.
-		cfg.Container = codec.ContainerV3Indexed
-		regs := enc.regions()
-		cfg.Regions = make([]codec.PlaneRegion, 0, len(planes))
-		for l := 0; l < enc.Layers; l++ {
-			for _, r := range regs {
-				cfg.Regions = append(cfg.Regions, codec.PlaneRegion{Layer: l, X0: r.X0, Y0: r.Y0, W: r.W, H: r.H})
-			}
-		}
-	case o.Checksum:
+	if o.Checksum {
 		cfg.Container = codec.ContainerV3
 	}
 	stream, st, recs, err := codec.Encode(ctx, planes, cfg)
@@ -435,12 +417,11 @@ var pixelValues = func() (v [256]uint8) {
 // DecodeLayerCtx and DecodeStackPartialCtx: validate the metadata, decode the
 // planes of layers [first, first+count) — leniently under partial, where
 // failed chunks come back as nil planes and Decoded.Errors — and hold what the
-// stream decoded to against what the metadata declares: the plane geometry
-// and, when the stream carries a trailer index, its region table. It starts
-// the call's span (the caller ends it once the tensors exist) and is the one
-// place core.decode.errors is counted: once per failed call, cancellations
-// excepted — a caller that walked away says nothing about the bytes, and
-// codec.decode.errors.canceled already counts it.
+// stream decoded to against what the metadata declares: the plane geometry.
+// It starts the call's span (the caller ends it once the tensors exist) and is
+// the one place core.decode.errors is counted: once per failed call,
+// cancellations excepted — a caller that walked away says nothing about the
+// bytes, and codec.decode.errors.canceled already counts it.
 func (o Options) decodePlanes(ctx context.Context, e *Encoded, spanName string, first, count int, partial bool) (*codec.Decoded, []frame.Region, obs.Span, error) {
 	fail := func(err error) (*codec.Decoded, []frame.Region, obs.Span, error) {
 		if !codec.IsCancellation(err) {
@@ -479,13 +460,6 @@ func (o Options) decodePlanes(ctx context.Context, e *Encoded, spanName string, 
 	}
 	if err := checkPlaneGeometry(dec.Planes, regs, count); err != nil {
 		return fail(err)
-	}
-	if dec.Index != nil {
-		// The codec checks the region table only against the container, so
-		// Layer/X0/Y0 arrive untrusted (validateIndexRegions).
-		if err := e.validateIndexRegions(dec.Index.Regions, regs); err != nil {
-			return fail(err)
-		}
 	}
 	return dec, regs, span, nil
 }

@@ -8,38 +8,7 @@
 // on demand under a byte budget instead of materializing the whole stack.
 package core
 
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/codec"
-	"repro/internal/frame"
-)
-
-// validateIndexRegions checks a stream-carried region table against the
-// metadata-derived mapping: plane l*perLayer+i must claim layer l and region
-// regs[i]. The codec verifies the table only against the container (entry
-// spans, plane dims), so Layer/X0/Y0 arrive here untrusted — a forged
-// trailer with a self-consistent CRC could otherwise scatter planes into
-// out-of-range layers. Any disagreement is ErrCorrupt, never acted on.
-func (e *Encoded) validateIndexRegions(regions []codec.PlaneRegion, regs []frame.Region) error {
-	if regions == nil {
-		return nil
-	}
-	perLayer := len(regs)
-	if len(regions) != e.Layers*perLayer {
-		return fmt.Errorf("core: index maps %d planes, metadata wants %d×%d: %w",
-			len(regions), e.Layers, perLayer, ErrCorrupt)
-	}
-	for i, r := range regions {
-		want := regs[i%perLayer]
-		if r.Layer != i/perLayer || r.X0 != want.X0 || r.Y0 != want.Y0 || r.W != want.W || r.H != want.H {
-			return fmt.Errorf("core: index maps plane %d to layer %d region (%d,%d %dx%d), metadata wants layer %d (%d,%d %dx%d): %w",
-				i, r.Layer, r.X0, r.Y0, r.W, r.H, i/perLayer, want.X0, want.Y0, want.W, want.H, ErrCorrupt)
-		}
-	}
-	return nil
-}
+import "context"
 
 // DecodeLayerCtx reconstructs layer l of the stack, decoding only the
 // bitstream chunks that cover it. The result is byte-identical to

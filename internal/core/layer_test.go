@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +16,7 @@ import (
 // 15 planes total, chunked [0,8) and [8,15) — layer 2 (planes 6..8) spans
 // the chunk boundary. This is the geometry that makes region decode and
 // damage attribution non-trivial.
-func layerStack(t testing.TB, index bool, backend codec.EntropyBackend) ([]*Tensor, Options, *Encoded) {
+func layerStack(t testing.TB, backend codec.EntropyBackend) ([]*Tensor, Options, *Encoded) {
 	t.Helper()
 	stack := make([]*Tensor, 5)
 	for i := range stack {
@@ -27,7 +25,6 @@ func layerStack(t testing.TB, index bool, backend codec.EntropyBackend) ([]*Tens
 	o := DefaultOptions()
 	o.MaxFrameW, o.MaxFrameH = 64, 64
 	o.Checksum = true
-	o.Index = index
 	o.Backend = backend
 	o.Workers = 2
 	e, err := o.EncodeStackCtx(context.Background(), stack, 28)
@@ -37,32 +34,27 @@ func layerStack(t testing.TB, index bool, backend codec.EntropyBackend) ([]*Tens
 	return stack, o, e
 }
 
-// TestDecodeLayerMatchesDecodeStack is the satellite-4 equivalence matrix at
-// the core layer: for both entropy backends, indexed and plain containers,
-// and workers 1/2/4/8, DecodeLayer(l) must reproduce DecodeStack's l-th
-// tensor bit for bit.
+// TestDecodeLayerMatchesDecodeStack is the equivalence matrix at the core
+// layer: for both entropy backends and workers 1/2/4/8, DecodeLayer(l) must
+// reproduce DecodeStack's l-th tensor bit for bit.
 func TestDecodeLayerMatchesDecodeStack(t *testing.T) {
 	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
-		for _, indexed := range []bool{true, false} {
-			_, o, e := layerStack(t, indexed, backend)
-			full, err := o.DecodeStackCtx(context.Background(), e)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				wo := o
-				wo.Workers = workers
-				for l := 0; l < e.Layers; l++ {
-					got, err := wo.DecodeLayerCtx(context.Background(), e, l)
-					if err != nil {
-						t.Fatalf("backend=%v indexed=%v workers=%d DecodeLayer(%d): %v",
-							backend, indexed, workers, l, err)
-					}
-					for i := range got.Data {
-						if got.Data[i] != full[l].Data[i] {
-							t.Fatalf("backend=%v indexed=%v workers=%d layer %d: value %d differs",
-								backend, indexed, workers, l, i)
-						}
+		_, o, e := layerStack(t, backend)
+		full, err := o.DecodeStackCtx(context.Background(), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			wo := o
+			wo.Workers = workers
+			for l := 0; l < e.Layers; l++ {
+				got, err := wo.DecodeLayerCtx(context.Background(), e, l)
+				if err != nil {
+					t.Fatalf("backend=%v workers=%d DecodeLayer(%d): %v", backend, workers, l, err)
+				}
+				for i := range got.Data {
+					if got.Data[i] != full[l].Data[i] {
+						t.Fatalf("backend=%v workers=%d layer %d: value %d differs", backend, workers, l, i)
 					}
 				}
 			}
@@ -74,7 +66,7 @@ func TestDecodeLayerMatchesDecodeStack(t *testing.T) {
 // only the chunks covering it — the codec.decode.chunks counter stays below
 // the full decode's.
 func TestDecodeLayerIsOLayer(t *testing.T) {
-	_, o, e := layerStack(t, true, codec.BackendCABAC)
+	_, o, e := layerStack(t, codec.BackendCABAC)
 
 	chunkCount := func(f func(o Options)) int64 {
 		reg := obs.NewRegistry()
@@ -127,185 +119,12 @@ func TestDecodeLayerIsOLayer(t *testing.T) {
 	}
 }
 
-// forgeIndex rewrites an indexed stream's trailer after mutate edits the
-// parsed index, recomputing the trailer CRC so the forgery survives the
-// codec's integrity checks — exactly what a hostile producer could ship.
-func forgeIndex(t *testing.T, stream []byte, mutate func(*codec.ChunkIndex)) []byte {
-	t.Helper()
-	lay, err := codec.Layout(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lay.Index == nil {
-		t.Fatal("stream has no index to forge")
-	}
-	idx := *lay.Index
-	idx.Entries = append([]codec.IndexEntry(nil), lay.Index.Entries...)
-	idx.Regions = append([]codec.PlaneRegion(nil), lay.Index.Regions...)
-	mutate(&idx)
-
-	var rec []byte
-	p32 := func(v uint32) { rec = binary.BigEndian.AppendUint32(rec, v) }
-	p32(uint32(len(idx.Entries)))
-	for _, e := range idx.Entries {
-		rec = binary.BigEndian.AppendUint64(rec, uint64(e.Offset))
-		p32(uint32(e.Length))
-		p32(e.CRC)
-		p32(uint32(e.PlaneBase))
-		p32(uint32(e.PlaneCount))
-	}
-	p32(uint32(len(idx.Regions)))
-	for _, r := range idx.Regions {
-		p32(uint32(r.Layer))
-		p32(uint32(r.X0))
-		p32(uint32(r.Y0))
-		p32(uint32(r.W))
-		p32(uint32(r.H))
-	}
-	trailer := []byte("L26X")
-	trailer = binary.BigEndian.AppendUint32(trailer, uint32(8+len(rec)))
-	trailer = binary.BigEndian.AppendUint32(trailer, 1) // chunk-index tag
-	trailer = binary.BigEndian.AppendUint32(trailer, uint32(len(rec)))
-	trailer = append(trailer, rec...)
-	trailer = binary.BigEndian.AppendUint32(trailer,
-		crc32.Checksum(trailer, crc32.MakeTable(crc32.Castagnoli)))
-
-	forged := append([]byte(nil), stream[:lay.TrailerOff]...)
-	return append(forged, trailer...)
-}
-
-// TestForgedIndexRejected is the satellite-2 regression: a trailer whose CRC
-// verifies but whose region table lies about the plane→layer mapping must be
-// a typed ErrCorrupt from every core decode path — with naive index-driven
-// slicing it would index out of range and panic.
-func TestForgedIndexRejected(t *testing.T) {
-	_, o, e := layerStack(t, true, codec.BackendCABAC)
-
-	cases := []struct {
-		name   string
-		mutate func(*codec.ChunkIndex)
-	}{
-		{"layer out of range", func(idx *codec.ChunkIndex) { idx.Regions[0].Layer = 99 }},
-		{"negative-looking layer", func(idx *codec.ChunkIndex) { idx.Regions[0].Layer = 1 << 30 }},
-		{"swapped layers", func(idx *codec.ChunkIndex) {
-			idx.Regions[0].Layer, idx.Regions[3].Layer = idx.Regions[3].Layer, idx.Regions[0].Layer
-		}},
-		{"shifted rect", func(idx *codec.ChunkIndex) { idx.Regions[1].X0 += 64 }},
-	}
-	for _, tc := range cases {
-		forged := *e
-		forged.Stream = forgeIndex(t, e.Stream, tc.mutate)
-		// The codec alone cannot tell (Layer/X0/Y0 are core semantics) —
-		// sanity-check the forgery actually parses there.
-		if _, err := codec.Layout(forged.Stream); err != nil {
-			t.Fatalf("%s: forgery did not survive codec parsing: %v", tc.name, err)
-		}
-		if _, _, err := o.DecodeStackPartialCtx(context.Background(), &forged); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: DecodeStackPartial err = %v, want ErrCorrupt", tc.name, err)
-		}
-		if _, err := o.DecodeLayerCtx(context.Background(), &forged, 0); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: DecodeLayer err = %v, want ErrCorrupt", tc.name, err)
-		}
-		// The full decode shares the preamble: a container is valid for every
-		// path or for none.
-		if _, err := o.DecodeStackCtx(context.Background(), &forged); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: DecodeStack err = %v, want ErrCorrupt", tc.name, err)
-		}
-	}
-}
-
 // TestPartialAttributionProperty is the satellite-2 property test: over
 // random chunk damage masks, DecodeStackPartial's per-layer damage report
 // must exactly match the attribution computed independently from the chunk
-// table — for indexed and plain streams alike — and undamaged layers must
-// decode identically to the clean stack.
+// table, and undamaged layers must decode identically to the clean stack.
 func TestPartialAttributionProperty(t *testing.T) {
-	for _, indexed := range []bool{true, false} {
-		_, o, e := layerStack(t, indexed, codec.BackendCABAC)
-		full, err := o.DecodeStackCtx(context.Background(), e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay, err := codec.Layout(e.Stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perLayer := len(e.regions())
-		rng := rand.New(rand.NewSource(97))
-		for trial := 0; trial < 25; trial++ {
-			// Random non-empty damage mask over the chunks.
-			var damaged []int
-			for i := range lay.Entries {
-				if rng.Intn(2) == 1 {
-					damaged = append(damaged, i)
-				}
-			}
-			if len(damaged) == 0 {
-				damaged = []int{rng.Intn(len(lay.Entries))}
-			}
-			bad := append([]byte(nil), e.Stream...)
-			for _, c := range damaged {
-				ent := lay.Entries[c]
-				bad[ent.Offset+int64(rng.Intn(ent.Length))] ^= 1 << uint(rng.Intn(8))
-			}
-			// Expected per-layer loss, attributed straight from the chunk table.
-			wantMissing := make(map[int]int)
-			for _, c := range damaged {
-				ent := lay.Entries[c]
-				for p := ent.PlaneBase; p < ent.PlaneBase+ent.PlaneCount; p++ {
-					wantMissing[p/perLayer]++
-				}
-			}
-
-			de := *e
-			de.Stream = bad
-			dec, report, err := o.DecodeStackPartialCtx(context.Background(), &de)
-			if err != nil {
-				t.Fatalf("indexed=%v trial %d: %v", indexed, trial, err)
-			}
-			if report.FailedChunks != len(damaged) {
-				t.Fatalf("indexed=%v trial %d: %d failed chunks, want %d (mask %v)",
-					indexed, trial, report.FailedChunks, len(damaged), damaged)
-			}
-			gotMissing := make(map[int]int)
-			for _, d := range report.Damaged {
-				gotMissing[d.Layer] = d.MissingPlanes
-				if d.TotalPlanes != perLayer {
-					t.Fatalf("indexed=%v trial %d: layer %d reports %d total planes, want %d",
-						indexed, trial, d.Layer, d.TotalPlanes, perLayer)
-				}
-			}
-			if len(gotMissing) != len(wantMissing) {
-				t.Fatalf("indexed=%v trial %d: damaged layers %v, want %v (mask %v)",
-					indexed, trial, gotMissing, wantMissing, damaged)
-			}
-			for l, n := range wantMissing {
-				if gotMissing[l] != n {
-					t.Fatalf("indexed=%v trial %d: layer %d lost %d planes, want %d (mask %v)",
-						indexed, trial, l, gotMissing[l], n, damaged)
-				}
-			}
-			// Undamaged layers reconstruct exactly.
-			for l := range dec {
-				if wantMissing[l] > 0 {
-					continue
-				}
-				for i := range dec[l].Data {
-					if dec[l].Data[i] != full[l].Data[i] {
-						t.Fatalf("indexed=%v trial %d: undamaged layer %d differs at %d (mask %v)",
-							indexed, trial, l, i, damaged)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPartialRecoversWhenIndexDamaged: damage both the trailer and one
-// chunk — the lenient path must drop the index, fall back to positional
-// attribution, and still recover every other chunk's planes.
-func TestPartialRecoversWhenIndexDamaged(t *testing.T) {
-	_, o, e := layerStack(t, true, codec.BackendCABAC)
+	_, o, e := layerStack(t, codec.BackendCABAC)
 	full, err := o.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
@@ -314,35 +133,71 @@ func TestPartialRecoversWhenIndexDamaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), e.Stream...)
-	bad[lay.TrailerOff+10] ^= 0x40       // inside the trailer records
-	bad[lay.Entries[0].Offset+3] ^= 0x01 // inside chunk 0's payload
-	de := *e
-	de.Stream = bad
-
-	// Strict path: typed rejection (trailer CRC or chunk CRC, never silent).
-	if _, err := o.DecodeStackCtx(context.Background(), &de); err == nil {
-		t.Fatal("strict decode accepted a damaged stream")
-	}
-	dec, report, err := o.DecodeStackPartialCtx(context.Background(), &de)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.FailedChunks != 1 {
-		t.Fatalf("%d failed chunks, want 1 (chunk errors: %v)", report.FailedChunks, report.ChunkErrors)
-	}
-	if !errors.Is(report.ChunkErrors[0], ErrChecksum) {
-		t.Fatalf("chunk error = %v, want ErrChecksum", report.ChunkErrors[0])
-	}
-	// Chunk 0 covers planes 0..7 = layers 0,1 and part of 2; layers 3,4 are
-	// untouched and must reconstruct exactly despite the dead index.
-	for l := 3; l < 5; l++ {
-		if layerDamaged(report, l) {
-			t.Fatalf("layer %d reported damaged", l)
+	perLayer := len(e.regions())
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 25; trial++ {
+		// Random non-empty damage mask over the chunks.
+		var damaged []int
+		for i := range lay.Entries {
+			if rng.Intn(2) == 1 {
+				damaged = append(damaged, i)
+			}
 		}
-		for i := range dec[l].Data {
-			if dec[l].Data[i] != full[l].Data[i] {
-				t.Fatalf("undamaged layer %d differs at %d", l, i)
+		if len(damaged) == 0 {
+			damaged = []int{rng.Intn(len(lay.Entries))}
+		}
+		bad := append([]byte(nil), e.Stream...)
+		for _, c := range damaged {
+			ent := lay.Entries[c]
+			bad[ent.Offset+int64(rng.Intn(ent.Length))] ^= 1 << uint(rng.Intn(8))
+		}
+		// Expected per-layer loss, attributed straight from the chunk table.
+		wantMissing := make(map[int]int)
+		for _, c := range damaged {
+			ent := lay.Entries[c]
+			for p := ent.PlaneBase; p < ent.PlaneBase+ent.PlaneCount; p++ {
+				wantMissing[p/perLayer]++
+			}
+		}
+
+		de := *e
+		de.Stream = bad
+		dec, report, err := o.DecodeStackPartialCtx(context.Background(), &de)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if report.FailedChunks != len(damaged) {
+			t.Fatalf("trial %d: %d failed chunks, want %d (mask %v)",
+				trial, report.FailedChunks, len(damaged), damaged)
+		}
+		gotMissing := make(map[int]int)
+		for _, d := range report.Damaged {
+			gotMissing[d.Layer] = d.MissingPlanes
+			if d.TotalPlanes != perLayer {
+				t.Fatalf("trial %d: layer %d reports %d total planes, want %d",
+					trial, d.Layer, d.TotalPlanes, perLayer)
+			}
+		}
+		if len(gotMissing) != len(wantMissing) {
+			t.Fatalf("trial %d: damaged layers %v, want %v (mask %v)",
+				trial, gotMissing, wantMissing, damaged)
+		}
+		for l, n := range wantMissing {
+			if gotMissing[l] != n {
+				t.Fatalf("trial %d: layer %d lost %d planes, want %d (mask %v)",
+					trial, l, gotMissing[l], n, damaged)
+			}
+		}
+		// Undamaged layers reconstruct exactly.
+		for l := range dec {
+			if wantMissing[l] > 0 {
+				continue
+			}
+			for i := range dec[l].Data {
+				if dec[l].Data[i] != full[l].Data[i] {
+					t.Fatalf("trial %d: undamaged layer %d differs at %d (mask %v)",
+						trial, l, i, damaged)
+				}
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func TestEncodeStackReconIsDecode(t *testing.T) {
 				for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
 					o := DefaultOptions()
 					o.PerRowQuant, o.MaxFrameW, o.MaxFrameH, o.Backend = perRow, frameDim, frameDim, backend
-					o.Index = trial%2 == 1
+					o.Checksum = trial%2 == 1
 					label := fmt.Sprintf("%dx%dx%d perRow=%v frame=%d backend=%d", layers, rows, cols, perRow, frameDim, backend)
 					enc, rec, err := o.EncodeStackRecon(ctx, stack, 10+4*trial)
 					if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -82,7 +84,9 @@ func TestCoreSurfaceIsClosed(t *testing.T) {
 // Every independent field doubles the configurations the equivalence matrices
 // must cover, so a new one fails here first and is argued for in DESIGN.md §11
 // before this list grows: what it buys on the benchmark, and which callers
-// need different values of it.
+// need different values of it. Options.Index stays only because
+// benchmark/surface.go sets it; it implies Checksum and nothing else
+// (TestIndexIsChecksum), and goes with the next benchmark change.
 func TestOptionFieldsAreClosed(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -90,7 +94,7 @@ func TestOptionFieldsAreClosed(t *testing.T) {
 	}{
 		{Options{}, "Profile Tools MaxFrameW MaxFrameH PerRowQuant Backend Workers Checksum Index Metrics"},
 		{codec.Profile{}, "Name CTUSize MinCUSize Modes MaxTransform UseDST4 RefSmoothing MaxFrameDim"},
-		{codec.EncodeConfig{}, "QP Profile Tools Workers Metrics Container Regions"},
+		{codec.EncodeConfig{}, "QP Profile Tools Workers Metrics Container"},
 		{codec.DecodeConfig{}, "Workers Metrics First Count Partial"},
 	} {
 		typ := reflect.TypeOf(c.v)
@@ -100,6 +104,29 @@ func TestOptionFieldsAreClosed(t *testing.T) {
 		}
 		if strings.Join(got, " ") != c.want {
 			t.Errorf("%v has fields %v, want %q: the option set is closed", typ, got, c.want)
+		}
+	}
+}
+
+// TestIndexIsChecksum: Options.Index writes exactly the Checksum=true bytes on
+// both backends.
+func TestIndexIsChecksum(t *testing.T) {
+	stack := []*Tensor{weightTensor(7, 48, 80), weightTensor(8, 48, 80)}
+	for _, backend := range []codec.EntropyBackend{codec.BackendCABAC, codec.BackendRANS} {
+		o := DefaultOptions()
+		o.MaxFrameW, o.MaxFrameH, o.Backend = 32, 32, backend
+		indexed, checksummed := o, o
+		indexed.Index, checksummed.Checksum = true, true
+		a, err := indexed.EncodeStackCtx(context.Background(), stack, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := checksummed.EncodeStackCtx(context.Background(), stack, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Marshal(), b.Marshal()) {
+			t.Fatalf("backend %v: Index=true and Checksum=true encodes differ", backend)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //     The committed prefix is never re-encoded — codec.encode.chunks
 //     advances by exactly one per flushed group, proven in kv_test.go.
 //   - Reads decode only the chunks intersecting the requested token range
-//     (Appender.Snapshot → an indexed v3 sub-container → codec.Decode),
+//     (Appender.Snapshot → a v3 sub-container → codec.Decode),
 //     re-dequantize with the stored per-row scale/zero pairs, and splice in
 //     the raw tail bit-exactly.
 //   - Prefix aliasing: each flushed group advances a chain digest
@@ -673,12 +673,11 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 			copy(pix[r*dim:], q)
 			rowScales[r], rowZeros[r] = sc, z
 		}
-		region := codec.PlaneRegion{Layer: 0, X0: 0, Y0: s.committed, W: dim, H: f}
 
 		committed := false
 		if key, ok := t.prefix.get(next); ok {
 			if payload, live := t.blobs.Ref(key); live {
-				if s.app.AppendEncoded(payload, dim, f, region) == nil {
+				if s.app.AppendEncoded(payload, dim, f) == nil {
 					s.blobKeys = append(s.blobKeys, key)
 					res.Aliased++
 					res.Saved += int64(len(payload))
@@ -699,7 +698,7 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 			est := flushEstimate(group)
 			*prepaid -= est
 			plane := &frame.Plane{W: dim, H: f, Pix: pix}
-			payloads, _, err := s.app.Append(ctx, []*frame.Plane{plane}, []codec.PlaneRegion{region})
+			payloads, _, err := s.app.Append(ctx, []*frame.Plane{plane}, nil)
 			if err != nil {
 				t.addResident(-est)
 				return err

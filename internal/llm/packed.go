@@ -1,7 +1,7 @@
 // Packed-model inference: checkpoints in the content-addressed store.
 //
-// PackModel turns a transformer's compressible weights into indexed codec
-// stacks inside a store (one stack per matrix shape, so layers with the same
+// PackModel turns a transformer's compressible weights into codec stacks
+// inside a store (one stack per matrix shape, so layers with the same
 // geometry share chunk boundaries and dedup across fine-tunes), and
 // ApplyPacked installs them back through a store.Model — the LRU of decoded
 // layers that bounds resident bytes during low-memory inference. Because the
@@ -23,11 +23,11 @@ import (
 
 // PackModel compresses every compressible weight of m at qp and packs the
 // result into s under the model name. Matrices are grouped by shape into
-// stacks (layer order = parameter order within a group), encoded with the
-// chunk-index trailer so fetched models support O(layer) access, and keyed
-// by parameter name in the manifest. Returns the written manifest.
+// stacks (layer order = parameter order within a group), encoded with opts,
+// and keyed by parameter name in the manifest. A fetched model serves single
+// layers through core.DecodeLayerCtx, which decodes only the chunks covering
+// the layer. Returns the written manifest.
 func PackModel(s *store.Store, model string, m *nn.Transformer, opts core.Options, qp int) (*store.Manifest, error) {
-	opts.Index = true
 	type group struct {
 		params []string
 		stack  []*core.Tensor

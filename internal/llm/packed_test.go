@@ -44,8 +44,8 @@ func TestPackedInferenceExactUnderBudget(t *testing.T) {
 			}
 			names[p] = true
 		}
-		if tm.Trailer.Hash == "" {
-			t.Fatalf("tensor %s packed without the chunk-index trailer", tm.Name)
+		if tm.Trailer.Hash != "" {
+			t.Fatalf("tensor %s packed with a trailer", tm.Name)
 		}
 	}
 	if layers != 13 {

@@ -64,8 +64,8 @@ func queryInt(q url.Values, key string, def int) (int, error) {
 
 // optionsFromQuery maps query parameters onto core.Options — the same knobs
 // the CLI exposes: profile (h264|h265|av1), backend (cabac|rans), checksum,
-// index, per-row, max-frame-w/h. Workers always comes from the server config
-// so one client cannot oversubscribe the pool.
+// per-row, max-frame-w/h. Workers always comes from the server config so one
+// client cannot oversubscribe the pool.
 func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 	o := core.DefaultOptions()
 	o.Workers = s.cfg.Workers
@@ -80,8 +80,10 @@ func (s *Server) optionsFromQuery(q url.Values) (core.Options, error) {
 	if o.Checksum, err = queryBool(q, "checksum"); err != nil {
 		return o, err
 	}
-	if o.Index, err = queryBool(q, "index"); err != nil {
-		return o, err
+	if q.Has("index") {
+		// A removed knob that used to imply checksum: refuse it rather than
+		// silently drop the CRCs the client asked for.
+		return o, errors.New("serve: index= is no longer supported; use checksum=1 for the CRC-protected container")
 	}
 	if o.PerRowQuant, err = queryBool(q, "per-row"); err != nil {
 		return o, err

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -86,7 +88,6 @@ func TestEncodeRoundTripMatchesCore(t *testing.T) {
 		{"h264", "&profile=h264", func(o *core.Options) { o.Profile = codec.H264 }, 1, 48, 64, 30},
 		{"av1", "&profile=av1", func(o *core.Options) { o.Profile = codec.AV1 }, 1, 48, 64, 30},
 		{"checksum", "&checksum=1", func(o *core.Options) { o.Checksum = true }, 3, 48, 64, 28},
-		{"indexed", "&index=1", func(o *core.Options) { o.Index = true }, 2, 48, 64, 28},
 		// A retired parameter is an unknown one: ignored, the default bytes.
 		{"fast-search", "&fast-search=1", func(o *core.Options) {}, 1, 64, 64, 30},
 		{"per-row", "&per-row=1", func(o *core.Options) { o.PerRowQuant = true }, 2, 48, 64, 26},
@@ -224,36 +225,47 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 	if !bytes.Contains(body, []byte("backend")) {
 		t.Errorf("backend=bogus error body %q does not name the parameter", body)
 	}
+	// The removed index= knob implied checksum: refused, pointing at
+	// checksum=1, never silently dropped with the CRCs it stood for.
+	status, body, _ = post(t, url+"/v1/encode?rows=8&cols=8&qp=30&index=1", make([]byte, 256))
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte("checksum=1")) {
+		t.Errorf("index=1: status %d body %q, want 400 naming checksum=1", status, body)
+	}
 }
 
 // TestDecodeSniffTaxonomy pins the /v1/decode container sniff: bodies shorter
 // than the 5-byte sniff window are truncation (400), wrong magic or an
-// impossible kind byte is corruption (422), and indexed v3 containers route
-// to the codec decoder and succeed — never a misroute, never a panic.
+// impossible kind byte is corruption (422), and v3 containers ending in a
+// trailer an earlier build wrote route to the codec decoder and succeed —
+// never a misroute, never a panic.
 func TestDecodeSniffTaxonomy(t *testing.T) {
 	_, url := newTestServer(t, Config{MaxInflight: 2})
 
 	opts := core.DefaultOptions()
-	opts.Index = true
+	opts.Checksum = true
 	enc, err := opts.EncodeStackCtx(context.Background(), testStack(9, 2, 64, 64), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed := enc.Stream
-	wantPlanes, err := directPlanes(indexed)
+	// The decoder never reads a trailer's body, so an empty one stands in:
+	// magic, bodyLen 0, CRC32C.
+	trailer := []byte("L26X\x00\x00\x00\x00")
+	trailer = binary.BigEndian.AppendUint32(trailer, crc32.Checksum(trailer, crc32.MakeTable(crc32.Castagnoli)))
+	atRest := append(append([]byte(nil), enc.Stream...), trailer...)
+	wantPlanes, err := directPlanes(atRest)
 	if err != nil {
-		t.Fatalf("indexed stream does not decode directly: %v", err)
+		t.Fatalf("trailer stream does not decode directly: %v", err)
 	}
-	lay, err := codec.Layout(indexed)
-	if err != nil || lay.Index == nil {
-		t.Fatalf("test stream carries no index (err=%v)", err)
+	lay, err := codec.Layout(atRest)
+	if err != nil || lay.TrailerLen != len(trailer) {
+		t.Fatalf("test stream layout %+v, %v", lay, err)
 	}
 
-	// Damage variants: cut inside the trailer (truncation) and flip a byte in
-	// the trailer body (its CRC32C must catch it).
-	cutTrailer := indexed[:lay.TrailerOff+lay.TrailerLen/2]
-	flipTrailer := append([]byte(nil), indexed...)
-	flipTrailer[lay.TrailerOff+10] ^= 0x01
+	// Damage variants: cut inside the trailer (truncation) and flip a byte
+	// the trailer CRC32C covers.
+	cutTrailer := atRest[:lay.TrailerOff+lay.TrailerLen/2]
+	flipTrailer := append([]byte(nil), atRest...)
+	flipTrailer[lay.TrailerOff+9] ^= 0x01
 	if _, derr := directPlanes(cutTrailer); !errors.Is(derr, codec.ErrTruncated) {
 		t.Fatalf("cut trailer decodes to %v, want ErrTruncated", derr)
 	}
@@ -274,10 +286,10 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 		{"core-magic-only", "", []byte("L265T"), http.StatusBadRequest, "truncated"},
 		{"wrong-magic", "", []byte("X265\x03 payload"), http.StatusUnprocessableEntity, "corrupt"},
 		{"bad-version", "", []byte("L265\x07 payload"), http.StatusUnprocessableEntity, "corrupt"},
-		{"indexed-ok", "", indexed, http.StatusOK, ""},
-		{"indexed-partial-ok", "?partial=1", indexed, http.StatusOK, ""},
-		{"indexed-cut-trailer", "", cutTrailer, http.StatusBadRequest, "truncated"},
-		{"indexed-flipped-trailer", "", flipTrailer, http.StatusConflict, "checksum"},
+		{"trailer-ok", "", atRest, http.StatusOK, ""},
+		{"trailer-partial-ok", "?partial=1", atRest, http.StatusOK, ""},
+		{"cut-trailer", "", cutTrailer, http.StatusBadRequest, "truncated"},
+		{"flipped-trailer", "", flipTrailer, http.StatusConflict, "checksum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,7 +299,7 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 			}
 			if tc.wantStatus == http.StatusOK {
 				if !bytes.Equal(body, marshalPlanes(wantPlanes)) {
-					t.Fatal("indexed decode body differs from direct DecodeWorkers")
+					t.Fatal("trailer stream decode body differs from direct DecodeWorkers")
 				}
 				return
 			}
@@ -301,16 +313,16 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 		})
 	}
 
-	// A damaged-payload indexed stream under ?partial=1 still recovers: the
-	// index never makes partial decode worse.
-	flipPayload := append([]byte(nil), indexed...)
+	// A damaged-payload trailer stream under ?partial=1 still recovers: a
+	// trailer never makes partial decode worse.
+	flipPayload := append([]byte(nil), atRest...)
 	flipPayload[lay.TrailerOff-1] ^= 0xFF
 	status, _, hdr := post(t, url+"/v1/decode?partial=1", flipPayload)
 	if status != http.StatusPartialContent {
-		t.Fatalf("damaged indexed partial = %d, want 206", status)
+		t.Fatalf("damaged trailer stream partial = %d, want 206", status)
 	}
 	if hdr.Get("X-Llm265-Failed-Chunks") == "" {
-		t.Error("missing loss accounting on indexed 206")
+		t.Error("missing loss accounting on trailer stream 206")
 	}
 }
 

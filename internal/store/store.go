@@ -13,9 +13,11 @@
 // stable boundaries (a pure function of plane geometry and tool set), so two
 // checkpoints sharing unchanged layers produce bit-identical chunk blobs and
 // the store keeps one copy — the ZipServ-style dedup that makes multi-model
-// serving affordable. The indexed v3 trailer (codec.Layout) is what lets
-// Pack split a container without decoding it, and lets a fetched model serve
-// single layers through an LRU of decoded tensors (see Model).
+// serving affordable. The container's chunk table (codec.Layout) is what
+// lets Pack split a container without decoding it, and lets a fetched model
+// serve single layers through an LRU of decoded tensors (see Model). A
+// stream that ends in a trailer an earlier build wrote keeps it as one more
+// blob.
 //
 // Integrity: a blob's name is its hash, re-verified on every read, so
 // bit-rot surfaces as ErrChecksum; reassembly is byte-exact, so the codec's
@@ -47,8 +49,8 @@ type BlobRef struct {
 }
 
 // ChunkRef is a BlobRef plus the chunk's place in its container, copied from
-// the codec's chunk index so a reader can map layers to blobs without
-// touching the container.
+// codec.Layout so a reader can map layers to blobs without touching the
+// container.
 type ChunkRef struct {
 	BlobRef
 	CRC        uint32 `json:"crc32c"`

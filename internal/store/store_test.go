@@ -34,11 +34,11 @@ func testOptions(workers int) core.Options {
 	o := core.DefaultOptions()
 	o.MaxFrameW, o.MaxFrameH = 64, 64
 	o.Workers = workers
-	o.Index = true
+	o.Checksum = true
 	return o
 }
 
-// encodeStack is a fatal-on-error indexed encode at QP 28.
+// encodeStack is a fatal-on-error checksummed encode at QP 28.
 func encodeStack(t *testing.T, stack []*core.Tensor) *core.Encoded {
 	t.Helper()
 	e, err := testOptions(2).EncodeStackCtx(context.Background(), stack, 28)
@@ -63,15 +63,15 @@ func counter(reg *obs.Registry, name string) int64 {
 
 // TestPackFetchRoundTrip pins the store's core contract: a fetched tensor is
 // byte-identical to the packed one — same stream, same metadata — for both
-// indexed and plain checksummed containers.
+// checksummed (v3) and legacy containers. A stream ending in a trailer
+// is codec's TestTrailerStoreRoundTrip.
 func TestPackFetchRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := openStore(t, reg)
 
 	attn := encodeStack(t, testStack(1, 4, 64, 128))
 	mlpOpts := testOptions(2)
-	mlpOpts.Index = false
-	mlpOpts.Checksum = true
+	mlpOpts.Checksum = false
 	mlp, err := mlpOpts.EncodeStackCtx(context.Background(), testStack(2, 3, 64, 64), 30)
 	if err != nil {
 		t.Fatalf("EncodeStack: %v", err)
@@ -90,11 +90,10 @@ func TestPackFetchRoundTrip(t *testing.T) {
 	if man.PackedBytes() != int64(len(attn.Stream)+len(mlp.Stream)) {
 		t.Fatalf("PackedBytes = %d, want %d", man.PackedBytes(), len(attn.Stream)+len(mlp.Stream))
 	}
-	if tm := man.Tensors[0]; tm.Name != "attn" || tm.Trailer.Hash == "" {
-		t.Fatalf("indexed tensor missing trailer blob: %+v", tm)
-	}
-	if tm := man.Tensors[1]; tm.Name != "mlp" || tm.Trailer.Hash != "" {
-		t.Fatalf("un-indexed tensor grew a trailer blob: %+v", tm)
+	for i, name := range []string{"attn", "mlp"} {
+		if tm := man.Tensors[i]; tm.Name != name || tm.Trailer.Hash != "" {
+			t.Fatalf("tensor %d: %+v, want %s without a trailer blob", i, tm, name)
+		}
 	}
 
 	got, err := s.Fetch("m1")
@@ -183,7 +182,7 @@ func TestPackDedupe(t *testing.T) {
 			counter(reg, "store.pack.blobs"), counter(reg, "store.pack.blobs_new"))
 	}
 
-	// Fine-tune one layer: only the chunks covering it (plus header/trailer,
+	// Fine-tune one layer: only the chunks covering it (plus the header,
 	// whose bytes shift) may be new; chunks of untouched layers dedup.
 	tuned := testStack(7, 5, 64, 128)
 	for i := range tuned[4].Data {
@@ -215,8 +214,8 @@ func TestPackDedupe(t *testing.T) {
 		t.Fatalf("Pack tuned: %v", err)
 	}
 	newBlobs := counter(reg, "store.pack.blobs_new") - before
-	// 1 header + chunks + 1 trailer were offered; `shared` chunks dedup.
-	offered := int64(2 + len(lay2.Entries))
+	// 1 header + chunks were offered; `shared` chunks dedup.
+	offered := int64(1 + len(lay2.Entries))
 	if newBlobs > offered-int64(shared) {
 		t.Fatalf("tuned pack wrote %d new blobs, want <= %d (shared %d of %d chunks)",
 			newBlobs, offered-int64(shared), shared, len(lay2.Entries))
