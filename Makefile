@@ -35,9 +35,12 @@ vet:
 # the reconstruction Encode hands out is still the one
 # Decode computes (codec's and core's ReconIsDecode contracts), every path of
 # every kernel still computes its definition's integers (the tests of DESIGN.md
-# §11.1 that hold each kernel to its refimpl_test.go, their fuzz seeds, the
-# limits and the rate estimate's bit pins), and every definition still has a
-# test that holds a kernel to it (TestKernelReferencesAreLive), and production
+# §11.1 that hold each kernel to its refimpl_test.go, their fuzz seeds and the
+# limits), and every definition still has a test that holds a kernel to it
+# (TestKernelReferencesAreLive), every rate-distortion decision and the ring's
+# QP law are integer arithmetic — no float, float literal or math call in
+# them, so neither libm nor a contracted multiply-add can move a byte on
+# another architecture (TestRDDecisionsAreInteger) — and production
 # is closed: every function under internal/ is reached from a main in cmd/*,
 # examples/* or benchmark/, or is entered with its reason in surface_test.go's
 # allow-list (TestProductionSurfaceIsClosed; a failure prints each unreached
@@ -51,7 +54,7 @@ vet:
 # worker count, against the committed bytes — catch a byte drift in seconds.
 # The first step of ci.
 surface: vet
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|CorpusIsClosed|KernelFlagIsContained|Trailer' . ./internal/codec/ ./internal/core/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|Trailer' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...
@@ -64,7 +67,9 @@ surface: vet
 # cache), compiles the packages whose floats reach a stream, a decoded tensor
 # or a wire value for arm64, where Go fuses x*y + z, and fails on any
 # FMADD/FMSUB/FNMADD/FNMSUB with its source line; as a root-package test it
-# runs in every `go test ./...`, the 386 suite here included.
+# runs in every `go test ./...`, the 386 suite here included. Standard-library
+# math is outside it; TestRDDecisionsAreInteger (in `surface`) keeps it out of
+# every decision that chooses a byte.
 portable:
 	GOARCH=386 $(GO) test ./...
 	GOARCH=arm64 $(GO) vet ./...

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/dct"
 	"repro/internal/obs"
 	"repro/internal/quant"
 )
@@ -183,6 +184,24 @@ func TestRTNCodecMatchesQuantGroupwise(t *testing.T) {
 	for i := range recon {
 		if math.Float32bits(dst[i]) != math.Float32bits(recon[i]) {
 			t.Fatalf("decode[%d] = %g, encoder recon %g", i, dst[i], recon[i])
+		}
+	}
+}
+
+// TestRateQPLawLog2: the ring's integer 6·log₂ of a span — math.Frexp's
+// exponent and dct.Log2Fixed of the mantissa — is math.Log2's to within its
+// resolution, 6·2⁻¹⁶ QP, across spans 2⁻⁴⁰…2⁴⁰: powers of two, their
+// neighbours and drawn mantissas.
+func TestRateQPLawLog2(t *testing.T) {
+	const res = 6.0 / (1 << dct.Log2Frac)
+	rng := rand.New(rand.NewSource(3))
+	for e := -40; e <= 40; e++ {
+		p := math.Ldexp(1, e)
+		for _, v := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), p * (1 + rng.Float64()), p * 1.5} {
+			got, want := float64(6*log2Fixed(v))/(1<<dct.Log2Frac), 6*math.Log2(v)
+			if got > want+1e-9 || got < want-res-1e-9 {
+				t.Fatalf("6·log₂ %v = %v, math.Log2 gives %v: more than %.2g apart", v, got, want, res)
+			}
 		}
 	}
 }

@@ -147,16 +147,19 @@ func (c *tensorCodec) Decode(ctx context.Context, payload []byte, rows, cols int
 
 type rateCodec struct {
 	tensorCodec
-	target float64
 	// level is the quantiser step the codec holds across a step's segments,
 	// as the QP a segment of unit range gets; a segment of range s is coded
-	// at level − 6·log2(s). Unset until the first AdvanceStep.
-	level  float64
-	primed bool
+	// at level − 6·log₂ s. Unset until the first AdvanceStep. It, target
+	// (log₂ of the bits/value target) and widest are in dct.Log2Fixed's
+	// units: the QP law is integer arithmetic, the same on every platform.
+	level, target int64
+	primed        bool
 	// This training step's encodes, consumed by AdvanceStep.
 	bits, vals int64
-	span       float64 // the widest segment range
+	widest     int64 // log₂ of the widest segment range; noSpan before one
 }
+
+const noSpan = math.MinInt64
 
 // rateStartQP is every segment's QP during the first training step: the
 // middle of the QP range, from which the 6-QP-per-octave moves below reach
@@ -185,23 +188,39 @@ func RateCodec(opts core.Options, bitsPerValue float64) CodecFactory {
 	if !(bitsPerValue > 0) {
 		panic(fmt.Sprintf("allreduce: rate target %g bits/value must be positive", bitsPerValue))
 	}
+	target := log2Fixed(min(bitsPerValue, math.MaxFloat64)) // +Inf is a target past reach, as before
 	return func(int) SegmentCodec {
-		return &rateCodec{tensorCodec: tensorCodec{opts: opts}, target: bitsPerValue}
+		return &rateCodec{tensorCodec: tensorCodec{opts: opts}, target: target, widest: noSpan}
 	}
 }
 
-func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
-	// The range core's 8-bit front end (quant.ToUint8) maps onto [0, 255].
+// log2Fixed is dct.Log2Fixed of a finite v > 0: math.Frexp's exponent, exact,
+// plus the log of the 53-bit mantissa.
+func log2Fixed(v float64) int64 {
+	frac, exp := math.Frexp(v)
+	return dct.Log2Fixed(uint64(math.Ldexp(frac, 53))) + int64(exp-53)<<dct.Log2Frac
+}
+
+// log2Span is log₂ of the range quant.ToUint8 maps onto [0, 255], or noSpan.
+func log2Span(vals []float32) int64 {
 	lo, hi := quant.MinMax(vals)
-	span := float64(hi) - float64(lo)
-	c.span = math.Max(c.span, span)
+	if lo == hi {
+		return noSpan
+	}
+	return log2Fixed(float64(hi) - float64(lo))
+}
+
+func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
+	span := log2Span(vals)
+	c.widest = max(c.widest, span)
 	switch {
 	case !c.primed:
 		c.qp = rateStartQP
-	case span == 0: // a constant segment codes to nothing at any QP
+	case span == noSpan: // a constant segment codes to nothing at any QP
 		c.qp = dct.MaxQP
 	default:
-		c.qp = int(math.Max(0, math.Min(dct.MaxQP, math.Round(c.level-float64(6*math.Log2(span))))))
+		const half = 1 << (dct.Log2Frac - 1)
+		c.qp = int(min(max((c.level-6*span+half)>>dct.Log2Frac, 0), dct.MaxQP))
 	}
 	payload, recon, cost, err := c.tensorCodec.Encode(ctx, vals, rows, cols)
 	if err == nil {
@@ -211,21 +230,21 @@ func (c *rateCodec) Encode(ctx context.Context, vals []float32, rows, cols int) 
 	return payload, recon, cost, err
 }
 
-// AdvanceStep moves the level toward the target: by 6·log2(r) for a step that
+// AdvanceStep moves the level toward the target: by 6·log₂ r for a step that
 // ran at r× the target, one doubling of Qstep per octave of rate error. The
 // first call anchors the level at rateStartQP on the widest segment seen. The
 // level is kept where that segment's QP stays in range, so an unreachable
 // target cannot wind it up.
 func (c *rateCodec) AdvanceStep() {
-	if c.vals > 0 && c.span > 0 {
-		widest := float64(6 * math.Log2(c.span))
+	if c.vals > 0 && c.widest != noSpan {
+		widest := 6 * c.widest
 		if !c.primed {
-			c.level, c.primed = rateStartQP+widest, true
+			c.level, c.primed = rateStartQP<<dct.Log2Frac+widest, true
 		}
-		c.level += float64(6 * math.Log2(float64(c.bits)/float64(c.vals)/c.target))
-		c.level = math.Max(widest, math.Min(widest+dct.MaxQP, c.level))
+		c.level += 6 * (dct.Log2Fixed(uint64(c.bits)) - dct.Log2Fixed(uint64(c.vals)) - c.target)
+		c.level = min(max(c.level, widest), widest+dct.MaxQP<<dct.Log2Frac)
 	}
-	c.bits, c.vals, c.span = 0, 0, 0
+	c.bits, c.vals, c.widest = 0, 0, noSpan
 }
 
 // --- RTN (group-wise round-to-nearest baseline) ---

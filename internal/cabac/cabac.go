@@ -35,12 +35,6 @@ func NewContext(p0 float64) Context {
 	return Context{p: p}
 }
 
-// Update adapts the context exactly as EncodeBit would, without coding a
-// bin. The codec's rANS recorder uses it so the choice of entropy backend
-// never perturbs the encoder's rate-estimate state (and therefore its RD
-// decisions): the contexts see the same bin sequence either way.
-func (c *Context) Update(bin int) { c.update(bin) }
-
 func (c *Context) update(bin int) {
 	if bin == 0 {
 		c.p += (probMax - c.p) >> adaptRate

@@ -59,17 +59,13 @@ func newRansRecord() *ransRecord {
 	return &ransRecord{bypass: bits.NewWriter()}
 }
 
-// ransBinEnc is the recording binEncoder. It mirrors CABAC's context
-// adaptation (Update) so the encoder's RD estimates — and therefore its
-// decisions and reconstructions — are identical under either backend.
-type ransBinEnc struct {
-	rec *ransRecord
-	ctx *contexts
-}
+// ransBinEnc is the recording binEncoder. The encoder's rate estimate is
+// static, so its decisions and reconstructions are the same under either
+// backend without any adaptive state here.
+type ransBinEnc struct{ rec *ransRecord }
 
 func (e ransBinEnc) bit(slot, bin int) {
 	e.rec.slotBins[slot] = append(e.rec.slotBins[slot], uint8(bin))
-	e.ctx[slot].Update(bin)
 }
 func (e ransBinEnc) bypass(bin int)              { e.rec.bypass.WriteBit(bin) }
 func (e ransBinEnc) bypassBits(v uint32, n uint) { e.rec.bypass.WriteBits(uint64(v), n) }

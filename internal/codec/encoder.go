@@ -39,8 +39,9 @@ type encoder struct {
 	prev  *frame.Plane // previous frame's reconstruction (inter)
 	fIdx  int
 
-	bw     binEncoder
-	lambda float64
+	bw       binEncoder
+	lambda   int64 // lambdaTable[qp]
+	modeRate int64 // an intra mode's rate, 1 + log₂ |Modes| bits
 
 	// scr is the per-worker scratch arena every hot-path buffer comes from;
 	// owned exclusively by this encoder for the duration of the chunk.
@@ -130,20 +131,21 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 	}()
 	e := &s.enc
 	*e = encoder{
-		prof:   prof,
-		tools:  tools,
-		qp:     qp,
-		lambda: 0.12 * dct.Qstep(qp) * dct.Qstep(qp),
-		scr:    s,
-		cancel: cancellable(ctx),
+		prof:     prof,
+		tools:    tools,
+		qp:       qp,
+		lambda:   lambdaTable[qp],
+		modeRate: rateUnit + (rateUnit*dct.Log2Fixed(uint64(len(prof.Modes)))+1<<(dct.Log2Frac-1))>>dct.Log2Frac,
+		scr:      s,
+		cancel:   cancellable(ctx),
 	}
-	// Every chunk starts from the same adaptive state on both the encoder
-	// and decoder sides.
-	s.ctx.init()
 	if tools.Backend == BackendRANS {
 		rec = newRansRecord()
-		e.bw = ransBinEnc{rec: rec, ctx: &s.ctx}
+		e.bw = ransBinEnc{rec}
 	} else {
+		// Every chunk starts from the same adaptive state on both the encoder
+		// and decoder sides.
+		s.ctx.init()
 		e.bw = s.binEnc(tools.CABAC)
 	}
 	if m != nil {
@@ -282,8 +284,34 @@ type cuDec struct {
 	mode   intra.Mode
 	levels []int32 // row-major n×n quantized levels
 	rec    []int32 // row-major n×n reconstruction of the winning trial
-	cost   float64
+	cost   int64   // rdCost of the decision
 }
+
+// The rate-distortion currency (DESIGN.md §11.1). A rate is counted in
+// 1/rateUnit bits, in which every term of estimateLevelBits and every flag is
+// whole, and a cost is rdCost's SSE·distWeight + λ·rate: the cost
+// SSE + 0.12·Qstep²·bits scaled by rateUnit·2^lambdaFrac, exact in int64 (a
+// 32×32 CTU's is below 2⁵¹), so every decision is an integer comparison.
+const (
+	rateUnit   = 100
+	lambdaFrac = 16
+	distWeight = rateUnit << lambdaFrac
+)
+
+// lambdaTable[qp] is the Lagrange multiplier 0.12·Qstep(qp)²·2^lambdaFrac,
+// rounded. Qstep is a committed table and IEEE products round alike
+// everywhere, so the integers do too.
+var lambdaTable [dct.MaxQP + 1]int64
+
+func init() {
+	for qp := range lambdaTable {
+		q := dct.Qstep(qp)
+		lambdaTable[qp] = int64(math.Round(0.12 * q * q * (1 << lambdaFrac)))
+	}
+}
+
+// rdCost is the cost of a decision of distortion sse and rate rate.
+func (e *encoder) rdCost(sse, rate int64) int64 { return sse*distWeight + e.lambda*rate }
 
 func (e *encoder) decideCU(x, y, size int) *cuDec {
 	switch splitKindFor(e.prof, e.tools, size) {
@@ -308,7 +336,7 @@ func (e *encoder) decideCU(x, y, size int) *cuDec {
 
 	split := e.scr.newNode()
 	split.split = true
-	split.cost = e.lambda * 1.0 // ~1 bit split flag
+	split.cost = e.rdCost(0, rateUnit) // the split flag's bit
 	h := size / 2
 	for i := 0; i < 4; i++ {
 		cx, cy := x+(i%2)*h, y+(i/2)*h
@@ -316,7 +344,7 @@ func (e *encoder) decideCU(x, y, size int) *cuDec {
 		split.cost += split.children[i].cost
 	}
 
-	leafTotal := leaf.cost + e.lambda*1.0 // leaf also pays the split flag
+	leafTotal := leaf.cost + e.rdCost(0, rateUnit) // leaf also pays the split flag
 	if leafTotal <= split.cost {
 		e.applyLeaf(leaf, x, y, size)
 		leaf.cost = leafTotal
@@ -512,9 +540,8 @@ func keepIfBetter(best *cuDec, cand cuDec, lev, rec []int32) {
 
 // tryIntraRD runs one full rate-distortion trial of intra mode m.
 func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *cuDec) {
-	lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
-	modeBits := 1.0 + math.Log2(float64(len(e.prof.Modes)))
-	keepIfBetter(best, cuDec{mode: m, cost: dist + float64(e.lambda*(rbits+modeBits))}, lev, rec)
+	lev, rec, sse, rate := e.trialResidual(orig, pred, size, true)
+	keepIfBetter(best, cuDec{mode: m, cost: e.rdCost(sse, rate+e.modeRate)}, lev, rec)
 }
 
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
@@ -564,7 +591,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 	}
 
 	best := s.newNode()
-	*best = cuDec{cost: math.Inf(1), levels: s.newLevels(n2), rec: s.newLevels(n2)}
+	*best = cuDec{cost: math.MaxInt64, levels: s.newLevels(n2), rec: s.newLevels(n2)}
 
 	if e.tools.IntraPred {
 		var tIntra time.Time
@@ -597,10 +624,10 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		for i := range pred {
 			pred[i] = 128
 		}
-		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, true)
+		lev, rec, sse, rate := e.trialResidual(orig, pred, size, true)
 		// The sole intra candidate is taken whatever it costs, so the leaf
 		// never commits the arena's unwritten blocks.
-		best.mode, best.cost = intra.DC, dist+float64(e.lambda*rbits)
+		best.mode, best.cost = intra.DC, e.rdCost(sse, rate)
 		copy(best.levels, lev)
 		copy(best.rec, rec)
 	}
@@ -609,9 +636,9 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		mvx, mvy := e.motionSearch(orig, x, y, size)
 		pred := s.pred[:n2]
 		motionPredict(e.prev, pred, x, y, size, mvx, mvy)
-		lev, rec, dist, rbits := e.trialResidual(orig, pred, size, false)
-		mvBits := float64(egLen(zigzagU(mvx), 1) + egLen(zigzagU(mvy), 1))
-		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: dist + float64(e.lambda*(rbits+mvBits+1))}, lev, rec)
+		lev, rec, sse, rate := e.trialResidual(orig, pred, size, false)
+		mvRate := rateUnit * int64(egLen(zigzagU(mvx), 1)+egLen(zigzagU(mvy), 1)+1) // the vector and the inter flag
+		keepIfBetter(best, cuDec{inter: true, mvx: mvx, mvy: mvy, cost: e.rdCost(sse, rate+mvRate)}, lev, rec)
 	}
 	return best
 }
@@ -646,7 +673,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 
 // trialResidual transforms, quantizes and reconstructs the residual,
 // returning the levels and the reconstruction (in scratch buffers — valid only
-// until the next trial), the SSE distortion and an estimated rate in bits.
+// until the next trial), the SSE distortion and the estimated rate.
 //
 // Under the transform the trial does not dequantise, invert and add as the
 // definition (reconstructBlockInto, refimpl_test.go) does: it knows
@@ -655,7 +682,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 // levels for the inverse, and the source, so the prediction is added and the
 // distortion summed in one more. The integers are reconstructBlockInto's;
 // TestTrialResidualEquivalence holds the two together.
-func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev, rec []int32, dist, rateBits float64) {
+func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev, rec []int32, sse, rate int64) {
 	var t0 time.Time
 	if e.rec != nil {
 		t0 = time.Now()
@@ -684,20 +711,18 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 		quantizeSpatial(lev, res, e.qp)
 		dequantizeSpatial(rec, lev, e.qp)
 	}
-	sse := addClipSSE(rec, pred, orig, size)
+	sse = addClipSSE(rec, pred, orig, size)
 	if e.rec != nil {
 		e.rec.xformNs += int64(time.Since(t0))
 		e.rec.trials++
 	}
-	return lev, rec, float64(sse), estimateLevelBits(lev, size, e.tools.Transform)
+	return lev, rec, sse, estimateLevelBits(lev, size, e.tools.Transform)
 }
 
 // addClipSSE adds the size×size prediction pred to the residual rec, clips
 // the sums to pixels in rec and returns their SSE against the source orig, a
 // block of pixels. The SSE is an integer of at most 1024·255² < 2²⁷: exact in
-// int64, in the int32 lanes of addClipSSEAVX2 and in the float64 the RD cost
-// takes it as (a float accumulation gives the same value, every partial sum
-// being an integer below 2⁵³).
+// int64 and in the int32 lanes of addClipSSEAVX2.
 func addClipSSE(rec, pred, orig []int32, size int) int64 {
 	n2 := size * size
 	rec, pred, orig = rec[:n2], pred[:n2], orig[:n2]
@@ -746,83 +771,56 @@ func dequantizeSpatial(dst, lev []int32, qp int) {
 	}
 }
 
-// addLevelBits adds the bits of one coefficient of magnitude a to the running
-// estimate x, one addition at a time: the definition.
-func addLevelBits(x float64, a int32) float64 {
-	if a == 0 {
-		return x + 0.6
+// levelRate is the rate of a coefficient of magnitude a up to the block's
+// last non-zero one: 0.6 bits for a zero; for a level 2 (significance and
+// sign), 1 more if a > 1 and egLen(a−3) more if a > 2.
+func levelRate(a uint32) int64 {
+	switch {
+	case a == 0:
+		return rateUnit * 3 / 5
+	case a <= 2:
+		return rateUnit * int64(1+a)
 	}
-	x += 2 // sig + sign
-	if a > 1 {
-		x += 1
-	}
-	if a > 2 {
-		x += float64(egLen(uint32(a-3), 0))
-	}
-	return x
+	return rateUnit * int64(3+egLen(a-3, 0))
 }
 
-// levelBitsTable[a] is addLevelBits(0, a), everything a coefficient of
-// magnitude a adds: 0.6, or a small integer — exact either way.
-var levelBitsTable [256]float64
+// levelRateTable[a] is levelRate(a).
+var levelRateTable [256]int64
 
 func init() {
-	for a := range levelBitsTable {
-		levelBitsTable[a] = addLevelBits(0, int32(a))
+	for a := range levelRateTable {
+		levelRateTable[a] = levelRate(uint32(a))
 	}
 }
 
 // estimateLevelBits approximates the entropy-coded size of a level block for
-// RD decisions (the emission phase spends the real bits).
-//
-// The order of its float64 additions is part of the bitstream contract. By
-// definition the estimate is 1 for the CBF, then per coefficient in scan order
-// up to the last non-zero one
-//
-//	+0.6                          for a zero, or
-//	+2, then +1, then +egLen      for a level (the last two if a > 1, a > 2),
-//
-// then +0.08 per coefficient after the last. The running sum holds multiples
-// of 0.6, which are not exact, so additions round, and (x+2)+1 and x+3 can
-// differ in the last bit; the estimate feeds RD comparisons, and one flipped
-// comparison moves stream bytes. The loop below makes a level's additions in
-// one step only where that provably rounds nowhere: if x and fl(x+d), d a
-// positive integer, have the same exponent, the true x+d lies in x's binade,
-// where every multiple of x's ulp (≤ 1) is representable — so x+2, x+3 and
-// x+d are all exact, and the one addition equals the three. Where the
-// exponents differ (a dozen times a block) the additions are made one by one;
-// a zero's single +0.6 comes out the same either way.
-// TestEstimateLevelBitsPinned holds the result bit for bit, and
-// TestEstimateLevelBitsEquivalence holds it to the definition.
-func estimateLevelBits(lev []int32, size int, transformed bool) float64 {
+// RD decisions (the emission phase spends the real bits), in rate units: 1
+// bit for the CBF, levelRate of each coefficient in scan order up to the last
+// non-zero one and 0.08 bits for each after it. Every term is whole, so the
+// sum is exact in any order.
+func estimateLevelBits(lev []int32, size int, transformed bool) int64 {
 	scan, _ := residualScan(size, transformed)
 	lev = lev[:len(scan)]
 	last := len(scan) - 1
 	for last >= 0 && lev[scan[last]] == 0 {
 		last--
 	}
+	rate := int64(rateUnit) // CBF
 	if last < 0 {
-		return 1 // CBF only
+		return rate
 	}
-	bitsEst := 1.0 // CBF
+	rate += rateUnit * 2 / 25 * int64(len(scan)-1-last)
 	for _, pos := range scan[:last+1] {
 		// |level| by mask: the compiler turns the comparing form into a
 		// branch here, on a sign no predictor knows.
 		sign := lev[pos] >> 31
-		a := (lev[pos] ^ sign) - sign
-		var sum float64
-		if uint32(a) < uint32(len(levelBitsTable)) {
-			sum = bitsEst + levelBitsTable[a]
+		if a := uint32((lev[pos] ^ sign) - sign); a < uint32(len(levelRateTable)) {
+			rate += levelRateTable[a]
 		} else {
-			sum = bitsEst + addLevelBits(0, a)
+			rate += levelRate(a)
 		}
-		if math.Float64bits(sum)>>52 != math.Float64bits(bitsEst)>>52 {
-			sum = addLevelBits(bitsEst, a)
-		}
-		bitsEst = sum
 	}
-	bitsEst += float64(float64(len(scan)-1-last) * 0.08)
-	return bitsEst
+	return rate
 }
 
 // zigzagU maps a signed value to unsigned for Exp-Golomb coding.
@@ -843,25 +841,24 @@ func unzigzag(u uint32) int32 {
 // splitSlot is the context slot of the split flag at a quadtree depth.
 func splitSlot(depth int) int { return ctxSplit + min(depth, splitDepths-1) }
 
-// emitCU serializes a decided CU tree.
+// b2i is 1 for true.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// emitCU serializes a decided CU tree. Only a signaled split sends a flag.
 func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
-	switch splitKindFor(e.prof, e.tools, size) {
-	case splitForced:
-		// no flag
-	case splitSignaled:
-		b := 0
-		if d.split {
-			b = 1
-		}
+	if splitKindFor(e.prof, e.tools, size) == splitSignaled {
 		if e.rec != nil {
 			b0 := e.bw.bitLen()
-			e.bw.bit(splitSlot(depth), b)
+			e.bw.bit(splitSlot(depth), b2i(d.split))
 			e.rec.bitsPartition += int64(e.bw.bitLen() - b0)
 		} else {
-			e.bw.bit(splitSlot(depth), b)
+			e.bw.bit(splitSlot(depth), b2i(d.split))
 		}
-	case splitLeafOnly:
-		// no flag, leaf guaranteed
 	}
 	if d.split {
 		h := size / 2
@@ -879,24 +876,16 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 		b0 = e.bw.bitLen()
 	}
 	if e.tools.InterPred && e.fIdx > 0 {
-		b := 0
-		if d.inter {
-			b = 1
-		}
-		e.bw.bit(ctxInterFlag, b)
+		e.bw.bit(ctxInterFlag, b2i(d.inter))
 	}
 	if d.inter {
 		egEncode(e.bw, zigzagU(d.mvx), 1)
 		egEncode(e.bw, zigzagU(d.mvy), 1)
 	} else if e.tools.IntraPred {
-		same := 0
-		if d.mode == e.prevModeEmit {
-			same = 1
-		}
-		e.bw.bit(ctxModeSame, same)
-		if same == 0 {
-			idx := e.modeIndex(d.mode)
-			e.bw.bypassBits(uint32(idx), modeIdxBits(len(e.prof.Modes)))
+		same := d.mode == e.prevModeEmit
+		e.bw.bit(ctxModeSame, b2i(same))
+		if !same {
+			e.bw.bypassBits(uint32(e.modeIndex(d.mode)), modeIdxBits(len(e.prof.Modes)))
 		}
 		e.prevModeEmit = d.mode
 	}
@@ -931,55 +920,30 @@ func modeIdxBits(n int) uint {
 func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
-	cbf := 0
-	for _, l := range lev {
-		if l != 0 {
-			cbf = 1
-			break
-		}
-	}
-	e.bw.bit(ctxCbf+si, cbf)
-	if cbf == 0 {
+	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
+	e.bw.bit(ctxCbf+si, b2i(cbf))
+	if !cbf {
 		return
 	}
 	k := uint(0)
 	for i, pos := range scan {
 		l := lev[pos]
-		sig := 0
-		if l != 0 {
-			sig = 1
-		}
-		e.bw.bit(int(sigSlot[i]), sig)
-		if sig == 0 {
+		e.bw.bit(int(sigSlot[i]), b2i(l != 0))
+		if l == 0 {
 			continue
 		}
-		a := l
-		if a < 0 {
-			a = -a
-		}
-		g1 := 0
+		a := max(l, -l)
+		e.bw.bit(ctxG1+si, b2i(a > 1))
 		if a > 1 {
-			g1 = 1
+			e.bw.bit(ctxG2+si, b2i(a > 2))
 		}
-		e.bw.bit(ctxG1+si, g1)
-		if g1 == 1 {
-			g2 := 0
-			if a > 2 {
-				g2 = 1
-			}
-			e.bw.bit(ctxG2+si, g2)
-			if g2 == 1 {
-				rem := uint32(a - 3)
-				egEncode(e.bw, rem, k)
-				if rem > 3<<k && k < 4 {
-					k++
-				}
+		if a > 2 {
+			rem := uint32(a - 3)
+			egEncode(e.bw, rem, k)
+			if rem > 3<<k && k < 4 {
+				k++
 			}
 		}
-		sign := 0
-		if l < 0 {
-			sign = 1
-		}
-		e.bw.bypass(sign)
+		e.bw.bypass(b2i(l < 0))
 	}
 }

@@ -51,7 +51,7 @@ func TestTrialResidualEquivalence(t *testing.T) {
 						draw, size, e.qp, e.tools.Transform, isIntra && e.prof.UseDST4, simd, i, lev[i], rec[i], wantLev[i], wantRec[i])
 				}
 			}
-			if sse != wantSSE || math.Float64bits(bits) != math.Float64bits(wantBits) {
+			if sse != wantSSE || bits != wantBits {
 				t.Fatalf("draw %d (size %d qp %d simd %v): sse %v bits %v, definition sse %v bits %v", draw, size, e.qp, simd, sse, bits, wantSSE, wantBits)
 			}
 		})
@@ -249,11 +249,10 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestEstimateLevelBitsEquivalence: the estimate against its definition, bit
-// for bit, on drawLevels' blocks of every kind, and on blocks holding one
-// level at an end of the int32 range or at −2²⁰. Each dense block walks its
-// running sum across a dozen binades, which is where making a level's
-// additions in one step would show if it were not exact.
+// TestEstimateLevelBitsEquivalence: the estimate against its definition on
+// drawLevels' blocks of every kind, on blocks holding one level at an end of
+// the int32 range or at −2²⁰, and on a level, a run of zeros and a level
+// whose Exp-Golomb suffix is long.
 func TestEstimateLevelBitsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 20000; trial++ {
@@ -269,15 +268,26 @@ func TestEstimateLevelBitsEquivalence(t *testing.T) {
 		case 2:
 			lev[rng.Intn(len(lev))] = -(1 << 20)
 		case 3:
-			// A level, a short run of zeros, a level long enough to cross
-			// three binades: where one-step and one-by-one additions differ.
 			clear(lev)
 			scan, _ := residualScan(size, true)
 			lev[scan[0]], lev[scan[7]] = -1, 4099
 		}
-		got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsOrdered(lev, size, transformed)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d (size %d): %v (%#x), definition %v (%#x)", trial, size, got, math.Float64bits(got), want, math.Float64bits(want))
+		if got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsDef(lev, size, transformed); got != want {
+			t.Fatalf("trial %d (size %d): %d, definition %d", trial, size, got, want)
+		}
+	}
+}
+
+// TestLambdaTable: λ at each of the 52 QPs is 0.12·Qstep²·2^lambdaFrac
+// rounded, with Qstep from math.Pow, and λ never falls as QP rises.
+func TestLambdaTable(t *testing.T) {
+	for qp, l := range lambdaTable {
+		q := math.Pow(2, float64(qp-4)/6)
+		if want := int64(math.Round(0.12 * q * q * (1 << lambdaFrac))); l != want {
+			t.Errorf("lambdaTable[%d] = %d, formula %d", qp, l, want)
+		}
+		if qp > 0 && l < lambdaTable[qp-1] {
+			t.Errorf("lambdaTable[%d] = %d < lambdaTable[%d] = %d", qp, l, qp-1, lambdaTable[qp-1])
 		}
 	}
 }
@@ -329,14 +339,6 @@ func TestGatherRefsEquivalence(t *testing.T) {
 	if runs[0][0] == 0 || runs[0][1] == 0 || runs[1][0] == 0 || runs[1][1] == 0 {
 		t.Fatalf("below-left runs unavailable/available %v, above-right %v: a case went unexercised", runs[0], runs[1])
 	}
-}
-
-// b2i is 1 for true.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // TestAvailabilityMatchesCodedMask holds the availability rule to the mask it
@@ -545,7 +547,7 @@ func BenchmarkTrialResidual(b *testing.B) {
 			e := &encoder{prof: HEVC, tools: AllTools, qp: pt.qp, scr: newScratch()}
 			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
 				b.SetBytes(int64(size * size))
-				var sink float64
+				var sink int64
 				for i := 0; i < b.N; i++ {
 					_, _, dist, bits := e.trialResidual(origs[i%blocks], preds[i%blocks], size, true)
 					sink += dist + bits
@@ -568,7 +570,7 @@ func BenchmarkEstimateLevelBits(b *testing.B) {
 		}
 		b.Run(pt.name, func(b *testing.B) {
 			b.SetBytes(size * size)
-			var sink float64
+			var sink int64
 			for i := 0; i < b.N; i++ {
 				sink += estimateLevelBits(levs[i%blocks], size, true)
 			}

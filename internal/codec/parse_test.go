@@ -236,7 +236,7 @@ func newResidualEncoder(tools Tools) *residualEncoder {
 	switch {
 	case tools.Backend == BackendRANS:
 		re.rec = newRansRecord()
-		re.e.bw = ransBinEnc{rec: re.rec, ctx: &re.ctx}
+		re.e.bw = ransBinEnc{re.rec}
 	case tools.CABAC:
 		re.e.bw = &cabacBinEnc{e: cabac.NewEncoder(), ctx: &re.ctx}
 	default:

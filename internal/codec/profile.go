@@ -159,26 +159,8 @@ const toolsBackendExt = 0x20
 
 // toolsBits packs Tools into a byte for the bitstream header.
 func (t Tools) bits() uint8 {
-	var b uint8
-	if t.Partitioning {
-		b |= 1
-	}
-	if t.Transform {
-		b |= 2
-	}
-	if t.IntraPred {
-		b |= 4
-	}
-	if t.InterPred {
-		b |= 8
-	}
-	if t.CABAC {
-		b |= 16
-	}
-	if t.Backend != BackendCABAC {
-		b |= toolsBackendExt
-	}
-	return b
+	return uint8(b2i(t.Partitioning) | b2i(t.Transform)<<1 | b2i(t.IntraPred)<<2 | b2i(t.InterPred)<<3 |
+		b2i(t.CABAC)<<4 | b2i(t.Backend != BackendCABAC)*toolsBackendExt)
 }
 
 func toolsFromBits(b uint8) Tools {

@@ -17,12 +17,12 @@ import (
 // per kernel, each compared directly with every path of its kernel:
 //
 //	trialResidual              trialDef: residual → Forward → Quantize →
-//	                           reconstructBlockInto → SSE → estimateLevelBitsOrdered
+//	                           reconstructBlockInto → SSE → estimateLevelBitsDef
 //	addClipSSE                 addClipSSEDef
 //	reconstructor.reconstruct  reconstructDef: per leaf, gatherRefsDef and Predict
 //	                           (or motionPredict), reconstructBlockInto, storeDef
 //	storeResidual              storeDef
-//	estimateLevelBits          estimateLevelBitsOrdered
+//	estimateLevelBits          estimateLevelBitsDef
 //	gatherRefsInto             gatherRefsDef over the coverage a coding pass
 //	                           leaves (codingOrder)
 //	coarseIntra                coarseIntraDef
@@ -67,7 +67,7 @@ func reconstructBlockInto(rec, coefScratch, pred, levels []int32, qp int, useTra
 // Quantize (the spatial quantiser with the transform off), the
 // reconstruction a decoder makes of the levels, its SSE against the source,
 // and the rate estimate.
-func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec []int32, sse, rate float64) {
+func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec []int32, sse, rate int64) {
 	n2 := size * size
 	res, lev, rec := make([]int32, n2), make([]int32, n2), make([]int32, n2)
 	for i := range res {
@@ -83,10 +83,10 @@ func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec 
 	}
 	reconstructBlockInto(rec, make([]int32, n2), pred, lev, e.qp, e.tools.Transform, tr)
 	for i, o := range orig {
-		d := float64(o - rec[i])
+		d := int64(o - rec[i])
 		sse += d * d
 	}
-	return lev, rec, sse, estimateLevelBitsOrdered(lev, size, e.tools.Transform)
+	return lev, rec, sse, estimateLevelBitsDef(lev, size, e.tools.Transform)
 }
 
 // reconstructDef is the reconstruct stage by definition: each leaf of the
@@ -156,41 +156,37 @@ func storeDef(recon *frame.Plane, pred, res []int32, x, y, size int) {
 	}
 }
 
-// estimateLevelBitsOrdered is the rate estimate by definition: one float64
-// addition at a time, in scan order.
-func estimateLevelBitsOrdered(lev []int32, size int, transformed bool) float64 {
+// estimateLevelBitsDef is the rate estimate by definition, in hundredths of
+// a bit: 100 for the CBF, then per coefficient in scan order up to the last
+// non-zero one 60 for a zero, 200 for a level, 100 more if |l| > 1 and 100
+// per bit of the Exp-Golomb code of |l|−3 if |l| > 2; 8 per coefficient
+// after the last.
+func estimateLevelBitsDef(lev []int32, size int, transformed bool) int64 {
 	scan, _ := residualScan(size, transformed)
 	last := -1
-	for i := len(scan) - 1; i >= 0; i-- {
-		if lev[scan[i]] != 0 {
+	for i, pos := range scan {
+		if lev[pos] != 0 {
 			last = i
-			break
 		}
 	}
+	rate := int64(100)
 	if last == -1 {
-		return 1 // CBF only
+		return rate
 	}
-	bitsEst := 1.0 // CBF
-	for i := 0; i <= last; i++ {
-		l := lev[scan[i]]
-		if l == 0 {
-			bitsEst += 0.6
-			continue
-		}
-		a := l
-		if a < 0 {
-			a = -a
-		}
-		bitsEst += 2.0 // sig + sign
-		if a > 1 {
-			bitsEst += 1
-		}
-		if a > 2 {
-			bitsEst += float64(egLen(uint32(a-3), 0))
+	for _, pos := range scan[:last+1] {
+		a := int64(lev[pos])
+		switch {
+		case a == 0:
+			rate += 60
+		case a == 1 || a == -1:
+			rate += 200
+		case a == 2 || a == -2:
+			rate += 300
+		default:
+			rate += 300 + 100*int64(egLen(uint32(max(a, -a)-3), 0))
 		}
 	}
-	bitsEst += float64(len(scan)-1-last) * 0.08
-	return bitsEst
+	return rate + 8*int64(len(scan)-1-last)
 }
 
 // gatherRefsDef is the reference gather by definition: HEVC's reference scan

@@ -234,7 +234,7 @@ func TestEstimateLevelBitsMonotone(t *testing.T) {
 	e1 := estimateLevelBits(one, 8, true)
 	e2 := estimateLevelBits(big, 8, true)
 	if !(e0 < e1 && e1 < e2) {
-		t.Fatalf("estimates not monotone: %f %f %f", e0, e1, e2)
+		t.Fatalf("estimates not monotone: %d %d %d", e0, e1, e2)
 	}
 }
 

@@ -641,16 +641,46 @@ func dst4(dst, src []int32, a *[16]int64, shift uint) {
 	}
 }
 
-// qstepTable[qp] is Qstep = 2^((qp-4)/6) for qp in [0, MaxQP].
-var qstepTable [MaxQP + 1]float64
+// qstepTable[qp] is Qstep = 2^((qp-4)/6) for qp in [0, MaxQP]: math.Pow's
+// values on amd64, committed because Pow's last bits vary by platform (by 2
+// ulps at QP 2 under GOARCH=386) and the table feeds the quantiser, the
+// encoder's λ and the decoder's dequantTable. TestQstepTable holds each
+// within 1.5 ulps of the exact power.
+var qstepTable = [MaxQP + 1]float64{
+	0.6299605249474366, 0.7071067811865475, 0.7937005259840999, 0.8908987181403393,
+	1, 1.122462048309373, 1.259921049894873, 1.4142135623730951,
+	1.5874010519681994, 1.7817974362806788, 2, 2.244924096618746,
+	2.519842099789746, 2.82842712474619, 3.174802103936399, 3.563594872561357,
+	4, 4.489848193237491, 5.039684199579493, 5.65685424949238,
+	6.3496042078727974, 7.127189745122715, 8, 8.979696386474982,
+	10.079368399158986, 11.31370849898476, 12.699208415745595, 14.25437949024543,
+	16, 17.959392772949972, 20.158736798317967, 22.62741699796952,
+	25.398416831491197, 28.508758980490853, 32, 35.918785545899944,
+	40.317473596635935, 45.25483399593904, 50.796833662982394, 57.017517960981706,
+	64, 71.83757109179989, 80.63494719327187, 90.50966799187808,
+	101.59366732596479, 114.03503592196341, 128, 143.67514218359977,
+	161.26989438654374, 181.01933598375615, 203.18733465192958, 228.07007184392683,
+}
 
 // MaxQP is the largest supported quantization parameter.
 const MaxQP = 51
 
-func init() {
-	for qp := 0; qp <= MaxQP; qp++ {
-		qstepTable[qp] = math.Pow(2, float64(qp-4)/6)
+const Log2Frac = 16 // Log2Fixed's fractional bits
+
+// Log2Fixed returns log₂ x, x ≥ 1, in units of 2^−Log2Frac, low by less than
+// one, in integers alone: the bit length, then a bit a squaring of the Q31
+// mantissa. It is monotone, and the same on every platform.
+func Log2Fixed(x uint64) int64 {
+	e := bits.Len64(x) - 1
+	m := x << uint(63-e) >> 32 // x/2^e in [1, 2)
+	r := int64(e) << Log2Frac
+	for b := int64(1) << (Log2Frac - 1); b > 0; b >>= 1 {
+		if m = m * m >> 31; m >= 1<<32 {
+			m >>= 1
+			r |= b
+		}
 	}
+	return r
 }
 
 // Qstep returns the quantizer step size for qp, clamping qp into range.

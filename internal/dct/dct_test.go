@@ -3,6 +3,7 @@ package dct
 import (
 	"encoding/binary"
 	"math"
+	"math/big"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -121,6 +122,79 @@ func TestQstepDoublesEverySixQP(t *testing.T) {
 	}
 	if Qstep(-5) != Qstep(0) || Qstep(99) != Qstep(MaxQP) {
 		t.Fatal("Qstep clamping broken")
+	}
+}
+
+// TestQstepTable: each committed Qstep is within 1.5 ulps of 2^((qp−4)/6),
+// checked exactly: (q ∓ 1.5 ulp)⁶ bracket 2^(qp−4) in math/big. (math.Pow
+// itself is no fixed reference: under GOARCH=386 it differs from these,
+// amd64's values, by up to 2 ulps at QPs 2, 6, 18 and 24.)
+func TestQstepTable(t *testing.T) {
+	sixth := func(x *big.Float) *big.Float {
+		y := new(big.Float).SetPrec(1024).Mul(x, x)
+		return y.Mul(y, x).Mul(y, y)
+	}
+	for qp, q := range qstepTable {
+		slack := new(big.Float).SetPrec(1024).SetFloat64(1.5 * (math.Nextafter(q, math.Inf(1)) - q))
+		lo := new(big.Float).SetPrec(1024).Sub(big.NewFloat(q), slack)
+		hi := new(big.Float).SetPrec(1024).Add(big.NewFloat(q), slack)
+		want := new(big.Float).SetMantExp(big.NewFloat(1), qp-4)
+		if sixth(lo).Cmp(want) > 0 || sixth(hi).Cmp(want) < 0 {
+			t.Errorf("qstepTable[%d] = %v: more than 1.5 ulps from 2^(%d/6)", qp, q, qp-4)
+		}
+	}
+}
+
+// TestMatrixRoundingMargin: every entry of the DCT and DST matrices lies at
+// least 1e-4 from the rounding boundary of its integer, so a last-ulp
+// difference in a platform's Cos, Sin or Sqrt cannot move an integer of the
+// transform (DESIGN.md §11.1).
+func TestMatrixRoundingMargin(t *testing.T) {
+	const margin = 1e-4
+	check := func(name string, n, k, j int, v float64) {
+		if f := v*(1<<matrixBits) - math.Floor(v*(1<<matrixBits)); math.Abs(f-0.5) < margin {
+			t.Errorf("%s n=%d [%d][%d] = %v·2^%d: %.2g from a rounding boundary", name, n, k, j, v, matrixBits, math.Abs(f-0.5))
+		}
+	}
+	for n := 4; n <= maxN; n *= 2 {
+		for k := 0; k < n; k++ {
+			ck := 1.0
+			if k == 0 {
+				ck = math.Sqrt(0.5)
+			}
+			for j := 0; j < n; j++ {
+				check("DCT", n, k, j, math.Sqrt(2/float64(n))*ck*math.Cos(float64(2*j+1)*float64(k)*math.Pi/float64(2*n)))
+			}
+		}
+	}
+	for k := 0; k < 4; k++ {
+		for j := 0; j < 4; j++ {
+			check("DST", 4, k, j, 2/math.Sqrt(9)*math.Sin(float64(2*j+1)*float64(k+1)*math.Pi/9))
+		}
+	}
+}
+
+// TestLog2Fixed: Log2Fixed is low by less than one unit of 2^−Log2Frac
+// against math.Log2, across every bit length and mantissas at both ends of
+// an octave, and monotone.
+func TestLog2Fixed(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const unit = 1.0 / (1 << Log2Frac)
+	prev := int64(-1)
+	for x := uint64(1); x < 1<<16; x++ {
+		if got := Log2Fixed(x); got < prev {
+			t.Fatalf("Log2Fixed(%d) = %d < Log2Fixed(%d) = %d", x, got, x-1, prev)
+		} else {
+			prev = got
+		}
+	}
+	for e := 0; e < 64; e++ {
+		for _, x := range []uint64{1 << e, 1<<e | rng.Uint64()>>(64-e), 1<<e | (1<<e - 1)} {
+			got := float64(Log2Fixed(x)) * unit
+			if want := math.Log2(float64(x)); got > want+1e-12 || got < want-unit-1e-9 {
+				t.Fatalf("Log2Fixed(%#x) = %v, math.Log2 %v", x, got, want)
+			}
+		}
 	}
 }
 

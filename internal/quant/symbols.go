@@ -48,8 +48,7 @@ func MXFPSymbols(data []float32, f *MXFPFormat) (symbols []byte, rec []float32, 
 			continue
 		}
 		// Shared scale: power of two putting amax at the top of the grid.
-		e := math.Ceil(math.Log2(amax / f.Max()))
-		scale := math.Pow(2, e)
+		scale := math.Ldexp(1, mxScaleExp(amax, f.Max()))
 		for i := start; i < end; i++ {
 			v := Sanitize(data[i]) / scale
 			idx := f.nearestIndex(math.Abs(v))
@@ -62,4 +61,15 @@ func MXFPSymbols(data []float32, f *MXFPFormat) (symbols []byte, rec []float32, 
 		}
 	}
 	return symbols, rec, sideBits
+}
+
+// mxScaleExp is the smallest e with amax ≤ fmax·2^e, from math.Frexp's exact
+// exponents (a rounded log₂ of amax/fmax misses an amax an ulp above fmax·2^k).
+func mxScaleExp(amax, fmax float64) int {
+	fa, ea := math.Frexp(amax)
+	ff, ef := math.Frexp(fmax)
+	if fa > ff {
+		ea++
+	}
+	return ea - ef
 }

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -82,6 +83,23 @@ func TestMXFPSymbolsSignAndScales(t *testing.T) {
 		}
 		if rec[i] > 0 && sym[i]&0x80 != 0 {
 			t.Fatalf("positive value with sign bit at %d", i)
+		}
+	}
+}
+
+// TestMXFPSharedExponent: a block's shared exponent is the smallest e with
+// amax ≤ fmax·2^e — k for amax = fmax·2^k and for the float64 below it, k+1
+// for the one above — for k in [−20, 20] and the element maxima of the MX
+// formats here and of OCP's (7.5, 448, 57344, 28672).
+func TestMXFPSharedExponent(t *testing.T) {
+	for _, fmax := range []float64{MXFP4.Max(), MXFP6.Max(), MXFP8.Max(), 7.5, 448, 57344, 28672} {
+		for k := -20; k <= 20; k++ {
+			at := math.Ldexp(fmax, k)
+			for amax, want := range map[float64]int{at: k, math.Nextafter(at, 0): k, math.Nextafter(at, math.Inf(1)): k + 1} {
+				if got := mxScaleExp(amax, fmax); got != want {
+					t.Errorf("fmax %v, k %d, amax %v: exponent %d, want %d", fmax, k, amax, got, want)
+				}
+			}
 		}
 	}
 }
