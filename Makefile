@@ -108,17 +108,20 @@ proxy-test:
 store-test:
 	$(GO) test -race ./internal/store/ ./internal/llm/
 
-# The KV-cache tier under the race detector: flush-counter and aliasing unit
-# tests, the aliased-twin property, the HTTP handler taxonomy, and the
-# full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
-# interleaved append/read/expire churn under a tight byte budget, asserting
-# zero corrupt reads, resident≤budget at every sample, 206 windows
-# consistent with the eviction log, and a leak-free drain, and logs the live
-# heap beside Resident and Budget (DESIGN.md §16). That a ranged read under
-# any append schedule returns the one-shot bytes, at every worker count, is
-# internal/conformance's kv path (CABAC cells: KV chunks are CABAC only).
+# The KV-cache tier under the race detector: flush-counter, aliasing and
+# chunk-table unit tests, the aliased-twin property, the HTTP handlers'
+# round trip, taxonomy and 206 windows (internal/serve's TestKV* and the
+# FuzzKVRequest seeds), and the full-scale soak — KV_SOAK=1 raises it to
+# ≥2,000 concurrent sessions of interleaved append/read/expire churn under a
+# tight byte budget, asserting zero corrupt reads, resident≤budget at every
+# sample, 206 windows consistent with the eviction log, and a leak-free
+# drain, and logs the live heap beside Resident and Budget (DESIGN.md §16).
+# That a ranged read under any append schedule returns the one-shot bytes, at
+# every worker count, is internal/conformance's kv path (CABAC cells: KV
+# chunks are CABAC only).
 kv-test:
 	KV_SOAK=1 $(GO) test -race ./internal/kv/ -timeout 30m
+	$(GO) test -race -run KV ./internal/serve/
 
 # The concurrent ring-allreduce under the race detector: the determinism
 # properties (uncompressed concurrent ≡ bit-identical sequential; compressed

@@ -1,85 +1,61 @@
 // Incremental container growth for streaming sessions (DESIGN.md §16).
 //
 // The one-shot encoders are pure functions: planes in, container out. A
-// streaming KV cache needs the opposite shape — a container that grows as
-// token rows arrive, without ever re-encoding (or even re-touching) the
-// bytes already committed. Appender is that object:
+// streaming KV cache needs the two halves apart — chunks encoded one at a
+// time as token rows arrive and held by their owner, then framed into a
+// container only when a read wants some of them. Appender is those two
+// halves and holds nothing but coding parameters:
 //
-//   - Each Append call encodes its planes as one chunk per plane, bypassing
-//     chunkSpans' pixel-count batching. Chunk boundaries are therefore a
-//     pure function of the flush schedule's row granularity, never of how
-//     many planes happened to arrive in one call — which is what makes a
-//     chunk's payload bytes content-addressable across sessions that share
-//     a prefix but not an arrival pattern.
-//   - Committed chunks are immutable. Append only appends; the
-//     codec.encode.chunks counter advances by exactly the number of planes
-//     in the call, which is how the kv tier's tests prove the no-re-encode
-//     invariant.
-//   - Snapshot(first, count) re-frames any live chunk range into a
-//     standalone hardened v3 container, built from the stored payloads alone
-//     (writeContainer): no entropy work, no plane data. The snapshot decodes
-//     byte-identically to the same crop of a one-shot encode (append_test.go
-//     proves it at every worker count).
-//   - DropPlanes releases the payload prefix under eviction pressure;
-//     Snapshot refuses ranges that reach into the dropped prefix.
+//   - Append encodes its planes as one chunk per plane, bypassing chunkSpans'
+//     pixel-count batching, and returns the payloads. A chunk's bytes are
+//     therefore a pure function of its plane and the coding parameters, never
+//     of how many planes happened to arrive in one call — which is what lets
+//     the kv tier key a chunk by the rows it encodes. codec.encode.chunks
+//     advances by exactly the number of planes in the call.
+//   - Frame(w, h, payloads) frames payloads of w×h planes into a standalone
+//     hardened v3 container (writeContainer): no entropy work, no plane
+//     data. The container decodes byte-identically to the same crop of a
+//     one-shot encode (append_test.go proves it at every worker count).
 //
 // Chunks are CABAC only: a rANS payload decodes against a probability table
 // built from every chunk of its container, which a growing container cannot
-// know, so Append and AppendEncoded refuse a rANS tool set.
+// know, so Append and Frame refuse a rANS tool set.
 //
-// Appender is not safe for concurrent use; the kv session lock serializes it.
+// An Appender is never written after NewAppender, so it is safe for
+// concurrent use.
 package codec
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
-// Appender accumulates an append-only sequence of single-plane chunks and
-// serves v3 snapshot containers over any live range of them.
+// Appender encodes single-plane chunks and frames v3 containers over them.
 type Appender struct {
 	qp      int
 	prof    Profile
 	tools   Tools
 	workers int
 	m       *encMetrics
-
-	dims [][2]int
-	// chunks holds one sealed single-plane chunk per committed plane. A
-	// dropped (evicted) chunk keeps its entry with a nil payload.
-	chunks []chunkRec
-
-	dropped      int   // planes [0, dropped) have released payloads
-	payloadBytes int64 // live (non-dropped) payload bytes
 }
 
-// NewAppender creates an empty incremental container with the given coding
-// parameters. Parameter validation happens on the first Append (it needs
-// planes); workers <= 0 selects GOMAXPROCS as everywhere in the engine.
+// NewAppender creates an appender with the given coding parameters.
+// Parameter validation happens on the first Append (it needs planes);
+// workers <= 0 selects GOMAXPROCS as everywhere in the engine.
 func NewAppender(qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) *Appender {
 	return &Appender{qp: qp, prof: prof, tools: tools, workers: workers, m: newEncMetrics(reg)}
 }
 
-// Planes returns the number of committed planes (chunks), dropped included.
-func (a *Appender) Planes() int { return len(a.dims) }
-
-// DroppedPlanes returns how many leading planes have been dropped.
-func (a *Appender) DroppedPlanes() int { return a.dropped }
-
-// PayloadBytes returns the resident compressed bytes (live payloads only).
-func (a *Appender) PayloadBytes() int64 { return a.payloadBytes }
-
 // errAppendRANS refuses a rANS tool set (see the package doc).
 var errAppendRANS = errors.New("codec: appended chunks are CABAC only")
 
-// Append encodes planes as one immutable chunk each and commits them. It
-// returns the per-plane payload bytes (for content addressing) and the
-// encode Stats of just this call. On error nothing is committed.
+// Append encodes planes as one chunk each and returns the per-plane payload
+// bytes and the encode Stats of just this call. The payloads are sealed: the
+// caller owns them and must not modify them.
 //
 // regions is ignored. It stays only because benchmark/surface.go binds
 // Append with this signature; the next benchmark change drops it.
@@ -98,16 +74,12 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneR
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	seal(chunks)
 	payloads := make([][]byte, len(chunks))
 	payloadLen := 0
 	for i, c := range chunks {
 		payloads[i] = c.payload
-		a.dims = append(a.dims, [2]int{planes[i].W, planes[i].H})
 		payloadLen += len(c.payload)
 	}
-	a.chunks = append(a.chunks, chunks...)
-	a.payloadBytes += int64(payloadLen)
 	st := computeStats(planes, recs, payloadLen*8)
 	st.Chunks = len(spans)
 	if a.m != nil {
@@ -116,52 +88,23 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneR
 	return payloads, st, nil
 }
 
-// AppendEncoded commits an already-encoded single-plane chunk — the
-// prefix-aliasing fast path: a session whose next flush group hashes to a
-// chunk some donor session already encoded adopts the donor's payload bytes
-// without running the encoder (and so without advancing encode counters).
-func (a *Appender) AppendEncoded(payload []byte, w, h int) error {
+// Frame writes a standalone v3 container whose planes, numbered from zero,
+// are the given payloads, each one w×h plane that Append encoded with these
+// coding parameters. The payloads are copied; nothing is re-encoded.
+func (a *Appender) Frame(w, h int, payloads [][]byte) ([]byte, error) {
 	if a.tools.Backend != BackendCABAC {
-		return errAppendRANS
+		return nil, errAppendRANS
 	}
-	if w <= 0 || h <= 0 || w > a.prof.MaxFrameDim || h > a.prof.MaxFrameDim {
-		return fmt.Errorf("codec: aliased chunk dims %dx%d out of range", w, h)
+	if len(payloads) == 0 || w <= 0 || h <= 0 || w > a.prof.MaxFrameDim || h > a.prof.MaxFrameDim {
+		return nil, fmt.Errorf("codec: cannot frame %d chunks of %dx%d planes", len(payloads), w, h)
 	}
-	a.dims = append(a.dims, [2]int{w, h})
-	a.chunks = append(a.chunks, chunkRec{payload: payload, crc: crc32.Checksum(payload, crcTable), planes: 1})
-	a.payloadBytes += int64(len(payload))
-	return nil
-}
-
-// DropPlanes releases the payloads of planes [DroppedPlanes(), upto) and
-// returns the bytes freed. Chunk-table entries stay (the container's plane
-// numbering is append-only); Snapshot simply refuses dropped ranges.
-func (a *Appender) DropPlanes(upto int) int64 {
-	if upto > len(a.dims) {
-		upto = len(a.dims)
+	dims := make([][2]int, len(payloads))
+	chunks := make([]chunkRec, len(payloads))
+	for i, p := range payloads {
+		dims[i] = [2]int{w, h}
+		chunks[i] = chunkRec{payload: p, planes: 1}
 	}
-	var freed int64
-	for i := a.dropped; i < upto; i++ {
-		freed += int64(len(a.chunks[i].payload))
-		a.chunks[i].payload = nil
-	}
-	if upto > a.dropped {
-		a.dropped = upto
-	}
-	a.payloadBytes -= freed
-	return freed
-}
-
-// Snapshot re-frames planes [first, first+count) into a standalone hardened
-// v3 container without touching the entropy layer: stored payloads are
-// copied under a freshly framed header whose plane numbering starts at zero.
-// The range must be live: within [DroppedPlanes(), Planes()).
-func (a *Appender) Snapshot(first, count int) ([]byte, error) {
-	if first < a.dropped || count <= 0 || first+count > len(a.dims) {
-		return nil, fmt.Errorf("codec: snapshot planes [%d,%d) outside live range [%d,%d)",
-			first, first+count, a.dropped, len(a.dims))
-	}
-	out, _ := writeContainer(versionChecksummed, a.dims[first:first+count], a.qp, a.prof, a.tools, nil,
-		a.chunks[first:first+count])
+	seal(chunks)
+	out, _ := writeContainer(versionChecksummed, dims, a.qp, a.prof, a.tools, nil, chunks)
 	return out, nil
 }

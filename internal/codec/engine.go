@@ -276,7 +276,7 @@ func sealRans(chunks []chunkRec, records []*ransRecord, tab *[nCtxSlots]uint8) {
 
 // writeContainer frames encoded chunks into a container of the given
 // version — the one place container bytes are assembled, shared by Encode
-// and Appender.Snapshot. Version 1 takes exactly one chunk and no chunk
+// and Appender.Frame. Version 1 takes exactly one chunk and no chunk
 // table; version 2 adds the table; version 3 adds the per-chunk and header
 // CRCs (chunks must be sealed). When tools selects a non-CABAC backend (its
 // tools byte carries toolsBackendExt), the backend extension — backend id,

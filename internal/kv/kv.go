@@ -4,24 +4,23 @@
 // conversation — compressed incrementally as tokens arrive:
 //
 //   - Rows accumulate in a small raw tail. Every time FlushRows complete
-//     rows are staged, they flush as one immutable single-plane chunk
-//     through codec.Appender: per-row quantization exactly like the core
-//     layer's PerRow path, then an intra encode of the FlushRows×dim plane.
-//     The committed prefix is never re-encoded — codec.encode.chunks
-//     advances by exactly one per flushed group, proven in kv_test.go.
+//     rows are staged, they flush as one immutable single-plane chunk:
+//     per-row quantization exactly like the core layer's PerRow path, then
+//     an intra encode of the FlushRows×dim plane through the table's one
+//     codec.Appender. The committed prefix is never re-encoded —
+//     codec.encode.chunks advances by at most one per flushed group, proven
+//     in kv_test.go.
 //   - Reads decode only the chunks intersecting the requested token range
-//     (Appender.Snapshot → a v3 sub-container → codec.Decode),
-//     re-dequantize with the stored per-row scale/zero pairs, and splice in
+//     (Appender.Frame → a v3 sub-container → codec.Decode),
+//     re-dequantize with the chunk's per-row scale/zero pairs, and splice in
 //     the raw tail bit-exactly.
-//   - Prefix aliasing: each flushed group advances a chain digest
-//     SHA-256(prev ‖ raw group bytes), rooted in the coding parameters.
-//     Sessions sharing a prompt prefix therefore compute identical digests
-//     for identical prefixes, and the table maps digest → content-addressed
-//     chunk in a store.BlobCache: an alias hit adopts the donor's payload
-//     bytes (zero encode work, zero extra resident bytes) instead of
-//     re-encoding. Chunk payload bytes are schedule-independent (one CABAC
-//     chunk per flush group), which is what makes the digest → bytes mapping
-//     well-defined.
+//   - Aliasing: the table owns every chunk, in one refcounted map keyed by
+//     SHA-256 of the raw rows the chunk encodes. A chunk's payload and row
+//     parameters are a pure function of those rows (one CABAC chunk per
+//     flush group at the table's QP and FlushRows), so a group whose key is
+//     already held — at any position, in any session — takes a reference
+//     instead of encoding: zero encode work, zero extra resident bytes. The
+//     bytes leave memory with the last reference.
 //
 // Scale machinery: the session table is sharded by session-name hash into
 // mutex-striped shards, each with its own LRU list. Resident bytes (unique
@@ -40,7 +39,8 @@
 // from outside any session lock; a holder of session.mu may lock shard
 // mutexes (the reserve → evict path), and eviction acquires other sessions'
 // locks strictly by TryLock. Sessions carry a dead flag so a pointer fetched
-// under one lock regime is re-validated under the next.
+// under one lock regime is re-validated under the next. The chunk map's
+// mutex is a leaf: nothing else is locked while it is held.
 package kv
 
 import (
@@ -63,7 +63,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/obs"
 	"repro/internal/quant"
-	"repro/internal/store"
 )
 
 // Typed errors the serving layer maps onto its status taxonomy.
@@ -101,7 +100,7 @@ type Config struct {
 	QP      int
 	Workers int
 
-	// Metrics backs the kv.* (and threaded codec.*/store.*) metrics.
+	// Metrics backs the kv.* (and threaded codec.*) metrics.
 	// Nil disables them.
 	Metrics *obs.Registry
 
@@ -194,41 +193,15 @@ func newKVMetrics(reg *obs.Registry) *kvMetrics {
 	}
 }
 
-// prefixEntries bounds the prefix-digest map.
-const prefixEntries = 4096
-
-// prefixMap is a bounded FIFO map from a chain digest to the content address
-// of the chunk that extends it, shared by all shards. It holds no blob
-// reference — staleness is detected by BlobCache.Ref failing.
-type prefixMap struct {
-	mu   sync.Mutex
-	m    map[[sha256.Size]byte]store.BlobKey
-	fifo [][sha256.Size]byte
-}
-
-func newPrefixMap() *prefixMap {
-	return &prefixMap{m: make(map[[sha256.Size]byte]store.BlobKey, prefixEntries)}
-}
-
-func (p *prefixMap) get(d [sha256.Size]byte) (store.BlobKey, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.m[d]
-	return e, ok
-}
-
-func (p *prefixMap) put(d [sha256.Size]byte, e store.BlobKey) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.m[d]; ok {
-		return
-	}
-	for len(p.m) >= prefixEntries && len(p.fifo) > 0 {
-		delete(p.m, p.fifo[0])
-		p.fifo = p.fifo[1:]
-	}
-	p.m[d] = e
-	p.fifo = append(p.fifo, d)
+// chunk is one encoded flush group, held once however many sessions — or
+// positions in one session — carry the same rows. key is SHA-256 of the
+// group's raw rows; payload, scales and zeros are a pure function of them
+// and never change. refs is guarded by Table.chunkMu.
+type chunk struct {
+	key           [sha256.Size]byte
+	payload       []byte
+	scales, zeros []float32 // per row of the group
+	refs          int
 }
 
 // Session is one streaming KV stream. All mutable state is guarded by mu;
@@ -241,16 +214,11 @@ type Session struct {
 	mu   sync.Mutex
 	dead bool
 
-	dim         int
-	app         *codec.Appender
-	scales      []float32       // per committed token row
-	zeros       []float32       // per committed token row
-	blobKeys    []store.BlobKey // per committed plane (flush group)
-	chain       [sha256.Size]byte
-	tail        []float32 // staged raw rows, len tailTokens*dim
-	tailCharged int64     // resident bytes charged for the tail
-	committed   int       // tokens committed into chunks
-	evicted     int       // tokens evicted from the front (multiple of FlushRows)
+	dim       int
+	chunks    []*chunk  // live groups: group g is chunks[g-evicted/FlushRows]
+	tail      []float32 // staged raw rows, len tailTokens*dim; 4 resident bytes a value
+	committed int       // tokens committed into chunks
+	evicted   int       // tokens evicted from the front (multiple of FlushRows)
 }
 
 func (s *Session) tailTokens() int {
@@ -270,10 +238,13 @@ type shard struct {
 
 // Table is the sharded session table. Create with New.
 type Table struct {
-	cfg      Config
-	shards   []*shard
-	blobs    *store.BlobCache
-	prefix   *prefixMap
+	cfg    Config
+	shards []*shard
+	app    *codec.Appender
+
+	chunkMu sync.Mutex
+	chunks  map[[sha256.Size]byte]*chunk
+
 	resident atomic.Int64
 	nlive    atomic.Int64
 	m        *kvMetrics
@@ -288,8 +259,8 @@ func New(cfg Config) *Table {
 	}
 	t := &Table{
 		cfg:    cfg,
-		blobs:  store.NewBlobCache(cfg.Metrics),
-		prefix: newPrefixMap(),
+		app:    codec.NewAppender(cfg.QP, codec.HEVC, codec.AllTools, cfg.Workers, cfg.Metrics),
+		chunks: make(map[[sha256.Size]byte]*chunk),
 		m:      newKVMetrics(cfg.Metrics),
 	}
 	t.shards = make([]*shard, shards)
@@ -326,11 +297,45 @@ func (t *Table) expired(s *Session) bool {
 	return t.cfg.TTL > 0 && t.cfg.Now().Sub(time.Unix(0, s.lastUse.Load())) > t.cfg.TTL
 }
 
-// chainRoot seeds a session's prefix digest with every parameter that
-// affects chunk bytes, so sessions with different geometry or coding
-// parameters can never alias.
-func (t *Table) chainRoot(dim int) [sha256.Size]byte {
-	return sha256.Sum256([]byte(fmt.Sprintf("llm265-kv|dim=%d|rows=%d|qp=%d", dim, t.cfg.FlushRows, t.cfg.QP)))
+// acquire takes a reference on the chunk keyed key and returns it, or nil
+// when the table holds none.
+func (t *Table) acquire(key [sha256.Size]byte) *chunk {
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	c := t.chunks[key]
+	if c != nil {
+		c.refs++
+	}
+	return c
+}
+
+// intern puts a freshly encoded c into the table with one reference and
+// reports whether its bytes are new. A session that encoded the same rows
+// concurrently may have put its chunk first: that one gains the reference
+// and c is dropped. The table keeps c's payload without copying it.
+func (t *Table) intern(c *chunk) (*chunk, bool) {
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	if held := t.chunks[c.key]; held != nil {
+		held.refs++
+		return held, false
+	}
+	c.refs = 1
+	t.chunks[c.key] = c
+	return c, true
+}
+
+// release drops one reference on c and returns the payload bytes freed:
+// len(c.payload) with the last reference, 0 before it. Each reference is
+// released exactly once.
+func (t *Table) release(c *chunk) int64 {
+	t.chunkMu.Lock()
+	defer t.chunkMu.Unlock()
+	if c.refs--; c.refs > 0 {
+		return 0
+	}
+	delete(t.chunks, c.key)
+	return int64(len(c.payload))
 }
 
 // removeLocked unlinks s and frees everything it holds. Caller holds both
@@ -339,13 +344,11 @@ func (t *Table) removeLocked(sh *shard, s *Session, reason string) {
 	s.dead = true
 	delete(sh.sessions, s.name)
 	sh.lru.Remove(s.elem)
-	var freed int64
-	f := t.cfg.FlushRows
-	for p := s.evicted / f; p < s.committed/f; p++ {
-		freed += t.blobs.Release(s.blobKeys[p])
+	freed := 4 * int64(len(s.tail))
+	for _, c := range s.chunks {
+		freed += t.release(c)
 	}
-	freed += s.tailCharged
-	s.tailCharged = 0
+	s.chunks = nil
 	t.addResident(-freed)
 	t.nlive.Add(-1)
 	if t.m != nil {
@@ -383,10 +386,7 @@ func (t *Table) lookup(name string, create bool) (*Session, error) {
 				sh.mu.Unlock()
 				return nil, fmt.Errorf("kv: session %q: %w", name, ErrNotFound)
 			}
-			s = &Session{
-				name: name,
-				app:  codec.NewAppender(t.cfg.QP, codec.HEVC, codec.AllTools, t.cfg.Workers, t.cfg.Metrics),
-			}
+			s = &Session{name: name}
 			s.elem = sh.lru.PushFront(s)
 			sh.sessions[name] = s
 			t.nlive.Add(1)
@@ -444,8 +444,8 @@ func (t *Table) reserve(n int64, self *Session) error {
 
 // evictSome makes one unit of eviction progress — dropping one session's
 // oldest chunk, or removing one drained/expired session — and reports
-// whether it did. Progress may free zero bytes (an aliased chunk's blob
-// survives under other references), but it is still progress: chunk drops
+// whether it did. Progress may free zero bytes (an aliased chunk survives
+// under other references), but it is still progress: chunk drops
 // are monotone, so repeated calls terminate.
 //
 // The victim is the globally least-recently-used session: each shard's LRU
@@ -533,13 +533,12 @@ func (t *Table) evictStepLocked(sh *shard, s *Session) bool {
 		t.removeLocked(sh, s, "expired")
 		return true
 	}
-	f := t.cfg.FlushRows
 	if s.evicted < s.committed {
-		plane := s.evicted / f
-		freed := t.blobs.Release(s.blobKeys[plane])
-		s.app.DropPlanes(plane + 1)
+		freed := t.release(s.chunks[0])
+		s.chunks[0] = nil
+		s.chunks = s.chunks[1:]
 		from := s.evicted
-		s.evicted += f
+		s.evicted += t.cfg.FlushRows
 		t.addResident(-freed)
 		if t.m != nil {
 			t.m.evictChunks.Inc()
@@ -598,7 +597,6 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 			return AppendResult{}, fmt.Errorf("kv: new session %q needs dim", name)
 		}
 		s.dim = dim
-		s.chain = t.chainRoot(dim)
 	} else if dim != 0 && dim != s.dim {
 		return AppendResult{}, fmt.Errorf("kv: session %q has dim %d, append says %d: %w", name, s.dim, dim, ErrDimMismatch)
 	}
@@ -622,7 +620,6 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 			return AppendResult{}, err
 		}
 		s.tail = append(s.tail, vals...)
-		s.tailCharged += rawBytes
 	}
 	res := AppendResult{Session: name}
 	err = t.flushLocked(ctx, s, &res, &prepaid)
@@ -652,84 +649,80 @@ func flushEstimate(n int) int64 { return int64(n)*6 + 1024 }
 func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, prepaid *int64) error {
 	f, dim := t.cfg.FlushRows, s.dim
 	group := f * dim
-	var digest []byte // the chain and a group's bytes, reused across groups
+	committed := s.committed
+	var raw []byte // a group's little-endian bytes, reused across groups
+	var err error
 	for s.tailTokens() >= f {
-		raw := s.tail[:group]
-
-		// Advance the chain digest over the raw group's little-endian bytes,
-		// hashed in one call.
-		digest = append(slices.Grow(digest[:0], sha256.Size+4*group), s.chain[:]...)
-		for _, v := range raw {
-			digest = binary.LittleEndian.AppendUint32(digest, math.Float32bits(v))
+		rows := s.tail[:group]
+		// The key: the group's raw bytes, hashed in one call. Their length
+		// fixes dim, and QP and FlushRows are the table's.
+		raw = slices.Grow(raw[:0], 4*group)
+		for _, v := range rows {
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
 		}
-		next := sha256.Sum256(digest)
+		key := sha256.Sum256(raw)
 
-		// Per-row quantization, exactly the core layer's PerRow path.
-		pix := make([]uint8, group)
-		rowScales := make([]float32, f)
-		rowZeros := make([]float32, f)
-		for r := 0; r < f; r++ {
-			q, sc, z := quant.ToUint8(raw[r*dim : (r+1)*dim])
-			copy(pix[r*dim:], q)
-			rowScales[r], rowZeros[r] = sc, z
-		}
-
-		committed := false
-		if key, ok := t.prefix.get(next); ok {
-			if payload, live := t.blobs.Ref(key); live {
-				if s.app.AppendEncoded(payload, dim, f) == nil {
-					s.blobKeys = append(s.blobKeys, key)
-					res.Aliased++
-					res.Saved += int64(len(payload))
-					if t.m != nil {
-						t.m.chunksAliased.Inc()
-						t.m.prefixSaved.Add(int64(len(payload)))
-					}
-					committed = true
-				} else {
-					t.blobs.Release(key)
-				}
+		c := t.acquire(key)
+		if c != nil {
+			res.Aliased++
+			res.Saved += int64(len(c.payload))
+			if t.m != nil {
+				t.m.chunksAliased.Inc()
+				t.m.prefixSaved.Add(int64(len(c.payload)))
 			}
-		}
-		if !committed {
+		} else {
 			// Spend this group's share of the prepaid reservation; the
-			// difference from the true (possibly deduplicated) size is
-			// settled against the resident counter once known.
+			// difference from the true size (nothing when a concurrent
+			// encode of the same rows won) is settled once known.
 			est := flushEstimate(group)
 			*prepaid -= est
-			plane := &frame.Plane{W: dim, H: f, Pix: pix}
-			payloads, _, err := s.app.Append(ctx, []*frame.Plane{plane}, nil)
-			if err != nil {
+			if c, err = t.encode(ctx, key, rows, dim); err != nil {
 				t.addResident(-est)
-				return err
+				break
 			}
-			payload := payloads[0]
-			key, added := t.blobs.Put(payload)
+			var added bool
+			c, added = t.intern(c)
 			actual := int64(0)
 			if added {
-				actual = int64(len(payload))
+				actual = int64(len(c.payload))
 			}
 			t.addResident(actual - est)
-			s.blobKeys = append(s.blobKeys, key)
-			t.prefix.put(next, key)
 			res.NewChunks++
 			if t.m != nil {
 				t.m.chunksEncoded.Inc()
 			}
 		}
 
-		s.chain = next
-		s.scales = append(s.scales, rowScales...)
-		s.zeros = append(s.zeros, rowZeros...)
+		s.chunks = append(s.chunks, c)
 		s.committed += f
 		s.tail = s.tail[group:]
-		s.tailCharged -= int64(group) * 4
 		t.addResident(-int64(group) * 4)
 	}
-	if len(s.tail) == 0 {
-		s.tail = nil
+	if s.committed > committed {
+		// The rows left behind move to a fresh slice: s.tail[group:] would
+		// keep every flushed group's rows alive, uncharged.
+		s.tail = append([]float32(nil), s.tail...)
 	}
-	return nil
+	return err
+}
+
+// encode quantizes a group's rows one by one, exactly the core layer's
+// PerRow path, and encodes the FlushRows×dim plane as one chunk.
+func (t *Table) encode(ctx context.Context, key [sha256.Size]byte, rows []float32, dim int) (*chunk, error) {
+	f := len(rows) / dim
+	c := &chunk{key: key, scales: make([]float32, f), zeros: make([]float32, f)}
+	pix := make([]uint8, len(rows))
+	for r := range f {
+		q, sc, z := quant.ToUint8(rows[r*dim : (r+1)*dim])
+		copy(pix[r*dim:], q)
+		c.scales[r], c.zeros[r] = sc, z
+	}
+	payloads, _, err := t.app.Append(ctx, []*frame.Plane{{W: dim, H: f, Pix: pix}}, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.payload = payloads[0]
+	return c, nil
 }
 
 // ------------------------------------------------------------------ read
@@ -783,24 +776,28 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 
 	f, dim := t.cfg.FlushRows, s.dim
 	if cEnd := min(to, s.committed); from < cEnd {
-		firstPlane := from / f
-		lastPlane := (cEnd + f - 1) / f
-		snap, err := s.app.Snapshot(firstPlane, lastPlane-firstPlane)
+		first := from / f
+		live := s.chunks[first-s.evicted/f : (cEnd+f-1)/f-s.evicted/f]
+		payloads := make([][]byte, len(live))
+		for i, c := range live {
+			payloads[i] = c.payload
+		}
+		snap, err := t.app.Frame(dim, f, payloads)
 		if err != nil {
-			return ReadResult{}, fmt.Errorf("kv: snapshot of session %q: %v", name, err)
+			return ReadResult{}, fmt.Errorf("kv: framing session %q: %v", name, err)
 		}
 		dec, err := codec.Decode(ctx, snap, codec.DecodeConfig{Workers: t.cfg.Workers, Metrics: t.cfg.Metrics})
 		if err != nil {
 			return ReadResult{}, err
 		}
 		for i, p := range dec.Planes {
-			base := (firstPlane + i) * f
+			c, base := live[i], (first+i)*f
 			for y := 0; y < p.H; y++ {
 				r := base + y
 				if r < from || r >= cEnd {
 					continue
 				}
-				quant.FromUint8Into(res.Vals[(r-from)*dim:][:dim], p.Row(y), s.scales[r], s.zeros[r])
+				quant.FromUint8Into(res.Vals[(r-from)*dim:][:dim], p.Row(y), c.scales[y], c.zeros[y])
 			}
 		}
 	}

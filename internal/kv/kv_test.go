@@ -1,11 +1,14 @@
 package kv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,8 +156,8 @@ func TestKVPrefixAliasing(t *testing.T) {
 // TestKVAliasedMatchesUnaliased: the satellite property's twin clause at
 // unit scale — twin sessions in one table return the exact same values as
 // each session alone in a table of its own, where nothing can alias and every
-// chunk is encoded. (That identical payloads are stored once is
-// TestBlobCacheRefcounting's.)
+// chunk is encoded. (That an aliased chunk is held once is
+// TestKVChunkTableRefcounting's and TestKVChunkTableTakesOwnership's.)
 func TestKVAliasedMatchesUnaliased(t *testing.T) {
 	const dim, f = 16, 8
 	rows := rowsFor(13, 0, 3*f+5, dim)
@@ -398,4 +401,191 @@ func TestKVNewRejectsImpossibleQP(t *testing.T) {
 		}
 	}()
 	New(Config{QP: dct.MaxQP + 1})
+}
+
+// TestKVAliasingIsPositionFree: a chunk is keyed by the rows it encodes, not
+// by the prefix before them, so a group repeated at another position — later
+// in the same session, or at a different offset in another session — aliases
+// the chunk already held: kv.append.chunks_aliased counts it and
+// codec.encode.chunks does not advance. The reads are the rows' values.
+func TestKVAliasingIsPositionFree(t *testing.T) {
+	const dim, f = 16, 8
+	reg := obs.NewRegistry()
+	tab := New(Config{FlushRows: f, QP: 12, Metrics: reg})
+	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
+
+	g := rowsFor(7, 0, f, dim)
+	mustAppend(t, tab, "a", dim, 0, append(append(g[:len(g):len(g)], rowsFor(8, f, f, dim)...), g...))
+	if enc, al := counter("codec.encode.chunks"), counter("kv.append.chunks_aliased"); enc != 2 || al != 1 {
+		t.Fatalf("group repeated in one append: encoded %d aliased %d, want 2 and 1", enc, al)
+	}
+	res := mustAppend(t, tab, "b", dim, 0, append(rowsFor(9, 0, f, dim), g...))
+	if res.NewChunks != 1 || res.Aliased != 1 || counter("codec.encode.chunks") != 3 || counter("kv.append.chunks_aliased") != 2 {
+		t.Fatalf("group at another offset in another session: %+v", res)
+	}
+
+	want := mustRead(t, tab, "a", 0, f).Vals
+	for _, w := range []struct {
+		name string
+		at   int
+	}{{"a", 2 * f}, {"b", f}} {
+		got := mustRead(t, tab, w.name, w.at, w.at+f).Vals
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s rows [%d,%d) value %d = %g, the same rows at 0 read %g", w.name, w.at, w.at+f, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestKVEvictionDropsGroupState: an evicted group leaves the session
+// entirely — its chunk pointer, and with it the per-row scales and zeros —
+// and its chunk leaves the table with the last reference, so what a session
+// holds is what its window can serve.
+func TestKVEvictionDropsGroupState(t *testing.T) {
+	const dim, f, groups, k = 16, 8, 6, 4
+	tab := New(Config{FlushRows: f, QP: 12})
+	mustAppend(t, tab, "s", dim, 0, rowsFor(21, 0, groups*f+3, dim))
+	sh := tab.shardFor("s")
+	s := sh.sessions["s"]
+	for range k {
+		sh.mu.Lock()
+		s.mu.Lock()
+		tab.evictStepLocked(sh, s)
+		s.mu.Unlock()
+		sh.mu.Unlock()
+	}
+	if s.evicted != k*f || len(s.chunks)*f != s.committed-s.evicted {
+		t.Fatalf("after %d evicted groups: %d chunks held for window [%d,%d)", k, len(s.chunks), s.evicted, s.committed)
+	}
+	if len(tab.chunks) != groups-k {
+		t.Fatalf("table holds %d chunks, want %d", len(tab.chunks), groups-k)
+	}
+	want := rowsFor(21, k*f, (groups-k)*f+3, dim)
+	got := mustRead(t, tab, "s", 0, -1)
+	if got.From != k*f || len(got.Vals) != len(want) {
+		t.Fatalf("read window [%d,%d) after eviction", got.From, got.To)
+	}
+	for r := f * (groups - k); r < len(want)/dim; r++ { // the raw tail is exact
+		for c := range dim {
+			if got.Vals[r*dim+c] != want[r*dim+c] {
+				t.Fatalf("tail row %d col %d = %g, want %g", r, c, got.Vals[r*dim+c], want[r*dim+c])
+			}
+		}
+	}
+	// Appending goes on past the evicted prefix.
+	res := mustAppend(t, tab, "s", dim, groups*f+3, rowsFor(21, groups*f+3, f-3, dim))
+	if res.Committed != (groups+1)*f || len(s.chunks) != groups+1-k {
+		t.Fatalf("append after eviction: %+v, %d chunks held", res, len(s.chunks))
+	}
+	mustRead(t, tab, "s", groups*f, -1)
+}
+
+// TestKVTailDropsFlushedRows: after one append of many groups plus a few
+// rows, the table keeps the rows left in the tail, not the whole request
+// body they were staged in: the live heap grows by about what Resident
+// charges.
+func TestKVTailDropsFlushedRows(t *testing.T) {
+	const dim, f, groups = 512, 4, 128
+	tab := New(Config{FlushRows: f, QP: 40})
+	vals := rowsFor(4, 0, groups*f+3, dim)
+	body := uint64(len(vals)) * 4
+	heap := func() uint64 {
+		runtime.GC() // twice: the first only moves sync.Pool contents aside
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// Warm the encoder's one-time state up in another table first.
+	mustAppend(t, New(Config{FlushRows: f, QP: 40}), "warm", dim, 0, rowsFor(5, 0, 2*f, dim))
+	before := heap()
+	mustAppend(t, tab, "s", dim, 0, vals)
+	after := heap()
+	runtime.KeepAlive(vals)
+	if grown := after - min(before, after); grown > uint64(tab.Resident())+body/4 {
+		t.Fatalf("the live heap grew %d bytes for %d resident; the %d-byte body stays alive", grown, tab.Resident(), body)
+	}
+}
+
+// TestKVChunkTableRefcounting: interning the same rows' chunk twice keeps
+// one copy, the bytes survive until the last reference is released, and the
+// bytes freed are exactly the bytes interned.
+func TestKVChunkTableRefcounting(t *testing.T) {
+	tab := New(Config{})
+	key := [32]byte{1}
+	c1 := &chunk{key: key, payload: []byte("the same compressed chunk")}
+	if got, added := tab.intern(c1); got != c1 || !added {
+		t.Fatal("first intern reported no new bytes")
+	}
+	c2 := &chunk{key: key, payload: []byte("the same compressed chunk")}
+	if got, added := tab.intern(c2); got != c1 || added {
+		t.Fatalf("second intern: added=%v, kept the first chunk=%v", added, got == c1)
+	}
+	if len(tab.chunks) != 1 {
+		t.Fatalf("table holds %d chunks for one key", len(tab.chunks))
+	}
+	if got := tab.acquire(key); got != c1 {
+		t.Fatal("acquire missed a held key")
+	}
+	// Three references: two interns, one acquire. The first two releases
+	// free nothing; the last frees the payload.
+	for i, want := range []int64{0, 0, int64(len(c1.payload))} {
+		if freed := tab.release(c1); freed != want {
+			t.Fatalf("release %d freed %d, want %d", i+1, freed, want)
+		}
+	}
+	if len(tab.chunks) != 0 || tab.acquire(key) != nil {
+		t.Fatal("the chunk outlived its last reference")
+	}
+}
+
+// TestKVChunkTableTakesOwnership: the table keeps the payload an append
+// encoded, not a copy of it, so a chunk the budget charges once is resident
+// once — and an aliasing session holds that same slice.
+func TestKVChunkTableTakesOwnership(t *testing.T) {
+	const dim, f = 16, 8
+	tab := New(Config{FlushRows: f, QP: 12})
+	rows := rowsFor(5, 0, f, dim)
+	mustAppend(t, tab, "a", dim, 0, rows)
+	mustAppend(t, tab, "b", dim, 0, rows)
+	a, b := tab.shardFor("a").sessions["a"], tab.shardFor("b").sessions["b"]
+	if len(tab.chunks) != 1 || a.chunks[0] != b.chunks[0] || tab.Resident() != int64(len(a.chunks[0].payload)) {
+		t.Fatalf("%d chunks held, shared=%v, resident %d", len(tab.chunks), a.chunks[0] == b.chunks[0], tab.Resident())
+	}
+}
+
+// TestKVChunkTableConcurrent hammers intern/acquire/release from many
+// goroutines over a small keyspace (under -race in `make kv-test`) and checks
+// the accounting is exact: the bytes freed equal the bytes interned, and
+// releasing every reference taken leaves an empty table.
+func TestKVChunkTableConcurrent(t *testing.T) {
+	tab := New(Config{})
+	const workers, rounds, keys = 16, 200, 7
+	var added, freed atomic.Int64
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rounds {
+				payload := []byte(fmt.Sprintf("chunk-%d", (w+i)%keys))
+				key := [32]byte{byte((w + i) % keys)}
+				c, isNew := tab.intern(&chunk{key: key, payload: payload})
+				if isNew {
+					added.Add(int64(len(payload)))
+				}
+				if got := tab.acquire(key); got != c || !bytes.Equal(got.payload, payload) {
+					t.Errorf("acquire lost chunk %q", payload)
+					return
+				}
+				freed.Add(tab.release(c))
+				freed.Add(tab.release(c))
+			}
+		}()
+	}
+	wg.Wait()
+	if len(tab.chunks) != 0 || added.Load() != freed.Load() {
+		t.Fatalf("table leaked: %d chunks, %d bytes interned, %d freed", len(tab.chunks), added.Load(), freed.Load())
+	}
 }

@@ -37,18 +37,13 @@ var testOnly = map[string]string{
 	"internal/frame.Plane.Equal": "fixture: the plane comparison of every byte-identity test",
 	"internal/frame.Plane.MSE":   "fixture: the distortion the RD-envelope tests bound",
 
-	"internal/codec.ChunkError.Unwrap":      "errors.Is and errors.As call it, through an unnamed interface the walk cannot see",
-	"internal/codec.Appender.Planes":        "observer: the append tests count live planes",
-	"internal/codec.Appender.DroppedPlanes": "observer: the append tests count evicted planes",
-	"internal/codec.Appender.PayloadBytes":  "observer: DropPlanes must free exactly the bytes it reports",
-	"internal/kv.Table.Budget":              "observer: the soaks hold Resident ≤ Budget at every sample",
-	"internal/kv.Table.Sessions":            "observer: the TTL test and the soaks' fill barrier and leak check count live sessions",
-	"internal/serve.Server.Draining":        "observer: the drain test waits on it instead of sleeping",
-	"internal/store.BlobCache.Bytes":        "observer: the refcount tests' leak check",
-	"internal/store.BlobCache.Blobs":        "observer: the refcount tests' leak check",
-	"internal/llm.PackModel":                "building block of the Parked multi-model item (ROADMAP): pack a trained model into the store; packed_test.go pins exact accuracy through it",
-	"internal/llm.ApplyPacked":              "with PackModel: load a packed model through store.Model's byte-budgeted LRU (reaches Model.Param)",
-	"internal/store.Model.Params":           "with PackModel: lists what a packed model maps; the store tests check the manifest order through it",
+	"internal/codec.ChunkError.Unwrap": "errors.Is and errors.As call it, through an unnamed interface the walk cannot see",
+	"internal/kv.Table.Budget":         "observer: the soaks hold Resident ≤ Budget at every sample",
+	"internal/kv.Table.Sessions":       "observer: the TTL test and the soaks' fill barrier and leak check count live sessions",
+	"internal/serve.Server.Draining":   "observer: the drain test waits on it instead of sleeping",
+	"internal/llm.PackModel":           "building block of the Parked multi-model item (ROADMAP): pack a trained model into the store; packed_test.go pins exact accuracy through it",
+	"internal/llm.ApplyPacked":         "with PackModel: load a packed model through store.Model's byte-budgeted LRU (reaches Model.Param)",
+	"internal/store.Model.Params":      "with PackModel: lists what a packed model maps; the store tests check the manifest order through it",
 }
 
 // TestProductionSurfaceIsClosed is the guard on north-star 2's "least code",
