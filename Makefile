@@ -52,8 +52,11 @@ vet:
 # round-trip through the store (codec's TestTrailer*), and the sweep's codec rows —
 # every golden vector re-encoded and decoded on both kernel paths at every
 # worker count, against the committed bytes — catch a byte drift in seconds.
-# The first step of ci.
+# Every Go file of the root module and of benchmark/ is gofmt-clean: the step
+# lists any file `gofmt -l` would rewrite, and fails. The first step of ci.
 surface: vet
+	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|Trailer' . ./internal/codec/ ./internal/core/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
@@ -108,14 +111,15 @@ proxy-test:
 store-test:
 	$(GO) test -race ./internal/store/ ./internal/llm/
 
-# The KV-cache tier under the race detector: flush-counter, aliasing and
-# chunk-table unit tests, the aliased-twin property, the HTTP handlers'
-# round trip, taxonomy and 206 windows (internal/serve's TestKV* and the
-# FuzzKVRequest seeds), and the full-scale soak — KV_SOAK=1 raises it to
-# ≥2,000 concurrent sessions of interleaved append/read/expire churn under a
-# tight byte budget, asserting zero corrupt reads, resident≤budget at every
-# sample, 206 windows consistent with the eviction log, and a leak-free
-# drain, and logs the live heap beside Resident and Budget (DESIGN.md §16).
+# The KV-cache tier under the race detector: flush-counter, aliasing,
+# eviction-order, rejected-append and chunk-table unit tests, the
+# aliased-twin property, the HTTP handlers' round trip, taxonomy and 206
+# windows (internal/serve's TestKV* and the FuzzKVRequest seeds), and the
+# full-scale soak — KV_SOAK=1 raises it to ≥2,000 concurrent sessions of
+# interleaved append/read/expire churn under a tight byte budget, asserting
+# zero corrupt reads, resident≤budget at every sample, 206 windows
+# consistent with the eviction log, and a leak-free drain, and logs the live
+# heap beside Resident and Budget (DESIGN.md §16).
 # That a ranged read under any append schedule returns the one-shot bytes, at
 # every worker count, is internal/conformance's kv path (CABAC cells: KV
 # chunks are CABAC only).

@@ -22,25 +22,22 @@
 //     instead of encoding: zero encode work, zero extra resident bytes. The
 //     bytes leave memory with the last reference.
 //
-// Scale machinery: the session table is sharded by session-name hash into
-// mutex-striped shards, each with its own LRU list. Resident bytes (unique
-// compressed chunk bytes + raw tails) are budgeted: appends reserve against
-// an atomic resident counter before committing, evicting
-// least-recently-used sessions' oldest chunks (then whole sessions) until
-// the reservation fits — so resident bytes can never exceed the budget, at
-// any instant, which the soak test samples continuously. Evicted prefixes
-// surface to readers as a narrowed available range (HTTP 206 upstairs). TTL
-// expiry is lazy: an expired session is removed when it is next looked up,
-// and is the first thing eviction takes under budget pressure. Nothing sweeps
-// in the background, so an idle table keeps its expired sessions' bytes until
-// an append needs them.
+// Scale machinery: one table mutex guards the session map, the LRU list and
+// the chunk map. Resident bytes (unique compressed chunk bytes + raw tails)
+// are budgeted: appends reserve against an atomic resident counter before
+// committing, evicting least-recently-used sessions' oldest chunks (then
+// whole sessions) until the reservation fits — so resident bytes can never
+// exceed the budget, at any instant, which the soak test samples
+// continuously. Evicted prefixes surface to readers as a narrowed available
+// range (HTTP 206 upstairs). TTL expiry is lazy: an expired session is
+// removed when it is next looked up, and is the first thing eviction takes
+// under budget pressure. Nothing sweeps in the background, so an idle table
+// keeps its expired sessions' bytes until an append needs them.
 //
-// Lock hierarchy (deadlock-freedom): shard.mu is only ever *blocking*-locked
-// from outside any session lock; a holder of session.mu may lock shard
-// mutexes (the reserve → evict path), and eviction acquires other sessions'
-// locks strictly by TryLock. Sessions carry a dead flag so a pointer fetched
-// under one lock regime is re-validated under the next. The chunk map's
-// mutex is a leaf: nothing else is locked while it is held.
+// Lock hierarchy (deadlock-freedom): a holder of session.mu may block on
+// Table.mu (the flush, reserve → evict and Delete paths); a holder of
+// Table.mu takes session locks only by TryLock. Sessions carry a dead flag so
+// a pointer fetched under Table.mu is re-validated under session.mu.
 package kv
 
 import (
@@ -50,10 +47,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,12 +109,8 @@ type Config struct {
 	Now func() time.Time
 }
 
-// shards is the number of mutex-striped session shards; maxDim bounds a
-// session's row width.
-const (
-	shards = 16
-	maxDim = 4096
-)
+// maxDim bounds a session's row width.
+const maxDim = 4096
 
 func (c Config) withDefaults() Config {
 	if c.BudgetBytes <= 0 {
@@ -196,7 +187,7 @@ func newKVMetrics(reg *obs.Registry) *kvMetrics {
 // chunk is one encoded flush group, held once however many sessions — or
 // positions in one session — carry the same rows. key is SHA-256 of the
 // group's raw rows; payload, scales and zeros are a pure function of them
-// and never change. refs is guarded by Table.chunkMu.
+// and never change. refs is guarded by Table.mu.
 type chunk struct {
 	key           [sha256.Size]byte
 	payload       []byte
@@ -204,12 +195,13 @@ type chunk struct {
 	refs          int
 }
 
-// Session is one streaming KV stream. All mutable state is guarded by mu;
-// lastUse is atomic so LRU/TTL bookkeeping never needs the content lock.
+// Session is one streaming KV stream. elem and lastUse are guarded by
+// Table.mu, so LRU/TTL bookkeeping never needs the content lock; the rest of
+// its mutable state is guarded by mu.
 type Session struct {
 	name    string
 	elem    *list.Element
-	lastUse atomic.Int64 // unix nanos
+	lastUse time.Time
 
 	mu   sync.Mutex
 	dead bool
@@ -230,23 +222,17 @@ func (s *Session) tailTokens() int {
 
 func (s *Session) total() int { return s.committed + s.tailTokens() }
 
-type shard struct {
-	mu       sync.Mutex
+// Table is the session table. Create with New.
+type Table struct {
+	cfg Config
+	app *codec.Appender
+
+	mu       sync.Mutex // guards the three below, chunk refs and Session.elem/lastUse
 	sessions map[string]*Session
 	lru      *list.List // front = most recently used
-}
-
-// Table is the sharded session table. Create with New.
-type Table struct {
-	cfg    Config
-	shards []*shard
-	app    *codec.Appender
-
-	chunkMu sync.Mutex
-	chunks  map[[sha256.Size]byte]*chunk
+	chunks   map[[sha256.Size]byte]*chunk
 
 	resident atomic.Int64
-	nlive    atomic.Int64
 	m        *kvMetrics
 }
 
@@ -257,17 +243,14 @@ func New(cfg Config) *Table {
 	if cfg.QP > dct.MaxQP {
 		panic(fmt.Sprintf("kv: qp %d out of range [0, %d]", cfg.QP, dct.MaxQP))
 	}
-	t := &Table{
-		cfg:    cfg,
-		app:    codec.NewAppender(cfg.QP, codec.HEVC, codec.AllTools, cfg.Workers, cfg.Metrics),
-		chunks: make(map[[sha256.Size]byte]*chunk),
-		m:      newKVMetrics(cfg.Metrics),
+	return &Table{
+		cfg:      cfg,
+		app:      codec.NewAppender(cfg.QP, codec.HEVC, codec.AllTools, cfg.Workers, cfg.Metrics),
+		sessions: make(map[string]*Session),
+		lru:      list.New(),
+		chunks:   make(map[[sha256.Size]byte]*chunk),
+		m:        newKVMetrics(cfg.Metrics),
 	}
-	t.shards = make([]*shard, shards)
-	for i := range t.shards {
-		t.shards[i] = &shard{sessions: make(map[string]*Session), lru: list.New()}
-	}
-	return t
 }
 
 // Resident returns the budgeted resident bytes at this instant. The soak
@@ -278,12 +261,10 @@ func (t *Table) Resident() int64 { return t.resident.Load() }
 func (t *Table) Budget() int64 { return t.cfg.BudgetBytes }
 
 // Sessions returns the number of live sessions.
-func (t *Table) Sessions() int { return int(t.nlive.Load()) }
-
-func (t *Table) shardFor(name string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return t.shards[h.Sum32()%uint32(len(t.shards))]
+func (t *Table) Sessions() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.sessions)
 }
 
 func (t *Table) addResident(delta int64) {
@@ -293,15 +274,16 @@ func (t *Table) addResident(delta int64) {
 	}
 }
 
+// expired reports whether s has idled past the TTL. Caller holds t.mu.
 func (t *Table) expired(s *Session) bool {
-	return t.cfg.TTL > 0 && t.cfg.Now().Sub(time.Unix(0, s.lastUse.Load())) > t.cfg.TTL
+	return t.cfg.TTL > 0 && t.cfg.Now().Sub(s.lastUse) > t.cfg.TTL
 }
 
 // acquire takes a reference on the chunk keyed key and returns it, or nil
 // when the table holds none.
 func (t *Table) acquire(key [sha256.Size]byte) *chunk {
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	c := t.chunks[key]
 	if c != nil {
 		c.refs++
@@ -314,8 +296,8 @@ func (t *Table) acquire(key [sha256.Size]byte) *chunk {
 // concurrently may have put its chunk first: that one gains the reference
 // and c is dropped. The table keeps c's payload without copying it.
 func (t *Table) intern(c *chunk) (*chunk, bool) {
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if held := t.chunks[c.key]; held != nil {
 		held.refs++
 		return held, false
@@ -327,10 +309,8 @@ func (t *Table) intern(c *chunk) (*chunk, bool) {
 
 // release drops one reference on c and returns the payload bytes freed:
 // len(c.payload) with the last reference, 0 before it. Each reference is
-// released exactly once.
+// released exactly once. Caller holds t.mu.
 func (t *Table) release(c *chunk) int64 {
-	t.chunkMu.Lock()
-	defer t.chunkMu.Unlock()
 	if c.refs--; c.refs > 0 {
 		return 0
 	}
@@ -339,20 +319,19 @@ func (t *Table) release(c *chunk) int64 {
 }
 
 // removeLocked unlinks s and frees everything it holds. Caller holds both
-// sh.mu and s.mu.
-func (t *Table) removeLocked(sh *shard, s *Session, reason string) {
+// t.mu and s.mu.
+func (t *Table) removeLocked(s *Session, reason string) {
 	s.dead = true
-	delete(sh.sessions, s.name)
-	sh.lru.Remove(s.elem)
+	delete(t.sessions, s.name)
+	t.lru.Remove(s.elem)
 	freed := 4 * int64(len(s.tail))
 	for _, c := range s.chunks {
 		freed += t.release(c)
 	}
 	s.chunks = nil
 	t.addResident(-freed)
-	t.nlive.Add(-1)
 	if t.m != nil {
-		t.m.sessions.Set(t.nlive.Load())
+		t.m.sessions.Set(int64(len(t.sessions)))
 		t.m.evictBytes.Add(freed)
 		if reason == "expired" {
 			t.m.expired.Inc()
@@ -370,34 +349,30 @@ func (t *Table) removeLocked(sh *shard, s *Session, reason string) {
 // is set. Expired sessions found on the way are removed (when their lock is
 // free) and treated as absent. The returned session is locked.
 func (t *Table) lookup(name string, create bool) (*Session, error) {
-	sh := t.shardFor(name)
 	for {
-		sh.mu.Lock()
-		s := sh.sessions[name]
+		t.mu.Lock()
+		s := t.sessions[name]
 		if s != nil && t.expired(s) && s.mu.TryLock() {
-			if !s.dead {
-				t.removeLocked(sh, s, "expired")
-			}
+			t.removeLocked(s, "expired")
 			s.mu.Unlock()
 			s = nil
 		}
 		if s == nil {
 			if !create {
-				sh.mu.Unlock()
+				t.mu.Unlock()
 				return nil, fmt.Errorf("kv: session %q: %w", name, ErrNotFound)
 			}
 			s = &Session{name: name}
-			s.elem = sh.lru.PushFront(s)
-			sh.sessions[name] = s
-			t.nlive.Add(1)
+			s.elem = t.lru.PushFront(s)
+			t.sessions[name] = s
 			if t.m != nil {
-				t.m.sessions.Set(t.nlive.Load())
+				t.m.sessions.Set(int64(len(t.sessions)))
 			}
 		} else {
-			sh.lru.MoveToFront(s.elem)
+			t.lru.MoveToFront(s.elem)
 		}
-		s.lastUse.Store(t.cfg.Now().UnixNano())
-		sh.mu.Unlock()
+		s.lastUse = t.cfg.Now()
+		t.mu.Unlock()
 
 		s.mu.Lock()
 		if s.dead {
@@ -448,90 +423,42 @@ func (t *Table) reserve(n int64, self *Session) error {
 // under other references), but it is still progress: chunk drops
 // are monotone, so repeated calls terminate.
 //
-// The victim is the globally least-recently-used session: each shard's LRU
-// tail is peeked (lastUse is atomic, no session lock needed) and shards are
-// tried oldest-tail-first. Scanning shards in a fixed order instead would
-// concentrate all eviction pressure on whatever shard sorts first, draining
-// its sessions over and over while fresher sessions elsewhere are never
-// touched — under a saturating load the owners hashed there would starve
-// indefinitely.
+// The victim is the least-recently-used session it can lock: the LRU list is
+// walked from its back, skipping self and sessions whose lock is held.
 func (t *Table) evictSome(self *Session) bool {
-	type cand struct {
-		sh  *shard
-		use int64
-	}
-	cands := make([]cand, 0, len(t.shards))
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for e := sh.lru.Back(); e != nil; e = e.Prev() {
-			if s := e.Value.(*Session); s != self {
-				cands = append(cands, cand{sh, s.lastUse.Load()})
-				break
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].use < cands[j].use })
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	// First pass: victims that can shed a committed chunk (or are expired).
 	// Dropping a chunk degrades an old session to a partial read; draining
 	// a chunkless session kills it outright, and under sustained pressure
 	// that would keep killing young sessions — whose first chunk has not
 	// flushed yet — before they can ever commit anything. Tail-only
 	// sessions are drained only when no chunk anywhere is left to drop.
-	for _, c := range cands {
-		if t.evictShard(c.sh, self, false) {
-			return true
-		}
-	}
-	for _, c := range cands {
-		if t.evictShard(c.sh, self, true) {
-			return true
-		}
-	}
-	return false
-}
-
-// evictShard walks one shard's LRU from the back and applies one eviction
-// step to the first session it can lock. Unless drainTails is set, live
-// sessions with no droppable chunk are passed over.
-func (t *Table) evictShard(sh *shard, self *Session, drainTails bool) bool {
-	sh.mu.Lock()
-	for e := sh.lru.Back(); e != nil; {
-		s := e.Value.(*Session)
-		prev := e.Prev()
-		if s == self || !s.mu.TryLock() {
-			e = prev
-			continue
-		}
-		if s.dead {
+	for _, drainTails := range []bool{false, true} {
+		for e := t.lru.Back(); e != nil; e = e.Prev() {
+			s := e.Value.(*Session)
+			if s == self || !s.mu.TryLock() {
+				continue
+			}
+			if !drainTails && s.evicted >= s.committed && !t.expired(s) {
+				s.mu.Unlock()
+				continue
+			}
+			t.evictStepLocked(s)
 			s.mu.Unlock()
-			e = prev
-			continue
-		}
-		if !drainTails && s.evicted >= s.committed && !t.expired(s) {
-			s.mu.Unlock()
-			e = prev
-			continue
-		}
-		progress := t.evictStepLocked(sh, s)
-		s.mu.Unlock()
-		if progress {
-			sh.mu.Unlock()
 			return true
 		}
-		e = prev
 	}
-	sh.mu.Unlock()
 	return false
 }
 
 // evictStepLocked drops s's oldest committed chunk, or removes s entirely
-// when it is expired or has nothing left but its tail. Caller holds sh.mu
+// when it is expired or has nothing left but its tail. Caller holds t.mu
 // and s.mu.
-func (t *Table) evictStepLocked(sh *shard, s *Session) bool {
+func (t *Table) evictStepLocked(s *Session) {
 	if t.expired(s) {
-		t.removeLocked(sh, s, "expired")
-		return true
+		t.removeLocked(s, "expired")
+		return
 	}
 	if s.evicted < s.committed {
 		freed := t.release(s.chunks[0])
@@ -548,14 +475,13 @@ func (t *Table) evictStepLocked(sh *shard, s *Session) bool {
 			t.cfg.OnEvict(s.name, from, s.evicted, false)
 		}
 		if s.evicted == s.committed && s.tailTokens() == 0 {
-			t.removeLocked(sh, s, "drained")
+			t.removeLocked(s, "drained")
 		}
-		return true
+		return
 	}
 	// Nothing committed (or everything already evicted): the session is
 	// only a tail. Removing it frees the tail charge.
-	t.removeLocked(sh, s, "drained")
-	return true
+	t.removeLocked(s, "drained")
 }
 
 // ------------------------------------------------------------------ append
@@ -575,10 +501,11 @@ type AppendResult struct {
 // on first use, and flushes every completed FlushRows group as one
 // immutable chunk. at ≥ 0 asserts the session currently holds exactly at
 // tokens (the streaming idempotency precondition); at < 0 skips the check.
-// dim may be 0 for appends to an existing session. A budget rejection is
-// atomic — the session is untouched and the identical request can be
-// retried once eviction frees space.
-func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []float32) (AppendResult, error) {
+// dim may be 0 for appends to an existing session. A rejection is atomic —
+// the session is untouched, and a session no append has yet succeeded on is
+// removed — so the identical request can be retried once eviction frees
+// space.
+func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []float32) (res AppendResult, err error) {
 	start := time.Now()
 	if name == "" {
 		return AppendResult{}, fmt.Errorf("kv: empty session name")
@@ -590,23 +517,33 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 	if err != nil {
 		return AppendResult{}, err
 	}
-	defer s.mu.Unlock()
+	defer func() {
+		// s.dim is set only once an append is staged, so a session still
+		// without one holds nothing any caller put there.
+		if err != nil && s.dim == 0 {
+			t.mu.Lock()
+			t.removeLocked(s, "delete")
+			t.mu.Unlock()
+		}
+		s.mu.Unlock()
+	}()
 
-	if s.dim == 0 {
+	sdim := s.dim
+	if sdim == 0 {
 		if dim == 0 {
 			return AppendResult{}, fmt.Errorf("kv: new session %q needs dim", name)
 		}
-		s.dim = dim
-	} else if dim != 0 && dim != s.dim {
-		return AppendResult{}, fmt.Errorf("kv: session %q has dim %d, append says %d: %w", name, s.dim, dim, ErrDimMismatch)
+		sdim = dim
+	} else if dim != 0 && dim != sdim {
+		return AppendResult{}, fmt.Errorf("kv: session %q has dim %d, append says %d: %w", name, sdim, dim, ErrDimMismatch)
 	}
-	if len(vals)%s.dim != 0 {
-		return AppendResult{}, fmt.Errorf("kv: %d values do not tile dim %d", len(vals), s.dim)
+	if len(vals)%sdim != 0 {
+		return AppendResult{}, fmt.Errorf("kv: %d values do not tile dim %d", len(vals), sdim)
 	}
 	if at >= 0 && at != s.total() {
 		return AppendResult{}, fmt.Errorf("kv: session %q holds %d tokens, append expects %d: %w", name, s.total(), at, ErrOffsetMismatch)
 	}
-	rows := len(vals) / s.dim
+	rows := len(vals) / sdim
 
 	// Reserve the whole request's worst case up front — raw tail bytes plus
 	// the encode estimate for every group this append will complete — so a
@@ -614,14 +551,15 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 	// caller can retry the identical request after eviction frees space.
 	rawBytes := int64(len(vals)) * 4
 	willFlush := int64((s.tailTokens() + rows) / t.cfg.FlushRows)
-	prepaid := willFlush * flushEstimate(t.cfg.FlushRows*s.dim)
+	prepaid := willFlush * flushEstimate(t.cfg.FlushRows*sdim)
 	if rawBytes+prepaid > 0 {
 		if err := t.reserve(rawBytes+prepaid, s); err != nil {
 			return AppendResult{}, err
 		}
 		s.tail = append(s.tail, vals...)
 	}
-	res := AppendResult{Session: name}
+	s.dim = sdim
+	res = AppendResult{Session: name}
 	err = t.flushLocked(ctx, s, &res, &prepaid)
 	if prepaid > 0 {
 		// Aliased (or error-aborted) groups never spent their estimate.
@@ -746,6 +684,9 @@ type ReadResult struct {
 // intersecting the range; tail rows are served raw, bit-exactly.
 func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, error) {
 	start := time.Now()
+	if t0 < 0 || (t1 >= 0 && t1 < t0) {
+		return ReadResult{}, fmt.Errorf("kv: bad token range [%d,%d)", t0, t1)
+	}
 	s, err := t.lookup(name, false)
 	if err != nil {
 		return ReadResult{}, err
@@ -753,9 +694,6 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 	defer s.mu.Unlock()
 
 	total := s.total()
-	if t0 < 0 || (t1 >= 0 && t1 < t0) {
-		return ReadResult{}, fmt.Errorf("kv: bad token range [%d,%d)", t0, t1)
-	}
 	// Clamp after validating: a well-formed request past the window is
 	// range-unavailable (416), not malformed (400).
 	if t1 < 0 || t1 > total {
@@ -817,22 +755,21 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 
 // Delete removes the session and frees everything it holds.
 func (t *Table) Delete(name string) error {
-	sh := t.shardFor(name)
-	sh.mu.Lock()
-	s := sh.sessions[name]
-	sh.mu.Unlock()
+	t.mu.Lock()
+	s := t.sessions[name]
+	t.mu.Unlock()
 	if s == nil {
 		return fmt.Errorf("kv: session %q: %w", name, ErrNotFound)
 	}
-	// Session lock first, then shard lock — the same order the reserve →
+	// Session lock first, then table lock — the same order the reserve →
 	// evict path uses, so Delete can block on s.mu safely.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
 		return fmt.Errorf("kv: session %q: %w", name, ErrNotFound)
 	}
-	sh.mu.Lock()
-	t.removeLocked(sh, s, "delete")
-	sh.mu.Unlock()
+	t.mu.Lock()
+	t.removeLocked(s, "delete")
+	t.mu.Unlock()
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -290,21 +291,57 @@ func TestKVEvictionBudget(t *testing.T) {
 }
 
 // TestKVBudgetRejects: an append that cannot fit even after eviction fails
-// with ErrBudget and corrupts nothing.
+// with ErrBudget and corrupts nothing: the session it would have created
+// does not exist.
 func TestKVBudgetRejects(t *testing.T) {
 	tab := New(Config{FlushRows: 4, QP: 12, BudgetBytes: 512})
 	_, err := tab.Append(context.Background(), "s", 64, 0, rowsFor(1, 0, 64, 64))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("oversized append: %v", err)
 	}
-	// The session must not serve garbage: it either doesn't exist or has an
-	// empty window.
 	res, err := tab.Read(context.Background(), "s", 0, -1)
-	if err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrRangeUnavailable) {
-		t.Fatalf("read after rejected append: %v", err)
+	if !errors.Is(err, ErrNotFound) || tab.Sessions() != 0 {
+		t.Fatalf("read after rejected append: %v, %d sessions", err, tab.Sessions())
 	}
 	if len(res.Vals) != 0 {
 		t.Fatalf("rejected append left %d readable values", len(res.Vals))
+	}
+}
+
+// TestKVEvictsLeastRecentlyUsed pins DESIGN.md §16.4's order against the
+// OnEvict log: the least-recently-used session loses its oldest chunk first
+// and is drained before the next one is touched, a session a read touched
+// goes last among those with chunks, and a tail-only session — though the
+// oldest — is drained only once no committed chunk is left anywhere.
+func TestKVEvictsLeastRecentlyUsed(t *testing.T) {
+	const dim, f = 8, 4
+	// The last append reserves its raw rows plus four encode estimates; a
+	// budget of exactly that is met only once everything else is evicted.
+	last := int64(4*f*dim*4) + 4*flushEstimate(f*dim)
+	var log []string
+	tab := New(Config{FlushRows: f, QP: 12, BudgetBytes: last, OnEvict: func(s string, from, to int, full bool) {
+		log = append(log, fmt.Sprintf("%s [%d,%d) full=%v", s, from, to, full))
+	}})
+	mustAppend(t, tab, "tail", dim, 0, rowsFor(1, 0, f-1, dim))
+	for i, name := range []string{"a", "b", "c"} {
+		mustAppend(t, tab, name, dim, 0, rowsFor(int64(i+2), 0, 2*f, dim))
+	}
+	mustRead(t, tab, "a", 0, 1)
+	if len(log) != 0 {
+		t.Fatalf("evicted before the budget was pressed: %q", log)
+	}
+	mustAppend(t, tab, "new", dim, 0, rowsFor(9, 0, 4*f, dim))
+	want := []string{
+		"b [0,4) full=false", "b [4,8) full=false", "b [8,8) full=true",
+		"c [0,4) full=false", "c [4,8) full=false", "c [8,8) full=true",
+		"a [0,4) full=false", "a [4,8) full=false", "a [8,8) full=true",
+		"tail [0,3) full=true",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("eviction order:\n got %q\nwant %q", log, want)
+	}
+	if tab.Sessions() != 1 {
+		t.Fatalf("%d sessions left, want only the new one", tab.Sessions())
 	}
 }
 
@@ -325,6 +362,9 @@ func TestKVTTL(t *testing.T) {
 
 	advance(30 * time.Second)
 	mustRead(t, tab, "a", 0, -1) // touches a; b keeps aging
+	if _, err := tab.Read(context.Background(), "b", 5, 3); err == nil {
+		t.Fatal("inverted range accepted") // and, refused, it does not touch b
+	}
 	advance(45 * time.Second)
 
 	if _, err := tab.Read(context.Background(), "b", 0, -1); !errors.Is(err, ErrNotFound) {
@@ -377,6 +417,26 @@ func TestKVValidation(t *testing.T) {
 	// An empty range reads nothing and still reports the window.
 	if res, err := tab.Read(ctx, "s", 0, 0); !errors.Is(err, ErrRangeUnavailable) || res.Total != 6 || res.Dim != 8 {
 		t.Fatalf("Read(0,0) = %+v, %v", res, err)
+	}
+	// A refused first append leaves no session behind: reading it is
+	// ErrNotFound, not an empty window's ErrRangeUnavailable.
+	for _, c := range []struct {
+		dim, at int
+		vals    []float32
+	}{
+		{0, -1, rowsFor(1, 0, 1, 16)}, // no dim
+		{16, 5, rowsFor(1, 0, 1, 16)}, // at= past an empty session
+		{16, 0, make([]float32, 17)},  // does not tile dim
+	} {
+		if _, err := tab.Append(ctx, "new", c.dim, c.at, c.vals); err == nil {
+			t.Fatalf("first append (dim %d, at %d, %d values) accepted", c.dim, c.at, len(c.vals))
+		}
+		if _, err := tab.Read(ctx, "new", 0, -1); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("read after a refused first append (dim %d, at %d): %v", c.dim, c.at, err)
+		}
+	}
+	if tab.Sessions() != 1 {
+		t.Fatalf("%d sessions, want 1", tab.Sessions())
 	}
 	if err := tab.Delete("s"); err != nil {
 		t.Fatal(err)
@@ -446,14 +506,13 @@ func TestKVEvictionDropsGroupState(t *testing.T) {
 	const dim, f, groups, k = 16, 8, 6, 4
 	tab := New(Config{FlushRows: f, QP: 12})
 	mustAppend(t, tab, "s", dim, 0, rowsFor(21, 0, groups*f+3, dim))
-	sh := tab.shardFor("s")
-	s := sh.sessions["s"]
+	s := tab.sessions["s"]
 	for range k {
-		sh.mu.Lock()
+		tab.mu.Lock()
 		s.mu.Lock()
-		tab.evictStepLocked(sh, s)
+		tab.evictStepLocked(s)
 		s.mu.Unlock()
-		sh.mu.Unlock()
+		tab.mu.Unlock()
 	}
 	if s.evicted != k*f || len(s.chunks)*f != s.committed-s.evicted {
 		t.Fatalf("after %d evicted groups: %d chunks held for window [%d,%d)", k, len(s.chunks), s.evicted, s.committed)
@@ -531,7 +590,10 @@ func TestKVChunkTableRefcounting(t *testing.T) {
 	// Three references: two interns, one acquire. The first two releases
 	// free nothing; the last frees the payload.
 	for i, want := range []int64{0, 0, int64(len(c1.payload))} {
-		if freed := tab.release(c1); freed != want {
+		tab.mu.Lock()
+		freed := tab.release(c1)
+		tab.mu.Unlock()
+		if freed != want {
 			t.Fatalf("release %d freed %d, want %d", i+1, freed, want)
 		}
 	}
@@ -549,7 +611,7 @@ func TestKVChunkTableTakesOwnership(t *testing.T) {
 	rows := rowsFor(5, 0, f, dim)
 	mustAppend(t, tab, "a", dim, 0, rows)
 	mustAppend(t, tab, "b", dim, 0, rows)
-	a, b := tab.shardFor("a").sessions["a"], tab.shardFor("b").sessions["b"]
+	a, b := tab.sessions["a"], tab.sessions["b"]
 	if len(tab.chunks) != 1 || a.chunks[0] != b.chunks[0] || tab.Resident() != int64(len(a.chunks[0].payload)) {
 		t.Fatalf("%d chunks held, shared=%v, resident %d", len(tab.chunks), a.chunks[0] == b.chunks[0], tab.Resident())
 	}
@@ -579,8 +641,10 @@ func TestKVChunkTableConcurrent(t *testing.T) {
 					t.Errorf("acquire lost chunk %q", payload)
 					return
 				}
+				tab.mu.Lock()
 				freed.Add(tab.release(c))
 				freed.Add(tab.release(c))
+				tab.mu.Unlock()
 			}
 		}()
 	}

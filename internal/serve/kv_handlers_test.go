@@ -138,6 +138,8 @@ func TestKVHTTPTaxonomy(t *testing.T) {
 		{"ragged body", "PUT", "/v1/kv/s?at=6", []byte{1, 2, 3}, http.StatusBadRequest},
 		{"negative dim", "PUT", "/v1/kv/x?dim=-4", nil, http.StatusBadRequest},
 		{"missing dim on create", "PUT", "/v1/kv/x", body, http.StatusBadRequest},
+		{"offset conflict on create", "PUT", "/v1/kv/x?dim=16&at=5", body, http.StatusConflict},
+		{"refused creates leave nothing", "GET", "/v1/kv/x", nil, http.StatusNotFound},
 		{"unknown session", "GET", "/v1/kv/nope", nil, http.StatusNotFound},
 		{"unknown delete", "DELETE", "/v1/kv/nope", nil, http.StatusNotFound},
 		{"bad range", "GET", "/v1/kv/s?range=zz", nil, http.StatusBadRequest},
