@@ -244,15 +244,15 @@ func BenchmarkTensorRoundTrip(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n := 128
 	t := core.FromSlice(n, n, tensorgen.Weights(rng, n, n))
-	o := core.DefaultOptions()
+	o, ctx := core.DefaultOptions(), context.Background()
 	b.SetBytes(int64(n * n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := o.Encode(t, 26)
+		e, err := o.EncodeStackCtx(ctx, []*core.Tensor{t}, 26)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := o.Decode(e); err != nil {
+		if _, err := o.DecodeStackCtx(ctx, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func BenchmarkRateControl(b *testing.B) {
 	o := core.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.EncodeToBitrate(t, 2.9); err != nil {
+		if _, _, err := o.EncodeStackToBitrate(context.Background(), []*core.Tensor{t}, 2.9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -109,7 +109,7 @@ func encodeCmd(args []string) {
 		cols     = fs.Int("cols", 0, "tensor cols")
 		bits     = fs.Float64("bits", 0, "target bits per value (fractional allowed)")
 		mse      = fs.Float64("mse", 0, "alternative: max MSE in the value domain")
-		qp       = fs.Int("qp", -1, "alternative: fixed quantization parameter 0..51")
+		qp       = fs.Int("qp", 0, "alternative: fixed quantization parameter 0..51")
 		profile  = fs.String("profile", "h265", "codec profile: h264|h265|av1")
 		perRow   = fs.Bool("perrow", false, "per-row 8-bit mapping (outlier-heavy tensors)")
 		workers  = fs.Int("workers", 0, "encode worker pool size (0 = GOMAXPROCS); output bytes are identical for any value")
@@ -120,6 +120,17 @@ func encodeCmd(args []string) {
 	fs.Parse(args)
 	if *in == "" || *out == "" || *rows <= 0 || *cols <= 0 {
 		fatal(fmt.Errorf("encode requires -in, -out, -rows, -cols"))
+	}
+	// The rate mode is the flag that was set, whatever its value: a value no
+	// search can honour is the library's ErrBadTarget, not another mode.
+	var modes []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "bits" || f.Name == "mse" || f.Name == "qp" {
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) != 1 {
+		fatal(fmt.Errorf("exactly one of -bits, -mse or -qp is required, got %v", modes))
 	}
 	raw, err := os.ReadFile(*in)
 	if err != nil {
@@ -135,7 +146,7 @@ func encodeCmd(args []string) {
 	for i := range data {
 		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
 	}
-	t := core.FromSlice(*rows, *cols, data)
+	ctx, stack := context.Background(), []*core.Tensor{core.FromSlice(*rows, *cols, data)}
 
 	opts := core.DefaultOptions()
 	opts.PerRowQuant = *perRow
@@ -151,15 +162,13 @@ func encodeCmd(args []string) {
 	opts.Metrics = reg
 
 	var enc *core.Encoded
-	switch {
-	case *bits > 0:
-		enc, err = opts.EncodeToBitrate(t, *bits)
-	case *mse > 0:
-		enc, _, err = opts.EncodeToMSE(t, *mse)
-	case *qp >= 0:
-		enc, err = opts.Encode(t, *qp)
+	switch modes[0] {
+	case "-bits":
+		enc, _, err = opts.EncodeStackToBitrate(ctx, stack, *bits)
+	case "-mse":
+		enc, _, err = opts.EncodeStackToMSE(ctx, stack, *mse)
 	default:
-		fatal(fmt.Errorf("one of -bits, -mse or -qp is required"))
+		enc, err = opts.EncodeStackCtx(ctx, stack, *qp)
 	}
 	if err != nil {
 		fatal(err)

@@ -90,7 +90,7 @@ func readFile(t *testing.T, path string) []byte {
 
 // TestEncodeInfo: for each rate-control and container choice, `info` reads
 // back the geometry and backend `encode` wrote, and `encode -bits` writes
-// core's EncodeToBitrate bytes. That `encode -qp` writes core's Marshal bytes
+// core's EncodeStackToBitrate bytes. That `encode -qp` writes core's Marshal bytes
 // and `decode` core's reconstruction is internal/conformance's CLI path.
 func TestEncodeInfo(t *testing.T) {
 	cases := []struct {
@@ -116,12 +116,12 @@ func TestEncodeInfo(t *testing.T) {
 				t.Fatalf("encode exit %d: %s", code, stderr)
 			}
 			if c.name == "bits" {
-				want, err := core.DefaultOptions().EncodeToBitrate(x, 3)
+				want, _, err := core.DefaultOptions().EncodeStackToBitrate(context.Background(), []*core.Tensor{x}, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(readFile(t, l265), want.Marshal()) {
-					t.Fatal("encode -bits wrote different bytes than core's EncodeToBitrate")
+					t.Fatal("encode -bits wrote different bytes than core's EncodeStackToBitrate")
 				}
 			}
 			stdout, stderr, code := run(t, "info", "-in", l265)
@@ -223,7 +223,8 @@ func TestVerifyExitCodes(t *testing.T) {
 }
 
 // TestUsageErrors: a subcommand missing its required flags (or given an
-// impossible geometry) exits 1 with a message; no subcommand or an unknown
+// impossible geometry, more than one of encode's rate flags, or a rate target
+// no search can honour) exits 1 with a message; no subcommand or an unknown
 // one — the retired `bench` included — prints usage and exits 2, as does a
 // flag the subcommand does not define (the retired -fast-search, proxy's
 // -vnodes, serve's -deadline) or a flag
@@ -245,6 +246,17 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"encode-no-flags", []string{"encode"}, 1, "encode requires"},
 		{"encode-no-rate", append([]string{"encode", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "one of -bits, -mse or -qp"},
+		// The rate mode is the flag that was set, not the first usable value.
+		{"encode-bits-nan-and-qp", append([]string{"encode", "-bits", "NaN", "-qp", "24", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...),
+			1, "exactly one of -bits, -mse or -qp is required, got [-bits -qp]"},
+		{"encode-bits-and-qp", append([]string{"encode", "-bits", "2", "-qp", "24", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...),
+			1, "exactly one of -bits, -mse or -qp is required, got [-bits -qp]"},
+		{"encode-negative-bits-and-mse", append([]string{"encode", "-bits", "-1", "-mse", "0.01", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...),
+			1, "exactly one of -bits, -mse or -qp is required, got [-bits -mse]"},
+		{"encode-bits-nan", append([]string{"encode", "-bits", "NaN", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "bad rate-control target"},
+		{"encode-bits-zero", append([]string{"encode", "-bits", "0", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "bad rate-control target"},
+		{"encode-bits-negative", append([]string{"encode", "-bits", "-1", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "bad rate-control target"},
+		{"encode-mse-nan", append([]string{"encode", "-mse", "NaN", "-in", in, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "bad rate-control target"},
 		{"encode-wrong-size", append([]string{"encode", "-qp", "24", "-in", empty, "-out", filepath.Join(dir, "o.l265")}, geometry...), 1, "input is 0 bytes"},
 		// rows*cols*4 wraps to 0 in an int of either word size, which is the
 		// empty input's length: without the product guard this passed the

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,7 +55,7 @@ func main() {
 		for _, s := range stages {
 			o := core.DefaultOptions()
 			o.Tools = s.tools
-			e, _, err := o.EncodeToMSE(t, 0.01*variance)
+			e, _, err := o.EncodeStackToMSE(context.Background(), []*core.Tensor{t}, 0.01*variance)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -74,15 +75,11 @@ func main() {
 	for _, prof := range []codec.Profile{codec.H264, codec.HEVC, codec.AV1} {
 		o := core.DefaultOptions()
 		o.Profile = prof
-		e, err := o.EncodeToBitrate(w, 2.5)
+		e, d, err := o.EncodeStackToBitrate(context.Background(), []*core.Tensor{w}, 2.5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := o.Decode(e)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("  %-6s %.4f (at %.2f b/v)\n", prof.Name, w.MSE(d)/variance, e.BitsPerValue())
+		fmt.Printf("  %-6s %.4f (at %.2f b/v)\n", prof.Name, w.MSE(d[0])/variance, e.BitsPerValue())
 	}
 	fmt.Println("\nthe paper's Fig. 6: the three profiles differ within noise above ~1.8 b/v")
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -19,15 +20,16 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	w := core.FromSlice(256, 256, tensorgen.Weights(rng, 256, 256))
 
-	opts := core.DefaultOptions() // H.265 profile, intra-only, CABAC
+	opts := core.DefaultOptions()                         // H.265 profile, intra-only, CABAC
+	ctx, stack := context.Background(), []*core.Tensor{w} // a stack of one layer
 
 	// The headline feature: fractional bitrate targets. Ask for 2.9 bits
 	// per value — something integer quantizers cannot express.
-	enc, err := opts.EncodeToBitrate(w, 2.9)
+	enc, _, err := opts.EncodeStackToBitrate(ctx, stack, 2.9)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dec, err := opts.Decode(enc)
+	dec, err := opts.DecodeStackCtx(ctx, enc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,15 +44,15 @@ func main() {
 	fmt.Printf("compressed:    %d KiB at %.2f bits/value (QP %d)\n",
 		enc.SizeBits()/8/1024, enc.BitsPerValue(), enc.QP)
 	fmt.Printf("compression:   %.1fx vs FP16\n", 16/enc.BitsPerValue())
-	fmt.Printf("reconstruction RMSE/σ: %.4f\n", math.Sqrt(w.MSE(dec)/variance))
+	fmt.Printf("reconstruction RMSE/σ: %.4f\n", math.Sqrt(w.MSE(dec[0])/variance))
 
 	// MSE-constrained mode: the cheapest encode meeting a quality budget.
-	enc2, dec2, err := opts.EncodeToMSE(w, 0.01*variance)
+	enc2, dec2, err := opts.EncodeStackToMSE(ctx, stack, 0.01*variance)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nMSE-constrained (MSE ≤ 1%% of Var): %.2f bits/value, achieved MSE/Var %.4f\n",
-		enc2.BitsPerValue(), w.MSE(dec2)/variance)
+		enc2.BitsPerValue(), w.MSE(dec2[0])/variance)
 
 	// Container round-trip: ship the bitstream anywhere.
 	blob := enc.Marshal()
@@ -59,16 +61,16 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncontainer: %d bytes, decodes to identical tensor: %v\n",
-		len(blob), mustEqual(opts, back, dec))
+		len(blob), mustEqual(opts, back, dec[0]))
 }
 
 func mustEqual(opts core.Options, e *core.Encoded, want *core.Tensor) bool {
-	got, err := opts.Decode(e)
+	got, err := opts.DecodeStackCtx(context.Background(), e)
 	if err != nil {
 		return false
 	}
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
+	for i, v := range got[0].Data {
+		if v != want.Data[i] {
 			return false
 		}
 	}

@@ -131,8 +131,8 @@ func TestEndToEndContainerFileFlow(t *testing.T) {
 	for i := range w.Data {
 		w.Data[i] = float32(rng.NormFloat64())
 	}
-	opts := core.DefaultOptions()
-	enc, err := opts.EncodeToBitrate(w, 3.5)
+	opts, ctx := core.DefaultOptions(), context.Background()
+	enc, want, err := opts.EncodeStackToBitrate(ctx, []*core.Tensor{w}, 3.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,12 @@ func TestEndToEndContainerFileFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := opts.Decode(dec)
+	got, err := opts.DecodeStackCtx(ctx, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := opts.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
+	for i, v := range got[0].Data {
+		if v != want[0].Data[i] {
 			t.Fatal("container round trip changed the reconstruction")
 		}
 	}

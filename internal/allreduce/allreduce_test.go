@@ -551,10 +551,10 @@ func TestEncodeReconIsDecode(t *testing.T) {
 
 // TestEncodePathsNeverDecode proves the self-decodes are gone, with the
 // decoder's own call counter: every path that hands back "what the receiver
-// reconstructs" beside an encode — the ring's two tensor codecs, the quality
-// search, a rate controller's bisecting first call and its steady state, the
-// two-pass gradient compressor — takes it from the encoder, so
-// codec.decode.calls stays 0 while codec.encode.calls moves.
+// reconstructs" beside an encode — the ring's two tensor codecs and the
+// quality search; llm's TestCompressorsNeverDecode holds its compressors to
+// the same — takes it from the encoder, so codec.decode.calls stays 0 while
+// codec.encode.calls moves.
 func TestEncodePathsNeverDecode(t *testing.T) {
 	const rows, cols = 32, 64
 	vals := randBuckets(31, 1, rows, cols)[0]
@@ -581,31 +581,6 @@ func TestEncodePathsNeverDecode(t *testing.T) {
 		{"EncodeStackToMSE", func(o core.Options) error {
 			_, _, err := o.EncodeStackToMSE(ctx, []*core.Tensor{tensor()}, 1e-5)
 			return err
-		}},
-		{"RateController.Roundtrip first call", func(o core.Options) error {
-			_, _, err := core.NewRateController(o, 3).Roundtrip(tensor())
-			return err
-		}},
-		{"RateController.Roundtrip steady state", func(o core.Options) error {
-			rc := core.NewRateController(o, 3)
-			if _, _, err := rc.Roundtrip(tensor()); err != nil {
-				return err
-			}
-			before := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]
-			_, _, err := rc.Roundtrip(tensor())
-			if probes := o.Metrics.Snapshot().Counters["core.ratecontrol.probes"]; err == nil && probes != before {
-				t.Errorf("the second call bisected again (%d probes): not the steady state", probes-before)
-			}
-			return err
-		}},
-		{"GradientCompressor.Compress", func(o core.Options) error {
-			g := core.NewGradientCompressor(o, 3.5, 3.5, 2, 8)
-			for step := 0; step < 3; step++ { // both LLM.265 passes, then the RTN residual
-				if _, _, err := g.Compress(tensor()); err != nil {
-					return err
-				}
-			}
-			return nil
 		}},
 	} {
 		o := core.DefaultOptions()

@@ -60,10 +60,7 @@ func TestEncodeStackPerLayerBytes(t *testing.T) {
 func TestMarshalOneAllocation(t *testing.T) {
 	o := DefaultOptions()
 	o.PerRowQuant = true
-	enc, err := o.Encode(weightTensor(45, 128, 128), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := encode1(t, o, weightTensor(45, 128, 128), 30)
 	var out []byte
 	if allocs := testing.AllocsPerRun(20, func() { out = enc.Marshal() }); allocs != 1 {
 		t.Errorf("Marshal makes %.0f allocations for %d metadata pairs, want 1", allocs, len(enc.Scales))

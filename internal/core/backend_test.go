@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/codec"
@@ -18,27 +19,13 @@ func TestBackendOptionRoundTrip(t *testing.T) {
 	rans := DefaultOptions()
 	rans.Backend = codec.BackendRANS
 
-	eDef, err := def.Encode(w, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eRans, err := rans.Encode(w, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eDef, eRans := encode1(t, def, w, 28), encode1(t, rans, w, 28)
 	if bytes.Equal(eDef.Stream, eRans.Stream) {
 		t.Error("rANS backend produced byte-identical stream — the knob did not reach the encoder")
 	}
 
 	// Decode with DEFAULT options: the stream must carry everything needed.
-	dRans, err := def.Decode(eRans)
-	if err != nil {
-		t.Fatalf("default-options decode of rANS stream: %v", err)
-	}
-	dDef, err := def.Decode(eDef)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dRans, dDef := decode1(t, def, eRans), decode1(t, def, eDef)
 	if len(dDef.Data) != len(dRans.Data) {
 		t.Fatalf("length mismatch: cabac %d, rans %d", len(dDef.Data), len(dRans.Data))
 	}
@@ -56,14 +43,12 @@ func TestBackendRateControl(t *testing.T) {
 	o := DefaultOptions()
 	o.Backend = codec.BackendRANS
 	target := 2.0
-	e, err := o.EncodeToBitrate(w, target)
+	e, _, err := o.EncodeStackToBitrate(context.Background(), []*Tensor{w}, target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bpv := e.BitsPerValue(); bpv > target {
 		t.Errorf("rANS rate control returned %.3f bits/value, target %.3f", bpv, target)
 	}
-	if _, err := o.Decode(e); err != nil {
-		t.Fatal(err)
-	}
+	decode1(t, o, e)
 }

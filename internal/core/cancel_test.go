@@ -61,8 +61,8 @@ func TestCancellationTable(t *testing.T) {
 			return e != nil, err
 		}},
 		{"EncodeStackToBitrate", true, func(o Options, ctx context.Context) (bool, error) {
-			e, err := o.EncodeStackToBitrate(ctx, stack, 2.5)
-			return e != nil, err
+			e, rec, err := o.EncodeStackToBitrate(ctx, stack, 2.5)
+			return e != nil || rec != nil, err
 		}},
 		{"EncodeStackToMSE", true, func(o Options, ctx context.Context) (bool, error) {
 			e, rec, err := o.EncodeStackToMSE(ctx, stack, 1e-4)

@@ -233,46 +233,6 @@ func (o Options) encodeStack(ctx context.Context, stack []*Tensor, qp int) (enco
 	return encoding{enc, recs}, nil
 }
 
-// Encode, Decode, EncodeToBitrate and EncodeToMSE are the quick-start
-// quartet: one tensor, no deadline, each a single return into the stack
-// method that does the work (TestCoreSurfaceIsClosed holds them to that).
-
-// Encode compresses a single tensor at the given QP.
-func (o Options) Encode(t *Tensor, qp int) (*Encoded, error) {
-	return o.EncodeStackCtx(context.Background(), []*Tensor{t}, qp)
-}
-
-// Decode reconstructs a single tensor (layer 0 of a stack).
-func (o Options) Decode(e *Encoded) (*Tensor, error) {
-	return only(o.DecodeStackCtx(context.Background(), e))
-}
-
-// EncodeToBitrate is EncodeStackToBitrate for a single tensor — the paper's
-// fractional-bitrate interface.
-func (o Options) EncodeToBitrate(t *Tensor, bitsPerValue float64) (*Encoded, error) {
-	return o.EncodeStackToBitrate(context.Background(), []*Tensor{t}, bitsPerValue)
-}
-
-// EncodeToMSE is EncodeStackToMSE for a single tensor — the Fig. 2(b) quality
-// constraint (MSE < 0.01).
-func (o Options) EncodeToMSE(t *Tensor, maxMSE float64) (*Encoded, *Tensor, error) {
-	return onlyRecon(o.EncodeStackToMSE(context.Background(), []*Tensor{t}, maxMSE))
-}
-
-// only narrows a one-layer decode to its tensor.
-func only(ts []*Tensor, err error) (*Tensor, error) {
-	if err != nil {
-		return nil, err
-	}
-	return ts[0], nil
-}
-
-// onlyRecon narrows a one-layer quality search to its tensor.
-func onlyRecon(e *Encoded, ts []*Tensor, err error) (*Encoded, *Tensor, error) {
-	t, err := only(ts, err)
-	return e, t, err
-}
-
 // Error taxonomy of the decode path, re-exported from the codec layer so
 // serving code can switch on failure class without importing internals:
 // ErrTruncated (stream ends early — retry the fetch), ErrChecksum (v3 CRC
@@ -550,16 +510,10 @@ func bisectQP(ctx context.Context, target float64, finer bool, accept func(qp in
 
 // EncodeStackToBitrate finds the best-quality encode of the stack whose total
 // cost (metadata included) stays at or below bitsPerValue — the paper's
-// fractional-bitrate interface; Encoded.QP is the QP chosen. A budget below
-// even MaxQP's rate returns the MaxQP encode, so the caller sees the floor.
-func (o Options) EncodeStackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (*Encoded, error) {
-	p, err := o.stackToBitrate(ctx, stack, bitsPerValue)
-	return p.Encoded, err
-}
-
-// stackToBitrate is EncodeStackToBitrate's search, keeping the winner's planes
-// for RateController.Roundtrip.
-func (o Options) stackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (encoding, error) {
+// fractional-bitrate interface — and returns it with its reconstruction;
+// Encoded.QP is the QP chosen. A budget below even MaxQP's rate returns the
+// MaxQP pair, so the caller sees the floor.
+func (o Options) EncodeStackToBitrate(ctx context.Context, stack []*Tensor, bitsPerValue float64) (*Encoded, []*Tensor, error) {
 	probe := o.probeStack(ctx, stack)
 	var best encoding
 	err := bisectQP(ctx, bitsPerValue, true, func(qp int) (bool, error) {
@@ -574,13 +528,13 @@ func (o Options) stackToBitrate(ctx context.Context, stack []*Tensor, bitsPerVal
 		}
 		return ok, nil
 	})
+	if err == nil && best.Encoded == nil {
+		best, err = probe(dct.MaxQP)
+	}
 	if err != nil {
-		return encoding{}, err
+		return nil, nil, err
 	}
-	if best.Encoded == nil {
-		return probe(dct.MaxQP)
-	}
-	return best, nil
+	return best.Encoded, best.recon(), nil
 }
 
 // EncodeStackToMSE finds the cheapest encode of the stack whose reconstruction

@@ -1,57 +1,35 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/core"
 )
 
-// ExampleOptions_EncodeToBitrate demonstrates the fractional-bitrate
+// ExampleOptions_EncodeStackToBitrate demonstrates the fractional-bitrate
 // interface: ask for 2.5 bits per value and get at most that, metadata
 // included.
-func ExampleOptions_EncodeToBitrate() {
+func ExampleOptions_EncodeStackToBitrate() {
 	rng := rand.New(rand.NewSource(1))
 	w := core.NewTensor(64, 64)
 	for i := range w.Data {
 		w.Data[i] = float32(rng.NormFloat64())
 	}
 
-	opts := core.DefaultOptions()
-	enc, err := opts.EncodeToBitrate(w, 2.5)
+	opts, ctx := core.DefaultOptions(), context.Background()
+	enc, _, err := opts.EncodeStackToBitrate(ctx, []*core.Tensor{w}, 2.5)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println(enc.BitsPerValue() <= 2.5)
-	dec, err := opts.Decode(enc)
+	dec, err := opts.DecodeStackCtx(ctx, enc)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(dec.Rows, dec.Cols)
+	fmt.Println(dec[0].Rows, dec[0].Cols)
 	// Output:
 	// true
 	// 64 64
-}
-
-// ExampleGradientCompressor shows the §5.1 residual-compensation scheme:
-// primary pass plus residual pass, with the two-phase switch to RTN.
-func ExampleGradientCompressor() {
-	rng := rand.New(rand.NewSource(2))
-	g := core.NewTensor(32, 32)
-	for i := range g.Data {
-		g.Data[i] = float32(rng.NormFloat64() * 1e-3)
-	}
-
-	gc := core.NewGradientCompressor(core.DefaultOptions(), 3.5, 3.5, 1, 8)
-	_, bits1, err := gc.Compress(g) // phase 1: codec + codec residual
-	if err != nil {
-		panic(err)
-	}
-	_, bits2, err := gc.Compress(g) // phase 2: codec + 8-bit RTN residual
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(bits1 < 8, bits2 >= 8)
-	// Output:
-	// true true
 }

@@ -77,25 +77,11 @@ func TestAwkwardShapesRoundTrip(t *testing.T) {
 
 	for _, s := range shapes {
 		tens := FromSlice(s.rows, s.cols, tensorgen.Weights(rng, s.rows, s.cols))
-		es, err := serial.Encode(tens, 24)
-		if err != nil {
-			t.Fatalf("%dx%d serial: %v", s.rows, s.cols, err)
-		}
-		ep, err := parallel.Encode(tens, 24)
-		if err != nil {
-			t.Fatalf("%dx%d parallel: %v", s.rows, s.cols, err)
-		}
+		es, ep := encode1(t, serial, tens, 24), encode1(t, parallel, tens, 24)
 		if !bytes.Equal(es.Stream, ep.Stream) {
 			t.Fatalf("%dx%d: engine streams differ", s.rows, s.cols)
 		}
-		ds, err := serial.Decode(es)
-		if err != nil {
-			t.Fatalf("%dx%d serial decode: %v", s.rows, s.cols, err)
-		}
-		dp, err := parallel.Decode(ep)
-		if err != nil {
-			t.Fatalf("%dx%d parallel decode: %v", s.rows, s.cols, err)
-		}
+		ds, dp := decode1(t, serial, es), decode1(t, parallel, ep)
 		if ds.Rows != s.rows || ds.Cols != s.cols {
 			t.Fatalf("%dx%d: decoded shape %dx%d", s.rows, s.cols, ds.Rows, ds.Cols)
 		}

@@ -63,8 +63,8 @@ func (o Options) DecodeStackPartialCtx(ctx context.Context, e *Encoded) ([]*Tens
 		RecoveredPlanes: res.Recovered(),
 		ChunkErrors:     res.Errors,
 	}
-	// Plane l*perLayer+i is region i of layer l: the metadata's mapping, which
-	// decodePlanes holds a trailer's region table to when there is one.
+	// Plane l*perLayer+i is region i of layer l: the metadata's mapping, whose
+	// plane sizes decodePlanes has already checked (checkPlaneGeometry).
 	perLayer := len(regs)
 	out := make([]*Tensor, e.Layers)
 	for l := range out {

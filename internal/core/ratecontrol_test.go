@@ -45,7 +45,7 @@ func TestRateControlSearchesRejectEmptyInput(t *testing.T) {
 			if _, err := o.EncodeStackCtx(ctx, tc.stack, 26); tc.want == ErrEmptyInput && !errors.Is(err, tc.want) {
 				t.Fatalf("EncodeStackCtx: got %v, want %v", err, tc.want)
 			}
-			if e, err := o.EncodeStackToBitrate(ctx, tc.stack, tc.bits); !errors.Is(err, tc.want) || e != nil {
+			if e, _, err := o.EncodeStackToBitrate(ctx, tc.stack, tc.bits); !errors.Is(err, tc.want) || e != nil {
 				t.Fatalf("EncodeStackToBitrate: got %v, %v, want %v", e, err, tc.want)
 			}
 			if e, _, err := o.EncodeStackToMSE(ctx, tc.stack, tc.mse); !errors.Is(err, tc.want) || e != nil {
@@ -99,7 +99,7 @@ func TestRateControlFallbackReusesProbe(t *testing.T) {
 	stack := []*Tensor{FromSlice(64, 64, noise)}
 	o := DefaultOptions()
 	o.Metrics = obs.NewRegistry()
-	e, err := o.EncodeStackToBitrate(context.Background(), stack, 1e-6)
+	e, _, err := o.EncodeStackToBitrate(context.Background(), stack, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

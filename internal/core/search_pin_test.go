@@ -83,7 +83,7 @@ func TestSearchPins(t *testing.T) {
 		for _, in := range inputs {
 			for _, bits := range []float64{0.8, 1.5, 2.5, 4, 7.5, 12, 30} {
 				o := opts()
-				e, err := o.EncodeStackToBitrate(context.Background(), in.stack, bits)
+				e, _, err := o.EncodeStackToBitrate(context.Background(), in.stack, bits)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,13 +35,6 @@ func FromSlice(rows, cols int, data []float32) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := NewTensor(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
-}
-
 // Numel reports the number of elements.
 func (t *Tensor) Numel() int { return t.Rows * t.Cols }
 

@@ -1,11 +1,13 @@
 package llm
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/dct"
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
@@ -19,29 +21,70 @@ import (
 // report FP16 quality under a compressed label.
 type Compressor func(*nn.Mat) (*nn.Mat, float64, error)
 
-// Codec compresses with the tensor codec near bitsPerValue through one
-// core.RateController: the first call searches the QP, later calls track the
-// target from there.
+// Codec compresses with the tensor codec near bitsPerValue, tracking the target
+// across calls as a hardware encoder's rate control does across frames: the
+// first call searches the QP (EncodeStackToBitrate), later calls encode at the
+// held QP (EncodeStackRecon) and nudge it a step for the next call, or search
+// again when the rate leaves [0.55, 1.2]× the target. No call decodes.
 func Codec(opts core.Options, bitsPerValue float64) Compressor {
-	return viaTensor(core.NewRateController(opts, bitsPerValue).Roundtrip)
-}
-
-// Residual is the paper's residual-compensation gradient compression (§5.1,
-// core.GradientCompressor): primary at primaryBits, the residual at
-// residualBits until switchStep, 8-bit RTN afterwards.
-func Residual(opts core.Options, primaryBits, residualBits float64, switchStep int) Compressor {
-	return viaTensor(core.NewGradientCompressor(opts, primaryBits, residualBits, switchStep, 8).Compress)
-}
-
-// viaTensor views m as a core tensor for a codec round trip; core reads its
-// input and returns a fresh reconstruction, so neither side is copied.
-func viaTensor(roundtrip func(*core.Tensor) (*core.Tensor, float64, error)) Compressor {
+	qp, primed := 0, false
 	return func(m *nn.Mat) (*nn.Mat, float64, error) {
-		d, bits, err := roundtrip(core.FromSlice(m.R, m.C, m.V))
+		ctx, stack := context.Background(), []*core.Tensor{core.FromSlice(m.R, m.C, m.V)}
+		if primed {
+			enc, rec, err := opts.EncodeStackRecon(ctx, stack, qp)
+			if err != nil {
+				return nil, 0, err
+			}
+			if bpv := enc.BitsPerValue(); bpv <= bitsPerValue*1.2 && bpv >= bitsPerValue*0.55 {
+				if bpv > bitsPerValue && qp < dct.MaxQP {
+					qp++
+				} else if bpv < bitsPerValue*0.85 && qp > 0 {
+					qp--
+				}
+				return &nn.Mat{R: m.R, C: m.C, V: rec[0].Data}, bpv, nil
+			}
+		}
+		enc, rec, err := opts.EncodeStackToBitrate(ctx, stack, bitsPerValue)
 		if err != nil {
 			return nil, 0, err
 		}
-		return &nn.Mat{R: d.Rows, C: d.Cols, V: d.Data}, bits, nil
+		qp, primed = enc.QP, true
+		return &nn.Mat{R: m.R, C: m.C, V: rec[0].Data}, enc.BitsPerValue(), nil
+	}
+}
+
+// Residual is the paper's residual-compensation gradient compression (§5.1):
+// a Codec at primaryBits, then one for the residual G − Comp(G) at
+// residualBits for switchStep calls and 8-bit RTN (charged 8.00 b/v) after, as
+// gradient range variance grows by orders of magnitude in training. A call
+// charges both passes' bits.
+func Residual(opts core.Options, primaryBits, residualBits float64, switchStep int) Compressor {
+	primary, codecPass, step := Codec(opts, primaryBits), Codec(opts, residualBits), 0
+	rtnPass := func(m *nn.Mat) (*nn.Mat, float64, error) {
+		return &nn.Mat{R: m.R, C: m.C, V: quant.RTNAsymmetric(m.V, 8)}, 8, nil
+	}
+	return func(m *nn.Mat) (*nn.Mat, float64, error) {
+		out, pBits, err := primary(m)
+		if err != nil {
+			return nil, 0, err
+		}
+		resid := &nn.Mat{R: m.R, C: m.C, V: make([]float32, len(m.V))}
+		for i, v := range m.V {
+			resid.V[i] = v - out.V[i]
+		}
+		pass := codecPass
+		if step >= switchStep {
+			pass = rtnPass
+		}
+		r, rBits, err := pass(resid)
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, v := range r.V {
+			out.V[i] += v
+		}
+		step++
+		return out, pBits + rBits, nil
 	}
 }
 
