@@ -204,9 +204,10 @@ bench-ab:
 	bash scripts/bench_ab.sh $(PARENT)
 
 # Parent-vs-working-tree A/B of the printed figures, the check a refactor
-# above the codec is held to: `cmd/experiments -quick` and the inference and
-# generation examples on REV and on this checkout, diffed with wall-clock
-# readings stripped; non-zero on any difference. About 12 minutes, so not in ci.
+# above the codec is held to: `cmd/experiments -quick`, the inference,
+# generation and training examples and a 60-step pipeline-parallel trainsim run
+# on REV and on this checkout, diffed with wall-clock readings stripped;
+# non-zero on any difference. About 15 minutes, so not in ci.
 figures-diff:
 	@test -n "$(REV)" || { echo "usage: make figures-diff REV=<ref>"; exit 2; }
 	bash scripts/figures_diff.sh $(REV)

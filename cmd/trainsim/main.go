@@ -5,12 +5,16 @@
 //
 //	trainsim -mode dp -method llm265 -bits 2.6 -steps 400
 //	trainsim -mode pp -method residual -steps 400
+//
+// A flag no run can use — an unknown -mode or -method, a -bits the method
+// cannot take — exits 2 with the flag named before any training.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 
@@ -27,17 +31,14 @@ func main() {
 	var (
 		mode   = flag.String("mode", "dp", "dp (data parallel) or pp (pipeline parallel)")
 		method = flag.String("method", "llm265", "dp: none|llm265|onebit-adam|onebit-lamb|rtn; pp: none|act|residual|rtn-grads")
-		bits   = flag.Float64("bits", 2.6, "target bits/value for llm265 methods")
+		bits   = flag.Float64("bits", 2.6, "bits/value: the target (> 0) of the codec methods, the integer width (1-16) of rtn")
 		steps  = flag.Int("steps", 300, "optimizer steps")
 		seed   = flag.Int64("seed", 7, "data seed")
 	)
 	flag.Parse()
 
 	corpus := data.NewCorpus(1, 64, 60000, 10000)
-	every := *steps / 10
-	if every == 0 {
-		every = 1
-	}
+	every := max(*steps/10, 1)
 
 	switch *mode {
 	case "dp":
@@ -45,9 +46,14 @@ func main() {
 	case "pp":
 		runPP(corpus, *method, *bits, *steps, *seed, every)
 	default:
-		fmt.Fprintln(os.Stderr, "trainsim: -mode must be dp or pp")
-		os.Exit(2)
+		usageError("-mode must be dp or pp")
 	}
+}
+
+// usageError reports a flag no run can use and exits 2.
+func usageError(msg string) {
+	fmt.Fprintln(os.Stderr, "trainsim:", msg)
+	os.Exit(2)
 }
 
 func report(curve []train.CurvePoint, every int, final float64, wire string) {
@@ -69,12 +75,14 @@ func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int
 	switch method {
 	case "none":
 	case "llm265":
-		if bits <= 0 {
-			fmt.Fprintln(os.Stderr, "trainsim: -bits must be positive")
-			os.Exit(2)
+		if !(bits > 0) {
+			usageError("-bits must be positive for llm265")
 		}
 		rcfg.Codec = allreduce.RateCodec(core.DefaultOptions(), bits)
 	case "rtn":
+		if bits != math.Trunc(bits) || bits < 1 || bits > 16 {
+			usageError("-bits must be an integer in [1, 16] for rtn")
+		}
 		rcfg.Codec = allreduce.RTNCodec(int(bits), 128)
 	case "onebit-adam", "onebit-lamb":
 		// 15% warm-up at FP16, then sign compression with error feedback
@@ -88,8 +96,7 @@ func runDP(corpus *data.Corpus, method string, bits float64, steps int, seed int
 		}
 		onStep = func(step int) { *freeze = step+1 >= warmup }
 	default:
-		fmt.Fprintln(os.Stderr, "trainsim: unknown dp method", method)
-		os.Exit(2)
+		usageError("unknown dp -method " + method)
 	}
 	res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
 		train.DPConfig{Replicas: 4, Batch: 4}, rcfg, steps, seed, onStep)
@@ -127,20 +134,22 @@ func project(encodeMBps, avgBits float64) {
 func runPP(corpus *data.Corpus, method string, bits float64, steps int, seed int64, every int) {
 	spec := llm.Zoo()["pythia-pp"]
 	m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
-	cfg := train.PipelineConfig{Stages: 4, MicroBatch: 4, AccumSteps: 2}
+	cfg := train.PipelineConfig{Stages: 4, AccumSteps: 2}
 	switch method {
 	case "none":
 	case "act":
 		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
 	case "residual":
 		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
-		cfg.CompressActGrads = llm.Residual(core.DefaultOptions(), bits, bits, steps*5/16)
+		cfg.CompressActGrads = llm.Residual(core.DefaultOptions(), bits, steps*5/16)
 	case "rtn-grads":
 		cfg.CompressActivations = llm.Codec(core.DefaultOptions(), bits)
 		cfg.CompressActGrads = llm.RTN(8, 128)
 	default:
-		fmt.Fprintln(os.Stderr, "trainsim: unknown pp method", method)
-		os.Exit(2)
+		usageError("unknown pp -method " + method)
+	}
+	if cfg.CompressActivations != nil && !(bits > 0) {
+		usageError("-bits must be positive for " + method)
 	}
 	res, err := train.RunPipeline(m, corpus, nn.NewAdam(3e-3), cfg, steps, seed)
 	if err != nil {

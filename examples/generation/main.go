@@ -9,7 +9,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -24,15 +23,14 @@ func main() {
 	m := llm.Train(spec, corpus, 42)
 
 	prompt := corpus.TrainTokens()[100:108]
-	rng := rand.New(rand.NewSource(9))
 
 	fmt.Printf("prompt: %v\n\n", prompt)
-	plain := m.Generate(rand.New(rand.NewSource(9)), prompt, 16, 0)
+	plain := greedy(m, prompt, 16, nil, 0)
 	fmt.Printf("greedy, FP16 cache:        %v\n", plain)
 
 	// Compressed-cache decoding: after every chunk of tokens, the cache is
 	// round-tripped through the tensor codec at 2.9 bits/value.
-	compressed := generateWithCompressedCache(m, prompt, 16, 2.9, 4)
+	compressed := greedy(m, prompt, 16, cacheCodec(2.9), 4)
 	fmt.Printf("greedy, LLM.265 KV @2.9b:  %v\n", compressed)
 
 	match := 0
@@ -57,15 +55,13 @@ func main() {
 	}
 	fmt.Printf("chain-consistent transitions: FP16 %d/16, compressed %d/16\n",
 		valid(plain), valid(compressed))
-	_ = rng
 }
 
-// generateWithCompressedCache decodes greedily, recompressing the KV cache
-// every chunkLen generated tokens.
-func generateWithCompressedCache(m *nn.Transformer, prompt []int, n int, bits float64, chunkLen int) []int {
-	// One rate controller per layer, shared by its K and then its V.
+// cacheCodec round-trips each layer's K and then its V through one rate
+// controller per layer at bits per value.
+func cacheCodec(bits float64) nn.KVHook {
 	hooks := map[int]nn.KVHook{}
-	compress := func(layer int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
+	return func(layer int, k, v *nn.Mat) (*nn.Mat, *nn.Mat) {
 		h, ok := hooks[layer]
 		if !ok {
 			c := llm.Codec(core.DefaultOptions(), bits)
@@ -74,7 +70,12 @@ func generateWithCompressedCache(m *nn.Transformer, prompt []int, n int, bits fl
 		}
 		return h(layer, k, v)
 	}
+}
 
+// greedy decodes n tokens after prompt (fewer at the model's context limit),
+// taking the first highest logit each step. A non-nil compress transforms the
+// cache before every chunkLen-th generated token.
+func greedy(m *nn.Transformer, prompt []int, n int, compress nn.KVHook, chunkLen int) []int {
 	cache := nn.NewKVCache(len(m.Blocks), m.Cfg.Dim)
 	var logits []float32
 	pos := 0
@@ -84,13 +85,13 @@ func generateWithCompressedCache(m *nn.Transformer, prompt []int, n int, bits fl
 	}
 	out := make([]int, 0, n)
 	for i := 0; i < n && pos < m.Cfg.SeqLen; i++ {
-		if i%chunkLen == 0 {
+		if compress != nil && i%chunkLen == 0 {
 			cache.Transform(compress)
 		}
-		best, bestV := 0, logits[0]
+		best := 0
 		for j, v := range logits {
-			if v > bestV {
-				best, bestV = j, v
+			if v > logits[best] {
+				best = j
 			}
 		}
 		out = append(out, best)

@@ -27,7 +27,7 @@ func main() {
 	run := func(label string, rcfg allreduce.Config, opt nn.Optimizer, onStep func(int)) {
 		m := nn.NewTransformer(rand.New(rand.NewSource(99)), spec.Cfg)
 		res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
-			train.DPConfig{Replicas: 4, Batch: 4, EvalBatches: 4}, rcfg, steps, 7, onStep)
+			train.DPConfig{Replicas: 4, Batch: 4}, rcfg, steps, 7, onStep)
 		if err != nil {
 			log.Fatal(err)
 		}

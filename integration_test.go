@@ -64,32 +64,40 @@ func TestEndToEndGenerationWithCompressedCache(t *testing.T) {
 	corpus, m := integrationSetup(t)
 	prompt := corpus.TrainTokens()[50:56]
 
-	plain := m.Generate(rand.New(rand.NewSource(3)), prompt, 8, 0)
+	// greedy decodes 8 tokens, transforming the whole cache with hook (when
+	// set) before each decode step.
+	greedy := func(hook nn.KVHook) []int {
+		cache := nn.NewKVCache(len(m.Blocks), m.Cfg.Dim)
+		var logits []float32
+		pos := 0
+		for _, tok := range prompt {
+			logits = m.DecodeStep(cache, tok, pos)
+			pos++
+		}
+		var out []int
+		for i := 0; i < 8 && pos < m.Cfg.SeqLen; i++ {
+			if hook != nil {
+				cache.Transform(hook)
+			}
+			best := 0
+			for j, v := range logits {
+				if v > logits[best] {
+					best = j
+				}
+			}
+			out = append(out, best)
+			logits = m.DecodeStep(cache, best, pos)
+			pos++
+		}
+		return out
+	}
+	plain := greedy(nil)
 
 	// Compress the cache before each decode step at a generous bitrate,
 	// every layer's K and V through one rate controller; greedy outputs should
 	// mostly survive.
 	c := llm.Codec(core.DefaultOptions(), 6)
-	cache := nn.NewKVCache(len(m.Blocks), m.Cfg.Dim)
-	var logits []float32
-	pos := 0
-	for _, tok := range prompt {
-		logits = m.DecodeStep(cache, tok, pos)
-		pos++
-	}
-	var out []int
-	for i := 0; i < 8 && pos < m.Cfg.SeqLen; i++ {
-		cache.Transform(llm.KVHook(c, c))
-		best := 0
-		for j, v := range logits {
-			if v > logits[best] {
-				best = j
-			}
-		}
-		out = append(out, best)
-		logits = m.DecodeStep(cache, best, pos)
-		pos++
-	}
+	out := greedy(llm.KVHook(c, c))
 	match := 0
 	for i := range out {
 		if out[i] == plain[i] {
@@ -111,7 +119,7 @@ func TestEndToEndDistributedTrainingParity(t *testing.T) {
 	run := func(rcfg allreduce.Config) float64 {
 		m := nn.NewTransformer(rand.New(rand.NewSource(77)), cfg)
 		res, err := train.RunDataParallel(context.Background(), m, corpus, nn.NewAdam(3e-3),
-			train.DPConfig{Replicas: 2, Batch: 4, EvalBatches: 4}, rcfg, 120, 8, nil)
+			train.DPConfig{Replicas: 2, Batch: 4}, rcfg, 120, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

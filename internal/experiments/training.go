@@ -36,14 +36,14 @@ func Fig9(ctx *Ctx) *Table {
 		cfg  train.PipelineConfig
 	}
 	pp := func(act, grad llm.Compressor) train.PipelineConfig {
-		return train.PipelineConfig{Stages: 4, MicroBatch: 4, AccumSteps: 2, CompressActivations: act, CompressActGrads: grad}
+		return train.PipelineConfig{Stages: 4, AccumSteps: 2, CompressActivations: act, CompressActGrads: grad}
 	}
 	opts := core.DefaultOptions()
 	arms := []arm{
 		{"uncompressed", pp(nil, nil)},
 		{"LLM.265(A@3.5)", pp(llm.Codec(opts, 3.5), nil)},
 		{"LLM.265(A)+GQ (RTN-8 grads)", pp(llm.Codec(opts, 3.5), llm.RTN(8, 128))},
-		{"LLM.265(A+G) residual comp.", pp(llm.Codec(opts, 3.5), llm.Residual(opts, 3.5, 3.5, switchStep))},
+		{"LLM.265(A+G) residual comp.", pp(llm.Codec(opts, 3.5), llm.Residual(opts, 3.5, switchStep))},
 	}
 
 	t := &Table{
@@ -136,7 +136,7 @@ func Fig10(ctx *Ctx) *Table {
 		m := freshModel(modelName, 4321)
 		opt, rcfg, onStep := a.build(steps)
 		res, err := train.RunDataParallel(context.Background(), m, corpus, opt,
-			train.DPConfig{Replicas: 4, Batch: 4, EvalBatches: 4}, rcfg, steps, 66, onStep)
+			train.DPConfig{Replicas: 4, Batch: 4}, rcfg, steps, 66, onStep)
 		if err != nil {
 			panic(err)
 		}

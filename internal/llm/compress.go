@@ -54,12 +54,12 @@ func Codec(opts core.Options, bitsPerValue float64) Compressor {
 }
 
 // Residual is the paper's residual-compensation gradient compression (§5.1):
-// a Codec at primaryBits, then one for the residual G − Comp(G) at
-// residualBits for switchStep calls and 8-bit RTN (charged 8.00 b/v) after, as
-// gradient range variance grows by orders of magnitude in training. A call
-// charges both passes' bits.
-func Residual(opts core.Options, primaryBits, residualBits float64, switchStep int) Compressor {
-	primary, codecPass, step := Codec(opts, primaryBits), Codec(opts, residualBits), 0
+// a Codec at bitsPerValue, then a second Codec at bitsPerValue for the
+// residual G − Comp(G) for switchStep calls and 8-bit RTN (charged 8.00 b/v)
+// after, as gradient range variance grows by orders of magnitude in training.
+// A call charges both passes' bits.
+func Residual(opts core.Options, bitsPerValue float64, switchStep int) Compressor {
+	primary, codecPass, step := Codec(opts, bitsPerValue), Codec(opts, bitsPerValue), 0
 	rtnPass := func(m *nn.Mat) (*nn.Mat, float64, error) {
 		return &nn.Mat{R: m.R, C: m.C, V: quant.RTNAsymmetric(m.V, 8)}, 8, nil
 	}

@@ -39,7 +39,7 @@ func TestCodecTracksTarget(t *testing.T) {
 }
 
 func TestResidualCompensation(t *testing.T) {
-	c := Residual(core.DefaultOptions(), 3.5, 3.5, 2)
+	c := Residual(core.DefaultOptions(), 3.5, 2)
 	rng := rand.New(rand.NewSource(9))
 	var sum float64
 	for step := 0; step < 4; step++ {
@@ -73,7 +73,7 @@ func TestResidualCompensationReducesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, _, err := Residual(o, 3.5, 3.5, 100)(grad)
+	comp, _, err := Residual(o, 3.5, 100)(grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCompressorsNeverDecode(t *testing.T) {
 			return err
 		}},
 		{"Residual", func(o core.Options) error {
-			c := Residual(o, 3.5, 3.5, 2)
+			c := Residual(o, 3.5, 2)
 			for step := 0; step < 3; step++ { // both codec passes, then the RTN residual
 				if _, _, err := c(mat()); err != nil {
 					return err
@@ -207,7 +207,7 @@ func TestCompressorPins(t *testing.T) {
 		grads = append(grads, tensorgen.Gradients(rng, 64*64, 1))
 	}
 	o, reg = opts()
-	run("residual", Residual(o, 3.5, 3.5, 4), reg, grads)
+	run("residual", Residual(o, 3.5, 4), reg, grads)
 
 	// The band's edges, each a fresh Codec primed on weights[0], then that
 	// matrix with its last k rows zeroed or shuffled — a rate at the held QP

@@ -18,7 +18,7 @@ func ExampleResidual() {
 		g.V[i] = float32(rng.NormFloat64() * 1e-3)
 	}
 
-	c := llm.Residual(core.DefaultOptions(), 3.5, 3.5, 1)
+	c := llm.Residual(core.DefaultOptions(), 3.5, 1)
 	_, bits1, err := c(g) // phase 1: codec + codec residual
 	if err != nil {
 		panic(err)

@@ -187,7 +187,7 @@ func TestCompressorSeam(t *testing.T) {
 		{"RTN(4,row)", RTN(4, w.C), 4 + 32*40/n, false},
 		{"Rotated(4)", Rotated(baselines.RandomRotation(rng, w.C), 4), 4 + 32*40/n, false},
 		{"Codec(3)", Codec(opts, 3), 3, true},
-		{"Residual(3,3,switch 0)", Residual(opts, 3, 3, 0), primary + 8, false},
+		{"Residual(3,switch 0)", Residual(opts, 3, 0), primary + 8, false},
 	} {
 		rec, bits, err := c.c(w)
 		if err != nil {

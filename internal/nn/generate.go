@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // KVCache holds per-layer key/value tensors for incremental decoding: one
 // [T, dim] matrix pair per layer, grown as tokens are generated. This is the
@@ -132,58 +129,4 @@ func (blk *Block) decodeStep(x []float32, cache *KVCache, layer, heads int) []fl
 		mo.V[j] += o.V[j]
 	}
 	return mo.V
-}
-
-// Generate samples n tokens autoregressively at the given temperature,
-// seeding the cache with prompt. It returns the generated tokens.
-func (m *Transformer) Generate(rng *rand.Rand, prompt []int, n int, temperature float64) []int {
-	cache := NewKVCache(len(m.Blocks), m.Cfg.Dim)
-	var logits []float32
-	pos := 0
-	for _, tok := range prompt {
-		logits = m.DecodeStep(cache, tok, pos)
-		pos++
-	}
-	out := make([]int, 0, n)
-	cur := prompt[len(prompt)-1]
-	_ = cur
-	for i := 0; i < n && pos < m.Cfg.SeqLen; i++ {
-		tok := sampleLogits(rng, logits, temperature)
-		out = append(out, tok)
-		logits = m.DecodeStep(cache, tok, pos)
-		pos++
-	}
-	return out
-}
-
-func sampleLogits(rng *rand.Rand, logits []float32, temperature float64) int {
-	if temperature <= 0 {
-		best, bestV := 0, float32(math.Inf(-1))
-		for i, v := range logits {
-			if v > bestV {
-				best, bestV = i, v
-			}
-		}
-		return best
-	}
-	maxV := float64(logits[0])
-	for _, v := range logits {
-		if float64(v) > maxV {
-			maxV = float64(v)
-		}
-	}
-	probs := make([]float64, len(logits))
-	var sum float64
-	for i, v := range logits {
-		probs[i] = math.Exp((float64(v) - maxV) / temperature)
-		sum += probs[i]
-	}
-	r := rng.Float64() * sum
-	for i, p := range probs {
-		r -= p
-		if r <= 0 {
-			return i
-		}
-	}
-	return len(logits) - 1
 }

@@ -63,56 +63,3 @@ func TestKVCacheTransformAffectsDecoding(t *testing.T) {
 		t.Fatal("cache transform had no effect")
 	}
 }
-
-func TestGenerateRespectsVocabAndLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cfg := Config{Vocab: 16, Dim: 16, Heads: 2, Layers: 2, SeqLen: 20}
-	m := NewTransformer(rng, cfg)
-	out := m.Generate(rng, []int{1, 2}, 10, 1.0)
-	if len(out) != 10 {
-		t.Fatalf("generated %d tokens, want 10", len(out))
-	}
-	for _, tok := range out {
-		if tok < 0 || tok >= cfg.Vocab {
-			t.Fatalf("token %d out of vocab", tok)
-		}
-	}
-	// Greedy decoding is deterministic.
-	g1 := m.Generate(rng, []int{1, 2}, 5, 0)
-	g2 := m.Generate(rng, []int{1, 2}, 5, 0)
-	for i := range g1 {
-		if g1[i] != g2[i] {
-			t.Fatal("greedy generation nondeterministic")
-		}
-	}
-}
-
-func TestGenerateStopsAtContextLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	cfg := Config{Vocab: 8, Dim: 8, Heads: 2, Layers: 1, SeqLen: 6}
-	m := NewTransformer(rng, cfg)
-	out := m.Generate(rng, []int{1, 2, 3}, 100, 1.0)
-	// 3 prompt positions leave 3 decode slots.
-	if len(out) != 3 {
-		t.Fatalf("generated %d tokens past the context limit", len(out))
-	}
-}
-
-func TestSampleLogits(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	logits := []float32{0, 10, 0, 0}
-	// Near-zero temperature → argmax.
-	if got := sampleLogits(rng, logits, 0); got != 1 {
-		t.Fatalf("greedy sample = %d", got)
-	}
-	// At temperature 1, index 1 dominates overwhelmingly.
-	hits := 0
-	for i := 0; i < 100; i++ {
-		if sampleLogits(rng, logits, 1) == 1 {
-			hits++
-		}
-	}
-	if hits < 95 {
-		t.Fatalf("dominant logit sampled only %d/100", hits)
-	}
-}

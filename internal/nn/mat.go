@@ -2,7 +2,9 @@
 // decoder-only transformer with manual backpropagation, and the Adam/LAMB
 // optimizers. It exists so the repository can *train* the models whose
 // weights, activations and gradients LLM.265 compresses — substituting for
-// the PyTorch + GPU stack the paper uses (see DESIGN.md §2).
+// the PyTorch + GPU stack the paper uses (see DESIGN.md §2). Inference is
+// one KV-cached DecodeStep a token; choosing the next token from its logits
+// is the caller's.
 package nn
 
 import (

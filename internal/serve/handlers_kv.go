@@ -18,7 +18,7 @@ import (
 //	GET    /v1/kv/{session}[?range=t0-t1]  read token rows back (float32 LE body)
 //	DELETE /v1/kv/{session}                drop the session
 //
-// Status taxonomy on top of the shared one (status.go):
+// Status taxonomy, rows of the shared error table (status.go):
 //
 //	404  session not found (or expired)
 //	409  dim / at= precondition conflicts with the session
@@ -52,23 +52,6 @@ func parseKVRange(raw string) (int, int, error) {
 		}
 	}
 	return t0, t1, nil
-}
-
-// writeKVError maps the kv error taxonomy onto the statuses above; anything
-// unrecognized falls through to the shared codec/context mapping.
-func (s *Server) writeKVError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, kv.ErrNotFound):
-		s.writeJSONError(w, http.StatusNotFound, err.Error(), "not_found")
-	case errors.Is(err, kv.ErrDimMismatch), errors.Is(err, kv.ErrOffsetMismatch):
-		s.writeJSONError(w, http.StatusConflict, err.Error(), "conflict")
-	case errors.Is(err, kv.ErrBudget):
-		s.writeJSONError(w, http.StatusInsufficientStorage, err.Error(), "budget")
-	case errors.Is(err, kv.ErrRangeUnavailable):
-		s.writeJSONError(w, http.StatusRequestedRangeNotSatisfiable, err.Error(), "range_unavailable")
-	default:
-		s.writeError(w, err)
-	}
 }
 
 // setKVWindow stamps the session window headers on every kv GET answer.
@@ -146,7 +129,7 @@ func (s *Server) handleKVPut(w http.ResponseWriter, r *http.Request, session str
 
 	res, err := s.kv.Append(ctx, session, dim, at, bytesToFloat32s(body))
 	if err != nil {
-		s.writeKVError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -182,13 +165,11 @@ func (s *Server) handleKVGet(w http.ResponseWriter, r *http.Request, session str
 	defer release()
 
 	res, err := s.kv.Read(ctx, session, t0, t1)
-	switch {
-	case errors.Is(err, kv.ErrRangeUnavailable):
-		setKVWindow(w, res)
-		s.writeKVError(w, err)
-		return
-	case err != nil:
-		s.writeKVError(w, err)
+	if err != nil {
+		if errors.Is(err, kv.ErrRangeUnavailable) {
+			setKVWindow(w, res)
+		}
+		s.writeError(w, err)
 		return
 	}
 	setKVWindow(w, res)
@@ -207,7 +188,7 @@ func (s *Server) handleKVGet(w http.ResponseWriter, r *http.Request, session str
 // skips admission — a drain must not wedge session cleanup.
 func (s *Server) handleKVDelete(w http.ResponseWriter, session string) {
 	if err := s.kv.Delete(session); err != nil {
-		s.writeKVError(w, err)
+		s.writeError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)

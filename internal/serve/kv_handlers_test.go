@@ -132,26 +132,29 @@ func TestKVHTTPTaxonomy(t *testing.T) {
 		name, method, target string
 		body                 []byte
 		want                 int
+		class                string
 	}{
-		{"offset conflict", "PUT", "/v1/kv/s?at=3", body, http.StatusConflict},
-		{"dim conflict", "PUT", "/v1/kv/s?dim=16&at=6", body, http.StatusConflict},
-		{"ragged body", "PUT", "/v1/kv/s?at=6", []byte{1, 2, 3}, http.StatusBadRequest},
-		{"negative dim", "PUT", "/v1/kv/x?dim=-4", nil, http.StatusBadRequest},
-		{"missing dim on create", "PUT", "/v1/kv/x", body, http.StatusBadRequest},
-		{"offset conflict on create", "PUT", "/v1/kv/x?dim=16&at=5", body, http.StatusConflict},
-		{"refused creates leave nothing", "GET", "/v1/kv/x", nil, http.StatusNotFound},
-		{"unknown session", "GET", "/v1/kv/nope", nil, http.StatusNotFound},
-		{"unknown delete", "DELETE", "/v1/kv/nope", nil, http.StatusNotFound},
-		{"bad range", "GET", "/v1/kv/s?range=zz", nil, http.StatusBadRequest},
-		{"inverted range", "GET", "/v1/kv/s?range=9-3", nil, http.StatusBadRequest},
-		{"range past the end", "GET", "/v1/kv/s?range=10-20", nil, http.StatusRequestedRangeNotSatisfiable},
-		{"bare subtree", "GET", "/v1/kv/", nil, http.StatusNotFound},
-		{"nested path", "GET", "/v1/kv/a/b", nil, http.StatusNotFound},
-		{"bad method", "POST", "/v1/kv/s", body, http.StatusMethodNotAllowed},
+		{"offset conflict", "PUT", "/v1/kv/s?at=3", body, http.StatusConflict, "conflict"},
+		{"dim conflict", "PUT", "/v1/kv/s?dim=16&at=6", body, http.StatusConflict, "conflict"},
+		{"ragged body", "PUT", "/v1/kv/s?at=6", []byte{1, 2, 3}, http.StatusBadRequest, "bad_request"},
+		{"negative dim", "PUT", "/v1/kv/x?dim=-4", nil, http.StatusBadRequest, "bad_request"},
+		{"missing dim on create", "PUT", "/v1/kv/x", body, http.StatusBadRequest, "bad_request"},
+		{"offset conflict on create", "PUT", "/v1/kv/x?dim=16&at=5", body, http.StatusConflict, "conflict"},
+		{"refused creates leave nothing", "GET", "/v1/kv/x", nil, http.StatusNotFound, "not_found"},
+		{"unknown session", "GET", "/v1/kv/nope", nil, http.StatusNotFound, "not_found"},
+		{"unknown delete", "DELETE", "/v1/kv/nope", nil, http.StatusNotFound, "not_found"},
+		{"bad range", "GET", "/v1/kv/s?range=zz", nil, http.StatusBadRequest, "bad_request"},
+		{"inverted range", "GET", "/v1/kv/s?range=9-3", nil, http.StatusBadRequest, "bad_request"},
+		{"range past the end", "GET", "/v1/kv/s?range=10-20", nil, http.StatusRequestedRangeNotSatisfiable, "range_unavailable"},
+		{"bare subtree", "GET", "/v1/kv/", nil, http.StatusNotFound, "not_found"},
+		{"nested path", "GET", "/v1/kv/a/b", nil, http.StatusNotFound, "not_found"},
+		{"bad method", "POST", "/v1/kv/s", body, http.StatusMethodNotAllowed, "bad_request"},
 	}
 	for _, tc := range cases {
-		if rec := doKV(h, tc.method, tc.target, tc.body); rec.Code != tc.want {
-			t.Errorf("%s: %s %s -> %d, want %d (%s)", tc.name, tc.method, tc.target, rec.Code, tc.want, rec.Body.String())
+		rec := doKV(h, tc.method, tc.target, tc.body)
+		if rec.Code != tc.want || envelopeClass(rec) != tc.class {
+			t.Errorf("%s: %s %s -> %d %q, want %d %q (%s)", tc.name, tc.method, tc.target,
+				rec.Code, envelopeClass(rec), tc.want, tc.class, rec.Body.String())
 		}
 	}
 
@@ -164,9 +167,16 @@ func TestKVHTTPTaxonomy(t *testing.T) {
 	// 507: an append that can never fit the budget.
 	tiny := New(Config{Workers: 1, KVBudgetBytes: 512, KVFlushRows: 4})
 	rec = doKV(tiny.Handler(), "PUT", "/v1/kv/big?dim=64", float32sToBytes(kvRows(2, 0, 64, 64)))
-	if rec.Code != http.StatusInsufficientStorage {
+	if rec.Code != http.StatusInsufficientStorage || envelopeClass(rec) != "budget" {
 		t.Fatalf("over-budget PUT: %d %s", rec.Code, rec.Body.String())
 	}
+}
+
+// envelopeClass is the class of a JSON error envelope ("" for any other body).
+func envelopeClass(rec *httptest.ResponseRecorder) string {
+	var e errorBody
+	_ = json.Unmarshal(rec.Body.Bytes(), &e)
+	return e.Class
 }
 
 // httpEvictLog mirrors the kv OnEvict hook for HTTP-level cross-checks.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/codec"
+	"repro/internal/kv"
 	"repro/internal/obs"
 )
 
@@ -34,9 +35,10 @@ var (
 	errDraining  = errors.New("serve: server is draining")
 )
 
-// errorTable maps the admission rejections and the codec/core error taxonomy
-// (plus cancellation) onto stable HTTP statuses — the contract pinned by
-// TestErrorTaxonomyStatuses and the admission tests:
+// errorTable maps the admission rejections, the codec/core error taxonomy
+// (plus cancellation) and the kv session errors onto stable HTTP statuses —
+// the contract pinned by TestErrorTaxonomyStatuses, TestKVHTTPTaxonomy and
+// the admission tests:
 //
 //	errQueueFull               → 429 Too Many Requests  (Retry-After: 1; back off)
 //	errDraining                → 503 Unavailable        (go to another replica)
@@ -45,6 +47,11 @@ var (
 //	codec.ErrChecksum          → 409 Conflict           (v3 CRC mismatch: bytes rotted)
 //	codec.ErrTruncated         → 400 Bad Request        (stream ends early: refetch)
 //	codec.ErrCorrupt           → 422 Unprocessable      (structurally wrong bitstream)
+//	kv.ErrNotFound             → 404 Not Found          (no such session, or expired)
+//	kv.ErrDimMismatch,
+//	kv.ErrOffsetMismatch       → 409 Conflict           (dim / at= contradicts the session)
+//	kv.ErrBudget               → 507 Insufficient Storage (cannot fit even after eviction)
+//	kv.ErrRangeUnavailable     → 416 Range Not Satisfiable (no overlap with the window)
 //	anything else              → 400 Bad Request        (malformed request inputs)
 //
 // Order matters: cancellation is checked before the payload classes because
@@ -62,6 +69,11 @@ var errorTable = []struct {
 	{codec.ErrChecksum, errorClass{http.StatusConflict, "checksum", func(m *serveMetrics) *obs.Counter { return m.errChecksum }, ""}},
 	{codec.ErrTruncated, errorClass{http.StatusBadRequest, "truncated", func(m *serveMetrics) *obs.Counter { return m.errTruncated }, ""}},
 	{codec.ErrCorrupt, errorClass{http.StatusUnprocessableEntity, "corrupt", func(m *serveMetrics) *obs.Counter { return m.errCorrupt }, ""}},
+	{kv.ErrNotFound, errorClass{http.StatusNotFound, "not_found", nil, ""}},
+	{kv.ErrDimMismatch, errorClass{http.StatusConflict, "conflict", nil, ""}},
+	{kv.ErrOffsetMismatch, errorClass{http.StatusConflict, "conflict", nil, ""}},
+	{kv.ErrBudget, errorClass{http.StatusInsufficientStorage, "budget", nil, ""}},
+	{kv.ErrRangeUnavailable, errorClass{http.StatusRequestedRangeNotSatisfiable, "range_unavailable", nil, ""}},
 }
 
 // classify finds err's row of the error table.

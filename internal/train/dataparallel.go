@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/allreduce"
 	"repro/internal/data"
+	"repro/internal/llm"
 	"repro/internal/nn"
 )
 
@@ -16,11 +17,8 @@ const bucketCols = 128
 
 // DPConfig configures data-parallel training.
 type DPConfig struct {
-	Replicas int
-	Batch    int // per-replica batch size
-
-	EvalEvery   int
-	EvalBatches int
+	Replicas int // ≥ 1
+	Batch    int // per-replica batch size, ≥ 1
 }
 
 // DPResult summarizes a data-parallel run, including the collective's wire
@@ -39,8 +37,6 @@ type DPResult struct {
 	// EncodeMBps is the measured segment-encode throughput in MB/s of
 	// float32 input (summed worker CPU time, so it is per-core throughput).
 	EncodeMBps float64
-	// ResidualL2 is the final step's summed error-feedback residual energy.
-	ResidualL2 float64
 }
 
 // RunDataParallel trains with cfg.Replicas workers — synchronous data
@@ -61,6 +57,9 @@ func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus
 	opt nn.Optimizer, cfg DPConfig, rcfg allreduce.Config, steps int, seed int64,
 	onStep func(step int)) (*DPResult, error) {
 
+	if cfg.Replicas < 1 || cfg.Batch < 1 {
+		return nil, errors.New("train: Replicas and Batch must be at least 1")
+	}
 	if rcfg.Workers != 0 || rcfg.Rows != 0 || rcfg.Cols != 0 {
 		return nil, errors.New("train: ring geometry is derived from DPConfig and the model; leave Workers/Rows/Cols zero")
 	}
@@ -128,7 +127,6 @@ func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus
 			return nil, err
 		}
 		res.WireBits += stats.WireBits
-		res.ResidualL2 = stats.ResidualL2
 		wireVals += stats.Values
 		if stats.EncodeNs > 0 {
 			encBytes += 4 * stats.Values // the ring encodes exactly what travels
@@ -150,15 +148,9 @@ func RunDataParallel(ctx context.Context, m *nn.Transformer, corpus *data.Corpus
 		}
 
 		lossEMA = emaUpdate(step, lossEMA, stepLoss)
-		pt := CurvePoint{Step: step, Loss: lossEMA}
-		if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
-			toks, tgts := corpus.ValidBatches(cfg.EvalBatches, 4, m.Cfg.SeqLen)
-			pt.PPL = m.Perplexity(toks, tgts)
-		}
-		res.Curve = append(res.Curve, pt)
+		res.Curve = append(res.Curve, CurvePoint{Step: step, Loss: lossEMA})
 	}
-	toks, tgts := corpus.ValidBatches(max(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
-	res.FinalPPL = m.Perplexity(toks, tgts)
+	res.FinalPPL = llm.Perplexity(m, corpus, evalBatches)
 	if wireVals > 0 {
 		res.AvgBits = float64(res.WireBits) / float64(wireVals)
 	}

@@ -3,11 +3,14 @@
 // boundaries) and data parallelism (weight gradients cross replicas), with
 // pluggable compression at every communication seam. Because this is a
 // single-process simulation, "communication" is a function call — what we
-// measure is exactly what the paper measures: the loss/perplexity
-// trajectory under lossy communication and the bits that crossed the wire.
+// measure is exactly what the paper measures: the loss trajectory and final
+// validation perplexity under lossy communication, and the bits that crossed
+// the wire. Each config holds only what a figure varies; the microbatch size
+// and the validation batches are constants.
 package train
 
 import (
+	"errors"
 	"math/rand"
 
 	"repro/internal/data"
@@ -15,9 +18,16 @@ import (
 	"repro/internal/nn"
 )
 
+// microBatch is the sequences per pipeline microbatch; evalBatches the
+// validation batches both trainers' final perplexity reads.
+const (
+	microBatch  = 4
+	evalBatches = 4
+)
+
 // PipelineConfig configures pipeline-parallel training.
 type PipelineConfig struct {
-	Stages int // must divide the model's layer count
+	Stages int // ≥ 1, must divide the model's layer count
 
 	// CompressActivations is applied to boundary activations on the forward
 	// pass; CompressActGrads to boundary gradients on the backward pass. A nil
@@ -25,27 +35,21 @@ type PipelineConfig struct {
 	CompressActivations llm.Compressor
 	CompressActGrads    llm.Compressor
 
-	MicroBatch int // sequences per microbatch
-	AccumSteps int // gradient accumulation (microbatches per step)
-
-	EvalEvery   int // validation cadence in steps (0 = never)
-	EvalBatches int
+	AccumSteps int // gradient accumulation (microbatches per step), ≥ 1
 }
 
 // CurvePoint is one sampled point of a training trajectory.
 type CurvePoint struct {
 	Step int
 	Loss float64 // running training loss at this step
-	PPL  float64 // validation perplexity (only on eval steps, else 0)
 }
 
 // PipelineResult summarizes a pipeline-parallel run.
 type PipelineResult struct {
-	Curve        []CurvePoint
-	FinalPPL     float64
-	ActBits      float64 // average bits/value for boundary activations
-	GradBits     float64 // average bits/value for boundary act-gradients
-	BoundaryVals float64 // values that crossed boundaries (per direction)
+	Curve    []CurvePoint
+	FinalPPL float64
+	ActBits  float64 // average bits/value for boundary activations
+	GradBits float64 // average bits/value for boundary act-gradients
 }
 
 // RunPipeline trains the model for steps optimizer steps under the given
@@ -56,8 +60,11 @@ type PipelineResult struct {
 func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 	cfg PipelineConfig, steps int, seed int64) (*PipelineResult, error) {
 
-	if len(m.Blocks)%cfg.Stages != 0 {
-		panic("train: stages must divide layer count")
+	if cfg.Stages < 1 || len(m.Blocks)%cfg.Stages != 0 {
+		return nil, errors.New("train: Stages must be at least 1 and divide the block count")
+	}
+	if cfg.AccumSteps < 1 {
+		return nil, errors.New("train: AccumSteps must be at least 1")
 	}
 	perStage := len(m.Blocks) / cfg.Stages
 	rng := rand.New(rand.NewSource(seed))
@@ -69,20 +76,19 @@ func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 		m.ZeroGrads()
 		var stepLoss float64
 		for mb := 0; mb < cfg.AccumSteps; mb++ {
-			tokens, targets := corpus.Batch(rng, cfg.MicroBatch, m.Cfg.SeqLen)
+			tokens, targets := corpus.Batch(rng, microBatch, m.Cfg.SeqLen)
 			x := m.EmbedForward(tokens)
 			for i := range m.Blocks {
 				x = m.BlockForward(i, x)
-				if isBoundary(i, perStage, len(m.Blocks)) && cfg.CompressActivations != nil {
-					cx, bits, err := cfg.CompressActivations(x)
-					if err != nil {
-						return nil, err
+				if isBoundary(i, perStage, len(m.Blocks)) {
+					bits := 16.0 // the uncompressed FP16 link
+					if cfg.CompressActivations != nil {
+						var err error
+						if x, bits, err = cfg.CompressActivations(x); err != nil {
+							return nil, err
+						}
 					}
-					x = cx
 					actBitsSum += bits * float64(len(x.V))
-					actVals += float64(len(x.V))
-				} else if isBoundary(i, perStage, len(m.Blocks)) {
-					actBitsSum += 16 * float64(len(x.V))
 					actVals += float64(len(x.V))
 				}
 			}
@@ -91,17 +97,15 @@ func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 			stepLoss += loss / float64(cfg.AccumSteps)
 			dx := m.HeadBackward(dlogits)
 			for i := len(m.Blocks) - 1; i >= 0; i-- {
-				if i+1 < len(m.Blocks) && isBoundary(i, perStage, len(m.Blocks)) {
+				if isBoundary(i, perStage, len(m.Blocks)) {
+					bits := 16.0
 					if cfg.CompressActGrads != nil {
-						cdx, bits, err := cfg.CompressActGrads(dx)
-						if err != nil {
+						var err error
+						if dx, bits, err = cfg.CompressActGrads(dx); err != nil {
 							return nil, err
 						}
-						dx = cdx
-						gradBitsSum += bits * float64(len(dx.V))
-					} else {
-						gradBitsSum += 16 * float64(len(dx.V))
 					}
+					gradBitsSum += bits * float64(len(dx.V))
 				}
 				dx = m.BlockBackward(i, dx)
 			}
@@ -114,19 +118,12 @@ func RunPipeline(m *nn.Transformer, corpus *data.Corpus, opt nn.Optimizer,
 		opt.Step(m.Params())
 
 		lossEMA = emaUpdate(step, lossEMA, stepLoss)
-		pt := CurvePoint{Step: step, Loss: lossEMA}
-		if cfg.EvalEvery > 0 && (step+1)%cfg.EvalEvery == 0 {
-			toks, tgts := corpus.ValidBatches(cfg.EvalBatches, 4, m.Cfg.SeqLen)
-			pt.PPL = m.Perplexity(toks, tgts)
-		}
-		res.Curve = append(res.Curve, pt)
+		res.Curve = append(res.Curve, CurvePoint{Step: step, Loss: lossEMA})
 	}
-	toks, tgts := corpus.ValidBatches(max(cfg.EvalBatches, 4), 4, m.Cfg.SeqLen)
-	res.FinalPPL = m.Perplexity(toks, tgts)
+	res.FinalPPL = llm.Perplexity(m, corpus, evalBatches)
 	if actVals > 0 {
 		res.ActBits = actBitsSum / actVals
 		res.GradBits = gradBitsSum / actVals
-		res.BoundaryVals = actVals
 	}
 	return res, nil
 }

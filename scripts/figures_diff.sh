@@ -9,11 +9,13 @@
 #   go run ./cmd/experiments -quick
 #   go run ./examples/inference
 #   go run ./examples/generation
+#   go run ./examples/training
+#   go run ./cmd/trainsim -mode pp -method residual -steps 60
 #
 # then diffs the two outputs. Wall-clock readings are stripped first: the
 # "(<id> took <duration>)" line after every table and the measured row of the
 # throughput table. Any other difference, or a run that fails, exits non-zero.
-# About 6 minutes a side on 2 CPUs, which is why `make ci` does not run it.
+# About 7.5 minutes a side on 2 CPUs, which is why `make ci` does not run it.
 set -euo pipefail
 
 rev=${1:?usage: scripts/figures_diff.sh <rev>}
@@ -30,6 +32,8 @@ figures() { # checkout output
 		go run ./cmd/experiments -quick
 		go run ./examples/inference
 		go run ./examples/generation
+		go run ./examples/training
+		go run ./cmd/trainsim -mode pp -method residual -steps 60
 	) | grep -v -e '^(.* took .*)$' -e '^pure-Go software codec ' >"$2"
 }
 

@@ -18,9 +18,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/allreduce"
 	"repro/internal/kv"
 	"repro/internal/proxy"
 	"repro/internal/serve"
+	"repro/internal/train"
 )
 
 // testOnly is the allow-list of TestProductionSurfaceIsClosed: what no main
@@ -112,10 +114,11 @@ func TestProductionSurfaceIsClosed(t *testing.T) {
 	}
 }
 
-// serviceSeams maps each test-only field of the service configs to the test
-// that sets it and what the test needs of it. Every other field is set by a
-// production caller: cmd/llm265's flags, benchmark/ away from the default, or
-// serve.New passing its own settings down to kv.New.
+// serviceSeams maps each test-only field of the service and training configs
+// to the test that sets it and what the test needs of it. Every other field is
+// set by a production caller: cmd/llm265's flags, benchmark/ away from the
+// default, serve.New passing its own settings down to kv.New, or the training
+// figures and examples choosing a compressor or a ring geometry.
 var serviceSeams = map[string]struct{ test, why string }{
 	"serve.Config.MaxQueue":      {"TestBackpressure429", "a one-slot queue that the third request overflows"},
 	"serve.Config.MaxBodyBytes":  {"TestBodyTooLarge413", "a cap a small body exceeds"},
@@ -133,13 +136,23 @@ var serviceSeams = map[string]struct{ test, why string }{
 	"kv.Config.FlushRows":        {"TestKVFlushCounters", "flush groups a few rows complete"},
 	"kv.Config.OnEvict":          {"TestKVEvictionBudget", "the eviction log reads are checked against"},
 	"kv.Config.Now":              {"TestKVTTL", "the fake clock"},
+
+	"train.DPConfig.Replicas":         {"TestDataParallelUncompressed", "one replica, which sends no frame"},
+	"train.DPConfig.Batch":            {"TestRingTwinWireCodecDeterministic", "two sequences a replica keep the schedule sweep short"},
+	"train.PipelineConfig.Stages":     {"TestPipelineResidualGradCompression", "two stages, one boundary, for the residual-compensation band"},
+	"train.PipelineConfig.AccumSteps": {"TestPipelineResidualGradCompression", "one microbatch a step, so each step is one Residual call"},
+	"allreduce.Config.SegRows":        {"TestBlockCodecAlignsDefaultSegments", "explicit segment heights beside the derived default"},
+	"allreduce.Config.ScheduleSeed":   {"TestCompressedRingDeterministic", "the encode-order permutations the determinism sweep runs"},
+	"allreduce.Config.Chaos":          {"TestRingSoak", "the scheduling jitter the soak injects"},
+	"allreduce.Config.Metrics":        {"TestRingMetrics", "the registry the counters are read back from"},
 }
 
 // TestServiceOptionFieldsAreClosed is TestOptionFieldsAreClosed's guard on the
-// service layer above the codec: serve, proxy and kv configs have exactly
-// these fields. A field stays only if it is a deployment setting, a value a
-// production caller sets, or a test seam entered in serviceSeams with the test
-// that needs it; every other knob is a constant (DESIGN.md §12).
+// layers above the codec: the serve, proxy and kv configs and the training
+// stack's DPConfig, PipelineConfig and allreduce.Config have exactly these
+// fields. A field stays only if it is a deployment setting, a value a
+// production caller varies, or a test seam entered in serviceSeams with the
+// test that needs it; every other knob is a constant (DESIGN.md §12).
 func TestServiceOptionFieldsAreClosed(t *testing.T) {
 	fields := map[string]bool{}
 	for _, c := range []struct {
@@ -149,6 +162,9 @@ func TestServiceOptionFieldsAreClosed(t *testing.T) {
 		{serve.Config{}, "Workers MaxInflight MaxQueue MaxBodyBytes KV KVBudgetBytes KVFlushRows KVQP"},
 		{proxy.Config{}, "Backends ProbeInterval OpenTimeout MaxRetries RetryBase RetryCap HedgeDelay DisableHedge Transport"},
 		{kv.Config{}, "BudgetBytes TTL FlushRows QP Workers Metrics OnEvict Now"},
+		{train.DPConfig{}, "Replicas Batch"},
+		{train.PipelineConfig{}, "Stages CompressActivations CompressActGrads AccumSteps"},
+		{allreduce.Config{}, "Workers Rows Cols SegRows Codec ErrorFeedback Metrics ScheduleSeed Chaos"},
 	} {
 		typ := reflect.TypeOf(c.v)
 		var got []string
@@ -157,7 +173,7 @@ func TestServiceOptionFieldsAreClosed(t *testing.T) {
 			fields[typ.String()+"."+typ.Field(i).Name] = true
 		}
 		if strings.Join(got, " ") != c.want {
-			t.Errorf("%v has fields %v, want %q: the service option set is closed", typ, got, c.want)
+			t.Errorf("%v has fields %v, want %q: the option set is closed", typ, got, c.want)
 		}
 	}
 	files, err := filepath.Glob("internal/*/*_test.go")
@@ -178,7 +194,7 @@ func TestServiceOptionFieldsAreClosed(t *testing.T) {
 	for field, seam := range serviceSeams {
 		switch {
 		case !fields[field]:
-			t.Errorf("serviceSeams[%q] names no field of the service configs", field)
+			t.Errorf("serviceSeams[%q] names no field of the pinned configs", field)
 		case strings.TrimSpace(seam.why) == "":
 			t.Errorf("serviceSeams[%q] has no reason", field)
 		case !tests[seam.test]:
