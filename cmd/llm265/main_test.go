@@ -291,3 +291,23 @@ func TestUsageErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyRefusesRetiredRANS: a tensor file whose stream the retired
+// binary-rANS backend wrote (codec's fixture, framed as one 31×33 layer) is
+// corrupt — exit 3 — and verify names the retired layout.
+func TestVerifyRefusesRetiredRANS(t *testing.T) {
+	stream, err := os.ReadFile(filepath.Join("..", "..", "internal", "codec", "testdata", "retired-binary-rans-hevc-noise-33x31-qp16.l265"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := &core.Encoded{Layers: 1, Rows: 31, Cols: 33, MaxFrameW: 33, MaxFrameH: 31, QP: 16,
+		Stream: stream, Scales: []float32{1}, Zeros: []float32{0}}
+	path := filepath.Join(t.TempDir(), "retired.l265")
+	writeFile(t, path, enc.Marshal())
+	for _, args := range [][]string{{"verify", "-in", path}, {"verify", "-partial", "-in", path}} {
+		stdout, _, code := run(t, args...)
+		if code != exitCorrupt || !strings.Contains(stdout, "retired binary-rANS layout") {
+			t.Errorf("%v: exit %d, want %d naming the retired layout:\n%s", args, code, exitCorrupt, stdout)
+		}
+	}
+}

@@ -48,7 +48,7 @@ func TestEncodeSteadyStateAllocationFree(t *testing.T) {
 
 // TestDecodeSteadyStateAllocationFree: a warm scratch decodes a chunk of 16
 // CTUs in no more allocations than a chunk of one, under either entropy
-// backend — the rANS chunk reader and its bin buffer live in the scratch, as
+// backend — the rANS chunk reader and its symbol buffer live in the scratch, as
 // the CABAC reader does.
 func TestDecodeSteadyStateAllocationFree(t *testing.T) {
 	for _, tools := range []Tools{AllTools, ransTools()} {
@@ -63,9 +63,8 @@ func TestDecodeSteadyStateAllocationFree(t *testing.T) {
 		}
 		small, large := build(32, 32), build(128, 128)
 		if tools.Backend == BackendRANS {
-			tab := buildRansTable(recs)
-			pc.ransTab = &tab
-			small.payload, large.payload = recs[0].assemble(&tab), recs[1].assemble(&tab)
+			pc.ransTabs = buildRansTables(recs)
+			small.payload, large.payload = recs[0].assemble(pc.ransTabs), recs[1].assemble(pc.ransTabs)
 		}
 
 		// Inline and with the reconstruct stage on its own goroutine: the batch

@@ -91,11 +91,9 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 			version = 1
 		}
 	}
-	var ransTab *[nCtxSlots]uint8
+	var ransExt []byte
 	if records != nil {
-		tab := buildRansTable(records)
-		ransTab = &tab
-		sealRans(chunks, records, ransTab)
+		ransExt = sealRans(chunks, records)
 	}
 	if version == versionChecksummed {
 		seal(chunks)
@@ -104,7 +102,7 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 	for i, p := range planes {
 		dims[i] = [2]int{p.W, p.H}
 	}
-	out, payloadLen := writeContainer(version, dims, cfg.QP, cfg.Profile, cfg.Tools, ransTab, chunks)
+	out, payloadLen := writeContainer(version, dims, cfg.QP, cfg.Profile, cfg.Tools, ransExt, chunks)
 
 	st := computeStats(planes, recs, len(out)*8)
 	st.Chunks = len(spans)

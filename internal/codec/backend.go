@@ -1,62 +1,75 @@
-// Interleaved-rANS entropy backend (EntropyBackend, DESIGN.md §13).
+// Interleaved-rANS entropy backend (EntropyBackend, DESIGN.md §13): the
+// paper's two-pass static scheme (VcLLM) over symbols. The encoder records
+// each chunk's symbols per class — the flag contexts (split, inter,
+// mode-same, cbf: two symbols each) and levelClasses level classes (block
+// size × scan band: min(|level|, levelEscape), sixteen symbols) — and its
+// bypass bins; per-class counts over the container become one static table a
+// class; each chunk's symbols are then coded class-major through
+// rans.Interleave states, symbol i on state i%Interleave. The per-class
+// counts fix every symbol's table without the syntax parse, so the decoder
+// pre-decodes every symbol, the states together (rans.Decode), and the serial
+// parse reads a flag a symbol and a coded block's levels as two slices.
 //
-// CABAC is bit-serial within a chunk: every bin's probability depends on the
-// adaptation of every earlier bin. The rANS backend removes that chain with
-// the paper's two-pass scheme (VcLLM):
+// Header extension, after the backend id (uvarint = unsigned LEB128):
 //
-//  1. Record (per chunk): the encoder runs exactly as under CABAC — same
-//     decisions, syntax and reconstructions — but its bin coder appends each
-//     context-coded bin to its slot's list (still adapting the contexts the
-//     RD estimates read) and each bypass bin to a raw bit buffer.
-//  2. Aggregate (per container): per-slot zero/one counts quantize into one
-//     shared 56-byte probability table in the v3 header's backend extension.
-//  3. Assemble (per chunk): the bins, slot-major — slot 0's in emission
-//     order, then slot 1's, … — are coded through rans.Interleave static
-//     states, bin i on state i%Interleave. The per-slot counts in the payload
-//     fix every position's probability without the syntax parse, so the
-//     states decode independently.
+//	levelClasses (one byte; the retired binary-rANS layout had 56 here)
+//	per class: n (one byte, ≤ its alphabet; 0 for a class no chunk codes),
+//	then the frequencies of symbols 0…n−1, uvarint each, summing to rans.Scale
 //
-// The decoder pre-decodes every bin — the four states in one loop, one bin of
-// each a step, their independence instruction-level parallelism
-// (rans.DecodeBins) — then runs the serial syntax parse popping bins from
-// per-slot queues. The chunk reader and its bin buffer live in the scratch.
-//
-// rANS chunk payload layout (uvarint = unsigned LEB128):
+// Chunk payload:
 //
 //	uvarint bypassBitCount | ceil(bypassBitCount/8) bypass bytes (MSB-first)
-//	7-byte slot presence bitmap (bit s of byte s/8 ⇒ slot s has bins)
-//	per present slot: uvarint bin count
-//	if total bins > 0: 4 × uvarint segment length, then the 4 state segments
+//	per class the header has a table for: uvarint symbol count
+//	4 × uvarint segment length, then the 4 state segments
 //
 // Decoding is strict: counts, segment lengths and the bypass window must
 // tile the payload exactly, every rANS state must close on its initial
-// value, and the syntax parse must drain every queue and bypass bit.
+// value, and the syntax parse must consume every symbol and bypass bit.
 package codec
 
 import (
 	"encoding/binary"
+	"fmt"
 	"slices"
 
 	"repro/internal/bits"
 	"repro/internal/rans"
 )
 
-// ransLanes is the per-chunk interleave factor of the rANS backend.
-const ransLanes = rans.Interleave
+// The rANS classes: the flag contexts keep their slot numbers (ctxSplit …
+// ctxCbf+3), and the level classes follow them.
+const (
+	// levelClasses is K, the level classes: block size index × whether the
+	// scan position lies in the band, the first levelBand positions (under
+	// the transform DC and the two lowest AC coefficients; DESIGN.md §13.5).
+	levelClasses = 8
+	levelBand    = 3
+	nClasses     = ctxSig + levelClasses
+	// levelEscape is the largest level symbol: |level| ≥ levelEscape codes
+	// it, and |level| − levelEscape follows as an Exp-Golomb code in bypass
+	// bins.
+	levelEscape = 15
+	// retiredSlots is what the retired binary-rANS layout wrote where
+	// levelClasses now stands: its 56-slot bin-probability table's length.
+	retiredSlots = 56
+)
 
-// ---------------------------------------------------------------- encoding
+// levelClass is the class of the level at scan position i of a block of size
+// index si.
+func levelClass(si, i int) int { return ctxSig + 2*si + b2i(i >= levelBand) }
 
-// ransRecord is pass 1's output for one chunk: per-slot context bins in
-// emission order plus the raw bypass bits. It is heap-allocated per chunk
-// (the rANS path trades the CABAC path's zero-alloc contract for
-// parallel-decode framing) and consumed by assemble in pass 2.
+// classAlphabet is the number of symbols class c codes.
+func classAlphabet(c int) int { return [2]int{2, levelEscape + 1}[b2i(c >= ctxSig)] }
+
+// ransTables is a container's class tables, from the header's backend
+// extension: nil for a class no chunk codes.
+type ransTables [nClasses]*rans.Freqs
+
+// ransRecord is pass 1's output for one chunk, heap-allocated per chunk and
+// consumed by assemble: per-class symbols in emission order, the bypass bits.
 type ransRecord struct {
-	slotBins [nCtxSlots][]uint8
-	bypass   *bits.Writer
-}
-
-func newRansRecord() *ransRecord {
-	return &ransRecord{bypass: bits.NewWriter()}
+	syms   [nClasses][]uint8
+	bypass *bits.Writer
 }
 
 // ransBinEnc is the recording binEncoder. The encoder's rate estimate is
@@ -64,173 +77,231 @@ func newRansRecord() *ransRecord {
 // backend without any adaptive state here.
 type ransBinEnc struct{ rec *ransRecord }
 
-func (e ransBinEnc) bit(slot, bin int) {
-	e.rec.slotBins[slot] = append(e.rec.slotBins[slot], uint8(bin))
-}
+// bit records a flag; the parse passes flag slots only (< ctxSig).
+func (e ransBinEnc) bit(slot, bin int)           { e.rec.syms[slot] = append(e.rec.syms[slot], uint8(bin)) }
 func (e ransBinEnc) bypass(bin int)              { e.rec.bypass.WriteBit(bin) }
 func (e ransBinEnc) bypassBits(v uint32, n uint) { e.rec.bypass.WriteBits(uint64(v), n) }
 
-// finish is unused on the rANS path: the payload is assembled in pass 2,
-// after the shared table exists. encodeChunk never calls it when recording.
+// levels records a level block: its cbf flag and, when coded, one symbol per
+// scan position in its class, then per non-zero level in scan order the
+// escape's Exp-Golomb suffix (its order adapting as CABAC's does) and the
+// sign, in bypass bins. ransChunk.parseResidual is the inverse.
+func (e ransBinEnc) levels(lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, _ := residualScan(size, transformed)
+	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
+	e.bit(ctxCbf+si, b2i(cbf))
+	if !cbf {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		l := lev[pos]
+		a := uint32(max(l, -l))
+		c := levelClass(si, i)
+		e.rec.syms[c] = append(e.rec.syms[c], uint8(min(a, levelEscape)))
+		if a == 0 {
+			continue
+		}
+		if a >= levelEscape {
+			rem := a - levelEscape
+			egEncode(e, rem, k)
+			if rem > 3<<k && k < 4 {
+				k++
+			}
+		}
+		e.bypass(b2i(l < 0))
+	}
+}
+
+// finish is unused: pass 2 assembles the payload once the tables exist.
 func (e ransBinEnc) finish() []byte { return nil }
 
-// bitLen reports recorded bins plus bypass bits — the raw (1 bit/bin)
+// bitLen reports recorded symbols plus bypass bits — the raw (1 bit/symbol)
 // account the observability layer's stage attribution telescopes over.
 func (e ransBinEnc) bitLen() int {
 	n := e.rec.bypass.BitLen()
-	for s := range e.rec.slotBins {
-		n += len(e.rec.slotBins[s])
+	for c := range e.rec.syms {
+		n += len(e.rec.syms[c])
 	}
 	return n
 }
 
-// buildRansTable aggregates per-slot bin statistics across every chunk of a
-// container into the shared 56-byte probability table.
-func buildRansTable(recs []*ransRecord) [nCtxSlots]uint8 {
-	var zeros, ones [nCtxSlots]int64
+// buildRansTables aggregates per-class symbol counts across every chunk of a
+// container into the class tables.
+func buildRansTables(recs []*ransRecord) *ransTables {
+	var counts [nClasses][256]int64
 	for _, r := range recs {
-		if r == nil {
-			continue
-		}
-		for s, bins := range r.slotBins {
-			zeros[s] += int64(len(bins))
-			for _, b := range bins {
-				ones[s] += int64(b)
-				zeros[s] -= int64(b)
+		for c, syms := range r.syms {
+			for _, s := range syms {
+				counts[c][s]++
 			}
 		}
 	}
-	var tab [nCtxSlots]uint8
-	for s := range tab {
-		tab[s] = rans.QuantizeProb0(zeros[s], ones[s])
+	tabs := new(ransTables)
+	for c := range counts {
+		// An error means no symbol: the class keeps no table.
+		tabs[c], _ = rans.NormalizeFreqs(&counts[c])
 	}
-	return tab
+	return tabs
 }
 
-// assemble is pass 2: serialize one chunk's record against the shared
-// table. Deterministic — output depends only on the record and the table.
-func (r *ransRecord) assemble(tab *[nCtxSlots]uint8) []byte {
-	total := 0
-	for s := range r.slotBins {
-		total += len(r.slotBins[s])
-	}
-	bypassN := r.bypass.BitLen()
-	bypassBytes := r.bypass.Bytes()
-
-	var tmp [binary.MaxVarintLen64]byte
-	out := make([]byte, 0, len(bypassBytes)+total/4+nCtxSlots+64)
-	out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(bypassN))]...)
-	out = append(out, bypassBytes...)
-
-	var bitmap [(nCtxSlots + 7) / 8]byte
-	for s := range r.slotBins {
-		if len(r.slotBins[s]) > 0 {
-			bitmap[s/8] |= 1 << (s % 8)
+// appendRansExt appends the header's backend extension after its id: the
+// level-class count and every class's table, its frequencies through the last
+// non-zero one (none for an absent class).
+func appendRansExt(out []byte, tabs *ransTables) []byte {
+	out = append(out, levelClasses)
+	for c, t := range tabs {
+		n := 0
+		for s := 0; t != nil && s < classAlphabet(c); s++ {
+			if t.Freq(uint8(s)) > 0 {
+				n = s + 1
+			}
 		}
-	}
-	out = append(out, bitmap[:]...)
-	for s := range r.slotBins {
-		if n := len(r.slotBins[s]); n > 0 {
-			out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(n))]...)
+		out = append(out, byte(n))
+		for s := 0; s < n; s++ {
+			out = binary.AppendUvarint(out, uint64(t.Freq(uint8(s))))
 		}
-	}
-	if total == 0 {
-		return out
-	}
-
-	// The slot-major sequence, pushed last bin first.
-	var encs [ransLanes]rans.BinEncoder
-	for j := range encs {
-		encs[j].Reset()
-	}
-	i := total
-	for s := nCtxSlots - 1; s >= 0; s-- {
-		f0 := rans.ProbToFreq(tab[s])
-		for k := len(r.slotBins[s]) - 1; k >= 0; k-- {
-			i--
-			encs[i%ransLanes].Put(int(r.slotBins[s][k]), f0)
-		}
-	}
-	var segs [ransLanes][]byte
-	for j := range encs {
-		segs[j] = encs[j].Finish()
-		out = append(out, tmp[:binary.PutUvarint(tmp[:], uint64(len(segs[j])))]...)
-	}
-	for j := range segs {
-		out = append(out, segs[j]...)
 	}
 	return out
 }
 
-// ---------------------------------------------------------------- decoding
+// assemble is pass 2: serialize one chunk's record against the tables built
+// from it. Deterministic — output depends only on the record and the tables.
+func (r *ransRecord) assemble(tabs *ransTables) []byte {
+	out := binary.AppendUvarint(nil, uint64(r.bypass.BitLen()))
+	out = append(out, r.bypass.Bytes()...)
+	var syms []uint8
+	var runs []rans.Run
+	for c, t := range tabs {
+		if t == nil {
+			continue
+		}
+		out = binary.AppendUvarint(out, uint64(len(r.syms[c])))
+		if n := len(r.syms[c]); n > 0 {
+			syms = append(syms, r.syms[c]...)
+			runs = append(runs, rans.Run{N: n, T: t})
+		}
+	}
+	segs, err := rans.Encode(syms, runs)
+	if err != nil {
+		panic(fmt.Sprintf("codec: rans tables do not cover their own record: %v", err))
+	}
+	for _, seg := range segs {
+		out = binary.AppendUvarint(out, uint64(len(seg)))
+	}
+	for _, seg := range segs {
+		out = append(out, seg...)
+	}
+	return out
+}
 
-// ransChunk is a chunk payload after the pre-decode: every bin the syntax
-// parse will ask for, one per byte, in nQueues queues — queue 0 the bypass
-// bits, queue 1+s the context bins of slot s. Queue q owns
-// bins[prefix[q]:prefix[q+1]] and next[q] is its read cursor. It is the
-// binDecoder the serial syntax parse runs against, and the concrete reader of
-// the per-bin residual loop, whose bin reads inline to a load and a bump.
-//
-// The raw ablation (no entropy coding: every bin is one literal bit, context
-// and bypass interleaved in one stream) is the degenerate chunk,
-// newLiteralChunk: the payload's bits are queue 0 and alias sends every read
-// there.
+// parseRansExt validates the header's backend extension after its id and
+// returns the class tables and the extension's length.
+func parseRansExt(ext []byte) (*ransTables, int, error) {
+	switch {
+	case len(ext) == 0:
+		return nil, 0, truncatedf("codec: header ends inside backend extension")
+	case ext[0] == retiredSlots:
+		return nil, 0, corruptf("codec: retired binary-rANS layout (a %d-slot bin-probability table); this decoder reads the %d-class symbol tables", ext[0], levelClasses)
+	case ext[0] != levelClasses:
+		return nil, 0, corruptf("codec: rans header declares %d level classes, want %d", ext[0], levelClasses)
+	}
+	off := 1
+	tabs := new(ransTables)
+	for c := range tabs {
+		if off == len(ext) {
+			return nil, 0, truncatedf("codec: header ends before rans class %d table", c)
+		}
+		n := int(ext[off])
+		off++
+		switch {
+		case n == 0:
+			continue // no chunk codes the class
+		case n > classAlphabet(c):
+			return nil, 0, corruptf("codec: rans class %d declares %d of its %d symbols", c, n, classAlphabet(c))
+		}
+		var freq [256]uint32
+		for s := 0; s < n; s++ {
+			v, k := binary.Uvarint(ext[off:])
+			switch {
+			case k == 0:
+				return nil, 0, truncatedf("codec: header ends inside rans class %d table", c)
+			case k < 0 || v > rans.Scale:
+				return nil, 0, corruptf("codec: rans class %d symbol %d frequency unreadable", c, s)
+			}
+			freq[s], off = uint32(v), off+k
+		}
+		t, err := rans.FreqsFromTable(&freq)
+		if err != nil {
+			return nil, 0, corruptf("codec: rans class %d: %v", c, err)
+		}
+		tabs[c] = t
+	}
+	return tabs, off, nil
+}
+
+// bitWindow reads bits MSB-first off a byte window that declares n of them:
+// the bypass bins of a rANS chunk, or every bin of a literal chunk. A read
+// past the n-th bit raises bits.ErrOutOfData.
+type bitWindow struct {
+	buf    []byte
+	n, pos int
+}
+
+func (w *bitWindow) bypass() int {
+	i := w.pos
+	if i >= w.n {
+		panic(decodeError{bits.ErrOutOfData})
+	}
+	w.pos = i + 1
+	return int(w.buf[i>>3] >> (7 - i&7) & 1)
+}
+
+func (w *bitWindow) bypassBits(n uint) uint32 {
+	var v uint32
+	for ; n > 0; n-- {
+		v = v<<1 | uint32(w.bypass())
+	}
+	return v
+}
+
+// expGolomb reads a k-th order Exp-Golomb code in bypass bins — the HEVC
+// coeff_abs_level_remaining binarization egEncode writes.
+func (w *bitWindow) expGolomb(k uint) uint32 {
+	var v uint32
+	for w.bypass() == 1 {
+		v += 1 << k
+		k++
+		if k > 30 {
+			panic(decodeError{errMalformed})
+		}
+	}
+	return v + w.bypassBits(k)
+}
+
+// ransChunk is a rANS chunk payload after the pre-decode: every symbol the
+// syntax parse will read, class-major — class c's in syms[start[c]:start[c+1]],
+// next[c] its read cursor — and the bypass window. It is the binDecoder the
+// serial syntax parse runs against.
 type ransChunk struct {
-	bins    []uint8
-	prefix  [nQueues + 1]int
-	next    [nQueues]int
-	alias   int // and-ed into every queue index: all ones, or 0 for a literal chunk
-	bypassN int // bypass bits the payload declares (the queue is padded to whole bytes)
+	bitWindow
+	syms  []uint8
+	start [nClasses + 1]int
+	next  [nClasses]int
 }
 
-const (
-	bypassQueue = 0
-	nQueues     = 1 + nCtxSlots
-)
-
-// unpackBits appends the bits of packed, MSB first, one per byte.
-func unpackBits(bins []uint8, packed []byte) []uint8 {
-	for _, b := range packed {
-		bins = append(bins, b>>7, b>>6&1, b>>5&1, b>>4&1, b>>3&1, b>>2&1, b>>1&1, b&1)
-	}
-	return bins
-}
-
-// newLiteralChunk resets c to the raw payload of a chunk coding chunkPixels
-// pixels, unpacked a byte per bit, and refuses it unread if it is longer than
-// a rANS payload of that geometry may be: its bins, twice as many bypass bits,
-// a byte's padding.
-func newLiteralChunk(c *ransChunk, payload []byte, chunkPixels int64) error {
-	if 8*int64(len(payload)) > 3*maxRansBins(chunkPixels)+7 {
-		return corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
-	}
-	*c = ransChunk{bins: unpackBits(c.bins[:0], payload)}
-	c.prefix[bypassQueue+1] = len(c.bins)
-	return nil
-}
-
-// maxRansBins caps the bin count a chunk payload may declare, relative to the
-// area the chunk codes (codedPixels): the syntax never emits more than a
-// handful of context bins per coefficient, so 32/pixel is generous slack
-// while keeping a forged count table from committing a large allocation.
+// maxRansBins caps the symbols and bins a chunk payload may declare, relative
+// to the area the chunk codes (codedPixels): the syntax never emits more than
+// a handful per coefficient, so 32/pixel is generous slack while keeping a
+// forged count table from committing a large allocation.
 func maxRansBins(chunkPixels int64) int64 {
 	return min(32*chunkPixels+4096, maxDecodePixels)
 }
 
-// parseRansPayload validates one rANS chunk payload against the shared table
-// and pre-decodes every context bin into c, whose buffer it reuses.
-func parseRansPayload(c *ransChunk, payload []byte, tab *[nCtxSlots]uint8, chunkPixels int64) error {
-	segs, err := c.readFraming(payload, chunkPixels)
-	if err != nil {
-		return err
-	}
-	return c.predecode(&segs, tab)
-}
-
-// readFraming resets c to the queues a rANS chunk payload declares, the
-// context queues sized but undecoded, and returns the state segments (nil
-// when the chunk codes no context bin).
-func (c *ransChunk) readFraming(payload []byte, chunkPixels int64) (segs [ransLanes][]byte, err error) {
+// readFraming resets c to the classes a rANS chunk payload declares, their
+// symbols counted but undecoded, and returns the state segments.
+func (c *ransChunk) readFraming(payload []byte, tabs *ransTables, chunkPixels int64) (segs [rans.Interleave][]byte, err error) {
 	off := 0
 	uvarint := func(what string) (int64, error) {
 		v, k := binary.Uvarint(payload[off:])
@@ -251,49 +322,32 @@ func (c *ransChunk) readFraming(payload []byte, chunkPixels int64) (segs [ransLa
 	if len(payload)-off < bypassBytes {
 		return segs, truncatedf("codec: rans payload ends inside %d bypass bytes", bypassBytes)
 	}
-	bypass := payload[off : off+bypassBytes]
+	// The window is copied, into the buffer of the last, with a zero byte of
+	// padding for parseResidual's sign reads.
+	window := append(append(c.buf[:0], payload[off:off+bypassBytes]...), 0)
+	*c = ransChunk{bitWindow: bitWindow{buf: window, n: int(bypassN)}, syms: c.syms[:0]}
 	off += bypassBytes
-	*c = ransChunk{bins: c.bins[:0], alias: -1, bypassN: int(bypassN)}
 
-	const bitmapLen = (nCtxSlots + 7) / 8
-	if len(payload)-off < bitmapLen {
-		return segs, truncatedf("codec: rans payload ends inside slot bitmap")
-	}
-	bitmap := payload[off : off+bitmapLen]
-	off += bitmapLen
-	// The bypass queue comes first, so queue q's bins start 8·bypassBytes
-	// past their place in the slot-major array the rANS states decode.
-	base := int64(8 * bypassBytes)
 	total := int64(0)
-	for s := 0; s < nCtxSlots; s++ {
-		c.prefix[1+s] = int(base + total)
-		if bitmap[s/8]&(1<<(s%8)) == 0 {
+	for cl, t := range tabs {
+		c.start[cl] = int(total)
+		if t == nil {
 			continue
 		}
-		n, err := uvarint("slot count")
+		n, err := uvarint("class count")
 		if err != nil {
 			return segs, err
 		}
-		if n == 0 {
-			return segs, corruptf("codec: rans slot %d present with zero bins", s)
-		}
 		total += n
 		if total > maxRansBins(chunkPixels) {
-			return segs, corruptf("codec: rans declares %d bins for %d pixels", total, chunkPixels)
+			return segs, corruptf("codec: rans declares %d symbols for %d pixels", total, chunkPixels)
 		}
 	}
-	c.prefix[nQueues] = int(base + total)
-	copy(c.next[:], c.prefix[:nQueues])
-	c.bins = unpackBits(c.bins, bypass)
-	c.bins = slices.Grow(c.bins, int(total))[:base+total] // predecode writes every context bin
-	if total == 0 {
-		if off != len(payload) {
-			return segs, corruptf("codec: rans %d trailing bytes after empty bin table", len(payload)-off)
-		}
-		return segs, nil
-	}
+	c.start[nClasses] = int(total)
+	copy(c.next[:], c.start[:nClasses])
+	c.syms = slices.Grow(c.syms, int(total))[:total] // predecode writes every symbol
 
-	var segLens [ransLanes]int
+	var segLens [rans.Interleave]int
 	segTotal := 0
 	for j := range segLens {
 		n, err := uvarint("segment length")
@@ -318,81 +372,152 @@ func (c *ransChunk) readFraming(payload []byte, chunkPixels int64) (segs [ransLa
 	return segs, nil
 }
 
-// predecode decodes the context queues from the state segments: one rans.Run
-// per present slot, at the slot's table frequency.
-func (c *ransChunk) predecode(segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) error {
-	base := c.prefix[1]
-	if c.prefix[nQueues] == base {
-		return nil
-	}
-	var runs [nCtxSlots]rans.Run
+// predecode decodes every class's symbols from the state segments: one
+// rans.Run per class that has symbols, against the class's table.
+func (c *ransChunk) predecode(segs *[rans.Interleave][]byte, tabs *ransTables) error {
+	var runs [nClasses]rans.Run
 	n := 0
-	for s, p := range tab {
-		if k := c.prefix[s+2] - c.prefix[s+1]; k > 0 {
-			runs[n] = rans.Run{Bins: k, F0: rans.ProbToFreq(p)}
+	for cl, t := range tabs {
+		if k := c.start[cl+1] - c.start[cl]; k > 0 {
+			runs[n] = rans.Run{N: k, T: t}
 			n++
 		}
 	}
-	if j, err := rans.DecodeBins(c.bins[base:], segs, runs[:n]); err != nil {
+	if j, err := rans.Decode(c.syms, segs, runs[:n]); err != nil {
 		return corruptf("codec: rans state %d: %v", j, err)
 	}
 	return nil
 }
 
 // close verifies the strict end-of-chunk invariants after the syntax parse:
-// every pre-decoded bin and every bypass bit must have been consumed, so a
-// payload that decodes the declared geometry with symbols left over is a
+// every pre-decoded symbol and every bypass bit must have been consumed, so
+// a payload that decodes the declared geometry with symbols left over is a
 // corruption, not a success.
 func (c *ransChunk) close() error {
-	for s := 0; s < nCtxSlots; s++ {
-		if have, used := c.prefix[s+2]-c.prefix[s+1], c.next[s+1]-c.prefix[s+1]; used != have {
-			return corruptf("codec: rans slot %d: %d of %d bins consumed", s, used, have)
+	for cl := range c.next {
+		if have, used := c.start[cl+1]-c.start[cl], c.next[cl]-c.start[cl]; used != have {
+			return corruptf("codec: rans class %d: %d of %d symbols consumed", cl, used, have)
 		}
 	}
-	if used := c.next[bypassQueue]; used != c.bypassN {
-		return corruptf("codec: rans %d of %d bypass bits consumed", used, c.bypassN)
+	if c.pos != c.n {
+		return corruptf("codec: rans %d of %d bypass bits consumed", c.pos, c.n)
 	}
 	return nil
 }
 
-// queueDry is what a read from an empty queue raises: the bypass queue — and
-// with it every read of a literal chunk — ran out of data, while a context
-// queue short of a bin the parse wants is a payload that declared too few.
-var queueDry = [2]error{bits.ErrOutOfData, errMalformed}
-
-// pop takes the next bin of queue q.
-func (c *ransChunk) pop(q int) int {
-	i := c.next[q]
-	if i >= c.prefix[q+1] {
-		panic(decodeError{queueDry[min(q, 1)]})
-	}
-	c.next[q] = i + 1
-	return int(c.bins[i])
+// take returns the next n symbols of class cl, or as many as it has left (a
+// payload that declared too few, which the caller reports).
+func (c *ransChunk) take(cl, n int) []uint8 {
+	i := c.next[cl]
+	j := min(i+n, c.start[cl+1])
+	c.next[cl] = j
+	return c.syms[i:j]
 }
 
-func (c *ransChunk) bit(slot int) int { return c.pop((1 + slot) & c.alias) }
-func (c *ransChunk) bypass() int      { return c.pop(bypassQueue) }
-
-func (c *ransChunk) bypassBits(n uint) uint32 {
-	var v uint32
-	for ; n > 0; n-- {
-		v = v<<1 | uint32(c.bypass())
+// bit reads the next symbol of class slot: a flag, for the flag slots the
+// parse passes.
+func (c *ransChunk) bit(slot int) int {
+	s := c.take(slot, 1)
+	if len(s) == 0 {
+		panic(decodeError{errMalformed})
 	}
-	return v
+	return int(s[0])
 }
 
-// expGolomb reads a k-th order Exp-Golomb code off the bypass queue — the
-// HEVC coeff_abs_level_remaining binarization egEncode writes.
-func (c *ransChunk) expGolomb(k uint) uint32 {
-	var v uint32
-	for c.bypass() == 1 {
-		v += 1 << k
-		k++
-		if k > 30 {
+// parseResidual reads one level block (ransBinEnc.levels is the inverse):
+// the cbf flag, then — for a coded block — its levels as two contiguous runs,
+// its band's and the rest of its scan's, each from its class. The runs cover
+// the block. A level's sign is the next bypass bit, read whether or not the
+// level is non-zero and consumed only if it is: no branch on a zero, which no
+// predictor learns. The read stays inside the window's padding byte, and a
+// window overrun is raised after the run, before a run cut short: the order
+// a symbol-at-a-time parse meets them in.
+func (c *ransChunk) parseResidual(lev []int32, scan []int, si int) {
+	if c.bit(ctxCbf+si) == 0 {
+		clear(lev)
+		return
+	}
+	k := uint(0)
+	for h, run := range [2][]int{scan[:levelBand], scan[levelBand:]} {
+		syms := c.take(ctxSig+2*si+h, len(run))
+		buf, pos, n := c.buf, c.pos, c.n
+		for i, a := range syms {
+			l := int32(a)
+			if a == levelEscape {
+				c.pos = pos
+				rem := c.expGolomb(k)
+				if rem > maxLevel-levelEscape {
+					panic(decodeError{errMalformed})
+				}
+				l += int32(rem)
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+				pos = c.pos
+			}
+			p := min(pos, n)
+			neg := int32(buf[p>>3] >> (7 - p&7) & 1)
+			lev[run[i]] = l ^ -neg + neg
+			pos += b2i(a != 0)
+		}
+		c.pos = pos
+		if pos > n {
+			panic(decodeError{bits.ErrOutOfData})
+		}
+		if len(syms) < len(run) {
 			panic(decodeError{errMalformed})
 		}
 	}
-	return v + c.bypassBits(k)
+}
+
+// literalChunk is the raw ablation's reader (no entropy coding: every bin,
+// context or bypass, is one literal bit of the payload).
+type literalChunk struct{ bitWindow }
+
+func (c *literalChunk) bit(int) int { return c.bypass() }
+
+// newLiteralChunk resets c to the raw payload of a chunk coding chunkPixels
+// pixels, and refuses it unread if it is longer than a rANS payload of that
+// geometry may be: its symbols, twice as many bypass bits, a byte's padding.
+func newLiteralChunk(c *literalChunk, payload []byte, chunkPixels int64) error {
+	if 8*int64(len(payload)) > 3*maxRansBins(chunkPixels)+7 {
+		return corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
+	}
+	*c = literalChunk{bitWindow{buf: payload, n: 8 * len(payload)}}
+	return nil
+}
+
+// parseResidual is the per-bin spelling of the residual syntax (the one
+// cabac.DecodeLevels documents), over the literal bits.
+func (c *literalChunk) parseResidual(lev []int32, scan []int, sigSlot []uint8, si int) {
+	clear(lev)
+	if c.bit(ctxCbf+si) == 0 {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		if c.bit(int(sigSlot[i])) == 0 {
+			continue
+		}
+		a := int32(1)
+		if c.bit(ctxG1+si) == 1 {
+			a = 2
+			if c.bit(ctxG2+si) == 1 {
+				rem := c.expGolomb(k)
+				if rem > maxLevel-3 {
+					panic(decodeError{errMalformed})
+				}
+				a = 3 + int32(rem)
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+			}
+		}
+		if c.bypass() == 1 {
+			a = -a
+		}
+		lev[pos] = a
+	}
 }
 
 // codedPixels sums the area a chunk's syntax codes: each frame padded to whole

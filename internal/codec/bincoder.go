@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"slices"
+
 	"repro/internal/bits"
 	"repro/internal/cabac"
 )
@@ -14,6 +16,9 @@ type binEncoder interface {
 	bit(slot, bin int)
 	bypass(bin int)
 	bypassBits(v uint32, n uint)
+	// levels codes one size×size level block, the inverse of the decoder's
+	// parseResidual.
+	levels(lev []int32, size int, transformed bool)
 	finish() []byte
 	// bitLen reports the bits emitted so far (CABAC: including bits still
 	// buffered in the arithmetic engine, so deltas telescope exactly even
@@ -42,11 +47,12 @@ type cabacBinEnc struct {
 	ctx *contexts
 }
 
-func (c *cabacBinEnc) bit(slot, bin int)           { c.e.EncodeBit(&c.ctx[slot], bin) }
-func (c *cabacBinEnc) bypass(bin int)              { c.e.EncodeBypass(bin) }
-func (c *cabacBinEnc) bypassBits(v uint32, n uint) { c.e.EncodeBypassBits(v, n) }
-func (c *cabacBinEnc) finish() []byte              { return c.e.Finish() }
-func (c *cabacBinEnc) bitLen() int                 { return c.e.BitLenEstimate() }
+func (c *cabacBinEnc) bit(slot, bin int)                    { c.e.EncodeBit(&c.ctx[slot], bin) }
+func (c *cabacBinEnc) bypass(bin int)                       { c.e.EncodeBypass(bin) }
+func (c *cabacBinEnc) bypassBits(v uint32, n uint)          { c.e.EncodeBypassBits(v, n) }
+func (c *cabacBinEnc) levels(lev []int32, size int, t bool) { emitLevels(c, lev, size, t) }
+func (c *cabacBinEnc) finish() []byte                       { return c.e.Finish() }
+func (c *cabacBinEnc) bitLen() int                          { return c.e.BitLenEstimate() }
 
 type cabacBinDec struct {
 	d   *cabac.Decoder
@@ -66,11 +72,12 @@ func (c *cabacBinDec) expGolomb(k uint) uint32 {
 
 type rawBinEnc struct{ w *bits.Writer }
 
-func (r rawBinEnc) bit(_, bin int)              { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypass(bin int)              { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypassBits(v uint32, n uint) { r.w.WriteBits(uint64(v), n) }
-func (r rawBinEnc) finish() []byte              { return r.w.Bytes() }
-func (r rawBinEnc) bitLen() int                 { return r.w.BitLen() }
+func (r rawBinEnc) bit(_, bin int)                       { r.w.WriteBit(bin) }
+func (r rawBinEnc) bypass(bin int)                       { r.w.WriteBit(bin) }
+func (r rawBinEnc) bypassBits(v uint32, n uint)          { r.w.WriteBits(uint64(v), n) }
+func (r rawBinEnc) levels(lev []int32, size int, t bool) { emitLevels(r, lev, size, t) }
+func (r rawBinEnc) finish() []byte                       { return r.w.Bytes() }
+func (r rawBinEnc) bitLen() int                          { return r.w.BitLen() }
 
 // decodeError wraps stream errors raised inside the decode recursion; the
 // top-level Decode recovers it into a normal error return.
@@ -93,6 +100,41 @@ func egEncode(e binEncoder, v uint32, k uint) {
 	}
 }
 
+// emitLevels codes a level block as bins — the cbf, then per scan position
+// the significance bin and, for a non-zero level, the greater-than-1 and -2
+// bins, the Exp-Golomb escape and the sign: the residual syntax of CABAC and
+// of the raw ablation.
+func emitLevels(e binEncoder, lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, sigSlot := residualScan(size, transformed)
+	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
+	e.bit(ctxCbf+si, b2i(cbf))
+	if !cbf {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		l := lev[pos]
+		e.bit(int(sigSlot[i]), b2i(l != 0))
+		if l == 0 {
+			continue
+		}
+		a := max(l, -l)
+		e.bit(ctxG1+si, b2i(a > 1))
+		if a > 1 {
+			e.bit(ctxG2+si, b2i(a > 2))
+		}
+		if a > 2 {
+			rem := uint32(a - 3)
+			egEncode(e, rem, k)
+			if rem > 3<<k && k < 4 {
+				k++
+			}
+		}
+		e.bypass(b2i(l < 0))
+	}
+}
+
 // egLen estimates the bit length of the k-th order Exp-Golomb code for v.
 func egLen(v uint32, k uint) int {
 	n := 1
@@ -105,9 +147,9 @@ func egLen(v uint32, k uint) int {
 }
 
 // The adaptive context slots. Their order is bitstream contract: the rANS
-// backend's header table, payload count table and slot-major bin layout all
-// number contexts by these indices (backend.go), so a slot may be added at
-// the end under a new container version but never moved.
+// backend's flag classes are the slots before ctxSig, numbered as here
+// (backend.go), so a slot may be added at the end under a new container
+// version but never moved.
 const (
 	ctxSplit     = 0                // [6] split flag, by quadtree depth
 	ctxInterFlag = ctxSplit + 6     // inter/intra flag of a P-frame leaf

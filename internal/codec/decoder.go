@@ -66,10 +66,10 @@ func checkPreamble(data []byte) error {
 // parseCommonHeader reads the header fields shared by both container
 // versions (profile, tools, qp, the optional entropy-backend extension,
 // frame count and dims), returning the offset of the first version-specific
-// byte. ransTab is non-nil iff the header carries a valid rANS backend
+// byte. ransTabs is non-nil iff the header carries a valid rANS backend
 // extension, in which case tools.Backend is set to BackendRANS.
-func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][2]int, ransTab *[nCtxSlots]uint8, off int, err error) {
-	fail := func(err error) (Profile, Tools, int, [][2]int, *[nCtxSlots]uint8, int, error) {
+func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][2]int, ransTabs *ransTables, off int, err error) {
+	fail := func(err error) (Profile, Tools, int, [][2]int, *ransTables, int, error) {
 		return prof, tools, 0, nil, nil, 0, err
 	}
 	prof, ok := profileByID[data[5]]
@@ -83,8 +83,8 @@ func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][
 	}
 	off = 8
 	if data[6]&toolsBackendExt != 0 {
-		// Backend extension: backend id, then (for rANS) the slot count and
-		// the shared probability table. Every reserved id — including 0,
+		// Backend extension: backend id, then (for rANS) the class tables
+		// (parseRansExt). Every reserved id — including 0,
 		// since a CABAC stream never carries the extension — is a structural
 		// violation, never misparsed as some other backend.
 		if len(data) < off+1 {
@@ -95,24 +95,11 @@ func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][
 		if id != uint8(BackendRANS) {
 			return fail(corruptf("codec: unknown entropy backend %d", id))
 		}
-		if len(data) < off+1+nCtxSlots {
-			return fail(truncatedf("codec: header ends inside backend extension"))
+		var n int
+		if ransTabs, n, err = parseRansExt(data[off:]); err != nil {
+			return fail(err)
 		}
-		if data[off] != nCtxSlots {
-			return fail(corruptf("codec: rans table has %d slots, want %d", data[off], nCtxSlots))
-		}
-		off++
-		ransTab = new([nCtxSlots]uint8)
-		copy(ransTab[:], data[off:off+nCtxSlots])
-		for s, p := range ransTab {
-			if p == 0 {
-				// QuantizeProb0 never emits 0; a zero byte is damage, and
-				// accepting it would let ProbToFreq's clamp silently reshape
-				// the stream's probabilities.
-				return fail(corruptf("codec: rans slot %d has zero probability", s))
-			}
-		}
-		off += nCtxSlots
+		off += n
 		tools.Backend = BackendRANS
 	}
 	if len(data) < off+4 {
@@ -148,7 +135,7 @@ func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][
 		return fail(corruptf("codec: header declares %d pixels, cap is %d",
 			totalPix, int64(maxDecodePixels)))
 	}
-	return prof, tools, qp, dims, ransTab, off, nil
+	return prof, tools, qp, dims, ransTabs, off, nil
 }
 
 // maxDecodePixels caps the total source pixels a container header may
@@ -204,11 +191,12 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 	var rc *ransChunk
 	switch {
 	case pc.tools.Backend == BackendRANS:
-		if pc.ransTab == nil {
-			return nil, corruptf("codec: rans chunk without a header table")
+		rc = &s.chunk // every symbol pre-decoded before the syntax parse
+		segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize))
+		if err == nil {
+			err = rc.predecode(&segs, pc.ransTabs)
 		}
-		rc = &s.chunk // every context bin pre-decoded before the syntax parse
-		if err = parseRansPayload(rc, c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+		if err != nil {
 			return nil, classifyStreamErr(err)
 		}
 		d.br = rc
@@ -217,10 +205,10 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
 	default:
-		if err = newLiteralChunk(&s.chunk, c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+		if err = newLiteralChunk(&s.literal, c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
 			return nil, err
 		}
-		d.br = &s.chunk
+		d.br = &s.literal
 	}
 
 	var stageStart time.Time
@@ -258,7 +246,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 	}
 	if rc != nil {
 		// Strict end-of-chunk rule: the syntax parse must have consumed every
-		// pre-decoded bin and bypass bit the payload declared.
+		// pre-decoded symbol and bypass bit the payload declared.
 		if err := rc.close(); err != nil {
 			return nil, err
 		}
@@ -395,51 +383,21 @@ func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
 const maxLevel = 1 << 16
 
 // parseResidual decodes one level block into lev (size×size, row-major). The
-// residual syntax is spelled twice: CABAC's block form, cabac.DecodeLevels,
-// and the per-bin loop below it, which the rANS backend and the raw ablation
-// run on their concrete reader so that its bin calls inline.
+// residual syntax is spelled three times, one a coder: CABAC's block form,
+// cabac.DecodeLevels; the rANS block form, ransChunk.parseResidual, over
+// symbols; and the raw ablation's per-bin loop, literalChunk.parseResidual.
 func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
-	if br, ok := d.br.(*cabacBinDec); ok {
+	switch br := d.br.(type) {
+	case *cabacBinDec:
 		ctx := br.ctx
 		if !br.d.DecodeLevels(lev, scan, sigSlot, ctx[:], &ctx[ctxCbf+si], &ctx[ctxG1+si], &ctx[ctxG2+si], maxLevel) {
 			panic(decodeError{errMalformed})
 		}
-		return
-	}
-	d.br.(*ransChunk).parseResidual(lev, scan, sigSlot, si)
-}
-
-// parseResidual is the per-bin spelling of the residual syntax (the one
-// cabac.DecodeLevels documents), over a chunk's pre-decoded bins.
-func (c *ransChunk) parseResidual(lev []int32, scan []int, sigSlot []uint8, si int) {
-	clear(lev)
-	if c.bit(ctxCbf+si) == 0 {
-		return
-	}
-	k := uint(0)
-	for i, pos := range scan {
-		if c.bit(int(sigSlot[i])) == 0 {
-			continue
-		}
-		a := int32(1)
-		if c.bit(ctxG1+si) == 1 {
-			a = 2
-			if c.bit(ctxG2+si) == 1 {
-				rem := c.expGolomb(k)
-				if rem > maxLevel-3 {
-					panic(decodeError{errMalformed})
-				}
-				a = 3 + int32(rem)
-				if rem > 3<<k && k < 4 {
-					k++
-				}
-			}
-		}
-		if c.bypass() == 1 {
-			a = -a
-		}
-		lev[pos] = a
+	case *ransChunk:
+		br.parseResidual(lev, scan, si)
+	default:
+		d.br.(*literalChunk).parseResidual(lev, scan, sigSlot, si)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/bits"
 	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/frame"
@@ -114,11 +115,10 @@ func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 // encodeFrame; a cancellation aborts the chunk mid-flight via a cancelAbort
 // panic trapped here, returning ctx's error with no partial output. The
 // scratch stays reusable — every buffer is re-initialized per chunk anyway.
-// Under the rANS backend the chunk's bins are recorded rather than coded:
-// payload comes back nil and rec holds the per-slot bin lists, which the
-// container layer assembles into a payload once the shared probability table
-// exists (pass 2). The record is heap-allocated per chunk — it must outlive
-// the scratch, which the same worker reuses for its next chunk.
+// Under the rANS backend the chunk's symbols are recorded rather than coded:
+// payload comes back nil and rec holds them, for the container layer to
+// assemble once the class tables exist (pass 2). The record is heap-allocated
+// per chunk — it must outlive the scratch the worker reuses.
 func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profile, tools Tools, m *encMetrics, s *scratch) (payload []byte, rec *ransRecord, recs []*frame.Plane, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -140,7 +140,7 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 		cancel:   cancellable(ctx),
 	}
 	if tools.Backend == BackendRANS {
-		rec = newRansRecord()
+		rec = &ransRecord{bypass: bits.NewWriter()}
 		e.bw = ransBinEnc{rec}
 	} else {
 		// Every chunk starts from the same adaptive state on both the encoder
@@ -892,11 +892,11 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 	if e.rec != nil {
 		b1 := e.bw.bitLen()
 		e.rec.bitsMode += int64(b1 - b0)
-		e.emitResidual(d.levels, size, e.tools.Transform)
+		e.bw.levels(d.levels, size, e.tools.Transform)
 		e.rec.bitsResidual += int64(e.bw.bitLen() - b1)
 		return
 	}
-	e.emitResidual(d.levels, size, e.tools.Transform)
+	e.bw.levels(d.levels, size, e.tools.Transform)
 }
 
 func (e *encoder) modeIndex(m intra.Mode) int {
@@ -915,35 +915,4 @@ func modeIdxBits(n int) uint {
 		b++
 	}
 	return b
-}
-
-func (e *encoder) emitResidual(lev []int32, size int, transformed bool) {
-	si := sizeIdx(size)
-	scan, sigSlot := residualScan(size, transformed)
-	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
-	e.bw.bit(ctxCbf+si, b2i(cbf))
-	if !cbf {
-		return
-	}
-	k := uint(0)
-	for i, pos := range scan {
-		l := lev[pos]
-		e.bw.bit(int(sigSlot[i]), b2i(l != 0))
-		if l == 0 {
-			continue
-		}
-		a := max(l, -l)
-		e.bw.bit(ctxG1+si, b2i(a > 1))
-		if a > 1 {
-			e.bw.bit(ctxG2+si, b2i(a > 2))
-		}
-		if a > 2 {
-			rem := uint32(a - 3)
-			egEncode(e.bw, rem, k)
-			if rem > 3<<k && k < 4 {
-				k++
-			}
-		}
-		e.bw.bypass(b2i(l < 0))
-	}
 }

@@ -213,8 +213,8 @@ func seal(chunks []chunkRec) {
 // encodeChunks encodes each span as an independent substream on the worker
 // pool and returns, in span order, the per-chunk payloads and the per-plane
 // reconstructions. Under the rANS backend the payloads are not final yet:
-// records holds each chunk's bin statistics and sealRans (pass 2) assembles
-// the payloads once the shared probability table exists; records is nil for
+// records holds each chunk's symbols and sealRans (pass 2) assembles the
+// payloads once the class tables exist; records is nil for
 // CABAC. With metrics enabled it records per-chunk makespans on top of the
 // pool's own accounts.
 //
@@ -262,14 +262,16 @@ func encodeChunks(ctx context.Context, planes []*frame.Plane, spans [][2]int, qp
 	return chunks, records, recs, nil
 }
 
-// sealRans is pass 2 of the rANS scheme: assemble every chunk's payload
-// against the shared probability table. A pure function of the records
-// (which arrive in span order), so container bytes stay independent of the
-// worker count.
-func sealRans(chunks []chunkRec, records []*ransRecord, tab *[nCtxSlots]uint8) {
+// sealRans is pass 2 of the rANS scheme: build the class tables from every
+// chunk's record, assemble every chunk's payload against them and return the
+// header's backend extension. A pure function of the records (which arrive in
+// span order), so container bytes stay independent of the worker count.
+func sealRans(chunks []chunkRec, records []*ransRecord) []byte {
+	tabs := buildRansTables(records)
 	for i, r := range records {
-		chunks[i].payload = r.assemble(tab)
+		chunks[i].payload = r.assemble(tabs)
 	}
+	return appendRansExt(nil, tabs)
 }
 
 // -------------------------------------------------------- container writer
@@ -280,13 +282,13 @@ func sealRans(chunks []chunkRec, records []*ransRecord, tab *[nCtxSlots]uint8) {
 // table; version 2 adds the table; version 3 adds the per-chunk and header
 // CRCs (chunks must be sealed). When tools selects a non-CABAC backend (its
 // tools byte carries toolsBackendExt), the backend extension — backend id,
-// slot count and the shared rANS probability table — follows the qp byte;
-// ransTab must be non-nil exactly then. CABAC headers are byte-identical to the historical
-// layout. Returns the container and the summed payload length.
-func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransTab *[nCtxSlots]uint8, chunks []chunkRec) ([]byte, int) {
+// then ransExt, the class tables sealRans serialized — follows the qp byte.
+// CABAC headers are byte-identical to the historical layout. Returns the
+// container and the summed payload length.
+func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransExt []byte, chunks []chunkRec) ([]byte, int) {
 	headLen := 8 + 4 + 8*len(dims)
 	if tools.Backend != BackendCABAC {
-		headLen += 2 + nCtxSlots
+		headLen += 1 + len(ransExt)
 	}
 	switch version {
 	case 1:
@@ -304,8 +306,8 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 	out = append(out, magic[:]...)
 	out = append(out, version, prof.id(), tools.bits(), uint8(qp))
 	if tools.Backend != BackendCABAC {
-		out = append(out, byte(tools.Backend), nCtxSlots)
-		out = append(out, ransTab[:]...)
+		out = append(out, byte(tools.Backend))
+		out = append(out, ransExt...)
 	}
 	be := binary.BigEndian
 	out = be.AppendUint32(out, uint32(len(dims)))
@@ -359,9 +361,9 @@ type parsedContainer struct {
 	dims    [][2]int
 	chunks  []chunkMeta
 
-	// ransTab is the shared rANS probability table from the header's backend
+	// ransTabs are the rANS class tables from the header's backend
 	// extension; non-nil exactly when tools.Backend == BackendRANS.
-	ransTab *[nCtxSlots]uint8
+	ransTabs *ransTables
 
 	// payloadBase is the offset of the first payload byte (the header length);
 	// trailerOff is the offset one past the last payload, where the optional
@@ -387,17 +389,17 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	default:
 		return nil, corruptf("codec: unsupported version %d", version)
 	}
-	prof, tools, qp, dims, ransTab, off, err := parseCommonHeader(data)
+	prof, tools, qp, dims, ransTabs, off, err := parseCommonHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	if ransTab != nil && version != versionChecksummed {
+	if ransTabs != nil && version != versionChecksummed {
 		// The backend extension is defined only for the hardened container:
 		// the encoder never emits a v1/v2 rANS stream, so one on the wire is
 		// damaged (e.g. a flipped version byte) and its geometry untrustworthy.
 		return nil, corruptf("codec: entropy-backend extension in version %d container", version)
 	}
-	pc := &parsedContainer{version: version, prof: prof, tools: tools, qp: qp, dims: dims, ransTab: ransTab}
+	pc := &parsedContainer{version: version, prof: prof, tools: tools, qp: qp, dims: dims, ransTabs: ransTabs}
 
 	if version == 1 {
 		if len(data) < off+4 {

@@ -37,10 +37,11 @@ func typedOrNil(t *testing.T, label string, err error) {
 //     ends in the same error class and planes as the one-worker decode, with
 //     the goroutine count back where it was.
 //
-// Seeded with one valid container of each version and every golden
-// conformance vector (../conformance/testdata/*.l265 — all profiles, tool
-// combinations, and degenerate shapes), so the fuzzer starts from deep
-// coverage rather than rediscovering the header format bit by bit.
+// Seeded with one valid container of each version, every golden conformance
+// vector (../conformance/testdata/*.l265 — all profiles, tool combinations,
+// and degenerate shapes), the retired binary-rANS fixture and the forged rANS
+// containers of forgedRANSStreams, so the fuzzer starts from deep coverage
+// rather than rediscovering the header format bit by bit.
 func FuzzDecode(f *testing.F) {
 	v1, v2, v3, _ := corpusStreams(f)
 	f.Add(v1)
@@ -76,6 +77,18 @@ func FuzzDecode(f *testing.F) {
 		if strings.Contains(path, "hevc") {
 			f.Add(blob[:len(blob)/2])
 		}
+	}
+
+	// The rANS backend's header and payload fields: a container the retired
+	// binary-rANS backend wrote, and forged variants of a valid one.
+	retired, err := os.ReadFile(retiredFixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(retired)
+	_, forged := forgedRANSStreams(f)
+	for _, data := range forged {
+		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

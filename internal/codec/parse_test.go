@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bits"
@@ -33,8 +34,9 @@ func trapDecodeError(f func()) (err error) {
 
 // lockstep reads one payload twice: through the reader the decoder would use
 // (so that decoder.parseResidual takes its production spelling) and through a
-// reference reader for parseResidualPerBin. state returns what each side has
-// consumed and adapted — engine registers or queue cursors, and the contexts.
+// reference reader for the definition (refParse). state returns what each
+// side has consumed and adapted — engine registers or read cursors, and the
+// contexts.
 type lockstep struct {
 	prod  binDecoder
 	ref   perBinDecoder
@@ -63,20 +65,32 @@ func newCabacLockstep(payload []byte, setCtx func(*contexts)) *lockstep {
 	}}
 }
 
-// newChunkLockstep pairs the concrete-reader loop with the per-bin loop over
-// two identical pre-decoded chunks (rANS), or over a literal chunk and the
-// raw reader by definition. What each side has consumed is its queue cursors;
-// the raw reader's one cursor is the literal chunk's queue 0.
-func newChunkLockstep(prod *ransChunk, ref perBinDecoder) *lockstep {
+// newChunkLockstep pairs the block form with parseSymbolsDef over two
+// identical pre-decoded chunks (rANS), or the literal chunk's loop with the
+// per-bin loop over the raw reader by definition. What each side has
+// consumed is its read cursors: per class and in the bypass window, or the
+// one bit cursor.
+func newChunkLockstep(prod binDecoder, ref perBinDecoder) *lockstep {
 	return &lockstep{prod: prod, ref: ref, state: func() (any, any) {
 		switch r := ref.(type) {
 		case *ransChunk:
-			return prod.next, r.next
+			p := prod.(*ransChunk)
+			return [2]any{p.next, p.pos}, [2]any{r.next, r.pos}
 		case rawBinDec:
-			return prod.next, [nQueues]int{bypassQueue: *r.pos}
+			return prod.(*literalChunk).pos, *r.pos
 		}
 		panic("unknown reference reader")
 	}}
+}
+
+// refParse parses a block by definition off a reference reader: the symbol
+// syntax off a rANS chunk, the bin syntax off any other.
+func refParse(ref perBinDecoder, lev []int32, size int, transformed bool) {
+	if rc, ok := ref.(*ransChunk); ok {
+		parseSymbolsDef(rc, lev, size, transformed)
+		return
+	}
+	parseResidualPerBin(ref, lev, size, transformed)
 }
 
 // block parses the next size×size block both ways. The two must end in the
@@ -90,7 +104,7 @@ func (ls *lockstep) block(t testing.TB, label string, size int, transformed bool
 	}
 	d := decoder{br: ls.prod}
 	gotErr := trapDecodeError(func() { d.parseResidual(got, size, transformed) })
-	wantErr := trapDecodeError(func() { parseResidualPerBin(ls.ref, want, size, transformed) })
+	wantErr := trapDecodeError(func() { refParse(ls.ref, want, size, transformed) })
 	if errClass(gotErr) != errClass(wantErr) {
 		t.Fatalf("%s: parse ends %q (%v), per-bin reference %q (%v)", label, errClass(gotErr), gotErr, errClass(wantErr), wantErr)
 	}
@@ -194,6 +208,19 @@ func goldenChunks(t testing.TB, f func(name string, pc *parsedContainer, c *chun
 	}
 }
 
+// newRansRecord is an empty chunk record, as encodeChunk starts one.
+func newRansRecord() *ransRecord { return &ransRecord{bypass: bits.NewWriter()} }
+
+// parseRansPayload frames and pre-decodes a rANS chunk payload into c, as
+// decodeChunkPayload does.
+func parseRansPayload(c *ransChunk, payload []byte, tabs *ransTables, chunkPixels int64) error {
+	segs, err := c.readFraming(payload, tabs, chunkPixels)
+	if err != nil {
+		return err
+	}
+	return c.predecode(&segs, tabs)
+}
+
 // chunkLockstep opens a chunk payload for lockstep parsing under the
 // container's entropy coder.
 func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
@@ -201,7 +228,7 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.Backend == BackendRANS:
 		var rcs [2]ransChunk
 		for i := range rcs {
-			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTab, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -215,15 +242,15 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 // literalLockstep pairs a literal chunk of a chunk coding pixels pixels with
 // the raw reader over the same payload.
 func literalLockstep(t testing.TB, payload []byte, pixels int64) *lockstep {
-	lit := new(ransChunk)
+	lit := new(literalChunk)
 	if err := newLiteralChunk(lit, payload, pixels); err != nil {
 		t.Fatal(err)
 	}
 	return newChunkLockstep(lit, newRawBinDec(payload))
 }
 
-// residualEncoder emits level blocks through emitResidual into one payload of
-// the given coder: the encoder side of the tests below.
+// residualEncoder emits level blocks through its coder's levels into one
+// payload: the encoder side of the tests below.
 type residualEncoder struct {
 	e   encoder
 	ctx contexts
@@ -246,7 +273,7 @@ func newResidualEncoder(tools Tools) *residualEncoder {
 }
 
 func (re *residualEncoder) emit(lev []int32, size int, transformed bool) {
-	re.e.emitResidual(lev, size, transformed)
+	re.e.bw.levels(lev, size, transformed)
 }
 
 // open finishes the payload and returns a lockstep over it.
@@ -258,9 +285,9 @@ func (re *residualEncoder) open(t testing.TB) *lockstep {
 		}
 		return literalLockstep(t, payload, maxDecodePixels)
 	}
-	tab := buildRansTable([]*ransRecord{re.rec})
-	pc := &parsedContainer{prof: HEVC, tools: ransTools(), ransTab: &tab}
-	return chunkLockstep(t, pc, &chunkMeta{payload: re.rec.assemble(&tab), dims: [][2]int{{1 << 12, 1 << 12}}})
+	tabs := buildRansTables([]*ransRecord{re.rec})
+	pc := &parsedContainer{prof: HEVC, tools: ransTools(), ransTabs: tabs}
+	return chunkLockstep(t, pc, &chunkMeta{payload: re.rec.assemble(tabs), dims: [][2]int{{1 << 12, 1 << 12}}})
 }
 
 var (
@@ -268,11 +295,13 @@ var (
 	rawOnly   = Tools{}
 )
 
-// TestParseResidualEquivalence holds the two non-test spellings of the
-// residual syntax — cabac.DecodeLevels for CABAC, the concrete-reader loop for
-// rANS and the raw ablation — to the per-bin loop that defines it: same levels,
-// same context states, same bytes or bins consumed after every block, and the
-// same error class where a payload is damaged.
+// TestParseResidualEquivalence holds the three non-test spellings of the
+// residual syntax — cabac.DecodeLevels for CABAC, the block form over symbols
+// for rANS and the literal chunk's loop for the raw ablation — to the
+// definitions: the per-bin loop for the bin syntax, parseSymbolsDef for the
+// symbol syntax. Same levels, same context states, same bytes, bins or
+// symbols consumed after every block, and the same error class where a
+// payload is damaged.
 func TestParseResidualEquivalence(t *testing.T) {
 	// Every chunk of the golden corpus: all three coders, three profiles,
 	// inter frames, the tool ablations.
@@ -286,7 +315,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 				}
 				blocks[fmt.Sprint(pc.tools.Backend, pc.tools.CABAC)]++
 			})
-			if rc, ok := ls.prod.(*ransChunk); ok && rc.alias != 0 {
+			if rc, ok := ls.prod.(*ransChunk); ok {
 				if err := rc.close(); err != nil {
 					t.Fatalf("%s: the walk left the chunk open: %v", name, err)
 				}
@@ -297,8 +326,8 @@ func TestParseResidualEquivalence(t *testing.T) {
 		}
 	})
 
-	// Drawn blocks through emitResidual, many to a payload so that contexts
-	// and the escape order adapt across them.
+	// Drawn blocks through the coder's levels, many to a payload so that
+	// contexts and the escape order adapt across them.
 	coders := []struct {
 		name  string
 		tools Tools
@@ -414,26 +443,30 @@ func TestParseResidualEquivalence(t *testing.T) {
 		}
 	})
 
-	// Pre-decoded chunks that run dry: queues and bypass windows of drawn
-	// length, so that the parse asks for a bin or a bit that is not there.
+	// Pre-decoded chunks that run dry: classes and bypass windows of drawn
+	// length, so that the parse asks for a symbol or a bit that is not there.
 	t.Run("dry", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(64))
 		for trial := 0; trial < 3000; trial++ {
-			var rcs [2]*ransChunk
-			ctxBins, window := make([]uint8, rng.Intn(600)), make([]byte, rng.Intn(40))
-			for i := range ctxBins {
-				ctxBins[i] = uint8(rng.Intn(2))
-			}
+			window := make([]byte, rng.Intn(40))
 			rng.Read(window)
-			bins := append(unpackBits(nil, window), ctxBins...)
-			var prefix [nQueues + 1]int
-			prefix[1] = 8 * len(window)
-			for q := 2; q <= nQueues; q++ {
-				prefix[q] = min(prefix[q-1]+rng.Intn(2*len(ctxBins)/nCtxSlots+2), len(bins))
+			n := rng.Intn(600)
+			var start [nClasses + 1]int
+			for c := 1; c <= nClasses; c++ {
+				start[c] = min(start[c-1]+rng.Intn(2*n/nClasses+2), n)
 			}
+			syms := make([]uint8, start[nClasses])
+			for c := 0; c < nClasses; c++ {
+				for i := start[c]; i < start[c+1]; i++ {
+					syms[i] = uint8(rng.Intn(classAlphabet(c)))
+				}
+			}
+			var rcs [2]*ransChunk
 			for i := range rcs {
-				rcs[i] = &ransChunk{bins: bins, prefix: prefix, alias: -1, bypassN: 8 * len(window)}
-				copy(rcs[i].next[:], prefix[:nQueues])
+				// The window with the padding byte readFraming appends.
+				padded := append(slices.Clone(window), 0)
+				rcs[i] = &ransChunk{bitWindow: bitWindow{buf: padded, n: 8 * len(window)}, syms: syms, start: start}
+				copy(rcs[i].next[:], start[:nClasses])
 			}
 			ls := newChunkLockstep(rcs[0], rcs[1])
 			if trial%3 == 0 {
@@ -523,10 +556,10 @@ func TestLevelCap(t *testing.T) {
 			var stream []byte
 			dims := [][2]int{{32, 32}}
 			if tools.Backend == BackendRANS {
-				tab := buildRansTable([]*ransRecord{re.rec})
-				chunks := []chunkRec{{payload: re.rec.assemble(&tab), planes: 1}}
+				chunks := []chunkRec{{planes: 1}}
+				ext := sealRans(chunks, []*ransRecord{re.rec})
 				seal(chunks)
-				stream, _ = writeContainer(versionChecksummed, dims, 51, HEVC, tools, &tab, chunks)
+				stream, _ = writeContainer(versionChecksummed, dims, 51, HEVC, tools, ext, chunks)
 			} else {
 				chunks := []chunkRec{{payload: append([]byte(nil), re.e.bw.finish()...), planes: 1}}
 				stream, _ = writeContainer(1, dims, 51, HEVC, tools, nil, chunks)
@@ -550,7 +583,7 @@ func TestLevelCap(t *testing.T) {
 
 // benchParseResidual times the residual parse of one block (b.N counts
 // blocks) over payloads of 64 weight-plane level blocks, dense and sparse,
-// through the decoder's own spelling and through the per-bin loop.
+// through the decoder's own spelling and through its definition.
 func benchParseResidual(b *testing.B, tools Tools) {
 	const blocks = 64
 	for _, size := range []int{8, 16, 32} {
@@ -575,7 +608,8 @@ func benchParseResidual(b *testing.B, tools Tools) {
 					*c.d = start
 					c.ctx.init()
 				case *ransChunk:
-					copy(c.next[:], c.prefix[:nQueues])
+					copy(c.next[:], c.start[:nClasses])
+					c.pos = 0
 				}
 			}
 			d := decoder{br: ls.prod}
@@ -594,7 +628,7 @@ func benchParseResidual(b *testing.B, tools Tools) {
 					if i%blocks == 0 {
 						rewind(ls.ref)
 					}
-					parseResidualPerBin(ls.ref, lev, size, true)
+					refParse(ls.ref, lev, size, true)
 				}
 			})
 		}

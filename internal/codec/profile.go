@@ -70,17 +70,15 @@ func (p Profile) id() uint8 {
 // BackendCABAC is the shipping default: adaptive binary arithmetic coding,
 // bit-serial within a chunk, byte-pinned by the golden conformance corpus.
 // BackendRANS is the paper's parallel-decode alternative (VcLLM's two-pass
-// scheme): a first pass records every context bin, per-slot statistics are
-// aggregated into one shared probability table serialized in the v3 header,
-// and each chunk's bins are then coded through rans.Interleave independent
-// static rANS states, which decode together without a serial adaptation
-// chain.
+// scheme): per-class symbol statistics become static tables in the v3
+// header, and each chunk's symbols are coded through rans.Interleave states
+// that decode together, with no serial adaptation chain (backend.go).
 type EntropyBackend uint8
 
 const (
 	// BackendCABAC is adaptive arithmetic coding (the default).
 	BackendCABAC EntropyBackend = 0
-	// BackendRANS is interleaved static rANS over a shared table.
+	// BackendRANS is interleaved static rANS over per-class tables.
 	BackendRANS EntropyBackend = 1
 )
 

@@ -314,8 +314,9 @@ func TestSigCtxTableMatchesDefinition(t *testing.T) {
 }
 
 // TestContextSlotLayout pins the slot numbering, which is bitstream contract:
-// the rANS header table, count table and slot-major bin order are indexed by
-// it (the rANS golden vectors would catch a change too, but not say why).
+// the rANS flag classes are the slots before ctxSig, and the level classes
+// follow them (the rANS golden vectors would catch a change too, but not say
+// why).
 // The literals are the order the pre-flat-array contexts struct listed its
 // fields in: split[6], interFlag, modeSame, cbf[4], sig[4][9], g1[4], g2[4].
 func TestContextSlotLayout(t *testing.T) {
@@ -339,8 +340,9 @@ func TestContextSlotLayout(t *testing.T) {
 			t.Fatalf("slot group %d starts at %d, contract says %d", i, got[i], starts[i])
 		}
 	}
-	if nCtxSlots != 56 {
-		t.Fatalf("nCtxSlots = %d, the v3 backend extension carries 56", nCtxSlots)
+	if nClasses != 20 || levelClass(0, 0) != ctxSig || levelClass(3, 1<<10-1) != nClasses-1 {
+		t.Fatalf("%d rANS classes, level classes %d…%d; the v3 backend extension carries 12 flag and 8 level classes",
+			nClasses, levelClass(0, 0), levelClass(3, 1<<10-1))
 	}
 	var c contexts
 	c.init()

@@ -28,10 +28,10 @@ import (
 //	coarseIntra                coarseIntraDef
 //	sadWithin                  sadWithinDef
 //	computeStats               sseDef
-//	parseResidual — cabac.DecodeLevels, ransChunk.parseResidual, the literal
-//	chunk — parseResidualPerBin over a perBinDecoder (rawBinDec for the raw
-//	ablation)
-//	ransChunk.predecode        predecodeDef: each state alone, one bin a call
+//	parseResidual — cabac.DecodeLevels and the literal chunk's loop —
+//	parseResidualPerBin over a perBinDecoder (rawBinDec for the raw ablation)
+//	ransChunk.parseResidual    parseSymbolsDef: one symbol a read
+//	ransChunk.predecode        predecodeDef: each state alone, one symbol a call
 //
 // beside the inputs the tests share (drawPixels, codingOrder, coverageAt,
 // drawSource, drawLevels, extremeBlocks) and the kernel paths they run on (kernelPaths).
@@ -326,8 +326,8 @@ func egDecode(d perBinDecoder, k uint) uint32 {
 }
 
 // parseResidualPerBin is the residual syntax by definition, one bin read at
-// a time, with the level cap: what cabac.DecodeLevels, ransChunk's loop and
-// the literal chunk are each held to.
+// a time, with the level cap: what cabac.DecodeLevels and the literal chunk's
+// loop are each held to.
 func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
@@ -392,50 +392,49 @@ func (d rawBinDec) bypassBits(n uint) uint32 {
 }
 
 // predecodeDef is the pre-decode by definition: each state on its own, one
-// bin a step — bin i of the slot-major sequence on state i%ransLanes, at the
-// table frequency of the slot whose queue holds it — under the strict rules
-// of one segment (at least 3 bytes, an initial state at or above 2¹⁶, no
-// renormalization past the end, a final state of exactly 2¹⁶, every byte
-// consumed), and the lowest failing state reported.
-func predecodeDef(c *ransChunk, segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) error {
+// symbol a step — symbol i of the class-major sequence on state i%rans.Interleave,
+// found by walking the cumulative frequencies of the table of the class that
+// holds it — under the strict rules of one segment (at least 3 bytes, an
+// initial state at or above 2¹⁶, no renormalization past the end, a final
+// state of exactly 2¹⁶, every byte consumed), and the lowest failing state
+// reported.
+func predecodeDef(c *ransChunk, segs *[rans.Interleave][]byte, tabs *ransTables) error {
 	const lo = 1 << 16
-	base, total := c.prefix[1], c.prefix[nQueues]-c.prefix[1]
-	if total == 0 {
-		return nil
-	}
+	total := c.start[nClasses]
 	lane := func(seg []byte, j int) error {
 		if len(seg) < 3 {
-			return fmt.Errorf("rans: %d-byte segment: %w", len(seg), rans.ErrTruncated)
+			return fmt.Errorf("%d-byte segment: %w", len(seg), rans.ErrTruncated)
 		}
 		x, pos := uint32(seg[0])<<16|uint32(seg[1])<<8|uint32(seg[2]), 3
 		if x < lo {
-			return fmt.Errorf("rans: initial state %#x below renormalization bound: %w", x, rans.ErrCorrupt)
+			return fmt.Errorf("initial state %#x below renormalization bound: %w", x, rans.ErrCorrupt)
 		}
-		q := 1
-		for i := j; i < total; i += ransLanes {
-			for base+i >= c.prefix[q+1] {
-				q++
+		cl := 0
+		for i := j; i < total; i += rans.Interleave {
+			for i >= c.start[cl+1] {
+				cl++
 			}
-			f0 := rans.ProbToFreq(tab[q-1])
+			t := tabs[cl]
 			s := x & (rans.Scale - 1)
-			f, cs, bin := f0, uint32(0), uint8(0)
-			if s >= f0 {
-				f, cs, bin = rans.Scale-f0, f0, 1
+			sym, cum := 0, uint32(0)
+			for cum+t.Freq(uint8(sym)) <= s {
+				cum += t.Freq(uint8(sym))
+				sym++
 			}
-			x = f*(x>>rans.ScaleBits) + s - cs
+			x = t.Freq(uint8(sym))*(x>>rans.ScaleBits) + s - cum
 			for x < lo {
 				if pos >= len(seg) {
-					return fmt.Errorf("rans: segment ends mid-renormalization: %w", rans.ErrTruncated)
+					return fmt.Errorf("segment ends mid-renormalization: %w", rans.ErrTruncated)
 				}
 				x, pos = x<<8|uint32(seg[pos]), pos+1
 			}
-			c.bins[base+i] = bin
+			c.syms[i] = uint8(sym)
 		}
 		if x != lo {
-			return fmt.Errorf("rans: final state %#x, want %#x: %w", x, uint32(lo), rans.ErrCorrupt)
+			return fmt.Errorf("final state %#x, want %#x: %w", x, uint32(lo), rans.ErrCorrupt)
 		}
 		if pos != len(seg) {
-			return fmt.Errorf("rans: %d unconsumed segment bytes: %w", len(seg)-pos, rans.ErrCorrupt)
+			return fmt.Errorf("%d unconsumed segment bytes: %w", len(seg)-pos, rans.ErrCorrupt)
 		}
 		return nil
 	}
@@ -445,6 +444,41 @@ func predecodeDef(c *ransChunk, segs *[ransLanes][]byte, tab *[nCtxSlots]uint8) 
 		}
 	}
 	return nil
+}
+
+// parseSymbolsDef is the rANS residual syntax by definition, one symbol or
+// bypass bin a read: the cbf flag, then for a coded block each scan
+// position's symbol off its class (levelClass), and for a non-zero one the
+// escape's Exp-Golomb suffix and the sign. What ransChunk.parseResidual is
+// held to.
+func parseSymbolsDef(c *ransChunk, lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, _ := residualScan(size, transformed)
+	clear(lev)
+	if c.bit(ctxCbf+si) == 0 {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		a := int32(c.bit(levelClass(si, i)))
+		if a == 0 {
+			continue
+		}
+		if a == levelEscape {
+			rem := egDecode(c, k)
+			if rem > maxLevel-levelEscape {
+				panic(decodeError{errMalformed})
+			}
+			a += int32(rem)
+			if rem > 3<<k && k < 4 {
+				k++
+			}
+		}
+		if c.bypass() == 1 {
+			a = -a
+		}
+		lev[pos] = a
+	}
 }
 
 // kernelPaths calls f once for each kernel path this host runs, with

@@ -117,7 +117,8 @@ type scratch struct {
 	_        stagePad
 	ctx      contexts // shared with the encoder, which has one stage
 	cabacDec cabacBinDec
-	chunk    ransChunk // the rANS or literal chunk reader, its bin buffer kept warm
+	chunk    ransChunk    // the rANS chunk reader, its symbol buffer kept warm
+	literal  literalChunk // the raw ablation's reader
 	dec      decoder
 	_        stagePad
 	ring     [ringDepth]ctuBatch

@@ -2,158 +2,180 @@ package rans
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// encodeRuns codes bins as the codec's rANS backend does: bin i on encoder
-// i%Interleave at the frequency of the run holding it. It returns each
-// state's segment, copied out of its encoder.
-func encodeRuns(bins []uint8, runs []Run) *[Interleave][]byte {
-	f0 := make([]uint32, 0, len(bins))
-	for _, r := range runs {
-		for k := 0; k < r.Bins; k++ {
-			f0 = append(f0, r.F0)
+// table normalizes counts into a table, failing the test on error.
+func table(t testing.TB, counts *[256]int64) *Freqs {
+	t.Helper()
+	f, err := NormalizeFreqs(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// drawRuns draws up to maxRuns runs of up to maxLen symbols, each over a
+// table of its own: an alphabet of 2, 16 or 256 symbols with skewed counts,
+// some of them 1 so that frequency-1 symbols (two renormalization bytes)
+// occur. The symbols follow each run's counts.
+func drawRuns(t testing.TB, rng *rand.Rand, maxRuns, maxLen int) ([]uint8, []Run) {
+	var syms []uint8
+	runs := make([]Run, rng.Intn(maxRuns+1))
+	for k := range runs {
+		alphabet := []int{2, 16, 256}[rng.Intn(3)]
+		var counts [256]int64
+		var pool []uint8
+		for s := 0; s < alphabet; s++ {
+			c := int64(1 << rng.Intn(12))
+			if rng.Intn(4) == 0 {
+				c = 1
+			}
+			counts[s] = c
+			for range min(c, 64) {
+				pool = append(pool, uint8(s))
+			}
+		}
+		runs[k] = Run{N: rng.Intn(maxLen + 1), T: table(t, &counts)}
+		for range runs[k].N {
+			syms = append(syms, pool[rng.Intn(len(pool))])
 		}
 	}
-	var encs [Interleave]BinEncoder
-	for j := range encs {
-		encs[j].Reset()
-	}
-	for i := len(bins) - 1; i >= 0; i-- {
-		encs[i%Interleave].Put(int(bins[i]), f0[i])
-	}
-	var segs [Interleave][]byte
-	for j := range encs {
-		segs[j] = append([]byte(nil), encs[j].Finish()...)
+	return syms, runs
+}
+
+func encode(t testing.TB, syms []uint8, runs []Run) *[Interleave][]byte {
+	t.Helper()
+	segs, err := Encode(syms, runs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return &segs
 }
 
-// drawRuns draws up to maxRuns runs of up to maxLen bins at random
-// probabilities, and bins that follow each run's probability.
-func drawRuns(rng *rand.Rand, maxRuns, maxLen int) ([]uint8, []Run) {
-	var bins []uint8
-	runs := make([]Run, rng.Intn(maxRuns+1))
-	for k := range runs {
-		p := uint8(1 + rng.Intn(255))
-		runs[k] = Run{Bins: rng.Intn(maxLen + 1), F0: ProbToFreq(p)}
-		for n := 0; n < runs[k].Bins; n++ {
-			bins = append(bins, uint8(b2u(rng.Intn(256) >= int(p))))
-		}
-	}
-	return bins, runs
-}
-
-func b2u(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// binRoundTrip encodes bins over runs and decodes them back through the
-// interleaved states.
-func binRoundTrip(t *testing.T, bins []uint8, runs []Run) {
+func roundTrip(t *testing.T, syms []uint8, runs []Run) {
 	t.Helper()
-	segs := encodeRuns(bins, runs)
-	got := make([]uint8, len(bins))
-	if j, err := DecodeBins(got, segs, runs); err != nil {
-		t.Fatalf("%d bins: state %d: %v", len(bins), j, err)
+	segs := encode(t, syms, runs)
+	got := make([]uint8, len(syms))
+	if j, err := Decode(got, segs, runs); err != nil {
+		t.Fatalf("%d symbols: state %d: %v", len(syms), j, err)
 	}
-	if !bytes.Equal(got, bins) {
-		t.Fatalf("%d bins: round trip differs", len(bins))
+	if !bytes.Equal(got, syms) {
+		t.Fatalf("%d symbols: round trip differs", len(syms))
 	}
 }
 
-func TestBinRoundTrip(t *testing.T) {
+func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
-		bins, runs := drawRuns(rng, 12, []int{6, 60, 600}[trial%3])
-		binRoundTrip(t, bins, runs)
+		syms, runs := drawRuns(t, rng, 12, []int{6, 60, 600}[trial%3])
+		roundTrip(t, syms, runs)
 	}
-	// Degenerate: empty sequence, extreme probabilities, all-same bins.
-	binRoundTrip(t, nil, nil)
-	all0, all1 := make([]uint8, 1000), make([]uint8, 1000)
-	for i := range all1 {
-		all1[i] = 1
+	roundTrip(t, nil, nil)
+	// A frequency-1 symbol renormalizes by two bytes; a run of them, beside
+	// a symbol of frequency Scale−1, exercises that bound at every state.
+	var counts [256]int64
+	counts[0], counts[1] = 1, 1<<20
+	skew := table(t, &counts)
+	if skew.Freq(0) != 1 {
+		t.Fatalf("rare symbol has frequency %d, want 1", skew.Freq(0))
 	}
-	lo, hi := []Run{{1000, ProbToFreq(1)}}, []Run{{1000, ProbToFreq(255)}}
-	binRoundTrip(t, all0, hi) // likely bins: near-free
-	binRoundTrip(t, all1, lo)
-	binRoundTrip(t, all0, lo) // unlikely bins: expensive but exact
-	binRoundTrip(t, all1, hi)
+	rare := make([]uint8, 1000)
+	roundTrip(t, rare, []Run{{len(rare), skew}})
+	for i := range rare {
+		rare[i] = uint8(rng.Intn(2))
+	}
+	roundTrip(t, rare, []Run{{500, skew}, {500, skew}})
 }
 
-// TestBinCompression: 1000 bins that are zero 95% of the time, coded with a
-// matched static probability, must cost well under 1 bit/bin.
-func TestBinCompression(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 10000
-	bins := make([]int, n)
-	probs := make([]uint8, n)
-	for i := range bins {
-		probs[i] = 243 // p0 ≈ 0.95
-		if rng.Float64() >= 0.95 {
-			bins[i] = 1
-		}
-	}
-	var enc BinEncoder
-	enc.Reset()
-	for i := n - 1; i >= 0; i-- {
-		enc.Put(bins[i], ProbToFreq(probs[i]))
-	}
-	seg := enc.Finish()
-	bitsPerBin := float64(len(seg)*8) / float64(n)
-	// H(0.95) ≈ 0.286; allow quantization + flush slack.
-	if bitsPerBin > 0.35 {
-		t.Fatalf("%.3f bits/bin on p=0.95 source, want < 0.35", bitsPerBin)
+// TestEncodeRefusesZeroFrequency: a symbol its table does not cover is an
+// error, not a silent mis-coding.
+func TestEncodeRefusesZeroFrequency(t *testing.T) {
+	var counts [256]int64
+	counts[3] = 10
+	if _, err := Encode([]uint8{3, 3, 4}, []Run{{3, table(t, &counts)}}); err == nil {
+		t.Fatal("symbol of zero frequency encoded")
 	}
 }
 
-// TestDecodeBinsStrictness: a clean sequence decodes; every strict prefix of
-// any one state's segment, and that segment with a trailing byte, fails as a
+// TestDecodeStrictness: a clean sequence decodes; every strict prefix of any
+// one state's segment, and that segment with a trailing byte, fails as a
 // typed error on that state.
-func TestDecodeBinsStrictness(t *testing.T) {
+func TestDecodeStrictness(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	bins, runs := drawRuns(rng, 6, 300)
-	for len(bins) < 4*Interleave {
-		bins, runs = drawRuns(rng, 6, 300)
+	syms, runs := drawRuns(t, rng, 6, 300)
+	for len(syms) < 4*Interleave {
+		syms, runs = drawRuns(t, rng, 6, 300)
 	}
-	clean := encodeRuns(bins, runs)
-	out := make([]uint8, len(bins))
-	if j, err := DecodeBins(out, clean, runs); err != nil {
+	clean := encode(t, syms, runs)
+	out := make([]uint8, len(syms))
+	if j, err := Decode(out, clean, runs); err != nil {
 		t.Fatalf("clean segments rejected: state %d: %v", j, err)
 	}
 	for j := range clean {
 		segs := *clean
 		for n := 0; n < len(clean[j]); n++ {
 			segs[j] = clean[j][:n]
-			if got, err := DecodeBins(out, &segs, runs); err == nil {
+			if got, err := Decode(out, &segs, runs); err == nil {
 				t.Fatalf("state %d segment truncated to %d bytes accepted", j, n)
 			} else if got != j || !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 				t.Fatalf("state %d segment truncated to %d bytes: state %d, %v", j, n, got, err)
 			}
 		}
 		segs[j] = append(append([]byte(nil), clean[j]...), 0xAA)
-		if got, err := DecodeBins(out, &segs, runs); !errors.Is(err, ErrCorrupt) || got != j {
+		if got, err := Decode(out, &segs, runs); !errors.Is(err, ErrCorrupt) || got != j {
 			t.Fatalf("state %d segment with a trailing byte: state %d, %v", j, got, err)
 		}
 	}
 }
 
-func uniformFreqs(t *testing.T) *Freqs {
-	t.Helper()
-	var counts [256]int64
-	for i := range counts {
-		counts[i] = 1
+// TestDecodeLaneIndependence is the structural fact behind decoding the
+// states together: state j's symbols depend on segment j alone. Two
+// sequences over the same runs are coded, and their segments spliced under
+// every mask of states; each splice decodes to sequence A at the states taken
+// from A and to sequence B at the others.
+func TestDecodeLaneIndependence(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var seqs [2][]uint8
+	var runs []Run
+	for len(seqs[0]) == 0 {
+		seqs[0], runs = drawRuns(t, rng, 20, 2000)
 	}
-	f, err := NormalizeFreqs(&counts)
-	if err != nil {
-		t.Fatal(err)
+	// The second sequence: the first with every fifth symbol swapped for one
+	// its run's table also covers.
+	seqs[1] = append([]uint8(nil), seqs[0]...)
+	i := 0
+	for _, r := range runs {
+		for k := i; k < i+r.N; k += 5 {
+			for s := rng.Intn(256); ; s = (s + 1) % 256 {
+				if r.T.Freq(uint8(s)) > 0 {
+					seqs[1][k] = uint8(s)
+					break
+				}
+			}
+		}
+		i += r.N
 	}
-	return f
+	coded := [2]*[Interleave][]byte{encode(t, seqs[0], runs), encode(t, seqs[1], runs)}
+	out := make([]uint8, len(seqs[0]))
+	for mask := 0; mask < 1<<Interleave; mask++ {
+		var segs [Interleave][]byte
+		for j := range segs {
+			segs[j] = coded[mask>>j&1][j]
+		}
+		if j, err := Decode(out, &segs, runs); err != nil {
+			t.Fatalf("mask %04b: state %d: %v", mask, j, err)
+		}
+		for i, b := range out {
+			if want := seqs[mask>>(i%Interleave)&1][i]; b != want {
+				t.Fatalf("mask %04b: symbol %d = %d, want %d", mask, i, b, want)
+			}
+		}
+	}
 }
 
 func TestBytesRoundTrip(t *testing.T) {
@@ -163,20 +185,11 @@ func TestBytesRoundTrip(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.Intn(16)) // skewed alphabet
 		}
-		var counts [256]int64
+		counts := [256]int64{1} // an empty input still needs a table
 		for _, b := range data {
 			counts[b]++
 		}
-		var f *Freqs
-		if n == 0 {
-			f = uniformFreqs(t)
-		} else {
-			var err error
-			f, err = NormalizeFreqs(&counts)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		f := table(t, &counts)
 		segs, err := EncodeBytes(data, f)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -191,40 +204,33 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeBinsLaneIndependence is the structural fact behind decoding the
-// states together: state j's bins depend on segment j alone. Two sequences
-// over the same runs are coded, and their segments spliced under every mask of
-// states; each splice decodes to sequence A at the states taken from A and to
-// sequence B at the others.
-func TestDecodeBinsLaneIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	_, runs := drawRuns(rng, 20, 2000)
-	total := 0
-	for _, r := range runs {
-		total += r.Bins
-	}
-	var seqs [2][]uint8
-	var coded [2]*[Interleave][]byte
-	for k := range seqs {
-		seqs[k] = make([]uint8, total)
-		for i := range seqs[k] {
-			seqs[k][i] = uint8(rng.Intn(2))
+// TestEncodeBytesPinned pins EncodeBytes' segments — the bytes Fig. 14's
+// rANS sizes count — to the hashes the byte coder produced before it shared
+// Encode with the codec: Gaussian bytes of four lengths and spreads.
+func TestEncodeBytesPinned(t *testing.T) {
+	want := map[int]string{1: "590742ceb989f840", 5: "02c87f0a91239c31", 1000: "37311986e4718405", 65536: "38cfab6df51d0530"}
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 5, 1000, 65536} {
+		data := make([]byte, n)
+		for i := range data {
+			v := int(rng.NormFloat64()*float64(1+n%40) + 128)
+			data[i] = byte(min(max(v, 0), 255))
 		}
-		coded[k] = encodeRuns(seqs[k], runs)
-	}
-	out := make([]uint8, total)
-	for mask := 0; mask < 1<<Interleave; mask++ {
-		var segs [Interleave][]byte
-		for j := range segs {
-			segs[j] = coded[mask>>j&1][j]
+		var counts [256]int64
+		for _, b := range data {
+			counts[b]++
 		}
-		if j, err := DecodeBins(out, &segs, runs); err != nil {
-			t.Fatalf("mask %04b: state %d: %v", mask, j, err)
+		segs, err := EncodeBytes(data, table(t, &counts))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, b := range out {
-			if want := seqs[mask>>(i%Interleave)&1][i]; b != want {
-				t.Fatalf("mask %04b: bin %d = %d, want %d", mask, i, b, want)
-			}
+		h := sha256.New()
+		for _, s := range segs {
+			h.Write(s)
+			h.Write([]byte{0xff})
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[n] {
+			t.Errorf("n=%d: segments hash to %s, pinned %s", n, got, want[n])
 		}
 	}
 }
@@ -262,11 +268,7 @@ func TestBytesCompressesSkewed(t *testing.T) {
 	for _, b := range data {
 		counts[b]++
 	}
-	f, err := NormalizeFreqs(&counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := EncodeBytes(data, f)
+	segs, err := EncodeBytes(data, table(t, &counts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,11 @@
 # the change won — or, for a metric every run of a side reads identically (the
 # exact cells, bits_per_value and rel_mse), a tie or the relative move beside
 # that metric's bound from BENCHMARK.json: a deterministic cell has no pairs to
-# win. It only invokes the benchmark; nothing under benchmark/ is read or
-# written except through run.sh, and BENCHMARK.json is only read.
+# win. After the table, one line per workload gives each side's attempted and
+# failed operations summed over its runs, read from each run's final JSON
+# line, and the failed share: a change must not raise it. It only invokes the
+# benchmark; nothing under benchmark/ is read or written except through
+# run.sh, and BENCHMARK.json is only read.
 #
 # The seed (41: not one the kernels were developed against) and the timed
 # length (15 s, the value BENCHMARK.json fixes) are constants, so every claim
@@ -35,12 +38,23 @@ mkdir "$dir/parent"
 # An export, not a worktree: it leaves nothing behind in .git.
 git -C "$root" archive "$parent" | tar -x -C "$dir/parent"
 
-log=$dir/runs.tsv
+log=$dir/runs.tsv ops=$dir/ops.tsv
 : >"$log"
+: >"$ops"
 run() { # side checkout workload pair
 	bash "$2/benchmark/run.sh" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0 |
-		awk -v side="$1" -v w="$3" -v p="$4" \
-			'$1 ~ /^(setup_s|raw_mbps|op_p50_ms|bits_per_value|rel_mse)$/ && $4 ~ /^(lower|higher)$/ { print w "\t" $1 "\t" $4 "\t" p "\t" side "\t" $2 }' >>"$log"
+		awk -v side="$1" -v w="$3" -v p="$4" -v ops="$ops" '
+			# The final JSON line of a run: {"correct":…,"attempted":N,"failed":M,…}.
+			/^\{"correct"/ {
+				a = f = ""
+				if (match($0, /"attempted":[0-9]+/)) a = substr($0, RSTART + 12, RLENGTH - 12)
+				if (match($0, /"failed":[0-9]+/)) f = substr($0, RSTART + 9, RLENGTH - 9)
+				print w "\t" side "\t" a "\t" f >>ops
+				reported = 1
+				next
+			}
+			$1 ~ /^(setup_s|raw_mbps|op_p50_ms|bits_per_value|rel_mse)$/ && $4 ~ /^(lower|higher)$/ { print w "\t" $1 "\t" $4 "\t" p "\t" side "\t" $2 }
+			END { if (!reported) print w "\t" side "\t\t" >>ops }' >>"$log"
 }
 
 for w in $workloads; do
@@ -91,4 +105,15 @@ FNR == NR { # BENCHMARK.json, as committed: one key a line; only end_to_end metr
 	if ($5 == "parent") { P[++np] = $6; pv[$4] = $6 } else { C[++nc] = $6; cv[$4] = $6 }
 }
 END { flush() }' "$root/BENCHMARK.json" -
-echo "bench-ab: parent $parent vs working tree, seed $seed, ${seconds}s timed, $pairs pairs; raw runs in $log" >&2
+# One line per workload: each side's attempted and failed operations over its
+# runs, and the failed share. A run whose JSON line is missing counts as a run
+# with no counts, and the line says how many runs reported.
+awk -F'\t' '
+!($1 in seen) { seen[$1]; order[++m] = $1 }
+{ k = $1 SUBSEP $2; n[k]++; if ($3 != "") { r[k]++; a[k] += $3; f[k] += $4 } }
+function side(w, s,   k) {
+	k = w SUBSEP s
+	return sprintf("%s attempted %8d failed %6d (share %.4g, %d of %d runs reported)", s, a[k], f[k], a[k] ? f[k] / a[k] : 0, r[k], n[k])
+}
+END { for (i = 1; i <= m; i++) printf "%-15s %-15s %-6s | %s | %s\n", order[i], "ops", "", side(order[i], "parent"), side(order[i], "change") }' "$ops"
+echo "bench-ab: parent $parent vs working tree, seed $seed, ${seconds}s timed, $pairs pairs; raw runs in $log and $ops" >&2
