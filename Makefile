@@ -31,7 +31,10 @@ vet:
 # Fail in seconds, not after the suite: everything compiles (the nested
 # benchmark module too, against this tree with benchmark/surface.go unedited),
 # the two closed API surfaces — codec's Encode/Decode, core's seven Options
-# methods — and the closed field lists of the four config structs still hold,
+# methods — and the closed field lists of core.Options, codec.EncodeConfig and
+# codec.DecodeConfig, each field with its setter, still hold, codec.Profile is
+# still a three-valued id that every encode entry point refuses out of range
+# (TestUnknownProfileRefused),
 # llm's Codec and Residual still answer every call of TestCompressorPins as
 # recorded before their rate law moved out of core,
 # the reconstruction Encode hands out is still the one
@@ -59,7 +62,7 @@ vet:
 surface: vet
 	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|Trailer|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|Trailer|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...

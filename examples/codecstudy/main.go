@@ -79,7 +79,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-6s %.4f (at %.2f b/v)\n", prof.Name, w.MSE(d[0])/variance, e.BitsPerValue())
+		fmt.Printf("  %-6s %.4f (at %.2f b/v)\n", prof, w.MSE(d[0])/variance, e.BitsPerValue())
 	}
 	fmt.Println("\nthe paper's Fig. 6: the three profiles differ within noise above ~1.8 b/v")
 }

@@ -110,12 +110,7 @@ func TensorCodec(opts core.Options, qp int) CodecFactory {
 func (c *tensorCodec) Wire() byte { return WireTensor }
 
 // blockRows is the CTU height planes are padded to (see blockCodec).
-func (c *tensorCodec) blockRows() int {
-	if c.opts.Profile.CTUSize > 0 {
-		return c.opts.Profile.CTUSize
-	}
-	return codec.HEVC.CTUSize // core.Options' default profile
-}
+func (c *tensorCodec) blockRows() int { return c.opts.Profile.CTUSize() }
 
 func (c *tensorCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
 	t := core.FromSlice(rows, cols, vals)

@@ -142,7 +142,8 @@ func New(cfg Config) (*Ring, error) {
 			segRows = 1
 		}
 		if bc, ok := r.codecs[0].(blockCodec); ok {
-			b := bc.blockRows()
+			// An unknown profile has no CTU (0): its encodes are refused later.
+			b := max(bc.blockRows(), 1)
 			segRows = (segRows + b - 1) / b * b
 		}
 	}

@@ -58,7 +58,7 @@ func TestEncodeReconIsDecode(t *testing.T) {
 		t.Helper()
 		for _, container := range []Container{ContainerLegacy, ContainerV3} {
 			for _, workers := range []int{1, 2, 4, 8} {
-				label := fmt.Sprintf("%s %+v container=%d workers=%d", prof.Name, tools, container, workers)
+				label := fmt.Sprintf("%s %+v container=%d workers=%d", prof, tools, container, workers)
 				data, _, recon, err := Encode(context.Background(), planes, EncodeConfig{
 					QP: qp, Profile: prof, Tools: tools, Workers: workers, Container: container})
 				if err != nil {

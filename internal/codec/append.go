@@ -95,7 +95,7 @@ func (a *Appender) Frame(w, h int, payloads [][]byte) ([]byte, error) {
 	if a.tools.Backend != BackendCABAC {
 		return nil, errAppendRANS
 	}
-	if len(payloads) == 0 || w <= 0 || h <= 0 || w > a.prof.MaxFrameDim || h > a.prof.MaxFrameDim {
+	if len(payloads) == 0 || w <= 0 || h <= 0 || w > a.prof.MaxFrameDim() || h > a.prof.MaxFrameDim() {
 		return nil, fmt.Errorf("codec: cannot frame %d chunks of %dx%d planes", len(payloads), w, h)
 	}
 	dims := make([][2]int, len(payloads))

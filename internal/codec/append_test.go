@@ -197,7 +197,7 @@ func TestAppenderRefusesRANS(t *testing.T) {
 	if _, err := app.Frame(32, 16, payloads); err == nil {
 		t.Fatal("Frame accepted a rANS tool set")
 	}
-	for _, d := range [][2]int{{0, 16}, {32, -1}, {HEVC.MaxFrameDim + 1, 16}} {
+	for _, d := range [][2]int{{0, 16}, {32, -1}, {HEVC.MaxFrameDim() + 1, 16}} {
 		if _, err := cabac.Frame(d[0], d[1], payloads); err == nil {
 			t.Fatalf("Frame accepted %dx%d planes", d[0], d[1])
 		}

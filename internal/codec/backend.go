@@ -196,22 +196,24 @@ func (r *ransRecord) assemble(tabs *ransTables) []byte {
 	return out
 }
 
-// parseRansExt validates the header's backend extension after its id and
-// returns the class tables and the extension's length.
-func parseRansExt(ext []byte) (*ransTables, int, error) {
+// parseRansExt validates the header's backend extension after its id — the
+// class count, each table's alphabet bound and its sum to rans.Scale — and
+// returns the extension's length. Into a non-nil tabs it also builds the
+// class decode tables; Layout, which decodes no payload, passes nil, so a
+// layer read builds them once.
+func parseRansExt(ext []byte, tabs *ransTables) (int, error) {
 	switch {
 	case len(ext) == 0:
-		return nil, 0, truncatedf("codec: header ends inside backend extension")
+		return 0, truncatedf("codec: header ends inside backend extension")
 	case ext[0] == retiredSlots:
-		return nil, 0, corruptf("codec: retired binary-rANS layout (a %d-slot bin-probability table); this decoder reads the %d-class symbol tables", ext[0], levelClasses)
+		return 0, corruptf("codec: retired binary-rANS layout (a %d-slot bin-probability table); this decoder reads the %d-class symbol tables", ext[0], levelClasses)
 	case ext[0] != levelClasses:
-		return nil, 0, corruptf("codec: rans header declares %d level classes, want %d", ext[0], levelClasses)
+		return 0, corruptf("codec: rans header declares %d level classes, want %d", ext[0], levelClasses)
 	}
 	off := 1
-	tabs := new(ransTables)
-	for c := range tabs {
+	for c := range nClasses {
 		if off == len(ext) {
-			return nil, 0, truncatedf("codec: header ends before rans class %d table", c)
+			return 0, truncatedf("codec: header ends before rans class %d table", c)
 		}
 		n := int(ext[off])
 		off++
@@ -219,26 +221,32 @@ func parseRansExt(ext []byte) (*ransTables, int, error) {
 		case n == 0:
 			continue // no chunk codes the class
 		case n > classAlphabet(c):
-			return nil, 0, corruptf("codec: rans class %d declares %d of its %d symbols", c, n, classAlphabet(c))
+			return 0, corruptf("codec: rans class %d declares %d of its %d symbols", c, n, classAlphabet(c))
 		}
 		var freq [256]uint32
+		var sum uint64
 		for s := 0; s < n; s++ {
 			v, k := binary.Uvarint(ext[off:])
 			switch {
 			case k == 0:
-				return nil, 0, truncatedf("codec: header ends inside rans class %d table", c)
+				return 0, truncatedf("codec: header ends inside rans class %d table", c)
 			case k < 0 || v > rans.Scale:
-				return nil, 0, corruptf("codec: rans class %d symbol %d frequency unreadable", c, s)
+				return 0, corruptf("codec: rans class %d symbol %d frequency unreadable", c, s)
 			}
-			freq[s], off = uint32(v), off+k
+			freq[s], sum, off = uint32(v), sum+v, off+k
 		}
-		t, err := rans.FreqsFromTable(&freq)
-		if err != nil {
-			return nil, 0, corruptf("codec: rans class %d: %v", c, err)
+		if sum != rans.Scale {
+			return 0, corruptf("codec: rans class %d frequencies sum to %d, want %d", c, sum, rans.Scale)
 		}
-		tabs[c] = t
+		if tabs != nil {
+			t, err := rans.FreqsFromTable(&freq)
+			if err != nil {
+				return 0, corruptf("codec: rans class %d: %v", c, err)
+			}
+			tabs[c] = t
+		}
 	}
-	return tabs, off, nil
+	return off, nil
 }
 
 // bitWindow reads bits MSB-first off a byte window that declares n of them:
@@ -274,7 +282,7 @@ func (w *bitWindow) expGolomb(k uint) uint32 {
 		v += 1 << k
 		k++
 		if k > 30 {
-			panic(decodeError{errMalformed})
+			panic(decodeError{ErrCorrupt})
 		}
 	}
 	return v + w.bypassBits(k)
@@ -419,7 +427,7 @@ func (c *ransChunk) take(cl, n int) []uint8 {
 func (c *ransChunk) bit(slot int) int {
 	s := c.take(slot, 1)
 	if len(s) == 0 {
-		panic(decodeError{errMalformed})
+		panic(decodeError{ErrCorrupt})
 	}
 	return int(s[0])
 }
@@ -447,7 +455,7 @@ func (c *ransChunk) parseResidual(lev []int32, scan []int, si int) {
 				c.pos = pos
 				rem := c.expGolomb(k)
 				if rem > maxLevel-levelEscape {
-					panic(decodeError{errMalformed})
+					panic(decodeError{ErrCorrupt})
 				}
 				l += int32(rem)
 				if rem > 3<<k && k < 4 {
@@ -465,7 +473,7 @@ func (c *ransChunk) parseResidual(lev []int32, scan []int, si int) {
 			panic(decodeError{bits.ErrOutOfData})
 		}
 		if len(syms) < len(run) {
-			panic(decodeError{errMalformed})
+			panic(decodeError{ErrCorrupt})
 		}
 	}
 }
@@ -505,7 +513,7 @@ func (c *literalChunk) parseResidual(lev []int32, scan []int, sigSlot []uint8, s
 			if c.bit(ctxG2+si) == 1 {
 				rem := c.expGolomb(k)
 				if rem > maxLevel-3 {
-					panic(decodeError{errMalformed})
+					panic(decodeError{ErrCorrupt})
 				}
 				a = 3 + int32(rem)
 				if rem > 3<<k && k < 4 {

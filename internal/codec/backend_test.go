@@ -50,29 +50,29 @@ func TestRANSRoundTrip(t *testing.T) {
 		for _, prof := range []Profile{H264, HEVC} {
 			data, st, err := encodeAs(ContainerV3, planes, 30, prof, ransTools(), 2)
 			if err != nil {
-				t.Fatalf("%s/%s: encode: %v", name, prof.Name, err)
+				t.Fatalf("%s/%s: encode: %v", name, prof, err)
 			}
 			if data[4] != versionChecksummed {
-				t.Fatalf("%s/%s: rans stream has version %d, want %d", name, prof.Name, data[4], versionChecksummed)
+				t.Fatalf("%s/%s: rans stream has version %d, want %d", name, prof, data[4], versionChecksummed)
 			}
 			if data[6]&toolsBackendExt == 0 {
-				t.Fatalf("%s/%s: tools byte missing backend-extension bit", name, prof.Name)
+				t.Fatalf("%s/%s: tools byte missing backend-extension bit", name, prof)
 			}
 			got, err := decodeAll(data, 2)
 			if err != nil {
-				t.Fatalf("%s/%s: decode: %v", name, prof.Name, err)
+				t.Fatalf("%s/%s: decode: %v", name, prof, err)
 			}
 			cab, err := decodeAll(mustEncode(t, planes, 30, prof, AllTools), 2)
 			if err != nil {
-				t.Fatalf("%s/%s: cabac decode: %v", name, prof.Name, err)
+				t.Fatalf("%s/%s: cabac decode: %v", name, prof, err)
 			}
 			for i := range got {
 				if !got[i].Equal(cab[i]) {
-					t.Fatalf("%s/%s: plane %d differs between rans and cabac reconstructions", name, prof.Name, i)
+					t.Fatalf("%s/%s: plane %d differs between rans and cabac reconstructions", name, prof, i)
 				}
 			}
 			if st.Pixels == 0 || st.Bits != len(data)*8 {
-				t.Fatalf("%s/%s: stats %+v inconsistent with %d-byte stream", name, prof.Name, st, len(data))
+				t.Fatalf("%s/%s: stats %+v inconsistent with %d-byte stream", name, prof, st, len(data))
 			}
 		}
 	}
@@ -108,7 +108,7 @@ func mustEncode(t *testing.T, planes []*frame.Plane, qp int, prof Profile, tools
 // to (not including) the header CRC, from its parsed geometry.
 func ransHeaderLen(t *testing.T, data []byte) int {
 	t.Helper()
-	pc, err := parseContainer(data, false)
+	pc, err := parseContainer(data, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func TestParseProfile(t *testing.T) {
 	for s, want := range map[string]Profile{
 		"": HEVC, "h265": HEVC, "hevc": HEVC, "h264": H264, "avc": H264, "av1": AV1,
 	} {
-		if got, err := ParseProfile(s); err != nil || got.Name != want.Name {
-			t.Errorf("ParseProfile(%q) = %s, %v; want %s", s, got.Name, err, want.Name)
+		if got, err := ParseProfile(s); err != nil || got != want {
+			t.Errorf("ParseProfile(%q) = %s, %v; want %s", s, got, err, want)
 		}
 	}
 	if _, err := ParseProfile("vp9"); err == nil {
@@ -171,7 +171,7 @@ func TestBackendExtensionRequiresV3(t *testing.T) {
 		var b bytes.Buffer
 		b.Write(magic[:])
 		b.WriteByte(version)
-		b.WriteByte(HEVC.id())
+		b.WriteByte(HEVC.params().wire)
 		b.WriteByte(ransTools().bits())
 		b.WriteByte(30)
 		b.WriteByte(byte(BackendRANS))
@@ -236,7 +236,7 @@ func TestRANSPayloadStrictness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseContainer(data, false)
+	pc, err := parseContainer(data, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func forgedRANSStreams(t testing.TB) (clean []byte, forged map[string][]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseContainer(clean, false)
+	pc, err := parseContainer(clean, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func forgedRANSStreams(t testing.TB) (clean []byte, forged map[string][]byte) {
 		payloads := make([][]byte, len(pc.chunks))
 		for i, c := range pc.chunks {
 			var rc ransChunk
-			if _, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+			if _, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
 				t.Fatal(err)
 			}
 			head := binary.AppendUvarint(nil, uint64(rc.n))
@@ -474,6 +474,14 @@ func TestRANSHeaderRefusals(t *testing.T) {
 				t.Errorf("%s (workers %d): %v, want ErrCorrupt", name, workers, err)
 			}
 		}
+		// Layout checks the extension without building decode tables: each
+		// forged header is refused there too. (A zero-frequency symbol and
+		// the class counts are payload defects, found by the decode alone.)
+		if strings.HasPrefix(name, "K=") || strings.HasPrefix(name, "table ") {
+			if _, err := Layout(data); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: Layout gives %v, want ErrCorrupt", name, err)
+			}
+		}
 	}
 }
 
@@ -486,7 +494,7 @@ func TestRANSExtensionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseContainer(clean, false)
+	pc, err := parseContainer(clean, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,12 +570,12 @@ func TestLiteralPayloadBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pc, err := parseContainer(data, false)
+			pc, err := parseContainer(data, false, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := &pc.chunks[0]
-			bound := 3*maxRansBins(codedPixels(c.dims, HEVC.CTUSize)) + 7
+			bound := 3*maxRansBins(codedPixels(c.dims, HEVC.CTUSize())) + 7
 			worst = max(worst, float64(8*len(c.payload))/float64(bound))
 			if 8*int64(len(c.payload)) > bound {
 				t.Errorf("%+v %dx%d: %d payload bits, bound %d", tools, p.W, p.H, 8*len(c.payload), bound)
@@ -583,11 +591,11 @@ func TestLiteralPayloadBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseContainer(data, false)
+	pc, err := parseContainer(data, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := 3*maxRansBins(codedPixels(pc.dims, HEVC.CTUSize)) + 7
+	bound := 3*maxRansBins(codedPixels(pc.dims, HEVC.CTUSize())) + 7
 	payload := append(append([]byte(nil), pc.chunks[0].payload...), make([]byte, 1<<20)...)
 	for _, n := range []int{int(bound/8) + 1, len(payload)} {
 		stream, _ := writeContainer(1, pc.dims, pc.qp, HEVC, Tools{}, nil, []chunkRec{{payload: payload[:n], planes: 1}})
@@ -658,7 +666,7 @@ func TestPredecodeEquivalence(t *testing.T) {
 			return
 		}
 		var rc ransChunk
-		segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize))
+		segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -776,13 +784,13 @@ func BenchmarkPredecodeRANS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pc, err := parseContainer(data, false)
+	pc, err := parseContainer(data, false, true)
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := &pc.chunks[0]
 	var rc ransChunk
-	segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize))
+	segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize()))
 	if err != nil {
 		b.Fatal(err)
 	}

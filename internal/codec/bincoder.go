@@ -65,7 +65,7 @@ func (c *cabacBinDec) bypassBits(n uint) uint32 { return c.d.DecodeBypassBits(n)
 func (c *cabacBinDec) expGolomb(k uint) uint32 {
 	v, ok := c.d.DecodeExpGolomb(k)
 	if !ok {
-		panic(decodeError{errMalformed})
+		panic(decodeError{ErrCorrupt})
 	}
 	return v
 }

@@ -115,11 +115,11 @@ func TestAllProfilesRoundTrip(t *testing.T) {
 	for _, prof := range []Profile{H264, HEVC, AV1} {
 		data, st, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 24, prof, AllTools, 1)
 		if err != nil {
-			t.Fatalf("%s: %v", prof.Name, err)
+			t.Fatalf("%s: %v", prof, err)
 		}
 		got := decodeMSE(t, data, []*frame.Plane{p})
 		if got != st.MSE {
-			t.Fatalf("%s: MSE mismatch %.6f vs %.6f", prof.Name, got, st.MSE)
+			t.Fatalf("%s: MSE mismatch %.6f vs %.6f", prof, got, st.MSE)
 		}
 	}
 }

@@ -167,7 +167,7 @@ func TestZeroRunSweepNeverPanics(t *testing.T) {
 // container from its header fields.
 func payloadOffset(t *testing.T, v3 []byte) int {
 	t.Helper()
-	pc, err := parseContainer(v3, false)
+	pc, err := parseContainer(v3, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDecodePartialRecoversUndamagedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseContainer(v3, false)
+	pc, err := parseContainer(v3, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestDecodePartialRecoversUndamagedChunks(t *testing.T) {
 // still recovers every earlier chunk and reports the tail as truncated.
 func TestDecodePartialTruncatedTail(t *testing.T) {
 	_, _, v3, _ := corpusStreams(t)
-	pc, err := parseContainer(v3, false)
+	pc, err := parseContainer(v3, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestAllocationCapRejectsForgedDims(t *testing.T) {
 	var b bytes.Buffer
 	b.Write(magic[:])
 	b.WriteByte(1)
-	b.WriteByte(HEVC.id())
+	b.WriteByte(HEVC.params().wire)
 	b.WriteByte(AllTools.bits())
 	b.WriteByte(26)
 	b.Write([]byte{0, 0, 0, 5})
@@ -342,7 +342,7 @@ func TestAllocationCapRejectsForgedDims(t *testing.T) {
 	var c bytes.Buffer
 	c.Write(magic[:])
 	c.WriteByte(1)
-	c.WriteByte(HEVC.id())
+	c.WriteByte(HEVC.params().wire)
 	c.WriteByte(AllTools.bits())
 	c.WriteByte(26)
 	c.Write([]byte{0, 0, 0, 1})

@@ -18,7 +18,7 @@ import (
 // order, inline after each CTU or — when the pool has workers to spare — on
 // a goroutine of its own behind the scratch's batch ring.
 type decoder struct {
-	prof  Profile
+	prof  profileParams
 	tools Tools
 	fIdx  int
 
@@ -63,59 +63,57 @@ func checkPreamble(data []byte) error {
 	return nil
 }
 
-// parseCommonHeader reads the header fields shared by both container
-// versions (profile, tools, qp, the optional entropy-backend extension,
-// frame count and dims), returning the offset of the first version-specific
-// byte. ransTabs is non-nil iff the header carries a valid rANS backend
-// extension, in which case tools.Backend is set to BackendRANS.
-func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][2]int, ransTabs *ransTables, off int, err error) {
-	fail := func(err error) (Profile, Tools, int, [][2]int, *ransTables, int, error) {
-		return prof, tools, 0, nil, nil, 0, err
+// parseHeader reads the header fields every container version shares into pc
+// (profile, tools, qp, the optional entropy-backend extension, frame count
+// and dims), returning the offset of the first version-specific byte. A valid
+// rANS backend extension sets tools.Backend to BackendRANS; with tables set,
+// ransTabs then holds its class decode tables.
+func (pc *parsedContainer) parseHeader(data []byte, tables bool) (off int, err error) {
+	var ok bool
+	if pc.prof, ok = profileOfWire(data[5]); !ok {
+		return 0, corruptf("codec: unknown profile id %d", data[5])
 	}
-	prof, ok := profileByID[data[5]]
-	if !ok {
-		return fail(corruptf("codec: unknown profile id %d", data[5]))
-	}
-	tools = toolsFromBits(data[6])
-	qp = int(data[7])
-	if qp > dct.MaxQP {
-		return fail(corruptf("codec: qp %d out of range", qp))
+	pc.tools = toolsFromBits(data[6])
+	if pc.qp = int(data[7]); pc.qp > dct.MaxQP {
+		return 0, corruptf("codec: qp %d out of range", pc.qp)
 	}
 	off = 8
 	if data[6]&toolsBackendExt != 0 {
 		// Backend extension: backend id, then (for rANS) the class tables
-		// (parseRansExt). Every reserved id — including 0,
-		// since a CABAC stream never carries the extension — is a structural
-		// violation, never misparsed as some other backend.
+		// (parseRansExt). Every reserved id — 0 too, since a CABAC stream
+		// never carries the extension — is a structural violation.
 		if len(data) < off+1 {
-			return fail(truncatedf("codec: header ends before backend id"))
+			return 0, truncatedf("codec: header ends before backend id")
 		}
 		id := data[off]
 		off++
 		if id != uint8(BackendRANS) {
-			return fail(corruptf("codec: unknown entropy backend %d", id))
+			return 0, corruptf("codec: unknown entropy backend %d", id)
 		}
-		var n int
-		if ransTabs, n, err = parseRansExt(data[off:]); err != nil {
-			return fail(err)
+		if tables {
+			pc.ransTabs = new(ransTables)
+		}
+		n, err := parseRansExt(data[off:], pc.ransTabs)
+		if err != nil {
+			return 0, err
 		}
 		off += n
-		tools.Backend = BackendRANS
+		pc.tools.Backend = BackendRANS
 	}
 	if len(data) < off+4 {
-		return fail(truncatedf("codec: header ends before frame count"))
+		return 0, truncatedf("codec: header ends before frame count")
 	}
 	nFrames := int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if nFrames <= 0 || nFrames > 1<<20 {
-		return fail(corruptf("codec: frame count %d out of range", nFrames))
+		return 0, corruptf("codec: frame count %d out of range", nFrames)
 	}
 	if len(data) < off+8*nFrames+4 {
 		// Allocation cap: the dim table is sized from the header, so reject
 		// counts the remaining bytes cannot possibly hold before any make.
-		return fail(truncatedf("codec: header ends inside %d-entry dim table", nFrames))
+		return 0, truncatedf("codec: header ends inside %d-entry dim table", nFrames)
 	}
-	dims = make([][2]int, nFrames)
+	dims := make([][2]int, nFrames)
 	totalPix := int64(0)
 	for i := range dims {
 		dims[i][0] = int(binary.BigEndian.Uint32(data[off:]))
@@ -125,17 +123,16 @@ func parseCommonHeader(data []byte) (prof Profile, tools Tools, qp int, dims [][
 		// by the encoder; rejecting them here also caps the planes a forged
 		// header can make the decoder allocate (§hardening, DESIGN.md §9).
 		if dims[i][0] <= 0 || dims[i][1] <= 0 ||
-			dims[i][0] > prof.MaxFrameDim || dims[i][1] > prof.MaxFrameDim {
-			return fail(corruptf("codec: frame %d dims %dx%d out of range",
-				i, dims[i][0], dims[i][1]))
+			dims[i][0] > pc.prof.MaxFrameDim() || dims[i][1] > pc.prof.MaxFrameDim() {
+			return 0, corruptf("codec: frame %d dims %dx%d out of range", i, dims[i][0], dims[i][1])
 		}
 		totalPix += int64(dims[i][0]) * int64(dims[i][1])
 	}
 	if totalPix > maxDecodePixels {
-		return fail(corruptf("codec: header declares %d pixels, cap is %d",
-			totalPix, int64(maxDecodePixels)))
+		return 0, corruptf("codec: header declares %d pixels, cap is %d", totalPix, int64(maxDecodePixels))
 	}
-	return prof, tools, qp, dims, ransTabs, off, nil
+	pc.dims = dims
+	return off, nil
 }
 
 // maxDecodePixels caps the total source pixels a container header may
@@ -181,18 +178,18 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 
 	d := &s.dec
 	*d = decoder{
-		prof:   pc.prof,
+		prof:   pc.prof.params(),
 		tools:  pc.tools,
 		scr:    s,
 		cancel: cancellable(ctx),
 		timed:  m != nil,
 	}
-	s.rcn = reconstructor{prof: pc.prof, tools: pc.tools, qp: pc.qp, scr: s, timed: m != nil}
+	s.rcn = reconstructor{prof: d.prof, tools: pc.tools, qp: pc.qp, scr: s, timed: m != nil}
 	var rc *ransChunk
 	switch {
 	case pc.tools.Backend == BackendRANS:
 		rc = &s.chunk // every symbol pre-decoded before the syntax parse
-		segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize))
+		segs, err := rc.readFraming(c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize()))
 		if err == nil {
 			err = rc.predecode(&segs, pc.ransTabs)
 		}
@@ -205,7 +202,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
 	default:
-		if err = newLiteralChunk(&s.literal, c.payload, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+		if err = newLiteralChunk(&s.literal, c.payload, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
 			return nil, err
 		}
 		d.br = &s.literal
@@ -261,7 +258,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 // changes hands only while the stage is idle (and an inter-predicted frame
 // always finds its reference complete).
 func (d *decoder) decodeFrame(srcW, srcH int) *frame.Plane {
-	ctu := d.prof.CTUSize
+	ctu := d.prof.ctuSize
 	w, h := padTo(srcW, ctu), padTo(srcH, ctu)
 	d.scr.rcn.beginFrame(w, h)
 	d.prevMode = intra.DC
@@ -361,11 +358,11 @@ func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
 		if d.br.bit(ctxModeSame) == 1 {
 			lf.mode = d.prevMode
 		} else {
-			idx := int(d.br.bypassBits(modeIdxBits(len(d.prof.Modes))))
-			if idx >= len(d.prof.Modes) {
-				panic(decodeError{errMalformed})
+			idx := int(d.br.bypassBits(modeIdxBits(len(d.prof.modes))))
+			if idx >= len(d.prof.modes) {
+				panic(decodeError{ErrCorrupt})
 			}
-			lf.mode = d.prof.Modes[idx]
+			lf.mode = d.prof.modes[idx]
 		}
 		d.prevMode = lf.mode
 	}
@@ -393,7 +390,7 @@ func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 	case *cabacBinDec:
 		ctx := br.ctx
 		if !br.d.DecodeLevels(lev, scan, sigSlot, ctx[:], &ctx[ctxCbf+si], &ctx[ctxG1+si], &ctx[ctxG2+si], maxLevel) {
-			panic(decodeError{errMalformed})
+			panic(decodeError{ErrCorrupt})
 		}
 	case *ransChunk:
 		br.parseResidual(lev, scan, si)

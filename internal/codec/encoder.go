@@ -30,7 +30,7 @@ type Stats struct {
 // encoder carries the per-chunk encoding state. encodeChunk resets one per
 // chunk; it is not safe for concurrent use.
 type encoder struct {
-	prof  Profile
+	prof  profileParams
 	tools Tools
 	qp    int
 
@@ -75,6 +75,9 @@ func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 	if cfg.QP < 0 || cfg.QP > dct.MaxQP {
 		return fmt.Errorf("codec: qp %d out of range", cfg.QP)
 	}
+	if cfg.Profile.MaxFrameDim() == 0 {
+		return fmt.Errorf("codec: unknown profile %d (want HEVC, H264 or AV1)", cfg.Profile)
+	}
 	if cfg.Tools.Backend != BackendCABAC && cfg.Tools.Backend != BackendRANS {
 		return fmt.Errorf("codec: unknown entropy backend %d", cfg.Tools.Backend)
 	}
@@ -95,9 +98,9 @@ func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 		if p.W <= 0 || p.H <= 0 {
 			return fmt.Errorf("codec: plane %d is %dx%d: %w", i, p.W, p.H, ErrEmptyInput)
 		}
-		if p.W > cfg.Profile.MaxFrameDim || p.H > cfg.Profile.MaxFrameDim {
+		if p.W > cfg.Profile.MaxFrameDim() || p.H > cfg.Profile.MaxFrameDim() {
 			return fmt.Errorf("codec: frame %dx%d exceeds %s limit %d",
-				p.W, p.H, cfg.Profile.Name, cfg.Profile.MaxFrameDim)
+				p.W, p.H, cfg.Profile, cfg.Profile.MaxFrameDim())
 		}
 	}
 	return nil
@@ -131,14 +134,14 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 	}()
 	e := &s.enc
 	*e = encoder{
-		prof:     prof,
-		tools:    tools,
-		qp:       qp,
-		lambda:   lambdaTable[qp],
-		modeRate: rateUnit + (rateUnit*dct.Log2Fixed(uint64(len(prof.Modes)))+1<<(dct.Log2Frac-1))>>dct.Log2Frac,
-		scr:      s,
-		cancel:   cancellable(ctx),
+		prof:   prof.params(),
+		tools:  tools,
+		qp:     qp,
+		lambda: lambdaTable[qp],
+		scr:    s,
+		cancel: cancellable(ctx),
 	}
+	e.modeRate = rateUnit + (rateUnit*dct.Log2Fixed(uint64(len(e.prof.modes)))+1<<(dct.Log2Frac-1))>>dct.Log2Frac
 	if tools.Backend == BackendRANS {
 		rec = &ransRecord{bypass: bits.NewWriter()}
 		e.bw = ransBinEnc{rec}
@@ -223,8 +226,8 @@ func padPlaneInto(dst, p *frame.Plane) {
 
 func (e *encoder) encodeFrame(src *frame.Plane) {
 	e.prev = e.recon // previous frame's cropped reconstruction (may be nil)
-	e.w = padTo(src.W, e.prof.CTUSize)
-	e.h = padTo(src.H, e.prof.CTUSize)
+	e.w = padTo(src.W, e.prof.ctuSize)
+	e.h = padTo(src.H, e.prof.ctuSize)
 	// The padded source and reconstruction live in the scratch arena. The
 	// recycled recon starts with unspecified contents, which is safe because
 	// nothing reads an uncoded pixel: gatherRefsInto reads only samples that
@@ -236,8 +239,8 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 	e.recon = e.scr.reconPlane.Reuse(e.w, e.h)
 	e.prevModeEmit = intra.DC
 
-	for y := 0; y < e.h; y += e.prof.CTUSize {
-		for x := 0; x < e.w; x += e.prof.CTUSize {
+	for y := 0; y < e.h; y += e.prof.ctuSize {
+		for x := 0; x < e.w; x += e.prof.ctuSize {
 			// Cooperative cancellation point: one poll per CTU (a CTU costs
 			// tens of microseconds, so cancellation latency stays far below
 			// the serve layer's 100ms promptness bound) and a single nil
@@ -251,15 +254,15 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 			e.scr.resetCTU()
 			if e.rec != nil {
 				t0 := time.Now()
-				d := e.decideCU(x, y, e.prof.CTUSize)
+				d := e.decideCU(x, y, e.prof.ctuSize)
 				t1 := time.Now()
 				e.rec.decideNs += int64(t1.Sub(t0))
-				e.emitCU(d, x, y, e.prof.CTUSize, 0)
+				e.emitCU(d, x, y, e.prof.ctuSize, 0)
 				e.rec.entropyNs += int64(time.Since(t1))
 				continue
 			}
-			d := e.decideCU(x, y, e.prof.CTUSize)
-			e.emitCU(d, x, y, e.prof.CTUSize, 0)
+			d := e.decideCU(x, y, e.prof.ctuSize)
+			e.emitCU(d, x, y, e.prof.ctuSize, 0)
 		}
 	}
 	// Crop the reconstruction back to the source dims. The crop is a fresh
@@ -552,10 +555,10 @@ func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	s, n2 := e.scr, size*size
 	top := topModes{k: rdCandidates}
 	sc := &s.scorer
-	refs := gatherRefsInto(e.recon, e.prof.CTUSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
+	refs := gatherRefsInto(e.recon, e.prof.ctuSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
 	sc.Reset(size, orig, refs, intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-	smooth := func(m intra.Mode) bool { return e.prof.RefSmoothing && intra.UseSmoothing(size, m) }
-	for mi, m := range e.prof.Modes {
+	smooth := func(m intra.Mode) bool { return e.prof.smoothing && intra.UseSmoothing(size, m) }
+	for mi, m := range e.prof.modes {
 		if m != intra.Planar && m != intra.DC {
 			// An angular mode is scored on packed lanes, line by line,
 			// abandoned once it cannot enter the top set, and predicted
@@ -568,7 +571,7 @@ func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 		top.offer(mi, sadWithin(orig, pred, size, top.bound()))
 	}
 	for _, mi := range top.mi[:top.n] {
-		if m := e.prof.Modes[mi]; m != intra.Planar && m != intra.DC {
+		if m := e.prof.modes[mi]; m != intra.Planar && m != intra.DC {
 			intra.Predict(m, size, sc.Refs(smooth(m)), s.predAt(mi, n2))
 		}
 	}
@@ -617,7 +620,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 					continue survivors
 				}
 			}
-			e.tryIntraRD(e.prof.Modes[mi], orig, pred, size, best)
+			e.tryIntraRD(e.prof.modes[mi], orig, pred, size, best)
 		}
 	} else {
 		pred := s.pred[:n2]
@@ -699,7 +702,7 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 	}
 	lev, rec = s.trialLev[:n2], s.rec[:n2]
 	if e.tools.Transform {
-		tr := s.transformFor(size, isIntra && e.prof.UseDST4)
+		tr := s.transformFor(size, isIntra && e.prof.dst4)
 		coef := s.coefA[:n2]
 		tr.Forward(coef, res)
 		if dct.QuantizeDequantize(lev, coef, coef, size, e.qp, &s.nz) {
@@ -885,7 +888,7 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 		same := d.mode == e.prevModeEmit
 		e.bw.bit(ctxModeSame, b2i(same))
 		if !same {
-			e.bw.bypassBits(uint32(e.modeIndex(d.mode)), modeIdxBits(len(e.prof.Modes)))
+			e.bw.bypassBits(uint32(e.modeIndex(d.mode)), modeIdxBits(len(e.prof.modes)))
 		}
 		e.prevModeEmit = d.mode
 	}
@@ -900,7 +903,7 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 }
 
 func (e *encoder) modeIndex(m intra.Mode) int {
-	for i, mm := range e.prof.Modes {
+	for i, mm := range e.prof.modes {
 		if mm == m {
 			return i
 		}

@@ -304,7 +304,7 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 	}
 	out := make([]byte, 0, headLen+payloadLen)
 	out = append(out, magic[:]...)
-	out = append(out, version, prof.id(), tools.bits(), uint8(qp))
+	out = append(out, version, prof.params().wire, tools.bits(), uint8(qp))
 	if tools.Backend != BackendCABAC {
 		out = append(out, byte(tools.Backend))
 		out = append(out, ransExt...)
@@ -362,7 +362,8 @@ type parsedContainer struct {
 	chunks  []chunkMeta
 
 	// ransTabs are the rANS class tables from the header's backend
-	// extension; non-nil exactly when tools.Backend == BackendRANS.
+	// extension; non-nil exactly when tools.Backend == BackendRANS and the
+	// parse builds tables (every parse but Layout's).
 	ransTabs *ransTables
 
 	// payloadBase is the offset of the first payload byte (the header length);
@@ -373,13 +374,15 @@ type parsedContainer struct {
 }
 
 // parseContainer validates a container of any version down to its chunk
-// layout. In strict mode (lenient=false) the first defect — truncation, CRC
-// mismatch, impossible counts — aborts with an error. In lenient mode,
-// defects confined to a single chunk (payload runs past the end of data, or
-// a payload CRC mismatch) are recorded on that chunk's meta.err so a
-// Partial decode can still recover the others; defects in the shared header
-// or chunk table still abort, because no geometry can be trusted after them.
-func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
+// layout, building the rANS class tables only when tables is set (a decode
+// reads them; Layout does not). In strict mode (lenient=false) the first
+// defect — truncation, CRC mismatch, impossible counts — aborts with an
+// error. In lenient mode, defects confined to a single chunk (payload runs
+// past the end of data, or a payload CRC mismatch) are recorded on that
+// chunk's meta.err so a Partial decode can still recover the others; defects
+// in the shared header or chunk table still abort, because no geometry can be
+// trusted after them.
+func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error) {
 	if err := checkPreamble(data); err != nil {
 		return nil, err
 	}
@@ -389,17 +392,18 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 	default:
 		return nil, corruptf("codec: unsupported version %d", version)
 	}
-	prof, tools, qp, dims, ransTabs, off, err := parseCommonHeader(data)
+	pc := &parsedContainer{version: version}
+	off, err := pc.parseHeader(data, tables)
 	if err != nil {
 		return nil, err
 	}
-	if ransTabs != nil && version != versionChecksummed {
+	if pc.tools.Backend == BackendRANS && version != versionChecksummed {
 		// The backend extension is defined only for the hardened container:
 		// the encoder never emits a v1/v2 rANS stream, so one on the wire is
 		// damaged (e.g. a flipped version byte) and its geometry untrustworthy.
 		return nil, corruptf("codec: entropy-backend extension in version %d container", version)
 	}
-	pc := &parsedContainer{version: version, prof: prof, tools: tools, qp: qp, dims: dims, ransTabs: ransTabs}
+	dims := pc.dims
 
 	if version == 1 {
 		if len(data) < off+4 {
@@ -497,18 +501,14 @@ func parseContainer(data []byte, lenient bool) (*parsedContainer, error) {
 			// verified table), but they are all past the end too; keep
 			// walking so every chunk gets a truncation record.
 		} else {
-			payload := data[off : off+sizes[i]]
+			meta.payload = data[off : off+sizes[i]]
 			if version == versionChecksummed {
-				if got := crc32.Checksum(payload, crcTable); got != crcs[i] {
-					meta.err = fmt.Errorf("codec: chunk %d CRC %08x != %08x: %w", i, got, crcs[i], ErrChecksum)
+				if got := crc32.Checksum(meta.payload, crcTable); got != crcs[i] {
+					meta.payload, meta.err = nil, fmt.Errorf("codec: chunk %d CRC %08x != %08x: %w", i, got, crcs[i], ErrChecksum)
 					if !lenient {
 						return nil, meta.err
 					}
-				} else {
-					meta.payload = payload
 				}
-			} else {
-				meta.payload = payload
 			}
 		}
 		pc.chunks[i] = meta
@@ -599,10 +599,10 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 // parseContainerObs is parseContainer with the container-parse stage timed.
 func parseContainerObs(data []byte, lenient bool, m *decMetrics) (*parsedContainer, error) {
 	if m == nil {
-		return parseContainer(data, lenient)
+		return parseContainer(data, lenient, true)
 	}
 	t0 := time.Now()
-	pc, err := parseContainer(data, lenient)
+	pc, err := parseContainer(data, lenient, true)
 	m.stageParse.ObserveSince(t0)
 	return pc, err
 }

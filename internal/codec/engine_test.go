@@ -149,10 +149,10 @@ func TestChunkedAllProfiles(t *testing.T) {
 	for _, prof := range []Profile{H264, HEVC, AV1} {
 		data, st, err := encodeAs(ContainerLegacy, planes, 24, prof, AllTools, 4)
 		if err != nil {
-			t.Fatalf("%s: %v", prof.Name, err)
+			t.Fatalf("%s: %v", prof, err)
 		}
 		if got := decodeMSE(t, data, planes); got != st.MSE {
-			t.Fatalf("%s: MSE mismatch %.6f vs %.6f", prof.Name, got, st.MSE)
+			t.Fatalf("%s: MSE mismatch %.6f vs %.6f", prof, got, st.MSE)
 		}
 	}
 }

@@ -37,10 +37,6 @@ var (
 // logic (the searches live in internal/core, which re-exports this error).
 var ErrEmptyInput = errors.New("codec: empty input")
 
-// errMalformed is the legacy name for a structural violation; kept as an
-// alias so older call sites and tests keep matching.
-var errMalformed = ErrCorrupt
-
 // corruptf wraps ErrCorrupt with positional detail.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, ErrCorrupt)...)

@@ -32,8 +32,8 @@ func TestTrialResidualEquivalence(t *testing.T) {
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
-		e := &encoder{prof: HEVC, tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s}
-		e.prof.UseDST4 = rng.Intn(2) == 0
+		e := &encoder{prof: HEVC.params(), tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s}
+		e.prof.dst4 = rng.Intn(2) == 0
 		e.tools.Transform = draw%10 != 0
 		isIntra := rng.Intn(4) != 0
 		drawPixels(rng, pix[:n2], size, draw)
@@ -48,7 +48,7 @@ func TestTrialResidualEquivalence(t *testing.T) {
 			for i := range wantLev {
 				if lev[i] != wantLev[i] || rec[i] != wantRec[i] {
 					t.Fatalf("draw %d (size %d qp %d transform %v dst %v simd %v): [%d] level %d rec %d, definition level %d rec %d",
-						draw, size, e.qp, e.tools.Transform, isIntra && e.prof.UseDST4, simd, i, lev[i], rec[i], wantLev[i], wantRec[i])
+						draw, size, e.qp, e.tools.Transform, isIntra && e.prof.dst4, simd, i, lev[i], rec[i], wantLev[i], wantRec[i])
 				}
 			}
 			if sse != wantSSE || bits != wantBits {
@@ -77,11 +77,11 @@ func TestReconstructEquivalence(t *testing.T) {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
 		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
-		r := reconstructor{prof: HEVC, tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s, prev: prev}
-		r.prof.UseDST4 = rng.Intn(2) == 0
+		r := reconstructor{prof: HEVC.params(), tools: AllTools, qp: rng.Intn(dct.MaxQP + 1), scr: s, prev: prev}
+		r.prof.dst4 = rng.Intn(2) == 0
 		r.tools.Transform = draw%10 != 0
 		r.tools.IntraPred = draw%13 != 0
-		lf := leafRec{x: int32(x), y: int32(y), size: int32(size), mode: HEVC.Modes[rng.Intn(len(HEVC.Modes))]}
+		lf := leafRec{x: int32(x), y: int32(y), size: int32(size), mode: r.prof.modes[rng.Intn(len(r.prof.modes))]}
 		if draw%4 == 0 {
 			lf.inter, lf.mvx, lf.mvy = true, rng.Int31n(2*dim)-dim, rng.Int31n(2*dim)-dim
 		}
@@ -104,7 +104,7 @@ func TestReconstructEquivalence(t *testing.T) {
 			drawPixels(rng, prev.Pix, prev.W, 0)
 			drawPixels(rng, start.Pix, dim, 0)
 		}
-		coverageAt(rng, mask, dim, dim, r.prof.CTUSize, x, y, size)
+		coverageAt(rng, mask, dim, dim, r.prof.ctuSize, x, y, size)
 		b.n, b.leaves[0], b.levN = 1, lf, n2
 
 		copy(want.Pix, start.Pix)
@@ -120,7 +120,7 @@ func TestReconstructEquivalence(t *testing.T) {
 			for i, v := range want.Pix {
 				if got.Pix[i] != v {
 					t.Fatalf("draw %d (size %d at %d,%d qp %d inter %v transform %v intra %v dst %v simd %v): pixel (%d,%d) = %d, definition %d",
-						draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.UseDST4, simd,
+						draw, size, x, y, r.qp, lf.inter, r.tools.Transform, r.tools.IntraPred, r.prof.dst4, simd,
 						i%dim, i/dim, got.Pix[i], v)
 				}
 			}
@@ -353,7 +353,7 @@ func TestAvailabilityMatchesCodedMask(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	leaves := 0
 	goldenChunks(t, func(name string, pc *parsedContainer, c *chunkMeta) {
-		ctu := pc.prof.CTUSize
+		ctu := pc.prof.CTUSize()
 		for f, frameLeaves := range chunkLeaves(t, pc, c) {
 			w, h := padTo(c.dims[f][0], ctu), padTo(c.dims[f][1], ctu)
 			recon := frame.NewPlane(w, h)
@@ -378,8 +378,8 @@ func TestAvailabilityMatchesCodedMask(t *testing.T) {
 // each frame's leaves in coding order.
 func chunkLeaves(t *testing.T, pc *parsedContainer, c *chunkMeta) [][]leafRec {
 	t.Helper()
-	d := decoder{prof: pc.prof, tools: pc.tools}
-	pixels := codedPixels(c.dims, pc.prof.CTUSize)
+	d := decoder{prof: pc.prof.params(), tools: pc.tools}
+	pixels := codedPixels(c.dims, pc.prof.CTUSize())
 	switch {
 	case pc.tools.Backend == BackendRANS:
 		rc := new(ransChunk)
@@ -398,7 +398,7 @@ func chunkLeaves(t *testing.T, pc *parsedContainer, c *chunkMeta) [][]leafRec {
 		}
 		d.br = rc
 	}
-	ctu, b := pc.prof.CTUSize, new(ctuBatch)
+	ctu, b := pc.prof.CTUSize(), new(ctuBatch)
 	var frames [][]leafRec
 	for f, dim := range c.dims {
 		d.fIdx, d.prevMode = f, intra.DC
@@ -437,15 +437,15 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 	for draw := 0; draw < 10000; draw++ {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
-		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)], tools: AllTools, scr: s, recon: recon}
+		e := &encoder{prof: []Profile{HEVC, H264, AV1}[rng.Intn(3)].params(), tools: AllTools, scr: s, recon: recon}
 		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
 		kind := draw % 5
 		drawPixels(rng, recon.Pix, dim, []int{0, 1, 0, 1, 2}[kind])
-		if size > e.prof.CTUSize {
-			size, n2 = e.prof.CTUSize, e.prof.CTUSize*e.prof.CTUSize
+		if size > e.prof.ctuSize {
+			size, n2 = e.prof.ctuSize, e.prof.ctuSize*e.prof.ctuSize
 			x, y = x/size*size, y/size*size
 		}
-		coverageAt(rng, coded, dim, dim, e.prof.CTUSize, x, y, size)
+		coverageAt(rng, coded, dim, dim, e.prof.ctuSize, x, y, size)
 		orig := s.orig[:n2]
 		switch kind {
 		case 0:
@@ -457,7 +457,7 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 				orig[i] = clipPixel(int32(recon.Pix[0]) + int32(draw%3) - 1)
 			}
 		default:
-			m := e.prof.Modes[rng.Intn(len(e.prof.Modes))]
+			m := e.prof.modes[rng.Intn(len(e.prof.modes))]
 			intra.Predict(m, size, gatherRefsDef(recon, coded, x, y, size), orig)
 			drawSource(rng, orig, orig, 2)
 		}
@@ -467,14 +467,14 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 			got := e.coarseIntra(orig, x, y, size)
 			if got != want {
 				t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d, simd %v): survivors %v scores %v, definition %v scores %v",
-					draw, e.prof.Name, size, x, y, kind, simd, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
+					draw, e.prof.name, size, x, y, kind, simd, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
 			}
 			for _, mi := range got.mi[:got.n] {
 				pred := s.predAt(mi, n2)
 				for i := range pred {
 					if pred[i] != preds[mi][i] {
 						t.Fatalf("draw %d (%s, size %d, simd %v): survivor mode %d prediction [%d] = %d, definition %d",
-							draw, e.prof.Name, size, simd, e.prof.Modes[mi], i, pred[i], preds[mi][i])
+							draw, e.prof.name, size, simd, e.prof.modes[mi], i, pred[i], preds[mi][i])
 					}
 				}
 			}
@@ -482,7 +482,7 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 		if kind == 4 {
 			// Every mode predicts the flat value (or 128, uncoded): all tie, the last three
 			// scored survive, latest first.
-			last := len(e.prof.Modes) - 1
+			last := len(e.prof.modes) - 1
 			if want.n != 3 || want.mi != [rdCandidates]int{last, last - 1, last - 2} {
 				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, want.mi[:want.n])
 			}
@@ -544,7 +544,7 @@ func BenchmarkTrialResidual(b *testing.B) {
 	for _, size := range []int{8, 16, 32} {
 		origs, preds := benchTrialBlocks(size, blocks)
 		for _, pt := range benchQPs {
-			e := &encoder{prof: HEVC, tools: AllTools, qp: pt.qp, scr: newScratch()}
+			e := &encoder{prof: HEVC.params(), tools: AllTools, qp: pt.qp, scr: newScratch()}
 			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
 				b.SetBytes(int64(size * size))
 				var sink int64
@@ -562,7 +562,7 @@ func BenchmarkEstimateLevelBits(b *testing.B) {
 	const blocks, size = 64, 16
 	origs, preds := benchTrialBlocks(size, blocks)
 	for _, pt := range benchQPs {
-		e := &encoder{prof: HEVC, tools: AllTools, qp: pt.qp, scr: newScratch()}
+		e := &encoder{prof: HEVC.params(), tools: AllTools, qp: pt.qp, scr: newScratch()}
 		levs := make([][]int32, blocks)
 		for i := range levs {
 			lev, _, _, _ := e.trialResidual(origs[i], preds[i], size, true)
@@ -583,7 +583,7 @@ func BenchmarkEstimateLevelBits(b *testing.B) {
 // benchTrialBlocks' blocks at qp.
 func benchLevelBlocks(size, count, qp int) [][]int32 {
 	origs, preds := benchTrialBlocks(size, count)
-	e := &encoder{prof: HEVC, tools: AllTools, qp: qp, scr: newScratch()}
+	e := &encoder{prof: HEVC.params(), tools: AllTools, qp: qp, scr: newScratch()}
 	levs := make([][]int32, count)
 	for i := range levs {
 		lev, _, _, _ := e.trialResidual(origs[i], preds[i], size, true)
@@ -612,7 +612,7 @@ func BenchmarkReconstructCTU(b *testing.B) {
 				}
 			}
 			s := newScratch()
-			r := reconstructor{prof: HEVC, tools: AllTools, qp: pt.qp, scr: s}
+			r := reconstructor{prof: HEVC.params(), tools: AllTools, qp: pt.qp, scr: s}
 			r.beginFrame(2*ctu, 2*ctu)
 			rng.Read(r.recon.Pix)
 			b.Run(fmt.Sprintf("%s/n%d", pt.name, size), func(b *testing.B) {
@@ -659,7 +659,7 @@ func dupSurvivorPlanes() map[string]*frame.Plane {
 
 // searchLeaves is how many leaves the partition search visits on a w×h plane:
 // the quadtree walk is exhaustive, so the count is the geometry's alone.
-func searchLeaves(prof Profile, tools Tools, w, h int) int {
+func searchLeaves(prof profileParams, tools Tools, w, h int) int {
 	var visit func(size int) int
 	visit = func(size int) int {
 		switch splitKindFor(prof, tools, size) {
@@ -670,7 +670,7 @@ func searchLeaves(prof Profile, tools Tools, w, h int) int {
 		}
 		return 1 + 4*visit(size/2)
 	}
-	return padTo(w, prof.CTUSize) / prof.CTUSize * (padTo(h, prof.CTUSize) / prof.CTUSize) * visit(prof.CTUSize)
+	return padTo(w, prof.ctuSize) / prof.ctuSize * (padTo(h, prof.ctuSize) / prof.ctuSize) * visit(prof.ctuSize)
 }
 
 // TestDuplicateSurvivorsSkipped holds decideLeaf's duplicate-survivor skip to
@@ -720,7 +720,7 @@ func TestDuplicateSurvivorsSkipped(t *testing.T) {
 				}
 				if backend == BackendCABAC {
 					trials := reg.Snapshot().Counters["codec.encode.rd_trials"]
-					trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(HEVC, tools, p.W, p.H))
+					trialsPerLeaf[name] = float64(trials) / float64(searchLeaves(HEVC.params(), tools, p.W, p.H))
 				}
 			}
 		}

@@ -99,7 +99,7 @@ type ContainerLayout struct {
 // defect is a typed error). A v3 entry's CRC is the chunk table's, which the
 // parse has just verified; v1/v2 payloads are hashed here.
 func Layout(data []byte) (*ContainerLayout, error) {
-	pc, err := parseContainer(data, false)
+	pc, err := parseContainer(data, false, false)
 	if err != nil {
 		return nil, err
 	}

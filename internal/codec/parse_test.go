@@ -152,7 +152,7 @@ func (ls *lockstep) expGolomb(k uint) uint32 {
 // leaf where each residual block starts. It keeps no mode or motion state:
 // only which bins sit between the blocks matters here.
 func walkLeaves(pc *parsedContainer, c *chunkMeta, br binDecoder, leaf func(size int)) {
-	d := decoder{prof: pc.prof, tools: pc.tools}
+	d := decoder{prof: pc.prof.params(), tools: pc.tools}
 	var cu func(size, depth int)
 	cu = func(size, depth int) {
 		kind := splitKindFor(d.prof, d.tools, size)
@@ -169,12 +169,12 @@ func walkLeaves(pc *parsedContainer, c *chunkMeta, br binDecoder, leaf func(size
 			br.expGolomb(1)
 		case d.tools.IntraPred:
 			if br.bit(ctxModeSame) == 0 {
-				br.bypassBits(modeIdxBits(len(d.prof.Modes)))
+				br.bypassBits(modeIdxBits(len(d.prof.modes)))
 			}
 		}
 		leaf(size)
 	}
-	ctu := pc.prof.CTUSize
+	ctu := pc.prof.CTUSize()
 	for i, dim := range c.dims {
 		d.fIdx = i
 		for n := padTo(dim[0], ctu) / ctu * (padTo(dim[1], ctu) / ctu); n > 0; n-- {
@@ -198,7 +198,7 @@ func goldenChunks(t testing.TB, f func(name string, pc *parsedContainer, c *chun
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := parseContainer(data, false)
+		pc, err := parseContainer(data, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.Backend == BackendRANS:
 		var rcs [2]ransChunk
 		for i := range rcs {
-			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize)); err != nil {
+			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,7 +236,7 @@ func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
 	case pc.tools.CABAC:
 		return newCabacLockstep(c.payload, nil)
 	}
-	return literalLockstep(t, c.payload, codedPixels(c.dims, pc.prof.CTUSize))
+	return literalLockstep(t, c.payload, codedPixels(c.dims, pc.prof.CTUSize()))
 }
 
 // literalLockstep pairs a literal chunk of a chunk coding pixels pixels with
@@ -526,7 +526,7 @@ func TestLevelCap(t *testing.T) {
 	var largest int32
 	for _, size := range []int{4, 8, 16, 32} {
 		for _, isIntra := range []bool{true, false} {
-			e := &encoder{prof: HEVC, tools: AllTools, qp: 0, scr: s}
+			e := &encoder{prof: HEVC.params(), tools: AllTools, qp: 0, scr: s}
 			extremeBlocks(size, func(orig, pred []int32) {
 				lev, _, _, _ := e.trialResidual(orig, pred, size, isIntra)
 				for _, l := range lev {

@@ -13,56 +13,66 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/intra"
 )
 
-// Profile selects the coding tool set, mirroring the three hardware codecs
-// the paper evaluates (Fig. 6): H.264-like, H.265/HEVC-like and AV1-like.
-type Profile struct {
-	Name         string
-	CTUSize      int          // coding tree unit edge (largest block)
-	MinCUSize    int          // smallest coding unit edge
-	Modes        []intra.Mode // allowed intra modes
-	MaxTransform int          // largest transform size
-	UseDST4      bool         // DST-VII for 4×4 intra residuals
-	RefSmoothing bool         // [1 2 1] reference smoothing
-	MaxFrameDim  int          // hardware frame-size limit (per Table 2)
-}
+// Profile names one of the three coding tool sets the paper compares (Fig. 6,
+// Table 2): H.265/HEVC-like, H.264-like and AV1-like. Like HEVC's
+// general_profile_idc, it is all the stream carries: a one-byte id from which
+// encoder and decoder alike derive every tool, so no tool is settable apart
+// from its profile. The zero value is HEVC, the shipping default.
+type Profile uint8
 
-// Predefined profiles. Numbers follow the paper's Table 2: H.264 engines
-// handle up to 4K frames, H.265 and AV1 up to 8K.
-var (
-	H264 = Profile{
-		Name: "H.264", CTUSize: 16, MinCUSize: 4,
-		Modes: intra.H264Modes, MaxTransform: 8,
-		UseDST4: false, RefSmoothing: false, MaxFrameDim: 4096,
-	}
-	HEVC = Profile{
-		Name: "H.265", CTUSize: 32, MinCUSize: 8,
-		Modes: intra.HEVCModes, MaxTransform: 32,
-		UseDST4: true, RefSmoothing: true, MaxFrameDim: 8192,
-	}
-	AV1 = Profile{
-		Name: "AV1", CTUSize: 32, MinCUSize: 8,
-		Modes: intra.AV1Modes, MaxTransform: 32,
-		UseDST4: true, RefSmoothing: true, MaxFrameDim: 8192,
-	}
+const (
+	HEVC Profile = iota
+	H264
+	AV1
 )
 
-// profileByID maps the on-wire profile identifier to a Profile.
-var profileByID = map[uint8]Profile{0: H264, 1: HEVC, 2: AV1}
+// profileParams is a profile's row of coding parameters.
+type profileParams struct {
+	name               string
+	wire               uint8        // the header's profile byte
+	ctuSize, minCUSize int          // largest and smallest coding unit edge
+	modes              []intra.Mode // allowed intra modes
+	maxTransform       int          // largest transform size
+	dst4, smoothing    bool         // DST-VII for 4×4 intra residuals; [1 2 1] reference smoothing
+	maxFrameDim        int          // hardware frame-size limit (per Table 2)
+}
 
-func (p Profile) id() uint8 {
-	switch p.Name {
-	case "H.264":
-		return 0
-	case "H.265":
-		return 1
-	case "AV1":
-		return 2
+// profiles is the one table of coding parameters. Numbers follow the paper's
+// Table 2: H.264 engines handle up to 4K frames, H.265 and AV1 up to 8K. The
+// wire ids predate the Profile values and never move.
+var profiles = [...]profileParams{
+	HEVC: {name: "H.265", wire: 1, ctuSize: 32, minCUSize: 8, modes: intra.HEVCModes, maxTransform: 32, dst4: true, smoothing: true, maxFrameDim: 8192},
+	H264: {name: "H.264", wire: 0, ctuSize: 16, minCUSize: 4, modes: intra.H264Modes, maxTransform: 8, maxFrameDim: 4096},
+	AV1:  {name: "AV1", wire: 2, ctuSize: 32, minCUSize: 8, modes: intra.AV1Modes, maxTransform: 32, dst4: true, smoothing: true, maxFrameDim: 8192},
+}
+
+// params is p's row of the table. An out-of-range p has only a name: its
+// CTUSize and MaxFrameDim are 0, and Encode refuses it.
+func (p Profile) params() profileParams {
+	if int(p) < len(profiles) {
+		return profiles[p]
 	}
-	panic(fmt.Sprintf("codec: unknown profile %q", p.Name))
+	return profileParams{name: fmt.Sprintf("profile(%d)", uint8(p))}
+}
+
+// String names the profile as the paper's figures do.
+func (p Profile) String() string { return p.params().name }
+
+// CTUSize is the profile's coding tree unit edge, which planes are padded to.
+func (p Profile) CTUSize() int { return p.params().ctuSize }
+
+// MaxFrameDim is the profile's frame-size limit in pixels, on each axis.
+func (p Profile) MaxFrameDim() int { return p.params().maxFrameDim }
+
+// profileOfWire maps the header's profile byte back to its Profile.
+func profileOfWire(id uint8) (Profile, bool) {
+	p := slices.IndexFunc(profiles[:], func(row profileParams) bool { return row.wire == id })
+	return Profile(p), p >= 0
 }
 
 // EntropyBackend selects the entropy-coding stage for context-coded bins.
@@ -125,7 +135,7 @@ func ParseProfile(s string) (Profile, error) {
 	case "av1":
 		return AV1, nil
 	}
-	return Profile{}, fmt.Errorf("codec: unknown profile %q (want h264, h265 or av1)", s)
+	return 0, fmt.Errorf("codec: unknown profile %q (want h264, h265 or av1)", s)
 }
 
 // Tools toggles individual pipeline stages, enabling the Fig. 2(b) ablation.
@@ -137,12 +147,9 @@ type Tools struct {
 	InterPred    bool // motion-compensated P-frames (hurts tensors)
 	CABAC        bool // arithmetic coding (else fixed/VLC bin writing)
 
-	// Backend selects the entropy stage used for context-coded bins when
-	// CABAC (the "entropy coding on" ablation switch) is set: adaptive
-	// arithmetic coding by default, or interleaved static rANS. It rides on
-	// Tools because every encode/decode seam already threads Tools; on the
-	// wire it is the toolsBackendExt bit of the tools byte plus a backend
-	// extension in the header, so CABAC streams stay byte-identical.
+	// Backend codes the context-coded bins when CABAC (the "entropy coding
+	// on" switch) is set. It rides on Tools because every seam threads Tools;
+	// on the wire it is the toolsBackendExt bit plus the backend extension.
 	Backend EntropyBackend
 }
 
@@ -169,7 +176,7 @@ func toolsFromBits(b uint8) Tools {
 		InterPred:    b&8 != 0,
 		CABAC:        b&16 != 0,
 		// Backend is NOT recovered here: the tools byte only flags that a
-		// backend extension exists; parseCommonHeader validates and applies
+		// backend extension exists; parseHeader validates and applies
 		// the extension's backend id.
 	}
 }
@@ -190,16 +197,16 @@ const (
 // splitKindFor is the partition rule, spelled once: the encoder's decide and
 // emit walks and the decoder's parse all ask it, so the two sides agree on the
 // quadtree's shape by construction. Above the transform limit a CU always
-// splits; down to the leaf floor — the profile's MinCUSize, or with the
+// splits; down to the leaf floor — the profile's minimum CU edge, or with the
 // Partitioning tool ablated a fixed size, where the split is forced and never
 // signaled — it may; at the floor it is a leaf.
-func splitKindFor(prof Profile, tools Tools, size int) splitKind {
-	minCU, above := prof.MinCUSize, splitSignaled
+func splitKindFor(prof profileParams, tools Tools, size int) splitKind {
+	minCU, above := prof.minCUSize, splitSignaled
 	if !tools.Partitioning {
-		minCU, above = min(fixedCUSize, prof.MaxTransform), splitForced
+		minCU, above = min(fixedCUSize, prof.maxTransform), splitForced
 	}
 	switch {
-	case size > prof.MaxTransform:
+	case size > prof.maxTransform:
 		return splitForced
 	case size > minCU:
 		return above

@@ -32,7 +32,7 @@ import (
 )
 
 // minLeaf is the smallest leaf edge any profile or tool set produces (H.264's
-// MinCUSize); maxLeaves is how many of them tile the largest CTU.
+// minimum CU); maxLeaves is how many of them tile the largest CTU.
 const (
 	minLeaf   = 4
 	maxLeaves = (maxCU / minLeaf) * (maxCU / minLeaf)
@@ -69,7 +69,7 @@ type ctuBatch struct {
 
 // reconstructor is the reconstruct stage's state for one chunk.
 type reconstructor struct {
-	prof  Profile
+	prof  profileParams
 	tools Tools
 	qp    int
 	scr   *scratch
@@ -133,8 +133,8 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
 		case r.tools.IntraPred:
 			refs := intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]}
-			refs = gatherRefsInto(r.recon, r.prof.CTUSize, x, y, size, refs)
-			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
+			refs = gatherRefsInto(r.recon, r.prof.ctuSize, x, y, size, refs)
+			if r.prof.smoothing && intra.UseSmoothing(size, lf.mode) {
 				refs = refs.SmoothedInto(intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 			}
 			intra.Predict(lf.mode, size, refs, pred)
@@ -156,7 +156,7 @@ func (r *reconstructor) reconstruct(b *ctuBatch) {
 			dequantizeSpatial(res, lev, r.qp)
 		case dct.DequantizeMasked(s.coefA[:n2], lev, size, r.qp, &s.nz):
 			res = s.rec[:n2]
-			s.transformFor(size, !lf.inter && r.prof.UseDST4).InverseMasked(res, s.coefA[:n2], &s.nz)
+			s.transformFor(size, !lf.inter && r.prof.dst4).InverseMasked(res, s.coefA[:n2], &s.nz)
 		}
 		storeResidual(r.recon, pred, res, x, y, size)
 	}

@@ -190,7 +190,7 @@ func TestStagedChunkDamageMatchesInline(t *testing.T) {
 	planes := []*frame.Plane{gradientPlane(rng, 72, 40), gradientPlane(rng, 40, 72)}
 	for _, tools := range []Tools{AllTools, ransTools()} {
 		data := mustEncode(t, planes, 26, HEVC, tools)
-		pc, err := parseContainer(data, false)
+		pc, err := parseContainer(data, false, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestStagedDecodeCancelsMidChunk(t *testing.T) {
 // the parse, and leaves no goroutine behind.
 func TestStagePanicIsTrappedAndJoined(t *testing.T) {
 	s := newScratch()
-	s.rcn = reconstructor{prof: HEVC, tools: AllTools, qp: 30, scr: s}
+	s.rcn = reconstructor{prof: HEVC.params(), tools: AllTools, qp: 30, scr: s}
 	s.rcn.beginFrame(32, 32)
 	baseline := runtime.NumGoroutine()
 	st := startReconStage(&s.rcn, 0)

@@ -73,7 +73,7 @@ func trialDef(e *encoder, orig, pred []int32, size int, isIntra bool) (lev, rec 
 	for i := range res {
 		res[i] = orig[i] - pred[i]
 	}
-	tr := e.scr.transformFor(size, isIntra && e.prof.UseDST4)
+	tr := e.scr.transformFor(size, isIntra && e.prof.dst4)
 	if e.tools.Transform {
 		coef := make([]int32, n2)
 		tr.Forward(coef, res)
@@ -106,7 +106,7 @@ func reconstructDef(r *reconstructor, coded []bool, b *ctuBatch) {
 			motionPredict(r.prev, pred, x, y, size, lf.mvx, lf.mvy)
 		case r.tools.IntraPred:
 			refs := gatherRefsDef(r.recon, coded, x, y, size)
-			if r.prof.RefSmoothing && intra.UseSmoothing(size, lf.mode) {
+			if r.prof.smoothing && intra.UseSmoothing(size, lf.mode) {
 				refs = refs.SmoothedInto(intra.NewRefs(size))
 			}
 			intra.Predict(lf.mode, size, refs, pred)
@@ -116,7 +116,7 @@ func reconstructDef(r *reconstructor, coded []bool, b *ctuBatch) {
 			}
 		}
 		rec := make([]int32, n2)
-		tr := r.scr.transformFor(size, !lf.inter && r.prof.UseDST4)
+		tr := r.scr.transformFor(size, !lf.inter && r.prof.dst4)
 		reconstructBlockInto(rec, make([]int32, n2), pred, lev, r.qp, r.tools.Transform, tr)
 		storeDef(r.recon, rec, nil, x, y, size)
 		markCoded(coded, r.recon.W, x, y, size)
@@ -252,9 +252,9 @@ func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, pred
 	refs := gatherRefsDef(e.recon, coded, x, y, size)
 	smoothed := refs.SmoothedInto(intra.NewRefs(size))
 	top := topModes{k: rdCandidates}
-	for mi, m := range e.prof.Modes {
+	for mi, m := range e.prof.modes {
 		r := refs
-		if e.prof.RefSmoothing && intra.UseSmoothing(size, m) {
+		if e.prof.smoothing && intra.UseSmoothing(size, m) {
 			r = smoothed
 		}
 		pred := preds[mi][:size*size]
@@ -316,7 +316,7 @@ func egDecode(d perBinDecoder, k uint) uint32 {
 		v += 1 << k
 		k++
 		if k > 30 {
-			panic(decodeError{errMalformed})
+			panic(decodeError{ErrCorrupt})
 		}
 	}
 	if k > 0 {
@@ -346,7 +346,7 @@ func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bo
 			if br.bit(ctxG2+si) == 1 {
 				rem := egDecode(br, k)
 				if rem > maxLevel-3 {
-					panic(decodeError{errMalformed})
+					panic(decodeError{ErrCorrupt})
 				}
 				a = 3 + int32(rem)
 				if rem > 3<<k && k < 4 {
@@ -467,7 +467,7 @@ func parseSymbolsDef(c *ransChunk, lev []int32, size int, transformed bool) {
 		if a == levelEscape {
 			rem := egDecode(c, k)
 			if rem > maxLevel-levelEscape {
-				panic(decodeError{errMalformed})
+				panic(decodeError{ErrCorrupt})
 			}
 			a += int32(rem)
 			if rem > 3<<k && k < 4 {

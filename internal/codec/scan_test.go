@@ -211,11 +211,21 @@ func TestToolsBitsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProfileIDs pins each profile's header byte — 0 = H.264, 1 = H.265,
+// 2 = AV1, older than the Profile values — and that it maps back; no other
+// byte names a profile.
 func TestProfileIDs(t *testing.T) {
-	for _, p := range []Profile{H264, HEVC, AV1} {
-		got, ok := profileByID[p.id()]
-		if !ok || got.Name != p.Name {
-			t.Fatalf("profile %s does not round-trip through its id", p.Name)
+	for p, wire := range map[Profile]uint8{H264: 0, HEVC: 1, AV1: 2} {
+		if got := p.params().wire; got != wire {
+			t.Errorf("%s has wire id %d, want %d", p, got, wire)
+		}
+		if back, ok := profileOfWire(wire); !ok || back != p {
+			t.Errorf("wire id %d maps to %s, %v; want %s", wire, back, ok, p)
+		}
+	}
+	for id := 3; id < 256; id++ {
+		if p, ok := profileOfWire(uint8(id)); ok {
+			t.Errorf("wire id %d maps to %s", id, p)
 		}
 	}
 }

@@ -1,33 +1,11 @@
-// Per-worker scratch arena for the encode/decode hot paths.
-//
-// Fresh per-block slices (prediction, residual, coefficient, level and
-// reconstruction buffers, reference rows) once made the pure-Go encoder
-// allocator-bound; the paper's throughput target (§4) assumes NVENC-style
-// fixed working sets. A scratch arena makes the steady-state hot path
-// allocation-free:
-//
-//   - Fixed block buffers, sized to the 32×32 maximum CU, are reused for
-//     every trial. Buffers that only live within one call (residual,
-//     coefficients, trial levels, reconstruction) are plain fields; the
-//     per-mode prediction buffers are a 35-way arena so all candidate modes
-//     stay live through the RD stage.
-//   - Decisions that outlive a call — cuDec nodes and the levels of decided
-//     leaves — come from chunked bump arenas that reset at each CTU (after
-//     emission, nothing from the previous CTU is reachable). Chunks are
-//     address-stable: grown blocks are appended, never reallocated, so
-//     retained pointers stay valid.
-//   - Frame-lifetime state (padded source, padded reconstruction) and
-//     sequence-lifetime state (entropy contexts, transforms, bin coders, the
-//     decoder's chunk reader) are embedded and re-initialized per
-//     frame/chunk.
-//
-// Ownership rules (DESIGN.md §11): a scratch is owned by exactly one encoder
-// or decoder at a time — one per worker goroutine, never shared. Everything
-// returned across the package boundary (payload bytes, cropped planes) is
-// copied out of or allocated outside the arena, so pooling a scratch can
-// never alias escaped data. Scratches are pooled in a package-level
-// sync.Pool, so repeated EncodeStackCtx/DecodeStackCtx calls at the core boundary
-// reuse warm state; the pool is the only sanctioned way to obtain one.
+// Per-worker scratch arena for the encode/decode hot paths (DESIGN.md §11):
+// every transient a chunk touches, by lifetime — fixed per-trial block
+// buffers sized to the 32×32 maximum CU, per-CTU bump arenas for decisions
+// that outlive a call (address-stable chunks, reset each CTU), and per-frame
+// and per-chunk state re-initialized in place — so the steady-state hot path
+// allocates nothing. A scratch is owned by one encoder or decoder at a time,
+// one per worker goroutine; nothing returned across the package boundary
+// aliases it, and a package-level sync.Pool is the only way to obtain one.
 package codec
 
 import (
@@ -90,7 +68,7 @@ type scratch struct {
 	rawEnc   *bits.Writer
 
 	// DCTs for every size (4..32, by sizeIdx) plus the 4×4 DST-VII; profiles
-	// with smaller MaxTransform simply never look the larger ones up.
+	// with a smaller largest transform never look the larger ones up.
 	// Transform scratch is internal to *dct.Transform, which is why
 	// transforms belong to the per-worker scratch and not to a global.
 	transforms [4]*dct.Transform

@@ -71,9 +71,13 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) normalized() Options {
-	if o.Profile.Name == "" {
-		o.Profile = codec.HEVC
+// normalized fills the defaults and clamps the frame bounds to the profile's
+// limit. An out-of-range profile has no limit, so it is refused here, before
+// any frame geometry is derived from it.
+func (o Options) normalized() (Options, error) {
+	limit := o.Profile.MaxFrameDim()
+	if limit == 0 {
+		return o, fmt.Errorf("core: unknown profile %d", o.Profile)
 	}
 	if o.MaxFrameW <= 0 {
 		o.MaxFrameW = 1024
@@ -81,12 +85,8 @@ func (o Options) normalized() Options {
 	if o.MaxFrameH <= 0 {
 		o.MaxFrameH = 1024
 	}
-	if o.MaxFrameW > o.Profile.MaxFrameDim {
-		o.MaxFrameW = o.Profile.MaxFrameDim
-	}
-	if o.MaxFrameH > o.Profile.MaxFrameDim {
-		o.MaxFrameH = o.Profile.MaxFrameDim
-	}
+	o.MaxFrameW = min(o.MaxFrameW, limit)
+	o.MaxFrameH = min(o.MaxFrameH, limit)
 	if o.Backend != codec.BackendCABAC {
 		// The backend rides on the codec-layer carrier (Tools) so every
 		// encode entry point (EncodeStackCtx and both rate-control searches)
@@ -96,7 +96,7 @@ func (o Options) normalized() Options {
 	if o.Index {
 		o.Checksum = true
 	}
-	return o
+	return o, nil
 }
 
 // Encoded is a compressed tensor stack: the codec bitstream plus the affine
@@ -166,7 +166,10 @@ func (p encoding) recon() []*Tensor { return p.dequantStack(p.planes, p.regions(
 
 // encodeStack is the body of EncodeStackCtx and EncodeStackRecon.
 func (o Options) encodeStack(ctx context.Context, stack []*Tensor, qp int) (encoding, error) {
-	o = o.normalized()
+	o, err := o.normalized()
+	if err != nil {
+		return encoding{}, err
+	}
 	// Zero-value stacks are rejected here, before any rate-control search
 	// can probe them: bits-per-value over zero values is 0/0 = NaN, and a
 	// bisection comparing against NaN walks silently to one end of the QP

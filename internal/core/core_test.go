@@ -322,15 +322,13 @@ func TestEncodedBitsAccountingProperty(t *testing.T) {
 }
 
 func TestOptionsNormalization(t *testing.T) {
-	var o Options // zero value: everything unset
-	o = o.normalized()
-	if o.Profile.Name != codec.HEVC.Name || o.MaxFrameW <= 0 || o.MaxFrameH <= 0 {
-		t.Fatalf("normalization failed: %+v", o)
+	o, err := Options{}.normalized() // zero value: everything unset
+	if err != nil || o.Profile != codec.HEVC || o.MaxFrameW <= 0 || o.MaxFrameH <= 0 {
+		t.Fatalf("normalization failed: %+v, %v", o, err)
 	}
-	big := Options{Profile: codec.H264, MaxFrameW: 1 << 20, MaxFrameH: 1 << 20}
-	big = big.normalized()
-	if big.MaxFrameW != codec.H264.MaxFrameDim {
-		t.Fatalf("frame clamp failed: %d", big.MaxFrameW)
+	big, err := Options{Profile: codec.H264, MaxFrameW: 1 << 20, MaxFrameH: 1 << 20}.normalized()
+	if err != nil || big.MaxFrameW != codec.H264.MaxFrameDim() {
+		t.Fatalf("frame clamp failed: %d, %v", big.MaxFrameW, err)
 	}
 }
 

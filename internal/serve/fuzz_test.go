@@ -68,6 +68,7 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add("GET", "metricsz", "", []byte(nil))
 	f.Add("PUT", "v1/encode", "rows=-1&cols=99999999&qp=banana", []byte("x"))
 	f.Add("POST", "v1/encode", "rows=1&cols=1&deadline_ms=0", []byte{0, 0, 0, 0})
+	f.Add("POST", "v1/encode", "layers=4611686018427387905&rows=4&cols=1&qp=20", make([]byte, 16))
 	f.Add("POST", "nope", "", []byte("L265"))
 
 	// One server for the whole run: a tight body cap and geometry caps keep

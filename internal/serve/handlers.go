@@ -191,7 +191,8 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 	if err == nil && (qp < 0 || qp > dct.MaxQP) {
 		err = fmt.Errorf("serve: qp=%d out of range [0,%d]", qp, dct.MaxQP)
 	}
-	if err == nil && int64(layers)*int64(rows)*int64(cols) > s.cfg.MaxBodyBytes/4 {
+	// Divided, not multiplied: layers×rows×cols can overflow int64.
+	if limit := s.cfg.MaxBodyBytes / 4; err == nil && (int64(cols) > limit/int64(rows) || int64(layers) > limit/int64(rows)/int64(cols)) {
 		err = fmt.Errorf("serve: %d×%d×%d tensor exceeds the body cap", layers, rows, cols)
 	}
 	if err != nil {

@@ -179,19 +179,23 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 
 	cases := []struct {
 		name       string
+		target     string
 		body       []byte
 		wantStatus int
 		wantClass  string
 	}{
-		{"checksum-409", flipped, http.StatusConflict, "checksum"},
-		{"truncated-400", truncated, http.StatusBadRequest, "truncated"},
-		{"corrupt-422", garbage, http.StatusUnprocessableEntity, "corrupt"},
-		{"unrecognized-422", []byte("not a container at all"), http.StatusUnprocessableEntity, "corrupt"},
-		{"empty-400", nil, http.StatusBadRequest, "truncated"},
+		{"checksum-409", "/v1/decode", flipped, http.StatusConflict, "checksum"},
+		{"truncated-400", "/v1/decode", truncated, http.StatusBadRequest, "truncated"},
+		{"corrupt-422", "/v1/decode", garbage, http.StatusUnprocessableEntity, "corrupt"},
+		{"unrecognized-422", "/v1/decode", []byte("not a container at all"), http.StatusUnprocessableEntity, "corrupt"},
+		{"empty-400", "/v1/decode", nil, http.StatusBadRequest, "truncated"},
+		// 2^62+1 layers × 4 × 1 wraps int64 to 4 values, which a 16-byte
+		// body matches: the size cap must refuse it without multiplying.
+		{"size-overflow-400", "/v1/encode?layers=4611686018427387905&rows=4&cols=1&qp=20", make([]byte, 16), http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			status, body, _ := post(t, url+"/v1/decode", tc.body)
+			status, body, _ := post(t, url+tc.target, tc.body)
 			if status != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %s)", status, tc.wantStatus, body)
 			}
