@@ -208,7 +208,7 @@ bench-ab:
 
 # Parent-vs-working-tree A/B of the printed figures, the check a refactor
 # above the codec is held to: `cmd/experiments -quick`, the inference,
-# generation and training examples and a 60-step pipeline-parallel trainsim run
+# generation, training and codecstudy examples and a 60-step pipeline-parallel trainsim run
 # on REV and on this checkout, diffed with wall-clock readings stripped;
 # non-zero on any difference. About 15 minutes, so not in ci.
 figures-diff:

@@ -95,9 +95,6 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 	if records != nil {
 		ransExt = sealRans(chunks, records)
 	}
-	if version == versionChecksummed {
-		seal(chunks)
-	}
 	dims := make([][2]int, len(planes))
 	for i, p := range planes {
 		dims[i] = [2]int{p.W, p.H}

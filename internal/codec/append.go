@@ -104,7 +104,6 @@ func (a *Appender) Frame(w, h int, payloads [][]byte) ([]byte, error) {
 		dims[i] = [2]int{w, h}
 		chunks[i] = chunkRec{payload: p, planes: 1}
 	}
-	seal(chunks)
 	out, _ := writeContainer(versionChecksummed, dims, a.qp, a.prof, a.tools, nil, chunks)
 	return out, nil
 }

@@ -373,7 +373,6 @@ func forgedRANSStreams(t testing.TB) (clean []byte, forged map[string][]byte) {
 				chunks[i].payload = payloads[i]
 			}
 		}
-		seal(chunks)
 		out, _ := writeContainer(versionChecksummed, pc.dims, pc.qp, pc.prof, pc.tools, ext, chunks)
 		return out
 	}

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -350,5 +351,42 @@ func TestAllocationCapRejectsForgedDims(t *testing.T) {
 	c.Write([]byte{0, 0, 0, 0})
 	if _, err := decodeAll(c.Bytes(), 1); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged 2³¹ dim: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestChunkTableNearIntLimits: payload lengths and plane counts just under
+// 2³¹ keep their error class on every word size — a 32-bit int must not wrap
+// them into an in-range offset and a panic (`make portable` runs this as
+// GOARCH=386). Each v1/v2 stream is two or four 8×8 planes and a chunk table
+// with 40 bytes behind it.
+func TestChunkTableNearIntLimits(t *testing.T) {
+	forge := func(version byte, planes int, table ...uint32) []byte {
+		be := binary.BigEndian
+		d := append(append([]byte(nil), magic[:]...), version, HEVC.params().wire, AllTools.bits(), 20)
+		d = be.AppendUint32(d, uint32(planes))
+		for range planes {
+			d = be.AppendUint32(be.AppendUint32(d, 8), 8)
+		}
+		for _, v := range table {
+			d = be.AppendUint32(d, v)
+		}
+		return append(d, make([]byte, 40)...)
+	}
+	for _, tc := range []struct {
+		name          string
+		data          []byte
+		strict, whole error // whole: a Partial decode's own error
+	}{
+		{"v1 payload", forge(1, 2, 0x7FFFFFF0), ErrTruncated, nil},
+		{"v2 payloads", forge(2, 2, 2, 1, 0x7FFFFFF0, 1, 0x7FFFFFF0), ErrTruncated, nil},
+		{"v2 plane counts wrapping to 4", forge(2, 4, 4, 1, 1, 0x7FFFFFFF, 1, 0x7FFFFFFF, 1, 5, 1), ErrCorrupt, ErrCorrupt},
+	} {
+		if _, err := Decode(context.Background(), tc.data, DecodeConfig{Workers: 1}); !errors.Is(err, tc.strict) {
+			t.Errorf("%s: strict decode %v, want %v", tc.name, err, tc.strict)
+		}
+		dec, err := Decode(context.Background(), tc.data, DecodeConfig{Workers: 1, Partial: true})
+		if !errors.Is(err, tc.whole) || (err == nil && len(dec.Errors) == 0) {
+			t.Errorf("%s: Partial decode %v, decoded %+v", tc.name, err, dec)
+		}
 	}
 }

@@ -14,34 +14,25 @@
 // depend on the worker count or on goroutine scheduling: Encode with
 // Workers: 1 equals Encode with Workers: N bit for bit, for every Container.
 //
-// Version-1 container layout (all integers big-endian) — one chunk only:
+// Container layout (all integers big-endian). Every version is one header,
+// one chunk table and the payloads concatenated in chunk order; the versions
+// differ only in what the chunk table spells out:
 //
-//	"L265" | version=1 | profile | tools | qp        (8 bytes)
+//	"L265" | version | profile | tools | qp          (8 bytes)
 //	uint32 nPlanes | nPlanes × (uint32 w, uint32 h)
-//	uint32 payloadLen | payload
+//	chunk table:
+//	  v1: uint32 payloadLen                — one chunk, every plane, no count
+//	  v2: uint32 nChunks | nChunks × (uint32 planeCount, uint32 payloadLen)
+//	  v3: uint32 nChunks | nChunks × (uint32 planeCount, uint32 payloadLen,
+//	      uint32 payloadCRC32C) | uint32 headerCRC32C over every preceding byte
+//	payloads
+//	v3 only: optional trailer, read but no longer written (layout.go)
 //
-// Version-2 container layout:
-//
-//	"L265" | version=2 | profile | tools | qp        (8 bytes, as v1)
-//	uint32 nPlanes | nPlanes × (uint32 w, uint32 h)  (as v1)
-//	uint32 nChunks
-//	nChunks × (uint32 planeCount, uint32 payloadLen)
-//	payloads, concatenated in chunk order
-//
-// Version-3 ("hardened") container layout — v2 plus integrity:
-//
-//	"L265" | version=3 | profile | tools | qp
-//	uint32 nPlanes | nPlanes × (uint32 w, uint32 h)
-//	uint32 nChunks
-//	nChunks × (uint32 planeCount, uint32 payloadLen, uint32 payloadCRC32C)
-//	uint32 headerCRC32C   — CRC32C over every preceding byte
-//	payloads, concatenated in chunk order
-//	optional trailer, read but no longer written (layout.go)
-//
-// The header CRC covers the preamble, dim table and chunk table, so a
-// decoder never acts on damaged geometry; each payload CRC is verified
-// before the substream is parsed, so bit-rot inside a chunk surfaces as
-// ErrChecksum (and, under DecodeConfig.Partial, damages only that chunk's
+// v3 ("hardened") is v2 plus integrity; the writer computes each CRC as it
+// writes the entry. The header CRC covers the preamble, dim table and chunk
+// table, so a decoder never acts on damaged geometry; each payload CRC is
+// verified before the substream is parsed, so bit-rot inside a chunk surfaces
+// as ErrChecksum (and, under DecodeConfig.Partial, damages only that chunk's
 // planes). CRC32C (Castagnoli) is used for its hardware support on both x86
 // and arm.
 //
@@ -199,15 +190,7 @@ func runPool(n, workers int, name string, pm *poolMetrics, job func(i int, scr *
 // chunkRec is one encoded chunk as the container writer sees it.
 type chunkRec struct {
 	payload []byte
-	crc     uint32 // CRC32C of payload; meaningful for the v3 container only
-	planes  int    // number of planes the chunk decodes to
-}
-
-// seal stamps every chunk's CRC32C from its (final) payload bytes.
-func seal(chunks []chunkRec) {
-	for i := range chunks {
-		chunks[i].crc = crc32.Checksum(chunks[i].payload, crcTable)
-	}
+	planes  int // number of planes the chunk decodes to
 }
 
 // encodeChunks encodes each span as an independent substream on the worker
@@ -278,31 +261,18 @@ func sealRans(chunks []chunkRec, records []*ransRecord) []byte {
 
 // writeContainer frames encoded chunks into a container of the given
 // version — the one place container bytes are assembled, shared by Encode
-// and Appender.Frame. Version 1 takes exactly one chunk and no chunk
-// table; version 2 adds the table; version 3 adds the per-chunk and header
-// CRCs (chunks must be sealed). When tools selects a non-CABAC backend (its
-// tools byte carries toolsBackendExt), the backend extension — backend id,
-// then ransExt, the class tables sealRans serialized — follows the qp byte.
-// CABAC headers are byte-identical to the historical layout. Returns the
-// container and the summed payload length.
+// and Appender.Frame. Version 1 takes exactly one chunk. When tools selects a
+// non-CABAC backend (its tools byte carries toolsBackendExt), the backend
+// extension — backend id, then ransExt, the class tables sealRans serialized
+// — follows the qp byte. CABAC headers are byte-identical to the historical
+// layout. Returns the container and the summed payload length.
 func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransExt []byte, chunks []chunkRec) ([]byte, int) {
-	headLen := 8 + 4 + 8*len(dims)
-	if tools.Backend != BackendCABAC {
-		headLen += 1 + len(ransExt)
-	}
-	switch version {
-	case 1:
-		headLen += 4
-	case versionChunked:
-		headLen += 4 + 8*len(chunks)
-	case versionChecksummed:
-		headLen += 4 + 12*len(chunks) + 4
-	}
 	payloadLen := 0
 	for _, c := range chunks {
 		payloadLen += len(c.payload)
 	}
-	out := make([]byte, 0, headLen+payloadLen)
+	// Capacity for the longest header, a v3 one with the backend extension.
+	out := make([]byte, 0, 8+1+len(ransExt)+4+8*len(dims)+4+12*len(chunks)+4+payloadLen)
 	out = append(out, magic[:]...)
 	out = append(out, version, prof.params().wire, tools.bits(), uint8(qp))
 	if tools.Backend != BackendCABAC {
@@ -315,20 +285,20 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 		out = be.AppendUint32(out, uint32(d[0]))
 		out = be.AppendUint32(out, uint32(d[1]))
 	}
-	if version == 1 {
-		out = be.AppendUint32(out, uint32(len(chunks[0].payload)))
-	} else {
+	if version != 1 {
 		out = be.AppendUint32(out, uint32(len(chunks)))
-		for _, c := range chunks {
+	}
+	for _, c := range chunks {
+		if version != 1 {
 			out = be.AppendUint32(out, uint32(c.planes))
-			out = be.AppendUint32(out, uint32(len(c.payload)))
-			if version == versionChecksummed {
-				out = be.AppendUint32(out, c.crc)
-			}
 		}
+		out = be.AppendUint32(out, uint32(len(c.payload)))
 		if version == versionChecksummed {
-			out = be.AppendUint32(out, crc32.Checksum(out, crcTable))
+			out = be.AppendUint32(out, crc32.Checksum(c.payload, crcTable))
 		}
+	}
+	if version == versionChecksummed {
+		out = be.AppendUint32(out, crc32.Checksum(out, crcTable))
 	}
 	for _, c := range chunks {
 		out = append(out, c.payload...)
@@ -344,7 +314,6 @@ func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Too
 type chunkMeta struct {
 	index     int // position in the container's chunk table
 	payload   []byte
-	crc       uint32 // the v3 chunk table's payload CRC32C; 0 for v1/v2
 	dims      [][2]int
 	planeBase int
 	err       error
@@ -405,48 +374,22 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 	}
 	dims := pc.dims
 
-	if version == 1 {
+	// v1's table is a single payload length: one chunk covering every plane.
+	be := binary.BigEndian
+	nChunks, entry := 1, 4
+	if version != 1 {
 		if len(data) < off+4 {
-			return nil, truncatedf("codec: v1 header ends before payload length")
+			return nil, truncatedf("codec: header ends before chunk count")
 		}
-		payLen := int(binary.BigEndian.Uint32(data[off:]))
+		nChunks = int(be.Uint32(data[off:]))
 		off += 4
-		pc.payloadBase = off
-		pc.trailerOff = len(data)
-		meta := chunkMeta{dims: dims, planeBase: 0}
-		switch {
-		case payLen < 0:
-			return nil, corruptf("codec: negative payload length")
-		case off+payLen > len(data):
-			meta.err = truncatedf("codec: payload needs %d bytes, %d remain", payLen, len(data)-off)
-			if !lenient {
-				return nil, meta.err
-			}
-		case !lenient && off+payLen != len(data):
-			// Exact-length rule (strict mode): the encoder never emits
-			// trailing bytes, so a container longer than it declares is
-			// damaged framing. This is also what defeats the version-byte
-			// downgrade: a bit flip turning a v3 container into "v1" leaves
-			// the CRC fields and payloads dangling past the declared end.
-			return nil, corruptf("codec: %d trailing bytes after declared payload", len(data)-off-payLen)
-		default:
-			meta.payload = data[off : off+payLen]
+		if nChunks <= 0 || nChunks > len(dims) {
+			return nil, corruptf("codec: chunk count %d out of range for %d planes", nChunks, len(dims))
 		}
-		pc.chunks = []chunkMeta{meta}
-		return pc, nil
-	}
-
-	if len(data) < off+4 {
-		return nil, truncatedf("codec: header ends before chunk count")
-	}
-	nChunks := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if nChunks <= 0 || nChunks > len(dims) {
-		return nil, corruptf("codec: chunk count %d out of range for %d planes", nChunks, len(dims))
-	}
-	entry := 8
-	if version == versionChecksummed {
-		entry = 12
+		entry = 8
+		if version == versionChecksummed {
+			entry = 12
+		}
 	}
 	if len(data) < off+entry*nChunks {
 		return nil, truncatedf("codec: header ends inside %d-entry chunk table", nChunks)
@@ -456,19 +399,24 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 	crcs := make([]uint32, nChunks)
 	totalPlanes := 0
 	for i := 0; i < nChunks; i++ {
-		counts[i] = int(binary.BigEndian.Uint32(data[off:]))
-		sizes[i] = int(binary.BigEndian.Uint32(data[off+4:]))
-		if version == versionChecksummed {
-			crcs[i] = binary.BigEndian.Uint32(data[off+8:])
-		}
+		e := data[off : off+entry]
 		off += entry
+		if version == 1 {
+			counts[i], sizes[i] = len(dims), int(be.Uint32(e))
+		} else {
+			counts[i], sizes[i] = int(be.Uint32(e)), int(be.Uint32(e[4:]))
+		}
+		if version == versionChecksummed {
+			crcs[i] = be.Uint32(e[8:])
+		}
 		if counts[i] <= 0 || sizes[i] < 0 {
 			return nil, corruptf("codec: chunk %d declares %d planes, %d bytes", i, counts[i], sizes[i])
 		}
-		totalPlanes += counts[i]
-		if totalPlanes > len(dims) {
-			return nil, corruptf("codec: chunk table covers %d planes, container has %d", totalPlanes, len(dims))
+		// Compared before adding, so a 32-bit int cannot wrap the sum.
+		if counts[i] > len(dims)-totalPlanes {
+			return nil, corruptf("codec: chunk table covers more than the container's %d planes", len(dims))
 		}
+		totalPlanes += counts[i]
 	}
 	if totalPlanes != len(dims) {
 		return nil, corruptf("codec: chunk table covers %d planes, container has %d", totalPlanes, len(dims))
@@ -480,7 +428,7 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 		if len(data) < off+4 {
 			return nil, truncatedf("codec: header ends before header CRC")
 		}
-		want := binary.BigEndian.Uint32(data[off:])
+		want := be.Uint32(data[off:])
 		if got := crc32.Checksum(data[:off], crcTable); got != want {
 			return nil, fmt.Errorf("codec: header CRC %08x != %08x: %w", got, want, ErrChecksum)
 		}
@@ -491,17 +439,19 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 	pc.chunks = make([]chunkMeta, nChunks)
 	base := 0
 	for i := 0; i < nChunks; i++ {
-		meta := chunkMeta{index: i, crc: crcs[i], dims: dims[base : base+counts[i]], planeBase: base}
-		if off+sizes[i] > len(data) {
-			meta.err = truncatedf("codec: chunk %d needs %d bytes, %d remain", i, sizes[i], len(data)-off)
+		meta := chunkMeta{index: i, dims: dims[base : base+counts[i]], planeBase: base}
+		if sizes[i] > len(data)-off {
+			meta.err = truncatedf("codec: chunk %d needs %d bytes, %d remain", i, sizes[i], max(len(data)-off, 0))
 			if !lenient {
 				return nil, meta.err
 			}
-			// Later chunk offsets are still well-defined (lengths are in the
-			// verified table), but they are all past the end too; keep
-			// walking so every chunk gets a truncation record.
+			// Every later chunk starts past the end too; keep walking so
+			// each gets a truncation record. Parking off one past the end
+			// (rather than adding the length) keeps a 32-bit int from wrapping.
+			off = len(data) + 1
 		} else {
 			meta.payload = data[off : off+sizes[i]]
+			off += sizes[i]
 			if version == versionChecksummed {
 				if got := crc32.Checksum(meta.payload, crcTable); got != crcs[i] {
 					meta.payload, meta.err = nil, fmt.Errorf("codec: chunk %d CRC %08x != %08x: %w", i, got, crcs[i], ErrChecksum)
@@ -512,7 +462,6 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 			}
 		}
 		pc.chunks[i] = meta
-		off += sizes[i]
 		base += counts[i]
 	}
 	pc.trailerOff = off
@@ -523,11 +472,13 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 		// Lenient parses ignore what follows the last payload: every chunk is
 		// recoverable from the header table alone.
 		if version != versionChecksummed {
-			// Exact-length rule, mirroring v1: the v2 encoder emits nothing
-			// after the last payload, so trailing bytes mean damaged framing —
-			// e.g. a version byte flipped 3→2 leaves the v3 CRC fields
-			// misparsed into the chunk table and payload bytes dangling. Only
-			// the v3 container may end in a trailer (layout.go).
+			// Exact-length rule: the v1/v2 encoder emits nothing after the
+			// last payload, so trailing bytes mean damaged framing. This is
+			// what defeats the version-downgrade flip: a byte turning v3 into
+			// "v2" misparses the CRC fields into the chunk table, and one
+			// turning it into "v1" reads the chunk count as the payload
+			// length, either way leaving bytes dangling past the declared
+			// end. Only the v3 container may end in a trailer (layout.go).
 			return nil, corruptf("codec: %d trailing bytes after container end", len(data)-off)
 		}
 		if err := checkTrailer(data[off:]); err != nil {

@@ -72,14 +72,13 @@ func checkTrailer(rest []byte) error {
 }
 
 // ChunkEntry locates one chunk inside a container: the absolute byte offset
-// of its payload, the payload length and CRC32C, and the contiguous plane
-// span it decodes to.
+// of its payload, the payload length, and the contiguous plane span it
+// decodes to.
 type ChunkEntry struct {
-	Offset     int64  // absolute payload offset from the container start
-	Length     int    // payload length in bytes
-	CRC        uint32 // CRC32C over the payload (the v3 chunk table's value)
-	PlaneBase  int    // index of the chunk's first plane
-	PlaneCount int    // number of planes the chunk decodes to
+	Offset     int64 // absolute payload offset from the container start
+	Length     int   // payload length in bytes
+	PlaneBase  int   // index of the chunk's first plane
+	PlaneCount int   // number of planes the chunk decodes to
 }
 
 // ContainerLayout describes a container's byte geometry without decoding any
@@ -96,8 +95,7 @@ type ContainerLayout struct {
 }
 
 // Layout parses a container down to its byte geometry, strictly (any framing
-// defect is a typed error). A v3 entry's CRC is the chunk table's, which the
-// parse has just verified; v1/v2 payloads are hashed here.
+// defect is a typed error; a v3 container's CRCs are verified).
 func Layout(data []byte) (*ContainerLayout, error) {
 	pc, err := parseContainer(data, false, false)
 	if err != nil {
@@ -113,11 +111,7 @@ func Layout(data []byte) (*ContainerLayout, error) {
 	}
 	off := int64(pc.payloadBase)
 	for i, c := range pc.chunks {
-		crc := c.crc
-		if pc.version != versionChecksummed {
-			crc = crc32.Checksum(c.payload, crcTable)
-		}
-		lay.Entries[i] = ChunkEntry{Offset: off, Length: len(c.payload), CRC: crc, PlaneBase: c.planeBase, PlaneCount: len(c.dims)}
+		lay.Entries[i] = ChunkEntry{Offset: off, Length: len(c.payload), PlaneBase: c.planeBase, PlaneCount: len(c.dims)}
 		off += int64(len(c.payload))
 	}
 	return lay, nil

@@ -558,7 +558,6 @@ func TestLevelCap(t *testing.T) {
 			if tools.Backend == BackendRANS {
 				chunks := []chunkRec{{planes: 1}}
 				ext := sealRans(chunks, []*ransRecord{re.rec})
-				seal(chunks)
 				stream, _ = writeContainer(versionChecksummed, dims, 51, HEVC, tools, ext, chunks)
 			} else {
 				chunks := []chunkRec{{payload: append([]byte(nil), re.e.bw.finish()...), planes: 1}}

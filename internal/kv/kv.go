@@ -89,8 +89,9 @@ type Config struct {
 	// analogue): a chunk covers exactly this many rows. Default 32.
 	FlushRows int
 
-	// QP and Workers configure the chunk coder (HEVC, CABAC) exactly as in
-	// core.Options. Defaults: QP 12, 1 worker. New panics on a QP above
+	// QP and Workers configure the chunk coder (HEVC, CABAC) as in
+	// core.Options, except that a Workers of 0 means one worker here, not
+	// GOMAXPROCS. Defaults: QP 12, 1 worker. New panics on a QP above
 	// dct.MaxQP.
 	QP      int
 	Workers int

@@ -25,6 +25,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -48,16 +49,6 @@ type BlobRef struct {
 	Length int    `json:"length"`
 }
 
-// ChunkRef is a BlobRef plus the chunk's place in its container, copied from
-// codec.Layout so a reader can map layers to blobs without touching the
-// container.
-type ChunkRef struct {
-	BlobRef
-	CRC        uint32 `json:"crc32c"`
-	PlaneBase  int    `json:"plane_base"`
-	PlaneCount int    `json:"plane_count"`
-}
-
 // TensorMeta mirrors core.Encoded's metadata so Fetch can rebuild the exact
 // Encoded without any side channel.
 type TensorMeta struct {
@@ -74,6 +65,8 @@ type TensorMeta struct {
 
 // TensorManifest describes one packed tensor stack: its metadata, and the
 // header/chunk/trailer blobs that concatenate back into its container.
+// Manifests written by earlier builds also carry each chunk's crc32c,
+// plane_base and plane_count; nothing reads them, so decoding drops them.
 type TensorManifest struct {
 	Name string `json:"name"`
 	// Params optionally names the model parameter stored at each layer
@@ -81,7 +74,7 @@ type TensorManifest struct {
 	Params  []string   `json:"params,omitempty"`
 	Meta    TensorMeta `json:"meta"`
 	Header  BlobRef    `json:"header"`
-	Chunks  []ChunkRef `json:"chunks"`
+	Chunks  []BlobRef  `json:"chunks"`
 	Trailer BlobRef    `json:"trailer"` // zero-valued when the container has no trailer
 }
 
@@ -206,10 +199,25 @@ func (s *Store) putBlob(data []byte) (BlobRef, error) {
 	return ref, nil
 }
 
+// isHash reports whether h is a SHA-256 in lowercase hex, the only name a
+// blob has. A manifest naming anything else is corrupt, and its name never
+// reaches the file system as a path.
+func isHash(h string) bool {
+	if len(h) != 2*sha256.Size {
+		return false
+	}
+	for _, c := range []byte(h) {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // getBlob reads a blob and re-verifies its content hash, so on-disk bit-rot
 // is ErrChecksum, not silent corruption.
 func (s *Store) getBlob(ref BlobRef) ([]byte, error) {
-	if len(ref.Hash) != 64 {
+	if !isHash(ref.Hash) {
 		return nil, fmt.Errorf("store: malformed blob hash %q: %w", ref.Hash, codec.ErrCorrupt)
 	}
 	data, err := os.ReadFile(s.blobPath(ref.Hash))
@@ -286,9 +294,7 @@ func (s *Store) Pack(model string, entries []PackEntry) (*Manifest, error) {
 			if err != nil {
 				return nil, err
 			}
-			tm.Chunks = append(tm.Chunks, ChunkRef{
-				BlobRef: ref, CRC: ce.CRC, PlaneBase: ce.PlaneBase, PlaneCount: ce.PlaneCount,
-			})
+			tm.Chunks = append(tm.Chunks, ref)
 		}
 		if lay.TrailerLen > 0 {
 			if tm.Trailer, err = s.putBlob(e.Stream[lay.TrailerOff:]); err != nil {
@@ -333,32 +339,21 @@ func (s *Store) Manifest(model string) (*Manifest, error) {
 }
 
 // fetchTensor reassembles one tensor's container from its blobs,
-// byte-identical to what Pack was handed.
+// byte-identical to what Pack was handed. The stream is sized from the blobs
+// read, never from the manifest's unverified lengths.
 func (s *Store) fetchTensor(tm *TensorManifest) (*core.Encoded, error) {
-	size := tm.Header.Length + tm.Trailer.Length
-	for _, c := range tm.Chunks {
-		size += c.Length
-	}
-	stream := make([]byte, 0, size)
-	head, err := s.getBlob(tm.Header)
-	if err != nil {
-		return nil, err
-	}
-	stream = append(stream, head...)
-	for _, c := range tm.Chunks {
-		blob, err := s.getBlob(c.BlobRef)
-		if err != nil {
-			return nil, err
-		}
-		stream = append(stream, blob...)
-	}
+	refs := append([]BlobRef{tm.Header}, tm.Chunks...)
 	if tm.Trailer.Hash != "" {
-		blob, err := s.getBlob(tm.Trailer)
-		if err != nil {
+		refs = append(refs, tm.Trailer)
+	}
+	blobs := make([][]byte, len(refs))
+	for i, ref := range refs {
+		var err error
+		if blobs[i], err = s.getBlob(ref); err != nil {
 			return nil, err
 		}
-		stream = append(stream, blob...)
 	}
+	stream := bytes.Join(blobs, nil)
 	e := &core.Encoded{
 		Layers: tm.Meta.Layers, Rows: tm.Meta.Rows, Cols: tm.Meta.Cols,
 		PerRow:    tm.Meta.PerRow,

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,6 +58,18 @@ func openStore(t *testing.T, reg *obs.Registry) *Store {
 		t.Fatalf("Open: %v", err)
 	}
 	return s
+}
+
+// putManifest writes man as model's manifest.
+func putManifest(t *testing.T, s *Store, man any, model string) {
+	t.Helper()
+	raw, err := json.MarshalIndent(man, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.root, "manifests", model+".json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func counter(reg *obs.Registry, name string) int64 {
@@ -234,7 +249,8 @@ func TestPackDedupe(t *testing.T) {
 }
 
 // TestStoreErrors pins the failure taxonomy: missing things are ErrNotFound,
-// damaged blobs are ErrChecksum, and invalid inputs are rejected up front.
+// damaged blobs are ErrChecksum, and invalid inputs — names, and a
+// manifest's hashes and lengths — are rejected up front.
 func TestStoreErrors(t *testing.T) {
 	s := openStore(t, nil)
 	e := encodeStack(t, testStack(3, 2, 64, 64))
@@ -289,6 +305,82 @@ func TestStoreErrors(t *testing.T) {
 	}
 	if _, err := s.Fetch("m"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Fetch with missing blob: %v, want ErrNotFound", err)
+	}
+
+	// A chunk hash that is not 64 lowercase hex digits is ErrCorrupt before
+	// any file is opened: not the uppercase twin of a stored blob, and not a
+	// 64-character path that climbs out of the store to a planted decoy.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "decoy"), []byte("not a blob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(filepath.Join(dir, "store"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man2, err := s2.Pack("m", []PackEntry{{Name: "w", Enc: e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	climb := "../" + strings.Repeat("./", 28) + "decoy"
+	stored := man2.Tensors[0].Chunks[0].Hash
+	for _, hash := range []string{strings.ToUpper(stored), climb} {
+		man2.Tensors[0].Chunks[0].Hash = hash
+		putManifest(t, s2, man2, "m")
+		if _, err := s2.Fetch("m"); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("Fetch of chunk hash %q: %v, want ErrCorrupt", hash, err)
+		}
+	}
+
+	// A manifest length is checked against the blob read, never trusted to
+	// size a buffer: one far beyond memory is ErrChecksum, not a panic.
+	man2.Tensors[0].Chunks[0].Hash = stored
+	man2.Tensors[0].Header.Length = math.MaxInt
+	putManifest(t, s2, man2, "m")
+	if _, err := s2.Fetch("m"); !errors.Is(err, codec.ErrChecksum) {
+		t.Fatalf("Fetch with a header length of MaxInt: %v, want ErrChecksum", err)
+	}
+}
+
+// TestFetchOldManifest: a manifest that earlier builds wrote, whose chunks
+// also carry crc32c, plane_base and plane_count, still fetches every stream
+// byte-identically.
+func TestFetchOldManifest(t *testing.T) {
+	s := openStore(t, nil)
+	e := encodeStack(t, testStack(4, 5, 64, 128))
+	if _, err := s.Pack("m", []PackEntry{{Name: "w", Enc: e}}); err != nil {
+		t.Fatal(err)
+	}
+	lay, err := codec.Layout(e.Stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.root, "manifests", "m.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	chunks := old["tensors"].([]any)[0].(map[string]any)["chunks"].([]any)
+	if len(chunks) != len(lay.Entries) || len(chunks) < 2 {
+		t.Fatalf("%d manifest chunks for %d layout entries", len(chunks), len(lay.Entries))
+	}
+	for i, c := range chunks {
+		ce := lay.Entries[i]
+		c := c.(map[string]any)
+		c["crc32c"] = crc32.Checksum(e.Stream[ce.Offset:ce.Offset+int64(ce.Length)], crc32.MakeTable(crc32.Castagnoli))
+		c["plane_base"], c["plane_count"] = ce.PlaneBase, ce.PlaneCount
+	}
+	putManifest(t, s, old, "m")
+	got, err := s.Fetch("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got["w"].Stream, e.Stream) {
+		t.Fatalf("fetched %d bytes, packed %d, or the bytes differ", len(got["w"].Stream), len(e.Stream))
 	}
 }
 

@@ -10,6 +10,7 @@
 #   go run ./examples/inference
 #   go run ./examples/generation
 #   go run ./examples/training
+#   go run ./examples/codecstudy
 #   go run ./cmd/trainsim -mode pp -method residual -steps 60
 #
 # then diffs the two outputs. Wall-clock readings are stripped first: the
@@ -33,6 +34,7 @@ figures() { # checkout output
 		go run ./examples/inference
 		go run ./examples/generation
 		go run ./examples/training
+		go run ./examples/codecstudy
 		go run ./cmd/trainsim -mode pp -method residual -steps 60
 	) | grep -v -e '^(.* took .*)$' -e '^pure-Go software codec ' >"$2"
 }
