@@ -52,9 +52,11 @@ vet:
 # function with its position and line count). The golden corpus is closed
 # (TestCorpusIsClosed: no file without a vector, no vector without its two
 # files), only the conformance sweep and the refimpl_test.go kernel tests force
-# the pure-Go kernels (TestKernelFlagIsContained), streams at rest that end in
-# the chunk-index trailer earlier builds wrote still decode, lay out and
-# round-trip through the store (codec's TestTrailer*), and the sweep's codec rows —
+# the pure-Go kernels (TestKernelFlagIsContained), a strict parse still refuses
+# any byte after a container's last payload — the retired chunk-index trailer
+# by name, in codec and in store.Pack, while Partial recovers every chunk
+# (TestRetiredTrailerRefused), and a stray byte or a version-byte flip on
+# every version (TestTrailingBytesAreCorrupt) — and the sweep's codec rows —
 # every golden vector re-encoded and decoded on both kernel paths at every
 # worker count, against the committed bytes — catch a byte drift in seconds.
 # Every Go file of the root module and of benchmark/ is gofmt-clean: the step
@@ -62,7 +64,7 @@ vet:
 surface: vet
 	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|Trailer|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|TrailingBytesAreCorrupt|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...

@@ -292,22 +292,44 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestVerifyRefusesRetiredRANS: a tensor file whose stream the retired
-// binary-rANS backend wrote (codec's fixture, framed as one 31×33 layer) is
-// corrupt — exit 3 — and verify names the retired layout.
-func TestVerifyRefusesRetiredRANS(t *testing.T) {
-	stream, err := os.ReadFile(filepath.Join("..", "..", "internal", "codec", "testdata", "retired-binary-rans-hevc-noise-33x31-qp16.l265"))
-	if err != nil {
-		t.Fatal(err)
+// TestVerifyRefusesRetiredLayouts: a tensor file whose stream a retired
+// layout wrote — codec's binary-rANS fixture framed as one 31×33 layer, and
+// its chunk-index trailer fixture framed as three 64×192 layers — is corrupt
+// (exit 3), and verify names the layout. Under -partial the rANS stream stays
+// corrupt, while the trailer stream recovers every layer: its chunks are
+// whole, only the bytes after them are refused.
+func TestVerifyRefusesRetiredLayouts(t *testing.T) {
+	cases := []struct {
+		name, fixture, layout string
+		enc                   core.Encoded
+		partialCode           int
+		partialOut            string
+	}{
+		{"binary-rans", "retired-binary-rans-hevc-noise-33x31-qp16.l265", "retired binary-rANS layout",
+			core.Encoded{Layers: 1, Rows: 31, Cols: 33, MaxFrameW: 33, MaxFrameH: 31, QP: 16,
+				Scales: []float32{1}, Zeros: []float32{0}},
+			exitCorrupt, "retired binary-rANS layout"},
+		{"trailer", "retired-trailer-v3-9x64x64.l265", "retired chunk-index trailer layout",
+			core.Encoded{Layers: 3, Rows: 64, Cols: 192, MaxFrameW: 64, MaxFrameH: 64, QP: 30,
+				Scales: []float32{1, 1, 1}, Zeros: []float32{0, 0, 0}},
+			0, "OK (2 chunk(s), 9 plane(s))"},
 	}
-	enc := &core.Encoded{Layers: 1, Rows: 31, Cols: 33, MaxFrameW: 33, MaxFrameH: 31, QP: 16,
-		Stream: stream, Scales: []float32{1}, Zeros: []float32{0}}
-	path := filepath.Join(t.TempDir(), "retired.l265")
-	writeFile(t, path, enc.Marshal())
-	for _, args := range [][]string{{"verify", "-in", path}, {"verify", "-partial", "-in", path}} {
-		stdout, _, code := run(t, args...)
-		if code != exitCorrupt || !strings.Contains(stdout, "retired binary-rANS layout") {
-			t.Errorf("%v: exit %d, want %d naming the retired layout:\n%s", args, code, exitCorrupt, stdout)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stream, err := os.ReadFile(filepath.Join("..", "..", "internal", "codec", "testdata", c.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := c.enc
+			enc.Stream = stream
+			path := filepath.Join(t.TempDir(), "retired.l265")
+			writeFile(t, path, enc.Marshal())
+			if stdout, _, code := run(t, "verify", "-in", path); code != exitCorrupt || !strings.Contains(stdout, c.layout) {
+				t.Errorf("verify: exit %d, want %d naming the %s:\n%s", code, exitCorrupt, c.layout, stdout)
+			}
+			if stdout, _, code := run(t, "verify", "-partial", "-in", path); code != c.partialCode || !strings.Contains(stdout, c.partialOut) {
+				t.Errorf("verify -partial: exit %d, want %d with %q:\n%s", code, c.partialCode, c.partialOut, stdout)
+			}
+		})
 	}
 }

@@ -71,9 +71,9 @@ func TestAppenderFrameMatchesOneShot(t *testing.T) {
 		}
 		requirePlanesEqual(t, "frame vs one-shot", got, want)
 
-		// The frame is a plain v3 container: one chunk a plane, no trailer.
+		// The frame is a plain v3 container: one chunk a plane.
 		lay, err := Layout(framed)
-		if err != nil || lay.Version != 3 || len(lay.Entries) != 8 || lay.TrailerLen != 0 {
+		if err != nil || framed[4] != versionChecksummed || len(lay.Entries) != 8 {
 			t.Fatalf("frame layout: %+v, %v", lay, err)
 		}
 

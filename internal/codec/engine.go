@@ -25,8 +25,7 @@
 //	  v2: uint32 nChunks | nChunks × (uint32 planeCount, uint32 payloadLen)
 //	  v3: uint32 nChunks | nChunks × (uint32 planeCount, uint32 payloadLen,
 //	      uint32 payloadCRC32C) | uint32 headerCRC32C over every preceding byte
-//	payloads
-//	v3 only: optional trailer, read but no longer written (layout.go)
+//	payloads                             — the container ends at the last one
 //
 // v3 ("hardened") is v2 plus integrity; the writer computes each CRC as it
 // writes the entry. The header CRC covers the preamble, dim table and chunk
@@ -41,6 +40,7 @@
 package codec
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -60,6 +60,11 @@ const versionChunked = 2
 // (ContainerV3 and every rANS stream): chunked framing plus CRC32C integrity
 // on the header and on every chunk payload.
 const versionChecksummed = 3
+
+// retiredTrailerMagic opened the chunk-index trailer that earlier builds
+// appended to a v3 container; a strict parse names that layout when it
+// refuses one (DESIGN.md §15.1).
+var retiredTrailerMagic = []byte("L26X")
 
 // crcTable is the CRC32C (Castagnoli) table used by the v3 container.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -335,11 +340,8 @@ type parsedContainer struct {
 	// parse builds tables (every parse but Layout's).
 	ransTabs *ransTables
 
-	// payloadBase is the offset of the first payload byte (the header length);
-	// trailerOff is the offset one past the last payload, where the optional
-	// v3 trailer starts — len(data) when there is no trailer.
+	// payloadBase is the offset of the first payload byte (the header length).
 	payloadBase int
-	trailerOff  int
 }
 
 // parseContainer validates a container of any version down to its chunk
@@ -464,26 +466,19 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 		pc.chunks[i] = meta
 		base += counts[i]
 	}
-	pc.trailerOff = off
-	if pc.trailerOff > len(data) {
-		pc.trailerOff = len(data) // lenient truncation: payloads ran past the end
-	}
 	if off < len(data) && !lenient {
 		// Lenient parses ignore what follows the last payload: every chunk is
-		// recoverable from the header table alone.
-		if version != versionChecksummed {
-			// Exact-length rule: the v1/v2 encoder emits nothing after the
-			// last payload, so trailing bytes mean damaged framing. This is
-			// what defeats the version-downgrade flip: a byte turning v3 into
-			// "v2" misparses the CRC fields into the chunk table, and one
-			// turning it into "v1" reads the chunk count as the payload
-			// length, either way leaving bytes dangling past the declared
-			// end. Only the v3 container may end in a trailer (layout.go).
-			return nil, corruptf("codec: %d trailing bytes after container end", len(data)-off)
+		// recoverable from the header table alone. A strict one holds every
+		// version to the exact-length rule: the encoder emits nothing after
+		// the last payload, so trailing bytes mean damaged framing. This is
+		// what defeats the version-downgrade flip: a byte turning v3 into
+		// "v2" misparses the CRC fields into the chunk table, and one turning
+		// it into "v1" reads the chunk count as the payload length, either
+		// way leaving bytes dangling past the declared end.
+		if bytes.HasPrefix(data[off:], retiredTrailerMagic) {
+			return nil, corruptf("codec: retired chunk-index trailer layout (%d bytes after the last payload); this decoder reads containers that end at their last payload", len(data)-off)
 		}
-		if err := checkTrailer(data[off:]); err != nil {
-			return nil, err
-		}
+		return nil, corruptf("codec: %d trailing bytes after container end", len(data)-off)
 	}
 	return pc, nil
 }

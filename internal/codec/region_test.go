@@ -27,10 +27,13 @@ func requirePlanesEqual(t *testing.T, label string, got, want []*frame.Plane) {
 
 // TestDecodeRegionIsORegion proves the acceptance bound: decoding one plane
 // of a two-chunk container decodes one chunk, not two — the
-// codec.decode.chunks counter counts exactly the chunks touched. The
-// container ends in a trailer, which a windowed decode never looks past.
+// codec.decode.chunks counter counts exactly the chunks touched.
 func TestDecodeRegionIsORegion(t *testing.T) {
-	data, planes := indexedStream(t)
+	_, _, data, _ := corpusStreams(t)
+	planes, err := decodeAll(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	chunkCount := func(f func(reg *obs.Registry)) int64 {
 		reg := obs.NewRegistry()

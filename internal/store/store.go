@@ -15,9 +15,7 @@
 // the store keeps one copy — the ZipServ-style dedup that makes multi-model
 // serving affordable. The container's chunk table (codec.Layout) is what
 // lets Pack split a container without decoding it, and lets a fetched model
-// serve single layers through an LRU of decoded tensors (see Model). A
-// stream that ends in a trailer an earlier build wrote keeps it as one more
-// blob.
+// serve single layers through an LRU of decoded tensors (see Model).
 //
 // Integrity: a blob's name is its hash, re-verified on every read, so
 // bit-rot surfaces as ErrChecksum; reassembly is byte-exact, so the codec's
@@ -64,18 +62,18 @@ type TensorMeta struct {
 }
 
 // TensorManifest describes one packed tensor stack: its metadata, and the
-// header/chunk/trailer blobs that concatenate back into its container.
+// header and chunk blobs that concatenate back into its container.
 // Manifests written by earlier builds also carry each chunk's crc32c,
-// plane_base and plane_count; nothing reads them, so decoding drops them.
+// plane_base and plane_count, and a "trailer" blob; nothing reads them, so
+// decoding drops them.
 type TensorManifest struct {
 	Name string `json:"name"`
 	// Params optionally names the model parameter stored at each layer
 	// (layer i holds Params[i]), for stores packed from nn checkpoints.
-	Params  []string   `json:"params,omitempty"`
-	Meta    TensorMeta `json:"meta"`
-	Header  BlobRef    `json:"header"`
-	Chunks  []BlobRef  `json:"chunks"`
-	Trailer BlobRef    `json:"trailer"` // zero-valued when the container has no trailer
+	Params []string   `json:"params,omitempty"`
+	Meta   TensorMeta `json:"meta"`
+	Header BlobRef    `json:"header"`
+	Chunks []BlobRef  `json:"chunks"`
 }
 
 // Manifest is one model's packed inventory.
@@ -88,7 +86,7 @@ type Manifest struct {
 func (m *Manifest) PackedBytes() int64 {
 	var n int64
 	for _, tm := range m.Tensors {
-		n += int64(tm.Header.Length) + int64(tm.Trailer.Length)
+		n += int64(tm.Header.Length)
 		for _, c := range tm.Chunks {
 			n += int64(c.Length)
 		}
@@ -173,30 +171,41 @@ func (s *Store) putBlob(data []byte) (BlobRef, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return BlobRef{}, fmt.Errorf("store: %w", err)
 	}
-	// Temp-file + rename keeps concurrent packers from observing partial
-	// blobs; the content address makes double-writes idempotent.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return BlobRef{}, fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return BlobRef{}, fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return BlobRef{}, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return BlobRef{}, fmt.Errorf("store: %w", err)
+	// The content address makes double-writes idempotent.
+	if err := writeAtomic(path, data); err != nil {
+		return BlobRef{}, err
 	}
 	if s.m != nil {
 		s.m.packBlobsNew.Inc()
 		s.m.packBytesNew.Add(int64(len(data)))
 	}
 	return ref, nil
+}
+
+// writeAtomic writes data to path through a temp file of its own in path's
+// directory and a rename, so a reader never sees a partial file and
+// concurrent writers of one path never touch each other's temp file: the
+// last rename wins whole.
+func writeAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's 0600 would hide the store from its other readers
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // isHash reports whether h is a SHA-256 in lowercase hex, the only name a
@@ -296,25 +305,14 @@ func (s *Store) Pack(model string, entries []PackEntry) (*Manifest, error) {
 			}
 			tm.Chunks = append(tm.Chunks, ref)
 		}
-		if lay.TrailerLen > 0 {
-			if tm.Trailer, err = s.putBlob(e.Stream[lay.TrailerOff:]); err != nil {
-				return nil, err
-			}
-		}
 		man.Tensors = append(man.Tensors, tm)
 	}
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	path := filepath.Join(s.root, "manifests", model+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, fmt.Errorf("store: %w", err)
+	if err := writeAtomic(filepath.Join(s.root, "manifests", model+".json"), append(data, '\n')); err != nil {
+		return nil, err
 	}
 	return man, nil
 }
@@ -343,9 +341,6 @@ func (s *Store) Manifest(model string) (*Manifest, error) {
 // read, never from the manifest's unverified lengths.
 func (s *Store) fetchTensor(tm *TensorManifest) (*core.Encoded, error) {
 	refs := append([]BlobRef{tm.Header}, tm.Chunks...)
-	if tm.Trailer.Hash != "" {
-		refs = append(refs, tm.Trailer)
-	}
 	blobs := make([][]byte, len(refs))
 	for i, ref := range refs {
 		var err error

@@ -78,8 +78,7 @@ func counter(reg *obs.Registry, name string) int64 {
 
 // TestPackFetchRoundTrip pins the store's core contract: a fetched tensor is
 // byte-identical to the packed one — same stream, same metadata — for both
-// checksummed (v3) and legacy containers. A stream ending in a trailer
-// is codec's TestTrailerStoreRoundTrip.
+// checksummed (v3) and legacy containers.
 func TestPackFetchRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := openStore(t, reg)
@@ -106,8 +105,8 @@ func TestPackFetchRoundTrip(t *testing.T) {
 		t.Fatalf("PackedBytes = %d, want %d", man.PackedBytes(), len(attn.Stream)+len(mlp.Stream))
 	}
 	for i, name := range []string{"attn", "mlp"} {
-		if tm := man.Tensors[i]; tm.Name != name || tm.Trailer.Hash != "" {
-			t.Fatalf("tensor %d: %+v, want %s without a trailer blob", i, tm, name)
+		if tm := man.Tensors[i]; tm.Name != name {
+			t.Fatalf("tensor %d: %+v, want %s", i, tm, name)
 		}
 	}
 
@@ -342,9 +341,23 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-// TestFetchOldManifest: a manifest that earlier builds wrote, whose chunks
-// also carry crc32c, plane_base and plane_count, still fetches every stream
-// byte-identically.
+// retiredTrailerStream reads codec's fixture of a stream at rest ending in
+// the retired chunk-index trailer, and the offset where the trailer begins.
+func retiredTrailerStream(t *testing.T) (data []byte, end int) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "codec", "testdata", "retired-trailer-v3-9x64x64.l265"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, bytes.LastIndex(data, []byte("L26X"))
+}
+
+// TestFetchOldManifest: manifests that earlier builds wrote still fetch
+// every stream byte-identically, decoding to the packed values — one whose
+// chunks also carry crc32c, plane_base and plane_count, and one naming a
+// "trailer" blob, the retired chunk-index trailer those builds stored as a
+// third blob kind. Fetch ignores that blob and returns the trailer-free
+// container.
 func TestFetchOldManifest(t *testing.T) {
 	s := openStore(t, nil)
 	e := encodeStack(t, testStack(4, 5, 64, 128))
@@ -355,32 +368,105 @@ func TestFetchOldManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(s.root, "manifests", "m.json")
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(s.root, "manifests", "m.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var old map[string]any
-	if err := json.Unmarshal(raw, &old); err != nil {
-		t.Fatal(err)
-	}
-	chunks := old["tensors"].([]any)[0].(map[string]any)["chunks"].([]any)
-	if len(chunks) != len(lay.Entries) || len(chunks) < 2 {
-		t.Fatalf("%d manifest chunks for %d layout entries", len(chunks), len(lay.Entries))
-	}
-	for i, c := range chunks {
-		ce := lay.Entries[i]
-		c := c.(map[string]any)
-		c["crc32c"] = crc32.Checksum(e.Stream[ce.Offset:ce.Offset+int64(ce.Length)], crc32.MakeTable(crc32.Castagnoli))
-		c["plane_base"], c["plane_count"] = ce.PlaneBase, ce.PlaneCount
-	}
-	putManifest(t, s, old, "m")
-	got, err := s.Fetch("m")
+	fixture, end := retiredTrailerStream(t)
+	trailer, err := s.putBlob(fixture[end:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got["w"].Stream, e.Stream) {
-		t.Fatalf("fetched %d bytes, packed %d, or the bytes differ", len(got["w"].Stream), len(e.Stream))
+	opts := testOptions(2)
+	want, err := opts.DecodeStackCtx(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, age := range map[string]func(tm map[string]any){
+		"chunk fields": func(tm map[string]any) {
+			chunks := tm["chunks"].([]any)
+			if len(chunks) != len(lay.Entries) || len(chunks) < 2 {
+				t.Fatalf("%d manifest chunks for %d layout entries", len(chunks), len(lay.Entries))
+			}
+			for i, c := range chunks {
+				ce := lay.Entries[i]
+				c := c.(map[string]any)
+				c["crc32c"] = crc32.Checksum(e.Stream[ce.Offset:ce.Offset+int64(ce.Length)], crc32.MakeTable(crc32.Castagnoli))
+				c["plane_base"], c["plane_count"] = ce.PlaneBase, ce.PlaneCount
+			}
+		},
+		"trailer blob": func(tm map[string]any) { tm["trailer"] = trailer },
+	} {
+		var old map[string]any
+		if err := json.Unmarshal(raw, &old); err != nil {
+			t.Fatal(err)
+		}
+		age(old["tensors"].([]any)[0].(map[string]any))
+		putManifest(t, s, old, "m")
+		got, err := s.Fetch("m")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got["w"].Stream, e.Stream) {
+			t.Fatalf("%s: fetched %d bytes, packed %d, or the bytes differ", name, len(got["w"].Stream), len(e.Stream))
+		}
+		dec, err := opts.DecodeStackCtx(context.Background(), got["w"])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for l := range want {
+			for i := range want[l].Data {
+				if dec[l].Data[i] != want[l].Data[i] {
+					t.Fatalf("%s: layer %d value %d differs", name, l, i)
+				}
+			}
+		}
+	}
+}
+
+// TestRetiredTrailerRefused: Pack refuses a stream at rest ending in the
+// retired chunk-index trailer as ErrCorrupt, as codec's Layout does, and
+// writes no manifest.
+func TestRetiredTrailerRefused(t *testing.T) {
+	s := openStore(t, nil)
+	data, _ := retiredTrailerStream(t)
+	enc := &core.Encoded{Layers: 3, Rows: 64, Cols: 192, MaxFrameW: 64, MaxFrameH: 64, QP: 30,
+		Scales: []float32{1, 1, 1}, Zeros: []float32{0, 0, 0}, Stream: data}
+	if _, err := s.Pack("m", []PackEntry{{Name: "w", Enc: enc}}); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("Pack: %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Manifest("m"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Manifest after a refused Pack: %v, want ErrNotFound", err)
+	}
+}
+
+// TestConcurrentPackSameModel: packers of one model that run at once each
+// write the manifest through a temp file of their own, so every Pack
+// succeeds and the manifest left behind parses.
+func TestConcurrentPackSameModel(t *testing.T) {
+	s := openStore(t, nil)
+	e := encodeStack(t, testStack(6, 2, 64, 64))
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		errc := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Pack("m", []PackEntry{{Name: "w", Enc: e}}); err != nil {
+					errc <- err
+				}
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("round %d: Pack: %v", round, err)
+		}
+		if _, err := s.Manifest("m"); err != nil {
+			t.Fatalf("round %d: Manifest: %v", round, err)
+		}
 	}
 }
 
