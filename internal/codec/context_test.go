@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,27 +31,50 @@ func cancelPlanes(tb testing.TB) []*frame.Plane {
 	return planes
 }
 
-// TestEncodeCanceledPromptly: cancel an in-flight parallel encode and demand
+// cancelOnPoll is a cancellable context that cancels itself on its n-th Err
+// poll, so a test cancels a call at a fixed point inside it — after its
+// entry check, once chunk workers are running — however fast the machine
+// or loaded the scheduler. canceledAt records when the cancel fired.
+type cancelOnPoll struct {
+	context.Context
+	cancel     context.CancelFunc
+	n          int64
+	polls      atomic.Int64
+	canceledAt atomic.Pointer[time.Time]
+}
+
+func newCancelOnPoll(n int64) *cancelOnPoll {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &cancelOnPoll{Context: ctx, cancel: cancel, n: n}
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls.Add(1) == c.n {
+		now := time.Now()
+		c.canceledAt.Store(&now)
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestEncodeCanceledPromptly: cancel an in-flight parallel encode — on its
+// 16th context poll, inside the per-CTU loops (see cancelOnPoll) — and demand
 // it returns context.Canceled well within the 100ms promptness budget, with
 // no partial output.
 func TestEncodeCanceledPromptly(t *testing.T) {
 	planes := cancelPlanes(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
+	ctx := newCancelOnPoll(16)
+	defer ctx.cancel()
 	data, _, _, err := Encode(ctx, planes, EncodeConfig{QP: 30, Profile: HEVC, Tools: AllTools, Workers: 4})
-	elapsed := time.Since(start)
+	done := time.Now()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v after %d polls, want context.Canceled", err, ctx.polls.Load())
 	}
 	if data != nil {
 		t.Errorf("canceled encode returned %d bytes, want nil", len(data))
 	}
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("canceled encode took %v, want < 100ms", elapsed)
+	if elapsed := done.Sub(*ctx.canceledAt.Load()); elapsed > 100*time.Millisecond {
+		t.Errorf("canceled encode took %v after the cancel, want < 100ms", elapsed)
 	}
 	if !IsCancellation(err) {
 		t.Errorf("IsCancellation(%v) = false, want true", err)
@@ -85,29 +109,28 @@ func TestEncodePreCanceled(t *testing.T) {
 }
 
 // TestDecodeCanceledPromptly: cancel an in-flight decode and demand prompt
-// return of the bare cancellation error.
+// return of the bare cancellation error. The cancel fires on the decode's
+// 16th context poll — past the entry check and the chunk pickups, inside
+// the per-CTU loops — rather than after a wall-clock sleep, which a fast or
+// busy machine lets the whole decode outrun.
 func TestDecodeCanceledPromptly(t *testing.T) {
 	planes := cancelPlanes(t)
 	data, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, AllTools, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
+	ctx := newCancelOnPoll(16)
+	defer ctx.cancel()
 	out, err := Decode(ctx, data, DecodeConfig{Workers: 4})
-	elapsed := time.Since(start)
+	done := time.Now()
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("err = %v after %d polls, want context.Canceled", err, ctx.polls.Load())
 	}
 	if out != nil {
 		t.Errorf("canceled decode returned %d planes, want nil", len(out.Planes))
 	}
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("canceled decode took %v, want < 100ms", elapsed)
+	if elapsed := done.Sub(*ctx.canceledAt.Load()); elapsed > 100*time.Millisecond {
+		t.Errorf("canceled decode took %v after the cancel, want < 100ms", elapsed)
 	}
 }
 
