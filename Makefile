@@ -65,7 +65,7 @@ surface: vet
 	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|TrailingBytesAreCorrupt|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
-	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/ ./internal/quant/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...
 

@@ -800,8 +800,23 @@ func init() {
 // RD decisions (the emission phase spends the real bits), in rate units: 1
 // bit for the CBF, levelRate of each coefficient in scan order up to the last
 // non-zero one and 0.08 bits for each after it. Every term is whole, so the
-// sum is exact in any order.
+// sum is exact in any order: on AVX2 it is taken in raster order as the CBF
+// plus levelRate of every coefficient, less levelRate(0) − 0.08 bits for each
+// one after the last non-zero, one pass over the block (levelBitsAVX2).
 func estimateLevelBits(lev []int32, size int, transformed bool) int64 {
+	if cpufeat.Lanes8(size) {
+		ranks := rasterRanks[sizeIdx(size)]
+		if transformed {
+			ranks = zigzagRanks[sizeIdx(size)]
+		}
+		lev = lev[:len(ranks)]
+		if sum, last, ok := levelBitsAVX2(&lev[0], &ranks[0], len(ranks)); ok {
+			if last == 0 {
+				return rateUnit
+			}
+			return rateUnit + int64(sum) - (levelRateTable[0]-rateUnit*2/25)*int64(int32(len(ranks))-last)
+		}
+	}
 	scan, _ := residualScan(size, transformed)
 	lev = lev[:len(scan)]
 	last := len(scan) - 1

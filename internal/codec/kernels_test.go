@@ -249,11 +249,23 @@ func TestStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestEstimateLevelBitsEquivalence: the estimate against its definition on
-// drawLevels' blocks of every kind, on blocks holding one level at an end of
-// the int32 range or at −2²⁰, and on a level, a run of zeros and a level
-// whose Exp-Golomb suffix is long.
+// TestEstimateLevelBitsEquivalence: the estimate against its definition, on
+// every kernel path: on drawLevels' blocks of every kind, on blocks holding
+// one level at an end of the int32 range or at −2²⁰, and on a level, a run of
+// zeros and a level whose Exp-Golomb suffix is long; then at every size under
+// both scans on the all-zero block, on each magnitude from 0 to 1,100 as the
+// last coefficient at a scan place that walks the block, beside a level of
+// 256 or more, and on one level at ±(2²⁴ − 1) and ±2²⁴, where the vector pass
+// hands over to the scan walk.
 func TestEstimateLevelBitsEquivalence(t *testing.T) {
+	check := func(lev []int32, size int, transformed bool, what string) {
+		t.Helper()
+		kernelPaths(func(simd bool) {
+			if got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsDef(lev, size, transformed); got != want {
+				t.Fatalf("%s (size %d, transformed %v, simd %v): %d, definition %d", what, size, transformed, simd, got, want)
+			}
+		})
+	}
 	rng := rand.New(rand.NewSource(54))
 	for trial := 0; trial < 20000; trial++ {
 		size := 4 << rng.Intn(4)
@@ -272,8 +284,25 @@ func TestEstimateLevelBitsEquivalence(t *testing.T) {
 			scan, _ := residualScan(size, true)
 			lev[scan[0]], lev[scan[7]] = -1, 4099
 		}
-		if got, want := estimateLevelBits(lev, size, transformed), estimateLevelBitsDef(lev, size, transformed); got != want {
-			t.Fatalf("trial %d (size %d): %d, definition %d", trial, size, got, want)
+		check(lev, size, transformed, fmt.Sprintf("trial %d", trial))
+	}
+	for _, size := range []int{4, 8, 16, 32} {
+		for _, transformed := range []bool{true, false} {
+			lev := make([]int32, size*size)
+			check(lev, size, transformed, "all zero")
+			scan, _ := residualScan(size, transformed)
+			for a := int32(0); a <= 1100; a++ {
+				i := int(a) % len(scan)
+				clear(lev)
+				lev[scan[i/2]] = 256 + a
+				lev[scan[i]] = a * (1 - 2*(a&1))
+				check(lev, size, transformed, fmt.Sprintf("level %d at scan place %d", a, i))
+			}
+			for _, l := range []int32{1<<24 - 1, -(1<<24 - 1), 1 << 24, -(1 << 24)} {
+				clear(lev)
+				lev[scan[len(scan)/3]] = l
+				check(lev, size, transformed, fmt.Sprintf("level %d", l))
+			}
 		}
 	}
 }

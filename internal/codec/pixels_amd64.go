@@ -11,3 +11,6 @@ func sadRowsAVX2(a, b *int32, n int, bound int64) int64
 
 //go:noescape
 func storeAVX2(pix *uint8, stride int, pred, res *int32, n int)
+
+//go:noescape
+func levelBitsAVX2(lev, rank *int32, count int) (sum, last int32, ok bool)

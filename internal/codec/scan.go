@@ -12,6 +12,11 @@ var zigzagScans, rasterScans [4][]int
 // in step and pay no division per coefficient.
 var zigzagSigSlots, rasterSigSlots [4][]uint8
 
+// zigzagRanks[si][pos] is one more than coefficient pos's place in the zigzag
+// scan, and rasterRanks the same for the raster scan: the inverse scans
+// estimateLevelBits' vector pass takes the last non-zero coefficient from.
+var zigzagRanks, rasterRanks [4][]int32
+
 func init() {
 	for si := range zigzagScans {
 		n := 4 << si
@@ -22,7 +27,17 @@ func init() {
 		}
 		zigzagSigSlots[si] = sigSlots(zigzagScans[si], si)
 		rasterSigSlots[si] = sigSlots(rasterScans[si], si)
+		zigzagRanks[si] = ranks(zigzagScans[si])
+		rasterRanks[si] = ranks(rasterScans[si])
 	}
+}
+
+func ranks(scan []int) []int32 {
+	r := make([]int32, len(scan))
+	for i, pos := range scan {
+		r[pos] = int32(i + 1)
+	}
+	return r
 }
 
 func sigSlots(scan []int, si int) []uint8 {

@@ -1,5 +1,5 @@
 // Package cpufeat reports, once at start-up, whether the CPU runs the SIMD
-// kernels of internal/dct, internal/intra and internal/codec (DESIGN.md
+// kernels of internal/dct, internal/intra, internal/codec and internal/quant (DESIGN.md
 // §11.1, "Dispatch"). It is the only place the choice is made: there is no
 // option, flag, environment variable or build tag, only GOARCH and what the
 // CPU and OS report.

@@ -69,10 +69,11 @@ type butterfly struct {
 	// under which a pass may carry two vectors through forward or inverse at
 	// once.
 	laneLimit int64
-	// a and aT are A and Aᵀ as float64, row-major, and fwdLimit and invLimit
-	// the magnitude scans under which Forward and the inverse may take them
-	// through the float kernels (gemm.go).
-	a, aT              []float64
+	// fold and unfold are A's left half as float64 panels for foldAVX2 and
+	// unfoldAVX2, and fwdLimit and invLimit the magnitude scans under which
+	// Forward and the inverse may take them through the float kernels
+	// (gemm.go).
+	fold, unfold       []float64
 	fwdLimit, invLimit int64
 }
 
@@ -173,10 +174,15 @@ func newButterfly(mat []int32, n int) butterfly {
 		panic(fmt.Sprintf("dct: n=%d lane limit %d would send 8-bit residuals down the unpacked path", n, b.laneLimit))
 	}
 	b.fwdLimit, b.invLimit = gemmLimit(l1, fwdShift), gemmLimit(l1, invShift)
-	b.a, b.aT = make([]float64, n*n), make([]float64, n*n)
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			b.a[k*n+j], b.aT[j*n+k] = float64(at(k, j)), float64(at(k, j))
+	// The panels' layouts are the kernels' (gemm_amd64.s): fold[r][j][q] =
+	// A[8r+q][j], unfold[r][m][q] = A[2m+q/4][4r+q%4], for j, m < n/2.
+	b.fold, b.unfold = make([]float64, n*n/2), make([]float64, n*n/2)
+	for r := 0; r < n/8; r++ {
+		for j := 0; j < n/2; j++ {
+			for q := 0; q < 8; q++ {
+				b.fold[(r*n/2+j)*8+q] = float64(at(8*r+q, j))
+				b.unfold[(r*n/2+j)*8+q] = float64(at(2*j+q/4, 4*r+q%4))
+			}
 		}
 	}
 	return b

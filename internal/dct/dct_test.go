@@ -298,9 +298,10 @@ func TestDCTSpreadsOutliers(t *testing.T) {
 // TestForwardEquivalence holds Forward, on every kernel path, to the dense
 // product: the DCT at n = 4…32 and the DST-VII, on every block forEachBlock
 // makes, out of place and with dst aliasing res. On the float path the float
-// kernel is also called directly: it must take a block exactly when the
-// block's magnitude scan is within Forward's float limit, and then write the
-// dense product's integers.
+// kernel — two folded products — is also called directly: it must take a
+// block exactly when the block's magnitude scan is within Forward's float
+// limit, which forEachBlock's guard blocks meet exactly and pass by one, and
+// then write the dense product's integers.
 func TestForwardEquivalence(t *testing.T) {
 	for _, c := range refTransforms() {
 		n := c.tr.n

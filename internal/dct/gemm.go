@@ -3,15 +3,20 @@ package dct
 import "math"
 
 // Float64 kernels. Where the CPU has AVX2 and FMA (gemm_amd64.s), Forward and
-// InverseMasked of n = 8, 16 and 32 run as two dense n×n float64 products
-// over the same integer matrix A — Forward as round(A·(R·Aᵀ)), the inverse as
-// round(Aᵀ·(C·A)) — then the butterfly's one rounding shift. Every entry of A
-// and of the input is an integer, so every product and every partial sum is
-// one too; while their magnitudes stay below 2⁵³ each is exact in IEEE double,
-// in any summation order and with or without fused multiply-adds, so the float
-// passes compute the butterfly's int64 sums exactly. Every partial sum of
-// either pass is bounded by max|input|·L1² (L1 as for laneLimit), so a block
-// whose magnitude scan (see Lanes) is at most
+// InverseMasked of n = 8, 16 and 32 run as two float64 products over the same
+// integer matrix A, each storing its result transposed — Forward as
+// P = (A·R)ᵀ then (A·P)ᵀ = A·R·Aᵀ, the inverse as Q = (Aᵀ·C)ᵀ then
+// (Aᵀ·Q)ᵀ = Aᵀ·C·A — then the butterfly's one rounding shift. Each product
+// folds by the symmetry the butterfly uses, A[k][n−1−j] = (−1)ᵏ·A[k][j]:
+// foldAVX2 forms A·B from the mirrored sums and differences of B's rows,
+// unfoldAVX2 forms Aᵀ·B's mirrored rows as E ± O, each with half a dense
+// product's multiply-adds. Every entry of A and of the input is an integer,
+// so every product and every partial sum is one too; while their magnitudes
+// stay below 2⁵³ each is exact in IEEE double, in any summation order and
+// with or without fused multiply-adds, so the float passes compute the
+// butterfly's int64 sums exactly. Every partial sum of either pass is a
+// sub-sum of the dense product's terms, so bounded by max|input|·L1² (L1 as
+// for laneLimit), and a block whose magnitude scan (see Lanes) is at most
 //
 //	limit = min(2⁵³ − 2^(s−1), (2³¹−1)·2^s) / L1² − 1,  s the direction's shift,
 //
@@ -46,8 +51,8 @@ func (t *Transform) forwardGEMM(dst, res []int32) bool {
 	if int64(widenAVX2(&x[0], &res[0], n*n)) > bf.fwdLimit {
 		return false
 	}
-	gemmAVX2(&y[0], &x[0], &bf.aT[0], n) // R·Aᵀ
-	gemmAVX2(&x[0], &bf.a[0], &y[0], n)  // A·(R·Aᵀ)
+	foldAVX2(&y[0], &x[0], &bf.fold[0], n) // (A·R)ᵀ
+	foldAVX2(&x[0], &y[0], &bf.fold[0], n) // (A·Rᵀ·Aᵀ)ᵀ
 	narrowAVX2(&dst[0], &x[0], n*n, 1<<(fwdShift-1), 1.0/(1<<fwdShift))
 	return true
 }
@@ -60,8 +65,8 @@ func (t *Transform) inverseGEMM(dst, coef []int32) bool {
 	if int64(widenAVX2(&x[0], &coef[0], n*n)) > bf.invLimit {
 		return false
 	}
-	gemmAVX2(&y[0], &x[0], &bf.a[0], n)  // C·A
-	gemmAVX2(&x[0], &bf.aT[0], &y[0], n) // Aᵀ·(C·A)
+	unfoldAVX2(&y[0], &x[0], &bf.unfold[0], n) // (Aᵀ·C)ᵀ
+	unfoldAVX2(&x[0], &y[0], &bf.unfold[0], n) // (Aᵀ·Cᵀ·A)ᵀ
 	narrowAVX2(&dst[0], &x[0], n*n, 1<<(invShift-1), 1.0/(1<<invShift))
 	return true
 }

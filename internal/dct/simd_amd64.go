@@ -4,7 +4,10 @@ package dct
 func widenAVX2(dst *float64, src *int32, count int) (scan int32)
 
 //go:noescape
-func gemmAVX2(c, a, b *float64, n int)
+func foldAVX2(c, b, p *float64, n int)
+
+//go:noescape
+func unfoldAVX2(c, b, p *float64, n int)
 
 //go:noescape
 func narrowAVX2(dst *int32, src *float64, count int, half, scale float64)

@@ -6,7 +6,9 @@ const noSIMD = "dct: no SIMD kernels on this GOARCH"
 
 func widenAVX2(dst *float64, src *int32, count int) int32 { panic(noSIMD) }
 
-func gemmAVX2(c, a, b *float64, n int) { panic(noSIMD) }
+func foldAVX2(c, b, p *float64, n int) { panic(noSIMD) }
+
+func unfoldAVX2(c, b, p *float64, n int) { panic(noSIMD) }
 
 func narrowAVX2(dst *int32, src *float64, count int, half, scale float64) { panic(noSIMD) }
 

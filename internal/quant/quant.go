@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/cpufeat"
 )
 
 // Sanitize maps a possibly non-finite input value onto the finite float64
@@ -109,13 +111,22 @@ func rtnGroups(data []float32, bits, groupSize int, codes []uint16) (rec []float
 // MinMax scans for the finite value range: NaN entries contribute nothing
 // (they behave as 0 after sanitization) and ±Inf clamps to the float32
 // extremes, so the result is always finite. Empty or all-degenerate input
-// yields (0, 0).
+// yields (0, 0). Of equal extremes the first is kept, which tells −0 from
+// +0. On AVX2 the whole multiples of eight are scanned in float32 lanes
+// (minMaxAVX2), which do not keep the first of two zeros, so a zero extreme is
+// then re-read as the first value that sanitizes to zero.
 func MinMax(data []float32) (lo, hi float32) {
 	if len(data) == 0 {
 		return 0, 0
 	}
 	lo64, hi64 := math.Inf(1), math.Inf(-1)
-	for _, v := range data {
+	n := 0
+	if cpufeat.AVX2FMA && len(data) >= 8 {
+		n = len(data) &^ 7
+		l, h := minMaxAVX2(&data[0], n)
+		lo64, hi64 = float64(l), float64(h)
+	}
+	for _, v := range data[n:] {
 		f := Sanitize(v)
 		if f < lo64 {
 			lo64 = f
@@ -124,7 +135,27 @@ func MinMax(data []float32) (lo, hi float32) {
 			hi64 = f
 		}
 	}
+	if n > 0 && (lo64 == 0 || hi64 == 0) {
+		z := firstZero(data)
+		if lo64 == 0 {
+			lo64 = z
+		}
+		if hi64 == 0 {
+			hi64 = z
+		}
+	}
 	return float32(lo64), float32(hi64)
+}
+
+// firstZero is the sanitized value, +0 or −0, of data's first element that
+// sanitizes to zero; data must hold one.
+func firstZero(data []float32) float64 {
+	for _, v := range data {
+		if f := Sanitize(v); f == 0 {
+			return f
+		}
+	}
+	panic("quant: no zero")
 }
 
 // ToUint8 maps data onto [0, 255] with an affine min-max transform, returning
@@ -144,7 +175,12 @@ func ToUint8(data []float32) (pix []uint8, scale, zero float32) {
 	}
 	s := (float64(hi) - float64(lo)) / 255
 	inv := 1 / s
-	for i, v := range data {
+	n := 0
+	if cpufeat.AVX2FMA && len(data) >= 8 {
+		n = len(data) &^ 7
+		toUint8AVX2(&pix[0], &data[0], n, float64(lo), inv)
+	}
+	for i, v := range data[n:] {
 		q := math.Round((Sanitize(v) - float64(lo)) * inv)
 		if q < 0 {
 			q = 0
@@ -152,7 +188,7 @@ func ToUint8(data []float32) (pix []uint8, scale, zero float32) {
 		if q > 255 {
 			q = 255
 		}
-		pix[i] = uint8(q)
+		pix[n+i] = uint8(q)
 	}
 	return pix, float32(s), lo
 }

@@ -298,3 +298,72 @@ func TestMinMaxEmptyAndDegenerate(t *testing.T) {
 		t.Fatalf("Inf minMax = (%v, %v), want float32 extremes", lo, hi)
 	}
 }
+
+// TestToUint8Equivalence holds ToUint8 and MinMax, on every kernel path, to
+// toUint8Def and minMaxDef bit for bit — pixels, scale and zero, whose sign
+// tells −0 from +0 — on NaN, ±Inf, ±0, subnormals and ±MaxFloat32 at every
+// position, constant inputs, exact .5 ties of the map, ramps and random
+// values at every length from 0 to 40 and at 1,000 and 1,003.
+func TestToUint8Equivalence(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{nan, inf, -inf, 0, negZero, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1, -1}
+	var inputs [][]float32
+	rng := uint32(1)
+	next := func() float32 {
+		rng = rng*1664525 + 1013904223
+		return float32(int32(rng)>>8) / (1 << 20)
+	}
+	for n := 0; n <= 40; n++ {
+		ramp, random, ties := make([]float32, n), make([]float32, n), make([]float32, n)
+		for i := range ramp {
+			// ties: steps of ½ between ends 0 and 255, so the map's factor
+			// is 1 and every odd step an exact tie.
+			ramp[i], random[i], ties[i] = float32(i)-7, next(), float32(i%511)/2
+		}
+		if n > 1 {
+			ties[0], ties[n-1] = 0, 255
+		}
+		inputs = append(inputs, ramp, random, ties)
+		for _, c := range specials {
+			constant := make([]float32, n)
+			for i := range constant {
+				constant[i] = c
+			}
+			inputs = append(inputs, constant)
+			for i := 0; i < n; i++ {
+				withRamp, withZeros := append([]float32(nil), ramp...), make([]float32, n)
+				withRamp[i], withZeros[i] = c, c
+				withZeros[(i+3)%n] = negZero
+				inputs = append(inputs, withRamp, withZeros)
+			}
+		}
+	}
+	for _, n := range []int{1000, 1003} {
+		random := make([]float32, n)
+		for i := range random {
+			random[i] = next()
+		}
+		random[n/3], random[n/2] = nan, -inf
+		inputs = append(inputs, random)
+	}
+	same := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	for k, data := range inputs {
+		wantPix, wantScale, wantZero := toUint8Def(data)
+		wantLo, wantHi := minMaxDef(data)
+		kernelPaths(func(simd bool) {
+			pix, scale, zero := ToUint8(data)
+			if !same(scale, wantScale) || !same(zero, wantZero) {
+				t.Fatalf("input %d %v, simd %v: scale %v zero %v, definition %v %v", k, data, simd, scale, zero, wantScale, wantZero)
+			}
+			for i := range wantPix {
+				if pix[i] != wantPix[i] {
+					t.Fatalf("input %d %v, simd %v: pixel %d = %d, definition %d", k, data, simd, i, pix[i], wantPix[i])
+				}
+			}
+			if lo, hi := MinMax(data); !same(lo, wantLo) || !same(hi, wantHi) {
+				t.Fatalf("input %d %v, simd %v: MinMax (%v, %v), definition (%v, %v)", k, data, simd, lo, hi, wantLo, wantHi)
+			}
+		})
+	}
+}

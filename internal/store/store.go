@@ -386,10 +386,12 @@ func (s *Store) Fetch(model string) (map[string]*core.Encoded, error) {
 }
 
 // Stats reports physical store occupancy: unique blobs and their byte total.
+// A file not named by its hash — a writeAtomic temp file an interrupted or a
+// concurrent write leaves — is no blob.
 func (s *Store) Stats() (blobs int, bytes int64, err error) {
 	root := filepath.Join(s.root, "chunks")
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || !isHash(d.Name()) {
 			return err
 		}
 		info, err := d.Info()

@@ -159,6 +159,32 @@ func TestPackFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsIgnoresTempFiles: a writeAtomic temp file left in a chunk
+// directory (by a write interrupted before its rename, or racing Stats) is
+// counted neither as a blob nor in the byte total.
+func TestStatsIgnoresTempFiles(t *testing.T) {
+	s := openStore(t, nil)
+	for _, data := range []string{"blob one", "blob two"} {
+		if _, err := s.putBlob([]byte(data)); err != nil {
+			t.Fatalf("putBlob: %v", err)
+		}
+	}
+	dir := filepath.Join(s.root, "chunks", "ab")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ".tmp-1"), []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blobs, bytes, err := s.Stats()
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if want := int64(len("blob one") + len("blob two")); blobs != 2 || bytes != want {
+		t.Fatalf("Stats = %d blobs, %d bytes; want 2, %d", blobs, bytes, want)
+	}
+}
+
 // TestPackDedupe pins content addressing: re-packing identical content writes
 // no new blobs, and a perturbed checkpoint shares every unchanged chunk.
 func TestPackDedupe(t *testing.T) {

@@ -205,7 +205,7 @@ func TestServiceOptionFieldsAreClosed(t *testing.T) {
 
 // kernelRefDirs are the packages whose kernels are each held to one
 // definition, kept in the package's refimpl_test.go (DESIGN.md §11.1).
-var kernelRefDirs = []string{"internal/dct", "internal/intra", "internal/codec"}
+var kernelRefDirs = []string{"internal/dct", "internal/intra", "internal/codec", "internal/quant"}
 
 // TestKernelReferencesAreLive is the guard on "one reference per kernel":
 // each of kernelRefDirs has a refimpl_test.go, and every function or method it
