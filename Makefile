@@ -56,7 +56,9 @@ vet:
 # any byte after a container's last payload — the retired chunk-index trailer
 # by name, in codec and in store.Pack, while Partial recovers every chunk
 # (TestRetiredTrailerRefused), and a stray byte or a version-byte flip on
-# every version (TestTrailingBytesAreCorrupt) — and the sweep's codec rows —
+# every version (TestTrailingBytesAreCorrupt) — a header refuses the retired
+# raw-bin layout by name and any reserved tools bit (TestRetiredRawBinsRefused,
+# TestToolsByteIsStrict) — and the sweep's codec rows —
 # every golden vector re-encoded and decoded on both kernel paths at every
 # worker count, against the committed bytes — catch a byte drift in seconds.
 # Every Go file of the root module and of benchmark/ is gofmt-clean: the step
@@ -64,7 +66,7 @@ vet:
 surface: vet
 	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|TrailingBytesAreCorrupt|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|RetiredRawBinsRefused|ToolsByteIsStrict|TrailingBytesAreCorrupt|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/ ./internal/quant/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...

@@ -293,11 +293,12 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestVerifyRefusesRetiredLayouts: a tensor file whose stream a retired
-// layout wrote — codec's binary-rANS fixture framed as one 31×33 layer, and
-// its chunk-index trailer fixture framed as three 64×192 layers — is corrupt
-// (exit 3), and verify names the layout. Under -partial the rANS stream stays
-// corrupt, while the trailer stream recovers every layer: its chunks are
-// whole, only the bytes after them are refused.
+// layout wrote — codec's binary-rANS fixture framed as one 31×33 layer, its
+// raw-bin fixture as one 64×64 layer, and its chunk-index trailer fixture
+// framed as three 64×192 layers — is corrupt (exit 3), and verify names the
+// layout. Under -partial the rANS and raw-bin streams stay corrupt, while the
+// trailer stream recovers every layer: its chunks are whole, only the bytes
+// after them are refused.
 func TestVerifyRefusesRetiredLayouts(t *testing.T) {
 	cases := []struct {
 		name, fixture, layout string
@@ -309,6 +310,10 @@ func TestVerifyRefusesRetiredLayouts(t *testing.T) {
 			core.Encoded{Layers: 1, Rows: 31, Cols: 33, MaxFrameW: 33, MaxFrameH: 31, QP: 16,
 				Scales: []float32{1}, Zeros: []float32{0}},
 			exitCorrupt, "retired binary-rANS layout"},
+		{"raw-bins", "retired-raw-bins-hevc-64x64-qp30.l265", "retired raw-bin layout",
+			core.Encoded{Layers: 1, Rows: 64, Cols: 64, MaxFrameW: 64, MaxFrameH: 64, QP: 30,
+				Scales: []float32{1}, Zeros: []float32{0}},
+			exitCorrupt, "retired raw-bin layout"},
 		{"trailer", "retired-trailer-v3-9x64x64.l265", "retired chunk-index trailer layout",
 			core.Encoded{Layers: 3, Rows: 64, Cols: 192, MaxFrameW: 64, MaxFrameH: 64, QP: 30,
 				Scales: []float32{1, 1, 1}, Zeros: []float32{0, 0, 0}},

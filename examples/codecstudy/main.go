@@ -32,9 +32,9 @@ func main() {
 		name  string
 		tools codec.Tools
 	}{
-		{"entropy only", codec.Tools{CABAC: true}},
-		{"+ transform", codec.Tools{CABAC: true, Transform: true}},
-		{"+ partitioning", codec.Tools{CABAC: true, Transform: true, Partitioning: true}},
+		{"entropy only", codec.Tools{}},
+		{"+ transform", codec.Tools{Transform: true}},
+		{"+ partitioning", codec.Tools{Transform: true, Partitioning: true}},
 		{"+ intra (full)", codec.AllTools},
 	}
 

@@ -56,12 +56,6 @@ func (w *Writer) Bytes() []byte {
 	return w.buf
 }
 
-// Reset discards all written data, allowing the Writer to be reused.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.cur, w.nCur = 0, 0
-}
-
 // Reader reads bits MSB-first from a byte slice.
 type Reader struct {
 	buf []byte

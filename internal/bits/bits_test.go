@@ -99,17 +99,3 @@ func TestReaderOutOfData(t *testing.T) {
 		t.Fatalf("want ErrOutOfData, got %v", err)
 	}
 }
-
-func TestWriterReset(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xFFFF, 16)
-	w.Reset()
-	if w.BitLen() != 0 {
-		t.Fatalf("reset left %d bits", w.BitLen())
-	}
-	w.WriteBits(5, 3)
-	r := NewReader(w.Bytes())
-	if v, _ := r.ReadBits(3); v != 5 {
-		t.Fatalf("post-reset read: %d", v)
-	}
-}

@@ -23,8 +23,8 @@ import (
 // for byte, so a caller that keeps them has what the receiver will have
 // without running a decoder. It holds over everything that selects a code path
 // on either side: the three profiles, every tool ablation of the golden corpus
-// and TestToolCombinationsRoundTrip (inter prediction, no transform and no
-// entropy stage among them) under both entropy backends, the three containers
+// and TestToolCombinationsRoundTrip (inter prediction, no transform and
+// entropy coding alone among them) under both entropy backends, the three containers
 // and worker counts past the chunk count — on a one-chunk stack of the awkward
 // shapes and on a stack whose odd planes are spread over three chunks.
 func TestEncodeReconIsDecode(t *testing.T) {
@@ -39,20 +39,16 @@ func TestEncodeReconIsDecode(t *testing.T) {
 	var toolSets []Tools
 	for _, tools := range []Tools{
 		{},
-		{CABAC: true},
-		{Transform: true, CABAC: true},
-		{IntraPred: true, CABAC: true},
-		{Partitioning: true, Transform: true, CABAC: true},
-		{Partitioning: true, Transform: true, IntraPred: true},
-		{Partitioning: true, IntraPred: true, CABAC: true},
+		{Transform: true},
+		{IntraPred: true},
+		{Partitioning: true, Transform: true},
+		{Partitioning: true, IntraPred: true},
 		AllTools,
-		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true},
+		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true},
 	} {
 		toolSets = append(toolSets, tools)
-		if tools.CABAC { // the backend codes the context-coded bins; without the stage there are none
-			tools.Backend = BackendRANS
-			toolSets = append(toolSets, tools)
-		}
+		tools.Backend = BackendRANS
+		toolSets = append(toolSets, tools)
 	}
 	check := func(planes []*frame.Plane, qp int, prof Profile, tools Tools) {
 		t.Helper()

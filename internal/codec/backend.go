@@ -250,8 +250,8 @@ func parseRansExt(ext []byte, tabs *ransTables) (int, error) {
 }
 
 // bitWindow reads bits MSB-first off a byte window that declares n of them:
-// the bypass bins of a rANS chunk, or every bin of a literal chunk. A read
-// past the n-th bit raises bits.ErrOutOfData.
+// the bypass bins of a rANS chunk. A read past the n-th bit raises
+// bits.ErrOutOfData.
 type bitWindow struct {
 	buf    []byte
 	n, pos int
@@ -475,56 +475,6 @@ func (c *ransChunk) parseResidual(lev []int32, scan []int, si int) {
 		if len(syms) < len(run) {
 			panic(decodeError{ErrCorrupt})
 		}
-	}
-}
-
-// literalChunk is the raw ablation's reader (no entropy coding: every bin,
-// context or bypass, is one literal bit of the payload).
-type literalChunk struct{ bitWindow }
-
-func (c *literalChunk) bit(int) int { return c.bypass() }
-
-// newLiteralChunk resets c to the raw payload of a chunk coding chunkPixels
-// pixels, and refuses it unread if it is longer than a rANS payload of that
-// geometry may be: its symbols, twice as many bypass bits, a byte's padding.
-func newLiteralChunk(c *literalChunk, payload []byte, chunkPixels int64) error {
-	if 8*int64(len(payload)) > 3*maxRansBins(chunkPixels)+7 {
-		return corruptf("codec: %d-byte raw payload for %d pixels", len(payload), chunkPixels)
-	}
-	*c = literalChunk{bitWindow{buf: payload, n: 8 * len(payload)}}
-	return nil
-}
-
-// parseResidual is the per-bin spelling of the residual syntax (the one
-// cabac.DecodeLevels documents), over the literal bits.
-func (c *literalChunk) parseResidual(lev []int32, scan []int, sigSlot []uint8, si int) {
-	clear(lev)
-	if c.bit(ctxCbf+si) == 0 {
-		return
-	}
-	k := uint(0)
-	for i, pos := range scan {
-		if c.bit(int(sigSlot[i])) == 0 {
-			continue
-		}
-		a := int32(1)
-		if c.bit(ctxG1+si) == 1 {
-			a = 2
-			if c.bit(ctxG2+si) == 1 {
-				rem := c.expGolomb(k)
-				if rem > maxLevel-3 {
-					panic(decodeError{ErrCorrupt})
-				}
-				a = 3 + int32(rem)
-				if rem > 3<<k && k < 4 {
-					k++
-				}
-			}
-		}
-		if c.bypass() == 1 {
-			a = -a
-		}
-		lev[pos] = a
 	}
 }
 

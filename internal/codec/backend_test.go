@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -517,98 +516,6 @@ func TestRANSExtensionSweep(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d extension bit flips refused", refused, 8*extLen)
-}
-
-// TestRANSRequiresEntropyStage: selecting the rANS backend with the entropy
-// stage ablated away is a caller error, rejected up front.
-func TestRANSRequiresEntropyStage(t *testing.T) {
-	tools := ransTools()
-	tools.CABAC = false
-	planes := []*frame.Plane{frame.NewPlane(16, 16)}
-	if _, _, err := encodeAs(ContainerV3, planes, 30, HEVC, tools, 1); err == nil {
-		t.Fatal("rans without entropy stage accepted")
-	}
-	if _, _, err := encodeAs(ContainerLegacy, planes, 30, HEVC, tools, 1); err == nil {
-		t.Fatal("rans without entropy stage accepted by ContainerLegacy")
-	}
-}
-
-// TestLiteralPayloadBound holds the raw ablation's payload to the bound a
-// rANS payload of the same geometry obeys: maxRansBins symbols, twice as many
-// bypass bits and a byte's padding, over the area the chunk codes. A valid
-// raw 8×8 stream padded past the bound is ErrCorrupt, refused unread (padded
-// by 1 MiB, the decode allocates less than the payload). The worst cases an encoder makes sit under the bound on both
-// coders that use it, and decode: TestLevelCap's extreme blocks tiled into
-// planes, and 1×1 and 17×13 planes at either end of the pixel range, at QP 0
-// with every tool off and with the transform alone.
-func TestLiteralPayloadBound(t *testing.T) {
-	ctx := context.Background()
-	var planes []*frame.Plane
-	for _, size := range []int{4, 8, 16, 32} {
-		extremeBlocks(size, func(orig, _ []int32) {
-			p := frame.NewPlane(32, 32)
-			for i := range p.Pix {
-				p.Pix[i] = uint8(orig[i/32%size*size+i%32%size])
-			}
-			planes = append(planes, p)
-		})
-	}
-	for _, dims := range [][2]int{{1, 1}, {17, 13}} {
-		for _, v := range []uint8{0, 255} {
-			p := frame.NewPlane(dims[0], dims[1])
-			for i := range p.Pix {
-				p.Pix[i] = v
-			}
-			planes = append(planes, p)
-		}
-	}
-	worst := 0.0
-	for _, tools := range []Tools{{}, {Transform: true}, {CABAC: true, Backend: BackendRANS}, {CABAC: true, Transform: true, Backend: BackendRANS}} {
-		for _, p := range planes {
-			data, _, _, err := Encode(ctx, []*frame.Plane{p}, EncodeConfig{QP: 0, Profile: HEVC, Tools: tools, Workers: 1, Container: ContainerV3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc, err := parseContainer(data, false, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := &pc.chunks[0]
-			bound := 3*maxRansBins(codedPixels(c.dims, HEVC.CTUSize())) + 7
-			worst = max(worst, float64(8*len(c.payload))/float64(bound))
-			if 8*int64(len(c.payload)) > bound {
-				t.Errorf("%+v %dx%d: %d payload bits, bound %d", tools, p.W, p.H, 8*len(c.payload), bound)
-			}
-			if _, err := Decode(ctx, data, DecodeConfig{Workers: 1}); err != nil {
-				t.Errorf("%+v %dx%d: %v", tools, p.W, p.H, err)
-			}
-		}
-	}
-	t.Logf("largest payload: %.3f of the bound", worst)
-
-	data, _, _, err := Encode(ctx, []*frame.Plane{frame.NewPlane(8, 8)}, EncodeConfig{QP: 30, Profile: HEVC, Tools: Tools{}, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := parseContainer(data, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := 3*maxRansBins(codedPixels(pc.dims, HEVC.CTUSize())) + 7
-	payload := append(append([]byte(nil), pc.chunks[0].payload...), make([]byte, 1<<20)...)
-	for _, n := range []int{int(bound/8) + 1, len(payload)} {
-		stream, _ := writeContainer(1, pc.dims, pc.qp, HEVC, Tools{}, nil, []chunkRec{{payload: payload[:n], planes: 1}})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decode(ctx, stream, DecodeConfig{Workers: 1})
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%d-byte raw payload for an 8×8 plane (bound %d bits): Decode error %v, want ErrCorrupt", n, bound, err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; n == len(payload) && grew >= uint64(n) {
-			t.Fatalf("%d-byte raw payload: the refused decode allocated %d bytes", n, grew)
-		}
-	}
 }
 
 // predecodeBoth pre-decodes a framed chunk twice — the production loop on one

@@ -3,13 +3,11 @@ package codec
 import (
 	"slices"
 
-	"repro/internal/bits"
 	"repro/internal/cabac"
 )
 
-// binEncoder abstracts the entropy back-end: CABAC when Tools.CABAC is set,
-// otherwise a plain bit writer (every bin costs one literal bit, which is
-// what "no entropy coding" means for the Fig. 2 ablation).
+// binEncoder abstracts the entropy back-end: CABAC, or the rANS backend's
+// symbol recorder (ransBinEnc).
 type binEncoder interface {
 	// bit codes one bin under the adaptive context in the given slot
 	// (ctxSplit … ctxG2 below).
@@ -70,15 +68,6 @@ func (c *cabacBinDec) expGolomb(k uint) uint32 {
 	return v
 }
 
-type rawBinEnc struct{ w *bits.Writer }
-
-func (r rawBinEnc) bit(_, bin int)                       { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypass(bin int)                       { r.w.WriteBit(bin) }
-func (r rawBinEnc) bypassBits(v uint32, n uint)          { r.w.WriteBits(uint64(v), n) }
-func (r rawBinEnc) levels(lev []int32, size int, t bool) { emitLevels(r, lev, size, t) }
-func (r rawBinEnc) finish() []byte                       { return r.w.Bytes() }
-func (r rawBinEnc) bitLen() int                          { return r.w.BitLen() }
-
 // decodeError wraps stream errors raised inside the decode recursion; the
 // top-level Decode recovers it into a normal error return.
 type decodeError struct{ err error }
@@ -102,8 +91,7 @@ func egEncode(e binEncoder, v uint32, k uint) {
 
 // emitLevels codes a level block as bins — the cbf, then per scan position
 // the significance bin and, for a non-zero level, the greater-than-1 and -2
-// bins, the Exp-Golomb escape and the sign: the residual syntax of CABAC and
-// of the raw ablation.
+// bins, the Exp-Golomb escape and the sign: CABAC's residual syntax.
 func emitLevels(e binEncoder, lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)

@@ -129,13 +129,11 @@ func TestToolCombinationsRoundTrip(t *testing.T) {
 	planes := []*frame.Plane{gradientPlane(rng, 64, 64), gradientPlane(rng, 64, 64)}
 	combos := []Tools{
 		{},
-		{CABAC: true},
-		{Transform: true, CABAC: true},
-		{Partitioning: true, Transform: true, CABAC: true},
-		{Partitioning: true, Transform: true, IntraPred: true, CABAC: true},
-		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true},
+		{Transform: true},
+		{Partitioning: true, Transform: true},
 		{Partitioning: true, Transform: true, IntraPred: true},
-		{IntraPred: true, CABAC: true},
+		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true},
+		{IntraPred: true},
 	}
 	for _, tc := range combos {
 		data, st, err := encodeAs(ContainerLegacy, planes, 24, HEVC, tc, 1)
@@ -338,25 +336,6 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := decodeAll(data[:20], 0); err == nil {
 		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestCABACReducesRateVsRawBins(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	p := gradientPlane(rng, 96, 96)
-	with := AllTools
-	without := AllTools
-	without.CABAC = false
-	_, stW, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, with, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stWo, err := encodeAs(ContainerLegacy, []*frame.Plane{p}, 26, HEVC, without, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stW.Bits >= stWo.Bits {
-		t.Fatalf("CABAC %d bits should beat raw bins %d bits", stW.Bits, stWo.Bits)
 	}
 }
 

@@ -73,6 +73,12 @@ func (pc *parsedContainer) parseHeader(data []byte, tables bool) (off int, err e
 	if pc.prof, ok = profileOfWire(data[5]); !ok {
 		return 0, corruptf("codec: unknown profile id %d", data[5])
 	}
+	switch t := data[6]; {
+	case t&^toolsKnown != 0:
+		return 0, corruptf("codec: tools byte 0x%02x sets reserved bits 0x%02x", t, t&^toolsKnown)
+	case t&toolsEntropy == 0:
+		return 0, corruptf("codec: retired raw-bin layout: tools byte 0x%02x has no entropy-coding bit", t)
+	}
 	pc.tools = toolsFromBits(data[6])
 	if pc.qp = int(data[7]); pc.qp > dct.MaxQP {
 		return 0, corruptf("codec: qp %d out of range", pc.qp)
@@ -197,15 +203,10 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 			return nil, classifyStreamErr(err)
 		}
 		d.br = rc
-	case pc.tools.CABAC:
+	default:
 		s.ctx.init()
 		s.cabacDec = cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &s.ctx}
 		d.br = &s.cabacDec
-	default:
-		if err = newLiteralChunk(&s.literal, c.payload, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
-			return nil, err
-		}
-		d.br = &s.literal
 	}
 
 	var stageStart time.Time
@@ -380,9 +381,9 @@ func (d *decoder) parseLeaf(b *ctuBatch, x, y, size int) {
 const maxLevel = 1 << 16
 
 // parseResidual decodes one level block into lev (size×size, row-major). The
-// residual syntax is spelled three times, one a coder: CABAC's block form,
-// cabac.DecodeLevels; the rANS block form, ransChunk.parseResidual, over
-// symbols; and the raw ablation's per-bin loop, literalChunk.parseResidual.
+// residual syntax is spelled twice, once per backend: CABAC's block form,
+// cabac.DecodeLevels, and the rANS block form, ransChunk.parseResidual, over
+// symbols.
 func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
@@ -394,7 +395,5 @@ func (d *decoder) parseResidual(lev []int32, size int, transformed bool) {
 		}
 	case *ransChunk:
 		br.parseResidual(lev, scan, si)
-	default:
-		d.br.(*literalChunk).parseResidual(lev, scan, sigSlot, si)
 	}
 }

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -81,11 +80,6 @@ func validateEncode(planes []*frame.Plane, cfg EncodeConfig) error {
 	if cfg.Tools.Backend != BackendCABAC && cfg.Tools.Backend != BackendRANS {
 		return fmt.Errorf("codec: unknown entropy backend %d", cfg.Tools.Backend)
 	}
-	if cfg.Tools.Backend == BackendRANS && !cfg.Tools.CABAC {
-		// The backend selects the coder for context-coded bins; with the
-		// entropy stage ablated away there are no context-coded bins to route.
-		return errors.New("codec: rans backend requires the entropy-coding stage (Tools.CABAC)")
-	}
 	switch cfg.Container {
 	case ContainerLegacy, ContainerV3:
 	default:
@@ -149,7 +143,7 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 		// Every chunk starts from the same adaptive state on both the encoder
 		// and decoder sides.
 		s.ctx.init()
-		e.bw = s.binEnc(tools.CABAC)
+		e.bw = s.binEnc()
 	}
 	if m != nil {
 		e.rec = &stageRecorder{m: m}

@@ -68,7 +68,7 @@ func TestChunkSpansGrouping(t *testing.T) {
 		t.Fatalf("mixed planes: got %v", gotM)
 	}
 
-	inter := Tools{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true}
+	inter := Tools{Partitioning: true, Transform: true, IntraPred: true, InterPred: true}
 	if got := chunkSpans(big, inter); len(got) != 1 || got[0] != [2]int{0, 3} {
 		t.Fatalf("inter prediction must serialize into one chunk, got %v", got)
 	}
@@ -117,12 +117,10 @@ func TestChunkedRoundTripToolCombos(t *testing.T) {
 	planes := mixedPlanes(102)
 	combos := []Tools{
 		{},
-		{CABAC: true},
-		{Transform: true, CABAC: true},
-		{Partitioning: true, Transform: true, CABAC: true},
+		{Transform: true},
+		{Partitioning: true, Transform: true},
 		AllTools,
-		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true},
-		{Partitioning: true, Transform: true, IntraPred: true},
+		{Partitioning: true, Transform: true, IntraPred: true, InterPred: true},
 	}
 	for _, tc := range combos {
 		data, st, err := encodeAs(ContainerLegacy, planes, 24, HEVC, tc, 4)

@@ -39,7 +39,7 @@ func typedOrNil(t *testing.T, label string, err error) {
 //
 // Seeded with one valid container of each version, every golden conformance
 // vector (../conformance/testdata/*.l265 — all profiles, tool combinations,
-// and degenerate shapes), the two retired-layout fixtures and the forged rANS
+// and degenerate shapes), the three retired-layout fixtures and the forged rANS
 // containers of forgedRANSStreams, so the fuzzer starts from deep coverage
 // rather than rediscovering the header format bit by bit.
 func FuzzDecode(f *testing.F) {
@@ -85,6 +85,7 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(retired)
+	f.Add(retiredRawBinsStream(f))
 	_, forged := forgedRANSStreams(f)
 	for _, data := range forged {
 		f.Add(data)

@@ -409,23 +409,16 @@ func chunkLeaves(t *testing.T, pc *parsedContainer, c *chunkMeta) [][]leafRec {
 	t.Helper()
 	d := decoder{prof: pc.prof.params(), tools: pc.tools}
 	pixels := codedPixels(c.dims, pc.prof.CTUSize())
-	switch {
-	case pc.tools.Backend == BackendRANS:
+	if pc.tools.Backend == BackendRANS {
 		rc := new(ransChunk)
 		if err := parseRansPayload(rc, c.payload, pc.ransTabs, pixels); err != nil {
 			t.Fatal(err)
 		}
 		d.br = rc
-	case pc.tools.CABAC:
+	} else {
 		var ctx contexts
 		ctx.init()
 		d.br = &cabacBinDec{d: cabac.NewDecoder(c.payload), ctx: &ctx}
-	default:
-		rc := new(literalChunk)
-		if err := newLiteralChunk(rc, c.payload, pixels); err != nil {
-			t.Fatal(err)
-		}
-		d.br = rc
 	}
 	ctu, b := pc.prof.CTUSize(), new(ctuBatch)
 	var frames [][]leafRec

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +23,28 @@ const (
 	retiredTrailerFixture = "testdata/retired-trailer-v3-9x64x64.l265"
 	retiredTrailerSHA256  = "02be1ecc08bf99c739078ffb0b21e35cbd8183022a0c80586a75bc33984773d1"
 )
+
+// retiredRawBinsFixture is a one-plane 64×64 HEVC v1 stream at QP 30 that
+// the last encoder writing the retired raw-bin layout produced (partitioning,
+// transform and intra prediction on; every bin one literal bit): tools byte
+// 0x07, without the entropy-coding bit. Its SHA-256 pins those exact bytes.
+const (
+	retiredRawBinsFixture = "testdata/retired-raw-bins-hevc-64x64-qp30.l265"
+	retiredRawBinsSHA256  = "f3762651fe8c028e6203eabf2e3ee2cc6127bc4a5b3706d48c088243597305a8"
+)
+
+// retiredRawBinsStream reads that fixture.
+func retiredRawBinsStream(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(retiredRawBinsFixture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != retiredRawBinsSHA256 {
+		tb.Fatalf("%s (%d bytes) has SHA-256 %x, want %s", retiredRawBinsFixture, len(data), sum, retiredRawBinsSHA256)
+	}
+	return data
+}
 
 // retiredTrailerStream reads the fixture and returns it with the offset
 // where its container ends and the trailer begins.
@@ -107,6 +130,57 @@ func TestRetiredTrailerRefused(t *testing.T) {
 			t.Fatalf("workers %d: Partial decode: %v, %v", workers, err, res)
 		}
 		requirePlanesEqual(t, "Partial decode", res.Planes, want)
+	}
+}
+
+// headerRefusals decodes data strictly at one and at stagedWorkers workers,
+// decodes it under Partial, and lays it out, and fails unless each is
+// ErrCorrupt naming named.
+func headerRefusals(t *testing.T, label string, data []byte, named string) {
+	t.Helper()
+	_, staged := decodeAll(data, stagedWorkers)
+	_, partial := Decode(context.Background(), data, DecodeConfig{Workers: 1, Partial: true})
+	_, layout := Layout(data)
+	for i, err := range []error{strictDecoder(data), staged, partial, layout} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), named) {
+			t.Errorf("%s: %s: %v, want ErrCorrupt naming the %s", label, [...]string{"Decode", "staged Decode", "Partial Decode", "Layout"}[i], err, named)
+		}
+	}
+}
+
+// TestRetiredRawBinsRefused: a stream the retired raw-bin layout wrote is
+// ErrCorrupt to strict and Partial decodes and to Layout, each naming the
+// layout: read as CABAC, its bits would decode to other planes or to none.
+func TestRetiredRawBinsRefused(t *testing.T) {
+	headerRefusals(t, retiredRawBinsFixture, retiredRawBinsStream(t), "retired raw-bin layout")
+}
+
+// TestToolsByteIsStrict: on every v1 golden vector (no header CRC stands in
+// front of the tools byte), clearing the entropy-coding bit is the retired
+// raw-bin layout, and setting either reserved bit is a reserved-bits refusal
+// — ErrCorrupt to every parse, never a decode.
+func TestToolsByteIsStrict(t *testing.T) {
+	goldens, err := filepath.Glob(filepath.Join(corpusDir, "v1-*.l265"))
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no v1 golden streams (%v)", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range []struct {
+			clear, set uint8
+			named      string
+		}{
+			{clear: toolsEntropy, named: "retired raw-bin layout"},
+			{set: 0x40, named: "reserved bits 0x40"},
+			{set: 0x80, named: "reserved bits 0x80"},
+		} {
+			bad := append([]byte(nil), data...)
+			bad[6] = bad[6]&^row.clear | row.set
+			headerRefusals(t, fmt.Sprintf("%s tools byte 0x%02x", filepath.Base(path), bad[6]), bad, row.named)
+		}
 	}
 }
 

@@ -66,25 +66,16 @@ func newCabacLockstep(payload []byte, setCtx func(*contexts)) *lockstep {
 }
 
 // newChunkLockstep pairs the block form with parseSymbolsDef over two
-// identical pre-decoded chunks (rANS), or the literal chunk's loop with the
-// per-bin loop over the raw reader by definition. What each side has
-// consumed is its read cursors: per class and in the bypass window, or the
-// one bit cursor.
-func newChunkLockstep(prod binDecoder, ref perBinDecoder) *lockstep {
+// identical pre-decoded rANS chunks. What each side has consumed is its read
+// cursors, per class and in the bypass window.
+func newChunkLockstep(prod, ref *ransChunk) *lockstep {
 	return &lockstep{prod: prod, ref: ref, state: func() (any, any) {
-		switch r := ref.(type) {
-		case *ransChunk:
-			p := prod.(*ransChunk)
-			return [2]any{p.next, p.pos}, [2]any{r.next, r.pos}
-		case rawBinDec:
-			return prod.(*literalChunk).pos, *r.pos
-		}
-		panic("unknown reference reader")
+		return [2]any{prod.next, prod.pos}, [2]any{ref.next, ref.pos}
 	}}
 }
 
 // refParse parses a block by definition off a reference reader: the symbol
-// syntax off a rANS chunk, the bin syntax off any other.
+// syntax off a rANS chunk, the bin syntax off CABAC.
 func refParse(ref perBinDecoder, lev []int32, size int, transformed bool) {
 	if rc, ok := ref.(*ransChunk); ok {
 		parseSymbolsDef(rc, lev, size, transformed)
@@ -224,29 +215,16 @@ func parseRansPayload(c *ransChunk, payload []byte, tabs *ransTables, chunkPixel
 // chunkLockstep opens a chunk payload for lockstep parsing under the
 // container's entropy coder.
 func chunkLockstep(t testing.TB, pc *parsedContainer, c *chunkMeta) *lockstep {
-	switch {
-	case pc.tools.Backend == BackendRANS:
-		var rcs [2]ransChunk
-		for i := range rcs {
-			if err := parseRansPayload(&rcs[i], c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return newChunkLockstep(&rcs[0], &rcs[1])
-	case pc.tools.CABAC:
+	if pc.tools.Backend != BackendRANS {
 		return newCabacLockstep(c.payload, nil)
 	}
-	return literalLockstep(t, c.payload, codedPixels(c.dims, pc.prof.CTUSize()))
-}
-
-// literalLockstep pairs a literal chunk of a chunk coding pixels pixels with
-// the raw reader over the same payload.
-func literalLockstep(t testing.TB, payload []byte, pixels int64) *lockstep {
-	lit := new(literalChunk)
-	if err := newLiteralChunk(lit, payload, pixels); err != nil {
-		t.Fatal(err)
+	var rcs [2]ransChunk
+	for i := range rcs {
+		if err := parseRansPayload(&rcs[i], c.payload, pc.ransTabs, codedPixels(c.dims, pc.prof.CTUSize())); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return newChunkLockstep(lit, newRawBinDec(payload))
+	return newChunkLockstep(&rcs[0], &rcs[1])
 }
 
 // residualEncoder emits level blocks through its coder's levels into one
@@ -260,14 +238,11 @@ type residualEncoder struct {
 func newResidualEncoder(tools Tools) *residualEncoder {
 	re := &residualEncoder{}
 	re.ctx.init()
-	switch {
-	case tools.Backend == BackendRANS:
+	if tools.Backend == BackendRANS {
 		re.rec = newRansRecord()
 		re.e.bw = ransBinEnc{re.rec}
-	case tools.CABAC:
+	} else {
 		re.e.bw = &cabacBinEnc{e: cabac.NewEncoder(), ctx: &re.ctx}
-	default:
-		re.e.bw = rawBinEnc{bits.NewWriter()}
 	}
 	return re
 }
@@ -279,32 +254,25 @@ func (re *residualEncoder) emit(lev []int32, size int, transformed bool) {
 // open finishes the payload and returns a lockstep over it.
 func (re *residualEncoder) open(t testing.TB) *lockstep {
 	if re.rec == nil {
-		payload := append([]byte(nil), re.e.bw.finish()...)
-		if _, ok := re.e.bw.(*cabacBinEnc); ok {
-			return newCabacLockstep(payload, nil)
-		}
-		return literalLockstep(t, payload, maxDecodePixels)
+		return newCabacLockstep(append([]byte(nil), re.e.bw.finish()...), nil)
 	}
 	tabs := buildRansTables([]*ransRecord{re.rec})
 	pc := &parsedContainer{prof: HEVC, tools: ransTools(), ransTabs: tabs}
 	return chunkLockstep(t, pc, &chunkMeta{payload: re.rec.assemble(tabs), dims: [][2]int{{1 << 12, 1 << 12}}})
 }
 
-var (
-	cabacOnly = Tools{CABAC: true}
-	rawOnly   = Tools{}
-)
+// cabacOnly is entropy coding alone, on the CABAC backend.
+var cabacOnly = Tools{}
 
-// TestParseResidualEquivalence holds the three non-test spellings of the
-// residual syntax — cabac.DecodeLevels for CABAC, the block form over symbols
-// for rANS and the literal chunk's loop for the raw ablation — to the
-// definitions: the per-bin loop for the bin syntax, parseSymbolsDef for the
-// symbol syntax. Same levels, same context states, same bytes, bins or
-// symbols consumed after every block, and the same error class where a
-// payload is damaged.
+// TestParseResidualEquivalence holds the two non-test spellings of the
+// residual syntax — cabac.DecodeLevels for CABAC and the block form over
+// symbols for rANS — to the definitions: the per-bin loop for the bin syntax,
+// parseSymbolsDef for the symbol syntax. Same levels, same context states,
+// same bytes, bins or symbols consumed after every block, and the same error
+// class where a payload is damaged.
 func TestParseResidualEquivalence(t *testing.T) {
-	// Every chunk of the golden corpus: all three coders, three profiles,
-	// inter frames, the tool ablations.
+	// Every chunk of the golden corpus: both coders, three profiles, inter
+	// frames, the tool ablations.
 	t.Run("golden", func(t *testing.T) {
 		blocks := map[string]int{}
 		goldenChunks(t, func(name string, pc *parsedContainer, c *chunkMeta) {
@@ -313,7 +281,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 				if _, err := ls.block(t, name, size, pc.tools.Transform); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				blocks[fmt.Sprint(pc.tools.Backend, pc.tools.CABAC)]++
+				blocks[pc.tools.Backend.String()]++
 			})
 			if rc, ok := ls.prod.(*ransChunk); ok {
 				if err := rc.close(); err != nil {
@@ -321,8 +289,8 @@ func TestParseResidualEquivalence(t *testing.T) {
 				}
 			}
 		})
-		if len(blocks) != 3 {
-			t.Fatalf("golden corpus covers coders %v, want CABAC, rANS and raw", blocks)
+		if len(blocks) != 2 {
+			t.Fatalf("golden corpus covers coders %v, want CABAC and rANS", blocks)
 		}
 	})
 
@@ -332,7 +300,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 		name  string
 		tools Tools
 		draws int
-	}{{"cabac", cabacOnly, 20000}, {"rans", ransTools(), 6000}, {"raw", rawOnly, 2000}}
+	}{{"cabac", cabacOnly, 20000}, {"rans", ransTools(), 6000}}
 	for _, cd := range coders {
 		t.Run("drawn/"+cd.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))
@@ -469,9 +437,6 @@ func TestParseResidualEquivalence(t *testing.T) {
 				copy(rcs[i].next[:], start[:nClasses])
 			}
 			ls := newChunkLockstep(rcs[0], rcs[1])
-			if trial%3 == 0 {
-				ls = literalLockstep(t, window, maxDecodePixels)
-			}
 			for b := 0; b < 6; b++ {
 				if _, err := ls.block(t, fmt.Sprintf("dry %d block %d", trial, b), 4<<uint(rng.Intn(4)), rng.Intn(2) == 0); err != nil {
 					break
@@ -488,7 +453,7 @@ func TestParseResidualEquivalence(t *testing.T) {
 // the test above, which plain `go test` replays.
 func FuzzParseResidual(f *testing.F) {
 	goldenChunks(f, func(_ string, pc *parsedContainer, c *chunkMeta) {
-		if pc.tools.CABAC && pc.tools.Backend == BackendCABAC {
+		if pc.tools.Backend == BackendCABAC {
 			f.Add(c.payload, uint8(len(c.payload)), pc.tools.Transform)
 		}
 	})
@@ -541,7 +506,7 @@ func TestLevelCap(t *testing.T) {
 
 	// Without partitioning or prediction a 32×32 frame is four 16×16 leaves
 	// and its payload exactly their four residual blocks.
-	for _, tools := range []Tools{{CABAC: true, Transform: true}, {CABAC: true, Transform: true, Backend: BackendRANS}} {
+	for _, tools := range []Tools{{Transform: true}, {Transform: true, Backend: BackendRANS}} {
 		for _, tc := range []struct {
 			level int32
 			want  error

@@ -139,33 +139,42 @@ func ParseProfile(s string) (Profile, error) {
 }
 
 // Tools toggles individual pipeline stages, enabling the Fig. 2(b) ablation.
-// The all-true value is the full codec.
+// Every stream is entropy-coded, so the zero value is Fig. 2's stage (2),
+// entropy coding alone; AllTools is the full codec.
 type Tools struct {
 	Partitioning bool // RD quadtree splitting (else fixed 16×16 CUs)
 	Transform    bool // DCT/DST transform (else spatial-domain quantization)
 	IntraPred    bool // intra prediction (else constant mid-gray predictor)
 	InterPred    bool // motion-compensated P-frames (hurts tensors)
-	CABAC        bool // arithmetic coding (else fixed/VLC bin writing)
 
-	// Backend codes the context-coded bins when CABAC (the "entropy coding
-	// on" switch) is set. It rides on Tools because every seam threads Tools;
-	// on the wire it is the toolsBackendExt bit plus the backend extension.
+	// Backend codes the context-coded bins. It rides on Tools because every
+	// seam threads Tools; on the wire it is the toolsBackendExt bit plus the
+	// backend extension.
 	Backend EntropyBackend
 }
 
 // AllTools is the full intra pipeline the paper ships (inter disabled, per
 // §3.2: "LLM.265 enforces an intra-frame-only encoding").
-var AllTools = Tools{Partitioning: true, Transform: true, IntraPred: true, CABAC: true}
+var AllTools = Tools{Partitioning: true, Transform: true, IntraPred: true}
 
-// toolsBackendExt is the tools-byte bit announcing that a backend extension
-// (backend id + shared probability table) follows the header's qp byte.
-// Absent for CABAC, so default streams carry the historical tools byte.
-const toolsBackendExt = 0x20
+// The tools byte: the four stage bits (Tools' fields in order, from bit 0),
+// toolsEntropy, which every stream sets, and toolsBackendExt. A stream
+// without toolsEntropy is the retired raw-bin layout, which wrote every bin
+// as one literal bit; the top two bits are reserved. parseHeader refuses
+// both.
+const (
+	toolsEntropy = 0x10
+	// toolsBackendExt announces that a backend extension (backend id +
+	// shared probability table) follows the header's qp byte. Absent for
+	// CABAC, so default streams carry the historical tools byte.
+	toolsBackendExt = 0x20
+	toolsKnown      = 0x3F
+)
 
 // toolsBits packs Tools into a byte for the bitstream header.
 func (t Tools) bits() uint8 {
 	return uint8(b2i(t.Partitioning) | b2i(t.Transform)<<1 | b2i(t.IntraPred)<<2 | b2i(t.InterPred)<<3 |
-		b2i(t.CABAC)<<4 | b2i(t.Backend != BackendCABAC)*toolsBackendExt)
+		toolsEntropy | b2i(t.Backend != BackendCABAC)*toolsBackendExt)
 }
 
 func toolsFromBits(b uint8) Tools {
@@ -174,7 +183,6 @@ func toolsFromBits(b uint8) Tools {
 		Transform:    b&2 != 0,
 		IntraPred:    b&4 != 0,
 		InterPred:    b&8 != 0,
-		CABAC:        b&16 != 0,
 		// Backend is NOT recovered here: the tools byte only flags that a
 		// backend extension exists; parseHeader validates and applies
 		// the extension's backend id.

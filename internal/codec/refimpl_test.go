@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/bits"
 	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/frame"
@@ -28,8 +27,7 @@ import (
 //	coarseIntra                coarseIntraDef
 //	sadWithin                  sadWithinDef
 //	computeStats               sseDef
-//	parseResidual — cabac.DecodeLevels and the literal chunk's loop —
-//	parseResidualPerBin over a perBinDecoder (rawBinDec for the raw ablation)
+//	cabac.DecodeLevels         parseResidualPerBin over a perBinDecoder
 //	ransChunk.parseResidual    parseSymbolsDef: one symbol a read
 //	ransChunk.predecode        predecodeDef: each state alone, one symbol a call
 //
@@ -326,8 +324,7 @@ func egDecode(d perBinDecoder, k uint) uint32 {
 }
 
 // parseResidualPerBin is the residual syntax by definition, one bin read at
-// a time, with the level cap: what cabac.DecodeLevels and the literal chunk's
-// loop are each held to.
+// a time, with the level cap: what cabac.DecodeLevels is held to.
 func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bool) {
 	si := sizeIdx(size)
 	scan, sigSlot := residualScan(size, transformed)
@@ -359,36 +356,6 @@ func parseResidualPerBin(br perBinDecoder, lev []int32, size int, transformed bo
 		}
 		lev[pos] = a
 	}
-}
-
-// rawBinDec is the raw ablation's reader by definition — every bin one
-// literal bit off a bits.Reader — for the literal chunk. pos counts the bits
-// it has read.
-type rawBinDec struct {
-	r   *bits.Reader
-	pos *int
-}
-
-func newRawBinDec(payload []byte) rawBinDec { return rawBinDec{bits.NewReader(payload), new(int)} }
-
-func (d rawBinDec) bit(int) int {
-	b, err := d.r.ReadBit()
-	if err != nil {
-		panic(decodeError{err})
-	}
-	*d.pos++
-	return b
-}
-
-func (d rawBinDec) bypass() int { return d.bit(0) }
-
-func (d rawBinDec) bypassBits(n uint) uint32 {
-	v, err := d.r.ReadBits(n)
-	if err != nil {
-		panic(decodeError{err})
-	}
-	*d.pos += int(n)
-	return uint32(v)
 }
 
 // predecodeDef is the pre-decode by definition: each state on its own, one

@@ -202,11 +202,13 @@ func TestDiagBinRange(t *testing.T) {
 	}
 }
 
+// TestToolsBitsRoundTrip: every stage combination survives the tools byte,
+// which always carries the entropy-coding bit.
 func TestToolsBitsRoundTrip(t *testing.T) {
-	for b := uint8(0); b < 32; b++ {
-		tools := toolsFromBits(b)
-		if got := tools.bits(); got != b {
-			t.Fatalf("tools bits %05b -> %05b", b, got)
+	for b := uint8(0); b < 16; b++ {
+		want := b | toolsEntropy
+		if got := toolsFromBits(want).bits(); got != want {
+			t.Fatalf("tools bits %05b -> %05b", want, got)
 		}
 	}
 }

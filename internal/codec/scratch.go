@@ -11,7 +11,6 @@ package codec
 import (
 	"sync"
 
-	"repro/internal/bits"
 	"repro/internal/cabac"
 	"repro/internal/dct"
 	"repro/internal/frame"
@@ -65,7 +64,6 @@ type scratch struct {
 	// Sequence-lifetime encoder state, re-initialized per chunk. (The
 	// context set itself sits with the decoder's parse-stage fields below.)
 	cabacEnc cabacBinEnc
-	rawEnc   *bits.Writer
 
 	// DCTs for every size (4..32, by sizeIdx) plus the 4×4 DST-VII; profiles
 	// with a smaller largest transform never look the larger ones up.
@@ -95,8 +93,7 @@ type scratch struct {
 	_        stagePad
 	ctx      contexts // shared with the encoder, which has one stage
 	cabacDec cabacBinDec
-	chunk    ransChunk    // the rANS chunk reader, its symbol buffer kept warm
-	literal  literalChunk // the raw ablation's reader
+	chunk    ransChunk // the rANS chunk reader, its symbol buffer kept warm
 	dec      decoder
 	_        stagePad
 	ring     [ringDepth]ctuBatch
@@ -136,25 +133,17 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // escaped data can alias it.
 func putScratch(s *scratch) { scratchPool.Put(s) }
 
-// binEnc returns the entropy back-end for a fresh chunk, reusing the
+// binEnc returns the CABAC back-end for a fresh chunk, reusing the
 // underlying engine and its output buffer. finish() hands back a slice
 // aliasing that buffer, so encodeChunk copies the payload out before the
 // scratch can be reused or pooled.
-func (s *scratch) binEnc(useCABAC bool) binEncoder {
-	if useCABAC {
-		if s.cabacEnc.e == nil {
-			s.cabacEnc = cabacBinEnc{e: cabac.NewEncoder(), ctx: &s.ctx}
-		} else {
-			s.cabacEnc.e.Reset()
-		}
-		return &s.cabacEnc
-	}
-	if s.rawEnc == nil {
-		s.rawEnc = bits.NewWriter()
+func (s *scratch) binEnc() binEncoder {
+	if s.cabacEnc.e == nil {
+		s.cabacEnc = cabacBinEnc{e: cabac.NewEncoder(), ctx: &s.ctx}
 	} else {
-		s.rawEnc.Reset()
+		s.cabacEnc.e.Reset()
 	}
-	return rawBinEnc{s.rawEnc}
+	return &s.cabacEnc
 }
 
 // predAt returns the prediction buffer of the mi-th profile mode, sized n2.

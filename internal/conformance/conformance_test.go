@@ -61,9 +61,8 @@ type planeVector struct {
 }
 
 var (
-	noCABAC    = codec.Tools{Partitioning: true, Transform: true, IntraPred: true}
-	interTools = codec.Tools{Partitioning: true, Transform: true, IntraPred: true, InterPred: true, CABAC: true}
-	ransTools  = codec.Tools{Partitioning: true, Transform: true, IntraPred: true, CABAC: true, Backend: codec.BackendRANS}
+	interTools = codec.Tools{Partitioning: true, Transform: true, IntraPred: true, InterPred: true}
+	ransTools  = codec.Tools{Partitioning: true, Transform: true, IntraPred: true, Backend: codec.BackendRANS}
 )
 
 // planeVectors is the corpus. TestCorpusIsClosed (root package) fails on a
@@ -72,8 +71,8 @@ var planeVectors = []planeVector{
 	{name: "v1-hevc-gradient-96x96-qp28", qp: 28, prof: codec.HEVC, tools: codec.AllTools, planes: one(101, gradientPlane, 96, 96)},
 	{name: "v1-h264-channel-64x48-qp24", qp: 24, prof: codec.H264, tools: codec.AllTools, planes: one(102, channelPlane, 64, 48)},
 	{name: "v1-av1-noise-33x31-qp20", qp: 20, prof: codec.AV1, tools: codec.AllTools, planes: one(103, noisePlane, 33, 31)},
-	{name: "v1-hevc-notools-64x64-qp24", qp: 24, prof: codec.HEVC, tools: codec.Tools{}, planes: one(104, gradientPlane, 64, 64)},
-	{name: "v1-hevc-nocabac-64x64-qp30", qp: 30, prof: codec.HEVC, tools: noCABAC, planes: one(105, gradientPlane, 64, 64)},
+	{name: "v1-hevc-entropyonly-64x64-qp24", qp: 24, prof: codec.HEVC, tools: codec.Tools{}, planes: one(104, gradientPlane, 64, 64)},
+	{name: "v1-hevc-nointra-64x64-qp30", qp: 30, prof: codec.HEVC, tools: codec.Tools{Partitioning: true, Transform: true}, planes: one(105, gradientPlane, 64, 64)},
 	{name: "v1-hevc-1x1-qp20", qp: 20, prof: codec.HEVC, tools: codec.AllTools, planes: one(106, noisePlane, 1, 1)},
 	{name: "v1-hevc-prime-17x13-qp16", qp: 16, prof: codec.HEVC, tools: codec.AllTools, planes: one(107, noisePlane, 17, 13)},
 	{name: "v1-hevc-inter-2f-64x64-qp24", qp: 24, prof: codec.HEVC, tools: interTools, planes: shifted(108)},

@@ -61,11 +61,11 @@ func Fig2(ctx *Ctx) *Table {
 	}
 	stages := []stage{
 		{name: "(1) 8-bit quantization", raw: true},
-		{name: "(2) + entropy coding (CABAC)", tools: codec.Tools{CABAC: true}},
-		{name: "(3) + DCT transform", tools: codec.Tools{CABAC: true, Transform: true}},
-		{name: "(4) + CTU partitioning", tools: codec.Tools{CABAC: true, Transform: true, Partitioning: true}},
+		{name: "(2) + entropy coding (CABAC)", tools: codec.Tools{}},
+		{name: "(3) + DCT transform", tools: codec.Tools{Transform: true}},
+		{name: "(4) + CTU partitioning", tools: codec.Tools{Transform: true, Partitioning: true}},
 		{name: "(5) + intra prediction", tools: codec.AllTools},
-		{name: "(6) + inter prediction", tools: codec.Tools{CABAC: true, Partitioning: true, Transform: true, IntraPred: true, InterPred: true}},
+		{name: "(6) + inter prediction", tools: codec.Tools{Partitioning: true, Transform: true, IntraPred: true, InterPred: true}},
 	}
 
 	t := &Table{

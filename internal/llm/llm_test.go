@@ -218,13 +218,11 @@ func TestCompressorSeam(t *testing.T) {
 // at both seams that lack a fallback. KVHook panics (the hook has no error
 // result), and BoundaryPerplexity returns the error. Either used to hand back
 // the uncompressed matrix, which measures FP16 under a compressed label.
-// Nothing about a finite-shaped tensor makes core's front end fail, so the
-// rejection here is the codec's own: the rANS backend with the entropy stage
-// switched off.
+// The rejection here is a profile id outside the three core's front end
+// accepts.
 func TestKVCompressorHookFailsLoudly(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.Tools.CABAC = false
-	opts.Backend = codec.BackendRANS
+	opts.Profile = codec.Profile(7)
 	rejected := Codec(opts, 2.9)
 	var panicked any
 	func() {

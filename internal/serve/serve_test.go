@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +269,12 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 	cutTrailer := atRest[:len(enc.Stream)+len(trailer)/2]
 	flipTrailer := append([]byte(nil), atRest...)
 	flipTrailer[len(enc.Stream)+9] ^= 0x01
+	// A stream the retired raw-bin layout wrote (tools byte without the
+	// entropy-coding bit), which the codec refuses by name.
+	rawBins, err := os.ReadFile(filepath.Join("..", "codec", "testdata", "retired-raw-bins-hevc-64x64-qp30.l265"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name       string
@@ -285,6 +293,7 @@ func TestDecodeSniffTaxonomy(t *testing.T) {
 		{"trailer-partial-ok", "?partial=1", atRest, http.StatusOK, ""},
 		{"cut-trailer", "", cutTrailer, http.StatusUnprocessableEntity, "corrupt"},
 		{"flipped-trailer", "", flipTrailer, http.StatusUnprocessableEntity, "corrupt"},
+		{"retired-raw-bins", "", rawBins, http.StatusUnprocessableEntity, "corrupt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
