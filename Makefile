@@ -187,7 +187,7 @@ fuzz-smoke:
 	$(GO) test ./internal/intra/ -run '^$$' -fuzz FuzzSIMDKernels -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzServeRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzKVRequest -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzAllreduceSegment -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/allreduce/ -run '^$$' -fuzz FuzzSegmentDecode -fuzztime $(FUZZTIME)
 
 # One pass over every paper-artifact micro-benchmark (testing.B), then the
 # transform, quantiser, prediction, RD-trial, residual-parse and reconstruct

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -268,8 +269,8 @@ func TestRateCodecStepsOncePerStep(t *testing.T) {
 
 // TestBlockCodecAlignsDefaultSegments: the default segment height is rounded
 // up to whole codec blocks for a blockCodec (TensorCodec and RateCodec: the
-// 32-row CTU), left alone for every other codec, and an explicit SegRows is
-// taken as given.
+// profile's CTU, 32 rows for the default H.265), left alone for every other
+// codec, and an explicit SegRows is taken as given.
 func TestBlockCodecAlignsDefaultSegments(t *testing.T) {
 	opts := core.DefaultOptions()
 	for _, c := range []struct {
@@ -432,14 +433,21 @@ func TestRingMetrics(t *testing.T) {
 
 // TestRingRejectsBadConfig: constructor and call-time validation.
 func TestRingRejectsBadConfig(t *testing.T) {
-	if _, err := New(Config{Workers: 0, Rows: 4, Cols: 4, Codec: RawCodec()}); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-	if _, err := New(Config{Workers: 2, Rows: 0, Cols: 4, Codec: RawCodec()}); err == nil {
-		t.Fatal("0 rows accepted")
-	}
-	if _, err := New(Config{Workers: 2, Rows: 4, Cols: 4}); err == nil {
-		t.Fatal("nil codec accepted")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"0 workers", Config{Workers: 0, Rows: 4, Cols: 4, Codec: RawCodec()}},
+		{"2^16 workers", Config{Workers: 1 << 16, Rows: 4, Cols: 4, Codec: RawCodec()}},
+		{"0 rows", Config{Workers: 2, Rows: 0, Cols: 4, Codec: RawCodec()}},
+		{"2^15+1 rows", Config{Workers: 2, Rows: 1<<15 + 1, Cols: 4, Codec: RawCodec()}},
+		{"2^15+1 cols", Config{Workers: 2, Rows: 4, Cols: 1<<15 + 1, Codec: RawCodec()}},
+		{"negative SegRows", Config{Workers: 2, Rows: 4, Cols: 4, SegRows: -1, Codec: RawCodec()}},
+		{"nil codec", Config{Workers: 2, Rows: 4, Cols: 4}},
+	} {
+		if _, err := New(c.cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 	// The RTN payload header carries the group size as a u16: a larger one
 	// would encode a payload its own decoder mis-groups.
@@ -614,6 +622,62 @@ func (c countingCodec) Encode(ctx context.Context, vals []float32, rows, cols in
 func (c countingCodec) Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error {
 	c.decodes.Add(1)
 	return c.SegmentCodec.Decode(ctx, payload, rows, cols, dst)
+}
+
+// payloadLog records, across every worker of a ring, the first byte of each
+// payload its codecs' Encode returned and of each payload Decode was handed.
+type payloadLog struct {
+	mu               sync.Mutex
+	encoded          map[*byte]bool
+	decodes, foreign int
+}
+
+// loggingCodec is a SegmentCodec that reports to a shared payloadLog.
+type loggingCodec struct {
+	SegmentCodec
+	log *payloadLog
+}
+
+func (c loggingCodec) Encode(ctx context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
+	payload, recon, cost, err := c.SegmentCodec.Encode(ctx, vals, rows, cols)
+	if err == nil {
+		c.log.mu.Lock()
+		c.log.encoded[&payload[0]] = true
+		c.log.mu.Unlock()
+	}
+	return payload, recon, cost, err
+}
+
+func (c loggingCodec) Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error {
+	c.log.mu.Lock()
+	c.log.decodes++
+	if len(payload) == 0 || !c.log.encoded[&payload[0]] {
+		c.log.foreign++
+	}
+	c.log.mu.Unlock()
+	return c.SegmentCodec.Decode(ctx, payload, rows, cols, dst)
+}
+
+// TestRingHandsPayloadsOnUncopied: what a receiver decodes is the very slice
+// the sender's Encode returned — frames travel as values, and no hop copies
+// or re-frames a payload (the contract SegmentCodec's doc states).
+func TestRingHandsPayloadsOnUncopied(t *testing.T) {
+	const workers, rows, cols, segRows, steps = 3, 24, 32, 4, 2
+	log := &payloadLog{encoded: map[*byte]bool{}}
+	r, err := New(Config{Workers: workers, Rows: rows, Cols: cols, SegRows: segRows,
+		Codec: func(w int) SegmentCodec { return loggingCodec{RTNCodec(4, 32)(w), log} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := randBuckets(23, workers, rows, cols), randBuckets(0, workers, rows, cols)
+	for step := 0; step < steps; step++ {
+		if _, err := r.Allreduce(context.Background(), in, out); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if want := steps * 2 * (rows / segRows) * (workers - 1); log.decodes != want || log.foreign != 0 {
+		t.Fatalf("%d decodes (want %d), %d of them of a payload no Encode returned", log.decodes, want, log.foreign)
+	}
 }
 
 // TestOwnerCodesNothingOfItsOwn: only what crosses a wire is coded. A segment's

@@ -16,22 +16,23 @@ import (
 // SegmentCodec compresses one gradient segment into wire bytes and decodes
 // them back. Implementations must be deterministic — identical input values
 // must yield identical payload bytes — because the ring's schedule
-// independence rests on every replica of a frame carrying the same bytes.
+// independence rests on every receiver decoding the same bytes.
 //
 // A codec instance is owned by a single ring worker and is never called
 // concurrently; stateful codecs (rate controllers, warmup steppers) are
 // therefore safe without locks.
 type SegmentCodec interface {
-	// Wire identifies the payload format (Wire* constant) for framing.
-	Wire() byte
 	// Encode compresses vals (rows×cols, row-major) for the wire — the ring
 	// calls it only for a segment that is about to travel. It returns the
 	// payload, the reconstruction the receiver will decode (nil means the
 	// codec is lossless and recon == vals), and the accounted wire cost in
-	// bits. vals must not be retained.
+	// bits. vals must not be retained. The ring hands payload uncopied to
+	// every worker that decodes or forwards it, concurrently, so neither the
+	// codec nor anyone else may write it after Encode returns.
 	Encode(ctx context.Context, vals []float32, rows, cols int) (payload []byte, recon []float32, bitsCost int64, err error)
-	// Decode parses payload into dst (len rows*cols). Errors are typed with
-	// the codec taxonomy and never panic on hostile bytes.
+	// Decode parses payload into dst (len rows*cols) and must not write
+	// payload. Errors are typed with the codec taxonomy and never panic on
+	// hostile bytes.
 	Decode(ctx context.Context, payload []byte, rows, cols int, dst []float32) error
 }
 
@@ -67,8 +68,6 @@ type rawCodec struct{}
 func RawCodec() CodecFactory {
 	return func(int) SegmentCodec { return rawCodec{} }
 }
-
-func (rawCodec) Wire() byte { return WireRaw }
 
 func (rawCodec) Encode(_ context.Context, vals []float32, rows, cols int) ([]byte, []float32, int64, error) {
 	if len(vals) != rows*cols {
@@ -107,8 +106,6 @@ func TensorCodec(opts core.Options, qp int) CodecFactory {
 	return func(int) SegmentCodec { return &tensorCodec{opts: opts, qp: qp} }
 }
 
-func (c *tensorCodec) Wire() byte { return WireTensor }
-
 // blockRows is the CTU height planes are padded to (see blockCodec).
 func (c *tensorCodec) blockRows() int { return c.opts.Profile.CTUSize() }
 
@@ -127,7 +124,7 @@ func (c *tensorCodec) Decode(ctx context.Context, payload []byte, rows, cols int
 		return err
 	}
 	if enc.Layers != 1 || enc.Rows != rows || enc.Cols != cols {
-		return fmt.Errorf("allreduce: container geometry %dx%dx%d, frame says %dx%d: %w",
+		return fmt.Errorf("allreduce: container geometry %dx%dx%d for a %dx%d segment: %w",
 			enc.Layers, enc.Rows, enc.Cols, rows, cols, codec.ErrCorrupt)
 	}
 	dec, err := c.opts.DecodeStackCtx(ctx, enc)
@@ -163,9 +160,9 @@ const noSpan = math.MinInt64
 // encodes first.
 const rateStartQP = dct.MaxQP / 2
 
-// RateCodec is TensorCodec steered to bitsPerValue: the same WireTensor
-// payload, with the quantiser step held constant within a training step and
-// moved only in AdvanceStep, from the step's summed bits ÷ summed values.
+// RateCodec is TensorCodec steered to bitsPerValue: the same payload, with
+// the quantiser step held constant within a training step and moved only in
+// AdvanceStep, from the step's summed bits ÷ summed values.
 //
 // What it holds constant is the step in gradient units, not the QP: the
 // tensor codec maps each tensor's own range onto 8 bits, so one QP on every
@@ -263,10 +260,8 @@ func RTNCodec(bitWidth, groupSize int) CodecFactory {
 	return func(int) SegmentCodec { return &rtnCodec{bits: bitWidth, group: groupSize} }
 }
 
-func (c *rtnCodec) Wire() byte { return WireRTN }
-
 // rtnHeaderLen prefixes the packed codes with the quantizer geometry so the
-// decoder validates the payload against the frame's claim: bits(1) group
+// decoder validates the payload against the segment's geometry: bits(1) group
 // size(u16) then per group lo,hi float32.
 const rtnHeaderLen = 3
 
@@ -365,7 +360,6 @@ func SignCodec(warmupSteps int) CodecFactory {
 	return func(int) SegmentCodec { return &signCodec{warmup: warmupSteps} }
 }
 
-func (c *signCodec) Wire() byte     { return WireSign }
 func (c *signCodec) AdvanceStep()   { c.step++ }
 func (c *signCodec) inWarmup() bool { return c.step < c.warmup }
 

@@ -1,3 +1,22 @@
+// Package allreduce implements compressed-gradient collective reduction as
+// a real concurrent system: N goroutine workers connected by in-process
+// channels move codec-compressed gradient segments around a ring, reduce
+// them in a canonical order, and gather the result back to every worker
+// (DESIGN.md §17, the paper's §5.2 training story).
+//
+// Topology and determinism. The bucket is split into S row-aligned segments;
+// segment s is owned by worker s mod N. Phase 1 (reduce-scatter): every
+// worker compresses each of its segments once and the payloads travel the
+// ring hop-by-hop (store-and-forward, no re-encoding of partial sums) until
+// they reach the segment's owner, which decodes every contribution and sums
+// them in ascending origin order — so the floating-point association is fixed
+// by worker index, never by message arrival order, and the uncompressed path
+// is bit-identical to a sequential sum. Phase 2 (all-gather): the owner
+// compresses the reduced segment once and the same bytes circle the ring, so
+// every worker reconstructs the identical result.
+// Compressing each contribution exactly once (instead of re-encoding partial
+// sums at every hop) keeps the lossy error from growing with hop count and
+// gives classic per-worker error-feedback semantics.
 package allreduce
 
 import (
@@ -21,7 +40,8 @@ type Config struct {
 	// SegRows is the row height of one pipelined segment. 0 picks
 	// ceil(Rows/(2·Workers)) (at least 1), giving every worker about two
 	// owned segments so encode overlaps neighbor communication — rounded up
-	// to whole codec blocks (32 rows) for TensorCodec and RateCodec.
+	// to whole codec blocks (the profile's CTU: 32 rows for H.265 and AV1,
+	// 16 for H.264) for TensorCodec and RateCodec.
 	SegRows int
 	// Codec builds each worker's segment codec (required).
 	Codec CodecFactory
@@ -73,6 +93,16 @@ type segment struct {
 	start, rows int
 }
 
+// frame is one message on a ring edge: a segment's payload and the routing the
+// ring attached to it. Frames never leave the process, so they travel as
+// values; payload is the slice SegmentCodec.Encode returned, handed uncopied
+// to every worker it reaches.
+type frame struct {
+	gather      bool // the owner's reduced segment, not a contribution
+	origin, seg int  // sending worker (the owner, for a gather) and segment index
+	payload     []byte
+}
+
 type ringMetrics struct {
 	encNs, decNs, reduceNs, waitNs *obs.Histogram
 	reduceBits, gatherBits         *obs.Histogram
@@ -109,19 +139,23 @@ type Ring struct {
 	// chans[i] is the edge worker i → worker (i+1)%N, pre-sized in New to
 	// the exact number of frames that cross it, so sends never block and
 	// the ring cannot deadlock whatever the interleaving.
-	chans   []chan []byte
+	chans   []chan frame
 	inCount []int
 
 	met ringMetrics
 }
 
 // New validates cfg and builds the ring: per-worker codecs, EF residual and
-// owner-side reduction buffers, and exactly-sized edge channels.
+// owner-side reduction buffers, and exactly-sized edge channels. The bounds on
+// Workers (< 2¹⁶) and on Rows and Cols (≤ 2¹⁵) cap what New allocates — a
+// codec and residual table per worker, a contribution buffer per worker and
+// segment — and the goroutines Allreduce starts, before anything is sized
+// from cfg: a bucket is a slice of a model's gradients, never a whole model.
 func New(cfg Config) (*Ring, error) {
 	if cfg.Workers < 1 || cfg.Workers > 1<<16-1 {
 		return nil, fmt.Errorf("allreduce: %d workers", cfg.Workers)
 	}
-	if cfg.Rows < 1 || cfg.Cols < 1 || cfg.Rows > maxSegDim || cfg.Cols > maxSegDim {
+	if cfg.Rows < 1 || cfg.Cols < 1 || cfg.Rows > 1<<15 || cfg.Cols > 1<<15 {
 		return nil, fmt.Errorf("allreduce: bucket geometry %dx%d", cfg.Rows, cfg.Cols)
 	}
 	if cfg.Codec == nil {
@@ -190,10 +224,10 @@ func New(cfg Config) (*Ring, error) {
 				edgeCap[(owner+k)%r.n]++
 			}
 		}
-		r.chans = make([]chan []byte, r.n)
+		r.chans = make([]chan frame, r.n)
 		r.inCount = make([]int, r.n)
 		for i := range r.chans {
-			r.chans[i] = make(chan []byte, edgeCap[i])
+			r.chans[i] = make(chan frame, edgeCap[i])
 		}
 		for w := 0; w < r.n; w++ {
 			r.inCount[w] = edgeCap[(w-1+r.n)%r.n]
@@ -349,11 +383,10 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 		if err != nil {
 			return fmt.Errorf("allreduce: worker %d encode seg %d: %w", w, si, err)
 		}
-		frame := &Frame{Kind: KindReduce, Wire: cod.Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
 		st.WireBits += bitCost
 		st.Values += int64(n)
 		r.met.reduceBits.Observe(bitCost)
-		if err := r.send(ctx, w, frame.Marshal(), st); err != nil {
+		if err := r.send(ctx, w, frame{origin: w, seg: si, payload: payload}, st); err != nil {
 			return err
 		}
 	}
@@ -368,77 +401,50 @@ func (r *Ring) runWorker(ctx context.Context, w int, in, out []float32, st *Stat
 	for k := 0; k < r.inCount[w]; k++ {
 		r.chaos("recv", w)
 		t0 := time.Now()
-		var buf []byte
+		var f frame
 		select {
-		case buf = <-inCh:
+		case f = <-inCh:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 		r.met.waitNs.ObserveSince(t0)
-		f, err := ParseFrame(buf)
-		if err != nil {
-			return fmt.Errorf("allreduce: worker %d: %w", w, err)
-		}
-		if err := r.validateFrame(f); err != nil {
-			return fmt.Errorf("allreduce: worker %d: %w", w, err)
-		}
-		switch f.Kind {
-		case KindReduce:
-			if f.Seg%r.n == w {
+		if !f.gather {
+			if f.seg%r.n == w {
 				if err := r.consumeReduce(ctx, w, f, done, out, st); err != nil {
 					return err
 				}
-			} else if err := r.send(ctx, w, buf, st); err != nil {
+			} else if err := r.send(ctx, w, f, st); err != nil {
 				return err
 			}
-		case KindGather:
-			seg := r.segs[f.Seg]
-			n := seg.rows * r.cfg.Cols
-			r.chaos("decode", w)
-			t0 := time.Now()
-			err := cod.Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, out[seg.start*r.cfg.Cols:seg.start*r.cfg.Cols+n])
-			st.DecodeNs += time.Since(t0).Nanoseconds()
-			r.met.decNs.ObserveSince(t0)
-			if err != nil {
-				return fmt.Errorf("allreduce: worker %d gather seg %d: %w", w, f.Seg, err)
-			}
-			if (w+1)%r.n != f.Origin {
-				if err := r.send(ctx, w, buf, st); err != nil {
-					return err
-				}
+			continue
+		}
+		seg := r.segs[f.seg]
+		n := seg.rows * r.cfg.Cols
+		r.chaos("decode", w)
+		t0 = time.Now()
+		err := cod.Decode(ctx, f.payload, seg.rows, r.cfg.Cols, out[seg.start*r.cfg.Cols:seg.start*r.cfg.Cols+n])
+		st.DecodeNs += time.Since(t0).Nanoseconds()
+		r.met.decNs.ObserveSince(t0)
+		if err != nil {
+			return fmt.Errorf("allreduce: worker %d gather seg %d: %w", w, f.seg, err)
+		}
+		if (w+1)%r.n != f.origin {
+			if err := r.send(ctx, w, f, st); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// validateFrame checks routing metadata against the ring's own geometry
-// before any buffer is indexed by it.
-func (r *Ring) validateFrame(f *Frame) error {
-	if f.Seg >= len(r.segs) {
-		return fmt.Errorf("allreduce: frame for segment %d of %d", f.Seg, len(r.segs))
-	}
-	if f.Origin >= r.n {
-		return fmt.Errorf("allreduce: frame origin %d of %d workers", f.Origin, r.n)
-	}
-	seg := r.segs[f.Seg]
-	if f.Rows != seg.rows || f.Cols != r.cfg.Cols {
-		return fmt.Errorf("allreduce: frame geometry %dx%d for segment %d (%dx%d)", f.Rows, f.Cols, f.Seg, seg.rows, r.cfg.Cols)
-	}
-	if f.Kind == KindGather && f.Origin != f.Seg%r.n {
-		return fmt.Errorf("allreduce: gather frame for segment %d from %d, owner is %d", f.Seg, f.Origin, f.Seg%r.n)
-	}
-	return nil
-}
-
-func (r *Ring) send(ctx context.Context, w int, buf []byte, st *Stats) error {
+func (r *Ring) send(ctx context.Context, w int, f frame, st *Stats) error {
 	r.chaos("send", w)
 	st.Frames++
-	st.PayloadBytes += int64(len(buf) - frameHeaderLen)
+	st.PayloadBytes += int64(len(f.payload))
 	r.met.frames.Inc()
-	r.met.payloadBytes.Add(int64(len(buf) - frameHeaderLen))
+	r.met.payloadBytes.Add(int64(len(f.payload)))
 	select {
-	case r.chans[w] <- buf:
+	case r.chans[w] <- f:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -481,17 +487,17 @@ func (r *Ring) encode(ctx context.Context, w int, vals []float32, seg segment, r
 }
 
 // consumeReduce decodes one contribution off the wire at its segment's owner.
-func (r *Ring) consumeReduce(ctx context.Context, w int, f *Frame, done []int, out []float32, st *Stats) error {
-	seg := r.segs[f.Seg]
+func (r *Ring) consumeReduce(ctx context.Context, w int, f frame, done []int, out []float32, st *Stats) error {
+	seg := r.segs[f.seg]
 	r.chaos("decode", w)
 	t0 := time.Now()
-	err := r.codecs[w].Decode(ctx, f.Payload, seg.rows, r.cfg.Cols, r.contrib[f.Seg][f.Origin])
+	err := r.codecs[w].Decode(ctx, f.payload, seg.rows, r.cfg.Cols, r.contrib[f.seg][f.origin])
 	st.DecodeNs += time.Since(t0).Nanoseconds()
 	r.met.decNs.ObserveSince(t0)
 	if err != nil {
-		return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.Seg, f.Origin, err)
+		return fmt.Errorf("allreduce: worker %d reduce seg %d origin %d: %w", w, f.seg, f.origin, err)
 	}
-	return r.contributed(ctx, w, f.Seg, done, out, st)
+	return r.contributed(ctx, w, f.seg, done, out, st)
 }
 
 // contributed counts one contribution to segment si, already in r.contrib, at
@@ -535,9 +541,8 @@ func (r *Ring) contributed(ctx context.Context, w, si int, done []int, out []flo
 		return fmt.Errorf("allreduce: worker %d gather encode seg %d: %w", w, si, err)
 	}
 	copy(outSeg, recon)
-	gf := &Frame{Kind: KindGather, Wire: r.codecs[w].Wire(), Origin: w, Seg: si, Rows: seg.rows, Cols: r.cfg.Cols, Payload: payload}
 	st.WireBits += bitCost
 	st.Values += int64(n)
 	r.met.gatherBits.Observe(bitCost)
-	return r.send(ctx, w, gf.Marshal(), st)
+	return r.send(ctx, w, frame{gather: true, origin: w, seg: si, payload: payload}, st)
 }

@@ -245,7 +245,7 @@ var paths = []struct {
 	{name: "proxy-3", planes: httpPlanes("proxy-3"), tensors: httpTensors("proxy-3")},
 	{name: "store", tensors: storeFetch},
 	{name: "kv", tensors: kvReads},
-	{name: "allreduce", tensors: allreduceFrame},
+	{name: "allreduce", tensors: allreduceSegment},
 }
 
 // TestConformance runs every path × vector over kernels × workers × backends;
@@ -527,9 +527,9 @@ func kvReads(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref *refere
 	}
 }
 
-// allreduceFrame: the ring's TensorCodec payload is core's Marshal, its
-// reconstruction core's decode, and a receiver decodes the parsed frame to it.
-func allreduceFrame(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref *reference) {
+// allreduceSegment: the ring's TensorCodec payload is core's Marshal, its
+// reconstruction core's decode, and a receiver decodes the payload as sent to it.
+func allreduceSegment(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref *reference) {
 	if v.layers != 1 {
 		return // a ring segment is one tensor
 	}
@@ -539,11 +539,9 @@ func allreduceFrame(t *testing.T, c *cell, v tensorVector, _ *core.Encoded, ref 
 	check(t, err)
 	sameBytes(t, "TensorCodec payload", payload, ref.wire)
 	sameBytes(t, "TensorCodec reconstruction", le(nil, recon), want)
-	f := allreduce.Frame{Kind: allreduce.KindReduce, Wire: sc.Wire(), Rows: v.rows, Cols: v.cols, Payload: payload}
-	parsed := must(allreduce.ParseFrame(f.Marshal()))(t)
 	dst := make([]float32, v.rows*v.cols)
-	check(t, sc.Decode(ctx, parsed.Payload, parsed.Rows, parsed.Cols, dst))
-	sameBytes(t, "TensorCodec decode of the frame", le(nil, dst), want)
+	check(t, sc.Decode(ctx, payload, v.rows, v.cols, dst))
+	sameBytes(t, "TensorCodec decode of the payload", le(nil, dst), want)
 }
 
 func post(t *testing.T, url string, body []byte) []byte {
