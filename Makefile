@@ -174,10 +174,11 @@ ci:
 # The kernel targets, one a package, each holding every kernel path the host
 # runs to its definition (DESIGN.md §11.1): FuzzLanes (dct), any block through
 # the transforms against the dense product, seeded on the paired passes' and
-# the float kernels' limits; FuzzSIMDKernels (intra), the scorer against the
-# line sums of the per-pixel formula, seeded on the sample range's ends and
-# the line exits; FuzzParseResidual (codec), CABAC's block parse against the
-# per-bin loop on arbitrary payloads.
+# the float kernels' limits; FuzzSIMDKernels (intra), every mode's score
+# against the line sums of the per-pixel formula and Predict's and the
+# scorer's predictions against the formula's block, raw and smoothed, seeded
+# on the sample range's ends and the line exits; FuzzParseResidual (codec),
+# CABAC's block parse against the per-bin loop on arbitrary payloads.
 fuzz-smoke:
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec/ -run '^$$' -fuzz FuzzParseResidual -fuzztime $(FUZZTIME)
@@ -199,7 +200,7 @@ fuzz-smoke:
 # §13.4) — and the whole-stack decode at one worker under either backend.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar)|ScoreAngular|TrialResidual|EstimateLevelBits|ParseResidual|PredecodeRANS|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar|DC)|Score(Angular|PlanarDC)|TrialResidual|EstimateLevelBits|ParseResidual|PredecodeRANS|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run '^$$' -bench 'Decode(Layer|Stack)(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any

@@ -478,7 +478,7 @@ func (t *topModes) bound() int64 {
 
 // offer ranks mode mi. Its score is compared only with members of the set,
 // and a score above bound() is dropped whatever it is exactly — which is what
-// lets sadWithin stop early.
+// lets Scorer.SAD stop early.
 func (t *topModes) offer(mi int, score int64) {
 	pos := t.n
 	for pos > 0 && score <= t.score[pos-1] {
@@ -493,34 +493,6 @@ func (t *topModes) offer(mi int, score int64) {
 	copy(t.mi[pos+1:t.n], t.mi[pos:t.n-1])
 	copy(t.score[pos+1:t.n], t.score[pos:t.n-1])
 	t.mi[pos], t.score[pos] = mi, score
-}
-
-// sadWithin returns the sum of absolute differences of two size×size blocks,
-// or, once the running sum at the end of a row exceeds bound, that partial
-// sum. The terms are non-negative, so a partial sum above bound means the
-// full SAD is above it too: topModes.offer drops either value and the ranking
-// is the one full scoring gives.
-func sadWithin(a, b []int32, size int, bound int64) int64 {
-	if cpufeat.Lanes8(size) {
-		return sadRowsAVX2(&a[:size*size][0], &b[:size*size][0], size, bound)
-	}
-	var sum int64
-	for len(a) >= size {
-		var row int32
-		for i, v := range a[:size] {
-			d := v - b[i]
-			if d < 0 {
-				d = -d
-			}
-			row += d
-		}
-		sum += int64(row)
-		if sum > bound {
-			break
-		}
-		a, b = a[size:], b[size:]
-	}
-	return sum
 }
 
 // keepIfBetter overwrites *best with cand when cand costs less, copying the
@@ -543,31 +515,22 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
 // SAD and returns the survivors that get a full RD trial, best first, each with
-// its prediction in scratch.predAt. The smoothed reference rows are
-// mode-independent, so the scorer computes them at most once per leaf.
+// its prediction in scratch.predAt: every mode is scored, abandoned once it
+// cannot enter the top set, and predicted only if it ends up in it. The
+// smoothed references are computed at most once per leaf.
 func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
-	s, n2 := e.scr, size*size
+	s := e.scr
 	top := topModes{k: rdCandidates}
 	sc := &s.scorer
 	refs := gatherRefsInto(e.recon, e.prof.ctuSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
 	sc.Reset(size, orig, refs, intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
 	smooth := func(m intra.Mode) bool { return e.prof.smoothing && intra.UseSmoothing(size, m) }
 	for mi, m := range e.prof.modes {
-		if m != intra.Planar && m != intra.DC {
-			// An angular mode is scored on packed lanes, line by line,
-			// abandoned once it cannot enter the top set, and predicted
-			// only if it ends up in it.
-			top.offer(mi, sc.SAD(m, smooth(m), top.bound()))
-			continue
-		}
-		pred := s.predAt(mi, n2)
-		intra.Predict(m, size, sc.Refs(smooth(m)), pred)
-		top.offer(mi, sadWithin(orig, pred, size, top.bound()))
+		top.offer(mi, sc.SAD(m, smooth(m), top.bound()))
 	}
 	for _, mi := range top.mi[:top.n] {
-		if m := e.prof.modes[mi]; m != intra.Planar && m != intra.DC {
-			intra.Predict(m, size, sc.Refs(smooth(m)), s.predAt(mi, n2))
-		}
+		m := e.prof.modes[mi]
+		sc.Predict(m, smooth(m), s.predAt(mi, size*size))
 	}
 	return top
 }
@@ -597,7 +560,7 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		}
 		top := e.coarseIntra(orig, x, y, size)
 		if e.rec != nil {
-			// The coarse ranking (prediction of every profile mode) is the
+			// The coarse ranking (modes scored, survivors predicted) is the
 			// intra-search share; the full-RD trials below charge their
 			// transform+quant work to the transform stage on their own.
 			e.rec.intraNs += int64(time.Since(tIntra))

@@ -174,41 +174,6 @@ func TestAddClipSSEEquivalence(t *testing.T) {
 	}
 }
 
-// TestSADWithinEquivalence holds the Planar/DC coarse score, on every kernel
-// path and at every size, to its definition: over pixel blocks, for the
-// unbounded SAD and for bounds at, one below and one above every row's running
-// sum, and between two rows' sums — where stopping anywhere but at the end of
-// the row the sum passes the bound would return another partial sum.
-func TestSADWithinEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(57))
-	pix := make([]uint8, 2*maxBlock)
-	for draw := 0; draw < 2000; draw++ {
-		size := 4 << (draw % 4)
-		n2 := size * size
-		drawPixels(rng, pix[:n2], size, draw/4)
-		drawPixels(rng, pix[n2:2*n2], size, draw/12)
-		a, b := make([]int32, n2), make([]int32, n2)
-		for i := range a {
-			a[i], b[i] = int32(pix[i]), int32(pix[n2+i])
-		}
-		bounds := []int64{math.MaxInt64, 0, -1}
-		var sum int64
-		for i := range a {
-			sum += int64(max(a[i]-b[i], b[i]-a[i]))
-			if i%size == size-1 {
-				bounds = append(bounds, sum-1, sum, sum+1, sum+rng.Int63n(int64(size)*255+1))
-			}
-		}
-		kernelPaths(func(simd bool) {
-			for _, bound := range bounds {
-				if got, want := sadWithin(a, b, size, bound), sadWithinDef(a, b, size, bound); got != want {
-					t.Fatalf("draw %d (size %d simd %v) bound %d: %d, definition %d", draw, size, simd, bound, got, want)
-				}
-			}
-		})
-	}
-}
-
 // TestStoreEquivalence holds a leaf's commit, on every kernel path and at
 // every size, to its definition: blocks at drawn positions of a plane of
 // noise, predictions of pixels or of values outside the pixel range, residuals

@@ -7,9 +7,6 @@ func subAVX2(dst, a, b *int32, count int)
 func addClipSSEAVX2(rec, pred, orig *int32, count int) (sse int64)
 
 //go:noescape
-func sadRowsAVX2(a, b *int32, n int, bound int64) int64
-
-//go:noescape
 func storeAVX2(pix *uint8, stride int, pred, res *int32, n int)
 
 //go:noescape

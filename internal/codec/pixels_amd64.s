@@ -69,58 +69,6 @@ clip:
 	VZEROUPPER
 	RET
 
-// func sadRowsAVX2(a, b *int32, n int, bound int64) int64
-//
-// sadWithin for n a multiple of 8: row r's Σ|a − b| in eight int32 lanes,
-// which wrap as the pure-Go row sum does, reduced and sign-extended at the
-// row's end into the running sum — returned at the end of the first row where
-// it exceeds bound, the full SAD otherwise.
-//
-// SI a, DX b, R8 bound, R9 the row's bytes, R10 the column's offset, BX rows
-// left, AX the running sum; Y0 the row's lanes.
-TEXT ·sadRowsAVX2(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DX
-	MOVQ n+16(FP), BX
-	MOVQ bound+24(FP), R8
-	MOVQ BX, R9
-	SHLQ $2, R9
-	XORQ AX, AX
-
-row:
-	VPXOR Y0, Y0, Y0
-	XORQ  R10, R10
-
-col:
-	VMOVDQU (SI)(R10*1), Y1
-	VPSUBD  (DX)(R10*1), Y1, Y1
-	VPABSD  Y1, Y1
-	VPADDD  Y1, Y0, Y0
-	ADDQ    $32, R10
-	CMPQ    R10, R9
-	JNE     col
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0x4E, X0, X1
-	VPADDD X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPADDD X1, X0, X0
-	VMOVD X0, R11
-	MOVLQSX R11, R11
-	ADDQ R11, AX
-	CMPQ AX, R8
-	JGT  done
-	ADDQ R9, SI
-	ADDQ R9, DX
-	DECQ BX
-	JNZ  row
-
-done:
-	MOVQ AX, ret+32(FP)
-	VZEROUPPER
-	RET
-
 // func storeAVX2(pix *uint8, stride int, pred, res *int32, n int)
 //
 // storeResidual for n a multiple of 8: row r of the block, at pix plus

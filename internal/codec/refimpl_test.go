@@ -25,7 +25,6 @@ import (
 //	gatherRefsInto             gatherRefsDef over the coverage a coding pass
 //	                           leaves (codingOrder)
 //	coarseIntra                coarseIntraDef
-//	sadWithin                  sadWithinDef
 //	computeStats               sseDef
 //	cabac.DecodeLevels         parseResidualPerBin over a perBinDecoder
 //	ransChunk.parseResidual    parseSymbolsDef: one symbol a read
@@ -265,20 +264,6 @@ func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, pred
 		preds[mi] = pred
 	}
 	return top
-}
-
-// sadWithinDef is the early-exit SAD by definition: the per-pixel |a − b|
-// summed row by row, stopping at the end of the first row where the running
-// sum exceeds bound.
-func sadWithinDef(a, b []int32, size int, bound int64) int64 {
-	var sum int64
-	for i := range a[:size*size] {
-		sum += int64(max(a[i]-b[i], b[i]-a[i]))
-		if i%size == size-1 && sum > bound {
-			break
-		}
-	}
-	return sum
 }
 
 // sseDef is computeStats' sum of squared errors by definition: a float64

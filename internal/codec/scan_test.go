@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/intra"
 )
 
 func TestScanOrderIsPermutation(t *testing.T) {
@@ -108,16 +110,19 @@ func TestScanLookupsAllocationFree(t *testing.T) {
 	_ = sink
 }
 
-// TestEarlyExitSADKeepsTheRanking: scoring modes with sadWithin against the
+// TestEarlyExitSADKeepsTheRanking: scoring modes with Scorer.SAD against the
 // running bound must select the same modes, in the same order, as scoring
-// every mode in full and ranking afterwards — on flat blocks full of ties as
-// much as on busy ones.
+// every mode in full and ranking afterwards — on every kernel path, for mode
+// lists of any length and order, raw and smoothed, on flat blocks full of
+// ties as much as on busy ones.
 func TestEarlyExitSADKeepsTheRanking(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10000; trial++ {
+	var sc intra.Scorer
+	for trial := 0; trial < 5000; trial++ {
 		size := 4 << rng.Intn(4)
 		n2 := size * size
-		modes := 1 + rng.Intn(35)
+		perm := rng.Perm(intra.NumModes)[:1+rng.Intn(intra.NumModes)]
+		modes := len(perm)
 		amp := int32(1 + rng.Intn(3)) // small amplitudes: many tying scores
 		if trial%4 == 0 {
 			amp = 255
@@ -126,58 +131,60 @@ func TestEarlyExitSADKeepsTheRanking(t *testing.T) {
 		for i := range orig {
 			orig[i] = rng.Int31n(amp + 1)
 		}
-		preds := make([][]int32, modes)
-		for m := range preds {
-			preds[m] = make([]int32, n2)
-			for i := range preds[m] {
-				preds[m][i] = rng.Int31n(amp + 1)
-			}
-			if m > 0 && rng.Intn(4) == 0 {
-				copy(preds[m], preds[rng.Intn(m)]) // an exact tie
-			}
+		refs := intra.NewRefs(size)
+		refs.Corner = rng.Int31n(amp + 1)
+		for i := range refs.Above {
+			refs.Above[i], refs.Left[i] = rng.Int31n(amp+1), rng.Int31n(amp+1)
+		}
+		smoothed := make([]bool, modes)
+		for m := range smoothed {
+			smoothed[m] = rng.Intn(2) == 0
 		}
 		k := rdCandidates - trial%2
 
-		full := topModes{k: k}
-		early := topModes{k: k}
-		sads := make([]int64, modes)
-		for m, pred := range preds {
-			sads[m] = sadWithin(orig, pred, size, math.MaxInt64)
-			full.offer(m, sads[m])
-			early.offer(m, sadWithin(orig, pred, size, early.bound()))
-		}
-		// The contract both must meet: a stable sort by (SAD ascending,
-		// scoring index descending), cut at k.
-		ref := make([]int, modes)
-		for i := range ref {
-			ref[i] = i
-		}
-		sort.SliceStable(ref, func(a, b int) bool {
-			if sads[ref[a]] != sads[ref[b]] {
-				return sads[ref[a]] < sads[ref[b]]
+		kernelPaths(func(simd bool) {
+			sc.Reset(size, orig, refs, intra.NewRefs(size))
+			full := topModes{k: k}
+			early := topModes{k: k}
+			sads := make([]int64, modes)
+			for m, mode := range perm {
+				sads[m] = sc.SAD(intra.Mode(mode), smoothed[m], math.MaxInt64)
+				full.offer(m, sads[m])
+				early.offer(m, sc.SAD(intra.Mode(mode), smoothed[m], early.bound()))
 			}
-			return ref[a] > ref[b]
+			// The contract both must meet: a stable sort by (SAD ascending,
+			// scoring index descending), cut at k.
+			ref := make([]int, modes)
+			for i := range ref {
+				ref[i] = i
+			}
+			sort.SliceStable(ref, func(a, b int) bool {
+				if sads[ref[a]] != sads[ref[b]] {
+					return sads[ref[a]] < sads[ref[b]]
+				}
+				return ref[a] > ref[b]
+			})
+			if len(ref) > k {
+				ref = ref[:k]
+			}
+			if full.n != len(ref) {
+				t.Fatalf("trial %d simd %v: full scoring kept %d modes, want %d", trial, simd, full.n, len(ref))
+			}
+			for i, m := range ref {
+				if full.mi[i] != m {
+					t.Fatalf("trial %d simd %v: full scoring ranked %v, stable sort %v", trial, simd, full.mi[:full.n], ref)
+				}
+			}
+			if early.n != full.n || early.mi != full.mi {
+				t.Fatalf("trial %d (size %d, %d modes, k %d, simd %v): early exit picked %v, full scoring %v",
+					trial, size, modes, k, simd, early.mi[:early.n], full.mi[:full.n])
+			}
+			for i := 0; i < full.n; i++ {
+				if early.score[i] != full.score[i] {
+					t.Fatalf("trial %d simd %v: rank %d kept a partial score %d, full %d", trial, simd, i, early.score[i], full.score[i])
+				}
+			}
 		})
-		if len(ref) > k {
-			ref = ref[:k]
-		}
-		if full.n != len(ref) {
-			t.Fatalf("trial %d: full scoring kept %d modes, want %d", trial, full.n, len(ref))
-		}
-		for i, m := range ref {
-			if full.mi[i] != m {
-				t.Fatalf("trial %d: full scoring ranked %v, stable sort %v", trial, full.mi[:full.n], ref)
-			}
-		}
-		if early.n != full.n || early.mi != full.mi {
-			t.Fatalf("trial %d (size %d, %d modes, k %d): early exit picked %v, full scoring %v",
-				trial, size, modes, k, early.mi[:early.n], full.mi[:full.n])
-		}
-		for i := 0; i < full.n; i++ {
-			if early.score[i] != full.score[i] {
-				t.Fatalf("trial %d: rank %d kept a partial score %d, full %d", trial, i, early.score[i], full.score[i])
-			}
-		}
 	}
 }
 

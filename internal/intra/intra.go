@@ -99,19 +99,13 @@ func (r Refs) SmoothedInto(dst Refs) Refs {
 	if len(dst.Above) != n2 || len(dst.Left) != n2 {
 		panic("intra: SmoothedInto size mismatch")
 	}
-	s := dst
-	s.Corner = (r.Left[0] + 2*r.Corner + r.Above[0] + 2) >> 2
-	for i := 0; i < n2; i++ {
-		am1, lm1 := r.Corner, r.Corner
-		if i > 0 {
-			am1, lm1 = r.Above[i-1], r.Left[i-1]
-		}
-		ap1, lp1 := r.Above[n2-1], r.Left[n2-1]
-		if i < n2-1 {
-			ap1, lp1 = r.Above[i+1], r.Left[i+1]
-		}
-		s.Above[i] = (am1 + 2*r.Above[i] + ap1 + 2) >> 2
-		s.Left[i] = (lm1 + 2*r.Left[i] + lp1 + 2) >> 2
+	s, a, l := dst, r.Above, r.Left // the end taps read the corner and repeat the last sample
+	s.Corner = (l[0] + 2*r.Corner + a[0] + 2) >> 2
+	s.Above[0], s.Left[0] = (r.Corner+2*a[0]+a[1]+2)>>2, (r.Corner+2*l[0]+l[1]+2)>>2
+	s.Above[n2-1], s.Left[n2-1] = (a[n2-2]+3*a[n2-1]+2)>>2, (l[n2-2]+3*l[n2-1]+2)>>2
+	for i := 1; i < n2-1; i++ {
+		s.Above[i] = (a[i-1] + 2*a[i] + a[i+1] + 2) >> 2
+		s.Left[i] = (l[i-1] + 2*l[i] + l[i+1] + 2) >> 2
 	}
 	return s
 }
@@ -139,7 +133,8 @@ func UseSmoothing(n int, m Mode) bool {
 }
 
 // Predict fills dst (row-major n×n) with the prediction of mode m from refs.
-// n must be a power of two.
+// n must be a power of two. Blocks cpufeat.Lanes8 admits are predicted in
+// int16 lanes, by the kernels Scorer predicts with.
 func Predict(m Mode, n int, refs Refs, dst []int32) {
 	if len(dst) != n*n {
 		panic("intra: bad dst size")
@@ -147,7 +142,11 @@ func Predict(m Mode, n int, refs Refs, dst []int32) {
 	if n&(n-1) != 0 {
 		panic("intra: block size must be a power of two")
 	}
+	lanes := n <= MaxBlockSize && cpufeat.Lanes8(n)
 	switch {
+	case lanes && (m == Planar || m == DC):
+		var f planarForm
+		planarLinesAVX2(&f[0][0], nil, &dst[0], n, f.fill(m, n, refs), 0)
 	case m == Planar:
 		predictPlanar(n, refs, dst)
 	case m == DC:
@@ -155,6 +154,14 @@ func Predict(m Mode, n int, refs Refs, dst []int32) {
 	case m >= 2 && m <= 34:
 		var buf [3*MaxBlockSize + 2]int32
 		ref, angle := angularRef(&buf, m, n, refs)
+		if lanes {
+			var ref16 [packedRefLen]int16
+			for i, v := range ref {
+				ref16[i] = int16(v)
+			}
+			predLinesAVX2(&ref16[0], &dst[0], n, int(angle), Horizontal(m))
+			return
+		}
 		for l := 0; l < n; l++ {
 			if Horizontal(m) {
 				angularColumn(dst[l:], ref, n, int32(l+1)*angle)
@@ -243,6 +250,35 @@ func angularRef(buf *[3*MaxBlockSize + 2]int32, m Mode, n int, r Refs) (ref []in
 	return ref, angle
 }
 
+// planarForm is Planar or DC as planarLinesAVX2 computes it: row y is (L[y]·W
+// + V + y·D) >> log2(2n) — for Planar W = n−1−x, V = (n−1)·above[x] + bl +
+// (x+1)·tr + n, D = bl − above[x] and L the left column; for DC W = D = 0 and
+// V the mean's numerator. The terms are non-negative and sum to at most
+// 255·2n + n = 16,352 at n = 32: int16 lanes hold them exactly.
+type planarForm [4][MaxBlockSize]int16
+
+// fill writes mode m's form for the n×n block of references r and returns
+// the shift.
+func (f *planarForm) fill(m Mode, n int, r Refs) int {
+	w, v, d, l := f[0][:n], f[1][:n], f[2][:n], f[3][:n]
+	if m == DC {
+		var sum int32
+		for i := 0; i < n; i++ {
+			sum += r.Above[i] + r.Left[i]
+		}
+		for x := range v {
+			w[x], v[x], d[x] = 0, int16(sum+int32(n)), 0
+		}
+	} else {
+		tr, bl := r.Above[n], r.Left[n]
+		for x, a := range r.Above[:n] {
+			w[x], d[x], l[x] = int16(n-1-x), int16(bl-a), int16(r.Left[x])
+			v[x] = int16(int32(n-1)*a + bl + int32(x+1)*tr + int32(n))
+		}
+	}
+	return bits.TrailingZeros(uint(2 * n))
+}
+
 // negativeExtent is how many slots below the corner a mode of negative angle
 // might read: ceil(n·|angle|/32).
 func negativeExtent(n int, angle int32) int { return (int(-angle)*n + 31) >> 5 }
@@ -291,8 +327,9 @@ func angularColumn(col, ref []int32, n int, pos int32) {
 	}
 }
 
-// Scorer ranks the angular modes of one n×n block by their sum of absolute
-// differences from the source without writing a prediction: four samples ride
+// Scorer ranks the modes of one n×n block by their sum of absolute
+// differences from the source without writing a prediction, and then writes
+// the predictions of the modes it kept. On the packed path four samples ride
 // in the 16-bit lanes of a uint64 through the interpolation of angularLine and
 // through the SAD. What is mode-independent is prepared once per block — the
 // source and its transpose packed four samples a word (biased, see SAD), and
@@ -303,16 +340,17 @@ func angularColumn(col, ref []int32, n int, pos int32) {
 //
 // so that the samples a line blends, ref[i+x] and ref[i+1+x], are the lanes of
 // two adjacent words at any start i. Each is packed when a mode first needs
-// it. Where the CPU has AVX2 (sad_amd64.s), blocks of n ≥ 8 are scored from
-// int16 copies of the same lines and arrays instead, a whole mode per call;
-// which form a block uses is fixed at Reset. A Scorer is ≈ 13 KB of fixed
-// arrays: it belongs in a per-worker arena and is not safe for concurrent use.
+// it. Where cpufeat.Lanes8 admits the block (sad_amd64.s), it is scored and
+// predicted from int16 copies of the same lines and arrays instead, a whole
+// mode per call; which form a block uses is fixed at Reset. A Scorer is ≈ 17 KB
+// of fixed arrays: it belongs in a per-worker arena and is not safe for
+// concurrent use.
 type Scorer struct {
 	n        int
 	src      []int32 // the block, row-major
 	refs     [2]Refs // raw, smoothed
 	smoothed bool    // refs[1] has been filled
-	simd     bool    // scored by sadLinesAVX2 from line16 and ref16
+	simd     bool    // scored by the int16 lane kernels from line16 and ref16
 	// line[o] holds the source as orientation o scores it — rows for the
 	// vertical modes (0), columns for the horizontal ones (1) — n/4 words a
 	// line, each lane a sample plus sadBias.
@@ -328,6 +366,7 @@ type Scorer struct {
 	// n+1, the spare slot at 3n+1 zero, projected side samples below n.
 	line16 [2][MaxBlockSize * MaxBlockSize]int16
 	ref16  [2][2][packedRefLen]int16
+	pred   [MaxBlockSize * MaxBlockSize]int32 // Planar or DC, scored on the packed path
 }
 
 // packedRefLen is angularRef's 3·MaxBlockSize+2 rounded up to a power of two,
@@ -379,21 +418,14 @@ func b2i(b bool) int {
 // packLines fills line[o]: the block's rows (o = 0) or columns (o = 1).
 func (sc *Scorer) packLines(o int) {
 	n, src := sc.n, sc.src
+	sc.lineReady[o] = true
+	if sc.simd {
+		packLinesAVX2(&src[0], &sc.line16[o][0], n, o == 1)
+		return
+	}
 	step, next := 1, n // from one sample of a line to the next; from one line to the next
 	if o == 1 {
 		step, next = n, 1
-	}
-	sc.lineReady[o] = true
-	if sc.simd {
-		out := sc.line16[o][:n*n]
-		for l := 0; l < n; l++ {
-			at := l * next
-			for j := range out[l*n : l*n+n] {
-				out[l*n+j] = int16(src[at])
-				at += step
-			}
-		}
-		return
 	}
 	out := sc.line[o][:n*n/4]
 	for l := 0; l < n; l++ {
@@ -419,11 +451,10 @@ func (sc *Scorer) packRef(f, o int) {
 	sc.refReady[f][o] = true
 	if sc.simd {
 		p := &sc.ref16[f][o]
-		p[n] = int16(r.Corner)
+		p[n], p[3*n+1] = int16(r.Corner), 0
 		for i, v := range main[:2*n] {
 			p[n+1+i] = int16(v)
 		}
-		p[3*n+1] = 0
 		return
 	}
 	p := &sc.ref[f][o]
@@ -435,11 +466,37 @@ func (sc *Scorer) packRef(f, o int) {
 	p[n] = w<<16 | uint64(r.Corner)
 }
 
-// SAD returns what scoring angular mode m line by line against the source
-// gives: the sum of absolute differences between Predict's block and the
-// source or, once the running sum at the end of a line exceeds bound, that
-// partial sum. The terms are non-negative, so a partial sum above bound means
-// the full SAD is above it too.
+// ready readies angular mode m's main array in the form the block scores in:
+// packed once per block and filter, and for a negative angle extended
+// downwards by the projected side samples, as angularRef does, every time —
+// the words below the corner belong to whichever mode was readied last.
+func (sc *Scorer) ready(m Mode, smoothed bool) (f, o int) {
+	f, o = b2i(smoothed), b2i(Horizontal(m))
+	if !sc.refReady[f][o] {
+		sc.packRef(f, o)
+	}
+	n, angle, side := sc.n, angleTable[m-2], [2][]int32{sc.refs[f].Left, sc.refs[f].Above}[o]
+	if angle < 0 {
+		inv, need := invAngleTable[-angle], negativeExtent(n, angle)
+		p16, p, w := &sc.ref16[f][o], &sc.ref[f][o], sc.ref[f][o][n]
+		for i := 1; i <= need; i++ {
+			v := side[projectedSide(i, inv, n)]
+			if sc.simd {
+				p16[n-i] = int16(v)
+			} else {
+				w = w<<16 | uint64(v)
+				p[n-i] = w
+			}
+		}
+	}
+	return f, o
+}
+
+// SAD returns what scoring mode m line by line against the source gives: the
+// sum of absolute differences between Predict's block and the source or, once
+// the running sum at the end of a line exceeds bound, that partial sum. The
+// terms are non-negative, so a partial sum above bound means the full SAD is
+// above it too. Planar's and DC's lines are rows.
 //
 // Exactness. A line blends a = ref[i+x], b = ref[i+1+x] as (a<<5 +
 // frac·(b−a) + 16) >> 5 = ((32−frac)·a + frac·b + 16) >> 5. With a, b ≤ 255
@@ -455,44 +512,37 @@ func (sc *Scorer) packRef(f, o int) {
 // lanes that sums them into the top lane cannot carry either. sadLinesAVX2
 // computes the same integers in signed 16-bit lanes, one sample each: a<<5 ≤
 // 8160, |frac·(b−a)| ≤ 31·255 and the numerator ≤ 8176 < 2¹⁵, so no lane
-// overflows; |v−s| ≤ 255 is VPABSW of the difference.
+// overflows; |v−s| ≤ 255 is VPABSW of the difference. Planar and DC go
+// through planarForm, whose int16 words are exact.
 func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
-	if m < 2 || m > 34 {
-		panic("intra: Scorer.SAD of a non-angular mode")
-	}
-	f, o := b2i(smoothed), b2i(Horizontal(m))
-	if !sc.refReady[f][o] {
-		sc.packRef(f, o)
-	}
+	n, o := sc.n, b2i(Horizontal(m))
 	if !sc.lineReady[o] {
 		sc.packLines(o)
 	}
-	n, angle := sc.n, angleTable[m-2]
-	// A negative angle extends the array downwards by the projected side
-	// samples, as angularRef does.
-	side := sc.refs[f].Left
-	if o == 1 {
-		side = sc.refs[f].Above
-	}
-	if sc.simd {
-		ref := &sc.ref16[f][o]
-		if angle < 0 {
-			inv, need := invAngleTable[-angle], negativeExtent(n, angle)
-			for i := 1; i <= need; i++ {
-				ref[n-i] = int16(side[projectedSide(i, inv, n)])
+	if m == Planar || m == DC {
+		if sc.simd {
+			var f planarForm
+			return planarLinesAVX2(&f[0][0], &sc.line16[0][0], nil, n, f.fill(m, n, sc.Refs(smoothed)), bound)
+		}
+		pred := sc.pred[:n*n]
+		Predict(m, n, sc.Refs(smoothed), pred)
+		var sum int64
+		for y := 0; y < n; y++ {
+			for x, s := range sc.src[y*n : y*n+n] {
+				sum += int64(max(s-pred[y*n+x], pred[y*n+x]-s))
+			}
+			if sum > bound {
+				break
 			}
 		}
-		return sadLinesAVX2(&ref[0], &sc.line16[o][0], n, int(angle), bound)
+		return sum
+	}
+	f, _ := sc.ready(m, smoothed)
+	angle := angleTable[m-2]
+	if sc.simd {
+		return sadLinesAVX2(&sc.ref16[f][o][0], &sc.line16[o][0], n, int(angle), bound)
 	}
 	ref := &sc.ref[f][o]
-	if angle < 0 {
-		inv, need := invAngleTable[-angle], negativeExtent(n, angle)
-		w := ref[n]
-		for i := 1; i <= need; i++ {
-			w = w<<16 | uint64(side[projectedSide(i, inv, n)])
-			ref[n-i] = w
-		}
-	}
 	words := n / 4
 	src := sc.line[o][:n*words]
 	var sum int64
@@ -504,6 +554,18 @@ func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 		}
 	}
 	return sum
+}
+
+// Predict writes mode m's prediction from the references, raw or smoothed,
+// to dst: Predict's block, an angular one made from the scorer's own int16
+// array where the block scores in lanes.
+func (sc *Scorer) Predict(m Mode, smoothed bool, dst []int32) {
+	if !sc.simd || m < 2 || len(dst) != sc.n*sc.n {
+		Predict(m, sc.n, sc.Refs(smoothed), dst)
+		return
+	}
+	f, o := sc.ready(m, smoothed)
+	predLinesAVX2(&sc.ref16[f][o][0], &dst[0], sc.n, int(angleTable[m-2]), Horizontal(m))
 }
 
 // lineSAD is the SAD of one line: the samples blended at weight frac from ref

@@ -247,19 +247,105 @@ func TestPredictionPropertyBounded(t *testing.T) {
 }
 
 // TestPredictEquivalence holds Predict, every mode of it, to its definition
-// for every size and every reference set forEachBlock makes.
+// on every kernel path, for every size and every reference set forEachBlock
+// makes (flat ones at 0 and 255, the ends of Planar's int16 range, among
+// them, and smoothed ones).
 func TestPredictEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{4, 8, 16, 32} {
 		got, want := make([]int32, n*n), make([]int32, n*n)
 		forEachBlock(rng, n, make([]int32, n*n), func(r Refs, what string) {
 			for m := Mode(0); m < NumModes; m++ {
-				for i := range got {
-					got[i], want[i] = -1, -2
-				}
-				Predict(m, n, r, got)
 				predictDef(m, n, r, want)
-				requireSameBlock(t, got, want, "n=%d %s mode %d", n, what, m)
+				kernelPaths(func(simd bool) {
+					for i := range got {
+						got[i] = -1
+					}
+					Predict(m, n, r, got)
+					requireSameBlock(t, got, want, "n=%d %s mode %d simd %v", n, what, m, simd)
+				})
+			}
+		})
+	}
+}
+
+// TestSmoothEquivalence holds Refs.SmoothedInto to its definition.
+func TestSmoothEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{4, 8, 16, 32} {
+		forEachBlock(rng, n, make([]int32, n*n), func(r Refs, what string) {
+			got, want := r.SmoothedInto(NewRefs(n)), smoothDef(r)
+			requireSameBlock(t, append(append([]int32{got.Corner}, got.Above...), got.Left...),
+				append(append([]int32{want.Corner}, want.Above...), want.Left...), "n=%d %s: corner, above, left", n, what)
+		})
+	}
+}
+
+// TestPackLinesEquivalence holds the scorer's source lines, on every kernel
+// path, to the block's rows and columns: the int16 copies sample for sample,
+// the packed words lane for lane less their bias.
+func TestPackLinesEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var sc Scorer
+	for _, n := range []int{4, 8, 16, 32} {
+		src := make([]int32, n*n)
+		forEachBlock(rng, n, src, func(r Refs, what string) {
+			kernelPaths(func(simd bool) {
+				sc.Reset(n, src, r, NewRefs(n))
+				for o, columns := range []bool{false, true} {
+					sc.packLines(o)
+					for l := 0; l < n; l++ {
+						for j := 0; j < n; j++ {
+							got := int32(sc.line16[o][l*n+j])
+							if !sc.simd {
+								got = int32(sc.line[o][(l*n+j)/4]>>(16*(j%4))&0xFFFF) - 0x7FFF
+							}
+							if want := linesDef(src, n, columns, l, j); got != want {
+								t.Fatalf("n=%d %s simd %v columns %v: line %d sample %d = %d, definition %d", n, what, sc.simd, columns, l, j, got, want)
+							}
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestScorerPredictReprojects: the survivors are predicted after the search
+// has scored other modes, so the words below the corner of a negative-angle
+// survivor's int16 array hold the projection of whichever mode of its
+// orientation and filter was scored last. For every ordered pair of distinct
+// negative-angle modes sharing an orientation, Scorer.Predict of one after
+// scoring the other must still write its own prediction.
+func TestScorerPredictReprojects(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var sc Scorer
+	for _, n := range []int{8, 16, 32} {
+		src, got, want := make([]int32, n*n), make([]int32, n*n), make([]int32, n*n)
+		r := NewRefs(n)
+		r.Corner = int32(rng.Intn(256))
+		for i := range r.Above {
+			r.Above[i], r.Left[i] = int32(rng.Intn(256)), int32(rng.Intn(256))
+		}
+		for i := range src {
+			src[i] = int32(rng.Intn(256))
+		}
+		negative := func(m Mode) bool { return m >= 2 && angleTable[m-2] < 0 }
+		kernelPaths(func(simd bool) {
+			for a := Mode(2); a < NumModes; a++ {
+				for b := Mode(2); b < NumModes; b++ {
+					if a == b || !negative(a) || !negative(b) || Horizontal(a) != Horizontal(b) {
+						continue
+					}
+					for _, smoothed := range []bool{false, true} {
+						sc.Reset(n, src, r, NewRefs(n))
+						sc.SAD(a, smoothed, math.MaxInt64)
+						sc.SAD(b, smoothed, math.MaxInt64)
+						sc.Predict(a, smoothed, got)
+						predictDef(a, n, sc.Refs(smoothed), want)
+						requireSameBlock(t, got, want, "n=%d simd %v smoothed %v: mode %d predicted after scoring mode %d", n, simd, smoothed, a, b)
+					}
+				}
 			}
 		})
 	}
@@ -279,14 +365,15 @@ func TestSIMDScoreEquivalence(t *testing.T) {
 }
 
 // scoreEquivalence holds Scorer.SAD, on one kernel path, to the score by
-// definition for every angular mode, both filters (the scorer's own
-// smoothing) and every size, on forEachBlock's references and sources — at no
-// bound, at a bound exactly at each line's running sum and one below it (the
-// exit the kernel must take at that line, not a line later), below the first
-// line, at fractions of the full SAD, at 0 and below. Modes are scored in a
-// random order within one Reset, so that a negative-angle mode's extension of
-// the shared array must not survive into the next mode's score. On the AVX2
-// path, after each mode the int16 array is angularRefDef's, spare slot
+// definition for every mode, both filters (the scorer's own smoothing) and
+// every size, on forEachBlock's references and sources — at no bound, at a
+// bound exactly at each line's running sum and one below it (the exit the
+// kernel must take at that line, not a line later; the last line's is the
+// exact SAD), below the first line, at fractions of the full SAD, at 0 and
+// below — and Scorer.Predict to predictDef. Modes are scored in a random
+// order within one Reset, so that a negative-angle mode's extension of the
+// shared array must not survive into the next mode's score. On the AVX2 path,
+// after each angular mode the int16 array is angularRefDef's, spare slot
 // included, over the span the mode reads — blocks go largest first, so the
 // slots a smaller block does not write hold a larger one's samples.
 func scoreEquivalence(t *testing.T, simd bool, seed int64) {
@@ -297,18 +384,23 @@ func scoreEquivalence(t *testing.T, simd bool, seed int64) {
 		smoothInto := NewRefs(n)
 		forEachBlock(rng, n, src, func(r Refs, what string) {
 			var cums [2][NumModes][]int64
-			for m := Mode(2); m < NumModes; m++ {
-				cums[0][m] = lineSADs(m, n, r, src)
-				cums[1][m] = lineSADs(m, n, r.SmoothedInto(NewRefs(n)), src)
+			var preds [2][NumModes][]int32
+			for m := Mode(0); m < NumModes; m++ {
+				for f, ref := range []Refs{r, r.SmoothedInto(NewRefs(n))} {
+					cums[f][m] = lineSADs(m, n, ref, src)
+					preds[f][m] = make([]int32, n*n)
+					predictDef(m, n, ref, preds[f][m])
+				}
 			}
-			order := rng.Perm(33)
+			got := make([]int32, n*n)
+			order := rng.Perm(NumModes)
 			onPath(simd, func() {
 				sc.Reset(n, src, r, smoothInto)
 				if sc.simd != (simd && n >= 8) {
 					t.Fatalf("n=%d simd %v: scorer took the AVX2 form = %v", n, simd, sc.simd)
 				}
 				for _, k := range order {
-					m := Mode(2 + k)
+					m := Mode(k)
 					for f, smoothed := range []bool{false, true} {
 						cum := cums[f][m]
 						bounds := []int64{math.MaxInt64, cum[0] - 1, cum[n-1] / 2, cum[n-1] / 7, 0, -1}
@@ -321,7 +413,9 @@ func scoreEquivalence(t *testing.T, simd bool, seed int64) {
 									n, what, m, smoothed, bound, cum[n-1], simd, got, want)
 							}
 						}
-						if !sc.simd {
+						sc.Predict(m, smoothed, got)
+						requireSameBlock(t, got, preds[f][m], "n=%d %s mode %d smoothed=%v simd %v: Scorer.Predict", n, what, m, smoothed, simd)
+						if !sc.simd || m < 2 {
 							continue
 						}
 						want := angularRefDef(m, n, sc.Refs(smoothed))
@@ -342,14 +436,16 @@ func scoreEquivalence(t *testing.T, simd bool, seed int64) {
 	}
 }
 
-// FuzzSIMDKernels: any 8-bit block and references, any angular mode, filter
-// and bound score on every kernel path as the definition scores them. The
-// seeds sit at the ends of the sample range and at line exits; plain `go
-// test` replays them.
+// FuzzSIMDKernels: any 8-bit block and references, any mode, filter and
+// bound score on every kernel path as the definition scores them, and
+// Predict and Scorer.Predict write the definition's block. The seeds sit at
+// the ends of the sample range and at line exits, every mode on every size
+// both raw and smoothed; plain `go test` replays them.
 func FuzzSIMDKernels(f *testing.F) {
+	bounds := []int64{math.MaxInt64, 0, 255, 254}
 	for si := 0; si < 4; si++ {
 		n := 4 << si
-		for _, fill := range [][2]byte{{0, 255}, {255, 0}, {77, 77}, {0, 0}} {
+		for fi, fill := range [][2]byte{{0, 255}, {255, 0}, {77, 77}, {0, 0}, {255, 255}} {
 			data := make([]byte, 1+4*n+n*n)
 			for i := range data {
 				data[i] = fill[i%2]
@@ -357,16 +453,14 @@ func FuzzSIMDKernels(f *testing.F) {
 					data[i] = fill[1-i%2]
 				}
 			}
-			for _, m := range []uint8{2, 10, 11, 18, 25, 26, 34} {
-				for _, bound := range []int64{math.MaxInt64, 0, int64(255 * n), int64(255*n) - 1} {
-					f.Add(uint8(si), m, m%2 == 0, bound, data)
-				}
+			for m := 0; m < NumModes; m++ {
+				f.Add(uint8(si), uint8(m), (m+fi)%2 == 0, bounds[(m+fi)%4]*int64(n), data)
 			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, size, mode uint8, smoothed bool, bound int64, data []byte) {
 		n := 4 << (size % 4)
-		m := Mode(2 + mode%33)
+		m := Mode(mode % NumModes)
 		sample := func(i int) int32 {
 			if len(data) == 0 {
 				return 0
@@ -387,6 +481,8 @@ func FuzzSIMDKernels(f *testing.F) {
 			ref = r.SmoothedInto(NewRefs(n))
 		}
 		cum := lineSADs(m, n, ref, src)
+		want, got := make([]int32, n*n), make([]int32, n*n)
+		predictDef(m, n, ref, want)
 		kernelPaths(func(simd bool) {
 			var sc Scorer
 			sc.Reset(n, src, r, NewRefs(n))
@@ -395,6 +491,10 @@ func FuzzSIMDKernels(f *testing.F) {
 					t.Fatalf("n=%d mode %d smoothed=%v bound %d, simd %v: score %d, definition %d", n, m, smoothed, b, simd, got, want)
 				}
 			}
+			sc.Predict(m, smoothed, got)
+			requireSameBlock(t, got, want, "n=%d mode %d smoothed=%v simd %v: Scorer.Predict", n, m, smoothed, simd)
+			Predict(m, n, ref, got)
+			requireSameBlock(t, got, want, "n=%d mode %d smoothed=%v simd %v: Predict", n, m, smoothed, simd)
 		})
 	})
 }
@@ -436,6 +536,7 @@ func BenchmarkPredictAngular32(b *testing.B) {
 	benchPredict(b, 32, func(i int) Mode { return Mode(2 + i%33) })
 }
 func BenchmarkPredictPlanar16(b *testing.B) { benchPredict(b, 16, func(int) Mode { return Planar }) }
+func BenchmarkPredictDC16(b *testing.B)     { benchPredict(b, 16, func(int) Mode { return DC }) }
 
 func benchPredict(b *testing.B, n int, mode func(i int) Mode) {
 	_, refs := benchBlocks(n, benchBlockCount)
@@ -451,6 +552,23 @@ func BenchmarkScoreAngular4(b *testing.B)  { benchScoreAngular(b, 4) }
 func BenchmarkScoreAngular8(b *testing.B)  { benchScoreAngular(b, 8) }
 func BenchmarkScoreAngular16(b *testing.B) { benchScoreAngular(b, 16) }
 func BenchmarkScoreAngular32(b *testing.B) { benchScoreAngular(b, 32) }
+
+// BenchmarkScorePlanarDC16 times the scores the coarse search opens a leaf
+// with: point the scorer at the block, score Planar and DC against no bound
+// (b.N counts leaves).
+func BenchmarkScorePlanarDC16(b *testing.B) {
+	const n = 16
+	srcs, refs := benchBlocks(n, benchBlockCount)
+	var sc Scorer
+	smooth := NewRefs(n)
+	b.SetBytes(int64(n * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Reset(n, srcs[i%benchBlockCount], refs[i%benchBlockCount], smooth)
+		sc.SAD(Planar, true, math.MaxInt64)
+		sc.SAD(DC, false, math.MaxInt64)
+	}
+}
 
 // benchScoreAngular times the angular part of the coarse search as decideLeaf
 // runs it on one leaf: point the scorer at the block, score all 33 angular
@@ -481,7 +599,7 @@ func benchScoreAngular(b *testing.B, n int) {
 			}
 		}
 		for _, m := range mode {
-			Predict(m, n, sc.Refs(UseSmoothing(n, m)), pred)
+			sc.Predict(m, UseSmoothing(n, m), pred)
 		}
 	}
 }

@@ -14,8 +14,11 @@ import (
 //	Predict, angular   predictDef: the per-pixel formula over angularRefDef's array
 //	Predict, Planar    predictDef: the dividing formula
 //	Predict, DC        predictDef: the dividing mean
+//	Scorer.Predict     predictDef
 //	Scorer.SAD         sadDef over lineSADs: predictDef's block scored line by
 //	                   line, cut at the end of the first line above the bound
+//	Scorer.packLines   linesDef: the block's rows or columns
+//	Refs.SmoothedInto  smoothDef: the [1 2 1] tap over the corner-joined array
 //
 // beside the inputs the tests share (forEachBlock) and the kernel paths they
 // run on (kernelPaths).
@@ -95,7 +98,7 @@ func predictDef(m Mode, n int, r Refs, dst []int32) {
 
 // lineSADs returns the running sum at the end of each line of mode m's
 // prediction by definition from refs against src (lines are columns for a
-// horizontal mode).
+// horizontal mode, rows for every other).
 func lineSADs(m Mode, n int, refs Refs, src []int32) []int64 {
 	pred := make([]int32, n*n)
 	predictDef(m, n, refs, pred)
@@ -104,7 +107,7 @@ func lineSADs(m Mode, n int, refs Refs, src []int32) []int64 {
 	for l := range cum {
 		for x := 0; x < n; x++ {
 			i := l*n + x
-			if m < 18 {
+			if m >= 2 && m < 18 {
 				i = x*n + l
 			}
 			sum += int64(max(pred[i]-src[i], src[i]-pred[i]))
@@ -123,6 +126,42 @@ func sadDef(cum []int64, bound int64) int64 {
 		}
 	}
 	return cum[len(cum)-1]
+}
+
+// linesDef is line l of the n×n block src as the scorer reads it: row l
+// (columns false) or column l, sample j at j.
+func linesDef(src []int32, n int, columns bool, l, j int) int32 {
+	if columns {
+		return src[j*n+l]
+	}
+	return src[l*n+j]
+}
+
+// smoothDef is Refs.SmoothedInto by definition: the array left[2n−1] …
+// left[0], corner, above[0] … above[2n−1], each sample replaced by (before +
+// 2·itself + after + 2) / 4, where the two ends stand in for their own
+// missing neighbour.
+func smoothDef(r Refs) Refs {
+	n2 := len(r.Above)
+	var line []int32
+	for i := n2 - 1; i >= 0; i-- {
+		line = append(line, r.Left[i])
+	}
+	line = append(append(line, r.Corner), r.Above...)
+	at := func(i int) int32 { return line[min(max(i, 0), len(line)-1)] }
+	s := NewRefs(n2 / 2)
+	for i := range line {
+		v := (at(i-1) + 2*line[i] + at(i+1) + 2) / 4
+		switch {
+		case i < n2:
+			s.Left[n2-1-i] = v
+		case i == n2:
+			s.Corner = v
+		default:
+			s.Above[i-n2-1] = v
+		}
+	}
+	return s
 }
 
 // kernelPaths calls f once for each kernel path this host runs, with
