@@ -200,7 +200,7 @@ fuzz-smoke:
 # §13.4) — and the whole-stack decode at one worker under either backend.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x
-	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar|DC)|Score(Angular|PlanarDC)|TrialResidual|EstimateLevelBits|ParseResidual|PredecodeRANS|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
+	$(GO) test -run '^$$' -bench 'Forward|Inverse|Quantize|Dequantize|Predict(Angular|Planar|DC)|Score(Angular|PlanarDC)|TrialResidual|EstimateLevelBits|ParseResidual|EmitResidual|PredecodeRANS|ReconstructCTU' -benchtime=2000x ./internal/dct/ ./internal/intra/ ./internal/codec/
 	$(GO) test -run '^$$' -bench 'Decode(Layer|Stack)(CABAC|RANS)' -benchtime=200x .
 
 # Parent-vs-working-tree A/B of the repository benchmark, the procedure any

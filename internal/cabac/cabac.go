@@ -65,17 +65,20 @@ func (e *Encoder) Reset() {
 	e.out = e.out[:0]
 }
 
-func (e *Encoder) shiftLow() {
-	if uint32(e.low) < 0xFF000000 || e.low>>32 != 0 {
-		carry := byte(e.low >> 32)
+// shiftLow moves the top byte of low out — into the cache, or into the
+// output with the carry settled — and returns low shifted up a byte. It takes
+// low as a value so that EncodeLevels can keep its copy in a register.
+func (e *Encoder) shiftLow(low uint64) uint64 {
+	if uint32(low) < 0xFF000000 || low>>32 != 0 {
+		carry := byte(low >> 32)
 		for ; e.cacheSize > 0; e.cacheSize-- {
 			e.out = append(e.out, e.cache+carry)
 			e.cache = 0xFF
 		}
-		e.cache = byte(e.low >> 24)
+		e.cache = byte(low >> 24)
 	}
 	e.cacheSize++
-	e.low = e.low << 8 & 0xFFFFFFFF
+	return low << 8 & 0xFFFFFFFF
 }
 
 // EncodeBit codes one bin with adaptive context ctx.
@@ -90,7 +93,7 @@ func (e *Encoder) EncodeBit(ctx *Context, bin int) {
 	ctx.update(bin)
 	for e.rng < topValue {
 		e.rng <<= 8
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 }
 
@@ -102,7 +105,7 @@ func (e *Encoder) EncodeBypass(bin int) {
 	}
 	for e.rng < topValue {
 		e.rng <<= 8
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 }
 
@@ -116,9 +119,131 @@ func (e *Encoder) EncodeBypassBits(v uint32, n uint) {
 // Finish flushes the arithmetic engine and returns the bitstream.
 func (e *Encoder) Finish() []byte {
 	for i := 0; i < 5; i++ {
-		e.shiftLow()
+		e.low = e.shiftLow(e.low)
 	}
 	return e.out
+}
+
+// The two steps of the encoder's arithmetic on a register copy of the engine,
+// for EncodeLevels to inline: EncodeBit is encodeBin then renorm,
+// EncodeBypass is bypassEnc then renorm. (The per-bin entry points keep their
+// own spelling of it, which is what the differential tests hold these to.)
+
+// encodeBin codes bin on ctx, adapting it, and leaves the range to be
+// renormalised.
+func encodeBin(low uint64, rng uint32, ctx *Context, bin bool) (uint64, uint32) {
+	p := uint32(ctx.p)
+	bound := rng >> probBits * p
+	if !bin {
+		ctx.p = uint16(p + (probMax-p)>>adaptRate)
+		return low, bound
+	}
+	ctx.p = uint16(p - p>>adaptRate)
+	return low + uint64(bound), rng - bound
+}
+
+// bypassEnc codes bypass bin (0 or 1) and leaves the range to be
+// renormalised.
+func bypassEnc(low uint64, rng, bin uint32) (uint64, uint32) {
+	rng >>= 1
+	return low + uint64(rng&-bin), rng
+}
+
+// renorm renormalises: while the range is short it shifts a byte of low out.
+// Its test inlines at every bin; the loop, run about once a byte of output,
+// stays out of line.
+func (e *Encoder) renorm(low uint64, rng uint32) (uint64, uint32) {
+	if rng < topValue {
+		return e.renormSlow(low, rng)
+	}
+	return low, rng
+}
+
+//go:noinline
+func (e *Encoder) renormSlow(low uint64, rng uint32) (uint64, uint32) {
+	for rng < topValue {
+		rng <<= 8
+		low = e.shiftLow(low)
+	}
+	return low, rng
+}
+
+// EncodeLevels codes one residual level block — DecodeLevels' syntax, whose
+// inverse it is — in one pass, holding the engine's low and range in locals
+// from the coded-block flag to the last sign and writing them back once.
+//
+// The flag, on cbf, is whether any level of lev is non-zero; lev is
+// row-major, indexed by scan's entries, and holds the block's levels there
+// and nothing non-zero anywhere else. When the flag is set, each position i
+// of scan gets a significance bin on ctx[sigSlot[i]] and a non-zero level
+// its greater-than-1 bin on g1, its greater-than-2 bin on g2, |level|−3 as an
+// Exp-Golomb escape in bypass bins (its order k adapting upwards with the
+// remainders seen) and its sign as one bypass bin.
+//
+// Every bin is the arithmetic of EncodeBit or EncodeBypass on the same
+// context in the same order, so the bytes, the contexts and the encoder's
+// state afterwards are those of one call per bin, carries included. Like the
+// per-bin escape it panics on a remainder whose Exp-Golomb order would pass
+// 30, which no level of magnitude below 2³⁰ reaches.
+func (e *Encoder) EncodeLevels(lev []int32, scan []int, sigSlot []uint8, ctx []Context, cbf, g1, g2 *Context) {
+	low, rng := e.low, e.rng
+	coded := false
+	for _, l := range lev {
+		if l != 0 {
+			coded = true
+			break
+		}
+	}
+	low, rng = encodeBin(low, rng, cbf, coded)
+	low, rng = e.renorm(low, rng)
+	if coded {
+		sigSlot = sigSlot[:len(scan)]
+		k := uint(0)
+		for i, at := range scan {
+			// Most coefficients are zero, and that outcome is the short path:
+			// testing it first folds the significance bin's own branch away.
+			l, c := lev[at], &ctx[sigSlot[i]]
+			if l == 0 {
+				low, rng = encodeBin(low, rng, c, false)
+				low, rng = e.renorm(low, rng)
+				continue
+			}
+			low, rng = encodeBin(low, rng, c, true)
+			low, rng = e.renorm(low, rng)
+			a := uint32(max(l, -l))
+			low, rng = encodeBin(low, rng, g1, a > 1)
+			low, rng = e.renorm(low, rng)
+			if a > 1 {
+				low, rng = encodeBin(low, rng, g2, a > 2)
+				low, rng = e.renorm(low, rng)
+			}
+			if a > 2 {
+				rem := a - 3
+				v, n := rem, k
+				for v >= 1<<n {
+					low, rng = bypassEnc(low, rng, 1)
+					low, rng = e.renorm(low, rng)
+					v -= 1 << n
+					n++
+					if n > 30 {
+						panic("cabac: exp-Golomb overflow")
+					}
+				}
+				low, rng = bypassEnc(low, rng, 0)
+				low, rng = e.renorm(low, rng)
+				for ; n > 0; n-- {
+					low, rng = bypassEnc(low, rng, v>>(n-1)&1)
+					low, rng = e.renorm(low, rng)
+				}
+				if rem > 3<<k && k < 4 {
+					k++
+				}
+			}
+			low, rng = bypassEnc(low, rng, uint32(l)>>31)
+			low, rng = e.renorm(low, rng)
+		}
+	}
+	e.low, e.rng = low, rng
 }
 
 // BitLenEstimate reports the current output length in bits, including bits

@@ -1,8 +1,10 @@
 package cabac
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -331,4 +333,166 @@ func TestDecodeLevelsEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// encodeLevelsPerBin is EncodeLevels' contract spelled with the per-bin entry
+// points: one EncodeBit, EncodeBypass or EncodeBypassBits call per syntax
+// element, the escape as the HEVC coeff_abs_level_remaining binarization.
+func encodeLevelsPerBin(e *Encoder, lev []int32, scan []int, sigSlot []uint8, ctx []Context, cbf, g1, g2 *Context) {
+	coded := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
+	e.EncodeBit(cbf, b2i(coded))
+	if !coded {
+		return
+	}
+	k := uint(0)
+	for i, at := range scan {
+		l := lev[at]
+		e.EncodeBit(&ctx[sigSlot[i]], b2i(l != 0))
+		if l == 0 {
+			continue
+		}
+		a := max(l, -l)
+		e.EncodeBit(g1, b2i(a > 1))
+		if a > 1 {
+			e.EncodeBit(g2, b2i(a > 2))
+		}
+		if a > 2 {
+			rem := uint32(a - 3)
+			v, n := rem, k
+			for v >= 1<<n {
+				e.EncodeBypass(1)
+				v -= 1 << n
+				n++
+			}
+			e.EncodeBypass(0)
+			e.EncodeBypassBits(v, n)
+			if rem > 3<<k && k < 4 {
+				k++
+			}
+		}
+		e.EncodeBypass(b2i(l < 0))
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// drawLevelBlock fills lev (n entries) with one of the block shapes the
+// residual syntax meets: all zeros (no coded-block flag), sparse, dense ±1/±2,
+// escape-heavy (remainders past 3<<k walk the order up to 4) and a lone level
+// up to 2¹⁶.
+func drawLevelBlock(rng *rand.Rand, lev []int32, shape int) {
+	clear(lev)
+	sign := func(a int32) int32 {
+		if rng.Intn(2) == 0 {
+			return -a
+		}
+		return a
+	}
+	switch shape {
+	case 0: // cbf 0
+	case 1: // sparse
+		for range 1 + rng.Intn(4) {
+			lev[rng.Intn(len(lev))] = sign(int32(1 + rng.Intn(6)))
+		}
+	case 2: // dense ±1/±2
+		for i := range lev {
+			lev[i] = int32(rng.Intn(5)) - 2
+		}
+	case 3: // escapes, growing so that k adapts to 4
+		for i := range lev {
+			if rng.Intn(3) != 0 {
+				lev[i] = sign(int32(1 + rng.Intn(3+i)))
+			}
+		}
+	case 4: // one large level
+		lev[rng.Intn(len(lev))] = sign(int32(1 + rng.Intn(1<<16)))
+	}
+}
+
+// TestEncodeLevelsEquivalence holds the block encode to the per-bin one: the
+// same bytes, context states and engine registers (low, range, cache and its
+// pending count) after every block, over drawn scans and slot tables at
+// n = 4…32, block shapes from cbf-0 to escapes that walk the order to 4 and
+// levels up to 2¹⁶, and contexts started at both ends of their range, where
+// one bin takes the most renormalisation. A fixed draw of dense blocks runs
+// long enough to carry through pending 0xFF bytes, which the test checks it
+// met. Each stream then decodes back to its levels through DecodeLevels.
+func TestEncodeLevelsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const slots = 40
+	carries := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 16 << uint(2*rng.Intn(4))
+		scan, sigSlot := rng.Perm(n), make([]uint8, n)
+		for i := range sigSlot {
+			sigSlot[i] = uint8(rng.Intn(slots))
+		}
+		p0 := []float64{0.6, 0.3, 1.0 / probMax, 31.0 / probMax, 2017.0 / probMax, 2047.0 / probMax}[trial%6]
+		var ctxs [2][slots + 3]Context
+		for s := range ctxs[0] {
+			ctxs[0][s] = NewContext(p0)
+		}
+		ctxs[1] = ctxs[0]
+		start := ctxs[0]
+		encs := [2]*Encoder{NewEncoder(), NewEncoder()}
+		blocks := 4
+		if trial%50 == 0 {
+			blocks = 400 // long dense streams: carries through runs of 0xFF
+		}
+		var levs [][]int32
+		for block := 0; block < blocks; block++ {
+			lev := make([]int32, n)
+			shape := block % 5
+			if blocks > 4 {
+				shape = 2
+			}
+			drawLevelBlock(rng, lev, shape)
+			levs = append(levs, lev)
+			a, b := &ctxs[0], &ctxs[1]
+			encs[0].EncodeLevels(lev, scan, sigSlot, a[:slots], &a[slots], &a[slots+1], &a[slots+2])
+			encodeLevelsPerBin(encs[1], lev, scan, sigSlot, b[:slots], &b[slots], &b[slots+1], &b[slots+2])
+			if w := encs[1]; w.low>>32 != 0 && w.cacheSize > 1 {
+				carries++ // the next block's first shift carries into the cache through cacheSize−1 0xFF bytes
+			}
+			if *a != *b {
+				t.Fatalf("trial %d block %d: context states differ", trial, block)
+			}
+			g, w := encs[0], encs[1]
+			if g.low != w.low || g.rng != w.rng || g.cache != w.cache || g.cacheSize != w.cacheSize {
+				t.Fatalf("trial %d block %d: engine (low %#x rng %#x cache %#x pending %d), per-bin (low %#x rng %#x cache %#x pending %d)",
+					trial, block, g.low, g.rng, g.cache, g.cacheSize, w.low, w.rng, w.cache, w.cacheSize)
+			}
+			if !bytes.Equal(g.out, w.out) {
+				t.Fatalf("trial %d block %d: %d bytes out, per-bin %d, or they differ", trial, block, len(g.out), len(w.out))
+			}
+		}
+		stream := encs[0].Finish()
+		if !bytes.Equal(stream, encs[1].Finish()) {
+			t.Fatalf("trial %d: the finished streams differ", trial)
+		}
+		// The round trip: the stream decodes to its levels, contexts in step.
+		d, dctx, got := NewDecoder(stream), start, make([]int32, n)
+		for block, lev := range levs {
+			if !d.DecodeLevels(got, scan, sigSlot, dctx[:slots], &dctx[slots], &dctx[slots+1], &dctx[slots+2], 1<<16) {
+				t.Fatalf("trial %d block %d: DecodeLevels refuses the stream", trial, block)
+			}
+			for i := range lev {
+				if got[i] != lev[i] {
+					t.Fatalf("trial %d block %d: level [%d] decodes to %d, encoded %d", trial, block, i, got[i], lev[i])
+				}
+			}
+		}
+		if dctx != ctxs[0] {
+			t.Fatalf("trial %d: decoder's contexts end differently from the encoder's", trial)
+		}
+	}
+	if carries == 0 {
+		t.Fatal("no block ended with a carry pending over 0xFF bytes")
+	}
+	t.Logf("%d blocks ended with a carry pending over 0xFF bytes", carries)
 }

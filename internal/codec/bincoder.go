@@ -1,10 +1,6 @@
 package codec
 
-import (
-	"slices"
-
-	"repro/internal/cabac"
-)
+import "repro/internal/cabac"
 
 // binEncoder abstracts the entropy back-end: CABAC, or the rANS backend's
 // symbol recorder (ransBinEnc).
@@ -45,12 +41,22 @@ type cabacBinEnc struct {
 	ctx *contexts
 }
 
-func (c *cabacBinEnc) bit(slot, bin int)                    { c.e.EncodeBit(&c.ctx[slot], bin) }
-func (c *cabacBinEnc) bypass(bin int)                       { c.e.EncodeBypass(bin) }
-func (c *cabacBinEnc) bypassBits(v uint32, n uint)          { c.e.EncodeBypassBits(v, n) }
-func (c *cabacBinEnc) levels(lev []int32, size int, t bool) { emitLevels(c, lev, size, t) }
-func (c *cabacBinEnc) finish() []byte                       { return c.e.Finish() }
-func (c *cabacBinEnc) bitLen() int                          { return c.e.BitLenEstimate() }
+func (c *cabacBinEnc) bit(slot, bin int)           { c.e.EncodeBit(&c.ctx[slot], bin) }
+func (c *cabacBinEnc) bypass(bin int)              { c.e.EncodeBypass(bin) }
+func (c *cabacBinEnc) bypassBits(v uint32, n uint) { c.e.EncodeBypassBits(v, n) }
+func (c *cabacBinEnc) finish() []byte              { return c.e.Finish() }
+func (c *cabacBinEnc) bitLen() int                 { return c.e.BitLenEstimate() }
+
+// levels codes a level block in CABAC's residual syntax — the cbf, then per
+// scan position the significance bin and, for a non-zero level, the
+// greater-than-1 and -2 bins, the Exp-Golomb escape and the sign — as one
+// cabac.Encoder.EncodeLevels call.
+func (c *cabacBinEnc) levels(lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, sigSlot := residualScan(size, transformed)
+	ctx := c.ctx
+	c.e.EncodeLevels(lev, scan, sigSlot, ctx[:], &ctx[ctxCbf+si], &ctx[ctxG1+si], &ctx[ctxG2+si])
+}
 
 type cabacBinDec struct {
 	d   *cabac.Decoder
@@ -86,40 +92,6 @@ func egEncode(e binEncoder, v uint32, k uint) {
 	e.bypass(0)
 	if k > 0 {
 		e.bypassBits(v, k)
-	}
-}
-
-// emitLevels codes a level block as bins — the cbf, then per scan position
-// the significance bin and, for a non-zero level, the greater-than-1 and -2
-// bins, the Exp-Golomb escape and the sign: CABAC's residual syntax.
-func emitLevels(e binEncoder, lev []int32, size int, transformed bool) {
-	si := sizeIdx(size)
-	scan, sigSlot := residualScan(size, transformed)
-	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
-	e.bit(ctxCbf+si, b2i(cbf))
-	if !cbf {
-		return
-	}
-	k := uint(0)
-	for i, pos := range scan {
-		l := lev[pos]
-		e.bit(int(sigSlot[i]), b2i(l != 0))
-		if l == 0 {
-			continue
-		}
-		a := max(l, -l)
-		e.bit(ctxG1+si, b2i(a > 1))
-		if a > 1 {
-			e.bit(ctxG2+si, b2i(a > 2))
-		}
-		if a > 2 {
-			rem := uint32(a - 3)
-			egEncode(e, rem, k)
-			if rem > 3<<k && k < 4 {
-				k++
-			}
-		}
-		e.bypass(b2i(l < 0))
 	}
 }
 

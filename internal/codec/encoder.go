@@ -513,6 +513,9 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 	keepIfBetter(best, cuDec{mode: m, cost: e.rdCost(sse, rate+e.modeRate)}, lev, rec)
 }
 
+// noSmoothing is the smoothing row of a profile that never smooths.
+var noSmoothing [intra.NumModes]bool
+
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
 // SAD and returns the survivors that get a full RD trial, best first, each with
 // its prediction in scratch.predAt: every mode is scored, abandoned once it
@@ -524,13 +527,16 @@ func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	sc := &s.scorer
 	refs := gatherRefsInto(e.recon, e.prof.ctuSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
 	sc.Reset(size, orig, refs, intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-	smooth := func(m intra.Mode) bool { return e.prof.smoothing && intra.UseSmoothing(size, m) }
+	smooth := &noSmoothing
+	if e.prof.smoothing {
+		smooth = intra.SmoothingModes(size)
+	}
 	for mi, m := range e.prof.modes {
-		top.offer(mi, sc.SAD(m, smooth(m), top.bound()))
+		top.offer(mi, sc.SAD(m, smooth[m], top.bound()))
 	}
 	for _, mi := range top.mi[:top.n] {
 		m := e.prof.modes[mi]
-		sc.Predict(m, smooth(m), s.predAt(mi, size*size))
+		sc.Predict(m, smooth[m], s.predAt(mi, size*size))
 	}
 	return top
 }

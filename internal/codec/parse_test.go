@@ -295,7 +295,9 @@ func TestParseResidualEquivalence(t *testing.T) {
 	})
 
 	// Drawn blocks through the coder's levels, many to a payload so that
-	// contexts and the escape order adapt across them.
+	// contexts and the escape order adapt across them. On CABAC the encode
+	// side is held to its definition too: emitResidualPerBin into a second
+	// engine leaves the same engine state and contexts after every block.
 	coders := []struct {
 		name  string
 		tools Tools
@@ -312,6 +314,9 @@ func TestParseResidualEquivalence(t *testing.T) {
 			}
 			for draw := 0; draw < cd.draws; draw += perPayload {
 				re := newResidualEncoder(cd.tools)
+				var refCtx contexts
+				refCtx.init()
+				ref := &cabacBinEnc{e: cabac.NewEncoder(), ctx: &refCtx}
 				var blks []blk
 				for b := 0; b < perPayload; b++ {
 					size := 4 << uint((draw/perPayload+b)%4)
@@ -319,6 +324,12 @@ func TestParseResidualEquivalence(t *testing.T) {
 					drawLevels(rng, k.lev, size, k.transformed, rng.Intn(9))
 					re.emit(k.lev, size, k.transformed)
 					blks = append(blks, k)
+					if c, ok := re.e.bw.(*cabacBinEnc); ok {
+						emitResidualPerBin(ref, k.lev, size, k.transformed)
+						if !reflect.DeepEqual(*c.e, *ref.e) || re.ctx != refCtx {
+							t.Fatalf("payload %d block %d (n=%d): the block encode and emitResidualPerBin part", draw/perPayload, b, size)
+						}
+					}
 				}
 				ls := re.open(t)
 				for b, k := range blks {
@@ -595,6 +606,38 @@ func benchParseResidual(b *testing.B, tools Tools) {
 					refParse(ls.ref, lev, size, true)
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkEmitResidualCABAC times the CABAC residual emit of one block (b.N
+// counts blocks) over the level blocks benchParseResidual parses, 64 to a
+// payload, through cabacBinEnc.levels and through its definition.
+func BenchmarkEmitResidualCABAC(b *testing.B) {
+	const blocks = 64
+	for _, size := range []int{8, 16, 32} {
+		for _, pt := range benchQPs {
+			levs := benchLevelBlocks(size, blocks, pt.qp)
+			var ctx contexts
+			enc := &cabacBinEnc{e: cabac.NewEncoder(), ctx: &ctx}
+			for _, arm := range []struct {
+				suffix string
+				emit   func(lev []int32)
+			}{
+				{"", func(lev []int32) { enc.levels(lev, size, true) }},
+				{"-perbin", func(lev []int32) { emitResidualPerBin(enc, lev, size, true) }},
+			} {
+				b.Run(fmt.Sprintf("%s/n%d%s", pt.name, size, arm.suffix), func(b *testing.B) {
+					b.SetBytes(int64(size * size))
+					for i := 0; i < b.N; i++ {
+						if i%blocks == 0 {
+							enc.e.Reset()
+							ctx.init()
+						}
+						arm.emit(levs[i%blocks])
+					}
+				})
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cpufeat"
 	"repro/internal/dct"
@@ -27,6 +28,7 @@ import (
 //	coarseIntra                coarseIntraDef
 //	computeStats               sseDef
 //	cabac.DecodeLevels         parseResidualPerBin over a perBinDecoder
+//	cabac.EncodeLevels         emitResidualPerBin over a binEncoder
 //	ransChunk.parseResidual    parseSymbolsDef: one symbol a read
 //	ransChunk.predecode        predecodeDef: each state alone, one symbol a call
 //
@@ -277,6 +279,41 @@ func sseDef(planes, recs []*frame.Plane) float64 {
 		}
 	}
 	return sse
+}
+
+// emitResidualPerBin is the residual syntax by definition, one bin written
+// at a time — the cbf, then per scan position the significance bin and, for a
+// non-zero level, the greater-than-1 and -2 bins, the Exp-Golomb escape and
+// the sign: what cabacBinEnc.levels (cabac.EncodeLevels) is held to.
+func emitResidualPerBin(e binEncoder, lev []int32, size int, transformed bool) {
+	si := sizeIdx(size)
+	scan, sigSlot := residualScan(size, transformed)
+	cbf := slices.ContainsFunc(lev, func(l int32) bool { return l != 0 })
+	e.bit(ctxCbf+si, b2i(cbf))
+	if !cbf {
+		return
+	}
+	k := uint(0)
+	for i, pos := range scan {
+		l := lev[pos]
+		e.bit(int(sigSlot[i]), b2i(l != 0))
+		if l == 0 {
+			continue
+		}
+		a := max(l, -l)
+		e.bit(ctxG1+si, b2i(a > 1))
+		if a > 1 {
+			e.bit(ctxG2+si, b2i(a > 2))
+		}
+		if a > 2 {
+			rem := uint32(a - 3)
+			egEncode(e, rem, k)
+			if rem > 3<<k && k < 4 {
+				k++
+			}
+		}
+		e.bypass(b2i(l < 0))
+	}
 }
 
 // perBinDecoder is the bin reader the residual syntax is defined over: one

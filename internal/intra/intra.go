@@ -112,8 +112,29 @@ func (r Refs) SmoothedInto(dst Refs) Refs {
 
 // UseSmoothing reports whether HEVC would smooth references for the given
 // block size and mode: only blocks ≥ 8 and modes sufficiently far from pure
-// horizontal/vertical.
-func UseSmoothing(n int, m Mode) bool {
+// horizontal/vertical. It reads SmoothingModes(n).
+func UseSmoothing(n int, m Mode) bool { return SmoothingModes(n)[m] }
+
+// SmoothingModes returns, for blocks of edge n, which of the 35 modes smooth
+// their references: UseSmoothing as one table row per size class, for callers
+// that ask of every mode of a block.
+func SmoothingModes(n int) *[NumModes]bool {
+	return &smoothing[min(max(bits.Len(uint(n))-3, 0), len(smoothing)-1)]
+}
+
+// smoothing holds useSmoothing for the size classes n < 8, 8 ≤ n < 16,
+// 16 ≤ n < 32 and n ≥ 32, in which its answer does not change.
+var smoothing = func() (t [4][NumModes]bool) {
+	for c, n := range [len(t)]int{4, 8, 16, 32} {
+		for m := range t[c] {
+			t[c][m] = useSmoothing(n, Mode(m))
+		}
+	}
+	return t
+}()
+
+// useSmoothing is the rule SmoothingModes tabulates.
+func useSmoothing(n int, m Mode) bool {
 	if n < 8 || m == DC {
 		return false
 	}
@@ -289,6 +310,26 @@ func projectedSide(i int, inv int32, n int) int {
 	idx := (i*int(inv) + 128) >> 8
 	return min(max(idx, 1), 2*n) - 1
 }
+
+// projected[log2(n)−2][|angle|] lists, for a block of n ≤ MaxBlockSize and a
+// negative angle, where each sample below the corner comes from: entry i−1 is
+// projectedSide(i, invAngleTable[|angle|], n), for i = 1…negativeExtent.
+var projected = func() (t [4][33][]uint8) {
+	for s := range t {
+		n := 4 << s
+		for a, inv := range invAngleTable {
+			if inv == 0 {
+				continue
+			}
+			row := make([]uint8, negativeExtent(n, -int32(a)))
+			for i := range row {
+				row[i] = uint8(projectedSide(i+1, inv, n))
+			}
+			t[s][a] = row
+		}
+	}
+	return t
+}()
 
 // angularLine writes the line at position pos = (l+1)·angle into line (n
 // samples): straight-line code over one window of ref.
@@ -468,26 +509,35 @@ func (sc *Scorer) packRef(f, o int) {
 
 // ready readies angular mode m's main array in the form the block scores in:
 // packed once per block and filter, and for a negative angle extended
-// downwards by the projected side samples, as angularRef does, every time —
-// the words below the corner belong to whichever mode was readied last.
+// downwards by the projected side samples, as angularRef does (their indices
+// read off projected), every time — the words below the corner belong to
+// whichever mode was readied last.
 func (sc *Scorer) ready(m Mode, smoothed bool) (f, o int) {
 	f, o = b2i(smoothed), b2i(Horizontal(m))
 	if !sc.refReady[f][o] {
 		sc.packRef(f, o)
 	}
-	n, angle, side := sc.n, angleTable[m-2], [2][]int32{sc.refs[f].Left, sc.refs[f].Above}[o]
-	if angle < 0 {
-		inv, need := invAngleTable[-angle], negativeExtent(n, angle)
-		p16, p, w := &sc.ref16[f][o], &sc.ref[f][o], sc.ref[f][o][n]
-		for i := 1; i <= need; i++ {
-			v := side[projectedSide(i, inv, n)]
-			if sc.simd {
-				p16[n-i] = int16(v)
-			} else {
-				w = w<<16 | uint64(v)
-				p[n-i] = w
-			}
+	angle := angleTable[m-2]
+	if angle >= 0 {
+		return f, o
+	}
+	n, side := sc.n, sc.refs[f].Left
+	if o == 1 {
+		side = sc.refs[f].Above
+	}
+	from := projected[bits.TrailingZeros(uint(n))-2][-angle]
+	if sc.simd {
+		p := &sc.ref16[f][o]
+		for i, j := range from {
+			p[(n-1-i)&(packedRefLen-1)] = int16(side[j])
 		}
+		return f, o
+	}
+	p := &sc.ref[f][o]
+	w := p[n]
+	for i, j := range from {
+		w = w<<16 | uint64(side[j])
+		p[(n-1-i)&(packedRefLen-1)] = w
 	}
 	return f, o
 }

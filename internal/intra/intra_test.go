@@ -207,6 +207,20 @@ func TestSmoothingDecision(t *testing.T) {
 	}
 }
 
+// TestUseSmoothingTable holds the table UseSmoothing and SmoothingModes read
+// to the rule it is built from, for every mode at every block size the
+// codecs predict and one beyond.
+func TestUseSmoothingTable(t *testing.T) {
+	for _, n := range []int{4, 8, 16, 32, 64} {
+		row := SmoothingModes(n)
+		for m := Mode(0); m < NumModes; m++ {
+			if want := useSmoothing(n, m); UseSmoothing(n, m) != want || row[m] != want {
+				t.Fatalf("n=%d mode %d: UseSmoothing %v, SmoothingModes %v, rule %v", n, m, UseSmoothing(n, m), row[m], want)
+			}
+		}
+	}
+}
+
 func TestPredictionPropertyBounded(t *testing.T) {
 	// Property: predictions are convex-ish combinations of references, so
 	// min(ref) <= pred <= max(ref) within rounding slack.
