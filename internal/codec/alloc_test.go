@@ -125,3 +125,32 @@ func TestScratchPoolReuse(t *testing.T) {
 		t.Errorf("Encode+Decode round trip does %.0f allocs at steady state, want <= 64", a)
 	}
 }
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestAppenderDecodeAllocs: a KV-shaped read — Appender.Decode of two
+// 128×32 chunks on one worker — stays within its measured allocation count.
+// Decoding straight from the payloads takes 14 allocations; framing them
+// into a v3 container and decoding that took 20.
+func TestAppenderDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("absolute allocation counts are unstable under the race detector")
+	}
+	rng := rand.New(rand.NewSource(13))
+	planes := []*frame.Plane{gradientPlane(rng, 128, 32), gradientPlane(rng, 128, 32)}
+	app := NewAppender(24, HEVC, AllTools, 1, nil)
+	payloads, _, err := app.Append(context.Background(), planes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testing.AllocsPerRun(50, func() {
+		if _, err := app.Decode(context.Background(), 128, 32, payloads); err != nil {
+			panic(err)
+		}
+	})
+	if a > 14 {
+		t.Errorf("Appender.Decode of two 128x32 chunks does %.0f allocs, want <= 14", a)
+	}
+	t.Logf("%.0f allocations per read", a)
+}

@@ -199,10 +199,19 @@ func (d *Decoded) Recovered() int {
 // over partial recovery alike, since the caller has already walked away.
 func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error) {
 	m := newDecMetrics(cfg.Metrics)
+	var t0 time.Time
 	if m != nil {
 		m.calls.Inc()
+		t0 = time.Now()
 	}
-	d, err := decodeContainer(ctx, data, cfg, m)
+	pc, err := parseContainer(data, cfg.Partial, true)
+	if m != nil {
+		m.stageParse.ObserveSince(t0)
+	}
+	var d *Decoded
+	if err == nil {
+		d, err = decodeParsed(ctx, pc, cfg, m)
+	}
 	if err != nil {
 		m.countError(err)
 		return nil, err
@@ -218,13 +227,9 @@ func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error
 	return d, nil
 }
 
-// decodeContainer is the decode core: lenient-or-strict parse, optional
-// plane-window chunk selection, the chunk pool, then the error policy.
-func decodeContainer(ctx context.Context, data []byte, cfg DecodeConfig, m *decMetrics) (*Decoded, error) {
-	pc, err := parseContainerObs(data, cfg.Partial, m)
-	if err != nil {
-		return nil, err
-	}
+// decodeParsed is the decode core after the parse (Appender.Decode's too):
+// optional plane-window chunk selection, the chunk pool, the error policy.
+func decodeParsed(ctx context.Context, pc *parsedContainer, cfg DecodeConfig, m *decMetrics) (*Decoded, error) {
 	first, count := cfg.First, cfg.Count
 	if first == 0 && count == 0 {
 		count = len(pc.dims)

@@ -1,28 +1,23 @@
-// Incremental container growth for streaming sessions (DESIGN.md §16).
+// Chunk-at-a-time coding for streaming sessions (DESIGN.md §16).
 //
-// The one-shot encoders are pure functions: planes in, container out. A
-// streaming KV cache needs the two halves apart — chunks encoded one at a
-// time as token rows arrive and held by their owner, then framed into a
-// container only when a read wants some of them. Appender is those two
-// halves and holds nothing but coding parameters:
+// A streaming KV cache encodes chunks one at a time as token rows arrive,
+// holds them itself, and decodes the few a read wants. The chunks never leave
+// the process, so no container frames them. Appender is those two halves and
+// holds nothing but coding parameters:
 //
-//   - Append encodes its planes as one chunk per plane, bypassing chunkSpans'
-//     pixel-count batching, and returns the payloads. A chunk's bytes are
-//     therefore a pure function of its plane and the coding parameters, never
-//     of how many planes happened to arrive in one call — which is what lets
+//   - Append encodes each plane as one chunk, bypassing chunkSpans' batching,
+//     so a chunk's bytes are a pure function of its plane and the coding
+//     parameters, never of how many planes arrived in one call — which lets
 //     the kv tier key a chunk by the rows it encodes. codec.encode.chunks
 //     advances by exactly the number of planes in the call.
-//   - Frame(w, h, payloads) frames payloads of w×h planes into a standalone
-//     hardened v3 container (writeContainer): no entropy work, no plane
-//     data. The container decodes byte-identically to the same crop of a
-//     one-shot encode (append_test.go proves it at every worker count).
+//   - Decode runs payloads through the chunk pool Decode uses, minus the
+//     container parse; its planes equal the same crop of a one-shot encode's decode
+//     (append_test.go, at every worker count).
 //
 // Chunks are CABAC only: a rANS payload decodes against a probability table
-// built from every chunk of its container, which a growing container cannot
-// know, so Append and Frame refuse a rANS tool set.
+// built from every chunk of its container, so Append and Decode refuse rANS.
 //
-// An Appender is never written after NewAppender, so it is safe for
-// concurrent use.
+// An Appender is never written after NewAppender: safe for concurrent use.
 package codec
 
 import (
@@ -34,20 +29,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Appender encodes single-plane chunks and frames v3 containers over them.
+// Appender encodes single-plane chunks and decodes them.
 type Appender struct {
 	qp      int
 	prof    Profile
 	tools   Tools
 	workers int
 	m       *encMetrics
+	dm      *decMetrics
 }
 
 // NewAppender creates an appender with the given coding parameters.
 // Parameter validation happens on the first Append (it needs planes);
 // workers <= 0 selects GOMAXPROCS as everywhere in the engine.
 func NewAppender(qp int, prof Profile, tools Tools, workers int, reg *obs.Registry) *Appender {
-	return &Appender{qp: qp, prof: prof, tools: tools, workers: workers, m: newEncMetrics(reg)}
+	return &Appender{qp: qp, prof: prof, tools: tools, workers: workers, m: newEncMetrics(reg), dm: newDecMetrics(reg)}
 }
 
 // errAppendRANS refuses a rANS tool set (see the package doc).
@@ -88,22 +84,32 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneR
 	return payloads, st, nil
 }
 
-// Frame writes a standalone v3 container whose planes, numbered from zero,
-// are the given payloads, each one w×h plane that Append encoded with these
-// coding parameters. The payloads are copied; nothing is re-encoded.
-func (a *Appender) Frame(w, h int, payloads [][]byte) ([]byte, error) {
+// Decode returns the planes of payloads that Append encoded, each one w×h
+// plane, in order: a strict Decode of the container they would make, minus
+// the container and its parse-stage metric.
+func (a *Appender) Decode(ctx context.Context, w, h int, payloads [][]byte) ([]*frame.Plane, error) {
+	if a.dm != nil {
+		a.dm.calls.Inc()
+	}
 	if a.tools.Backend != BackendCABAC {
 		return nil, errAppendRANS
 	}
-	if len(payloads) == 0 || w <= 0 || h <= 0 || w > a.prof.MaxFrameDim() || h > a.prof.MaxFrameDim() {
-		return nil, fmt.Errorf("codec: cannot frame %d chunks of %dx%d planes", len(payloads), w, h)
+	if d := a.prof.MaxFrameDim(); len(payloads) == 0 || w <= 0 || h <= 0 || w > d || h > d ||
+		int64(w)*int64(h)*int64(len(payloads)) > maxDecodePixels {
+		return nil, fmt.Errorf("codec: cannot decode %d chunks of %dx%d planes", len(payloads), w, h)
 	}
-	dims := make([][2]int, len(payloads))
-	chunks := make([]chunkRec, len(payloads))
+	pc := &parsedContainer{prof: a.prof, tools: a.tools, qp: a.qp, dims: make([][2]int, len(payloads)), chunks: make([]chunkMeta, len(payloads))}
 	for i, p := range payloads {
-		dims[i] = [2]int{w, h}
-		chunks[i] = chunkRec{payload: p, planes: 1}
+		pc.dims[i] = [2]int{w, h}
+		pc.chunks[i] = chunkMeta{index: i, payload: p, dims: pc.dims[i : i+1], planeBase: i}
 	}
-	out, _ := writeContainer(versionChecksummed, dims, a.qp, a.prof, a.tools, nil, chunks)
-	return out, nil
+	d, err := decodeParsed(ctx, pc, DecodeConfig{Workers: a.workers}, a.dm)
+	if err != nil {
+		a.dm.countError(err)
+		return nil, err
+	}
+	if a.dm != nil {
+		a.dm.planes.Add(int64(len(d.Planes)))
+	}
+	return d.Planes, nil
 }

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -44,11 +45,11 @@ func appendSchedule(t *testing.T, app *Appender, planes []*frame.Plane, sizes []
 	return all
 }
 
-// TestAppenderFrameMatchesOneShot: at several worker counts, a container
-// framed over every appended payload decodes to exactly the planes a one-shot
-// encode of the same stack reconstructs — and a frame over any window of the
-// payloads equals the matching crop.
-func TestAppenderFrameMatchesOneShot(t *testing.T) {
+// TestAppenderDecodeMatchesOneShot: at several worker counts, Decode of
+// every appended payload returns exactly the planes a one-shot encode of the
+// same stack decodes to — and Decode of any window of the payloads returns
+// the matching crop.
+func TestAppenderDecodeMatchesOneShot(t *testing.T) {
 	planes := appendPlanes(11, 8)
 	oneShot, _, err := encodeAs(ContainerV3, planes, 24, HEVC, AllTools, 2)
 	if err != nil {
@@ -61,64 +62,40 @@ func TestAppenderFrameMatchesOneShot(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		app := NewAppender(24, HEVC, AllTools, workers, nil)
 		payloads := appendSchedule(t, app, planes, []int{1, 3, 2, 1, 1})
-		framed, err := app.Frame(32, 16, payloads)
+		got, err := app.Decode(context.Background(), 32, 16, payloads)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
-		got, err := decodeAll(framed, workers)
-		if err != nil {
-			t.Fatalf("workers %d: decoding the frame: %v", workers, err)
-		}
-		requirePlanesEqual(t, "frame vs one-shot", got, want)
+		requirePlanesEqual(t, "Decode vs one-shot", got, want)
 
-		// The frame is a plain v3 container: one chunk a plane.
-		lay, err := Layout(framed)
-		if err != nil || framed[4] != versionChecksummed || len(lay.Entries) != 8 {
-			t.Fatalf("frame layout: %+v, %v", lay, err)
-		}
-
-		// Windows: every window's frame equals the full decode's crop.
 		for _, win := range [][2]int{{0, 1}, {3, 2}, {7, 1}, {2, 6}} {
-			framed, err := app.Frame(32, 16, payloads[win[0]:win[0]+win[1]])
+			got, err := app.Decode(context.Background(), 32, 16, payloads[win[0]:win[0]+win[1]])
 			if err != nil {
-				t.Fatalf("Frame[%d,+%d): %v", win[0], win[1], err)
+				t.Fatalf("Decode[%d,+%d): %v", win[0], win[1], err)
 			}
-			got, err := decodeAll(framed, workers)
-			if err != nil {
-				t.Fatalf("decoding Frame[%d,+%d): %v", win[0], win[1], err)
-			}
-			requirePlanesEqual(t, "window frame", got, want[win[0]:win[0]+win[1]])
+			requirePlanesEqual(t, "window Decode", got, want[win[0]:win[0]+win[1]])
 		}
 	}
 }
 
-// TestAppenderScheduleIndependentBytes: the payload bytes (and so the framed
-// container) of appended planes depend only on the plane sequence, never on
-// how the appends were batched — the contract that lets the kv tier key a
-// chunk by the rows it encodes.
+// TestAppenderScheduleIndependentBytes: the payload bytes of appended planes
+// depend only on the plane sequence, never on how the appends were batched —
+// the contract that lets the kv tier key a chunk by the rows it encodes.
 func TestAppenderScheduleIndependentBytes(t *testing.T) {
 	planes := appendPlanes(23, 7)
 	schedules := [][]int{{7}, {1, 1, 1, 1, 1, 1, 1}, {2, 3, 2}, {1, 6}}
 	var refPayloads [][]byte
-	var refFrame []byte
 	for si, sizes := range schedules {
 		app := NewAppender(24, HEVC, AllTools, 2, nil)
 		payloads := appendSchedule(t, app, planes, sizes)
-		framed, err := app.Frame(32, 16, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if si == 0 {
-			refPayloads, refFrame = payloads, framed
+			refPayloads = payloads
 			continue
 		}
 		for i := range payloads {
 			if !bytes.Equal(payloads[i], refPayloads[i]) {
 				t.Fatalf("schedule %v: chunk %d payload differs", sizes, i)
 			}
-		}
-		if !bytes.Equal(framed, refFrame) {
-			t.Fatalf("schedule %v: framed bytes differ", sizes)
 		}
 	}
 }
@@ -155,7 +132,7 @@ func TestAppenderConcurrent(t *testing.T) {
 
 // TestAppenderNeverReencodes is the acceptance-criteria counter proof: each
 // Append advances codec.encode.chunks by exactly the planes it carried, and
-// framing the payloads for a read advances it by zero.
+// decoding the payloads for a read advances it by zero.
 func TestAppenderNeverReencodes(t *testing.T) {
 	planes := appendPlanes(5, 6)
 	reg := obs.NewRegistry()
@@ -176,53 +153,72 @@ func TestAppenderNeverReencodes(t *testing.T) {
 	}
 
 	before := chunks()
-	if _, err := app.Frame(32, 16, payloads); err != nil {
+	if _, err := app.Decode(context.Background(), 32, 16, payloads); err != nil {
 		t.Fatal(err)
 	}
 	if d := chunks() - before; d != 0 {
-		t.Fatalf("framing advanced encode.chunks by %d", d)
+		t.Fatalf("decoding advanced encode.chunks by %d", d)
 	}
 }
 
 // TestAppenderRefusesRANS: a rANS tool set is refused by Append and by
-// Frame, and Frame refuses geometry no container can carry.
+// Decode, and Decode refuses geometry no container could carry: a plane edge
+// outside (0, MaxFrameDim], no payloads, or more pixels than one decode may
+// allocate.
 func TestAppenderRefusesRANS(t *testing.T) {
+	ctx := context.Background()
 	planes := appendPlanes(17, 1)
 	app := NewAppender(24, HEVC, ransTools(), 1, nil)
-	if _, _, err := app.Append(context.Background(), planes, nil); err == nil {
+	if _, _, err := app.Append(ctx, planes, nil); err == nil {
 		t.Fatal("Append accepted a rANS tool set")
 	}
 	cabac := NewAppender(24, HEVC, AllTools, 1, nil)
 	payloads := appendSchedule(t, cabac, planes, []int{1})
-	if _, err := app.Frame(32, 16, payloads); err == nil {
-		t.Fatal("Frame accepted a rANS tool set")
+	if _, err := app.Decode(ctx, 32, 16, payloads); !errors.Is(err, errAppendRANS) {
+		t.Fatalf("Decode of a rANS tool set: %v, want the CABAC-only refusal", err)
 	}
 	for _, d := range [][2]int{{0, 16}, {32, -1}, {HEVC.MaxFrameDim() + 1, 16}} {
-		if _, err := cabac.Frame(d[0], d[1], payloads); err == nil {
-			t.Fatalf("Frame accepted %dx%d planes", d[0], d[1])
+		if _, err := cabac.Decode(ctx, d[0], d[1], payloads); err == nil {
+			t.Fatalf("Decode accepted %dx%d planes", d[0], d[1])
 		}
 	}
-	if _, err := cabac.Frame(32, 16, nil); err == nil {
-		t.Fatal("Frame accepted no payloads")
+	if _, err := cabac.Decode(ctx, 32, 16, nil); err == nil {
+		t.Fatal("Decode accepted no payloads")
+	}
+	side := HEVC.MaxFrameDim()
+	if _, err := cabac.Decode(ctx, side, side, make([][]byte, maxDecodePixels/(side*side)+1)); err == nil {
+		t.Fatalf("Decode accepted more than %d pixels", maxDecodePixels)
 	}
 }
 
-// TestAppenderFrameDecodeIsORegion: decoding a two-chunk frame out of a
-// ten-chunk session touches exactly two chunks — the decode.chunks bound
-// the GET ?range= path inherits.
-func TestAppenderFrameDecodeIsORegion(t *testing.T) {
+// TestAppenderDecodeIsORegion: decoding two chunks out of a ten-chunk
+// session touches exactly two chunks — the decode.chunks bound the GET
+// ?range= path inherits — and counts one call, two planes and no container
+// parse. A canceled read returns exactly ctx.Err() and counts as canceled.
+func TestAppenderDecodeIsORegion(t *testing.T) {
 	planes := appendPlanes(41, 10)
-	app := NewAppender(24, HEVC, AllTools, 1, nil)
-	payloads := appendSchedule(t, app, planes, []int{10})
-	framed, err := app.Frame(32, 16, payloads[4:6])
-	if err != nil {
-		t.Fatal(err)
-	}
+	payloads := appendSchedule(t, NewAppender(24, HEVC, AllTools, 1, nil), planes, []int{10})
 	reg := obs.NewRegistry()
-	if _, err := Decode(context.Background(), framed, DecodeConfig{Workers: 2, Metrics: reg}); err != nil {
+	app := NewAppender(24, HEVC, AllTools, 2, reg)
+	if _, err := app.Decode(context.Background(), 32, 16, payloads[4:6]); err != nil {
 		t.Fatal(err)
 	}
-	if n := reg.Snapshot().Counters["codec.decode.chunks"]; n != 2 {
-		t.Fatalf("two-chunk frame decode touched %d chunks", n)
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{"codec.decode.chunks": 2, "codec.decode.calls": 1, "codec.decode.planes": 2} {
+		if n := snap.Counters[name]; n != want {
+			t.Errorf("%s = %d after a two-chunk Decode, want %d", name, n, want)
+		}
+	}
+	if n := snap.Histograms["codec.decode.stage.parse_ns"].Count; n != 0 {
+		t.Errorf("Decode observed %d container parses, want none", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := app.Decode(ctx, 32, 16, payloads); err != context.Canceled {
+		t.Fatalf("canceled Decode: %v, want exactly context.Canceled", err)
+	}
+	if n := reg.Snapshot().Counters["codec.decode.errors.canceled"]; n != 1 {
+		t.Fatalf("codec.decode.errors.canceled = %d after a canceled Decode, want 1", n)
 	}
 }

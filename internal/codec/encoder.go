@@ -517,10 +517,10 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 var noSmoothing [intra.NumModes]bool
 
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
-// SAD and returns the survivors that get a full RD trial, best first, each with
-// its prediction in scratch.predAt: every mode is scored, abandoned once it
-// cannot enter the top set, and predicted only if it ends up in it. The
-// smoothed references are computed at most once per leaf.
+// SAD and returns the survivors that get a full RD trial, best first, the k-th
+// with its prediction in scratch.predAt(k): every mode is scored, abandoned
+// once it cannot enter the top set, and predicted only if it ends up in it.
+// The smoothed references are computed at most once per leaf.
 func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	s := e.scr
 	top := topModes{k: rdCandidates}
@@ -534,9 +534,9 @@ func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
 	for mi, m := range e.prof.modes {
 		top.offer(mi, sc.SAD(m, smooth[m], top.bound()))
 	}
-	for _, mi := range top.mi[:top.n] {
+	for k, mi := range top.mi[:top.n] {
 		m := e.prof.modes[mi]
-		sc.Predict(m, smooth[m], s.predAt(mi, size*size))
+		sc.Predict(m, smooth[m], s.predAt(k, size*size))
 	}
 	return top
 }
@@ -577,9 +577,9 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		// keepIfBetter's strict < never takes; only a score tie can hide one.
 	survivors:
 		for k, mi := range top.mi[:top.n] {
-			pred := s.predAt(mi, n2)
-			for j, mj := range top.mi[:k] {
-				if top.score[j] == top.score[k] && slices.Equal(pred, s.predAt(mj, n2)) {
+			pred := s.predAt(k, n2)
+			for j := range k {
+				if top.score[j] == top.score[k] && slices.Equal(pred, s.predAt(j, n2)) {
 					continue survivors
 				}
 			}

@@ -265,12 +265,12 @@ func sealRans(chunks []chunkRec, records []*ransRecord) []byte {
 // -------------------------------------------------------- container writer
 
 // writeContainer frames encoded chunks into a container of the given
-// version — the one place container bytes are assembled, shared by Encode
-// and Appender.Frame. Version 1 takes exactly one chunk. When tools selects a
-// non-CABAC backend (its tools byte carries toolsBackendExt), the backend
-// extension — backend id, then ransExt, the class tables sealRans serialized
-// — follows the qp byte. CABAC headers are byte-identical to the historical
-// layout. Returns the container and the summed payload length.
+// version — the one place container bytes are assembled. Version 1 takes
+// exactly one chunk. When tools selects a non-CABAC backend (its tools byte
+// carries toolsBackendExt), the backend extension — backend id, then
+// ransExt, the class tables sealRans serialized — follows the qp byte. CABAC
+// headers are byte-identical to the historical layout. Returns the container
+// and the summed payload length.
 func writeContainer(version byte, dims [][2]int, qp int, prof Profile, tools Tools, ransExt []byte, chunks []chunkRec) ([]byte, int) {
 	payloadLen := 0
 	for _, c := range chunks {
@@ -328,12 +328,11 @@ type chunkMeta struct {
 // plus the per-chunk payload windows. All bounds are checked against the
 // actual data length before any payload-sized state is allocated.
 type parsedContainer struct {
-	version byte
-	prof    Profile
-	tools   Tools
-	qp      int
-	dims    [][2]int
-	chunks  []chunkMeta
+	prof   Profile
+	tools  Tools
+	qp     int
+	dims   [][2]int
+	chunks []chunkMeta
 
 	// ransTabs are the rANS class tables from the header's backend
 	// extension; non-nil exactly when tools.Backend == BackendRANS and the
@@ -363,7 +362,7 @@ func parseContainer(data []byte, lenient, tables bool) (*parsedContainer, error)
 	default:
 		return nil, corruptf("codec: unsupported version %d", version)
 	}
-	pc := &parsedContainer{version: version}
+	pc := new(parsedContainer)
 	off, err := pc.parseHeader(data, tables)
 	if err != nil {
 		return nil, err
@@ -540,15 +539,4 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 		}
 	}
 	return planes, chunkErrs
-}
-
-// parseContainerObs is parseContainer with the container-parse stage timed.
-func parseContainerObs(data []byte, lenient bool, m *decMetrics) (*parsedContainer, error) {
-	if m == nil {
-		return parseContainer(data, lenient, true)
-	}
-	t0 := time.Now()
-	pc, err := parseContainer(data, lenient, true)
-	m.stageParse.ObserveSince(t0)
-	return pc, err
 }

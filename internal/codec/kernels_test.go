@@ -456,8 +456,8 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 				t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d, simd %v): survivors %v scores %v, definition %v scores %v",
 					draw, e.prof.name, size, x, y, kind, simd, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
 			}
-			for _, mi := range got.mi[:got.n] {
-				pred := s.predAt(mi, n2)
+			for k, mi := range got.mi[:got.n] {
+				pred := s.predAt(k, n2)
 				for i := range pred {
 					if pred[i] != preds[mi][i] {
 						t.Fatalf("draw %d (%s, size %d, simd %v): survivor mode %d prediction [%d] = %d, definition %d",

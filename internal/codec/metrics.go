@@ -34,12 +34,13 @@
 //	codec.decode.pool.{busy_ns,wall_ns}                       counters
 //	codec.decode.pool.workers                                 histogram
 //
-// codec.decode.calls counts every Decode invocation, whatever its outcome:
-// it is incremented once, on entry, before the first byte is looked at. A
-// call that fails — bad magic, a header-CRC mismatch, a damaged chunk on the
-// strict path, a cancellation — therefore counts as one call and one
-// errors.* increment, so errors/calls is the failure rate on every path
-// (TestDecodeCallsCountEveryInvocation pins one row per failure class).
+// codec.decode.calls counts every Decode and Appender.Decode invocation,
+// whatever its outcome: it is incremented once, on entry, before the first
+// byte is looked at. A call that fails — bad magic, a header-CRC mismatch, a
+// damaged chunk on the strict path, a cancellation — therefore counts as one
+// call and one errors.* increment, so errors/calls is the failure rate on
+// every path (TestDecodeCallsCountEveryInvocation pins one row per failure
+// class).
 // codec.encode.calls counts completed encodes only.
 //
 // The decode stage split mirrors encode's: one observation per chunk, summed

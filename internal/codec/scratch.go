@@ -45,9 +45,9 @@ type scratch struct {
 	mcPred   [maxBlock]int32 // motion-search probe prediction
 	nz       dct.RowMasks    // where a trial's, or a decoded leaf's, non-zero levels are
 
-	// predsArena holds one prediction block per profile mode so that every
-	// coarse-scored candidate stays available for the full-RD stage.
-	predsArena [intra.NumModes * maxBlock]int32
+	// predsArena holds one prediction block per coarse-search survivor, by
+	// rank, for the full-RD stage.
+	predsArena [rdCandidates * maxBlock]int32
 
 	// Intra reference rows: the gathered and the smoothed above/left arrays
 	// (2·maxCU each).
@@ -146,9 +146,9 @@ func (s *scratch) binEnc() binEncoder {
 	return &s.cabacEnc
 }
 
-// predAt returns the prediction buffer of the mi-th profile mode, sized n2.
-func (s *scratch) predAt(mi, n2 int) []int32 {
-	return s.predsArena[mi*maxBlock : mi*maxBlock+n2 : mi*maxBlock+n2]
+// predAt returns the prediction buffer of the k-th ranked survivor, sized n2.
+func (s *scratch) predAt(k, n2 int) []int32 {
+	return s.predsArena[k*maxBlock : k*maxBlock+n2 : k*maxBlock+n2]
 }
 
 // resetCTU recycles the node and levels arenas. Called before each CTU's

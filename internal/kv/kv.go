@@ -10,10 +10,10 @@
 //     codec.Appender. The committed prefix is never re-encoded —
 //     codec.encode.chunks advances by at most one per flushed group, proven
 //     in kv_test.go.
-//   - Reads decode only the chunks intersecting the requested token range
-//     (Appender.Frame → a v3 sub-container → codec.Decode),
-//     re-dequantize with the chunk's per-row scale/zero pairs, and splice in
-//     the raw tail bit-exactly.
+//   - Reads decode only the chunks intersecting the requested token range,
+//     straight from their payloads (Appender.Decode), re-dequantize with
+//     the chunk's per-row scale/zero pairs, and splice in the raw tail
+//     bit-exactly.
 //   - Aliasing: the table owns every chunk, in one refcounted map keyed by
 //     SHA-256 of the raw rows the chunk encodes. A chunk's payload and row
 //     parameters are a pure function of those rows (one CABAC chunk per
@@ -721,15 +721,11 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 		for i, c := range live {
 			payloads[i] = c.payload
 		}
-		snap, err := t.app.Frame(dim, f, payloads)
-		if err != nil {
-			return ReadResult{}, fmt.Errorf("kv: framing session %q: %v", name, err)
-		}
-		dec, err := codec.Decode(ctx, snap, codec.DecodeConfig{Workers: t.cfg.Workers, Metrics: t.cfg.Metrics})
+		planes, err := t.app.Decode(ctx, dim, f, payloads)
 		if err != nil {
 			return ReadResult{}, err
 		}
-		for i, p := range dec.Planes {
+		for i, p := range planes {
 			c, base := live[i], (first+i)*f
 			for y := 0; y < p.H; y++ {
 				r := base + y

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -24,8 +25,9 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 		ctx, cancel := context.WithCancel(r.Context())
 		return ctx, cancel, nil
 	}
-	ms, err := strconv.Atoi(raw)
-	if err != nil || ms <= 0 {
+	// The bound keeps ms×time.Millisecond from wrapping to a negative timeout.
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return nil, nil, fmt.Errorf("serve: bad deadline_ms %q", raw)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,7 +14,9 @@ import (
 // asctime forms http.ParseTime accepts). The returned duration is how long
 // the caller should wait from now; a date already in the past parses as 0.
 // ok is false for an empty, negative or unparseable value — callers fall
-// back to their own backoff schedule then.
+// back to their own backoff schedule then. A delta too long for a
+// time.Duration clamps to the longest whole-second one, so the caller's cap
+// applies.
 //
 // The proxy's retry loop honors the service's 429/503 hints through it, so
 // the two sides of the protocol cannot drift.
@@ -22,11 +25,8 @@ func ParseRetryAfter(value string, now time.Time) (wait time.Duration, ok bool) 
 	if value == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(value); err == nil {
-		if secs < 0 {
-			return 0, false
-		}
-		return time.Duration(secs) * time.Second, true
+	if secs, err := strconv.ParseInt(value, 10, 64); err == nil {
+		return time.Duration(min(max(secs, 0), math.MaxInt64/int64(time.Second))) * time.Second, secs >= 0
 	}
 	if t, err := http.ParseTime(value); err == nil {
 		d := t.Sub(now)

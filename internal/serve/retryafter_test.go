@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -18,6 +19,9 @@ func TestParseRetryAfter(t *testing.T) {
 		{"delta-zero", "0", 0, true},
 		{"delta-spaces", "  30 ", 30 * time.Second, true},
 		{"delta-negative", "-1", 0, false},
+		// Deltas whose nanoseconds overflow int64 clamp to the longest wait.
+		{"delta-overflow", "9223372037", math.MaxInt64 / time.Second * time.Second, true},
+		{"delta-overflow-wrap", "18446744073", math.MaxInt64 / time.Second * time.Second, true},
 		{"http-date-future", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second, true},
 		{"http-date-past", now.Add(-time.Hour).Format(http.TimeFormat), 0, true},
 		{"empty", "", 0, false},

@@ -193,6 +193,9 @@ func TestErrorTaxonomyStatuses(t *testing.T) {
 		{"empty-400", "/v1/decode", nil, http.StatusBadRequest, "truncated"},
 		// 2^62+1 layers × 4 × 1 wraps int64 to 4 values, which a 16-byte
 		// body matches: the size cap must refuse it without multiplying.
+		// 2^63 ns is ≈ 9223372036854 ms: one more must not wrap to an
+		// already-expired deadline (a 504).
+		{"deadline-overflow-400", "/v1/encode?rows=4&cols=4&qp=20&deadline_ms=9223372036855", make([]byte, 64), http.StatusBadRequest, "bad_request"},
 		{"size-overflow-400", "/v1/encode?layers=4611686018427387905&rows=4&cols=1&qp=20", make([]byte, 16), http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
