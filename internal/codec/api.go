@@ -210,7 +210,8 @@ func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error
 	}
 	var d *Decoded
 	if err == nil {
-		d, err = decodeParsed(ctx, pc, cfg, m)
+		d = &Decoded{Chunks: len(pc.chunks)}
+		d.Planes, d.Errors, err = decodeParsed(ctx, pc, cfg, m)
 	}
 	if err != nil {
 		m.countError(err)
@@ -229,16 +230,15 @@ func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error
 
 // decodeParsed is the decode core after the parse (Appender.Decode's too):
 // optional plane-window chunk selection, the chunk pool, the error policy.
-func decodeParsed(ctx context.Context, pc *parsedContainer, cfg DecodeConfig, m *decMetrics) (*Decoded, error) {
+func decodeParsed(ctx context.Context, pc *parsedContainer, cfg DecodeConfig, m *decMetrics) ([]*frame.Plane, []ChunkError, error) {
 	first, count := cfg.First, cfg.Count
 	if first == 0 && count == 0 {
 		count = len(pc.dims)
 	}
 	if first < 0 || count <= 0 || first > len(pc.dims) || count > len(pc.dims)-first {
-		return nil, fmt.Errorf("codec: planes [%d,%d) out of range for %d-plane container",
+		return nil, nil, fmt.Errorf("codec: planes [%d,%d) out of range for %d-plane container",
 			first, first+count, len(pc.dims))
 	}
-	nChunks := len(pc.chunks)
 	if count < len(pc.dims) {
 		// Keep only the chunks whose plane spans overlap the window. They
 		// keep their dims/planeBase/index, so decodeChunks still scatters
@@ -254,10 +254,10 @@ func decodeParsed(ctx context.Context, pc *parsedContainer, cfg DecodeConfig, m 
 	}
 	planes, chunkErrs := decodeChunks(ctx, pc, cfg.Workers, m)
 	if err := ctxErr(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !cfg.Partial && len(chunkErrs) > 0 {
-		return nil, chunkErrs[0]
+		return nil, nil, chunkErrs[0]
 	}
-	return &Decoded{Planes: planes[first : first+count], Chunks: nChunks, Errors: chunkErrs}, nil
+	return planes[first : first+count], chunkErrs, nil
 }

@@ -103,13 +103,13 @@ func (a *Appender) Decode(ctx context.Context, w, h int, payloads [][]byte) ([]*
 		pc.dims[i] = [2]int{w, h}
 		pc.chunks[i] = chunkMeta{index: i, payload: p, dims: pc.dims[i : i+1], planeBase: i}
 	}
-	d, err := decodeParsed(ctx, pc, DecodeConfig{Workers: a.workers}, a.dm)
+	planes, _, err := decodeParsed(ctx, pc, DecodeConfig{Workers: a.workers}, a.dm)
 	if err != nil {
 		a.dm.countError(err)
 		return nil, err
 	}
 	if a.dm != nil {
-		a.dm.planes.Add(int64(len(d.Planes)))
+		a.dm.planes.Add(int64(len(planes)))
 	}
-	return d.Planes, nil
+	return planes, nil
 }

@@ -454,47 +454,6 @@ func motionPredict(prev *frame.Plane, dst []int32, x, y, size int, mvx, mvy int3
 // rate-distortion trial.
 const rdCandidates = 3
 
-// topModes is the running stable top-k of the coarse mode scores: ascending
-// score, ties ranked in reverse scoring order — the last-scored tying mode
-// wins, which for the shipped profiles prefers the higher angular mode over
-// Planar/DC on flat blocks. This deterministic rule is part of the bitstream
-// contract pinned by the golden conformance corpus (golden_test.go): changing
-// it changes output bytes. An explicit insertion-based selection is used
-// instead of sort.Slice both for allocation-freedom on the hot path and
-// because sort.Slice's tie order is implementation-defined.
-type topModes struct {
-	k, n  int
-	mi    [rdCandidates]int // indices into the profile's mode list
-	score [rdCandidates]int64
-}
-
-// bound is the score above which a mode cannot enter the set any more.
-func (t *topModes) bound() int64 {
-	if t.n < t.k {
-		return math.MaxInt64
-	}
-	return t.score[t.k-1]
-}
-
-// offer ranks mode mi. Its score is compared only with members of the set,
-// and a score above bound() is dropped whatever it is exactly — which is what
-// lets Scorer.SAD stop early.
-func (t *topModes) offer(mi int, score int64) {
-	pos := t.n
-	for pos > 0 && score <= t.score[pos-1] {
-		pos--
-	}
-	if pos >= t.k {
-		return
-	}
-	if t.n < t.k {
-		t.n++
-	}
-	copy(t.mi[pos+1:t.n], t.mi[pos:t.n-1])
-	copy(t.score[pos+1:t.n], t.score[pos:t.n-1])
-	t.mi[pos], t.score[pos] = mi, score
-}
-
 // keepIfBetter overwrites *best with cand when cand costs less, copying the
 // trial's levels and reconstruction into the two arena-backed blocks this
 // leaf owns.
@@ -513,30 +472,20 @@ func (e *encoder) tryIntraRD(m intra.Mode, orig, pred []int32, size int, best *c
 	keepIfBetter(best, cuDec{mode: m, cost: e.rdCost(sse, rate+e.modeRate)}, lev, rec)
 }
 
-// noSmoothing is the smoothing row of a profile that never smooths.
-var noSmoothing [intra.NumModes]bool
-
 // coarseIntra ranks the profile's intra modes for the block orig at (x, y) by
-// SAD and returns the survivors that get a full RD trial, best first, the k-th
-// with its prediction in scratch.predAt(k): every mode is scored, abandoned
-// once it cannot enter the top set, and predicted only if it ends up in it.
-// The smoothed references are computed at most once per leaf.
-func (e *encoder) coarseIntra(orig []int32, x, y, size int) topModes {
+// SAD (intra.Scorer.Rank) and returns the survivors that get a full RD trial,
+// best first, the k-th with its prediction in scratch.predAt(k): every mode is
+// scored, abandoned once it cannot enter the top set, and predicted only if it
+// ends up in it. The smoothed references are computed at most once per leaf.
+func (e *encoder) coarseIntra(orig []int32, x, y, size int) intra.Ranking {
 	s := e.scr
-	top := topModes{k: rdCandidates}
 	sc := &s.scorer
 	refs := gatherRefsInto(e.recon, e.prof.ctuSize, x, y, size, intra.Refs{Above: s.refsAbove[:2*size], Left: s.refsLeft[:2*size]})
 	sc.Reset(size, orig, refs, intra.Refs{Above: s.smAbove[:2*size], Left: s.smLeft[:2*size]})
-	smooth := &noSmoothing
-	if e.prof.smoothing {
-		smooth = intra.SmoothingModes(size)
-	}
-	for mi, m := range e.prof.modes {
-		top.offer(mi, sc.SAD(m, smooth[m], top.bound()))
-	}
-	for k, mi := range top.mi[:top.n] {
+	top := sc.Rank(e.prof.modes, e.prof.smoothing, rdCandidates)
+	for k, mi := range top.Idx[:top.N] {
 		m := e.prof.modes[mi]
-		sc.Predict(m, smooth[m], s.predAt(k, size*size))
+		sc.Predict(m, e.prof.smoothing && intra.UseSmoothing(size, m), s.predAt(k, size*size))
 	}
 	return top
 }
@@ -576,10 +525,10 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 		// equals an earlier one's would repeat its trial at its cost, which
 		// keepIfBetter's strict < never takes; only a score tie can hide one.
 	survivors:
-		for k, mi := range top.mi[:top.n] {
+		for k, mi := range top.Idx[:top.N] {
 			pred := s.predAt(k, n2)
 			for j := range k {
-				if top.score[j] == top.score[k] && slices.Equal(pred, s.predAt(j, n2)) {
+				if top.Score[j] == top.Score[k] && slices.Equal(pred, s.predAt(j, n2)) {
 					continue survivors
 				}
 			}

@@ -454,9 +454,9 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 			got := e.coarseIntra(orig, x, y, size)
 			if got != want {
 				t.Fatalf("draw %d (%s, size %d at %d,%d, kind %d, simd %v): survivors %v scores %v, definition %v scores %v",
-					draw, e.prof.name, size, x, y, kind, simd, got.mi[:got.n], got.score[:got.n], want.mi[:want.n], want.score[:want.n])
+					draw, e.prof.name, size, x, y, kind, simd, got.Idx[:got.N], got.Score[:got.N], want.Idx[:want.N], want.Score[:want.N])
 			}
-			for k, mi := range got.mi[:got.n] {
+			for k, mi := range got.Idx[:got.N] {
 				pred := s.predAt(k, n2)
 				for i := range pred {
 					if pred[i] != preds[mi][i] {
@@ -470,8 +470,8 @@ func TestCoarseSearchEquivalence(t *testing.T) {
 			// Every mode predicts the flat value (or 128, uncoded): all tie, the last three
 			// scored survive, latest first.
 			last := len(e.prof.modes) - 1
-			if want.n != 3 || want.mi != [rdCandidates]int{last, last - 1, last - 2} {
-				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, want.mi[:want.n])
+			if want.N != 3 || want.Idx != [rdCandidates]int{last, last - 1, last - 2} {
+				t.Fatalf("draw %d: tied modes ranked %v, want the last three scored, latest first", draw, want.Idx[:want.N])
 			}
 		}
 	}
@@ -776,5 +776,36 @@ func TestStableTopKMatchesStableSort(t *testing.T) {
 					trial, i, top[i], sads[top[i]], ref[i], sads[ref[i]])
 			}
 		}
+	}
+}
+
+func BenchmarkCoarseIntra8(b *testing.B)  { benchCoarseIntra(b, 8) }
+func BenchmarkCoarseIntra16(b *testing.B) { benchCoarseIntra(b, 16) }
+func BenchmarkCoarseIntra32(b *testing.B) { benchCoarseIntra(b, 32) }
+
+// benchCoarseIntra times the whole coarse search of one HEVC leaf — gather
+// the references, rank every mode, Planar and DC among them, and predict the
+// survivors — over 64 leaves drawn from a generated weight plane that is its
+// own reconstruction (b.N counts leaves).
+func benchCoarseIntra(b *testing.B, size int) {
+	const dim, blocks = 256, 64
+	rng := rand.New(rand.NewSource(6))
+	pix, _, _ := quant.ToUint8(tensorgen.Weights(rng, dim, dim))
+	e := &encoder{prof: HEVC.params(), tools: AllTools, scr: newScratch(), recon: &frame.Plane{W: dim, H: dim, Pix: pix}}
+	type leaf struct{ x, y int }
+	leaves, origs := make([]leaf, blocks), make([][]int32, blocks)
+	for i := range leaves {
+		x, y := size*rng.Intn(dim/size), size*rng.Intn(dim/size)
+		orig := make([]int32, size*size)
+		for j := range orig {
+			orig[j] = int32(e.recon.At(x+j%size, y+j/size))
+		}
+		leaves[i], origs[i] = leaf{x, y}, orig
+	}
+	b.SetBytes(int64(size * size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := leaves[i%blocks]
+		e.coarseIntra(origs[i%blocks], l.x, l.y, size)
 	}
 }

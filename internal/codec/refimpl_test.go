@@ -247,10 +247,10 @@ func gatherRefsDef(recon *frame.Plane, coded []bool, x, y, size int) intra.Refs 
 // predicted whole from gathered (and, where the profile smooths, smoothed)
 // references under the coverage coded, its full SAD offered to the top set in
 // profile order. preds[mi] receives mode mi's prediction.
-func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, preds [][]int32) topModes {
+func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, preds [][]int32) intra.Ranking {
 	refs := gatherRefsDef(e.recon, coded, x, y, size)
 	smoothed := refs.SmoothedInto(intra.NewRefs(size))
-	top := topModes{k: rdCandidates}
+	top := intra.Ranking{K: rdCandidates}
 	for mi, m := range e.prof.modes {
 		r := refs
 		if e.prof.smoothing && intra.UseSmoothing(size, m) {
@@ -262,7 +262,7 @@ func coarseIntraDef(e *encoder, coded []bool, orig []int32, x, y, size int, pred
 		for i, v := range orig {
 			sad += int64(max(v-pred[i], pred[i]-v))
 		}
-		top.offer(mi, sad)
+		top.Offer(mi, sad)
 		preds[mi] = pred
 	}
 	return top

@@ -144,13 +144,13 @@ func TestEarlyExitSADKeepsTheRanking(t *testing.T) {
 
 		kernelPaths(func(simd bool) {
 			sc.Reset(size, orig, refs, intra.NewRefs(size))
-			full := topModes{k: k}
-			early := topModes{k: k}
+			full := intra.Ranking{K: k}
+			early := intra.Ranking{K: k}
 			sads := make([]int64, modes)
 			for m, mode := range perm {
 				sads[m] = sc.SAD(intra.Mode(mode), smoothed[m], math.MaxInt64)
-				full.offer(m, sads[m])
-				early.offer(m, sc.SAD(intra.Mode(mode), smoothed[m], early.bound()))
+				full.Offer(m, sads[m])
+				early.Offer(m, sc.SAD(intra.Mode(mode), smoothed[m], early.Bound()))
 			}
 			// The contract both must meet: a stable sort by (SAD ascending,
 			// scoring index descending), cut at k.
@@ -167,21 +167,21 @@ func TestEarlyExitSADKeepsTheRanking(t *testing.T) {
 			if len(ref) > k {
 				ref = ref[:k]
 			}
-			if full.n != len(ref) {
-				t.Fatalf("trial %d simd %v: full scoring kept %d modes, want %d", trial, simd, full.n, len(ref))
+			if full.N != len(ref) {
+				t.Fatalf("trial %d simd %v: full scoring kept %d modes, want %d", trial, simd, full.N, len(ref))
 			}
 			for i, m := range ref {
-				if full.mi[i] != m {
-					t.Fatalf("trial %d simd %v: full scoring ranked %v, stable sort %v", trial, simd, full.mi[:full.n], ref)
+				if full.Idx[i] != m {
+					t.Fatalf("trial %d simd %v: full scoring ranked %v, stable sort %v", trial, simd, full.Idx[:full.N], ref)
 				}
 			}
-			if early.n != full.n || early.mi != full.mi {
+			if early.N != full.N || early.Idx != full.Idx {
 				t.Fatalf("trial %d (size %d, %d modes, k %d, simd %v): early exit picked %v, full scoring %v",
-					trial, size, modes, k, simd, early.mi[:early.n], full.mi[:full.n])
+					trial, size, modes, k, simd, early.Idx[:early.N], full.Idx[:full.N])
 			}
-			for i := 0; i < full.n; i++ {
-				if early.score[i] != full.score[i] {
-					t.Fatalf("trial %d simd %v: rank %d kept a partial score %d, full %d", trial, simd, i, early.score[i], full.score[i])
+			for i := 0; i < full.N; i++ {
+				if early.Score[i] != full.Score[i] {
+					t.Fatalf("trial %d simd %v: rank %d kept a partial score %d, full %d", trial, simd, i, early.Score[i], full.Score[i])
 				}
 			}
 		})

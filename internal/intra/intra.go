@@ -10,6 +10,7 @@ package intra
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/cpufeat"
@@ -112,28 +113,42 @@ func (r Refs) SmoothedInto(dst Refs) Refs {
 
 // UseSmoothing reports whether HEVC would smooth references for the given
 // block size and mode: only blocks ≥ 8 and modes sufficiently far from pure
-// horizontal/vertical. It reads SmoothingModes(n).
-func UseSmoothing(n int, m Mode) bool { return SmoothingModes(n)[m] }
+// horizontal/vertical. It reads modeForms.
+func UseSmoothing(n int, m Mode) bool { return modeForms[sizeClass(n)][m].smooth }
 
-// SmoothingModes returns, for blocks of edge n, which of the 35 modes smooth
-// their references: UseSmoothing as one table row per size class, for callers
-// that ask of every mode of a block.
-func SmoothingModes(n int) *[NumModes]bool {
-	return &smoothing[min(max(bits.Len(uint(n))-3, 0), len(smoothing)-1)]
+// sizeClass is the row of modeForms for blocks of edge n: log2(n)−2 for the
+// codec's sizes 4…32, clamped to the nearest row otherwise.
+func sizeClass(n int) int { return min(max(bits.Len(uint(n))-3, 0), len(modeForms)-1) }
+
+// modeForm is what scoring or predicting one mode of one block size needs,
+// resolved once per size class; rankLinesAVX2 reads it at fixed offsets.
+type modeForm struct {
+	from   []uint8 // a negative angle: entry i−1 is projectedSide(i), for i = 1…negativeExtent
+	angle  int32   // an angular mode's angle
+	o      uint8   // the orientation: 1 where the mode's lines are the block's columns
+	smooth bool    // useSmoothing
 }
 
-// smoothing holds useSmoothing for the size classes n < 8, 8 ≤ n < 16,
-// 16 ≤ n < 32 and n ≥ 32, in which its answer does not change.
-var smoothing = func() (t [4][NumModes]bool) {
-	for c, n := range [len(t)]int{4, 8, 16, 32} {
-		for m := range t[c] {
-			t[c][m] = useSmoothing(n, Mode(m))
+// modeForms[sizeClass(n)][m] is mode m's form for blocks of edge n.
+var modeForms = func() (t [4][NumModes]modeForm) {
+	for s := range t {
+		n := 4 << s
+		for m := range t[s] {
+			d := &t[s][m]
+			d.smooth = useSmoothing(n, Mode(m))
+			if m < 2 {
+				continue
+			}
+			d.angle, d.o = angleTable[m-2], uint8(b2i(Horizontal(Mode(m))))
+			for i := 1; i <= negativeExtent(n, min(d.angle, 0)); i++ {
+				d.from = append(d.from, uint8(projectedSide(i, invAngleTable[-d.angle], n)))
+			}
 		}
 	}
 	return t
 }()
 
-// useSmoothing is the rule SmoothingModes tabulates.
+// useSmoothing is the rule modeForms tabulates.
 func useSmoothing(n int, m Mode) bool {
 	if n < 8 || m == DC {
 		return false
@@ -311,26 +326,6 @@ func projectedSide(i int, inv int32, n int) int {
 	return min(max(idx, 1), 2*n) - 1
 }
 
-// projected[log2(n)−2][|angle|] lists, for a block of n ≤ MaxBlockSize and a
-// negative angle, where each sample below the corner comes from: entry i−1 is
-// projectedSide(i, invAngleTable[|angle|], n), for i = 1…negativeExtent.
-var projected = func() (t [4][33][]uint8) {
-	for s := range t {
-		n := 4 << s
-		for a, inv := range invAngleTable {
-			if inv == 0 {
-				continue
-			}
-			row := make([]uint8, negativeExtent(n, -int32(a)))
-			for i := range row {
-				row[i] = uint8(projectedSide(i+1, inv, n))
-			}
-			t[s][a] = row
-		}
-	}
-	return t
-}()
-
 // angularLine writes the line at position pos = (l+1)·angle into line (n
 // samples): straight-line code over one window of ref.
 func angularLine(line, ref []int32, n int, pos int32) {
@@ -369,23 +364,25 @@ func angularColumn(col, ref []int32, n int, pos int32) {
 }
 
 // Scorer ranks the modes of one n×n block by their sum of absolute
-// differences from the source without writing a prediction, and then writes
-// the predictions of the modes it kept. On the packed path four samples ride
-// in the 16-bit lanes of a uint64 through the interpolation of angularLine and
-// through the SAD. What is mode-independent is prepared once per block — the
-// source and its transpose packed four samples a word (biased, see SAD), and
-// per orientation (above or left as the main array) and filter (raw or
-// smoothed) the main reference array as overlapping words
+// differences from the source without writing a prediction (Rank; SAD scores
+// one mode), then writes the predictions of the modes it kept. On the packed
+// path four samples ride in the 16-bit lanes of a uint64 through the
+// interpolation of angularLine and through the SAD. What is mode-independent
+// is prepared once per block — the source and its transpose packed four
+// samples a word (biased, see SAD), and per orientation (above or left as the
+// main array) and filter (raw or smoothed) the main reference array as
+// overlapping words
 //
 //	ref[i] | ref[i+1]<<16 | ref[i+2]<<32 | ref[i+3]<<48
 //
 // so that the samples a line blends, ref[i+x] and ref[i+1+x], are the lanes of
-// two adjacent words at any start i. Each is packed when a mode first needs
-// it. Where cpufeat.Lanes8 admits the block (sad_amd64.s), it is scored and
-// predicted from int16 copies of the same lines and arrays instead, a whole
-// mode per call; which form a block uses is fixed at Reset. A Scorer is ≈ 17 KB
-// of fixed arrays: it belongs in a per-worker arena and is not safe for
-// concurrent use.
+// two adjacent words at any start i. The lines are packed at Reset, an array
+// when a mode first needs it. Where cpufeat.Lanes8 admits the block
+// (sad_amd64.s), it is scored and predicted from int16 copies of the same
+// lines and arrays instead, Rank's runs of angular modes in one kernel call
+// (rankLinesAVX2); which form a block uses is fixed at Reset. A Scorer is
+// ≈ 17 KB of fixed arrays: it belongs in a per-worker arena and is not safe
+// for concurrent use.
 type Scorer struct {
 	n        int
 	src      []int32 // the block, row-major
@@ -395,8 +392,7 @@ type Scorer struct {
 	// line[o] holds the source as orientation o scores it — rows for the
 	// vertical modes (0), columns for the horizontal ones (1) — n/4 words a
 	// line, each lane a sample plus sadBias.
-	line      [2][MaxBlockSize * MaxBlockSize / 4]uint64
-	lineReady [2]bool
+	line [2][MaxBlockSize * MaxBlockSize / 4]uint64
 	// ref[f][o] is the packed main array of filter f (refs[f]) and orientation
 	// o, indexed like angularRef's: word n starts at the corner sample. Words
 	// below n belong to whichever negative-angle mode was scored last.
@@ -433,8 +429,9 @@ func (sc *Scorer) Reset(n int, src []int32, refs, smoothInto Refs) {
 	sc.refs = [2]Refs{refs, smoothInto}
 	sc.smoothed = false
 	sc.simd = cpufeat.Lanes8(n)
-	sc.lineReady = [2]bool{}
 	sc.refReady = [2][2]bool{}
+	sc.packLines(0)
+	sc.packLines(1)
 }
 
 // Refs returns the block's references, raw or smoothed.
@@ -459,7 +456,6 @@ func b2i(b bool) int {
 // packLines fills line[o]: the block's rows (o = 0) or columns (o = 1).
 func (sc *Scorer) packLines(o int) {
 	n, src := sc.n, sc.src
-	sc.lineReady[o] = true
 	if sc.simd {
 		packLinesAVX2(&src[0], &sc.line16[o][0], n, o == 1)
 		return
@@ -491,11 +487,9 @@ func (sc *Scorer) packRef(f, o int) {
 	n := sc.n
 	sc.refReady[f][o] = true
 	if sc.simd {
-		p := &sc.ref16[f][o]
-		p[n], p[3*n+1] = int16(r.Corner), 0
-		for i, v := range main[:2*n] {
-			p[n+1+i] = int16(v)
-		}
+		p := sc.ref16[f][o][n : 3*n+2]
+		p[0], p[2*n+1] = int16(r.Corner), 0
+		packSamplesAVX2(&main[:2*n][0], &p[1], 2*n)
 		return
 	}
 	p := &sc.ref[f][o]
@@ -507,46 +501,43 @@ func (sc *Scorer) packRef(f, o int) {
 	p[n] = w<<16 | uint64(r.Corner)
 }
 
-// ready readies angular mode m's main array in the form the block scores in:
-// packed once per block and filter, and for a negative angle extended
-// downwards by the projected side samples, as angularRef does (their indices
-// read off projected), every time — the words below the corner belong to
-// whichever mode was readied last.
-func (sc *Scorer) ready(m Mode, smoothed bool) (f, o int) {
-	f, o = b2i(smoothed), b2i(Horizontal(m))
+// ready readies the main array of the angular mode of form d under filter f
+// in the form the block scores in: packed once per block and filter, and for
+// a negative angle extended downwards by the projected side samples, as
+// angularRef does (their indices read off d.from), every time — the words
+// below the corner belong to whichever mode was readied last.
+func (sc *Scorer) ready(d *modeForm, f int) {
+	o := int(d.o)
 	if !sc.refReady[f][o] {
 		sc.packRef(f, o)
 	}
-	angle := angleTable[m-2]
-	if angle >= 0 {
-		return f, o
+	if d.from == nil {
+		return
 	}
 	n, side := sc.n, sc.refs[f].Left
 	if o == 1 {
 		side = sc.refs[f].Above
 	}
-	from := projected[bits.TrailingZeros(uint(n))-2][-angle]
 	if sc.simd {
 		p := &sc.ref16[f][o]
-		for i, j := range from {
+		for i, j := range d.from {
 			p[(n-1-i)&(packedRefLen-1)] = int16(side[j])
 		}
-		return f, o
+		return
 	}
 	p := &sc.ref[f][o]
 	w := p[n]
-	for i, j := range from {
+	for i, j := range d.from {
 		w = w<<16 | uint64(side[j])
 		p[(n-1-i)&(packedRefLen-1)] = w
 	}
-	return f, o
 }
 
 // SAD returns what scoring mode m line by line against the source gives: the
 // sum of absolute differences between Predict's block and the source or, once
 // the running sum at the end of a line exceeds bound, that partial sum. The
 // terms are non-negative, so a partial sum above bound means the full SAD is
-// above it too. Planar's and DC's lines are rows.
+// above it too. Planar's and DC's lines are rows. Rank ranks by this score.
 //
 // Exactness. A line blends a = ref[i+x], b = ref[i+1+x] as (a<<5 +
 // frac·(b−a) + 16) >> 5 = ((32−frac)·a + frac·b + 16) >> 5. With a, b ≤ 255
@@ -565,14 +556,12 @@ func (sc *Scorer) ready(m Mode, smoothed bool) (f, o int) {
 // overflows; |v−s| ≤ 255 is VPABSW of the difference. Planar and DC go
 // through planarForm, whose int16 words are exact.
 func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
-	n, o := sc.n, b2i(Horizontal(m))
-	if !sc.lineReady[o] {
-		sc.packLines(o)
-	}
-	if m == Planar || m == DC {
+	d, f := &modeForms[sizeClass(sc.n)][m], b2i(smoothed)
+	n, o := sc.n, int(d.o)
+	if m < 2 {
 		if sc.simd {
-			var f planarForm
-			return planarLinesAVX2(&f[0][0], &sc.line16[0][0], nil, n, f.fill(m, n, sc.Refs(smoothed)), bound)
+			var pf planarForm
+			return planarLinesAVX2(&pf[0][0], &sc.line16[0][0], nil, n, pf.fill(m, n, sc.Refs(smoothed)), bound)
 		}
 		pred := sc.pred[:n*n]
 		Predict(m, n, sc.Refs(smoothed), pred)
@@ -587,23 +576,76 @@ func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 		}
 		return sum
 	}
-	f, _ := sc.ready(m, smoothed)
-	angle := angleTable[m-2]
+	sc.ready(d, f)
 	if sc.simd {
-		return sadLinesAVX2(&sc.ref16[f][o][0], &sc.line16[o][0], n, int(angle), bound)
+		return sadLinesAVX2(&sc.ref16[f][o][0], &sc.line16[o][0], n, int(d.angle), bound)
 	}
-	ref := &sc.ref[f][o]
+	return packedSAD(&sc.ref[f][o], &sc.line[o], n, d.angle, bound)
+}
+
+// packedSAD is SAD's angular score on the packed path: ref is the mode's
+// readied main array, src its orientation's lines.
+func packedSAD(ref *[packedRefLen]uint64, src *[MaxBlockSize * MaxBlockSize / 4]uint64, n int, angle int32, bound int64) int64 {
 	words := n / 4
-	src := sc.line[o][:n*words]
 	var sum int64
-	for l := 0; l < n; l++ {
-		pos := int32(l+1) * angle
+	for l, pos := 0, angle; l < n; l, pos = l+1, pos+angle {
 		sum += int64(lineSAD(ref, src[l*words:][:words], n+1+int(pos>>5), uint64(pos&31)))
 		if sum > bound {
 			break
 		}
 	}
 	return sum
+}
+
+// Rank scores modes in order, each as SAD scores it against the bound of the
+// ranking so far, and returns the best k ≤ MaxRanked of them. A mode's
+// references are smoothed where smooth is set and UseSmoothing holds for it.
+// On the lanes path each run of angular modes is one rankLinesAVX2 call.
+func (sc *Scorer) Rank(modes []Mode, smooth bool, k int) Ranking {
+	if k < 1 || k > MaxRanked {
+		panic(fmt.Sprintf("intra: Rank keeps 1 to %d modes, not %d", MaxRanked, k))
+	}
+	top := Ranking{K: k}
+	forms := &modeForms[sizeClass(sc.n)]
+	sides := sc.readyRefs(smooth)
+	for i := 0; i < len(modes); i++ {
+		j := i
+		for sc.simd && j < len(modes) && modes[j] >= 2 && modes[j] < NumModes {
+			j++
+		}
+		if j > i {
+			rankLinesAVX2(&sc.ref16[0][0][0], &sc.line16[0][0], &sides, sc.n, forms, modes[i:j], i, smooth, &top)
+			i = j - 1
+			continue
+		}
+		m, bound := modes[i], top.Bound()
+		d, s := &forms[m], int64(0)
+		if f := b2i(smooth && d.smooth); m < 2 {
+			s = sc.SAD(m, f == 1, bound)
+		} else { // the packed path
+			sc.ready(d, f)
+			s = packedSAD(&sc.ref[f][d.o], &sc.line[d.o], sc.n, d.angle, bound)
+		}
+		if s <= bound {
+			top.Offer(i, s)
+		}
+	}
+	return top
+}
+
+// readyRefs packs, on the lanes path, the main arrays rankLinesAVX2 reads,
+// smoothed too where smooth is set, and returns their side arrays by
+// filter·2 + orientation.
+func (sc *Scorer) readyRefs(smooth bool) (sides [4]*int32) {
+	for f := range b2i(sc.simd) * (1 + b2i(smooth)) {
+		for o := range 2 {
+			if !sc.refReady[f][o] {
+				sc.packRef(f, o)
+			}
+		}
+		sides[2*f], sides[2*f+1] = &sc.refs[f].Left[0], &sc.refs[f].Above[0]
+	}
+	return sides
 }
 
 // Predict writes mode m's prediction from the references, raw or smoothed,
@@ -614,8 +656,9 @@ func (sc *Scorer) Predict(m Mode, smoothed bool, dst []int32) {
 		Predict(m, sc.n, sc.Refs(smoothed), dst)
 		return
 	}
-	f, o := sc.ready(m, smoothed)
-	predLinesAVX2(&sc.ref16[f][o][0], &dst[0], sc.n, int(angleTable[m-2]), Horizontal(m))
+	d, f := &modeForms[sizeClass(sc.n)][m], b2i(smoothed)
+	sc.ready(d, f)
+	predLinesAVX2(&sc.ref16[f][d.o][0], &dst[0], sc.n, int(d.angle), d.o == 1)
 }
 
 // lineSAD is the SAD of one line: the samples blended at weight frac from ref
@@ -631,4 +674,40 @@ func lineSAD(ref *[packedRefLen]uint64, src []uint64, at int, frac uint64) uint6
 		at += 4
 	}
 	return acc * lanes >> 48
+}
+
+// MaxRanked is the most modes a Ranking keeps.
+const MaxRanked = 3
+
+// Ranking is the running stable top-K of mode scores: ascending score, ties
+// in reverse scoring order (the last-scored tying mode wins). That rule is
+// part of the bitstream contract the golden corpus pins; insertion keeps it
+// allocation-free, where sort.Slice's tie order is implementation-defined.
+type Ranking struct {
+	K, N  int
+	Idx   [MaxRanked]int // the ranked modes' indices into the scored list, best first
+	Score [MaxRanked]int64
+}
+
+// Bound is the score above which a mode cannot enter the set any more.
+func (t *Ranking) Bound() int64 {
+	if t.N < t.K {
+		return math.MaxInt64
+	}
+	return t.Score[t.K-1]
+}
+
+// Offer ranks mode i. A score above Bound() is dropped whatever it is
+// exactly, which lets SAD stop early.
+func (t *Ranking) Offer(i int, score int64) {
+	pos := t.N
+	for ; pos > 0 && score <= t.Score[pos-1]; pos-- {
+		if pos < t.K { // each member the score ties or beats moves down a place
+			t.Idx[pos], t.Score[pos] = t.Idx[pos-1], t.Score[pos-1]
+		}
+	}
+	if pos < t.K {
+		t.Idx[pos], t.Score[pos] = i, score
+		t.N = min(t.N+1, t.K)
+	}
 }

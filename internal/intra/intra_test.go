@@ -3,6 +3,7 @@ package intra
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,15 +208,34 @@ func TestSmoothingDecision(t *testing.T) {
 	}
 }
 
-// TestUseSmoothingTable holds the table UseSmoothing and SmoothingModes read
-// to the rule it is built from, for every mode at every block size the
-// codecs predict and one beyond.
+// TestUseSmoothingTable holds the table UseSmoothing, Rank and the scorer
+// read to the rules it is built from, for every mode at every block size the
+// codecs predict and one beyond: the smoothing rule, the mode's angle and
+// orientation, and the projected side sample of every slot below the corner.
 func TestUseSmoothingTable(t *testing.T) {
 	for _, n := range []int{4, 8, 16, 32, 64} {
-		row := SmoothingModes(n)
 		for m := Mode(0); m < NumModes; m++ {
-			if want := useSmoothing(n, m); UseSmoothing(n, m) != want || row[m] != want {
-				t.Fatalf("n=%d mode %d: UseSmoothing %v, SmoothingModes %v, rule %v", n, m, UseSmoothing(n, m), row[m], want)
+			if want := useSmoothing(n, m); UseSmoothing(n, m) != want {
+				t.Fatalf("n=%d mode %d: UseSmoothing %v, rule %v", n, m, UseSmoothing(n, m), want)
+			}
+			d := modeForms[sizeClass(n)][m]
+			if m < 2 || n > MaxBlockSize {
+				continue
+			}
+			if d.angle != angleTable[m-2] || int(d.o) != b2i(Horizontal(m)) {
+				t.Fatalf("n=%d mode %d: angle %d orientation %d, want %d %v", n, m, d.angle, d.o, angleTable[m-2], Horizontal(m))
+			}
+			var need int
+			if d.angle < 0 {
+				need = negativeExtent(n, d.angle)
+			}
+			if len(d.from) != need {
+				t.Fatalf("n=%d mode %d: %d projected samples, want %d", n, m, len(d.from), need)
+			}
+			for i, j := range d.from {
+				if int(j) != projectedSide(i+1, invAngleTable[-d.angle], n) {
+					t.Fatalf("n=%d mode %d: slot %d projects side sample %d, want %d", n, m, n-1-i, j, projectedSide(i+1, invAngleTable[-d.angle], n))
+				}
 			}
 		}
 	}
@@ -454,7 +474,10 @@ func scoreEquivalence(t *testing.T, simd bool, seed int64) {
 // bound score on every kernel path as the definition scores them, and
 // Predict and Scorer.Predict write the definition's block. The seeds sit at
 // the ends of the sample range and at line exits, every mode on every size
-// both raw and smoothed; plain `go test` replays them.
+// both raw and smoothed, and on the kernels' line pairs: a bound at the
+// running sum after line 2j of a pair (the exit is line 2j+1's, where the
+// pair first crosses) and one below it (line 2j's), on both orientations and
+// both filters; plain `go test` replays them.
 func FuzzSIMDKernels(f *testing.F) {
 	bounds := []int64{math.MaxInt64, 0, 255, 254}
 	for si := 0; si < 4; si++ {
@@ -472,28 +495,29 @@ func FuzzSIMDKernels(f *testing.F) {
 			}
 		}
 	}
+	rng := rand.New(rand.NewSource(36))
+	for si := 1; si < 4; si++ {
+		n := 4 << si
+		data := make([]byte, 1+4*n+n*n)
+		rng.Read(data)
+		for _, m := range []Mode{ModeHorizontal, 14, ModeVertical, 22} { // each orientation, one a negative angle
+			for _, smoothed := range []bool{false, true} {
+				_, ref, src := fuzzBlock(n, smoothed, data)
+				cum := lineSADs(m, n, ref, src)
+				for j := 0; j < n/2; j++ {
+					if n > 8 && j > 1 && j < n/2-1 {
+						continue
+					}
+					f.Add(uint8(si), uint8(m), smoothed, cum[2*j], data)
+					f.Add(uint8(si), uint8(m), smoothed, cum[2*j]-1, data)
+				}
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, size, mode uint8, smoothed bool, bound int64, data []byte) {
 		n := 4 << (size % 4)
 		m := Mode(mode % NumModes)
-		sample := func(i int) int32 {
-			if len(data) == 0 {
-				return 0
-			}
-			return int32(data[i%len(data)])
-		}
-		r := NewRefs(n)
-		r.Corner = sample(0)
-		for i := range r.Above {
-			r.Above[i], r.Left[i] = sample(1+i), sample(1+2*n+i)
-		}
-		src := make([]int32, n*n)
-		for i := range src {
-			src[i] = sample(1 + 4*n + i)
-		}
-		ref := r
-		if smoothed {
-			ref = r.SmoothedInto(NewRefs(n))
-		}
+		r, ref, src := fuzzBlock(n, smoothed, data)
 		cum := lineSADs(m, n, ref, src)
 		want, got := make([]int32, n*n), make([]int32, n*n)
 		predictDef(m, n, ref, want)
@@ -511,6 +535,100 @@ func FuzzSIMDKernels(f *testing.F) {
 			requireSameBlock(t, got, want, "n=%d mode %d smoothed=%v simd %v: Predict", n, m, smoothed, simd)
 		})
 	})
+}
+
+// fuzzBlock is FuzzSIMDKernels' block of edge n cut from data: the
+// references r, the references a mode reads (r smoothed where smoothed is
+// set) and the source.
+func fuzzBlock(n int, smoothed bool, data []byte) (r, ref Refs, src []int32) {
+	sample := func(i int) int32 {
+		if len(data) == 0 {
+			return 0
+		}
+		return int32(data[i%len(data)])
+	}
+	r = NewRefs(n)
+	r.Corner = sample(0)
+	for i := range r.Above {
+		r.Above[i], r.Left[i] = sample(1+i), sample(1+2*n+i)
+	}
+	src = make([]int32, n*n)
+	for i := range src {
+		src[i] = sample(1 + 4*n + i)
+	}
+	ref = r
+	if smoothed {
+		ref = r.SmoothedInto(NewRefs(n))
+	}
+	return r, ref, src
+}
+
+// TestRankEquivalence holds Scorer.Rank, on every kernel path, to the
+// ranking by definition: every listed mode's full SAD by definition (its
+// references smoothed where smooth is set and UseSmoothing holds), stably
+// sorted by ascending score and, among equal scores, descending list index —
+// the later-scored mode first — and cut at k. Mode lists are drawn of any
+// length and order, Planar and DC among the angular modes (which splits the
+// lanes kernel's runs), on sources near flat (many tying scores) and at full
+// range, for every size, k and filter setting; the scorer is reused across
+// lists.
+func TestRankEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var sc Scorer
+	for trial := 0; trial < 3000; trial++ {
+		n := 4 << rng.Intn(4)
+		amp := int32(1 + rng.Intn(3))
+		if trial%3 == 0 {
+			amp = 255
+		}
+		r := NewRefs(n)
+		r.Corner = rng.Int31n(amp + 1)
+		for i := range r.Above {
+			r.Above[i], r.Left[i] = rng.Int31n(amp+1), rng.Int31n(amp+1)
+		}
+		src := make([]int32, n*n)
+		for i := range src {
+			src[i] = rng.Int31n(amp + 1)
+		}
+		modes := make([]Mode, 1+rng.Intn(NumModes))
+		for i, m := range rng.Perm(NumModes)[:len(modes)] {
+			modes[i] = Mode(m)
+		}
+		smooth, k := trial%2 == 0, 1+rng.Intn(MaxRanked)
+		smoothed := r.SmoothedInto(NewRefs(n))
+		sads := make([]int64, len(modes))
+		for i, m := range modes {
+			ref := r
+			if smooth && UseSmoothing(n, m) {
+				ref = smoothed
+			}
+			sads[i] = sadDef(lineSADs(m, n, ref, src), math.MaxInt64)
+		}
+		want := make([]int, len(modes))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			if sads[want[a]] != sads[want[b]] {
+				return sads[want[a]] < sads[want[b]]
+			}
+			return want[a] > want[b]
+		})
+		want = want[:min(k, len(want))]
+		kernelPaths(func(simd bool) {
+			sc.Reset(n, src, r, NewRefs(n))
+			got := sc.Rank(modes, smooth, k)
+			if got.K != k || got.N != len(want) {
+				t.Fatalf("trial %d (n=%d, simd %v): ranked K=%d N=%d, want %d %d", trial, n, simd, got.K, got.N, k, len(want))
+			}
+			for i, mi := range want {
+				if got.Idx[i] != mi || got.Score[i] != sads[mi] {
+					t.Fatalf("trial %d (n=%d, %d modes, k %d, smooth %v, simd %v): ranked %v scores %v, definition %v",
+						trial, n, len(modes), k, smooth, simd, got.Idx[:got.N], got.Score[:got.N], want)
+				}
+			}
+		})
+	}
 }
 
 // benchBlocks cuts count n×n source blocks, with the references around each,
@@ -585,7 +703,7 @@ func BenchmarkScorePlanarDC16(b *testing.B) {
 }
 
 // benchScoreAngular times the angular part of the coarse search as decideLeaf
-// runs it on one leaf: point the scorer at the block, score all 33 angular
+// runs it on one leaf: point the scorer at the block, rank all 33 angular
 // modes against the bound of a top-3 set that tightens as better modes are
 // found, predict the three survivors (b.N counts leaves; bytes are the
 // leaf's samples once, not once per mode).
@@ -594,25 +712,14 @@ func benchScoreAngular(b *testing.B, n int) {
 	var sc Scorer
 	smooth := NewRefs(n)
 	pred := make([]int32, n*n)
+	angular := HEVCModes[2:]
 	b.SetBytes(int64(n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc.Reset(n, srcs[i%benchBlockCount], refs[i%benchBlockCount], smooth)
-		best := [3]int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
-		var mode [3]Mode
-		for m := Mode(2); m <= 34; m++ {
-			// Third-best so far, as topModes.bound() with k = 3.
-			if s := sc.SAD(m, UseSmoothing(n, m), best[2]); s <= best[2] {
-				best[2], mode[2] = s, m
-				if best[2] <= best[1] {
-					best[1], best[2], mode[1], mode[2] = best[2], best[1], mode[2], mode[1]
-				}
-				if best[1] <= best[0] {
-					best[0], best[1], mode[0], mode[1] = best[1], best[0], mode[1], mode[0]
-				}
-			}
-		}
-		for _, m := range mode {
+		top := sc.Rank(angular, true, MaxRanked)
+		for _, j := range top.Idx[:top.N] {
+			m := angular[j]
 			sc.Predict(m, UseSmoothing(n, m), pred)
 		}
 	}

@@ -7,6 +7,9 @@ package intra
 func sadLinesAVX2(ref, src *int16, n, angle int, bound int64) int64
 
 //go:noescape
+func rankLinesAVX2(ref, src *int16, sides *[4]*int32, n int, forms *[NumModes]modeForm, modes []Mode, first int, smooth bool, top *Ranking)
+
+//go:noescape
 func predLinesAVX2(ref *int16, dst *int32, n, angle int, columns bool)
 
 //go:noescape
@@ -14,3 +17,6 @@ func planarLinesAVX2(form, src *int16, dst *int32, n, shift int, bound int64) in
 
 //go:noescape
 func packLinesAVX2(src *int32, dst *int16, n int, columns bool)
+
+//go:noescape
+func packSamplesAVX2(src *int32, dst *int16, count int)

@@ -42,20 +42,24 @@
 	VPUNPCKLQDQ r6, r2, r2
 
 // The line set-up the angular kernels share: SI ref, CX n, DX angle, R9 pos,
-// R10 n+1; Y10 pos and Y11 angle in every word, Y12 31 and Y13 16 in every
-// word.
-#define ANGULAR_SETUP \
+// R10 n+1; Y10 pos and Y11 angle in every word (ANGLE_SETUP), Y12 31 and Y13
+// 16 in every word (LANE_CONSTANTS).
+#define ANGLE_SETUP \
 	MOVQ  DX, R9; \
 	LEAQ  1(CX), R10; \
 	VMOVD DX, X11; \
 	VPBROADCASTW X11, Y11; \
-	VMOVDQU Y11, Y10; \
+	VMOVDQU Y11, Y10
+
+#define LANE_CONSTANTS \
 	MOVL  $31, BX; \
 	VMOVD BX, X12; \
 	VPBROADCASTW X12, Y12; \
 	MOVL  $16, BX; \
 	VMOVD BX, X13; \
 	VPBROADCASTW X13, Y13
+
+#define ANGULAR_SETUP ANGLE_SETUP; LANE_CONSTANTS
 
 // LINE(d, b, fy, fx, r) leaves in d the samples of the line at pos R9 (16 of
 // them for YMM operands, 8 for XMM), and steps to the next line. fy and fx
@@ -79,56 +83,111 @@
 // once that exceeds bound. The horizontal sum is VPSADBW against zero: every
 // |v − s| ≤ 255 is a byte in the low half of its word.
 //
+// Lines are scored two at a time, with one VPSADBW and one horizontal sum
+// for both: at n = 8 lines l and l+1 share a register, one in each 128-bit
+// lane, against the 32 contiguous source bytes of both; at n = 16 and 32 the
+// two lines' differences are packed to bytes together (VPACKUSWB). When the
+// pair's sum crosses the bound, the exit is still line l's if the running
+// sum after line l alone exceeds it (split).
+//
 // DI the current source line, R8 bound, AX the running sum, X9/Y9 zero; the
-// rest as ANGULAR_SETUP.
+// rest as ANGULAR_SETUP. At n = 8 Y10 holds the pos of line l in its low lane
+// and of line l+1 in its high one, Y11 and R11 step them by 2·angle, and R12
+// is line l+1's start.
 TEXT ·sadLinesAVX2(SB), NOSPLIT, $0-48
 	MOVQ ref+0(FP), SI
 	MOVQ src+8(FP), DI
 	MOVQ n+16(FP), CX
 	MOVQ angle+24(FP), DX
 	MOVQ bound+32(FP), R8
-	XORQ AX, AX
 	VPXOR Y9, Y9, Y9
-	ANGULAR_SETUP
+	LANE_CONSTANTS
+	CALL sadLines<>(SB)
+	VZEROUPPER
+	MOVQ AX, ret+40(FP)
+	RET
+
+// sadLines<> is sadLinesAVX2 for the kernels here: SI ref, DI src, CX n, DX
+// angle and R8 bound in, with Y9 zero and LANE_CONSTANTS set; the score out in
+// AX. It clobbers BX, CX, DI, R9–R12, Y0–Y5, Y10, Y11 and Y14, and leaves the
+// upper halves of the YMM registers dirty.
+TEXT sadLines<>(SB), NOSPLIT, $0
+	XORQ AX, AX
+	ANGLE_SETUP
 	CMPQ CX, $16
 	JEQ  line16
 	JGT  line32
+	VPADDW Y11, Y11, Y14
+	VPBLENDD $0xF0, Y14, Y11, Y10
+	VMOVDQU Y14, Y11
+	LEAQ (DX)(DX*1), R11
+	SHRQ $1, CX
 
-line8:
-	LINE(X0, X1, Y2, X2, X13)
-	VPSUBW (DI), X0, X0
-	VPABSW X0, X0
-	VPSADBW X9, X0, X0
-	VPSHUFD $0x4E, X0, X2
-	VPADDQ X2, X0, X0
-	VMOVQ X0, BX
-	ADDQ BX, AX
-	CMPQ AX, R8
-	JGT  done
-	ADDQ $16, DI
-	DECQ CX
-	JNZ  line8
-	JMP  done
-
-line16:
-	LINE(Y0, Y1, Y2, Y2, Y13)
+pair8:
+	MOVQ R9, BX
+	SARQ $5, BX
+	ADDQ R10, BX
+	LEAQ (R9)(DX*1), R12
+	SARQ $5, R12
+	ADDQ R10, R12
+	VPAND Y12, Y10, Y2
+	VMOVDQU (SI)(BX*2), X0
+	VINSERTI128 $1, (SI)(R12*2), Y0, Y0
+	VMOVDQU 2(SI)(BX*2), X1
+	VINSERTI128 $1, 2(SI)(R12*2), Y1, Y1
+	BLEND(Y0, Y1, Y2, Y13)
 	VPSUBW (DI), Y0, Y0
 	VPABSW Y0, Y0
 	VPSADBW Y9, Y0, Y0
-	VEXTRACTI128 $1, Y0, X2
-	VPADDQ X2, X0, X0
-	VPSHUFD $0x4E, X0, X2
-	VPADDQ X2, X0, X0
-	VMOVQ X0, BX
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ X1, X0, X3
+	VPSHUFD $0x4E, X3, X2
+	VPADDQ X2, X3, X3
+	VMOVQ X3, BX
 	ADDQ BX, AX
 	CMPQ AX, R8
-	JGT  done
+	JGT  split8
+	ADDQ R11, R9
+	VPADDW Y11, Y10, Y10
 	ADDQ $32, DI
 	DECQ CX
-	JNZ  line16
+	JNZ  pair8
+	JMP  done
+
+split8:
+	VPSHUFD $0x4E, X0, X2
+	VPADDQ X2, X0, X0
+	JMP  split
+
+line16:
+	SHRQ $1, CX
+
+pair16:
+	LINE(Y0, Y1, Y2, Y2, Y13)
+	LINE(Y3, Y4, Y2, Y2, Y13)
+	VPSUBW (DI), Y0, Y0
+	VPSUBW 32(DI), Y3, Y3
+	VPABSW Y0, Y0
+	VPABSW Y3, Y3
+	VPACKUSWB Y3, Y0, Y0 // line l's bytes in qwords 0 and 2, l+1's in 1 and 3
+	VPSADBW Y9, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ X1, X0, X0
+	VPSHUFD $0x4E, X0, X2
+	VPADDQ X2, X0, X3
+	VMOVQ X3, BX
+	ADDQ BX, AX
+	CMPQ AX, R8
+	JGT  split
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  pair16
 	JMP  done
 
 line32:
+	SHRQ $1, CX
+
+pair32:
 	MOVQ R9, BX
 	SARQ $5, BX
 	ADDQ R10, BX
@@ -139,29 +198,171 @@ line32:
 	VMOVDQU 34(SI)(BX*2), Y4
 	BLEND(Y0, Y1, Y2, Y13)
 	BLEND(Y3, Y4, Y2, Y13)
+	ADDQ DX, R9
+	VPADDW Y11, Y10, Y10
 	VPSUBW (DI), Y0, Y0
 	VPSUBW 32(DI), Y3, Y3
 	VPABSW Y0, Y0
 	VPABSW Y3, Y3
-	VPACKUSWB Y3, Y0, Y0 // 32 bytes, each ≤ 255, in some order
-	VPSADBW Y9, Y0, Y0
-	VEXTRACTI128 $1, Y0, X2
-	VPADDQ X2, X0, X0
-	VPSHUFD $0x4E, X0, X2
-	VPADDQ X2, X0, X0
-	VMOVQ X0, BX
-	ADDQ BX, AX
-	CMPQ AX, R8
-	JGT  done
+	VPACKUSWB Y3, Y0, Y0 // line l: 32 bytes, each ≤ 255, in some order
+	MOVQ R9, BX
+	SARQ $5, BX
+	ADDQ R10, BX
+	VPAND Y12, Y10, Y2
+	VMOVDQU (SI)(BX*2), Y3
+	VMOVDQU 2(SI)(BX*2), Y1
+	VMOVDQU 32(SI)(BX*2), Y5
+	VMOVDQU 34(SI)(BX*2), Y4
+	BLEND(Y3, Y1, Y2, Y13)
+	BLEND(Y5, Y4, Y2, Y13)
 	ADDQ DX, R9
 	VPADDW Y11, Y10, Y10
-	ADDQ $64, DI
+	VPSUBW 64(DI), Y3, Y3
+	VPSUBW 96(DI), Y5, Y5
+	VPABSW Y3, Y3
+	VPABSW Y5, Y5
+	VPACKUSWB Y5, Y3, Y3 // line l+1
+	VPSADBW Y9, Y0, Y0
+	VPSADBW Y9, Y3, Y3
+	VPADDQ Y3, Y0, Y1
+	VEXTRACTI128 $1, Y1, X2
+	VPADDQ X2, X1, X1
+	VPSHUFD $0x4E, X1, X2
+	VPADDQ X2, X1, X1
+	VMOVQ X1, BX
+	ADDQ BX, AX
+	CMPQ AX, R8
+	JGT  split32
+	ADDQ $128, DI
 	DECQ CX
-	JNZ  line32
+	JNZ  pair32
+	JMP  done
+
+split32:
+	// Line l's sum into the low qword of X0, as pair16 leaves it.
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ X1, X0, X0
+	VPSHUFD $0x4E, X0, X1
+	VPADDQ X1, X0, X0
+
+split:
+	// The pair crossed the bound: return the sum after line l, the low
+	// qword of X0, if it does.
+	VMOVQ X0, R12
+	SUBQ BX, R12
+	ADDQ AX, R12
+	CMPQ R12, R8
+	CMOVQGT R12, AX
 
 done:
+	RET
+
+// func rankLinesAVX2(ref, src *int16, sides *[4]*int32, n int, forms *[NumModes]modeForm, modes []Mode, first int, smooth bool, top *Ranking)
+//
+// Ranks a run of angular modes as Scorer.Rank does, each in one pass of the
+// loop below: read the mode's form (modeForm: from at 0, its length at 8,
+// angle at 24, o at 28, smooth at 29; 32 bytes), extend its main array
+// below the corner from its side array, score it by sadLines<> against top's
+// bound, and on a score within it insert mode first+i into top as
+// Ranking.Offer does (K at 0, N at 8, Idx at 16, Score at 40). The arrays are
+// ref16 and line16 of a Scorer whose lines and main arrays the run reads are
+// packed: (f·2+o)·256 and o·2048 bytes from ref and src; sides by f·2+o.
+//
+// R13 the run's index i; per mode BX its form, R10 f·2+o, and the rest as
+// sadLines<> takes them; the arguments stay in the frame.
+TEXT ·rankLinesAVX2(SB), NOSPLIT, $0-88
+	XORQ R13, R13
+	VPXOR Y9, Y9, Y9
+	LANE_CONSTANTS
+
+mode:
+	MOVQ modes_base+40(FP), BX
+	MOVQ (BX)(R13*8), BX
+	SHLQ $5, BX
+	ADDQ forms+32(FP), BX
+	MOVLQSX 24(BX), DX
+	MOVBQZX 28(BX), R9
+	MOVBQZX 29(BX), R10
+	MOVBQZX smooth+72(FP), R11
+	ANDQ R11, R10
+	LEAQ (R9)(R10*2), R10
+	MOVQ R10, SI
+	SHLQ $8, SI
+	ADDQ ref+0(FP), SI
+	MOVQ R9, DI
+	SHLQ $11, DI
+	ADDQ src+8(FP), DI
+	MOVQ 8(BX), CX
+	TESTQ CX, CX
+	JZ   bound
+	MOVQ sides+16(FP), R11
+	MOVQ (R11)(R10*8), R11
+	MOVQ (BX), BX
+	MOVQ n+24(FP), R12
+	LEAQ -2(SI)(R12*2), R12
+
+extend:
+	MOVBQZX (BX), R9
+	MOVL (R11)(R9*4), R9
+	MOVW R9, (R12)
+	INCQ BX
+	SUBQ $2, R12
+	DECQ CX
+	JNZ  extend
+
+bound:
+	MOVQ top+80(FP), BX
+	MOVQ $0x7FFFFFFFFFFFFFFF, R8
+	MOVQ (BX), R9
+	CMPQ 8(BX), R9
+	JLT  score
+	MOVQ 32(BX)(R9*8), R8
+
+score:
+	MOVQ n+24(FP), CX
+	CALL sadLines<>(SB)
+	CMPQ AX, R8
+	JGT  next
+	MOVQ top+80(FP), BX
+	MOVQ 8(BX), R9
+
+	// R9 the insertion point: below every member whose score is not lower.
+rise:
+	TESTQ R9, R9
+	JZ   place
+	CMPQ AX, 32(BX)(R9*8)
+	JGT  place
+	DECQ R9
+	JMP  rise
+
+place:
+	MOVQ 8(BX), R10
+	CMPQ R10, (BX)
+	JGE  shift
+	INCQ R10
+	MOVQ R10, 8(BX)
+
+shift:
+	DECQ R10
+	CMPQ R10, R9
+	JLE  put
+	MOVQ 8(BX)(R10*8), R11
+	MOVQ R11, 16(BX)(R10*8)
+	MOVQ 32(BX)(R10*8), R11
+	MOVQ R11, 40(BX)(R10*8)
+	JMP  shift
+
+put:
+	MOVQ first+64(FP), R11
+	ADDQ R13, R11
+	MOVQ R11, 16(BX)(R9*8)
+	MOVQ AX, 40(BX)(R9*8)
+
+next:
+	INCQ R13
+	CMPQ R13, modes_len+48(FP)
+	JLT  mode
 	VZEROUPPER
-	MOVQ AX, ret+40(FP)
 	RET
 
 // WIDEN(y, x, off) stores the 16 int16 samples of y, sign-extended, as 16
@@ -467,8 +668,7 @@ ldone:
 // func packLinesAVX2(src *int32, dst *int16, n int, columns bool)
 //
 // Writes the n×n block src as int16 lines to dst: its rows, packed in order
-// sixteen samples at a time (VPACKSSDW, then VPERMQ to undo its lane
-// interleave); or its columns, one 8×8 tile at a time — eight rows of eight
+// by packSamples<>; or its columns, one 8×8 tile at a time — eight rows of eight
 // samples packed, transposed by TRANSPOSE8 and stored as eight runs of
 // eight samples of consecutive lines. Samples are 8-bit, so no pack
 // saturates.
@@ -485,18 +685,7 @@ TEXT ·packLinesAVX2(SB), NOSPLIT, $0-25
 	TESTQ DX, DX
 	JNZ  tiles
 	IMULQ CX, CX
-	SHRQ $4, CX
-
-packrow:
-	VMOVDQU (SI), Y0
-	VMOVDQU 32(SI), Y1
-	VPACKSSDW Y1, Y0, Y0
-	VPERMQ $0xD8, Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ $64, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  packrow
+	CALL packSamples<>(SB)
 	JMP  kdone
 
 // ROW8(x) packs the eight samples at (R11) into x and steps R11 a row.
@@ -553,4 +742,34 @@ tile:
 
 kdone:
 	VZEROUPPER
+	RET
+
+// func packSamplesAVX2(src *int32, dst *int16, count int)
+//
+// Writes count int32 samples, a multiple of 16 that fit int16, to dst as
+// int16, sixteen at a time (VPACKSSDW, then VPERMQ to undo its lane
+// interleave).
+TEXT ·packSamplesAVX2(SB), NOSPLIT, $0-24
+	MOVQ src+0(FP), SI
+	MOVQ dst+8(FP), DI
+	MOVQ count+16(FP), CX
+	CALL packSamples<>(SB)
+	VZEROUPPER
+	RET
+
+// packSamples<> is packSamplesAVX2 on SI, DI and CX; it clobbers them and
+// Y0–Y1.
+TEXT packSamples<>(SB), NOSPLIT, $0
+	SHRQ $4, CX
+
+pack:
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y1
+	VPACKSSDW Y1, Y0, Y0
+	VPERMQ $0xD8, Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ $64, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  pack
 	RET

@@ -8,3 +8,7 @@ func planarLinesAVX2(form, src *int16, dst *int32, n, shift int, bound int64) in
 	panic("intra: no SIMD")
 }
 func packLinesAVX2(src *int32, dst *int16, n int, columns bool) { panic("intra: no SIMD") }
+func packSamplesAVX2(src *int32, dst *int16, count int)         { panic("intra: no SIMD") }
+func rankLinesAVX2(ref, src *int16, sides *[4]*int32, n int, forms *[NumModes]modeForm, modes []Mode, first int, smooth bool, top *Ranking) {
+	panic("intra: no SIMD")
+}

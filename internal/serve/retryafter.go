@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"math"
 	"net/http"
 	"strconv"
@@ -25,7 +26,8 @@ func ParseRetryAfter(value string, now time.Time) (wait time.Duration, ok bool) 
 	if value == "" {
 		return 0, false
 	}
-	if secs, err := strconv.ParseInt(value, 10, 64); err == nil {
+	// Past int64, ParseInt returns ErrRange and the bound of the value's sign.
+	if secs, err := strconv.ParseInt(value, 10, 64); err == nil || errors.Is(err, strconv.ErrRange) {
 		return time.Duration(min(max(secs, 0), math.MaxInt64/int64(time.Second))) * time.Second, secs >= 0
 	}
 	if t, err := http.ParseTime(value); err == nil {

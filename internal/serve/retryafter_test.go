@@ -22,6 +22,8 @@ func TestParseRetryAfter(t *testing.T) {
 		// Deltas whose nanoseconds overflow int64 clamp to the longest wait.
 		{"delta-overflow", "9223372037", math.MaxInt64 / time.Second * time.Second, true},
 		{"delta-overflow-wrap", "18446744073", math.MaxInt64 / time.Second * time.Second, true},
+		{"delta-past-int64", "99999999999999999999", math.MaxInt64 / time.Second * time.Second, true},
+		{"delta-negative-past-int64", "-99999999999999999999", 0, false},
 		{"http-date-future", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second, true},
 		{"http-date-past", now.Add(-time.Hour).Format(http.TimeFormat), 0, true},
 		{"empty", "", 0, false},
