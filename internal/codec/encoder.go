@@ -451,8 +451,8 @@ func motionPredict(prev *frame.Plane, dst []int32, x, y, size int, mvx, mvy int3
 }
 
 // rdCandidates is how many of the coarse-ranked intra modes receive a full
-// rate-distortion trial.
-const rdCandidates = 3
+// rate-distortion trial: all that an intra.Ranking keeps.
+const rdCandidates = intra.MaxRanked
 
 // keepIfBetter overwrites *best with cand when cand costs less, copying the
 // trial's levels and reconstruction into the two arena-backed blocks this

@@ -100,13 +100,13 @@ func (r Refs) SmoothedInto(dst Refs) Refs {
 	if len(dst.Above) != n2 || len(dst.Left) != n2 {
 		panic("intra: SmoothedInto size mismatch")
 	}
-	s, a, l := dst, r.Above, r.Left // the end taps read the corner and repeat the last sample
+	s, a, l, sa, sl := dst, r.Above, r.Left[:n2], dst.Above, dst.Left // the end taps read the corner and repeat the last sample
 	s.Corner = (l[0] + 2*r.Corner + a[0] + 2) >> 2
-	s.Above[0], s.Left[0] = (r.Corner+2*a[0]+a[1]+2)>>2, (r.Corner+2*l[0]+l[1]+2)>>2
-	s.Above[n2-1], s.Left[n2-1] = (a[n2-2]+3*a[n2-1]+2)>>2, (l[n2-2]+3*l[n2-1]+2)>>2
+	sa[0], sl[0] = (r.Corner+2*a[0]+a[1]+2)>>2, (r.Corner+2*l[0]+l[1]+2)>>2
+	sa[n2-1], sl[n2-1] = (a[n2-2]+3*a[n2-1]+2)>>2, (l[n2-2]+3*l[n2-1]+2)>>2
 	for i := 1; i < n2-1; i++ {
-		s.Above[i] = (a[i-1] + 2*a[i] + a[i+1] + 2) >> 2
-		s.Left[i] = (l[i-1] + 2*l[i] + l[i+1] + 2) >> 2
+		sa[i] = (a[i-1] + 2*a[i] + a[i+1] + 2) >> 2
+		sl[i] = (l[i-1] + 2*l[i] + l[i+1] + 2) >> 2
 	}
 	return s
 }
@@ -121,7 +121,7 @@ func UseSmoothing(n int, m Mode) bool { return modeForms[sizeClass(n)][m].smooth
 func sizeClass(n int) int { return min(max(bits.Len(uint(n))-3, 0), len(modeForms)-1) }
 
 // modeForm is what scoring or predicting one mode of one block size needs,
-// resolved once per size class; rankLinesAVX2 reads it at fixed offsets.
+// resolved once per size class.
 type modeForm struct {
 	from   []uint8 // a negative angle: entry i−1 is projectedSide(i), for i = 1…negativeExtent
 	angle  int32   // an angular mode's angle
@@ -135,13 +135,45 @@ var modeForms = func() (t [4][NumModes]modeForm) {
 		n := 4 << s
 		for m := range t[s] {
 			d := &t[s][m]
-			d.smooth = useSmoothing(n, Mode(m))
-			if m < 2 {
+			if d.smooth = useSmoothing(n, Mode(m)); m < 2 {
 				continue
 			}
 			d.angle, d.o = angleTable[m-2], uint8(b2i(Horizontal(Mode(m))))
 			for i := 1; i <= negativeExtent(n, min(d.angle, 0)); i++ {
 				d.from = append(d.from, uint8(projectedSide(i, invAngleTable[-d.angle], n)))
+			}
+		}
+	}
+	return t
+}()
+
+// lines8 is what sadLines8AVX2 reads for one angular mode of an 8×8 block
+// (gather8[m] is mode m's), per pair of lines, one a 128-bit lane: their fracs
+// as words, then the VPSHUFB controls gathering a and b from its first table
+// (main-array samples 9…24, or a negative angle's side samples 0…15) and a
+// and b from its second (samples 8…23): 0x80, a zero, where it does not hold
+// the sample, and in every word's high byte.
+type lines8 [4][5][32]uint8
+
+var gather8 = func() (t [NumModes]lines8) {
+	for m := 2; m < NumModes; m++ {
+		d := &modeForms[1][m]
+		for l := range 8 {
+			pos, q := int32(l+1)*d.angle, &t[m][l/2]
+			for x := range 8 {
+				w := 16*(l%2) + 2*x // line l's lane, sample x's word
+				q[0][w] = uint8(pos & 31)
+				for v := range 2 { // a and b
+					c, j := [2]uint8{0x80, 0x80}, 9+int(pos>>5)+x+v
+					if d.angle >= 0 && j < 25 { // 25 is the spare slot: zero
+						c[0] = uint8(j - 9)
+					} else if d.angle < 0 && j >= 8 {
+						c[1] = uint8(j - 8)
+					} else if d.angle < 0 && 7-j < len(d.from) {
+						c[0] = d.from[7-j]
+					}
+					q[1+v][w], q[3+v][w], q[1+v][w+1], q[3+v][w+1] = c[0], c[1], 0x80, 0x80
+				}
 			}
 		}
 	}
@@ -376,19 +408,20 @@ func angularColumn(col, ref []int32, n int, pos int32) {
 //	ref[i] | ref[i+1]<<16 | ref[i+2]<<32 | ref[i+3]<<48
 //
 // so that the samples a line blends, ref[i+x] and ref[i+1+x], are the lanes of
-// two adjacent words at any start i. The lines are packed at Reset, an array
-// when a mode first needs it. Where cpufeat.Lanes8 admits the block
-// (sad_amd64.s), it is scored and predicted from int16 copies of the same
-// lines and arrays instead, Rank's runs of angular modes in one kernel call
-// (rankLinesAVX2); which form a block uses is fixed at Reset. A Scorer is
-// ≈ 17 KB of fixed arrays: it belongs in a per-worker arena and is not safe
-// for concurrent use.
+// two adjacent words at any start i. The lines are packed at Reset, a
+// filter's arrays when a mode first needs one. Where cpufeat.Lanes8 admits
+// the block (sad_amd64.s), it is scored and predicted from int16 copies of the
+// same lines and arrays instead; which form a block uses is fixed at Reset.
+// Either way Rank is one Go loop over the modes, and the top-k and its tie
+// rule live only in Ranking.Offer. A Scorer is ≈ 17 KB of fixed arrays: it
+// belongs in a per-worker arena and is not safe for concurrent use.
 type Scorer struct {
 	n        int
-	src      []int32 // the block, row-major
-	refs     [2]Refs // raw, smoothed
-	smoothed bool    // refs[1] has been filled
-	simd     bool    // scored by the int16 lane kernels from line16 and ref16
+	forms    *[NumModes]modeForm // modeForms' row for n
+	src      []int32             // the block, row-major
+	refs     [2]Refs             // raw, smoothed
+	smoothed bool                // refs[1] has been filled
+	simd     bool                // scored by the int16 lane kernels from line16 and ref16
 	// line[o] holds the source as orientation o scores it — rows for the
 	// vertical modes (0), columns for the horizontal ones (1) — n/4 words a
 	// line, each lane a sample plus sadBias.
@@ -397,7 +430,7 @@ type Scorer struct {
 	// o, indexed like angularRef's: word n starts at the corner sample. Words
 	// below n belong to whichever negative-angle mode was scored last.
 	ref      [2][2][packedRefLen]uint64
-	refReady [2][2]bool
+	refReady [2]bool
 	// line16 and ref16 are line and ref one sample an int16, unbiased, laid
 	// out as angularRef's array is: the corner at n, the main samples from
 	// n+1, the spare slot at 3n+1 zero, projected side samples below n.
@@ -425,25 +458,25 @@ func (sc *Scorer) Reset(n int, src []int32, refs, smoothInto Refs) {
 	if n < 4 || n > MaxBlockSize || n&(n-1) != 0 || len(src) != n*n {
 		panic("intra: bad Scorer block")
 	}
-	sc.n, sc.src = n, src
-	sc.refs = [2]Refs{refs, smoothInto}
+	sc.n, sc.src, sc.forms = n, src, &modeForms[sizeClass(n)]
+	sc.refs[0], sc.refs[1] = refs, smoothInto
 	sc.smoothed = false
 	sc.simd = cpufeat.Lanes8(n)
-	sc.refReady = [2][2]bool{}
+	sc.refReady = [2]bool{}
 	sc.packLines(0)
 	sc.packLines(1)
 }
 
 // Refs returns the block's references, raw or smoothed.
-func (sc *Scorer) Refs(smoothed bool) Refs {
-	if !smoothed {
-		return sc.refs[0]
-	}
-	if !sc.smoothed {
+func (sc *Scorer) Refs(smoothed bool) Refs { return *sc.refsOf(b2i(smoothed)) }
+
+// refsOf returns the references of filter f, smoothing them the first time.
+func (sc *Scorer) refsOf(f int) *Refs {
+	if f == 1 && !sc.smoothed {
 		sc.refs[1] = sc.refs[0].SmoothedInto(sc.refs[1])
 		sc.smoothed = true
 	}
-	return sc.refs[1]
+	return &sc.refs[f]
 }
 
 func b2i(b bool) int {
@@ -475,60 +508,50 @@ func (sc *Scorer) packLines(o int) {
 	}
 }
 
-// packRef fills ref[f][o] from the corner up: each word is the one above it
-// shifted up a lane with its own sample in lane 0. The slot past the last
-// main sample (angularRef's spare) and the lanes beyond it are zero.
-func (sc *Scorer) packRef(f, o int) {
-	r := sc.Refs(f == 1)
-	main := r.Above
-	if o == 1 {
-		main = r.Left
+// packRef fills ref[f][0] and ref[f][1] from the corner up: each word is the
+// one above it shifted up a lane with its own sample in lane 0. The slot past
+// the last main sample (angularRef's spare) and the lanes beyond it are zero.
+// Each orientation's main array is the other's side array, which ready
+// extends from.
+func (sc *Scorer) packRef(f int) {
+	r, n := sc.refsOf(f), sc.n
+	sc.refReady[f] = true
+	for o, main := range [2][]int32{r.Above[:2*n], r.Left[:2*n]} {
+		if sc.simd {
+			p := sc.ref16[f][o][n : 3*n+2]
+			p[0], p[2*n+1] = int16(r.Corner), 0
+			packSamplesAVX2(&main[0], &p[1], 2*n)
+			continue
+		}
+		p := &sc.ref[f][o]
+		var w uint64
+		for i := 2*n - 1; i >= 0; i-- {
+			w = w<<16 | uint64(main[i])
+			p[n+1+i] = w
+		}
+		p[n] = w<<16 | uint64(r.Corner)
 	}
-	n := sc.n
-	sc.refReady[f][o] = true
-	if sc.simd {
-		p := sc.ref16[f][o][n : 3*n+2]
-		p[0], p[2*n+1] = int16(r.Corner), 0
-		packSamplesAVX2(&main[:2*n][0], &p[1], 2*n)
-		return
-	}
-	p := &sc.ref[f][o]
-	var w uint64
-	for i := 2*n - 1; i >= 0; i-- {
-		w = w<<16 | uint64(main[i])
-		p[n+1+i] = w
-	}
-	p[n] = w<<16 | uint64(r.Corner)
 }
 
-// ready readies the main array of the angular mode of form d under filter f
-// in the form the block scores in: packed once per block and filter, and for
-// a negative angle extended downwards by the projected side samples, as
-// angularRef does (their indices read off d.from), every time — the words
-// below the corner belong to whichever mode was readied last.
+// ready readies the main array of the angular mode of form d under filter f:
+// packed once per block and filter, and for a negative angle extended
+// downwards by the projected side samples (their indices read off d.from), as
+// angularRef does, every time: they belong to whichever mode was readied last.
 func (sc *Scorer) ready(d *modeForm, f int) {
-	o := int(d.o)
-	if !sc.refReady[f][o] {
-		sc.packRef(f, o)
+	if !sc.refReady[f] {
+		sc.packRef(f)
 	}
-	if d.from == nil {
-		return
-	}
-	n, side := sc.n, sc.refs[f].Left
-	if o == 1 {
-		side = sc.refs[f].Above
-	}
+	n, o := sc.n, int(d.o)
 	if sc.simd {
-		p := &sc.ref16[f][o]
+		p, side := &sc.ref16[f][o], &sc.ref16[f][1-o]
 		for i, j := range d.from {
-			p[(n-1-i)&(packedRefLen-1)] = int16(side[j])
+			p[(n-1-i)&(packedRefLen-1)] = side[(n+1+int(j))&(packedRefLen-1)]
 		}
 		return
 	}
-	p := &sc.ref[f][o]
-	w := p[n]
+	p, side, w := &sc.ref[f][o], &sc.ref[f][1-o], sc.ref[f][o][n]
 	for i, j := range d.from {
-		w = w<<16 | uint64(side[j])
+		w = w<<16 | side[(n+1+int(j))&(packedRefLen-1)]&0xFFFF
 		p[(n-1-i)&(packedRefLen-1)] = w
 	}
 }
@@ -555,16 +578,20 @@ func (sc *Scorer) ready(d *modeForm, f int) {
 // 8160, |frac·(b−a)| ≤ 31·255 and the numerator ≤ 8176 < 2¹⁵, so no lane
 // overflows; |v−s| ≤ 255 is VPABSW of the difference. Planar and DC go
 // through planarForm, whose int16 words are exact.
+//
+// An 8×8 block on the lanes path gathers an angular mode's samples from the
+// main and side arrays (sadLines8AVX2); the other paths extend the main
+// array (ready).
 func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
-	d, f := &modeForms[sizeClass(sc.n)][m], b2i(smoothed)
-	n, o := sc.n, int(d.o)
-	if m < 2 {
-		if sc.simd {
-			var pf planarForm
-			return planarLinesAVX2(&pf[0][0], &sc.line16[0][0], nil, n, pf.fill(m, n, sc.Refs(smoothed)), bound)
-		}
+	d, f, n := &sc.forms[m], b2i(smoothed), sc.n
+	o := int(d.o)
+	switch {
+	case m < 2 && sc.simd:
+		var pf planarForm
+		return planarLinesAVX2(&pf[0][0], &sc.line16[0][0], nil, n, pf.fill(m, n, *sc.refsOf(f)), bound)
+	case m < 2:
 		pred := sc.pred[:n*n]
-		Predict(m, n, sc.Refs(smoothed), pred)
+		Predict(m, n, *sc.refsOf(f), pred)
 		var sum int64
 		for y := 0; y < n; y++ {
 			for x, s := range sc.src[y*n : y*n+n] {
@@ -575,6 +602,15 @@ func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 			}
 		}
 		return sum
+	case sc.simd && n == 8:
+		if !sc.refReady[f] {
+			sc.packRef(f)
+		}
+		t1, t2 := &sc.ref16[f][o][9], (*int16)(nil)
+		if d.from != nil {
+			t1, t2 = &sc.ref16[f][1-o][9], &sc.ref16[f][o][8]
+		}
+		return sadLines8AVX2(t1, t2, &sc.line16[o][0], &gather8[m], bound)
 	}
 	sc.ready(d, f)
 	if sc.simd {
@@ -583,8 +619,8 @@ func (sc *Scorer) SAD(m Mode, smoothed bool, bound int64) int64 {
 	return packedSAD(&sc.ref[f][o], &sc.line[o], n, d.angle, bound)
 }
 
-// packedSAD is SAD's angular score on the packed path: ref is the mode's
-// readied main array, src its orientation's lines.
+// packedSAD is SAD's angular mode on the packed path, apart so that its loop
+// keeps its registers: ref is the mode's readied main array, src its lines.
 func packedSAD(ref *[packedRefLen]uint64, src *[MaxBlockSize * MaxBlockSize / 4]uint64, n int, angle int32, bound int64) int64 {
 	words := n / 4
 	var sum int64
@@ -598,54 +634,17 @@ func packedSAD(ref *[packedRefLen]uint64, src *[MaxBlockSize * MaxBlockSize / 4]
 }
 
 // Rank scores modes in order, each as SAD scores it against the bound of the
-// ranking so far, and returns the best k ≤ MaxRanked of them. A mode's
+// ranking so far, and returns the best k of them, 1 ≤ k ≤ MaxRanked. A mode's
 // references are smoothed where smooth is set and UseSmoothing holds for it.
-// On the lanes path each run of angular modes is one rankLinesAVX2 call.
 func (sc *Scorer) Rank(modes []Mode, smooth bool, k int) Ranking {
-	if k < 1 || k > MaxRanked {
-		panic(fmt.Sprintf("intra: Rank keeps 1 to %d modes, not %d", MaxRanked, k))
-	}
 	top := Ranking{K: k}
-	forms := &modeForms[sizeClass(sc.n)]
-	sides := sc.readyRefs(smooth)
-	for i := 0; i < len(modes); i++ {
-		j := i
-		for sc.simd && j < len(modes) && modes[j] >= 2 && modes[j] < NumModes {
-			j++
-		}
-		if j > i {
-			rankLinesAVX2(&sc.ref16[0][0][0], &sc.line16[0][0], &sides, sc.n, forms, modes[i:j], i, smooth, &top)
-			i = j - 1
-			continue
-		}
-		m, bound := modes[i], top.Bound()
-		d, s := &forms[m], int64(0)
-		if f := b2i(smooth && d.smooth); m < 2 {
-			s = sc.SAD(m, f == 1, bound)
-		} else { // the packed path
-			sc.ready(d, f)
-			s = packedSAD(&sc.ref[f][d.o], &sc.line[d.o], sc.n, d.angle, bound)
-		}
-		if s <= bound {
+	for i, m := range modes {
+		bound := top.Bound()
+		if s := sc.SAD(m, smooth && sc.forms[m].smooth, bound); s <= bound {
 			top.Offer(i, s)
 		}
 	}
 	return top
-}
-
-// readyRefs packs, on the lanes path, the main arrays rankLinesAVX2 reads,
-// smoothed too where smooth is set, and returns their side arrays by
-// filter·2 + orientation.
-func (sc *Scorer) readyRefs(smooth bool) (sides [4]*int32) {
-	for f := range b2i(sc.simd) * (1 + b2i(smooth)) {
-		for o := range 2 {
-			if !sc.refReady[f][o] {
-				sc.packRef(f, o)
-			}
-		}
-		sides[2*f], sides[2*f+1] = &sc.refs[f].Left[0], &sc.refs[f].Above[0]
-	}
-	return sides
 }
 
 // Predict writes mode m's prediction from the references, raw or smoothed,
@@ -656,7 +655,7 @@ func (sc *Scorer) Predict(m Mode, smoothed bool, dst []int32) {
 		Predict(m, sc.n, sc.Refs(smoothed), dst)
 		return
 	}
-	d, f := &modeForms[sizeClass(sc.n)][m], b2i(smoothed)
+	d, f := &sc.forms[m], b2i(smoothed)
 	sc.ready(d, f)
 	predLinesAVX2(&sc.ref16[f][d.o][0], &dst[0], sc.n, int(d.angle), d.o == 1)
 }

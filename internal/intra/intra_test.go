@@ -474,10 +474,10 @@ func scoreEquivalence(t *testing.T, simd bool, seed int64) {
 // bound score on every kernel path as the definition scores them, and
 // Predict and Scorer.Predict write the definition's block. The seeds sit at
 // the ends of the sample range and at line exits, every mode on every size
-// both raw and smoothed, and on the kernels' line pairs: a bound at the
-// running sum after line 2j of a pair (the exit is line 2j+1's, where the
-// pair first crosses) and one below it (line 2j's), on both orientations and
-// both filters; plain `go test` replays them.
+// both raw and smoothed, and inside the kernels' groups of lines (pairs, and
+// fours at n = 8): a bound at the running sum after line 2j (the exit is a
+// later line's, where the group first crosses) and one below it (line 2j's),
+// on both orientations and both filters; plain `go test` replays them.
 func FuzzSIMDKernels(f *testing.F) {
 	bounds := []int64{math.MaxInt64, 0, 255, 254}
 	for si := 0; si < 4; si++ {

@@ -7,7 +7,7 @@ package intra
 func sadLinesAVX2(ref, src *int16, n, angle int, bound int64) int64
 
 //go:noescape
-func rankLinesAVX2(ref, src *int16, sides *[4]*int32, n int, forms *[NumModes]modeForm, modes []Mode, first int, smooth bool, top *Ranking)
+func sadLines8AVX2(t1, t2, src *int16, lines *lines8, bound int64) int64
 
 //go:noescape
 func predLinesAVX2(ref *int16, dst *int32, n, angle int, columns bool)

@@ -81,83 +81,27 @@
 // i = n+1 + pos>>5 at frac = pos&31 as (a<<5 + frac·(b−a) + 16) >> 5, one
 // sample a 16-bit lane, and adds Σ|v − src| to the running sum, returning
 // once that exceeds bound. The horizontal sum is VPSADBW against zero: every
-// |v − s| ≤ 255 is a byte in the low half of its word.
+// |v − s| ≤ 255 is a byte in the low half of its word. n is 16 or 32 (an
+// 8×8 block is sadLines8AVX2's).
 //
-// Lines are scored two at a time, with one VPSADBW and one horizontal sum
-// for both: at n = 8 lines l and l+1 share a register, one in each 128-bit
-// lane, against the 32 contiguous source bytes of both; at n = 16 and 32 the
-// two lines' differences are packed to bytes together (VPACKUSWB). When the
-// pair's sum crosses the bound, the exit is still line l's if the running
-// sum after line l alone exceeds it (split).
+// The differences of two lines are packed to bytes together (VPACKUSWB) for
+// one VPSADBW and one horizontal sum. When the pair's sum crosses the bound,
+// the exit is still line l's if the running sum after it alone exceeds the
+// bound (split).
 //
 // DI the current source line, R8 bound, AX the running sum, X9/Y9 zero; the
-// rest as ANGULAR_SETUP. At n = 8 Y10 holds the pos of line l in its low lane
-// and of line l+1 in its high one, Y11 and R11 step them by 2·angle, and R12
-// is line l+1's start.
+// rest as ANGULAR_SETUP.
 TEXT ·sadLinesAVX2(SB), NOSPLIT, $0-48
 	MOVQ ref+0(FP), SI
 	MOVQ src+8(FP), DI
 	MOVQ n+16(FP), CX
 	MOVQ angle+24(FP), DX
 	MOVQ bound+32(FP), R8
-	VPXOR Y9, Y9, Y9
-	LANE_CONSTANTS
-	CALL sadLines<>(SB)
-	VZEROUPPER
-	MOVQ AX, ret+40(FP)
-	RET
-
-// sadLines<> is sadLinesAVX2 for the kernels here: SI ref, DI src, CX n, DX
-// angle and R8 bound in, with Y9 zero and LANE_CONSTANTS set; the score out in
-// AX. It clobbers BX, CX, DI, R9–R12, Y0–Y5, Y10, Y11 and Y14, and leaves the
-// upper halves of the YMM registers dirty.
-TEXT sadLines<>(SB), NOSPLIT, $0
 	XORQ AX, AX
-	ANGLE_SETUP
+	VPXOR Y9, Y9, Y9
+	ANGULAR_SETUP
 	CMPQ CX, $16
-	JEQ  line16
 	JGT  line32
-	VPADDW Y11, Y11, Y14
-	VPBLENDD $0xF0, Y14, Y11, Y10
-	VMOVDQU Y14, Y11
-	LEAQ (DX)(DX*1), R11
-	SHRQ $1, CX
-
-pair8:
-	MOVQ R9, BX
-	SARQ $5, BX
-	ADDQ R10, BX
-	LEAQ (R9)(DX*1), R12
-	SARQ $5, R12
-	ADDQ R10, R12
-	VPAND Y12, Y10, Y2
-	VMOVDQU (SI)(BX*2), X0
-	VINSERTI128 $1, (SI)(R12*2), Y0, Y0
-	VMOVDQU 2(SI)(BX*2), X1
-	VINSERTI128 $1, 2(SI)(R12*2), Y1, Y1
-	BLEND(Y0, Y1, Y2, Y13)
-	VPSUBW (DI), Y0, Y0
-	VPABSW Y0, Y0
-	VPSADBW Y9, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ X1, X0, X3
-	VPSHUFD $0x4E, X3, X2
-	VPADDQ X2, X3, X3
-	VMOVQ X3, BX
-	ADDQ BX, AX
-	CMPQ AX, R8
-	JGT  split8
-	ADDQ R11, R9
-	VPADDW Y11, Y10, Y10
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  pair8
-	JMP  done
-
-split8:
-	VPSHUFD $0x4E, X0, X2
-	VPADDQ X2, X0, X0
-	JMP  split
 
 line16:
 	SHRQ $1, CX
@@ -255,114 +199,120 @@ split:
 	CMOVQGT R12, AX
 
 done:
+	VZEROUPPER
+	MOVQ AX, ret+40(FP)
 	RET
 
-// func rankLinesAVX2(ref, src *int16, sides *[4]*int32, n int, forms *[NumModes]modeForm, modes []Mode, first int, smooth bool, top *Ranking)
+// GATHER8(ya, yb, off) leaves in ya lines 2p (low lane) and 2p+1 (high
+// lane) of an n = 8 block from the pair's lines8 entry at off(R11): a and b
+// gathered from the byte tables Y14 and Y15, blended at the fracs. yb and Y5
+// are clobbered. GATHER8P is GATHER8 from Y14 alone.
+#define GATHER8(ya, yb, off) \
+	VPSHUFB off+32(R11), Y14, ya; \
+	VPSHUFB off+96(R11), Y15, Y5; \
+	VPOR    Y5, ya, ya; \
+	VPSHUFB off+64(R11), Y14, yb; \
+	VPSHUFB off+128(R11), Y15, Y5; \
+	VPOR    Y5, yb, yb; \
+	BLEND(ya, yb, off(R11), Y13)
+
+#define GATHER8P(ya, yb, off) \
+	VPSHUFB off+32(R11), Y14, ya; \
+	VPSHUFB off+64(R11), Y14, yb; \
+	BLEND(ya, yb, off(R11), Y13)
+
+// SCORE4(off) adds to AX the SAD of the four lines in Y0 and Y3 against the
+// source lines at off(DI), and goes to split8 once AX exceeds R8. It leaves
+// the lines' sums in X0 (l, l+2) and X1 (l+1, l+3) and the four's in BX.
+#define SCORE4(off) \
+	VPSUBW off(DI), Y0, Y0; \
+	VPSUBW off+32(DI), Y3, Y3; \
+	VPABSW Y0, Y0; \
+	VPABSW Y3, Y3; \
+	VPACKUSWB Y3, Y0, Y0; \
+	VPSADBW Y9, Y0, Y0; \
+	VEXTRACTI128 $1, Y0, X1; \
+	VPADDQ X1, X0, X3; \
+	VPSHUFD $0x4E, X3, X2; \
+	VPADDQ X2, X3, X3; \
+	VMOVQ X3, BX; \
+	ADDQ BX, AX; \
+	CMPQ AX, R8; \
+	JGT  split8
+
+// BYTES16(r, y, x) leaves in both lanes of y the 16 int16 samples at (r) as
+// bytes; x is y's low half.
+#define BYTES16(r, y, x) \
+	VMOVDQU   (r), x; \
+	VPACKUSWB 16(r), x, x; \
+	VPERMQ    $0x44, y, y
+
+// func sadLines8AVX2(t1, t2, src *int16, lines *lines8, bound int64) int64
 //
-// Ranks a run of angular modes as Scorer.Rank does, each in one pass of the
-// loop below: read the mode's form (modeForm: from at 0, its length at 8,
-// angle at 24, o at 28, smooth at 29; 32 bytes), extend its main array
-// below the corner from its side array, score it by sadLines<> against top's
-// bound, and on a score within it insert mode first+i into top as
-// Ranking.Offer does (K at 0, N at 8, Idx at 16, Score at 40). The arrays are
-// ref16 and line16 of a Scorer whose lines and main arrays the run reads are
-// packed: (f·2+o)·256 and o·2048 bytes from ref and src; sides by f·2+o.
+// sadLinesAVX2 for an n = 8 block, whose lines' samples are gathered from
+// registers instead of loaded from a main array: the 16 samples at t1 and,
+// for a negative angle, at t2, as bytes, are the tables, and lines holds per
+// pair of lines the fracs and the VPSHUFB controls that pick each word of a
+// and b from one of them (0x80 from the other). So a negative-angle mode
+// needs no projected samples in memory; a mode of angle ≥ 0 reads t1 alone
+// (t2 nil). Lines l and l+1 share a register, one in each 128-bit lane, and
+// four lines are scored a VPSADBW (SCORE4); when they cross the bound,
+// split8 finds the first line that does.
 //
-// R13 the run's index i; per mode BX its form, R10 f·2+o, and the rest as
-// sadLines<> takes them; the arguments stay in the frame.
-TEXT ·rankLinesAVX2(SB), NOSPLIT, $0-88
-	XORQ R13, R13
+// R11 lines; the rest as sadLinesAVX2.
+TEXT ·sadLines8AVX2(SB), NOSPLIT, $0-48
+	MOVQ t1+0(FP), SI
+	MOVQ t2+8(FP), R12
+	MOVQ src+16(FP), DI
+	MOVQ lines+24(FP), R11
+	MOVQ bound+32(FP), R8
+	XORQ AX, AX
 	VPXOR Y9, Y9, Y9
-	LANE_CONSTANTS
+	MOVL $16, BX
+	VMOVD BX, X13
+	VPBROADCASTW X13, Y13
+	BYTES16(SI, Y14, X14)
+	TESTQ R12, R12
+	JZ   from1
+	BYTES16(R12, Y15, X15)
+	GATHER8(Y0, Y1, 0)
+	GATHER8(Y3, Y4, 160)
+	SCORE4(0)
+	GATHER8(Y0, Y1, 320)
+	GATHER8(Y3, Y4, 480)
+	SCORE4(64)
+	JMP  done8
 
-mode:
-	MOVQ modes_base+40(FP), BX
-	MOVQ (BX)(R13*8), BX
-	SHLQ $5, BX
-	ADDQ forms+32(FP), BX
-	MOVLQSX 24(BX), DX
-	MOVBQZX 28(BX), R9
-	MOVBQZX 29(BX), R10
-	MOVBQZX smooth+72(FP), R11
-	ANDQ R11, R10
-	LEAQ (R9)(R10*2), R10
-	MOVQ R10, SI
-	SHLQ $8, SI
-	ADDQ ref+0(FP), SI
-	MOVQ R9, DI
-	SHLQ $11, DI
-	ADDQ src+8(FP), DI
-	MOVQ 8(BX), CX
-	TESTQ CX, CX
-	JZ   bound
-	MOVQ sides+16(FP), R11
-	MOVQ (R11)(R10*8), R11
-	MOVQ (BX), BX
-	MOVQ n+24(FP), R12
-	LEAQ -2(SI)(R12*2), R12
+from1:
+	GATHER8P(Y0, Y1, 0)
+	GATHER8P(Y3, Y4, 160)
+	SCORE4(0)
+	GATHER8P(Y0, Y1, 320)
+	GATHER8P(Y3, Y4, 480)
+	SCORE4(64)
+	JMP  done8
 
-extend:
-	MOVBQZX (BX), R9
-	MOVL (R11)(R9*4), R9
-	MOVW R9, (R12)
-	INCQ BX
-	SUBQ $2, R12
-	DECQ CX
-	JNZ  extend
-
-bound:
-	MOVQ top+80(FP), BX
-	MOVQ $0x7FFFFFFFFFFFFFFF, R8
-	MOVQ (BX), R9
-	CMPQ 8(BX), R9
-	JLT  score
-	MOVQ 32(BX)(R9*8), R8
-
-score:
-	MOVQ n+24(FP), CX
-	CALL sadLines<>(SB)
+split8:
+	// The four lines crossed the bound: add them back one at a time.
+	SUBQ BX, AX
+	VMOVQ X0, BX
+	ADDQ BX, AX
 	CMPQ AX, R8
-	JGT  next
-	MOVQ top+80(FP), BX
-	MOVQ 8(BX), R9
+	JGT  done8
+	VMOVQ X1, BX
+	ADDQ BX, AX
+	CMPQ AX, R8
+	JGT  done8
+	VPEXTRQ $1, X0, BX
+	ADDQ BX, AX
+	CMPQ AX, R8
+	JGT  done8
+	VPEXTRQ $1, X1, BX
+	ADDQ BX, AX
 
-	// R9 the insertion point: below every member whose score is not lower.
-rise:
-	TESTQ R9, R9
-	JZ   place
-	CMPQ AX, 32(BX)(R9*8)
-	JGT  place
-	DECQ R9
-	JMP  rise
-
-place:
-	MOVQ 8(BX), R10
-	CMPQ R10, (BX)
-	JGE  shift
-	INCQ R10
-	MOVQ R10, 8(BX)
-
-shift:
-	DECQ R10
-	CMPQ R10, R9
-	JLE  put
-	MOVQ 8(BX)(R10*8), R11
-	MOVQ R11, 16(BX)(R10*8)
-	MOVQ 32(BX)(R10*8), R11
-	MOVQ R11, 40(BX)(R10*8)
-	JMP  shift
-
-put:
-	MOVQ first+64(FP), R11
-	ADDQ R13, R11
-	MOVQ R11, 16(BX)(R9*8)
-	MOVQ AX, 40(BX)(R9*8)
-
-next:
-	INCQ R13
-	CMPQ R13, modes_len+48(FP)
-	JLT  mode
+done8:
 	VZEROUPPER
+	MOVQ AX, ret+40(FP)
 	RET
 
 // WIDEN(y, x, off) stores the 16 int16 samples of y, sign-extended, as 16
