@@ -61,12 +61,16 @@ vet:
 # TestToolsByteIsStrict) — and the sweep's codec rows —
 # every golden vector re-encoded and decoded on both kernel paths at every
 # worker count, against the committed bytes — catch a byte drift in seconds.
+# Metrics switch off one way (TestMetricsHelpersInline): every nil-safe
+# recording helper of codec and kv, and the obs handles kv, store and core
+# call directly, is one the compiler inlines, so disabled metrics cost one nil
+# test at a record site.
 # Every Go file of the root module and of benchmark/ is gofmt-clean: the step
 # lists any file `gofmt -l` would rewrite, and fails. The first step of ci.
 surface: vet
 	@unformatted=$$(find . -name '*.go' ! -path '*/.bench_build/*' -exec gofmt -l {} +); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:"; echo "$$unformatted"; exit 1; fi
-	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|RetiredRawBinsRefused|ToolsByteIsStrict|TrailingBytesAreCorrupt|CompressorPins' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
+	$(GO) test -run 'SurfaceIsClosed|OptionFieldsAreClosed|UnknownProfileRefused|ReconIsDecode|KernelReferencesAreLive|RDDecisionsAreInteger|CorpusIsClosed|KernelFlagIsContained|RetiredTrailerRefused|RetiredRawBinsRefused|ToolsByteIsStrict|TrailingBytesAreCorrupt|CompressorPins|MetricsHelpersInline' . ./internal/codec/ ./internal/core/ ./internal/llm/ ./internal/store/
 	$(GO) test -run 'Equivalence|Pinned|Limits|MatchesReference|^Fuzz(Lanes|SIMDKernels|ParseResidual)$$' ./internal/cabac/ ./internal/dct/ ./internal/intra/ ./internal/codec/ ./internal/quant/
 	$(GO) test -run 'TestConformance/./././^v[0-9]/^codec$$' ./internal/conformance/
 	$(GO) vet -C benchmark ./...

@@ -13,7 +13,6 @@ package codec
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/frame"
 	"repro/internal/obs"
@@ -78,10 +77,7 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 		return nil, Stats{}, nil, err
 	}
 
-	var tContainer time.Time
-	if m != nil {
-		tContainer = time.Now()
-	}
+	tContainer := m.now()
 	version := byte(versionChecksummed)
 	if cfg.Container == ContainerLegacy && cfg.Tools.Backend == BackendCABAC {
 		// A single chunk has no chunk table to spend bytes on: version 1,
@@ -103,10 +99,8 @@ func Encode(ctx context.Context, planes []*frame.Plane, cfg EncodeConfig) ([]byt
 
 	st := computeStats(planes, recs, len(out)*8)
 	st.Chunks = len(spans)
-	if m != nil {
-		m.stageContainer.ObserveSince(tContainer)
-		m.recordEncodeTotals(st, len(out), payloadLen, len(planes))
-	}
+	m.stageContainer.ObserveSince(tContainer)
+	m.recordEncodeTotals(st, len(out), payloadLen, len(planes))
 	return out, st, recs, nil
 }
 
@@ -199,15 +193,10 @@ func (d *Decoded) Recovered() int {
 // over partial recovery alike, since the caller has already walked away.
 func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error) {
 	m := newDecMetrics(cfg.Metrics)
-	var t0 time.Time
-	if m != nil {
-		m.calls.Inc()
-		t0 = time.Now()
-	}
+	m.calls.Inc()
+	t0 := m.now()
 	pc, err := parseContainer(data, cfg.Partial, true)
-	if m != nil {
-		m.stageParse.ObserveSince(t0)
-	}
+	m.stageParse.ObserveSince(t0)
 	var d *Decoded
 	if err == nil {
 		d = &Decoded{Chunks: len(pc.chunks)}
@@ -217,13 +206,11 @@ func Decode(ctx context.Context, data []byte, cfg DecodeConfig) (*Decoded, error
 		m.countError(err)
 		return nil, err
 	}
-	if m != nil {
-		m.planes.Add(int64(d.Recovered()))
-		for _, ce := range d.Errors {
-			m.countError(ce.Err)
-			m.partialChunksLost.Inc()
-			m.partialPlanesLost.Add(int64(ce.PlaneCount))
-		}
+	m.planes.Add(int64(d.Recovered()))
+	for _, ce := range d.Errors {
+		m.countError(ce.Err)
+		m.partialChunksLost.Inc()
+		m.partialPlanesLost.Add(int64(ce.PlaneCount))
 	}
 	return d, nil
 }

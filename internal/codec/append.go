@@ -78,9 +78,7 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneR
 	}
 	st := computeStats(planes, recs, payloadLen*8)
 	st.Chunks = len(spans)
-	if a.m != nil {
-		a.m.recordEncodeTotals(st, payloadLen, payloadLen, len(planes))
-	}
+	a.m.recordEncodeTotals(st, payloadLen, payloadLen, len(planes))
 	return payloads, st, nil
 }
 
@@ -88,9 +86,7 @@ func (a *Appender) Append(ctx context.Context, planes []*frame.Plane, _ []PlaneR
 // plane, in order: a strict Decode of the container they would make, minus
 // the container and its parse-stage metric.
 func (a *Appender) Decode(ctx context.Context, w, h int, payloads [][]byte) ([]*frame.Plane, error) {
-	if a.dm != nil {
-		a.dm.calls.Inc()
-	}
+	a.dm.calls.Inc()
 	if a.tools.Backend != BackendCABAC {
 		return nil, errAppendRANS
 	}
@@ -108,8 +104,6 @@ func (a *Appender) Decode(ctx context.Context, w, h int, payloads [][]byte) ([]*
 		a.dm.countError(err)
 		return nil, err
 	}
-	if a.dm != nil {
-		a.dm.planes.Add(int64(len(planes)))
-	}
+	a.dm.planes.Add(int64(len(planes)))
 	return planes, nil
 }

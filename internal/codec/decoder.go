@@ -40,10 +40,10 @@ type decoder struct {
 
 	prevMode intra.Mode
 
-	// entropyNs accumulates the time spent parsing CTUs when timed is set
-	// (metrics enabled); one clock pair per CTU batch, none otherwise.
-	timed     bool
-	entropyNs int64
+	// rec times the CTU parses into stages when metrics are on, one clock
+	// pair a CTU; nil, none.
+	rec    *stageRecorder
+	stages stageRecorder
 }
 
 // checkPreamble validates the fixed 8-byte preamble plus the minimum header
@@ -188,9 +188,9 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 		tools:  pc.tools,
 		scr:    s,
 		cancel: cancellable(ctx),
-		timed:  m != nil,
+		rec:    m.recorder(&d.stages),
 	}
-	s.rcn = reconstructor{prof: d.prof, tools: pc.tools, qp: pc.qp, scr: s, timed: m != nil}
+	s.rcn = reconstructor{prof: d.prof, tools: pc.tools, qp: pc.qp, scr: s, rec: m.recorder(&s.rcn.stages)}
 	var rc *ransChunk
 	switch {
 	case pc.tools.Backend == BackendRANS:
@@ -211,9 +211,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 
 	var stageStart time.Time
 	if surplus {
-		if m != nil {
-			stageStart = time.Now()
-		}
+		stageStart = d.rec.start()
 		d.stage = startReconStage(&s.rcn, c.index)
 	}
 	// Registered after the recover above, so on a panic it runs first: the
@@ -224,17 +222,7 @@ func decodeChunkPayload(ctx context.Context, c *chunkMeta, pc *parsedContainer, 
 				planes, err = nil, corruptf("codec: decode panic: %v", failed)
 			}
 		}
-		if m != nil {
-			m.stageEntropy.Observe(d.entropyNs)
-			m.stageRecon.Observe(s.rcn.busyNs)
-			if d.stage != nil {
-				// The stage goroutine is one more pool slot for as long as it
-				// lived, busy while it reconstructed.
-				m.pipelined.Inc()
-				m.pool.busy.Add(s.rcn.busyNs)
-				m.pool.wall.Add(int64(time.Since(stageStart)))
-			}
-		}
+		m.flush(d.rec, s.rcn.rec, d.stage != nil, stageStart)
 	}()
 
 	planes = make([]*frame.Plane, len(c.dims))
@@ -274,13 +262,9 @@ func (d *decoder) decodeFrame(srcW, srcH int) *frame.Plane {
 				}
 			}
 			b := d.emptyBatch()
-			if d.timed {
-				t0 := time.Now()
-				d.parseCU(b, x, y, ctu, 0)
-				d.entropyNs += int64(time.Since(t0))
-			} else {
-				d.parseCU(b, x, y, ctu, 0)
-			}
+			t := d.rec.start()
+			d.parseCU(b, x, y, ctu, 0)
+			d.rec.stop(stageEntropy, t)
 			d.submit(b)
 		}
 	}

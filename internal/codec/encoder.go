@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/bits"
 	"repro/internal/cpufeat"
@@ -55,10 +54,11 @@ type encoder struct {
 
 	prevModeEmit intra.Mode // mode predictor state for emission
 
-	// rec accumulates per-stage times and bit accounts for this chunk when
-	// observability is enabled; nil (the default) keeps the hot path free of
-	// clock reads and bit-length queries.
-	rec *stageRecorder
+	// rec accumulates per-stage times and bit accounts for this chunk into
+	// stages when metrics are on; nil, it keeps the hot path free of clock
+	// reads and bit-length queries.
+	rec    *stageRecorder
+	stages stageRecorder
 }
 
 // validateEncode checks Encode's preconditions (Appender.Append shares them
@@ -134,6 +134,7 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 		lambda: lambdaTable[qp],
 		scr:    s,
 		cancel: cancellable(ctx),
+		rec:    m.recorder(&e.stages),
 	}
 	e.modeRate = rateUnit + (rateUnit*dct.Log2Fixed(uint64(len(e.prof.modes)))+1<<(dct.Log2Frac-1))>>dct.Log2Frac
 	if tools.Backend == BackendRANS {
@@ -145,18 +146,13 @@ func encodeChunk(ctx context.Context, planes []*frame.Plane, qp int, prof Profil
 		s.ctx.init()
 		e.bw = s.binEnc()
 	}
-	if m != nil {
-		e.rec = &stageRecorder{m: m}
-	}
 	recs = make([]*frame.Plane, len(planes))
 	for i, p := range planes {
 		e.fIdx = i
 		e.encodeFrame(p)
 		recs[i] = e.recon
 	}
-	if e.rec != nil {
-		e.rec.flush()
-	}
+	m.flush(e.rec)
 	if rec != nil {
 		return nil, rec, recs, nil
 	}
@@ -246,17 +242,11 @@ func (e *encoder) encodeFrame(src *frame.Plane) {
 			}
 			// Decisions from the previous CTU were emitted; recycle them.
 			e.scr.resetCTU()
-			if e.rec != nil {
-				t0 := time.Now()
-				d := e.decideCU(x, y, e.prof.ctuSize)
-				t1 := time.Now()
-				e.rec.decideNs += int64(t1.Sub(t0))
-				e.emitCU(d, x, y, e.prof.ctuSize, 0)
-				e.rec.entropyNs += int64(time.Since(t1))
-				continue
-			}
+			t := e.rec.start()
 			d := e.decideCU(x, y, e.prof.ctuSize)
+			t = e.rec.stop(stageDecide, t)
 			e.emitCU(d, x, y, e.prof.ctuSize, 0)
+			e.rec.stop(stageEntropy, t)
 		}
 	}
 	// Crop the reconstruction back to the source dims. The crop is a fresh
@@ -509,17 +499,12 @@ func (e *encoder) decideLeaf(x, y, size int) *cuDec {
 	*best = cuDec{cost: math.MaxInt64, levels: s.newLevels(n2), rec: s.newLevels(n2)}
 
 	if e.tools.IntraPred {
-		var tIntra time.Time
-		if e.rec != nil {
-			tIntra = time.Now()
-		}
+		// The coarse ranking (modes scored, survivors predicted) is the
+		// intra-search share; the full-RD trials below charge their
+		// transform+quant work to the transform stage on their own.
+		t := e.rec.start()
 		top := e.coarseIntra(orig, x, y, size)
-		if e.rec != nil {
-			// The coarse ranking (modes scored, survivors predicted) is the
-			// intra-search share; the full-RD trials below charge their
-			// transform+quant work to the transform stage on their own.
-			e.rec.intraNs += int64(time.Since(tIntra))
-		}
+		e.rec.stop(stageIntra, t)
 		// Full RD on the top coarse candidates only; Planar and DC compete in
 		// the coarse ranking like every other mode. A survivor whose prediction
 		// equals an earlier one's would repeat its trial at its cost, which
@@ -598,10 +583,7 @@ func (e *encoder) motionSearch(orig []int32, x, y, size int) (int32, int32) {
 // distortion summed in one more. The integers are reconstructBlockInto's;
 // TestTrialResidualEquivalence holds the two together.
 func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev, rec []int32, sse, rate int64) {
-	var t0 time.Time
-	if e.rec != nil {
-		t0 = time.Now()
-	}
+	t := e.rec.start()
 	s := e.scr
 	n2 := size * size
 	res, orig, pred := s.res[:n2], orig[:n2], pred[:n2]
@@ -627,10 +609,7 @@ func (e *encoder) trialResidual(orig, pred []int32, size int, isIntra bool) (lev
 		dequantizeSpatial(rec, lev, e.qp)
 	}
 	sse = addClipSSE(rec, pred, orig, size)
-	if e.rec != nil {
-		e.rec.xformNs += int64(time.Since(t0))
-		e.rec.trials++
-	}
+	e.rec.stop(stageXform, t)
 	return lev, rec, sse, estimateLevelBits(lev, size, e.tools.Transform)
 }
 
@@ -782,13 +761,9 @@ func b2i(b bool) int {
 // emitCU serializes a decided CU tree. Only a signaled split sends a flag.
 func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
 	if splitKindFor(e.prof, e.tools, size) == splitSignaled {
-		if e.rec != nil {
-			b0 := e.bw.bitLen()
-			e.bw.bit(splitSlot(depth), b2i(d.split))
-			e.rec.bitsPartition += int64(e.bw.bitLen() - b0)
-		} else {
-			e.bw.bit(splitSlot(depth), b2i(d.split))
-		}
+		b := e.rec.mark(e.bw)
+		e.bw.bit(splitSlot(depth), b2i(d.split))
+		e.rec.account(bitsPartition, e.bw, b)
 	}
 	if d.split {
 		h := size / 2
@@ -801,10 +776,7 @@ func (e *encoder) emitCU(d *cuDec, x, y, size, depth int) {
 }
 
 func (e *encoder) emitLeaf(d *cuDec, size int) {
-	var b0 int
-	if e.rec != nil {
-		b0 = e.bw.bitLen()
-	}
+	b := e.rec.mark(e.bw)
 	if e.tools.InterPred && e.fIdx > 0 {
 		e.bw.bit(ctxInterFlag, b2i(d.inter))
 	}
@@ -819,14 +791,9 @@ func (e *encoder) emitLeaf(d *cuDec, size int) {
 		}
 		e.prevModeEmit = d.mode
 	}
-	if e.rec != nil {
-		b1 := e.bw.bitLen()
-		e.rec.bitsMode += int64(b1 - b0)
-		e.bw.levels(d.levels, size, e.tools.Transform)
-		e.rec.bitsResidual += int64(e.bw.bitLen() - b1)
-		return
-	}
+	b = e.rec.account(bitsMode, e.bw, b)
 	e.bw.levels(d.levels, size, e.tools.Transform)
+	e.rec.account(bitsResidual, e.bw, b)
 }
 
 func (e *encoder) modeIndex(m intra.Mode) int {

@@ -47,7 +47,6 @@ import (
 	"hash/crc32"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/frame"
 )
@@ -125,9 +124,9 @@ func chunkSpans(planes []*frame.Plane, tools Tools) [][2]int {
 // Each pool worker checks out one scratch arena for its whole job run, so
 // per-chunk codec state is reused instead of reallocated; a one-worker pool
 // runs inline on the caller's goroutine through the exact same job code.
-// With metrics enabled (pm != nil) it records the pool size, busy and wall
-// time (wall = elapsed × pool size, so utilization = busy/wall) and tags
-// each worker goroutine with pprof labels under the given pool name.
+// It records the pool size, busy and wall time (wall = elapsed × pool size,
+// so utilization = busy/wall) and, when pm records, tags each worker
+// goroutine with pprof labels under the given pool name.
 //
 // runPool knows nothing of cancellation or errors: jobs check their own ctx
 // and report through whatever they close over, and the pool always drains.
@@ -136,58 +135,42 @@ func runPool(n, workers int, name string, pm *poolMetrics, job func(i int, scr *
 	if workers > n {
 		workers = n
 	}
-	var wallStart time.Time
-	if pm != nil {
-		wallStart = time.Now()
-		pm.workers.Observe(int64(workers))
-	}
+	wallStart := pm.now()
+	pm.workers.Observe(int64(workers))
 	if workers <= 1 {
 		scr := getScratch()
 		for i := 0; i < n; i++ {
 			job(i, scr)
 		}
 		putScratch(scr)
-		if pm != nil {
-			wall := int64(time.Since(wallStart))
-			pm.busy.Add(wall)
-			pm.wall.Add(wall)
-		}
+		wall := pm.since(wallStart)
+		pm.busy.Add(wall)
+		pm.wall.Add(wall)
 		return
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go pm.labeled(name, w, func() {
 			defer wg.Done()
-			work := func() {
-				scr := getScratch()
-				var busy int64
-				for i := range jobs {
-					t0 := time.Now()
-					job(i, scr)
-					busy += int64(time.Since(t0))
-				}
-				putScratch(scr)
-				if pm != nil {
-					pm.busy.Add(busy)
-				}
+			scr := getScratch()
+			var busy int64
+			for i := range jobs {
+				t := pm.now()
+				job(i, scr)
+				busy += pm.since(t)
 			}
-			if pm != nil {
-				workerLabels(name, w, work)
-			} else {
-				work()
-			}
-		}(w)
+			putScratch(scr)
+			pm.busy.Add(busy)
+		})
 	}
 	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if pm != nil {
-		pm.wall.Add(int64(time.Since(wallStart)) * int64(workers))
-	}
+	pm.wall.Add(pm.since(wallStart) * int64(workers))
 }
 
 // ----------------------------------------------------------- chunk encode
@@ -218,23 +201,14 @@ func encodeChunks(ctx context.Context, planes []*frame.Plane, spans [][2]int, qp
 	if tools.Backend == BackendRANS {
 		records = make([]*ransRecord, len(spans))
 	}
-	var pm *poolMetrics
-	if m != nil {
-		pm = &m.pool
-	}
-	runPool(len(spans), workers, "encode", pm, func(i int, scr *scratch) {
+	runPool(len(spans), workers, "encode", &m.poolMetrics, func(i int, scr *scratch) {
 		if errs[i] = ctxErr(ctx); errs[i] != nil {
 			return // canceled before the chunk started; skip the encode
 		}
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
+		t0 := m.now()
 		s := spans[i]
 		payload, record, chunkRecs, err := encodeChunk(ctx, planes[s[0]:s[1]], qp, prof, tools, m, scr)
-		if m != nil {
-			m.pool.chunkNs.ObserveSince(t0)
-		}
+		m.chunkNs.ObserveSince(t0)
 		chunks[i] = chunkRec{payload: payload, planes: s[1] - s[0]}
 		if records != nil {
 			records[i] = record
@@ -498,11 +472,7 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 	// pool's clamp to the chunk count is exactly what discards the surplus.
 	// Output is identical either way.
 	surplus := normalizeWorkers(workers) > len(pc.chunks)
-	var pm *poolMetrics
-	if m != nil {
-		pm = &m.pool
-	}
-	runPool(len(pc.chunks), workers, "decode", pm, func(i int, scr *scratch) {
+	runPool(len(pc.chunks), workers, "decode", &m.poolMetrics, func(i int, scr *scratch) {
 		c := &pc.chunks[i]
 		if err := ctxErr(ctx); err != nil {
 			c.err = err // canceled before the chunk started; skip the decode
@@ -511,15 +481,10 @@ func decodeChunks(ctx context.Context, pc *parsedContainer, workers int, m *decM
 		if c.err != nil {
 			return // unusable since the parse (out of range, or CRC mismatch)
 		}
-		var t0 time.Time
-		if m != nil {
-			t0 = time.Now()
-		}
+		t0 := m.now()
 		ps, err := decodeChunkPayload(ctx, c, pc, surplus, m, scr)
-		if m != nil {
-			m.pool.chunkNs.ObserveSince(t0)
-			m.chunks.Inc()
-		}
+		m.chunkNs.ObserveSince(t0)
+		m.chunks.Inc()
 		if err != nil {
 			c.err = err
 			return

@@ -4,15 +4,17 @@
 // (EncodeConfig.Metrics / DecodeConfig.Metrics); nil disables collection.
 // The instrumentation contract:
 //
-//   - Zero cost when disabled. A nil registry resolves to nil metric
-//     handles, and every record site is guarded by a single nil check —
-//     no clock reads, no allocations, no atomics (proved by
-//     BenchmarkEncodeDisabledMetrics against the uninstrumented baseline).
+//   - One switch. A nil registry resolves every handle to nil, and a nil
+//     handle records nothing, so record sites call the handles directly.
+//     Only the nil-safe helpers below test, to skip what a nil handle
+//     cannot: a clock read, a bitLen() query, pprof labels (once a
+//     goroutine). Each hot one is an inlinable test around an outlined
+//     body, costing that test when disabled (root TestMetricsHelpersInline).
 //   - Race-clean when enabled. Per-chunk stage times and bit accounts are
 //     accumulated in a plain stageRecorder owned by the one goroutine
-//     encoding that chunk, then flushed into the shared atomic registry
-//     handles at chunk end; the worker pools additionally report busy/wall
-//     time through atomic counters only.
+//     coding that chunk (the decoder has one per stage), then flushed into
+//     the shared atomic registry handles at chunk end; the worker pools
+//     additionally report busy/wall time through atomic counters only.
 //
 // Metric taxonomy (all durations in nanoseconds):
 //
@@ -61,31 +63,67 @@ import (
 	"errors"
 	"runtime/pprof"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 )
 
 // poolMetrics is the worker-pool instrument set, identical in both
-// directions: per-chunk makespan, pool size, busy and wall time.
+// directions: per-chunk makespan, pool size, busy and wall time. Its wall
+// handle is nil exactly when metrics are off, which is what its helpers test.
 type poolMetrics struct {
 	chunkNs, workers *obs.Histogram
 	busy, wall       *obs.Counter
 }
 
-// encMetrics holds the pre-resolved encode-side metric handles so hot paths
-// never touch the registry's name map. A nil *encMetrics disables
-// everything.
+// now is the start of a step these handles time: the clock when they record,
+// the zero time without a clock read when they are nil.
+func (pm *poolMetrics) now() time.Time {
+	if pm.wall == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// since is the nanoseconds from t, a time now returned, to this instant; 0
+// without a clock read when the handles are nil.
+func (pm *poolMetrics) since(t time.Time) int64 {
+	if pm.wall == nil {
+		return 0
+	}
+	return int64(time.Since(t))
+}
+
+// labeled runs f under pprof labels naming the pool and worker when the
+// handles record, and bare when they are nil.
+func (pm *poolMetrics) labeled(pool string, worker int, f func()) {
+	if pm.wall == nil {
+		f()
+		return
+	}
+	workerLabels(pool, worker, f)
+}
+
+// encMetrics holds the encode-side metric handles, resolved once per call
+// (or per Appender) so hot paths never touch the registry's name map.
 type encMetrics struct {
 	calls, planes, pixels, chunks, bytes, trials     *obs.Counter
 	bitsContainer, bitsPartition, bitsMode, bitsResi *obs.Counter
 	stagePartition, stageIntra, stageXform           *obs.Histogram
 	stageEntropy, stageContainer                     *obs.Histogram
-	pool                                             poolMetrics
+	poolMetrics
 }
+
+// noEncMetrics and noDecMetrics are a nil registry's sets, every handle nil.
+// They are shared so that a call with metrics off allocates none.
+var (
+	noEncMetrics encMetrics
+	noDecMetrics decMetrics
+)
 
 func newEncMetrics(reg *obs.Registry) *encMetrics {
 	if reg == nil {
-		return nil
+		return &noEncMetrics
 	}
 	return &encMetrics{
 		calls:          reg.Counter("codec.encode.calls"),
@@ -103,7 +141,7 @@ func newEncMetrics(reg *obs.Registry) *encMetrics {
 		stageXform:     reg.Histogram("codec.encode.stage.transform_quant_ns"),
 		stageEntropy:   reg.Histogram("codec.encode.stage.entropy_ns"),
 		stageContainer: reg.Histogram("codec.encode.stage.container_ns"),
-		pool: poolMetrics{
+		poolMetrics: poolMetrics{
 			chunkNs: reg.Histogram("codec.encode.chunk_ns"),
 			workers: reg.Histogram("codec.encode.pool.workers"),
 			busy:    reg.Counter("codec.encode.pool.busy_ns"),
@@ -112,33 +150,122 @@ func newEncMetrics(reg *obs.Registry) *encMetrics {
 	}
 }
 
-// stageRecorder accumulates one chunk's stage times and bit accounts with
-// plain (non-atomic) arithmetic; the chunk is encoded by exactly one
-// goroutine, and flush() publishes the totals through the atomic handles.
-type stageRecorder struct {
-	m *encMetrics
+// slot names what a stageRecorder sums: a stage's nanoseconds, or the bits
+// of one of the encoder's syntax accounts.
+type slot int
 
-	decideNs, intraNs, xformNs, entropyNs int64
-	trials                                int64 // trialResidual calls
-	bitsPartition, bitsMode, bitsResidual int64
+const (
+	stageDecide   slot = iota // encode: a CTU's RD decision, intra and trials included
+	stageIntra                // encode: a leaf's coarse intra ranking
+	stageXform                // encode: one transform+quant trial
+	stageEntropy              // encode: emitting a CTU's bins; decode: parsing them
+	stageRecon                // decode: reconstructing a parsed CTU
+	bitsPartition             // encode: split flags
+	bitsMode                  // encode: inter flags, motion vectors, intra modes
+	bitsResidual              // encode: levels
+	numSlots
+)
+
+// stageRecorder sums one chunk's stage times and bit accounts, and counts
+// how often each stage ran, with plain (non-atomic) arithmetic: it belongs
+// to the one goroutine running its stages, and the chunk's flush publishes
+// it through the atomic handles. A nil *stageRecorder (metrics off, or a
+// caller that passed no set) reads no clock and queries no bit position.
+type stageRecorder struct {
+	sum, runs [numSlots]int64
 }
 
-// flush publishes the accumulated chunk stats. The pure partition-search
-// share is the RD-decide total minus the leaf-internal intra-search and
+// start is the start of a stage: the clock, or the zero time when r is nil.
+func (r *stageRecorder) start() time.Time {
+	if r == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// stop charges stage s the time from t, a time start or stop returned, to
+// now, counts one run of s, and returns now: the start of whatever follows.
+func (r *stageRecorder) stop(s slot, t time.Time) time.Time {
+	if r == nil {
+		return t
+	}
+	return r.charge(s, t)
+}
+
+// charge reads only the monotonic clock: t.Add(d) is now.
+//
+//go:noinline
+func (r *stageRecorder) charge(s slot, t time.Time) time.Time {
+	d := time.Since(t)
+	r.sum[s] += int64(d)
+	r.runs[s]++
+	return t.Add(d)
+}
+
+// mark is bw's bit position, for account; 0, without the bitLen() query
+// (not free under CABAC), when r is nil.
+func (r *stageRecorder) mark(bw binEncoder) int {
+	if r == nil {
+		return 0
+	}
+	return bw.bitLen()
+}
+
+// account charges account a the bits bw wrote since position b, a mark,
+// and returns the position now.
+func (r *stageRecorder) account(a slot, bw binEncoder, b int) int {
+	if r == nil {
+		return 0
+	}
+	return r.count(a, bw, b)
+}
+
+//go:noinline
+func (r *stageRecorder) count(a slot, bw binEncoder, b int) int {
+	now := bw.bitLen()
+	r.sum[a] += int64(now - b)
+	return now
+}
+
+// labeled runs f under pprof labels naming the pool and worker when r
+// records, and bare when r is nil.
+func (r *stageRecorder) labeled(pool string, worker int, f func()) {
+	if r == nil {
+		f()
+		return
+	}
+	workerLabels(pool, worker, f)
+}
+
+// recorder resets *r and returns it when m records, and nil when m is nil
+// (a caller that passed no set) or its handles are.
+func (m *encMetrics) recorder(r *stageRecorder) *stageRecorder {
+	if m == nil || m.wall == nil {
+		return nil
+	}
+	*r = stageRecorder{}
+	return r
+}
+
+// flush publishes an encode chunk's stages. The pure partition-search share
+// is the RD-decide total minus the leaf-internal intra-search and
 // transform+quant shares measured inside it.
-func (r *stageRecorder) flush() {
-	partition := r.decideNs - r.intraNs - r.xformNs
+func (m *encMetrics) flush(r *stageRecorder) {
+	if r == nil {
+		return
+	}
+	partition := r.sum[stageDecide] - r.sum[stageIntra] - r.sum[stageXform]
 	if partition < 0 {
 		partition = 0
 	}
-	r.m.stagePartition.Observe(partition)
-	r.m.stageIntra.Observe(r.intraNs)
-	r.m.stageXform.Observe(r.xformNs)
-	r.m.stageEntropy.Observe(r.entropyNs)
-	r.m.bitsPartition.Add(r.bitsPartition)
-	r.m.bitsMode.Add(r.bitsMode)
-	r.m.bitsResi.Add(r.bitsResidual)
-	r.m.trials.Add(r.trials)
+	m.stagePartition.Observe(partition)
+	m.stageIntra.Observe(r.sum[stageIntra])
+	m.stageXform.Observe(r.sum[stageXform])
+	m.stageEntropy.Observe(r.sum[stageEntropy])
+	m.bitsPartition.Add(r.sum[bitsPartition])
+	m.bitsMode.Add(r.sum[bitsMode])
+	m.bitsResi.Add(r.sum[bitsResidual])
+	m.trials.Add(r.runs[stageXform])
 }
 
 // recordEncodeTotals publishes the call-level rollup shared by Encode and
@@ -146,9 +273,6 @@ func (r *stageRecorder) flush() {
 // (total container bits minus the entropy payload bits, i.e. headers,
 // dim/chunk tables and CRCs).
 func (m *encMetrics) recordEncodeTotals(st Stats, containerLen, payloadLen, nPlanes int) {
-	if m == nil {
-		return
-	}
 	m.calls.Inc()
 	m.planes.Add(int64(nPlanes))
 	m.pixels.Add(int64(st.Pixels))
@@ -165,12 +289,12 @@ type decMetrics struct {
 	partialChunksLost, partialPlanesLost  *obs.Counter
 	pipelined                             *obs.Counter
 	stageParse, stageEntropy, stageRecon  *obs.Histogram
-	pool                                  poolMetrics
+	poolMetrics
 }
 
 func newDecMetrics(reg *obs.Registry) *decMetrics {
 	if reg == nil {
-		return nil
+		return &noDecMetrics
 	}
 	return &decMetrics{
 		calls:             reg.Counter("codec.decode.calls"),
@@ -186,7 +310,7 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 		stageParse:        reg.Histogram("codec.decode.stage.parse_ns"),
 		stageEntropy:      reg.Histogram("codec.decode.stage.entropy_ns"),
 		stageRecon:        reg.Histogram("codec.decode.stage.reconstruct_ns"),
-		pool: poolMetrics{
+		poolMetrics: poolMetrics{
 			chunkNs: reg.Histogram("codec.decode.chunk_ns"),
 			workers: reg.Histogram("codec.decode.pool.workers"),
 			busy:    reg.Counter("codec.decode.pool.busy_ns"),
@@ -195,11 +319,37 @@ func newDecMetrics(reg *obs.Registry) *decMetrics {
 	}
 }
 
+// recorder is encMetrics.recorder for a decode stage.
+func (m *decMetrics) recorder(r *stageRecorder) *stageRecorder {
+	if m == nil || m.wall == nil {
+		return nil
+	}
+	*r = stageRecorder{}
+	return r
+}
+
+// flush publishes a decode chunk's stages: parse holds the parse stage's
+// time, recon the reconstruct stage's. A pipelined chunk's reconstruct
+// goroutine is one more pool slot for as long as it lived, from stageStart,
+// busy while it reconstructed.
+func (m *decMetrics) flush(parse, recon *stageRecorder, pipelined bool, stageStart time.Time) {
+	if parse == nil {
+		return
+	}
+	m.stageEntropy.Observe(parse.sum[stageEntropy])
+	m.stageRecon.Observe(recon.sum[stageRecon])
+	if pipelined {
+		m.pipelined.Inc()
+		m.busy.Add(recon.sum[stageRecon])
+		m.wall.Add(int64(time.Since(stageStart)))
+	}
+}
+
 // countError bumps the taxonomy counter matching err's class. An error outside
 // the taxonomy — a plane window out of range, a caller bug — says nothing
 // about the bytes and bumps none.
 func (m *decMetrics) countError(err error) {
-	if m == nil || err == nil {
+	if err == nil {
 		return
 	}
 	switch {

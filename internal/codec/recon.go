@@ -23,8 +23,6 @@
 package codec
 
 import (
-	"time"
-
 	"repro/internal/cpufeat"
 	"repro/internal/dct"
 	"repro/internal/frame"
@@ -77,10 +75,10 @@ type reconstructor struct {
 	recon *frame.Plane // padded reconstruction of the current frame
 	prev  *frame.Plane // cropped reconstruction of the previous one (inter)
 
-	// busyNs accumulates reconstruct time when timed is set (metrics
-	// enabled); one clock pair per batch, none otherwise.
-	timed  bool
-	busyNs int64
+	// rec times the batches into stages when metrics are on, one clock pair
+	// a batch; nil, none.
+	rec    *stageRecorder
+	stages stageRecorder
 }
 
 // beginFrame sets up the padded w×h reconstruction of the next frame; the
@@ -106,13 +104,9 @@ func (r *reconstructor) endFrame(srcW, srcH int) *frame.Plane {
 
 // run reconstructs one batch, timing it when metrics are on.
 func (r *reconstructor) run(b *ctuBatch) {
-	if !r.timed {
-		r.reconstruct(b)
-		return
-	}
-	t0 := time.Now()
+	t := r.rec.start()
 	r.reconstruct(b)
-	r.busyNs += int64(time.Since(t0))
+	r.rec.stop(stageRecon, t)
 }
 
 // reconstruct rebuilds the pixels of every leaf of a parsed CTU, in coding
@@ -216,11 +210,7 @@ func startReconStage(r *reconstructor, chunk int) *reconStage {
 	}
 	go func() {
 		defer close(st.done)
-		if r.timed {
-			workerLabels("decode-recon", chunk, func() { st.loop(r) })
-		} else {
-			st.loop(r)
-		}
+		r.rec.labeled("decode-recon", chunk, func() { st.loop(r) })
 	}()
 	return st
 }

@@ -227,12 +227,10 @@ func (o Options) encodeStack(ctx context.Context, stack []*Tensor, qp int) (enco
 	enc.Stream = stream
 	enc.Stats = st
 	span.End()
-	if o.Metrics != nil {
-		o.Metrics.Add("core.encode.layers", int64(enc.Layers))
-		o.Metrics.Add("core.encode.values", int64(enc.Layers)*int64(rows)*int64(cols))
-		o.Metrics.Add("core.encode.stream_bits", int64(len(stream))*8)
-		o.Metrics.Add("core.encode.metadata_bits", int64(enc.SizeBits()-len(stream)*8))
-	}
+	o.Metrics.Add("core.encode.layers", int64(enc.Layers))
+	o.Metrics.Add("core.encode.values", int64(enc.Layers)*int64(rows)*int64(cols))
+	o.Metrics.Add("core.encode.stream_bits", int64(len(stream))*8)
+	o.Metrics.Add("core.encode.metadata_bits", int64(enc.SizeBits()-len(stream)*8))
 	return encoding{enc, recs}, nil
 }
 
@@ -441,10 +439,8 @@ func (o Options) DecodeStackCtx(ctx context.Context, e *Encoded) ([]*Tensor, err
 	out := e.dequantStack(dec.Planes, regs)
 	dequantSpan.End()
 	span.End()
-	if o.Metrics != nil {
-		o.Metrics.Add("core.decode.layers", int64(e.Layers))
-		o.Metrics.Add("core.decode.values", int64(e.Layers)*int64(e.Rows)*int64(e.Cols))
-	}
+	o.Metrics.Add("core.decode.layers", int64(e.Layers))
+	o.Metrics.Add("core.decode.values", int64(e.Layers)*int64(e.Rows)*int64(e.Cols))
 	return out, nil
 }
 

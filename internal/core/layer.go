@@ -23,9 +23,7 @@ func (o Options) DecodeLayerCtx(ctx context.Context, e *Encoded, l int) (*Tensor
 	}
 	t, _ := e.dequantLayer(l, dec.Planes, regs)
 	span.End()
-	if o.Metrics != nil {
-		o.Metrics.Add("core.decode.layers", 1)
-		o.Metrics.Add("core.decode.values", int64(e.Rows)*int64(e.Cols))
-	}
+	o.Metrics.Add("core.decode.layers", 1)
+	o.Metrics.Add("core.decode.values", int64(e.Rows)*int64(e.Cols))
 	return t, nil
 }

@@ -202,3 +202,74 @@ func TestPartialAttributionProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreMetrics reads the core.* counters against the values they count:
+// an encode's geometry and bit split from its Encoded, and what each decode
+// entry point reconstructed.
+func TestCoreMetrics(t *testing.T) {
+	stack, o, _ := layerStack(t, codec.BackendCABAC)
+	ctx := context.Background()
+	counters := func(f func(o Options)) map[string]int64 {
+		t.Helper()
+		oo := o
+		oo.Metrics = obs.NewRegistry()
+		f(oo)
+		return oo.Metrics.Snapshot().Counters
+	}
+	check := func(what string, c map[string]int64, want map[string]int64) {
+		t.Helper()
+		for name, v := range want {
+			if c[name] != v {
+				t.Errorf("%s: %s = %d, want %d", what, name, c[name], v)
+			}
+		}
+	}
+
+	var e *Encoded
+	c := counters(func(o Options) {
+		var err error
+		if e, err = o.EncodeStackCtx(ctx, stack, 28); err != nil {
+			t.Fatal(err)
+		}
+	})
+	values := int64(e.Layers) * int64(e.Rows) * int64(e.Cols)
+	check("EncodeStackCtx", c, map[string]int64{
+		"core.encode.layers":        int64(e.Layers),
+		"core.encode.values":        values,
+		"core.encode.stream_bits":   8 * int64(len(e.Stream)),
+		"core.encode.metadata_bits": int64(e.SizeBits() - 8*len(e.Stream)),
+	})
+
+	c = counters(func(o Options) {
+		if _, err := o.DecodeStackCtx(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("DecodeStackCtx", c, map[string]int64{"core.decode.layers": int64(e.Layers), "core.decode.values": values})
+
+	c = counters(func(o Options) {
+		if _, err := o.DecodeLayerCtx(ctx, e, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	check("DecodeLayerCtx", c, map[string]int64{"core.decode.layers": 1, "core.decode.values": int64(e.Rows) * int64(e.Cols)})
+
+	// One corrupted payload byte of the v3 stream loses its chunk.
+	bad := *e
+	bad.Stream = append([]byte(nil), e.Stream...)
+	bad.Stream[len(bad.Stream)-64] ^= 0x20
+	var report *DecodeReport
+	c = counters(func(o Options) {
+		var err error
+		if _, report, err = o.DecodeStackPartialCtx(ctx, &bad); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if report.FailedChunks != 1 || len(report.Damaged) == 0 {
+		t.Fatalf("corrupted chunk: report %+v", report)
+	}
+	check("DecodeStackPartialCtx", c, map[string]int64{
+		"core.decode.layers":         int64(e.Layers),
+		"core.decode.layers_damaged": int64(len(report.Damaged)),
+	})
+}

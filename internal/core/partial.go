@@ -77,9 +77,7 @@ func (o Options) DecodeStackPartialCtx(ctx context.Context, e *Encoded) ([]*Tens
 		}
 	}
 	span.End()
-	if o.Metrics != nil {
-		o.Metrics.Add("core.decode.layers", int64(e.Layers))
-		o.Metrics.Add("core.decode.layers_damaged", int64(len(report.Damaged)))
-	}
+	o.Metrics.Add("core.decode.layers", int64(e.Layers))
+	o.Metrics.Add("core.decode.layers_damaged", int64(len(report.Damaged)))
 	return out, report, nil
 }

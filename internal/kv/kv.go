@@ -138,7 +138,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// kvMetrics holds the pre-resolved kv.* handles:
+// kvMetrics holds the kv.* handles, resolved once from Config.Metrics; a nil
+// registry resolves every one to nil, and a nil handle records nothing:
 //
 //	kv.sessions.live / kv.bytes.resident                    gauges
 //	kv.append.requests / tokens                             counters
@@ -160,11 +161,8 @@ type kvMetrics struct {
 	appendNs, readNs             *obs.Histogram
 }
 
-func newKVMetrics(reg *obs.Registry) *kvMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &kvMetrics{
+func newKVMetrics(reg *obs.Registry) kvMetrics {
+	return kvMetrics{
 		sessions:      reg.Gauge("kv.sessions.live"),
 		resident:      reg.Gauge("kv.bytes.resident"),
 		appendReq:     reg.Counter("kv.append.requests"),
@@ -183,6 +181,15 @@ func newKVMetrics(reg *obs.Registry) *kvMetrics {
 		appendNs:      reg.Histogram("kv.append.latency_ns"),
 		readNs:        reg.Histogram("kv.read.latency_ns"),
 	}
+}
+
+// now is the start of a request the latency histograms time, and the zero
+// time, without a clock read, when they are nil (metrics off).
+func (m *kvMetrics) now() time.Time {
+	if m.appendNs == nil {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // chunk is one encoded flush group, held once however many sessions — or
@@ -234,7 +241,7 @@ type Table struct {
 	chunks   map[[sha256.Size]byte]*chunk
 
 	resident atomic.Int64
-	m        *kvMetrics
+	m        kvMetrics
 }
 
 // New builds an empty table from cfg. A QP no encode can run at is the
@@ -269,10 +276,7 @@ func (t *Table) Sessions() int {
 }
 
 func (t *Table) addResident(delta int64) {
-	v := t.resident.Add(delta)
-	if t.m != nil {
-		t.m.resident.Set(v)
-	}
+	t.m.resident.Set(t.resident.Add(delta))
 }
 
 // expired reports whether s has idled past the TTL. Caller holds t.mu.
@@ -331,18 +335,16 @@ func (t *Table) removeLocked(s *Session, reason string) {
 	}
 	s.chunks = nil
 	t.addResident(-freed)
-	if t.m != nil {
-		t.m.sessions.Set(int64(len(t.sessions)))
-		t.m.evictBytes.Add(freed)
-		if reason == "expired" {
-			t.m.expired.Inc()
-		}
-		if reason != "delete" {
-			t.m.evictSessions.Inc()
-		}
+	t.m.sessions.Set(int64(len(t.sessions)))
+	t.m.evictBytes.Add(freed)
+	if reason == "expired" {
+		t.m.expired.Inc()
 	}
-	if t.cfg.OnEvict != nil && reason != "delete" {
-		t.cfg.OnEvict(s.name, s.evicted, s.total(), true)
+	if reason != "delete" {
+		t.m.evictSessions.Inc()
+		if t.cfg.OnEvict != nil {
+			t.cfg.OnEvict(s.name, s.evicted, s.total(), true)
+		}
 	}
 }
 
@@ -366,9 +368,7 @@ func (t *Table) lookup(name string, create bool) (*Session, error) {
 			s = &Session{name: name}
 			s.elem = t.lru.PushFront(s)
 			t.sessions[name] = s
-			if t.m != nil {
-				t.m.sessions.Set(int64(len(t.sessions)))
-			}
+			t.m.sessions.Set(int64(len(t.sessions)))
 		} else {
 			t.lru.MoveToFront(s.elem)
 		}
@@ -393,26 +393,20 @@ func (t *Table) lookup(name string, create bool) (*Session, error) {
 // steady-state property.
 func (t *Table) reserve(n int64, self *Session) error {
 	if n > t.cfg.BudgetBytes {
-		if t.m != nil {
-			t.m.rejectBudget.Inc()
-		}
+		t.m.rejectBudget.Inc()
 		return fmt.Errorf("kv: %d bytes can never fit budget %d: %w", n, t.cfg.BudgetBytes, ErrBudget)
 	}
 	for {
 		cur := t.resident.Load()
 		if cur+n <= t.cfg.BudgetBytes {
 			if t.resident.CompareAndSwap(cur, cur+n) {
-				if t.m != nil {
-					t.m.resident.Set(cur + n)
-				}
+				t.m.resident.Set(cur + n)
 				return nil
 			}
 			continue
 		}
 		if !t.evictSome(self) {
-			if t.m != nil {
-				t.m.rejectBudget.Inc()
-			}
+			t.m.rejectBudget.Inc()
 			return fmt.Errorf("kv: %d bytes over budget %d with nothing evictable: %w", n, t.cfg.BudgetBytes, ErrBudget)
 		}
 	}
@@ -468,10 +462,8 @@ func (t *Table) evictStepLocked(s *Session) {
 		from := s.evicted
 		s.evicted += t.cfg.FlushRows
 		t.addResident(-freed)
-		if t.m != nil {
-			t.m.evictChunks.Inc()
-			t.m.evictBytes.Add(freed)
-		}
+		t.m.evictChunks.Inc()
+		t.m.evictBytes.Add(freed)
 		if t.cfg.OnEvict != nil {
 			t.cfg.OnEvict(s.name, from, s.evicted, false)
 		}
@@ -507,7 +499,8 @@ type AppendResult struct {
 // removed — so the identical request can be retried once eviction frees
 // space.
 func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []float32) (res AppendResult, err error) {
-	start := time.Now()
+	t.m.appendReq.Inc()
+	start := t.m.now()
 	if name == "" {
 		return AppendResult{}, fmt.Errorf("kv: empty session name")
 	}
@@ -567,11 +560,8 @@ func (t *Table) Append(ctx context.Context, name string, dim, at int, vals []flo
 		t.addResident(-prepaid)
 	}
 	res.Total, res.Committed, res.Evicted = s.total(), s.committed, s.evicted
-	if t.m != nil {
-		t.m.appendReq.Inc()
-		t.m.appendTokens.Add(int64(rows))
-		t.m.appendNs.ObserveSince(start)
-	}
+	t.m.appendTokens.Add(int64(rows))
+	t.m.appendNs.ObserveSince(start)
 	return res, err
 }
 
@@ -605,10 +595,8 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 		if c != nil {
 			res.Aliased++
 			res.Saved += int64(len(c.payload))
-			if t.m != nil {
-				t.m.chunksAliased.Inc()
-				t.m.prefixSaved.Add(int64(len(c.payload)))
-			}
+			t.m.chunksAliased.Inc()
+			t.m.prefixSaved.Add(int64(len(c.payload)))
 		} else {
 			// Spend this group's share of the prepaid reservation; the
 			// difference from the true size (nothing when a concurrent
@@ -627,9 +615,7 @@ func (t *Table) flushLocked(ctx context.Context, s *Session, res *AppendResult, 
 			}
 			t.addResident(actual - est)
 			res.NewChunks++
-			if t.m != nil {
-				t.m.chunksEncoded.Inc()
-			}
+			t.m.chunksEncoded.Inc()
 		}
 
 		s.chunks = append(s.chunks, c)
@@ -684,7 +670,8 @@ type ReadResult struct {
 // availability fields. Committed rows decode from exactly the chunks
 // intersecting the range; tail rows are served raw, bit-exactly.
 func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, error) {
-	start := time.Now()
+	t.m.readReq.Inc()
+	start := t.m.now()
 	if t0 < 0 || (t1 >= 0 && t1 < t0) {
 		return ReadResult{}, fmt.Errorf("kv: bad token range [%d,%d)", t0, t1)
 	}
@@ -739,14 +726,11 @@ func (t *Table) Read(ctx context.Context, name string, t0, t1 int) (ReadResult, 
 	for r := max(from, s.committed); r < to; r++ {
 		copy(res.Vals[(r-from)*dim:], s.tail[(r-s.committed)*dim:(r-s.committed+1)*dim])
 	}
-	if t.m != nil {
-		t.m.readReq.Inc()
-		t.m.readTokens.Add(int64(to - from))
-		if from > t0 || to < t1 {
-			t.m.partial.Inc()
-		}
-		t.m.readNs.ObserveSince(start)
+	t.m.readTokens.Add(int64(to - from))
+	if from > t0 || to < t1 {
+		t.m.partial.Inc()
 	}
+	t.m.readNs.ObserveSince(start)
 	return res, nil
 }
 

@@ -108,6 +108,36 @@ func TestKVFlushCounters(t *testing.T) {
 	if snap.Counters["kv.append.tokens"] != 26 || snap.Counters["kv.append.chunks_encoded"] != 3 {
 		t.Fatalf("kv counters: %+v", snap.Counters)
 	}
+
+	// A read past the end is clamped to it, which is not partial: only an
+	// evicted prefix makes a read partial (TestKVEvictionBudget). A second
+	// session and the first one's delete move the live and resident gauges,
+	// which read what the table does.
+	if got := mustRead(t, tab, "s", 20, 40); got.To != 26 {
+		t.Fatalf("read past the end served [%d,%d)", got.From, got.To)
+	}
+	mustAppend(t, tab, "u", dim, 0, rowsFor(2, 0, 10, dim))
+	gauges := func(what string, sessions int64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if g := snap.Gauges["kv.sessions.live"]; g != sessions || g != int64(tab.Sessions()) {
+			t.Errorf("%s: kv.sessions.live = %d, want %d", what, g, sessions)
+		}
+		if g := snap.Gauges["kv.bytes.resident"]; g != tab.Resident() {
+			t.Errorf("%s: kv.bytes.resident = %d, Resident() = %d", what, g, tab.Resident())
+		}
+	}
+	gauges("two sessions", 2)
+	if err := tab.Delete("s"); err != nil {
+		t.Fatal(err)
+	}
+	gauges("after delete", 1)
+	snap = reg.Snapshot()
+	// Tokens served: 26 + 6 + 2 + the clipped read's 6.
+	if snap.Counters["kv.read.tokens"] != 40 || snap.Counters["kv.read.partial"] != 0 {
+		t.Fatalf("read counters: tokens %d, partial %d; want 40, 0",
+			snap.Counters["kv.read.tokens"], snap.Counters["kv.read.partial"])
+	}
 }
 
 // TestKVPrefixAliasing: a second session replaying the same prompt prefix
@@ -254,7 +284,7 @@ func TestKVEvictionBudget(t *testing.T) {
 		t.Fatalf("chunks_aliased = %d, want 0", c)
 	}
 
-	served := 0
+	served, partial, tokens := 0, int64(0), int64(0)
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("s%d", i)
 		evictedTo, full := log.window(name)
@@ -263,6 +293,10 @@ func TestKVEvictionBudget(t *testing.T) {
 		switch {
 		case err == nil:
 			served++
+			tokens += int64(res.To - res.From)
+			if res.From > 0 {
+				partial++
+			}
 			if res.From != evictedTo {
 				t.Fatalf("%s: read starts at %d, eviction log says %d", name, res.From, evictedTo)
 			}
@@ -288,6 +322,13 @@ func TestKVEvictionBudget(t *testing.T) {
 	if served == 0 {
 		t.Fatal("every session fully evicted; budget too tight for the test to mean anything")
 	}
+	// Only the served reads count their tokens; the evicted prefix made them
+	// partial.
+	c := reg.Snapshot().Counters
+	if c["kv.read.tokens"] != tokens || c["kv.read.partial"] != partial || partial == 0 {
+		t.Fatalf("kv.read.tokens = %d, kv.read.partial = %d; want %d, %d (> 0)",
+			c["kv.read.tokens"], c["kv.read.partial"], tokens, partial)
+	}
 }
 
 // TestKVBudgetRejects: an append that cannot fit even after eviction fails
@@ -305,6 +346,28 @@ func TestKVBudgetRejects(t *testing.T) {
 	}
 	if len(res.Vals) != 0 {
 		t.Fatalf("rejected append left %d readable values", len(res.Vals))
+	}
+}
+
+// TestKVRequestsCountEveryCall: kv.append.requests and kv.read.requests
+// count every call on entry, as codec.decode.calls does, so a rejected
+// request is one request too and rejects/requests is a rate.
+func TestKVRequestsCountEveryCall(t *testing.T) {
+	reg := obs.NewRegistry()
+	tab := New(Config{FlushRows: 4, QP: 12, BudgetBytes: 512, Metrics: reg})
+	if _, err := tab.Append(context.Background(), "s", 64, 0, rowsFor(1, 0, 64, 64)); !errors.Is(err, ErrBudget) {
+		t.Fatalf("oversized append: %v", err)
+	}
+	if _, err := tab.Read(context.Background(), "missing", 0, -1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of a missing session: %v", err)
+	}
+	c := reg.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"kv.append.requests": 1, "kv.reject.budget": 1, "kv.read.requests": 1, "kv.append.tokens": 0,
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
 	}
 }
 

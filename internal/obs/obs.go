@@ -4,12 +4,12 @@
 //
 // Design rules (DESIGN.md §10):
 //
-//   - Zero cost when disabled. A nil *Registry is a fully valid sink: every
-//     method on it, and on the nil *Counter / *Histogram handles it returns,
-//     is a no-op guarded by a single nil check. Instrumented code holds
-//     pre-resolved handles, so the disabled path never takes a lock, never
-//     allocates and never reads the clock (Span.start stays zero when the
-//     registry is nil, so no time.Now() call is made).
+//   - One switch, zero cost when disabled. A nil *Registry is a valid sink:
+//     it and the nil handles it returns do nothing past one nil check, so
+//     instrumented code calls pre-resolved handles with no test of its own,
+//     testing one only in a helper that skips what a nil handle cannot (the
+//     clock read feeding it). Disabled, nothing locks, allocates or reads
+//     the clock (a nil registry's Span never calls time.Now()).
 //   - Race-clean by construction. Counter and Histogram mutate only
 //     sync/atomic values; Registry's name→handle maps are guarded by an
 //     RWMutex that is touched only on handle resolution and snapshot, never

@@ -53,7 +53,7 @@ type Model struct {
 	man    *Manifest
 	opts   core.Options
 	budget int64
-	m      *storeMetrics
+	m      storeMetrics
 
 	mu       sync.Mutex
 	enc      map[string]*core.Encoded
@@ -113,15 +113,11 @@ func (m *Model) Layer(tensor string, layer int) (*core.Tensor, error) {
 	if el, ok := m.idx[key]; ok {
 		m.lru.MoveToFront(el)
 		m.stats.Hits++
-		if m.m != nil {
-			m.m.hits.Inc()
-		}
+		m.m.hits.Inc()
 		return el.Value.(*cacheEntry).t, nil
 	}
 	m.stats.Misses++
-	if m.m != nil {
-		m.m.misses.Inc()
-	}
+	m.m.misses.Inc()
 	t, err := m.opts.DecodeLayerCtx(context.Background(), e, layer)
 	if err != nil {
 		return nil, err
@@ -140,9 +136,7 @@ func (m *Model) Layer(tensor string, layer int) (*core.Tensor, error) {
 		delete(m.idx, ev.key)
 		m.resident -= ev.bytes
 		m.stats.Evictions++
-		if m.m != nil {
-			m.m.evictions.Inc()
-		}
+		m.m.evictions.Inc()
 	}
 	m.idx[key] = m.lru.PushFront(&cacheEntry{key: key, t: t, bytes: cost})
 	m.resident += cost
@@ -150,9 +144,7 @@ func (m *Model) Layer(tensor string, layer int) (*core.Tensor, error) {
 	if m.resident > m.stats.MaxResidentBytes {
 		m.stats.MaxResidentBytes = m.resident
 	}
-	if m.m != nil {
-		m.m.residentBytes.Set(m.resident)
-	}
+	m.m.residentBytes.Set(m.resident)
 	return t, nil
 }
 

@@ -94,7 +94,8 @@ func (m *Manifest) PackedBytes() int64 {
 	return n
 }
 
-// storeMetrics holds the pre-resolved store.* handles; nil disables them.
+// storeMetrics holds the store.* handles, resolved once in Open; a nil
+// registry resolves every one to nil, and a nil handle records nothing.
 type storeMetrics struct {
 	packBlobs, packBlobsNew *obs.Counter
 	packBytes, packBytesNew *obs.Counter
@@ -103,11 +104,8 @@ type storeMetrics struct {
 	residentBytes           *obs.Gauge
 }
 
-func newStoreMetrics(reg *obs.Registry) *storeMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &storeMetrics{
+func newStoreMetrics(reg *obs.Registry) storeMetrics {
+	return storeMetrics{
 		packBlobs:     reg.Counter("store.pack.blobs"),
 		packBlobsNew:  reg.Counter("store.pack.blobs_new"),
 		packBytes:     reg.Counter("store.pack.bytes"),
@@ -124,7 +122,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 // Store is a content-addressed chunk store rooted at a directory.
 type Store struct {
 	root string
-	m    *storeMetrics
+	m    storeMetrics
 }
 
 // Open opens (creating if needed) a store rooted at dir. Metrics are
@@ -160,10 +158,8 @@ func (s *Store) putBlob(data []byte) (BlobRef, error) {
 	sum := sha256.Sum256(data)
 	hash := hex.EncodeToString(sum[:])
 	ref := BlobRef{Hash: hash, Length: len(data)}
-	if s.m != nil {
-		s.m.packBlobs.Inc()
-		s.m.packBytes.Add(int64(len(data)))
-	}
+	s.m.packBlobs.Inc()
+	s.m.packBytes.Add(int64(len(data)))
 	path := s.blobPath(hash)
 	if _, err := os.Stat(path); err == nil {
 		return ref, nil // dedup: content already stored
@@ -175,10 +171,8 @@ func (s *Store) putBlob(data []byte) (BlobRef, error) {
 	if err := writeAtomic(path, data); err != nil {
 		return BlobRef{}, err
 	}
-	if s.m != nil {
-		s.m.packBlobsNew.Inc()
-		s.m.packBytesNew.Add(int64(len(data)))
-	}
+	s.m.packBlobsNew.Inc()
+	s.m.packBytesNew.Add(int64(len(data)))
 	return ref, nil
 }
 
@@ -240,10 +234,8 @@ func (s *Store) getBlob(ref BlobRef) ([]byte, error) {
 	if hex.EncodeToString(sum[:]) != ref.Hash || len(data) != ref.Length {
 		return nil, fmt.Errorf("store: blob %s content mismatch: %w", ref.Hash[:12], codec.ErrChecksum)
 	}
-	if s.m != nil {
-		s.m.fetchBlobs.Inc()
-		s.m.fetchBytes.Add(int64(len(data)))
-	}
+	s.m.fetchBlobs.Inc()
+	s.m.fetchBytes.Add(int64(len(data)))
 	return data, nil
 }
 

@@ -605,6 +605,31 @@ func TestModelLRU(t *testing.T) {
 	if st := all.Stats(); st.ResidentBytes != 4*layerBytes || st.Evictions != 0 {
 		t.Fatalf("unbounded stats = %+v", st)
 	}
+
+	// The three models share the store's registry: each store.lru counter is
+	// the sum of their Stats(), the gauge the last model's resident bytes, and
+	// store.fetch.bytes the compressed bytes each model fetched.
+	var sum CacheStats
+	for _, mm := range []*Model{m, tiny, all} {
+		st := mm.Stats()
+		sum.Hits += st.Hits
+		sum.Misses += st.Misses
+		sum.Evictions += st.Evictions
+		sum.CompressedBytes += st.CompressedBytes
+	}
+	for name, want := range map[string]int64{
+		"store.lru.hits":      sum.Hits,
+		"store.lru.misses":    sum.Misses,
+		"store.lru.evictions": sum.Evictions,
+		"store.fetch.bytes":   sum.CompressedBytes,
+	} {
+		if got := counter(reg, name); got != want {
+			t.Errorf("%s = %d, want %d from Stats()", name, got, want)
+		}
+	}
+	if g := reg.Snapshot().Gauges["store.lru.resident_bytes"]; g != all.Stats().ResidentBytes {
+		t.Errorf("resident gauge = %d, want the unbounded model's %d", g, all.Stats().ResidentBytes)
+	}
 }
 
 // TestModelConcurrent hammers one Model from many goroutines so the race
